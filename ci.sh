@@ -32,45 +32,53 @@ cargo run --release -q -p simcheck --bin tracecheck -- results/trace-pi.chrome.j
 cargo run --release -q -p bench --bin experiments elastic
 cargo run --release -q -p simcheck --bin tracecheck -- results/trace-elastic.chrome.json
 
-# Kernel speed baseline: raw wheel churn, empty-cycle timers, the message
-# ring, and the DSO smoke, each reported as events/sec in
-# BENCH_kernel.json. benchcheck validates the file and holds every
-# section above a sanity floor (~1/10 of typical release numbers), so an
-# order-of-magnitude kernel regression fails here. On failure a second,
-# --json run leaves a machine-readable violation list for trend tooling.
-cargo run --release -q -p bench --bin experiments kernel-bench
-cargo run --release -q -p simcheck --bin benchcheck -- BENCH_kernel.json \
-    || { cargo run --release -q -p simcheck --bin benchcheck -- --json BENCH_kernel.json \
-           > results/benchcheck_violations.json || true; exit 1; }
+# Benchcheck-gated experiments: each run writes its BENCH file, which
+# benchcheck validates and holds to the claims the docs make. On failure a
+# second, --json run leaves a machine-readable violation list for trend
+# tooling.
+#   kernel-bench        raw wheel churn, empty-cycle timers, the message
+#                       ring and the DSO smoke as events/sec, each above a
+#                       sanity floor (~1/10 of typical release numbers), so
+#                       an order-of-magnitude kernel regression fails here.
+#   coldstart           classic vs snapshot-restore elastic runs plus the
+#                       fork fan-out microbench; self-asserts the tier
+#                       mechanics, then: a restore collapses the classic
+#                       cold start >= 4x, a warm-parent fork undercuts the
+#                       restore >= 2x.
+#   consistency-ablate  mode x cache matrix on the hot rf=3 read workload
+#                       under client churn: replica reads beat primary-only
+#                       reads, and the host-shared node cache beats the
+#                       per-client cache once clients churn like FaaS
+#                       containers do.
+#   recovery            crash-recovery vs checkpoint cadence plus per-level
+#                       write overhead: a 500 ms cadence cuts full-cluster
+#                       recovery >= 1.2x and replays fewer WAL bytes than
+#                       the log alone, and async group commit stays off the
+#                       write path (within 1.2x of no durability).
+for pair in kernel-bench:BENCH_kernel.json coldstart:BENCH_coldstart.json \
+    consistency-ablate:BENCH_consistency.json recovery:BENCH_recovery.json; do
+    experiment=${pair%%:*} bench_file=${pair#*:}
+    cargo run --release -q -p bench --bin experiments "$experiment"
+    cargo run --release -q -p simcheck --bin benchcheck -- "$bench_file" \
+        || { cargo run --release -q -p simcheck --bin benchcheck -- --json "$bench_file" \
+               > results/benchcheck_violations.json || true; exit 1; }
+done
 
-# Cold-start tier smoke: classic vs snapshot-restore elastic runs plus the
-# fork fan-out microbench. The run self-asserts the tier mechanics (the
-# snapshot run restores and buys no provisioned floors, the classic run
-# does the opposite) and writes BENCH_coldstart.json; benchcheck holds the
-# documented latency claims — a restore collapses the classic cold start
-# >= 4x, a warm-parent fork undercuts the restore >= 2x.
-cargo run --release -q -p bench --bin experiments coldstart
-cargo run --release -q -p simcheck --bin benchcheck -- BENCH_coldstart.json \
-    || { cargo run --release -q -p simcheck --bin benchcheck -- --json BENCH_coldstart.json \
-           > results/benchcheck_violations.json || true; exit 1; }
-
-# Consistency-spectrum ablation: the mode x cache matrix on the hot rf=3
-# read workload under client churn, reported in BENCH_consistency.json.
-# benchcheck holds the relational claims the docs make — replica reads
-# beat primary-only reads, and the host-shared node cache beats the
-# per-client cache once clients churn like FaaS containers do.
-cargo run --release -q -p bench --bin experiments consistency-ablate
-cargo run --release -q -p simcheck --bin benchcheck -- BENCH_consistency.json \
-    || { cargo run --release -q -p simcheck --bin benchcheck -- --json BENCH_consistency.json \
-           > results/benchcheck_violations.json || true; exit 1; }
-
-# Durability smoke: the crash-recovery-vs-checkpoint-cadence matrix plus
-# the per-level write-overhead table, reported in BENCH_recovery.json.
-# benchcheck holds the durability claims — a 500 ms checkpoint cadence
-# cuts full-cluster crash recovery >= 1.2x and replays fewer WAL bytes
-# than running on the log alone, and async group commit stays off the
-# write path (within 1.2x of no durability).
-cargo run --release -q -p bench --bin experiments recovery
-cargo run --release -q -p simcheck --bin benchcheck -- BENCH_recovery.json \
-    || { cargo run --release -q -p simcheck --bin benchcheck -- --json BENCH_recovery.json \
-           > results/benchcheck_violations.json || true; exit 1; }
+# The acceptance benchmark (BENCHMARK.json) at test scale, the whole driver
+# path: every workload in a pinned child (five timed runs and a traced one,
+# output checks on), then the layer microbenches. It calls only public
+# APIs, so a change that breaks them fails here rather than in the
+# acceptance driver. Exit 2 is a child that did not run or failed its
+# checks. Exit 1 is tolerated only for `unresolved` host timings, which
+# millisecond-long smoke runs spread into on a busy machine; a virtual
+# figure that is `NOT EXACT` also exits 1 and fails.
+status=0
+smoke=$(cargo run --release -q -p bench --bin benchmark -- --smoke 2>&1) || status=$?
+if [ "$status" -eq 1 ] && grep -q unresolved <<<"$smoke" && ! grep -q 'NOT EXACT' <<<"$smoke"; then
+    status=0
+fi
+if [ "$status" -ne 0 ]; then
+    printf '%s\n' "$smoke"
+    echo "benchmark --smoke failed (exit $status)" >&2
+    exit 1
+fi

@@ -3,8 +3,7 @@
 //! [`Bytes`] is a cheaply cloneable, immutable byte buffer backed by
 //! `Arc<[u8]>` with an offset/length window, so clones and slices share one
 //! allocation — the property the DSO hot path relies on to stop copying
-//! payloads per retry. Serde impls are wire-compatible with `Vec<u8>` under
-//! `simcore::codec` (length-prefixed raw bytes).
+//! payloads per retry.
 
 use std::fmt;
 use std::hash::{Hash, Hasher};
@@ -139,41 +138,6 @@ impl Hash for Bytes {
 impl fmt::Debug for Bytes {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "Bytes(len={})", self.len)
-    }
-}
-
-impl serde::ser::Serialize for Bytes {
-    fn serialize<S: serde::ser::Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
-        s.serialize_bytes(self)
-    }
-}
-
-impl<'de> serde::de::Deserialize<'de> for Bytes {
-    fn deserialize<D: serde::de::Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
-        struct V;
-        impl<'de> serde::de::Visitor<'de> for V {
-            type Value = Bytes;
-            fn expecting(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-                f.write_str("bytes")
-            }
-            fn visit_bytes<E: serde::de::Error>(self, v: &[u8]) -> Result<Bytes, E> {
-                Ok(Bytes::copy_from_slice(v))
-            }
-            fn visit_byte_buf<E: serde::de::Error>(self, v: Vec<u8>) -> Result<Bytes, E> {
-                Ok(Bytes::from(v))
-            }
-            fn visit_seq<A: serde::de::SeqAccess<'de>>(
-                self,
-                mut seq: A,
-            ) -> Result<Bytes, A::Error> {
-                let mut out = Vec::with_capacity(seq.size_hint().unwrap_or(0).min(4096));
-                while let Some(b) = seq.next_element::<u8>()? {
-                    out.push(b);
-                }
-                Ok(Bytes::from(out))
-            }
-        }
-        d.deserialize_byte_buf(V)
     }
 }
 

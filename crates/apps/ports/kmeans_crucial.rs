@@ -1,9 +1,9 @@
 //! k-means clustering — Crucial cloud-thread version (Listing 2).
 use crucial::{AtomicLong, CyclicBarrier, FnEnv, RunResult, Runnable};
 use crucial_ml::objects::{CentroidsHandle, DeltaHandle};
-use serde::{Deserialize, Serialize};
+use simcore::codec::Wire;
 
-#[derive(Serialize, Deserialize)]
+#[derive(Wire)]
 struct KMeans {
     worker_id: u32,
     workers: u32,

@@ -1,9 +1,9 @@
 //! Logistic regression — Crucial cloud-thread version.
 use crucial::{CyclicBarrier, FnEnv, RunResult, Runnable};
 use crucial_ml::objects::WeightsHandle;
-use serde::{Deserialize, Serialize};
+use simcore::codec::Wire;
 
-#[derive(Serialize, Deserialize)]
+#[derive(Wire)]
 struct LogReg {
     worker_id: u32,
     workers: u32,

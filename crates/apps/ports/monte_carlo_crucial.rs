@@ -1,11 +1,11 @@
 //! Monte Carlo π estimation — Crucial cloud-thread version.
 use crucial::{AtomicLong, FnEnv, RunResult, Runnable};
-use serde::{Deserialize, Serialize};
+use simcore::codec::Wire;
 
 const ITERATIONS: u64 = 100_000_000;
 const N_THREADS: usize = 8;
 
-#[derive(Serialize, Deserialize)]
+#[derive(Wire)]
 struct PiEstimator {
     counter: AtomicLong,
 }

@@ -21,12 +21,12 @@ use crucial::{
 };
 use crucial_ml::cost::monte_carlo_cost;
 use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
+use simcore::codec::Wire;
 
 use crate::pi::sample_hits;
 
 /// The five strategies of Fig. 6.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq, Wire)]
 pub enum SyncStrategy {
     /// PyWren-style polling on the object store.
     S3Polling,
@@ -63,7 +63,7 @@ impl SyncStrategy {
 }
 
 /// Experiment parameters.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, Wire)]
 pub struct MapSyncConfig {
     /// Seed.
     pub seed: u64,
@@ -101,7 +101,7 @@ pub struct MapSyncReport {
 
 /// The mapper function: simulate the points, then publish the local count
 /// using the configured strategy.
-#[derive(Clone, Serialize, Deserialize)]
+#[derive(Clone, Wire)]
 pub struct MapSyncMapper {
     /// Mapper index.
     pub id: u32,

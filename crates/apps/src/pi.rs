@@ -14,7 +14,7 @@ use crucial::{
 use crucial_ml::cost::monte_carlo_cost;
 use parking_lot::Mutex;
 use rand::RngExt;
-use serde::{Deserialize, Serialize};
+use simcore::codec::Wire;
 
 /// Maximum real samples drawn per invocation; beyond this the hit count is
 /// extrapolated (the estimate's variance is the capped sample's).
@@ -40,7 +40,7 @@ pub fn sample_hits(rng: &mut rand::rngs::StdRng, points: u64) -> i64 {
 }
 
 /// Listing 1's `PiEstimator` runnable.
-#[derive(Clone, Serialize, Deserialize)]
+#[derive(Clone, Wire)]
 pub struct PiEstimator {
     /// Paper-scale points this thread draws (`ITERATIONS` in Listing 1).
     pub points: u64,

@@ -23,10 +23,10 @@ use crucial::{
 };
 use parking_lot::Mutex;
 use rand::RngExt;
-use serde::{Deserialize, Serialize};
+use simcore::codec::Wire;
 
 /// Entity kinds.
-#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug, Wire)]
 pub enum Kind {
     /// One of the 9 reindeer (group size 9, priority at Santa's door).
     Reindeer,
@@ -69,7 +69,7 @@ pub enum Gate {
 }
 
 /// Problem parameters.
-#[derive(Copy, Clone, Debug, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, Wire)]
 pub struct SantaConfig {
     /// Seed for work-time jitter.
     pub seed: u64,
@@ -328,11 +328,11 @@ pub fn run_santa_local(cfg: &SantaConfig) -> SantaReport {
 
 /// Santa's inbox as a custom `@Shared` object: full groups are offered,
 /// Santa's `take` parks until one is available, reindeer first.
-#[derive(Debug, Default, Clone, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, Wire)]
 pub struct SantaInbox {
     reindeer_q: VecDeque<u64>,
     elf_q: VecDeque<u64>,
-    #[serde(skip)]
+    #[wire(skip)]
     waiting: Option<crucial::Ticket>,
 }
 
@@ -532,7 +532,7 @@ pub fn run_santa_dso(cfg: &SantaConfig) -> SantaReport {
 // ---------------------------------------------------------------------------
 
 /// An entity (or Santa) as a cloud function.
-#[derive(Clone, Serialize, Deserialize)]
+#[derive(Clone, Wire)]
 pub struct SantaEntity {
     /// Role: `None` is Santa, otherwise the entity's kind.
     pub kind: Option<Kind>,

@@ -15,10 +15,10 @@ use crucial::{
     join_all, CrucialConfig, CyclicBarrier, Deployment, FnEnv, RunResult, Runnable, Sim,
 };
 use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
+use simcore::codec::Wire;
 
 /// Experiment parameters.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, Wire)]
 pub struct StagesConfig {
     /// Seed.
     pub seed: u64,
@@ -86,7 +86,7 @@ impl Recorder {
 }
 
 /// One iteration's work as a standalone stage (approach A).
-#[derive(Clone, Serialize, Deserialize)]
+#[derive(Clone, Wire)]
 pub struct StageTask {
     /// Thread index.
     pub id: u32,
@@ -123,7 +123,7 @@ impl Runnable for StageTask {
 }
 
 /// All iterations in one function, synchronized by a barrier (approach B).
-#[derive(Clone, Serialize, Deserialize)]
+#[derive(Clone, Wire)]
 pub struct BarrierTask {
     /// Thread index.
     pub id: u32,

@@ -115,7 +115,7 @@ mod tests {
             assert!(r.changed_lines > 0, "{}: porting must change something", r.name);
             // The paper's Table 4 stays below ~16 lines (< 3 % of each
             // Java program): AspectJ weaves the @Shared fields invisibly.
-            // Rust has no aspect weaving — handles, serde derives and
+            // Rust has no aspect weaving — handles, Wire derives and
             // explicit error plumbing are real source lines — so our
             // honest bound is "well under two thirds", with the algorithm
             // itself (the LCS-shared part) untouched. EXPERIMENTS.md

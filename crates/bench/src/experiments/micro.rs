@@ -23,7 +23,7 @@ use crate::report::{fmt_dur, Table};
 
 /// Raw key-value object modeling plain Infinispan (no Creson call-shipping
 /// proxy stack): slightly cheaper per op than a Crucial shared object.
-#[derive(Debug, Default, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Default, Clone, simcore::codec::Wire)]
 pub struct RawKv {
     data: Vec<u8>,
 }

@@ -10,7 +10,7 @@ use std::time::Duration;
 use simcore::{Addr, Ctx, LatencyModel, Msg, Request, Sim, WaitKind};
 
 /// Latency profile of the queue/notification services.
-#[derive(Clone, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Debug, simcore::codec::Wire)]
 pub struct QueueConfig {
     /// One-way latency of an SQS API call (send/receive leg).
     pub sqs_half: LatencyModel,
@@ -66,7 +66,7 @@ pub fn spawn_sqs(sim: &Sim, cfg: QueueConfig) -> SqsHandle {
 
 /// Cheap, `Send` handle to the SQS-like service; serializable so it can
 /// ship inside a cloud-function payload.
-#[derive(Clone, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Debug, simcore::codec::Wire)]
 pub struct SqsHandle {
     addr: Addr,
     cfg: QueueConfig,

@@ -55,7 +55,7 @@ impl ScriptRegistry {
 }
 
 /// Cost/latency profile, calibrated against Table 2 and Fig. 2a.
-#[derive(Clone, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Debug, simcore::codec::Wire)]
 pub struct RedisConfig {
     /// One-way client↔shard latency.
     pub net: LatencyModel,
@@ -94,7 +94,7 @@ enum RedisResp {
 
 /// A running Redis-like deployment (one process per shard). Serializable
 /// so it can ship inside a cloud-function payload.
-#[derive(Clone, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Debug, simcore::codec::Wire)]
 pub struct RedisHandle {
     shards: Vec<Addr>,
     cfg: RedisConfig,

@@ -13,12 +13,10 @@
 //! ## The π-estimation example (Listing 1 of the paper)
 //!
 //! ```
-//! use crucial::{CrucialConfig, Deployment, FnEnv, Runnable, RunResult, AtomicLong};
+//! use crucial::prelude::*;
 //! use rand::RngExt;
-//! use serde::{Serialize, Deserialize};
-//! use simcore::Sim;
 //!
-//! #[derive(Serialize, Deserialize)]
+//! #[derive(Wire)]
 //! struct PiEstimator {
 //!     points: u64,
 //!     counter: AtomicLong,
@@ -125,4 +123,8 @@ pub mod prelude {
         DsoConfig, FnEnv, JoinHandle, MetricsRegistry, RetryPolicy, RunResult, Runnable, Semaphore,
         SharedFuture, SharedList, SharedMap, Sim, SimTime, ThreadFactory, Tracer,
     };
+    /// The wire trait and its derive: what makes a [`Runnable`](crate::Runnable)
+    /// shippable. (The derive names `::simcore`, so a crate using it
+    /// depends on `simcore` too.)
+    pub use simcore::codec::Wire;
 }

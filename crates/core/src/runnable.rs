@@ -2,7 +2,7 @@
 //!
 //! Mirrors the paper's model (§3.1): the programmer writes a plain
 //! "multi-threaded" object whose fields are inputs plus handles to shared
-//! objects. Because a [`Runnable`] is `Serialize`/`Deserialize`, the whole
+//! objects. Because a [`Runnable`] is [`Wire`], the whole
 //! object ships to the FaaS platform as the invocation payload — the Rust
 //! analogue of Java reflection instantiating the user class inside the
 //! Lambda.
@@ -14,8 +14,7 @@ use dso::{DsoClient, DsoClientHandle};
 use faas::FnCtx;
 
 use crate::blackboard::Blackboard;
-use serde::de::DeserializeOwned;
-use serde::Serialize;
+use simcore::codec::Wire;
 use simcore::Ctx;
 
 /// Outcome of a cloud thread body; an `Err` marks the invocation failed
@@ -27,10 +26,9 @@ pub type RunResult = Result<(), String>;
 /// # Examples
 ///
 /// ```
-/// use crucial::{Runnable, FnEnv, RunResult, AtomicLong};
-/// use serde::{Serialize, Deserialize};
+/// use crucial::prelude::*;
 ///
-/// #[derive(Serialize, Deserialize)]
+/// #[derive(Wire)]
 /// struct AddOne {
 ///     counter: AtomicLong,
 /// }
@@ -43,7 +41,7 @@ pub type RunResult = Result<(), String>;
 ///     }
 /// }
 /// ```
-pub trait Runnable: Serialize + DeserializeOwned + Send + 'static {
+pub trait Runnable: Wire + Send + 'static {
     /// Executes the body inside a cloud function.
     ///
     /// # Errors
@@ -149,9 +147,8 @@ impl std::fmt::Debug for FnEnv<'_, '_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use serde::Deserialize;
 
-    #[derive(Serialize, Deserialize)]
+    #[derive(Wire)]
     struct Nop;
 
     impl Runnable for Nop {

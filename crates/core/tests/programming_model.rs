@@ -6,7 +6,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
+use simcore::codec::Wire;
 use simcore::Sim;
 
 use crucial::{
@@ -14,7 +14,7 @@ use crucial::{
     Runnable, SharedList,
 };
 
-#[derive(Serialize, Deserialize)]
+#[derive(Wire)]
 struct Adder {
     amount: i64,
     counter: AtomicLong,
@@ -50,7 +50,7 @@ fn fork_join_accumulates_shared_state() {
     assert_eq!(*total.lock(), 55);
 }
 
-#[derive(Serialize, Deserialize)]
+#[derive(Wire)]
 struct BarrierWorker {
     id: u32,
     barrier: CyclicBarrier,
@@ -105,7 +105,7 @@ fn barrier_keeps_cloud_threads_in_lockstep() {
 /// The idempotent-retry pattern of §4.4: a thread that can crash mid-run
 /// checks a shared progress counter and skips already-applied work when
 /// re-executed.
-#[derive(Serialize, Deserialize)]
+#[derive(Wire)]
 struct IdempotentWorker {
     steps: i64,
     progress: AtomicLong, // how many steps have been applied
@@ -161,7 +161,7 @@ fn retries_with_shared_progress_counter_are_exactly_once() {
 
 #[test]
 fn failed_threads_report_errors_without_retries() {
-    #[derive(Serialize, Deserialize)]
+    #[derive(Wire)]
     struct AlwaysFails;
     impl Runnable for AlwaysFails {
         fn run(&mut self, _env: &mut FnEnv<'_, '_>) -> RunResult {

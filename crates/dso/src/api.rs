@@ -3,7 +3,7 @@
 //!
 //! A handle is a *reference*, not the object: it holds the `(type, key)`
 //! pair, the replication factor, and the creation arguments. Handles are
-//! `Serialize`/`Deserialize`, so a `Runnable` carrying them can ship to a
+//! [`Wire`], so a `Runnable` carrying them can ship to a
 //! cloud function — the Rust analogue of the paper's `@Shared` fields
 //! woven by AspectJ.
 //!
@@ -14,8 +14,7 @@
 use std::marker::PhantomData;
 
 use bytes::Bytes;
-use serde::de::DeserializeOwned;
-use serde::{Deserialize, Serialize};
+use simcore::codec::Wire;
 use simcore::Ctx;
 
 use crate::client::{BatchOp, DsoClient};
@@ -25,7 +24,7 @@ use crate::object::ObjectRef;
 use crate::objects;
 
 /// Untyped core of every handle.
-#[derive(Clone, Debug, Serialize, Deserialize, PartialEq)]
+#[derive(Clone, Debug, Wire, PartialEq)]
 pub struct RawHandle {
     obj: ObjectRef,
     rf: u8,
@@ -34,11 +33,11 @@ pub struct RawHandle {
 
 impl RawHandle {
     /// Creates a handle to `(type_name, key)` with creation arguments.
-    pub fn new<A: Serialize>(type_name: &str, key: &str, rf: u8, create_args: &A) -> RawHandle {
+    pub fn new<A: Wire>(type_name: &str, key: &str, rf: u8, create_args: &A) -> RawHandle {
         RawHandle {
             obj: ObjectRef::new(type_name, key),
             rf: rf.max(1),
-            // invariant: the codec encodes every Serialize type; creation
+            // invariant: the codec encodes every `Wire` type; creation
             // args come from the typed wrappers below.
             create_args: simcore::codec::to_bytes(create_args)
                 .expect("creation args encode")
@@ -69,8 +68,8 @@ impl RawHandle {
         args: &A,
     ) -> Result<R, DsoError>
     where
-        A: Serialize,
-        R: DeserializeOwned,
+        A: Wire,
+        R: Wire,
     {
         cli.call(
             ctx,
@@ -102,8 +101,8 @@ impl RawHandle {
         args: &A,
     ) -> Result<R, DsoError>
     where
-        A: Serialize,
-        R: DeserializeOwned,
+        A: Wire,
+        R: Wire,
     {
         cli.call(ctx, &self.obj, method, args, self.rf, Some(self.create_args.clone()), false, true)
     }
@@ -121,8 +120,8 @@ impl RawHandle {
         args: &A,
     ) -> Result<R, DsoError>
     where
-        A: Serialize,
-        R: DeserializeOwned,
+        A: Wire,
+        R: Wire,
     {
         cli.call(ctx, &self.obj, method, args, self.rf, Some(self.create_args.clone()), true, false)
     }
@@ -132,7 +131,7 @@ impl RawHandle {
     /// # Panics
     ///
     /// Panics if `args` cannot be encoded.
-    pub fn op<A: Serialize>(&self, method: &str, args: &A) -> BatchOp {
+    pub fn op<A: Wire>(&self, method: &str, args: &A) -> BatchOp {
         self.make_op(method, args, false)
     }
 
@@ -141,15 +140,15 @@ impl RawHandle {
     /// # Panics
     ///
     /// Panics if `args` cannot be encoded.
-    pub fn read_op<A: Serialize>(&self, method: &str, args: &A) -> BatchOp {
+    pub fn read_op<A: Wire>(&self, method: &str, args: &A) -> BatchOp {
         self.make_op(method, args, true)
     }
 
-    fn make_op<A: Serialize>(&self, method: &str, args: &A, readonly: bool) -> BatchOp {
+    fn make_op<A: Wire>(&self, method: &str, args: &A, readonly: bool) -> BatchOp {
         BatchOp {
             obj: self.obj.clone(),
             method: intern(method),
-            // invariant: the codec encodes every Serialize type (documented
+            // invariant: the codec encodes every `Wire` type (documented
             // to panic in `op`/`read_op` otherwise).
             args: simcore::codec::to_bytes(args).expect("batch args encode").into(),
             rf: self.rf,
@@ -204,7 +203,7 @@ macro_rules! delegate_ctor {
 /// # Examples
 ///
 /// See the crate-level example in [`crate`].
-#[derive(Clone, Debug, Serialize, Deserialize, PartialEq)]
+#[derive(Clone, Debug, Wire, PartialEq)]
 pub struct AtomicLong {
     raw: RawHandle,
 }
@@ -274,7 +273,7 @@ impl AtomicLong {
 }
 
 /// Typed handle to a shared [`objects::AtomicBoolean`].
-#[derive(Clone, Debug, Serialize, Deserialize, PartialEq)]
+#[derive(Clone, Debug, Wire, PartialEq)]
 pub struct AtomicBoolean {
     raw: RawHandle,
 }
@@ -318,7 +317,7 @@ impl AtomicBoolean {
 
 /// Typed handle to a shared [`objects::AtomicByteArray`] — e.g. the 1 KB
 /// payload of the Table 2 latency benchmark.
-#[derive(Clone, Debug, Serialize, Deserialize, PartialEq)]
+#[derive(Clone, Debug, Wire, PartialEq)]
 pub struct AtomicByteArray {
     raw: RawHandle,
 }
@@ -368,13 +367,14 @@ impl AtomicByteArray {
 // ---------------------------------------------------------------------------
 
 /// Typed handle to a shared list of `T`.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, Wire)]
 pub struct SharedList<T> {
     raw: RawHandle,
+    #[wire(skip)]
     _ty: PhantomData<fn(T)>,
 }
 
-impl<T: Serialize + DeserializeOwned> SharedList<T> {
+impl<T: Wire> SharedList<T> {
     /// Handle to an ephemeral empty list.
     pub fn new(key: &str) -> SharedList<T> {
         SharedList {
@@ -452,13 +452,14 @@ impl<T: Serialize + DeserializeOwned> SharedList<T> {
 }
 
 /// Typed handle to a shared string-keyed map of `V`.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, Wire)]
 pub struct SharedMap<V> {
     raw: RawHandle,
+    #[wire(skip)]
     _ty: PhantomData<fn(V)>,
 }
 
-impl<V: Serialize + DeserializeOwned> SharedMap<V> {
+impl<V: Wire> SharedMap<V> {
     /// Handle to an ephemeral empty map.
     pub fn new(key: &str) -> SharedMap<V> {
         Self::with_rf(key, 1)
@@ -560,7 +561,7 @@ impl<V: Serialize + DeserializeOwned> SharedMap<V> {
 // ---------------------------------------------------------------------------
 
 /// Typed handle to a shared [`objects::CyclicBarrier`].
-#[derive(Clone, Debug, Serialize, Deserialize, PartialEq)]
+#[derive(Clone, Debug, Wire, PartialEq)]
 pub struct CyclicBarrier {
     raw: RawHandle,
 }
@@ -587,7 +588,7 @@ impl CyclicBarrier {
 }
 
 /// Typed handle to a shared [`objects::Semaphore`].
-#[derive(Clone, Debug, Serialize, Deserialize, PartialEq)]
+#[derive(Clone, Debug, Wire, PartialEq)]
 pub struct Semaphore {
     raw: RawHandle,
 }
@@ -641,7 +642,7 @@ impl Semaphore {
 }
 
 /// Typed handle to a shared [`objects::CountDownLatch`].
-#[derive(Clone, Debug, Serialize, Deserialize, PartialEq)]
+#[derive(Clone, Debug, Wire, PartialEq)]
 pub struct CountDownLatch {
     raw: RawHandle,
 }
@@ -681,13 +682,14 @@ impl CountDownLatch {
 }
 
 /// Typed handle to a shared write-once [`objects::FutureObject`].
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, Wire)]
 pub struct SharedFuture<T> {
     raw: RawHandle,
+    #[wire(skip)]
     _ty: PhantomData<fn(T)>,
 }
 
-impl<T: Serialize + DeserializeOwned> SharedFuture<T> {
+impl<T: Wire> SharedFuture<T> {
     /// Handle to an (initially unset) future.
     pub fn new(key: &str) -> SharedFuture<T> {
         SharedFuture {
@@ -727,7 +729,7 @@ impl<T: Serialize + DeserializeOwned> SharedFuture<T> {
 }
 
 /// Typed handle to the Fig. 2a [`objects::Arithmetic`] register.
-#[derive(Clone, Debug, Serialize, Deserialize, PartialEq)]
+#[derive(Clone, Debug, Wire, PartialEq)]
 pub struct Arithmetic {
     raw: RawHandle,
 }
@@ -774,7 +776,7 @@ impl Arithmetic {
 /// [`crate::ConsistencyMode::CrdtMerge`], where its writes skip the SMR
 /// multicast and replicas reconcile by merge on anti-entropy exchange;
 /// under any other mode it behaves like an ordinary replicated counter.
-#[derive(Clone, Debug, Serialize, Deserialize, PartialEq)]
+#[derive(Clone, Debug, Wire, PartialEq)]
 pub struct GCounter {
     raw: RawHandle,
 }

@@ -9,6 +9,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use bytes::Bytes;
+use simcore::codec::Wire;
 use simcore::{Addr, Ctx, SimTime, SpanId, TraceCtx, WaitKind};
 
 use crate::config::DsoConfig;
@@ -708,8 +709,8 @@ impl DsoClient {
         readonly: bool,
     ) -> Result<R, DsoError>
     where
-        A: serde::Serialize,
-        R: serde::de::DeserializeOwned,
+        A: Wire,
+        R: Wire,
     {
         let bytes = self.encode_args(args)?;
         let out = self.invoke(ctx, obj, method, bytes, rf, create, blocking, readonly)?;
@@ -728,7 +729,7 @@ impl DsoClient {
     /// Fails if the codec cannot represent `args`.
     pub fn encode_args<A>(&mut self, args: &A) -> Result<Bytes, DsoError>
     where
-        A: serde::Serialize + ?Sized,
+        A: Wire,
     {
         simcore::codec::to_bytes_into(args, &mut self.scratch)
             .map_err(|e| DsoError::Object(crate::error::ObjectError::BadArgs(e.to_string())))?;

@@ -2,7 +2,7 @@
 
 use std::time::Duration;
 
-use serde::{Deserialize, Serialize};
+use simcore::codec::Wire;
 use simcore::LatencyModel;
 
 /// How read-only method calls are routed (see DESIGN.md §4).
@@ -10,7 +10,7 @@ use simcore::LatencyModel;
 /// Writes always go through the primary (and, for replicated objects, the
 /// SMR total-order multicast); this mode only governs *declared read-only*
 /// methods on replicated objects.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq, Default, Wire)]
 pub enum ConsistencyMode {
     /// Reads are served by the object's primary only. Together with
     /// per-object serialization on the primary this preserves
@@ -51,7 +51,7 @@ pub enum ConsistencyMode {
 
 /// How (and whether) applied mutations are persisted to the durability
 /// store (see `dso::durability` and DESIGN.md "Durability & recovery").
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq, Default)]
 pub enum DurabilityLevel {
     /// No WAL, no checkpoints — the pre-existing RAM-only behavior. The
     /// default; schedules (and golden determinism hashes) are
@@ -128,7 +128,7 @@ impl DurabilityConfig {
 /// queued — shedding early keeps latency bounded where an unbounded queue
 /// would let it collapse. Cheap dispatcher-level probes (version checks,
 /// snapshots, membership traffic) are never shed.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct AdmissionConfig {
     /// Sustained admission rate, tokens (requests) per second.
     pub rate: f64,

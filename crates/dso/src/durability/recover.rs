@@ -198,9 +198,9 @@ pub(crate) fn replay(
         }
     }
     let objects = best.len();
-    for (obj, (rf, version, state)) in &best {
+    for (obj, (rf, version, state)) in best {
         let args = cli.encode_args(&(state, version))?;
-        cli.invoke(ctx, obj, "__restore", args, (*rf).max(1), None, false, false)?;
+        cli.invoke(ctx, &obj, "__restore", args, rf.max(1), None, false, false)?;
     }
     ctx.metric_incr("dso.recoveries");
     ctx.metric_add("dso.recover_bytes", wal_bytes as u64);

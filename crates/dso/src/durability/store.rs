@@ -158,7 +158,7 @@ impl DurabilityStore {
     /// Writes one WAL segment under this store's generation; returns the
     /// encoded size in bytes.
     pub fn put_segment(&self, ctx: &mut Ctx, seg: &WalSegment) -> usize {
-        // invariant: WalSegment derives Serialize and holds plain data.
+        // invariant: encoding a `Wire` value never fails.
         let payload = simcore::codec::to_bytes(seg).expect("segment encodes");
         let key = self.wal_key(seg.gen, seg.node, seg.seq);
         let bytes = payload.len();
@@ -169,7 +169,7 @@ impl DurabilityStore {
 
     /// Writes one checkpoint blob; returns the encoded size in bytes.
     pub fn put_checkpoint(&self, ctx: &mut Ctx, blob: &CheckpointBlob) -> usize {
-        // invariant: CheckpointBlob derives Serialize and holds plain data.
+        // invariant: encoding a `Wire` value never fails.
         let payload = simcore::codec::to_bytes(blob).expect("checkpoint encodes");
         let key = self.ckpt_key(blob.gen, blob.seq);
         let bytes = payload.len();

@@ -12,6 +12,8 @@ use std::fmt;
 use std::ops::Deref;
 use std::sync::{Arc, Mutex, OnceLock};
 
+use simcore::codec::{CodecError, Wire};
+
 /// An interned method name: cheap to clone, compares by content.
 #[derive(Clone, Eq, PartialOrd, Ord)]
 pub struct MethodName(Arc<str>);
@@ -88,18 +90,17 @@ impl From<&str> for MethodName {
     }
 }
 
-impl serde::Serialize for MethodName {
-    fn serialize<S: serde::Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
-        s.serialize_str(&self.0)
+/// Encoded as its string; [`WalRecord`](crate::protocol::WalRecord)s carry
+/// one into the durability store.
+impl Wire for MethodName {
+    fn put(&self, out: &mut Vec<u8>) {
+        self.0.put(out);
     }
-}
 
-impl<'de> serde::Deserialize<'de> for MethodName {
-    fn deserialize<D: serde::Deserializer<'de>>(d: D) -> Result<MethodName, D::Error> {
-        // Deserializing re-interns, so names stay deduplicated even after a
+    fn get(input: &mut &[u8]) -> Result<MethodName, CodecError> {
+        // Decoding re-interns, so names stay deduplicated even after a
         // round-trip through the wire codec.
-        let s = <String as serde::Deserialize>::deserialize(d)?;
-        Ok(intern(&s))
+        String::get(input).map(|s| intern(&s))
     }
 }
 
@@ -130,12 +131,12 @@ mod tests {
     }
 
     #[test]
-    fn serde_round_trip_reinterns() {
+    fn wire_round_trip_reinterns() {
         let m = intern("compareAndSet");
         let bytes = simcore::codec::to_bytes(&m).expect("encodes");
         let back: MethodName = simcore::codec::from_bytes(&bytes).expect("decodes");
         assert_eq!(back, m);
-        assert!(Arc::ptr_eq(&back.0, &m.0), "deserialization re-interns");
+        assert!(Arc::ptr_eq(&back.0, &m.0), "decoding re-interns");
     }
 
     #[test]

@@ -12,7 +12,7 @@ use std::fmt;
 use std::sync::Arc;
 use std::time::Duration;
 
-use serde::{Deserialize, Serialize};
+use simcore::codec::Wire;
 
 use crate::error::ObjectError;
 
@@ -28,7 +28,7 @@ use crate::error::ObjectError;
 /// assert_eq!(r.type_name(), "AtomicLong");
 /// assert_eq!(r.key(), "counter");
 /// ```
-#[derive(Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Wire)]
 pub struct ObjectRef {
     type_name: String,
     key: String,
@@ -72,7 +72,7 @@ impl fmt::Display for ObjectRef {
 
 /// A ticket identifying a deferred (parked) method call; used to complete
 /// the call later.
-#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug, PartialOrd, Ord, Wire)]
 pub struct Ticket(pub u64);
 
 /// What a method call produced.
@@ -99,7 +99,7 @@ pub struct Effects {
 
 impl Effects {
     /// A plain value reply with the default "simple operation" cost.
-    pub fn value<T: Serialize>(v: &T) -> Result<Effects, ObjectError> {
+    pub fn value<T: Wire>(v: &T) -> Result<Effects, ObjectError> {
         Ok(Effects {
             reply: Reply::Value(
                 simcore::codec::to_bytes(v).map_err(|e| ObjectError::App(e.to_string()))?,
@@ -110,7 +110,7 @@ impl Effects {
     }
 
     /// A value reply with an explicit CPU cost.
-    pub fn value_with_cost<T: Serialize>(v: &T, cost: Duration) -> Result<Effects, ObjectError> {
+    pub fn value_with_cost<T: Wire>(v: &T, cost: Duration) -> Result<Effects, ObjectError> {
         let mut e = Effects::value(v)?;
         e.cost = cost;
         Ok(e)
@@ -126,7 +126,7 @@ impl Effects {
     /// # Errors
     ///
     /// Fails if the wake value cannot be encoded.
-    pub fn wake<T: Serialize>(mut self, t: Ticket, v: &T) -> Result<Effects, ObjectError> {
+    pub fn wake<T: Wire>(mut self, t: Ticket, v: &T) -> Result<Effects, ObjectError> {
         self.wakes
             .push((t, simcore::codec::to_bytes(v).map_err(|e| ObjectError::App(e.to_string()))?));
         Ok(self)

@@ -12,14 +12,12 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 use super::{dec, dec_create};
 use crate::error::ObjectError as ObjErr;
 use crate::object::{costs, CallCtx, Effects, Mergeable, SharedObject};
 
 /// A shared register supporting simple and complex arithmetic updates.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Arithmetic {
     value: f64,
 }
@@ -84,7 +82,7 @@ impl SharedObject for Arithmetic {
 /// [`crate::ConsistencyMode::CrdtMerge`] this is the convergent
 /// counterpart of `AtomicLong::incrementAndGet`: writes skip the SMR
 /// multicast and replicas reconcile on anti-entropy exchange.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct GCounter {
     counts: BTreeMap<u32, u64>,
 }

@@ -1,15 +1,13 @@
 //! Linearizable atomic scalars: the workhorses of fine-grained shared
 //! state (the π-estimation counter, k-means' iteration counter, …).
 
-use serde::{Deserialize, Serialize};
-
 use super::{dec, dec_create};
 use crate::error::ObjectError as ObjErr;
 use crate::object::{costs, CallCtx, Effects, SharedObject};
 
 /// A shared 64-bit integer with atomic read-modify-write methods,
 /// mirroring `java.util.concurrent.atomic.AtomicLong`.
-#[derive(Debug, Default, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct AtomicLong {
     value: i64,
 }
@@ -87,7 +85,7 @@ impl SharedObject for AtomicLong {
 }
 
 /// A shared boolean, mirroring `AtomicBoolean`.
-#[derive(Debug, Default, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct AtomicBoolean {
     value: bool,
 }
@@ -147,7 +145,7 @@ impl SharedObject for AtomicBoolean {
 
 /// A shared mutable byte array — the 1 KB payload object of the Table 2
 /// latency micro-benchmark.
-#[derive(Debug, Default, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct AtomicByteArray {
     data: Vec<u8>,
 }

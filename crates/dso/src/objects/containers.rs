@@ -3,14 +3,12 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 use super::{dec, dec_create};
 use crate::error::ObjectError as ObjErr;
 use crate::object::{CallCtx, Effects, SharedObject};
 
 /// A shared append-mostly list of opaque elements.
-#[derive(Debug, Default, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct ListObject {
     items: Vec<Vec<u8>>,
 }
@@ -77,7 +75,7 @@ impl SharedObject for ListObject {
 }
 
 /// A shared map with string keys and opaque values.
-#[derive(Debug, Default, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct MapObject {
     entries: BTreeMap<String, Vec<u8>>,
 }

@@ -14,18 +14,18 @@ pub use atomics::{AtomicBoolean, AtomicByteArray, AtomicLong};
 pub use containers::{ListObject, MapObject};
 pub use sync::{CountDownLatch, CyclicBarrier, FutureObject, Semaphore};
 
-use serde::de::DeserializeOwned;
+use simcore::codec::Wire;
 
 use crate::error::ObjectError;
 use crate::object::ObjectRegistry;
 
 /// Decodes method arguments, mapping failures to [`ObjectError::BadArgs`].
-pub(crate) fn dec<T: DeserializeOwned>(args: &[u8]) -> Result<T, ObjectError> {
+pub(crate) fn dec<T: Wire>(args: &[u8]) -> Result<T, ObjectError> {
     simcore::codec::from_bytes(args).map_err(|e| ObjectError::BadArgs(e.to_string()))
 }
 
 /// Decodes creation arguments: empty input yields the provided default.
-pub(crate) fn dec_create<T: DeserializeOwned>(args: &[u8], default: T) -> Result<T, ObjectError> {
+pub(crate) fn dec_create<T: Wire>(args: &[u8], default: T) -> Result<T, ObjectError> {
     if args.is_empty() {
         Ok(default)
     } else {
@@ -54,13 +54,10 @@ pub fn register_builtins(reg: &mut ObjectRegistry) {
 #[cfg(test)]
 pub(crate) mod testutil {
     use crate::object::{CallCtx, Effects, Reply, SharedObject, Ticket};
+    use simcore::codec::Wire;
 
     /// Invokes a method on a raw object and decodes the immediate value.
-    pub fn call<R: serde::de::DeserializeOwned>(
-        obj: &mut dyn SharedObject,
-        method: &str,
-        args: &impl serde::Serialize,
-    ) -> R {
+    pub fn call<R: Wire>(obj: &mut dyn SharedObject, method: &str, args: &impl Wire) -> R {
         match call_fx(obj, method, args).reply {
             Reply::Value(v) => simcore::codec::from_bytes(&v).expect("decode reply"),
             Reply::Park => panic!("unexpected park from {method}"),
@@ -68,11 +65,7 @@ pub(crate) mod testutil {
     }
 
     /// Invokes a method and returns the full effects.
-    pub fn call_fx(
-        obj: &mut dyn SharedObject,
-        method: &str,
-        args: &impl serde::Serialize,
-    ) -> Effects {
+    pub fn call_fx(obj: &mut dyn SharedObject, method: &str, args: &impl Wire) -> Effects {
         call_fx_ticket(obj, method, args, Ticket(0))
     }
 
@@ -80,7 +73,7 @@ pub(crate) mod testutil {
     pub fn call_fx_ticket(
         obj: &mut dyn SharedObject,
         method: &str,
-        args: &impl serde::Serialize,
+        args: &impl Wire,
         ticket: Ticket,
     ) -> Effects {
         let call = CallCtx { ticket, replicated: false, node: 0 };
@@ -90,10 +83,10 @@ pub(crate) mod testutil {
 
     /// Invokes a method as if executing on storage node `node` (for
     /// per-replica CRDT attribution tests).
-    pub fn call_at_node<R: serde::de::DeserializeOwned>(
+    pub fn call_at_node<R: Wire>(
         obj: &mut dyn SharedObject,
         method: &str,
-        args: &impl serde::Serialize,
+        args: &impl Wire,
         node: u32,
     ) -> R {
         let call = CallCtx { ticket: Ticket(0), replicated: false, node };
@@ -105,7 +98,7 @@ pub(crate) mod testutil {
     }
 
     /// Decodes a wake payload.
-    pub fn wake_value<R: serde::de::DeserializeOwned>(bytes: &[u8]) -> R {
+    pub fn wake_value<R: Wire>(bytes: &[u8]) -> R {
         simcore::codec::from_bytes(bytes).expect("decode wake")
     }
 }

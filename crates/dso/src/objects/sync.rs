@@ -9,8 +9,6 @@
 
 use std::collections::VecDeque;
 
-use serde::{Deserialize, Serialize};
-
 use super::{dec, dec_create};
 use crate::error::ObjectError as ObjErr;
 use crate::object::{CallCtx, Effects, SharedObject, Ticket};
@@ -20,11 +18,10 @@ use crate::object::{CallCtx, Effects, SharedObject, Ticket};
 ///
 /// `await` parks each caller until the last party arrives; everyone is then
 /// released with the generation number, and the barrier resets.
-#[derive(Debug, Default, Clone, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone)]
 pub struct CyclicBarrier {
     parties: u32,
     generation: u64,
-    #[serde(skip)]
     waiting: Vec<Ticket>,
 }
 
@@ -91,10 +88,9 @@ impl SharedObject for CyclicBarrier {
 
 /// A counting semaphore, mirroring `java.util.concurrent.Semaphore`.
 /// Waiters are granted permits in FIFO order.
-#[derive(Debug, Default, Clone, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone)]
 pub struct Semaphore {
     permits: i64,
-    #[serde(skip)]
     queue: VecDeque<(Ticket, i64)>,
 }
 
@@ -175,10 +171,9 @@ impl SharedObject for Semaphore {
 }
 
 /// A one-shot count-down latch, mirroring `CountDownLatch`.
-#[derive(Debug, Default, Clone, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone)]
 pub struct CountDownLatch {
     count: u64,
-    #[serde(skip)]
     waiting: Vec<Ticket>,
 }
 
@@ -240,10 +235,9 @@ impl SharedObject for CountDownLatch {
 
 /// A write-once future: `get` blocks until `set` provides the value — the
 /// primitive behind the map-phase synchronization of Fig. 6.
-#[derive(Debug, Default, Clone, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone)]
 pub struct FutureObject {
     value: Option<Vec<u8>>,
-    #[serde(skip)]
     waiting: Vec<Ticket>,
 }
 

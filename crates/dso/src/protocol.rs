@@ -4,7 +4,7 @@
 use std::fmt;
 
 use bytes::Bytes;
-use serde::{Deserialize, Serialize};
+use simcore::codec::Wire;
 use simcore::{Addr, SpanId};
 
 use crate::error::ObjectError;
@@ -13,7 +13,7 @@ use crate::object::ObjectRef;
 use crate::skeen::{Mid, SkeenMsg, Stamp};
 
 /// Identifier of a DSO storage node.
-#[derive(Copy, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Wire)]
 pub struct NodeId(pub u32);
 
 impl fmt::Debug for NodeId {
@@ -29,7 +29,7 @@ impl fmt::Display for NodeId {
 }
 
 /// A totally-ordered membership view (view synchrony, §4.1).
-#[derive(Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct View {
     /// Monotonically increasing view id.
     pub id: u64,
@@ -59,7 +59,7 @@ impl View {
 /// Cloning is cheap: the method name is interned and the payloads are
 /// reference-counted [`Bytes`], so the client constructs the request once
 /// and clones it per retry or batch item.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct InvokeReq {
     /// Target object.
     pub obj: ObjectRef,
@@ -89,7 +89,7 @@ pub struct InvokeReq {
 }
 
 /// Server's reply to an invocation.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum InvokeResp {
     /// The method's encoded return value.
     Value {
@@ -127,7 +127,7 @@ pub enum InvokeResp {
 }
 
 /// Payload replicated through total-order multicast for persistent objects.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct SmrOp {
     /// The original invocation.
     pub req: InvokeReq,
@@ -146,14 +146,14 @@ pub struct SmrOp {
 /// shipped as a single message. The server fans the items out to its
 /// workers; each item is answered individually as a [`BatchItemResp`]
 /// carrying the item's tag, so replies stream back as they complete.
-#[derive(Debug, Serialize, Deserialize)]
+#[derive(Debug)]
 pub struct BatchReq {
     /// `(tag, operation)` pairs; tags are echoed in the replies.
     pub items: Vec<(u32, InvokeReq)>,
 }
 
 /// Reply to one item of a [`BatchReq`].
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct BatchItemResp {
     /// The tag of the [`BatchReq`] item this answers.
     pub tag: u32,
@@ -163,7 +163,7 @@ pub struct BatchItemResp {
 
 /// Cheap version probe, answered directly by a node's dispatcher without
 /// touching a worker: used by clients to validate cached read results.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct VersionReq {
     /// The object whose version is asked for.
     pub obj: ObjectRef,
@@ -174,11 +174,11 @@ pub struct VersionReq {
 /// Reply to a [`VersionReq`]. `None` means the node does not currently
 /// store the object (not an owner, or not yet materialized) — clients must
 /// treat that as a cache miss.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct VersionResp(pub Option<u64>);
 
 /// Server-to-server messages.
-#[derive(Debug, Serialize, Deserialize)]
+#[derive(Debug)]
 pub enum PeerMsg {
     /// A Skeen protocol message carrying an [`SmrOp`].
     Smr {
@@ -225,7 +225,7 @@ pub enum PeerMsg {
 }
 
 /// Messages understood by the membership coordinator.
-#[derive(Debug, Serialize, Deserialize)]
+#[derive(Debug)]
 pub enum MemberMsg {
     /// A server announces itself (on start or restart).
     Join {
@@ -251,22 +251,22 @@ pub enum MemberMsg {
 /// it, transfers every object it still stores to the new owners, then
 /// retires. Contrast with a crash, where state on the node is simply lost
 /// (recovered only via replication).
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct DrainNode;
 
 /// RPC to the coordinator: fetch the current view (used by clients and by
 /// servers that fall behind).
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct GetView;
 
 /// RPC to a storage node: dump every locally-stored object (passivation,
 /// §4.1: objects "can be passivated to stable storage using standard
 /// mechanisms").
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct SnapshotAll;
 
 /// One marshalled object in a snapshot.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Wire)]
 pub struct ObjectRecord {
     /// The object's reference.
     pub obj: ObjectRef,
@@ -279,7 +279,7 @@ pub struct ObjectRecord {
 }
 
 /// Reply to [`SnapshotAll`].
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SnapshotReply(pub Vec<ObjectRecord>);
 
 /// One entry of a node's write-ahead log: the post-state of an applied
@@ -288,7 +288,7 @@ pub struct SnapshotReply(pub Vec<ObjectRecord>);
 /// version is idempotent and deterministic regardless of the method's
 /// blocking/merge semantics, and replicas logging the same SMR apply
 /// produce byte-identical records.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Wire)]
 pub struct WalRecord {
     /// The mutated object.
     pub obj: ObjectRef,
@@ -310,7 +310,7 @@ pub struct WalRecord {
 /// (`{prefix}/wal/{gen:08}-{node:08}-{seq:016}`). Sequence numbers are
 /// contiguous per `(gen, node)` stream, which is what lets recovery detect
 /// a LIST hiding a segment (eventual consistency) as a gap and re-list.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Wire)]
 pub struct WalSegment {
     /// Cluster incarnation the segment belongs to (bumped per recovery so
     /// a recovered cluster never overwrites its predecessor's log).
@@ -329,7 +329,7 @@ pub struct WalSegment {
 /// A full-cluster checkpoint blob, written to the durability store as a
 /// single key (`{prefix}/ckpt/{gen:08}-{seq:016}`) so the object states
 /// and their metadata become visible atomically.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Wire)]
 pub struct CheckpointBlob {
     /// Cluster incarnation that took the checkpoint.
     pub gen: u32,
@@ -347,7 +347,7 @@ pub struct CheckpointBlob {
 }
 
 /// Coordinator's push of a new view to the members.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ViewUpdate(pub View);
 
 /// Convenience alias re-exported for driver code.

@@ -6,8 +6,6 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::object::ObjectRef;
 use crate::protocol::NodeId;
 
@@ -50,7 +48,7 @@ pub fn mix(mut h: u64) -> u64 {
 /// assert_eq!(placement.len(), 2);
 /// assert_ne!(placement[0], placement[1]);
 /// ```
-#[derive(Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq)]
 pub struct Ring {
     points: BTreeMap<u64, NodeId>,
     nodes: Vec<NodeId>,

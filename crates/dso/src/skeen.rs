@@ -20,12 +20,10 @@
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::protocol::NodeId;
 
 /// Globally unique multicast-message id: `(initiator, sequence)`.
-#[derive(Copy, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Mid {
     /// Initiating node.
     pub node: NodeId,
@@ -43,7 +41,7 @@ impl fmt::Debug for Mid {
 pub type Stamp = (u64, NodeId);
 
 /// Wire messages of the protocol.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum SkeenMsg<M> {
     /// Step 1: initiator disseminates the payload to the group.
     Run {

@@ -12,8 +12,8 @@ use simcore::{LatencyModel, Sim, Tracer};
 
 use cloudstore::{spawn_s3, S3Config};
 use dso::{
-    api, checkpoint, DsoCluster, DsoConfig, DurabilityConfig, DurabilityLevel, DurabilityStore,
-    ObjectRegistry, RecoveryReport,
+    api, checkpoint, recover_into, DsoCluster, DsoConfig, DurabilityConfig, DurabilityLevel,
+    DurabilityStore, ObjectRegistry, RecoveryReport,
 };
 
 /// A Sync-durability config over a fresh store on `s3`.
@@ -341,4 +341,101 @@ fn acknowledged_writes_are_conserved_across_explored_crash_schedules() {
         })
     };
     explore_seeds(0, 25, scenario).expect_clean();
+}
+
+// ---------------------------------------------------------------------------
+// Passivation (§4.1: objects "can be passivated to stable storage using
+// standard mechanisms"): a one-shot `checkpoint` of a cluster that runs no
+// WAL, and `recover_into` a cluster that is already up.
+// ---------------------------------------------------------------------------
+
+/// A store config on an S3 whose writes are visible at once, so a
+/// checkpoint can be read back in the same instant it was written.
+fn immediate_store(sim: &Sim, prefix: &str) -> DurabilityConfig {
+    let s3 = spawn_s3(
+        sim,
+        S3Config { visibility_delay: LatencyModel::fixed(Duration::ZERO), ..S3Config::default() },
+    );
+    DurabilityConfig::new(DurabilityStore::new(s3, prefix))
+}
+
+/// Runs `body` as the only process of `sim` and asserts it ran to its end.
+fn run_operator(mut sim: Sim, body: impl FnOnce(&mut simcore::Ctx) + Send + 'static) {
+    let done = Arc::new(Mutex::new(false));
+    let done2 = done.clone();
+    sim.spawn("operator", move |ctx| {
+        body(ctx);
+        *done2.lock() = true;
+    });
+    sim.run_until_idle().expect_quiescent();
+    assert!(*done.lock());
+}
+
+#[test]
+fn checkpoint_restores_into_a_fresh_cluster_of_another_size() {
+    let sim = Sim::new(51);
+    let d = immediate_store(&sim, "backup");
+    let a = DsoCluster::start(&sim, 2, DsoConfig::default(), ObjectRegistry::with_builtins());
+    let b = DsoCluster::start(&sim, 3, DsoConfig::default(), ObjectRegistry::with_builtins());
+    let (ha, hb) = (a.client_handle(), b.client_handle());
+    // A mix of plain and replicated objects.
+    let counter = |i: usize| match i % 2 {
+        0 => api::AtomicLong::new(&format!("c{i}")),
+        _ => api::AtomicLong::persistent(&format!("c{i}"), 0, 2),
+    };
+    run_operator(sim, move |ctx| {
+        let mut ca = ha.connect();
+        for i in 0..12 {
+            counter(i).set(ctx, &mut ca, 100 + i as i64).expect("write");
+        }
+        let report = checkpoint(ctx, &mut ca, &d).expect("checkpoint");
+        assert_eq!((report.objects, report.nodes), (12, 2));
+        assert!(report.bytes > 0);
+        // Placement and replication follow the *target* cluster's ring.
+        let mut cb = hb.connect();
+        let restored = recover_into(ctx, &mut cb, &d).expect("recover");
+        assert_eq!(restored.objects, 12);
+        for i in 0..12 {
+            assert_eq!(counter(i).get(ctx, &mut cb).expect("read"), 100 + i as i64, "c{i}");
+        }
+    });
+}
+
+#[test]
+fn recover_into_does_not_downgrade_newer_objects() {
+    let sim = Sim::new(52);
+    let d = immediate_store(&sim, "snap");
+    let cluster = DsoCluster::start(&sim, 2, DsoConfig::default(), ObjectRegistry::with_builtins());
+    let handle = cluster.client_handle();
+    run_operator(sim, move |ctx| {
+        let mut cli = handle.connect();
+        let c = api::AtomicLong::new("x");
+        c.set(ctx, &mut cli, 1).expect("write");
+        checkpoint(ctx, &mut cli, &d).expect("checkpoint");
+        // Mutate after the snapshot: the live version runs ahead of it.
+        for _ in 0..5 {
+            c.increment_and_get(ctx, &mut cli).expect("bump");
+        }
+        let before = c.get(ctx, &mut cli).expect("read");
+        recover_into(ctx, &mut cli, &d).expect("recover");
+        let after = c.get(ctx, &mut cli).expect("read");
+        assert_eq!(after, before, "recovery must not roll back newer state");
+    });
+}
+
+#[test]
+fn checkpoint_deduplicates_replicas() {
+    let sim = Sim::new(53);
+    let d = immediate_store(&sim, "dedupe");
+    let cluster = DsoCluster::start(&sim, 3, DsoConfig::default(), ObjectRegistry::with_builtins());
+    let handle = cluster.client_handle();
+    run_operator(sim, move |ctx| {
+        let mut cli = handle.connect();
+        // rf = 3 on a 3-node cluster: every node holds a copy.
+        let c = api::AtomicLong::persistent("tripled", 0, 3);
+        c.set(ctx, &mut cli, 9).expect("write");
+        let report = checkpoint(ctx, &mut cli, &d).expect("checkpoint");
+        assert_eq!(report.objects, 1, "three replicas collapse to one record");
+        assert_eq!(report.nodes, 3);
+    });
 }

@@ -16,9 +16,8 @@ use std::time::Duration;
 use bytes::Bytes;
 use dso::protocol::{CheckpointBlob, NodeId, ObjectRecord, WalRecord, WalSegment};
 use dso::{intern, ObjectRef};
-use serde::de::DeserializeOwned;
-use serde::{Deserialize, Serialize};
-use simcore::{codec, SimTime};
+use simcore::codec::{self, Wire};
+use simcore::SimTime;
 
 fn hex(bytes: &[u8]) -> String {
     bytes.iter().map(|b| format!("{b:02x}")).collect()
@@ -32,7 +31,7 @@ fn unhex(s: &str) -> Vec<u8> {
 /// `value` encodes to exactly `golden`, and `golden` decodes to a value
 /// that encodes back to itself (the NaN- and `PartialEq`-free way to say
 /// "decodes to the same value").
-fn pin<T: Serialize + DeserializeOwned>(value: &T, golden: &str) {
+fn pin<T: Wire>(value: &T, golden: &str) {
     let bytes = codec::to_bytes(value).expect("encode");
     assert_eq!(hex(&bytes), golden, "encoding of {}", std::any::type_name::<T>());
     let back: T = codec::from_bytes(&unhex(golden)).expect("golden bytes decode");
@@ -40,7 +39,7 @@ fn pin<T: Serialize + DeserializeOwned>(value: &T, golden: &str) {
 }
 
 /// [`pin`], plus the decoded value compares equal.
-fn pin_eq<T: Serialize + DeserializeOwned + PartialEq + Debug>(value: &T, golden: &str) {
+fn pin_eq<T: Wire + PartialEq + Debug>(value: &T, golden: &str) {
     pin(value, golden);
     let back: T = codec::from_bytes(&unhex(golden)).expect("golden bytes decode");
     assert_eq!(&back, value);
@@ -128,7 +127,7 @@ fn times() {
     assert!(codec::from_bytes::<Duration>(&bad).is_err());
 }
 
-#[derive(Serialize, Deserialize, PartialEq, Debug)]
+#[derive(Wire, PartialEq, Debug)]
 enum Shape {
     Unit,
     Newtype(u32),
@@ -146,22 +145,22 @@ fn enum_variants() {
     assert!(codec::from_bytes::<Shape>(&unhex("04000000")).is_err());
 }
 
-#[derive(Serialize, Deserialize, PartialEq, Debug)]
+#[derive(Wire, PartialEq, Debug)]
 struct Marker;
 
-#[derive(Serialize, Deserialize, PartialEq, Debug)]
+#[derive(Wire, PartialEq, Debug)]
 struct Meters(f64);
 
-#[derive(Serialize, Deserialize, PartialEq, Debug)]
+#[derive(Wire, PartialEq, Debug)]
 struct Pair<A, B> {
     left: A,
     right: Option<B>,
 }
 
-#[derive(Serialize, Deserialize, PartialEq, Debug)]
+#[derive(Wire, PartialEq, Debug)]
 struct Parked {
     parties: u32,
-    #[serde(skip)]
+    #[wire(skip)]
     waiting: Vec<u64>,
     generation: u64,
 }

@@ -14,10 +14,10 @@
 
 use std::time::Duration;
 
-use serde::{Deserialize, Serialize};
+use simcore::codec::Wire;
 
 /// Paper-scale dataset shape.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Wire)]
 pub struct DatasetScale {
     /// Total elements (55.6 M in the paper).
     pub total_points: u64,

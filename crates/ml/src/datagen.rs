@@ -9,20 +9,20 @@
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use serde::{Deserialize, Serialize};
+use simcore::codec::Wire;
 
 /// Dimensionality used throughout the paper's ML experiments.
 pub const PAPER_DIMS: usize = 100;
 
 /// A k-means partition: dense points.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Wire)]
 pub struct PointsPartition {
     /// Points, each of `dims` coordinates.
     pub points: Vec<Vec<f64>>,
 }
 
 /// A logistic-regression partition: labelled points (`label` ∈ {0, 1}).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Wire)]
 pub struct LabeledPartition {
     /// Feature vectors.
     pub points: Vec<Vec<f64>>,

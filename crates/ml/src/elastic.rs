@@ -20,7 +20,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
+use simcore::codec::Wire;
 
 use crucial::{
     function_name, join_all, spawn_controlplane, AdmissionConfig, Arithmetic, CrucialConfig,
@@ -166,7 +166,7 @@ impl ElasticReport {
 /// shard and computing, `1/pace` attempts per second until the deadline.
 /// Falling behind (saturation, shed-retry backoff) lowers delivered
 /// throughput without accumulating a burst debt.
-#[derive(Clone, Serialize, Deserialize)]
+#[derive(Clone, Wire)]
 pub struct ElasticWorker {
     /// Worker index (staggers the shard access pattern).
     pub worker_id: u32,

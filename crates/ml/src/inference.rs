@@ -7,7 +7,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
+use simcore::codec::Wire;
 
 use crucial::{
     join_all, AtomicByteArray, BatchOp, ConsistencyMode, CrucialConfig, Deployment, FnEnv,
@@ -15,7 +15,7 @@ use crucial::{
 };
 
 /// Parameters of the serving experiment.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, Wire)]
 pub struct InferenceConfig {
     /// Simulation seed.
     pub seed: u64,
@@ -97,7 +97,7 @@ impl InferenceReport {
 
 /// The serving function: loops until the deadline, each inference reading
 /// the whole model (200 centroid objects) and computing distances.
-#[derive(Clone, Serialize, Deserialize)]
+#[derive(Clone, Wire)]
 pub struct InferenceWorker {
     /// Worker index.
     pub thread_id: u32,

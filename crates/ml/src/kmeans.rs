@@ -11,7 +11,7 @@ use crucial::{
     RedisConfig, RedisHandle, RunResult, Runnable, ScriptRegistry, Sim, SimTime,
 };
 use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
+use simcore::codec::Wire;
 use sparklite::{spawn_cluster, ClusterPricing, LocalVm, SparkCostModel, TaskRegistry};
 
 use crate::cost::{kmeans_assign_cost, partition_load_cost, DatasetScale};
@@ -74,7 +74,7 @@ fn unflatten(v: &[f64], dims: usize) -> Vec<Vec<f64>> {
 // ---------------------------------------------------------------------------
 
 /// Parameters shared by all k-means implementations.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, Wire)]
 pub struct KMeansConfig {
     /// Simulation / data seed.
     pub seed: u64,
@@ -151,7 +151,7 @@ impl KMeansReport {
 // ---------------------------------------------------------------------------
 
 /// The cloud-thread body of Listing 2.
-#[derive(Clone, Serialize, Deserialize)]
+#[derive(Clone, Wire)]
 pub struct KMeansWorker {
     /// Worker index (also the partition index).
     pub worker_id: u32,
@@ -427,7 +427,7 @@ pub fn run_spark_kmeans(cfg: &KMeansConfig) -> KMeansReport {
 /// Cloud-thread body of the Redis-backed k-means: identical to
 /// [`KMeansWorker`] except the centroid state lives in Redis and its
 /// "object methods" are server-side scripts executed serially per shard.
-#[derive(Clone, Serialize, Deserialize)]
+#[derive(Clone, Wire)]
 pub struct KMeansRedisWorker {
     /// Worker index.
     pub worker_id: u32,

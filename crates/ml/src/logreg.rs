@@ -6,7 +6,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
+use simcore::codec::Wire;
 
 use crucial::{
     join_all, AtomicLong, CrucialConfig, CyclicBarrier, Deployment, FnEnv, RunResult, Runnable, Sim,
@@ -50,7 +50,7 @@ pub fn gradient_and_loss(points: &[Vec<f64>], labels: &[f64], w: &[f64]) -> (Vec
 // ---------------------------------------------------------------------------
 
 /// Parameters shared by both logistic-regression implementations.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, Wire)]
 pub struct LogRegConfig {
     /// Simulation / data seed.
     pub seed: u64,
@@ -116,7 +116,7 @@ pub struct LogRegReport {
 
 /// Cloud-thread body: fetch weights, compute the local sub-gradient,
 /// push it to the `GlobalWeights` object, synchronize (§6.2.2).
-#[derive(Clone, Serialize, Deserialize)]
+#[derive(Clone, Wire)]
 pub struct LogRegWorker {
     /// Worker index.
     pub worker_id: u32,

@@ -11,9 +11,9 @@ use crucial::{
     costs, CallCtx, Ctx, DsoClient, DsoError, Effects, ObjectError, ObjectRegistry, RawHandle,
     SharedObject,
 };
-use serde::{Deserialize, Serialize};
+use simcore::codec::Wire;
 
-fn dec<T: serde::de::DeserializeOwned>(args: &[u8]) -> Result<T, ObjectError> {
+fn dec<T: Wire>(args: &[u8]) -> Result<T, ObjectError> {
     crucial::codec::from_bytes(args).map_err(|e| ObjectError::BadArgs(e.to_string()))
 }
 
@@ -36,7 +36,7 @@ pub fn register_ml_objects(reg: &mut ObjectRegistry) {
 /// Server-side centroid aggregator: workers push partial sums/counts; the
 /// last contribution of a round folds them into the next generation of
 /// centroids.
-#[derive(Debug, Default, Clone, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, Wire)]
 pub struct GlobalCentroids {
     k: u32,
     dims: u32,
@@ -50,7 +50,7 @@ pub struct GlobalCentroids {
 }
 
 /// Creation arguments for [`GlobalCentroids`].
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Wire)]
 pub struct CentroidsInit {
     /// Number of clusters.
     pub k: u32,
@@ -188,7 +188,7 @@ impl SharedObject for GlobalCentroids {
 }
 
 /// Typed client handle for [`GlobalCentroids`].
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, Wire)]
 pub struct CentroidsHandle {
     raw: RawHandle,
     k: u32,
@@ -256,7 +256,7 @@ impl CentroidsHandle {
 // ---------------------------------------------------------------------------
 
 /// Per-generation sum accumulator: the convergence criterion of Listing 2.
-#[derive(Debug, Default, Clone, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, Wire)]
 pub struct GlobalDelta {
     sums: BTreeMap<u64, (f64, u32)>,
 }
@@ -321,7 +321,7 @@ impl SharedObject for GlobalDelta {
 }
 
 /// Typed client handle for [`GlobalDelta`].
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, Wire)]
 pub struct DeltaHandle {
     raw: RawHandle,
 }
@@ -383,7 +383,7 @@ impl DeltaHandle {
 /// Server-side weight vector for logistic regression: workers push
 /// gradients and losses; the last contribution applies the averaged
 /// gradient step and records the loss (Fig. 4b's series).
-#[derive(Debug, Default, Clone, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, Wire)]
 pub struct GlobalWeights {
     dims: u32,
     workers: u32,
@@ -397,7 +397,7 @@ pub struct GlobalWeights {
 }
 
 /// Creation arguments for [`GlobalWeights`].
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Wire)]
 pub struct WeightsInit {
     /// Dimensions.
     pub dims: u32,
@@ -489,7 +489,7 @@ impl SharedObject for GlobalWeights {
 }
 
 /// Typed client handle for [`GlobalWeights`].
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, Wire)]
 pub struct WeightsHandle {
     raw: RawHandle,
 }
@@ -539,11 +539,7 @@ mod tests {
     use super::*;
     use crucial::Ticket;
 
-    fn call<R: serde::de::DeserializeOwned>(
-        obj: &mut dyn SharedObject,
-        method: &str,
-        args: &impl Serialize,
-    ) -> R {
+    fn call<R: Wire>(obj: &mut dyn SharedObject, method: &str, args: &impl Wire) -> R {
         let cc = CallCtx { ticket: Ticket(0), replicated: false, node: 0 };
         let bytes = crucial::codec::to_bytes(args).expect("encode");
         match obj.invoke(&cc, method, &bytes).expect("invoke").reply {

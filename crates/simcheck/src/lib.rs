@@ -2,8 +2,8 @@
 //!
 //! The simulation's guarantees rest on conventions a compiler cannot see:
 //! no wall-clock reads inside simulated code, no native threads outside the
-//! kernel, no panics on the DSO request path, serializable protocol types,
-//! and `is_readonly` declarations that are actually true. `simlint` is a
+//! kernel, no panics on the DSO request path, and `is_readonly`
+//! declarations that are actually true. `simlint` is a
 //! hand-rolled source scanner (no external parser) that enforces those
 //! conventions over `crates/**/*.rs` and fails CI on violations.
 //!
@@ -41,8 +41,6 @@ pub enum Rule {
     NoPanic,
     /// A method declared read-only whose `invoke` arm mutates `self`.
     ReadonlyMutation,
-    /// A protocol type without serde derives.
-    SerdeDerive,
     /// A span or metric stamped from a non-`SimTime` source.
     TraceTime,
     /// A malformed `simlint: allow` directive (unknown rule, no reason).
@@ -66,7 +64,6 @@ impl Rule {
             Rule::NativeThread => "native-thread",
             Rule::NoPanic => "no-panic",
             Rule::ReadonlyMutation => "readonly-mutation",
-            Rule::SerdeDerive => "serde-derive",
             Rule::TraceTime => "trace-time",
             Rule::BadAllow => "bad-allow",
             Rule::DeterminismTaint => "determinism-taint",
@@ -82,7 +79,6 @@ impl Rule {
             "native-thread" => Some(Rule::NativeThread),
             "no-panic" => Some(Rule::NoPanic),
             "readonly-mutation" => Some(Rule::ReadonlyMutation),
-            "serde-derive" => Some(Rule::SerdeDerive),
             "trace-time" => Some(Rule::TraceTime),
             "determinism-taint" => Some(Rule::DeterminismTaint),
             "readonly-impure" => Some(Rule::ReadonlyImpure),
@@ -281,8 +277,7 @@ fn line_index(s: &str) -> impl Fn(usize) -> usize + '_ {
 }
 
 /// Lints one file's source. `path` is used for reporting and for the
-/// path-scoped rules (kernel thread allowlist, DSO no-panic scope,
-/// `protocol.rs` serde scope).
+/// path-scoped rules (kernel thread allowlist, DSO no-panic scope).
 pub fn lint_source(path: &str, src: &str) -> Vec<Finding> {
     let mut findings = Vec::new();
     let scrubbed = scrub(src);
@@ -297,7 +292,6 @@ pub fn lint_source(path: &str, src: &str) -> Vec<Finding> {
     lint_wall_clock(&ctx, &mut findings);
     lint_native_thread(&ctx, &mut findings);
     lint_no_panic(&ctx, &mut findings);
-    lint_serde_derive(&ctx, &mut findings);
     lint_trace_time(&ctx, &mut findings);
     lint_readonly_mutation(&ctx, &scrubbed, &mut findings);
     findings
@@ -409,56 +403,6 @@ fn lint_no_panic(ctx: &FileCtx<'_>, findings: &mut Vec<Finding>) {
                 Rule::NoPanic,
                 ".expect() without an `// invariant:` comment documenting why it cannot fail"
                     .to_string(),
-            );
-        }
-    }
-}
-
-fn lint_serde_derive(ctx: &FileCtx<'_>, findings: &mut Vec<Finding>) {
-    // Scope: wire-protocol modules. Every public type there must be
-    // serializable so messages survive a real codec boundary.
-    if Path::new(ctx.path).file_name().and_then(|n| n.to_str()) != Some("protocol.rs") {
-        return;
-    }
-    for (idx, code) in ctx.code_lines.iter().enumerate() {
-        let line = idx + 1;
-        let t = code.trim_start();
-        if !(t.starts_with("pub struct ") || t.starts_with("pub enum "))
-            || ctx.test_lines.contains(&line)
-        {
-            continue;
-        }
-        let name = t
-            .split_whitespace()
-            .nth(2)
-            .unwrap_or("?")
-            .split(['(', '<', '{'])
-            .next()
-            .unwrap_or("?")
-            .trim_end_matches(|c: char| !c.is_alphanumeric());
-        // Scan the attribute block above the declaration for the derives.
-        let mut derives = String::new();
-        for back in (0..idx).rev() {
-            let above = ctx.code_lines[back].trim_start();
-            let blank = above.is_empty(); // doc comments scrub to blank
-            if above.ends_with(';') || above.ends_with('}') || above.contains("fn ") {
-                break;
-            }
-            if !blank {
-                derives.push_str(above);
-            }
-            if idx - back > 12 {
-                break;
-            }
-        }
-        let has_serde = derives.contains("Serialize") && derives.contains("Deserialize");
-        if !has_serde && !ctx.allowed(Rule::SerdeDerive, line) {
-            push(
-                findings,
-                ctx,
-                line,
-                Rule::SerdeDerive,
-                format!("protocol type {name} lacks #[derive(Serialize, Deserialize)]"),
             );
         }
     }
@@ -748,17 +692,6 @@ mod tests {
         assert_eq!(lint_source("crates/dso/src/a.rs", bad).len(), 1);
         let good = "fn f() {\n    // invariant: x was set above.\n    x.expect(\"y\");\n}\n";
         assert!(lint_source("crates/dso/src/a.rs", good).is_empty());
-    }
-
-    #[test]
-    fn serde_derive_scoped_to_protocol() {
-        let src = "#[derive(Debug)]\npub struct Msg { pub x: u8 }\n";
-        let f = lint_source("crates/x/src/protocol.rs", src);
-        assert_eq!(f.len(), 1, "{f:?}");
-        assert_eq!(f[0].rule, Rule::SerdeDerive);
-        assert!(lint_source("crates/x/src/other.rs", src).is_empty());
-        let ok = "#[derive(Debug, Serialize, Deserialize)]\npub struct Msg { pub x: u8 }\n";
-        assert!(lint_source("crates/x/src/protocol.rs", ok).is_empty());
     }
 
     const SNEAKY: &str = r#"

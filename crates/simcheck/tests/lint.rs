@@ -23,7 +23,6 @@ fn fixture_tree_yields_exactly_the_planted_findings() {
         ("bad_allow.rs".to_string(), Rule::WallClock),
         ("panics.rs".to_string(), Rule::NoPanic),
         ("panics.rs".to_string(), Rule::NoPanic),
-        ("protocol.rs".to_string(), Rule::SerdeDerive),
         ("reconcile.rs".to_string(), Rule::WallClock),
         ("sneaky.rs".to_string(), Rule::ReadonlyMutation),
         ("threads.rs".to_string(), Rule::NativeThread),
@@ -50,10 +49,12 @@ fn fixture_findings_carry_lines_and_messages() {
 }
 
 #[test]
-fn allow_census_stays_at_three() {
+fn allow_census_stays_at_eleven() {
     // Every `simlint: allow` escape hatch in shipped code, by file. The
     // census keeps the list deliberate: a new allow (or a directive that
     // stopped being needed) must update this test alongside its reason.
+    // Eight of the eleven are the acceptance benchmark's host-clock reads:
+    // it measures the simulator's own host time by definition.
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("..");
     let files = simcheck::analyze::read_tree(&root).expect("walk crates");
     let mut allows: Vec<String> = Vec::new();
@@ -74,9 +75,17 @@ fn allow_census_stays_at_three() {
     assert_eq!(
         allows,
         vec![
-            "apps/ports/monte_carlo_local.rs".to_string(),
-            "bench/src/bin/experiments.rs".to_string(),
-            "bench/src/experiments/kernelbench.rs".to_string(),
+            "apps/ports/monte_carlo_local.rs",
+            "bench/src/bin/benchmark/layers.rs",
+            "bench/src/bin/benchmark/run.rs",
+            "bench/src/bin/benchmark/run.rs",
+            "bench/src/bin/benchmark/workloads/mod.rs",
+            "bench/src/bin/benchmark/workloads/mod.rs",
+            "bench/src/bin/benchmark/workloads/mod.rs",
+            "bench/src/bin/benchmark/workloads/mod.rs",
+            "bench/src/bin/benchmark/workloads/mod.rs",
+            "bench/src/bin/experiments.rs",
+            "bench/src/experiments/kernelbench.rs",
         ],
         "unexpected allow census"
     );

@@ -1,19 +1,32 @@
-//! A compact, non-self-describing binary codec for [`serde`] values.
+//! The wire codec: a compact, fixed-layout binary encoding.
 //!
 //! The simulation ships method arguments and object state between
 //! processes as byte payloads (method-call shipping, SMR state transfer,
-//! marshalling of persistent objects). No serialization *format* crate is
-//! available offline, so this module implements one: fixed-width
-//! little-endian scalars, `u64` length prefixes, `u32` enum variant tags —
-//! in the spirit of `bincode`.
+//! marshalling of persistent objects, WAL segments and checkpoints). There
+//! is one format and it is not self-describing, so there is one trait:
+//! [`Wire`] writes a value's bytes and reads them back, with no
+//! serializer/visitor layer in between. The layout is `bincode`'s
+//! fixed-width one:
+//!
+//! - scalars little-endian at their natural width (`usize` as `u64`),
+//!   `bool` as one `0`/`1` byte;
+//! - `String`, `Vec`, `Bytes` and maps behind a `u64` element count;
+//! - `Option` behind a `0`/`1` byte, enum variants behind their `u32`
+//!   declaration index;
+//! - struct, tuple and variant fields in declaration order with no
+//!   framing; `#[wire(skip)]` fields are absent and `Default`-filled on
+//!   decode.
+//!
+//! WAL segments and checkpoints outlive the build that wrote them and
+//! message sizes drive virtual time, so these bytes are pinned by a golden
+//! corpus (`crates/dso/tests/wire_golden.rs`).
 //!
 //! # Examples
 //!
 //! ```
-//! use serde::{Serialize, Deserialize};
-//! use simcore::codec;
+//! use simcore::codec::{self, Wire};
 //!
-//! #[derive(Serialize, Deserialize, PartialEq, Debug)]
+//! #[derive(Wire, PartialEq, Debug)]
 //! struct Point { x: f64, y: f64 }
 //!
 //! # fn main() -> Result<(), codec::CodecError> {
@@ -25,12 +38,16 @@
 //! # }
 //! ```
 
+use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
+use std::time::Duration;
 
-use serde::de::{self, DeserializeOwned, IntoDeserializer, Visitor};
-use serde::ser::{self, Serialize};
+use bytes::Bytes;
 
-/// Error produced by encoding or decoding.
+/// Derives [`Wire`] for structs and enums whose fields are all [`Wire`].
+pub use wire_derive::Wire;
+
+/// Error produced by decoding malformed input.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CodecError {
     msg: String,
@@ -39,6 +56,12 @@ pub struct CodecError {
 impl CodecError {
     fn new(msg: impl Into<String>) -> CodecError {
         CodecError { msg: msg.into() }
+    }
+
+    /// A tag byte or variant index outside the range `what` defines
+    /// (called by `#[derive(Wire)]` for enums).
+    pub fn invalid_tag(what: &str, tag: u32) -> CodecError {
+        CodecError::new(format!("invalid {what} tag {tag}"))
     }
 }
 
@@ -50,27 +73,42 @@ impl fmt::Display for CodecError {
 
 impl std::error::Error for CodecError {}
 
-impl ser::Error for CodecError {
-    fn custom<T: fmt::Display>(msg: T) -> Self {
-        CodecError::new(msg.to_string())
-    }
-}
+/// A value with a fixed wire layout (see the [module docs](self)).
+///
+/// Implemented here for the std types the workspace ships and derived
+/// with `#[derive(Wire)]` for everything built from them.
+///
+/// An element of a sequence or a key of a map must encode to at least one
+/// byte: decoding bounds a count by the bytes left, so `Vec<T>` of a `T`
+/// that encodes to nothing (a unit struct, a struct whose every field is
+/// `#[wire(skip)]`) would encode but never decode. Zero-sized `T` fails to
+/// compile; the all-skipped case is the implementor's to avoid.
+pub trait Wire {
+    /// Appends the encoding of `self` to `out`.
+    fn put(&self, out: &mut Vec<u8>);
 
-impl de::Error for CodecError {
-    fn custom<T: fmt::Display>(msg: T) -> Self {
-        CodecError::new(msg.to_string())
-    }
+    /// Decodes one value from the front of `input`, advancing it past the
+    /// bytes consumed.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error on truncated or malformed input. Input is
+    /// untrusted: an implementation must not panic on it, nor allocate or
+    /// loop beyond what the bytes actually present can justify.
+    fn get(input: &mut &[u8]) -> Result<Self, CodecError>
+    where
+        Self: Sized;
 }
 
 /// Encodes `value` to bytes.
 ///
 /// # Errors
 ///
-/// Returns an error for values the format cannot represent (e.g. sequences
-/// of unknown length).
-pub fn to_bytes<T: Serialize + ?Sized>(value: &T) -> Result<Vec<u8>, CodecError> {
+/// None: every [`Wire`] value has an encoding. The `Result` mirrors
+/// [`from_bytes`] so the two read alike at call sites.
+pub fn to_bytes<T: Wire + ?Sized>(value: &T) -> Result<Vec<u8>, CodecError> {
     let mut out = Vec::new();
-    to_bytes_into(value, &mut out)?;
+    value.put(&mut out);
     Ok(out)
 }
 
@@ -83,17 +121,11 @@ pub fn to_bytes<T: Serialize + ?Sized>(value: &T) -> Result<Vec<u8>, CodecError>
 ///
 /// # Errors
 ///
-/// Returns an error for values the format cannot represent (e.g. sequences
-/// of unknown length); `out` may hold a partial encoding on error.
-pub fn to_bytes_into<T: Serialize + ?Sized>(
-    value: &T,
-    out: &mut Vec<u8>,
-) -> Result<(), CodecError> {
+/// None; see [`to_bytes`].
+pub fn to_bytes_into<T: Wire + ?Sized>(value: &T, out: &mut Vec<u8>) -> Result<(), CodecError> {
     out.clear();
-    let mut ser = Encoder { out: std::mem::take(out) };
-    let res = value.serialize(&mut ser);
-    *out = ser.out;
-    res
+    value.put(out);
+    Ok(())
 }
 
 /// Decodes a `T` from bytes previously produced by [`to_bytes`].
@@ -101,548 +133,240 @@ pub fn to_bytes_into<T: Serialize + ?Sized>(
 /// # Errors
 ///
 /// Returns an error on truncated or malformed input, or trailing bytes.
-pub fn from_bytes<T: DeserializeOwned>(bytes: &[u8]) -> Result<T, CodecError> {
-    let mut de = Decoder { input: bytes };
-    let v = T::deserialize(&mut de)?;
-    if !de.input.is_empty() {
-        return Err(CodecError::new(format!("{} trailing bytes after value", de.input.len())));
+pub fn from_bytes<T: Wire>(mut bytes: &[u8]) -> Result<T, CodecError> {
+    let v = T::get(&mut bytes)?;
+    if !bytes.is_empty() {
+        return Err(CodecError::new(format!("{} trailing bytes after value", bytes.len())));
     }
     Ok(v)
 }
 
-// ---------------------------------------------------------------------------
-// Encoder
-// ---------------------------------------------------------------------------
-
-struct Encoder {
-    out: Vec<u8>,
+fn truncated(needed: usize, had: usize) -> CodecError {
+    CodecError::new(format!("unexpected end of input: needed {needed} bytes, had {had}"))
 }
 
-impl Encoder {
-    fn put_len(&mut self, len: usize) {
-        self.out.extend_from_slice(&(len as u64).to_le_bytes());
-    }
+/// Splits `n` bytes off the front of `input`.
+fn take<'a>(input: &mut &'a [u8], n: usize) -> Result<&'a [u8], CodecError> {
+    let (head, rest) = input.split_at_checked(n).ok_or_else(|| truncated(n, input.len()))?;
+    *input = rest;
+    Ok(head)
 }
 
-impl ser::Serializer for &mut Encoder {
-    type Ok = ();
-    type Error = CodecError;
-    type SerializeSeq = Self;
-    type SerializeTuple = Self;
-    type SerializeTupleStruct = Self;
-    type SerializeTupleVariant = Self;
-    type SerializeMap = Self;
-    type SerializeStruct = Self;
-    type SerializeStructVariant = Self;
+/// Splits `N` bytes off the front of `input`.
+fn take_array<const N: usize>(input: &mut &[u8]) -> Result<[u8; N], CodecError> {
+    let (head, rest) = input.split_first_chunk().ok_or_else(|| truncated(N, input.len()))?;
+    *input = rest;
+    Ok(*head)
+}
 
-    fn serialize_bool(self, v: bool) -> Result<(), CodecError> {
-        self.out.push(v as u8);
-        Ok(())
-    }
-    fn serialize_i8(self, v: i8) -> Result<(), CodecError> {
-        self.out.extend_from_slice(&v.to_le_bytes());
-        Ok(())
-    }
-    fn serialize_i16(self, v: i16) -> Result<(), CodecError> {
-        self.out.extend_from_slice(&v.to_le_bytes());
-        Ok(())
-    }
-    fn serialize_i32(self, v: i32) -> Result<(), CodecError> {
-        self.out.extend_from_slice(&v.to_le_bytes());
-        Ok(())
-    }
-    fn serialize_i64(self, v: i64) -> Result<(), CodecError> {
-        self.out.extend_from_slice(&v.to_le_bytes());
-        Ok(())
-    }
-    fn serialize_i128(self, v: i128) -> Result<(), CodecError> {
-        self.out.extend_from_slice(&v.to_le_bytes());
-        Ok(())
-    }
-    fn serialize_u8(self, v: u8) -> Result<(), CodecError> {
-        self.out.push(v);
-        Ok(())
-    }
-    fn serialize_u16(self, v: u16) -> Result<(), CodecError> {
-        self.out.extend_from_slice(&v.to_le_bytes());
-        Ok(())
-    }
-    fn serialize_u32(self, v: u32) -> Result<(), CodecError> {
-        self.out.extend_from_slice(&v.to_le_bytes());
-        Ok(())
-    }
-    fn serialize_u64(self, v: u64) -> Result<(), CodecError> {
-        self.out.extend_from_slice(&v.to_le_bytes());
-        Ok(())
-    }
-    fn serialize_u128(self, v: u128) -> Result<(), CodecError> {
-        self.out.extend_from_slice(&v.to_le_bytes());
-        Ok(())
-    }
-    fn serialize_f32(self, v: f32) -> Result<(), CodecError> {
-        self.out.extend_from_slice(&v.to_le_bytes());
-        Ok(())
-    }
-    fn serialize_f64(self, v: f64) -> Result<(), CodecError> {
-        self.out.extend_from_slice(&v.to_le_bytes());
-        Ok(())
-    }
-    fn serialize_char(self, v: char) -> Result<(), CodecError> {
-        self.serialize_u32(v as u32)
-    }
-    fn serialize_str(self, v: &str) -> Result<(), CodecError> {
-        self.put_len(v.len());
-        self.out.extend_from_slice(v.as_bytes());
-        Ok(())
-    }
-    fn serialize_bytes(self, v: &[u8]) -> Result<(), CodecError> {
-        self.put_len(v.len());
-        self.out.extend_from_slice(v);
-        Ok(())
-    }
-    fn serialize_none(self) -> Result<(), CodecError> {
-        self.out.push(0);
-        Ok(())
-    }
-    fn serialize_some<T: Serialize + ?Sized>(self, value: &T) -> Result<(), CodecError> {
-        self.out.push(1);
-        value.serialize(self)
-    }
-    fn serialize_unit(self) -> Result<(), CodecError> {
-        Ok(())
-    }
-    fn serialize_unit_struct(self, _name: &'static str) -> Result<(), CodecError> {
-        Ok(())
-    }
-    fn serialize_unit_variant(
-        self,
-        _name: &'static str,
-        variant_index: u32,
-        _variant: &'static str,
-    ) -> Result<(), CodecError> {
-        self.serialize_u32(variant_index)
-    }
-    fn serialize_newtype_struct<T: Serialize + ?Sized>(
-        self,
-        _name: &'static str,
-        value: &T,
-    ) -> Result<(), CodecError> {
-        value.serialize(self)
-    }
-    fn serialize_newtype_variant<T: Serialize + ?Sized>(
-        self,
-        _name: &'static str,
-        variant_index: u32,
-        _variant: &'static str,
-        value: &T,
-    ) -> Result<(), CodecError> {
-        self.serialize_u32(variant_index)?;
-        value.serialize(self)
-    }
-    fn serialize_seq(self, len: Option<usize>) -> Result<Self, CodecError> {
-        let len = len.ok_or_else(|| CodecError::new("sequences must have a known length"))?;
-        self.put_len(len);
-        Ok(self)
-    }
-    fn serialize_tuple(self, _len: usize) -> Result<Self, CodecError> {
-        Ok(self)
-    }
-    fn serialize_tuple_struct(self, _name: &'static str, _len: usize) -> Result<Self, CodecError> {
-        Ok(self)
-    }
-    fn serialize_tuple_variant(
-        self,
-        _name: &'static str,
-        variant_index: u32,
-        _variant: &'static str,
-        _len: usize,
-    ) -> Result<Self, CodecError> {
-        self.serialize_u32(variant_index)?;
-        Ok(self)
-    }
-    fn serialize_map(self, len: Option<usize>) -> Result<Self, CodecError> {
-        let len = len.ok_or_else(|| CodecError::new("maps must have a known length"))?;
-        self.put_len(len);
-        Ok(self)
-    }
-    fn serialize_struct(self, _name: &'static str, _len: usize) -> Result<Self, CodecError> {
-        Ok(self)
-    }
-    fn serialize_struct_variant(
-        self,
-        _name: &'static str,
-        variant_index: u32,
-        _variant: &'static str,
-        _len: usize,
-    ) -> Result<Self, CodecError> {
-        self.serialize_u32(variant_index)?;
-        Ok(self)
+/// Elements reserved up front when decoding a sequence; longer ones grow
+/// as their elements actually arrive.
+const PREALLOC_ELEMS: usize = 4096;
+
+/// Reads the `u64` element count of a sequence of `T`s.
+///
+/// Every element occupies at least one byte (the invariant [`Wire`]
+/// documents), so a count beyond the bytes left is rejected here, before
+/// anything is reserved or looped over. The assert catches the zero-sized
+/// breaches of that invariant, such as `Vec<()>`, where the decoding is
+/// instantiated.
+fn get_len<T>(input: &mut &[u8]) -> Result<usize, CodecError> {
+    const { assert!(size_of::<T>() != 0, "sequences of zero-sized elements are not encodable") };
+    let len = u64::get(input)?;
+    match usize::try_from(len) {
+        Ok(len) if len <= input.len() => Ok(len),
+        _ => Err(CodecError::new(format!(
+            "length prefix {len} exceeds the {} bytes left",
+            input.len()
+        ))),
     }
 }
 
-macro_rules! impl_compound_ser {
-    ($trait:path, $method:ident $(, $key:ident)?) => {
-        impl<'a> $trait for &'a mut Encoder {
-            type Ok = ();
-            type Error = CodecError;
-            fn $method<T: Serialize + ?Sized>(&mut self, value: &T) -> Result<(), CodecError> {
-                value.serialize(&mut **self)
+fn put_len(len: usize, out: &mut Vec<u8>) {
+    (len as u64).put(out);
+}
+
+macro_rules! wire_le_scalar {
+    ($($ty:ty),*) => {$(
+        impl Wire for $ty {
+            fn put(&self, out: &mut Vec<u8>) {
+                out.extend_from_slice(&self.to_le_bytes());
             }
-            $(
-                fn $key<T: Serialize + ?Sized>(&mut self, value: &T) -> Result<(), CodecError> {
-                    value.serialize(&mut **self)
-                }
-            )?
-            fn end(self) -> Result<(), CodecError> {
-                Ok(())
+            fn get(input: &mut &[u8]) -> Result<Self, CodecError> {
+                take_array(input).map(<$ty>::from_le_bytes)
+            }
+        }
+    )*};
+}
+
+wire_le_scalar!(u8, u32, u64, i64, f64);
+
+impl Wire for usize {
+    fn put(&self, out: &mut Vec<u8>) {
+        (*self as u64).put(out);
+    }
+    fn get(input: &mut &[u8]) -> Result<Self, CodecError> {
+        usize::try_from(u64::get(input)?).map_err(|_| CodecError::new("integer out of range"))
+    }
+}
+
+impl Wire for bool {
+    fn put(&self, out: &mut Vec<u8>) {
+        out.push(*self as u8);
+    }
+    fn get(input: &mut &[u8]) -> Result<Self, CodecError> {
+        match u8::get(input)? {
+            0 => Ok(false),
+            1 => Ok(true),
+            b => Err(CodecError::invalid_tag("bool", b.into())),
+        }
+    }
+}
+
+impl Wire for () {
+    fn put(&self, _out: &mut Vec<u8>) {}
+    fn get(_input: &mut &[u8]) -> Result<Self, CodecError> {
+        Ok(())
+    }
+}
+
+/// Encode-only, like every unsized type; decodes as a [`String`].
+impl Wire for str {
+    fn put(&self, out: &mut Vec<u8>) {
+        put_len(self.len(), out);
+        out.extend_from_slice(self.as_bytes());
+    }
+}
+
+impl Wire for String {
+    fn put(&self, out: &mut Vec<u8>) {
+        self.as_str().put(out);
+    }
+    fn get(input: &mut &[u8]) -> Result<Self, CodecError> {
+        let len = get_len::<u8>(input)?;
+        let s =
+            std::str::from_utf8(take(input, len)?).map_err(|e| CodecError::new(e.to_string()))?;
+        Ok(s.to_owned())
+    }
+}
+
+/// Wire-compatible with `Vec<u8>`: a count, then the raw bytes.
+impl Wire for Bytes {
+    fn put(&self, out: &mut Vec<u8>) {
+        put_len(self.len(), out);
+        out.extend_from_slice(self);
+    }
+    fn get(input: &mut &[u8]) -> Result<Self, CodecError> {
+        let len = get_len::<u8>(input)?;
+        Ok(Bytes::copy_from_slice(take(input, len)?))
+    }
+}
+
+impl<T: Wire> Wire for Option<T> {
+    fn put(&self, out: &mut Vec<u8>) {
+        match self {
+            None => out.push(0),
+            Some(v) => {
+                out.push(1);
+                v.put(out);
+            }
+        }
+    }
+    fn get(input: &mut &[u8]) -> Result<Self, CodecError> {
+        match u8::get(input)? {
+            0 => Ok(None),
+            1 => Ok(Some(T::get(input)?)),
+            b => Err(CodecError::invalid_tag("option", b.into())),
+        }
+    }
+}
+
+impl<T: Wire> Wire for Vec<T> {
+    fn put(&self, out: &mut Vec<u8>) {
+        put_len(self.len(), out);
+        for item in self {
+            item.put(out);
+        }
+    }
+    fn get(input: &mut &[u8]) -> Result<Self, CodecError> {
+        let len = get_len::<T>(input)?;
+        let mut v = Vec::with_capacity(len.min(PREALLOC_ELEMS));
+        for _ in 0..len {
+            v.push(T::get(input)?);
+        }
+        Ok(v)
+    }
+}
+
+impl<T: Wire> Wire for VecDeque<T> {
+    fn put(&self, out: &mut Vec<u8>) {
+        put_len(self.len(), out);
+        for item in self {
+            item.put(out);
+        }
+    }
+    fn get(input: &mut &[u8]) -> Result<Self, CodecError> {
+        Vec::get(input).map(VecDeque::from)
+    }
+}
+
+impl<K: Wire + Ord, V: Wire> Wire for BTreeMap<K, V> {
+    fn put(&self, out: &mut Vec<u8>) {
+        put_len(self.len(), out);
+        for (k, v) in self {
+            k.put(out);
+            v.put(out);
+        }
+    }
+    fn get(input: &mut &[u8]) -> Result<Self, CodecError> {
+        let len = get_len::<K>(input)?;
+        let mut m = BTreeMap::new();
+        for _ in 0..len {
+            let k = K::get(input)?;
+            m.insert(k, V::get(input)?);
+        }
+        Ok(m)
+    }
+}
+
+/// `secs: u64`, then `subsec_nanos: u32`.
+impl Wire for Duration {
+    fn put(&self, out: &mut Vec<u8>) {
+        self.as_secs().put(out);
+        self.subsec_nanos().put(out);
+    }
+    fn get(input: &mut &[u8]) -> Result<Self, CodecError> {
+        let secs = u64::get(input)?;
+        let nanos = u32::get(input)?;
+        if nanos >= 1_000_000_000 {
+            return Err(CodecError::new("nanos out of range"));
+        }
+        Ok(Duration::new(secs, nanos))
+    }
+}
+
+macro_rules! wire_tuple {
+    ($($n:tt $t:ident)+) => {
+        impl<$($t: Wire),+> Wire for ($($t,)+) {
+            fn put(&self, out: &mut Vec<u8>) {
+                $( self.$n.put(out); )+
+            }
+            fn get(input: &mut &[u8]) -> Result<Self, CodecError> {
+                Ok(($($t::get(input)?,)+))
             }
         }
     };
 }
 
-impl_compound_ser!(ser::SerializeSeq, serialize_element);
-impl_compound_ser!(ser::SerializeTuple, serialize_element);
-impl_compound_ser!(ser::SerializeTupleStruct, serialize_field);
-impl_compound_ser!(ser::SerializeTupleVariant, serialize_field);
-
-impl ser::SerializeMap for &mut Encoder {
-    type Ok = ();
-    type Error = CodecError;
-    fn serialize_key<T: Serialize + ?Sized>(&mut self, key: &T) -> Result<(), CodecError> {
-        key.serialize(&mut **self)
-    }
-    fn serialize_value<T: Serialize + ?Sized>(&mut self, value: &T) -> Result<(), CodecError> {
-        value.serialize(&mut **self)
-    }
-    fn end(self) -> Result<(), CodecError> {
-        Ok(())
-    }
-}
-
-impl ser::SerializeStruct for &mut Encoder {
-    type Ok = ();
-    type Error = CodecError;
-    fn serialize_field<T: Serialize + ?Sized>(
-        &mut self,
-        _key: &'static str,
-        value: &T,
-    ) -> Result<(), CodecError> {
-        value.serialize(&mut **self)
-    }
-    fn end(self) -> Result<(), CodecError> {
-        Ok(())
-    }
-}
-
-impl ser::SerializeStructVariant for &mut Encoder {
-    type Ok = ();
-    type Error = CodecError;
-    fn serialize_field<T: Serialize + ?Sized>(
-        &mut self,
-        _key: &'static str,
-        value: &T,
-    ) -> Result<(), CodecError> {
-        value.serialize(&mut **self)
-    }
-    fn end(self) -> Result<(), CodecError> {
-        Ok(())
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Decoder
-// ---------------------------------------------------------------------------
-
-struct Decoder<'de> {
-    input: &'de [u8],
-}
-
-impl<'de> Decoder<'de> {
-    fn take(&mut self, n: usize) -> Result<&'de [u8], CodecError> {
-        if self.input.len() < n {
-            return Err(CodecError::new(format!(
-                "unexpected end of input: needed {n} bytes, had {}",
-                self.input.len()
-            )));
-        }
-        let (head, rest) = self.input.split_at(n);
-        self.input = rest;
-        Ok(head)
-    }
-
-    fn get_len(&mut self) -> Result<usize, CodecError> {
-        let b = self.take(8)?;
-        let len = u64::from_le_bytes(b.try_into().expect("8 bytes"));
-        if len > (1 << 40) {
-            return Err(CodecError::new("implausible length prefix"));
-        }
-        Ok(len as usize)
-    }
-}
-
-macro_rules! de_scalar {
-    ($name:ident, $visit:ident, $ty:ty, $n:expr) => {
-        fn $name<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value, CodecError> {
-            let b = self.take($n)?;
-            visitor.$visit(<$ty>::from_le_bytes(b.try_into().expect("sized")))
-        }
-    };
-}
-
-impl<'de> de::Deserializer<'de> for &mut Decoder<'de> {
-    type Error = CodecError;
-
-    fn deserialize_any<V: Visitor<'de>>(self, _visitor: V) -> Result<V::Value, CodecError> {
-        Err(CodecError::new("format is not self-describing"))
-    }
-
-    fn deserialize_bool<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value, CodecError> {
-        match self.take(1)?[0] {
-            0 => visitor.visit_bool(false),
-            1 => visitor.visit_bool(true),
-            b => Err(CodecError::new(format!("invalid bool byte {b}"))),
-        }
-    }
-
-    de_scalar!(deserialize_i8, visit_i8, i8, 1);
-    de_scalar!(deserialize_i16, visit_i16, i16, 2);
-    de_scalar!(deserialize_i32, visit_i32, i32, 4);
-    de_scalar!(deserialize_i64, visit_i64, i64, 8);
-    de_scalar!(deserialize_i128, visit_i128, i128, 16);
-    de_scalar!(deserialize_u8, visit_u8, u8, 1);
-    de_scalar!(deserialize_u16, visit_u16, u16, 2);
-    de_scalar!(deserialize_u32, visit_u32, u32, 4);
-    de_scalar!(deserialize_u64, visit_u64, u64, 8);
-    de_scalar!(deserialize_u128, visit_u128, u128, 16);
-    de_scalar!(deserialize_f32, visit_f32, f32, 4);
-    de_scalar!(deserialize_f64, visit_f64, f64, 8);
-
-    fn deserialize_char<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value, CodecError> {
-        let b = self.take(4)?;
-        let code = u32::from_le_bytes(b.try_into().expect("4 bytes"));
-        let c = char::from_u32(code)
-            .ok_or_else(|| CodecError::new(format!("invalid char code {code}")))?;
-        visitor.visit_char(c)
-    }
-
-    fn deserialize_str<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value, CodecError> {
-        let len = self.get_len()?;
-        let b = self.take(len)?;
-        let s = std::str::from_utf8(b).map_err(|e| CodecError::new(e.to_string()))?;
-        visitor.visit_borrowed_str(s)
-    }
-
-    fn deserialize_string<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value, CodecError> {
-        self.deserialize_str(visitor)
-    }
-
-    fn deserialize_bytes<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value, CodecError> {
-        let len = self.get_len()?;
-        let b = self.take(len)?;
-        visitor.visit_borrowed_bytes(b)
-    }
-
-    fn deserialize_byte_buf<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value, CodecError> {
-        self.deserialize_bytes(visitor)
-    }
-
-    fn deserialize_option<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value, CodecError> {
-        match self.take(1)?[0] {
-            0 => visitor.visit_none(),
-            1 => visitor.visit_some(self),
-            b => Err(CodecError::new(format!("invalid option tag {b}"))),
-        }
-    }
-
-    fn deserialize_unit<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value, CodecError> {
-        visitor.visit_unit()
-    }
-
-    fn deserialize_unit_struct<V: Visitor<'de>>(
-        self,
-        _name: &'static str,
-        visitor: V,
-    ) -> Result<V::Value, CodecError> {
-        visitor.visit_unit()
-    }
-
-    fn deserialize_newtype_struct<V: Visitor<'de>>(
-        self,
-        _name: &'static str,
-        visitor: V,
-    ) -> Result<V::Value, CodecError> {
-        visitor.visit_newtype_struct(self)
-    }
-
-    fn deserialize_seq<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value, CodecError> {
-        let len = self.get_len()?;
-        visitor.visit_seq(Counted { de: self, left: len })
-    }
-
-    fn deserialize_tuple<V: Visitor<'de>>(
-        self,
-        len: usize,
-        visitor: V,
-    ) -> Result<V::Value, CodecError> {
-        visitor.visit_seq(Counted { de: self, left: len })
-    }
-
-    fn deserialize_tuple_struct<V: Visitor<'de>>(
-        self,
-        _name: &'static str,
-        len: usize,
-        visitor: V,
-    ) -> Result<V::Value, CodecError> {
-        self.deserialize_tuple(len, visitor)
-    }
-
-    fn deserialize_map<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value, CodecError> {
-        let len = self.get_len()?;
-        visitor.visit_map(Counted { de: self, left: len })
-    }
-
-    fn deserialize_struct<V: Visitor<'de>>(
-        self,
-        _name: &'static str,
-        fields: &'static [&'static str],
-        visitor: V,
-    ) -> Result<V::Value, CodecError> {
-        self.deserialize_tuple(fields.len(), visitor)
-    }
-
-    fn deserialize_enum<V: Visitor<'de>>(
-        self,
-        _name: &'static str,
-        _variants: &'static [&'static str],
-        visitor: V,
-    ) -> Result<V::Value, CodecError> {
-        visitor.visit_enum(EnumAccess { de: self })
-    }
-
-    fn deserialize_identifier<V: Visitor<'de>>(self, _visitor: V) -> Result<V::Value, CodecError> {
-        Err(CodecError::new("identifiers are not encoded"))
-    }
-
-    fn deserialize_ignored_any<V: Visitor<'de>>(self, _visitor: V) -> Result<V::Value, CodecError> {
-        Err(CodecError::new("cannot skip values in a non-self-describing format"))
-    }
-
-    fn is_human_readable(&self) -> bool {
-        false
-    }
-}
-
-struct Counted<'a, 'de> {
-    de: &'a mut Decoder<'de>,
-    left: usize,
-}
-
-impl<'a, 'de> de::SeqAccess<'de> for Counted<'a, 'de> {
-    type Error = CodecError;
-
-    fn next_element_seed<T: de::DeserializeSeed<'de>>(
-        &mut self,
-        seed: T,
-    ) -> Result<Option<T::Value>, CodecError> {
-        if self.left == 0 {
-            return Ok(None);
-        }
-        self.left -= 1;
-        seed.deserialize(&mut *self.de).map(Some)
-    }
-
-    fn size_hint(&self) -> Option<usize> {
-        Some(self.left)
-    }
-}
-
-impl<'a, 'de> de::MapAccess<'de> for Counted<'a, 'de> {
-    type Error = CodecError;
-
-    fn next_key_seed<K: de::DeserializeSeed<'de>>(
-        &mut self,
-        seed: K,
-    ) -> Result<Option<K::Value>, CodecError> {
-        if self.left == 0 {
-            return Ok(None);
-        }
-        self.left -= 1;
-        seed.deserialize(&mut *self.de).map(Some)
-    }
-
-    fn next_value_seed<V: de::DeserializeSeed<'de>>(
-        &mut self,
-        seed: V,
-    ) -> Result<V::Value, CodecError> {
-        seed.deserialize(&mut *self.de)
-    }
-
-    fn size_hint(&self) -> Option<usize> {
-        Some(self.left)
-    }
-}
-
-struct EnumAccess<'a, 'de> {
-    de: &'a mut Decoder<'de>,
-}
-
-impl<'a, 'de> de::EnumAccess<'de> for EnumAccess<'a, 'de> {
-    type Error = CodecError;
-    type Variant = VariantAccess<'a, 'de>;
-
-    fn variant_seed<V: de::DeserializeSeed<'de>>(
-        self,
-        seed: V,
-    ) -> Result<(V::Value, Self::Variant), CodecError> {
-        let b = self.de.take(4)?;
-        let idx = u32::from_le_bytes(b.try_into().expect("4 bytes"));
-        let val = seed.deserialize(idx.into_deserializer())?;
-        Ok((val, VariantAccess { de: self.de }))
-    }
-}
-
-struct VariantAccess<'a, 'de> {
-    de: &'a mut Decoder<'de>,
-}
-
-impl<'a, 'de> de::VariantAccess<'de> for VariantAccess<'a, 'de> {
-    type Error = CodecError;
-
-    fn unit_variant(self) -> Result<(), CodecError> {
-        Ok(())
-    }
-
-    fn newtype_variant_seed<T: de::DeserializeSeed<'de>>(
-        self,
-        seed: T,
-    ) -> Result<T::Value, CodecError> {
-        seed.deserialize(self.de)
-    }
-
-    fn tuple_variant<V: Visitor<'de>>(
-        self,
-        len: usize,
-        visitor: V,
-    ) -> Result<V::Value, CodecError> {
-        visitor.visit_seq(Counted { de: self.de, left: len })
-    }
-
-    fn struct_variant<V: Visitor<'de>>(
-        self,
-        fields: &'static [&'static str],
-        visitor: V,
-    ) -> Result<V::Value, CodecError> {
-        visitor.visit_seq(Counted { de: self.de, left: fields.len() })
-    }
-}
+wire_tuple!(0 T0 1 T1);
+wire_tuple!(0 T0 1 T1 2 T2);
+wire_tuple!(0 T0 1 T1 2 T2 3 T3);
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use serde::{Deserialize, Serialize};
-    use std::collections::BTreeMap;
 
-    fn round_trip<T: Serialize + DeserializeOwned + PartialEq + fmt::Debug>(v: T) {
+    fn round_trip<T: Wire + PartialEq + fmt::Debug>(v: T) {
         let bytes = to_bytes(&v).expect("encode");
         let back: T = from_bytes(&bytes).expect("decode");
         assert_eq!(v, back);
@@ -655,12 +379,7 @@ mod tests {
         round_trip(0u8);
         round_trip(u64::MAX);
         round_trip(i64::MIN);
-        round_trip(-1i32);
-        round_trip(3.5f32);
         round_trip(-0.25f64);
-        round_trip('é');
-        round_trip(123u128);
-        round_trip(-5i128);
     }
 
     #[test]
@@ -669,8 +388,8 @@ mod tests {
         round_trip(String::new());
         round_trip(vec![1u32, 2, 3]);
         round_trip(Vec::<u8>::new());
-        round_trip(Some(7u16));
-        round_trip(Option::<u16>::None);
+        round_trip(Some(7u32));
+        round_trip(Option::<u32>::None);
         round_trip((1u8, String::from("x"), -3i64));
         let mut m = BTreeMap::new();
         m.insert("a".to_string(), 1u64);
@@ -678,12 +397,12 @@ mod tests {
         round_trip(m);
     }
 
-    #[derive(Serialize, Deserialize, PartialEq, Debug)]
+    #[derive(Wire, PartialEq, Debug)]
     enum Proto {
         Ping,
         Set { key: String, value: Vec<u8> },
         Pair(u32, u32),
-        Wrap(Box<Proto>),
+        Wrap(Vec<Proto>),
     }
 
     #[test]
@@ -691,14 +410,14 @@ mod tests {
         round_trip(Proto::Ping);
         round_trip(Proto::Set { key: "k".into(), value: vec![1, 2, 3] });
         round_trip(Proto::Pair(4, 5));
-        round_trip(Proto::Wrap(Box::new(Proto::Ping)));
+        round_trip(Proto::Wrap(vec![Proto::Ping, Proto::Pair(6, 7)]));
     }
 
-    #[derive(Serialize, Deserialize, PartialEq, Debug)]
+    #[derive(Wire, PartialEq, Debug)]
     struct Nested {
         id: u64,
         tags: Vec<String>,
-        inner: Option<Box<Nested>>,
+        inner: Vec<Nested>,
     }
 
     #[test]
@@ -706,7 +425,7 @@ mod tests {
         round_trip(Nested {
             id: 1,
             tags: vec!["a".into(), "b".into()],
-            inner: Some(Box::new(Nested { id: 2, tags: vec![], inner: None })),
+            inner: vec![Nested { id: 2, tags: vec![], inner: vec![] }],
         });
     }
 
@@ -741,7 +460,7 @@ mod tests {
     #[test]
     fn unit_type() {
         round_trip(());
-        #[derive(Serialize, Deserialize, PartialEq, Debug)]
+        #[derive(Wire, PartialEq, Debug)]
         struct Marker;
         round_trip(Marker);
         assert!(to_bytes(&Marker).expect("encode").is_empty());
@@ -759,13 +478,11 @@ mod tests {
 mod proptests {
     use super::*;
     use proptest::prelude::*;
-    use serde::{Deserialize, Serialize};
-    use std::collections::BTreeMap;
 
-    #[derive(Serialize, Deserialize, PartialEq, Debug, Clone)]
+    #[derive(Wire, PartialEq, Debug, Clone)]
     enum TreeNode {
         Leaf(i64),
-        Branch(Box<TreeNode>, Box<TreeNode>),
+        Branch(Vec<TreeNode>),
         Tagged { name: String, values: Vec<f64> },
     }
 
@@ -776,8 +493,35 @@ mod proptests {
                 .prop_map(|(name, values)| TreeNode::Tagged { name, values }),
         ];
         leaf.prop_recursive(4, 32, 2, |inner| {
-            (inner.clone(), inner).prop_map(|(a, b)| TreeNode::Branch(Box::new(a), Box::new(b)))
+            proptest::collection::vec(inner, 0..3).prop_map(TreeNode::Branch)
         })
+    }
+
+    /// One message with every framing device of the format in it.
+    #[derive(Wire, PartialEq, Debug, Clone)]
+    struct Envelope {
+        urgent: bool,
+        note: Option<String>,
+        tree: TreeNode,
+        blobs: Vec<Vec<u8>>,
+        index: BTreeMap<String, u64>,
+    }
+
+    fn arb_envelope() -> impl Strategy<Value = Envelope> {
+        (
+            any::<bool>(),
+            proptest::option::of("[a-z]{0,6}"),
+            arb_tree(),
+            proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..5), 0..4),
+            proptest::collection::btree_map("[a-z]{1,4}", any::<u64>(), 0..4),
+        )
+            .prop_map(|(urgent, note, tree, blobs, index)| Envelope {
+                urgent,
+                note,
+                tree,
+                blobs,
+                index,
+            })
     }
 
     proptest! {
@@ -793,12 +537,12 @@ mod proptests {
         #[test]
         fn round_trip_maps_and_options(
             m in proptest::collection::btree_map("[a-z]{1,8}", any::<u64>(), 0..16),
-            o in proptest::option::of(any::<i32>()),
-            v in proptest::collection::vec(any::<u16>(), 0..64),
+            o in proptest::option::of(any::<i64>()),
+            v in proptest::collection::vec(any::<u32>(), 0..64),
         ) {
-            let value: (BTreeMap<String, u64>, Option<i32>, Vec<u16>) = (m, o, v);
+            let value: (BTreeMap<String, u64>, Option<i64>, Vec<u32>) = (m, o, v);
             let bytes = to_bytes(&value).expect("encode");
-            let back: (BTreeMap<String, u64>, Option<i32>, Vec<u16>) =
+            let back: (BTreeMap<String, u64>, Option<i64>, Vec<u32>) =
                 from_bytes(&bytes).expect("decode");
             prop_assert_eq!(back, value);
         }
@@ -809,6 +553,70 @@ mod proptests {
             let _ = from_bytes::<TreeNode>(&bytes);
             let _ = from_bytes::<Vec<String>>(&bytes);
             let _ = from_bytes::<(u64, bool, Option<f64>)>(&bytes);
+            let _ = from_bytes::<Envelope>(&bytes);
+        }
+
+        /// The format is prefix-free per type, so a truncated message is
+        /// always an error, never a shorter valid value.
+        #[test]
+        fn every_strict_prefix_is_rejected(e in arb_envelope()) {
+            let bytes = to_bytes(&e).expect("encode");
+            for cut in 0..bytes.len() {
+                prop_assert!(from_bytes::<Envelope>(&bytes[..cut]).is_err(), "prefix of {cut} bytes");
+            }
+        }
+
+        #[test]
+        fn trailing_garbage_is_rejected(
+            e in arb_envelope(),
+            garbage in proptest::collection::vec(any::<u8>(), 1..16),
+        ) {
+            let mut bytes = to_bytes(&e).expect("encode");
+            bytes.extend_from_slice(&garbage);
+            prop_assert!(from_bytes::<Envelope>(&bytes).is_err());
+        }
+
+        /// `Envelope` opens with a bool byte, an option tag, the optional
+        /// note, then the tree's `u32` variant tag; any value outside each
+        /// tag's range is an error.
+        #[test]
+        fn out_of_range_tags_are_rejected(e in arb_envelope(), bad in any::<u32>()) {
+            let bytes = to_bytes(&e).expect("encode");
+            let bad_byte = (bad % 254) as u8 + 2;
+            for at in [0, 1] {
+                let mut b = bytes.clone();
+                b[at] = bad_byte;
+                prop_assert!(from_bytes::<Envelope>(&b).is_err(), "tag byte {at} = {bad_byte}");
+            }
+            let variant_at = 2 + e.note.as_ref().map_or(0, |n| 8 + n.len());
+            let mut b = bytes;
+            b[variant_at..variant_at + 4].copy_from_slice(&bad.max(3).to_le_bytes());
+            prop_assert!(from_bytes::<Envelope>(&b).is_err(), "variant tag {}", bad.max(3));
+        }
+
+        /// A count claiming more elements than the bytes present is
+        /// rejected up front: decoding neither reserves memory for the
+        /// claim (2^63 elements would abort) nor loops towards it.
+        #[test]
+        fn counts_beyond_the_input_are_rejected(
+            words in proptest::collection::vec(any::<u64>(), 0..8),
+            text in "[a-z]{0,8}",
+            extra in any::<u64>(),
+        ) {
+            fn claim<T: Wire>(value: &T, extra: u64) -> Result<T, CodecError> {
+                let mut bytes = to_bytes(value).expect("encode");
+                let (count, _) = bytes.split_first_chunk_mut::<8>().expect("count prefix");
+                *count = u64::from_le_bytes(*count).saturating_add(extra.max(1)).to_le_bytes();
+                from_bytes(&bytes)
+            }
+            let blobs: Vec<Vec<u8>> = words.iter().map(|w| w.to_le_bytes().to_vec()).collect();
+            let map: BTreeMap<u64, String> = words.iter().map(|w| (*w, text.clone())).collect();
+            prop_assert!(claim(&words, extra).is_err());
+            prop_assert!(claim(&VecDeque::from(words.clone()), extra).is_err());
+            prop_assert!(claim(&blobs, extra).is_err());
+            prop_assert!(claim(&map, extra).is_err());
+            prop_assert!(claim(&Bytes::copy_from_slice(text.as_bytes()), extra).is_err());
+            prop_assert!(claim(&text, extra).is_err());
         }
     }
 }

@@ -51,9 +51,7 @@ impl fmt::Display for Pid {
 /// send to it, while receiving is reserved for one process at a time.
 /// Addresses serialize as their raw id, so service handles can travel
 /// inside function payloads (like connection strings in Lambda env vars).
-#[derive(
-    Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, serde::Serialize, serde::Deserialize,
-)]
+#[derive(Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, crate::codec::Wire)]
 pub struct Addr(pub(crate) u64);
 
 impl Addr {

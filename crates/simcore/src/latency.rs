@@ -2,12 +2,12 @@
 
 use std::time::Duration;
 
+use crate::codec::Wire;
 use rand::rngs::StdRng;
 use rand::RngExt;
-use serde::{Deserialize, Serialize};
 
 /// Jitter applied around a base latency.
-#[derive(Copy, Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq, Wire)]
 pub enum Jitter {
     /// No jitter; the latency is exactly the base.
     None,
@@ -31,7 +31,7 @@ pub enum Jitter {
 /// let mut rng = rand::SeedableRng::seed_from_u64(1);
 /// assert_eq!(lan.sample(&mut rng), Duration::from_micros(90));
 /// ```
-#[derive(Copy, Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq, Wire)]
 pub struct LatencyModel {
     /// Base one-way latency.
     pub base: Duration,

@@ -40,6 +40,10 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
+// `#[derive(Wire)]` names the trait as `::simcore::codec::Wire`; this makes
+// that path resolve inside this crate too.
+extern crate self as simcore;
+
 mod kernel;
 mod latency;
 mod metrics;

@@ -9,7 +9,7 @@ use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
 use std::time::Duration;
 
-use serde::{Deserialize, Serialize};
+use crate::codec::Wire;
 
 /// An absolute instant on the simulated clock.
 ///
@@ -26,7 +26,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(t.as_nanos(), 3_000_000);
 /// assert!(t > SimTime::ZERO);
 /// ```
-#[derive(Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Wire)]
 pub struct SimTime {
     nanos: u64,
 }

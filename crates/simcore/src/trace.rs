@@ -30,8 +30,8 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
 
+use crate::codec::Wire;
 use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
 
 use crate::symbol::{Sym, SymbolTable};
 use crate::time::SimTime;
@@ -42,7 +42,7 @@ use crate::time::SimTime;
 /// Ids are plain integers so they can travel inside serialized protocol
 /// messages; they are only meaningful relative to the [`Tracer`] of the
 /// simulation that allocated them.
-#[derive(Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Wire)]
 pub struct SpanId(pub u64);
 
 impl SpanId {
@@ -68,7 +68,7 @@ impl fmt::Debug for SpanId {
 /// `Ctx::set_trace_ctx` in the kernel); infrastructure code ships the
 /// current span id inside its protocol messages and the receiving process
 /// adopts it, re-rooting its own spans under the sender's.
-#[derive(Copy, Clone, PartialEq, Eq, Debug, Default, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Eq, Debug, Default)]
 pub struct TraceCtx {
     /// The span new work should be parented under.
     pub span: SpanId,

@@ -5,9 +5,8 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use crucial::{join_all, AtomicLong, CrucialConfig, Deployment, FnEnv, RunResult, Runnable, Sim};
+use crucial::prelude::*;
 use rand::RngExt;
-use serde::{Deserialize, Serialize};
 
 /// Points each cloud thread draws (paper scale: 100 M; the simulator
 /// charges the full virtual compute time but samples a capped subset).
@@ -15,7 +14,7 @@ const ITERATIONS: u64 = 100_000_000;
 const N_THREADS: usize = 16;
 
 /// Listing 1's `PiEstimator implements Runnable`.
-#[derive(Serialize, Deserialize)]
+#[derive(Wire)]
 struct PiEstimator {
     counter: AtomicLong, // @Shared(key = "counter")
 }

@@ -6,7 +6,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
+use simcore::codec::Wire;
 use simcore::Sim;
 
 use crucial::{
@@ -58,7 +58,7 @@ fn kmeans_substrates_converge_to_the_same_clustering() {
 
 /// Train (install) a replicated model through the full stack, crash a
 /// storage node, and verify the model survives — §4.4 + §6.4 in one test.
-#[derive(Serialize, Deserialize)]
+#[derive(Wire)]
 struct ModelReader {
     centroids: u32,
     rf: u8,
@@ -114,7 +114,7 @@ fn replicated_model_survives_node_crash_read_from_a_function() {
 
 /// Futures are idempotent (`set` is write-once), so map workers can crash
 /// and retry without corrupting the reduced result.
-#[derive(Serialize, Deserialize)]
+#[derive(Wire)]
 struct FlakyMapper {
     id: u32,
     out: SharedFuture<i64>,
