@@ -10,11 +10,11 @@ cargo fmt --check
 
 # Correctness tooling (crates/simcheck): the line-level determinism lint,
 # the interprocedural analyzer (determinism taint, readonly purity, wait
-# annotation coverage — zero findings required; also refreshes the
-# proven-pure report consumed via DsoConfig::pure_methods), then the DSO
-# cluster smoke workload under 25 perturbed schedules with linearizability
-# checked on each (see DESIGN.md, "Correctness tooling" / "Static
-# analysis").
+# annotation coverage, no blocking call reachable from an Actor::on_wake —
+# zero findings required; also refreshes the proven-pure report consumed
+# via DsoConfig::pure_methods), then the DSO cluster smoke workload under
+# 25 perturbed schedules with linearizability checked on each (see
+# DESIGN.md, "Correctness tooling" / "Static analysis").
 cargo run --release -q -p simcheck --bin simlint
 cargo run --release -q -p simcheck --bin simanalyze -- --readonly-report results/pure_methods.txt
 cargo run --release -q -p simcheck --bin simexplore -- --seeds 25
@@ -37,9 +37,13 @@ cargo run --release -q -p simcheck --bin tracecheck -- results/trace-elastic.chr
 # second, --json run leaves a machine-readable violation list for trend
 # tooling.
 #   kernel-bench        raw wheel churn, empty-cycle timers, the message
-#                       ring and the DSO smoke as events/sec, each above a
-#                       sanity floor (~1/10 of typical release numbers), so
-#                       an order-of-magnitude kernel regression fails here.
+#                       ring on threads and on actors, and the DSO smoke
+#                       (actor nodes, thread clients) as events/sec, each
+#                       above a sanity floor (~1/10 of typical release
+#                       numbers), so an order-of-magnitude kernel
+#                       regression fails here; and the actor ring runs
+#                       >= 5x the thread ring, so an actor wake-up that
+#                       starts costing like a thread handoff fails too.
 #   coldstart           classic vs snapshot-restore elastic runs plus the
 #                       fork fan-out microbench; self-asserts the tier
 #                       mechanics, then: a restore collapses the classic

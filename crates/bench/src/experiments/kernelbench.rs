@@ -1,6 +1,6 @@
 //! `kernel-bench` — raw kernel speed baseline, gated in CI.
 //!
-//! Four sections, coarse to fine:
+//! Five sections, coarse to fine:
 //!
 //! 1. **wheel_raw** — the timing wheel alone: pop an expiry, push a
 //!    replacement, across seven delay magnitudes. No kernel, no threads;
@@ -10,23 +10,28 @@
 //!    so the cost measured is queue + context-switch, no application work.
 //! 3. **ping_ring** — message passing: a hop-countdown token circulating
 //!    a ring of processes, one delivery event per hop.
-//! 4. **dso_smoke** — end-to-end: a 2-node DSO cluster serving
-//!    `AtomicLong` increments and reads, many kernel events per op.
+//! 4. **actor_ring** — the same ring, hops and link latency with actor
+//!    nodes: one delivery event per hop and no thread handoff, so the
+//!    ratio to `ping_ring` is what a handoff costs.
+//! 5. **dso_smoke** — end-to-end: a 2-node DSO cluster serving
+//!    `AtomicLong` increments and reads, many kernel events per op. The
+//!    nodes and the coordinator are actors; the six clients are threads.
 //!
 //! Each section is wall-clock timed (the one legitimate use of host time
 //! in the workspace: measuring the simulator itself) and reports kernel
 //! events/sec, computed from [`simcore::EventQueueStats`] — total pushes
 //! (fresh allocations + free-list recycles) minus events still pending.
 //! Results go to `BENCH_kernel.json`; `simcheck`'s `benchcheck` bin
-//! asserts the file is well-formed and each section clears a conservative
+//! asserts the file is well-formed, each section clears a conservative
 //! sanity floor (~1/10 of typical release-build numbers), so a silent
-//! 10x regression in kernel speed fails CI without flaking on host noise.
+//! 10x regression in kernel speed fails CI without flaking on host noise,
+//! and `actor_ring` runs at least 5x `ping_ring`'s events/sec.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use simcore::{Msg, Sim, SimTime, TimingWheel};
+use simcore::{Actor, Addr, Ctx, Msg, Sim, SimTime, TimingWheel, Wait, Wake};
 
 use crucial::{AtomicLong, DsoCluster, DsoConfig, ObjectRegistry};
 
@@ -128,11 +133,19 @@ fn timer_churn(scale: Scale) -> Section {
     Section { name: "timer_churn", work: events, work_unit: "timer wakes", events, elapsed }
 }
 
+/// The ring both message sections run: size, laps, and link latency.
+const RING_NODES: usize = 16;
+const RING_LAT: Duration = Duration::from_micros(1);
+
+fn ring_rounds(scale: Scale) -> u64 {
+    scale.pick(4_000, 40_000)
+}
+
 fn ping_ring(scale: Scale) -> Section {
-    let nodes: usize = 16;
-    let rounds: u64 = scale.pick(4_000, 40_000);
+    let nodes = RING_NODES;
+    let rounds = ring_rounds(scale);
     let hops = rounds * nodes as u64;
-    let lat = Duration::from_micros(1);
+    let lat = RING_LAT;
     let mut sim = Sim::new(2);
     let mbs: Vec<_> = (0..nodes).map(|i| sim.mailbox(&format!("ring-{i}"))).collect();
     for i in 0..nodes {
@@ -157,6 +170,63 @@ fn ping_ring(scale: Scale) -> Section {
     let events = events_fired(&sim);
     assert!(events >= hops, "every hop is at least one kernel event");
     Section { name: "ping_ring", work: hops, work_unit: "message hops", events, elapsed }
+}
+
+/// One node of [`actor_ring`]: what a `ping_ring` closure does, one
+/// receive per wake-up.
+struct RingNode {
+    rx: Addr,
+    tx: Addr,
+    /// The token this node serves on start (node 0 only).
+    serve: Option<u64>,
+    /// Receives left before the node exits.
+    left: u64,
+}
+
+impl Actor for RingNode {
+    fn on_wake(&mut self, ctx: &mut Ctx, wake: Wake) -> Wait {
+        match wake {
+            Wake::Start => {
+                if let Some(token) = self.serve.take() {
+                    ctx.send(self.tx, Msg::new(token), RING_LAT);
+                }
+            }
+            Wake::Msg(m) => {
+                let v = m.take::<u64>();
+                if v > 0 {
+                    ctx.send(self.tx, Msg::new(v - 1), RING_LAT);
+                }
+                self.left -= 1;
+            }
+            Wake::Timeout | Wake::Slept => unreachable!("a ring node only receives"),
+        }
+        if self.left == 0 {
+            Wait::Exit
+        } else {
+            Wait::Recv(self.rx)
+        }
+    }
+}
+
+fn actor_ring(scale: Scale) -> Section {
+    let rounds = ring_rounds(scale);
+    let hops = rounds * RING_NODES as u64;
+    let mut sim = Sim::new(2);
+    let mbs: Vec<_> = (0..RING_NODES).map(|i| sim.mailbox(&format!("ring-{i}"))).collect();
+    for i in 0..RING_NODES {
+        let node = RingNode {
+            rx: mbs[i],
+            tx: mbs[(i + 1) % RING_NODES],
+            serve: (i == 0).then_some(hops - 1),
+            left: rounds,
+        };
+        sim.spawn_actor(&format!("node-{i}"), node);
+    }
+    let (out, elapsed) = timed(|| sim.run_until_idle());
+    out.expect_quiescent();
+    let events = events_fired(&sim);
+    assert_eq!(events, hops, "one delivery per hop, exactly as the thread ring");
+    Section { name: "actor_ring", work: hops, work_unit: "message hops", events, elapsed }
 }
 
 fn dso_smoke(scale: Scale) -> Section {
@@ -205,7 +275,13 @@ fn dso_smoke(scale: Scale) -> Section {
 /// Runs every section, renders the table, writes `BENCH_kernel.json`.
 pub fn kernel_bench(scale: Scale) -> (Table, KernelBenchReport) {
     let report = KernelBenchReport {
-        sections: vec![wheel_raw(scale), timer_churn(scale), ping_ring(scale), dso_smoke(scale)],
+        sections: vec![
+            wheel_raw(scale),
+            timer_churn(scale),
+            ping_ring(scale),
+            actor_ring(scale),
+            dso_smoke(scale),
+        ],
     };
     let mut t = Table::new(
         "kernel-bench — event-queue and kernel throughput",

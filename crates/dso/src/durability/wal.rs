@@ -36,6 +36,8 @@ struct WalInner {
     acks: Vec<PendingAck>,
     /// Next segment sequence number (contiguous per node per generation).
     next_seq: u64,
+    /// The node drained and retired: the daemon ends after its next flush.
+    retired: bool,
 }
 
 /// Shared WAL buffer of one storage node.
@@ -59,6 +61,14 @@ impl WalState {
     /// Parks a Sync acknowledgement until the next flush completes.
     pub(crate) fn queue_ack(&self, ack: PendingAck) {
         self.inner.lock().acks.push(ack);
+    }
+
+    /// Marks the node retired. Nothing is logged after this (its workers
+    /// are gone), so the daemon's next flush is the last and takes
+    /// everything buffered before the drain, with the Sync
+    /// acknowledgements riding it.
+    pub(crate) fn retire(&self) {
+        self.inner.lock().retired = true;
     }
 
     /// Buffered records awaiting flush.
@@ -130,8 +140,9 @@ impl WalState {
 }
 
 /// The per-node WAL daemon: pushes the backlog gauge and flushes on the
-/// group-commit cadence. Spawned by the server only when durability is
-/// active, so default-config schedules stay byte-identical.
+/// group-commit cadence, until a flush finds the node retired. Spawned by
+/// the server only when durability is active, so default-config schedules
+/// stay byte-identical.
 pub(crate) fn wal_daemon(
     ctx: &mut Ctx,
     wal: Arc<WalState>,
@@ -143,5 +154,9 @@ pub(crate) fn wal_daemon(
         tick.wait(ctx);
         ctx.metric_push("dso.wal_backlog", wal.backlog() as f64);
         wal.flush(ctx, &d, &client_net);
+        // `flush` returns on an empty buffer, in this same run slice.
+        if wal.inner.lock().retired {
+            return;
+        }
     }
 }

@@ -10,7 +10,7 @@
 
 use std::collections::BTreeMap;
 
-use simcore::{Addr, Ctx, Msg, Request, Sim, SimTime};
+use simcore::{Actor, Addr, Ctx, Msg, Request, Sim, SimTime, Wait, Wake};
 
 use crate::config::DsoConfig;
 use crate::protocol::{GetView, MemberMsg, NodeId, View, ViewUpdate};
@@ -18,9 +18,7 @@ use crate::protocol::{GetView, MemberMsg, NodeId, View, ViewUpdate};
 /// Spawns the coordinator process; returns its mailbox address.
 pub fn spawn_coordinator(sim: &Sim, cfg: DsoConfig) -> Addr {
     let inbox = sim.mailbox("dso-coordinator");
-    sim.spawn_daemon("dso-coordinator", move |ctx| {
-        coordinator_loop(ctx, inbox, cfg);
-    });
+    sim.spawn_daemon_actor("dso-coordinator", Coordinator::new(inbox, cfg));
     inbox
 }
 
@@ -29,9 +27,7 @@ pub fn spawn_coordinator(sim: &Sim, cfg: DsoConfig) -> Addr {
 /// without leaving virtual time.
 pub fn spawn_coordinator_from(ctx: &mut Ctx, cfg: DsoConfig) -> Addr {
     let inbox = ctx.shared_mailbox("dso-coordinator");
-    ctx.spawn_daemon("dso-coordinator", move |c| {
-        coordinator_loop(c, inbox, cfg);
-    });
+    ctx.spawn_daemon_actor("dso-coordinator", Coordinator::new(inbox, cfg));
     inbox
 }
 
@@ -40,11 +36,32 @@ struct MemberState {
     last_heartbeat: SimTime,
 }
 
-fn coordinator_loop(ctx: &mut Ctx, inbox: Addr, cfg: DsoConfig) {
-    let mut members: BTreeMap<NodeId, MemberState> = BTreeMap::new();
-    let mut view_id: u64 = 0;
-    loop {
-        let msg = ctx.recv_timeout(inbox, cfg.heartbeat_interval);
+/// The coordinator: one wake-up handles one message (or one silent
+/// heartbeat interval), sweeps for dead members and pushes a new view if
+/// the membership changed.
+struct Coordinator {
+    inbox: Addr,
+    cfg: DsoConfig,
+    members: BTreeMap<NodeId, MemberState>,
+    view_id: u64,
+}
+
+impl Coordinator {
+    fn new(inbox: Addr, cfg: DsoConfig) -> Coordinator {
+        Coordinator { inbox, cfg, members: BTreeMap::new(), view_id: 0 }
+    }
+}
+
+impl Actor for Coordinator {
+    fn on_wake(&mut self, ctx: &mut Ctx, wake: Wake) -> Wait {
+        let Coordinator { inbox, cfg, members, view_id } = self;
+        let wait = Wait::RecvTimeout(*inbox, cfg.heartbeat_interval);
+        let msg = match wake {
+            Wake::Start => return wait,
+            Wake::Msg(msg) => Some(msg),
+            // A silent heartbeat interval (the coordinator never sleeps).
+            Wake::Timeout | Wake::Slept => None,
+        };
         let mut changed = false;
         // Graceful leavers this round: they are no longer members, but the
         // leave view must still be pushed to them — a draining node
@@ -56,7 +73,7 @@ fn coordinator_loop(ctx: &mut Ctx, inbox: Addr, cfg: DsoConfig) {
                 Ok(req) => {
                     // Client (or server) asking for the current view.
                     let (reply_to, GetView) = req.take::<GetView>();
-                    let view = make_view(view_id, &members);
+                    let view = make_view(*view_id, members);
                     let lat = cfg.client_net.sample(ctx.rng());
                     ctx.reply(reply_to, view, lat);
                 }
@@ -94,16 +111,17 @@ fn coordinator_loop(ctx: &mut Ctx, inbox: Addr, cfg: DsoConfig) {
             changed = true;
         }
         if changed {
-            view_id += 1;
+            *view_id += 1;
             ctx.metric_incr("dso.view_changes");
             let mark = ctx.span_instant("dso.view_change", "dso");
             ctx.span_annotate(mark, "view", view_id.to_string());
-            let view = make_view(view_id, &members);
+            let view = make_view(*view_id, members);
             for addr in members.values().map(|m| m.addr).chain(leavers) {
                 let lat = cfg.peer_net.sample(ctx.rng());
                 ctx.send(addr, Msg::new(ViewUpdate(view.clone())), lat);
             }
         }
+        wait
     }
 }
 

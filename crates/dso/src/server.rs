@@ -1,7 +1,9 @@
 //! A DSO storage node.
 //!
 //! Each node runs one *dispatcher* process (its network-facing mailbox) and
-//! a pool of *worker* processes. Requests are routed to a worker by the
+//! a pool of *worker* processes, all of them [`simcore::Actor`]s: a
+//! wake-up handles one message and returns to waiting, with no OS thread
+//! behind it. Requests are routed to a worker by the
 //! object's placement hash, which gives both per-object serialization
 //! (linearizability) and disjoint-access parallelism across objects — the
 //! property behind Crucial's Fig. 2a win on complex operations.
@@ -17,7 +19,9 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use parking_lot::Mutex;
-use simcore::{Addr, Ctx, LatencyModel, Msg, Pid, Request, Sim, SimTime, SpanId, Ticker};
+use simcore::{
+    Actor, Addr, Ctx, LatencyModel, Msg, Pid, Request, Sim, SimTime, SpanId, Ticker, Wait, Wake,
+};
 
 use crate::config::{AdmissionConfig, ConsistencyMode, DsoConfig, DurabilityLevel};
 use crate::durability::wal::{wal_daemon, PendingAck, WalState};
@@ -148,10 +152,8 @@ pub fn spawn_server(
     registry: ObjectRegistry,
     coordinator: Addr,
 ) -> ServerHandle {
-    let (handle, shared, pids, inbox_slot) = prepare_server(node, cfg, registry);
-    let main = sim.spawn_daemon(&format!("dso-{node}"), move |ctx| {
-        server_main(ctx, coordinator, shared, pids, inbox_slot);
-    });
+    let (handle, dispatcher) = prepare_server(node, cfg, registry, coordinator);
+    let main = sim.spawn_daemon_actor(&format!("dso-{node}"), dispatcher);
     handle.pids.lock().push(main);
     handle
 }
@@ -165,17 +167,18 @@ pub fn spawn_server_from(
     registry: ObjectRegistry,
     coordinator: Addr,
 ) -> ServerHandle {
-    let (handle, shared, pids, inbox_slot) = prepare_server(node, cfg, registry);
-    let main = ctx.spawn_daemon(&format!("dso-{node}"), move |c| {
-        server_main(c, coordinator, shared, pids, inbox_slot);
-    });
+    let (handle, dispatcher) = prepare_server(node, cfg, registry, coordinator);
+    let main = ctx.spawn_daemon_actor(&format!("dso-{node}"), dispatcher);
     handle.pids.lock().push(main);
     handle
 }
 
-type ServerParts = (ServerHandle, Arc<NodeShared>, Arc<Mutex<Vec<Pid>>>, Arc<Mutex<Option<Addr>>>);
-
-fn prepare_server(node: NodeId, cfg: DsoConfig, registry: ObjectRegistry) -> ServerParts {
+fn prepare_server(
+    node: NodeId,
+    cfg: DsoConfig,
+    registry: ObjectRegistry,
+    coordinator: Addr,
+) -> (ServerHandle, Dispatcher) {
     let pids = Arc::new(Mutex::new(Vec::new()));
     let inbox_slot = Arc::new(Mutex::new(None));
     let handle = ServerHandle {
@@ -195,97 +198,174 @@ fn prepare_server(node: NodeId, cfg: DsoConfig, registry: ObjectRegistry) -> Ser
         inflight: AtomicU64::new(0),
         wal,
     });
-    (handle, shared, pids, inbox_slot)
+    (handle, Dispatcher { coordinator, shared, pids, inbox_slot, up: None })
 }
 
-fn server_main(
-    ctx: &mut Ctx,
+/// The node's network-facing process: one wake-up handles one message (or
+/// one heartbeat timeout) and goes back to waiting on the inbox.
+struct Dispatcher {
     coordinator: Addr,
     shared: Arc<NodeShared>,
     pids: Arc<Mutex<Vec<Pid>>>,
     inbox_slot: Arc<Mutex<Option<Addr>>>,
-) {
-    let node = shared.node;
-    let cfg = shared.cfg.clone();
-    let inbox = ctx.mailbox(&format!("dso-{node}-inbox"));
-    *inbox_slot.lock() = Some(inbox);
+    /// Built on the first wake-up, inside the simulation: mailbox ids, pids
+    /// and the join's latency draw are part of the schedule.
+    up: Option<Serving>,
+}
 
-    // Worker pool. Worker mailboxes are owned by the dispatcher, so an
-    // abrupt node crash closes them all at once.
-    let mut workers: Vec<Addr> = Vec::with_capacity(cfg.workers_per_node as usize);
-    let mut worker_pids: Vec<Pid> = Vec::with_capacity(cfg.workers_per_node as usize);
-    for w in 0..cfg.workers_per_node {
-        let wmb = ctx.mailbox(&format!("dso-{node}-w{w}"));
-        workers.push(wmb);
-        let sh = shared.clone();
-        let pid = ctx.spawn_daemon(&format!("dso-{node}-w{w}"), move |wc| {
-            worker_loop(wc, wmb, sh);
-        });
-        worker_pids.push(pid);
-        pids.lock().push(pid);
-    }
+/// A running dispatcher's state.
+struct Serving {
+    coordinator: Addr,
+    shared: Arc<NodeShared>,
+    inbox: Addr,
+    workers: Vec<Addr>,
+    worker_pids: Vec<Pid>,
+    view: View,
+    ring: Ring,
+    skeen: Skeen<SmrOp>,
+    hb: Ticker,
+    /// The anti-entropy ticker exists only under `CrdtMerge`; every other
+    /// mode runs the exact pre-existing recv/heartbeat cadence, which keeps
+    /// default-config schedules (and their golden hashes) byte-identical.
+    anti_entropy: Option<Ticker>,
+    shedder: Option<Shedder>,
+    draining: bool,
+}
 
-    // The WAL daemon exists only when durability is active; every other
-    // configuration runs the exact pre-existing process set, which keeps
-    // default-config schedules (and their golden hashes) byte-identical.
-    let mut wal_pid: Option<Pid> = None;
-    if let (Some(wal), Some(d)) = (shared.wal.clone(), cfg.durability_active().cloned()) {
-        let client_net = cfg.client_net;
-        let pid = ctx.spawn_daemon(&format!("dso-{node}-wal"), move |wc| {
-            wal_daemon(wc, wal, d, client_net);
-        });
-        pids.lock().push(pid);
-        wal_pid = Some(pid);
-    }
+impl Dispatcher {
+    /// Opens the inbox, starts the worker pool and the WAL daemon, and
+    /// joins the cluster.
+    fn start(&self, ctx: &mut Ctx) -> Serving {
+        let node = self.shared.node;
+        let cfg = &self.shared.cfg;
+        let inbox = ctx.mailbox(&format!("dso-{node}-inbox"));
+        *self.inbox_slot.lock() = Some(inbox);
 
-    // Join the cluster.
-    {
+        // Worker pool. Worker mailboxes are owned by the dispatcher, so an
+        // abrupt node crash closes them all at once.
+        let mut workers: Vec<Addr> = Vec::with_capacity(cfg.workers_per_node as usize);
+        let mut worker_pids: Vec<Pid> = Vec::with_capacity(cfg.workers_per_node as usize);
+        for w in 0..cfg.workers_per_node {
+            let wmb = ctx.mailbox(&format!("dso-{node}-w{w}"));
+            workers.push(wmb);
+            let worker = Worker { inbox: wmb, shared: self.shared.clone(), running: None };
+            let pid = ctx.spawn_daemon_actor(&format!("dso-{node}-w{w}"), worker);
+            worker_pids.push(pid);
+            self.pids.lock().push(pid);
+        }
+
+        // The WAL daemon exists only when durability is active; every other
+        // configuration runs the exact pre-existing process set, which keeps
+        // default-config schedules (and their golden hashes) byte-identical.
+        if let (Some(wal), Some(d)) = (self.shared.wal.clone(), cfg.durability_active().cloned()) {
+            let client_net = cfg.client_net;
+            let pid = ctx.spawn_daemon(&format!("dso-{node}-wal"), move |wc| {
+                wal_daemon(wc, wal, d, client_net);
+            });
+            self.pids.lock().push(pid);
+        }
+
+        // Join the cluster.
         let lat = cfg.peer_net.sample(ctx.rng());
-        ctx.send(coordinator, Msg::new(MemberMsg::Join { node, addr: inbox }), lat);
+        ctx.send(self.coordinator, Msg::new(MemberMsg::Join { node, addr: inbox }), lat);
+
+        Serving {
+            coordinator: self.coordinator,
+            shared: self.shared.clone(),
+            inbox,
+            workers,
+            worker_pids,
+            view: View::empty(),
+            ring: Ring::new(&[]),
+            skeen: Skeen::new(node),
+            hb: Ticker::new(ctx.now(), cfg.heartbeat_interval),
+            anti_entropy: (cfg.consistency == ConsistencyMode::CrdtMerge)
+                .then(|| Ticker::new(ctx.now(), cfg.anti_entropy_interval)),
+            shedder: cfg.admission.map(|a| Shedder::new(a, ctx.now())),
+            draining: false,
+        }
+    }
+}
+
+impl Actor for Dispatcher {
+    fn on_wake(&mut self, ctx: &mut Ctx, wake: Wake) -> Wait {
+        let msg = match wake {
+            Wake::Start => {
+                let up = self.start(ctx);
+                let wait = up.next_wait(ctx);
+                self.up = Some(up);
+                return wait;
+            }
+            Wake::Msg(msg) => Some(msg),
+            // A ticker is due (the dispatcher never sleeps).
+            Wake::Timeout | Wake::Slept => None,
+        };
+        // invariant: `Wake::Start` comes first and fills `up`.
+        let up = self.up.as_mut().expect("dispatcher started");
+        up.tick(ctx);
+        if let Some(msg) = msg {
+            if up.handle(ctx, msg) == Next::Retire {
+                self.inbox_slot.lock().take();
+                return Wait::Exit;
+            }
+        }
+        up.next_wait(ctx)
+    }
+}
+
+/// Whether the dispatcher keeps serving after a message.
+#[derive(PartialEq)]
+enum Next {
+    Serve,
+    /// Drained: the process ends, which closes the owned mailboxes.
+    Retire,
+}
+
+impl Serving {
+    /// The next message, or the earlier of the heartbeat and anti-entropy
+    /// deadlines.
+    fn next_wait(&self, ctx: &Ctx) -> Wait {
+        let now = ctx.now();
+        let timeout = match &self.anti_entropy {
+            Some(ae) => self.hb.remaining(now).min(ae.remaining(now)),
+            None => self.hb.remaining(now),
+        };
+        Wait::RecvTimeout(self.inbox, timeout)
     }
 
-    let mut view = View::empty();
-    let mut ring = Ring::new(&[]);
-    let mut skeen: Skeen<SmrOp> = Skeen::new(node);
-    let mut hb = Ticker::new(ctx.now(), cfg.heartbeat_interval);
-    // The anti-entropy ticker exists only under `CrdtMerge`; every other
-    // mode runs the exact pre-existing recv/heartbeat cadence, which keeps
-    // default-config schedules (and their golden hashes) byte-identical.
-    let mut anti_entropy = (cfg.consistency == ConsistencyMode::CrdtMerge)
-        .then(|| Ticker::new(ctx.now(), cfg.anti_entropy_interval));
-    let mut shedder = cfg.admission.map(|a| Shedder::new(a, ctx.now()));
-    let mut draining = false;
-
-    loop {
-        let timeout = match &anti_entropy {
-            Some(ae) => hb.remaining(ctx.now()).min(ae.remaining(ctx.now())),
-            None => hb.remaining(ctx.now()),
-        };
-        let msg = ctx.recv_timeout(inbox, timeout);
-        if hb.poll(ctx.now()) {
-            let lat = cfg.peer_net.sample(ctx.rng());
-            ctx.send(coordinator, Msg::new(MemberMsg::Heartbeat { node }), lat);
+    /// Fires whichever tickers are due.
+    fn tick(&mut self, ctx: &mut Ctx) {
+        let shared = &self.shared;
+        if self.hb.poll(ctx.now()) {
+            let lat = shared.cfg.peer_net.sample(ctx.rng());
+            ctx.send(self.coordinator, Msg::new(MemberMsg::Heartbeat { node: shared.node }), lat);
             // Queue-depth gauge, stamped on the heartbeat cadence so the
             // control plane (and operators) can see dispatcher pressure.
             ctx.metric_push("dso.queue_depth", shared.inflight.load(Ordering::SeqCst) as f64);
         }
-        if let Some(ae) = anti_entropy.as_mut() {
+        if let Some(ae) = self.anti_entropy.as_mut() {
             if ae.poll(ctx.now()) {
-                anti_entropy_round(ctx, &shared, &view, &ring);
+                anti_entropy_round(ctx, shared, &self.view, &self.ring);
             }
         }
-        let Some(msg) = msg else { continue };
+    }
 
+    /// Handles one inbox message.
+    fn handle(&mut self, ctx: &mut Ctx, msg: Msg) -> Next {
+        let Serving { coordinator, shared, workers, view, ring, skeen, shedder, .. } = self;
+        let shared = &*shared;
+        let node = shared.node;
+        let cfg = &shared.cfg;
         let msg = match msg.try_take::<Request>() {
             Ok(req) => {
                 if req.body.is::<crate::protocol::SnapshotAll>() {
                     let (reply_to, _) = req.take::<crate::protocol::SnapshotAll>();
-                    let records = snapshot_all(&shared);
+                    let records = snapshot_all(shared);
                     let bytes: usize = records.iter().map(|r| r.state.len()).sum();
                     let lat = cfg.client_net.sample(ctx.rng())
                         + Duration::from_secs_f64(bytes as f64 / cfg.transfer_bandwidth);
                     ctx.reply(reply_to, crate::protocol::SnapshotReply(records), lat);
-                    continue;
+                    return Next::Serve;
                 }
                 if req.body.is::<VersionReq>() {
                     // Version probe: answered straight from the dispatcher,
@@ -300,61 +380,51 @@ fn server_main(
                     };
                     let lat = cfg.client_net.sample(ctx.rng());
                     ctx.reply(reply_to, VersionResp(version), lat);
-                    continue;
+                    return Next::Serve;
                 }
                 if req.body.is::<BatchReq>() {
                     let (reply_to, batch) = req.take::<BatchReq>();
                     for (tag, item) in batch.items {
                         handle_client_invoke(
                             ctx,
-                            &shared,
-                            &view,
-                            &ring,
-                            &workers,
-                            &mut skeen,
-                            &mut shedder,
+                            shared,
+                            view,
+                            ring,
+                            workers,
+                            skeen,
+                            shedder,
                             item,
                             reply_to,
                             Some(tag),
                         );
                     }
-                    continue;
+                    return Next::Serve;
                 }
                 let (reply_to, invoke) = req.take::<InvokeReq>();
                 handle_client_invoke(
-                    ctx,
-                    &shared,
-                    &view,
-                    &ring,
-                    &workers,
-                    &mut skeen,
-                    &mut shedder,
-                    invoke,
-                    reply_to,
-                    None,
+                    ctx, shared, view, ring, workers, skeen, shedder, invoke, reply_to, None,
                 );
-                continue;
+                return Next::Serve;
             }
             Err(other) => other,
         };
         let msg = match msg.try_take::<PeerMsg>() {
             Ok(PeerMsg::Smr { from, epoch, msg }) => {
-                if epoch != view.id {
-                    // Stale- or future-epoch SMR traffic: drop it; the
-                    // client retries once both replicas share the view.
-                    continue;
+                // Stale- or future-epoch SMR traffic is dropped; the client
+                // retries once both replicas share the view.
+                if epoch == view.id {
+                    let actions = skeen.handle(from, msg);
+                    process_skeen_actions(ctx, shared, view, workers, skeen, actions);
                 }
-                let actions = skeen.handle(from, msg);
-                process_skeen_actions(ctx, &shared, &view, &workers, &mut skeen, actions);
-                continue;
+                return Next::Serve;
             }
             Ok(PeerMsg::Transfer { obj, rf, state, version, lamport }) => {
-                install_transfer(&shared, obj, rf, state, version, lamport);
-                continue;
+                install_transfer(shared, obj, rf, state, version, lamport);
+                return Next::Serve;
             }
             Ok(PeerMsg::Merge { obj, rf, state }) => {
-                apply_merge(ctx, &shared, obj, rf, state);
-                continue;
+                apply_merge(ctx, shared, obj, rf, state);
+                return Next::Serve;
             }
             Err(other) => other,
         };
@@ -362,43 +432,39 @@ fn server_main(
             Ok(ViewUpdate(new_view)) => {
                 if new_view.id > view.id {
                     let new_ring = Ring::new(&new_view.node_ids());
-                    rebalance(ctx, &shared, &view, &ring, &new_view, &new_ring);
+                    rebalance(ctx, shared, view, ring, &new_view, &new_ring);
                     // Abort in-flight SMR: a departed replica can never
                     // answer, and a stalled message would head-of-line
                     // block every later delivery. Clients retry.
                     skeen.reset();
-                    view = new_view;
-                    ring = new_ring;
-                    if draining && view.addr_of(node).is_none() {
+                    *view = new_view;
+                    *ring = new_ring;
+                    if self.draining && view.addr_of(node).is_none() {
                         // The leave view is installed and `rebalance` has
                         // pushed every object to its new owners (this node
                         // is in no placement). Retire: kill the workers and
-                        // return, which closes the owned mailboxes.
+                        // exit, which closes the owned mailboxes.
                         ctx.trace(format!("dso-{node}: drained, retiring"));
-                        inbox_slot.lock().take();
-                        // Final WAL flush: records buffered before the
-                        // drain (and any Sync acks riding them) must not
-                        // die with the node.
-                        if let (Some(wal), Some(d)) = (&shared.wal, cfg.durability_active()) {
-                            wal.flush(ctx, d, &cfg.client_net);
+                        // Records buffered before the drain (and any Sync
+                        // acks riding them) must not die with the node: the
+                        // WAL daemon outlives it by one last flush.
+                        if let Some(wal) = &shared.wal {
+                            wal.retire();
                         }
-                        if let Some(p) = wal_pid {
-                            ctx.kill(p);
-                        }
-                        for p in &worker_pids {
+                        for p in &self.worker_pids {
                             ctx.kill(*p);
                         }
-                        return;
+                        return Next::Retire;
                     }
                 }
-                continue;
+                return Next::Serve;
             }
             Err(other) => other,
         };
         match msg.try_take::<DrainNode>() {
             Ok(DrainNode) => {
-                if !draining {
-                    draining = true;
+                if !self.draining {
+                    self.draining = true;
                     ctx.metric_incr("dso.drains");
                     let mark = ctx.span_instant("dso.drain", "dso");
                     ctx.span_annotate(mark, "node", node.to_string());
@@ -406,13 +472,14 @@ fn server_main(
                     // next view excludes this node and is also pushed to
                     // it, which triggers the transfer-out + retire above.
                     let lat = cfg.peer_net.sample(ctx.rng());
-                    ctx.send(coordinator, Msg::new(MemberMsg::Leave { node }), lat);
+                    ctx.send(*coordinator, Msg::new(MemberMsg::Leave { node }), lat);
                 }
             }
             Err(other) => {
                 ctx.trace(format!("dso-{node}: dropping unknown message {other:?}"));
             }
         }
+        Next::Serve
     }
 }
 
@@ -760,28 +827,85 @@ enum CallOutcome {
     Parked(Duration),
 }
 
-fn worker_loop(ctx: &mut Ctx, inbox: Addr, shared: Arc<NodeShared>) {
-    loop {
-        let item = ctx.recv(inbox).take::<WorkItem>();
-        match item {
-            WorkItem::Client { req, reply_to, tag } => {
-                // Execution parents directly under the client's attempt span.
-                let parent = req.span;
-                execute(ctx, &shared, req, Some(reply_to), tag, false, parent);
-            }
-            WorkItem::Apply { op } => {
-                // Replicated applies parent under the SMR round span.
-                let parent = op.round_span;
-                execute(ctx, &shared, op.req, op.respond_to, op.respond_tag, true, parent);
-            }
+/// A method call that has run against the object store and now owes its
+/// CPU cost, its wakes and its reply — what [`execute`] hands to
+/// [`finish`], across the worker's one sleep.
+struct Executed {
+    ticket: Ticket,
+    reply_to: Option<Addr>,
+    tag: Option<u32>,
+    outcome: CallOutcome,
+    wakes: Vec<(Ticket, Vec<u8>)>,
+    /// Whether the call's effect was WAL-logged: under `Sync` durability
+    /// such a reply is deferred until the covering segment is flushed.
+    logged: bool,
+    exec_span: SpanId,
+}
+
+impl Executed {
+    /// The method's CPU cost.
+    fn cost(&self) -> Duration {
+        match &self.outcome {
+            CallOutcome::Reply(_, c) | CallOutcome::Parked(c) => *c,
         }
-        shared.inflight.fetch_sub(1, Ordering::SeqCst);
+    }
+}
+
+/// One of the node's pool of executors: takes a work item, runs the method,
+/// sleeps its CPU cost, then completes it.
+struct Worker {
+    inbox: Addr,
+    shared: Arc<NodeShared>,
+    /// The call whose CPU cost is being slept.
+    running: Option<Executed>,
+}
+
+impl Actor for Worker {
+    fn on_wake(&mut self, ctx: &mut Ctx, wake: Wake) -> Wait {
+        let done = match wake {
+            // (A worker's receive has no timeout.)
+            Wake::Start | Wake::Timeout => return Wait::Recv(self.inbox),
+            Wake::Msg(msg) => {
+                let done = match msg.take::<WorkItem>() {
+                    WorkItem::Client { req, reply_to, tag } => {
+                        // Execution parents directly under the client's attempt span.
+                        let parent = req.span;
+                        execute(ctx, &self.shared, req, Some(reply_to), tag, false, parent)
+                    }
+                    WorkItem::Apply { op } => {
+                        // Replicated applies parent under the SMR round span.
+                        let parent = op.round_span;
+                        execute(
+                            ctx,
+                            &self.shared,
+                            op.req,
+                            op.respond_to,
+                            op.respond_tag,
+                            true,
+                            parent,
+                        )
+                    }
+                };
+                let cost = done.cost();
+                if !cost.is_zero() {
+                    self.running = Some(done);
+                    return Wait::Sleep(cost);
+                }
+                done
+            }
+            // invariant: the only sleep is the one taken above, with `running` set.
+            Wake::Slept => self.running.take().expect("slept on a running call"),
+        };
+        finish(ctx, &self.shared, done);
+        self.shared.inflight.fetch_sub(1, Ordering::SeqCst);
+        Wait::Recv(self.inbox)
     }
 }
 
 /// Runs one method call against the object store: materializes the object
-/// if needed, invokes the method, charges its CPU cost, completes any
-/// deferred calls it woke, and replies. `parent` is the trace span this
+/// if needed and invokes the method. What is left — charging the CPU cost,
+/// completing the deferred calls it woke, and replying — is [`finish`]'s,
+/// after the worker has slept the cost. `parent` is the trace span this
 /// execution belongs to (the client's attempt span, or the SMR round span
 /// for replicated applies).
 #[allow(clippy::too_many_arguments)]
@@ -793,7 +917,7 @@ fn execute(
     tag: Option<u32>,
     replicated: bool,
     parent: SpanId,
-) {
+) -> Executed {
     let exec_span = ctx.span_begin_under(parent, "dso.exec", "dso");
     ctx.span_annotate(exec_span, "obj", req.obj.to_string());
     ctx.span_annotate(exec_span, "method", req.method.to_string());
@@ -804,52 +928,32 @@ fn execute(
     if let Some(rt) = reply_to {
         shared.parked.lock().insert(ticket, rt);
     }
-    let mut wakes: Vec<(Ticket, Vec<u8>)> = Vec::new();
+    let mut done = Executed {
+        ticket,
+        reply_to,
+        tag,
+        // Until the method has run, the answer is "try again".
+        outcome: CallOutcome::Reply(InvokeResp::Retry, Duration::ZERO),
+        wakes: Vec::new(),
+        logged: false,
+        exec_span,
+    };
     if &req.method == "__restore" {
-        let (outcome, logged) = restore_object(shared, &req);
-        finish(ctx, shared, ticket, reply_to, tag, outcome, &[], logged, exec_span);
-        return;
+        (done.outcome, done.logged) = restore_object(shared, &req);
+        return done;
     }
-    // Whether this call's effect was WAL-logged: under `Sync` durability
-    // such a reply is deferred until the covering segment is flushed.
-    let mut logged = false;
-    let outcome = {
+    done.outcome = {
         let mut objects = shared.objects.lock();
         if !objects.contains_key(&req.obj) {
             match materialize(shared, &req) {
                 Ok(Some(stored)) => {
                     objects.insert(req.obj.clone(), stored);
                 }
-                Ok(None) => {
-                    // Persistent object awaiting transfer from a replica.
-                    drop(objects);
-                    finish(
-                        ctx,
-                        shared,
-                        ticket,
-                        reply_to,
-                        tag,
-                        CallOutcome::Reply(InvokeResp::Retry, Duration::ZERO),
-                        &[],
-                        false,
-                        exec_span,
-                    );
-                    return;
-                }
+                // Persistent object awaiting transfer from a replica.
+                Ok(None) => return done,
                 Err(e) => {
-                    drop(objects);
-                    finish(
-                        ctx,
-                        shared,
-                        ticket,
-                        reply_to,
-                        tag,
-                        CallOutcome::Reply(InvokeResp::Error(e), Duration::ZERO),
-                        &[],
-                        false,
-                        exec_span,
-                    );
-                    return;
+                    done.outcome = CallOutcome::Reply(InvokeResp::Error(e), Duration::ZERO);
+                    return done;
                 }
             }
         }
@@ -860,7 +964,7 @@ fn execute(
             // Idempotent explicit creation: materialization above (or a
             // pre-existing object) is all that is needed. Logged so the
             // object exists after recovery even if never mutated.
-            logged = wal_log(shared, &req.obj, stored, &req);
+            done.logged = wal_log(shared, &req.obj, stored, &req);
             CallOutcome::Reply(
                 InvokeResp::Value {
                     bytes: unit_bytes(),
@@ -922,11 +1026,11 @@ fn execute(
                     if mutating {
                         stored.version += 1;
                         stored.lamport = stored.lamport.max(req.dep) + 1;
-                        logged = wal_log(shared, &req.obj, stored, &req);
+                        done.logged = wal_log(shared, &req.obj, stored, &req);
                     }
                     let version = stored.version;
                     let lamport = stored.lamport;
-                    wakes = effects.wakes;
+                    done.wakes = effects.wakes;
                     match effects.reply {
                         Reply::Value(v) => CallOutcome::Reply(
                             InvokeResp::Value { bytes: v.into(), version, lamport },
@@ -953,7 +1057,7 @@ fn execute(
             }
         }
     };
-    finish(ctx, shared, ticket, reply_to, tag, outcome, &wakes, logged, exec_span);
+    done
 }
 
 /// The encoded unit value `()`, shared by maintenance replies.
@@ -1028,40 +1132,24 @@ fn materialize(
     Ok(Some(Stored { obj, rf: req.rf.max(1), version: 0, lamport: 0 }))
 }
 
-/// Charges the CPU cost, wakes deferred callers, replies, and closes the
-/// execution span. `logged` marks calls whose effect was WAL-logged:
-/// under [`DurabilityLevel::Sync`] their successful replies are parked on
-/// the WAL and sent by the daemon once the covering segment PUT returns —
-/// the ack contract is "durable at the replying replica". Wakes (deferred
-/// blocking-call completions) always reply immediately: the state change
-/// that woke them is acknowledged through the waking call itself.
-#[allow(clippy::too_many_arguments)]
-fn finish(
-    ctx: &mut Ctx,
-    shared: &Arc<NodeShared>,
-    ticket: Ticket,
-    reply_to: Option<Addr>,
-    tag: Option<u32>,
-    outcome: CallOutcome,
-    wakes: &[(Ticket, Vec<u8>)],
-    logged: bool,
-    exec_span: SpanId,
-) {
-    let cost = match &outcome {
-        CallOutcome::Reply(_, c) => *c,
-        CallOutcome::Parked(c) => *c,
-    };
-    if !cost.is_zero() {
-        ctx.compute(cost);
-    }
+/// Wakes deferred callers, replies, and closes the execution span, once
+/// the call's CPU cost has been charged. Calls whose effect was WAL-logged
+/// have, under [`DurabilityLevel::Sync`], their successful replies parked
+/// on the WAL and sent by the daemon once the covering segment PUT returns
+/// — the ack contract is "durable at the replying replica". Wakes
+/// (deferred blocking-call completions) always reply immediately: the
+/// state change that woke them is acknowledged through the waking call
+/// itself.
+fn finish(ctx: &mut Ctx, shared: &Arc<NodeShared>, done: Executed) {
+    let Executed { ticket, reply_to, tag, outcome, wakes, logged, exec_span } = done;
     for (t, bytes) in wakes {
-        let target = shared.parked.lock().remove(t);
+        let target = shared.parked.lock().remove(&t);
         if let Some(addr) = target {
             let lat = shared.cfg.client_net.sample(ctx.rng());
             // Deferred wakes complete blocking calls; those never come
             // from batches, and version 0 marks "no version observed"
             // (lamport likewise).
-            let resp = InvokeResp::Value { bytes: bytes.clone().into(), version: 0, lamport: 0 };
+            let resp = InvokeResp::Value { bytes: bytes.into(), version: 0, lamport: 0 };
             ctx.reply(addr, resp, lat);
         }
     }

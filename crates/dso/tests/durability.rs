@@ -372,6 +372,48 @@ fn run_operator(mut sim: Sim, body: impl FnOnce(&mut simcore::Ctx) + Send + 'sta
 }
 
 #[test]
+fn drained_node_flushes_its_wal_buffer_before_it_is_gone() {
+    // Async durability with a long group-commit window: the writes are
+    // acknowledged at once and sit in each node's WAL buffer. Node 1 is
+    // drained inside that window, so its objects' only durable copy is the
+    // flush its WAL daemon makes after the node retired (a transfer is not
+    // logged at the receiver). Then the survivor crashes too.
+    let mut sim = Sim::new(54);
+    let s3 = spawn_s3(&sim, S3Config::default());
+    let mut d = DurabilityConfig::new(DurabilityStore::new(s3, "drain"));
+    d.level = DurabilityLevel::Async;
+    d.group_commit = Duration::from_millis(200);
+    let cfg = DsoConfig { durability: Some(d), ..DsoConfig::default() };
+    let mut cluster = DsoCluster::start(&sim, 2, cfg.clone(), ObjectRegistry::with_builtins());
+    let handle = cluster.client_handle();
+    let done = Arc::new(Mutex::new(false));
+    let done2 = done.clone();
+    sim.spawn("operator", move |ctx| {
+        let mut cli = handle.connect();
+        for i in 0..16 {
+            api::AtomicLong::new(&format!("c{i}")).set(ctx, &mut cli, 100 + i).expect("write");
+        }
+        assert!(ctx.now() < simcore::SimTime::from_millis(150), "still inside the first window");
+        assert!(cluster.remove_node_from(ctx, 1));
+        ctx.sleep(Duration::from_millis(500));
+        cluster.crash_node_from(ctx, 0);
+        ctx.sleep(Duration::from_millis(50));
+        let (recovered, report) =
+            DsoCluster::recover_from(ctx, 2, cfg, ObjectRegistry::with_builtins())
+                .expect("recovery succeeds");
+        assert_eq!(report.objects, 16);
+        let mut cli = recovered.client_handle().connect();
+        for i in 0..16 {
+            let v = api::AtomicLong::new(&format!("c{i}")).get(ctx, &mut cli).expect("read");
+            assert_eq!(v, 100 + i, "c{i} was on the drained node and is lost");
+        }
+        *done2.lock() = true;
+    });
+    sim.run_until_idle().expect_quiescent();
+    assert!(*done.lock());
+}
+
+#[test]
 fn checkpoint_restores_into_a_fresh_cluster_of_another_size() {
     let sim = Sim::new(51);
     let d = immediate_store(&sim, "backup");

@@ -19,12 +19,13 @@
 //!    blocking kernel primitive call (`ctx.park()`, untimed `ctx.call`)
 //!    must be reachable only through code that calls
 //!    `Ctx::annotate_wait`, so `deadlock_report()` wait-for graphs are
-//!    never silently incomplete.
+//!    never silently incomplete. The same pass holds that no blocking
+//!    primitive at all is reachable from an `Actor::on_wake`.
 //!
 //! All passes honour `// simlint: allow(<rule>, reason = "...")`
 //! suppressions (rules `determinism-taint`, `readonly-impure`,
-//! `wait-annotation`; a reasoned `wall-clock` allow on a source line also
-//! stops taint from originating there). Test code (`#[cfg(test)]` mods,
+//! `wait-annotation`, `actor-blocks`; a reasoned `wall-clock` allow on a
+//! source line also stops taint from originating there). Test code (`#[cfg(test)]` mods,
 //! `#[test]` fns, `tests/` and `benches/` directories) is exempt, as are
 //! the kernel's own internals (`simcore/src/kernel.rs` — the determinism
 //! boundary itself) and vendored `compat/` shims.

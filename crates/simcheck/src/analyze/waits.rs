@@ -15,17 +15,52 @@
 //! it over-approximates the real call graph. That errs toward finding
 //! an annotating caller (suppressing the diagnostic), which is the safe
 //! direction for a gating lint.
+//!
+//! The same block sites, widened to every primitive that parks the
+//! calling thread (`sleep`, `compute`, `recv*`, `call*`, `park`), feed a
+//! second finding: **actors never block**. An `Actor::on_wake` runs inline
+//! on the kernel thread and blocks only by returning a `Wait`; the kernel
+//! panics at run time on a blocking call from an actor's `Ctx`, and
+//! [`actor_blocks`] makes it a static fact by walking the call graph
+//! forward from every `impl Actor … fn on_wake`. Helpers that block
+//! through the kernel (`Ticker::wait`, monitor and barrier waits) are
+//! ordinary functions in this walk: it reaches their `ctx.sleep` /
+//! `ctx.park`. Only calls that pass a `ctx` along, to functions whose
+//! signature takes a `Ctx`, are followed — nothing else can block — and
+//! the closure of a `spawn*` call is skipped: that is another process's
+//! body.
 
-use std::collections::HashSet;
+use std::collections::{HashSet, VecDeque};
 
 use super::{CallSite, FnId, Workspace};
 use crate::{Finding, Rule};
 
+/// Whether the call is a method on a `Ctx` (`ctx.f(..)`, `self.ctx.f(..)`).
+fn on_ctx(call: &CallSite) -> bool {
+    (call.recv_root.as_deref() == Some("ctx") && call.recv_chain.is_empty())
+        || call.recv_chain.last().map(String::as_str) == Some("ctx")
+}
+
 /// Whether the call site is an indefinitely blocking kernel primitive.
 fn is_block_site(call: &CallSite) -> bool {
-    let on_ctx = (call.recv_root.as_deref() == Some("ctx") && call.recv_chain.is_empty())
-        || call.recv_chain.last().map(String::as_str) == Some("ctx");
-    on_ctx && matches!(call.name.as_str(), "park" | "call")
+    on_ctx(call) && matches!(call.name.as_str(), "park" | "call")
+}
+
+/// Whether the call site parks the calling thread at all, timed or not.
+fn is_yield_site(call: &CallSite) -> bool {
+    on_ctx(call)
+        && matches!(
+            call.name.as_str(),
+            "sleep"
+                | "compute"
+                | "recv"
+                | "recv_timeout"
+                | "call"
+                | "call_sized"
+                | "call_timeout"
+                | "call_collect"
+                | "park"
+        )
 }
 
 /// Names of functions that annotate: `annotate_wait` itself plus the
@@ -102,9 +137,95 @@ fn uncovered_root(ws: &Workspace, start: FnId, ann: &HashSet<String>) -> Option<
     None
 }
 
+/// Whether any token of the call's arguments is the identifier `ctx`.
+fn passes_ctx(ws: &Workspace, fi: usize, call: &CallSite) -> bool {
+    let file = &ws.files[fi];
+    call.args.iter().any(|&(lo, hi)| (lo..hi).any(|t| file.toks[t].text(&file.src) == "ctx"))
+}
+
+/// Every blocking primitive reachable from an `impl Actor … fn on_wake`,
+/// one finding per block site, naming the first actor (in file order) that
+/// reaches it and the call chain.
+fn actor_blocks(ws: &Workspace) -> Vec<Finding> {
+    let mut findings: Vec<Finding> = Vec::new();
+    for fi in 0..ws.files.len() {
+        if ws.exempt_file(fi) {
+            continue;
+        }
+        for idx in 0..ws.files[fi].fns.len() {
+            let root = FnId { file: fi, idx };
+            let rdef = ws.fn_def(root);
+            if rdef.name != "on_wake" || rdef.impl_trait.as_deref() != Some("Actor") || rdef.is_test
+            {
+                continue;
+            }
+            let actor = rdef.impl_type.as_deref().unwrap_or("?");
+            // Breadth-first, remembering how each function was reached.
+            let mut via: Vec<(FnId, Option<usize>)> = vec![(root, None)];
+            let mut queue: VecDeque<usize> = VecDeque::from([0]);
+            while let Some(at) = queue.pop_front() {
+                let id = via[at].0;
+                let calls = ws.calls_of(id);
+                // Token ranges of `spawn*(.., |ctx| ..)` arguments: the
+                // closure is a thread process's body, free to block.
+                let spawned: Vec<(usize, usize)> = calls
+                    .iter()
+                    .filter(|c| c.name.starts_with("spawn"))
+                    .flat_map(|c| c.args.iter().copied())
+                    .collect();
+                for call in calls {
+                    if spawned.iter().any(|&(lo, hi)| (lo..hi).contains(&call.at)) {
+                        continue;
+                    }
+                    if is_yield_site(call) {
+                        let line = call.line as usize;
+                        let file = &ws.files[id.file].path;
+                        if ws.allowed(id.file, Rule::ActorBlocks, line)
+                            || findings.iter().any(|f| f.file == *file && f.line == line)
+                        {
+                            continue;
+                        }
+                        let mut chain = Vec::new();
+                        let mut hop = Some(at);
+                        while let Some(h) = hop {
+                            chain.push(ws.fn_def(via[h].0).name.as_str());
+                            hop = via[h].1;
+                        }
+                        chain.reverse();
+                        findings.push(Finding {
+                            file: file.clone(),
+                            line,
+                            rule: Rule::ActorBlocks,
+                            msg: format!(
+                                "blocking ctx.{}(..) is reachable from actor {actor} (via {}); an \
+                                 actor blocks only by returning a Wait from on_wake",
+                                call.name,
+                                chain.join(" -> ")
+                            ),
+                        });
+                    } else if !on_ctx(call) && passes_ctx(ws, id.file, call) {
+                        for callee in ws.resolve(id, call) {
+                            let cdef = ws.fn_def(callee);
+                            if cdef.takes_ctx
+                                && !cdef.is_test
+                                && !ws.exempt_file(callee.file)
+                                && via.iter().all(|(seen, _)| *seen != callee)
+                            {
+                                via.push((callee, Some(at)));
+                                queue.push_back(via.len() - 1);
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+    findings
+}
+
 /// Runs the pass over the workspace.
 pub fn run(ws: &Workspace) -> Vec<Finding> {
-    let mut findings = Vec::new();
+    let mut findings = actor_blocks(ws);
     let ann = annotating_names(ws);
     for fi in 0..ws.files.len() {
         if ws.exempt_file(fi) {

@@ -11,7 +11,9 @@
 //!   sanity floor, set at roughly 1/10 of a typical release-build run so
 //!   host noise cannot flake the gate but an order-of-magnitude kernel
 //!   regression (a reintroduced hot-path allocation, an accidental O(n)
-//!   queue scan) fails CI.
+//!   queue scan) fails CI. One relational claim rides along: the actor
+//!   ring runs at least 5× the events/sec of the same ring on threads,
+//!   i.e. an inline `on_wake` stays far cheaper than a thread handoff.
 //! * `"bench": "consistency"` (`experiments consistency-ablate`) — every
 //!   cell of the mode × cache matrix is present with a positive
 //!   `reads_per_s`, and the relational claims of the ablation hold:
@@ -44,14 +46,21 @@ use simcheck::json::{escape, parse, Json};
 /// Reference numbers from a release build of this workspace's container:
 /// wheel_raw ~30M events/s (pure data structure), timer_churn and
 /// ping_ring ~150-400k events/s (each event wakes an OS thread, so these
-/// are context-switch bound), dso_smoke in the same range with many
-/// events per object op. Floors sit an order of magnitude below.
-const FLOORS: [(&str, f64); 4] = [
+/// are context-switch bound), actor_ring ~3.5M (each event is an inline
+/// call), dso_smoke ~340k with many events per object op (the nodes are
+/// actors, the six clients threads). Floors sit an order of magnitude
+/// below.
+const FLOORS: [(&str, f64); 5] = [
     ("wheel_raw", 2_000_000.0),
     ("timer_churn", 15_000.0),
     ("ping_ring", 15_000.0),
-    ("dso_smoke", 15_000.0),
+    ("actor_ring", 300_000.0),
+    ("dso_smoke", 35_000.0),
 ];
+
+/// `actor_ring` must run at least this many times `ping_ring`'s
+/// events/sec (typically ~35×): same ring, same hops, no thread handoff.
+const ACTOR_RING_SPEEDUP: f64 = 5.0;
 
 /// One gate failure, structured so `--json` output carries the numbers
 /// (not just prose) for dashboards and trend tooling.
@@ -150,10 +159,10 @@ fn validate_kernel(doc: &Json) -> Vec<Violation> {
         errs.push(Violation::doc("top-level object lacks a `sections` array"));
         return errs;
     };
+    let section =
+        |name: &str| sections.iter().find(|s| s.get("name").and_then(Json::as_str) == Some(name));
     for (name, floor) in FLOORS {
-        let Some(sec) =
-            sections.iter().find(|s| s.get("name").and_then(Json::as_str) == Some(name))
-        else {
+        let Some(sec) = section(name) else {
             errs.push(Violation::section(name, "section missing"));
             continue;
         };
@@ -181,6 +190,23 @@ fn validate_kernel(doc: &Json) -> Vec<Violation> {
                     )
                 });
             }
+        }
+    }
+    let rate = |name: &str| section(name)?.get("events_per_s").and_then(Json::as_num);
+    if let (Some(actors), Some(threads)) = (rate("actor_ring"), rate("ping_ring")) {
+        if actors < threads * ACTOR_RING_SPEEDUP {
+            errs.push(Violation {
+                observed: Some(actors),
+                floor: Some(threads * ACTOR_RING_SPEEDUP),
+                ..Violation::section(
+                    "actor_ring",
+                    format!(
+                        "events_per_s {actors:.0} is not at least {ACTOR_RING_SPEEDUP}x \
+                         ping_ring ({threads:.0}) — an actor wake-up stopped being cheaper \
+                         than a thread handoff"
+                    ),
+                )
+            });
         }
     }
     errs
@@ -458,10 +484,13 @@ fn main() -> ExitCode {
 mod tests {
     use super::*;
 
-    fn doc(rate: f64) -> String {
+    /// A kernel report with every section at `rate`, except `ping_ring`
+    /// at `ping`.
+    fn doc_with_ping(rate: f64, ping: f64) -> String {
         let sections = FLOORS
             .iter()
             .map(|(name, _)| {
+                let rate = if *name == "ping_ring" { ping } else { rate };
                 format!(
                     "{{\"name\": \"{name}\", \"work\": 1000, \"work_unit\": \"x\", \
                      \"events\": 1000, \"elapsed_s\": 0.001, \"events_per_s\": {rate}}}"
@@ -474,13 +503,23 @@ mod tests {
 
     #[test]
     fn accepts_a_healthy_report() {
-        let errs = validate(&parse(&doc(50_000_000.0)).unwrap());
+        let errs = validate(&parse(&doc_with_ping(50_000_000.0, 100_000.0)).unwrap());
         assert!(errs.is_empty(), "{errs:?}");
     }
 
     #[test]
+    fn rejects_an_actor_ring_no_faster_than_the_thread_ring() {
+        let errs = validate(&parse(&doc_with_ping(3_000_000.0, 1_000_000.0)).unwrap());
+        assert_eq!(errs.len(), 1, "{:?}", humans(&errs));
+        assert_eq!(errs[0].section, "actor_ring");
+        assert!(errs[0].msg.contains("not at least 5x ping_ring"), "{}", errs[0].msg);
+        assert_eq!(errs[0].observed, Some(3_000_000.0));
+        assert_eq!(errs[0].floor, Some(5_000_000.0));
+    }
+
+    #[test]
     fn rejects_a_throughput_collapse() {
-        let errs = validate(&parse(&doc(10.0)).unwrap());
+        let errs = validate(&parse(&doc_with_ping(10.0, 1.0)).unwrap());
         assert_eq!(errs.len(), FLOORS.len(), "{:?}", humans(&errs));
         assert!(errs[0].msg.contains("below the sanity floor"));
         // Floor violations carry the numbers, not just prose.
@@ -715,7 +754,7 @@ mod tests {
 
     #[test]
     fn json_output_is_parseable_and_structured() {
-        let errs = validate(&parse(&doc(10.0)).unwrap());
+        let errs = validate(&parse(&doc_with_ping(10.0, 1.0)).unwrap());
         let body = errs.iter().map(Violation::json).collect::<Vec<_>>().join(",");
         let arr = parse(&format!("[{body}]")).expect("emitted JSON parses");
         let Json::Arr(items) = arr else { panic!("array expected") };

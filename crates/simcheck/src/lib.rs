@@ -54,6 +54,9 @@ pub enum Rule {
     /// A blocking primitive reachable without `Ctx::annotate_wait` on the
     /// path (`simanalyze`).
     WaitAnnotation,
+    /// A blocking primitive reachable from an `Actor::on_wake`, which must
+    /// return a `Wait` instead (`simanalyze`).
+    ActorBlocks,
 }
 
 impl Rule {
@@ -69,6 +72,7 @@ impl Rule {
             Rule::DeterminismTaint => "determinism-taint",
             Rule::ReadonlyImpure => "readonly-impure",
             Rule::WaitAnnotation => "wait-annotation",
+            Rule::ActorBlocks => "actor-blocks",
         }
     }
 
@@ -83,6 +87,7 @@ impl Rule {
             "determinism-taint" => Some(Rule::DeterminismTaint),
             "readonly-impure" => Some(Rule::ReadonlyImpure),
             "wait-annotation" => Some(Rule::WaitAnnotation),
+            "actor-blocks" => Some(Rule::ActorBlocks),
             _ => None,
         }
     }
@@ -354,8 +359,8 @@ fn lint_trace_time(ctx: &FileCtx<'_>, findings: &mut Vec<Finding>) {
 }
 
 fn lint_native_thread(ctx: &FileCtx<'_>, findings: &mut Vec<Finding>) {
-    // The kernel's processes *are* OS threads; everything else must spawn
-    // simulation processes instead.
+    // Only the kernel backs a process with an OS thread; everything else
+    // must spawn simulation processes instead.
     if ctx.path.ends_with("simcore/src/kernel.rs") {
         return;
     }

@@ -42,6 +42,9 @@ pub struct FnDef {
     pub self_kind: SelfKind,
     /// Whether the signature declares a return type (`->`).
     pub has_ret: bool,
+    /// Whether a parameter's type names `Ctx` — the only way code can reach
+    /// a blocking kernel primitive.
+    pub takes_ctx: bool,
     /// Token-index range of the body, including the outer braces; `None`
     /// for trait-method declarations without a body.
     pub body: Option<(usize, usize)>,
@@ -311,6 +314,7 @@ impl Parser<'_> {
         {
             self_kind = SelfKind::Value;
         }
+        let takes_ctx = (j + 1..params_close).any(|p| self.is_ident(p, "Ctx"));
         // Return type: a `->` between the parens and the body/semicolon.
         let mut j = params_close + 1;
         let mut has_ret = false;
@@ -332,6 +336,7 @@ impl Parser<'_> {
             impl_trait: self.impl_trait.clone(),
             self_kind,
             has_ret,
+            takes_ctx,
             body,
             line,
             is_test: self.in_test || attr_test,

@@ -23,6 +23,7 @@ fn bad_tree_yields_exactly_the_planted_findings() {
         .collect();
     got.sort();
     let mut want = vec![
+        ("actor.rs".to_string(), Rule::ActorBlocks),
         ("impure.rs".to_string(), Rule::ReadonlyImpure),
         ("lease.rs".to_string(), Rule::DeterminismTaint),
         ("nondet.rs".to_string(), Rule::DeterminismTaint),
@@ -115,6 +116,24 @@ fn marked_nondet_source_taints_through_a_local() {
         .expect("planted marker finding");
     assert!(f.msg.contains("host_entropy"), "{}", f.msg);
     assert!(f.msg.contains("send"), "{}", f.msg);
+}
+
+#[test]
+fn blocking_call_two_hops_below_on_wake_is_caught() {
+    let analysis = analyze_tree(&fixture("bad")).expect("walk fixtures");
+    let f = analysis
+        .findings
+        .iter()
+        .find(|f| f.file.ends_with("actor.rs"))
+        .expect("planted actor finding");
+    // The finding sits at the `ctx.sleep` in the free function `backoff`,
+    // which names no actor; the message names the actor and the chain.
+    assert_eq!((f.rule, f.line), (Rule::ActorBlocks, 28));
+    assert_eq!(
+        f.msg,
+        "blocking ctx.sleep(..) is reachable from actor Poller (via on_wake -> refresh -> \
+         backoff); an actor blocks only by returning a Wait from on_wake"
+    );
 }
 
 #[test]

@@ -1,10 +1,22 @@
 //! The discrete-event simulation kernel.
 //!
-//! Every simulated process runs on its own OS thread, but the kernel hands
-//! out a single *run token*: exactly one process (or the kernel itself)
-//! executes at any moment. Blocking operations — [`Ctx::sleep`],
-//! [`Ctx::recv`], [`Ctx::call`] — park the calling thread and return the
-//! token to the kernel, which advances the virtual clock to the next event.
+//! The kernel hands out a single *run token*: exactly one process (or the
+//! kernel itself) executes at any moment. There are two kinds of process:
+//!
+//! - a **thread process** ([`Sim::spawn`]) runs on its own OS thread.
+//!   Blocking operations — [`Ctx::sleep`], [`Ctx::recv`], [`Ctx::call`] —
+//!   park that thread and return the token to the kernel, which advances
+//!   the virtual clock to the next event. For code that blocks
+//!   mid-function: application bodies, clients, drivers.
+//! - an **actor** ([`Sim::spawn_actor`]) is a value the kernel thread
+//!   invokes inline: [`Actor::on_wake`] runs to completion and returns the
+//!   one thing it waits for next ([`Wait`]). No OS thread, no handoff. For
+//!   message-driven servers, which only ever block at the top of a loop.
+//!
+//! Each [`Wait`] is exactly one of the blocking primitives, and both kinds
+//! share the block-state, epoch, mailbox and runnable-queue bookkeeping, so
+//! a loop ported from one kind to the other pushes the same events in the
+//! same order and meets the scheduler at the same points.
 //!
 //! Because only one process runs at a time and ties are broken by event
 //! sequence numbers, a simulation is **fully deterministic** for a given
@@ -163,6 +175,91 @@ impl fmt::Debug for Request {
 }
 
 // ---------------------------------------------------------------------------
+// Actors
+// ---------------------------------------------------------------------------
+
+/// Why the kernel is invoking an actor: how its last [`Wait`] ended.
+#[derive(Debug)]
+pub enum Wake {
+    /// First invocation — where a thread process's closure would begin.
+    Start,
+    /// A message arrived on the mailbox of a [`Wait::Recv`] or
+    /// [`Wait::RecvTimeout`].
+    Msg(Msg),
+    /// A [`Wait::RecvTimeout`] expired with no message.
+    Timeout,
+    /// A [`Wait::Sleep`] elapsed.
+    Slept,
+}
+
+/// What an actor waits for next; each is one blocking primitive of a thread
+/// process.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub enum Wait {
+    /// [`Ctx::recv`]: the next message on the mailbox.
+    Recv(Addr),
+    /// [`Ctx::recv_timeout`]: the next message, or the timeout.
+    RecvTimeout(Addr, Duration),
+    /// [`Ctx::sleep`] / [`Ctx::compute`]: virtual time passing.
+    Sleep(Duration),
+    /// Returning from the closure: the process ends and its owned mailboxes
+    /// close.
+    Exit,
+}
+
+/// A run-to-completion process: the kernel thread calls [`Actor::on_wake`]
+/// inline each time the actor's [`Wait`] ends, instead of handing the run
+/// token to a parked OS thread.
+///
+/// `on_wake` gets the same [`Ctx`] as a thread process — send, reply,
+/// spawn, kill, rng, spans and metrics all work — except that it must not
+/// block: [`Ctx::sleep`], [`Ctx::recv`], [`Ctx::recv_timeout`],
+/// [`Ctx::call`] and [`Ctx::park`] panic on an actor's context. State that
+/// a thread would keep in locals across a block lives in the actor's
+/// fields.
+///
+/// # Examples
+///
+/// ```
+/// use simcore::{Actor, Addr, Ctx, Sim, Wait, Wake};
+/// use std::time::Duration;
+///
+/// /// Doubles numbers; `inbox` is created on `Start`, as a closure would.
+/// struct Doubler { inbox: Addr }
+///
+/// impl Actor for Doubler {
+///     fn on_wake(&mut self, ctx: &mut Ctx, wake: Wake) -> Wait {
+///         if let Wake::Msg(m) = wake {
+///             let (reply_to, n) = m.take::<simcore::Request>().take::<u64>();
+///             ctx.reply(reply_to, n * 2, Duration::from_micros(90));
+///         }
+///         Wait::Recv(self.inbox)
+///     }
+/// }
+///
+/// let mut sim = Sim::new(7);
+/// let inbox = sim.mailbox("service");
+/// sim.spawn_daemon_actor("server", Doubler { inbox });
+/// sim.spawn("client", move |ctx| {
+///     let doubled: u64 = ctx.call(inbox, 21u64, Duration::from_micros(90));
+///     assert_eq!(doubled, 42);
+/// });
+/// sim.run_until_idle().expect_quiescent();
+/// ```
+pub trait Actor: Send + 'static {
+    /// Handles one wake-up and returns what to wait for next.
+    fn on_wake(&mut self, ctx: &mut Ctx, wake: Wake) -> Wait;
+}
+
+/// An actor at rest in its [`ProcSlot`]: its state, its context, and the
+/// wait it last returned (`None` before the first run).
+struct ActorCell {
+    actor: Box<dyn Actor>,
+    ctx: Ctx,
+    wait: Option<Wait>,
+}
+
+// ---------------------------------------------------------------------------
 // Events
 // ---------------------------------------------------------------------------
 
@@ -290,10 +387,34 @@ enum BlockState {
     Exited,
 }
 
+/// What runs when a process holds the token.
+enum ProcBody {
+    /// A parked OS thread; the gate hands it the token.
+    Thread { gate: Arc<ProcGate>, join: Option<std::thread::JoinHandle<()>> },
+    /// An actor the kernel thread invokes inline; `None` while it runs and
+    /// once it has exited.
+    Actor(Option<Box<ActorCell>>),
+}
+
+impl ProcBody {
+    /// Ends the process without running it again. A thread is told to
+    /// unwind; it does not take the token, so the kernel keeps running. An
+    /// actor's state is handed back for the caller to drop once the state
+    /// lock is released.
+    fn retire(&mut self) -> Option<Box<ActorCell>> {
+        match self {
+            ProcBody::Thread { gate, .. } => {
+                gate.set(RunCmd::Exit);
+                None
+            }
+            ProcBody::Actor(cell) => cell.take(),
+        }
+    }
+}
+
 struct ProcSlot {
     name: String,
-    gate: Arc<ProcGate>,
-    join: Option<std::thread::JoinHandle<()>>,
+    body: ProcBody,
     blocked: BlockState,
     epoch: u64,
     delivered: Option<Msg>,
@@ -307,11 +428,12 @@ struct ProcSlot {
     /// primitive via [`Ctx::annotate_wait`]; cleared on wakeup. Feeds the
     /// wait-for graph in [`crate::detect`].
     waiting_on: Option<WaitAnnotation>,
+    /// Mailboxes this process owns, closed when it exits.
+    owned: Vec<u64>,
 }
 
 struct MailboxState {
     name: String,
-    owner: Option<Pid>,
     queue: VecDeque<Msg>,
     waiting: Option<Pid>,
     closed: bool,
@@ -374,8 +496,7 @@ impl KernelState {
             0 => None,
             1 => self.runnable.pop_front(),
             n => {
-                let snapshot: Vec<Pid> = self.runnable.iter().copied().collect();
-                let idx = self.scheduler.pick(&snapshot).min(n - 1);
+                let idx = self.scheduler.pick(self.runnable.make_contiguous()).min(n - 1);
                 self.decisions.push(Decision { options: n as u32, choice: idx as u32 });
                 self.runnable.remove(idx)
             }
@@ -428,10 +549,12 @@ impl KernelState {
     }
 
     fn proc_exited(&mut self, pid: Pid) {
+        let mut owned = Vec::new();
         if let Some(p) = self.procs.get_mut(&pid.0) {
             if p.blocked == BlockState::Exited {
                 return;
             }
+            owned = std::mem::take(&mut p.owned);
             // Clean a dangling recv registration.
             if let BlockState::Receiving { mailbox } = p.blocked {
                 if let Some(mb) = self.mailboxes.get_mut(&mailbox) {
@@ -448,14 +571,67 @@ impl KernelState {
             }
         }
         // A dead process holds nothing.
-        self.holders.retain(|_, (holder, _)| *holder != pid);
-        // Close mailboxes owned by this process.
-        for mb in self.mailboxes.values_mut() {
-            if mb.owner == Some(pid) {
+        if !self.holders.is_empty() {
+            self.holders.retain(|_, (holder, _)| *holder != pid);
+        }
+        for id in owned {
+            if let Some(mb) = self.mailboxes.get_mut(&id) {
                 mb.closed = true;
                 mb.queue.clear();
             }
         }
+    }
+
+    /// Blocks `pid` in a sleep of `d`: the bookkeeping half of
+    /// [`Ctx::sleep`] and [`Wait::Sleep`].
+    fn begin_sleep(&mut self, pid: Pid, d: Duration) {
+        let now = self.now;
+        let p = self.procs.get_mut(&pid.0).expect("own slot");
+        p.epoch += 1;
+        let epoch = p.epoch;
+        p.blocked = BlockState::Sleeping;
+        self.push_event(now + d, EventKind::Wake { pid, epoch });
+    }
+
+    /// If a message is queued on `mb`, returns it; otherwise registers
+    /// `pid` as the waiter (with an optional timeout event) and returns
+    /// `None`. The bookkeeping half of [`Ctx::recv`] /
+    /// [`Ctx::recv_timeout`] and of [`Wait::Recv`] / [`Wait::RecvTimeout`].
+    fn begin_recv(&mut self, pid: Pid, mb: Addr, timeout: Option<Duration>) -> Option<Msg> {
+        let now = self.now;
+        let q = self
+            .mailboxes
+            .get_mut(&mb.0)
+            .unwrap_or_else(|| panic!("recv on unknown mailbox {:?}", mb));
+        assert!(!q.closed, "recv on closed mailbox {} ({:?})", q.name, mb);
+        if let Some(m) = q.queue.pop_front() {
+            return Some(m);
+        }
+        assert!(q.waiting.is_none(), "mailbox {} already has a waiting receiver", q.name);
+        q.waiting = Some(pid);
+        let p = self.procs.get_mut(&pid.0).expect("own slot");
+        p.epoch += 1;
+        let epoch = p.epoch;
+        p.blocked = BlockState::Receiving { mailbox: mb.0 };
+        if let Some(t) = timeout {
+            self.push_event(now + t, EventKind::Wake { pid, epoch });
+        }
+        None
+    }
+
+    /// What a woken receiver finds: the delivered message, or — the
+    /// timeout fired first — nothing, and its registration on `mb` is
+    /// withdrawn.
+    fn end_recv(&mut self, pid: Pid, mb: Addr) -> Option<Msg> {
+        let delivered = self.procs.get_mut(&pid.0).expect("own slot").delivered.take();
+        if delivered.is_none() {
+            if let Some(q) = self.mailboxes.get_mut(&mb.0) {
+                if q.waiting == Some(pid) {
+                    q.waiting = None;
+                }
+            }
+        }
+        delivered
     }
 }
 
@@ -682,6 +858,18 @@ impl Sim {
         spawn_process(&self.kernel, name, true, f)
     }
 
+    /// Spawns an actor: a process the kernel invokes inline (see [`Actor`]).
+    /// It becomes runnable at the current virtual time and is first woken
+    /// with [`Wake::Start`].
+    pub fn spawn_actor(&self, name: &str, actor: impl Actor) -> Pid {
+        spawn_actor(&self.kernel, name, false, Box::new(actor))
+    }
+
+    /// Spawns a daemon actor (see [`Sim::spawn_daemon`]).
+    pub fn spawn_daemon_actor(&self, name: &str, actor: impl Actor) -> Pid {
+        spawn_actor(&self.kernel, name, true, Box::new(actor))
+    }
+
     /// Runs until no events remain.
     pub fn run_until_idle(&mut self) -> RunOutcome {
         self.run_inner(None)
@@ -757,28 +945,91 @@ impl Sim {
     }
 
     fn run_process(&self, pid: Pid) {
-        let gate = {
-            let mut st = self.kernel.state.lock();
-            let (gate, daemon) = match st.procs.get_mut(&pid.0) {
-                Some(p) if p.blocked != BlockState::Exited => {
-                    if p.killed {
-                        // Tell the thread to unwind; it does not take the
-                        // token, so the kernel keeps running.
-                        p.gate.set(RunCmd::Exit);
-                        st.proc_exited(pid);
-                        return;
-                    }
-                    (p.gate.clone(), p.daemon)
-                }
-                _ => return,
-            };
-            if !daemon {
-                st.last_nondaemon_run = st.now;
-            }
-            gate
+        let mut guard = self.kernel.state.lock();
+        let st = &mut *guard;
+        let Some(p) = st.procs.get_mut(&pid.0).filter(|p| p.blocked != BlockState::Exited) else {
+            return;
         };
-        gate.set(RunCmd::Run);
-        self.kernel.kernel_gate.wait();
+        if p.killed {
+            let cell = p.body.retire();
+            st.proc_exited(pid);
+            drop(guard);
+            drop(cell);
+            return;
+        }
+        if !p.daemon {
+            st.last_nondaemon_run = st.now;
+        }
+        match &mut p.body {
+            ProcBody::Thread { gate, .. } => {
+                let gate = gate.clone();
+                drop(guard);
+                gate.set(RunCmd::Run);
+                self.kernel.kernel_gate.wait();
+            }
+            ProcBody::Actor(cell) => {
+                let cell = cell.take().expect("a runnable actor is at rest in its slot");
+                drop(guard);
+                self.run_actor(pid, cell);
+            }
+        }
+    }
+
+    /// Invokes an actor inline until it blocks or exits: turn how its last
+    /// wait ended into a [`Wake`], call it with the state lock released,
+    /// apply the [`Wait`] it returns, and go round again while a receive
+    /// finds a message already queued — what a thread's `recv` fast path
+    /// does without yielding.
+    fn run_actor(&self, pid: Pid, mut cell: Box<ActorCell>) {
+        let mut wake = match cell.wait {
+            None => Wake::Start,
+            Some(Wait::Sleep(_)) => Wake::Slept,
+            Some(Wait::Recv(mb)) => Wake::Msg(
+                // invariant: an untimed receive pushes no wake event, so
+                // only a delivery makes its process runnable.
+                self.kernel.state.lock().end_recv(pid, mb).expect("recv woken by a delivery"),
+            ),
+            Some(Wait::RecvTimeout(mb, _)) => {
+                self.kernel.state.lock().end_recv(pid, mb).map_or(Wake::Timeout, Wake::Msg)
+            }
+            Some(Wait::Exit) => unreachable!("an exited actor is never runnable"),
+        };
+        loop {
+            let ActorCell { actor, ctx, .. } = &mut *cell;
+            let result = catch_unwind(AssertUnwindSafe(|| actor.on_wake(ctx, wake)));
+            let mut st = self.kernel.state.lock();
+            let wait = match result {
+                Ok(wait) => wait,
+                Err(panic) => {
+                    st.proc_exited(pid);
+                    drop(st);
+                    drop(cell);
+                    resume_unwind(panic);
+                }
+            };
+            let queued = match wait {
+                Wait::Sleep(d) => {
+                    st.begin_sleep(pid, d);
+                    None
+                }
+                Wait::Recv(mb) => st.begin_recv(pid, mb, None),
+                Wait::RecvTimeout(mb, t) => st.begin_recv(pid, mb, Some(t)),
+                Wait::Exit => {
+                    st.proc_exited(pid);
+                    drop(st);
+                    return;
+                }
+            };
+            match queued {
+                Some(msg) => wake = Wake::Msg(msg),
+                None => {
+                    cell.wait = Some(wait);
+                    let p = st.procs.get_mut(&pid.0).expect("own slot");
+                    p.body = ProcBody::Actor(Some(cell));
+                    return;
+                }
+            }
+        }
     }
 
     /// Marks a process for termination. If it is blocked it unwinds without
@@ -807,22 +1058,23 @@ impl Sim {
 
 impl Drop for Sim {
     fn drop(&mut self) {
-        // Ask every remaining thread to unwind, then join them.
-        let joins: Vec<_> = {
+        // Ask every remaining thread to unwind, then join them. Actors at
+        // rest are dropped here too: their `Ctx` holds the kernel, which
+        // holds them.
+        let mut joins = Vec::new();
+        let mut cells = Vec::new();
+        {
             let mut st = self.kernel.state.lock();
-            let pids: Vec<u64> = st.procs.keys().copied().collect();
-            let mut joins = Vec::new();
-            for id in pids {
-                let p = st.procs.get_mut(&id).expect("pid listed");
+            for p in st.procs.values_mut() {
                 if p.blocked != BlockState::Exited {
-                    p.gate.set(RunCmd::Exit);
+                    cells.extend(p.body.retire());
                 }
-                if let Some(j) = p.join.take() {
-                    joins.push(j);
+                if let ProcBody::Thread { join, .. } = &mut p.body {
+                    joins.extend(join.take());
                 }
             }
-            joins
-        };
+        }
+        drop(cells);
         for j in joins {
             let _ = j.join();
         }
@@ -837,34 +1089,84 @@ fn create_mailbox(kernel: &Arc<Kernel>, name: &str, owner: Option<Pid>) -> Addr 
         id,
         MailboxState {
             name: name.to_string(),
-            owner,
             queue: VecDeque::new(),
             waiting: None,
             closed: false,
         },
     );
+    if let Some(p) = owner.and_then(|pid| st.procs.get_mut(&pid.0)) {
+        p.owned.push(id);
+    }
     Addr(id)
 }
 
 fn kill_process(kernel: &Arc<Kernel>, pid: Pid) {
     let mut st = kernel.state.lock();
-    if let Some(p) = st.procs.get_mut(&pid.0) {
-        if p.blocked == BlockState::Exited {
-            return;
-        }
-        p.killed = true;
-        match p.blocked {
-            BlockState::Runnable => {
-                // Handled when the kernel pops it from the runnable queue.
-            }
-            _ => {
-                // Blocked: wake it with Exit. It unwinds without taking the
-                // token, so it must not signal the kernel.
-                p.gate.set(RunCmd::Exit);
-                st.proc_exited(pid);
-            }
-        }
+    let Some(p) = st.procs.get_mut(&pid.0).filter(|p| p.blocked != BlockState::Exited) else {
+        return;
+    };
+    p.killed = true;
+    // A runnable process is handled when the kernel pops it from the
+    // runnable queue; a blocked one ends here and never runs again.
+    if p.blocked != BlockState::Runnable {
+        let cell = p.body.retire();
+        st.proc_exited(pid);
+        drop(st);
+        drop(cell);
     }
+}
+
+/// Allocates the next pid.
+fn next_pid(kernel: &Kernel) -> Pid {
+    let mut st = kernel.state.lock();
+    let id = st.next_pid;
+    st.next_pid += 1;
+    Pid(id)
+}
+
+/// The context of process `pid`, with its per-pid random stream.
+fn new_ctx(kernel: &Arc<Kernel>, pid: Pid, name: &str, gate: Option<Arc<ProcGate>>) -> Ctx {
+    let seed = kernel.seed ^ pid.0.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    Ctx {
+        kernel: kernel.clone(),
+        pid,
+        gate,
+        rng: StdRng::seed_from_u64(seed),
+        name: name.to_string(),
+        trace_ctx: TraceCtx::root(),
+    }
+}
+
+/// Registers a new process, runnable at the current virtual time.
+fn insert_proc(kernel: &Kernel, pid: Pid, name: &str, daemon: bool, body: ProcBody) {
+    let mut st = kernel.state.lock();
+    st.procs.insert(
+        pid.0,
+        ProcSlot {
+            name: name.to_string(),
+            body,
+            blocked: BlockState::Runnable,
+            epoch: 0,
+            delivered: None,
+            killed: false,
+            park_permit: false,
+            daemon,
+            waiting_on: None,
+            owned: Vec::new(),
+        },
+    );
+    st.live += 1;
+    if !daemon {
+        st.live_nondaemon += 1;
+    }
+    st.runnable.push_back(pid);
+}
+
+fn spawn_actor(kernel: &Arc<Kernel>, name: &str, daemon: bool, actor: Box<dyn Actor>) -> Pid {
+    let pid = next_pid(kernel);
+    let cell = ActorCell { actor, ctx: new_ctx(kernel, pid, name, None), wait: None };
+    insert_proc(kernel, pid, name, daemon, ProcBody::Actor(Some(Box::new(cell))));
+    pid
 }
 
 fn spawn_process<F>(kernel: &Arc<Kernel>, name: &str, daemon: bool, f: F) -> Pid
@@ -872,16 +1174,10 @@ where
     F: FnOnce(&mut Ctx) + Send + 'static,
 {
     let gate = ProcGate::new();
-    let pid = {
-        let mut st = kernel.state.lock();
-        let id = st.next_pid;
-        st.next_pid += 1;
-        Pid(id)
-    };
+    let pid = next_pid(kernel);
     let thread_gate = gate.clone();
     let thread_kernel = kernel.clone();
     let pname = name.to_string();
-    let seed = kernel.seed ^ pid.0.wrapping_mul(0x9E37_79B9_7F4A_7C15);
     let join = std::thread::Builder::new()
         .name(format!("sim-{pname}"))
         .stack_size(256 * 1024)
@@ -895,14 +1191,7 @@ where
                     return;
                 }
             }
-            let mut ctx = Ctx {
-                kernel: thread_kernel.clone(),
-                pid,
-                gate: thread_gate.clone(),
-                rng: StdRng::seed_from_u64(seed),
-                name: pname,
-                trace_ctx: TraceCtx::root(),
-            };
+            let mut ctx = new_ctx(&thread_kernel, pid, &pname, Some(thread_gate.clone()));
             let result = catch_unwind(AssertUnwindSafe(|| f(&mut ctx)));
             let held = thread_gate.held.load(Ordering::SeqCst);
             {
@@ -923,29 +1212,7 @@ where
             }
         })
         .expect("failed to spawn simulation thread");
-    {
-        let mut st = kernel.state.lock();
-        st.procs.insert(
-            pid.0,
-            ProcSlot {
-                name: name.to_string(),
-                gate,
-                join: Some(join),
-                blocked: BlockState::Runnable,
-                epoch: 0,
-                delivered: None,
-                killed: false,
-                park_permit: false,
-                daemon,
-                waiting_on: None,
-            },
-        );
-        st.live += 1;
-        if !daemon {
-            st.live_nondaemon += 1;
-        }
-        st.runnable.push_back(pid);
-    }
+    insert_proc(kernel, pid, name, daemon, ProcBody::Thread { gate, join: Some(join) });
     pid
 }
 
@@ -955,12 +1222,16 @@ where
 
 /// The execution context handed to every simulated process.
 ///
-/// All methods that block (`sleep`, `recv`, `call`, `park`) release the run
-/// token to the kernel and resume when the corresponding event fires.
+/// In a thread process, the methods that block (`sleep`, `recv`, `call`,
+/// `park`) release the run token to the kernel and resume when the
+/// corresponding event fires. In an [`Actor`] they panic: an actor blocks
+/// only by returning a [`Wait`].
 pub struct Ctx {
     kernel: Arc<Kernel>,
     pid: Pid,
-    gate: Arc<ProcGate>,
+    /// The thread's token gate; `None` for an actor, which has no thread to
+    /// park.
+    gate: Option<Arc<ProcGate>>,
     rng: StdRng,
     name: String,
     /// Current trace context; spans started with [`Ctx::span_begin`] are
@@ -1117,10 +1388,25 @@ impl Ctx {
         }
     }
 
+    /// Checked on entry to every blocking call.
+    ///
+    /// # Panics
+    ///
+    /// Panics in an actor, naming it, the `call` it made and what to do
+    /// `instead`.
+    fn must_be_thread(&self, call: &str, instead: &str) {
+        assert!(
+            self.gate.is_some(),
+            "actor {} called blocking Ctx::{call}; an actor never blocks mid-function: {instead}",
+            self.name
+        );
+    }
+
     fn yield_to_kernel(&mut self) {
-        self.gate.held.store(false, Ordering::SeqCst);
+        let gate = self.gate.as_deref().expect("blocking calls start with must_be_thread");
+        gate.held.store(false, Ordering::SeqCst);
         self.kernel.signal_kernel();
-        match self.gate.wait_for_run() {
+        match gate.wait_for_run() {
             RunCmd::Run => {}
             // resume_unwind skips the panic hook: shutdown is not an error.
             _ => std::panic::resume_unwind(Box::new(ShutdownSignal)),
@@ -1129,15 +1415,8 @@ impl Ctx {
 
     /// Advances this process's clock by `d` (e.g. network or think time).
     pub fn sleep(&mut self, d: Duration) {
-        {
-            let mut st = self.kernel.state.lock();
-            let now = st.now;
-            let p = st.procs.get_mut(&self.pid.0).expect("own slot");
-            p.epoch += 1;
-            let epoch = p.epoch;
-            p.blocked = BlockState::Sleeping;
-            st.push_event(now + d, EventKind::Wake { pid: self.pid, epoch });
-        }
+        self.must_be_thread("sleep", "return Wait::Sleep from on_wake");
+        self.kernel.state.lock().begin_sleep(self.pid, d);
         self.yield_to_kernel();
     }
 
@@ -1184,64 +1463,27 @@ impl Ctx {
     /// Panics if the mailbox is closed or another process is already
     /// receiving on it.
     pub fn recv(&mut self, mb: Addr) -> Msg {
+        self.must_be_thread("recv", "return Wait::Recv from on_wake");
         loop {
-            if let Some(m) = self.try_begin_recv(mb, None) {
+            if let Some(m) = self.kernel.state.lock().begin_recv(self.pid, mb, None) {
                 return m;
             }
             self.yield_to_kernel();
-            let mut st = self.kernel.state.lock();
-            let p = st.procs.get_mut(&self.pid.0).expect("own slot");
-            if let Some(m) = p.delivered.take() {
+            if let Some(m) = self.kernel.state.lock().end_recv(self.pid, mb) {
                 return m;
             }
             // Spurious wake (e.g. mailbox closed under us): retry.
-            drop(st);
         }
     }
 
     /// Receives with a timeout; `None` means the timeout expired first.
     pub fn recv_timeout(&mut self, mb: Addr, timeout: Duration) -> Option<Msg> {
-        if let Some(m) = self.try_begin_recv(mb, Some(timeout)) {
+        self.must_be_thread("recv_timeout", "return Wait::RecvTimeout from on_wake");
+        if let Some(m) = self.kernel.state.lock().begin_recv(self.pid, mb, Some(timeout)) {
             return Some(m);
         }
         self.yield_to_kernel();
-        let mut st = self.kernel.state.lock();
-        let p = st.procs.get_mut(&self.pid.0).expect("own slot");
-        if let Some(m) = p.delivered.take() {
-            return Some(m);
-        }
-        // Timed out: withdraw the registration.
-        if let Some(q) = st.mailboxes.get_mut(&mb.0) {
-            if q.waiting == Some(self.pid) {
-                q.waiting = None;
-            }
-        }
-        None
-    }
-
-    /// If a message is queued, returns it; otherwise registers this process
-    /// as the waiter (with an optional timeout event) and returns `None`.
-    fn try_begin_recv(&mut self, mb: Addr, timeout: Option<Duration>) -> Option<Msg> {
-        let mut st = self.kernel.state.lock();
-        let now = st.now;
-        let q = st
-            .mailboxes
-            .get_mut(&mb.0)
-            .unwrap_or_else(|| panic!("recv on unknown mailbox {:?}", mb));
-        assert!(!q.closed, "recv on closed mailbox {} ({:?})", q.name, mb);
-        if let Some(m) = q.queue.pop_front() {
-            return Some(m);
-        }
-        assert!(q.waiting.is_none(), "mailbox {} already has a waiting receiver", q.name);
-        q.waiting = Some(self.pid);
-        let p = st.procs.get_mut(&self.pid.0).expect("own slot");
-        p.epoch += 1;
-        let epoch = p.epoch;
-        p.blocked = BlockState::Receiving { mailbox: mb.0 };
-        if let Some(t) = timeout {
-            st.push_event(now + t, EventKind::Wake { pid: self.pid, epoch });
-        }
-        None
+        self.kernel.state.lock().end_recv(self.pid, mb)
     }
 
     /// Returns a queued message without blocking, if any.
@@ -1262,6 +1504,7 @@ impl Ctx {
         Req: Any + Send,
         Resp: Any + Send,
     {
+        self.must_be_thread("call", "send the request and return Wait::Recv on its reply mailbox");
         self.call_sized::<Req, Resp>(to, req, latency, 0)
     }
 
@@ -1277,6 +1520,10 @@ impl Ctx {
         Req: Any + Send,
         Resp: Any + Send,
     {
+        self.must_be_thread(
+            "call_sized",
+            "send the request and return Wait::Recv on its reply mailbox",
+        );
         let reply_to = self.mailbox("rpc-reply");
         self.send(to, Msg::sized(Request { reply_to, body: Box::new(req) }, size), latency);
         let resp = self.recv(reply_to);
@@ -1298,6 +1545,10 @@ impl Ctx {
         Req: Any + Send,
         Resp: Any + Send,
     {
+        self.must_be_thread(
+            "call_timeout",
+            "send the request and return Wait::Recv on its reply mailbox",
+        );
         let reply_to = self.mailbox("rpc-reply");
         self.send(to, Msg::new(Request { reply_to, body: Box::new(req) }), latency);
         let resp = self.recv_timeout(reply_to, timeout);
@@ -1329,6 +1580,10 @@ impl Ctx {
         Req: Any + Send,
         Resp: Any + Send,
     {
+        self.must_be_thread(
+            "call_collect",
+            "send the request and return Wait::Recv on its reply mailbox",
+        );
         let reply_to = self.mailbox("rpc-reply");
         self.send(to, Msg::new(Request { reply_to, body: Box::new(req) }), latency);
         let deadline = self.now() + timeout;
@@ -1357,6 +1612,11 @@ impl Ctx {
     fn drop_mailbox(&mut self, addr: Addr) {
         let mut st = self.kernel.state.lock();
         st.mailboxes.remove(&addr.0);
+        // Reply mailboxes come and go in stack order, so this is the last.
+        let owned = &mut st.procs.get_mut(&self.pid.0).expect("own slot").owned;
+        if let Some(i) = owned.iter().rposition(|id| *id == addr.0) {
+            owned.swap_remove(i);
+        }
     }
 
     /// Spawns a child process, runnable at the current virtual time.
@@ -1373,6 +1633,16 @@ impl Ctx {
         F: FnOnce(&mut Ctx) + Send + 'static,
     {
         spawn_process(&self.kernel, name, true, f)
+    }
+
+    /// Spawns a child actor (see [`Sim::spawn_actor`]).
+    pub fn spawn_actor(&mut self, name: &str, actor: impl Actor) -> Pid {
+        spawn_actor(&self.kernel, name, false, Box::new(actor))
+    }
+
+    /// Spawns a daemon actor (see [`Sim::spawn_daemon`]).
+    pub fn spawn_daemon_actor(&mut self, name: &str, actor: impl Actor) -> Pid {
+        spawn_actor(&self.kernel, name, true, Box::new(actor))
     }
 
     /// Kills another process (see [`Sim::kill`]).
@@ -1438,6 +1708,7 @@ impl Ctx {
     /// Blocks until another process calls [`Ctx::unpark`] with this pid.
     /// A pending permit (unpark before park) is consumed immediately.
     pub fn park(&mut self) {
+        self.must_be_thread("park", "only a thread process can park");
         {
             let mut st = self.kernel.state.lock();
             let p = st.procs.get_mut(&self.pid.0).expect("own slot");
@@ -1794,5 +2065,77 @@ mod tests {
             }
         });
         sim.run_until_idle().expect_quiescent();
+    }
+
+    /// Walks through every `Wait`, logging how each one ended.
+    struct Tour {
+        inbox: Addr,
+        log: Arc<Mutex<Vec<(String, SimTime)>>>,
+    }
+
+    impl Actor for Tour {
+        fn on_wake(&mut self, ctx: &mut Ctx, wake: Wake) -> Wait {
+            let (what, next) = match wake {
+                Wake::Start => ("start", Wait::RecvTimeout(self.inbox, Duration::from_millis(2))),
+                Wake::Timeout => ("timeout", Wait::Recv(self.inbox)),
+                Wake::Msg(m) => {
+                    assert_eq!(m.take::<u8>(), 7);
+                    ("msg", Wait::Sleep(Duration::from_millis(1)))
+                }
+                Wake::Slept => ("slept", Wait::Exit),
+            };
+            self.log.lock().push((what.to_string(), ctx.now()));
+            next
+        }
+    }
+
+    #[test]
+    fn each_wait_ends_in_its_wake() {
+        let mut sim = Sim::new(1);
+        let inbox = sim.mailbox("tour");
+        let log = Arc::new(Mutex::new(Vec::new()));
+        sim.spawn_actor("tour", Tour { inbox, log: log.clone() });
+        sim.spawn("tx", move |ctx| {
+            ctx.sleep(Duration::from_millis(5));
+            ctx.send(inbox, Msg::new(7u8), Duration::ZERO);
+        });
+        let out = sim.run_until_idle();
+        out.expect_quiescent();
+        assert_eq!(out.time, SimTime::from_millis(6));
+        assert_eq!(sim.live_processes(), 0);
+        let at = |what: &str, ms| (what.to_string(), SimTime::from_millis(ms));
+        assert_eq!(*log.lock(), [at("start", 0), at("timeout", 2), at("msg", 5), at("slept", 6)]);
+    }
+
+    #[test]
+    fn exit_closes_exactly_the_owned_mailboxes() {
+        let mut sim = Sim::new(1);
+        let server = sim.mailbox("server");
+        sim.spawn_daemon("server", move |ctx| loop {
+            let (reply_to, n) = ctx.recv(server).take::<Request>().take::<u32>();
+            ctx.reply(reply_to, n, Duration::ZERO);
+        });
+        let ids = Arc::new(Mutex::new(None));
+        let ids2 = ids.clone();
+        let pid = sim.spawn("owner", move |ctx| {
+            let mine = ctx.mailbox("mine");
+            for i in 0..3u32 {
+                let _: u32 = ctx.call(server, i, Duration::ZERO); // reply mailboxes come and go
+            }
+            let shared = ctx.shared_mailbox("shared");
+            *ids2.lock() = Some((mine, shared));
+            let _ = ctx.recv(mine);
+        });
+        sim.run_until_idle();
+        let (mine, shared) = ids.lock().expect("owner ran");
+        {
+            let st = sim.kernel.state.lock();
+            assert_eq!(st.procs[&pid.0].owned, [mine.0], "dropped reply mailboxes are forgotten");
+        }
+        sim.kill(pid);
+        let st = sim.kernel.state.lock();
+        assert!(st.mailboxes[&mine.0].closed);
+        assert!(!st.mailboxes[&shared.0].closed);
+        assert!(!st.mailboxes[&server.0].closed);
     }
 }

@@ -1,10 +1,11 @@
 //! # simcore — deterministic discrete-event simulation kernel
 //!
 //! The substrate under the whole Crucial reproduction: a virtual clock,
-//! processes backed by real OS threads but scheduled one-at-a-time by the
-//! kernel (so runs are **deterministic** given a seed), mailboxes with
-//! latency models, a processor-sharing CPU resource, local synchronization
-//! primitives, a compact binary codec, and measurement helpers.
+//! processes — inline actors and closures on real OS threads — scheduled
+//! one-at-a-time by the kernel (so runs are **deterministic** given a
+//! seed), mailboxes with latency models, a processor-sharing CPU resource,
+//! local synchronization primitives, a compact binary codec, and
+//! measurement helpers.
 //!
 //! ## Why a simulator?
 //!
@@ -63,7 +64,7 @@ pub mod trace;
 
 pub use cpu::CpuHost;
 pub use detect::{DeadlockReport, StuckProc, WaitAnnotation, WaitKind};
-pub use kernel::{Addr, Ctx, Msg, Pid, Request, RunOutcome, Sim};
+pub use kernel::{Actor, Addr, Ctx, Msg, Pid, Request, RunOutcome, Sim, Wait, Wake};
 pub use latency::{Jitter, LatencyModel};
 pub use metrics::{fsum, Counter, LatencyStats, MetricsRegistry, Series};
 pub use scheduler::{Decision, FifoScheduler, RandomScheduler, ReplayScheduler, Scheduler};

@@ -16,6 +16,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::Duration;
 
 use crucial::Sim;
+use simcore::{Actor, Addr, Ctx, Msg, Wait, Wake};
 
 struct CountingAlloc;
 
@@ -45,8 +46,13 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOCATOR: CountingAlloc = CountingAlloc;
 
+/// The counter is process-wide and tests run on parallel threads: one
+/// counted region at a time.
+static COUNTED_REGION: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
 #[test]
 fn steady_state_timer_churn_allocates_nothing() {
+    let _serial = COUNTED_REGION.lock().unwrap_or_else(|e| e.into_inner());
     let mut sim = Sim::new(11);
     // Eight daemons sleeping on periods spanning sub-tick to milliseconds,
     // so the churn exercises several wheel levels (staging, cascades, and
@@ -81,4 +87,46 @@ fn steady_state_timer_churn_allocates_nothing() {
         "steady state grew the event arena: {warm:?} -> {after:?}"
     );
     assert_eq!(counted, 0, "kernel hot path allocated {counted} times in steady state");
+}
+
+/// Bounces whatever it receives to `peer`.
+struct Bouncer {
+    inbox: Addr,
+    peer: Addr,
+}
+
+impl Actor for Bouncer {
+    fn on_wake(&mut self, ctx: &mut Ctx, wake: Wake) -> Wait {
+        if let Wake::Msg(ball) = wake {
+            ctx.send(self.peer, ball, Duration::from_micros(3));
+        }
+        Wait::Recv(self.inbox)
+    }
+}
+
+#[test]
+fn steady_state_actor_ping_pong_allocates_nothing() {
+    let _serial = COUNTED_REGION.lock().unwrap_or_else(|e| e.into_inner());
+    let mut sim = Sim::new(12);
+    let (a, b) = (sim.mailbox("a"), sim.mailbox("b"));
+    sim.spawn_daemon_actor("ping", Bouncer { inbox: a, peer: b });
+    sim.spawn_daemon_actor("pong", Bouncer { inbox: b, peer: a });
+    sim.spawn("serve", move |ctx| ctx.send(a, Msg::new(0u64), Duration::ZERO));
+    sim.run_for(Duration::from_millis(1));
+    let warm = sim.event_queue_stats();
+
+    ALLOCS.store(0, Ordering::SeqCst);
+    COUNTING.store(true, Ordering::SeqCst);
+    sim.run_for(Duration::from_millis(30));
+    COUNTING.store(false, Ordering::SeqCst);
+
+    let counted = ALLOCS.load(Ordering::SeqCst);
+    let after = sim.event_queue_stats();
+    // One delivery, one inline `on_wake` and one send per 3 µs hop: the
+    // ball is the same boxed message throughout.
+    assert!(
+        after.recycled_pushes >= warm.recycled_pushes + 9_000,
+        "the ball must keep moving: {warm:?} -> {after:?}"
+    );
+    assert_eq!(counted, 0, "an actor wake-up allocated {counted} times in steady state");
 }
