@@ -11,11 +11,18 @@
 //! ```
 //!
 //! `--paper` switches to the paper's full parameters (much slower).
+//!
+//! The gated targets (`kernel-bench`, `consistency-ablate`, `coldstart`,
+//! `recovery`, `elastic`) hold their own claims and panic when one breaks.
+//! This binary is the only writer of output files (`BENCH_*.json`,
+//! `results/trace-*`), relative to the working directory; a failed write
+//! exits 1.
 
 use bench::experiments::{
     ablate, coldstart, consistency, elastic, kernelbench, micro, ml, readpath, recovery, state,
-    sync, traced, Scale,
+    sync, traced, OutFile, Scale,
 };
+use bench::Table;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -31,6 +38,26 @@ fn main() {
         std::process::exit(2);
     });
     run(&target, scale);
+}
+
+/// Writes what an experiment rendered; a stale file must not outlive a
+/// failed write, so an error ends the run.
+fn write(files: &[OutFile]) {
+    for (path, contents) in files {
+        let dir = std::path::Path::new(path).parent().expect("a file path has a parent");
+        let written = std::fs::create_dir_all(dir).and_then(|()| std::fs::write(path, contents));
+        if let Err(e) = written {
+            eprintln!("could not write {path}: {e}");
+            std::process::exit(1);
+        }
+        println!("wrote {path}");
+    }
+}
+
+/// Prints a gated experiment's table and writes its `BENCH_*.json`.
+fn emit((table, file): (Table, OutFile)) {
+    table.print();
+    write(&[file]);
 }
 
 fn run(target: &str, scale: Scale) {
@@ -65,15 +92,16 @@ fn run(target: &str, scale: Scale) {
         "ablate-workers" => ablate::ablate_workers(scale).0.print(),
         "ablate-barrier" => ablate::ablate_barrier(scale).0.print(),
         "ablate-read-path" => readpath::ablate_read_path(scale).0.print(),
-        "consistency-ablate" => consistency::consistency_ablate(scale).0.print(),
-        "trace-pi" => traced::trace_pi(scale),
-        "trace-kmeans" => traced::trace_kmeans(scale),
-        "kernel-bench" => kernelbench::kernel_bench(scale).0.print(),
-        "coldstart" => coldstart::coldstart(scale).0.print(),
-        "recovery" => recovery::recovery(scale).0.print(),
+        "consistency-ablate" => emit(consistency::consistency_ablate(scale)),
+        "trace-pi" => write(&traced::trace_pi(scale)),
+        "trace-kmeans" => write(&traced::trace_kmeans(scale)),
+        "kernel-bench" => kernelbench::kernel_bench(scale).print(),
+        "coldstart" => emit(coldstart::coldstart(scale)),
+        "recovery" => emit(recovery::recovery(scale)),
         "elastic" => {
-            let (t, auto, _) = elastic::elastic(scale);
+            let (t, auto, files) = elastic::elastic(scale);
             t.print();
+            write(&files);
             println!("\ncontrol-plane decisions:");
             for line in auto.decision_log.lines() {
                 println!("  {line}");

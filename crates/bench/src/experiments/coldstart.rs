@@ -10,10 +10,11 @@
 //! warm parent into 8 CoW branches per round, so the branch latency is
 //! the pure 10–50 ms fork cost. Start-latency CDFs come straight from
 //! the `faas.start.{classic,restore,fork}` histograms; the cost table
-//! carries execution, idle-pool, and snapshot-storage GB-seconds. The
-//! headline numbers land in `BENCH_coldstart.json`, where `benchcheck`
-//! holds the documented claims: a snapshot restore collapses the classic
-//! cold start by ≥ 4×, and a fork undercuts the restore by ≥ 2×.
+//! carries execution, idle-pool, and snapshot-storage GB-seconds.
+//! [`check`] holds the documented claims — a snapshot restore collapses
+//! the classic cold start by ≥ 4×, and a fork undercuts the restore by
+//! ≥ 2× — and the headline numbers, exact in virtual time, are committed
+//! as `BENCH_coldstart.json`.
 
 use std::time::Duration;
 
@@ -26,10 +27,10 @@ use faas::{
 
 use crucial_ml::elastic::{run_elastic, ElasticConfig, ElasticReport};
 
-use super::Scale;
+use super::{OutFile, Scale};
 use crate::report::Table;
 
-/// One tier's headline numbers, as written to `BENCH_coldstart.json`.
+/// One tier's headline numbers, as rendered into `BENCH_coldstart.json`.
 #[derive(Clone, Debug)]
 pub struct ModeStats {
     /// Tier name: `classic`, `snapshot`, or `fork`.
@@ -147,25 +148,46 @@ fn fork_bench(scale: Scale) -> (MetricsRegistry, f64, f64, f64, f64) {
     (metrics, billing.gb_seconds(), billing.idle_gb_seconds().max(0.0), snapshot_gb_s, cost)
 }
 
-/// Runs the three-tier comparison and renders the table. Returns the
-/// per-mode stats (classic, snapshot, fork) for tests and the JSON.
-pub fn coldstart(scale: Scale) -> (Table, Vec<ModeStats>) {
+/// `(slower, faster, margin)`: `faster`'s mean start must be at most
+/// `slower`'s divided by `margin` (observed 7.1x and 9.1x).
+const CLAIMS: [(&str, &str, f64); 2] = [("classic", "snapshot", 4.0), ("snapshot", "fork", 2.0)];
+
+/// The claims `coldstart` holds; `Err` names the first broken one.
+pub fn check(modes: &[ModeStats]) -> Result<(), String> {
+    for m in modes {
+        claim!(m.starts > 0, "tier {} paid no starts", m.name);
+    }
+    let mean = |name: &str| {
+        let mode = modes.iter().find(|m| m.name == name).ok_or(format!("mode {name} missing"));
+        mode.map(|m| m.mean_start_ms)
+    };
+    for (slower, faster, margin) in CLAIMS {
+        let (s, f) = (mean(slower)?, mean(faster)?);
+        claim!(
+            f * margin <= s,
+            "{faster} ({f:.1} ms mean start) does not undercut {slower} ({s:.1} ms) by {margin}x"
+        );
+    }
+    Ok(())
+}
+
+/// Runs the three-tier comparison, holds the claims, renders the table
+/// and `BENCH_coldstart.json`.
+pub fn coldstart(scale: Scale) -> (Table, OutFile) {
     let cfg = elastic_cfg(scale);
     let classic = run_elastic(&cfg);
     let snap = run_elastic(&ElasticConfig { faas: snapshot_faas(), ..cfg.clone() });
     let (fork_metrics, fork_gb, fork_idle, fork_snap_gb, fork_cost) = fork_bench(scale);
 
-    // Acceptance checks (ci runs this target as the coldstart smoke).
+    // Tier mechanics (ci runs this target as the coldstart smoke).
     let classic_hist = classic.metrics.histogram("faas.start.classic");
     let restore_hist = snap.metrics.histogram("faas.start.restore");
     let fork_hist = fork_metrics.histogram("faas.start.fork");
-    assert!(classic_hist.count() > 0, "classic run must pay classic starts");
     assert_eq!(
         classic.metrics.counter_value("faas.start.restore"),
         0,
         "classic run must never restore"
     );
-    assert!(restore_hist.count() > 0, "snapshot run's ramp must pay restores");
     assert!(snap.snapshot_gb_seconds > 0.0, "snapshot storage must be billed");
     // The control-plane side of the trade: expensive classic starts buy
     // provisioned floors, cheap restores do not.
@@ -179,17 +201,6 @@ pub fn coldstart(scale: Scale) -> (Table, Vec<ModeStats>) {
         "restores under the floor threshold must not buy floors:\n{}",
         snap.decision_log
     );
-    let (c_mean, r_mean, f_mean) =
-        (ms(classic_hist.mean()), ms(restore_hist.mean()), ms(fork_hist.mean()));
-    assert!(
-        r_mean < c_mean * 0.25,
-        "restore must collapse the classic start 4x: {r_mean:.1}ms vs {c_mean:.1}ms"
-    );
-    assert!(
-        f_mean < r_mean * 0.5,
-        "fork must undercut the restore 2x: {f_mean:.1}ms vs {r_mean:.1}ms"
-    );
-
     let elastic_mode = |name: &'static str, hist: &LatencyStats, r: &ElasticReport| {
         mode_stats(
             name,
@@ -205,6 +216,7 @@ pub fn coldstart(scale: Scale) -> (Table, Vec<ModeStats>) {
         elastic_mode("snapshot", &restore_hist, &snap),
         mode_stats("fork", &fork_hist, fork_gb, fork_idle, fork_snap_gb, fork_cost),
     ];
+    check(&modes).unwrap_or_else(|broken| panic!("coldstart: {broken}"));
 
     let mut t = Table::new(
         "coldstart — start tiers: classic vs snapshot restore vs fork",
@@ -226,13 +238,10 @@ pub fn coldstart(scale: Scale) -> (Table, Vec<ModeStats>) {
     row(&mut t, "snapshot GB-seconds", &|m| format!("{:.2}", m.snapshot_gb_seconds));
     row(&mut t, "FaaS cost", &|m| format!("${:.5}", m.faas_cost_usd));
 
-    if let Err(e) = write_outputs(&cfg, &modes) {
-        eprintln!("could not write coldstart outputs: {e}");
-    }
-    (t, modes)
+    (t, ("BENCH_coldstart.json".into(), render_json(&cfg, &modes)))
 }
 
-fn write_outputs(cfg: &ElasticConfig, modes: &[ModeStats]) -> std::io::Result<()> {
+fn render_json(cfg: &ElasticConfig, modes: &[ModeStats]) -> String {
     let mode_json = |m: &ModeStats| {
         let cdf = m.cdf_ms.iter().map(|v| format!("{v:.2}")).collect::<Vec<_>>().join(", ");
         format!(
@@ -253,11 +262,44 @@ fn write_outputs(cfg: &ElasticConfig, modes: &[ModeStats]) -> std::io::Result<()
         )
     };
     let body = modes.iter().map(mode_json).collect::<Vec<_>>().join(",\n    ");
-    let json = format!(
+    format!(
         "{{\n  \"bench\": \"coldstart\",\n  \"phase_secs\": {},\n  \"modes\": [\n    {body}\n  ]\n}}\n",
         cfg.phase.as_secs(),
-    );
-    std::fs::write("BENCH_coldstart.json", &json)?;
-    println!("wrote BENCH_coldstart.json");
-    Ok(())
+    )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The three tiers with the given `(starts, mean start ms)`.
+    fn modes(classic: (usize, f64), snapshot: (usize, f64), fork: (usize, f64)) -> Vec<ModeStats> {
+        [("classic", classic), ("snapshot", snapshot), ("fork", fork)]
+            .into_iter()
+            .map(|(name, (starts, mean_start_ms))| ModeStats {
+                name,
+                starts,
+                mean_start_ms,
+                p50_ms: mean_start_ms,
+                p90_ms: mean_start_ms,
+                p99_ms: mean_start_ms,
+                cdf_ms: vec![mean_start_ms; 10],
+                gb_seconds: 10.0,
+                idle_gb_seconds: 0.0,
+                snapshot_gb_seconds: 0.0,
+                faas_cost_usd: 0.01,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn check_holds_each_claim() {
+        assert_eq!(check(&modes((80, 1512.7), (48, 212.4), (120, 23.4))), Ok(()));
+        let err = check(&modes((80, 1512.7), (48, 600.0), (120, 23.4))).unwrap_err();
+        assert!(err.contains("snapshot (600.0 ms mean start) does not undercut classic"), "{err}");
+        let err = check(&modes((80, 1512.7), (48, 212.4), (120, 150.0))).unwrap_err();
+        assert!(err.contains("fork (150.0 ms mean start) does not undercut snapshot"), "{err}");
+        let err = check(&modes((80, 1512.7), (0, 0.0), (120, 23.4))).unwrap_err();
+        assert!(err.contains("tier snapshot paid no starts"), "{err}");
+    }
 }

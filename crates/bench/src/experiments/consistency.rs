@@ -6,9 +6,10 @@
 //! iteration; the host-shared [`NodeCache`] is the only tier that survives
 //! churn, which is exactly the ablation this table isolates.
 //!
-//! Results go to `BENCH_consistency.json`; `simcheck`'s `benchcheck` bin
-//! gates CI on it — each row must show forward progress and the
-//! `node_cache` row must beat the PR-1 `client_cache` baseline.
+//! [`check`] holds the ablation's claims — every row makes progress,
+//! replica reads beat primary-only reads, and the `node_cache` row beats
+//! the churned `client_cache` one — and the figures, exact in virtual
+//! time, are committed as `BENCH_consistency.json`.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -18,13 +19,13 @@ use simcore::{MetricsRegistry, Sim};
 use dso::api::AtomicByteArray;
 use dso::{ConsistencyMode, DsoCluster, DsoConfig, NodeCache, ObjectRegistry};
 
-use super::Scale;
+use super::{OutFile, Scale};
 use crate::report::{fmt_dur, Table};
 
 /// One cell of the mode × cache matrix.
 #[derive(Clone, Debug)]
 pub struct ConsistencyRow {
-    /// Section name (`<mode>/<cache>`), the key `benchcheck` gates on.
+    /// Row name (`<mode>/<cache>`), the key [`check`] looks rows up by.
     pub name: String,
     /// Consistency-mode label.
     pub mode: &'static str,
@@ -189,8 +190,35 @@ fn cells() -> Vec<(&'static str, CacheTier, DsoConfig)> {
     ]
 }
 
-/// Runs the mode × cache matrix, writes `BENCH_consistency.json`.
-pub fn consistency_ablate(scale: Scale) -> (Table, Vec<ConsistencyRow>) {
+/// `(faster, slower, margin)`: `faster`'s reads/s must be at least
+/// `margin`x `slower`'s (observed 1.35x and 5.7x).
+const CLAIMS: [(&str, &str, f64); 2] = [
+    ("replica-reads/none", "linearizable/none", 1.2),
+    ("replica-reads/node_cache", "replica-reads/client_cache", 1.2),
+];
+
+/// The claims `consistency-ablate` holds; `Err` names the first broken one.
+pub fn check(rows: &[ConsistencyRow]) -> Result<(), String> {
+    for r in rows {
+        claim!(r.reads_per_sec > 0.0, "{} made no progress", r.name);
+    }
+    let rate = |name: &str| {
+        let row = rows.iter().find(|r| r.name == name).ok_or(format!("row {name} missing"));
+        row.map(|r| r.reads_per_sec)
+    };
+    for (faster, slower, margin) in CLAIMS {
+        let (f, s) = (rate(faster)?, rate(slower)?);
+        claim!(
+            f >= s * margin,
+            "{faster} ({f:.0} reads/s) does not beat {slower} ({s:.0}) by {margin}x"
+        );
+    }
+    Ok(())
+}
+
+/// Runs the mode × cache matrix, holds the claims, renders
+/// `BENCH_consistency.json`.
+pub fn consistency_ablate(scale: Scale) -> (Table, OutFile) {
     let mut rows = Vec::new();
     for (i, (mode, tier, cfg)) in cells().into_iter().enumerate() {
         let (reads_per_sec, read_latency) = run_cell(960 + i as u64, scale, cfg, tier);
@@ -202,6 +230,7 @@ pub fn consistency_ablate(scale: Scale) -> (Table, Vec<ConsistencyRow>) {
             read_latency,
         });
     }
+    check(&rows).unwrap_or_else(|broken| panic!("consistency-ablate: {broken}"));
     let mut t = Table::new(
         "Ablation — consistency × cache tier (3 nodes, hot rf = 3 model, churning clients)",
         &["Mode", "Cache", "Reads/s", "Mean read latency", "Speedup"],
@@ -216,13 +245,10 @@ pub fn consistency_ablate(scale: Scale) -> (Table, Vec<ConsistencyRow>) {
             format!("{:.2}x", r.reads_per_sec / base.max(1e-9)),
         ]);
     }
-    if let Err(e) = write_json(scale, &rows) {
-        eprintln!("could not write BENCH_consistency.json: {e}");
-    }
-    (t, rows)
+    (t, ("BENCH_consistency.json".into(), render_json(scale, &rows)))
 }
 
-fn write_json(scale: Scale, rows: &[ConsistencyRow]) -> std::io::Result<()> {
+fn render_json(scale: Scale, rows: &[ConsistencyRow]) -> String {
     let body = rows
         .iter()
         .map(|r| {
@@ -238,47 +264,58 @@ fn write_json(scale: Scale, rows: &[ConsistencyRow]) -> std::io::Result<()> {
         })
         .collect::<Vec<_>>()
         .join(",\n");
-    let json = format!(
+    format!(
         "{{\n  \"bench\": \"consistency\",\n  \"scale\": \"{}\",\n  \"rows\": [\n{}\n  ]\n}}\n",
-        match scale {
-            Scale::Quick => "quick",
-            Scale::Paper => "paper",
-        },
+        scale.label(),
         body,
-    );
-    std::fs::write("BENCH_consistency.json", &json)?;
-    println!("wrote BENCH_consistency.json");
-    Ok(())
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// A healthy report at HEAD's figures, rounded.
+    fn healthy() -> Vec<ConsistencyRow> {
+        [
+            ("linearizable", "none", 31_745.0),
+            ("replica-reads", "none", 42_847.0),
+            ("causal", "none", 42_840.0),
+            ("replica-reads", "client_cache", 129_855.0),
+            ("bounded-staleness", "client_cache", 129_800.0),
+            ("replica-reads", "node_cache", 734_485.0),
+        ]
+        .into_iter()
+        .map(|(mode, cache, reads_per_sec)| ConsistencyRow {
+            name: format!("{mode}/{cache}"),
+            mode,
+            cache,
+            reads_per_sec,
+            read_latency: Duration::from_micros(100),
+        })
+        .collect()
+    }
+
+    /// `healthy()` with one row's rate replaced.
+    fn with_rate(name: &str, reads_per_sec: f64) -> Vec<ConsistencyRow> {
+        let mut rows = healthy();
+        rows.iter_mut().find(|r| r.name == name).expect("known row").reads_per_sec = reads_per_sec;
+        rows
+    }
+
     #[test]
-    fn node_cache_beats_the_churned_client_cache() {
-        let (_, rows) = consistency_ablate(Scale::Quick);
-        let rate = |name: &str| {
-            rows.iter()
-                .find(|r| r.name == name)
-                .unwrap_or_else(|| panic!("row {name}"))
-                .reads_per_sec
-        };
-        let lin = rate("linearizable/none");
-        let replica = rate("replica-reads/none");
-        let client = rate("replica-reads/client_cache");
-        let node = rate("replica-reads/node_cache");
-        assert!(
-            replica > lin * 1.2,
-            "replica reads must relieve the primaries: lin={lin:.0} replica={replica:.0}"
-        );
-        assert!(
-            node > client * 1.2,
-            "the host-shared cache must survive client churn that kills \
-             the per-client cache: client={client:.0} node={node:.0}"
-        );
-        for r in &rows {
-            assert!(r.reads_per_sec > 0.0, "{} made no progress", r.name);
+    fn check_holds_each_claim() {
+        assert_eq!(check(&healthy()), Ok(()));
+        for (name, rate, broken) in [
+            ("causal/none", 0.0, "causal/none made no progress"),
+            // 1.15x: under the 1.2x the docs claim.
+            ("replica-reads/none", 36_500.0, "does not beat linearizable/none"),
+            ("replica-reads/node_cache", 150_000.0, "does not beat replica-reads/client_cache"),
+        ] {
+            let err = check(&with_rate(name, rate)).unwrap_err();
+            assert!(err.contains(broken), "{name}: {err}");
         }
+        let err = check(&healthy()[1..]).unwrap_err();
+        assert!(err.contains("row linearizable/none missing"), "{err}");
     }
 }

@@ -2,13 +2,13 @@
 //! served by an autoscaled DSO fleet vs the same fleet held static.
 //!
 //! Runs [`crucial_ml::elastic::run_elastic`] twice (autoscale on/off),
-//! prints the comparison table, exports the autoscaled run's trace to
+//! renders the comparison table, the autoscaled run's trace exports
 //! `results/trace-elastic.{chrome.json,jsonl}` (reconcile/scale/drain
-//! spans and shed instants included), and records the headline numbers in
-//! `BENCH_elastic.json`. The run self-checks the acceptance criteria: the
-//! autoscaler must scale out and drain at least once, track ≥ 90% of
-//! offered load through the 3× phase, and the admission controller must
-//! have shed under the ramp.
+//! spans and shed instants included), and the headline numbers, exact in
+//! virtual time and committed as `BENCH_elastic.json`. The run self-checks
+//! the acceptance criteria: the autoscaler must scale out and drain at
+//! least once, track ≥ 90% of offered load through the 3× phase, and the
+//! admission controller must have shed under the ramp.
 
 use std::time::Duration;
 
@@ -16,7 +16,8 @@ use simcore::Tracer;
 
 use crucial_ml::elastic::{run_elastic, run_elastic_with, ElasticConfig, ElasticReport};
 
-use super::Scale;
+use super::traced::trace_exports;
+use super::{OutFile, Scale};
 use crate::report::Table;
 
 fn config(scale: Scale) -> ElasticConfig {
@@ -30,9 +31,9 @@ fn usd(v: f64) -> String {
     format!("${v:.5}")
 }
 
-/// Runs the comparison and renders the table. Returns the reports for
-/// tests.
-pub fn elastic(scale: Scale) -> (Table, ElasticReport, ElasticReport) {
+/// Runs the comparison and renders the table and the output files. Returns
+/// the autoscaled run's report beside them.
+pub fn elastic(scale: Scale) -> (Table, ElasticReport, Vec<OutFile>) {
     let cfg = config(scale);
     let tracer = Tracer::new();
     let t2 = tracer.clone();
@@ -99,25 +100,19 @@ pub fn elastic(scale: Scale) -> (Table, ElasticReport, ElasticReport) {
         usd(stat.faas_cost_usd + stat.node_cost_usd),
     ]);
 
-    if let Err(e) = write_outputs(&tracer, &cfg, &auto, &stat, auto_track, stat_track) {
-        eprintln!("could not write elastic outputs: {e}");
-    }
-    (t, auto, stat)
+    let mut files = Vec::from(trace_exports("elastic", &tracer));
+    let json = render_json(&cfg, &auto, &stat, auto_track, stat_track);
+    files.push(("BENCH_elastic.json".into(), json));
+    (t, auto, files)
 }
 
-fn write_outputs(
-    tracer: &Tracer,
+fn render_json(
     cfg: &ElasticConfig,
     auto: &ElasticReport,
     stat: &ElasticReport,
     auto_track: f64,
     stat_track: f64,
-) -> std::io::Result<()> {
-    std::fs::create_dir_all("results")?;
-    std::fs::write("results/trace-elastic.chrome.json", tracer.export_chrome_json())?;
-    std::fs::write("results/trace-elastic.jsonl", tracer.export_jsonl())?;
-    println!("wrote results/trace-elastic.chrome.json");
-    println!("wrote results/trace-elastic.jsonl");
+) -> String {
     let side =
         |r: &ElasticReport, track: f64| {
             format!(
@@ -128,15 +123,12 @@ fn write_outputs(
             r.faas_cost_usd, r.node_cost_usd,
         )
         };
-    let json = format!(
+    format!(
         "{{\n  \"bench\": \"elastic\",\n  \"offered_peak_per_s\": {:.1},\n  \"phase_secs\": {},\n  \
          \"autoscaled\": {},\n  \"static\": {}\n}}\n",
         auto.offered.1,
         cfg.phase.as_secs(),
         side(auto, auto_track),
         side(stat, stat_track),
-    );
-    std::fs::write("BENCH_elastic.json", &json)?;
-    println!("wrote BENCH_elastic.json");
-    Ok(())
+    )
 }

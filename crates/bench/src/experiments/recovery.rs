@@ -1,5 +1,5 @@
-//! `recovery` — the durability subsystem's two headline curves, reported
-//! in `BENCH_recovery.json` and gated by `simcheck`'s `benchcheck` bin:
+//! `recovery` — the durability subsystem's two headline curves, held by
+//! [`check`] and committed, exact in virtual time, as `BENCH_recovery.json`:
 //!
 //! 1. **Recovery time vs checkpoint cadence.** A fixed Sync-durability
 //!    workload runs against a 3-node cluster with a scheduled
@@ -7,7 +7,7 @@
 //!    crashes and [`DsoCluster::recover_from`] rebuilds the deployment
 //!    from the store. More frequent checkpoints garbage-collect more of
 //!    the WAL, so both the replayed log bytes and the recovery time must
-//!    shrink as the cadence tightens — `benchcheck` holds the endpoints
+//!    shrink as the cadence tightens — the check holds the endpoints
 //!    (the fastest cadence beats no checkpoints ≥ 1.2× on time and
 //!    strictly on replayed bytes).
 //! 2. **Write-latency overhead per durability level.** The same write
@@ -31,14 +31,14 @@ use dso::{
 
 use cloudstore::{spawn_s3, S3Config};
 
-use super::Scale;
+use super::{OutFile, Scale};
 use crate::report::{fmt_dur, Table};
 
 /// One point of the recovery-time-vs-cadence curve.
 #[derive(Clone, Debug)]
 pub struct RecoveryRow {
-    /// Section name (`none` or `ckpt_<interval>ms`), the key `benchcheck`
-    /// gates on.
+    /// Row name (`none` or `ckpt_<interval>ms`), the key [`check`] looks
+    /// rows up by.
     pub name: String,
     /// Checkpoint interval; zero means no checkpointing.
     pub checkpoint_ms: u64,
@@ -56,7 +56,7 @@ pub struct RecoveryRow {
 /// One row of the durability-level overhead table.
 #[derive(Clone, Debug)]
 pub struct OverheadRow {
-    /// Section name: `none`, `async`, or `sync`.
+    /// Row name: `none`, `async`, or `sync`.
     pub name: &'static str,
     /// Mean client-observed write latency.
     pub mean_write: Duration,
@@ -68,8 +68,8 @@ const NODES: u32 = 3;
 const OBJECTS: u32 = 16;
 const WRITERS: u32 = 4;
 const GROUP_COMMIT: Duration = Duration::from_millis(25);
-/// The cadence sweep; fixed across scales so the `benchcheck` section
-/// names stay stable (`Scale` only stretches the workload).
+/// The cadence sweep; fixed across scales so the row names stay stable
+/// (`Scale` only stretches the workload).
 const CADENCES_MS: [u64; 3] = [2000, 1000, 500];
 
 fn durability(s3: &cloudstore::S3Handle, level: DurabilityLevel) -> DurabilityConfig {
@@ -177,8 +177,61 @@ fn run_overhead_cell(seed: u64, level: Option<DurabilityLevel>, run: Duration) -
     (reg.histogram("bench.write_latency").mean(), reg.counter_value("bench.writes"))
 }
 
-/// Runs both curves, prints the tables, writes `BENCH_recovery.json`.
-pub fn recovery(scale: Scale) -> (Table, Vec<RecoveryRow>, Vec<OverheadRow>) {
+/// Recovering from the WAL alone must take at least this many times the
+/// recovery atop a 500 ms checkpoint cadence (observed 2.4x).
+const RECOVERY_SPEEDUP: f64 = 1.2;
+/// `async` group commit must keep the mean write within this factor of no
+/// durability at all (observed 1.00x).
+const ASYNC_OVERHEAD_CAP: f64 = 1.2;
+
+/// The claims `recovery` holds; `Err` names the first broken one.
+pub fn check(rows: &[RecoveryRow], overhead: &[OverheadRow]) -> Result<(), String> {
+    for r in rows {
+        claim!(
+            r.objects == OBJECTS as usize,
+            "{} recovered {} of {OBJECTS} objects — recovery lost state",
+            r.name,
+            r.objects
+        );
+    }
+    let row =
+        |name: &str| rows.iter().find(|r| r.name == name).ok_or(format!("row {name} missing"));
+    let (none, fast) = (row("none")?, row("ckpt_500ms")?);
+    claim!(
+        none.recovery.as_secs_f64() >= fast.recovery.as_secs_f64() * RECOVERY_SPEEDUP,
+        "recovery from the WAL alone ({:?}) is not at least {RECOVERY_SPEEDUP}x ckpt_500ms \
+         ({:?}) — checkpoints stopped buying down recovery",
+        none.recovery,
+        fast.recovery
+    );
+    claim!(
+        fast.replayed_bytes < none.replayed_bytes,
+        "ckpt_500ms replayed {} B, not fewer than none ({} B) — checkpoint GC stopped \
+         truncating the WAL",
+        fast.replayed_bytes,
+        none.replayed_bytes
+    );
+    let mean = |name: &str| {
+        let level = overhead.iter().find(|r| r.name == name).ok_or(format!("level {name} missing"));
+        level.map(|r| r.mean_write)
+    };
+    let (none, async_, sync) = (mean("none")?, mean("async")?, mean("sync")?);
+    claim!(
+        async_.as_secs_f64() <= none.as_secs_f64() * ASYNC_OVERHEAD_CAP,
+        "async mean write ({async_:?}) exceeds {ASYNC_OVERHEAD_CAP}x the no-durability mean \
+         ({none:?}) — async logging leaked onto the write path"
+    );
+    claim!(
+        sync > async_,
+        "sync mean write ({sync:?}) is not above async ({async_:?}) — sync acks ride the \
+         segment PUT and cannot be cheaper"
+    );
+    Ok(())
+}
+
+/// Runs both curves, holds the claims, prints the overhead table, renders
+/// the recovery table and `BENCH_recovery.json`.
+pub fn recovery(scale: Scale) -> (Table, OutFile) {
     let run = scale.pick(Duration::from_secs(4), Duration::from_secs(8));
     let mut rows = Vec::new();
     let cells: Vec<(String, Option<Duration>)> = std::iter::once(("none".to_string(), None))
@@ -210,6 +263,7 @@ pub fn recovery(scale: Scale) -> (Table, Vec<RecoveryRow>, Vec<OverheadRow>) {
         OverheadRow { name, mean_write, writes }
     })
     .collect();
+    check(&rows, &overhead).unwrap_or_else(|broken| panic!("recovery: {broken}"));
 
     let mut t = Table::new(
         "Durability — full-cluster crash recovery vs checkpoint cadence (3 nodes, Sync WAL)",
@@ -232,13 +286,10 @@ pub fn recovery(scale: Scale) -> (Table, Vec<RecoveryRow>, Vec<OverheadRow>) {
         t2.row(&[r.name.to_string(), fmt_dur(r.mean_write), r.writes.to_string()]);
     }
     t2.print();
-    if let Err(e) = write_json(scale, &rows, &overhead) {
-        eprintln!("could not write BENCH_recovery.json: {e}");
-    }
-    (t, rows, overhead)
+    (t, ("BENCH_recovery.json".into(), render_json(scale, &rows, &overhead)))
 }
 
-fn write_json(scale: Scale, rows: &[RecoveryRow], overhead: &[OverheadRow]) -> std::io::Result<()> {
+fn render_json(scale: Scale, rows: &[RecoveryRow], overhead: &[OverheadRow]) -> String {
     let body = rows
         .iter()
         .map(|r| {
@@ -267,65 +318,66 @@ fn write_json(scale: Scale, rows: &[RecoveryRow], overhead: &[OverheadRow]) -> s
         })
         .collect::<Vec<_>>()
         .join(",\n");
-    let json = format!(
+    format!(
         "{{\n  \"bench\": \"recovery\",\n  \"scale\": \"{}\",\n  \"rows\": [\n{}\n  ],\n  \
          \"overhead\": [\n{}\n  ]\n}}\n",
-        match scale {
-            Scale::Quick => "quick",
-            Scale::Paper => "paper",
-        },
+        scale.label(),
         body,
         oh,
-    );
-    std::fs::write("BENCH_recovery.json", &json)?;
-    println!("wrote BENCH_recovery.json");
-    Ok(())
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// A healthy report at HEAD's figures, rounded.
+    fn healthy() -> (Vec<RecoveryRow>, Vec<OverheadRow>) {
+        let rows = [
+            ("none", 0, 8649, 52_749),
+            ("ckpt_2000ms", 2000, 8676, 52_651),
+            ("ckpt_1000ms", 1000, 5175, 25_533),
+            ("ckpt_500ms", 500, 3568, 13_227),
+        ]
+        .into_iter()
+        .map(|(name, checkpoint_ms, recovery_ms, replayed_bytes)| RecoveryRow {
+            name: name.to_string(),
+            checkpoint_ms,
+            recovery: Duration::from_millis(recovery_ms),
+            replayed_bytes,
+            wal_segments: 100,
+            objects: OBJECTS as usize,
+        })
+        .collect();
+        let overhead = [("none", 402, 1484), ("async", 401, 1484), ("sync", 54_807, 136)]
+            .into_iter()
+            .map(|(name, us, writes)| OverheadRow {
+                name,
+                mean_write: Duration::from_micros(us),
+                writes,
+            })
+            .collect();
+        (rows, overhead)
+    }
+
     #[test]
-    fn checkpoints_buy_down_recovery_and_async_logging_is_off_the_write_path() {
-        let (_, rows, overhead) = recovery(Scale::Quick);
-        let row = |name: &str| {
-            rows.iter().find(|r| r.name == name).unwrap_or_else(|| panic!("row {name}"))
+    fn check_holds_each_claim() {
+        let (rows, overhead) = healthy();
+        assert_eq!(check(&rows, &overhead), Ok(()));
+        let broken = |edit: &dyn Fn(&mut [RecoveryRow], &mut [OverheadRow])| {
+            let (mut rows, mut overhead) = healthy();
+            edit(&mut rows, &mut overhead);
+            check(&rows, &overhead).unwrap_err()
         };
-        let none = row("none");
-        let fast = row("ckpt_500ms");
-        assert!(
-            none.recovery.as_secs_f64() >= fast.recovery.as_secs_f64() * 1.2,
-            "frequent checkpoints must shrink recovery: none={:?} ckpt_500ms={:?}",
-            none.recovery,
-            fast.recovery
-        );
-        assert!(
-            fast.replayed_bytes < none.replayed_bytes,
-            "frequent checkpoints must shrink the replayed log: none={} ckpt_500ms={}",
-            none.replayed_bytes,
-            fast.replayed_bytes
-        );
-        for r in &rows {
-            assert!(r.objects as u32 == OBJECTS, "{}: all counters recovered", r.name);
-        }
-        let mean = |name: &str| {
-            overhead
-                .iter()
-                .find(|r| r.name == name)
-                .unwrap_or_else(|| panic!("overhead {name}"))
-                .mean_write
-                .as_secs_f64()
-        };
-        assert!(
-            mean("async") < mean("none") * 1.2,
-            "async logging must stay off the write path: none={:.4}ms async={:.4}ms",
-            mean("none") * 1e3,
-            mean("async") * 1e3
-        );
-        assert!(
-            mean("sync") > mean("async"),
-            "sync acks ride the segment PUT and cannot be cheaper than async"
-        );
+        let err = broken(&|rows, _| rows[3].recovery = Duration::from_millis(8000));
+        assert!(err.contains("checkpoints stopped buying down recovery"), "{err}");
+        let err = broken(&|rows, _| rows[3].replayed_bytes = 52_749);
+        assert!(err.contains("checkpoint GC stopped truncating the WAL"), "{err}");
+        let err = broken(&|rows, _| rows[2].objects = 15);
+        assert!(err.contains("ckpt_1000ms recovered 15 of 16 objects"), "{err}");
+        let err = broken(&|_, overhead| overhead[1].mean_write = Duration::from_micros(5000));
+        assert!(err.contains("async logging leaked onto the write path"), "{err}");
+        let err = broken(&|_, overhead| overhead[2].mean_write = Duration::from_micros(401));
+        assert!(err.contains("is not above async"), "{err}");
     }
 }

@@ -2,7 +2,7 @@
 //! subsystem installed and export its traces.
 //!
 //! Each run installs a [`Tracer`] and a [`MetricsRegistry`] on the fresh
-//! `Sim` (via the `run_*_with` setup hooks), then writes
+//! `Sim` (via the `run_*_with` setup hooks), then renders
 //!
 //! * `results/trace-<app>.chrome.json` — Chrome trace-event JSON; open it
 //!   in `chrome://tracing` / Perfetto to see the causal span tree
@@ -11,16 +11,16 @@
 //! * `results/trace-<app>.jsonl` — one span per line with integer
 //!   nanosecond timestamps, for scripted analysis,
 //!
-//! and prints a table of the registry's counters. Everything is stamped
-//! with simulated time only, so identical seeds produce byte-identical
-//! exports.
+//! for the `experiments` binary to write, and prints a table of the
+//! registry's counters. Everything is stamped with simulated time only, so
+//! identical seeds produce byte-identical exports.
 
 use simcore::{MetricsRegistry, Tracer};
 
 use crucial_apps::pi::run_pi_crucial_with;
 use crucial_ml::kmeans::{run_crucial_kmeans_with, KMeansConfig};
 
-use super::Scale;
+use super::{OutFile, Scale};
 use crate::report::Table;
 
 /// Counter names worth a row in the summary table, with labels.
@@ -35,8 +35,8 @@ const COUNTERS: &[(&str, &str)] = &[
     ("dso.view_changes", "view changes"),
 ];
 
-fn summary_table(title: &str, reg: &MetricsRegistry, tracer: &Tracer) -> Table {
-    let mut t = Table::new(title, &["Metric", "Value"]);
+fn summary_table(app: &str, reg: &MetricsRegistry, tracer: &Tracer) -> Table {
+    let mut t = Table::new(&format!("{app} — observability summary"), &["Metric", "Value"]);
     for (name, label) in COUNTERS {
         t.row(&[label.to_string(), reg.counter_value(name).to_string()]);
     }
@@ -44,29 +44,17 @@ fn summary_table(title: &str, reg: &MetricsRegistry, tracer: &Tracer) -> Table {
     t
 }
 
-fn write_exports(app: &str, tracer: &Tracer) -> std::io::Result<(String, String)> {
-    std::fs::create_dir_all("results")?;
-    let chrome = format!("results/trace-{app}.chrome.json");
-    let jsonl = format!("results/trace-{app}.jsonl");
-    std::fs::write(&chrome, tracer.export_chrome_json())?;
-    std::fs::write(&jsonl, tracer.export_jsonl())?;
-    Ok((chrome, jsonl))
+/// The two exports of `tracer`, as `results/trace-<app>.*`.
+pub(super) fn trace_exports(app: &str, tracer: &Tracer) -> [OutFile; 2] {
+    [
+        (format!("results/trace-{app}.chrome.json"), tracer.export_chrome_json()),
+        (format!("results/trace-{app}.jsonl"), tracer.export_jsonl()),
+    ]
 }
 
-fn report(app: &str, reg: &MetricsRegistry, tracer: &Tracer) {
-    match write_exports(app, tracer) {
-        Ok((chrome, jsonl)) => {
-            println!("wrote {chrome}");
-            println!("wrote {jsonl}");
-        }
-        Err(e) => eprintln!("could not write trace exports: {e}"),
-    }
-    summary_table(&format!("{app} — observability summary"), reg, tracer).print();
-}
-
-/// Traced π estimation (Listing 1): exports the trace and prints the
-/// metric counters of the run.
-pub fn trace_pi(scale: Scale) {
+/// Traced π estimation (Listing 1): prints the metric counters of the run
+/// and returns the trace exports.
+pub fn trace_pi(scale: Scale) -> [OutFile; 2] {
     let threads = scale.pick(8, 200);
     let points = scale.pick(1_000_000, 100_000_000);
     let tracer = Tracer::new();
@@ -77,12 +65,13 @@ pub fn trace_pi(scale: Scale) {
         sim.set_metrics(&r2);
     });
     println!("pi ≈ {:.6} in {:?} of simulated time", r.estimate, r.duration);
-    report("pi", &reg, &tracer);
+    summary_table("pi", &reg, &tracer).print();
+    trace_exports("pi", &tracer)
 }
 
-/// Traced k-means training (Listing 2): exports the trace and prints the
-/// metric counters of the run.
-pub fn trace_kmeans(scale: Scale) {
+/// Traced k-means training (Listing 2): prints the metric counters of the
+/// run and returns the trace exports.
+pub fn trace_kmeans(scale: Scale) -> [OutFile; 2] {
     let cfg = KMeansConfig {
         seed: 42,
         workers: scale.pick(10, 80),
@@ -102,7 +91,8 @@ pub fn trace_kmeans(scale: Scale) {
         r.iteration_phase,
         r.total
     );
-    report("kmeans", &reg, &tracer);
+    summary_table("kmeans", &reg, &tracer).print();
+    trace_exports("kmeans", &tracer)
 }
 
 #[cfg(test)]

@@ -3,11 +3,8 @@
 //! non-zero when any finding survives.
 //!
 //! Usage:
-//! `cargo run -p simcheck --bin simanalyze [-- [--json] [--readonly-report PATH] [<root>]]`
+//! `cargo run -p simcheck --bin simanalyze [-- [--readonly-report PATH] [<root>]]`
 //!
-//! - `--json` prints findings as a JSON array (`file`, `line`, `rule`,
-//!   `msg`) instead of human-readable lines, for machine-parseable CI
-//!   logs.
 //! - `--readonly-report PATH` writes the proven-pure readonly method
 //!   report (one `Type method` per line); the DSO runtime loads it via
 //!   `DsoConfig::pure_methods` to skip snapshot verification for proven
@@ -19,22 +16,17 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use simcheck::json::escape as esc;
-
 struct Args {
-    json: bool,
     report: Option<PathBuf>,
     root: PathBuf,
 }
 
 fn parse_args() -> Result<Args, String> {
-    let mut json = false;
     let mut report = None;
     let mut root = None;
     let mut argv = std::env::args().skip(1);
     while let Some(a) = argv.next() {
         match a.as_str() {
-            "--json" => json = true,
             "--readonly-report" => {
                 let p = argv.next().ok_or("--readonly-report needs a path")?;
                 report = Some(PathBuf::from(p));
@@ -51,7 +43,7 @@ fn parse_args() -> Result<Args, String> {
             PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..")
         }
     });
-    Ok(Args { json, report, root })
+    Ok(Args { report, root })
 }
 
 fn main() -> ExitCode {
@@ -79,38 +71,17 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     }
-    if args.json {
-        let items: Vec<String> = analysis
-            .findings
-            .iter()
-            .map(|f| {
-                format!(
-                    "{{\"file\":\"{}\",\"line\":{},\"rule\":\"{}\",\"msg\":\"{}\"}}",
-                    esc(&f.file),
-                    f.line,
-                    f.rule,
-                    esc(&f.msg)
-                )
-            })
-            .collect();
-        println!("[{}]", items.join(","));
-    } else {
-        for f in &analysis.findings {
-            println!("{f}");
-        }
+    for f in &analysis.findings {
+        println!("{f}");
     }
     if analysis.findings.is_empty() {
-        if !args.json {
-            println!(
-                "simanalyze: clean ({} proven-pure readonly methods)",
-                analysis.pure.entries.len()
-            );
-        }
+        println!(
+            "simanalyze: clean ({} proven-pure readonly methods)",
+            analysis.pure.entries.len()
+        );
         ExitCode::SUCCESS
     } else {
-        if !args.json {
-            println!("simanalyze: {} finding(s)", analysis.findings.len());
-        }
+        println!("simanalyze: {} finding(s)", analysis.findings.len());
         ExitCode::FAILURE
     }
 }

@@ -1,13 +1,10 @@
 //! A minimal JSON data model and recursive-descent parser.
 //!
-//! The workspace carries no JSON dependency, but two CI gates need to
-//! *read* JSON the benches and tracer write: `tracecheck` (Chrome trace
-//! exports) and `benchcheck` (`BENCH_*.json` result files). Both share
-//! this parser. It handles the full JSON grammar the exporters emit —
-//! objects, arrays, strings with escapes (including UTF-16 surrogate
-//! pairs), numbers as `f64` — and rejects trailing garbage, which is all
-//! a checker needs. [`escape`] is the matching writer-side helper for the
-//! gates that emit machine-readable findings.
+//! The workspace carries no JSON dependency, but `tracecheck` needs to
+//! *read* the Chrome trace exports the tracer writes. The parser handles
+//! the full JSON grammar the exporter emits — objects, arrays, strings
+//! with escapes (including UTF-16 surrogate pairs), numbers as `f64` — and
+//! rejects trailing garbage, which is all a checker needs.
 
 /// A parsed JSON value. Just enough of the data model for the checkers.
 #[derive(Debug, Clone, PartialEq)]
@@ -50,28 +47,6 @@ impl Json {
             _ => None,
         }
     }
-}
-
-/// Escapes `s` for embedding inside a JSON string literal (without the
-/// surrounding quotes). The inverse of what [`parse`] unescapes; used by
-/// the gates that *emit* machine-readable findings (`benchcheck --json`,
-/// `simanalyze --json`).
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Maximum container nesting [`parse`] accepts. The recursive-descent
@@ -361,13 +336,6 @@ mod tests {
         assert_eq!(parse("5e-324").unwrap(), Json::Num(5e-324));
         assert_eq!(parse("1e400").unwrap(), Json::Num(f64::INFINITY));
         assert_eq!(parse("1e-400").unwrap(), Json::Num(0.0));
-    }
-
-    #[test]
-    fn escape_round_trips_through_parse() {
-        let nasty = "quote\" backslash\\ newline\n tab\t ctrl\u{1} emoji😀";
-        let wrapped = format!("\"{}\"", escape(nasty));
-        assert_eq!(parse(&wrapped).unwrap(), Json::Str(nasty.to_string()));
     }
 
     #[test]

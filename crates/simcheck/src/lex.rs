@@ -310,15 +310,13 @@ pub fn lex(src: &str) -> Vec<Tok> {
     Lexer { b: src.as_bytes(), pos: 0, line: 1, out: Vec::new() }.run()
 }
 
-/// The three blanked projections of a source file the legacy line rules
-/// match against. All have exactly the original's byte length and line
+/// The two blanked projections of a source file the legacy line rules
+/// match against. Both have exactly the original's byte length and line
 /// structure, so offsets are interchangeable.
 pub struct Views {
     /// Comments and literal *contents* blanked (literal delimiters kept so
     /// brace matching and quote positions survive).
     pub code: String,
-    /// Only comments blanked; literals kept verbatim.
-    pub no_comments: String,
     /// Everything *except* comments blanked.
     pub comments: String,
 }
@@ -327,7 +325,6 @@ pub struct Views {
 pub fn views(src: &str, toks: &[Tok]) -> Views {
     let base: Vec<u8> = src.bytes().map(|c| if c == b'\n' { b'\n' } else { b' ' }).collect();
     let mut code = base.clone();
-    let mut noc = base.clone();
     let mut com = base;
     let b = src.as_bytes();
     for t in toks {
@@ -336,24 +333,19 @@ pub fn views(src: &str, toks: &[Tok]) -> Views {
                 com[t.lo..t.hi].copy_from_slice(&b[t.lo..t.hi]);
             }
             TokKind::Str => {
-                noc[t.lo..t.hi].copy_from_slice(&b[t.lo..t.hi]);
                 // Keep only the delimiters in the code view. First and
                 // last bytes are always ASCII (quote, prefix letter, #).
                 code[t.lo] = b[t.lo];
                 code[t.hi - 1] = b[t.hi - 1];
             }
-            _ => {
-                code[t.lo..t.hi].copy_from_slice(&b[t.lo..t.hi]);
-                noc[t.lo..t.hi].copy_from_slice(&b[t.lo..t.hi]);
-            }
+            _ => code[t.lo..t.hi].copy_from_slice(&b[t.lo..t.hi]),
         }
     }
     // invariant: only whole tokens (char-boundary aligned) or single ASCII
-    // bytes were copied over the space-filled base, so all three buffers
+    // bytes were copied over the space-filled base, so both buffers
     // remain valid UTF-8.
     Views {
         code: String::from_utf8(code).expect("views preserve UTF-8"),
-        no_comments: String::from_utf8(noc).expect("views preserve UTF-8"),
         comments: String::from_utf8(com).expect("views preserve UTF-8"),
     }
 }
@@ -443,11 +435,9 @@ mod tests {
             "let s = \"Instant::now\"; // Instant::now\nlet c = '🦀'; /* multi\nline */ f();\n";
         let v = views(src, &lex(src));
         assert_eq!(v.code.len(), src.len());
-        assert_eq!(v.no_comments.len(), src.len());
         assert_eq!(v.comments.len(), src.len());
         assert_eq!(v.code.lines().count(), src.lines().count());
         assert!(!v.code.contains("Instant"), "literal + comment blanked: {}", v.code);
-        assert!(v.no_comments.contains("\"Instant::now\""));
         assert!(v.comments.contains("// Instant::now"));
         assert!(v.code.contains("f()"));
     }

@@ -2,10 +2,11 @@
 //!
 //! The simulation's guarantees rest on conventions a compiler cannot see:
 //! no wall-clock reads inside simulated code, no native threads outside the
-//! kernel, no panics on the DSO request path, and `is_readonly`
-//! declarations that are actually true. `simlint` is a
-//! hand-rolled source scanner (no external parser) that enforces those
-//! conventions over `crates/**/*.rs` and fails CI on violations.
+//! kernel, no panics on the DSO request path, and spans stamped with
+//! simulated time only. `simlint` is a hand-rolled source scanner (no
+//! external parser) that enforces those conventions over `crates/**/*.rs`
+//! and fails CI on violations. (`is_readonly` declarations that are
+//! actually true are [`analyze`]'s `readonly-impure`.)
 //!
 //! Escape hatches:
 //!
@@ -16,10 +17,8 @@
 //!   comment within the three preceding lines documents why the value is
 //!   always present.
 //!
-//! The scanner strips comments and string literals before matching, tracks
-//! `#[cfg(test)] mod` blocks (test code may panic freely), and parses
-//! `impl SharedObject for` blocks to cross-check `is_readonly` against the
-//! method bodies in `invoke`.
+//! The scanner strips comments and string literals before matching and
+//! tracks `#[cfg(test)] mod` blocks (test code may panic freely).
 
 use std::collections::{HashMap, HashSet};
 use std::fmt;
@@ -39,8 +38,6 @@ pub enum Rule {
     NativeThread,
     /// `unwrap`/`expect`/`panic!` on the DSO request path (non-test code).
     NoPanic,
-    /// A method declared read-only whose `invoke` arm mutates `self`.
-    ReadonlyMutation,
     /// A span or metric stamped from a non-`SimTime` source.
     TraceTime,
     /// A malformed `simlint: allow` directive (unknown rule, no reason).
@@ -66,7 +63,6 @@ impl Rule {
             Rule::WallClock => "wall-clock",
             Rule::NativeThread => "native-thread",
             Rule::NoPanic => "no-panic",
-            Rule::ReadonlyMutation => "readonly-mutation",
             Rule::TraceTime => "trace-time",
             Rule::BadAllow => "bad-allow",
             Rule::DeterminismTaint => "determinism-taint",
@@ -82,7 +78,6 @@ impl Rule {
             "wall-clock" => Some(Rule::WallClock),
             "native-thread" => Some(Rule::NativeThread),
             "no-panic" => Some(Rule::NoPanic),
-            "readonly-mutation" => Some(Rule::ReadonlyMutation),
             "trace-time" => Some(Rule::TraceTime),
             "determinism-taint" => Some(Rule::DeterminismTaint),
             "readonly-impure" => Some(Rule::ReadonlyImpure),
@@ -118,26 +113,13 @@ impl fmt::Display for Finding {
     }
 }
 
-/// The scrubbed views of a source file. All have exactly the same length
-/// and line structure as the original, so offsets are interchangeable
-/// between them and the original.
-struct Scrubbed {
-    /// Comments and string/char literal *contents* blanked to spaces.
-    code: String,
-    /// Only comments blanked; literals kept (method names live in strings).
-    no_comments: String,
-    /// Everything *except* comments blanked; directives are parsed from
-    /// here so text inside string literals never reads as a directive.
-    comments: String,
-}
-
-fn scrub(src: &str) -> Scrubbed {
-    // The views are rebuilt from the real lexer (`crate::lex`), so the
-    // line rules below inherit its exactness: degenerate comments like
-    // `/*/`, multibyte char literals and raw-string hash guards all
-    // tokenize correctly instead of being approximated by a scanner.
-    let v = lex::views(src, &lex::lex(src));
-    Scrubbed { code: v.code, no_comments: v.no_comments, comments: v.comments }
+/// The blanked views of a source file the line rules match against.
+fn scrub(src: &str) -> lex::Views {
+    // Rebuilt from the real lexer (`crate::lex`), so the line rules below
+    // inherit its exactness: degenerate comments like `/*/`, multibyte
+    // char literals and raw-string hash guards all tokenize correctly
+    // instead of being approximated by a scanner.
+    lex::views(src, &lex::lex(src))
 }
 
 /// Per-file lint context assembled once, consulted by every rule.
@@ -298,7 +280,6 @@ pub fn lint_source(path: &str, src: &str) -> Vec<Finding> {
     lint_native_thread(&ctx, &mut findings);
     lint_no_panic(&ctx, &mut findings);
     lint_trace_time(&ctx, &mut findings);
-    lint_readonly_mutation(&ctx, &scrubbed, &mut findings);
     findings
 }
 
@@ -413,170 +394,6 @@ fn lint_no_panic(ctx: &FileCtx<'_>, findings: &mut Vec<Finding>) {
     }
 }
 
-fn lint_readonly_mutation(ctx: &FileCtx<'_>, scrubbed: &Scrubbed, findings: &mut Vec<Finding>) {
-    // Integration tests define deliberately lying objects to exercise the
-    // runtime `verify_readonly` rejection path; those are the tests'
-    // point, not violations.
-    if ctx.path.contains("/tests/") {
-        return;
-    }
-    let code = &scrubbed.code;
-    let noc = &scrubbed.no_comments;
-    let line_of = line_index(code);
-    let mut search = 0;
-    while let Some(p) = code[search..].find("impl SharedObject for") {
-        let impl_at = search + p;
-        search = impl_at + 1;
-        let Some(open_rel) = code[impl_at..].find('{') else { continue };
-        let open = impl_at + open_rel;
-        let close = match_brace(code, open);
-        let readonly = readonly_names(&noc[open..close]);
-        if readonly.is_empty() {
-            continue;
-        }
-        let Some(inv_rel) = code[open..close].find("fn invoke") else { continue };
-        let inv_at = open + inv_rel;
-        let Some(inv_open_rel) = code[inv_at..close].find('{') else { continue };
-        let inv_open = inv_at + inv_open_rel;
-        let inv_close = match_brace(code, inv_open);
-        for name in &readonly {
-            let needle = format!("\"{name}\"");
-            let mut from = inv_open;
-            while let Some(q) = noc[from..inv_close].find(&needle) {
-                let at = from + q;
-                from = at + needle.len();
-                let after = &code[at + needle.len()..inv_close];
-                let Some(arrow) = after.find("=>") else { continue };
-                if after[..arrow].trim() != "" {
-                    continue; // not a match arm for this name
-                }
-                let arm_start = at + needle.len() + arrow + 2;
-                let arm = extract_arm(code, arm_start, inv_close);
-                if let Some(why) = find_mutation(arm) {
-                    let line = line_of(at);
-                    if !ctx.allowed(Rule::ReadonlyMutation, line) {
-                        push(
-                            findings,
-                            ctx,
-                            line,
-                            Rule::ReadonlyMutation,
-                            format!(
-                                "method \"{name}\" is declared read-only but its body mutates self ({why})"
-                            ),
-                        );
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// Method names quoted inside the `is_readonly` body (typically the
-/// `matches!(method, "a" | "b")` list). Operates on comment-stripped,
-/// string-preserving text of one impl block.
-fn readonly_names(block: &str) -> Vec<String> {
-    let Some(ro) = block.find("fn is_readonly") else { return Vec::new() };
-    let Some(open_rel) = block[ro..].find('{') else { return Vec::new() };
-    let open = ro + open_rel;
-    let close = match_brace(block, open);
-    let body = &block[open..close];
-    let mut names = Vec::new();
-    let mut rest = body;
-    while let Some(q1) = rest.find('"') {
-        let Some(q2) = rest[q1 + 1..].find('"') else { break };
-        names.push(rest[q1 + 1..q1 + 1 + q2].to_string());
-        rest = &rest[q1 + q2 + 2..];
-    }
-    names
-}
-
-/// The text of a match arm starting right after its `=>`, bounded by
-/// `limit`: a braced block, or everything up to the first top-level comma.
-fn extract_arm(code: &str, start: usize, limit: usize) -> &str {
-    let b = code.as_bytes();
-    let mut i = start;
-    while i < limit && (b[i] as char).is_whitespace() {
-        i += 1;
-    }
-    if i < limit && b[i] == b'{' {
-        let close = match_brace(code, i).min(limit);
-        return &code[i..close];
-    }
-    let mut depth = 0i32;
-    for j in i..limit {
-        match b[j] {
-            b'(' | b'[' | b'{' => depth += 1,
-            b')' | b']' | b'}' => depth -= 1,
-            b',' if depth == 0 => return &code[i..j],
-            _ => {}
-        }
-    }
-    &code[i..limit]
-}
-
-const MUTATORS: [&str; 14] = [
-    "push",
-    "push_back",
-    "push_front",
-    "insert",
-    "remove",
-    "pop",
-    "pop_front",
-    "pop_back",
-    "clear",
-    "drain",
-    "truncate",
-    "retain",
-    "extend",
-    "swap",
-];
-
-/// Scans one match arm for mutations of `self`; returns a description of
-/// the first one found.
-fn find_mutation(arm: &str) -> Option<String> {
-    if arm.contains("&mut self") {
-        return Some("takes &mut self".to_string());
-    }
-    if arm.contains("mem::take(") {
-        return Some("mem::take".to_string());
-    }
-    let b = arm.as_bytes();
-    let mut from = 0;
-    while let Some(p) = arm[from..].find("self.") {
-        let start = from + p + "self.".len();
-        from = start;
-        // Consume the field/method path.
-        let mut end = start;
-        while end < b.len() && (b[end].is_ascii_alphanumeric() || b[end] == b'_' || b[end] == b'.')
-        {
-            end += 1;
-        }
-        let path = &arm[start..end];
-        let mut rest = arm[end..].trim_start();
-        // Method-call mutators: self.x.push(..), self.queue.pop_front(), …
-        if rest.starts_with('(') {
-            let last = path.rsplit('.').next().unwrap_or(path);
-            if MUTATORS.contains(&last) {
-                return Some(format!("calls self.{path}(..)"));
-            }
-            continue;
-        }
-        // Assignments: self.x = .., self.x += .., …
-        for op in ["+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "<<=", ">>="] {
-            if rest.starts_with(op) {
-                return Some(format!("self.{path} {op} .."));
-            }
-        }
-        if let Some(tail) = rest.strip_prefix('=') {
-            if !tail.starts_with('=') && !tail.starts_with('>') {
-                return Some(format!("assigns self.{path}"));
-            }
-        }
-        let _ = &mut rest;
-    }
-    None
-}
-
 /// Recursively lints every `.rs` file under `root`, skipping build output,
 /// vendored compat shims and the lint fixtures themselves.
 ///
@@ -619,9 +436,8 @@ mod tests {
     fn scrub_blanks_comments_and_strings() {
         let s = scrub("let x = \"Instant::now\"; // Instant::now\nlet y = 1;");
         assert!(!s.code.contains("Instant::now"));
-        assert!(s.no_comments.contains("\"Instant::now\""));
-        assert!(!s.no_comments.contains("// Instant"));
-        assert_eq!(s.code.len(), s.no_comments.len());
+        assert!(s.comments.contains("// Instant::now"));
+        assert_eq!(s.code.len(), s.comments.len());
     }
 
     #[test]
@@ -697,60 +513,5 @@ mod tests {
         assert_eq!(lint_source("crates/dso/src/a.rs", bad).len(), 1);
         let good = "fn f() {\n    // invariant: x was set above.\n    x.expect(\"y\");\n}\n";
         assert!(lint_source("crates/dso/src/a.rs", good).is_empty());
-    }
-
-    const SNEAKY: &str = r#"
-impl SharedObject for Sneaky {
-    fn invoke(&mut self, call: &CallCtx, method: &str, args: &[u8]) -> Result<Effects, ObjErr> {
-        match method {
-            "peek" => {
-                self.count += 1;
-                Effects::value(&self.count)
-            }
-            "get" => Effects::value(&self.count),
-            other => Err(ObjErr::MethodNotFound(other.to_string())),
-        }
-    }
-    fn is_readonly(&self, method: &str) -> bool {
-        matches!(method, "peek" | "get")
-    }
-}
-"#;
-
-    #[test]
-    fn readonly_mutation_caught() {
-        let f = lint_source("crates/x/src/obj.rs", SNEAKY);
-        assert_eq!(f.len(), 1, "{f:?}");
-        assert_eq!(f[0].rule, Rule::ReadonlyMutation);
-        assert!(f[0].msg.contains("peek"), "{}", f[0].msg);
-        // An honest read-only arm ("get") is not flagged.
-        assert!(!f.iter().any(|f| f.msg.contains("\"get\"")));
-    }
-
-    #[test]
-    fn readonly_mutation_allow_honored() {
-        let allowed = SNEAKY.replace(
-            "            \"peek\" =>",
-            "            // simlint: allow(readonly-mutation, reason = \"test fixture\")\n            \"peek\" =>",
-        );
-        assert!(lint_source("crates/x/src/obj.rs", &allowed).is_empty());
-    }
-
-    #[test]
-    fn readonly_method_call_mutators_caught() {
-        let src = r#"
-impl SharedObject for S {
-    fn invoke(&mut self, call: &CallCtx, method: &str, args: &[u8]) -> Result<Effects, ObjErr> {
-        match method {
-            "size" => { self.items.push(1); Effects::value(&0) }
-            other => Err(ObjErr::MethodNotFound(other.to_string())),
-        }
-    }
-    fn is_readonly(&self, method: &str) -> bool { matches!(method, "size") }
-}
-"#;
-        let f = lint_source("crates/x/src/obj.rs", src);
-        assert_eq!(f.len(), 1, "{f:?}");
-        assert!(f[0].msg.contains("push"));
     }
 }

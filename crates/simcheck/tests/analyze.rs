@@ -39,6 +39,19 @@ fn bad_tree_yields_exactly_the_planted_findings() {
 }
 
 #[test]
+fn readonly_method_that_mutates_is_caught_at_its_arm() {
+    let analysis = analyze_tree(&fixture("bad")).expect("walk fixtures");
+    let f = analysis
+        .findings
+        .iter()
+        .find(|f| f.file.ends_with("impure.rs"))
+        .expect("planted impure finding");
+    // At the lying "peek" arm; "bump" mutates too but claims nothing.
+    assert_eq!((f.rule, f.line), (Rule::ReadonlyImpure, 11));
+    assert!(f.msg.contains("\"peek\"") && f.msg.contains("self.count"), "{}", f.msg);
+}
+
+#[test]
 fn interprocedural_taint_is_beyond_any_line_regex() {
     let analysis = analyze_tree(&fixture("bad")).expect("walk fixtures");
     let f = analysis

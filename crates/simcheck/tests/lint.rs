@@ -24,7 +24,6 @@ fn fixture_tree_yields_exactly_the_planted_findings() {
         ("panics.rs".to_string(), Rule::NoPanic),
         ("panics.rs".to_string(), Rule::NoPanic),
         ("reconcile.rs".to_string(), Rule::WallClock),
-        ("sneaky.rs".to_string(), Rule::ReadonlyMutation),
         ("threads.rs".to_string(), Rule::NativeThread),
         ("traced.rs".to_string(), Rule::TraceTime),
         ("wall.rs".to_string(), Rule::WallClock),
@@ -41,8 +40,8 @@ fn fixture_tree_yields_exactly_the_planted_findings() {
 fn fixture_findings_carry_lines_and_messages() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("fixtures/tree");
     let findings = lint_tree(&root).expect("walk fixtures");
-    let sneaky = findings.iter().find(|f| f.rule == Rule::ReadonlyMutation).expect("planted");
-    assert!(sneaky.msg.contains("peek"), "{}", sneaky.msg);
+    let traced = findings.iter().find(|f| f.rule == Rule::TraceTime).expect("planted");
+    assert!(traced.msg.contains("SimTime"), "{}", traced.msg);
     let wall =
         findings.iter().filter(|f| f.file.contains("wall.rs")).map(|f| f.line).collect::<Vec<_>>();
     assert_eq!(wall, vec![5, 6], "one finding per offending line");
