@@ -9,14 +9,13 @@ cargo clippy --workspace --all-targets -- -D warnings
 cargo fmt --check
 
 # Correctness tooling (crates/simcheck): the line-level determinism lint,
-# the interprocedural analyzer (determinism taint, readonly purity, wait
-# annotation coverage, no blocking call reachable from an Actor::on_wake —
-# zero findings required; also refreshes the proven-pure report consumed
-# via DsoConfig::pure_methods), then the DSO cluster smoke workload under
+# the interprocedural analyzer (determinism taint, wait annotation
+# coverage, no blocking call reachable from an Actor::on_wake — zero
+# findings required), then the DSO cluster smoke workload under
 # 25 perturbed schedules with linearizability checked on each (see
 # DESIGN.md, "Correctness tooling" / "Static analysis").
 cargo run --release -q -p simcheck --bin simlint
-cargo run --release -q -p simcheck --bin simanalyze -- --readonly-report results/pure_methods.txt
+cargo run --release -q -p simcheck --bin simanalyze
 cargo run --release -q -p simcheck --bin simexplore -- --seeds 25
 
 # The `experiments` steps run on one CPU where `taskset` exists: the thread
@@ -61,9 +60,10 @@ cargo run --release -q -p simcheck --bin tracecheck -- results/trace-elastic.chr
 #                       restore >= 2x.
 #   consistency-ablate  mode x cache matrix on the hot rf=3 read workload
 #                       under client churn: replica reads beat primary-only
-#                       reads >= 1.2x, and the host-shared node cache beats
-#                       the per-client cache >= 1.2x once clients churn
-#                       like FaaS containers do.
+#                       reads >= 1.2x, the leased client cache beats plain
+#                       replica reads >= 2x, and the host-shared node cache
+#                       beats the per-client cache >= 1.2x once clients
+#                       churn like FaaS containers do.
 #   recovery            crash-recovery vs checkpoint cadence plus per-level
 #                       write overhead: a 500 ms cadence cuts full-cluster
 #                       recovery >= 1.2x and replays fewer WAL bytes than

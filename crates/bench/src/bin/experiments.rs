@@ -6,8 +6,8 @@
 //!
 //! targets: table2 fig2a fig2b fig3 fig4 fig5 table3 fig6 fig7a fig7b
 //!          fig7c fig8 table4 ablate-rf ablate-workers ablate-barrier
-//!          ablate-read-path consistency-ablate trace-pi trace-kmeans
-//!          elastic coldstart recovery kernel-bench all
+//!          consistency-ablate trace-pi trace-kmeans elastic coldstart
+//!          recovery kernel-bench all
 //! ```
 //!
 //! `--paper` switches to the paper's full parameters (much slower).
@@ -19,8 +19,8 @@
 //! exits 1.
 
 use bench::experiments::{
-    ablate, coldstart, consistency, elastic, kernelbench, micro, ml, readpath, recovery, state,
-    sync, traced, OutFile, Scale,
+    ablate, coldstart, consistency, elastic, kernelbench, micro, ml, recovery, state, sync, traced,
+    OutFile, Scale,
 };
 use bench::Table;
 
@@ -32,8 +32,8 @@ fn main() {
         eprintln!(
             "targets: table2 fig2a fig2b fig3 fig4 fig5 table3 fig6 fig7a \
                  fig7b fig7c fig8 table4 ablate-rf ablate-workers ablate-barrier \
-                 ablate-read-path consistency-ablate trace-pi trace-kmeans \
-                 elastic coldstart recovery kernel-bench all"
+                 consistency-ablate trace-pi trace-kmeans elastic coldstart \
+                 recovery kernel-bench all"
         );
         std::process::exit(2);
     });
@@ -91,7 +91,6 @@ fn run(target: &str, scale: Scale) {
         "ablate-rf" => ablate::ablate_rf(scale).0.print(),
         "ablate-workers" => ablate::ablate_workers(scale).0.print(),
         "ablate-barrier" => ablate::ablate_barrier(scale).0.print(),
-        "ablate-read-path" => readpath::ablate_read_path(scale).0.print(),
         "consistency-ablate" => emit(consistency::consistency_ablate(scale)),
         "trace-pi" => write(&traced::trace_pi(scale)),
         "trace-kmeans" => write(&traced::trace_kmeans(scale)),
@@ -125,7 +124,6 @@ fn run(target: &str, scale: Scale) {
                 "ablate-rf",
                 "ablate-workers",
                 "ablate-barrier",
-                "ablate-read-path",
             ] {
                 run(t, scale);
             }

@@ -28,7 +28,6 @@ pub mod elastic;
 pub mod kernelbench;
 pub mod micro;
 pub mod ml;
-pub mod readpath;
 pub mod recovery;
 pub mod state;
 pub mod sync;

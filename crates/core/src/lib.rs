@@ -97,9 +97,9 @@ pub use controlplane::{
     ScaleDecision, ScalingPolicy, StepScaling, TargetTracking,
 };
 pub use dso::{
-    costs, AdmissionConfig, BatchOp, CallCtx, ConsistencyMode, DsoClient, DsoClientHandle,
-    DsoCluster, DsoConfig, DsoConfigBuilder, DsoConfigError, DsoError, Effects, ObjectError,
-    ObjectRef, ObjectRegistry, Reply, SharedObject, Ticket,
+    costs, dispatch, AdmissionConfig, BatchOp, CallCtx, ConsistencyMode, DsoClient,
+    DsoClientHandle, DsoCluster, DsoConfig, DsoConfigBuilder, DsoConfigError, DsoError, Effects,
+    ObjectError, ObjectRef, ObjectRegistry, Reply, SharedObject, Ticket,
 };
 pub use faas::{
     spawn_platform, Billing, ColdStartPolicy, FaasConfig, FaasConfigBuilder, FaasConfigError,

@@ -83,12 +83,11 @@ impl RawHandle {
         )
     }
 
-    /// Invokes a *declared read-only* method. Read-only calls take the
-    /// read fast path: no state-machine replication on the server, replica
-    /// routing under [`crate::ConsistencyMode::ReplicaReads`], and
-    /// client-side caching when enabled. The method must be classified
-    /// read-only by the object (`SharedObject::is_readonly`), or the
-    /// server rejects the call.
+    /// Invokes a *read-only* method. Read-only calls take the read fast
+    /// path: no state-machine replication on the server, replica routing
+    /// under [`crate::ConsistencyMode::ReplicaReads`], and client-side
+    /// caching when enabled. The object must serve the method from
+    /// [`crate::SharedObject::read`], or the server rejects the call.
     ///
     /// # Errors
     ///

@@ -209,20 +209,6 @@ pub struct DsoConfig {
     ///
     /// [`Mergeable`]: crate::object::Mergeable
     pub anti_entropy_interval: Duration,
-    /// Runtime check that methods declared read-only really do not mutate:
-    /// the server snapshots the object state around every declared
-    /// read-only invocation and rejects the call (restoring the state) if
-    /// the bytes changed. The read fast path *trusts* `is_readonly`
-    /// (skipping SMR and version bumps), so a misdeclared method would
-    /// silently fork replicas; this turns that into a typed error. On by
-    /// default — costs host CPU only, no virtual time.
-    pub verify_readonly: bool,
-    /// `(type, method)` pairs the `simanalyze` static purity pass proved
-    /// side-effect-free. Declared read-only calls on a proven-pure pair
-    /// skip the `verify_readonly` snapshot/compare entirely — the static
-    /// proof replaces the runtime check. Empty by default, so every
-    /// declared read-only method is still verified at runtime.
-    pub pure_methods: PureMethods,
     /// Per-node admission control (token bucket + queue-depth shedding).
     /// `None` (the default) admits everything, the pre-existing behavior.
     pub admission: Option<AdmissionConfig>,
@@ -252,8 +238,6 @@ impl Default for DsoConfig {
             staleness_bound: None,
             node_cache: false,
             anti_entropy_interval: Duration::from_millis(10),
-            verify_readonly: true,
-            pure_methods: PureMethods::default(),
             admission: None,
             durability: None,
         }
@@ -294,61 +278,6 @@ impl DsoConfig {
     /// ```
     pub fn builder() -> DsoConfigBuilder {
         DsoConfigBuilder { cfg: DsoConfig::default() }
-    }
-}
-
-/// `(type, method)` pairs proven side-effect-free by the `simanalyze`
-/// static purity pass.
-///
-/// The analyzer writes a text report (`simanalyze --readonly-report PATH`)
-/// with one whitespace-separated `Type method` pair per line; `#` lines
-/// are comments. The handoff is plain text rather than a Rust artifact
-/// because `dso` cannot depend on `simcheck` (the analyzer analyzes this
-/// workspace, so the dependency would be circular).
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct PureMethods {
-    set: std::collections::BTreeSet<(String, String)>,
-}
-
-impl PureMethods {
-    /// Parses a `simanalyze --readonly-report` text: one `Type method`
-    /// pair per line, blank lines and `#` comments skipped. Malformed
-    /// lines are ignored rather than rejected — the set is an
-    /// optimization, never a correctness requirement, so the safe reading
-    /// of a bad line is "not proven pure".
-    pub fn parse(text: &str) -> PureMethods {
-        let mut set = std::collections::BTreeSet::new();
-        for line in text.lines() {
-            let line = line.trim();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            let mut fields = line.split_whitespace();
-            if let (Some(ty), Some(method), None) = (fields.next(), fields.next(), fields.next()) {
-                set.insert((ty.to_string(), method.to_string()));
-            }
-        }
-        PureMethods { set }
-    }
-
-    /// Adds a single proven-pure pair.
-    pub fn insert(&mut self, type_name: impl Into<String>, method: impl Into<String>) {
-        self.set.insert((type_name.into(), method.into()));
-    }
-
-    /// Whether `(type_name, method)` is proven pure.
-    pub fn contains(&self, type_name: &str, method: &str) -> bool {
-        self.set.contains(&(type_name.to_string(), method.to_string()))
-    }
-
-    /// Number of proven-pure pairs.
-    pub fn len(&self) -> usize {
-        self.set.len()
-    }
-
-    /// Whether no pair is proven pure (the default).
-    pub fn is_empty(&self) -> bool {
-        self.set.is_empty()
     }
 }
 
@@ -467,19 +396,6 @@ impl DsoConfigBuilder {
     /// [`ConsistencyMode::CrdtMerge`].
     pub fn anti_entropy_interval(mut self, d: Duration) -> Self {
         self.cfg.anti_entropy_interval = d;
-        self
-    }
-
-    /// Enables or disables runtime read-only verification.
-    pub fn verify_readonly(mut self, on: bool) -> Self {
-        self.cfg.verify_readonly = on;
-        self
-    }
-
-    /// Installs the set of statically proven-pure read-only methods;
-    /// their calls skip the `verify_readonly` snapshot.
-    pub fn pure_methods(mut self, p: PureMethods) -> Self {
-        self.cfg.pure_methods = p;
         self
     }
 
@@ -672,33 +588,6 @@ mod tests {
         assert_eq!(c.consistency, ConsistencyMode::Linearizable);
         assert!(!c.read_cache);
         assert_eq!(c.cache_lease, None);
-        // …and the correctness net around it must be opt-out.
-        assert!(c.verify_readonly);
-        assert!(c.pure_methods.is_empty());
-    }
-
-    #[test]
-    fn pure_methods_parse_report() {
-        let p = PureMethods::parse(
-            "# simanalyze proven-pure readonly methods: <Type> <method>\n\
-             AtomicLong get\n\
-             \n\
-             MapObject  size\n\
-             garbage line with three fields\n",
-        );
-        assert_eq!(p.len(), 2);
-        assert!(p.contains("AtomicLong", "get"));
-        assert!(p.contains("MapObject", "size"));
-        assert!(!p.contains("AtomicLong", "set"), "absent pair stays unproven");
-        assert!(!p.contains("garbage", "line"), "malformed lines are dropped");
-    }
-
-    #[test]
-    fn pure_methods_via_builder() {
-        let mut p = PureMethods::default();
-        p.insert("AtomicLong", "get");
-        let cfg = DsoConfig::builder().pure_methods(p).build().expect("valid");
-        assert!(cfg.pure_methods.contains("AtomicLong", "get"));
     }
 
     #[test]

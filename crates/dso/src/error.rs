@@ -13,10 +13,6 @@ pub enum ObjectError {
     BadState(String),
     /// An application-level failure inside the method body.
     App(String),
-    /// A method declared read-only mutated the object's state; caught by
-    /// the server's runtime check ([`crate::DsoConfig::verify_readonly`])
-    /// and rejected, with the object's state restored.
-    ReadonlyViolation(String),
 }
 
 impl fmt::Display for ObjectError {
@@ -26,9 +22,6 @@ impl fmt::Display for ObjectError {
             ObjectError::BadArgs(e) => write!(f, "bad arguments: {e}"),
             ObjectError::BadState(e) => write!(f, "bad object state: {e}"),
             ObjectError::App(e) => write!(f, "application error: {e}"),
-            ObjectError::ReadonlyViolation(m) => {
-                write!(f, "method declared read-only mutated the object: {m}")
-            }
         }
     }
 }

@@ -72,7 +72,7 @@ pub use client::{BatchOp, DsoClient, DsoClientHandle, MonotonicReads};
 pub use cluster::DsoCluster;
 pub use config::{
     AdmissionConfig, ConsistencyMode, DsoConfig, DsoConfigBuilder, DsoConfigError,
-    DurabilityConfig, DurabilityLevel, PureMethods,
+    DurabilityConfig, DurabilityLevel,
 };
 pub use durability::{
     checkpoint, recover_into, spawn_checkpointer, CheckpointReport, Checkpointer, DurabilityStats,
@@ -83,7 +83,7 @@ pub use intern::{intern, MethodName};
 pub use membership::{spawn_coordinator, spawn_coordinator_from};
 pub use node_cache::{NodeCache, NodeCacheKey, NodeEntry};
 pub use object::{
-    costs, CallCtx, Effects, Mergeable, ObjectFactory, ObjectRef, ObjectRegistry, Reply,
+    costs, dispatch, CallCtx, Effects, Mergeable, ObjectFactory, ObjectRef, ObjectRegistry, Reply,
     SharedObject, Ticket,
 };
 pub use protocol::DrainNode;

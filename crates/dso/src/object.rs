@@ -171,16 +171,18 @@ pub struct CallCtx {
 
 /// A server-side shared object.
 ///
-/// Implementations are plain state machines: `invoke` dispatches on the
-/// method name, decodes arguments with [`simcore::codec`], mutates state
-/// and returns [`Effects`]. `save`/`restore` support replication and
-/// rebalancing ("marshalling" in the paper).
+/// Implementations are plain state machines split by receiver: `read`
+/// holds the methods that only look (`&self`), `invoke` the ones that may
+/// mutate (`&mut self`). Each method name has exactly one arm; callers go
+/// through [`dispatch`], which tries `read` first. Both decode arguments
+/// with [`simcore::codec`] and return [`Effects`]. `save`/`restore`
+/// support replication and rebalancing ("marshalling" in the paper).
 ///
 /// The `__create` method name is reserved: it is sent by client proxies to
 /// initialize an object idempotently and is handled by the server, not by
 /// `invoke`.
 pub trait SharedObject: Send + 'static {
-    /// Handles one method call.
+    /// Handles one mutating method call (any method `read` declines).
     ///
     /// # Errors
     ///
@@ -190,15 +192,18 @@ pub trait SharedObject: Send + 'static {
     fn invoke(&mut self, call: &CallCtx, method: &str, args: &[u8])
         -> Result<Effects, ObjectError>;
 
-    /// Whether `method` is read-only (never mutates the object).
+    /// Serves `method` if it is read-only, or returns `None` to hand it to
+    /// [`invoke`](Self::invoke).
     ///
-    /// Read-only methods skip the SMR broadcast on replicated objects, do
-    /// not advance the object's version, and — under
+    /// A method is read-only exactly when this answers: such calls skip
+    /// the SMR broadcast on replicated objects, do not advance the
+    /// object's version, and — under
     /// [`crate::ConsistencyMode::ReplicaReads`] — may be served by any
-    /// replica. The default classifies every method as mutating, which is
-    /// always safe; objects opt methods in explicitly.
-    fn is_readonly(&self, _method: &str) -> bool {
-        false
+    /// replica. The `&self` receiver is the purity proof. Reads reply with
+    /// a plain value: they cannot park the caller or wake others. The
+    /// default declines everything, which is always safe.
+    fn read(&self, _method: &str, _args: &[u8]) -> Option<Result<Effects, ObjectError>> {
+        None
     }
 
     /// Serializes the object's full state.
@@ -221,6 +226,48 @@ pub trait SharedObject: Send + 'static {
     /// ordinary last-writer-wins transfer semantics.
     fn as_mergeable(&mut self) -> Option<&mut dyn Mergeable> {
         None
+    }
+}
+
+/// Runs one method call against `obj`: [`SharedObject::read`] first,
+/// [`SharedObject::invoke`] for whatever it declines. The second return is
+/// whether `invoke` ran, i.e. whether the call counts as a mutation (the
+/// server bumps the version and logs to the WAL only then).
+///
+/// `readonly` is the caller's claim — the request took the read fast path
+/// and skipped the SMR order — so such a call must never reach `invoke`.
+///
+/// # Errors
+///
+/// The method's own [`ObjectError`]; [`ObjectError::App`] when a
+/// `readonly` call names a method `read` declines, or when `read` tries to
+/// park its caller or wake others.
+pub fn dispatch(
+    obj: &mut dyn SharedObject,
+    call: &CallCtx,
+    method: &str,
+    args: &[u8],
+    readonly: bool,
+) -> Result<(Effects, bool), ObjectError> {
+    // `&self` leaves one hole, interior mutability. Debug builds (so every
+    // `cargo test`) close it by comparing the saved state across the read.
+    let before = cfg!(debug_assertions).then(|| obj.save());
+    match obj.read(method, args) {
+        Some(served) => {
+            debug_assert!(
+                before.is_none_or(|b| b == obj.save()),
+                "read-only method {method} changed the object's saved state"
+            );
+            let effects = served?;
+            if matches!(effects.reply, Reply::Park) || !effects.wakes.is_empty() {
+                return Err(ObjectError::App(format!(
+                    "read-only method {method} may not park or wake"
+                )));
+            }
+            Ok((effects, false))
+        }
+        None if readonly => Err(ObjectError::App(format!("method {method} is not read-only"))),
+        None => Ok((obj.invoke(call, method, args)?, true)),
     }
 }
 
@@ -357,6 +404,8 @@ impl fmt::Debug for ObjectRegistry {
 mod tests {
     use super::*;
 
+    const CALL: CallCtx = CallCtx { ticket: Ticket(0), replicated: false, node: 0 };
+
     struct Echo;
 
     impl SharedObject for Echo {
@@ -401,13 +450,66 @@ mod tests {
         assert!(reg.contains("Echo"));
         assert!(!reg.contains("Nope"));
         let mut obj = reg.create("Echo", &[]).expect("create");
-        let call = CallCtx { ticket: Ticket(0), replicated: false, node: 0 };
-        let fx = obj.invoke(&call, "echo", &[1, 2]).expect("invoke");
+        let (fx, mutating) = dispatch(obj.as_mut(), &CALL, "echo", &[1, 2], false).expect("invoke");
+        assert!(mutating, "Echo serves nothing from `read`");
         match fx.reply {
             Reply::Value(v) => assert_eq!(v, vec![1, 2]),
             Reply::Park => panic!("unexpected park"),
         }
         assert!(reg.create("Nope", &[]).is_err());
+    }
+
+    /// `peek` replies from `read` but mutates through a `Cell` — the one
+    /// hole `&self` leaves; `wait` and `nudge` are reads that try to park
+    /// and to wake.
+    #[derive(Default)]
+    struct Sneaky {
+        hits: std::cell::Cell<u64>,
+    }
+
+    impl SharedObject for Sneaky {
+        fn invoke(&mut self, _: &CallCtx, method: &str, _: &[u8]) -> Result<Effects, ObjectError> {
+            Err(ObjectError::MethodNotFound(method.to_string()))
+        }
+        fn read(&self, method: &str, _args: &[u8]) -> Option<Result<Effects, ObjectError>> {
+            match method {
+                "peek" => {
+                    self.hits.set(self.hits.get() + 1);
+                    Some(Effects::value(&self.hits.get()))
+                }
+                "wait" => Some(Ok(Effects::park())),
+                "nudge" => Some(Effects::value(&()).and_then(|fx| fx.wake(Ticket(1), &()))),
+                _ => None,
+            }
+        }
+        fn save(&self) -> Vec<u8> {
+            self.hits.get().to_le_bytes().to_vec()
+        }
+        fn restore(&mut self, _state: &[u8]) -> Result<(), ObjectError> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn dispatch_keeps_readonly_calls_out_of_invoke() {
+        let err = dispatch(&mut Echo, &CALL, "echo", &[], true).expect_err("echo is a write");
+        assert_eq!(err.to_string(), "application error: method echo is not read-only");
+    }
+
+    #[test]
+    fn dispatch_rejects_a_read_that_parks_or_wakes() {
+        let mut s = Sneaky::default();
+        for method in ["wait", "nudge"] {
+            let err = dispatch(&mut s, &CALL, method, &[], true).expect_err("not a plain value");
+            assert!(err.to_string().contains("may not park or wake"), "{method}: {err}");
+        }
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "read-only method peek changed the object's saved state")]
+    fn debug_builds_catch_interior_mutation_in_read() {
+        let _ = dispatch(&mut Sneaky::default(), &CALL, "peek", &[], true);
     }
 
     #[test]

@@ -42,7 +42,6 @@ impl Arithmetic {
 impl SharedObject for Arithmetic {
     fn invoke(&mut self, _call: &CallCtx, method: &str, args: &[u8]) -> Result<Effects, ObjErr> {
         match method {
-            "get" => Effects::value(&self.value),
             // Simple operation: one multiplication.
             "mul" => {
                 let x: f64 = dec(args)?;
@@ -58,6 +57,13 @@ impl SharedObject for Arithmetic {
             }
             other => Err(ObjErr::MethodNotFound(other.to_string())),
         }
+    }
+
+    fn read(&self, method: &str, _args: &[u8]) -> Option<Result<Effects, ObjErr>> {
+        Some(match method {
+            "get" => Effects::value(&self.value),
+            _ => return None,
+        })
     }
 
     fn save(&self) -> Vec<u8> {
@@ -106,7 +112,6 @@ impl GCounter {
 impl SharedObject for GCounter {
     fn invoke(&mut self, call: &CallCtx, method: &str, args: &[u8]) -> Result<Effects, ObjErr> {
         match method {
-            "get" => Effects::value(&self.value()),
             "inc" => {
                 let d: u64 = dec(args)?;
                 *self.counts.entry(call.node).or_default() += d;
@@ -116,8 +121,11 @@ impl SharedObject for GCounter {
         }
     }
 
-    fn is_readonly(&self, method: &str) -> bool {
-        method == "get"
+    fn read(&self, method: &str, _args: &[u8]) -> Option<Result<Effects, ObjErr>> {
+        Some(match method {
+            "get" => Effects::value(&self.value()),
+            _ => return None,
+        })
     }
 
     fn save(&self) -> Vec<u8> {
@@ -218,7 +226,6 @@ mod tests {
         assert_eq!(call_at_node::<u64>(&mut c, "inc", &2u64, 1), 5);
         assert_eq!(call_at_node::<u64>(&mut c, "inc", &1u64, 0), 6);
         assert_eq!(call::<u64>(&mut c, "get", &()), 6);
-        assert!(c.is_readonly("get") && !c.is_readonly("inc"));
     }
 
     #[test]

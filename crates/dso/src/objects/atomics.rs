@@ -26,7 +26,6 @@ impl AtomicLong {
 impl SharedObject for AtomicLong {
     fn invoke(&mut self, _call: &CallCtx, method: &str, args: &[u8]) -> Result<Effects, ObjErr> {
         match method {
-            "get" => Effects::value(&self.value),
             "set" => {
                 self.value = dec(args)?;
                 Effects::value(&())
@@ -68,8 +67,11 @@ impl SharedObject for AtomicLong {
         }
     }
 
-    fn is_readonly(&self, method: &str) -> bool {
-        matches!(method, "get")
+    fn read(&self, method: &str, _args: &[u8]) -> Option<Result<Effects, ObjErr>> {
+        Some(match method {
+            "get" => Effects::value(&self.value),
+            _ => return None,
+        })
     }
 
     fn save(&self) -> Vec<u8> {
@@ -104,7 +106,6 @@ impl AtomicBoolean {
 impl SharedObject for AtomicBoolean {
     fn invoke(&mut self, _call: &CallCtx, method: &str, args: &[u8]) -> Result<Effects, ObjErr> {
         match method {
-            "get" => Effects::value(&self.value),
             "set" => {
                 self.value = dec(args)?;
                 Effects::value(&())
@@ -127,8 +128,11 @@ impl SharedObject for AtomicBoolean {
         }
     }
 
-    fn is_readonly(&self, method: &str) -> bool {
-        matches!(method, "get")
+    fn read(&self, method: &str, _args: &[u8]) -> Option<Result<Effects, ObjErr>> {
+        Some(match method {
+            "get" => Effects::value(&self.value),
+            _ => return None,
+        })
     }
 
     fn save(&self) -> Vec<u8> {
@@ -164,19 +168,10 @@ impl AtomicByteArray {
 impl SharedObject for AtomicByteArray {
     fn invoke(&mut self, _call: &CallCtx, method: &str, args: &[u8]) -> Result<Effects, ObjErr> {
         match method {
-            "get" => {
-                let cost = costs::SIMPLE_OP + costs::PER_BYTE * self.data.len() as u32;
-                Effects::value_with_cost(&self.data, cost)
-            }
             "set" => {
                 self.data = dec(args)?;
                 let cost = costs::SIMPLE_OP + costs::PER_BYTE * self.data.len() as u32;
                 Effects::value_with_cost(&(), cost)
-            }
-            "len" => Effects::value(&(self.data.len() as u64)),
-            "getByte" => {
-                let i: u64 = dec(args)?;
-                Effects::value(&self.data.get(i as usize).copied())
             }
             "setByte" => {
                 let (i, b): (u64, u8) = dec(args)?;
@@ -194,8 +189,18 @@ impl SharedObject for AtomicByteArray {
         }
     }
 
-    fn is_readonly(&self, method: &str) -> bool {
-        matches!(method, "get" | "len" | "getByte")
+    fn read(&self, method: &str, args: &[u8]) -> Option<Result<Effects, ObjErr>> {
+        Some(match method {
+            "get" => {
+                let cost = costs::SIMPLE_OP + costs::PER_BYTE * self.data.len() as u32;
+                Effects::value_with_cost(&self.data, cost)
+            }
+            "len" => Effects::value(&(self.data.len() as u64)),
+            "getByte" => {
+                dec(args).and_then(|i: u64| Effects::value(&self.data.get(i as usize).copied()))
+            }
+            _ => return None,
+        })
     }
 
     fn save(&self) -> Vec<u8> {

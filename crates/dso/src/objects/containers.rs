@@ -32,10 +32,6 @@ impl SharedObject for ListObject {
                 self.items.push(item);
                 Effects::value(&(self.items.len() as u64))
             }
-            "get" => {
-                let i: u64 = dec(args)?;
-                Effects::value(&self.items.get(i as usize).cloned())
-            }
             "set" => {
                 let (i, item): (u64, Vec<u8>) = dec(args)?;
                 let i = i as usize;
@@ -48,18 +44,23 @@ impl SharedObject for ListObject {
                 self.items[i] = item;
                 Effects::value(&())
             }
-            "size" => Effects::value(&(self.items.len() as u64)),
             "clear" => {
                 self.items.clear();
                 Effects::value(&())
             }
-            "toVec" => Effects::value(&self.items),
             other => Err(ObjErr::MethodNotFound(other.to_string())),
         }
     }
 
-    fn is_readonly(&self, method: &str) -> bool {
-        matches!(method, "get" | "size" | "toVec")
+    fn read(&self, method: &str, args: &[u8]) -> Option<Result<Effects, ObjErr>> {
+        Some(match method {
+            "get" => {
+                dec(args).and_then(|i: u64| Effects::value(&self.items.get(i as usize).cloned()))
+            }
+            "size" => Effects::value(&(self.items.len() as u64)),
+            "toVec" => Effects::value(&self.items),
+            _ => return None,
+        })
     }
 
     fn save(&self) -> Vec<u8> {
@@ -98,22 +99,9 @@ impl SharedObject for MapObject {
                 let (k, v): (String, Vec<u8>) = dec(args)?;
                 Effects::value(&self.entries.insert(k, v))
             }
-            "get" => {
-                let k: String = dec(args)?;
-                Effects::value(&self.entries.get(&k).cloned())
-            }
             "remove" => {
                 let k: String = dec(args)?;
                 Effects::value(&self.entries.remove(&k))
-            }
-            "containsKey" => {
-                let k: String = dec(args)?;
-                Effects::value(&self.entries.contains_key(&k))
-            }
-            "size" => Effects::value(&(self.entries.len() as u64)),
-            "keys" => {
-                let keys: Vec<String> = self.entries.keys().cloned().collect();
-                Effects::value(&keys)
             }
             "clear" => {
                 self.entries.clear();
@@ -123,8 +111,16 @@ impl SharedObject for MapObject {
         }
     }
 
-    fn is_readonly(&self, method: &str) -> bool {
-        matches!(method, "get" | "containsKey" | "size" | "keys")
+    fn read(&self, method: &str, args: &[u8]) -> Option<Result<Effects, ObjErr>> {
+        Some(match method {
+            "get" => dec(args).and_then(|k: String| Effects::value(&self.entries.get(&k).cloned())),
+            "containsKey" => {
+                dec(args).and_then(|k: String| Effects::value(&self.entries.contains_key(&k)))
+            }
+            "size" => Effects::value(&(self.entries.len() as u64)),
+            "keys" => Effects::value(&self.entries.keys().cloned().collect::<Vec<String>>()),
+            _ => return None,
+        })
     }
 
     fn save(&self) -> Vec<u8> {

@@ -53,15 +53,12 @@ pub fn register_builtins(reg: &mut ObjectRegistry) {
 
 #[cfg(test)]
 pub(crate) mod testutil {
-    use crate::object::{CallCtx, Effects, Reply, SharedObject, Ticket};
+    use crate::object::{dispatch, CallCtx, Effects, Reply, SharedObject, Ticket};
     use simcore::codec::Wire;
 
     /// Invokes a method on a raw object and decodes the immediate value.
     pub fn call<R: Wire>(obj: &mut dyn SharedObject, method: &str, args: &impl Wire) -> R {
-        match call_fx(obj, method, args).reply {
-            Reply::Value(v) => simcore::codec::from_bytes(&v).expect("decode reply"),
-            Reply::Park => panic!("unexpected park from {method}"),
-        }
+        value(method, call_fx(obj, method, args))
     }
 
     /// Invokes a method and returns the full effects.
@@ -76,9 +73,7 @@ pub(crate) mod testutil {
         args: &impl Wire,
         ticket: Ticket,
     ) -> Effects {
-        let call = CallCtx { ticket, replicated: false, node: 0 };
-        let bytes = simcore::codec::to_bytes(args).expect("encode args");
-        obj.invoke(&call, method, &bytes).expect("invoke ok")
+        call_fx_ctx(obj, method, args, CallCtx { ticket, replicated: false, node: 0 })
     }
 
     /// Invokes a method as if executing on storage node `node` (for
@@ -90,8 +85,22 @@ pub(crate) mod testutil {
         node: u32,
     ) -> R {
         let call = CallCtx { ticket: Ticket(0), replicated: false, node };
+        value(method, call_fx_ctx(obj, method, args, call))
+    }
+
+    /// The server's dispatch (`read` first, then `invoke`), unflagged.
+    fn call_fx_ctx(
+        obj: &mut dyn SharedObject,
+        method: &str,
+        args: &impl Wire,
+        call: CallCtx,
+    ) -> Effects {
         let bytes = simcore::codec::to_bytes(args).expect("encode args");
-        match obj.invoke(&call, method, &bytes).expect("invoke ok").reply {
+        dispatch(obj, &call, method, &bytes, false).expect("invoke ok").0
+    }
+
+    fn value<R: Wire>(method: &str, fx: Effects) -> R {
+        match fx.reply {
             Reply::Value(v) => simcore::codec::from_bytes(&v).expect("decode reply"),
             Reply::Park => panic!("unexpected park from {method}"),
         }
@@ -128,5 +137,55 @@ mod tests {
         }
         assert!(reg.is_mergeable("GCounter"), "the CRDT counter registers as mergeable");
         assert!(!reg.is_mergeable("AtomicLong"), "plain builtins stay last-writer-wins");
+    }
+
+    /// The read-only surface, pinned: `read` answers exactly these
+    /// `(type, method)` pairs (it may grow, never silently shrink) and
+    /// declines every write, so no write can take the read fast path.
+    #[test]
+    fn read_serves_exactly_the_read_only_methods() {
+        // (type, served by `read`, left to `invoke`)
+        let table: [(&str, &[&str], &[&str]); 11] = [
+            (
+                "AtomicLong",
+                &["get"],
+                &[
+                    "set",
+                    "addAndGet",
+                    "getAndAdd",
+                    "incrementAndGet",
+                    "decrementAndGet",
+                    "compareAndSet",
+                    "getAndSet",
+                ],
+            ),
+            ("AtomicBoolean", &["get"], &["set", "compareAndSet", "getAndSet"]),
+            ("AtomicByteArray", &["get", "len", "getByte"], &["set", "setByte"]),
+            ("List", &["get", "size", "toVec"], &["add", "set", "clear"]),
+            ("Map", &["get", "containsKey", "size", "keys"], &["put", "remove", "clear"]),
+            ("CyclicBarrier", &["getParties", "getNumberWaiting", "getGeneration"], &["await"]),
+            (
+                "Semaphore",
+                &["availablePermits", "getQueueLength"],
+                &["acquire", "tryAcquire", "release"],
+            ),
+            ("CountDownLatch", &["getCount"], &["await", "countDown"]),
+            // `get` parks until `set`: a write, whatever its name says.
+            ("Future", &["isDone"], &["get", "set"]),
+            ("Arithmetic", &["get"], &["mul", "mulN"]),
+            ("GCounter", &["get"], &["inc"]),
+        ];
+        let reg = ObjectRegistry::with_builtins();
+        assert_eq!(table.len(), reg.type_names().len(), "a builtin is missing from the table");
+        // Probing every name on every type catches a method that moved.
+        let names: Vec<&str> =
+            table.iter().flat_map(|(_, r, w)| r.iter().chain(*w)).copied().collect();
+        for (ty, reads, _) in table {
+            let obj = reg.create(ty, &[]).expect("default-create");
+            for name in &names {
+                let served = obj.read(name, &[]).is_some();
+                assert_eq!(served, reads.contains(name), "{ty}::{name} served by read: {served}");
+            }
+        }
     }
 }

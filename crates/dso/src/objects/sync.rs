@@ -59,15 +59,17 @@ impl SharedObject for CyclicBarrier {
                     Ok(Effects::park())
                 }
             }
-            "getParties" => Effects::value(&self.parties),
-            "getNumberWaiting" => Effects::value(&(self.waiting.len() as u32)),
-            "getGeneration" => Effects::value(&self.generation),
             other => Err(ObjErr::MethodNotFound(other.to_string())),
         }
     }
 
-    fn is_readonly(&self, method: &str) -> bool {
-        matches!(method, "getParties" | "getNumberWaiting" | "getGeneration")
+    fn read(&self, method: &str, _args: &[u8]) -> Option<Result<Effects, ObjErr>> {
+        Some(match method {
+            "getParties" => Effects::value(&self.parties),
+            "getNumberWaiting" => Effects::value(&(self.waiting.len() as u32)),
+            "getGeneration" => Effects::value(&self.generation),
+            _ => return None,
+        })
     }
 
     fn save(&self) -> Vec<u8> {
@@ -147,14 +149,16 @@ impl SharedObject for Semaphore {
                 let fx = Effects::value(&())?;
                 self.drain(fx)
             }
-            "availablePermits" => Effects::value(&self.permits),
-            "getQueueLength" => Effects::value(&(self.queue.len() as u64)),
             other => Err(ObjErr::MethodNotFound(other.to_string())),
         }
     }
 
-    fn is_readonly(&self, method: &str) -> bool {
-        matches!(method, "availablePermits" | "getQueueLength")
+    fn read(&self, method: &str, _args: &[u8]) -> Option<Result<Effects, ObjErr>> {
+        Some(match method {
+            "availablePermits" => Effects::value(&self.permits),
+            "getQueueLength" => Effects::value(&(self.queue.len() as u64)),
+            _ => return None,
+        })
     }
 
     fn save(&self) -> Vec<u8> {
@@ -211,13 +215,15 @@ impl SharedObject for CountDownLatch {
                 }
                 Ok(fx)
             }
-            "getCount" => Effects::value(&self.count),
             other => Err(ObjErr::MethodNotFound(other.to_string())),
         }
     }
 
-    fn is_readonly(&self, method: &str) -> bool {
-        matches!(method, "getCount")
+    fn read(&self, method: &str, _args: &[u8]) -> Option<Result<Effects, ObjErr>> {
+        Some(match method {
+            "getCount" => Effects::value(&self.count),
+            _ => return None,
+        })
     }
 
     fn save(&self) -> Vec<u8> {
@@ -283,13 +289,15 @@ impl SharedObject for FutureObject {
                 }
                 Ok(fx)
             }
-            "isDone" => Effects::value(&self.value.is_some()),
             other => Err(ObjErr::MethodNotFound(other.to_string())),
         }
     }
 
-    fn is_readonly(&self, method: &str) -> bool {
-        matches!(method, "isDone")
+    fn read(&self, method: &str, _args: &[u8]) -> Option<Result<Effects, ObjErr>> {
+        Some(match method {
+            "isDone" => Effects::value(&self.value.is_some()),
+            _ => return None,
+        })
     }
 
     fn save(&self) -> Vec<u8> {
@@ -474,8 +482,7 @@ mod proptests {
                     }
                 }
                 // Ledger invariant: held permits never exceed initial + released.
-                let a = simcore::codec::to_bytes(&()).expect("encode");
-                let fx = sem.invoke(&cc(0), "availablePermits", &a).expect("invoke");
+                let fx = sem.read("availablePermits", &[]).expect("a read").expect("read ok");
                 if let Reply::Value(v) = fx.reply {
                     let avail: i64 = simcore::codec::from_bytes(&v).expect("decode");
                     // Ledger: available = initial + released - outstanding

@@ -25,7 +25,7 @@ use simcore::{
 
 use crate::config::{AdmissionConfig, ConsistencyMode, DsoConfig, DurabilityLevel};
 use crate::durability::wal::{wal_daemon, PendingAck, WalState};
-use crate::object::{CallCtx, ObjectRef, ObjectRegistry, Reply, SharedObject, Ticket};
+use crate::object::{dispatch, CallCtx, ObjectRef, ObjectRegistry, Reply, SharedObject, Ticket};
 use crate::protocol::{
     BatchItemResp, BatchReq, DrainNode, InvokeReq, InvokeResp, MemberMsg, NodeId, PeerMsg, SmrOp,
     VersionReq, VersionResp, View, ViewUpdate, WalRecord,
@@ -973,51 +973,12 @@ fn execute(
                 },
                 crate::object::costs::SIMPLE_OP,
             )
-        } else if req.readonly && !stored.obj.is_readonly(&req.method) {
-            // The client flagged the call read-only but the object does
-            // not classify the method as such: executing it could mutate
-            // state outside the SMR order. Reject rather than corrupt.
-            CallOutcome::Reply(
-                InvokeResp::Error(crate::error::ObjectError::App(format!(
-                    "method {} is not read-only",
-                    req.method
-                ))),
-                Duration::ZERO,
-            )
         } else {
-            let mutating = !stored.obj.is_readonly(&req.method);
-            // Runtime read-only verification: the read fast path *trusts*
-            // `is_readonly` (skipping SMR and the version bump), so a
-            // method misdeclared as read-only would silently fork replicas.
-            // Snapshot the state around the call and reject on mutation —
-            // except for methods the simanalyze purity pass already proved
-            // side-effect-free, where the static proof replaces the check.
-            let verify = !mutating
-                && shared.cfg.verify_readonly
-                && !shared.cfg.pure_methods.contains(req.obj.type_name(), &req.method);
-            let snapshot = if verify {
-                ctx.metric_incr("dso.readonly_snapshots");
-                Some(stored.obj.save())
-            } else {
-                None
-            };
             let call = CallCtx { ticket, replicated, node: shared.node.0 };
-            match stored.obj.invoke(&call, &req.method, &req.args) {
-                Ok(effects) if snapshot.as_ref().is_some_and(|s| *s != stored.obj.save()) => {
-                    // invariant: snapshot is Some in this arm, per the guard.
-                    let s = snapshot.expect("guard checked snapshot");
-                    // Restore is best-effort: the bytes came from save() on
-                    // this very instance moments ago, so it cannot fail.
-                    let _ = stored.obj.restore(&s);
-                    CallOutcome::Reply(
-                        InvokeResp::Error(crate::error::ObjectError::ReadonlyViolation(format!(
-                            "{}::{}",
-                            req.obj, req.method
-                        ))),
-                        effects.cost,
-                    )
-                }
-                Ok(effects) => {
+            // A flagged read skipped the SMR order, so `dispatch` rejects
+            // it rather than let it reach `invoke` and fork the replicas.
+            match dispatch(stored.obj.as_mut(), &call, &req.method, &req.args, req.readonly) {
+                Ok((effects, mutating)) => {
                     // The version counts *mutations*, so read-only calls
                     // leave it unchanged — that is what lets replicas and
                     // caches compare versions meaningfully. The Lamport

@@ -578,8 +578,55 @@ fn declared_readonly_mismatch_is_rejected() {
         c.set(ctx, &mut cli, 1).expect("write");
         // Claiming a mutating method is read-only must fail loudly rather
         // than silently skipping replication.
-        let err = c.raw().call_read::<i64, i64>(ctx, &mut cli, "addAndGet", &1).unwrap_err();
-        assert!(matches!(err, dso::DsoError::Object(_)), "{err}");
+        let err = c.raw().call_read::<i64, ()>(ctx, &mut cli, "set", &2).unwrap_err();
+        assert!(err.to_string().contains("method set is not read-only"), "{err}");
+        assert_eq!(c.get(ctx, &mut cli).expect("read"), 1, "the rejected write did not apply");
+        *checked2.lock() = true;
+    });
+    sim.run_until_idle().expect_quiescent();
+    assert!(*checked.lock());
+}
+
+/// Every typed-handle method that takes the read fast path, once against
+/// a live node: the server must serve each from `SharedObject::read`.
+/// (`Arithmetic::get` was rejected as "not read-only" before reads moved
+/// to `&self`.)
+#[test]
+fn every_typed_read_is_served_on_the_read_path() {
+    let mut sim = Sim::new(77);
+    let cluster = start(&sim, 1);
+    let handle = cluster.client_handle();
+    let checked = Arc::new(Mutex::new(false));
+    let checked2 = checked.clone();
+    sim.spawn("client", move |ctx| {
+        let cli = &mut handle.connect();
+        let long = api::AtomicLong::with_value("long", 7);
+        assert_eq!(long.get(ctx, cli), Ok(7));
+        let flag = api::AtomicBoolean::with_value("flag", true);
+        assert_eq!(flag.get(ctx, cli), Ok(true));
+        let bytes = api::AtomicByteArray::with_value("bytes", vec![1, 2, 3]);
+        assert_eq!(bytes.get(ctx, cli), Ok(vec![1, 2, 3]));
+        assert_eq!(bytes.len(ctx, cli), Ok(3));
+        assert_eq!(bytes.is_empty(ctx, cli), Ok(false));
+        let list = api::SharedList::<u32>::new("list");
+        list.add(ctx, cli, &9).expect("write");
+        assert_eq!(list.get(ctx, cli, 0), Ok(Some(9)));
+        assert_eq!(list.size(ctx, cli), Ok(1));
+        assert_eq!(list.to_vec(ctx, cli), Ok(vec![9]));
+        let map = api::SharedMap::<u32>::new("map");
+        map.put(ctx, cli, "k", &4).expect("write");
+        assert_eq!(map.get(ctx, cli, "k"), Ok(Some(4)));
+        assert_eq!(map.size(ctx, cli), Ok(1));
+        assert_eq!(map.keys(ctx, cli), Ok(vec!["k".to_string()]));
+        assert_eq!(api::Semaphore::new("sem", 2).available_permits(ctx, cli), Ok(2));
+        assert_eq!(api::CountDownLatch::new("latch", 3).count(ctx, cli), Ok(3));
+        assert_eq!(api::SharedFuture::<u32>::new("future").is_done(ctx, cli), Ok(false));
+        let arith = api::Arithmetic::new("arith");
+        assert_eq!(arith.mul(ctx, cli, 3.0), Ok(3.0));
+        assert_eq!(arith.get(ctx, cli), Ok(3.0));
+        let gcounter = api::GCounter::new("gcounter");
+        gcounter.inc(ctx, cli, 5).expect("write");
+        assert_eq!(gcounter.get(ctx, cli), Ok(5));
         *checked2.lock() = true;
     });
     sim.run_until_idle().expect_quiescent();

@@ -17,9 +17,7 @@ use simcore::explore::{explore_seeds, Check};
 use simcore::Sim;
 
 use dso::objects::GCounter;
-use dso::{
-    api, CallCtx, ConsistencyMode, DsoCluster, DsoConfig, ObjectRegistry, SharedObject, Ticket,
-};
+use dso::{api, ConsistencyMode, DsoCluster, DsoConfig, ObjectRegistry, SharedObject};
 
 /// Builds a counter holding exactly `entries` (via the registry factory's
 /// creation-args path — the same bytes a client's `__create` would ship).
@@ -36,10 +34,8 @@ fn merged(obj: &mut dyn SharedObject, other: &dyn SharedObject) -> Vec<u8> {
 }
 
 /// Reads the total through the public method surface.
-fn total(obj: &mut dyn SharedObject) -> u64 {
-    let call = CallCtx { ticket: Ticket(0), replicated: false, node: 0 };
-    let args = simcore::codec::to_bytes(&()).expect("unit encodes");
-    match obj.invoke(&call, "get", &args).expect("get").reply {
+fn total(obj: &dyn SharedObject) -> u64 {
+    match obj.read("get", &[]).expect("get is a read").expect("get").reply {
         dso::Reply::Value(v) => simcore::codec::from_bytes(&v).expect("u64 decodes"),
         other => panic!("get must answer immediately, got {other:?}"),
     }
@@ -87,11 +83,11 @@ proptest! {
     #[test]
     fn merge_is_inflationary(a in entries(), b in entries()) {
         let mut obj = counter(&a);
-        let total_a = total(obj.as_mut());
-        let mut other = counter(&b);
-        let total_b = total(other.as_mut());
+        let total_a = total(obj.as_ref());
+        let other = counter(&b);
+        let total_b = total(other.as_ref());
         merged(obj.as_mut(), other.as_ref());
-        let joined = total(obj.as_mut());
+        let joined = total(obj.as_ref());
         prop_assert!(joined >= total_a.max(total_b));
     }
 }

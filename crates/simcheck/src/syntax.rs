@@ -3,8 +3,7 @@
 //!
 //! This is deliberately *not* a full Rust AST. The interprocedural passes
 //! in [`crate::analyze`] need four things from a source file: which
-//! functions exist (with their impl context, self parameter and body
-//! span), which structs exist (with their field names), which call sites
+//! functions exist (with their impl context and body span), which structs exist (with their field names), which call sites
 //! appear inside a body (callee path or method name, receiver root,
 //! argument spans), and which struct-literal expressions construct a
 //! known type. Everything else — expressions, types, generics — is
@@ -16,19 +15,6 @@
 
 use crate::lex::{Tok, TokKind};
 
-/// How a method takes `self`.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub enum SelfKind {
-    /// Free function — no `self` parameter.
-    None,
-    /// `&self`.
-    Ref,
-    /// `&mut self`.
-    RefMut,
-    /// `self` or `mut self` by value.
-    Value,
-}
-
 /// One `fn` item.
 #[derive(Clone, Debug)]
 pub struct FnDef {
@@ -38,8 +24,6 @@ pub struct FnDef {
     pub impl_type: Option<String>,
     /// Trait name when inside an `impl Trait for Type` block.
     pub impl_trait: Option<String>,
-    /// How the function takes `self`.
-    pub self_kind: SelfKind,
     /// Whether the signature declares a return type (`->`).
     pub has_ret: bool,
     /// Whether a parameter's type names `Ctx` — the only way code can reach
@@ -63,10 +47,6 @@ pub struct StructDef {
     pub fields: Vec<String>,
     /// 1-based line of the declaration.
     pub line: u32,
-    /// Whether any field type mentions an interior-mutability container
-    /// (`Cell`, `RefCell`, `Mutex`, `RwLock`, `UnsafeCell`, `Atomic*`) —
-    /// a `&self` method of such a type can still mutate.
-    pub has_interior_mut: bool,
 }
 
 /// Parsed facts about one source file.
@@ -296,24 +276,6 @@ impl Parser<'_> {
             return at + 2; // `fn` pointer type or macro fragment
         }
         let params_close = match_close(&self.ast.toks, &self.ast.src, j, end);
-        // Self kind: inspect the first few tokens inside the parens.
-        let mut self_kind = SelfKind::None;
-        let mut k = j + 1;
-        if self.is_punct(k, b'&') {
-            k += 1;
-            if self.ast.toks.get(k).is_some_and(|t| t.kind == TokKind::Lifetime) {
-                k += 1;
-            }
-            if self.is_ident(k, "mut") && self.is_ident(k + 1, "self") {
-                self_kind = SelfKind::RefMut;
-            } else if self.is_ident(k, "self") {
-                self_kind = SelfKind::Ref;
-            }
-        } else if self.is_ident(k, "self")
-            || (self.is_ident(k, "mut") && self.is_ident(k + 1, "self"))
-        {
-            self_kind = SelfKind::Value;
-        }
         let takes_ctx = (j + 1..params_close).any(|p| self.is_ident(p, "Ctx"));
         // Return type: a `->` between the parens and the body/semicolon.
         let mut j = params_close + 1;
@@ -334,7 +296,6 @@ impl Parser<'_> {
             name,
             impl_type: self.impl_type.clone(),
             impl_trait: self.impl_trait.clone(),
-            self_kind,
             has_ret,
             takes_ctx,
             body,
@@ -361,20 +322,8 @@ impl Parser<'_> {
             j += 1;
         }
         let mut fields = Vec::new();
-        let mut interior = false;
         let after = if j < end && self.is_punct(j, b'{') {
             let close = match_close(&self.ast.toks, &self.ast.src, j, end);
-            for k in j..close {
-                let t = &self.ast.toks[k];
-                if t.kind == TokKind::Ident {
-                    let s = t.text(&self.ast.src);
-                    if matches!(s, "Cell" | "RefCell" | "Mutex" | "RwLock" | "UnsafeCell")
-                        || s.starts_with("Atomic")
-                    {
-                        interior = true;
-                    }
-                }
-            }
             if !is_enum {
                 // Named fields: idents directly followed by `:` at depth 1.
                 let mut depth = 0i32;
@@ -402,7 +351,7 @@ impl Parser<'_> {
         } else {
             j.min(end) + 1
         };
-        self.ast.structs.push(StructDef { name, fields, line, has_interior_mut: interior });
+        self.ast.structs.push(StructDef { name, fields, line });
         after
     }
 }
@@ -431,12 +380,8 @@ mod tests {
                 ("fmt", Some("Widget"), Some("Display")),
             ]
         );
-        assert_eq!(ast.fns[0].self_kind, SelfKind::None);
         assert!(ast.fns[0].has_ret);
-        assert_eq!(ast.fns[1].self_kind, SelfKind::RefMut);
         assert!(!ast.fns[1].has_ret);
-        assert_eq!(ast.fns[2].self_kind, SelfKind::Ref);
-        assert_eq!(ast.fns[3].self_kind, SelfKind::Ref);
     }
 
     #[test]
@@ -458,7 +403,6 @@ mod tests {
         assert_eq!(ast.fns.len(), 1);
         assert_eq!(ast.fns[0].name, "push2");
         assert_eq!(ast.fns[0].impl_type.as_deref(), Some("Stack"));
-        assert_eq!(ast.fns[0].self_kind, SelfKind::RefMut);
     }
 
     #[test]
