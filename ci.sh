@@ -20,8 +20,8 @@ cargo run --release -q -p simcheck --bin simexplore -- --seeds 25
 
 # The `experiments` steps run on one CPU where `taskset` exists: the thread
 # handoff they are made of is several times faster without cross-core
-# wake-ups (kernel-bench 37-90 s -> 5 s on a 2-core box), and their output
-# is byte-identical either way.
+# wake-ups (kernel-bench's thread ring: up to 2.4 s -> 0.13 s on a 2-core
+# box), and their output is byte-identical either way.
 experiments=(cargo run --release -q -p bench --bin experiments)
 if command -v taskset >/dev/null; then
     cpu=$(taskset -cp $$ | sed 's/.*: *//; s/[,-].*//')
@@ -49,10 +49,10 @@ cargo run --release -q -p simcheck --bin tracecheck -- results/trace-elastic.chr
 # PR that moves a figure has to commit the new one, and git history is the
 # trajectory.
 #   kernel-bench        one message ring on threads and on actors: the
-#                       actor ring runs >= 5x the thread ring's events/sec
-#                       (an actor wake-up that starts costing like a thread
-#                       handoff fails) and >= 300k events/sec. Host time:
-#                       no BENCH file.
+#                       actor ring runs >= 3x the thread ring's events/sec
+#                       (~8x pinned; an actor wake-up that starts costing
+#                       like a thread handoff fails) and >= 300k events/sec.
+#                       Host time: no BENCH file.
 #   coldstart           classic vs snapshot-restore elastic runs plus the
 #                       fork fan-out microbench; self-asserts the tier
 #                       mechanics, then: a restore collapses the classic

@@ -1,6 +1,6 @@
 //! Minimal in-tree replacement for `parking_lot`, backed by `std::sync`.
 //!
-//! Exposes the non-poisoning `Mutex`/`Condvar` API the workspace uses. Lock
+//! Exposes the non-poisoning `Mutex` API the workspace uses. Lock
 //! poisoning is absorbed by recovering the inner guard — matching
 //! parking_lot's semantics, where a panicking holder simply releases the
 //! lock.
@@ -14,10 +14,9 @@ pub struct Mutex<T: ?Sized> {
     inner: std::sync::Mutex<T>,
 }
 
-/// RAII guard for [`Mutex`]. The slot is `Option` so [`Condvar::wait`] can
-/// temporarily take the underlying std guard by value.
+/// RAII guard for [`Mutex`].
 pub struct MutexGuard<'a, T: ?Sized> {
-    inner: Option<std::sync::MutexGuard<'a, T>>,
+    inner: std::sync::MutexGuard<'a, T>,
 }
 
 impl<T> Mutex<T> {
@@ -35,17 +34,14 @@ impl<T> Mutex<T> {
 impl<T: ?Sized> Mutex<T> {
     /// Acquires the lock, blocking until available.
     pub fn lock(&self) -> MutexGuard<'_, T> {
-        let guard = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        MutexGuard { inner: Some(guard) }
+        MutexGuard { inner: self.inner.lock().unwrap_or_else(|e| e.into_inner()) }
     }
 
     /// Attempts to acquire the lock without blocking.
     pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
         match self.inner.try_lock() {
-            Ok(g) => Some(MutexGuard { inner: Some(g) }),
-            Err(std::sync::TryLockError::Poisoned(e)) => {
-                Some(MutexGuard { inner: Some(e.into_inner()) })
-            }
+            Ok(g) => Some(MutexGuard { inner: g }),
+            Err(std::sync::TryLockError::Poisoned(e)) => Some(MutexGuard { inner: e.into_inner() }),
             Err(std::sync::TryLockError::WouldBlock) => None,
         }
     }
@@ -59,13 +55,13 @@ impl<T: ?Sized> Mutex<T> {
 impl<T: ?Sized> Deref for MutexGuard<'_, T> {
     type Target = T;
     fn deref(&self) -> &T {
-        self.inner.as_ref().expect("guard present")
+        &self.inner
     }
 }
 
 impl<T: ?Sized> DerefMut for MutexGuard<'_, T> {
     fn deref_mut(&mut self) -> &mut T {
-        self.inner.as_mut().expect("guard present")
+        &mut self.inner
     }
 }
 
@@ -90,41 +86,9 @@ impl<T: ?Sized + fmt::Debug> fmt::Debug for Mutex<T> {
     }
 }
 
-/// A condition variable pairing with [`Mutex`].
-#[derive(Default)]
-pub struct Condvar {
-    inner: std::sync::Condvar,
-}
-
-impl Condvar {
-    /// Creates a condition variable.
-    pub const fn new() -> Self {
-        Condvar { inner: std::sync::Condvar::new() }
-    }
-
-    /// Atomically releases the guarded lock and blocks until notified;
-    /// re-acquires before returning (parking_lot-style in-place guard).
-    pub fn wait<T>(&self, guard: &mut MutexGuard<'_, T>) {
-        let std_guard = guard.inner.take().expect("guard present");
-        let std_guard = self.inner.wait(std_guard).unwrap_or_else(|e| e.into_inner());
-        guard.inner = Some(std_guard);
-    }
-
-    /// Wakes one waiter.
-    pub fn notify_one(&self) {
-        self.inner.notify_one();
-    }
-
-    /// Wakes all waiters.
-    pub fn notify_all(&self) {
-        self.inner.notify_all();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
 
     #[test]
     fn lock_roundtrip() {
@@ -132,24 +96,5 @@ mod tests {
         *m.lock() += 1;
         assert_eq!(*m.lock(), 2);
         assert_eq!(m.into_inner(), 2);
-    }
-
-    #[test]
-    fn condvar_wakes() {
-        let pair = Arc::new((Mutex::new(false), Condvar::new()));
-        let p2 = Arc::clone(&pair);
-        let t = std::thread::spawn(move || {
-            let (m, cv) = &*p2;
-            let mut done = m.lock();
-            while !*done {
-                cv.wait(&mut done);
-            }
-        });
-        {
-            let (m, cv) = &*pair;
-            *m.lock() = true;
-            cv.notify_one();
-        }
-        t.join().expect("waiter exits");
     }
 }

@@ -7,13 +7,13 @@
 //!    circulating a ring of processes, one delivery event per hop.
 //! 2. **actor_ring** — the same ring, hops and link latency with actor
 //!    nodes: one delivery event per hop and no thread handoff, so the
-//!    ratio to `ping_ring` is what a handoff costs.
+//!    ratio to `ping_ring` is what the one direct handoff per hop costs.
 //!
 //! Each section is wall-clock timed (the one legitimate use of host time
 //! in the workspace: measuring the simulator itself) and reports kernel
 //! events/sec, computed from [`simcore::EventQueueStats`] — total pushes
 //! (fresh allocations + free-list recycles) minus events still pending.
-//! [`check`] holds the relation — `actor_ring` runs at least 5x
+//! [`check`] holds the relation — `actor_ring` runs at least 3x
 //! `ping_ring`'s events/sec — and a floor under the single-threaded actor
 //! ring. The thread ring keeps no absolute floor: its rate is the host
 //! scheduler's, and the wheel, the handoff and the DSO path are measured
@@ -56,10 +56,11 @@ pub struct KernelBenchReport {
 }
 
 /// `actor_ring` must run at least this many times `ping_ring`'s
-/// events/sec (typically ~35x): same ring, same hops, no thread handoff.
-const ACTOR_RING_SPEEDUP: f64 = 5.0;
+/// events/sec (~8x pinned to one CPU, 550 k against 4.6 M): same ring, same
+/// hops, no thread handoff.
+const ACTOR_RING_SPEEDUP: f64 = 3.0;
 /// Floor under `actor_ring`'s events/sec, an order of magnitude below a
-/// typical release-build run (~3.5 M): it runs on the kernel thread alone,
+/// typical release-build run (~4.6 M): it runs on the run thread alone,
 /// so host scheduling noise does not reach it.
 const ACTOR_RING_FLOOR: f64 = 300_000.0;
 
@@ -225,11 +226,11 @@ mod tests {
 
     #[test]
     fn check_holds_each_claim() {
-        assert_eq!(check(&report(100_000, 3_500_000)), Ok(()));
+        assert_eq!(check(&report(550_000, 4_600_000)), Ok(()));
         // The thread ring keeps no floor of its own: a slow host passes.
-        assert_eq!(check(&report(5_000, 3_500_000)), Ok(()));
-        let err = check(&report(1_000_000, 3_000_000)).unwrap_err();
-        assert!(err.contains("not at least 5x ping_ring"), "{err}");
+        assert_eq!(check(&report(5_000, 4_600_000)), Ok(()));
+        let err = check(&report(2_000_000, 4_600_000)).unwrap_err();
+        assert!(err.contains("not at least 3x ping_ring"), "{err}");
         let err = check(&report(10_000, 200_000)).unwrap_err();
         assert!(err.contains("below the 300000 floor"), "{err}");
     }

@@ -19,7 +19,7 @@
 //! The same block sites, widened to every primitive that parks the
 //! calling thread (`sleep`, `compute`, `recv*`, `call*`, `park`), feed a
 //! second finding: **actors never block**. An `Actor::on_wake` runs inline
-//! on the kernel thread and blocks only by returning a `Wait`; the kernel
+//! on the run thread and blocks only by returning a `Wait`; the kernel
 //! panics at run time on a blocking call from an actor's `Ctx`, and
 //! [`actor_blocks`] makes it a static fact by walking the call graph
 //! forward from every `impl Actor … fn on_wake`. Helpers that block

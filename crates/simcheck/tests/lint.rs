@@ -48,11 +48,11 @@ fn fixture_findings_carry_lines_and_messages() {
 }
 
 #[test]
-fn allow_census_stays_at_eleven() {
+fn allow_census_stays_at_twelve() {
     // Every `simlint: allow` escape hatch in shipped code, by file. The
     // census keeps the list deliberate: a new allow (or a directive that
     // stopped being needed) must update this test alongside its reason.
-    // Eight of the eleven are the acceptance benchmark's host-clock reads:
+    // Eight of the twelve are the acceptance benchmark's host-clock reads:
     // it measures the simulator's own host time by definition.
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("..");
     let files = simcheck::analyze::read_tree(&root).expect("walk crates");
@@ -85,6 +85,7 @@ fn allow_census_stays_at_eleven() {
             "bench/src/bin/benchmark/workloads/mod.rs",
             "bench/src/bin/experiments.rs",
             "bench/src/experiments/kernelbench.rs",
+            "simcore/src/kernel.rs",
         ],
         "unexpected allow census"
     );

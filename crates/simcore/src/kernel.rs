@@ -1,17 +1,21 @@
 //! The discrete-event simulation kernel.
 //!
 //! The kernel hands out a single *run token*: exactly one process (or the
-//! kernel itself) executes at any moment. There are two kinds of process:
+//! scheduler loop) executes at any moment, and whichever OS thread holds
+//! the token runs the loop. There are two kinds of process:
 //!
 //! - a **thread process** ([`Sim::spawn`]) runs on its own OS thread.
 //!   Blocking operations — [`Ctx::sleep`], [`Ctx::recv`], [`Ctx::call`] —
-//!   park that thread and return the token to the kernel, which advances
-//!   the virtual clock to the next event. For code that blocks
-//!   mid-function: application bodies, clients, drivers.
-//! - an **actor** ([`Sim::spawn_actor`]) is a value the kernel thread
-//!   invokes inline: [`Actor::on_wake`] runs to completion and returns the
-//!   one thing it waits for next ([`Wait`]). No OS thread, no handoff. For
-//!   message-driven servers, which only ever block at the top of a loop.
+//!   register the wait and then drive the scheduler themselves: the thread
+//!   advances the virtual clock to the next event and hands the token
+//!   straight to the thread that event wakes, or keeps it when that is
+//!   itself. For code that blocks mid-function: application bodies,
+//!   clients, drivers.
+//! - an **actor** ([`Sim::spawn_actor`]) is a value the thread that called
+//!   `Sim::run_*` invokes inline: [`Actor::on_wake`] runs to completion
+//!   and returns the one thing it waits for next ([`Wait`]). No OS thread,
+//!   no handoff. For message-driven servers, which only ever block at the
+//!   top of a loop.
 //!
 //! Each [`Wait`] is exactly one of the blocking primitives, and both kinds
 //! share the block-state, epoch, mailbox and runnable-queue bookkeeping, so
@@ -26,11 +30,12 @@ use std::any::Any;
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Arc;
+use std::thread::Thread;
 use std::time::Duration;
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::{Mutex, MutexGuard};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -207,7 +212,7 @@ pub enum Wait {
     Exit,
 }
 
-/// A run-to-completion process: the kernel thread calls [`Actor::on_wake`]
+/// A run-to-completion process: the run thread calls [`Actor::on_wake`]
 /// inline each time the actor's [`Wait`] ends, instead of handing the run
 /// token to a parked OS thread.
 ///
@@ -280,11 +285,11 @@ const STALL_LIMIT: Duration = Duration::from_secs(60);
 /// Whether firing this event can directly hand progress to a non-daemon
 /// process: a wake for a live non-daemon (sleep or recv timeout), or a
 /// delivery to a mailbox a non-daemon is blocked on. Such events are
-/// exempt from the stall cutoff in `run_inner` — a client sleeping for an
+/// exempt from the stall cutoff in `Kernel::drive` — a client sleeping for an
 /// hour is idle, not wedged.
 ///
 /// A free function over the individual tables (rather than a
-/// `KernelState` method) so `run_inner` can consult it while the event
+/// `KernelState` method) so `drive` can consult it while the event
 /// queue is borrowed by `peek`.
 fn event_can_progress(
     procs: &HashMap<u64, ProcSlot>,
@@ -305,70 +310,72 @@ fn event_can_progress(
 // Gates (token handoff)
 // ---------------------------------------------------------------------------
 
-#[derive(Copy, Clone, PartialEq, Eq, Debug)]
-enum RunCmd {
-    Park,
-    Run,
-    Exit,
+/// Gate commands, in the order `fetch_max` needs: a grant never overwrites
+/// `EXIT`.
+const PARK: u8 = 0;
+const RUN: u8 = 1;
+const EXIT: u8 = 2;
+
+/// Where one OS thread waits for the run token: a command word and the
+/// handle that wakes the waiter.
+#[derive(Clone)]
+struct Gate {
+    cmd: Arc<AtomicU8>,
+    waiter: Thread,
 }
 
-struct ProcGate {
-    cmd: Mutex<RunCmd>,
-    cv: Condvar,
-    /// Whether this process currently holds the run token.
-    held: AtomicBool,
-}
-
-impl ProcGate {
-    fn new() -> Arc<ProcGate> {
-        Arc::new(ProcGate {
-            cmd: Mutex::new(RunCmd::Park),
-            cv: Condvar::new(),
-            held: AtomicBool::new(false),
-        })
-    }
-
-    /// Blocks until the kernel grants the token (`Run`) or requests
-    /// termination (`Exit`).
-    fn wait_for_run(&self) -> RunCmd {
-        let mut cmd = self.cmd.lock();
-        while *cmd == RunCmd::Park {
-            self.cv.wait(&mut cmd);
+impl Gate {
+    /// Blocks the calling thread, the waiter of `cmd`, until it is granted
+    /// the token (`true`) or told to terminate (`false`). Spurious
+    /// wake-ups and the unpark tokens of grants taken without parking fall
+    /// out of the loop.
+    fn wait(cmd: &AtomicU8) -> bool {
+        loop {
+            match cmd.compare_exchange(RUN, PARK, Ordering::SeqCst, Ordering::SeqCst) {
+                Ok(_) => return true,
+                Err(EXIT) => return false,
+                Err(_) => std::thread::park(),
+            }
         }
-        let got = *cmd;
-        if got == RunCmd::Run {
-            *cmd = RunCmd::Park;
-            self.held.store(true, Ordering::SeqCst);
-        }
-        got
     }
 
-    fn set(&self, c: RunCmd) {
-        let mut cmd = self.cmd.lock();
-        *cmd = c;
-        self.cv.notify_one();
+    fn set(&self, c: u8) {
+        self.cmd.fetch_max(c, Ordering::SeqCst);
+        self.waiter.unpark();
     }
 }
 
-struct KernelGate {
-    flag: Mutex<bool>,
-    cv: Condvar,
+/// The calling thread's handle, for a gate to wake it by.
+fn this_thread() -> Thread {
+    // simlint: allow(determinism-taint, reason = "the handle is only ever unparked; nothing reads the thread's identity into simulated state")
+    std::thread::current()
 }
 
-impl KernelGate {
-    fn signal(&self) {
-        let mut f = self.flag.lock();
-        *f = true;
-        self.cv.notify_one();
-    }
+/// Gives the run token to the waiter of `to`. Takes the state lock to
+/// count the transfer and releases it first, so the woken thread does not
+/// run into it. The caller no longer holds the token: `false`.
+fn pass(mut st: MutexGuard<'_, KernelState>, to: &Gate) -> bool {
+    st.handoffs += 1;
+    drop(st);
+    to.set(RUN);
+    false
+}
 
-    fn wait(&self) {
-        let mut f = self.flag.lock();
-        while !*f {
-            self.cv.wait(&mut f);
-        }
-        *f = false;
-    }
+/// Gives the run token to the caller of `Sim::run_*`.
+fn pass_to_run_thread(st: MutexGuard<'_, KernelState>) -> bool {
+    let run = st.run_gate.clone();
+    pass(st, &run)
+}
+
+/// Which OS thread is running the scheduler loop ([`Kernel::drive`]).
+#[derive(Copy, Clone, PartialEq, Eq)]
+enum Driver {
+    /// The caller of `Sim::run_*`.
+    RunThread,
+    /// A process thread that has just registered its wait.
+    Blocked(Pid),
+    /// A process thread whose body has finished.
+    Exiting,
 }
 
 /// Panic payload used to unwind process threads on shutdown/kill.
@@ -390,21 +397,21 @@ enum BlockState {
 /// What runs when a process holds the token.
 enum ProcBody {
     /// A parked OS thread; the gate hands it the token.
-    Thread { gate: Arc<ProcGate>, join: Option<std::thread::JoinHandle<()>> },
-    /// An actor the kernel thread invokes inline; `None` while it runs and
+    Thread { gate: Gate, join: Option<std::thread::JoinHandle<()>> },
+    /// An actor the run thread invokes inline; `None` while it runs and
     /// once it has exited.
     Actor(Option<Box<ActorCell>>),
 }
 
 impl ProcBody {
     /// Ends the process without running it again. A thread is told to
-    /// unwind; it does not take the token, so the kernel keeps running. An
+    /// unwind; it does not take the token, so the caller keeps running. An
     /// actor's state is handed back for the caller to drop once the state
     /// lock is released.
     fn retire(&mut self) -> Option<Box<ActorCell>> {
         match self {
             ProcBody::Thread { gate, .. } => {
-                gate.set(RunCmd::Exit);
+                gate.set(EXIT);
                 None
             }
             ProcBody::Actor(cell) => cell.take(),
@@ -461,8 +468,18 @@ pub(crate) struct KernelState {
     /// name)`), maintained by [`Ctx::resource_acquired`] and friends.
     holders: HashMap<u64, (Pid, String)>,
     /// Virtual time a non-daemon process last received the run token; the
-    /// stall detector in `run_inner` keys off this.
+    /// stall detector in [`Kernel::drive`] keys off this.
     last_nondaemon_run: SimTime,
+    /// Where the current `Sim::run_*` call stops; `None` runs until idle.
+    deadline: Option<SimTime>,
+    /// The gate of the thread that called `Sim::run_*`, its waiter captured
+    /// at each entry.
+    run_gate: Gate,
+    /// An actor picked by a process thread, for the run thread to run
+    /// without picking again.
+    carried: Option<Pid>,
+    /// Times the run token moved from one OS thread to another.
+    handoffs: u64,
     /// Span collector, if observability is enabled ([`Sim::set_tracer`]).
     /// `None` makes every `Ctx::span_*` call a no-op.
     tracer: Option<Tracer>,
@@ -641,13 +658,173 @@ impl KernelState {
 
 pub(crate) struct Kernel {
     state: Mutex<KernelState>,
-    kernel_gate: KernelGate,
+    /// The command word of `KernelState::run_gate`, where the run thread
+    /// waits without the state lock.
+    run_cmd: Arc<AtomicU8>,
     seed: u64,
 }
 
 impl Kernel {
-    fn signal_kernel(&self) {
-        self.kernel_gate.signal();
+    /// Runs the scheduler loop on the calling thread, which holds the run
+    /// token, until the token leaves it or comes to rest: `true` if the
+    /// caller still holds it — a process thread that picked itself, or the
+    /// run thread with nothing left to fire.
+    ///
+    /// A panic of the loop itself on a process thread belongs to the
+    /// `run_*` caller, who is parked: it is recorded for `run_*` to
+    /// re-raise and the token goes there, rather than unwinding a process
+    /// body that did nothing wrong.
+    fn drive(&self, driver: Driver) -> bool {
+        if driver == Driver::RunThread {
+            return self.turn(driver);
+        }
+        catch_unwind(AssertUnwindSafe(|| self.turn(driver))).unwrap_or_else(|panic| {
+            let mut st = self.state.lock();
+            st.panic.get_or_insert(panic);
+            pass_to_run_thread(st)
+        })
+    }
+
+    /// The loop behind [`Kernel::drive`].
+    fn turn(&self, driver: Driver) -> bool {
+        let on_run_thread = driver == Driver::RunThread;
+        loop {
+            let mut guard = self.state.lock();
+            let st = &mut *guard;
+            if st.panic.is_some() && !on_run_thread {
+                return pass_to_run_thread(guard);
+            }
+            if let Some(panic) = st.panic.take() {
+                drop(guard);
+                resume_unwind(panic);
+            }
+            // Run every currently runnable process to its next block point.
+            if let Some(pid) = st.carried.take().or_else(|| st.pick_runnable()) {
+                let Some(p) = st.procs.get_mut(&pid.0).filter(|p| p.blocked != BlockState::Exited)
+                else {
+                    continue;
+                };
+                if !on_run_thread && matches!(p.body, ProcBody::Actor(_)) {
+                    // Actors run on the run thread only: an `on_wake` frame
+                    // never lands on a 256 KB process stack. The decision
+                    // is already recorded, so the pick travels with the
+                    // token instead of being made again.
+                    st.carried = Some(pid);
+                    return pass_to_run_thread(guard);
+                }
+                if p.killed {
+                    let cell = p.body.retire();
+                    st.proc_exited(pid);
+                    drop(guard);
+                    drop(cell);
+                    continue;
+                }
+                if !p.daemon {
+                    st.last_nondaemon_run = st.now;
+                }
+                match &mut p.body {
+                    ProcBody::Thread { .. } if driver == Driver::Blocked(pid) => return true,
+                    ProcBody::Thread { gate, .. } => {
+                        let gate = gate.clone();
+                        pass(guard, &gate);
+                        if !on_run_thread {
+                            return false;
+                        }
+                        let granted = Gate::wait(&self.run_cmd);
+                        debug_assert!(granted, "nothing retires the run thread");
+                    }
+                    ProcBody::Actor(cell) => {
+                        let cell = cell.take().expect("a runnable actor is at rest in its slot");
+                        drop(guard);
+                        self.run_actor(pid, cell);
+                    }
+                }
+                continue;
+            }
+            // Advance to the next event. Without a deadline, stop once
+            // every non-daemon process has exited: the remaining events
+            // belong to long-lived services (heartbeats, pollers) that
+            // would otherwise tick forever. The stall bound covers the
+            // deadlocked-but-daemons-keep-ticking case: if no non-daemon
+            // has run for that long in virtual time, the survivors are
+            // wedged and firing more daemon timers can never free them.
+            let fire = match st.events.peek() {
+                Some((time, _, kind)) => match st.deadline {
+                    Some(d) => time <= d,
+                    None => {
+                        st.live_nondaemon > 0
+                            && (time <= st.last_nondaemon_run + STALL_LIMIT
+                                || event_can_progress(&st.procs, &st.mailboxes, kind))
+                    }
+                },
+                None => false,
+            };
+            if !fire {
+                // The run is over; its caller builds the outcome.
+                return on_run_thread || pass_to_run_thread(guard);
+            }
+            let (time, _, kind) = st.events.pop().expect("peeked event");
+            debug_assert!(time >= st.now, "event in the past");
+            st.now = time;
+            st.apply_event(kind);
+        }
+    }
+
+    /// Invokes an actor inline until it blocks or exits: turn how its last
+    /// wait ended into a [`Wake`], call it with the state lock released,
+    /// apply the [`Wait`] it returns, and go round again while a receive
+    /// finds a message already queued — what a thread's `recv` fast path
+    /// does without yielding.
+    fn run_actor(&self, pid: Pid, mut cell: Box<ActorCell>) {
+        let mut wake = match cell.wait {
+            None => Wake::Start,
+            Some(Wait::Sleep(_)) => Wake::Slept,
+            Some(Wait::Recv(mb)) => Wake::Msg(
+                // invariant: an untimed receive pushes no wake event, so
+                // only a delivery makes its process runnable.
+                self.state.lock().end_recv(pid, mb).expect("recv woken by a delivery"),
+            ),
+            Some(Wait::RecvTimeout(mb, _)) => {
+                self.state.lock().end_recv(pid, mb).map_or(Wake::Timeout, Wake::Msg)
+            }
+            Some(Wait::Exit) => unreachable!("an exited actor is never runnable"),
+        };
+        loop {
+            let ActorCell { actor, ctx, .. } = &mut *cell;
+            let result = catch_unwind(AssertUnwindSafe(|| actor.on_wake(ctx, wake)));
+            let mut st = self.state.lock();
+            let wait = match result {
+                Ok(wait) => wait,
+                Err(panic) => {
+                    st.proc_exited(pid);
+                    drop(st);
+                    drop(cell);
+                    resume_unwind(panic);
+                }
+            };
+            let queued = match wait {
+                Wait::Sleep(d) => {
+                    st.begin_sleep(pid, d);
+                    None
+                }
+                Wait::Recv(mb) => st.begin_recv(pid, mb, None),
+                Wait::RecvTimeout(mb, t) => st.begin_recv(pid, mb, Some(t)),
+                Wait::Exit => {
+                    st.proc_exited(pid);
+                    drop(st);
+                    return;
+                }
+            };
+            match queued {
+                Some(msg) => wake = Wake::Msg(msg),
+                None => {
+                    cell.wait = Some(wait);
+                    let p = st.procs.get_mut(&pid.0).expect("own slot");
+                    p.body = ProcBody::Actor(Some(cell));
+                    return;
+                }
+            }
+        }
     }
 }
 
@@ -729,6 +906,7 @@ impl Sim {
     /// search over schedules and to replay a failing one.
     pub fn with_scheduler(seed: u64, scheduler: Box<dyn Scheduler>) -> Sim {
         let trace = std::env::var("SIM_TRACE").map(|v| v == "1").unwrap_or(false);
+        let run_cmd = Arc::new(AtomicU8::new(PARK));
         Sim {
             kernel: Arc::new(Kernel {
                 state: Mutex::new(KernelState {
@@ -748,10 +926,14 @@ impl Sim {
                     decisions: Vec::new(),
                     holders: HashMap::new(),
                     last_nondaemon_run: SimTime::ZERO,
+                    deadline: None,
+                    run_gate: Gate { cmd: run_cmd.clone(), waiter: this_thread() },
+                    carried: None,
+                    handoffs: 0,
                     tracer: None,
                     metrics: None,
                 }),
-                kernel_gate: KernelGate { flag: Mutex::new(false), cv: Condvar::new() },
+                run_cmd,
                 seed,
             }),
         }
@@ -767,6 +949,12 @@ impl Sim {
     /// bench report.
     pub fn event_queue_stats(&self) -> EventQueueStats {
         self.kernel.state.lock().events.stats()
+    }
+
+    /// Times the run token has moved from one OS thread to another: the
+    /// host cost thread processes add over actors, as a count.
+    pub fn thread_handoffs(&self) -> u64 {
+        self.kernel.state.lock().handoffs
     }
 
     /// Installs a span collector: from now on `Ctx::span_begin` and friends
@@ -888,148 +1076,28 @@ impl Sim {
     }
 
     fn run_inner(&mut self, deadline: Option<SimTime>) -> RunOutcome {
-        loop {
-            if let Some(p) = self.kernel.state.lock().panic.take() {
-                resume_unwind(p);
-            }
-            // Run every currently runnable process to its next block point.
-            let next = self.kernel.state.lock().pick_runnable();
-            if let Some(pid) = next {
-                self.run_process(pid);
-                continue;
-            }
-            // Advance to the next event. Without a deadline, stop once
-            // every non-daemon process has exited: the remaining events
-            // belong to long-lived services (heartbeats, pollers) that
-            // would otherwise tick forever. The stall bound covers the
-            // deadlocked-but-daemons-keep-ticking case: if no non-daemon
-            // has run for that long in virtual time, the survivors are
-            // wedged and firing more daemon timers can never free them.
+        {
             let mut st = self.kernel.state.lock();
-            let st = &mut *st;
-            let fire = match st.events.peek() {
-                Some((time, _, kind)) => match deadline {
-                    Some(d) => time <= d,
-                    None => {
-                        st.live_nondaemon > 0
-                            && (time <= st.last_nondaemon_run + STALL_LIMIT
-                                || event_can_progress(&st.procs, &st.mailboxes, kind))
-                    }
-                },
-                None => false,
-            };
-            if fire {
-                let (time, _, kind) = st.events.pop().expect("peeked event");
-                debug_assert!(time >= st.now, "event in the past");
-                st.now = time;
-                st.apply_event(kind);
-            } else {
-                if let Some(d) = deadline {
-                    if st.now < d {
-                        st.now = d;
-                    }
-                }
-                let blocked = st
-                    .procs
-                    .values()
-                    .filter(|p| {
-                        !p.daemon
-                            && p.blocked != BlockState::Exited
-                            && p.blocked != BlockState::Runnable
-                    })
-                    .map(|p| p.name.clone())
-                    .collect();
-                return RunOutcome { time: st.now, blocked };
+            st.deadline = deadline;
+            // Captured per run: a `Sim` may move between calls.
+            st.run_gate.waiter = this_thread();
+        }
+        self.kernel.drive(Driver::RunThread);
+        let mut st = self.kernel.state.lock();
+        if let Some(d) = deadline {
+            if st.now < d {
+                st.now = d;
             }
         }
-    }
-
-    fn run_process(&self, pid: Pid) {
-        let mut guard = self.kernel.state.lock();
-        let st = &mut *guard;
-        let Some(p) = st.procs.get_mut(&pid.0).filter(|p| p.blocked != BlockState::Exited) else {
-            return;
-        };
-        if p.killed {
-            let cell = p.body.retire();
-            st.proc_exited(pid);
-            drop(guard);
-            drop(cell);
-            return;
-        }
-        if !p.daemon {
-            st.last_nondaemon_run = st.now;
-        }
-        match &mut p.body {
-            ProcBody::Thread { gate, .. } => {
-                let gate = gate.clone();
-                drop(guard);
-                gate.set(RunCmd::Run);
-                self.kernel.kernel_gate.wait();
-            }
-            ProcBody::Actor(cell) => {
-                let cell = cell.take().expect("a runnable actor is at rest in its slot");
-                drop(guard);
-                self.run_actor(pid, cell);
-            }
-        }
-    }
-
-    /// Invokes an actor inline until it blocks or exits: turn how its last
-    /// wait ended into a [`Wake`], call it with the state lock released,
-    /// apply the [`Wait`] it returns, and go round again while a receive
-    /// finds a message already queued — what a thread's `recv` fast path
-    /// does without yielding.
-    fn run_actor(&self, pid: Pid, mut cell: Box<ActorCell>) {
-        let mut wake = match cell.wait {
-            None => Wake::Start,
-            Some(Wait::Sleep(_)) => Wake::Slept,
-            Some(Wait::Recv(mb)) => Wake::Msg(
-                // invariant: an untimed receive pushes no wake event, so
-                // only a delivery makes its process runnable.
-                self.kernel.state.lock().end_recv(pid, mb).expect("recv woken by a delivery"),
-            ),
-            Some(Wait::RecvTimeout(mb, _)) => {
-                self.kernel.state.lock().end_recv(pid, mb).map_or(Wake::Timeout, Wake::Msg)
-            }
-            Some(Wait::Exit) => unreachable!("an exited actor is never runnable"),
-        };
-        loop {
-            let ActorCell { actor, ctx, .. } = &mut *cell;
-            let result = catch_unwind(AssertUnwindSafe(|| actor.on_wake(ctx, wake)));
-            let mut st = self.kernel.state.lock();
-            let wait = match result {
-                Ok(wait) => wait,
-                Err(panic) => {
-                    st.proc_exited(pid);
-                    drop(st);
-                    drop(cell);
-                    resume_unwind(panic);
-                }
-            };
-            let queued = match wait {
-                Wait::Sleep(d) => {
-                    st.begin_sleep(pid, d);
-                    None
-                }
-                Wait::Recv(mb) => st.begin_recv(pid, mb, None),
-                Wait::RecvTimeout(mb, t) => st.begin_recv(pid, mb, Some(t)),
-                Wait::Exit => {
-                    st.proc_exited(pid);
-                    drop(st);
-                    return;
-                }
-            };
-            match queued {
-                Some(msg) => wake = Wake::Msg(msg),
-                None => {
-                    cell.wait = Some(wait);
-                    let p = st.procs.get_mut(&pid.0).expect("own slot");
-                    p.body = ProcBody::Actor(Some(cell));
-                    return;
-                }
-            }
-        }
+        let blocked = st
+            .procs
+            .values()
+            .filter(|p| {
+                !p.daemon && p.blocked != BlockState::Exited && p.blocked != BlockState::Runnable
+            })
+            .map(|p| p.name.clone())
+            .collect();
+        RunOutcome { time: st.now, blocked }
     }
 
     /// Marks a process for termination. If it is blocked it unwinds without
@@ -1125,7 +1193,7 @@ fn next_pid(kernel: &Kernel) -> Pid {
 }
 
 /// The context of process `pid`, with its per-pid random stream.
-fn new_ctx(kernel: &Arc<Kernel>, pid: Pid, name: &str, gate: Option<Arc<ProcGate>>) -> Ctx {
+fn new_ctx(kernel: &Arc<Kernel>, pid: Pid, name: &str, gate: Option<Arc<AtomicU8>>) -> Ctx {
     let seed = kernel.seed ^ pid.0.wrapping_mul(0x9E37_79B9_7F4A_7C15);
     Ctx {
         kernel: kernel.clone(),
@@ -1173,45 +1241,40 @@ fn spawn_process<F>(kernel: &Arc<Kernel>, name: &str, daemon: bool, f: F) -> Pid
 where
     F: FnOnce(&mut Ctx) + Send + 'static,
 {
-    let gate = ProcGate::new();
+    let cmd = Arc::new(AtomicU8::new(PARK));
     let pid = next_pid(kernel);
-    let thread_gate = gate.clone();
+    let thread_cmd = cmd.clone();
     let thread_kernel = kernel.clone();
     let pname = name.to_string();
     let join = std::thread::Builder::new()
         .name(format!("sim-{pname}"))
         .stack_size(256 * 1024)
         .spawn(move || {
-            match thread_gate.wait_for_run() {
-                RunCmd::Run => {}
-                _ => {
-                    // Exited before first run (shutdown); nothing to clean.
-                    let mut st = thread_kernel.state.lock();
-                    st.proc_exited(pid);
-                    return;
-                }
+            if !Gate::wait(&thread_cmd) {
+                // Exited before first run (shutdown); nothing to clean.
+                thread_kernel.state.lock().proc_exited(pid);
+                return;
             }
-            let mut ctx = new_ctx(&thread_kernel, pid, &pname, Some(thread_gate.clone()));
+            let mut ctx = new_ctx(&thread_kernel, pid, &pname, Some(thread_cmd));
             let result = catch_unwind(AssertUnwindSafe(|| f(&mut ctx)));
-            let held = thread_gate.held.load(Ordering::SeqCst);
+            // A shutdown unwinds a thread out of its wait, so the token is
+            // elsewhere; any other way out of the body still holds it.
+            let shutdown = matches!(&result, Err(p) if p.is::<ShutdownSignal>());
             {
                 let mut st = thread_kernel.state.lock();
-                match result {
-                    Ok(()) => {}
-                    Err(p) => {
-                        if !p.is::<ShutdownSignal>() {
-                            st.panic = Some(p);
-                        }
+                if let Err(p) = result {
+                    if !shutdown {
+                        st.panic = Some(p);
                     }
                 }
                 st.proc_exited(pid);
             }
-            if held {
-                thread_gate.held.store(false, Ordering::SeqCst);
-                thread_kernel.signal_kernel();
+            if !shutdown {
+                thread_kernel.drive(Driver::Exiting);
             }
         })
         .expect("failed to spawn simulation thread");
+    let gate = Gate { cmd, waiter: join.thread().clone() };
     insert_proc(kernel, pid, name, daemon, ProcBody::Thread { gate, join: Some(join) });
     pid
 }
@@ -1223,15 +1286,15 @@ where
 /// The execution context handed to every simulated process.
 ///
 /// In a thread process, the methods that block (`sleep`, `recv`, `call`,
-/// `park`) release the run token to the kernel and resume when the
-/// corresponding event fires. In an [`Actor`] they panic: an actor blocks
+/// `park`) pass the run token on and resume when the corresponding event
+/// fires. In an [`Actor`] they panic: an actor blocks
 /// only by returning a [`Wait`].
 pub struct Ctx {
     kernel: Arc<Kernel>,
     pid: Pid,
-    /// The thread's token gate; `None` for an actor, which has no thread to
-    /// park.
-    gate: Option<Arc<ProcGate>>,
+    /// The command word of the thread's token gate; `None` for an actor,
+    /// which has no thread to park.
+    gate: Option<Arc<AtomicU8>>,
     rng: StdRng,
     name: String,
     /// Current trace context; spans started with [`Ctx::span_begin`] are
@@ -1402,14 +1465,13 @@ impl Ctx {
         );
     }
 
+    /// Called with this process's wait registered: drives the scheduler
+    /// and, unless the next pick is this process, parks until it is.
     fn yield_to_kernel(&mut self) {
-        let gate = self.gate.as_deref().expect("blocking calls start with must_be_thread");
-        gate.held.store(false, Ordering::SeqCst);
-        self.kernel.signal_kernel();
-        match gate.wait_for_run() {
-            RunCmd::Run => {}
+        let cmd = self.gate.as_deref().expect("blocking calls start with must_be_thread");
+        if !self.kernel.drive(Driver::Blocked(self.pid)) && !Gate::wait(cmd) {
             // resume_unwind skips the panic hook: shutdown is not an error.
-            _ => std::panic::resume_unwind(Box::new(ShutdownSignal)),
+            std::panic::resume_unwind(Box::new(ShutdownSignal));
         }
     }
 

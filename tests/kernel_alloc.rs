@@ -12,7 +12,7 @@
 //! is process-wide — and so is the count, which is why the binary has no
 //! libtest harness (`harness = false`): libtest's main thread allocates
 //! when it reports a test as running for over 60 seconds, inside whatever
-//! window is being counted. A plain `main` runs the two regions back to
+//! window is being counted. A plain `main` runs the three regions back to
 //! back, so no thread outside the simulation exists during a window, and
 //! prints libtest's lines so the output reads like any other test binary's.
 
@@ -63,8 +63,8 @@ fn steady_state_timer_churn_allocates_nothing() {
             ctx.sleep(Duration::from_nanos(period_ns));
         });
     }
-    // Warm-up: grow the slab arena, the wheel's staging buffer, the
-    // runnable queue, and parking-lot's thread structures to steady state.
+    // Warm-up: grow the slab arena, the wheel's staging buffer and the
+    // runnable queue to steady state.
     sim.run_for(Duration::from_millis(50));
     let warm = sim.event_queue_stats();
 
@@ -128,13 +128,46 @@ fn steady_state_actor_ping_pong_allocates_nothing() {
     assert_eq!(counted, 0, "an actor wake-up allocated {counted} times in steady state");
 }
 
+fn steady_state_thread_ring_allocates_nothing() {
+    let mut sim = Sim::new(13);
+    let mbs: Vec<_> = (0..8).map(|i| sim.mailbox(&format!("ring-{i}"))).collect();
+    for i in 0..mbs.len() {
+        let (rx, tx) = (mbs[i], mbs[(i + 1) % mbs.len()]);
+        sim.spawn_daemon(&format!("node-{i}"), move |ctx| loop {
+            let ball = ctx.recv(rx);
+            ctx.send(tx, ball, Duration::from_micros(3));
+        });
+    }
+    let first = mbs[0];
+    sim.spawn("serve", move |ctx| ctx.send(first, Msg::new(0u64), Duration::ZERO));
+    sim.run_for(Duration::from_millis(1));
+    let (warm, warm_handoffs) = (sim.event_queue_stats(), sim.thread_handoffs());
+
+    ALLOCS.store(0, Ordering::SeqCst);
+    COUNTING.store(true, Ordering::SeqCst);
+    sim.run_for(Duration::from_millis(30));
+    COUNTING.store(false, Ordering::SeqCst);
+
+    let counted = ALLOCS.load(Ordering::SeqCst);
+    let after = sim.event_queue_stats();
+    // One delivery per 3 µs hop, each waking a thread parked in `recv`: the
+    // blocking thread fires it and hands the token straight to the next.
+    assert!(
+        after.recycled_pushes >= warm.recycled_pushes + 9_000,
+        "the ball must keep moving: {warm:?} -> {after:?}"
+    );
+    assert!(sim.thread_handoffs() >= warm_handoffs + 9_000, "every hop is a thread handoff");
+    assert_eq!(counted, 0, "a thread handoff allocated {counted} times in steady state");
+}
+
 fn main() {
-    let tests: [(&str, fn()); 2] = [
+    let tests: [(&str, fn()); 3] = [
         ("steady_state_timer_churn_allocates_nothing", steady_state_timer_churn_allocates_nothing),
         (
             "steady_state_actor_ping_pong_allocates_nothing",
             steady_state_actor_ping_pong_allocates_nothing,
         ),
+        ("steady_state_thread_ring_allocates_nothing", steady_state_thread_ring_allocates_nothing),
     ];
     // What `cargo test -- --list` asks of every test binary.
     if std::env::args().any(|a| a == "--list") {
