@@ -7,6 +7,8 @@ cargo build --release --workspace
 cargo test -q --workspace
 cargo clippy --workspace --all-targets -- -D warnings
 cargo fmt --check
+# A doc link to an item that was deleted or moved fails here.
+RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" cargo doc --no-deps --workspace
 
 # Correctness tooling (crates/simcheck): the line-level determinism lint,
 # the interprocedural analyzer (determinism taint, wait annotation

@@ -145,8 +145,8 @@ fn run_cell(seed: u64, scale: Scale, cfg: DsoConfig, tier: CacheTier) -> (f64, D
 }
 
 /// The matrix. Invalid combinations of the config space (a lease without
-/// the cache, `BoundedStaleness` without `read_cache`) are simply not
-/// rows — the builder rejects them, which `dso`'s config tests pin.
+/// the cache) are simply not rows — the builder rejects them, which
+/// `dso`'s config tests pin.
 fn cells() -> Vec<(&'static str, CacheTier, DsoConfig)> {
     let b = DsoConfig::builder;
     vec![
@@ -171,13 +171,9 @@ fn cells() -> Vec<(&'static str, CacheTier, DsoConfig)> {
                 .expect("valid"),
         ),
         (
-            "bounded-staleness",
+            "linearizable",
             CacheTier::Client,
-            b().consistency(ConsistencyMode::BoundedStaleness)
-                .staleness_bound(LEASE)
-                .read_cache(true)
-                .build()
-                .expect("valid"),
+            b().read_cache(true).cache_lease(LEASE).build().expect("valid"),
         ),
         (
             "replica-reads",
@@ -285,7 +281,7 @@ mod tests {
             ("replica-reads", "none", 42_847.0),
             ("causal", "none", 42_840.0),
             ("replica-reads", "client_cache", 129_855.0),
-            ("bounded-staleness", "client_cache", 129_800.0),
+            ("linearizable", "client_cache", 129_800.0),
             ("replica-reads", "node_cache", 734_485.0),
         ]
         .into_iter()

@@ -770,67 +770,6 @@ impl Arithmetic {
     }
 }
 
-/// Typed handle to the convergent [`objects::GCounter`] — the CRDT
-/// counterpart of [`AtomicLong`] increments. Pair it with
-/// [`crate::ConsistencyMode::CrdtMerge`], where its writes skip the SMR
-/// multicast and replicas reconcile by merge on anti-entropy exchange;
-/// under any other mode it behaves like an ordinary replicated counter.
-#[derive(Clone, Debug, Wire, PartialEq)]
-pub struct GCounter {
-    raw: RawHandle,
-}
-
-impl GCounter {
-    /// Handle to an ephemeral (unreplicated) counter starting at zero.
-    pub fn new(key: &str) -> GCounter {
-        GCounter {
-            raw: RawHandle::new(
-                objects::GCounter::TYPE,
-                key,
-                1,
-                &std::collections::BTreeMap::<u32, u64>::new(),
-            ),
-        }
-    }
-
-    /// Handle to a persistent counter replicated `rf` ways.
-    pub fn persistent(key: &str, rf: u8) -> GCounter {
-        GCounter {
-            raw: RawHandle::new(
-                objects::GCounter::TYPE,
-                key,
-                rf,
-                &std::collections::BTreeMap::<u32, u64>::new(),
-            ),
-        }
-    }
-
-    /// Adds `d`; returns the total as known to the executing replica
-    /// (under `CrdtMerge`, possibly not yet including other replicas'
-    /// unmerged increments).
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`DsoError`].
-    pub fn inc(&self, ctx: &mut Ctx, cli: &mut DsoClient, d: u64) -> Result<u64, DsoError> {
-        self.raw.call(ctx, cli, "inc", &d)
-    }
-
-    /// Reads the total.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`DsoError`].
-    pub fn get(&self, ctx: &mut Ctx, cli: &mut DsoClient) -> Result<u64, DsoError> {
-        self.raw.call_read(ctx, cli, "get", &())
-    }
-
-    /// The underlying raw handle.
-    pub fn raw(&self) -> &RawHandle {
-        &self.raw
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -20,7 +20,7 @@ use crate::object::ObjectRef;
 use crate::protocol::{
     BatchItemResp, BatchReq, GetView, InvokeReq, InvokeResp, VersionReq, VersionResp, View,
 };
-use crate::read_policy::{policy_for, ReadPolicy};
+use crate::read_policy::ReadPolicy;
 use crate::ring::Ring;
 
 /// Cheap, `Send` handle describing how to reach a DSO deployment. Each
@@ -47,10 +47,9 @@ impl DsoClientHandle {
     /// Instantiates a per-process client.
     pub fn connect(&self) -> DsoClient {
         DsoClient {
-            policy: policy_for(&self.cfg),
+            policy: ReadPolicy::new(&self.cfg),
             h: self.clone(),
             view: None,
-            monotonic: MonotonicReads::new(),
             cache: HashMap::new(),
             node_cache: None,
             scratch: Vec::new(),
@@ -94,7 +93,7 @@ pub struct BatchOp {
 /// travel back in time relative to an earlier read (or write) by the same
 /// client; rejecting any version below the high-water mark restores the
 /// *monotonic reads* session guarantee under
-/// [`ConsistencyMode::ReplicaReads`].
+/// [`crate::ConsistencyMode::ReplicaReads`].
 #[derive(Debug, Default)]
 pub struct MonotonicReads {
     seen: HashMap<ObjectRef, u64>,
@@ -145,10 +144,10 @@ const CACHE_HIT_COST: Duration = Duration::from_micros(1);
 pub struct DsoClient {
     h: DsoClientHandle,
     view: Option<(View, Ring)>,
-    /// The consistency strategy: routing, admission, dependency
-    /// piggybacking and lease policy, per [`crate::ConsistencyMode`].
-    policy: Box<dyn ReadPolicy>,
-    monotonic: MonotonicReads,
+    /// The session's consistency state: routing, admission (it owns the
+    /// [`MonotonicReads`] table), dependency piggybacking and the lease,
+    /// per [`crate::ConsistencyMode`].
+    policy: ReadPolicy,
     /// Client-private read cache (`dso.read_cache.*`): dies with this
     /// client — i.e. with the function invocation that connected it.
     cache: HashMap<(ObjectRef, MethodName, Bytes), CacheEntry>,
@@ -165,7 +164,7 @@ impl fmt::Debug for DsoClient {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("DsoClient")
             .field("view", &self.view.as_ref().map(|(v, _)| v.id))
-            .field("policy", &self.policy.name())
+            .field("consistency", &self.h.cfg.consistency)
             .field("cached", &self.cache.len())
             .finish()
     }
@@ -179,7 +178,7 @@ impl DsoClient {
 
     /// The highest version this client has observed for `obj`.
     pub fn observed_version(&self, obj: &ObjectRef) -> u64 {
-        self.monotonic.high_water(obj)
+        self.policy.observed_version(obj)
     }
 
     /// Forces a view refresh from the coordinator.
@@ -205,23 +204,17 @@ impl DsoClient {
         self.view.as_ref().expect("view cached")
     }
 
-    /// Picks the node to contact for one attempt, as decided by the
-    /// consistency policy: the primary for writes (and for all reads
-    /// under [`crate::ConsistencyMode::Linearizable`] and
-    /// [`crate::ConsistencyMode::BoundedStaleness`]), any node of the
-    /// placement set — round-robin — for read-only calls under the
-    /// replica-reading policies.
+    /// Picks the node to contact for one attempt: the primary for writes
+    /// (and for all reads under [`crate::ConsistencyMode::Linearizable`]),
+    /// any node of the placement set — round-robin — for read-only calls
+    /// under the replica-reading modes.
     fn route(&mut self, ctx: &mut Ctx, obj: &ObjectRef, rf: u8, readonly: bool) -> Option<Addr> {
         if self.view.is_none() {
             self.refresh_view(ctx);
         }
         // invariant: refresh_view stored Some just above when it was None.
         let (view, ring) = self.view.as_ref().expect("view cached");
-        let node = if readonly {
-            self.policy.route_read(ring, obj, rf)
-        } else {
-            self.policy.route_write(ring, obj, rf)
-        };
+        let node = if readonly { self.policy.route_read(ring, obj, rf) } else { ring.primary(obj) };
         node.and_then(|n| view.addr_of(n))
     }
 
@@ -285,7 +278,7 @@ impl DsoClient {
             rf,
             create,
             readonly,
-            dep: self.policy.dep(obj),
+            dep: self.policy.dep(),
             span: SpanId::NONE,
         };
         let max = self.h.cfg.max_retries;
@@ -327,7 +320,7 @@ impl DsoClient {
             };
             match resp {
                 Some(InvokeResp::Value { bytes, version, lamport }) => {
-                    if readonly && !self.policy.admit(&mut self.monotonic, obj, version, lamport) {
+                    if readonly && !self.policy.admit(obj, version, lamport) {
                         // Stale replica: behind something this session
                         // already observed (a version regression, or a
                         // Lamport stamp below the causal frontier). Go
@@ -340,7 +333,7 @@ impl DsoClient {
                         continue;
                     }
                     if !readonly {
-                        self.policy.observe_write(&mut self.monotonic, obj, version, lamport);
+                        self.policy.observe_write(obj, version, lamport);
                         self.invalidate(obj);
                         if let Some(nc) = &self.node_cache {
                             if nc.invalidate(obj) > 0 {
@@ -453,8 +446,7 @@ impl DsoClient {
             self.h.cfg.call_timeout,
         );
         match resp {
-            Some(VersionResp(Some(v))) if v == version && v >= self.monotonic.high_water(obj) => {
-                self.monotonic.observe(obj, v);
+            Some(VersionResp(Some(v))) if v == version && self.policy.admit_version(obj, v) => {
                 match self.cache.get_mut(&key) {
                     Some(entry) => {
                         entry.validated_at = ctx.now();
@@ -498,7 +490,7 @@ impl DsoClient {
             .lease()
             .is_some_and(|l| ctx.now().saturating_duration_since(entry.validated_at) < l);
         if lease_ok {
-            if !self.policy.admit(&mut self.monotonic, obj, entry.version, entry.lamport) {
+            if !self.policy.admit(obj, entry.version, entry.lamport) {
                 // Another container's older result: stale for *this*
                 // session even though the lease is live.
                 ctx.metric_incr("dso.node_cache.miss");
@@ -523,13 +515,7 @@ impl DsoClient {
         );
         match resp {
             Some(VersionResp(Some(v)))
-                if v == entry.version
-                    && self.policy.admit(
-                        &mut self.monotonic,
-                        obj,
-                        entry.version,
-                        entry.lamport,
-                    ) =>
+                if v == entry.version && self.policy.admit(obj, entry.version, entry.lamport) =>
             {
                 nc.revalidate(&key, ctx.now());
                 let mark = ctx.span_instant("dso.cache", "dso");
@@ -576,12 +562,15 @@ impl DsoClient {
         let mut results: Vec<Option<Result<Bytes, DsoError>>> = Vec::new();
         results.resize_with(ops.len(), || None);
 
-        // Cache fast path per read-only item.
+        // Cache fast path per read-only item. Hits are counted here and
+        // misses where the item is answered (the batch reply below, or the
+        // fallback `invoke`), so each item counts exactly once.
         if self.h.cfg.read_cache {
             for (i, op) in ops.iter().enumerate() {
                 if op.readonly {
                     if let Some(bytes) = self.cached_read(ctx, &op.obj, &op.method, &op.args, op.rf)
                     {
+                        ctx.metric_incr("dso.read_cache.hit");
                         results[i] = Some(Ok(bytes));
                     }
                 }
@@ -606,7 +595,7 @@ impl DsoClient {
                     rf: op.rf,
                     create: op.create.clone(),
                     readonly: op.readonly,
-                    dep: self.policy.dep(&op.obj),
+                    dep: self.policy.dep(),
                     span: batch_span,
                 },
             ));
@@ -620,20 +609,13 @@ impl DsoClient {
             for BatchItemResp { tag, resp } in replies {
                 let i = tag as usize;
                 let op = &ops[i];
-                match resp {
+                let answer = match resp {
                     InvokeResp::Value { bytes, version, lamport } => {
-                        if op.readonly
-                            && !self.policy.admit(&mut self.monotonic, &op.obj, version, lamport)
-                        {
+                        if op.readonly && !self.policy.admit(&op.obj, version, lamport) {
                             continue; // stale replica: retry via fallback
                         }
                         if !op.readonly {
-                            self.policy.observe_write(
-                                &mut self.monotonic,
-                                &op.obj,
-                                version,
-                                lamport,
-                            );
+                            self.policy.observe_write(&op.obj, version, lamport);
                             self.invalidate(&op.obj);
                             if let Some(nc) = &self.node_cache {
                                 if nc.invalidate(&op.obj) > 0 {
@@ -650,18 +632,19 @@ impl DsoClient {
                                 },
                             );
                         }
-                        results[i] = Some(Ok(bytes));
+                        Ok(bytes)
                     }
-                    InvokeResp::Error(e) => {
-                        results[i] = Some(Err(DsoError::Object(e)));
-                    }
+                    InvokeResp::Error(e) => Err(DsoError::Object(e)),
+                    // Left unanswered: the fallback below retries with
+                    // backoff (and, where warranted, a view refresh).
                     InvokeResp::NotOwner { .. }
                     | InvokeResp::Retry
-                    | InvokeResp::Overloaded { .. } => {
-                        // Left unanswered: the fallback below retries with
-                        // backoff (and, where warranted, a view refresh).
-                    }
+                    | InvokeResp::Overloaded { .. } => continue,
+                };
+                if op.readonly && self.h.cfg.read_cache {
+                    ctx.metric_incr("dso.read_cache.miss");
                 }
+                results[i] = Some(answer);
             }
         }
 

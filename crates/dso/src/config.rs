@@ -14,7 +14,9 @@ use simcore::LatencyModel;
 pub enum ConsistencyMode {
     /// Reads are served by the object's primary only. Together with
     /// per-object serialization on the primary this preserves
-    /// linearizability, and is the default.
+    /// linearizability, and is the default. A [`DsoConfig::cache_lease`]
+    /// weakens the guarantee to **bounded staleness**: a leased read
+    /// trails the write frontier by at most the lease (see there).
     #[default]
     Linearizable,
     /// Reads may be served by *any* replica in the object's placement set.
@@ -30,23 +32,6 @@ pub enum ConsistencyMode {
     /// rejected and retried at the primary, restoring **monotonic reads**
     /// and **read-your-writes** per session on top of replica routing.
     Causal,
-    /// Bounded-staleness reads: the primary's reply is cached and
-    /// re-served without *any* server round-trip for
-    /// [`DsoConfig::staleness_bound`] of virtual time — the bound *is*
-    /// the lease, generalizing [`DsoConfig::cache_lease`] into a
-    /// first-class mode whose guarantee `dso::verify::check_staleness_bound`
-    /// machine-checks. Requires `read_cache` and a `staleness_bound`.
-    BoundedStaleness,
-    /// Convergent (CRDT) objects: writes to [`Mergeable`] types apply at
-    /// the contacted replica *without* the SMR multicast; replicas
-    /// exchange state on an anti-entropy ticker
-    /// ([`DsoConfig::anti_entropy_interval`]) and reconcile through
-    /// [`Mergeable::merge`]. Reads rotate over replicas and are always
-    /// admitted — the guarantee is convergence, not linearizability.
-    ///
-    /// [`Mergeable`]: crate::object::Mergeable
-    /// [`Mergeable::merge`]: crate::object::Mergeable::merge
-    CrdtMerge,
 }
 
 /// How (and whether) applied mutations are persisted to the durability
@@ -187,14 +172,13 @@ pub struct DsoConfig {
     /// With `read_cache`, how long a validated entry may be re-served
     /// without *any* server round-trip. `None` (the default) validates
     /// every hit with a cheap dispatcher-level version probe; reads are
-    /// then never staler than the probed replica.
+    /// then never staler than the probed replica. A lease on
+    /// primary-routed reads ([`ConsistencyMode::Linearizable`]) *is* the
+    /// bounded-staleness contract: an entry is installed or revalidated
+    /// from the primary, which is globally current at that instant, so a
+    /// lease-served read trails the write frontier by at most the lease
+    /// (`dso::verify::check_staleness_bound` checks exactly this).
     pub cache_lease: Option<Duration>,
-    /// Under [`ConsistencyMode::BoundedStaleness`], the maximum virtual
-    /// time a read may trail the write frontier: primary replies are
-    /// cached and re-served for this long, so the bound holds by
-    /// construction (`dso::verify::check_staleness_bound` verifies it).
-    /// Must be `None` in every other mode.
-    pub staleness_bound: Option<Duration>,
     /// Opt-in co-located cache tier: one [`NodeCache`] per FaaS host,
     /// shared by all containers (and their DSO clients) on that host.
     /// Kept coherent by write-through invalidation from co-located
@@ -203,12 +187,6 @@ pub struct DsoConfig {
     ///
     /// [`NodeCache`]: crate::node_cache::NodeCache
     pub node_cache: bool,
-    /// Under [`ConsistencyMode::CrdtMerge`], how often each server pushes
-    /// the state of its [`Mergeable`] objects to the other replicas for
-    /// reconciliation. Unused (and no ticker runs) in every other mode.
-    ///
-    /// [`Mergeable`]: crate::object::Mergeable
-    pub anti_entropy_interval: Duration,
     /// Per-node admission control (token bucket + queue-depth shedding).
     /// `None` (the default) admits everything, the pre-existing behavior.
     pub admission: Option<AdmissionConfig>,
@@ -235,9 +213,7 @@ impl Default for DsoConfig {
             consistency: ConsistencyMode::default(),
             read_cache: false,
             cache_lease: None,
-            staleness_bound: None,
             node_cache: false,
-            anti_entropy_interval: Duration::from_millis(10),
             admission: None,
             durability: None,
         }
@@ -270,11 +246,11 @@ impl DsoConfig {
     /// use std::time::Duration;
     ///
     /// let cfg = DsoConfig::builder()
-    ///     .workers_per_node(4)
-    ///     .call_timeout(Duration::from_millis(500))
+    ///     .read_cache(true)
+    ///     .cache_lease(Duration::from_millis(2))
     ///     .build()
     ///     .expect("valid");
-    /// assert_eq!(cfg.workers_per_node, 4);
+    /// assert_eq!(cfg.cache_lease, Some(Duration::from_millis(2)));
     /// ```
     pub fn builder() -> DsoConfigBuilder {
         DsoConfigBuilder { cfg: DsoConfig::default() }
@@ -295,66 +271,20 @@ impl std::fmt::Display for DsoConfigError {
 impl std::error::Error for DsoConfigError {}
 
 /// Builder for [`DsoConfig`] that validates the combination on
-/// [`build`](DsoConfigBuilder::build). Setters are named after the fields
-/// they set and chain by value (the convention shared with
-/// `ThreadFactory::with_*`).
+/// [`build`](DsoConfigBuilder::build). It exists for the cross-field
+/// rules `build` enforces; every [`DsoConfig`] field is `pub`, and one
+/// without a setter is set with struct-update syntax. Setters are named
+/// after the fields they set and chain by value (the convention shared
+/// with `ThreadFactory::with_*`).
 #[derive(Clone, Debug)]
 pub struct DsoConfigBuilder {
     cfg: DsoConfig,
 }
 
 impl DsoConfigBuilder {
-    /// Sets the number of worker threads per storage node.
-    pub fn workers_per_node(mut self, n: u32) -> Self {
-        self.cfg.workers_per_node = n;
-        self
-    }
-
-    /// Sets the one-way client ↔ server latency model.
-    pub fn client_net(mut self, m: LatencyModel) -> Self {
-        self.cfg.client_net = m;
-        self
-    }
-
-    /// Sets the one-way server ↔ server latency model.
-    pub fn peer_net(mut self, m: LatencyModel) -> Self {
-        self.cfg.peer_net = m;
-        self
-    }
-
-    /// Sets the heartbeat interval.
-    pub fn heartbeat_interval(mut self, d: Duration) -> Self {
-        self.cfg.heartbeat_interval = d;
-        self
-    }
-
-    /// Sets the failure-detection timeout.
-    pub fn failure_timeout(mut self, d: Duration) -> Self {
-        self.cfg.failure_timeout = d;
-        self
-    }
-
-    /// Sets the client-side RPC timeout for non-blocking calls.
-    pub fn call_timeout(mut self, d: Duration) -> Self {
-        self.cfg.call_timeout = d;
-        self
-    }
-
     /// Sets the maximum client attempts before giving up.
     pub fn max_retries(mut self, n: u32) -> Self {
         self.cfg.max_retries = n;
-        self
-    }
-
-    /// Sets the initial retry backoff.
-    pub fn retry_backoff(mut self, d: Duration) -> Self {
-        self.cfg.retry_backoff = d;
-        self
-    }
-
-    /// Sets the rebalancing state-transfer bandwidth, in bytes/s.
-    pub fn transfer_bandwidth(mut self, bps: f64) -> Self {
-        self.cfg.transfer_bandwidth = bps;
         self
     }
 
@@ -379,23 +309,9 @@ impl DsoConfigBuilder {
         self
     }
 
-    /// Sets the staleness bound (requires
-    /// [`ConsistencyMode::BoundedStaleness`]).
-    pub fn staleness_bound(mut self, bound: impl Into<Option<Duration>>) -> Self {
-        self.cfg.staleness_bound = bound.into();
-        self
-    }
-
     /// Enables or disables the co-located per-host node cache tier.
     pub fn node_cache(mut self, on: bool) -> Self {
         self.cfg.node_cache = on;
-        self
-    }
-
-    /// Sets the anti-entropy exchange interval used under
-    /// [`ConsistencyMode::CrdtMerge`].
-    pub fn anti_entropy_interval(mut self, d: Duration) -> Self {
-        self.cfg.anti_entropy_interval = d;
         self
     }
 
@@ -419,32 +335,13 @@ impl DsoConfigBuilder {
     /// # Errors
     ///
     /// Returns [`DsoConfigError`] when a field is out of range
-    /// (`workers_per_node == 0`, `max_retries == 0`, non-positive
-    /// `transfer_bandwidth`, a zero lease or staleness bound) or the
-    /// combination is inconsistent (failure timeout not beyond the
-    /// heartbeat interval, a zero call timeout, a cache lease without the
-    /// read cache, a staleness bound outside `BoundedStaleness`, or
-    /// `BoundedStaleness` without its bound/cache).
+    /// (`max_retries == 0`, a zero lease, an admission or durability
+    /// parameter) or the combination is inconsistent (a cache lease
+    /// without the read cache).
     pub fn build(self) -> Result<DsoConfig, DsoConfigError> {
         let c = self.cfg;
-        if c.workers_per_node == 0 {
-            return Err(DsoConfigError("workers_per_node must be >= 1".into()));
-        }
         if c.max_retries == 0 {
             return Err(DsoConfigError("max_retries must be >= 1".into()));
-        }
-        if c.call_timeout.is_zero() {
-            return Err(DsoConfigError("call_timeout must be non-zero".into()));
-        }
-        if c.failure_timeout <= c.heartbeat_interval {
-            return Err(DsoConfigError(format!(
-                "failure_timeout ({:?}) must exceed heartbeat_interval ({:?})",
-                c.failure_timeout, c.heartbeat_interval
-            )));
-        }
-        // NaN must fail too, so compare for "not strictly positive".
-        if c.transfer_bandwidth <= 0.0 || c.transfer_bandwidth.is_nan() {
-            return Err(DsoConfigError("transfer_bandwidth must be positive".into()));
         }
         if c.cache_lease.is_some() && !c.read_cache {
             return Err(DsoConfigError("cache_lease requires read_cache".into()));
@@ -456,46 +353,6 @@ impl DsoConfigBuilder {
         if c.cache_lease == Some(Duration::ZERO) {
             return Err(DsoConfigError(
                 "cache_lease must be positive; pass None to validate every hit instead".into(),
-            ));
-        }
-        match (c.consistency, c.staleness_bound) {
-            (ConsistencyMode::BoundedStaleness, None) => {
-                return Err(DsoConfigError(
-                    "ConsistencyMode::BoundedStaleness requires staleness_bound (the read lease)"
-                        .into(),
-                ));
-            }
-            (ConsistencyMode::BoundedStaleness, Some(b)) if b.is_zero() => {
-                return Err(DsoConfigError(
-                    "staleness_bound must be positive; a zero bound is Linearizable".into(),
-                ));
-            }
-            (ConsistencyMode::BoundedStaleness, Some(_)) => {
-                if !c.read_cache {
-                    return Err(DsoConfigError(
-                        "BoundedStaleness serves leased reads from the client cache: \
-                         enable read_cache"
-                            .into(),
-                    ));
-                }
-                if c.cache_lease.is_some() {
-                    return Err(DsoConfigError(
-                        "cache_lease conflicts with staleness_bound: BoundedStaleness \
-                         uses the staleness bound as the lease"
-                            .into(),
-                    ));
-                }
-            }
-            (_, Some(_)) => {
-                return Err(DsoConfigError(
-                    "staleness_bound requires ConsistencyMode::BoundedStaleness".into(),
-                ));
-            }
-            (_, None) => {}
-        }
-        if c.consistency == ConsistencyMode::CrdtMerge && c.anti_entropy_interval.is_zero() {
-            return Err(DsoConfigError(
-                "ConsistencyMode::CrdtMerge requires a non-zero anti_entropy_interval".into(),
             ));
         }
         if let Some(a) = &c.admission {
@@ -542,36 +399,6 @@ impl DsoConfigBuilder {
         }
         Ok(c)
     }
-
-    /// Validates against an [`ObjectRegistry`] as well: everything
-    /// [`build`](Self::build) checks, plus registration-dependent rules —
-    /// [`ConsistencyMode::CrdtMerge`] is rejected unless at least one
-    /// type was registered through
-    /// [`ObjectRegistry::register_mergeable`](crate::object::ObjectRegistry::register_mergeable),
-    /// since merge-on-anti-entropy on a registry with no [`Mergeable`]
-    /// types would silently degrade every object to last-writer-wins
-    /// transfer semantics.
-    ///
-    /// [`Mergeable`]: crate::object::Mergeable
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DsoConfigError`] as for [`build`](Self::build), or when
-    /// `CrdtMerge` is selected with no mergeable type registered.
-    pub fn build_with_registry(
-        self,
-        registry: &crate::object::ObjectRegistry,
-    ) -> Result<DsoConfig, DsoConfigError> {
-        let c = self.build()?;
-        if c.consistency == ConsistencyMode::CrdtMerge && registry.mergeable_types().is_empty() {
-            return Err(DsoConfigError(
-                "ConsistencyMode::CrdtMerge requires a Mergeable type registered via \
-                 ObjectRegistry::register_mergeable (e.g. GCounter)"
-                    .into(),
-            ));
-        }
-        Ok(c)
-    }
 }
 
 #[cfg(test)]
@@ -593,19 +420,7 @@ mod tests {
     #[test]
     fn builder_validates() {
         assert!(DsoConfig::builder().build().is_ok(), "defaults are valid");
-        assert!(DsoConfig::builder().workers_per_node(0).build().is_err());
         assert!(DsoConfig::builder().max_retries(0).build().is_err());
-        assert!(DsoConfig::builder().call_timeout(Duration::ZERO).build().is_err());
-        assert!(
-            DsoConfig::builder()
-                .heartbeat_interval(Duration::from_secs(2))
-                .failure_timeout(Duration::from_secs(1))
-                .build()
-                .is_err(),
-            "failure timeout must exceed heartbeat interval"
-        );
-        assert!(DsoConfig::builder().transfer_bandwidth(0.0).build().is_err());
-        assert!(DsoConfig::builder().transfer_bandwidth(f64::NAN).build().is_err());
         assert!(
             DsoConfig::builder().cache_lease(Some(Duration::from_millis(5))).build().is_err(),
             "lease without cache is inert, reject it"
@@ -633,59 +448,7 @@ mod tests {
             .cache_lease(Duration::from_millis(2))
             .build()
             .is_ok());
-        assert!(err(DsoConfig::builder().staleness_bound(Duration::from_millis(5)))
-            .contains("requires ConsistencyMode::BoundedStaleness"));
-        assert!(err(DsoConfig::builder().consistency(ConsistencyMode::BoundedStaleness))
-            .contains("requires staleness_bound"));
-        assert!(err(DsoConfig::builder()
-            .consistency(ConsistencyMode::BoundedStaleness)
-            .staleness_bound(Duration::ZERO))
-        .contains("staleness_bound must be positive"));
-        assert!(err(DsoConfig::builder()
-            .consistency(ConsistencyMode::BoundedStaleness)
-            .staleness_bound(Duration::from_millis(5)))
-        .contains("enable read_cache"));
-        assert!(err(DsoConfig::builder()
-            .consistency(ConsistencyMode::BoundedStaleness)
-            .staleness_bound(Duration::from_millis(5))
-            .read_cache(true)
-            .cache_lease(Duration::from_millis(1)))
-        .contains("cache_lease conflicts with staleness_bound"));
-        let cfg = DsoConfig::builder()
-            .consistency(ConsistencyMode::BoundedStaleness)
-            .staleness_bound(Duration::from_millis(5))
-            .read_cache(true)
-            .build()
-            .expect("coherent BoundedStaleness config");
-        assert_eq!(cfg.staleness_bound, Some(Duration::from_millis(5)));
-        assert!(err(DsoConfig::builder()
-            .consistency(ConsistencyMode::CrdtMerge)
-            .anti_entropy_interval(Duration::ZERO))
-        .contains("anti_entropy_interval"));
         assert!(DsoConfig::builder().consistency(ConsistencyMode::Causal).build().is_ok());
-    }
-
-    #[test]
-    fn crdt_merge_requires_a_mergeable_registration() {
-        use crate::object::ObjectRegistry;
-        let bare = ObjectRegistry::with_builtins();
-        // The builtins include GCounter (mergeable), so the stock registry
-        // passes; a registry without any mergeable type is rejected.
-        assert!(DsoConfig::builder()
-            .consistency(ConsistencyMode::CrdtMerge)
-            .build_with_registry(&bare)
-            .is_ok());
-        let empty = ObjectRegistry::new();
-        let err = DsoConfig::builder()
-            .consistency(ConsistencyMode::CrdtMerge)
-            .build_with_registry(&empty)
-            .unwrap_err();
-        assert!(err.to_string().contains("register_mergeable"), "{err}");
-        // Registry validation composes with the plain checks.
-        assert!(DsoConfig::builder()
-            .workers_per_node(0)
-            .build_with_registry(&ObjectRegistry::new())
-            .is_err());
     }
 
     #[test]

@@ -83,10 +83,10 @@ pub use intern::{intern, MethodName};
 pub use membership::{spawn_coordinator, spawn_coordinator_from};
 pub use node_cache::{NodeCache, NodeCacheKey, NodeEntry};
 pub use object::{
-    costs, dispatch, CallCtx, Effects, Mergeable, ObjectFactory, ObjectRef, ObjectRegistry, Reply,
+    costs, dispatch, CallCtx, Effects, ObjectFactory, ObjectRef, ObjectRegistry, Reply,
     SharedObject, Ticket,
 };
 pub use protocol::DrainNode;
-pub use read_policy::{policy_for, ReadPolicy};
+pub use read_policy::ReadPolicy;
 pub use ring::{fnv1a, mix, Ring, VNODES};
 pub use server::{spawn_server, spawn_server_from, ServerHandle};

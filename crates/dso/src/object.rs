@@ -161,12 +161,6 @@ pub struct CallCtx {
     /// Whether this invocation is an SMR re-execution on a replica (such
     /// invocations must not park).
     pub replicated: bool,
-    /// The storage node executing this call. [`Mergeable`] objects use it
-    /// as the actor id for per-replica CRDT state (e.g. the [`GCounter`]
-    /// entry this replica owns).
-    ///
-    /// [`GCounter`]: crate::objects::GCounter
-    pub node: u32,
 }
 
 /// A server-side shared object.
@@ -215,18 +209,6 @@ pub trait SharedObject: Send + 'static {
     ///
     /// Returns [`ObjectError::BadState`] if the bytes are not a valid state.
     fn restore(&mut self, state: &[u8]) -> Result<(), ObjectError>;
-
-    /// The object's [`Mergeable`] view, if its state is convergent.
-    ///
-    /// Types whose state forms a join-semilattice (commutative,
-    /// associative, idempotent merge) return `Some(self)` here; the
-    /// server then reconciles replicas through [`Mergeable::merge`] on
-    /// anti-entropy exchange under
-    /// [`crate::ConsistencyMode::CrdtMerge`]. The default (`None`) keeps
-    /// ordinary last-writer-wins transfer semantics.
-    fn as_mergeable(&mut self) -> Option<&mut dyn Mergeable> {
-        None
-    }
 }
 
 /// Runs one method call against `obj`: [`SharedObject::read`] first,
@@ -271,24 +253,6 @@ pub fn dispatch(
     }
 }
 
-/// Convergent (CRDT-style) object state: replicas that applied different
-/// writes reconcile by merging, not by total order.
-///
-/// `merge` must be **commutative**, **associative**, and **idempotent**
-/// over saved states (a join-semilattice join) — property-tested for the
-/// built-in implementations in `tests/mergeable_props.rs`. Under
-/// [`crate::ConsistencyMode::CrdtMerge`] the servers call it with the
-/// peer replica's [`SharedObject::save`] bytes on every anti-entropy
-/// exchange.
-pub trait Mergeable {
-    /// Merges another replica's saved state into this object.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ObjectError::BadState`] if `other_state` does not decode.
-    fn merge(&mut self, other_state: &[u8]) -> Result<(), ObjectError>;
-}
-
 /// Factory that builds an object from creation arguments (empty slice =
 /// default construction).
 pub type ObjectFactory =
@@ -312,11 +276,6 @@ pub type ObjectFactory =
 #[derive(Clone, Default)]
 pub struct ObjectRegistry {
     factories: HashMap<String, ObjectFactory>,
-    /// Type names registered through [`ObjectRegistry::register_mergeable`]:
-    /// the set the servers consult to decide which objects take the
-    /// merge-instead-of-SMR write path under
-    /// [`crate::ConsistencyMode::CrdtMerge`].
-    mergeable: std::collections::BTreeSet<String>,
 }
 
 impl ObjectRegistry {
@@ -341,33 +300,9 @@ impl ObjectRegistry {
         self.factories.insert(type_name.to_string(), Arc::new(factory));
     }
 
-    /// Registers a *mergeable* type: like [`register`](Self::register),
-    /// and additionally marks the type as convergent so
-    /// [`crate::ConsistencyMode::CrdtMerge`] applies its writes at the
-    /// contacted replica and reconciles through anti-entropy merge. The
-    /// factory's objects must return `Some` from
-    /// [`SharedObject::as_mergeable`].
-    pub fn register_mergeable<F>(&mut self, type_name: &str, factory: F)
-    where
-        F: Fn(&[u8]) -> Result<Box<dyn SharedObject>, ObjectError> + Send + Sync + 'static,
-    {
-        self.register(type_name, factory);
-        self.mergeable.insert(type_name.to_string());
-    }
-
     /// Whether a type is registered.
     pub fn contains(&self, type_name: &str) -> bool {
         self.factories.contains_key(type_name)
-    }
-
-    /// Whether `type_name` was registered as mergeable.
-    pub fn is_mergeable(&self, type_name: &str) -> bool {
-        self.mergeable.contains(type_name)
-    }
-
-    /// Type names registered as mergeable, sorted.
-    pub fn mergeable_types(&self) -> Vec<String> {
-        self.mergeable.iter().cloned().collect()
     }
 
     /// Instantiates an object of the given type.
@@ -404,7 +339,7 @@ impl fmt::Debug for ObjectRegistry {
 mod tests {
     use super::*;
 
-    const CALL: CallCtx = CallCtx { ticket: Ticket(0), replicated: false, node: 0 };
+    const CALL: CallCtx = CallCtx { ticket: Ticket(0), replicated: false };
 
     struct Echo;
 
@@ -531,20 +466,5 @@ mod tests {
         reg.register("B", |_| Ok(Box::new(Echo)));
         reg.register("A", |_| Ok(Box::new(Echo)));
         assert_eq!(reg.type_names(), vec!["A".to_string(), "B".to_string()]);
-    }
-
-    #[test]
-    fn registry_tracks_mergeable_types() {
-        let mut reg = ObjectRegistry::new();
-        reg.register("Plain", |_| Ok(Box::new(Echo)));
-        reg.register_mergeable("GCounter", crate::objects::GCounter::factory);
-        assert!(reg.is_mergeable("GCounter"));
-        assert!(!reg.is_mergeable("Plain"));
-        assert!(!reg.is_mergeable("Unregistered"));
-        assert_eq!(reg.mergeable_types(), vec!["GCounter".to_string()]);
-        // register_mergeable registers the factory too.
-        assert!(reg.contains("GCounter"));
-        let mut obj = reg.create("GCounter", &[]).expect("create");
-        assert!(obj.as_mergeable().is_some(), "a mergeable type exposes its merge view");
     }
 }

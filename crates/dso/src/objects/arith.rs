@@ -5,16 +5,10 @@
 //! Its CPU cost model is what exposes the architectural difference between
 //! the DSO layer (multi-worker, disjoint-access parallel) and a
 //! single-threaded Redis executing Lua scripts serially.
-//!
-//! The counter family also includes [`GCounter`], the first [`Mergeable`]
-//! object: a grow-only CRDT counter whose per-replica entries reconcile
-//! by entrywise max under `ConsistencyMode::CrdtMerge`.
-
-use std::collections::BTreeMap;
 
 use super::{dec, dec_create};
 use crate::error::ObjectError as ObjErr;
-use crate::object::{costs, CallCtx, Effects, Mergeable, SharedObject};
+use crate::object::{costs, CallCtx, Effects, SharedObject};
 
 /// A shared register supporting simple and complex arithmetic updates.
 #[derive(Debug, Clone, PartialEq)]
@@ -74,84 +68,6 @@ impl SharedObject for Arithmetic {
     fn restore(&mut self, state: &[u8]) -> Result<(), ObjErr> {
         self.value =
             simcore::codec::from_bytes(state).map_err(|e| ObjErr::BadState(e.to_string()))?;
-        Ok(())
-    }
-}
-
-/// A grow-only CRDT counter (G-Counter): one monotone entry per storage
-/// node, total value = the sum of all entries.
-///
-/// `inc` bumps the entry of the *executing* replica
-/// ([`CallCtx::node`]), so concurrent increments at different replicas
-/// touch disjoint entries and [`Mergeable::merge`] — entrywise max — is
-/// commutative, associative, and idempotent. Under
-/// [`crate::ConsistencyMode::CrdtMerge`] this is the convergent
-/// counterpart of `AtomicLong::incrementAndGet`: writes skip the SMR
-/// multicast and replicas reconcile on anti-entropy exchange.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct GCounter {
-    counts: BTreeMap<u32, u64>,
-}
-
-impl GCounter {
-    /// Registry type name.
-    pub const TYPE: &'static str = "GCounter";
-
-    /// Factory: creation args are an optional initial entry map.
-    pub fn factory(args: &[u8]) -> Result<Box<dyn SharedObject>, ObjErr> {
-        let counts = dec_create(args, BTreeMap::new())?;
-        Ok(Box::new(GCounter { counts }))
-    }
-
-    /// Total value: the sum of every replica's entry.
-    pub fn value(&self) -> u64 {
-        self.counts.values().sum()
-    }
-}
-
-impl SharedObject for GCounter {
-    fn invoke(&mut self, call: &CallCtx, method: &str, args: &[u8]) -> Result<Effects, ObjErr> {
-        match method {
-            "inc" => {
-                let d: u64 = dec(args)?;
-                *self.counts.entry(call.node).or_default() += d;
-                Effects::value(&self.value())
-            }
-            other => Err(ObjErr::MethodNotFound(other.to_string())),
-        }
-    }
-
-    fn read(&self, method: &str, _args: &[u8]) -> Option<Result<Effects, ObjErr>> {
-        Some(match method {
-            "get" => Effects::value(&self.value()),
-            _ => return None,
-        })
-    }
-
-    fn save(&self) -> Vec<u8> {
-        // invariant: a BTreeMap of integers always encodes.
-        simcore::codec::to_bytes(&self.counts).expect("counter map encodes")
-    }
-
-    fn restore(&mut self, state: &[u8]) -> Result<(), ObjErr> {
-        self.counts =
-            simcore::codec::from_bytes(state).map_err(|e| ObjErr::BadState(e.to_string()))?;
-        Ok(())
-    }
-
-    fn as_mergeable(&mut self) -> Option<&mut dyn Mergeable> {
-        Some(self)
-    }
-}
-
-impl Mergeable for GCounter {
-    fn merge(&mut self, other_state: &[u8]) -> Result<(), ObjErr> {
-        let other: BTreeMap<u32, u64> =
-            simcore::codec::from_bytes(other_state).map_err(|e| ObjErr::BadState(e.to_string()))?;
-        for (actor, n) in other {
-            let e = self.counts.entry(actor).or_default();
-            *e = (*e).max(n);
-        }
         Ok(())
     }
 }
@@ -216,34 +132,5 @@ mod tests {
         let mut b = Arithmetic::default();
         b.restore(&a.save()).expect("restore");
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn gcounter_attributes_incs_to_the_executing_node() {
-        use super::super::testutil::call_at_node;
-        let mut c = GCounter::default();
-        assert_eq!(call_at_node::<u64>(&mut c, "inc", &3u64, 0), 3);
-        assert_eq!(call_at_node::<u64>(&mut c, "inc", &2u64, 1), 5);
-        assert_eq!(call_at_node::<u64>(&mut c, "inc", &1u64, 0), 6);
-        assert_eq!(call::<u64>(&mut c, "get", &()), 6);
-    }
-
-    #[test]
-    fn gcounter_merge_is_entrywise_max() {
-        use super::super::testutil::call_at_node;
-        let mut a = GCounter::default();
-        let mut b = GCounter::default();
-        let _: u64 = call_at_node(&mut a, "inc", &5u64, 0);
-        let _: u64 = call_at_node(&mut b, "inc", &3u64, 1);
-        // Merging an older copy of yourself is a no-op (idempotent), while
-        // disjoint entries sum.
-        let a_state = a.save();
-        a.as_mergeable().expect("mergeable").merge(&b.save()).expect("merge");
-        assert_eq!(a.value(), 8);
-        a.as_mergeable().expect("mergeable").merge(&a_state).expect("self merge");
-        assert_eq!(a.value(), 8, "re-merging own earlier state must not double-count");
-        b.as_mergeable().expect("mergeable").merge(&a.save()).expect("merge");
-        assert_eq!(b.value(), 8, "merge converges both replicas");
-        assert!(a.as_mergeable().expect("mergeable").merge(&[0xff, 0xfe]).is_err());
     }
 }

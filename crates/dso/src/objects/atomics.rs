@@ -252,7 +252,7 @@ mod tests {
     fn atomic_long_unknown_method() {
         let mut o = AtomicLong::default();
         let call_ctx =
-            crate::object::CallCtx { ticket: crate::object::Ticket(0), replicated: false, node: 0 };
+            crate::object::CallCtx { ticket: crate::object::Ticket(0), replicated: false };
         let err = o.invoke(&call_ctx, "frobnicate", &[]).unwrap_err();
         assert!(matches!(err, ObjErr::MethodNotFound(_)));
     }
@@ -277,7 +277,7 @@ mod tests {
         let _: () = call(o.as_mut(), "setByte", &(0u64, 9u8));
         assert_eq!(call::<Vec<u8>>(o.as_mut(), "get", &()), vec![9, 2, 3]);
         let call_ctx =
-            crate::object::CallCtx { ticket: crate::object::Ticket(0), replicated: false, node: 0 };
+            crate::object::CallCtx { ticket: crate::object::Ticket(0), replicated: false };
         let args = simcore::codec::to_bytes(&(9u64, 1u8)).expect("encode");
         assert!(o.invoke(&call_ctx, "setByte", &args).is_err());
     }
@@ -286,7 +286,7 @@ mod tests {
     fn bad_args_reported() {
         let mut o = AtomicLong::default();
         let call_ctx =
-            crate::object::CallCtx { ticket: crate::object::Ticket(0), replicated: false, node: 0 };
+            crate::object::CallCtx { ticket: crate::object::Ticket(0), replicated: false };
         let err = o.invoke(&call_ctx, "set", &[1, 2]).unwrap_err();
         assert!(matches!(err, ObjErr::BadArgs(_)));
     }

@@ -157,8 +157,7 @@ mod tests {
     #[test]
     fn list_set_out_of_bounds() {
         let mut o = ListObject::default();
-        let cc =
-            crate::object::CallCtx { ticket: crate::object::Ticket(0), replicated: false, node: 0 };
+        let cc = crate::object::CallCtx { ticket: crate::object::Ticket(0), replicated: false };
         let args = simcore::codec::to_bytes(&(0u64, vec![1u8])).expect("encode");
         assert!(o.invoke(&cc, "set", &args).is_err());
     }

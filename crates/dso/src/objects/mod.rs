@@ -9,7 +9,7 @@ mod atomics;
 mod containers;
 mod sync;
 
-pub use arith::{Arithmetic, GCounter};
+pub use arith::Arithmetic;
 pub use atomics::{AtomicBoolean, AtomicByteArray, AtomicLong};
 pub use containers::{ListObject, MapObject};
 pub use sync::{CountDownLatch, CyclicBarrier, FutureObject, Semaphore};
@@ -45,10 +45,6 @@ pub fn register_builtins(reg: &mut ObjectRegistry) {
     reg.register(CountDownLatch::TYPE, CountDownLatch::factory);
     reg.register(FutureObject::TYPE, FutureObject::factory);
     reg.register(Arithmetic::TYPE, Arithmetic::factory);
-    // The convergent counter registers as *mergeable*, which is what lets
-    // `ConsistencyMode::CrdtMerge` route its writes past the SMR multicast
-    // and reconcile replicas by merge on anti-entropy exchange.
-    reg.register_mergeable(GCounter::TYPE, GCounter::factory);
 }
 
 #[cfg(test)]
@@ -66,35 +62,16 @@ pub(crate) mod testutil {
         call_fx_ticket(obj, method, args, Ticket(0))
     }
 
-    /// Invokes a method with an explicit ticket (for park/wake tests).
+    /// Invokes a method with an explicit ticket (for park/wake tests)
+    /// through the server's dispatch (`read` first, then `invoke`),
+    /// unflagged.
     pub fn call_fx_ticket(
         obj: &mut dyn SharedObject,
         method: &str,
         args: &impl Wire,
         ticket: Ticket,
     ) -> Effects {
-        call_fx_ctx(obj, method, args, CallCtx { ticket, replicated: false, node: 0 })
-    }
-
-    /// Invokes a method as if executing on storage node `node` (for
-    /// per-replica CRDT attribution tests).
-    pub fn call_at_node<R: Wire>(
-        obj: &mut dyn SharedObject,
-        method: &str,
-        args: &impl Wire,
-        node: u32,
-    ) -> R {
-        let call = CallCtx { ticket: Ticket(0), replicated: false, node };
-        value(method, call_fx_ctx(obj, method, args, call))
-    }
-
-    /// The server's dispatch (`read` first, then `invoke`), unflagged.
-    fn call_fx_ctx(
-        obj: &mut dyn SharedObject,
-        method: &str,
-        args: &impl Wire,
-        call: CallCtx,
-    ) -> Effects {
+        let call = CallCtx { ticket, replicated: false };
         let bytes = simcore::codec::to_bytes(args).expect("encode args");
         dispatch(obj, &call, method, &bytes, false).expect("invoke ok").0
     }
@@ -130,13 +107,10 @@ mod tests {
             "CountDownLatch",
             "Future",
             "Arithmetic",
-            "GCounter",
         ] {
             assert!(reg.contains(t), "missing builtin {t}");
             assert!(reg.create(t, &[]).is_ok(), "default-create {t}");
         }
-        assert!(reg.is_mergeable("GCounter"), "the CRDT counter registers as mergeable");
-        assert!(!reg.is_mergeable("AtomicLong"), "plain builtins stay last-writer-wins");
     }
 
     /// The read-only surface, pinned: `read` answers exactly these
@@ -145,7 +119,7 @@ mod tests {
     #[test]
     fn read_serves_exactly_the_read_only_methods() {
         // (type, served by `read`, left to `invoke`)
-        let table: [(&str, &[&str], &[&str]); 11] = [
+        let table: [(&str, &[&str], &[&str]); 10] = [
             (
                 "AtomicLong",
                 &["get"],
@@ -173,7 +147,6 @@ mod tests {
             // `get` parks until `set`: a write, whatever its name says.
             ("Future", &["isDone"], &["get", "set"]),
             ("Arithmetic", &["get"], &["mul", "mulN"]),
-            ("GCounter", &["get"], &["inc"]),
         ];
         let reg = ObjectRegistry::with_builtins();
         assert_eq!(table.len(), reg.type_names().len(), "a builtin is missing from the table");

@@ -350,7 +350,7 @@ mod tests {
     #[test]
     fn barrier_zero_parties_rejected() {
         let mut b = CyclicBarrier::default();
-        let cc = CallCtx { ticket: t(0), replicated: false, node: 0 };
+        let cc = CallCtx { ticket: t(0), replicated: false };
         let args = simcore::codec::to_bytes(&()).expect("encode");
         assert!(b.invoke(&cc, "await", &args).is_err());
     }
@@ -456,7 +456,7 @@ mod proptests {
             let mut outstanding = 0i64; // permits currently held
             let mut released = 0i64; // permits released so far
             let mut parked: Vec<(Ticket, i64)> = Vec::new();
-            let cc = |t: u64| CallCtx { ticket: Ticket(t), replicated: false, node: 0 };
+            let cc = |t: u64| CallCtx { ticket: Ticket(t), replicated: false };
             for (t, (op, n)) in (1u64..).zip(script) {
                 if op == 0 {
                     // acquire(n)
@@ -508,7 +508,7 @@ mod proptests {
         ) {
             let args = simcore::codec::to_bytes(&count).expect("encode");
             let mut latch = CountDownLatch::factory(&args).expect("factory");
-            let cc = |t: u64| CallCtx { ticket: Ticket(t), replicated: false, node: 0 };
+            let cc = |t: u64| CallCtx { ticket: Ticket(t), replicated: false };
             let unit = simcore::codec::to_bytes(&()).expect("encode");
             for w in 0..waiters {
                 let fx = latch.invoke(&cc(100 + w), "await", &unit).expect("invoke");

@@ -207,21 +207,6 @@ pub enum PeerMsg {
         /// survive rebalancing.
         lamport: u64,
     },
-    /// Anti-entropy exchange under [`crate::ConsistencyMode::CrdtMerge`]:
-    /// a replica pushes the full saved state of a [`Mergeable`] object;
-    /// the receiver reconciles through [`Mergeable::merge`] (never
-    /// last-writer-wins replacement).
-    ///
-    /// [`Mergeable`]: crate::object::Mergeable
-    /// [`Mergeable::merge`]: crate::object::Mergeable::merge
-    Merge {
-        /// Object being reconciled.
-        obj: ObjectRef,
-        /// Replication factor recorded at creation.
-        rf: u8,
-        /// The sender's full saved state.
-        state: Vec<u8>,
-    },
 }
 
 /// Messages understood by the membership coordinator.

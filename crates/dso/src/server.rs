@@ -23,7 +23,7 @@ use simcore::{
     Actor, Addr, Ctx, LatencyModel, Msg, Pid, Request, Sim, SimTime, SpanId, Ticker, Wait, Wake,
 };
 
-use crate::config::{AdmissionConfig, ConsistencyMode, DsoConfig, DurabilityLevel};
+use crate::config::{AdmissionConfig, DsoConfig, DurabilityLevel};
 use crate::durability::wal::{wal_daemon, PendingAck, WalState};
 use crate::object::{dispatch, CallCtx, ObjectRef, ObjectRegistry, Reply, SharedObject, Ticket};
 use crate::protocol::{
@@ -224,10 +224,6 @@ struct Serving {
     ring: Ring,
     skeen: Skeen<SmrOp>,
     hb: Ticker,
-    /// The anti-entropy ticker exists only under `CrdtMerge`; every other
-    /// mode runs the exact pre-existing recv/heartbeat cadence, which keeps
-    /// default-config schedules (and their golden hashes) byte-identical.
-    anti_entropy: Option<Ticker>,
     shedder: Option<Shedder>,
     draining: bool,
 }
@@ -279,8 +275,6 @@ impl Dispatcher {
             ring: Ring::new(&[]),
             skeen: Skeen::new(node),
             hb: Ticker::new(ctx.now(), cfg.heartbeat_interval),
-            anti_entropy: (cfg.consistency == ConsistencyMode::CrdtMerge)
-                .then(|| Ticker::new(ctx.now(), cfg.anti_entropy_interval)),
             shedder: cfg.admission.map(|a| Shedder::new(a, ctx.now())),
             draining: false,
         }
@@ -297,7 +291,7 @@ impl Actor for Dispatcher {
                 return wait;
             }
             Wake::Msg(msg) => Some(msg),
-            // A ticker is due (the dispatcher never sleeps).
+            // The heartbeat is due (the dispatcher never sleeps).
             Wake::Timeout | Wake::Slept => None,
         };
         // invariant: `Wake::Start` comes first and fills `up`.
@@ -322,18 +316,12 @@ enum Next {
 }
 
 impl Serving {
-    /// The next message, or the earlier of the heartbeat and anti-entropy
-    /// deadlines.
+    /// The next message, or the heartbeat deadline.
     fn next_wait(&self, ctx: &Ctx) -> Wait {
-        let now = ctx.now();
-        let timeout = match &self.anti_entropy {
-            Some(ae) => self.hb.remaining(now).min(ae.remaining(now)),
-            None => self.hb.remaining(now),
-        };
-        Wait::RecvTimeout(self.inbox, timeout)
+        Wait::RecvTimeout(self.inbox, self.hb.remaining(ctx.now()))
     }
 
-    /// Fires whichever tickers are due.
+    /// Sends the heartbeat if it is due.
     fn tick(&mut self, ctx: &mut Ctx) {
         let shared = &self.shared;
         if self.hb.poll(ctx.now()) {
@@ -342,11 +330,6 @@ impl Serving {
             // Queue-depth gauge, stamped on the heartbeat cadence so the
             // control plane (and operators) can see dispatcher pressure.
             ctx.metric_push("dso.queue_depth", shared.inflight.load(Ordering::SeqCst) as f64);
-        }
-        if let Some(ae) = self.anti_entropy.as_mut() {
-            if ae.poll(ctx.now()) {
-                anti_entropy_round(ctx, shared, &self.view, &self.ring);
-            }
         }
     }
 
@@ -420,10 +403,6 @@ impl Serving {
             }
             Ok(PeerMsg::Transfer { obj, rf, state, version, lamport }) => {
                 install_transfer(shared, obj, rf, state, version, lamport);
-                return Next::Serve;
-            }
-            Ok(PeerMsg::Merge { obj, rf, state }) => {
-                apply_merge(ctx, shared, obj, rf, state);
                 return Next::Serve;
             }
             Err(other) => other,
@@ -521,13 +500,7 @@ fn handle_client_invoke(
     // local copy (the read fast path). Under the default primary-only
     // routing this stays linearizable; under replica reads the client
     // enforces monotonicity via the returned version.
-    //
-    // Under `CrdtMerge`, *writes* to mergeable objects also skip SMR: the
-    // contacted replica applies locally and the replica group reconciles
-    // by merge on the anti-entropy cadence — convergence without ordering.
-    let crdt = cfg.consistency == ConsistencyMode::CrdtMerge
-        && shared.registry.is_mergeable(req.obj.type_name());
-    if req.rf > 1 && placement.len() > 1 && !req.readonly && !crdt {
+    if req.rf > 1 && placement.len() > 1 && !req.readonly {
         // SMR path: totally-order the operation among the replica group.
         // The round span covers multicast through total-order delivery at
         // the initiating node; every replica's apply span nests under it.
@@ -671,93 +644,6 @@ fn install_transfer(
     };
     if instance.restore(&state).is_ok() {
         objects.insert(obj, Stored { obj: instance, rf, version, lamport });
-    }
-}
-
-/// One anti-entropy round under [`ConsistencyMode::CrdtMerge`]: push the
-/// full saved state of every locally-stored mergeable replicated object to
-/// its peer replicas. Receivers reconcile through [`apply_merge`]; the
-/// exchange is convergent because merges are commutative, associative and
-/// idempotent.
-fn anti_entropy_round(ctx: &mut Ctx, shared: &Arc<NodeShared>, view: &View, ring: &Ring) {
-    let node = shared.node;
-    // Snapshot under the lock, then sort: HashMap iteration order is not
-    // deterministic across runs and sends must be.
-    let mut batch: Vec<(ObjectRef, u8, Vec<u8>)> = {
-        let objects = shared.objects.lock();
-        objects
-            .iter()
-            .filter(|(obj_ref, stored)| {
-                stored.rf > 1 && shared.registry.is_mergeable(obj_ref.type_name())
-            })
-            .map(|(obj_ref, stored)| (obj_ref.clone(), stored.rf, stored.obj.save()))
-            .collect()
-    };
-    batch.sort_by(|a, b| a.0.cmp(&b.0));
-    for (obj, rf, state) in batch {
-        for peer in ring.placement(&obj, rf.max(1)) {
-            if peer == node {
-                continue;
-            }
-            if let Some(addr) = view.addr_of(peer) {
-                let lat = shared.cfg.peer_net.sample(ctx.rng());
-                let msg = PeerMsg::Merge { obj: obj.clone(), rf, state: state.clone() };
-                ctx.send(addr, Msg::new(msg), lat);
-            }
-        }
-    }
-}
-
-/// Applies an incoming [`PeerMsg::Merge`]: reconcile through the object's
-/// [`Mergeable`](crate::object::Mergeable) hook, bumping the version only
-/// when the merge actually changed state (so caches and monotonic reads
-/// see merges as mutations, and idempotent re-merges cost nothing). An
-/// absent object installs from the pushed state, like a transfer.
-fn apply_merge(ctx: &mut Ctx, shared: &Arc<NodeShared>, obj: ObjectRef, rf: u8, state: Vec<u8>) {
-    let mut objects = shared.objects.lock();
-    match objects.get_mut(&obj) {
-        Some(stored) => {
-            let before = stored.obj.save();
-            let merged = match stored.obj.as_mergeable() {
-                Some(m) => m.merge(&state).is_ok(),
-                None => false, // registered mergeable but instance is not: drop
-            };
-            if merged && stored.obj.save() != before {
-                stored.version += 1;
-                stored.lamport += 1;
-                if let Some(wal) = &shared.wal {
-                    wal.log(WalRecord {
-                        obj: obj.clone(),
-                        rf: stored.rf,
-                        method: crate::intern::intern("__merge"),
-                        version: stored.version,
-                        lamport: stored.lamport,
-                        state: stored.obj.save(),
-                    });
-                }
-                ctx.metric_incr("dso.merges");
-            }
-        }
-        None => {
-            let Ok(mut instance) = shared.registry.create(obj.type_name(), &[]) else {
-                return;
-            };
-            if instance.restore(&state).is_ok() {
-                let stored = Stored { obj: instance, rf, version: 1, lamport: 1 };
-                if let Some(wal) = &shared.wal {
-                    wal.log(WalRecord {
-                        obj: obj.clone(),
-                        rf,
-                        method: crate::intern::intern("__merge"),
-                        version: 1,
-                        lamport: 1,
-                        state: stored.obj.save(),
-                    });
-                }
-                objects.insert(obj, stored);
-                ctx.metric_incr("dso.merges");
-            }
-        }
     }
 }
 
@@ -974,7 +860,7 @@ fn execute(
                 crate::object::costs::SIMPLE_OP,
             )
         } else {
-            let call = CallCtx { ticket, replicated, node: shared.node.0 };
+            let call = CallCtx { ticket, replicated };
             // A flagged read skipped the SMR order, so `dispatch` rejects
             // it rather than let it reach `invoke` and fork the replicas.
             match dispatch(stored.obj.as_mut(), &call, &req.method, &req.args, req.readonly) {

@@ -19,7 +19,7 @@
 //! [`check_causal`] validates the *session guarantees* (monotonic reads,
 //! read-your-writes) that [`crate::ConsistencyMode::Causal`] promises,
 //! and [`check_staleness_bound`] validates the virtual-time staleness
-//! bound of [`crate::ConsistencyMode::BoundedStaleness`].
+//! bound a [`crate::DsoConfig::cache_lease`] puts on primary-routed reads.
 
 use std::time::Duration;
 
@@ -437,9 +437,10 @@ impl std::fmt::Display for StalenessViolation {
     }
 }
 
-/// Checks the contract of [`crate::ConsistencyMode::BoundedStaleness`]:
-/// every read returns a value the counter held *within the last `bound`*
-/// of virtual time.
+/// Checks the contract of leased primary-routed reads
+/// ([`crate::ConsistencyMode::Linearizable`] with a
+/// [`crate::DsoConfig::cache_lease`] of `bound`): every read returns a
+/// value the counter held *within the last `bound`* of virtual time.
 ///
 /// The increments must themselves be linearizable
 /// ([`check_unit_counter`] — writes still go through the primary). The

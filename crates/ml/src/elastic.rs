@@ -30,7 +30,7 @@ use crucial::{
 
 /// Dollars per DSO-node-second, from the paper's server tier (r5.2xlarge,
 /// $0.504/h on-demand in us-east-1, 2019) — the VM-side half of the cost
-/// model next to [`faas::Pricing`]'s GB-seconds.
+/// model next to [`crucial::Pricing`]'s GB-seconds.
 pub const NODE_SECOND_USD: f64 = 0.504 / 3600.0;
 
 /// Parameters of the elasticity experiment.

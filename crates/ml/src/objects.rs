@@ -541,7 +541,7 @@ mod tests {
     use crucial::Ticket;
 
     fn call<R: Wire>(obj: &mut dyn SharedObject, method: &str, args: &impl Wire) -> R {
-        let cc = CallCtx { ticket: Ticket(0), replicated: false, node: 0 };
+        let cc = CallCtx { ticket: Ticket(0), replicated: false };
         let bytes = crucial::codec::to_bytes(args).expect("encode");
         match crucial::dispatch(obj, &cc, method, &bytes, false).expect("invoke").0.reply {
             crucial::Reply::Value(v) => crucial::codec::from_bytes(&v).expect("decode"),
@@ -582,7 +582,7 @@ mod tests {
     #[test]
     fn centroids_shape_mismatch_rejected() {
         let mut o = centroids(2, 2, 1);
-        let cc = CallCtx { ticket: Ticket(0), replicated: false, node: 0 };
+        let cc = CallCtx { ticket: Ticket(0), replicated: false };
         let bad = crucial::codec::to_bytes(&(vec![1.0], vec![1u64])).expect("encode");
         assert!(o.invoke(&cc, "update", &bad).is_err());
     }
