@@ -10,14 +10,14 @@ cargo fmt --check
 # A doc link to an item that was deleted or moved fails here.
 RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" cargo doc --no-deps --workspace
 
-# Correctness tooling (crates/simcheck): the line-level determinism lint,
-# the interprocedural analyzer (determinism taint, wait annotation
+# Correctness tooling (crates/simcheck): `simlint`, one engine over the
+# parsed workspace (token rules: wall-clock, native-thread, no-panic,
+# trace-time; interprocedural: determinism taint, wait-annotation
 # coverage, no blocking call reachable from an Actor::on_wake — zero
-# findings required), then the DSO cluster smoke workload under
-# 25 perturbed schedules with linearizability checked on each (see
-# DESIGN.md, "Correctness tooling" / "Static analysis").
+# findings required), then the DSO cluster smoke workload under 25
+# perturbed schedules with linearizability checked on each (see
+# DESIGN.md, "Correctness tooling").
 cargo run --release -q -p simcheck --bin simlint
-cargo run --release -q -p simcheck --bin simanalyze
 cargo run --release -q -p simcheck --bin simexplore -- --seeds 25
 
 # The `experiments` steps run on one CPU where `taskset` exists: the thread

@@ -225,24 +225,6 @@ pub struct FaasConfigBuilder {
 }
 
 impl FaasConfigBuilder {
-    /// Sets the warm-path dispatch latency model.
-    pub fn warm_dispatch(mut self, m: LatencyModel) -> Self {
-        self.cfg.warm_dispatch = m;
-        self
-    }
-
-    /// Sets the classic container-provisioning latency model.
-    pub fn cold_start(mut self, m: LatencyModel) -> Self {
-        self.cfg.cold_start = m;
-        self
-    }
-
-    /// Sets the response-path latency model.
-    pub fn response(mut self, m: LatencyModel) -> Self {
-        self.cfg.response = m;
-        self
-    }
-
     /// Sets the idle timeout after which warm containers are reclaimed.
     pub fn container_idle_timeout(mut self, d: Duration) -> Self {
         self.cfg.container_idle_timeout = d;
@@ -267,12 +249,6 @@ impl FaasConfigBuilder {
         self
     }
 
-    /// Sets how many containers share one physical host.
-    pub fn containers_per_host(mut self, n: u32) -> Self {
-        self.cfg.containers_per_host = n;
-        self
-    }
-
     /// Sets the platform-wide default cold-start policy.
     pub fn cold_start_policy(mut self, p: ColdStartPolicy) -> Self {
         self.cfg.cold_start_policy = p;
@@ -287,21 +263,14 @@ impl FaasConfigBuilder {
         self
     }
 
-    /// Sets the billing prices.
-    pub fn pricing(mut self, p: Pricing) -> Self {
-        self.cfg.pricing = p;
-        self
-    }
-
     /// Validates and returns the configuration.
     ///
     /// # Errors
     ///
     /// Returns [`FaasConfigError`] when a field is out of range
-    /// (`concurrency_limit == 0`, `containers_per_host == 0`, a zero
-    /// `max_duration`, a `failure_rate` outside `[0, 1]`) or the
-    /// snapshot tier is inconsistent (a non-classic
-    /// `cold_start_policy` without a `snapshot` model, a zero snapshot
+    /// (`concurrency_limit == 0`, a zero `max_duration`, a `failure_rate`
+    /// outside `[0, 1]`) or the snapshot tier is inconsistent (a
+    /// non-classic `cold_start_policy` without a `snapshot` model, a zero snapshot
     /// cache capacity, a `dirty_fraction` outside `[0, 1]`, or a
     /// restore/fork model that is not actually cheaper than the classic
     /// cold start it replaces).
@@ -309,9 +278,6 @@ impl FaasConfigBuilder {
         let c = self.cfg;
         if c.concurrency_limit == 0 {
             return Err(FaasConfigError("concurrency_limit must be >= 1".into()));
-        }
-        if c.containers_per_host == 0 {
-            return Err(FaasConfigError("containers_per_host must be >= 1".into()));
         }
         if c.max_duration.is_zero() {
             return Err(FaasConfigError("max_duration must be positive".into()));
@@ -422,8 +388,6 @@ mod tests {
     fn range_checks() {
         let err = FaasConfig::builder().concurrency_limit(0).build().unwrap_err();
         assert!(err.to_string().contains("concurrency_limit must be >= 1"), "{err}");
-        let err = FaasConfig::builder().containers_per_host(0).build().unwrap_err();
-        assert!(err.to_string().contains("containers_per_host must be >= 1"), "{err}");
         let err = FaasConfig::builder().max_duration(Duration::ZERO).build().unwrap_err();
         assert!(err.to_string().contains("max_duration must be positive"), "{err}");
         let err = FaasConfig::builder().failure_rate(1.5).build().unwrap_err();

@@ -3,7 +3,7 @@
 // value reaches a kernel messaging sink. Expected finding:
 // determinism-taint at the `ctx.send` call in `leak`.
 
-// simanalyze: nondet_source
+// simlint: nondet_source
 fn host_entropy() -> u64 {
     0x5eed
 }

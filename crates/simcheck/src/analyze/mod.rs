@@ -1,35 +1,41 @@
-//! `simanalyze`: syntax-aware, interprocedural determinism analysis over
-//! the whole workspace.
+//! The `simlint` engine: every rule, over one parsed workspace.
 //!
-//! Two passes run on a [`Workspace`] built from the lexer/parser
-//! ([`crate::lex`], [`crate::syntax`]):
+//! [`Workspace::build`] lexes and parses every file once ([`crate::lex`],
+//! [`crate::syntax`]), reads its allow directives and `nondet_source`
+//! markers, and indexes functions and call sites workspace-wide. Three
+//! passes run over it:
 //!
-//! 1. **Determinism taint** ([`taint`]) — values originating from
+//! 1. **Token rules** ([`local`]) — per file, on the code tokens:
+//!    `wall-clock`, `native-thread`, `no-panic`, `trace-time`, and one
+//!    `bad-allow` per malformed directive.
+//! 2. **Determinism taint** ([`taint`]) — values originating from
 //!    wall-clock reads, OS randomness or thread identity may not flow
 //!    (through locals, call returns or struct fields) into protocol
 //!    message types, trace/metric recording, or kernel time/messaging
 //!    primitives.
-//! 2. **Wait-annotation coverage** ([`waits`]) — every indefinitely
+//! 3. **Wait-annotation coverage** ([`waits`]) — every indefinitely
 //!    blocking kernel primitive call (`ctx.park()`, untimed `ctx.call`)
 //!    must be reachable only through code that calls
 //!    `Ctx::annotate_wait`, so `deadlock_report()` wait-for graphs are
 //!    never silently incomplete. The same pass holds that no blocking
 //!    primitive at all is reachable from an `Actor::on_wake`.
 //!
-//! All passes honour `// simlint: allow(<rule>, reason = "...")`
-//! suppressions (rules `determinism-taint`, `wait-annotation`,
-//! `actor-blocks`; a reasoned `wall-clock` allow on a source line also
-//! stops taint from originating there). Test code (`#[cfg(test)]` mods,
-//! `#[test]` fns, `tests/` and `benches/` directories) is exempt, as are
-//! the kernel's own internals (`simcore/src/kernel.rs` — the determinism
-//! boundary itself) and vendored `compat/` shims.
+//! Every pass honours `// simlint: allow(<rule>, reason = "...")`
+//! suppressions (a reasoned `wall-clock` allow on a source line also
+//! stops taint from originating there) and asks the parser's one test
+//! predicate ([`FileAst::in_test`]) what test code is. Which rules spare
+//! test code, `tests/` and `benches/` trees, and the kernel's own
+//! internals (`simcore/src/kernel.rs`, the determinism boundary itself)
+//! is per rule; vendored `compat/` shims are never read.
 //!
-//! The analysis is name-based and conservative-by-construction where it
-//! matters (any candidate callee tainting a call, any field of a name
-//! tainting that field name), but it is an *analysis of conventions*,
-//! not a soundness proof: receiver types are resolved heuristically, so
-//! DESIGN.md §"Static analysis" documents the contract.
+//! The interprocedural passes are name-based and
+//! conservative-by-construction where it matters (any candidate callee
+//! tainting a call, any field of a name tainting that field name), but
+//! they are an *analysis of conventions*, not a soundness proof: receiver
+//! types are resolved heuristically, so DESIGN.md §"Correctness tooling"
+//! documents the contract.
 
+pub mod local;
 pub mod taint;
 pub mod waits;
 
@@ -38,7 +44,7 @@ use std::path::Path;
 
 use crate::lex::TokKind;
 use crate::syntax::{match_close, FileAst, FnDef};
-use crate::{Finding, Rule};
+use crate::{Allow, Finding, Rule};
 
 /// Identifies one function: (file index, fn index within the file).
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
@@ -78,14 +84,14 @@ pub struct CallSite {
 pub struct Workspace {
     /// Parsed files.
     pub files: Vec<FileAst>,
-    /// Per file: line → rules allowed there by a reasoned directive.
-    pub allows: Vec<HashMap<usize, HashSet<Rule>>>,
+    /// Per file: its allow directives, malformed ones included.
+    pub allows: Vec<Vec<Allow>>,
     /// Function name → definitions with that name, workspace-wide.
     pub fn_index: HashMap<String, Vec<FnId>>,
     /// Types defined in `protocol.rs` files (wire-message types).
     pub protocol_types: BTreeSet<String>,
-    /// Per file: fn indices carrying a `// simanalyze: nondet_source`
-    /// marker comment.
+    /// Per file: fn indices carrying a `// simlint: nondet_source` marker
+    /// comment.
     pub nondet_marks: Vec<HashSet<usize>>,
     /// Per [`FnId`] (flattened): extracted call sites.
     calls: HashMap<FnId, Vec<CallSite>>,
@@ -99,18 +105,11 @@ impl Workspace {
         let mut nondet_marks = Vec::new();
         for (path, src) in sources {
             let ast = crate::syntax::parse_file(&path, &src);
-            let views = crate::lex::views(&ast.src, &ast.toks);
-            let comment_lines: Vec<&str> = views.comments.lines().collect();
-            // BadAllow findings are simlint's to report; discard here.
-            let mut sink = Vec::new();
-            allows.push(crate::parse_allows(&path, &comment_lines, &mut sink));
+            allows.push(crate::parse_allows(&ast.src, &ast.toks));
             let marker_lines: HashSet<usize> = ast
                 .toks
                 .iter()
-                .filter(|t| {
-                    matches!(t.kind, TokKind::LineComment | TokKind::BlockComment)
-                        && t.text(&ast.src).contains("simanalyze: nondet_source")
-                })
+                .filter(|t| t.is_comment() && t.text(&ast.src).contains("simlint: nondet_source"))
                 .map(|t| t.line as usize)
                 .collect();
             let marks: HashSet<usize> = ast
@@ -167,9 +166,14 @@ impl Workspace {
         self.calls.get(&id).map_or(&[], Vec::as_slice)
     }
 
+    /// Whether the function is test code.
+    pub fn is_test(&self, id: FnId) -> bool {
+        self.files[id.file].in_test(self.fn_def(id).at)
+    }
+
     /// Whether `rule` is allowed at `line` of file `fi`.
     pub fn allowed(&self, fi: usize, rule: Rule, line: usize) -> bool {
-        self.allows[fi].get(&line).is_some_and(|s| s.contains(&rule))
+        self.allows[fi].iter().any(|a| a.covers(rule, line))
     }
 
     /// Whether the file is exempt from analysis findings: test and bench
@@ -341,8 +345,7 @@ fn extract_calls(file: &FileAst, body: (usize, usize)) -> Vec<CallSite> {
 
 /// Walks `.rs` files under `root` (skipping build output, fixtures,
 /// vendored compat shims), producing `(path, source)` pairs with paths
-/// shown relative to `root`'s parent — the same convention as
-/// [`crate::lint_tree`].
+/// shown relative to `root`'s parent.
 ///
 /// # Errors
 ///
@@ -375,16 +378,18 @@ pub fn read_tree(root: &Path) -> std::io::Result<Vec<(String, String)>> {
     Ok(out)
 }
 
-/// Runs both passes over a built workspace; findings come back sorted by
+/// Runs every pass over a built workspace; findings come back sorted by
 /// (file, line, rule).
 pub fn analyze(ws: &Workspace) -> Vec<Finding> {
-    let mut findings = taint::run(ws);
+    let mut findings = local::run(ws);
+    findings.extend(taint::run(ws));
     findings.extend(waits::run(ws));
     findings.sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
     findings
 }
 
-/// Convenience: read a tree, build the workspace, run the passes.
+/// Reads a tree, builds the workspace, runs every pass: what the
+/// `simlint` binary does.
 ///
 /// # Errors
 ///

@@ -1,10 +1,10 @@
-//! Pass 1: interprocedural determinism taint.
+//! Pass 2: interprocedural determinism taint.
 //!
 //! A *source* is a call that observes the host instead of the simulation:
 //! wall-clock reads (`Instant::now`, `SystemTime::now`), OS randomness
 //! (`thread_rng`, `from_entropy`, `RandomState::new`), thread identity
 //! (`std::thread::current`), or any function marked with a
-//! `// simanalyze: nondet_source` comment. A *sink* is anything that
+//! `// simlint: nondet_source` comment. A *sink* is anything that
 //! feeds simulation state or observable ordering: trace spans, metrics,
 //! kernel timing/messaging primitives, and fields of protocol (wire
 //! message) types.
@@ -477,10 +477,10 @@ pub fn run(ws: &Workspace) -> Vec<Finding> {
             continue;
         }
         for idx in 0..ws.files[fi].fns.len() {
-            if ws.files[fi].fns[idx].is_test {
-                continue;
+            let id = FnId { file: fi, idx };
+            if !ws.is_test(id) {
+                pass.eval_fn(id, Some(&mut findings));
             }
-            pass.eval_fn(FnId { file: fi, idx }, Some(&mut findings));
         }
     }
     findings

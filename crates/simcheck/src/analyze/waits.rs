@@ -111,11 +111,10 @@ fn uncovered_root(ws: &Workspace, start: FnId, ann: &HashSet<String>) -> Option<
                 continue; // direct recursion is not a caller
             }
             has_caller = true;
-            let cdef = ws.fn_def(caller);
             // A test or bench driving the blocking call directly is fine:
             // deadlock reports only matter for simulated scenarios, and
             // those are started by exactly this kind of harness code.
-            if cdef.is_test || ws.exempt_file(caller.file) {
+            if ws.is_test(caller) || ws.exempt_file(caller.file) {
                 continue;
             }
             if !visited.insert(caller) {
@@ -155,7 +154,9 @@ fn actor_blocks(ws: &Workspace) -> Vec<Finding> {
         for idx in 0..ws.files[fi].fns.len() {
             let root = FnId { file: fi, idx };
             let rdef = ws.fn_def(root);
-            if rdef.name != "on_wake" || rdef.impl_trait.as_deref() != Some("Actor") || rdef.is_test
+            if rdef.name != "on_wake"
+                || rdef.impl_trait.as_deref() != Some("Actor")
+                || ws.is_test(root)
             {
                 continue;
             }
@@ -207,7 +208,7 @@ fn actor_blocks(ws: &Workspace) -> Vec<Finding> {
                         for callee in ws.resolve(id, call) {
                             let cdef = ws.fn_def(callee);
                             if cdef.takes_ctx
-                                && !cdef.is_test
+                                && !ws.is_test(callee)
                                 && !ws.exempt_file(callee.file)
                                 && via.iter().all(|(seen, _)| *seen != callee)
                             {
@@ -234,7 +235,7 @@ pub fn run(ws: &Workspace) -> Vec<Finding> {
         for idx in 0..ws.files[fi].fns.len() {
             let id = FnId { file: fi, idx };
             let fdef = ws.fn_def(id);
-            if fdef.is_test || fdef.body.is_none() {
+            if ws.is_test(id) || fdef.body.is_none() {
                 continue;
             }
             let annotate_at = first_annotate(ws, id, &ann);

@@ -1,5 +1,5 @@
-//! CI gate: lints every `.rs` file under `crates/` for determinism and
-//! robustness conventions. Exits non-zero when any finding survives.
+//! CI gate: runs every `simlint` pass (`simcheck::analyze`) over every
+//! `.rs` file under `crates/`. Exits non-zero when any finding survives.
 //!
 //! Usage: `cargo run -p simcheck --bin simlint [-- <root>]` — `<root>`
 //! defaults to the workspace root (the current directory if it contains
@@ -21,7 +21,7 @@ fn workspace_root() -> PathBuf {
 
 fn main() -> ExitCode {
     let root = workspace_root().join("crates");
-    let findings = match simcheck::lint_tree(&root) {
+    let findings = match simcheck::analyze::analyze_tree(&root) {
         Ok(f) => f,
         Err(e) => {
             eprintln!("simlint: cannot walk {}: {e}", root.display());

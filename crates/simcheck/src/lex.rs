@@ -1,19 +1,14 @@
-//! A hand-rolled Rust lexer: the token layer under `simlint` and
-//! `simanalyze`.
+//! A hand-rolled Rust lexer: the token layer under `simlint`.
 //!
 //! The workspace carries no external parser, so this module implements
 //! just enough of the Rust lexical grammar to be *exact* about the
-//! distinctions the analyses need: code vs. comment vs. literal, char
+//! distinctions the passes need: code vs. comment vs. literal, char
 //! literal vs. lifetime, raw strings with hash guards, and nested block
-//! comments. Everything downstream (the legacy line rules, the item
-//! parser, the interprocedural passes) consumes these tokens instead of
-//! regex-matching raw text, so an identifier inside a string literal or a
-//! comment can never be mistaken for code again.
-//!
-//! The lexer is lossless over byte offsets: every token carries its
-//! `[lo, hi)` span into the original source, and [`views`] can rebuild
-//! the blanked code/comment projections the legacy rules match against,
-//! preserving the exact byte length and line structure of the input.
+//! comments. Everything downstream (the item parser, the directive
+//! parser, every pass) consumes these tokens instead of matching raw
+//! text, so an identifier inside a string literal or a comment can never
+//! be mistaken for code. Every token carries its `[lo, hi)` byte span
+//! into the original source and its starting line.
 
 /// Token classes. Keywords are ordinary [`TokKind::Ident`]s; multi-char
 /// operators are adjacent [`TokKind::Punct`]s (check [`Tok::glued`]).
@@ -52,6 +47,11 @@ impl Tok {
     /// The token's text.
     pub fn text<'a>(&self, src: &'a str) -> &'a str {
         &src[self.lo..self.hi]
+    }
+
+    /// Whether this token is a comment (line or block, doc comments too).
+    pub fn is_comment(&self) -> bool {
+        matches!(self.kind, TokKind::LineComment | TokKind::BlockComment)
     }
 
     /// Whether this token is the single punctuation byte `c`.
@@ -310,46 +310,6 @@ pub fn lex(src: &str) -> Vec<Tok> {
     Lexer { b: src.as_bytes(), pos: 0, line: 1, out: Vec::new() }.run()
 }
 
-/// The two blanked projections of a source file the legacy line rules
-/// match against. Both have exactly the original's byte length and line
-/// structure, so offsets are interchangeable.
-pub struct Views {
-    /// Comments and literal *contents* blanked (literal delimiters kept so
-    /// brace matching and quote positions survive).
-    pub code: String,
-    /// Everything *except* comments blanked.
-    pub comments: String,
-}
-
-/// Rebuilds the blanked views from the token stream.
-pub fn views(src: &str, toks: &[Tok]) -> Views {
-    let base: Vec<u8> = src.bytes().map(|c| if c == b'\n' { b'\n' } else { b' ' }).collect();
-    let mut code = base.clone();
-    let mut com = base;
-    let b = src.as_bytes();
-    for t in toks {
-        match t.kind {
-            TokKind::LineComment | TokKind::BlockComment => {
-                com[t.lo..t.hi].copy_from_slice(&b[t.lo..t.hi]);
-            }
-            TokKind::Str => {
-                // Keep only the delimiters in the code view. First and
-                // last bytes are always ASCII (quote, prefix letter, #).
-                code[t.lo] = b[t.lo];
-                code[t.hi - 1] = b[t.hi - 1];
-            }
-            _ => code[t.lo..t.hi].copy_from_slice(&b[t.lo..t.hi]),
-        }
-    }
-    // invariant: only whole tokens (char-boundary aligned) or single ASCII
-    // bytes were copied over the space-filled base, so both buffers
-    // remain valid UTF-8.
-    Views {
-        code: String::from_utf8(code).expect("views preserve UTF-8"),
-        comments: String::from_utf8(com).expect("views preserve UTF-8"),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -386,8 +346,8 @@ mod tests {
 
     #[test]
     fn multibyte_char_literal_is_a_literal() {
-        // The legacy scrubber's two-byte lookahead misread these as
-        // lifetimes; the lexer measures the UTF-8 width.
+        // A two-byte lookahead would misread these as lifetimes; the
+        // lexer measures the UTF-8 width.
         let got = kinds("let crab = '🦀'; let e = 'é';");
         assert!(got.contains(&(TokKind::Str, "'🦀'".into())), "{got:?}");
         assert!(got.contains(&(TokKind::Str, "'é'".into())), "{got:?}");
@@ -413,8 +373,8 @@ mod tests {
     fn comments_nested_and_degenerate() {
         let got = kinds("a /* x /* y */ z */ b");
         assert_eq!(got[1], (TokKind::BlockComment, "/* x /* y */ z */".into()));
-        // `/*/` does NOT close a block comment in Rust; the legacy
-        // scrubber treated the shared `*` as opener and closer at once.
+        // `/*/` does NOT close a block comment in Rust: the shared `*` is
+        // not both opener and closer.
         let got = kinds("x /*/ not code */ y");
         assert_eq!(got[1], (TokKind::BlockComment, "/*/ not code */".into()), "{got:?}");
         assert_eq!(got[2], (TokKind::Ident, "y".into()));
@@ -430,22 +390,9 @@ mod tests {
     }
 
     #[test]
-    fn views_preserve_length_and_lines() {
-        let src =
-            "let s = \"Instant::now\"; // Instant::now\nlet c = '🦀'; /* multi\nline */ f();\n";
-        let v = views(src, &lex(src));
-        assert_eq!(v.code.len(), src.len());
-        assert_eq!(v.comments.len(), src.len());
-        assert_eq!(v.code.lines().count(), src.lines().count());
-        assert!(!v.code.contains("Instant"), "literal + comment blanked: {}", v.code);
-        assert!(v.comments.contains("// Instant::now"));
-        assert!(v.code.contains("f()"));
-    }
-
-    #[test]
     fn unterminated_inputs_do_not_panic() {
         for src in ["\"abc", "/* never closed", "r#\"raw", "'x", "b\"", "1e"] {
-            let _ = views(src, &lex(src));
+            let _ = lex(src);
         }
     }
 }

@@ -1,10 +1,11 @@
 //! A lightweight item and function-body parser over [`crate::lex`]
-//! tokens.
+//! tokens, shared by every `simlint` pass.
 //!
-//! This is deliberately *not* a full Rust AST. The interprocedural passes
-//! in [`crate::analyze`] need four things from a source file: which
-//! functions exist (with their impl context and body span), which structs exist (with their field names), which call sites
-//! appear inside a body (callee path or method name, receiver root,
+//! This is deliberately *not* a full Rust AST. The passes in
+//! [`crate::analyze`] need five things from a source file: which
+//! functions exist (with their impl context and body span), which structs
+//! exist (with their field names), which tokens are test code, which call
+//! sites appear inside a body (callee path or method name, receiver root,
 //! argument spans), and which struct-literal expressions construct a
 //! known type. Everything else — expressions, types, generics — is
 //! skipped by balanced-bracket matching.
@@ -32,10 +33,10 @@ pub struct FnDef {
     /// Token-index range of the body, including the outer braces; `None`
     /// for trait-method declarations without a body.
     pub body: Option<(usize, usize)>,
+    /// Token index of the `fn` keyword.
+    pub at: usize,
     /// 1-based line of the `fn` keyword.
     pub line: u32,
-    /// Inside a `#[cfg(test)]` module, or carrying `#[test]`.
-    pub is_test: bool,
 }
 
 /// One `struct` or `enum` item.
@@ -61,6 +62,18 @@ pub struct FileAst {
     pub fns: Vec<FnDef>,
     /// Every `struct`/`enum` item found.
     pub structs: Vec<StructDef>,
+    /// Token-index ranges (attributes included) of the test items: each
+    /// `mod`, `impl` or `fn` carrying exactly `#[cfg(test)]` or `#[test]`.
+    pub test_ranges: Vec<(usize, usize)>,
+}
+
+impl FileAst {
+    /// The one test predicate every rule consults: whether token `tok`
+    /// sits inside a test item. `cfg(not(test))`, `cfg_attr(test, ..)` and
+    /// `cfg(any(test, ..))` do not make test code.
+    pub fn in_test(&self, tok: usize) -> bool {
+        self.test_ranges.iter().any(|&(lo, hi)| (lo..hi).contains(&tok))
+    }
 }
 
 /// Parses one file into items. Never fails.
@@ -72,9 +85,10 @@ pub fn parse_file(path: &str, src: &str) -> FileAst {
         toks,
         fns: Vec::new(),
         structs: Vec::new(),
+        test_ranges: Vec::new(),
     };
     let end = ast.toks.len();
-    let mut p = Parser { ast: &mut ast, in_test: false, impl_type: None, impl_trait: None };
+    let mut p = Parser { ast: &mut ast, impl_type: None, impl_trait: None };
     p.items(0, end);
     ast
 }
@@ -103,7 +117,6 @@ pub fn match_close(toks: &[Tok], src: &str, i: usize, end: usize) -> usize {
 
 struct Parser<'a> {
     ast: &'a mut FileAst,
-    in_test: bool,
     impl_type: Option<String>,
     impl_trait: Option<String>,
 }
@@ -145,13 +158,11 @@ impl Parser<'_> {
     }
 
     /// Scans attributes/doc-comments starting at `i`; returns the index
-    /// after them and whether any was `#[test]`-like or `#[cfg(test)]`.
+    /// after them and whether any was exactly `#[test]` or `#[cfg(test)]`.
     fn skip_attrs(&self, mut i: usize, end: usize) -> (usize, bool) {
         let mut test = false;
         loop {
-            while i < end
-                && matches!(self.ast.toks[i].kind, TokKind::LineComment | TokKind::BlockComment)
-            {
+            while i < end && self.ast.toks[i].is_comment() {
                 i += 1;
             }
             if self.is_punct(i, b'#') {
@@ -161,16 +172,25 @@ impl Parser<'_> {
                 }
                 if self.is_punct(j, b'[') {
                     let close = match_close(&self.ast.toks, &self.ast.src, j, end);
-                    let body: Vec<&str> =
-                        (j + 1..close).map(|k| self.ast.toks[k].text(&self.ast.src)).collect();
-                    if body.contains(&"test") {
-                        test = true;
-                    }
+                    let body: String = (j + 1..close).map(|k| self.text(k)).collect();
+                    test |= body == "test" || body == "cfg(test)";
                     i = close + 1;
                     continue;
                 }
             }
             return (i, test);
+        }
+    }
+
+    /// Skips a visibility (`pub`, `pub(crate)`) between an item's
+    /// attributes and its keyword.
+    fn skip_vis(&self, i: usize, end: usize) -> usize {
+        if !self.is_ident(i, "pub") {
+            i
+        } else if self.is_punct(i + 1, b'(') {
+            match_close(&self.ast.toks, &self.ast.src, i + 1, end) + 1
+        } else {
+            i + 1
         }
     }
 
@@ -202,8 +222,9 @@ impl Parser<'_> {
 
     fn items(&mut self, mut i: usize, end: usize) {
         while i < end {
+            let item = i;
             let (after_attrs, attr_test) = self.skip_attrs(i, end);
-            i = after_attrs;
+            i = self.skip_vis(after_attrs, end);
             if i >= end {
                 break;
             }
@@ -213,14 +234,9 @@ impl Parser<'_> {
             }
             match self.text(i) {
                 "mod" if i + 1 < end && self.ast.toks[i + 1].kind == TokKind::Ident => {
-                    // `mod name { … }` — recurse with the test flag; the
-                    // attribute was scanned just above.
                     if self.is_punct(i + 2, b'{') {
                         let close = match_close(&self.ast.toks, &self.ast.src, i + 2, end);
-                        let saved = self.in_test;
-                        self.in_test = saved || attr_test;
                         self.items(i + 3, close);
-                        self.in_test = saved;
                         i = close + 1;
                     } else {
                         i += 2; // `mod name;`
@@ -247,28 +263,33 @@ impl Parser<'_> {
                     }
                     let close = match_close(&self.ast.toks, &self.ast.src, j, end);
                     let (saved_ty, saved_tr) = (self.impl_type.take(), self.impl_trait.take());
-                    let saved_test = self.in_test;
                     self.impl_type = Some(ty);
                     self.impl_trait = tr;
-                    self.in_test = saved_test || attr_test;
                     self.items(j + 1, close);
                     self.impl_type = saved_ty;
                     self.impl_trait = saved_tr;
-                    self.in_test = saved_test;
                     i = close + 1;
                 }
                 "fn" if i + 1 < end && self.ast.toks[i + 1].kind == TokKind::Ident => {
-                    i = self.fn_item(i, end, attr_test);
+                    i = self.fn_item(i, end);
                 }
                 "struct" | "enum" if i + 1 < end && self.ast.toks[i + 1].kind == TokKind::Ident => {
                     i = self.struct_item(i, end);
+                    continue;
                 }
-                _ => i += 1,
+                _ => {
+                    i += 1;
+                    continue;
+                }
+            }
+            // Only a mod, impl or fn gets here, spanning `[item, i)`.
+            if attr_test {
+                self.ast.test_ranges.push((item, i.min(end)));
             }
         }
     }
 
-    fn fn_item(&mut self, at: usize, end: usize, attr_test: bool) -> usize {
+    fn fn_item(&mut self, at: usize, end: usize) -> usize {
         let name = self.text(at + 1).to_string();
         let line = self.ast.toks[at].line;
         let j = self.skip_generics(at + 2, end);
@@ -299,8 +320,8 @@ impl Parser<'_> {
             has_ret,
             takes_ctx,
             body,
+            at,
             line,
-            is_test: self.in_test || attr_test,
         });
         match body {
             Some((_, after)) => after,
@@ -386,14 +407,29 @@ mod tests {
 
     #[test]
     fn test_mods_and_attrs_are_marked() {
-        let src = "fn real() {}\n#[cfg(test)]\nmod tests {\n    fn helper() {}\n    #[test]\n    fn case() {}\n}\n#[test]\nfn top_level_case() {}\n";
+        let src = "fn real() {}\n#[cfg(test)]\nmod tests {\n    const K: u8 = 1;\n    fn helper() {}\n    #[test]\n    fn case() {}\n}\n#[test]\nfn top_level_case() {}\n\
+                   #[cfg(not(test))]\nfn not_test() {}\n#[cfg_attr(test, allow(dead_code))]\nfn attr_only() {}\n\
+                   #[cfg(test)]\npub(crate) fn visible_helper() {}\n";
         let ast = parse_file("a.rs", src);
         let flags: Vec<(&str, bool)> =
-            ast.fns.iter().map(|f| (f.name.as_str(), f.is_test)).collect();
+            ast.fns.iter().map(|f| (f.name.as_str(), ast.in_test(f.at))).collect();
         assert_eq!(
             flags,
-            vec![("real", false), ("helper", true), ("case", true), ("top_level_case", true)]
+            vec![
+                ("real", false),
+                ("helper", true),
+                ("case", true),
+                ("top_level_case", true),
+                ("not_test", false),
+                ("attr_only", false),
+                ("visible_helper", true),
+            ]
         );
+        // The predicate covers every token of a test item, not only fns.
+        let k = ast.toks.iter().position(|t| t.text(src) == "K").expect("const K");
+        assert!(ast.in_test(k));
+        let real = ast.toks.iter().position(|t| t.text(src) == "real").expect("fn real");
+        assert!(!ast.in_test(real));
     }
 
     #[test]

@@ -168,9 +168,9 @@ impl Monitor {
     /// The id is an `Arc` pointer, so its *value* differs run to run
     /// (ASLR). That is fine for the diagnostic wait-for graph — which
     /// only needs same-run identity — but the marker below tells
-    /// `simanalyze` to taint anything that would carry this value into
+    /// `simlint` to taint anything that would carry this value into
     /// simulation state, protocol messages or trace ordering.
-    // simanalyze: nondet_source
+    // simlint: nondet_source
     fn resource_id(&self) -> u64 {
         Arc::as_ptr(&self.state) as u64
     }
