@@ -53,8 +53,10 @@ cargo run --release -q -p simcheck --bin tracecheck -- results/trace-elastic.chr
 #   kernel-bench        one message ring on threads and on actors: the
 #                       actor ring runs >= 3x the thread ring's events/sec
 #                       (~8x pinned; an actor wake-up that starts costing
-#                       like a thread handoff fails) and >= 300k events/sec.
-#                       Host time: no BENCH file.
+#                       like a thread handoff fails) and >= 300k events/sec;
+#                       a parent spawning and joining 4 000 one-shot
+#                       children runs on exactly 2 OS threads (a thread per
+#                       process fails). Host time: no BENCH file.
 #   coldstart           classic vs snapshot-restore elastic runs plus the
 #                       fork fan-out microbench; self-asserts the tier
 #                       mechanics, then: a restore collapses the classic

@@ -1,21 +1,26 @@
 //! `kernel-bench` — what a thread handoff costs next to an inline actor
-//! wake-up, gated in CI.
+//! wake-up, and what a spawn costs, gated in CI.
 //!
-//! Two sections, the same ring twice:
+//! Three sections, the same ring twice and a spawn loop:
 //!
 //! 1. **ping_ring** — message passing on threads: a hop-countdown token
 //!    circulating a ring of processes, one delivery event per hop.
 //! 2. **actor_ring** — the same ring, hops and link latency with actor
 //!    nodes: one delivery event per hop and no thread handoff, so the
 //!    ratio to `ping_ring` is what the one direct handoff per hop costs.
+//! 3. **spawn_churn** — one thread parent spawning one-shot children and
+//!    joining each before the next, the shape of a driver starting cloud
+//!    threads: what a spawn costs when a worker thread is idle.
 //!
 //! Each section is wall-clock timed (the one legitimate use of host time
 //! in the workspace: measuring the simulator itself) and reports kernel
 //! events/sec, computed from [`simcore::EventQueueStats`] — total pushes
-//! (fresh allocations + free-list recycles) minus events still pending.
-//! [`check`] holds the relation — `actor_ring` runs at least 3x
-//! `ping_ring`'s events/sec — and a floor under the single-threaded actor
-//! ring. The thread ring keeps no absolute floor: its rate is the host
+//! (fresh allocations + free-list recycles) minus events still pending —
+//! and its ops (hops or spawns) per second. [`check`] holds the relation
+//! — `actor_ring` runs at least 3x `ping_ring`'s events/sec — a floor
+//! under the single-threaded actor ring, and a count: `spawn_churn` runs
+//! on two OS threads however many children it spawns. The thread ring and
+//! the spawn loop keep no host-time floor: their rates are the host
 //! scheduler's, and the wheel, the handoff and the DSO path are measured
 //! pinned and repeated by the acceptance benchmark (`BENCHMARK.json`).
 
@@ -26,15 +31,19 @@ use simcore::{Actor, Addr, Ctx, Msg, Sim, Wait, Wake};
 use super::Scale;
 use crate::report::{fmt_dur, Table};
 
-/// One measured run of the ring.
+/// One measured section.
 #[derive(Clone, Debug)]
 pub struct Section {
     /// Section name.
     pub name: &'static str,
-    /// Message hops the token made.
-    pub hops: u64,
+    /// What an op is: `"hops"` of the token, or `"spawns"`.
+    pub op: &'static str,
+    /// Ops made.
+    pub ops: u64,
     /// Kernel events processed.
     pub events: u64,
+    /// OS threads the kernel started ([`Sim::threads_spawned`]).
+    pub threads: u64,
     /// Host wall time for the timed region.
     pub elapsed: Duration,
 }
@@ -44,15 +53,22 @@ impl Section {
     pub fn events_per_s(&self) -> f64 {
         self.events as f64 / self.elapsed.as_secs_f64().max(1e-9)
     }
+
+    /// Ops per wall-clock second.
+    pub fn ops_per_s(&self) -> f64 {
+        self.ops as f64 / self.elapsed.as_secs_f64().max(1e-9)
+    }
 }
 
-/// Both runs of the ring.
+/// Every section's run.
 #[derive(Clone, Debug)]
 pub struct KernelBenchReport {
     /// The ring on thread-backed processes.
     pub ping_ring: Section,
     /// The ring on actors.
     pub actor_ring: Section,
+    /// Sequential spawn-and-join of one-shot thread children.
+    pub spawn_churn: Section,
 }
 
 /// `actor_ring` must run at least this many times `ping_ring`'s
@@ -63,6 +79,10 @@ const ACTOR_RING_SPEEDUP: f64 = 3.0;
 /// typical release-build run (~4.6 M): it runs on the run thread alone,
 /// so host scheduling noise does not reach it.
 const ACTOR_RING_FLOOR: f64 = 300_000.0;
+
+/// OS threads `spawn_churn` runs on: its parent's, and one each child runs
+/// on in turn. A thread per process would make it one per spawn more.
+const SPAWN_CHURN_THREADS: u64 = 2;
 
 /// The claims `kernel-bench` holds; `Err` names the first broken one.
 pub fn check(r: &KernelBenchReport) -> Result<(), String> {
@@ -76,6 +96,14 @@ pub fn check(r: &KernelBenchReport) -> Result<(), String> {
         actors >= threads * ACTOR_RING_SPEEDUP,
         "actor_ring ({actors:.0} events/s) is not at least {ACTOR_RING_SPEEDUP}x ping_ring \
          ({threads:.0}) — an actor wake-up stopped being cheaper than a thread handoff"
+    );
+    let churn = &r.spawn_churn;
+    claim!(
+        churn.threads == SPAWN_CHURN_THREADS,
+        "spawn_churn started {} OS threads for {} sequential spawns, not {SPAWN_CHURN_THREADS} — \
+         a finished process's thread no longer serves the next spawn",
+        churn.threads,
+        churn.ops
     );
     Ok(())
 }
@@ -130,7 +158,8 @@ fn ping_ring(scale: Scale) -> Section {
     out.expect_quiescent();
     let events = events_fired(&sim);
     assert!(events >= hops, "every hop is at least one kernel event");
-    Section { name: "ping_ring", hops, events, elapsed }
+    let threads = sim.threads_spawned();
+    Section { name: "ping_ring", op: "hops", ops: hops, events, threads, elapsed }
 }
 
 /// One node of [`actor_ring`]: what a `ping_ring` closure does, one
@@ -187,24 +216,48 @@ fn actor_ring(scale: Scale) -> Section {
     out.expect_quiescent();
     let events = events_fired(&sim);
     assert_eq!(events, hops, "one delivery per hop, exactly as the thread ring");
-    Section { name: "actor_ring", hops, events, elapsed }
+    let threads = sim.threads_spawned();
+    Section { name: "actor_ring", op: "hops", ops: hops, events, threads, elapsed }
 }
 
-/// Runs both rings, holds the claims, renders the table.
+fn spawn_churn(scale: Scale) -> Section {
+    let spawns = scale.pick(4_000, 40_000);
+    let mut sim = Sim::new(2);
+    sim.spawn("parent", move |ctx| {
+        let done = ctx.mailbox("done");
+        for _ in 0..spawns {
+            ctx.spawn("child", move |c| c.send(done, Msg::new(()), RING_LAT));
+            ctx.recv(done);
+        }
+    });
+    let (out, elapsed) = timed(|| sim.run_until_idle());
+    out.expect_quiescent();
+    let (events, threads) = (events_fired(&sim), sim.threads_spawned());
+    assert_eq!(events, spawns, "one delivery per join");
+    Section { name: "spawn_churn", op: "spawns", ops: spawns, events, threads, elapsed }
+}
+
+/// Runs every section, holds the claims, renders the table.
 pub fn kernel_bench(scale: Scale) -> Table {
-    let report = KernelBenchReport { ping_ring: ping_ring(scale), actor_ring: actor_ring(scale) };
+    let report = KernelBenchReport {
+        ping_ring: ping_ring(scale),
+        actor_ring: actor_ring(scale),
+        spawn_churn: spawn_churn(scale),
+    };
     check(&report).unwrap_or_else(|broken| panic!("kernel-bench: {broken}"));
     let mut t = Table::new(
-        "kernel-bench — one ring on threads and on actors",
-        &["Section", "Message hops", "Kernel events", "Wall time", "Events/sec"],
+        "kernel-bench — one ring on threads and on actors, and a spawn loop",
+        &["Section", "Ops", "Kernel events", "OS threads", "Wall time", "Events/sec", "Ops/sec"],
     );
-    for s in [&report.ping_ring, &report.actor_ring] {
+    for s in [&report.ping_ring, &report.actor_ring, &report.spawn_churn] {
         t.row(&[
             s.name.into(),
-            s.hops.to_string(),
+            format!("{} {}", s.ops, s.op),
             s.events.to_string(),
+            s.threads.to_string(),
             fmt_dur(s.elapsed),
             format!("{:.0}", s.events_per_s()),
+            format!("{:.0}", s.ops_per_s()),
         ]);
     }
     t
@@ -214,24 +267,35 @@ pub fn kernel_bench(scale: Scale) -> Table {
 mod tests {
     use super::*;
 
-    /// A report with the two rings at the given events/sec.
-    fn report(ping: u64, actors: u64) -> KernelBenchReport {
-        let section =
-            |name, events| Section { name, hops: events, events, elapsed: Duration::from_secs(1) };
+    /// A report with the two rings at the given events/sec, and 4 000
+    /// spawns on `churn_threads` OS threads.
+    fn report(ping: u64, actors: u64, churn_threads: u64) -> KernelBenchReport {
+        let section = |name, op, ops, threads| Section {
+            name,
+            op,
+            ops,
+            events: ops,
+            threads,
+            elapsed: Duration::from_secs(1),
+        };
         KernelBenchReport {
-            ping_ring: section("ping_ring", ping),
-            actor_ring: section("actor_ring", actors),
+            ping_ring: section("ping_ring", "hops", ping, 16),
+            actor_ring: section("actor_ring", "hops", actors, 0),
+            spawn_churn: section("spawn_churn", "spawns", 4_000, churn_threads),
         }
     }
 
     #[test]
     fn check_holds_each_claim() {
-        assert_eq!(check(&report(550_000, 4_600_000)), Ok(()));
+        assert_eq!(check(&report(550_000, 4_600_000, 2)), Ok(()));
         // The thread ring keeps no floor of its own: a slow host passes.
-        assert_eq!(check(&report(5_000, 4_600_000)), Ok(()));
-        let err = check(&report(2_000_000, 4_600_000)).unwrap_err();
+        assert_eq!(check(&report(5_000, 4_600_000, 2)), Ok(()));
+        let err = check(&report(2_000_000, 4_600_000, 2)).unwrap_err();
         assert!(err.contains("not at least 3x ping_ring"), "{err}");
-        let err = check(&report(10_000, 200_000)).unwrap_err();
+        let err = check(&report(10_000, 200_000, 2)).unwrap_err();
         assert!(err.contains("below the 300000 floor"), "{err}");
+        // A thread per process: the parent's plus one per child.
+        let err = check(&report(550_000, 4_600_000, 4_001)).unwrap_err();
+        assert!(err.contains("started 4001 OS threads for 4000 sequential spawns"), "{err}");
     }
 }

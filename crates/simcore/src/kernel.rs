@@ -4,7 +4,8 @@
 //! scheduler loop) executes at any moment, and whichever OS thread holds
 //! the token runs the loop. There are two kinds of process:
 //!
-//! - a **thread process** ([`Sim::spawn`]) runs on its own OS thread.
+//! - a **thread process** ([`Sim::spawn`]) runs on a pooled OS thread: a
+//!   worker whose body has returned parks and runs the next spawn's.
 //!   Blocking operations — [`Ctx::sleep`], [`Ctx::recv`], [`Ctx::call`] —
 //!   register the wait and then drive the scheduler themselves: the thread
 //!   advances the virtual clock to the next event and hands the token
@@ -374,7 +375,7 @@ enum Driver {
     RunThread,
     /// A process thread that has just registered its wait.
     Blocked(Pid),
-    /// A process thread whose body has finished.
+    /// A worker whose body has finished, already back in the idle pool.
     Exiting,
 }
 
@@ -396,8 +397,9 @@ enum BlockState {
 
 /// What runs when a process holds the token.
 enum ProcBody {
-    /// A parked OS thread; the gate hands it the token.
-    Thread { gate: Gate, join: Option<std::thread::JoinHandle<()>> },
+    /// A body on a parked worker thread; the worker's gate hands it the
+    /// token.
+    Thread(Gate),
     /// An actor the run thread invokes inline; `None` while it runs and
     /// once it has exited.
     Actor(Option<Box<ActorCell>>),
@@ -410,13 +412,28 @@ impl ProcBody {
     /// lock is released.
     fn retire(&mut self) -> Option<Box<ActorCell>> {
         match self {
-            ProcBody::Thread { gate, .. } => {
+            ProcBody::Thread(gate) => {
                 gate.set(EXIT);
                 None
             }
             ProcBody::Actor(cell) => cell.take(),
         }
     }
+}
+
+/// A thread process's body, waiting in a worker's slot to run.
+struct Job {
+    pid: Pid,
+    name: String,
+    body: Box<dyn FnOnce(&mut Ctx) + Send>,
+}
+
+/// An OS thread that runs thread-process bodies one after another: its
+/// gate, and the slot `spawn_process` puts the next body in.
+#[derive(Clone)]
+struct Worker {
+    gate: Gate,
+    job: Arc<Mutex<Option<Job>>>,
 }
 
 struct ProcSlot {
@@ -480,6 +497,10 @@ pub(crate) struct KernelState {
     carried: Option<Pid>,
     /// Times the run token moved from one OS thread to another.
     handoffs: u64,
+    /// Workers whose last body returned, waiting for the next spawn.
+    idle: Vec<Worker>,
+    /// Every worker thread started, joined when the `Sim` drops.
+    workers: Vec<std::thread::JoinHandle<()>>,
     /// Span collector, if observability is enabled ([`Sim::set_tracer`]).
     /// `None` makes every `Ctx::span_*` call a no-op.
     tracer: Option<Tracer>,
@@ -723,8 +744,8 @@ impl Kernel {
                     st.last_nondaemon_run = st.now;
                 }
                 match &mut p.body {
-                    ProcBody::Thread { .. } if driver == Driver::Blocked(pid) => return true,
-                    ProcBody::Thread { gate, .. } => {
+                    ProcBody::Thread(_) if driver == Driver::Blocked(pid) => return true,
+                    ProcBody::Thread(gate) => {
                         let gate = gate.clone();
                         pass(guard, &gate);
                         if !on_run_thread {
@@ -930,6 +951,8 @@ impl Sim {
                     run_gate: Gate { cmd: run_cmd.clone(), waiter: this_thread() },
                     carried: None,
                     handoffs: 0,
+                    idle: Vec::new(),
+                    workers: Vec::new(),
                     tracer: None,
                     metrics: None,
                 }),
@@ -955,6 +978,15 @@ impl Sim {
     /// host cost thread processes add over actors, as a count.
     pub fn thread_handoffs(&self) -> u64 {
         self.kernel.state.lock().handoffs
+    }
+
+    /// OS threads the kernel has started for thread processes. A thread
+    /// whose body returns runs the next spawn's body, and a spawn starts a
+    /// thread only when none is idle; a killed process's thread ends. Every
+    /// spawn and every return to the pool happens under the run token, so
+    /// the count is exact per seed, like [`Sim::thread_handoffs`].
+    pub fn threads_spawned(&self) -> u64 {
+        self.kernel.state.lock().workers.len() as u64
     }
 
     /// Installs a span collector: from now on `Ctx::span_begin` and friends
@@ -1029,7 +1061,9 @@ impl Sim {
         create_mailbox(&self.kernel, name, None)
     }
 
-    /// Spawns a process. It becomes runnable at the current virtual time.
+    /// Spawns a thread process. It becomes runnable at the current virtual
+    /// time; `f` runs on an idle worker thread, or on a new one when none
+    /// is idle (see [`Sim::threads_spawned`]).
     pub fn spawn<F>(&self, name: &str, f: F) -> Pid
     where
         F: FnOnce(&mut Ctx) + Send + 'static,
@@ -1106,18 +1140,6 @@ impl Sim {
         kill_process(&self.kernel, pid);
     }
 
-    /// Names of live processes that are currently blocked (diagnostic aid).
-    pub fn blocked_processes(&self) -> Vec<String> {
-        let st = self.kernel.state.lock();
-        st.procs
-            .values()
-            .filter(|p| {
-                !p.daemon && !matches!(p.blocked, BlockState::Exited | BlockState::Runnable)
-            })
-            .map(|p| p.name.clone())
-            .collect()
-    }
-
     /// Number of processes that have not exited.
     pub fn live_processes(&self) -> usize {
         self.kernel.state.lock().live
@@ -1126,25 +1148,26 @@ impl Sim {
 
 impl Drop for Sim {
     fn drop(&mut self) {
-        // Ask every remaining thread to unwind, then join them. Actors at
+        // Tell every worker to end — an idle one directly, one with a
+        // process by retiring the process — then join them all. Actors at
         // rest are dropped here too: their `Ctx` holds the kernel, which
         // holds them.
-        let mut joins = Vec::new();
-        let mut cells = Vec::new();
-        {
+        let (cells, workers) = {
             let mut st = self.kernel.state.lock();
-            for p in st.procs.values_mut() {
-                if p.blocked != BlockState::Exited {
-                    cells.extend(p.body.retire());
-                }
-                if let ProcBody::Thread { join, .. } = &mut p.body {
-                    joins.extend(join.take());
-                }
+            for w in st.idle.drain(..) {
+                w.gate.set(EXIT);
             }
-        }
+            let cells: Vec<_> = st
+                .procs
+                .values_mut()
+                .filter(|p| p.blocked != BlockState::Exited)
+                .filter_map(|p| p.body.retire())
+                .collect();
+            (cells, std::mem::take(&mut st.workers))
+        };
         drop(cells);
-        for j in joins {
-            let _ = j.join();
+        for w in workers {
+            let _ = w.join();
         }
     }
 }
@@ -1241,42 +1264,62 @@ fn spawn_process<F>(kernel: &Arc<Kernel>, name: &str, daemon: bool, f: F) -> Pid
 where
     F: FnOnce(&mut Ctx) + Send + 'static,
 {
-    let cmd = Arc::new(AtomicU8::new(PARK));
     let pid = next_pid(kernel);
-    let thread_cmd = cmd.clone();
-    let thread_kernel = kernel.clone();
-    let pname = name.to_string();
-    let join = std::thread::Builder::new()
-        .name(format!("sim-{pname}"))
+    // Only the token holder spawns, and a worker returns to `idle` before
+    // it passes the token on, so an idle worker is at most on its way back
+    // to its gate, whose `RUN` waits for it.
+    let idle = kernel.state.lock().idle.pop();
+    let worker = idle.unwrap_or_else(|| start_worker(kernel));
+    *worker.job.lock() = Some(Job { pid, name: name.to_string(), body: Box::new(f) });
+    insert_proc(kernel, pid, name, daemon, ProcBody::Thread(worker.gate));
+    pid
+}
+
+/// Starts a worker thread, parked on its gate with an empty slot.
+fn start_worker(kernel: &Arc<Kernel>) -> Worker {
+    let cmd = Arc::new(AtomicU8::new(PARK));
+    let job = Arc::new(Mutex::new(None));
+    let (thread_kernel, thread_cmd, thread_job) = (kernel.clone(), cmd.clone(), job.clone());
+    let handle = std::thread::Builder::new()
+        .name("sim-worker".to_string())
         .stack_size(256 * 1024)
         .spawn(move || {
-            if !Gate::wait(&thread_cmd) {
-                // Exited before first run (shutdown); nothing to clean.
-                thread_kernel.state.lock().proc_exited(pid);
-                return;
-            }
-            let mut ctx = new_ctx(&thread_kernel, pid, &pname, Some(thread_cmd));
-            let result = catch_unwind(AssertUnwindSafe(|| f(&mut ctx)));
-            // A shutdown unwinds a thread out of its wait, so the token is
-            // elsewhere; any other way out of the body still holds it.
-            let shutdown = matches!(&result, Err(p) if p.is::<ShutdownSignal>());
-            {
-                let mut st = thread_kernel.state.lock();
-                if let Err(p) = result {
-                    if !shutdown {
-                        st.panic = Some(p);
-                    }
-                }
-                st.proc_exited(pid);
-            }
-            if !shutdown {
-                thread_kernel.drive(Driver::Exiting);
-            }
+            let gate = Gate { cmd: thread_cmd, waiter: this_thread() };
+            run_worker(&thread_kernel, Worker { gate, job: thread_job });
         })
         .expect("failed to spawn simulation thread");
-    let gate = Gate { cmd, waiter: join.thread().clone() };
-    insert_proc(kernel, pid, name, daemon, ProcBody::Thread { gate, join: Some(join) });
-    pid
+    let worker = Worker { gate: Gate { cmd, waiter: handle.thread().clone() }, job };
+    kernel.state.lock().workers.push(handle);
+    worker
+}
+
+/// A worker's life: each time it is granted the token, run the body in its
+/// slot on a fresh context, then rejoin `idle` and drive the scheduler on.
+/// It ends when `EXIT` reaches it: parked (a kill before the body ran, or
+/// the `Sim` dropping), or mid-body (a kill or shutdown unwinding it). A
+/// body that never ran goes with its slot.
+fn run_worker(kernel: &Arc<Kernel>, me: Worker) {
+    while Gate::wait(&me.gate.cmd) {
+        let Job { pid, name, body } =
+            me.job.lock().take().expect("a worker is granted the token only with a body");
+        let result = {
+            let mut ctx = new_ctx(kernel, pid, &name, Some(me.gate.cmd.clone()));
+            catch_unwind(AssertUnwindSafe(|| body(&mut ctx)))
+        };
+        let mut st = kernel.state.lock();
+        st.proc_exited(pid);
+        match result {
+            // A shutdown unwinds a body out of its wait, so the token is
+            // elsewhere and the gate stays `EXIT`; any other way out of the
+            // body still holds the token.
+            Err(p) if p.is::<ShutdownSignal>() => return,
+            Err(p) => st.panic = Some(p),
+            Ok(()) => {}
+        }
+        st.idle.push(me.clone());
+        drop(st);
+        kernel.drive(Driver::Exiting);
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1548,12 +1591,6 @@ impl Ctx {
         self.kernel.state.lock().end_recv(self.pid, mb)
     }
 
-    /// Returns a queued message without blocking, if any.
-    pub fn try_recv(&mut self, mb: Addr) -> Option<Msg> {
-        let mut st = self.kernel.state.lock();
-        st.mailboxes.get_mut(&mb.0).and_then(|q| q.queue.pop_front())
-    }
-
     /// Issues a synchronous RPC: sends `req` to `to` and blocks for the
     /// response. The request travels with `latency`; the response latency is
     /// chosen by the server.
@@ -1681,7 +1718,8 @@ impl Ctx {
         }
     }
 
-    /// Spawns a child process, runnable at the current virtual time.
+    /// Spawns a child thread process, runnable at the current virtual time
+    /// (see [`Sim::spawn`]).
     pub fn spawn<F>(&mut self, name: &str, f: F) -> Pid
     where
         F: FnOnce(&mut Ctx) + Send + 'static,
@@ -1733,15 +1771,6 @@ impl Ctx {
                 kind,
                 site: site.into(),
             });
-        }
-    }
-
-    /// Removes this process's wait annotation (for fast paths that turned
-    /// out not to block after all).
-    pub fn clear_wait(&mut self) {
-        let mut st = self.kernel.state.lock();
-        if let Some(p) = st.procs.get_mut(&self.pid.0) {
-            p.waiting_on = None;
         }
     }
 

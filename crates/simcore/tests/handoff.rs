@@ -3,7 +3,8 @@
 //! and picks the next process. These tests hold what that must not change
 //! — a panic, a deadline, a kill and an actor all end up where they did
 //! when only the `run_*` caller ran the loop — and count the token
-//! transfers the design exists to save.
+//! transfers the design exists to save, and the OS threads the worker pool
+//! does.
 //!
 //! The first group are races between OS threads: each scenario is repeated,
 //! because one pass proves little.
@@ -15,7 +16,9 @@ use std::thread::ThreadId;
 use std::time::Duration;
 
 use parking_lot::Mutex;
-use simcore::{Actor, Addr, Ctx, Msg, Pid, Request, Scheduler, Sim, SimTime, Wait, Wake};
+use simcore::{
+    Actor, Addr, Ctx, Msg, Pid, Request, Scheduler, Sim, SimTime, SpanId, TraceCtx, Wait, Wake,
+};
 
 const MS: Duration = Duration::from_millis(1);
 const REPEATS: usize = 200;
@@ -235,8 +238,8 @@ fn a_process_that_wakes_itself_hands_nothing_off() {
     assert_eq!(sim.thread_handoffs(), 2, "one to start it, one back when it exits");
 }
 
-/// Handoffs of a 16-thread ring passing a token for `rounds` laps.
-fn ring_handoffs(rounds: u64) -> u64 {
+/// A 16-thread ring that has passed a token for `rounds` laps.
+fn ring(rounds: u64) -> Sim {
     const NODES: u64 = 16;
     let mut sim = Sim::new(2);
     let mbs: Vec<_> = (0..NODES).map(|i| sim.mailbox(&format!("ring-{i}"))).collect();
@@ -253,7 +256,12 @@ fn ring_handoffs(rounds: u64) -> u64 {
         });
     }
     sim.run_until_idle().expect_quiescent();
-    sim.thread_handoffs()
+    sim
+}
+
+/// Handoffs of [`ring`].
+fn ring_handoffs(rounds: u64) -> u64 {
+    ring(rounds).thread_handoffs()
 }
 
 #[test]
@@ -275,4 +283,92 @@ fn a_call_to_an_actor_costs_two_handoffs() {
     // Thread to the run thread with the actor it picked, and back with the
     // reply.
     assert_eq!(handoffs(60) - handoffs(10), 2 * 50);
+}
+
+// Worker threads: a body that returns leaves its OS thread idle for the
+// next spawn; a killed one takes its thread with it.
+
+#[test]
+fn children_joined_in_sequence_share_one_thread() {
+    let mut sim = Sim::new(1);
+    sim.spawn("parent", |ctx| {
+        let done = ctx.mailbox("done");
+        for i in 0..1_000u64 {
+            ctx.spawn("child", move |c| c.send(done, Msg::new(i), MS));
+            assert_eq!(ctx.recv(done).take::<u64>(), i);
+        }
+    });
+    sim.run_until_idle().expect_quiescent();
+    assert_eq!(sim.threads_spawned(), 2, "the parent's, and one each child runs on in turn");
+}
+
+#[test]
+fn a_thread_ring_starts_one_thread_per_node() {
+    assert_eq!(ring(10).threads_spawned(), 16);
+}
+
+#[test]
+fn a_killed_process_takes_its_thread_with_it() {
+    let mut sim = Sim::new(1);
+    let never = sim.mailbox("never");
+    let blocked = sim.spawn("blocked", move |ctx| drop(ctx.recv(never)));
+    assert_eq!(sim.run_until_idle().blocked, ["blocked"]);
+    sim.kill(blocked);
+    sim.spawn("next", |ctx| ctx.sleep(MS));
+    assert_eq!(sim.threads_spawned(), 2, "the blocked process's thread is not reused");
+
+    // So does a process killed before its body ever ran.
+    let unstarted = sim.spawn("unstarted", |ctx| ctx.sleep(MS));
+    sim.kill(unstarted);
+    sim.run_until_idle().expect_quiescent();
+    sim.spawn("after", |ctx| ctx.sleep(MS)); // reuses next's thread
+    sim.spawn("fresh", |ctx| ctx.sleep(MS));
+    sim.run_until_idle().expect_quiescent();
+    assert_eq!(sim.threads_spawned(), 4);
+}
+
+#[test]
+fn a_reused_thread_starts_each_body_afresh() {
+    type Seen = (std::thread::ThreadId, Pid, String, TraceCtx);
+    let seen: Arc<Mutex<Vec<Seen>>> = Arc::default();
+    let mut sim = Sim::new(1);
+    let mut pids = Vec::new();
+    for name in ["first", "second"] {
+        let seen = seen.clone();
+        pids.push(sim.spawn(name, move |ctx| {
+            let id = std::thread::current().id();
+            seen.lock().push((id, ctx.pid(), ctx.name().to_string(), ctx.trace_ctx()));
+            ctx.set_trace_ctx(TraceCtx::under(SpanId(7)));
+        }));
+        sim.run_until_idle().expect_quiescent();
+    }
+    assert_eq!(sim.threads_spawned(), 1);
+    let seen = seen.lock();
+    assert_eq!(seen[0].0, seen[1].0, "both bodies ran on one thread");
+    let got: Vec<_> = seen.iter().map(|(_, pid, name, tc)| (*pid, name.as_str(), *tc)).collect();
+    assert_eq!(got, [(pids[0], "first", TraceCtx::root()), (pids[1], "second", TraceCtx::root())]);
+}
+
+#[test]
+fn dropping_the_sim_drops_every_body_it_holds() {
+    let held = Arc::new(());
+    let mut sim = Sim::new(1);
+    for _ in 0..3 {
+        sim.spawn("one-shot", |ctx| ctx.sleep(MS));
+    }
+    sim.run_until_idle().expect_quiescent();
+    let never = sim.mailbox("never");
+    let h = held.clone();
+    sim.spawn("blocked", move |ctx| {
+        let _held = h;
+        drop(ctx.recv(never));
+    });
+    assert_eq!(sim.run_until_idle().blocked, ["blocked"]);
+    let h = held.clone();
+    sim.spawn("never-ran", move |_| drop(h));
+    // One worker is still idle, one holds a body that never ran, one is
+    // parked mid-body.
+    assert_eq!((sim.threads_spawned(), Arc::strong_count(&held)), (3, 3));
+    drop(sim);
+    assert_eq!(Arc::strong_count(&held), 1);
 }

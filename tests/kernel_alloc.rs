@@ -15,6 +15,8 @@
 //! window is being counted. A plain `main` runs the three regions back to
 //! back, so no thread outside the simulation exists during a window, and
 //! prints libtest's lines so the output reads like any other test binary's.
+//! The same holds for the last test, which counts the process's OS threads
+//! to show a dropped `Sim` leaves none of its workers behind.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -160,14 +162,50 @@ fn steady_state_thread_ring_allocates_nothing() {
     assert_eq!(counted, 0, "a thread handoff allocated {counted} times in steady state");
 }
 
+/// This process's OS threads, as `/proc/self/task` lists them.
+fn os_threads() -> usize {
+    std::fs::read_dir("/proc/self/task").expect("procfs lists this process's threads").count()
+}
+
+/// Counts threads process-wide, so it too needs a binary with nothing
+/// running beside it.
+fn dropping_a_sim_ends_every_worker_thread() {
+    let before = os_threads();
+    let mut sim = Sim::new(14);
+    for i in 0..4 {
+        sim.spawn(&format!("one-shot-{i}"), |ctx| ctx.sleep(Duration::from_micros(1)));
+    }
+    sim.run_until_idle().expect_quiescent();
+    let (never, also_never) = (sim.mailbox("never"), sim.mailbox("also-never"));
+    sim.spawn("blocked", move |ctx| drop(ctx.recv(never)));
+    let killed = sim.spawn("killed", move |ctx| drop(ctx.recv(also_never)));
+    sim.run_until_idle();
+    sim.kill(killed);
+    // Two of the four workers idle, one blocked mid-body, one ending.
+    assert_eq!(sim.threads_spawned(), 4);
+    assert!(os_threads() > before, "the workers are OS threads");
+    drop(sim);
+    // A joined thread leaves `/proc` a moment after `join` returns.
+    let mut after = os_threads();
+    for _ in 0..1_000 {
+        if after == before {
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(1));
+        after = os_threads();
+    }
+    assert_eq!(after, before, "threads outlived their Sim");
+}
+
 fn main() {
-    let tests: [(&str, fn()); 3] = [
+    let tests: [(&str, fn()); 4] = [
         ("steady_state_timer_churn_allocates_nothing", steady_state_timer_churn_allocates_nothing),
         (
             "steady_state_actor_ping_pong_allocates_nothing",
             steady_state_actor_ping_pong_allocates_nothing,
         ),
         ("steady_state_thread_ring_allocates_nothing", steady_state_thread_ring_allocates_nothing),
+        ("dropping_a_sim_ends_every_worker_thread", dropping_a_sim_ends_every_worker_thread),
     ];
     // What `cargo test -- --list` asks of every test binary.
     if std::env::args().any(|a| a == "--list") {
