@@ -15,7 +15,7 @@ use std::time::Duration;
 
 use bytes::Bytes;
 use dso::protocol::{CheckpointBlob, NodeId, ObjectRecord, WalRecord, WalSegment};
-use dso::{intern, ObjectRef};
+use dso::{api, dispatch, intern, CallCtx, ObjectRef, ObjectRegistry, SharedObject, Ticket};
 use simcore::codec::{self, Wire};
 use simcore::SimTime;
 
@@ -248,6 +248,106 @@ fn checkpoint_blob() {
             "02",
             "0100000000000000",
             "0000000000000000"
+        ),
+    );
+}
+
+/// A built-in object of `type_name` created from `create`.
+fn builtin(type_name: &str, create: &impl Wire) -> Box<dyn SharedObject> {
+    let args = codec::to_bytes(create).expect("encode");
+    ObjectRegistry::with_builtins().create(type_name, &args).expect("create")
+}
+
+/// Calls `method(args)` on `obj` as ticket `ticket`; a parked call is fine.
+fn call(obj: &mut dyn SharedObject, ticket: u64, method: &str, args: &impl Wire) {
+    let call = CallCtx { ticket: Ticket(ticket), replicated: false };
+    let args = codec::to_bytes(args).expect("encode");
+    dispatch(obj, &call, method, &args, false).expect("call succeeds");
+}
+
+/// `obj` saves exactly `golden`, and a default object restored from
+/// `golden` saves it back.
+fn pin_state(obj: &dyn SharedObject, type_name: &str, golden: &str) {
+    assert_eq!(hex(&obj.save()), golden, "saved state of {type_name}");
+    let mut fresh = ObjectRegistry::with_builtins().create(type_name, &[]).expect("create");
+    fresh.restore(&unhex(golden)).expect("golden state restores");
+    assert_eq!(hex(&fresh.save()), golden);
+}
+
+/// The saved state of every built-in at a non-default state: what SMR
+/// state transfer, checkpoints and the WAL carry. Parked tickets are
+/// node-local, so a barrier's and a semaphore's waiters are absent.
+#[test]
+fn builtin_object_states() {
+    let mut long = builtin("AtomicLong", &0i64);
+    call(long.as_mut(), 0, "set", &-3i64);
+    pin_state(long.as_ref(), "AtomicLong", "fdffffffffffffff");
+
+    let mut flag = builtin("AtomicBoolean", &false);
+    call(flag.as_mut(), 0, "set", &true);
+    pin_state(flag.as_ref(), "AtomicBoolean", "01");
+
+    let bytes = builtin("AtomicByteArray", &vec![1u8, 2, 3]);
+    pin_state(bytes.as_ref(), "AtomicByteArray", "0300000000000000010203");
+
+    let mut list = builtin("List", &Vec::<Vec<u8>>::new());
+    call(list.as_mut(), 0, "add", &vec![1u8]);
+    call(list.as_mut(), 0, "add", &vec![2u8, 3]);
+    let golden = concat!("0200000000000000", "010000000000000001", "02000000000000000203");
+    pin_state(list.as_ref(), "List", golden);
+
+    let mut map = builtin("Map", &BTreeMap::<String, Vec<u8>>::new());
+    call(map.as_mut(), 0, "put", &("k".to_string(), vec![7u8]));
+    let golden = concat!("0100000000000000", "01000000000000006b", "010000000000000007");
+    pin_state(map.as_ref(), "Map", golden);
+
+    // Two parties: one generation released, then one party parked.
+    let mut barrier = builtin("CyclicBarrier", &2u32);
+    call(barrier.as_mut(), 1, "await", &());
+    call(barrier.as_mut(), 2, "await", &());
+    call(barrier.as_mut(), 3, "await", &());
+    pin_state(barrier.as_ref(), "CyclicBarrier", concat!("02000000", "0100000000000000"));
+
+    // One permit left, and an acquire of two parked behind it.
+    let mut semaphore = builtin("Semaphore", &2i64);
+    call(semaphore.as_mut(), 1, "acquire", &1i64);
+    call(semaphore.as_mut(), 2, "acquire", &2i64);
+    pin_state(semaphore.as_ref(), "Semaphore", "0100000000000000");
+
+    let mut latch = builtin("CountDownLatch", &2u64);
+    call(latch.as_mut(), 1, "await", &());
+    call(latch.as_mut(), 2, "countDown", &());
+    pin_state(latch.as_ref(), "CountDownLatch", "0100000000000000");
+
+    let mut future = builtin("Future", &Option::<Vec<u8>>::None);
+    call(future.as_mut(), 1, "get", &());
+    call(future.as_mut(), 2, "set", &codec::to_bytes(&9u32).expect("encode"));
+    pin_state(future.as_ref(), "Future", concat!("01", "0400000000000000", "09000000"));
+
+    let mut arith = builtin("Arithmetic", &1.0f64);
+    call(arith.as_mut(), 0, "mul", &5.0f64);
+    pin_state(arith.as_ref(), "Arithmetic", "0000000000001440");
+}
+
+/// Handles ride inside shipped runnables, so their bytes are payload size.
+#[test]
+fn handles() {
+    pin(
+        &api::AtomicLong::persistent("model", 7, 2),
+        concat!(
+            "0a0000000000000041746f6d69634c6f6e67", // type name
+            "05000000000000006d6f64656c",           // key
+            "02",                                   // rf
+            "08000000000000000700000000000000"      // creation args
+        ),
+    );
+    pin(
+        &api::SharedList::<f64>::new("xs"),
+        concat!(
+            "04000000000000004c697374",         // type name
+            "02000000000000007873",             // key
+            "01",                               // rf
+            "08000000000000000000000000000000"  // creation args
         ),
     );
 }
