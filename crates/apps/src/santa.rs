@@ -17,9 +17,8 @@ use std::time::Duration;
 
 use crucial::sync::{LocalBarrier, Monitor, WaitGroup};
 use crucial::{
-    join_all, AtomicLong, CallCtx, CrucialConfig, Ctx, CyclicBarrier, Deployment, DsoClient,
-    Effects, FnEnv, ObjectError, ObjectRegistry, RawHandle, RunResult, Runnable, SharedObject, Sim,
-    SimTime,
+    join_all, shared_object, AtomicLong, CrucialConfig, Ctx, CyclicBarrier, Deployment, DsoClient,
+    Effects, FnEnv, ObjectRegistry, RunResult, Runnable, Sim, SimTime,
 };
 use parking_lot::Mutex;
 use rand::RngExt;
@@ -326,79 +325,58 @@ pub fn run_santa_local(cfg: &SantaConfig) -> SantaReport {
 // The SantaInbox shared object (DSO variants)
 // ---------------------------------------------------------------------------
 
-/// Santa's inbox as a custom `@Shared` object: full groups are offered,
-/// Santa's `take` parks until one is available, reindeer first.
-#[derive(Debug, Default, Clone, Wire)]
-pub struct SantaInbox {
-    reindeer_q: VecDeque<u64>,
-    elf_q: VecDeque<u64>,
-    #[wire(skip)]
-    waiting: Option<crucial::Ticket>,
+shared_object! {
+    /// Santa's inbox as a custom `@Shared` object: full groups are offered,
+    /// Santa's `take` parks until one is available, reindeer first.
+    #[derive(Debug, Default, Clone, Wire)]
+    pub struct SantaInbox {
+        reindeer_q: VecDeque<u64>,
+        elf_q: VecDeque<u64>,
+        #[wire(skip)]
+        waiting: Option<crucial::Ticket>,
+    }
+
+    type "SantaInbox";
+    create(none: () = ()) { Ok(SantaInbox::default()) }
+
+    methods(self, call) {
+        /// Posts a full group (`tag` 0 for reindeer, 1 for elves); wakes a
+        /// waiting Santa with the next group.
+        Write offer = "offer"(tag: u8, batch: u64) -> () {
+            match tag {
+                0 => self.reindeer_q.push_back(batch),
+                _ => self.elf_q.push_back(batch),
+            }
+            let mut fx = Effects::value(&())?;
+            if let Some(t) = self.waiting.take() {
+                let next = self.pop().expect("just offered");
+                fx = fx.wake(t, &next)?;
+            }
+            Ok(fx)
+        }
+        /// Santa's blocking take: the next `(tag, batch)`, reindeer first.
+        Blocking(Call) take = "take"() -> (u8, u64) {
+            match self.pop() {
+                Some(next) => Effects::value(&next),
+                None => {
+                    self.waiting = Some(call.ticket);
+                    Ok(Effects::park())
+                }
+            }
+        }
+    }
+
+    /// Typed handle to Santa's [`SantaInbox`](super::SantaInbox).
+    handle santa_inbox::SantaInbox { new(key) }
 }
 
 impl SantaInbox {
-    /// Registry type name.
-    pub const TYPE: &'static str = "SantaInbox";
-
-    /// Factory (no creation arguments).
-    pub fn factory(args: &[u8]) -> Result<Box<dyn SharedObject>, ObjectError> {
-        if !args.is_empty() {
-            let _: () = crucial::codec::from_bytes(args)
-                .map_err(|e| ObjectError::BadState(e.to_string()))?;
-        }
-        Ok(Box::<SantaInbox>::default())
-    }
-
     fn pop(&mut self) -> Option<(u8, u64)> {
         if let Some(b) = self.reindeer_q.pop_front() {
             Some((0, b))
         } else {
             self.elf_q.pop_front().map(|b| (1, b))
         }
-    }
-}
-
-impl SharedObject for SantaInbox {
-    fn invoke(
-        &mut self,
-        call: &CallCtx,
-        method: &str,
-        args: &[u8],
-    ) -> Result<Effects, ObjectError> {
-        match method {
-            "offer" => {
-                let (tag, batch): (u8, u64) = crucial::codec::from_bytes(args)
-                    .map_err(|e| ObjectError::BadArgs(e.to_string()))?;
-                match tag {
-                    0 => self.reindeer_q.push_back(batch),
-                    _ => self.elf_q.push_back(batch),
-                }
-                let mut fx = Effects::value(&())?;
-                if let Some(t) = self.waiting.take() {
-                    let next = self.pop().expect("just offered");
-                    fx = fx.wake(t, &next)?;
-                }
-                Ok(fx)
-            }
-            "take" => match self.pop() {
-                Some(next) => Effects::value(&next),
-                None => {
-                    self.waiting = Some(call.ticket);
-                    Ok(Effects::park())
-                }
-            },
-            other => Err(ObjectError::MethodNotFound(other.to_string())),
-        }
-    }
-
-    fn save(&self) -> Vec<u8> {
-        crucial::codec::to_bytes(self).expect("inbox encodes")
-    }
-
-    fn restore(&mut self, state: &[u8]) -> Result<(), ObjectError> {
-        *self =
-            crucial::codec::from_bytes(state).map_err(|e| ObjectError::BadState(e.to_string()))?;
-        Ok(())
     }
 }
 
@@ -417,7 +395,7 @@ pub struct DsoOps {
     cli: DsoClient,
     joined_reindeer: AtomicLong,
     joined_elf: AtomicLong,
-    inbox: RawHandle,
+    inbox: santa_inbox::SantaInbox,
     gates: HashMap<(Kind, u64, Gate), CyclicBarrier>,
 }
 
@@ -428,7 +406,7 @@ impl DsoOps {
             cli,
             joined_reindeer: AtomicLong::new("santa-joined-reindeer"),
             joined_elf: AtomicLong::new("santa-joined-elf"),
-            inbox: RawHandle::new(SantaInbox::TYPE, "santa-inbox", 1, &()),
+            inbox: santa_inbox::SantaInbox::new("santa-inbox"),
             gates: HashMap::new(),
         }
     }
@@ -468,15 +446,13 @@ impl SantaOps for DsoOps {
         };
         let batch = (joined - 1) / kind.group_size();
         if joined % kind.group_size() == 0 {
-            let _: () =
-                self.inbox.call(ctx, &mut self.cli, "offer", &(kind.tag(), batch)).expect("dso");
+            self.inbox.offer(ctx, &mut self.cli, kind.tag(), batch).expect("dso");
         }
         Some(batch)
     }
 
     fn santa_take(&mut self, ctx: &mut Ctx) -> (Kind, u64) {
-        let (tag, batch): (u8, u64) =
-            self.inbox.call_blocking(ctx, &mut self.cli, "take", &()).expect("dso");
+        let (tag, batch) = self.inbox.take(ctx, &mut self.cli).expect("dso");
         (Kind::from_tag(tag), batch)
     }
 

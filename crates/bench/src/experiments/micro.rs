@@ -9,10 +9,8 @@ use simcore::{MetricsRegistry, Sim};
 
 use cloudstore::{spawn_redis, spawn_s3, RedisConfig, S3Config, ScriptRegistry};
 use crucial_apps::pi::run_pi_crucial;
-use dso::api::{Arithmetic as ArithmeticHandle, AtomicByteArray, RawHandle};
-use dso::{
-    costs, CallCtx, DsoCluster, DsoConfig, Effects, ObjectError, ObjectRegistry, SharedObject,
-};
+use dso::api::{Arithmetic as ArithmeticHandle, AtomicByteArray};
+use dso::{costs, shared_object, DsoCluster, DsoConfig, Effects, ObjectRegistry};
 
 use super::Scale;
 use crate::report::{fmt_dur, Table};
@@ -21,64 +19,38 @@ use crate::report::{fmt_dur, Table};
 // Table 2 — latency
 // ---------------------------------------------------------------------------
 
-/// Raw key-value object modeling plain Infinispan (no Creson call-shipping
-/// proxy stack): slightly cheaper per op than a Crucial shared object.
-#[derive(Debug, Default, Clone, simcore::codec::Wire)]
-pub struct RawKv {
-    data: Vec<u8>,
-}
-
-impl RawKv {
-    /// Registry type name.
-    pub const TYPE: &'static str = "RawKv";
-
-    /// Factory.
-    pub fn factory(args: &[u8]) -> Result<Box<dyn SharedObject>, ObjectError> {
-        let data = if args.is_empty() {
-            Vec::new()
-        } else {
-            simcore::codec::from_bytes(args).map_err(|e| ObjectError::BadState(e.to_string()))?
-        };
-        Ok(Box::new(RawKv { data }))
+shared_object! {
+    /// Raw key-value object modeling plain Infinispan (no Creson
+    /// call-shipping proxy stack): slightly cheaper per op than a Crucial
+    /// shared object. Its `get` is a plain cache access, not a read-only
+    /// object method, so it takes the write path.
+    #[derive(Debug, Default, Clone, simcore::codec::Wire)]
+    pub struct RawKv {
+        data: Vec<u8>,
     }
 
-    fn kv_cost(&self, bytes: usize) -> Duration {
-        // Infinispan's plain cache path, without the object-proxy layer.
-        Duration::from_micros(22) + costs::PER_BYTE * bytes as u32
-    }
-}
+    type "RawKv";
+    create(data: Vec<u8> = Vec::new()) { Ok(RawKv { data }) }
 
-impl SharedObject for RawKv {
-    fn invoke(
-        &mut self,
-        _call: &CallCtx,
-        method: &str,
-        args: &[u8],
-    ) -> Result<Effects, ObjectError> {
-        match method {
-            "get" => {
-                let cost = self.kv_cost(self.data.len());
-                Effects::value_with_cost(&self.data, cost)
-            }
-            "put" => {
-                self.data = simcore::codec::from_bytes(args)
-                    .map_err(|e| ObjectError::BadArgs(e.to_string()))?;
-                let cost = self.kv_cost(self.data.len());
-                Effects::value_with_cost(&(), cost)
-            }
-            other => Err(ObjectError::MethodNotFound(other.to_string())),
+    methods(self, call) {
+        /// Reads the value.
+        Write get = "get"() -> Vec<u8> {
+            Effects::value_with_cost(&self.data, kv_cost(self.data.len()))
+        }
+        /// Replaces the value.
+        Write put = "put"(&data: Vec<u8>) -> () {
+            self.data = data;
+            Effects::value_with_cost(&(), kv_cost(self.data.len()))
         }
     }
 
-    fn save(&self) -> Vec<u8> {
-        simcore::codec::to_bytes(&self.data).expect("bytes encode")
-    }
+    /// Typed handle to a [`RawKv`](super::RawKv).
+    handle raw_kv::RawKv { persistent(key, init, rf) }
+}
 
-    fn restore(&mut self, state: &[u8]) -> Result<(), ObjectError> {
-        self.data =
-            simcore::codec::from_bytes(state).map_err(|e| ObjectError::BadState(e.to_string()))?;
-        Ok(())
-    }
+/// Infinispan's plain cache path, without the object-proxy layer.
+fn kv_cost(bytes: usize) -> Duration {
+    Duration::from_micros(22) + costs::PER_BYTE * bytes as u32
 }
 
 /// Measured PUT/GET latencies for one system.
@@ -172,8 +144,8 @@ pub fn table2(scale: Scale) -> (Table, Vec<LatencyRow>) {
                 let key = format!("k{}", i % 64);
                 let t0 = ctx.now();
                 if raw_kv {
-                    let h = RawHandle::new(RawKv::TYPE, &key, rf, &Vec::<u8>::new());
-                    let _: () = h.call(ctx, &mut cli, "put", &payload).expect("dso");
+                    let h = raw_kv::RawKv::persistent(&key, Vec::new(), rf);
+                    h.put(ctx, &mut cli, &payload).expect("dso");
                 } else {
                     let h = AtomicByteArray::persistent(&key, Vec::new(), rf);
                     h.set(ctx, &mut cli, &payload).expect("dso");
@@ -184,8 +156,8 @@ pub fn table2(scale: Scale) -> (Table, Vec<LatencyRow>) {
                 let key = format!("k{}", i % 64);
                 let t0 = ctx.now();
                 if raw_kv {
-                    let h = RawHandle::new(RawKv::TYPE, &key, rf, &Vec::<u8>::new());
-                    let _: Vec<u8> = h.call(ctx, &mut cli, "get", &()).expect("dso");
+                    let h = raw_kv::RawKv::persistent(&key, Vec::new(), rf);
+                    h.get(ctx, &mut cli).expect("dso");
                 } else {
                     let h = AtomicByteArray::persistent(&key, Vec::new(), rf);
                     let _ = h.get(ctx, &mut cli).expect("dso");

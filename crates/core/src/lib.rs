@@ -7,7 +7,7 @@
 //! | `CloudThread` | [`ThreadFactory::start`] + [`JoinHandle::join`] |
 //! | Shared objects | [`AtomicLong`], [`AtomicBoolean`], [`AtomicByteArray`], [`SharedList`], [`SharedMap`] |
 //! | Synchronization objects | [`CyclicBarrier`], [`Semaphore`], [`CountDownLatch`], [`SharedFuture`] |
-//! | `@Shared` | implement [`dso::SharedObject`], register it in the [`dso::ObjectRegistry`], and reference it with [`dso::api::RawHandle`] |
+//! | `@Shared` | declare the object once with [`shared_object!`] (its state, its methods and its typed handle), and register it in the [`dso::ObjectRegistry`] |
 //! | `@Shared(persistence=true)` | the `persistent(key, init, rf)` constructors |
 //!
 //! ## The π-estimation example (Listing 1 of the paper)
@@ -97,7 +97,7 @@ pub use controlplane::{
     ScaleDecision, ScalingPolicy, StepScaling, TargetTracking,
 };
 pub use dso::{
-    costs, dispatch, AdmissionConfig, BatchOp, CallCtx, ConsistencyMode, DsoClient,
+    costs, dispatch, shared_object, AdmissionConfig, BatchOp, CallCtx, ConsistencyMode, DsoClient,
     DsoClientHandle, DsoCluster, DsoConfig, DsoConfigBuilder, DsoConfigError, DsoError, Effects,
     ObjectError, ObjectRef, ObjectRegistry, Reply, SharedObject, Ticket,
 };

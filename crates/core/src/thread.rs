@@ -93,13 +93,6 @@ impl ThreadFactory {
         self
     }
 
-    /// Overrides the per-start client overhead (see
-    /// [`THREAD_START_OVERHEAD`]).
-    pub fn with_start_overhead(mut self, overhead: Duration) -> ThreadFactory {
-        self.start_overhead = overhead;
-        self
-    }
-
     /// Starts a cloud thread running `runnable` (the analogue of
     /// `new CloudThread(runnable).start()` from Listing 1).
     ///

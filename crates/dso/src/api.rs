@@ -7,8 +7,15 @@
 //! cloud function — the Rust analogue of the paper's `@Shared` fields
 //! woven by AspectJ.
 //!
+//! Each typed handle comes from its object's
+//! [`shared_object!`](crate::shared_object) declaration, like the
+//! server-side methods it calls; this module re-exports them. What is
+//! written here is the untyped [`RawHandle`] every handle wraps, and the
+//! element codec of the generic [`SharedList`], [`SharedMap`] and
+//! [`SharedFuture`] over their objects' declared byte-level calls.
+//!
 //! Method calls go through a [`DsoClient`], which routes to the owning
-//! server; methods that may block (`await`, `get` on a future,
+//! server; methods declared blocking (`await`, `get` on a future,
 //! `acquire`) are issued without a client timeout.
 
 use std::marker::PhantomData;
@@ -18,10 +25,18 @@ use simcore::codec::Wire;
 use simcore::Ctx;
 
 use crate::client::{BatchOp, DsoClient};
-use crate::error::DsoError;
+use crate::error::{DsoError, ObjectError};
 use crate::intern::intern;
-use crate::object::ObjectRef;
-use crate::objects;
+use crate::object::{Access, ObjectRef};
+use crate::objects::{self, future, list, map, Encoded};
+
+pub use crate::objects::arithmetic::Arithmetic;
+pub use crate::objects::atomic_boolean::AtomicBoolean;
+pub use crate::objects::atomic_byte_array::AtomicByteArray;
+pub use crate::objects::atomic_long::AtomicLong;
+pub use crate::objects::count_down_latch::CountDownLatch;
+pub use crate::objects::cyclic_barrier::CyclicBarrier;
+pub use crate::objects::semaphore::Semaphore;
 
 /// Untyped core of every handle.
 #[derive(Clone, Debug, Wire, PartialEq)]
@@ -38,7 +53,7 @@ impl RawHandle {
             obj: ObjectRef::new(type_name, key),
             rf: rf.max(1),
             // invariant: the codec encodes every `Wire` type; creation
-            // args come from the typed wrappers below.
+            // args come from the typed handles.
             create_args: simcore::codec::to_bytes(create_args)
                 .expect("creation args encode")
                 .into(),
@@ -55,74 +70,27 @@ impl RawHandle {
         self.rf
     }
 
-    /// Invokes a non-blocking method.
+    /// Invokes `method` with `args` (encoded in order, as their tuple) as
+    /// `access` says, and decodes the reply. A `Read` must be one the
+    /// object serves from [`crate::SharedObject::read`], or the server
+    /// rejects the call.
     ///
     /// # Errors
     ///
-    /// Propagates [`DsoError`] from the client (see [`DsoClient::invoke`]).
-    pub fn call<A, R>(
+    /// Propagates [`DsoError`] from the client (see [`DsoClient::invoke`]);
+    /// a reply that does not decode as `R` is [`ObjectError::BadState`].
+    pub fn call<R: Wire>(
         &self,
         ctx: &mut Ctx,
         cli: &mut DsoClient,
         method: &str,
-        args: &A,
-    ) -> Result<R, DsoError>
-    where
-        A: Wire,
-        R: Wire,
-    {
-        cli.call(
-            ctx,
-            &self.obj,
-            method,
-            args,
-            self.rf,
-            Some(self.create_args.clone()),
-            false,
-            false,
-        )
-    }
-
-    /// Invokes a *read-only* method. Read-only calls take the read fast
-    /// path: no state-machine replication on the server, replica routing
-    /// under [`crate::ConsistencyMode::ReplicaReads`], and client-side
-    /// caching when enabled. The object must serve the method from
-    /// [`crate::SharedObject::read`], or the server rejects the call.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`DsoError`] from the client.
-    pub fn call_read<A, R>(
-        &self,
-        ctx: &mut Ctx,
-        cli: &mut DsoClient,
-        method: &str,
-        args: &A,
-    ) -> Result<R, DsoError>
-    where
-        A: Wire,
-        R: Wire,
-    {
-        cli.call(ctx, &self.obj, method, args, self.rf, Some(self.create_args.clone()), false, true)
-    }
-
-    /// Invokes a potentially parking method (no client-side timeout).
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`DsoError`] from the client.
-    pub fn call_blocking<A, R>(
-        &self,
-        ctx: &mut Ctx,
-        cli: &mut DsoClient,
-        method: &str,
-        args: &A,
-    ) -> Result<R, DsoError>
-    where
-        A: Wire,
-        R: Wire,
-    {
-        cli.call(ctx, &self.obj, method, args, self.rf, Some(self.create_args.clone()), true, false)
+        access: Access,
+        args: &[&dyn Wire],
+    ) -> Result<R, DsoError> {
+        let args = cli.encode(args);
+        let create = Some(self.create_args.clone());
+        let out = cli.invoke(ctx, &self.obj, method, args, self.rf, create, access)?;
+        decode(&out)
     }
 
     /// Builds a mutating [`BatchOp`] for [`DsoClient::invoke_batch`].
@@ -155,202 +123,21 @@ impl RawHandle {
             readonly,
         }
     }
-
-    /// Explicitly materializes the object on its server (idempotent).
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`DsoError`] from the client.
-    pub fn ensure(&self, ctx: &mut Ctx, cli: &mut DsoClient) -> Result<(), DsoError> {
-        self.call(ctx, cli, "__create", &())
-    }
 }
 
-macro_rules! delegate_ctor {
-    ($name:ident, $type_const:expr, $init_ty:ty, $default:expr) => {
-        impl $name {
-            /// Handle to an ephemeral object with a default initial value.
-            pub fn new(key: &str) -> $name {
-                Self::with_value(key, $default)
-            }
-
-            /// Handle with an explicit initial value.
-            pub fn with_value(key: &str, init: $init_ty) -> $name {
-                $name { raw: RawHandle::new($type_const, key, 1, &init) }
-            }
-
-            /// Handle to a *persistent* object replicated `rf` times —
-            /// the `@Shared(persistence=true)` of the paper.
-            pub fn persistent(key: &str, init: $init_ty, rf: u8) -> $name {
-                $name { raw: RawHandle::new($type_const, key, rf, &init) }
-            }
-
-            /// The underlying untyped handle.
-            pub fn raw(&self) -> &RawHandle {
-                &self.raw
-            }
-        }
-    };
+/// Decodes a reply or an element; failure means the stored bytes are not
+/// the expected type.
+fn decode<T: Wire>(bytes: &[u8]) -> Result<T, DsoError> {
+    simcore::codec::from_bytes(bytes)
+        .map_err(|e| DsoError::Object(ObjectError::BadState(e.to_string())))
 }
 
-// ---------------------------------------------------------------------------
-// Atomics
-// ---------------------------------------------------------------------------
-
-/// Typed handle to a shared [`objects::AtomicLong`].
-///
-/// # Examples
-///
-/// See the crate-level example in [`crate`].
-#[derive(Clone, Debug, Wire, PartialEq)]
-pub struct AtomicLong {
-    raw: RawHandle,
+/// Encodes an element of a generic container.
+fn encode<T: Wire>(v: &T) -> Result<Vec<u8>, DsoError> {
+    simcore::codec::to_bytes(v).map_err(|e| DsoError::Object(ObjectError::BadArgs(e.to_string())))
 }
-
-delegate_ctor!(AtomicLong, objects::AtomicLong::TYPE, i64, 0);
-
-impl AtomicLong {
-    /// Reads the current value.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`DsoError`].
-    pub fn get(&self, ctx: &mut Ctx, cli: &mut DsoClient) -> Result<i64, DsoError> {
-        self.raw.call_read(ctx, cli, "get", &())
-    }
-
-    /// Overwrites the value.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`DsoError`].
-    pub fn set(&self, ctx: &mut Ctx, cli: &mut DsoClient, v: i64) -> Result<(), DsoError> {
-        self.raw.call(ctx, cli, "set", &v)
-    }
-
-    /// Atomically adds `d` and returns the new value.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`DsoError`].
-    pub fn add_and_get(&self, ctx: &mut Ctx, cli: &mut DsoClient, d: i64) -> Result<i64, DsoError> {
-        self.raw.call(ctx, cli, "addAndGet", &d)
-    }
-
-    /// Atomically increments and returns the new value.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`DsoError`].
-    pub fn increment_and_get(&self, ctx: &mut Ctx, cli: &mut DsoClient) -> Result<i64, DsoError> {
-        self.raw.call(ctx, cli, "incrementAndGet", &())
-    }
-
-    /// Compare-and-set; returns whether the swap happened.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`DsoError`].
-    pub fn compare_and_set(
-        &self,
-        ctx: &mut Ctx,
-        cli: &mut DsoClient,
-        expect: i64,
-        update: i64,
-    ) -> Result<bool, DsoError> {
-        self.raw.call(ctx, cli, "compareAndSet", &(expect, update))
-    }
-
-    /// Atomically replaces the value, returning the previous one.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`DsoError`].
-    pub fn get_and_set(&self, ctx: &mut Ctx, cli: &mut DsoClient, v: i64) -> Result<i64, DsoError> {
-        self.raw.call(ctx, cli, "getAndSet", &v)
-    }
-}
-
-/// Typed handle to a shared [`objects::AtomicBoolean`].
-#[derive(Clone, Debug, Wire, PartialEq)]
-pub struct AtomicBoolean {
-    raw: RawHandle,
-}
-
-delegate_ctor!(AtomicBoolean, objects::AtomicBoolean::TYPE, bool, false);
-
-impl AtomicBoolean {
-    /// Reads the current value.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`DsoError`].
-    pub fn get(&self, ctx: &mut Ctx, cli: &mut DsoClient) -> Result<bool, DsoError> {
-        self.raw.call_read(ctx, cli, "get", &())
-    }
-
-    /// Overwrites the value.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`DsoError`].
-    pub fn set(&self, ctx: &mut Ctx, cli: &mut DsoClient, v: bool) -> Result<(), DsoError> {
-        self.raw.call(ctx, cli, "set", &v)
-    }
-
-    /// Compare-and-set; returns whether the swap happened.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`DsoError`].
-    pub fn compare_and_set(
-        &self,
-        ctx: &mut Ctx,
-        cli: &mut DsoClient,
-        expect: bool,
-        update: bool,
-    ) -> Result<bool, DsoError> {
-        self.raw.call(ctx, cli, "compareAndSet", &(expect, update))
-    }
-}
-
-/// Typed handle to a shared [`objects::AtomicByteArray`] — e.g. the 1 KB
-/// payload of the Table 2 latency benchmark.
-#[derive(Clone, Debug, Wire, PartialEq)]
-pub struct AtomicByteArray {
-    raw: RawHandle,
-}
-
-delegate_ctor!(AtomicByteArray, objects::AtomicByteArray::TYPE, Vec<u8>, Vec::new());
 
 impl AtomicByteArray {
-    /// Reads the whole array.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`DsoError`].
-    pub fn get(&self, ctx: &mut Ctx, cli: &mut DsoClient) -> Result<Vec<u8>, DsoError> {
-        self.raw.call_read(ctx, cli, "get", &())
-    }
-
-    /// Replaces the whole array.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`DsoError`].
-    pub fn set(&self, ctx: &mut Ctx, cli: &mut DsoClient, v: &Vec<u8>) -> Result<(), DsoError> {
-        self.raw.call(ctx, cli, "set", v)
-    }
-
-    /// Length of the array.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`DsoError`].
-    pub fn len(&self, ctx: &mut Ctx, cli: &mut DsoClient) -> Result<u64, DsoError> {
-        self.raw.call_read(ctx, cli, "len", &())
-    }
-
     /// Whether the array is empty.
     ///
     /// # Errors
@@ -362,7 +149,7 @@ impl AtomicByteArray {
 }
 
 // ---------------------------------------------------------------------------
-// Containers
+// Element-generic handles
 // ---------------------------------------------------------------------------
 
 /// Typed handle to a shared list of `T`.
@@ -376,18 +163,13 @@ pub struct SharedList<T> {
 impl<T: Wire> SharedList<T> {
     /// Handle to an ephemeral empty list.
     pub fn new(key: &str) -> SharedList<T> {
-        SharedList {
-            raw: RawHandle::new(objects::ListObject::TYPE, key, 1, &Vec::<Vec<u8>>::new()),
-            _ty: PhantomData,
-        }
+        Self::persistent(key, 1)
     }
 
     /// Handle to a persistent list replicated `rf` times.
     pub fn persistent(key: &str, rf: u8) -> SharedList<T> {
-        SharedList {
-            raw: RawHandle::new(objects::ListObject::TYPE, key, rf, &Vec::<Vec<u8>>::new()),
-            _ty: PhantomData,
-        }
+        let raw = RawHandle::new(objects::ListObject::TYPE, key, rf, &Vec::<Vec<u8>>::new());
+        SharedList { raw, _ty: PhantomData }
     }
 
     /// Appends an element; returns the new length.
@@ -396,9 +178,7 @@ impl<T: Wire> SharedList<T> {
     ///
     /// Propagates [`DsoError`]; fails if `v` cannot be encoded.
     pub fn add(&self, ctx: &mut Ctx, cli: &mut DsoClient, v: &T) -> Result<u64, DsoError> {
-        let bytes = simcore::codec::to_bytes(v)
-            .map_err(|e| DsoError::Object(crate::error::ObjectError::BadArgs(e.to_string())))?;
-        self.raw.call(ctx, cli, "add", &bytes)
+        list::add(&self.raw, ctx, cli, encode(v)?)
     }
 
     /// Reads the element at `i`.
@@ -407,12 +187,7 @@ impl<T: Wire> SharedList<T> {
     ///
     /// Propagates [`DsoError`]; fails if the element cannot be decoded.
     pub fn get(&self, ctx: &mut Ctx, cli: &mut DsoClient, i: u64) -> Result<Option<T>, DsoError> {
-        let raw: Option<Vec<u8>> = self.raw.call_read(ctx, cli, "get", &i)?;
-        raw.map(|b| {
-            simcore::codec::from_bytes(&b)
-                .map_err(|e| DsoError::Object(crate::error::ObjectError::BadState(e.to_string())))
-        })
-        .transpose()
+        list::get(&self.raw, ctx, cli, i)?.map(|b| decode(&b)).transpose()
     }
 
     /// Number of elements.
@@ -421,7 +196,7 @@ impl<T: Wire> SharedList<T> {
     ///
     /// Propagates [`DsoError`].
     pub fn size(&self, ctx: &mut Ctx, cli: &mut DsoClient) -> Result<u64, DsoError> {
-        self.raw.call_read(ctx, cli, "size", &())
+        list::size(&self.raw, ctx, cli)
     }
 
     /// Removes all elements.
@@ -430,7 +205,7 @@ impl<T: Wire> SharedList<T> {
     ///
     /// Propagates [`DsoError`].
     pub fn clear(&self, ctx: &mut Ctx, cli: &mut DsoClient) -> Result<(), DsoError> {
-        self.raw.call(ctx, cli, "clear", &())
+        list::clear(&self.raw, ctx, cli)
     }
 
     /// Reads the whole list.
@@ -439,14 +214,7 @@ impl<T: Wire> SharedList<T> {
     ///
     /// Propagates [`DsoError`]; fails if an element cannot be decoded.
     pub fn to_vec(&self, ctx: &mut Ctx, cli: &mut DsoClient) -> Result<Vec<T>, DsoError> {
-        let raw: Vec<Vec<u8>> = self.raw.call_read(ctx, cli, "toVec", &())?;
-        raw.iter()
-            .map(|b| {
-                simcore::codec::from_bytes(b).map_err(|e| {
-                    DsoError::Object(crate::error::ObjectError::BadState(e.to_string()))
-                })
-            })
-            .collect()
+        list::to_vec(&self.raw, ctx, cli)?.iter().map(|b| decode(b)).collect()
     }
 }
 
@@ -461,22 +229,14 @@ pub struct SharedMap<V> {
 impl<V: Wire> SharedMap<V> {
     /// Handle to an ephemeral empty map.
     pub fn new(key: &str) -> SharedMap<V> {
-        Self::with_rf(key, 1)
+        Self::persistent(key, 1)
     }
 
     /// Handle to a persistent map replicated `rf` times.
     pub fn persistent(key: &str, rf: u8) -> SharedMap<V> {
-        Self::with_rf(key, rf)
-    }
-
-    fn with_rf(key: &str, rf: u8) -> SharedMap<V> {
+        let empty = std::collections::BTreeMap::<String, Vec<u8>>::new();
         SharedMap {
-            raw: RawHandle::new(
-                objects::MapObject::TYPE,
-                key,
-                rf,
-                &std::collections::BTreeMap::<String, Vec<u8>>::new(),
-            ),
+            raw: RawHandle::new(objects::MapObject::TYPE, key, rf, &empty),
             _ty: PhantomData,
         }
     }
@@ -493,14 +253,7 @@ impl<V: Wire> SharedMap<V> {
         k: &str,
         v: &V,
     ) -> Result<Option<V>, DsoError> {
-        let bytes = simcore::codec::to_bytes(v)
-            .map_err(|e| DsoError::Object(crate::error::ObjectError::BadArgs(e.to_string())))?;
-        let old: Option<Vec<u8>> = self.raw.call(ctx, cli, "put", &(k.to_string(), bytes))?;
-        old.map(|b| {
-            simcore::codec::from_bytes(&b)
-                .map_err(|e| DsoError::Object(crate::error::ObjectError::BadState(e.to_string())))
-        })
-        .transpose()
+        map::put(&self.raw, ctx, cli, k.to_string(), encode(v)?)?.map(|b| decode(&b)).transpose()
     }
 
     /// Reads the value under `k`.
@@ -509,12 +262,7 @@ impl<V: Wire> SharedMap<V> {
     ///
     /// Propagates [`DsoError`]; fails on codec errors.
     pub fn get(&self, ctx: &mut Ctx, cli: &mut DsoClient, k: &str) -> Result<Option<V>, DsoError> {
-        let raw: Option<Vec<u8>> = self.raw.call_read(ctx, cli, "get", &k.to_string())?;
-        raw.map(|b| {
-            simcore::codec::from_bytes(&b)
-                .map_err(|e| DsoError::Object(crate::error::ObjectError::BadState(e.to_string())))
-        })
-        .transpose()
+        map::get(&self.raw, ctx, cli, k.to_string())?.map(|b| decode(&b)).transpose()
     }
 
     /// Removes and returns the value under `k`.
@@ -528,12 +276,7 @@ impl<V: Wire> SharedMap<V> {
         cli: &mut DsoClient,
         k: &str,
     ) -> Result<Option<V>, DsoError> {
-        let raw: Option<Vec<u8>> = self.raw.call(ctx, cli, "remove", &k.to_string())?;
-        raw.map(|b| {
-            simcore::codec::from_bytes(&b)
-                .map_err(|e| DsoError::Object(crate::error::ObjectError::BadState(e.to_string())))
-        })
-        .transpose()
+        map::remove(&self.raw, ctx, cli, k.to_string())?.map(|b| decode(&b)).transpose()
     }
 
     /// Number of entries.
@@ -542,7 +285,7 @@ impl<V: Wire> SharedMap<V> {
     ///
     /// Propagates [`DsoError`].
     pub fn size(&self, ctx: &mut Ctx, cli: &mut DsoClient) -> Result<u64, DsoError> {
-        self.raw.call_read(ctx, cli, "size", &())
+        map::size(&self.raw, ctx, cli)
     }
 
     /// All keys, sorted.
@@ -551,132 +294,7 @@ impl<V: Wire> SharedMap<V> {
     ///
     /// Propagates [`DsoError`].
     pub fn keys(&self, ctx: &mut Ctx, cli: &mut DsoClient) -> Result<Vec<String>, DsoError> {
-        self.raw.call_read(ctx, cli, "keys", &())
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Synchronization objects
-// ---------------------------------------------------------------------------
-
-/// Typed handle to a shared [`objects::CyclicBarrier`].
-#[derive(Clone, Debug, Wire, PartialEq)]
-pub struct CyclicBarrier {
-    raw: RawHandle,
-}
-
-impl CyclicBarrier {
-    /// Handle to a barrier for `parties` cloud threads.
-    pub fn new(key: &str, parties: u32) -> CyclicBarrier {
-        CyclicBarrier { raw: RawHandle::new(objects::CyclicBarrier::TYPE, key, 1, &parties) }
-    }
-
-    /// Blocks until all parties arrive; returns the generation index.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`DsoError`].
-    pub fn wait(&self, ctx: &mut Ctx, cli: &mut DsoClient) -> Result<u64, DsoError> {
-        self.raw.call_blocking(ctx, cli, "await", &())
-    }
-
-    /// The underlying untyped handle.
-    pub fn raw(&self) -> &RawHandle {
-        &self.raw
-    }
-}
-
-/// Typed handle to a shared [`objects::Semaphore`].
-#[derive(Clone, Debug, Wire, PartialEq)]
-pub struct Semaphore {
-    raw: RawHandle,
-}
-
-impl Semaphore {
-    /// Handle to a semaphore with `permits` initial permits.
-    pub fn new(key: &str, permits: i64) -> Semaphore {
-        Semaphore { raw: RawHandle::new(objects::Semaphore::TYPE, key, 1, &permits) }
-    }
-
-    /// Acquires `n` permits, blocking until available.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`DsoError`].
-    pub fn acquire(&self, ctx: &mut Ctx, cli: &mut DsoClient, n: i64) -> Result<(), DsoError> {
-        self.raw.call_blocking(ctx, cli, "acquire", &n)
-    }
-
-    /// Tries to acquire `n` permits without blocking.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`DsoError`].
-    pub fn try_acquire(
-        &self,
-        ctx: &mut Ctx,
-        cli: &mut DsoClient,
-        n: i64,
-    ) -> Result<bool, DsoError> {
-        self.raw.call(ctx, cli, "tryAcquire", &n)
-    }
-
-    /// Releases `n` permits.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`DsoError`].
-    pub fn release(&self, ctx: &mut Ctx, cli: &mut DsoClient, n: i64) -> Result<(), DsoError> {
-        self.raw.call(ctx, cli, "release", &n)
-    }
-
-    /// Currently available permits.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`DsoError`].
-    pub fn available_permits(&self, ctx: &mut Ctx, cli: &mut DsoClient) -> Result<i64, DsoError> {
-        self.raw.call_read(ctx, cli, "availablePermits", &())
-    }
-}
-
-/// Typed handle to a shared [`objects::CountDownLatch`].
-#[derive(Clone, Debug, Wire, PartialEq)]
-pub struct CountDownLatch {
-    raw: RawHandle,
-}
-
-impl CountDownLatch {
-    /// Handle to a latch starting at `count`.
-    pub fn new(key: &str, count: u64) -> CountDownLatch {
-        CountDownLatch { raw: RawHandle::new(objects::CountDownLatch::TYPE, key, 1, &count) }
-    }
-
-    /// Blocks until the latch reaches zero.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`DsoError`].
-    pub fn wait(&self, ctx: &mut Ctx, cli: &mut DsoClient) -> Result<(), DsoError> {
-        self.raw.call_blocking(ctx, cli, "await", &())
-    }
-
-    /// Decrements the latch; returns the remaining count.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`DsoError`].
-    pub fn count_down(&self, ctx: &mut Ctx, cli: &mut DsoClient) -> Result<u64, DsoError> {
-        self.raw.call(ctx, cli, "countDown", &())
-    }
-
-    /// Current count.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`DsoError`].
-    pub fn count(&self, ctx: &mut Ctx, cli: &mut DsoClient) -> Result<u64, DsoError> {
-        self.raw.call_read(ctx, cli, "getCount", &())
+        map::keys(&self.raw, ctx, cli)
     }
 }
 
@@ -703,9 +321,7 @@ impl<T: Wire> SharedFuture<T> {
     ///
     /// Propagates [`DsoError`]; fails if `v` cannot be encoded.
     pub fn set(&self, ctx: &mut Ctx, cli: &mut DsoClient, v: &T) -> Result<bool, DsoError> {
-        let bytes = simcore::codec::to_bytes(v)
-            .map_err(|e| DsoError::Object(crate::error::ObjectError::BadArgs(e.to_string())))?;
-        self.raw.call(ctx, cli, "set", &bytes)
+        future::set(&self.raw, ctx, cli, encode(v)?)
     }
 
     /// Blocks until the value is available, then returns it.
@@ -714,7 +330,8 @@ impl<T: Wire> SharedFuture<T> {
     ///
     /// Propagates [`DsoError`]; fails if the value cannot be decoded.
     pub fn get(&self, ctx: &mut Ctx, cli: &mut DsoClient) -> Result<T, DsoError> {
-        self.raw.call_blocking(ctx, cli, "get", &())
+        let Encoded(bytes) = future::get(&self.raw, ctx, cli)?;
+        decode(&bytes)
     }
 
     /// Whether the future has been completed.
@@ -723,50 +340,7 @@ impl<T: Wire> SharedFuture<T> {
     ///
     /// Propagates [`DsoError`].
     pub fn is_done(&self, ctx: &mut Ctx, cli: &mut DsoClient) -> Result<bool, DsoError> {
-        self.raw.call_read(ctx, cli, "isDone", &())
-    }
-}
-
-/// Typed handle to the Fig. 2a [`objects::Arithmetic`] register.
-#[derive(Clone, Debug, Wire, PartialEq)]
-pub struct Arithmetic {
-    raw: RawHandle,
-}
-
-delegate_ctor!(Arithmetic, objects::Arithmetic::TYPE, f64, 1.0);
-
-impl Arithmetic {
-    /// One multiplication (the "simple" operation).
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`DsoError`].
-    pub fn mul(&self, ctx: &mut Ctx, cli: &mut DsoClient, x: f64) -> Result<f64, DsoError> {
-        self.raw.call(ctx, cli, "mul", &x)
-    }
-
-    /// `n` sequential multiplications (the "complex" operation).
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`DsoError`].
-    pub fn mul_n(
-        &self,
-        ctx: &mut Ctx,
-        cli: &mut DsoClient,
-        x: f64,
-        n: u32,
-    ) -> Result<f64, DsoError> {
-        self.raw.call(ctx, cli, "mulN", &(x, n))
-    }
-
-    /// Reads the register.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`DsoError`].
-    pub fn get(&self, ctx: &mut Ctx, cli: &mut DsoClient) -> Result<f64, DsoError> {
-        self.raw.call_read(ctx, cli, "get", &())
+        future::is_done(&self.raw, ctx, cli)
     }
 }
 

@@ -16,7 +16,7 @@ use crate::config::DsoConfig;
 use crate::error::DsoError;
 use crate::intern::{intern, MethodName};
 use crate::node_cache::{NodeCache, NodeEntry};
-use crate::object::ObjectRef;
+use crate::object::{Access, ObjectRef};
 use crate::protocol::{
     BatchItemResp, BatchReq, GetView, InvokeReq, InvokeResp, VersionReq, VersionResp, View,
 };
@@ -156,7 +156,7 @@ pub struct DsoClient {
     node_cache: Option<Arc<NodeCache>>,
     /// Reusable argument-encoding buffer; plateaus at the largest request
     /// this client has built, so per-call encoding stops allocating a
-    /// fresh `Vec` (see [`DsoClient::encode_args`]).
+    /// fresh `Vec` (see [`DsoClient::encode`]).
     scratch: Vec<u8>,
 }
 
@@ -222,11 +222,11 @@ impl DsoClient {
     /// mode and retrying transparently on ownership changes, transfers in
     /// progress, stale replicas, and node failures.
     ///
-    /// `blocking` marks methods that may legitimately park on the server
-    /// (barrier `await`, future `get`): such calls are issued without a
-    /// client-side timeout. `readonly` marks declared read-only methods,
-    /// which take the read fast path (no SMR, optional replica routing and
-    /// caching).
+    /// `access` is the method's declared [`Access`]: a read takes the read
+    /// fast path (no SMR, optional replica routing and caching); a blocking
+    /// method may legitimately park on the server (barrier `await`, future
+    /// `get`), so it is issued without a client-side timeout and its wait
+    /// is annotated with its kind for the deadlock report.
     ///
     /// # Errors
     ///
@@ -241,9 +241,9 @@ impl DsoClient {
         args: Bytes,
         rf: u8,
         create: Option<Bytes>,
-        blocking: bool,
-        readonly: bool,
+        access: Access,
     ) -> Result<Bytes, DsoError> {
+        let readonly = access == Access::Read;
         // One logical call = one "dso.call" span; each attempt below is a
         // sibling "dso.attempt" child, so retries stay visually grouped.
         let call_span = ctx.span_begin("dso.call", "dso");
@@ -304,13 +304,13 @@ impl DsoClient {
             let mut attempt_req = req.clone();
             attempt_req.span = attempt_span;
             let lat = self.h.cfg.client_net.sample(ctx.rng());
-            let resp: Option<InvokeResp> = if blocking {
+            let resp: Option<InvokeResp> = if let Access::Blocking(kind) = access {
                 // A blocking call may legitimately park on the server (e.g.
                 // barrier await) with no timeout; tell the deadlock detector
                 // which object we are waiting on.
                 ctx.annotate_wait(
                     obj.placement_hash(),
-                    wait_kind_for(obj.type_name()),
+                    kind,
                     obj.to_string(),
                     format!("DsoClient::invoke {obj}::{method}"),
                 );
@@ -656,16 +656,11 @@ impl DsoClient {
             .zip(results)
             .map(|(op, r)| match r {
                 Some(r) => r,
-                None => self.invoke(
-                    ctx,
-                    &op.obj,
-                    &op.method,
-                    op.args.clone(),
-                    op.rf,
-                    op.create.clone(),
-                    false,
-                    op.readonly,
-                ),
+                None => {
+                    let access = if op.readonly { Access::Read } else { Access::Write };
+                    let (args, create) = (op.args.clone(), op.create.clone());
+                    self.invoke(ctx, &op.obj, &op.method, args, op.rf, create, access)
+                }
             })
             .collect();
         ctx.set_trace_ctx(prev_tc);
@@ -673,82 +668,17 @@ impl DsoClient {
         out
     }
 
-    /// Typed invocation: encodes `args`, decodes the reply.
-    ///
-    /// # Errors
-    ///
-    /// See [`DsoClient::invoke`]; additionally fails if encoding or
-    /// decoding fails.
-    #[allow(clippy::too_many_arguments)]
-    pub fn call<A, R>(
-        &mut self,
-        ctx: &mut Ctx,
-        obj: &ObjectRef,
-        method: &str,
-        args: &A,
-        rf: u8,
-        create: Option<Bytes>,
-        blocking: bool,
-        readonly: bool,
-    ) -> Result<R, DsoError>
-    where
-        A: Wire,
-        R: Wire,
-    {
-        let bytes = self.encode_args(args)?;
-        let out = self.invoke(ctx, obj, method, bytes, rf, create, blocking, readonly)?;
-        simcore::codec::from_bytes(&out)
-            .map_err(|e| DsoError::Object(crate::error::ObjectError::BadState(e.to_string())))
-    }
-
-    /// Encodes `args` into a request payload through the client's
-    /// reusable scratch buffer: the encoder writes into capacity that
-    /// plateaus at the largest request, so a typed call performs a single
-    /// allocation (the shared payload) instead of encode-buffer +
-    /// payload.
-    ///
-    /// # Errors
-    ///
-    /// Fails if the codec cannot represent `args`.
-    pub fn encode_args<A>(&mut self, args: &A) -> Result<Bytes, DsoError>
-    where
-        A: Wire,
-    {
-        simcore::codec::to_bytes_into(args, &mut self.scratch)
-            .map_err(|e| DsoError::Object(crate::error::ObjectError::BadArgs(e.to_string())))?;
-        Ok(Bytes::copy_from_slice(&self.scratch))
-    }
-
-    /// Measures one call's latency, returning the value and elapsed time.
-    ///
-    /// # Errors
-    ///
-    /// See [`DsoClient::invoke`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn timed_invoke(
-        &mut self,
-        ctx: &mut Ctx,
-        obj: &ObjectRef,
-        method: &str,
-        args: Bytes,
-        rf: u8,
-        create: Option<Bytes>,
-        readonly: bool,
-    ) -> Result<(Bytes, Duration), DsoError> {
-        let t0 = ctx.now();
-        let v = self.invoke(ctx, obj, method, args, rf, create, false, readonly)?;
-        Ok((v, ctx.now().saturating_duration_since(t0)))
-    }
-}
-
-/// Maps a shared-object type to the wait kind shown in deadlock reports
-/// when a blocking call on it never returns.
-fn wait_kind_for(type_name: &str) -> WaitKind {
-    match type_name {
-        "CyclicBarrier" => WaitKind::Barrier,
-        "Semaphore" => WaitKind::Semaphore,
-        "CountDownLatch" | "Future" | "FutureObject" => WaitKind::Condition,
-        _ => WaitKind::Call,
+    /// Encodes a method's arguments, in order, into a request payload
+    /// through the client's reusable scratch buffer: the encoder writes
+    /// into capacity that plateaus at the largest request, so a typed call
+    /// performs a single allocation (the shared payload) instead of
+    /// encode-buffer + payload.
+    pub fn encode(&mut self, args: &[&dyn Wire]) -> Bytes {
+        self.scratch.clear();
+        for arg in args {
+            arg.put(&mut self.scratch);
+        }
+        Bytes::copy_from_slice(&self.scratch)
     }
 }
 

@@ -194,16 +194,6 @@ impl DsoCluster {
         self.alive.iter().filter(|a| **a).count()
     }
 
-    /// Whether the `idx`-th node is still considered live (not crashed or
-    /// drained through this handle).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `idx` is out of range.
-    pub fn is_live(&self, idx: usize) -> bool {
-        self.alive[idx]
-    }
-
     /// Index of the most recently added node still live, if any — scale-in
     /// policies retire youngest-first so long-lived nodes keep their
     /// placement stability.

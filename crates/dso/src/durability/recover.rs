@@ -10,7 +10,7 @@ use simcore::{Ctx, SimTime};
 use crate::client::DsoClient;
 use crate::config::DurabilityConfig;
 use crate::error::DsoError;
-use crate::object::ObjectRef;
+use crate::object::{Access, ObjectRef};
 use crate::protocol::{CheckpointBlob, NodeId};
 
 /// Re-LIST rounds before a scan gives up with [`DsoError::Timeout`].
@@ -199,8 +199,8 @@ pub(crate) fn replay(
     }
     let objects = best.len();
     for (obj, (rf, version, state)) in best {
-        let args = cli.encode_args(&(state, version))?;
-        cli.invoke(ctx, &obj, "__restore", args, rf.max(1), None, false, false)?;
+        let args = cli.encode(&[&state, &version]);
+        cli.invoke(ctx, &obj, "__restore", args, rf.max(1), None, Access::Write)?;
     }
     ctx.metric_incr("dso.recoveries");
     ctx.metric_add("dso.recover_bytes", wal_bytes as u64);

@@ -7,6 +7,9 @@
 //!   [`server`]): clients send `(reference, method, args)`; the owning
 //!   server runs the method next to the data, turning O(N²) all-reduce
 //!   traffic into O(N) updates (§4.2).
+//! * **One declaration per object** ([`shared_object!`]): the state, its
+//!   methods and its typed client handle come from one table, as the
+//!   paper's `@Shared` class yields its woven proxy.
 //! * **Consistent hashing** ([`Ring`]): placement is a local computation on
 //!   every node and client (§4.1).
 //! * **Linearizability**: each object is bound to one worker per node, so
@@ -54,6 +57,7 @@ pub mod api;
 mod client;
 mod cluster;
 mod config;
+pub mod declare;
 pub mod durability;
 mod error;
 pub mod intern;
@@ -83,7 +87,7 @@ pub use intern::{intern, MethodName};
 pub use membership::{spawn_coordinator, spawn_coordinator_from};
 pub use node_cache::{NodeCache, NodeCacheKey, NodeEntry};
 pub use object::{
-    costs, dispatch, CallCtx, Effects, ObjectFactory, ObjectRef, ObjectRegistry, Reply,
+    costs, dispatch, Access, CallCtx, Effects, ObjectFactory, ObjectRef, ObjectRegistry, Reply,
     SharedObject, Ticket,
 };
 pub use protocol::DrainNode;

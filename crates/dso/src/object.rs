@@ -13,6 +13,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use simcore::codec::Wire;
+use simcore::WaitKind;
 
 use crate::error::ObjectError;
 
@@ -153,6 +154,22 @@ pub mod costs {
     pub const PER_BYTE: Duration = Duration::from_nanos(25);
 }
 
+/// How a method runs, as its declaration in
+/// [`shared_object!`](crate::shared_object) says and as the client issues
+/// it.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub enum Access {
+    /// Served by [`SharedObject::read`]: the read fast path (no SMR round,
+    /// no version bump, replica routing and caching where configured).
+    Read,
+    /// Served by [`SharedObject::invoke`], under the client's call timeout.
+    Write,
+    /// A write that may park its caller until another call wakes it: the
+    /// client waits with no timeout, and a wait that never ends shows in
+    /// the deadlock report as this kind.
+    Blocking(WaitKind),
+}
+
 /// Context of one method invocation.
 #[derive(Debug)]
 pub struct CallCtx {
@@ -171,6 +188,10 @@ pub struct CallCtx {
 /// through [`dispatch`], which tries `read` first. Both decode arguments
 /// with [`simcore::codec`] and return [`Effects`]. `save`/`restore`
 /// support replication and rebalancing ("marshalling" in the paper).
+///
+/// Objects declare this impl rather than write it:
+/// [`shared_object!`](crate::shared_object) generates it, together with
+/// the object's client handle, from one table of methods.
 ///
 /// The `__create` method name is reserved: it is sent by client proxies to
 /// initialize an object idempotently and is handled by the server, not by

@@ -6,69 +6,45 @@
 //! the DSO layer (multi-worker, disjoint-access parallel) and a
 //! single-threaded Redis executing Lua scripts serially.
 
-use super::{dec, dec_create};
-use crate::error::ObjectError as ObjErr;
-use crate::object::{costs, CallCtx, Effects, SharedObject};
+use simcore::codec::Wire;
 
-/// A shared register supporting simple and complex arithmetic updates.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Arithmetic {
-    value: f64,
+use crate::object::{costs, Effects};
+use crate::shared_object;
+
+shared_object! {
+    /// A shared register supporting simple and complex arithmetic updates.
+    #[derive(Debug, Clone, PartialEq, Wire)]
+    pub struct Arithmetic {
+        value: f64,
+    }
+
+    type "Arithmetic";
+    create(value: f64 = 1.0) { Ok(Arithmetic { value }) }
+
+    methods(self, call) {
+        /// Reads the register.
+        Read get = "get"() -> f64 { Effects::value(&self.value) }
+        /// One multiplication (the "simple" operation).
+        Write mul = "mul"(x: f64) -> f64 {
+            self.value = mul_n(self.value, x, 1);
+            Effects::value(&self.value)
+        }
+        /// `n` sequential multiplications (the "complex" operation),
+        /// charged at the per-multiplication JVM cost.
+        Write mul_n = "mulN"(x: f64, n: u32) -> f64 {
+            self.value = mul_n(self.value, x, n);
+            Effects::value_with_cost(&self.value, costs::SIMPLE_OP + costs::PER_MULT * n)
+        }
+    }
+
+    /// Typed handle to the Fig. 2a [`Arithmetic`](super::Arithmetic)
+    /// register.
+    handle arithmetic::Arithmetic { new(key), with_value(key, init), persistent(key, init, rf) }
 }
 
 impl Default for Arithmetic {
     fn default() -> Self {
         Arithmetic { value: 1.0 }
-    }
-}
-
-impl Arithmetic {
-    /// Registry type name.
-    pub const TYPE: &'static str = "Arithmetic";
-
-    /// Factory: creation args are an optional initial value.
-    pub fn factory(args: &[u8]) -> Result<Box<dyn SharedObject>, ObjErr> {
-        let value = dec_create(args, 1.0f64)?;
-        Ok(Box::new(Arithmetic { value }))
-    }
-}
-
-impl SharedObject for Arithmetic {
-    fn invoke(&mut self, _call: &CallCtx, method: &str, args: &[u8]) -> Result<Effects, ObjErr> {
-        match method {
-            // Simple operation: one multiplication.
-            "mul" => {
-                let x: f64 = dec(args)?;
-                self.value = mul_n(self.value, x, 1);
-                Effects::value(&self.value)
-            }
-            // Complex operation: n sequential multiplications, charged at
-            // the per-multiplication JVM cost.
-            "mulN" => {
-                let (x, n): (f64, u32) = dec(args)?;
-                self.value = mul_n(self.value, x, n);
-                Effects::value_with_cost(&self.value, costs::SIMPLE_OP + costs::PER_MULT * n)
-            }
-            other => Err(ObjErr::MethodNotFound(other.to_string())),
-        }
-    }
-
-    fn read(&self, method: &str, _args: &[u8]) -> Option<Result<Effects, ObjErr>> {
-        Some(match method {
-            "get" => Effects::value(&self.value),
-            _ => return None,
-        })
-    }
-
-    fn save(&self) -> Vec<u8> {
-        // invariant: an f64 always encodes.
-        simcore::codec::to_bytes(&self.value).expect("f64 encodes")
-    }
-
-    fn restore(&mut self, state: &[u8]) -> Result<(), ObjErr> {
-        self.value =
-            simcore::codec::from_bytes(state).map_err(|e| ObjErr::BadState(e.to_string()))?;
-        Ok(())
     }
 }
 
@@ -94,6 +70,7 @@ fn mul_n(v: f64, x: f64, n: u32) -> f64 {
 mod tests {
     use super::super::testutil::{call, call_fx};
     use super::*;
+    use crate::object::SharedObject;
 
     #[test]
     fn simple_and_complex_costs() {

@@ -1,224 +1,171 @@
 //! Linearizable atomic scalars: the workhorses of fine-grained shared
 //! state (the π-estimation counter, k-means' iteration counter, …).
 
-use super::{dec, dec_create};
+use simcore::codec::Wire;
+
 use crate::error::ObjectError as ObjErr;
-use crate::object::{costs, CallCtx, Effects, SharedObject};
+use crate::object::{costs, Effects};
+use crate::shared_object;
 
-/// A shared 64-bit integer with atomic read-modify-write methods,
-/// mirroring `java.util.concurrent.atomic.AtomicLong`.
-#[derive(Debug, Default, Clone, PartialEq, Eq)]
-pub struct AtomicLong {
-    value: i64,
-}
-
-impl AtomicLong {
-    /// Registry type name.
-    pub const TYPE: &'static str = "AtomicLong";
-
-    /// Factory: creation args are an optional initial value.
-    pub fn factory(args: &[u8]) -> Result<Box<dyn SharedObject>, ObjErr> {
-        let value = dec_create(args, 0i64)?;
-        Ok(Box::new(AtomicLong { value }))
+shared_object! {
+    /// A shared 64-bit integer with atomic read-modify-write methods,
+    /// mirroring `java.util.concurrent.atomic.AtomicLong`.
+    #[derive(Debug, Default, Clone, PartialEq, Eq, Wire)]
+    pub struct AtomicLong {
+        value: i64,
     }
-}
 
-impl SharedObject for AtomicLong {
-    fn invoke(&mut self, _call: &CallCtx, method: &str, args: &[u8]) -> Result<Effects, ObjErr> {
-        match method {
-            "set" => {
-                self.value = dec(args)?;
-                Effects::value(&())
+    type "AtomicLong";
+    create(value: i64 = 0) { Ok(AtomicLong { value }) }
+
+    methods(self, call) {
+        /// Reads the current value.
+        Read get = "get"() -> i64 { Effects::value(&self.value) }
+        /// Overwrites the value.
+        Write set = "set"(v: i64) -> () {
+            self.value = v;
+            Effects::value(&())
+        }
+        /// Atomically adds `d` and returns the new value.
+        Write add_and_get = "addAndGet"(d: i64) -> i64 {
+            self.value = self.value.wrapping_add(d);
+            Effects::value(&self.value)
+        }
+        /// Atomically adds `d` and returns the previous value.
+        Write get_and_add = "getAndAdd"(d: i64) -> i64 {
+            let old = self.value;
+            self.value = self.value.wrapping_add(d);
+            Effects::value(&old)
+        }
+        /// Atomically increments and returns the new value.
+        Write increment_and_get = "incrementAndGet"() -> i64 {
+            self.value = self.value.wrapping_add(1);
+            Effects::value(&self.value)
+        }
+        /// Atomically decrements and returns the new value.
+        Write decrement_and_get = "decrementAndGet"() -> i64 {
+            self.value = self.value.wrapping_sub(1);
+            Effects::value(&self.value)
+        }
+        /// Compare-and-set; returns whether the swap happened.
+        Write compare_and_set = "compareAndSet"(expect: i64, update: i64) -> bool {
+            let ok = self.value == expect;
+            if ok {
+                self.value = update;
             }
-            "addAndGet" => {
-                let d: i64 = dec(args)?;
-                self.value = self.value.wrapping_add(d);
-                Effects::value(&self.value)
-            }
-            "getAndAdd" => {
-                let d: i64 = dec(args)?;
-                let old = self.value;
-                self.value = self.value.wrapping_add(d);
-                Effects::value(&old)
-            }
-            "incrementAndGet" => {
-                self.value = self.value.wrapping_add(1);
-                Effects::value(&self.value)
-            }
-            "decrementAndGet" => {
-                self.value = self.value.wrapping_sub(1);
-                Effects::value(&self.value)
-            }
-            "compareAndSet" => {
-                let (expect, update): (i64, i64) = dec(args)?;
-                let ok = self.value == expect;
-                if ok {
-                    self.value = update;
-                }
-                Effects::value(&ok)
-            }
-            "getAndSet" => {
-                let new: i64 = dec(args)?;
-                let old = self.value;
-                self.value = new;
-                Effects::value(&old)
-            }
-            other => Err(ObjErr::MethodNotFound(other.to_string())),
+            Effects::value(&ok)
+        }
+        /// Atomically replaces the value, returning the previous one.
+        Write get_and_set = "getAndSet"(v: i64) -> i64 {
+            Effects::value(&std::mem::replace(&mut self.value, v))
         }
     }
 
-    fn read(&self, method: &str, _args: &[u8]) -> Option<Result<Effects, ObjErr>> {
-        Some(match method {
-            "get" => Effects::value(&self.value),
-            _ => return None,
-        })
-    }
-
-    fn save(&self) -> Vec<u8> {
-        // invariant: an i64 always encodes.
-        simcore::codec::to_bytes(&self.value).expect("i64 encodes")
-    }
-
-    fn restore(&mut self, state: &[u8]) -> Result<(), ObjErr> {
-        self.value =
-            simcore::codec::from_bytes(state).map_err(|e| ObjErr::BadState(e.to_string()))?;
-        Ok(())
-    }
+    /// Typed handle to a shared [`AtomicLong`](super::AtomicLong).
+    ///
+    /// # Examples
+    ///
+    /// See the crate-level example in [`crate`].
+    handle atomic_long::AtomicLong { new(key), with_value(key, init), persistent(key, init, rf) }
 }
 
-/// A shared boolean, mirroring `AtomicBoolean`.
-#[derive(Debug, Default, Clone, PartialEq, Eq)]
-pub struct AtomicBoolean {
-    value: bool,
-}
-
-impl AtomicBoolean {
-    /// Registry type name.
-    pub const TYPE: &'static str = "AtomicBoolean";
-
-    /// Factory: creation args are an optional initial value.
-    pub fn factory(args: &[u8]) -> Result<Box<dyn SharedObject>, ObjErr> {
-        let value = dec_create(args, false)?;
-        Ok(Box::new(AtomicBoolean { value }))
+shared_object! {
+    /// A shared boolean, mirroring `AtomicBoolean`.
+    #[derive(Debug, Default, Clone, PartialEq, Eq, Wire)]
+    pub struct AtomicBoolean {
+        value: bool,
     }
-}
 
-impl SharedObject for AtomicBoolean {
-    fn invoke(&mut self, _call: &CallCtx, method: &str, args: &[u8]) -> Result<Effects, ObjErr> {
-        match method {
-            "set" => {
-                self.value = dec(args)?;
-                Effects::value(&())
+    type "AtomicBoolean";
+    create(value: bool = false) { Ok(AtomicBoolean { value }) }
+
+    methods(self, call) {
+        /// Reads the current value.
+        Read get = "get"() -> bool { Effects::value(&self.value) }
+        /// Overwrites the value.
+        Write set = "set"(v: bool) -> () {
+            self.value = v;
+            Effects::value(&())
+        }
+        /// Compare-and-set; returns whether the swap happened.
+        Write compare_and_set = "compareAndSet"(expect: bool, update: bool) -> bool {
+            let ok = self.value == expect;
+            if ok {
+                self.value = update;
             }
-            "compareAndSet" => {
-                let (expect, update): (bool, bool) = dec(args)?;
-                let ok = self.value == expect;
-                if ok {
-                    self.value = update;
-                }
-                Effects::value(&ok)
-            }
-            "getAndSet" => {
-                let new: bool = dec(args)?;
-                let old = self.value;
-                self.value = new;
-                Effects::value(&old)
-            }
-            other => Err(ObjErr::MethodNotFound(other.to_string())),
+            Effects::value(&ok)
+        }
+        /// Atomically replaces the value, returning the previous one.
+        Write get_and_set = "getAndSet"(v: bool) -> bool {
+            Effects::value(&std::mem::replace(&mut self.value, v))
         }
     }
 
-    fn read(&self, method: &str, _args: &[u8]) -> Option<Result<Effects, ObjErr>> {
-        Some(match method {
-            "get" => Effects::value(&self.value),
-            _ => return None,
-        })
-    }
-
-    fn save(&self) -> Vec<u8> {
-        // invariant: a bool always encodes.
-        simcore::codec::to_bytes(&self.value).expect("bool encodes")
-    }
-
-    fn restore(&mut self, state: &[u8]) -> Result<(), ObjErr> {
-        self.value =
-            simcore::codec::from_bytes(state).map_err(|e| ObjErr::BadState(e.to_string()))?;
-        Ok(())
+    /// Typed handle to a shared [`AtomicBoolean`](super::AtomicBoolean).
+    handle atomic_boolean::AtomicBoolean {
+        new(key),
+        with_value(key, init),
+        persistent(key, init, rf),
     }
 }
 
-/// A shared mutable byte array — the 1 KB payload object of the Table 2
-/// latency micro-benchmark.
-#[derive(Debug, Default, Clone, PartialEq, Eq)]
-pub struct AtomicByteArray {
-    data: Vec<u8>,
-}
-
-impl AtomicByteArray {
-    /// Registry type name.
-    pub const TYPE: &'static str = "AtomicByteArray";
-
-    /// Factory: creation args are optional initial contents.
-    pub fn factory(args: &[u8]) -> Result<Box<dyn SharedObject>, ObjErr> {
-        let data = dec_create(args, Vec::new())?;
-        Ok(Box::new(AtomicByteArray { data }))
+shared_object! {
+    /// A shared mutable byte array — the 1 KB payload object of the Table 2
+    /// latency micro-benchmark.
+    #[derive(Debug, Default, Clone, PartialEq, Eq, Wire)]
+    pub struct AtomicByteArray {
+        data: Vec<u8>,
     }
-}
 
-impl SharedObject for AtomicByteArray {
-    fn invoke(&mut self, _call: &CallCtx, method: &str, args: &[u8]) -> Result<Effects, ObjErr> {
-        match method {
-            "set" => {
-                self.data = dec(args)?;
-                let cost = costs::SIMPLE_OP + costs::PER_BYTE * self.data.len() as u32;
-                Effects::value_with_cost(&(), cost)
-            }
-            "setByte" => {
-                let (i, b): (u64, u8) = dec(args)?;
-                let i = i as usize;
-                if i >= self.data.len() {
-                    return Err(ObjErr::App(format!(
-                        "index {i} out of bounds (len {})",
-                        self.data.len()
-                    )));
-                }
-                self.data[i] = b;
-                Effects::value(&())
-            }
-            other => Err(ObjErr::MethodNotFound(other.to_string())),
+    type "AtomicByteArray";
+    create(data: Vec<u8> = Vec::new()) { Ok(AtomicByteArray { data }) }
+
+    methods(self, call) {
+        /// Reads the whole array.
+        Read get = "get"() -> Vec<u8> {
+            Effects::value_with_cost(&self.data, bulk_cost(self.data.len()))
+        }
+        /// Length of the array.
+        Read len = "len"() -> u64 { Effects::value(&(self.data.len() as u64)) }
+        /// The byte at `i`, if in bounds.
+        Read get_byte = "getByte"(i: u64) -> Option<u8> {
+            Effects::value(&self.data.get(i as usize).copied())
+        }
+        /// Replaces the whole array.
+        Write set = "set"(&data: Vec<u8>) -> () {
+            self.data = data;
+            Effects::value_with_cost(&(), bulk_cost(self.data.len()))
+        }
+        /// Overwrites the byte at `i`; fails out of bounds.
+        Write set_byte = "setByte"(i: u64, b: u8) -> () {
+            let len = self.data.len();
+            let Some(slot) = self.data.get_mut(i as usize) else {
+                return Err(ObjErr::App(format!("index {i} out of bounds (len {len})")));
+            };
+            *slot = b;
+            Effects::value(&())
         }
     }
 
-    fn read(&self, method: &str, args: &[u8]) -> Option<Result<Effects, ObjErr>> {
-        Some(match method {
-            "get" => {
-                let cost = costs::SIMPLE_OP + costs::PER_BYTE * self.data.len() as u32;
-                Effects::value_with_cost(&self.data, cost)
-            }
-            "len" => Effects::value(&(self.data.len() as u64)),
-            "getByte" => {
-                dec(args).and_then(|i: u64| Effects::value(&self.data.get(i as usize).copied()))
-            }
-            _ => return None,
-        })
+    /// Typed handle to a shared [`AtomicByteArray`](super::AtomicByteArray)
+    /// — e.g. the 1 KB payload of the Table 2 latency benchmark.
+    handle atomic_byte_array::AtomicByteArray {
+        new(key),
+        with_value(key, init),
+        persistent(key, init, rf),
     }
+}
 
-    fn save(&self) -> Vec<u8> {
-        // invariant: a Vec<u8> always encodes.
-        simcore::codec::to_bytes(&self.data).expect("bytes encode")
-    }
-
-    fn restore(&mut self, state: &[u8]) -> Result<(), ObjErr> {
-        self.data =
-            simcore::codec::from_bytes(state).map_err(|e| ObjErr::BadState(e.to_string()))?;
-        Ok(())
-    }
+/// CPU cost of a bulk access to `bytes` bytes.
+fn bulk_cost(bytes: usize) -> std::time::Duration {
+    costs::SIMPLE_OP + costs::PER_BYTE * bytes as u32
 }
 
 #[cfg(test)]
 mod tests {
     use super::super::testutil::call;
     use super::*;
+    use crate::object::SharedObject;
 
     #[test]
     fn atomic_long_rmw_methods() {

@@ -1,144 +1,107 @@
 //! Shared containers: a list and a string-keyed map over opaque
-//! (codec-encoded) element bytes. Typed views live in [`crate::api`].
+//! (codec-encoded) element bytes. Their typed, element-generic handles
+//! ([`crate::api::SharedList`], [`crate::api::SharedMap`]) encode and
+//! decode elements over the calls declared here.
 
 use std::collections::BTreeMap;
 
-use super::{dec, dec_create};
+use simcore::codec::Wire;
+
 use crate::error::ObjectError as ObjErr;
-use crate::object::{CallCtx, Effects, SharedObject};
+use crate::object::Effects;
+use crate::shared_object;
 
-/// A shared append-mostly list of opaque elements.
-#[derive(Debug, Default, Clone, PartialEq, Eq)]
-pub struct ListObject {
-    items: Vec<Vec<u8>>,
-}
-
-impl ListObject {
-    /// Registry type name.
-    pub const TYPE: &'static str = "List";
-
-    /// Factory: creation args are optional initial elements.
-    pub fn factory(args: &[u8]) -> Result<Box<dyn SharedObject>, ObjErr> {
-        let items = dec_create(args, Vec::new())?;
-        Ok(Box::new(ListObject { items }))
+shared_object! {
+    /// A shared append-mostly list of opaque elements.
+    #[derive(Debug, Default, Clone, PartialEq, Eq, Wire)]
+    pub struct ListObject {
+        items: Vec<Vec<u8>>,
     }
-}
 
-impl SharedObject for ListObject {
-    fn invoke(&mut self, _call: &CallCtx, method: &str, args: &[u8]) -> Result<Effects, ObjErr> {
-        match method {
-            "add" => {
-                let item: Vec<u8> = dec(args)?;
-                self.items.push(item);
-                Effects::value(&(self.items.len() as u64))
-            }
-            "set" => {
-                let (i, item): (u64, Vec<u8>) = dec(args)?;
-                let i = i as usize;
-                if i >= self.items.len() {
-                    return Err(ObjErr::App(format!(
-                        "index {i} out of bounds (len {})",
-                        self.items.len()
-                    )));
-                }
-                self.items[i] = item;
-                Effects::value(&())
-            }
-            "clear" => {
-                self.items.clear();
-                Effects::value(&())
-            }
-            other => Err(ObjErr::MethodNotFound(other.to_string())),
+    type "List";
+    create(items: Vec<Vec<u8>> = Vec::new()) { Ok(ListObject { items }) }
+
+    methods(self, call) {
+        /// The element at `i`, if any.
+        Read get = "get"(i: u64) -> Option<Vec<u8>> {
+            Effects::value(&self.items.get(i as usize).cloned())
+        }
+        /// Number of elements.
+        Read size = "size"() -> u64 { Effects::value(&(self.items.len() as u64)) }
+        /// The whole list.
+        Read to_vec = "toVec"() -> Vec<Vec<u8>> { Effects::value(&self.items) }
+        /// Appends an element; returns the new length.
+        Write add = "add"(item: Vec<u8>) -> u64 {
+            self.items.push(item);
+            Effects::value(&(self.items.len() as u64))
+        }
+        /// Replaces the element at `i`; fails out of bounds.
+        Write set = "set"(i: u64, item: Vec<u8>) -> () {
+            let len = self.items.len();
+            let Some(slot) = self.items.get_mut(i as usize) else {
+                return Err(ObjErr::App(format!("index {i} out of bounds (len {len})")));
+            };
+            *slot = item;
+            Effects::value(&())
+        }
+        /// Removes all elements.
+        Write clear = "clear"() -> () {
+            self.items.clear();
+            Effects::value(&())
         }
     }
 
-    fn read(&self, method: &str, args: &[u8]) -> Option<Result<Effects, ObjErr>> {
-        Some(match method {
-            "get" => {
-                dec(args).and_then(|i: u64| Effects::value(&self.items.get(i as usize).cloned()))
-            }
-            "size" => Effects::value(&(self.items.len() as u64)),
-            "toVec" => Effects::value(&self.items),
-            _ => return None,
-        })
-    }
-
-    fn save(&self) -> Vec<u8> {
-        // invariant: a Vec of byte vectors always encodes.
-        simcore::codec::to_bytes(&self.items).expect("list encodes")
-    }
-
-    fn restore(&mut self, state: &[u8]) -> Result<(), ObjErr> {
-        self.items =
-            simcore::codec::from_bytes(state).map_err(|e| ObjErr::BadState(e.to_string()))?;
-        Ok(())
-    }
+    fns list;
 }
 
-/// A shared map with string keys and opaque values.
-#[derive(Debug, Default, Clone, PartialEq, Eq)]
-pub struct MapObject {
-    entries: BTreeMap<String, Vec<u8>>,
-}
-
-impl MapObject {
-    /// Registry type name.
-    pub const TYPE: &'static str = "Map";
-
-    /// Factory: creation args are optional initial entries.
-    pub fn factory(args: &[u8]) -> Result<Box<dyn SharedObject>, ObjErr> {
-        let entries = dec_create(args, BTreeMap::new())?;
-        Ok(Box::new(MapObject { entries }))
+shared_object! {
+    /// A shared map with string keys and opaque values.
+    #[derive(Debug, Default, Clone, PartialEq, Eq, Wire)]
+    pub struct MapObject {
+        entries: BTreeMap<String, Vec<u8>>,
     }
-}
 
-impl SharedObject for MapObject {
-    fn invoke(&mut self, _call: &CallCtx, method: &str, args: &[u8]) -> Result<Effects, ObjErr> {
-        match method {
-            "put" => {
-                let (k, v): (String, Vec<u8>) = dec(args)?;
-                Effects::value(&self.entries.insert(k, v))
-            }
-            "remove" => {
-                let k: String = dec(args)?;
-                Effects::value(&self.entries.remove(&k))
-            }
-            "clear" => {
-                self.entries.clear();
-                Effects::value(&())
-            }
-            other => Err(ObjErr::MethodNotFound(other.to_string())),
+    type "Map";
+    create(entries: BTreeMap<String, Vec<u8>> = BTreeMap::new()) { Ok(MapObject { entries }) }
+
+    methods(self, call) {
+        /// The value under `k`, if any.
+        Read get = "get"(k: String) -> Option<Vec<u8>> {
+            Effects::value(&self.entries.get(&k).cloned())
+        }
+        /// Whether `k` has a value.
+        Read contains_key = "containsKey"(k: String) -> bool {
+            Effects::value(&self.entries.contains_key(&k))
+        }
+        /// Number of entries.
+        Read size = "size"() -> u64 { Effects::value(&(self.entries.len() as u64)) }
+        /// All keys, sorted.
+        Read keys = "keys"() -> Vec<String> {
+            Effects::value(&self.entries.keys().cloned().collect::<Vec<String>>())
+        }
+        /// Inserts a value; returns the previous one.
+        Write put = "put"(k: String, v: Vec<u8>) -> Option<Vec<u8>> {
+            Effects::value(&self.entries.insert(k, v))
+        }
+        /// Removes and returns the value under `k`.
+        Write remove = "remove"(k: String) -> Option<Vec<u8>> {
+            Effects::value(&self.entries.remove(&k))
+        }
+        /// Removes all entries.
+        Write clear = "clear"() -> () {
+            self.entries.clear();
+            Effects::value(&())
         }
     }
 
-    fn read(&self, method: &str, args: &[u8]) -> Option<Result<Effects, ObjErr>> {
-        Some(match method {
-            "get" => dec(args).and_then(|k: String| Effects::value(&self.entries.get(&k).cloned())),
-            "containsKey" => {
-                dec(args).and_then(|k: String| Effects::value(&self.entries.contains_key(&k)))
-            }
-            "size" => Effects::value(&(self.entries.len() as u64)),
-            "keys" => Effects::value(&self.entries.keys().cloned().collect::<Vec<String>>()),
-            _ => return None,
-        })
-    }
-
-    fn save(&self) -> Vec<u8> {
-        // invariant: the entry map always encodes.
-        simcore::codec::to_bytes(&self.entries).expect("map encodes")
-    }
-
-    fn restore(&mut self, state: &[u8]) -> Result<(), ObjErr> {
-        self.entries =
-            simcore::codec::from_bytes(state).map_err(|e| ObjErr::BadState(e.to_string()))?;
-        Ok(())
-    }
+    fns map;
 }
 
 #[cfg(test)]
 mod tests {
     use super::super::testutil::call;
     use super::*;
+    use crate::object::SharedObject;
 
     #[test]
     fn list_basic_flow() {

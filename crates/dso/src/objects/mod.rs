@@ -3,6 +3,11 @@
 //!
 //! Method names follow the paper's Java flavour (`addAndGet`,
 //! `compareAndSet`, `await`, …) so the listings translate one-to-one.
+//!
+//! Each object is one [`shared_object!`](crate::shared_object)
+//! declaration, which also yields its client side: a typed handle
+//! (re-exported by [`crate::api`]) or, for the list, map and future, the
+//! calls their element-generic handles wrap.
 
 mod arith;
 mod atomics;
@@ -11,27 +16,15 @@ mod sync;
 
 pub use arith::Arithmetic;
 pub use atomics::{AtomicBoolean, AtomicByteArray, AtomicLong};
-pub use containers::{ListObject, MapObject};
-pub use sync::{CountDownLatch, CyclicBarrier, FutureObject, Semaphore};
+pub use containers::{list, map, ListObject, MapObject};
+pub use sync::{future, CountDownLatch, CyclicBarrier, Encoded, FutureObject, Semaphore};
 
-use simcore::codec::Wire;
+// The typed handles, public as `crate::api::*`.
+pub(crate) use arith::arithmetic;
+pub(crate) use atomics::{atomic_boolean, atomic_byte_array, atomic_long};
+pub(crate) use sync::{count_down_latch, cyclic_barrier, semaphore};
 
-use crate::error::ObjectError;
 use crate::object::ObjectRegistry;
-
-/// Decodes method arguments, mapping failures to [`ObjectError::BadArgs`].
-pub(crate) fn dec<T: Wire>(args: &[u8]) -> Result<T, ObjectError> {
-    simcore::codec::from_bytes(args).map_err(|e| ObjectError::BadArgs(e.to_string()))
-}
-
-/// Decodes creation arguments: empty input yields the provided default.
-pub(crate) fn dec_create<T: Wire>(args: &[u8], default: T) -> Result<T, ObjectError> {
-    if args.is_empty() {
-        Ok(default)
-    } else {
-        simcore::codec::from_bytes(args).map_err(|e| ObjectError::BadState(e.to_string()))
-    }
-}
 
 /// Registers every built-in type under its canonical name.
 pub fn register_builtins(reg: &mut ObjectRegistry) {
@@ -110,6 +103,116 @@ mod tests {
         ] {
             assert!(reg.contains(t), "missing builtin {t}");
             assert!(reg.create(t, &[]).is_ok(), "default-create {t}");
+        }
+    }
+
+    /// Every declared method of every built-in, called with well-formed
+    /// arguments plus one trailing garbage byte, is `BadArgs`: never a
+    /// success, never a panic. The same call without the byte is not.
+    #[test]
+    fn trailing_garbage_is_bad_args_for_every_method() {
+        use crate::object::{dispatch, CallCtx, Ticket};
+        use crate::ObjectError;
+        use simcore::codec::{to_bytes, Wire};
+
+        fn enc(v: &impl Wire) -> Vec<u8> {
+            to_bytes(v).expect("encode")
+        }
+        let key = || "k".to_string();
+        // (type, creation args, declared methods, (method, args) for every
+        // method whose arguments are not `()`)
+        type Row = (&'static str, Vec<u8>, &'static [&'static str], Vec<(&'static str, Vec<u8>)>);
+        let table: [Row; 10] = [
+            (
+                "AtomicLong",
+                enc(&0i64),
+                AtomicLong::METHODS,
+                ["set", "addAndGet", "getAndAdd", "getAndSet"]
+                    .map(|m| (m, enc(&1i64)))
+                    .into_iter()
+                    .chain([("compareAndSet", enc(&(0i64, 1i64)))])
+                    .collect(),
+            ),
+            (
+                "AtomicBoolean",
+                enc(&false),
+                AtomicBoolean::METHODS,
+                vec![
+                    ("set", enc(&true)),
+                    ("getAndSet", enc(&true)),
+                    ("compareAndSet", enc(&(false, true))),
+                ],
+            ),
+            (
+                "AtomicByteArray",
+                enc(&vec![1u8, 2, 3]),
+                AtomicByteArray::METHODS,
+                vec![
+                    ("getByte", enc(&1u64)),
+                    ("set", enc(&vec![4u8])),
+                    ("setByte", enc(&(0u64, 9u8))),
+                ],
+            ),
+            (
+                "List",
+                enc(&vec![vec![1u8]]),
+                ListObject::METHODS,
+                vec![
+                    ("get", enc(&0u64)),
+                    ("add", enc(&vec![2u8])),
+                    ("set", enc(&(0u64, vec![3u8]))),
+                ],
+            ),
+            (
+                "Map",
+                Vec::new(),
+                MapObject::METHODS,
+                vec![
+                    ("get", enc(&key())),
+                    ("containsKey", enc(&key())),
+                    ("put", enc(&(key(), vec![1u8]))),
+                    ("remove", enc(&key())),
+                ],
+            ),
+            ("CyclicBarrier", enc(&2u32), CyclicBarrier::METHODS, Vec::new()),
+            (
+                "Semaphore",
+                enc(&5i64),
+                Semaphore::METHODS,
+                ["acquire", "tryAcquire", "release"].map(|m| (m, enc(&1i64))).into(),
+            ),
+            ("CountDownLatch", enc(&1u64), CountDownLatch::METHODS, Vec::new()),
+            ("Future", Vec::new(), FutureObject::METHODS, vec![("set", enc(&vec![7u8]))]),
+            (
+                "Arithmetic",
+                Vec::new(),
+                Arithmetic::METHODS,
+                vec![("mul", enc(&2.0f64)), ("mulN", enc(&(2.0f64, 3u32)))],
+            ),
+        ];
+        let reg = ObjectRegistry::with_builtins();
+        assert_eq!(table.len(), reg.type_names().len(), "a builtin is missing from the table");
+        let call = CallCtx { ticket: Ticket(1), replicated: false };
+        for (ty, create, methods, with_args) in &table {
+            for (method, _) in with_args {
+                assert!(methods.contains(method), "{ty}::{method} is not declared");
+            }
+            for method in *methods {
+                let args = with_args.iter().find(|(m, _)| m == method).map_or(&[][..], |a| &a.1);
+                let mut obj = reg.create(ty, create).expect("create");
+                let well_formed = dispatch(obj.as_mut(), &call, method, args, false);
+                assert!(
+                    !matches!(well_formed, Err(ObjectError::BadArgs(_))),
+                    "{ty}::{method} rejects its own arguments"
+                );
+                let garbage = [args, &[0xab]].concat();
+                let mut obj = reg.create(ty, create).expect("create");
+                let served = dispatch(obj.as_mut(), &call, method, &garbage, false);
+                assert!(
+                    matches!(served, Err(ObjectError::BadArgs(_))),
+                    "{ty}::{method} with a trailing byte: {served:?}"
+                );
+            }
         }
     }
 

@@ -5,311 +5,229 @@
 //! *call* on the server: a method may park its caller and a later
 //! invocation completes it, so waiters are released by a push the moment
 //! the condition holds. Per the paper (footnote 2), synchronization
-//! objects are ephemeral and never replicated.
+//! objects are ephemeral and never replicated. Parked tickets are
+//! node-local, so they are no part of the saved state.
 
 use std::collections::VecDeque;
 
-use super::{dec, dec_create};
+use simcore::codec::{CodecError, Wire};
+
 use crate::error::ObjectError as ObjErr;
-use crate::object::{CallCtx, Effects, SharedObject, Ticket};
+use crate::object::{Effects, Ticket};
+use crate::shared_object;
 
-/// A reusable barrier for a fixed number of parties, mirroring
-/// `java.util.concurrent.CyclicBarrier`.
-///
-/// `await` parks each caller until the last party arrives; everyone is then
-/// released with the generation number, and the barrier resets.
-#[derive(Debug, Default, Clone)]
-pub struct CyclicBarrier {
-    parties: u32,
-    generation: u64,
-    waiting: Vec<Ticket>,
-}
-
-impl CyclicBarrier {
-    /// Registry type name.
-    pub const TYPE: &'static str = "CyclicBarrier";
-
-    /// Factory: creation args are the number of parties.
-    pub fn factory(args: &[u8]) -> Result<Box<dyn SharedObject>, ObjErr> {
-        let parties = dec_create(args, 0u32)?;
-        Ok(Box::new(CyclicBarrier { parties, generation: 0, waiting: Vec::new() }))
+shared_object! {
+    /// A reusable barrier for a fixed number of parties, mirroring
+    /// `java.util.concurrent.CyclicBarrier`.
+    ///
+    /// `await` parks each caller until the last party arrives; everyone is
+    /// then released with the generation number, and the barrier resets.
+    #[derive(Debug, Default, Clone, Wire)]
+    pub struct CyclicBarrier {
+        parties: u32,
+        generation: u64,
+        #[wire(skip)]
+        waiting: Vec<Ticket>,
     }
-}
 
-impl SharedObject for CyclicBarrier {
-    fn invoke(&mut self, call: &CallCtx, method: &str, args: &[u8]) -> Result<Effects, ObjErr> {
-        match method {
-            "await" => {
-                let () = dec(args)?;
-                if self.parties == 0 {
-                    return Err(ObjErr::App("barrier has zero parties".to_string()));
-                }
-                if (self.waiting.len() as u32) + 1 == self.parties {
-                    // Last arrival: release the whole generation.
-                    let gen = self.generation;
-                    self.generation += 1;
-                    let waiters = std::mem::take(&mut self.waiting);
-                    let mut fx = Effects::value(&gen)?;
-                    for t in waiters {
-                        fx = fx.wake(t, &gen)?;
-                    }
-                    Ok(fx)
-                } else {
-                    self.waiting.push(call.ticket);
-                    Ok(Effects::park())
-                }
+    type "CyclicBarrier";
+    create(parties: u32 = 0) { Ok(CyclicBarrier { parties, ..CyclicBarrier::default() }) }
+
+    methods(self, call) {
+        /// The number of parties.
+        Read parties = "getParties"() -> u32 { Effects::value(&self.parties) }
+        /// Parties parked at the barrier now.
+        Read number_waiting = "getNumberWaiting"() -> u32 {
+            Effects::value(&(self.waiting.len() as u32))
+        }
+        /// Generations released so far.
+        Read generation = "getGeneration"() -> u64 { Effects::value(&self.generation) }
+        /// Blocks until all parties arrive; returns the generation index.
+        Blocking(Barrier) wait = "await"() -> u64 {
+            if self.parties == 0 {
+                return Err(ObjErr::App("barrier has zero parties".to_string()));
             }
-            other => Err(ObjErr::MethodNotFound(other.to_string())),
+            if (self.waiting.len() as u32) + 1 != self.parties {
+                self.waiting.push(call.ticket);
+                return Ok(Effects::park());
+            }
+            // Last arrival: release the whole generation.
+            let gen = self.generation;
+            self.generation += 1;
+            let mut fx = Effects::value(&gen)?;
+            for t in std::mem::take(&mut self.waiting) {
+                fx = fx.wake(t, &gen)?;
+            }
+            Ok(fx)
         }
     }
 
-    fn read(&self, method: &str, _args: &[u8]) -> Option<Result<Effects, ObjErr>> {
-        Some(match method {
-            "getParties" => Effects::value(&self.parties),
-            "getNumberWaiting" => Effects::value(&(self.waiting.len() as u32)),
-            "getGeneration" => Effects::value(&self.generation),
-            _ => return None,
-        })
-    }
-
-    fn save(&self) -> Vec<u8> {
-        // Waiting tickets are node-local and meaningless elsewhere.
-        // invariant: a (u32, u64) pair always encodes.
-        simcore::codec::to_bytes(&(self.parties, self.generation)).expect("barrier encodes")
-    }
-
-    fn restore(&mut self, state: &[u8]) -> Result<(), ObjErr> {
-        let (parties, generation): (u32, u64) =
-            simcore::codec::from_bytes(state).map_err(|e| ObjErr::BadState(e.to_string()))?;
-        self.parties = parties;
-        self.generation = generation;
-        self.waiting.clear();
-        Ok(())
-    }
+    /// Typed handle to a shared [`CyclicBarrier`](super::CyclicBarrier).
+    handle cyclic_barrier::CyclicBarrier { new(key, parties) }
 }
 
-/// A counting semaphore, mirroring `java.util.concurrent.Semaphore`.
-/// Waiters are granted permits in FIFO order.
-#[derive(Debug, Default, Clone)]
-pub struct Semaphore {
-    permits: i64,
-    queue: VecDeque<(Ticket, i64)>,
-}
-
-impl Semaphore {
-    /// Registry type name.
-    pub const TYPE: &'static str = "Semaphore";
-
-    /// Factory: creation args are the initial permit count.
-    pub fn factory(args: &[u8]) -> Result<Box<dyn SharedObject>, ObjErr> {
-        let permits = dec_create(args, 0i64)?;
-        Ok(Box::new(Semaphore { permits, queue: VecDeque::new() }))
+shared_object! {
+    /// A counting semaphore, mirroring `java.util.concurrent.Semaphore`.
+    /// Waiters are granted permits in FIFO order.
+    #[derive(Debug, Default, Clone, Wire)]
+    pub struct Semaphore {
+        permits: i64,
+        #[wire(skip)]
+        queue: VecDeque<(Ticket, i64)>,
     }
 
-    fn drain(&mut self, mut fx: Effects) -> Result<Effects, ObjErr> {
-        while let Some(&(t, n)) = self.queue.front() {
-            if self.permits < n {
-                break;
-            }
-            self.permits -= n;
-            self.queue.pop_front();
-            fx = fx.wake(t, &())?;
+    type "Semaphore";
+    create(permits: i64 = 0) { Ok(Semaphore { permits, queue: VecDeque::new() }) }
+
+    methods(self, call) {
+        /// Currently available permits.
+        Read available_permits = "availablePermits"() -> i64 { Effects::value(&self.permits) }
+        /// Callers parked for permits now.
+        Read queue_length = "getQueueLength"() -> u64 {
+            Effects::value(&(self.queue.len() as u64))
         }
-        Ok(fx)
-    }
-}
-
-impl SharedObject for Semaphore {
-    fn invoke(&mut self, call: &CallCtx, method: &str, args: &[u8]) -> Result<Effects, ObjErr> {
-        match method {
-            "acquire" => {
-                let n: i64 = dec(args)?;
-                if n <= 0 {
-                    return Err(ObjErr::BadArgs("acquire needs n > 0".to_string()));
-                }
-                if self.queue.is_empty() && self.permits >= n {
-                    self.permits -= n;
-                    Effects::value(&())
-                } else {
-                    self.queue.push_back((call.ticket, n));
-                    Ok(Effects::park())
-                }
+        /// Acquires `n` permits, blocking until available.
+        Blocking(Semaphore) acquire = "acquire"(n: i64) -> () {
+            if n <= 0 {
+                return Err(ObjErr::BadArgs("acquire needs n > 0".to_string()));
             }
-            "tryAcquire" => {
-                let n: i64 = dec(args)?;
-                let ok = self.queue.is_empty() && self.permits >= n;
-                if ok {
-                    self.permits -= n;
+            if self.queue.is_empty() && self.permits >= n {
+                self.permits -= n;
+                Effects::value(&())
+            } else {
+                self.queue.push_back((call.ticket, n));
+                Ok(Effects::park())
+            }
+        }
+        /// Tries to acquire `n` permits without blocking.
+        Write try_acquire = "tryAcquire"(n: i64) -> bool {
+            let ok = self.queue.is_empty() && self.permits >= n;
+            if ok {
+                self.permits -= n;
+            }
+            Effects::value(&ok)
+        }
+        /// Releases `n` permits, granting them to parked callers in order.
+        Write release = "release"(n: i64) -> () {
+            self.permits += n;
+            let mut fx = Effects::value(&())?;
+            while let Some(&(t, want)) = self.queue.front() {
+                if self.permits < want {
+                    break;
                 }
-                Effects::value(&ok)
+                self.permits -= want;
+                self.queue.pop_front();
+                fx = fx.wake(t, &())?;
             }
-            "release" => {
-                let n: i64 = dec(args)?;
-                self.permits += n;
-                let fx = Effects::value(&())?;
-                self.drain(fx)
-            }
-            other => Err(ObjErr::MethodNotFound(other.to_string())),
+            Ok(fx)
         }
     }
 
-    fn read(&self, method: &str, _args: &[u8]) -> Option<Result<Effects, ObjErr>> {
-        Some(match method {
-            "availablePermits" => Effects::value(&self.permits),
-            "getQueueLength" => Effects::value(&(self.queue.len() as u64)),
-            _ => return None,
-        })
-    }
-
-    fn save(&self) -> Vec<u8> {
-        // invariant: an i64 always encodes.
-        simcore::codec::to_bytes(&self.permits).expect("semaphore encodes")
-    }
-
-    fn restore(&mut self, state: &[u8]) -> Result<(), ObjErr> {
-        self.permits =
-            simcore::codec::from_bytes(state).map_err(|e| ObjErr::BadState(e.to_string()))?;
-        self.queue.clear();
-        Ok(())
-    }
+    /// Typed handle to a shared [`Semaphore`](super::Semaphore).
+    handle semaphore::Semaphore { new(key, permits) }
 }
 
-/// A one-shot count-down latch, mirroring `CountDownLatch`.
-#[derive(Debug, Default, Clone)]
-pub struct CountDownLatch {
-    count: u64,
-    waiting: Vec<Ticket>,
-}
-
-impl CountDownLatch {
-    /// Registry type name.
-    pub const TYPE: &'static str = "CountDownLatch";
-
-    /// Factory: creation args are the initial count.
-    pub fn factory(args: &[u8]) -> Result<Box<dyn SharedObject>, ObjErr> {
-        let count = dec_create(args, 0u64)?;
-        Ok(Box::new(CountDownLatch { count, waiting: Vec::new() }))
+shared_object! {
+    /// A one-shot count-down latch, mirroring `CountDownLatch`.
+    #[derive(Debug, Default, Clone, Wire)]
+    pub struct CountDownLatch {
+        count: u64,
+        #[wire(skip)]
+        waiting: Vec<Ticket>,
     }
-}
 
-impl SharedObject for CountDownLatch {
-    fn invoke(&mut self, call: &CallCtx, method: &str, args: &[u8]) -> Result<Effects, ObjErr> {
-        match method {
-            "await" => {
-                let () = dec(args)?;
-                if self.count == 0 {
-                    Effects::value(&())
-                } else {
-                    self.waiting.push(call.ticket);
-                    Ok(Effects::park())
+    type "CountDownLatch";
+    create(count: u64 = 0) { Ok(CountDownLatch { count, waiting: Vec::new() }) }
+
+    methods(self, call) {
+        /// Current count.
+        Read count = "getCount"() -> u64 { Effects::value(&self.count) }
+        /// Blocks until the latch reaches zero.
+        Blocking(Condition) wait = "await"() -> () {
+            if self.count == 0 {
+                return Effects::value(&());
+            }
+            self.waiting.push(call.ticket);
+            Ok(Effects::park())
+        }
+        /// Decrements the latch; returns the remaining count.
+        Write count_down = "countDown"() -> u64 {
+            self.count = self.count.saturating_sub(1);
+            let mut fx = Effects::value(&self.count)?;
+            if self.count == 0 {
+                for t in std::mem::take(&mut self.waiting) {
+                    fx = fx.wake(t, &())?;
                 }
             }
-            "countDown" => {
-                let () = dec(args)?;
-                self.count = self.count.saturating_sub(1);
-                let mut fx = Effects::value(&self.count)?;
-                if self.count == 0 {
-                    for t in std::mem::take(&mut self.waiting) {
-                        fx = fx.wake(t, &())?;
-                    }
-                }
-                Ok(fx)
-            }
-            other => Err(ObjErr::MethodNotFound(other.to_string())),
+            Ok(fx)
         }
     }
 
-    fn read(&self, method: &str, _args: &[u8]) -> Option<Result<Effects, ObjErr>> {
-        Some(match method {
-            "getCount" => Effects::value(&self.count),
-            _ => return None,
-        })
-    }
-
-    fn save(&self) -> Vec<u8> {
-        // invariant: a u64 always encodes.
-        simcore::codec::to_bytes(&self.count).expect("latch encodes")
-    }
-
-    fn restore(&mut self, state: &[u8]) -> Result<(), ObjErr> {
-        self.count =
-            simcore::codec::from_bytes(state).map_err(|e| ObjErr::BadState(e.to_string()))?;
-        self.waiting.clear();
-        Ok(())
-    }
+    /// Typed handle to a shared [`CountDownLatch`](super::CountDownLatch).
+    handle count_down_latch::CountDownLatch { new(key, count) }
 }
 
-/// A write-once future: `get` blocks until `set` provides the value — the
-/// primitive behind the map-phase synchronization of Fig. 6.
-#[derive(Debug, Default, Clone)]
-pub struct FutureObject {
-    value: Option<Vec<u8>>,
-    waiting: Vec<Ticket>,
-}
-
-impl FutureObject {
-    /// Registry type name.
-    pub const TYPE: &'static str = "Future";
-
-    /// Factory: creation args must be empty (futures start unset).
-    pub fn factory(args: &[u8]) -> Result<Box<dyn SharedObject>, ObjErr> {
-        let value = dec_create(args, None)?;
-        Ok(Box::new(FutureObject { value, waiting: Vec::new() }))
+shared_object! {
+    /// A write-once future: `get` blocks until `set` provides the value —
+    /// the primitive behind the map-phase synchronization of Fig. 6. The
+    /// value is opaque element bytes, handed back verbatim
+    /// ([`Encoded`]); [`crate::api::SharedFuture`] types them.
+    #[derive(Debug, Default, Clone, Wire)]
+    pub struct FutureObject {
+        value: Option<Vec<u8>>,
+        #[wire(skip)]
+        waiting: Vec<Ticket>,
     }
 
-    fn raw_value_effects(bytes: Vec<u8>) -> Effects {
-        Effects {
-            reply: crate::object::Reply::Value(bytes),
-            cost: crate::object::costs::SIMPLE_OP,
-            wakes: Vec::new(),
-        }
-    }
-}
+    type "Future";
+    create(value: Option<Vec<u8>> = None) { Ok(FutureObject { value, waiting: Vec::new() }) }
 
-impl SharedObject for FutureObject {
-    fn invoke(&mut self, call: &CallCtx, method: &str, args: &[u8]) -> Result<Effects, ObjErr> {
-        match method {
-            "get" => match &self.value {
-                Some(v) => Ok(Self::raw_value_effects(v.clone())),
+    methods(self, call) {
+        /// Whether the future has been completed.
+        Read is_done = "isDone"() -> bool { Effects::value(&self.value.is_some()) }
+        /// Blocks until the value is set, then returns its bytes.
+        Blocking(Condition) get = "get"() -> Encoded {
+            match &self.value {
+                Some(v) => Effects::value(&Encoded(v.clone())),
                 None => {
                     self.waiting.push(call.ticket);
                     Ok(Effects::park())
                 }
-            },
-            "set" => {
-                let v: Vec<u8> = dec(args)?;
-                if self.value.is_some() {
-                    return Effects::value(&false);
-                }
-                self.value = Some(v.clone());
-                let mut fx = Effects::value(&true)?;
-                for t in std::mem::take(&mut self.waiting) {
-                    // Wake with the raw encoded value so getters decode T.
-                    fx.wakes.push((t, v.clone()));
-                }
-                Ok(fx)
             }
-            other => Err(ObjErr::MethodNotFound(other.to_string())),
+        }
+        /// Completes the future with `v`; returns `false` if it was
+        /// already set.
+        Write set = "set"(v: Vec<u8>) -> bool {
+            if self.value.is_some() {
+                return Effects::value(&false);
+            }
+            let mut fx = Effects::value(&true)?;
+            for t in std::mem::take(&mut self.waiting) {
+                // Wake with the raw encoded value, as `get` replies.
+                fx.wakes.push((t, v.clone()));
+            }
+            self.value = Some(v);
+            Ok(fx)
         }
     }
 
-    fn read(&self, method: &str, _args: &[u8]) -> Option<Result<Effects, ObjErr>> {
-        Some(match method {
-            "isDone" => Effects::value(&self.value.is_some()),
-            _ => return None,
-        })
+    fns future;
+}
+
+/// A reply already in wire form: the element bytes a [`FutureObject`]
+/// stores, handed back verbatim for the generic handle to decode as its
+/// element type. Decoding takes every byte left, so it stands only as a
+/// whole reply, never inside a tuple or a collection.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Encoded(pub Vec<u8>);
+
+impl Wire for Encoded {
+    fn put(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(&self.0);
     }
 
-    fn save(&self) -> Vec<u8> {
-        // invariant: an Option<Vec<u8>> always encodes.
-        simcore::codec::to_bytes(&self.value).expect("future encodes")
-    }
-
-    fn restore(&mut self, state: &[u8]) -> Result<(), ObjErr> {
-        self.value =
-            simcore::codec::from_bytes(state).map_err(|e| ObjErr::BadState(e.to_string()))?;
-        self.waiting.clear();
-        Ok(())
+    fn get(input: &mut &[u8]) -> Result<Encoded, CodecError> {
+        Ok(Encoded(std::mem::take(input).to_vec()))
     }
 }
 
@@ -317,7 +235,7 @@ impl SharedObject for FutureObject {
 mod tests {
     use super::super::testutil::{call, call_fx_ticket, wake_value};
     use super::*;
-    use crate::object::Reply;
+    use crate::object::{CallCtx, Reply, SharedObject};
 
     fn t(i: u64) -> Ticket {
         Ticket(i)
@@ -438,7 +356,7 @@ mod tests {
 #[cfg(test)]
 mod proptests {
     use super::*;
-    use crate::object::Reply;
+    use crate::object::{CallCtx, Reply};
     use proptest::prelude::*;
 
     // Replays a random acquire/release schedule against the semaphore and

@@ -167,11 +167,6 @@ impl<M: Clone> Skeen<M> {
         }
     }
 
-    /// Number of messages accepted but not yet delivered locally.
-    pub fn pending_len(&self) -> usize {
-        self.pending.len()
-    }
-
     /// Aborts every in-flight multicast (pending deliveries and open
     /// collections), keeping the logical clock and sequence numbers.
     ///

@@ -8,7 +8,7 @@ use parking_lot::Mutex;
 use simcore::{Sim, SimTime};
 
 use dso::api;
-use dso::{DsoCluster, DsoConfig, ObjectRegistry};
+use dso::{Access, DsoCluster, DsoConfig, ObjectRegistry};
 
 fn start(sim: &Sim, nodes: u32) -> DsoCluster {
     DsoCluster::start(sim, nodes, DsoConfig::default(), ObjectRegistry::with_builtins())
@@ -594,7 +594,7 @@ fn declared_readonly_mismatch_is_rejected() {
         c.set(ctx, &mut cli, 1).expect("write");
         // Claiming a mutating method is read-only must fail loudly rather
         // than silently skipping replication.
-        let err = c.raw().call_read::<i64, ()>(ctx, &mut cli, "set", &2).unwrap_err();
+        let err = c.raw().call::<()>(ctx, &mut cli, "set", Access::Read, &[&2i64]).unwrap_err();
         assert!(err.to_string().contains("method set is not read-only"), "{err}");
         assert_eq!(c.get(ctx, &mut cli).expect("read"), 1, "the rejected write did not apply");
         *checked2.lock() = true;

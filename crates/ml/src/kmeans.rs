@@ -139,13 +139,6 @@ pub struct KMeansReport {
     pub cost_dollars: f64,
 }
 
-impl KMeansReport {
-    /// Mean time per iteration.
-    pub fn per_iteration(&self, iterations: u32) -> Duration {
-        self.iteration_phase / iterations.max(1)
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Crucial implementation (Listing 2)
 // ---------------------------------------------------------------------------

@@ -8,14 +8,12 @@ use std::collections::BTreeMap;
 use std::time::Duration;
 
 use crucial::{
-    costs, CallCtx, Ctx, DsoClient, DsoError, Effects, ObjectError, ObjectRegistry, RawHandle,
-    SharedObject,
+    costs, shared_object, Ctx, DsoClient, DsoError, Effects, ObjectError, ObjectRegistry, RawHandle,
 };
 use simcore::codec::Wire;
 
-fn dec<T: Wire>(args: &[u8]) -> Result<T, ObjectError> {
-    crucial::codec::from_bytes(args).map_err(|e| ObjectError::BadArgs(e.to_string()))
-}
+pub use delta::DeltaHandle;
+pub use weights::WeightsHandle;
 
 fn bulk_cost(bytes: usize) -> Duration {
     costs::SIMPLE_OP + costs::PER_BYTE * bytes as u32
@@ -33,24 +31,45 @@ pub fn register_ml_objects(reg: &mut ObjectRegistry) {
 // GlobalCentroids
 // ---------------------------------------------------------------------------
 
-/// Server-side centroid aggregator: workers push partial sums/counts; the
-/// last contribution of a round folds them into the next generation of
-/// centroids.
-#[derive(Debug, Default, Clone, Wire)]
-pub struct GlobalCentroids {
-    k: u32,
-    dims: u32,
-    workers: u32,
-    generation: u64,
-    /// Current centroids, flattened row-major (k × dims).
-    current: Vec<f64>,
-    acc_sums: Vec<f64>,
-    acc_counts: Vec<u64>,
-    contributions: u32,
+shared_object! {
+    /// Server-side centroid aggregator: workers push partial sums/counts;
+    /// the last contribution of a round folds them into the next
+    /// generation of centroids.
+    #[derive(Debug, Default, Clone, Wire)]
+    pub struct GlobalCentroids {
+        k: u32,
+        dims: u32,
+        workers: u32,
+        generation: u64,
+        /// Current centroids, flattened row-major (k × dims).
+        current: Vec<f64>,
+        acc_sums: Vec<f64>,
+        acc_counts: Vec<u64>,
+        contributions: u32,
+    }
+
+    type "GlobalCentroids";
+    create(init: CentroidsInit = CentroidsInit::default()) { GlobalCentroids::new_init(init) }
+
+    methods(self, call) {
+        /// `(generation, flattened centroids)`.
+        Read read = "read"() -> (u64, Vec<f64>) {
+            Effects::value_with_cost(&self.snapshot(), bulk_cost(self.current.len() * 8))
+        }
+        /// Accumulates one worker's partial sums and counts; returns the
+        /// generation after the update.
+        Write update = "update"(sums: Vec<f64>, counts: Vec<u64>) -> u64 {
+            let payload = sums.len() * 8 + counts.len() * 8;
+            let generation = self.apply_update(&sums, &counts)?;
+            Effects::value_with_cost(&generation, bulk_cost(payload))
+        }
+    }
+
+    fns centroids;
 }
 
 /// Creation arguments for [`GlobalCentroids`].
-#[derive(Debug, Clone, Wire)]
+#[derive(Debug, Clone, Default, Wire)]
 pub struct CentroidsInit {
     /// Number of clusters.
     pub k: u32,
@@ -63,9 +82,6 @@ pub struct CentroidsInit {
 }
 
 impl GlobalCentroids {
-    /// Registry type name.
-    pub const TYPE: &'static str = "GlobalCentroids";
-
     /// Builds the state machine from its creation arguments. Shared by the
     /// DSO factory and the Redis-script variant (Fig. 5), so both backends
     /// run the same aggregation logic.
@@ -91,16 +107,6 @@ impl GlobalCentroids {
             current: init.initial,
             contributions: 0,
         })
-    }
-
-    /// Factory from [`CentroidsInit`] creation args.
-    pub fn factory(args: &[u8]) -> Result<Box<dyn SharedObject>, ObjectError> {
-        if args.is_empty() {
-            return Ok(Box::<GlobalCentroids>::default());
-        }
-        let init: CentroidsInit =
-            crucial::codec::from_bytes(args).map_err(|e| ObjectError::BadState(e.to_string()))?;
-        Ok(Box::new(GlobalCentroids::new_init(init)?))
     }
 
     /// `(generation, flattened centroids)` — the payload of `read`.
@@ -148,45 +154,8 @@ impl GlobalCentroids {
     }
 }
 
-impl SharedObject for GlobalCentroids {
-    fn invoke(
-        &mut self,
-        _call: &CallCtx,
-        method: &str,
-        args: &[u8],
-    ) -> Result<Effects, ObjectError> {
-        match method {
-            // (sums, counts): accumulate one worker's partials.
-            "update" => {
-                let (sums, counts): (Vec<f64>, Vec<u64>) = dec(args)?;
-                let payload = sums.len() * 8 + counts.len() * 8;
-                let generation = self.apply_update(&sums, &counts)?;
-                Effects::value_with_cost(&generation, bulk_cost(payload))
-            }
-            other => Err(ObjectError::MethodNotFound(other.to_string())),
-        }
-    }
-
-    fn read(&self, method: &str, _args: &[u8]) -> Option<Result<Effects, ObjectError>> {
-        Some(match method {
-            // -> (generation, flattened centroids)
-            "read" => Effects::value_with_cost(&self.snapshot(), bulk_cost(self.current.len() * 8)),
-            _ => return None,
-        })
-    }
-
-    fn save(&self) -> Vec<u8> {
-        crucial::codec::to_bytes(self).expect("centroids encode")
-    }
-
-    fn restore(&mut self, state: &[u8]) -> Result<(), ObjectError> {
-        *self =
-            crucial::codec::from_bytes(state).map_err(|e| ObjectError::BadState(e.to_string()))?;
-        Ok(())
-    }
-}
-
-/// Typed client handle for [`GlobalCentroids`].
+/// Typed client handle for [`GlobalCentroids`]: the declared calls, with
+/// the centroids flattened on the way in and split on the way out.
 #[derive(Clone, Debug, Wire)]
 pub struct CentroidsHandle {
     raw: RawHandle,
@@ -197,16 +166,12 @@ pub struct CentroidsHandle {
 impl CentroidsHandle {
     /// Handle to an ephemeral centroid aggregator.
     pub fn new(key: &str, init: CentroidsInit) -> CentroidsHandle {
-        Self::with_rf(key, init, 1)
+        Self::persistent(key, init, 1)
     }
 
     /// Handle to a replicated (persistent) aggregator — used by the Fig. 8
     /// serving experiment where the trained model must survive failures.
     pub fn persistent(key: &str, init: CentroidsInit, rf: u8) -> CentroidsHandle {
-        Self::with_rf(key, init, rf)
-    }
-
-    fn with_rf(key: &str, init: CentroidsInit, rf: u8) -> CentroidsHandle {
         let (k, dims) = (init.k, init.dims);
         CentroidsHandle { raw: RawHandle::new(GlobalCentroids::TYPE, key, rf, &init), k, dims }
     }
@@ -221,7 +186,7 @@ impl CentroidsHandle {
         ctx: &mut Ctx,
         cli: &mut DsoClient,
     ) -> Result<(u64, Vec<Vec<f64>>), DsoError> {
-        let (generation, flat): (u64, Vec<f64>) = self.raw.call_read(ctx, cli, "read", &())?;
+        let (generation, flat) = centroids::read(&self.raw, ctx, cli)?;
         let d = self.dims as usize;
         let centroids = flat.chunks(d).map(<[f64]>::to_vec).collect();
         Ok((generation, centroids))
@@ -241,7 +206,7 @@ impl CentroidsHandle {
         counts: &[u64],
     ) -> Result<u64, DsoError> {
         let flat: Vec<f64> = sums.iter().flatten().copied().collect();
-        self.raw.call(ctx, cli, "update", &(flat, counts.to_vec()))
+        centroids::update(&self.raw, ctx, cli, flat, counts.to_vec())
     }
 
     /// Number of clusters.
@@ -254,149 +219,117 @@ impl CentroidsHandle {
 // GlobalDelta
 // ---------------------------------------------------------------------------
 
-/// Per-generation sum accumulator: the convergence criterion of Listing 2.
-#[derive(Debug, Default, Clone, Wire)]
-pub struct GlobalDelta {
-    sums: BTreeMap<u64, (f64, u32)>,
-}
-
-impl GlobalDelta {
-    /// Registry type name.
-    pub const TYPE: &'static str = "GlobalDelta";
-
-    /// Factory (no creation arguments).
-    pub fn factory(args: &[u8]) -> Result<Box<dyn SharedObject>, ObjectError> {
-        if !args.is_empty() {
-            let _: () = crucial::codec::from_bytes(args)
-                .map_err(|e| ObjectError::BadState(e.to_string()))?;
-        }
-        Ok(Box::<GlobalDelta>::default())
+shared_object! {
+    /// Per-generation sum accumulator: the convergence criterion of
+    /// Listing 2.
+    #[derive(Debug, Default, Clone, Wire)]
+    pub struct GlobalDelta {
+        sums: BTreeMap<u64, (f64, u32)>,
     }
-}
 
-impl SharedObject for GlobalDelta {
-    fn invoke(
-        &mut self,
-        _call: &CallCtx,
-        method: &str,
-        args: &[u8],
-    ) -> Result<Effects, ObjectError> {
-        match method {
-            "add" => {
-                let (generation, v): (u64, f64) = dec(args)?;
-                let e = self.sums.entry(generation).or_insert((0.0, 0));
-                e.0 += v;
-                e.1 += 1;
-                Effects::value(&e.0)
-            }
-            other => Err(ObjectError::MethodNotFound(other.to_string())),
+    type "GlobalDelta";
+    create(none: () = ()) { Ok(GlobalDelta::default()) }
+
+    methods(self, call) {
+        /// `(sum, contributions)` for a generation.
+        Read get = "get"(generation: u64) -> (f64, u32) {
+            Effects::value(&self.sums.get(&generation).copied().unwrap_or((0.0, 0)))
+        }
+        /// Full per-generation history `(generation, sum, contributions)`.
+        Read history = "history"() -> Vec<(u64, f64, u32)> {
+            let hist: Vec<(u64, f64, u32)> =
+                self.sums.iter().map(|(g, (s, n))| (*g, *s, *n)).collect();
+            Effects::value_with_cost(&hist, bulk_cost(hist.len() * 20))
+        }
+        /// Adds a worker's contribution for a generation; returns the
+        /// running sum.
+        Write add = "add"(generation: u64, v: f64) -> f64 {
+            let e = self.sums.entry(generation).or_insert((0.0, 0));
+            e.0 += v;
+            e.1 += 1;
+            Effects::value(&e.0)
         }
     }
 
-    fn read(&self, method: &str, args: &[u8]) -> Option<Result<Effects, ObjectError>> {
-        Some(match method {
-            // -> (sum, contributions) for a generation
-            "get" => dec(args).and_then(|generation: u64| {
-                Effects::value(&self.sums.get(&generation).copied().unwrap_or((0.0, 0)))
-            }),
-            "history" => {
-                let hist: Vec<(u64, f64, u32)> =
-                    self.sums.iter().map(|(g, (s, n))| (*g, *s, *n)).collect();
-                Effects::value_with_cost(&hist, bulk_cost(hist.len() * 20))
-            }
-            _ => return None,
-        })
-    }
-
-    fn save(&self) -> Vec<u8> {
-        crucial::codec::to_bytes(self).expect("delta encodes")
-    }
-
-    fn restore(&mut self, state: &[u8]) -> Result<(), ObjectError> {
-        *self =
-            crucial::codec::from_bytes(state).map_err(|e| ObjectError::BadState(e.to_string()))?;
-        Ok(())
-    }
-}
-
-/// Typed client handle for [`GlobalDelta`].
-#[derive(Clone, Debug, Wire)]
-pub struct DeltaHandle {
-    raw: RawHandle,
-}
-
-impl DeltaHandle {
-    /// Handle to an ephemeral delta accumulator.
-    pub fn new(key: &str) -> DeltaHandle {
-        DeltaHandle { raw: RawHandle::new(GlobalDelta::TYPE, key, 1, &()) }
-    }
-
-    /// Adds a worker's contribution for a generation; returns the running
-    /// sum.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`DsoError`].
-    pub fn add(
-        &self,
-        ctx: &mut Ctx,
-        cli: &mut DsoClient,
-        generation: u64,
-        v: f64,
-    ) -> Result<f64, DsoError> {
-        self.raw.call(ctx, cli, "add", &(generation, v))
-    }
-
-    /// Reads `(sum, contributions)` for a generation.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`DsoError`].
-    pub fn get(
-        &self,
-        ctx: &mut Ctx,
-        cli: &mut DsoClient,
-        generation: u64,
-    ) -> Result<(f64, u32), DsoError> {
-        self.raw.call_read(ctx, cli, "get", &generation)
-    }
-
-    /// Full per-generation history `(generation, sum, contributions)`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`DsoError`].
-    pub fn history(
-        &self,
-        ctx: &mut Ctx,
-        cli: &mut DsoClient,
-    ) -> Result<Vec<(u64, f64, u32)>, DsoError> {
-        self.raw.call_read(ctx, cli, "history", &())
-    }
+    /// Typed client handle for [`GlobalDelta`](super::GlobalDelta).
+    handle delta::DeltaHandle { new(key) }
 }
 
 // ---------------------------------------------------------------------------
 // GlobalWeights (logistic regression)
 // ---------------------------------------------------------------------------
 
-/// Server-side weight vector for logistic regression: workers push
-/// gradients and losses; the last contribution applies the averaged
-/// gradient step and records the loss (Fig. 4b's series).
-#[derive(Debug, Default, Clone, Wire)]
-pub struct GlobalWeights {
-    dims: u32,
-    workers: u32,
-    learning_rate: f64,
-    generation: u64,
-    weights: Vec<f64>,
-    acc_grad: Vec<f64>,
-    acc_loss: f64,
-    contributions: u32,
-    losses: Vec<f64>,
+shared_object! {
+    /// Server-side weight vector for logistic regression: workers push
+    /// gradients and losses; the last contribution applies the averaged
+    /// gradient step and records the loss (Fig. 4b's series).
+    #[derive(Debug, Default, Clone, Wire)]
+    pub struct GlobalWeights {
+        dims: u32,
+        workers: u32,
+        learning_rate: f64,
+        generation: u64,
+        weights: Vec<f64>,
+        acc_grad: Vec<f64>,
+        acc_loss: f64,
+        contributions: u32,
+        losses: Vec<f64>,
+    }
+
+    type "GlobalWeights";
+    create(init: WeightsInit = WeightsInit::default()) {
+        Ok(GlobalWeights {
+            dims: init.dims,
+            workers: init.workers.max(1),
+            learning_rate: init.learning_rate,
+            weights: vec![0.0; init.dims as usize],
+            acc_grad: vec![0.0; init.dims as usize],
+            ..GlobalWeights::default()
+        })
+    }
+
+    methods(self, call) {
+        /// Reads `(generation, weights)`.
+        Read read = "read"() -> (u64, Vec<f64>) {
+            let reply = (self.generation, self.weights.clone());
+            Effects::value_with_cost(&reply, bulk_cost(self.weights.len() * 8))
+        }
+        /// The per-iteration loss series (Fig. 4b).
+        Read losses = "losses"() -> Vec<f64> {
+            Effects::value_with_cost(&self.losses, bulk_cost(self.losses.len() * 8))
+        }
+        /// Pushes a gradient and loss; returns the generation after the
+        /// update.
+        Write update = "update"(&grad: Vec<f64>, loss: f64) -> u64 {
+            if grad.len() != self.acc_grad.len() {
+                return Err(ObjectError::BadArgs("gradient shape mismatch".to_string()));
+            }
+            for (a, g) in self.acc_grad.iter_mut().zip(&grad) {
+                *a += g;
+            }
+            self.acc_loss += loss;
+            self.contributions += 1;
+            if self.contributions == self.workers {
+                let scale = self.learning_rate / self.workers as f64;
+                for (w, g) in self.weights.iter_mut().zip(&self.acc_grad) {
+                    *w -= scale * g;
+                }
+                self.losses.push(self.acc_loss / self.workers as f64);
+                self.acc_grad.iter_mut().for_each(|x| *x = 0.0);
+                self.acc_loss = 0.0;
+                self.contributions = 0;
+                self.generation += 1;
+            }
+            Effects::value_with_cost(&self.generation, bulk_cost(grad.len() * 8))
+        }
+    }
+
+    /// Typed client handle for [`GlobalWeights`](super::GlobalWeights).
+    handle weights::WeightsHandle { new(key, init) }
 }
 
 /// Creation arguments for [`GlobalWeights`].
-#[derive(Debug, Clone, Wire)]
+#[derive(Debug, Clone, Default, Wire)]
 pub struct WeightsInit {
     /// Dimensions.
     pub dims: u32,
@@ -406,139 +339,10 @@ pub struct WeightsInit {
     pub learning_rate: f64,
 }
 
-impl GlobalWeights {
-    /// Registry type name.
-    pub const TYPE: &'static str = "GlobalWeights";
-
-    /// Factory from [`WeightsInit`].
-    pub fn factory(args: &[u8]) -> Result<Box<dyn SharedObject>, ObjectError> {
-        if args.is_empty() {
-            return Ok(Box::<GlobalWeights>::default());
-        }
-        let init: WeightsInit =
-            crucial::codec::from_bytes(args).map_err(|e| ObjectError::BadState(e.to_string()))?;
-        Ok(Box::new(GlobalWeights {
-            dims: init.dims,
-            workers: init.workers.max(1),
-            learning_rate: init.learning_rate,
-            generation: 0,
-            weights: vec![0.0; init.dims as usize],
-            acc_grad: vec![0.0; init.dims as usize],
-            acc_loss: 0.0,
-            contributions: 0,
-            losses: Vec::new(),
-        }))
-    }
-}
-
-impl SharedObject for GlobalWeights {
-    fn invoke(
-        &mut self,
-        _call: &CallCtx,
-        method: &str,
-        args: &[u8],
-    ) -> Result<Effects, ObjectError> {
-        match method {
-            // (gradient, loss): push one worker's contribution.
-            "update" => {
-                let (grad, loss): (Vec<f64>, f64) = dec(args)?;
-                if grad.len() != self.acc_grad.len() {
-                    return Err(ObjectError::BadArgs("gradient shape mismatch".to_string()));
-                }
-                for (a, g) in self.acc_grad.iter_mut().zip(&grad) {
-                    *a += g;
-                }
-                self.acc_loss += loss;
-                self.contributions += 1;
-                if self.contributions == self.workers {
-                    let scale = self.learning_rate / self.workers as f64;
-                    for (w, g) in self.weights.iter_mut().zip(&self.acc_grad) {
-                        *w -= scale * g;
-                    }
-                    self.losses.push(self.acc_loss / self.workers as f64);
-                    self.acc_grad.iter_mut().for_each(|x| *x = 0.0);
-                    self.acc_loss = 0.0;
-                    self.contributions = 0;
-                    self.generation += 1;
-                }
-                Effects::value_with_cost(&self.generation, bulk_cost(grad.len() * 8))
-            }
-            other => Err(ObjectError::MethodNotFound(other.to_string())),
-        }
-    }
-
-    fn read(&self, method: &str, _args: &[u8]) -> Option<Result<Effects, ObjectError>> {
-        Some(match method {
-            "read" => {
-                let reply = (self.generation, self.weights.clone());
-                Effects::value_with_cost(&reply, bulk_cost(self.weights.len() * 8))
-            }
-            "losses" => Effects::value_with_cost(&self.losses, bulk_cost(self.losses.len() * 8)),
-            _ => return None,
-        })
-    }
-
-    fn save(&self) -> Vec<u8> {
-        crucial::codec::to_bytes(self).expect("weights encode")
-    }
-
-    fn restore(&mut self, state: &[u8]) -> Result<(), ObjectError> {
-        *self =
-            crucial::codec::from_bytes(state).map_err(|e| ObjectError::BadState(e.to_string()))?;
-        Ok(())
-    }
-}
-
-/// Typed client handle for [`GlobalWeights`].
-#[derive(Clone, Debug, Wire)]
-pub struct WeightsHandle {
-    raw: RawHandle,
-}
-
-impl WeightsHandle {
-    /// Handle to an ephemeral weight vector.
-    pub fn new(key: &str, init: WeightsInit) -> WeightsHandle {
-        WeightsHandle { raw: RawHandle::new(GlobalWeights::TYPE, key, 1, &init) }
-    }
-
-    /// Reads `(generation, weights)`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`DsoError`].
-    pub fn read(&self, ctx: &mut Ctx, cli: &mut DsoClient) -> Result<(u64, Vec<f64>), DsoError> {
-        self.raw.call_read(ctx, cli, "read", &())
-    }
-
-    /// Pushes a gradient and loss; returns the generation after the update.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`DsoError`].
-    pub fn update(
-        &self,
-        ctx: &mut Ctx,
-        cli: &mut DsoClient,
-        grad: &[f64],
-        loss: f64,
-    ) -> Result<u64, DsoError> {
-        self.raw.call(ctx, cli, "update", &(grad.to_vec(), loss))
-    }
-
-    /// The per-iteration loss series (Fig. 4b).
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`DsoError`].
-    pub fn losses(&self, ctx: &mut Ctx, cli: &mut DsoClient) -> Result<Vec<f64>, DsoError> {
-        self.raw.call_read(ctx, cli, "losses", &())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crucial::Ticket;
+    use crucial::{CallCtx, SharedObject, Ticket};
 
     fn call<R: Wire>(obj: &mut dyn SharedObject, method: &str, args: &impl Wire) -> R {
         let cc = CallCtx { ticket: Ticket(0), replicated: false };
@@ -664,7 +468,7 @@ mod tests {
             assert_eq!(delta.history(ctx, cli), Ok(vec![(0, 1.5, 1)]));
             let init = WeightsInit { dims: 1, workers: 1, learning_rate: 0.5 };
             let weights = WeightsHandle::new("w", init);
-            weights.update(ctx, cli, &[2.0], 0.25).expect("write");
+            weights.update(ctx, cli, &vec![2.0], 0.25).expect("write");
             assert_eq!(weights.read(ctx, cli), Ok((1, vec![-1.0])));
             assert_eq!(weights.losses(ctx, cli), Ok(vec![0.25]));
             *checked2.lock() = true;

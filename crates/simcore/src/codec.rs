@@ -112,22 +112,6 @@ pub fn to_bytes<T: Wire + ?Sized>(value: &T) -> Result<Vec<u8>, CodecError> {
     Ok(out)
 }
 
-/// Encodes `value` into `out`, reusing its capacity.
-///
-/// The hot-path variant of [`to_bytes`]: callers that encode in a loop
-/// (request building, argument marshalling) keep one buffer and let it
-/// plateau at the largest message size instead of allocating a fresh
-/// `Vec` per encode. `out` is cleared first.
-///
-/// # Errors
-///
-/// None; see [`to_bytes`].
-pub fn to_bytes_into<T: Wire + ?Sized>(value: &T, out: &mut Vec<u8>) -> Result<(), CodecError> {
-    out.clear();
-    value.put(out);
-    Ok(())
-}
-
 /// Decodes a `T` from bytes previously produced by [`to_bytes`].
 ///
 /// # Errors
@@ -358,6 +342,9 @@ macro_rules! wire_tuple {
     };
 }
 
+// A 1-tuple encodes exactly as its element: a method's argument list is
+// decoded as the tuple of its arguments, whatever their number.
+wire_tuple!(0 T0);
 wire_tuple!(0 T0 1 T1);
 wire_tuple!(0 T0 1 T1 2 T2);
 wire_tuple!(0 T0 1 T1 2 T2 3 T3);
@@ -391,6 +378,8 @@ mod tests {
         round_trip(Some(7u32));
         round_trip(Option::<u32>::None);
         round_trip((1u8, String::from("x"), -3i64));
+        round_trip((9u64,));
+        assert_eq!(to_bytes(&(9u64,)), to_bytes(&9u64), "a 1-tuple is its element");
         let mut m = BTreeMap::new();
         m.insert("a".to_string(), 1u64);
         m.insert("b".to_string(), 2u64);
