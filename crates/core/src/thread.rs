@@ -78,13 +78,12 @@ pub const THREAD_START_OVERHEAD: Duration = Duration::from_millis(4);
 pub struct ThreadFactory {
     faas: FaasHandle,
     retry: RetryPolicy,
-    start_overhead: Duration,
 }
 
 impl ThreadFactory {
     /// Creates a factory with the default (no-retry) policy.
     pub fn new(faas: FaasHandle) -> ThreadFactory {
-        ThreadFactory { faas, retry: RetryPolicy::default(), start_overhead: THREAD_START_OVERHEAD }
+        ThreadFactory { faas, retry: RetryPolicy::default() }
     }
 
     /// Returns a factory with a different retry policy.
@@ -99,9 +98,7 @@ impl ThreadFactory {
     /// The runnable is serialized *now*; later mutation of the caller's
     /// copy does not affect the running function.
     pub fn start<R: Runnable>(&self, ctx: &mut Ctx, runnable: &R) -> JoinHandle {
-        if !self.start_overhead.is_zero() {
-            ctx.compute(self.start_overhead);
-        }
+        ctx.compute(THREAD_START_OVERHEAD);
         // The thread's whole lifetime is one span, begun in the caller's
         // context; the local proxy process adopts it so invoke spans nest.
         let thread_span = ctx.span_begin("cloud.thread", "core");
