@@ -467,6 +467,7 @@ mod tests {
 mod proptests {
     use super::*;
     use proptest::prelude::*;
+    use proptest::test_runner::TestCaseError;
 
     #[derive(Wire, PartialEq, Debug, Clone)]
     enum TreeNode {
@@ -600,12 +601,72 @@ mod proptests {
             }
             let blobs: Vec<Vec<u8>> = words.iter().map(|w| w.to_le_bytes().to_vec()).collect();
             let map: BTreeMap<u64, String> = words.iter().map(|w| (*w, text.clone())).collect();
+            let floats: Vec<f64> = words.iter().map(|w| *w as f64).collect();
             prop_assert!(claim(&words, extra).is_err());
             prop_assert!(claim(&VecDeque::from(words.clone()), extra).is_err());
+            prop_assert!(claim(&floats, extra).is_err());
+            prop_assert!(claim(&text.as_bytes().to_vec(), extra).is_err());
             prop_assert!(claim(&blobs, extra).is_err());
             prop_assert!(claim(&map, extra).is_err());
             prop_assert!(claim(&Bytes::copy_from_slice(text.as_bytes()), extra).is_err());
             prop_assert!(claim(&text, extra).is_err());
+        }
+
+        /// A count of `n` multi-byte scalars passes the bytes-left bound
+        /// with as few as `n` body bytes; any body shorter than the `n`
+        /// elements' width is still an error, not a panic.
+        #[test]
+        fn short_scalar_bodies_are_rejected(n in 1usize..64, short in any::<usize>()) {
+            fn claim<T: Wire>(n: usize, short: usize) -> Result<Vec<T>, CodecError> {
+                let body = n + short % (n * (size_of::<T>() - 1));
+                let mut bytes = to_bytes(&(n as u64)).expect("encode");
+                bytes.resize(8 + body, 0xa5);
+                from_bytes(&bytes)
+            }
+            prop_assert!(claim::<f64>(n, short).is_err());
+            prop_assert!(claim::<u64>(n, short).is_err());
+            prop_assert!(claim::<i64>(n, short).is_err());
+            prop_assert!(claim::<u32>(n, short).is_err());
+        }
+
+        /// Scalar sequences keep the generic layout, whatever path encodes
+        /// them: the `u64` count, then each element's own `put`, for a
+        /// `Vec` and for a `VecDeque` whose ring buffer wraps.
+        #[test]
+        fn scalar_sequences_are_their_elements_in_order(
+            bytes in proptest::collection::vec(any::<u8>(), 0..64),
+            halves in proptest::collection::vec(any::<u32>(), 0..16),
+            words in proptest::collection::vec(any::<u64>(), 0..16),
+            signed in proptest::collection::vec(any::<i64>(), 0..16),
+            floats in proptest::collection::vec(any::<f64>(), 0..16),
+            split in any::<usize>(),
+        ) {
+            fn pinned<T: Wire + Clone>(items: &[T], split: usize) -> Result<(), TestCaseError> {
+                let mut reference = Vec::new();
+                (items.len() as u64).put(&mut reference);
+                for item in items {
+                    item.put(&mut reference);
+                }
+                // The front half pushed onto the front of an exactly-sized
+                // deque lands at the end of its buffer: two slices.
+                let (front, back) = items.split_at(split % (items.len() + 1));
+                let mut deque = VecDeque::with_capacity(items.len());
+                deque.extend(back.iter().cloned());
+                front.iter().rev().for_each(|x| deque.push_front(x.clone()));
+                prop_assert_eq!(to_bytes(&items.to_vec()).expect("encode"), reference.clone());
+                prop_assert_eq!(to_bytes(&deque).expect("encode"), reference.clone());
+                // Compared re-encoded, so `-0.0` and `0.0` stay apart.
+                let vec: Vec<T> = from_bytes(&reference).expect("decode");
+                let deque: VecDeque<T> = from_bytes(&reference).expect("decode");
+                prop_assert_eq!(to_bytes(&vec).expect("encode"), reference.clone());
+                prop_assert_eq!(to_bytes(&deque).expect("encode"), reference);
+                Ok(())
+            }
+            pinned(&bytes, split)?;
+            pinned(&halves, split)?;
+            pinned(&words, split)?;
+            pinned(&signed, split)?;
+            pinned(&floats, split)?;
         }
     }
 }
