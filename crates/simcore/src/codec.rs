@@ -17,6 +17,14 @@
 //!   framing; `#[wire(skip)]` fields are absent and `Default`-filled on
 //!   decode.
 //!
+//! A sequence's body is written and read through [`Wire`]'s hidden
+//! `put_all`/`get_all`, one element at a time by default. The fixed-width
+//! scalars (`u8 u32 u64 i64 f64`) override them to move the whole body as
+//! one block, so a 1 KB `Vec<u8>` costs one copy each way, as a `Bytes`
+//! does, and a `Vec<f64>` one pass over fixed-size chunks. The bytes are
+//! the element-by-element ones by construction, and a body shorter than
+//! its count claims fails before anything is allocated.
+//!
 //! WAL segments and checkpoints outlive the build that wrote them and
 //! message sizes drive virtual time, so these bytes are pinned by a golden
 //! corpus (`crates/dso/tests/wire_golden.rs`).
@@ -98,6 +106,32 @@ pub trait Wire {
     fn get(input: &mut &[u8]) -> Result<Self, CodecError>
     where
         Self: Sized;
+
+    /// Appends each item's encoding to `out`, in order: the body of a
+    /// sequence. Fixed-width scalars override it with one block write.
+    #[doc(hidden)]
+    fn put_all(items: &[Self], out: &mut Vec<u8>)
+    where
+        Self: Sized,
+    {
+        for item in items {
+            item.put(out);
+        }
+    }
+
+    /// Decodes `len` values from the front of `input`, as many as a
+    /// sequence's count (already bounded by the bytes left) claims.
+    #[doc(hidden)]
+    fn get_all(len: usize, input: &mut &[u8]) -> Result<Vec<Self>, CodecError>
+    where
+        Self: Sized,
+    {
+        let mut v = Vec::with_capacity(len.min(PREALLOC_ELEMS));
+        for _ in 0..len {
+            v.push(Self::get(input)?);
+        }
+        Ok(v)
+    }
 }
 
 /// Encodes `value` to bytes.
@@ -170,6 +204,25 @@ fn put_len(len: usize, out: &mut Vec<u8>) {
     (len as u64).put(out);
 }
 
+/// A byte sequence is its bytes: one copy each way.
+impl Wire for u8 {
+    fn put(&self, out: &mut Vec<u8>) {
+        out.push(*self);
+    }
+    fn get(input: &mut &[u8]) -> Result<Self, CodecError> {
+        take_array(input).map(u8::from_le_bytes)
+    }
+    fn put_all(items: &[u8], out: &mut Vec<u8>) {
+        out.extend_from_slice(items);
+    }
+    fn get_all(len: usize, input: &mut &[u8]) -> Result<Vec<u8>, CodecError> {
+        take(input, len).map(<[u8]>::to_vec)
+    }
+}
+
+/// A sequence of wider scalars is one block, written and read as
+/// fixed-size chunks: the body is taken whole before anything is
+/// allocated, so a short one fails without reserving for its count.
 macro_rules! wire_le_scalar {
     ($($ty:ty),*) => {$(
         impl Wire for $ty {
@@ -179,11 +232,26 @@ macro_rules! wire_le_scalar {
             fn get(input: &mut &[u8]) -> Result<Self, CodecError> {
                 take_array(input).map(<$ty>::from_le_bytes)
             }
+            fn put_all(items: &[Self], out: &mut Vec<u8>) {
+                let at = out.len();
+                out.resize(at + size_of_val(items), 0);
+                let (chunks, _) = out[at..].as_chunks_mut::<{ size_of::<$ty>() }>();
+                for (chunk, item) in chunks.iter_mut().zip(items) {
+                    *chunk = item.to_le_bytes();
+                }
+            }
+            fn get_all(len: usize, input: &mut &[u8]) -> Result<Vec<Self>, CodecError> {
+                let n = len.checked_mul(size_of::<$ty>()).ok_or_else(|| {
+                    CodecError::new(format!("length prefix {len} overflows a byte count"))
+                })?;
+                let (chunks, _) = take(input, n)?.as_chunks::<{ size_of::<$ty>() }>();
+                Ok(chunks.iter().map(|c| <$ty>::from_le_bytes(*c)).collect())
+            }
         }
     )*};
 }
 
-wire_le_scalar!(u8, u32, u64, i64, f64);
+wire_le_scalar!(u32, u64, i64, f64);
 
 impl Wire for usize {
     fn put(&self, out: &mut Vec<u8>) {
@@ -268,26 +336,20 @@ impl<T: Wire> Wire for Option<T> {
 impl<T: Wire> Wire for Vec<T> {
     fn put(&self, out: &mut Vec<u8>) {
         put_len(self.len(), out);
-        for item in self {
-            item.put(out);
-        }
+        T::put_all(self, out);
     }
     fn get(input: &mut &[u8]) -> Result<Self, CodecError> {
         let len = get_len::<T>(input)?;
-        let mut v = Vec::with_capacity(len.min(PREALLOC_ELEMS));
-        for _ in 0..len {
-            v.push(T::get(input)?);
-        }
-        Ok(v)
+        T::get_all(len, input)
     }
 }
 
 impl<T: Wire> Wire for VecDeque<T> {
     fn put(&self, out: &mut Vec<u8>) {
         put_len(self.len(), out);
-        for item in self {
-            item.put(out);
-        }
+        let (front, back) = self.as_slices();
+        T::put_all(front, out);
+        T::put_all(back, out);
     }
     fn get(input: &mut &[u8]) -> Result<Self, CodecError> {
         Vec::get(input).map(VecDeque::from)
