@@ -56,7 +56,9 @@ cargo run --release -q -p simcheck --bin tracecheck -- results/trace-elastic.chr
 #                       like a thread handoff fails) and >= 300k events/sec;
 #                       a parent spawning and joining 4 000 one-shot
 #                       children runs on exactly 2 OS threads (a thread per
-#                       process fails). Host time: no BENCH file.
+#                       process fails); a 1 KB Vec<u8> codec round trip
+#                       costs <= 3x a Bytes one (~1x; coding it one element
+#                       at a time fails). Host time: no BENCH file.
 #   coldstart           classic vs snapshot-restore elastic runs plus the
 #                       fork fan-out microbench; self-asserts the tier
 #                       mechanics, then: a restore collapses the classic

@@ -24,9 +24,9 @@ impl Bytes {
         Bytes::default()
     }
 
-    /// Copies `data` into a new buffer.
+    /// Copies `data` into a new buffer: one allocation, one copy.
     pub fn copy_from_slice(data: &[u8]) -> Self {
-        Bytes::from(data.to_vec())
+        Bytes { data: Arc::from(data), start: 0, len: data.len() }
     }
 
     /// Buffer over a `'static` slice (copies; the compat crate has no
@@ -153,5 +153,16 @@ mod tests {
         let s = b.slice(1..4);
         assert_eq!(&s[..], &[2, 3, 4]);
         assert_eq!(s.slice(..2), Bytes::from(vec![2, 3]));
+    }
+
+    #[test]
+    fn copy_from_slice_is_a_whole_window_over_a_copy() {
+        let src = [7u8, 8, 9, 10];
+        let b = Bytes::copy_from_slice(&src);
+        assert_eq!((b.start, b.len, b.data.len()), (0, 4, 4));
+        assert_eq!(&b[..], &src);
+        assert_ne!(b.data.as_ptr(), src.as_ptr());
+        assert_eq!(b.slice(1..3), Bytes::from(vec![8, 9]));
+        assert!(Bytes::copy_from_slice(&[]).is_empty());
     }
 }

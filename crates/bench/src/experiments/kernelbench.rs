@@ -1,7 +1,8 @@
 //! `kernel-bench` — what a thread handoff costs next to an inline actor
-//! wake-up, and what a spawn costs, gated in CI.
+//! wake-up, what a spawn costs, and what a payload costs to encode, gated
+//! in CI.
 //!
-//! Three sections, the same ring twice and a spawn loop:
+//! Four sections, the same ring twice, a spawn loop and a codec loop:
 //!
 //! 1. **ping_ring** — message passing on threads: a hop-countdown token
 //!    circulating a ring of processes, one delivery event per hop.
@@ -11,21 +12,29 @@
 //! 3. **spawn_churn** — one thread parent spawning one-shot children and
 //!    joining each before the next, the shape of a driver starting cloud
 //!    threads: what a spawn costs when a worker thread is idle.
+//! 4. **codec_bytes** — Table 2's 1 KB value encoded and decoded through
+//!    [`simcore::codec`], once as a `Vec<u8>` and once as a `Bytes`: the
+//!    two have the same bytes on the wire, so they should cost alike.
 //!
 //! Each section is wall-clock timed (the one legitimate use of host time
 //! in the workspace: measuring the simulator itself) and reports kernel
 //! events/sec, computed from [`simcore::EventQueueStats`] — total pushes
 //! (fresh allocations + free-list recycles) minus events still pending —
-//! and its ops (hops or spawns) per second. [`check`] holds the relation
-//! — `actor_ring` runs at least 3x `ping_ring`'s events/sec — a floor
-//! under the single-threaded actor ring, and a count: `spawn_churn` runs
-//! on two OS threads however many children it spawns. The thread ring and
-//! the spawn loop keep no host-time floor: their rates are the host
+//! and its ops (hops, spawns or round trips) per second; the codec loop
+//! runs no kernel and keeps its fastest batch. [`check`] holds two
+//! relations — `actor_ring` runs at least 3x `ping_ring`'s events/sec, and
+//! a `Vec<u8>` round trip costs at most 3x a `Bytes` one — a floor under
+//! the single-threaded actor ring, and a count: `spawn_churn` runs on two
+//! OS threads however many children it spawns. The thread ring and the
+//! spawn loop keep no host-time floor: their rates are the host
 //! scheduler's, and the wheel, the handoff and the DSO path are measured
 //! pinned and repeated by the acceptance benchmark (`BENCHMARK.json`).
 
+use std::hint::black_box;
 use std::time::Duration;
 
+use bytes::Bytes;
+use simcore::codec::{self, Wire};
 use simcore::{Actor, Addr, Ctx, Msg, Sim, Wait, Wake};
 
 use super::Scale;
@@ -36,7 +45,8 @@ use crate::report::{fmt_dur, Table};
 pub struct Section {
     /// Section name.
     pub name: &'static str,
-    /// What an op is: `"hops"` of the token, or `"spawns"`.
+    /// What an op is: `"hops"` of the token, `"spawns"`, or codec
+    /// `"round trips"`.
     pub op: &'static str,
     /// Ops made.
     pub ops: u64,
@@ -69,6 +79,10 @@ pub struct KernelBenchReport {
     pub actor_ring: Section,
     /// Sequential spawn-and-join of one-shot thread children.
     pub spawn_churn: Section,
+    /// 1 KB round trips through the codec as a `Vec<u8>`.
+    pub codec_vec: Section,
+    /// The same round trips as a `Bytes`.
+    pub codec_bytes: Section,
 }
 
 /// `actor_ring` must run at least this many times `ping_ring`'s
@@ -83,6 +97,11 @@ const ACTOR_RING_FLOOR: f64 = 300_000.0;
 /// OS threads `spawn_churn` runs on: its parent's, and one each child runs
 /// on in turn. A thread per process would make it one per spawn more.
 const SPAWN_CHURN_THREADS: u64 = 2;
+
+/// A `Vec<u8>` round trip may cost at most this many `Bytes` round trips.
+/// Both are one count and one block copy each way (~1x); a `Vec<u8>` coded
+/// one `Wire` call per byte costs ~20x.
+const CODEC_VEC_OVER_BYTES: f64 = 3.0;
 
 /// The claims `kernel-bench` holds; `Err` names the first broken one.
 pub fn check(r: &KernelBenchReport) -> Result<(), String> {
@@ -104,6 +123,13 @@ pub fn check(r: &KernelBenchReport) -> Result<(), String> {
          a finished process's thread no longer serves the next spawn",
         churn.threads,
         churn.ops
+    );
+    let (vec, bytes) = (r.codec_vec.ops_per_s(), r.codec_bytes.ops_per_s());
+    claim!(
+        vec * CODEC_VEC_OVER_BYTES >= bytes,
+        "codec_bytes: a 1 KB Vec<u8> round trip ({vec:.0}/s) costs more than \
+         {CODEC_VEC_OVER_BYTES}x a Bytes one ({bytes:.0}/s) — scalar sequences stopped \
+         crossing the wire as one block"
     );
     Ok(())
 }
@@ -237,19 +263,52 @@ fn spawn_churn(scale: Scale) -> Section {
     Section { name: "spawn_churn", op: "spawns", ops: spawns, events, threads, elapsed }
 }
 
+/// Timed batches per codec measurement; the fastest counts, so a
+/// preemption inside one batch does not reach the claim.
+const CODEC_BATCHES: usize = 5;
+
+/// Encodes and decodes `payload` `trips` times per batch; the section's
+/// time is the fastest batch's.
+fn codec_round_trips<T: Wire>(name: &'static str, payload: &T, trips: u64) -> Section {
+    let batch = || {
+        let ((), elapsed) = timed(|| {
+            for _ in 0..trips {
+                let bytes = codec::to_bytes(black_box(payload)).expect("every value encodes");
+                black_box(codec::from_bytes::<T>(&bytes).expect("its own encoding decodes"));
+            }
+        });
+        elapsed
+    };
+    let elapsed = (0..CODEC_BATCHES).map(|_| batch()).min().unwrap_or_default();
+    Section { name, op: "round trips", ops: trips, events: 0, threads: 0, elapsed }
+}
+
+/// Table 2's 1 KB value as a `Vec<u8>` and as a `Bytes`.
+fn codec_bytes(scale: Scale) -> (Section, Section) {
+    let payload: Vec<u8> = (0..1024).map(|i| i as u8).collect();
+    let trips = scale.pick(20_000, 200_000);
+    let vec = codec_round_trips("codec_bytes (Vec<u8>)", &payload, trips);
+    let bytes = codec_round_trips("codec_bytes (Bytes)", &Bytes::from(payload), trips);
+    (vec, bytes)
+}
+
 /// Runs every section, holds the claims, renders the table.
 pub fn kernel_bench(scale: Scale) -> Table {
+    let (codec_vec, codec_bytes) = codec_bytes(scale);
     let report = KernelBenchReport {
         ping_ring: ping_ring(scale),
         actor_ring: actor_ring(scale),
         spawn_churn: spawn_churn(scale),
+        codec_vec,
+        codec_bytes,
     };
     check(&report).unwrap_or_else(|broken| panic!("kernel-bench: {broken}"));
     let mut t = Table::new(
-        "kernel-bench — one ring on threads and on actors, and a spawn loop",
+        "kernel-bench — one ring on threads and on actors, a spawn loop and a codec loop",
         &["Section", "Ops", "Kernel events", "OS threads", "Wall time", "Events/sec", "Ops/sec"],
     );
-    for s in [&report.ping_ring, &report.actor_ring, &report.spawn_churn] {
+    let sections = [&report.ping_ring, &report.actor_ring, &report.spawn_churn];
+    for s in sections.into_iter().chain([&report.codec_vec, &report.codec_bytes]) {
         t.row(&[
             s.name.into(),
             format!("{} {}", s.ops, s.op),
@@ -267,9 +326,10 @@ pub fn kernel_bench(scale: Scale) -> Table {
 mod tests {
     use super::*;
 
-    /// A report with the two rings at the given events/sec, and 4 000
-    /// spawns on `churn_threads` OS threads.
-    fn report(ping: u64, actors: u64, churn_threads: u64) -> KernelBenchReport {
+    /// A report with the two rings at the given events/sec, 4 000 spawns
+    /// on `churn_threads` OS threads, and codec round trips at 1 M/s as
+    /// `Bytes` and `codec_vec` per second as `Vec<u8>`.
+    fn report(ping: u64, actors: u64, churn_threads: u64, codec_vec: u64) -> KernelBenchReport {
         let section = |name, op, ops, threads| Section {
             name,
             op,
@@ -282,20 +342,27 @@ mod tests {
             ping_ring: section("ping_ring", "hops", ping, 16),
             actor_ring: section("actor_ring", "hops", actors, 0),
             spawn_churn: section("spawn_churn", "spawns", 4_000, churn_threads),
+            codec_vec: section("codec_bytes (Vec<u8>)", "round trips", codec_vec, 0),
+            codec_bytes: section("codec_bytes (Bytes)", "round trips", 1_000_000, 0),
         }
     }
 
     #[test]
     fn check_holds_each_claim() {
-        assert_eq!(check(&report(550_000, 4_600_000, 2)), Ok(()));
+        assert_eq!(check(&report(550_000, 4_600_000, 2, 1_000_000)), Ok(()));
         // The thread ring keeps no floor of its own: a slow host passes.
-        assert_eq!(check(&report(5_000, 4_600_000, 2)), Ok(()));
-        let err = check(&report(2_000_000, 4_600_000, 2)).unwrap_err();
+        assert_eq!(check(&report(5_000, 4_600_000, 2, 1_000_000)), Ok(()));
+        let err = check(&report(2_000_000, 4_600_000, 2, 1_000_000)).unwrap_err();
         assert!(err.contains("not at least 3x ping_ring"), "{err}");
-        let err = check(&report(10_000, 200_000, 2)).unwrap_err();
+        let err = check(&report(10_000, 200_000, 2, 1_000_000)).unwrap_err();
         assert!(err.contains("below the 300000 floor"), "{err}");
         // A thread per process: the parent's plus one per child.
-        let err = check(&report(550_000, 4_600_000, 4_001)).unwrap_err();
+        let err = check(&report(550_000, 4_600_000, 4_001, 1_000_000)).unwrap_err();
         assert!(err.contains("started 4001 OS threads for 4000 sequential spawns"), "{err}");
+        // A Vec<u8> at exactly a third of Bytes' rate still passes; one
+        // `Wire` call per byte (~20x) does not.
+        assert_eq!(check(&report(550_000, 4_600_000, 2, 333_334)), Ok(()));
+        let err = check(&report(550_000, 4_600_000, 2, 50_000)).unwrap_err();
+        assert!(err.contains("costs more than 3x a Bytes one"), "{err}");
     }
 }

@@ -325,11 +325,11 @@ pub fn spawn_controlplane(
             let span = ctx.span_begin("ctl.reconcile", "ctl");
             let decision = policy.decide(&obs);
             ctx.span_annotate(span, "policy", policy.name());
-            ctx.span_annotate(span, "rate", format!("{:.1}", obs.request_rate));
-            ctx.span_annotate(span, "shed_rate", format!("{:.1}", obs.shed_rate));
-            ctx.span_annotate(span, "queue_depth", format!("{:.1}", obs.queue_depth));
-            ctx.span_annotate(span, "nodes", format!("{}", obs.nodes));
-            ctx.span_annotate(span, "decision", format!("{decision:?}"));
+            ctx.span_annotate(span, "rate", format_args!("{:.1}", obs.request_rate));
+            ctx.span_annotate(span, "shed_rate", format_args!("{:.1}", obs.shed_rate));
+            ctx.span_annotate(span, "queue_depth", format_args!("{:.1}", obs.queue_depth));
+            ctx.span_annotate(span, "nodes", obs.nodes);
+            ctx.span_annotate(span, "decision", format_args!("{decision:?}"));
             match decision {
                 ScaleDecision::Out => {
                     let cooling = last_scale_out
@@ -341,7 +341,7 @@ pub fn spawn_controlplane(
                         let nodes = cl.live_nodes() as u32;
                         drop(cl);
                         ctx.metric_incr("ctl.scale_outs");
-                        ctx.span_annotate(s, "nodes", format!("{nodes}"));
+                        ctx.span_annotate(s, "nodes", nodes);
                         ctx.span_end(s);
                         events.lock().push(CtlEvent::ScaleOut { at: now, nodes });
                         last_scale_out = Some(now);
@@ -360,8 +360,8 @@ pub fn spawn_controlplane(
                             let nodes = cl.live_nodes() as u32;
                             drop(cl);
                             ctx.metric_incr("ctl.drains");
-                            ctx.span_annotate(s, "node", format!("{idx}"));
-                            ctx.span_annotate(s, "nodes", format!("{nodes}"));
+                            ctx.span_annotate(s, "node", idx);
+                            ctx.span_annotate(s, "nodes", nodes);
                             ctx.span_end(s);
                             events.lock().push(CtlEvent::Drain { at: now, node: idx, nodes });
                             last_drain = Some(now);
@@ -391,8 +391,8 @@ pub fn spawn_controlplane(
                     let s = ctx.span_begin_under(span, "ctl.checkpoint", "ctl");
                     match ck.cp.run_once(ctx, &mut ck.cli) {
                         Ok(report) => {
-                            ctx.span_annotate(s, "objects", report.objects.to_string());
-                            ctx.span_annotate(s, "bytes", report.bytes.to_string());
+                            ctx.span_annotate(s, "objects", report.objects);
+                            ctx.span_annotate(s, "bytes", report.bytes);
                             events.lock().push(CtlEvent::Checkpoint {
                                 at: now,
                                 objects: report.objects,
@@ -401,7 +401,7 @@ pub fn spawn_controlplane(
                         }
                         Err(e) => {
                             ctx.metric_incr("ctl.checkpoint_failures");
-                            ctx.span_annotate(s, "outcome", format!("{e:?}"));
+                            ctx.span_annotate(s, "outcome", format_args!("{e:?}"));
                         }
                     }
                     ctx.span_end(s);

@@ -108,7 +108,7 @@ impl ThreadFactory {
             Err(e) => {
                 // Surface encode failures through join(), keeping start()
                 // infallible like Thread::start.
-                ctx.span_annotate(thread_span, "error", e.to_string());
+                ctx.span_annotate(thread_span, "error", &e);
                 ctx.span_end(thread_span);
                 let (tx, rx) = oneshot_in(ctx);
                 let msg = e.to_string();

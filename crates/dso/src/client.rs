@@ -107,9 +107,12 @@ impl MonotonicReads {
 
     /// Records `version` as observed for `obj` (writes and accepted reads).
     pub fn observe(&mut self, obj: &ObjectRef, version: u64) {
-        let e = self.seen.entry(obj.clone()).or_insert(0);
-        if version > *e {
-            *e = version;
+        // Updated in place: the key is cloned only the first time.
+        match self.seen.get_mut(obj) {
+            Some(seen) => *seen = (*seen).max(version),
+            None => {
+                self.seen.insert(obj.clone(), version);
+            }
         }
     }
 
@@ -247,7 +250,7 @@ impl DsoClient {
         // One logical call = one "dso.call" span; each attempt below is a
         // sibling "dso.attempt" child, so retries stay visually grouped.
         let call_span = ctx.span_begin("dso.call", "dso");
-        ctx.span_annotate(call_span, "obj", obj.to_string());
+        ctx.span_annotate(call_span, "obj", obj);
         ctx.span_annotate(call_span, "method", method);
         ctx.metric_incr("dso.invokes");
         // Client-cache fast path: a validated (or leased) earlier result.
@@ -497,7 +500,7 @@ impl DsoClient {
                 return None;
             }
             let mark = ctx.span_instant("dso.cache", "dso");
-            ctx.span_annotate(mark, "obj", obj.to_string());
+            ctx.span_annotate(mark, "obj", obj);
             ctx.span_annotate(mark, "source", "node-leased");
             ctx.metric_incr("dso.node_cache.hit");
             ctx.sleep(CACHE_HIT_COST);
@@ -519,7 +522,7 @@ impl DsoClient {
             {
                 nc.revalidate(&key, ctx.now());
                 let mark = ctx.span_instant("dso.cache", "dso");
-                ctx.span_annotate(mark, "obj", obj.to_string());
+                ctx.span_annotate(mark, "obj", obj);
                 ctx.span_annotate(mark, "source", "node-validated");
                 ctx.metric_incr("dso.node_cache.hit");
                 Some(entry.bytes)
@@ -556,7 +559,7 @@ impl DsoClient {
         // One span for the whole fan-out; per-item server executions (and
         // any fallback single calls) nest under it.
         let batch_span = ctx.span_begin("dso.batch", "dso");
-        ctx.span_annotate(batch_span, "ops", ops.len().to_string());
+        ctx.span_annotate(batch_span, "ops", ops.len());
         ctx.metric_incr("dso.batches");
         let prev_tc = ctx.set_trace_ctx(TraceCtx::under(batch_span));
         let mut results: Vec<Option<Result<Bytes, DsoError>>> = Vec::new();

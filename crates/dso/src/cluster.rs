@@ -135,12 +135,12 @@ impl DsoCluster {
         let result = crate::durability::replay(ctx, &mut cli, scan, &d);
         match &result {
             Ok(report) => {
-                ctx.span_annotate(span, "generation", report.generation.to_string());
-                ctx.span_annotate(span, "objects", report.objects.to_string());
-                ctx.span_annotate(span, "wal_segments", report.wal_segments.to_string());
-                ctx.span_annotate(span, "relist_rounds", report.relist_rounds.to_string());
+                ctx.span_annotate(span, "generation", report.generation);
+                ctx.span_annotate(span, "objects", report.objects);
+                ctx.span_annotate(span, "wal_segments", report.wal_segments);
+                ctx.span_annotate(span, "relist_rounds", report.relist_rounds);
             }
-            Err(e) => ctx.span_annotate(span, "outcome", format!("{e:?}")),
+            Err(e) => ctx.span_annotate(span, "outcome", format_args!("{e:?}")),
         }
         ctx.span_end(span);
         result.map(|report| (cluster, report))

@@ -141,9 +141,9 @@ impl Checkpointer {
         let bytes = store.put_checkpoint(ctx, &blob);
         ctx.metric_incr("dso.checkpoints");
         ctx.metric_add("dso.checkpoint_bytes", bytes as u64);
-        ctx.span_annotate(span, "seq", seq.to_string());
-        ctx.span_annotate(span, "objects", blob.objects.len().to_string());
-        ctx.span_annotate(span, "bytes", bytes.to_string());
+        ctx.span_annotate(span, "seq", seq);
+        ctx.span_annotate(span, "objects", blob.objects.len());
+        ctx.span_annotate(span, "bytes", bytes);
 
         // Garbage collection. Safe because every blob is a *full* cluster
         // snapshot: once the oldest kept blob exists, anything older — and

@@ -233,11 +233,11 @@ pub fn recover_into(
     let result = scan(ctx, d).and_then(|s| replay(ctx, cli, s, d));
     match &result {
         Ok(report) => {
-            ctx.span_annotate(span, "objects", report.objects.to_string());
-            ctx.span_annotate(span, "wal_segments", report.wal_segments.to_string());
-            ctx.span_annotate(span, "relist_rounds", report.relist_rounds.to_string());
+            ctx.span_annotate(span, "objects", report.objects);
+            ctx.span_annotate(span, "wal_segments", report.wal_segments);
+            ctx.span_annotate(span, "relist_rounds", report.relist_rounds);
         }
-        Err(e) => ctx.span_annotate(span, "outcome", format!("{e:?}")),
+        Err(e) => ctx.span_annotate(span, "outcome", format_args!("{e:?}")),
     }
     ctx.span_end(span);
     result

@@ -117,11 +117,11 @@ impl WalState {
             let seg =
                 WalSegment { gen: d.store.generation(), node: self.node, seq, coalesced, records };
             let span = ctx.span_begin("dso.wal_append", "dso");
-            ctx.span_annotate(span, "node", self.node.to_string());
-            ctx.span_annotate(span, "seq", seq.to_string());
-            ctx.span_annotate(span, "records", seg.records.len().to_string());
+            ctx.span_annotate(span, "node", self.node);
+            ctx.span_annotate(span, "seq", seq);
+            ctx.span_annotate(span, "records", seg.records.len());
             let bytes = d.store.put_segment(ctx, &seg);
-            ctx.span_annotate(span, "bytes", bytes.to_string());
+            ctx.span_annotate(span, "bytes", bytes);
             ctx.span_end(span);
             ctx.metric_incr("dso.wal_appends");
             ctx.metric_add("dso.wal_records", seg.records.len() as u64);

@@ -114,7 +114,7 @@ impl Actor for Coordinator {
             *view_id += 1;
             ctx.metric_incr("dso.view_changes");
             let mark = ctx.span_instant("dso.view_change", "dso");
-            ctx.span_annotate(mark, "view", view_id.to_string());
+            ctx.span_annotate(mark, "view", &view_id);
             let view = make_view(*view_id, members);
             for addr in members.values().map(|m| m.addr).chain(leavers) {
                 let lat = cfg.peer_net.sample(ctx.rng());

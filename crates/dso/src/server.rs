@@ -446,7 +446,7 @@ impl Serving {
                     self.draining = true;
                     ctx.metric_incr("dso.drains");
                     let mark = ctx.span_instant("dso.drain", "dso");
-                    ctx.span_annotate(mark, "node", node.to_string());
+                    ctx.span_annotate(mark, "node", node);
                     // Announce the graceful departure; the coordinator's
                     // next view excludes this node and is also pushed to
                     // it, which triggers the transfer-out + retire above.
@@ -482,7 +482,7 @@ fn handle_client_invoke(
         if !s.admit(ctx.now(), shared.inflight.load(Ordering::SeqCst)) {
             ctx.metric_incr("dso.shed");
             let mark = ctx.span_instant("dso.shed", "dso");
-            ctx.span_annotate(mark, "obj", req.obj.to_string());
+            ctx.span_annotate(mark, "obj", &req.obj);
             let lat = cfg.client_net.sample(ctx.rng());
             let resp = InvokeResp::Overloaded { retry_after: s.cfg.retry_after };
             reply_tagged(ctx, reply_to, tag, resp, lat);
@@ -505,7 +505,7 @@ fn handle_client_invoke(
         // The round span covers multicast through total-order delivery at
         // the initiating node; every replica's apply span nests under it.
         let round_span = ctx.span_begin_under(req.span, "dso.smr_round", "dso");
-        ctx.span_annotate(round_span, "obj", req.obj.to_string());
+        ctx.span_annotate(round_span, "obj", &req.obj);
         ctx.metric_incr("dso.smr_rounds");
         let op = SmrOp { req, respond_to: Some(reply_to), respond_tag: tag, round_span };
         let (_mid, actions) = skeen.multicast(placement, op);
@@ -805,8 +805,8 @@ fn execute(
     parent: SpanId,
 ) -> Executed {
     let exec_span = ctx.span_begin_under(parent, "dso.exec", "dso");
-    ctx.span_annotate(exec_span, "obj", req.obj.to_string());
-    ctx.span_annotate(exec_span, "method", req.method.to_string());
+    ctx.span_annotate(exec_span, "obj", &req.obj);
+    ctx.span_annotate(exec_span, "method", &req.method);
     if replicated {
         ctx.span_annotate(exec_span, "replicated", "true");
     }

@@ -215,7 +215,7 @@ impl FaasHandle {
             );
             let span = ctx.span_begin("faas.invoke_forked", "faas");
             ctx.span_annotate(span, "function", function);
-            ctx.span_annotate(span, "fanout", payloads.len().to_string());
+            ctx.span_annotate(span, "fanout", payloads.len());
             let results: Vec<InvokeResult> = ctx.call(
                 self.addr,
                 InvokeForked { function: function.to_string(), payloads, span },
@@ -275,7 +275,7 @@ impl FaasHandle {
         let result: InvokeResult =
             ctx.call(self.addr, InvokeFn { function: function.to_string(), payload, span }, lat);
         if let Err(e) = &result {
-            ctx.span_annotate(span, "error", e.to_string());
+            ctx.span_annotate(span, "error", e);
         }
         ctx.span_end(span);
         result
@@ -868,7 +868,7 @@ fn branch_run(
     ctx.set_trace_ctx(TraceCtx::under(span));
     let fork_span = ctx.span_begin("faas.fork", "faas");
     ctx.span_annotate(fork_span, "function", &function);
-    ctx.span_annotate(fork_span, "branch", index.to_string());
+    ctx.span_annotate(fork_span, "branch", index);
     ctx.sleep(delay);
     ctx.span_end(fork_span);
     record_start(ctx, StartKind::Fork, delay);

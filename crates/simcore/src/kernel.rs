@@ -1433,8 +1433,9 @@ impl Ctx {
         }
     }
 
-    /// Attaches a `key = value` annotation to a span.
-    pub fn span_annotate(&self, id: SpanId, key: &str, value: impl Into<String>) {
+    /// Attaches a `key = value` annotation to a span. `value` is formatted
+    /// only when a tracer holds the span, so an untraced run pays nothing.
+    pub fn span_annotate(&self, id: SpanId, key: &str, value: impl fmt::Display) {
         if id.is_none() {
             return;
         }

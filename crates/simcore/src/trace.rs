@@ -281,12 +281,12 @@ impl Tracer {
 
     /// Attaches a `key = value` annotation to a span (no-op for
     /// [`SpanId::NONE`] or unknown ids). The key is interned; the value is
-    /// stored as given.
-    pub fn annotate(&self, id: SpanId, key: &str, value: impl Into<String>) {
+    /// formatted only when the span is found.
+    pub fn annotate(&self, id: SpanId, key: &str, value: impl fmt::Display) {
         let mut g = self.inner.lock();
         let key = g.symbols.intern(key);
         if let Some(rec) = g.get_mut(id) {
-            rec.args.push((key, value.into()));
+            rec.args.push((key, value.to_string()));
         }
     }
 
