@@ -701,6 +701,8 @@ struct LocalState {
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
 
     fn tiny_cfg() -> KMeansConfig {
@@ -718,6 +720,111 @@ mod tests {
         }
     }
 
+    /// SSE per iteration of [`tiny_cfg`] on each substrate, as `to_bits()`,
+    /// recorded with the one-chain-per-centroid assignment loop (now
+    /// [`assign_partials_reference`]). The local VM folds its workers'
+    /// partials in another order than the DSO, hence its last bit in
+    /// iteration 1; Spark's series is evaluated after each update.
+    const CRUCIAL_SSE_BITS: [u64; 3] =
+        [0x40f8_44a0_51f9_9633, 0x40da_1068_7be2_cd0c, 0x40d5_0417_8f8f_66b2];
+    const SPARK_SSE_BITS: [u64; 3] =
+        [0x40da_1068_7be2_cd0d, 0x40d5_0417_8f8f_66b2, 0x40d5_0417_8f8f_66b2];
+    const LOCAL_SSE_BITS: [u64; 3] =
+        [0x40f8_44a0_51f9_9634, 0x40da_1068_7be2_cd0c, 0x40d5_0417_8f8f_66b2];
+
+    /// The bit patterns of `xs`, so that float results compare exactly
+    /// (`-0.0` and `0.0` differ).
+    fn bits<'a>(xs: impl IntoIterator<Item = &'a f64>) -> Vec<u64> {
+        xs.into_iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// The assignment pass as it was first written, verbatim: one `.sum()`
+    /// chain per (point, centroid) pair, centroids compared in index order.
+    /// [`assign_partials`] must return the same bits.
+    fn assign_partials_reference(
+        points: &[Vec<f64>],
+        centroids: &[Vec<f64>],
+    ) -> (Vec<Vec<f64>>, Vec<u64>, f64) {
+        let k = centroids.len();
+        let dims = centroids.first().map_or(0, Vec::len);
+        let mut sums = vec![vec![0.0; dims]; k];
+        let mut counts = vec![0u64; k];
+        let mut sse = 0.0;
+        for p in points {
+            let mut best = 0usize;
+            let mut best_d2 = f64::INFINITY;
+            for (c, centre) in centroids.iter().enumerate() {
+                let d2: f64 = centre.iter().zip(p).map(|(a, b)| (a - b) * (a - b)).sum();
+                if d2 < best_d2 {
+                    best_d2 = d2;
+                    best = c;
+                }
+            }
+            for (s, x) in sums[best].iter_mut().zip(p) {
+                *s += x;
+            }
+            counts[best] += 1;
+            sse += best_d2;
+        }
+        (sums, counts, sse)
+    }
+
+    /// Asserts that `assign_partials` and the reference agree bit for bit.
+    fn assert_matches_reference(
+        points: &[Vec<f64>],
+        centroids: &[Vec<f64>],
+    ) -> Result<(), proptest::test_runner::TestCaseError> {
+        let (sums, counts, sse) = assign_partials(points, centroids);
+        let (ref_sums, ref_counts, ref_sse) = assign_partials_reference(points, centroids);
+        prop_assert_eq!(counts, ref_counts);
+        prop_assert_eq!(sse.to_bits(), ref_sse.to_bits());
+        prop_assert_eq!(sums.len(), ref_sums.len());
+        prop_assert_eq!(bits(sums.iter().flatten()), bits(ref_sums.iter().flatten()));
+        Ok(())
+    }
+
+    /// Most dimensions and points a case draws; the pool holds one row of
+    /// `MAX_DIMS` coordinates per centroid and per point.
+    const MAX_DIMS: usize = 130;
+    const MAX_K: usize = 40;
+    const MAX_POINTS: usize = 40;
+
+    /// One case's coordinate pool: small integers, which make distances
+    /// tie exactly, or arbitrary finite values.
+    fn coordinate_pool() -> impl Strategy<Value = Vec<f64>> {
+        let n = (MAX_K + MAX_POINTS) * MAX_DIMS;
+        prop_oneof![
+            proptest::collection::vec((-3i32..=3).prop_map(f64::from), n..n + 1),
+            proptest::collection::vec(any::<f64>(), n..n + 1),
+        ]
+    }
+
+    proptest! {
+        #[test]
+        fn assignment_matches_the_one_chain_reference(
+            (k, dims, n, period) in (1..=MAX_K, 0..=MAX_DIMS, 0..=MAX_POINTS, 1..=MAX_K),
+            pool in coordinate_pool(),
+        ) {
+            let rows: Vec<Vec<f64>> =
+                pool.chunks_exact(MAX_DIMS).map(|row| row[..dims].to_vec()).collect();
+            // Centroid `c` repeats centroid `c % period`: duplicates tie
+            // exactly, within a block of lanes and across blocks.
+            let centroids: Vec<Vec<f64>> = (0..k).map(|c| rows[c % period].clone()).collect();
+            let points = &rows[MAX_K..MAX_K + n];
+            assert_matches_reference(points, &centroids)?;
+        }
+    }
+
+    #[test]
+    fn no_dimensions_assigns_every_point_to_centroid_zero() {
+        let points = vec![Vec::new(); 3];
+        let centroids = vec![Vec::new(); 6];
+        let (_, counts, sse) = assign_partials(&points, &centroids);
+        assert_eq!(counts, vec![3, 0, 0, 0, 0, 0]);
+        assert_eq!(sse.to_bits(), 0.0f64.to_bits());
+        assert_matches_reference(&points, &centroids).expect("same bits as the reference");
+    }
+
     #[test]
     fn assign_partials_matches_hand_example() {
         let points = vec![vec![0.0, 0.0], vec![0.2, 0.0], vec![10.0, 10.0]];
@@ -732,7 +839,7 @@ mod tests {
     #[test]
     fn sse_decreases_monotonically_on_crucial() {
         let report = run_crucial_kmeans(&tiny_cfg());
-        assert_eq!(report.sse_per_iteration.len(), 3);
+        assert_eq!(bits(&report.sse_per_iteration), CRUCIAL_SSE_BITS);
         for w in report.sse_per_iteration.windows(2) {
             assert!(
                 w[1] <= w[0] * 1.0001,
@@ -749,6 +856,8 @@ mod tests {
     fn spark_and_crucial_converge_to_similar_sse() {
         let crucial = run_crucial_kmeans(&tiny_cfg());
         let spark = run_spark_kmeans(&tiny_cfg());
+        assert_eq!(bits(&crucial.sse_per_iteration), CRUCIAL_SSE_BITS);
+        assert_eq!(bits(&spark.sse_per_iteration), SPARK_SSE_BITS);
         let a = *crucial.sse_per_iteration.last().expect("iterations ran");
         let b = *spark.sse_per_iteration.last().expect("iterations ran");
         // Same data, same algorithm, same initial centroids: the final SSE
@@ -800,7 +909,7 @@ mod tests {
     #[test]
     fn local_vm_runs_and_converges() {
         let report = run_local_kmeans(&tiny_cfg(), 8);
-        assert_eq!(report.sse_per_iteration.len(), 3);
+        assert_eq!(bits(&report.sse_per_iteration), LOCAL_SSE_BITS);
         for w in report.sse_per_iteration.windows(2) {
             assert!(w[1] <= w[0] * 1.0001);
         }
