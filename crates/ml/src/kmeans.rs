@@ -24,25 +24,67 @@ use crate::objects::{
 // Core math
 // ---------------------------------------------------------------------------
 
+/// Centroids whose distances one pass of the inner loop computes together.
+const LANES: usize = 4;
+
 /// One assignment pass: per-cluster coordinate sums, per-cluster counts,
-/// and the within-cluster sum of squared errors.
+/// and the within-cluster sum of squared errors. Each point goes to its
+/// nearest centroid, the lowest index among equals.
+///
+/// **Layout.** The centroids are packed once per call into blocks of four
+/// (`LANES`), each block dimension-major:
+/// `packed[(b·dims + d)·LANES + j] = centroids[LANES·b + j][d]`. The lanes
+/// past the last centroid hold `+∞`. For each point and block the loop
+/// keeps one running sum per lane and adds `(row[j] − x)²` for every
+/// dimension: four independent chains in place of one chain per centroid
+/// that waits on its previous add, which the compiler turns into vector
+/// arithmetic on any x86-64 without reassociating a sum.
+///
+/// **Same bits as one `.sum()` per centroid.** Each lane adds exactly the
+/// terms a per-centroid `.sum()` adds, in the same order. It starts from
+/// `0.0` where std's float sum may start from `−0.0`, which gives the same
+/// bits for every term a square can be. The lanes are then compared in
+/// centroid order with the same strict `<`, so the first minimum still
+/// wins, and a `+∞` pad never compares less than anything. With no
+/// dimensions every distance is `0.0` and centroid 0 wins. The sums,
+/// counts and SSE are therefore the bits the per-centroid loop returns
+/// (`kmeans::tests` holds the two to that on random inputs).
 pub fn assign_partials(
     points: &[Vec<f64>],
     centroids: &[Vec<f64>],
 ) -> (Vec<Vec<f64>>, Vec<u64>, f64) {
     let k = centroids.len();
     let dims = centroids.first().map_or(0, Vec::len);
+    let block_len = dims * LANES;
+    let blocks = k.div_ceil(LANES);
+    let mut packed = vec![f64::INFINITY; blocks * block_len];
+    for (c, centre) in centroids.iter().enumerate() {
+        let block = &mut packed[c / LANES * block_len..][..block_len];
+        for (row, &v) in block.as_chunks_mut::<LANES>().0.iter_mut().zip(centre) {
+            row[c % LANES] = v;
+        }
+    }
     let mut sums = vec![vec![0.0; dims]; k];
     let mut counts = vec![0u64; k];
     let mut sse = 0.0;
     for p in points {
         let mut best = 0usize;
         let mut best_d2 = f64::INFINITY;
-        for (c, centre) in centroids.iter().enumerate() {
-            let d2: f64 = centre.iter().zip(p).map(|(a, b)| (a - b) * (a - b)).sum();
-            if d2 < best_d2 {
-                best_d2 = d2;
-                best = c;
+        // By index, not by chunk: with no dimensions the blocks are empty
+        // and still have to be compared.
+        for b in 0..blocks {
+            let block = &packed[b * block_len..][..block_len];
+            let mut acc = [0.0; LANES];
+            for (row, &x) in block.as_chunks::<LANES>().0.iter().zip(p) {
+                for (a, &c) in acc.iter_mut().zip(row) {
+                    *a += (c - x) * (c - x);
+                }
+            }
+            for (j, &d2) in acc.iter().enumerate() {
+                if d2 < best_d2 {
+                    best_d2 = d2;
+                    best = b * LANES + j;
+                }
             }
         }
         for (s, x) in sums[best].iter_mut().zip(p) {
