@@ -131,7 +131,9 @@ pub struct KMeansConfig {
     /// Dimensions (kept at the paper's 100 so shared-state payloads are
     /// paper-sized).
     pub dims: usize,
-    /// Paper-scale dataset for the cost model.
+    /// Paper-scale dataset for the cost model. Each worker processes one
+    /// partition of it, so the total input grows with the worker count —
+    /// Fig. 3's scale-up setup.
     pub scale: DatasetScale,
     /// Whether to model loading the input from the object store.
     pub include_load: bool,
@@ -155,15 +157,6 @@ impl Default for KMeansConfig {
             dso_nodes: 1,
             memory_mb: 2048,
         }
-    }
-}
-
-impl KMeansConfig {
-    /// The per-worker share of the dataset. Each worker processes one
-    /// partition of `scale`, so the total input grows with the worker
-    /// count — exactly the Fig. 3 scale-up setup.
-    fn scale_for(&self) -> DatasetScale {
-        self.scale
     }
 }
 
@@ -208,7 +201,7 @@ pub struct KMeansWorker {
 
 impl Runnable for KMeansWorker {
     fn run(&mut self, env: &mut FnEnv<'_, '_>) -> RunResult {
-        let scale = self.cfg.scale_for();
+        let scale = self.cfg.scale;
         // loadDatasetFragment(): S3 fetch + parse of this worker's share.
         if self.cfg.include_load {
             env.compute(partition_load_cost(&scale));
@@ -348,7 +341,7 @@ pub fn spark_kmeans_cost_model() -> SparkCostModel {
 /// Runs the MLlib-style k-means baseline on the mini-Spark cluster.
 pub fn run_spark_kmeans(cfg: &KMeansConfig) -> KMeansReport {
     let mut sim = Sim::new(cfg.seed);
-    let scale = cfg.scale_for();
+    let scale = cfg.scale;
     let registry = TaskRegistry::new();
     {
         let k = cfg.k;
@@ -517,7 +510,7 @@ pub fn kmeans_redis_scripts() -> ScriptRegistry {
 
 impl Runnable for KMeansRedisWorker {
     fn run(&mut self, env: &mut FnEnv<'_, '_>) -> RunResult {
-        let scale = self.cfg.scale_for();
+        let scale = self.cfg.scale;
         if self.cfg.include_load {
             env.compute(partition_load_cost(&scale));
         }
