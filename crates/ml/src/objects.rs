@@ -88,12 +88,15 @@ impl GlobalCentroids {
     ///
     /// # Errors
     ///
-    /// Fails when the initial centroids do not match `k × dims`.
+    /// Fails when the initial centroids do not match `k × dims`, or when
+    /// that product does not fit in a `usize`.
     pub fn new_init(init: CentroidsInit) -> Result<GlobalCentroids, ObjectError> {
-        if init.initial.len() != (init.k * init.dims) as usize {
+        let values = (init.k as usize).checked_mul(init.dims as usize);
+        if values != Some(init.initial.len()) {
             return Err(ObjectError::BadState(format!(
-                "initial centroids: expected {} values, got {}",
-                init.k * init.dims,
+                "initial centroids: expected {} × {} values, got {}",
+                init.k,
+                init.dims,
                 init.initial.len()
             )));
         }
@@ -381,6 +384,15 @@ mod tests {
         let _: u64 = call(o.as_mut(), "update", &(vec![20.0, 0.0], vec![2u64, 0u64]));
         let (_, flat): (u64, Vec<f64>) = call(o.as_mut(), "read", &());
         assert_eq!(flat, vec![10.0, 9.0], "empty cluster 1 keeps its position");
+    }
+
+    #[test]
+    fn centroids_init_whose_size_overflows_u32_is_rejected() {
+        // 65 536 × 65 536 is 2^32: a `u32` product wraps to 0 and would
+        // accept these empty centroids with 65 536 counts.
+        let init = CentroidsInit { k: 65_536, dims: 65_536, workers: 1, initial: Vec::new() };
+        let created = GlobalCentroids::factory(&crucial::codec::to_bytes(&init).expect("encode"));
+        assert!(matches!(created, Err(ObjectError::BadState(_))));
     }
 
     #[test]
