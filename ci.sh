@@ -58,7 +58,12 @@ cargo run --release -q -p simcheck --bin tracecheck -- results/trace-elastic.chr
 #                       children runs on exactly 2 OS threads (a thread per
 #                       process fails); a 1 KB Vec<u8> codec round trip
 #                       costs <= 3x a Bytes one (~1x; coding it one element
-#                       at a time fails). Host time: no BENCH file.
+#                       at a time fails); Fig 5's k-means assignment pass
+#                       (200 points x 100 dims, k = 25) runs >= 1.3x the
+#                       distance terms/sec of a yardstick with one chain of
+#                       adds per distance, and returns its bits (~1.8x;
+#                       one chain per distance fails). Host time: no BENCH
+#                       file.
 #   coldstart           classic vs snapshot-restore elastic runs plus the
 #                       fork fan-out microbench; self-asserts the tier
 #                       mechanics, then: a restore collapses the classic

@@ -1,8 +1,9 @@
 //! `kernel-bench` — what a thread handoff costs next to an inline actor
-//! wake-up, what a spawn costs, and what a payload costs to encode, gated
-//! in CI.
+//! wake-up, what a spawn costs, what a payload costs to encode, and what
+//! the k-means object method costs, gated in CI.
 //!
-//! Four sections, the same ring twice, a spawn loop and a codec loop:
+//! Five sections, the same ring twice, a spawn loop, a codec loop and a
+//! k-means assignment loop:
 //!
 //! 1. **ping_ring** — message passing on threads: a hop-countdown token
 //!    circulating a ring of processes, one delivery event per hop.
@@ -15,17 +16,25 @@
 //! 4. **codec_bytes** — Table 2's 1 KB value encoded and decoded through
 //!    [`simcore::codec`], once as a `Vec<u8>` and once as a `Bytes`: the
 //!    two have the same bytes on the wire, so they should cost alike.
+//! 5. **kmeans_assign** — Fig. 5's assignment pass (200 points of 100
+//!    dimensions against k = 25 centroids) through
+//!    [`crucial_ml::kmeans::assign_partials`], and through a yardstick
+//!    written here that computes each distance as one chain of adds, the
+//!    way the pass was first written: the two return the same bits, and
+//!    the ratio is what computing four centroids at once buys.
 //!
 //! Each section is wall-clock timed (the one legitimate use of host time
 //! in the workspace: measuring the simulator itself) and reports kernel
 //! events/sec, computed from [`simcore::EventQueueStats`] — total pushes
 //! (fresh allocations + free-list recycles) minus events still pending —
-//! and its ops (hops, spawns or round trips) per second; the codec loop
-//! runs no kernel and keeps its fastest batch. [`check`] holds two
-//! relations — `actor_ring` runs at least 3x `ping_ring`'s events/sec, and
-//! a `Vec<u8>` round trip costs at most 3x a `Bytes` one — a floor under
-//! the single-threaded actor ring, and a count: `spawn_churn` runs on two
-//! OS threads however many children it spawns. The thread ring and the
+//! and its ops (hops, spawns, round trips or distance terms) per second;
+//! the codec and k-means loops run no kernel and keep their fastest batch.
+//! [`check`] holds three relations — `actor_ring` runs at least 3x
+//! `ping_ring`'s events/sec, a `Vec<u8>` round trip costs at most 3x a
+//! `Bytes` one, and the assignment pass runs at least 1.3x the yardstick's
+//! distance terms/sec — a floor under the single-threaded actor ring, and
+//! a count: `spawn_churn` runs on two OS threads however many children it
+//! spawns. The thread ring and the
 //! spawn loop keep no host-time floor: their rates are the host
 //! scheduler's, and the wheel, the handoff and the DSO path are measured
 //! pinned and repeated by the acceptance benchmark (`BENCHMARK.json`).
@@ -34,6 +43,8 @@ use std::hint::black_box;
 use std::time::Duration;
 
 use bytes::Bytes;
+use crucial_ml::datagen::kmeans_partition;
+use crucial_ml::kmeans::{assign_partials, initial_centroids};
 use simcore::codec::{self, Wire};
 use simcore::{Actor, Addr, Ctx, Msg, Sim, Wait, Wake};
 
@@ -45,8 +56,8 @@ use crate::report::{fmt_dur, Table};
 pub struct Section {
     /// Section name.
     pub name: &'static str,
-    /// What an op is: `"hops"` of the token, `"spawns"`, or codec
-    /// `"round trips"`.
+    /// What an op is: `"hops"` of the token, `"spawns"`, codec
+    /// `"round trips"`, or k-means `"distance terms"`.
     pub op: &'static str,
     /// Ops made.
     pub ops: u64,
@@ -83,6 +94,10 @@ pub struct KernelBenchReport {
     pub codec_vec: Section,
     /// The same round trips as a `Bytes`.
     pub codec_bytes: Section,
+    /// Fig. 5's assignment pass through [`assign_partials`].
+    pub kmeans_assign: Section,
+    /// The same pass, one chain of adds per distance.
+    pub kmeans_yardstick: Section,
 }
 
 /// `actor_ring` must run at least this many times `ping_ring`'s
@@ -102,6 +117,11 @@ const SPAWN_CHURN_THREADS: u64 = 2;
 /// Both are one count and one block copy each way (~1x); a `Vec<u8>` coded
 /// one `Wire` call per byte costs ~20x.
 const CODEC_VEC_OVER_BYTES: f64 = 3.0;
+
+/// The assignment pass must run at least this many times the yardstick's
+/// distance terms/sec. Four centroids at once run ~1.7x; one chain of adds
+/// per distance, which is what the yardstick computes, runs ~1x.
+const KMEANS_OVER_YARDSTICK: f64 = 1.3;
 
 /// The claims `kernel-bench` holds; `Err` names the first broken one.
 pub fn check(r: &KernelBenchReport) -> Result<(), String> {
@@ -130,6 +150,13 @@ pub fn check(r: &KernelBenchReport) -> Result<(), String> {
         "codec_bytes: a 1 KB Vec<u8> round trip ({vec:.0}/s) costs more than \
          {CODEC_VEC_OVER_BYTES}x a Bytes one ({bytes:.0}/s) — scalar sequences stopped \
          crossing the wire as one block"
+    );
+    let (kmeans, yardstick) = (r.kmeans_assign.ops_per_s(), r.kmeans_yardstick.ops_per_s());
+    claim!(
+        kmeans >= yardstick * KMEANS_OVER_YARDSTICK,
+        "kmeans_assign: the assignment pass ({kmeans:.0} distance terms/s) is not at least \
+         {KMEANS_OVER_YARDSTICK}x the one-chain yardstick ({yardstick:.0}) — its distances \
+         stopped being computed four centroids at once"
     );
     Ok(())
 }
@@ -263,23 +290,24 @@ fn spawn_churn(scale: Scale) -> Section {
     Section { name: "spawn_churn", op: "spawns", ops: spawns, events, threads, elapsed }
 }
 
-/// Timed batches per codec measurement; the fastest counts, so a
-/// preemption inside one batch does not reach the claim.
-const CODEC_BATCHES: usize = 5;
+/// Timed batches per codec or k-means measurement; the fastest counts, so
+/// a preemption inside one batch does not reach the claim.
+const BATCHES: usize = 5;
+
+/// Host time of the fastest of [`BATCHES`] runs of `batch`.
+fn fastest_batch(mut batch: impl FnMut()) -> Duration {
+    (0..BATCHES).map(|_| timed(&mut batch).1).min().unwrap_or_default()
+}
 
 /// Encodes and decodes `payload` `trips` times per batch; the section's
 /// time is the fastest batch's.
 fn codec_round_trips<T: Wire>(name: &'static str, payload: &T, trips: u64) -> Section {
-    let batch = || {
-        let ((), elapsed) = timed(|| {
-            for _ in 0..trips {
-                let bytes = codec::to_bytes(black_box(payload)).expect("every value encodes");
-                black_box(codec::from_bytes::<T>(&bytes).expect("its own encoding decodes"));
-            }
-        });
-        elapsed
-    };
-    let elapsed = (0..CODEC_BATCHES).map(|_| batch()).min().unwrap_or_default();
+    let elapsed = fastest_batch(|| {
+        for _ in 0..trips {
+            let bytes = codec::to_bytes(black_box(payload)).expect("every value encodes");
+            black_box(codec::from_bytes::<T>(&bytes).expect("its own encoding decodes"));
+        }
+    });
     Section { name, op: "round trips", ops: trips, events: 0, threads: 0, elapsed }
 }
 
@@ -292,23 +320,97 @@ fn codec_bytes(scale: Scale) -> (Section, Section) {
     (vec, bytes)
 }
 
+/// The yardstick for [`assign_partials`]: the same pass over row-major
+/// centroids, each distance one `.sum()` chain that waits on its previous
+/// add.
+fn assign_one_chain(points: &[Vec<f64>], centroids: &[Vec<f64>]) -> (Vec<Vec<f64>>, Vec<u64>, f64) {
+    let dims = centroids.first().map_or(0, Vec::len);
+    let mut sums = vec![vec![0.0; dims]; centroids.len()];
+    let mut counts = vec![0u64; centroids.len()];
+    let mut sse = 0.0;
+    for p in points {
+        let (mut best, mut best_d2) = (0, f64::INFINITY);
+        for (c, centre) in centroids.iter().enumerate() {
+            let d2: f64 = centre.iter().zip(p).map(|(a, b)| (a - b) * (a - b)).sum();
+            if d2 < best_d2 {
+                (best, best_d2) = (c, d2);
+            }
+        }
+        for (s, x) in sums[best].iter_mut().zip(p) {
+            *s += x;
+        }
+        counts[best] += 1;
+        sse += best_d2;
+    }
+    (sums, counts, sse)
+}
+
+/// Fig. 5's shape: one worker's sample points, their dimensions, and k.
+const KMEANS_POINTS: usize = 200;
+const KMEANS_DIMS: usize = 100;
+const KMEANS_K: u32 = 25;
+
+/// Fig. 5's assignment pass through [`assign_partials`] and through the
+/// yardstick, after checking that the two return the same bits.
+fn kmeans_assign(scale: Scale) -> (Section, Section) {
+    type Pass = fn(&[Vec<f64>], &[Vec<f64>]) -> (Vec<Vec<f64>>, Vec<u64>, f64);
+    let seed = 1;
+    let points = kmeans_partition(seed, 0, KMEANS_POINTS, KMEANS_DIMS, KMEANS_K as usize).points;
+    let centroids = initial_centroids(seed, KMEANS_K, KMEANS_DIMS);
+    let bits = |(sums, counts, sse): (Vec<Vec<f64>>, Vec<u64>, f64)| {
+        let sums: Vec<u64> = sums.iter().flatten().map(|x| x.to_bits()).collect();
+        (sums, counts, sse.to_bits())
+    };
+    assert_eq!(
+        bits(assign_partials(&points, &centroids)),
+        bits(assign_one_chain(&points, &centroids)),
+        "kmeans_assign: the assignment pass and its yardstick disagree"
+    );
+    let calls = scale.pick(50, 500);
+    let terms = calls * (KMEANS_POINTS * KMEANS_DIMS) as u64 * u64::from(KMEANS_K);
+    let section = |name, pass: Pass| {
+        let elapsed = fastest_batch(|| {
+            for _ in 0..calls {
+                black_box(pass(black_box(&points), black_box(&centroids)));
+            }
+        });
+        Section { name, op: "distance terms", ops: terms, events: 0, threads: 0, elapsed }
+    };
+    (
+        section("kmeans_assign", assign_partials),
+        section("kmeans_assign (yardstick)", assign_one_chain),
+    )
+}
+
 /// Runs every section, holds the claims, renders the table.
 pub fn kernel_bench(scale: Scale) -> Table {
     let (codec_vec, codec_bytes) = codec_bytes(scale);
+    let (kmeans_assign, kmeans_yardstick) = kmeans_assign(scale);
     let report = KernelBenchReport {
         ping_ring: ping_ring(scale),
         actor_ring: actor_ring(scale),
         spawn_churn: spawn_churn(scale),
         codec_vec,
         codec_bytes,
+        kmeans_assign,
+        kmeans_yardstick,
     };
     check(&report).unwrap_or_else(|broken| panic!("kernel-bench: {broken}"));
     let mut t = Table::new(
-        "kernel-bench — one ring on threads and on actors, a spawn loop and a codec loop",
+        "kernel-bench — one ring on threads and on actors, a spawn loop, a codec loop and a \
+         k-means loop",
         &["Section", "Ops", "Kernel events", "OS threads", "Wall time", "Events/sec", "Ops/sec"],
     );
-    let sections = [&report.ping_ring, &report.actor_ring, &report.spawn_churn];
-    for s in sections.into_iter().chain([&report.codec_vec, &report.codec_bytes]) {
+    let sections = [
+        &report.ping_ring,
+        &report.actor_ring,
+        &report.spawn_churn,
+        &report.codec_vec,
+        &report.codec_bytes,
+        &report.kmeans_assign,
+        &report.kmeans_yardstick,
+    ];
+    for s in sections {
         t.row(&[
             s.name.into(),
             format!("{} {}", s.ops, s.op),
@@ -327,9 +429,16 @@ mod tests {
     use super::*;
 
     /// A report with the two rings at the given events/sec, 4 000 spawns
-    /// on `churn_threads` OS threads, and codec round trips at 1 M/s as
-    /// `Bytes` and `codec_vec` per second as `Vec<u8>`.
-    fn report(ping: u64, actors: u64, churn_threads: u64, codec_vec: u64) -> KernelBenchReport {
+    /// on `churn_threads` OS threads, codec round trips at 1 M/s as
+    /// `Bytes` and `codec_vec` per second as `Vec<u8>`, and the k-means
+    /// yardstick at 100 M distance terms/s against `kmeans` for the pass.
+    fn report(
+        ping: u64,
+        actors: u64,
+        churn_threads: u64,
+        codec_vec: u64,
+        kmeans: u64,
+    ) -> KernelBenchReport {
         let section = |name, op, ops, threads| Section {
             name,
             op,
@@ -344,25 +453,38 @@ mod tests {
             spawn_churn: section("spawn_churn", "spawns", 4_000, churn_threads),
             codec_vec: section("codec_bytes (Vec<u8>)", "round trips", codec_vec, 0),
             codec_bytes: section("codec_bytes (Bytes)", "round trips", 1_000_000, 0),
+            kmeans_assign: section("kmeans_assign", "distance terms", kmeans, 0),
+            kmeans_yardstick: section(
+                "kmeans_assign (yardstick)",
+                "distance terms",
+                100_000_000,
+                0,
+            ),
         }
     }
 
     #[test]
     fn check_holds_each_claim() {
-        assert_eq!(check(&report(550_000, 4_600_000, 2, 1_000_000)), Ok(()));
+        let k = 170_000_000;
+        assert_eq!(check(&report(550_000, 4_600_000, 2, 1_000_000, k)), Ok(()));
         // The thread ring keeps no floor of its own: a slow host passes.
-        assert_eq!(check(&report(5_000, 4_600_000, 2, 1_000_000)), Ok(()));
-        let err = check(&report(2_000_000, 4_600_000, 2, 1_000_000)).unwrap_err();
+        assert_eq!(check(&report(5_000, 4_600_000, 2, 1_000_000, k)), Ok(()));
+        let err = check(&report(2_000_000, 4_600_000, 2, 1_000_000, k)).unwrap_err();
         assert!(err.contains("not at least 3x ping_ring"), "{err}");
-        let err = check(&report(10_000, 200_000, 2, 1_000_000)).unwrap_err();
+        let err = check(&report(10_000, 200_000, 2, 1_000_000, k)).unwrap_err();
         assert!(err.contains("below the 300000 floor"), "{err}");
         // A thread per process: the parent's plus one per child.
-        let err = check(&report(550_000, 4_600_000, 4_001, 1_000_000)).unwrap_err();
+        let err = check(&report(550_000, 4_600_000, 4_001, 1_000_000, k)).unwrap_err();
         assert!(err.contains("started 4001 OS threads for 4000 sequential spawns"), "{err}");
         // A Vec<u8> at exactly a third of Bytes' rate still passes; one
         // `Wire` call per byte (~20x) does not.
-        assert_eq!(check(&report(550_000, 4_600_000, 2, 333_334)), Ok(()));
-        let err = check(&report(550_000, 4_600_000, 2, 50_000)).unwrap_err();
+        assert_eq!(check(&report(550_000, 4_600_000, 2, 333_334, k)), Ok(()));
+        let err = check(&report(550_000, 4_600_000, 2, 50_000, k)).unwrap_err();
         assert!(err.contains("costs more than 3x a Bytes one"), "{err}");
+        // The pass at exactly 1.3x the yardstick still passes; one chain
+        // per distance (~1x) does not.
+        assert_eq!(check(&report(550_000, 4_600_000, 2, 1_000_000, 130_000_000)), Ok(()));
+        let err = check(&report(550_000, 4_600_000, 2, 1_000_000, 100_000_000)).unwrap_err();
+        assert!(err.contains("is not at least 1.3x the one-chain yardstick"), "{err}");
     }
 }
