@@ -61,7 +61,7 @@ cargo run --release -q -p simcheck --bin tracecheck -- results/trace-elastic.chr
 #                       at a time fails); Fig 5's k-means assignment pass
 #                       (200 points x 100 dims, k = 25) runs >= 1.3x the
 #                       distance terms/sec of a yardstick with one chain of
-#                       adds per distance, and returns its bits (~1.8x;
+#                       adds per distance, and returns its bits (~1.7-1.8x;
 #                       one chain per distance fails). Host time: no BENCH
 #                       file.
 #   coldstart           classic vs snapshot-restore elastic runs plus the

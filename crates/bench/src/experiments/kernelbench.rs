@@ -34,10 +34,10 @@
 //! `Bytes` one, and the assignment pass runs at least 1.3x the yardstick's
 //! distance terms/sec — a floor under the single-threaded actor ring, and
 //! a count: `spawn_churn` runs on two OS threads however many children it
-//! spawns. The thread ring and the
-//! spawn loop keep no host-time floor: their rates are the host
-//! scheduler's, and the wheel, the handoff and the DSO path are measured
-//! pinned and repeated by the acceptance benchmark (`BENCHMARK.json`).
+//! spawns. The thread ring and the spawn loop keep no host-time floor:
+//! their rates are the host scheduler's, and the wheel, the handoff and
+//! the DSO path are measured pinned and repeated by the acceptance
+//! benchmark (`BENCHMARK.json`).
 
 use std::hint::black_box;
 use std::time::Duration;
@@ -119,7 +119,7 @@ const SPAWN_CHURN_THREADS: u64 = 2;
 const CODEC_VEC_OVER_BYTES: f64 = 3.0;
 
 /// The assignment pass must run at least this many times the yardstick's
-/// distance terms/sec. Four centroids at once run ~1.7x; one chain of adds
+/// distance terms/sec. Four centroids at once run ~1.7–1.8x; one chain of adds
 /// per distance, which is what the yardstick computes, runs ~1x.
 const KMEANS_OVER_YARDSTICK: f64 = 1.3;
 
