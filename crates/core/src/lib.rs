@@ -97,7 +97,7 @@ pub use controlplane::{
     ScaleDecision, ScalingPolicy, StepScaling, TargetTracking,
 };
 pub use dso::{
-    costs, dispatch, shared_object, AdmissionConfig, BatchOp, CallCtx, ConsistencyMode, DsoClient,
+    costs, dispatch, shared_object, AdmissionConfig, CallCtx, ConsistencyMode, DsoClient,
     DsoClientHandle, DsoCluster, DsoConfig, DsoConfigBuilder, DsoConfigError, DsoError, Effects,
     ObjectError, ObjectRef, ObjectRegistry, Reply, SharedObject, Ticket,
 };

@@ -24,9 +24,8 @@ use bytes::Bytes;
 use simcore::codec::Wire;
 use simcore::Ctx;
 
-use crate::client::{BatchOp, DsoClient};
+use crate::client::DsoClient;
 use crate::error::{DsoError, ObjectError};
-use crate::intern::intern;
 use crate::object::{Access, ObjectRef};
 use crate::objects::{self, future, list, map, Encoded};
 
@@ -91,37 +90,6 @@ impl RawHandle {
         let create = Some(self.create_args.clone());
         let out = cli.invoke(ctx, &self.obj, method, args, self.rf, create, access)?;
         decode(&out)
-    }
-
-    /// Builds a mutating [`BatchOp`] for [`DsoClient::invoke_batch`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `args` cannot be encoded.
-    pub fn op<A: Wire>(&self, method: &str, args: &A) -> BatchOp {
-        self.make_op(method, args, false)
-    }
-
-    /// Builds a *read-only* [`BatchOp`] for [`DsoClient::invoke_batch`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `args` cannot be encoded.
-    pub fn read_op<A: Wire>(&self, method: &str, args: &A) -> BatchOp {
-        self.make_op(method, args, true)
-    }
-
-    fn make_op<A: Wire>(&self, method: &str, args: &A, readonly: bool) -> BatchOp {
-        BatchOp {
-            obj: self.obj.clone(),
-            method: intern(method),
-            // invariant: the codec encodes every `Wire` type (documented
-            // to panic in `op`/`read_op` otherwise).
-            args: simcore::codec::to_bytes(args).expect("batch args encode").into(),
-            rf: self.rf,
-            create: Some(self.create_args.clone()),
-            readonly,
-        }
     }
 }
 

@@ -1,7 +1,7 @@
 //! The client side of the DSO layer: view discovery, read/write routing,
 //! retries with backoff, the read fast path (replica reads, version-validated
-//! caching, monotonic-read enforcement), batched invocation, and the raw
-//! `invoke` used by the typed handles in [`crate::api`].
+//! caching, monotonic-read enforcement), and the raw `invoke` used by the
+//! typed handles in [`crate::api`].
 
 use std::collections::HashMap;
 use std::fmt;
@@ -10,16 +10,14 @@ use std::time::Duration;
 
 use bytes::Bytes;
 use simcore::codec::Wire;
-use simcore::{Addr, Ctx, SimTime, SpanId, TraceCtx, WaitKind};
+use simcore::{Addr, Ctx, SimTime, SpanId, WaitKind};
 
 use crate::config::DsoConfig;
 use crate::error::DsoError;
 use crate::intern::{intern, MethodName};
 use crate::node_cache::{NodeCache, NodeEntry};
 use crate::object::{Access, ObjectRef};
-use crate::protocol::{
-    BatchItemResp, BatchReq, GetView, InvokeReq, InvokeResp, VersionReq, VersionResp, View,
-};
+use crate::protocol::{GetView, InvokeReq, InvokeResp, VersionReq, VersionResp, View};
 use crate::read_policy::ReadPolicy;
 use crate::ring::Ring;
 
@@ -66,26 +64,6 @@ impl DsoClientHandle {
         client.node_cache = Some(node_cache);
         client
     }
-}
-
-/// One operation of a batched invocation (see [`DsoClient::invoke_batch`]).
-///
-/// Cheap to clone (interned method, shared buffers), so a hot loop can
-/// build its batch once and clone it per round.
-#[derive(Clone, Debug)]
-pub struct BatchOp {
-    /// Target object.
-    pub obj: ObjectRef,
-    /// Method name.
-    pub method: MethodName,
-    /// Codec-encoded arguments.
-    pub args: Bytes,
-    /// Replication factor.
-    pub rf: u8,
-    /// Creation arguments (idempotent materialization).
-    pub create: Option<Bytes>,
-    /// Declared read-only (see [`InvokeReq::readonly`]).
-    pub readonly: bool,
 }
 
 /// Client-side monotonic-read enforcement: the highest version observed per
@@ -541,134 +519,6 @@ impl DsoClient {
     /// this client).
     fn invalidate(&mut self, obj: &ObjectRef) {
         self.cache.retain(|(o, _, _), _| o != obj);
-    }
-
-    /// Invokes a batch of independent, non-blocking operations, grouping
-    /// them by destination node so each node receives *one* message for
-    /// all its operations instead of one round-trip per operation. Results
-    /// come back per-operation and are returned in input order.
-    ///
-    /// Items that cannot be answered from the batch (ownership moved, node
-    /// crashed, object in transfer, stale replica) transparently fall back
-    /// to the single-call path with its full retry loop, so the error
-    /// behaviour matches N separate [`DsoClient::invoke`] calls.
-    ///
-    /// Blocking (parking) methods are not allowed in batches; the server
-    /// rejects them.
-    pub fn invoke_batch(&mut self, ctx: &mut Ctx, ops: &[BatchOp]) -> Vec<Result<Bytes, DsoError>> {
-        // One span for the whole fan-out; per-item server executions (and
-        // any fallback single calls) nest under it.
-        let batch_span = ctx.span_begin("dso.batch", "dso");
-        ctx.span_annotate(batch_span, "ops", ops.len());
-        ctx.metric_incr("dso.batches");
-        let prev_tc = ctx.set_trace_ctx(TraceCtx::under(batch_span));
-        let mut results: Vec<Option<Result<Bytes, DsoError>>> = Vec::new();
-        results.resize_with(ops.len(), || None);
-
-        // Cache fast path per read-only item. Hits are counted here and
-        // misses where the item is answered (the batch reply below, or the
-        // fallback `invoke`), so each item counts exactly once.
-        if self.h.cfg.read_cache {
-            for (i, op) in ops.iter().enumerate() {
-                if op.readonly {
-                    if let Some(bytes) = self.cached_read(ctx, &op.obj, &op.method, &op.args, op.rf)
-                    {
-                        ctx.metric_incr("dso.read_cache.hit");
-                        results[i] = Some(Ok(bytes));
-                    }
-                }
-            }
-        }
-
-        // Group the remainder by destination address.
-        let mut groups: HashMap<Addr, Vec<(u32, InvokeReq)>> = HashMap::new();
-        for (i, op) in ops.iter().enumerate() {
-            if results[i].is_some() {
-                continue;
-            }
-            let Some(addr) = self.route(ctx, &op.obj, op.rf, op.readonly) else {
-                continue; // empty view: the fallback path will wait it out
-            };
-            groups.entry(addr).or_default().push((
-                i as u32,
-                InvokeReq {
-                    obj: op.obj.clone(),
-                    method: op.method.clone(),
-                    args: op.args.clone(),
-                    rf: op.rf,
-                    create: op.create.clone(),
-                    readonly: op.readonly,
-                    dep: self.policy.dep(),
-                    span: batch_span,
-                },
-            ));
-        }
-
-        for (addr, items) in groups {
-            let n = items.len();
-            let lat = self.h.cfg.client_net.sample(ctx.rng());
-            let replies: Vec<BatchItemResp> =
-                ctx.call_collect(addr, BatchReq { items }, lat, n, self.h.cfg.call_timeout);
-            for BatchItemResp { tag, resp } in replies {
-                let i = tag as usize;
-                let op = &ops[i];
-                let answer = match resp {
-                    InvokeResp::Value { bytes, version, lamport } => {
-                        if op.readonly && !self.policy.admit(&op.obj, version, lamport) {
-                            continue; // stale replica: retry via fallback
-                        }
-                        if !op.readonly {
-                            self.policy.observe_write(&op.obj, version, lamport);
-                            self.invalidate(&op.obj);
-                            if let Some(nc) = &self.node_cache {
-                                if nc.invalidate(&op.obj) > 0 {
-                                    ctx.metric_incr("dso.node_cache.invalidate");
-                                }
-                            }
-                        } else if self.h.cfg.read_cache {
-                            self.cache.insert(
-                                (op.obj.clone(), op.method.clone(), op.args.clone()),
-                                CacheEntry {
-                                    bytes: bytes.clone(),
-                                    version,
-                                    validated_at: ctx.now(),
-                                },
-                            );
-                        }
-                        Ok(bytes)
-                    }
-                    InvokeResp::Error(e) => Err(DsoError::Object(e)),
-                    // Left unanswered: the fallback below retries with
-                    // backoff (and, where warranted, a view refresh).
-                    InvokeResp::NotOwner { .. }
-                    | InvokeResp::Retry
-                    | InvokeResp::Overloaded { .. } => continue,
-                };
-                if op.readonly && self.h.cfg.read_cache {
-                    ctx.metric_incr("dso.read_cache.miss");
-                }
-                results[i] = Some(answer);
-            }
-        }
-
-        // Fallback: anything still unanswered goes through the standard
-        // retrying single-call path (its "dso.call" spans nest under the
-        // batch span via the trace context set above).
-        let out = ops
-            .iter()
-            .zip(results)
-            .map(|(op, r)| match r {
-                Some(r) => r,
-                None => {
-                    let access = if op.readonly { Access::Read } else { Access::Write };
-                    let (args, create) = (op.args.clone(), op.create.clone());
-                    self.invoke(ctx, &op.obj, &op.method, args, op.rf, create, access)
-                }
-            })
-            .collect();
-        ctx.set_trace_ctx(prev_tc);
-        ctx.span_end(batch_span);
-        out
     }
 
     /// Encodes a method's arguments, in order, into a request payload

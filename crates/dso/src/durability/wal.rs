@@ -22,7 +22,6 @@ use crate::protocol::{InvokeResp, NodeId, WalRecord, WalSegment};
 /// A client acknowledgement withheld until the write's WAL flush (Sync).
 pub(crate) struct PendingAck {
     pub reply_to: Addr,
-    pub tag: Option<u32>,
     pub resp: InvokeResp,
 }
 
@@ -134,7 +133,7 @@ impl WalState {
     fn release(&self, ctx: &mut Ctx, client_net: &LatencyModel, acks: Vec<PendingAck>) {
         for ack in acks {
             let lat = client_net.sample(ctx.rng());
-            crate::server::reply_tagged(ctx, ack.reply_to, ack.tag, ack.resp, lat);
+            ctx.reply(ack.reply_to, ack.resp, lat);
         }
     }
 }

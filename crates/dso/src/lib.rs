@@ -72,7 +72,7 @@ pub mod server;
 pub mod skeen;
 pub mod verify;
 
-pub use client::{BatchOp, DsoClient, DsoClientHandle, MonotonicReads};
+pub use client::{DsoClient, DsoClientHandle, MonotonicReads};
 pub use cluster::DsoCluster;
 pub use config::{
     AdmissionConfig, ConsistencyMode, DsoConfig, DsoConfigBuilder, DsoConfigError,

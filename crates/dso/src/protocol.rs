@@ -58,7 +58,7 @@ impl View {
 ///
 /// Cloning is cheap: the method name is interned and the payloads are
 /// reference-counted [`Bytes`], so the client constructs the request once
-/// and clones it per retry or batch item.
+/// and clones it per retry.
 #[derive(Clone, Debug)]
 pub struct InvokeReq {
     /// Target object.
@@ -134,31 +134,9 @@ pub struct SmrOp {
     /// Reply address of the calling client; only the initiating node
     /// responds, the others apply silently.
     pub respond_to: Option<Addr>,
-    /// When the operation arrived inside a [`BatchReq`], the item tag the
-    /// reply must carry (the reply is then a [`BatchItemResp`]).
-    pub respond_tag: Option<u32>,
     /// Trace span of the SMR round, begun by the initiating node when it
     /// multicasts; replicas parent their apply spans under it.
     pub round_span: SpanId,
-}
-
-/// A batch of independent invocations for objects homed on one node,
-/// shipped as a single message. The server fans the items out to its
-/// workers; each item is answered individually as a [`BatchItemResp`]
-/// carrying the item's tag, so replies stream back as they complete.
-#[derive(Debug)]
-pub struct BatchReq {
-    /// `(tag, operation)` pairs; tags are echoed in the replies.
-    pub items: Vec<(u32, InvokeReq)>,
-}
-
-/// Reply to one item of a [`BatchReq`].
-#[derive(Clone, Debug)]
-pub struct BatchItemResp {
-    /// The tag of the [`BatchReq`] item this answers.
-    pub tag: u32,
-    /// The item's outcome.
-    pub resp: InvokeResp,
 }
 
 /// Cheap version probe, answered directly by a node's dispatcher without

@@ -27,8 +27,8 @@ use crate::config::{AdmissionConfig, DsoConfig, DurabilityLevel};
 use crate::durability::wal::{wal_daemon, PendingAck, WalState};
 use crate::object::{dispatch, CallCtx, ObjectRef, ObjectRegistry, Reply, SharedObject, Ticket};
 use crate::protocol::{
-    BatchItemResp, BatchReq, DrainNode, InvokeReq, InvokeResp, MemberMsg, NodeId, PeerMsg, SmrOp,
-    VersionReq, VersionResp, View, ViewUpdate, WalRecord,
+    DrainNode, InvokeReq, InvokeResp, MemberMsg, NodeId, PeerMsg, SmrOp, VersionReq, VersionResp,
+    View, ViewUpdate, WalRecord,
 };
 use crate::ring::Ring;
 use crate::skeen::{Action, Skeen};
@@ -131,15 +131,8 @@ impl Shedder {
 }
 
 enum WorkItem {
-    Client {
-        req: InvokeReq,
-        reply_to: Addr,
-        /// Batch-item tag the reply must echo (see [`BatchReq`]).
-        tag: Option<u32>,
-    },
-    Apply {
-        op: SmrOp,
-    },
+    Client { req: InvokeReq, reply_to: Addr },
+    Apply { op: SmrOp },
 }
 
 /// Spawns a storage node (dispatcher + workers). The node joins the
@@ -365,27 +358,9 @@ impl Serving {
                     ctx.reply(reply_to, VersionResp(version), lat);
                     return Next::Serve;
                 }
-                if req.body.is::<BatchReq>() {
-                    let (reply_to, batch) = req.take::<BatchReq>();
-                    for (tag, item) in batch.items {
-                        handle_client_invoke(
-                            ctx,
-                            shared,
-                            view,
-                            ring,
-                            workers,
-                            skeen,
-                            shedder,
-                            item,
-                            reply_to,
-                            Some(tag),
-                        );
-                    }
-                    return Next::Serve;
-                }
                 let (reply_to, invoke) = req.take::<InvokeReq>();
                 handle_client_invoke(
-                    ctx, shared, view, ring, workers, skeen, shedder, invoke, reply_to, None,
+                    ctx, shared, view, ring, workers, skeen, shedder, invoke, reply_to,
                 );
                 return Next::Serve;
             }
@@ -473,7 +448,6 @@ fn handle_client_invoke(
     shedder: &mut Option<Shedder>,
     req: InvokeReq,
     reply_to: Addr,
-    tag: Option<u32>,
 ) {
     let cfg = &shared.cfg;
     if let Some(s) = shedder {
@@ -485,14 +459,14 @@ fn handle_client_invoke(
             ctx.span_annotate(mark, "obj", &req.obj);
             let lat = cfg.client_net.sample(ctx.rng());
             let resp = InvokeResp::Overloaded { retry_after: s.cfg.retry_after };
-            reply_tagged(ctx, reply_to, tag, resp, lat);
+            ctx.reply(reply_to, resp, lat);
             return;
         }
     }
     let placement = ring.placement(&req.obj, req.rf.max(1));
     if !placement.contains(&shared.node) {
         let lat = cfg.client_net.sample(ctx.rng());
-        reply_tagged(ctx, reply_to, tag, InvokeResp::NotOwner { view: view.id }, lat);
+        ctx.reply(reply_to, InvokeResp::NotOwner { view: view.id }, lat);
         return;
     }
     // Declared read-only operations never mutate, so they skip the SMR
@@ -507,27 +481,11 @@ fn handle_client_invoke(
         let round_span = ctx.span_begin_under(req.span, "dso.smr_round", "dso");
         ctx.span_annotate(round_span, "obj", &req.obj);
         ctx.metric_incr("dso.smr_rounds");
-        let op = SmrOp { req, respond_to: Some(reply_to), respond_tag: tag, round_span };
+        let op = SmrOp { req, respond_to: Some(reply_to), round_span };
         let (_mid, actions) = skeen.multicast(placement, op);
         process_skeen_actions(ctx, shared, view, workers, skeen, actions);
     } else {
-        route_to_worker(ctx, shared, workers, WorkItem::Client { req, reply_to, tag });
-    }
-}
-
-/// Replies to a client, wrapping the response in a [`BatchItemResp`] when
-/// the request arrived as a batch item. Also used by the WAL daemon to
-/// release acknowledgements deferred under [`DurabilityLevel::Sync`].
-pub(crate) fn reply_tagged(
-    ctx: &mut Ctx,
-    reply_to: Addr,
-    tag: Option<u32>,
-    resp: InvokeResp,
-    lat: Duration,
-) {
-    match tag {
-        Some(tag) => ctx.reply(reply_to, BatchItemResp { tag, resp }, lat),
-        None => ctx.reply(reply_to, resp, lat),
+        route_to_worker(ctx, shared, workers, WorkItem::Client { req, reply_to });
     }
 }
 
@@ -719,7 +677,6 @@ enum CallOutcome {
 struct Executed {
     ticket: Ticket,
     reply_to: Option<Addr>,
-    tag: Option<u32>,
     outcome: CallOutcome,
     wakes: Vec<(Ticket, Vec<u8>)>,
     /// Whether the call's effect was WAL-logged: under `Sync` durability
@@ -753,23 +710,15 @@ impl Actor for Worker {
             Wake::Start | Wake::Timeout => return Wait::Recv(self.inbox),
             Wake::Msg(msg) => {
                 let done = match msg.take::<WorkItem>() {
-                    WorkItem::Client { req, reply_to, tag } => {
+                    WorkItem::Client { req, reply_to } => {
                         // Execution parents directly under the client's attempt span.
                         let parent = req.span;
-                        execute(ctx, &self.shared, req, Some(reply_to), tag, false, parent)
+                        execute(ctx, &self.shared, req, Some(reply_to), false, parent)
                     }
                     WorkItem::Apply { op } => {
                         // Replicated applies parent under the SMR round span.
                         let parent = op.round_span;
-                        execute(
-                            ctx,
-                            &self.shared,
-                            op.req,
-                            op.respond_to,
-                            op.respond_tag,
-                            true,
-                            parent,
-                        )
+                        execute(ctx, &self.shared, op.req, op.respond_to, true, parent)
                     }
                 };
                 let cost = done.cost();
@@ -794,13 +743,11 @@ impl Actor for Worker {
 /// after the worker has slept the cost. `parent` is the trace span this
 /// execution belongs to (the client's attempt span, or the SMR round span
 /// for replicated applies).
-#[allow(clippy::too_many_arguments)]
 fn execute(
     ctx: &mut Ctx,
     shared: &Arc<NodeShared>,
     req: InvokeReq,
     reply_to: Option<Addr>,
-    tag: Option<u32>,
     replicated: bool,
     parent: SpanId,
 ) -> Executed {
@@ -817,7 +764,6 @@ fn execute(
     let mut done = Executed {
         ticket,
         reply_to,
-        tag,
         // Until the method has run, the answer is "try again".
         outcome: CallOutcome::Reply(InvokeResp::Retry, Duration::ZERO),
         wakes: Vec::new(),
@@ -886,13 +832,6 @@ fn execute(
                         Reply::Park if replicated => CallOutcome::Reply(
                             InvokeResp::Error(crate::error::ObjectError::App(
                                 "blocking methods are not allowed on replicated objects"
-                                    .to_string(),
-                            )),
-                            effects.cost,
-                        ),
-                        Reply::Park if tag.is_some() => CallOutcome::Reply(
-                            InvokeResp::Error(crate::error::ObjectError::App(
-                                "blocking methods are not allowed in batched invocations"
                                     .to_string(),
                             )),
                             effects.cost,
@@ -988,14 +927,13 @@ fn materialize(
 /// state change that woke them is acknowledged through the waking call
 /// itself.
 fn finish(ctx: &mut Ctx, shared: &Arc<NodeShared>, done: Executed) {
-    let Executed { ticket, reply_to, tag, outcome, wakes, logged, exec_span } = done;
+    let Executed { ticket, reply_to, outcome, wakes, logged, exec_span } = done;
     for (t, bytes) in wakes {
         let target = shared.parked.lock().remove(&t);
         if let Some(addr) = target {
             let lat = shared.cfg.client_net.sample(ctx.rng());
-            // Deferred wakes complete blocking calls; those never come
-            // from batches, and version 0 marks "no version observed"
-            // (lamport likewise).
+            // Deferred wakes complete blocking calls; version 0 marks "no
+            // version observed" (lamport likewise).
             let resp = InvokeResp::Value { bytes: bytes.into(), version: 0, lamport: 0 };
             ctx.reply(addr, resp, lat);
         }
@@ -1010,11 +948,11 @@ fn finish(ctx: &mut Ctx, shared: &Arc<NodeShared>, done: Executed) {
                 match (&shared.wal, defer) {
                     (Some(wal), true) => {
                         ctx.metric_incr("dso.sync_deferred_acks");
-                        wal.queue_ack(PendingAck { reply_to: rt, tag, resp });
+                        wal.queue_ack(PendingAck { reply_to: rt, resp });
                     }
                     _ => {
                         let lat = shared.cfg.client_net.sample(ctx.rng());
-                        reply_tagged(ctx, rt, tag, resp, lat);
+                        ctx.reply(rt, resp, lat);
                     }
                 }
             }

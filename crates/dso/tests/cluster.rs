@@ -341,7 +341,7 @@ fn deterministic_across_runs() {
 }
 
 // ---------------------------------------------------------------------------
-// Read fast path: replica reads, client cache, batched invocation
+// Read fast path: replica reads and the read caches
 // ---------------------------------------------------------------------------
 
 #[test]
@@ -499,86 +499,6 @@ fn cache_tiers_report_under_distinct_counters() {
     assert_eq!(metrics.counter_value("dso.node_cache.miss"), 2, "cold start + post-write");
     assert_eq!(metrics.counter_value("dso.node_cache.invalidate"), 1, "a's second write");
     assert_eq!(metrics.counter_value("dso.cache_hits"), 0, "pre-refactor name retired");
-}
-
-#[test]
-fn batched_invocation_matches_singles_and_is_faster() {
-    let mut sim = Sim::new(74);
-    let metrics = simcore::MetricsRegistry::new();
-    sim.set_metrics(&metrics);
-    let cluster = start(&sim, 3);
-    let handle = cluster.client_handle();
-    let caching = dso::DsoClientHandle::new(
-        cluster.coordinator(),
-        DsoConfig { read_cache: true, ..DsoConfig::default() },
-    );
-    const N: usize = 32;
-    let checked = Arc::new(Mutex::new(false));
-    let checked2 = checked.clone();
-    sim.spawn("client", move |ctx| {
-        let mut cli = handle.connect();
-        let counters: Vec<api::AtomicLong> =
-            (0..N).map(|i| api::AtomicLong::new(&format!("b{i}"))).collect();
-        for (i, c) in counters.iter().enumerate() {
-            c.set(ctx, &mut cli, i as i64).expect("write");
-        }
-        // Sequential reads: N round-trips.
-        let t0 = ctx.now();
-        for (i, c) in counters.iter().enumerate() {
-            assert_eq!(c.get(ctx, &mut cli).expect("read"), i as i64);
-        }
-        let sequential = ctx.now() - t0;
-        // One batch: grouped into (at most) 3 node-level messages.
-        let ops: Vec<dso::BatchOp> = counters.iter().map(|c| c.raw().read_op("get", &())).collect();
-        let t0 = ctx.now();
-        let results = cli.invoke_batch(ctx, &ops);
-        let batched = ctx.now() - t0;
-        for (i, r) in results.iter().enumerate() {
-            let bytes = r.as_ref().expect("batch read");
-            let v: i64 = simcore::codec::from_bytes(bytes).expect("decode");
-            assert_eq!(v, i as i64);
-        }
-        assert!(
-            batched * 4 < sequential,
-            "batching must collapse round-trips: sequential={sequential:?} batched={batched:?}"
-        );
-        // A caching client counts each batched read once, like a single
-        // call: the cold batch misses (answered by the batch replies), the
-        // warm one hits (each entry revalidated by a version probe).
-        let mut cached = caching.connect();
-        let cold = cached.invoke_batch(ctx, &ops);
-        let warm = cached.invoke_batch(ctx, &ops);
-        assert_eq!(cold, results);
-        assert_eq!(warm, results);
-        *checked2.lock() = true;
-    });
-    sim.run_until_idle().expect_quiescent();
-    assert!(*checked.lock());
-    assert_eq!(metrics.counter_value("dso.read_cache.miss"), N as u64, "the cold batch");
-    assert_eq!(metrics.counter_value("dso.read_cache.hit"), N as u64, "the warm batch");
-}
-
-#[test]
-fn batch_rejects_blocking_methods() {
-    let mut sim = Sim::new(75);
-    let cluster = start(&sim, 2);
-    let handle = cluster.client_handle();
-    let checked = Arc::new(Mutex::new(false));
-    let checked2 = checked.clone();
-    sim.spawn("client", move |ctx| {
-        let mut cli = handle.connect();
-        let b = api::CyclicBarrier::new("bb", 2);
-        let ops = vec![b.raw().op("await", &())];
-        let res = cli.invoke_batch(ctx, &ops);
-        assert!(
-            matches!(res[0], Err(dso::DsoError::Object(_))),
-            "parking inside a batch must be rejected: {:?}",
-            res[0]
-        );
-        *checked2.lock() = true;
-    });
-    sim.run_until_idle().expect_quiescent();
-    assert!(*checked.lock());
 }
 
 #[test]

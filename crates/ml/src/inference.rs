@@ -10,8 +10,8 @@ use parking_lot::Mutex;
 use simcore::codec::Wire;
 
 use crucial::{
-    join_all, AtomicByteArray, BatchOp, ConsistencyMode, CrucialConfig, Deployment, FnEnv,
-    RunResult, Runnable, Sim, SimTime,
+    join_all, AtomicByteArray, ConsistencyMode, CrucialConfig, Deployment, FnEnv, RunResult,
+    Runnable, Sim, SimTime,
 };
 
 /// Parameters of the serving experiment.
@@ -40,9 +40,6 @@ pub struct InferenceConfig {
     pub add_at: Option<Duration>,
     /// Local distance computation per inference on one vCPU.
     pub per_inference_compute: Duration,
-    /// Fetch the whole model with one batched invocation per node instead
-    /// of `centroids` sequential round-trips.
-    pub batch_reads: bool,
     /// Routing of the (read-only) centroid fetches.
     pub consistency: ConsistencyMode,
     /// Client-side read cache (version-validated).
@@ -65,7 +62,6 @@ impl Default for InferenceConfig {
             crash_at: Some(Duration::from_secs(120)),
             add_at: Some(Duration::from_secs(240)),
             per_inference_compute: Duration::from_millis(8),
-            batch_reads: false,
             consistency: ConsistencyMode::default(),
             read_cache: false,
             cache_lease: None,
@@ -113,24 +109,14 @@ impl Runnable for InferenceWorker {
         let model: Vec<AtomicByteArray> = (0..self.cfg.centroids)
             .map(|i| AtomicByteArray::persistent(&format!("centroid-{i}"), Vec::new(), self.cfg.rf))
             .collect();
-        let batch: Vec<BatchOp> = if self.cfg.batch_reads {
-            model.iter().map(|c| c.raw().read_op("get", &())).collect()
-        } else {
-            Vec::new()
-        };
         let deadline = SimTime::from_nanos(self.deadline_nanos);
         while env.ctx().now() < deadline {
             let mut ok = true;
-            if self.cfg.batch_reads {
+            for c in &model {
                 let (ctx, dso) = env.dso();
-                ok = dso.invoke_batch(ctx, &batch).iter().all(Result::is_ok);
-            } else {
-                for c in &model {
-                    let (ctx, dso) = env.dso();
-                    if c.get(ctx, dso).is_err() {
-                        ok = false;
-                        break;
-                    }
+                if c.get(ctx, dso).is_err() {
+                    ok = false;
+                    break;
                 }
             }
             if !ok {
@@ -240,7 +226,6 @@ mod tests {
             crash_at: Some(Duration::from_secs(4)),
             add_at: Some(Duration::from_secs(6)),
             per_inference_compute: Duration::from_millis(8),
-            batch_reads: false,
             consistency: ConsistencyMode::default(),
             read_cache: false,
             cache_lease: None,

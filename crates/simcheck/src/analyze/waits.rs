@@ -58,7 +58,6 @@ fn is_yield_site(call: &CallSite) -> bool {
                 | "call"
                 | "call_sized"
                 | "call_timeout"
-                | "call_collect"
                 | "park"
         )
 }

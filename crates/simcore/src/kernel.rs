@@ -1657,52 +1657,6 @@ impl Ctx {
         resp.map(|m| m.take::<Resp>())
     }
 
-    /// Issues one request and collects up to `n` replies to it, until
-    /// `timeout` elapses (measured from the send). The server side may
-    /// answer a single request message several times — the fan-in half of
-    /// batched RPC: one message out, replies streaming back individually.
-    ///
-    /// Returns the replies received in arrival order (fewer than `n` on
-    /// timeout). Late replies are silently dropped.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a reply cannot be downcast to `Resp`.
-    pub fn call_collect<Req, Resp>(
-        &mut self,
-        to: Addr,
-        req: Req,
-        latency: Duration,
-        n: usize,
-        timeout: Duration,
-    ) -> Vec<Resp>
-    where
-        Req: Any + Send,
-        Resp: Any + Send,
-    {
-        self.must_be_thread(
-            "call_collect",
-            "send the request and return Wait::Recv on its reply mailbox",
-        );
-        let reply_to = self.mailbox("rpc-reply");
-        self.send(to, Msg::new(Request { reply_to, body: Box::new(req) }), latency);
-        let deadline = self.now() + timeout;
-        let mut out = Vec::with_capacity(n);
-        while out.len() < n {
-            let left = deadline.saturating_duration_since(self.now());
-            if left.is_zero() {
-                break;
-            }
-            match self.recv_timeout(reply_to, left) {
-                Some(m) => out.push(m.take::<Resp>()),
-                None => break,
-            }
-        }
-        self.close_mailbox(reply_to);
-        self.drop_mailbox(reply_to);
-        out
-    }
-
     /// Replies to an RPC received as a [`Request`].
     pub fn reply<Resp: Any + Send>(&mut self, reply_to: Addr, resp: Resp, latency: Duration) {
         self.send(reply_to, Msg::new(resp), latency);
