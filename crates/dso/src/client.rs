@@ -1,7 +1,11 @@
 //! The client side of the DSO layer: view discovery, read/write routing,
-//! retries with backoff, the read fast path (replica reads, version-validated
-//! caching, monotonic-read enforcement), and the raw `invoke` used by the
-//! typed handles in [`crate::api`].
+//! retries with backoff, and the raw `invoke` used by the typed handles in
+//! [`crate::api`].
+//!
+//! A call has one path. A declared read first consults the read caches,
+//! the client's own tier and then its host's, through one probe that
+//! serves a hit only if the session's [`ReadPolicy`] admits it. Anything
+//! else goes to the object's owner through `invoke`'s single retry loop.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -10,12 +14,12 @@ use std::time::Duration;
 
 use bytes::Bytes;
 use simcore::codec::Wire;
-use simcore::{Addr, Ctx, SimTime, SpanId, WaitKind};
+use simcore::{Addr, Ctx, SpanId, WaitKind};
 
 use crate::config::DsoConfig;
 use crate::error::DsoError;
-use crate::intern::{intern, MethodName};
-use crate::node_cache::{NodeCache, NodeEntry};
+use crate::intern::intern;
+use crate::node_cache::{NodeCache, NodeCacheKey, NodeEntry};
 use crate::object::{Access, ObjectRef};
 use crate::protocol::{GetView, InvokeReq, InvokeResp, VersionReq, VersionResp, View};
 use crate::read_policy::ReadPolicy;
@@ -44,12 +48,12 @@ impl DsoClientHandle {
 
     /// Instantiates a per-process client.
     pub fn connect(&self) -> DsoClient {
+        let own = self.cfg.read_cache.then(|| (&CLIENT_TIER, Arc::new(NodeCache::new())));
         DsoClient {
             policy: ReadPolicy::new(&self.cfg),
             h: self.clone(),
             view: None,
-            cache: HashMap::new(),
-            node_cache: None,
+            caches: own.into_iter().collect(),
             scratch: Vec::new(),
         }
     }
@@ -61,7 +65,7 @@ impl DsoClientHandle {
     /// survives the containers.
     pub fn connect_with_node_cache(&self, node_cache: Arc<NodeCache>) -> DsoClient {
         let mut client = self.connect();
-        client.node_cache = Some(node_cache);
+        client.caches.push((&NODE_TIER, node_cache));
         client
     }
 }
@@ -110,15 +114,46 @@ impl MonotonicReads {
     }
 }
 
-struct CacheEntry {
-    bytes: Bytes,
-    version: u64,
-    validated_at: SimTime,
+/// What tells one read-cache tier from the other besides where its
+/// entries live: the names it counts and traces under.
+#[derive(Debug)]
+struct Tier {
+    /// Counter of reads this tier served.
+    hit: &'static str,
+    /// Counter of reads it could not serve.
+    miss: &'static str,
+    /// Counter of writes through this client that dropped entries.
+    invalidate: Option<&'static str>,
+    /// The `dso.call` span's `cache` annotation on a hit.
+    annotation: &'static str,
+    /// `source` of the `dso.cache` instant marking a leased and a
+    /// validated hit, when the tier marks its hits.
+    sources: Option<[&'static str; 2]>,
 }
 
-/// Local cost of serving a read from the client cache within its lease
-/// (hashing + copy). Non-zero so a closed loop of leased hits still
-/// advances simulated time.
+/// The client-private tier (`dso.read_cache.*`): dies with this client,
+/// i.e. with the function invocation that connected it.
+static CLIENT_TIER: Tier = Tier {
+    hit: "dso.read_cache.hit",
+    miss: "dso.read_cache.miss",
+    invalidate: None,
+    annotation: "hit",
+    sources: None,
+};
+
+/// The host-shared tier (`dso.node_cache.*`): survives this client. See
+/// [`NodeCache`].
+static NODE_TIER: Tier = Tier {
+    hit: "dso.node_cache.hit",
+    miss: "dso.node_cache.miss",
+    invalidate: Some("dso.node_cache.invalidate"),
+    annotation: "node-hit",
+    sources: Some(["node-leased", "node-validated"]),
+};
+
+/// Local cost of serving a read from a cache within its lease (hashing +
+/// copy). Non-zero so a closed loop of leased hits still advances
+/// simulated time.
 const CACHE_HIT_COST: Duration = Duration::from_micros(1);
 
 /// A per-process DSO client with a cached view.
@@ -129,12 +164,10 @@ pub struct DsoClient {
     /// [`MonotonicReads`] table), dependency piggybacking and the lease,
     /// per [`crate::ConsistencyMode`].
     policy: ReadPolicy,
-    /// Client-private read cache (`dso.read_cache.*`): dies with this
-    /// client — i.e. with the function invocation that connected it.
-    cache: HashMap<(ObjectRef, MethodName, Bytes), CacheEntry>,
-    /// Host-shared read cache (`dso.node_cache.*`), consulted after the
-    /// client cache; survives this client. See [`NodeCache`].
-    node_cache: Option<Arc<NodeCache>>,
+    /// The read caches, in probe order: the client tier (with
+    /// [`DsoConfig::read_cache`]), then the host's node tier (when
+    /// connected with one).
+    caches: Vec<(&'static Tier, Arc<NodeCache>)>,
     /// Reusable argument-encoding buffer; plateaus at the largest request
     /// this client has built, so per-call encoding stops allocating a
     /// fresh `Vec` (see [`DsoClient::encode`]).
@@ -146,7 +179,7 @@ impl fmt::Debug for DsoClient {
         f.debug_struct("DsoClient")
             .field("view", &self.view.as_ref().map(|(v, _)| v.id))
             .field("consistency", &self.h.cfg.consistency)
-            .field("cached", &self.cache.len())
+            .field("cached", &self.caches.iter().map(|(_, c)| c.len()).collect::<Vec<_>>())
             .finish()
     }
 }
@@ -175,14 +208,6 @@ impl DsoClient {
         let ring = Ring::new(&view.node_ids());
         self.view = Some((view.clone(), ring));
         view
-    }
-
-    fn view(&mut self, ctx: &mut Ctx) -> &(View, Ring) {
-        if self.view.is_none() {
-            self.refresh_view(ctx);
-        }
-        // invariant: refresh_view stored Some just above when it was None.
-        self.view.as_ref().expect("view cached")
     }
 
     /// Picks the node to contact for one attempt: the primary for writes
@@ -231,30 +256,25 @@ impl DsoClient {
         ctx.span_annotate(call_span, "obj", obj);
         ctx.span_annotate(call_span, "method", method);
         ctx.metric_incr("dso.invokes");
-        // Client-cache fast path: a validated (or leased) earlier result.
-        if readonly && self.h.cfg.read_cache {
-            if let Some(bytes) = self.cached_read(ctx, obj, method, &args, rf) {
-                ctx.span_annotate(call_span, "cache", "hit");
-                ctx.metric_incr("dso.read_cache.hit");
-                ctx.span_end(call_span);
-                return Ok(bytes);
-            }
-            ctx.metric_incr("dso.read_cache.miss");
-        }
-        // Host-shared cache, second: warmth put there by other containers
-        // on this host (or by this client's earlier incarnations).
-        if readonly && self.node_cache.is_some() {
-            if let Some(bytes) = self.node_cached_read(ctx, obj, method, &args, rf) {
-                ctx.span_annotate(call_span, "cache", "node-hit");
-                ctx.span_end(call_span);
-                return Ok(bytes);
+        let method = intern(method);
+        // A read with caches to consult (and to fill from the reply).
+        let key = (readonly && !self.caches.is_empty())
+            .then(|| (obj.clone(), method.clone(), args.clone()));
+        if let Some(key) = &key {
+            for i in 0..self.caches.len() {
+                let (tier, cache) = self.caches[i].clone();
+                if let Some(bytes) = self.cached_read(ctx, tier, &cache, key, rf) {
+                    ctx.span_annotate(call_span, "cache", tier.annotation);
+                    ctx.span_end(call_span);
+                    return Ok(bytes);
+                }
             }
         }
         // Built once; every retry reuses it with a cheap clone (satellite
         // of the read-path work: no per-attempt String/Vec churn).
         let req = InvokeReq {
             obj: obj.clone(),
-            method: intern(method),
+            method,
             args,
             rf,
             create,
@@ -268,13 +288,7 @@ impl DsoClient {
             if attempt > 0 {
                 ctx.metric_incr("dso.retries");
             }
-            let target = if force_primary {
-                let (view, ring) = self.view(ctx);
-                ring.primary(obj).and_then(|p| view.addr_of(p))
-            } else {
-                self.route(ctx, obj, rf, readonly)
-            };
-            let Some(addr) = target else {
+            let Some(addr) = self.route(ctx, obj, rf, readonly && !force_primary) else {
                 // Empty view: wait for servers to join.
                 let backoff = self.h.cfg.backoff_for(attempt);
                 ctx.sleep(backoff);
@@ -293,7 +307,7 @@ impl DsoClient {
                     obj.placement_hash(),
                     kind,
                     obj.to_string(),
-                    format!("DsoClient::invoke {obj}::{method}"),
+                    format!("DsoClient::invoke {obj}::{}", req.method),
                 );
                 Some(ctx.call(addr, attempt_req, lat))
             } else {
@@ -315,33 +329,19 @@ impl DsoClient {
                     }
                     if !readonly {
                         self.policy.observe_write(obj, version, lamport);
-                        self.invalidate(obj);
-                        if let Some(nc) = &self.node_cache {
-                            if nc.invalidate(obj) > 0 {
-                                ctx.metric_incr("dso.node_cache.invalidate");
+                        for (tier, cache) in &self.caches {
+                            if cache.invalidate(obj) > 0 {
+                                if let Some(counter) = tier.invalidate {
+                                    ctx.metric_incr(counter);
+                                }
                             }
                         }
-                    } else {
-                        if self.h.cfg.read_cache {
-                            self.cache.insert(
-                                (obj.clone(), req.method.clone(), req.args.clone()),
-                                CacheEntry {
-                                    bytes: bytes.clone(),
-                                    version,
-                                    validated_at: ctx.now(),
-                                },
-                            );
-                        }
-                        if let Some(nc) = &self.node_cache {
-                            nc.insert(
-                                (obj.clone(), req.method.clone(), req.args.clone()),
-                                NodeEntry {
-                                    bytes: bytes.clone(),
-                                    version,
-                                    lamport,
-                                    validated_at: ctx.now(),
-                                },
-                            );
+                    } else if let Some(key) = &key {
+                        let validated_at = ctx.now();
+                        let entry =
+                            NodeEntry { bytes: bytes.clone(), version, lamport, validated_at };
+                        for (_, cache) in &self.caches {
+                            cache.insert(key.clone(), entry.clone());
                         }
                     }
                     ctx.span_end(attempt_span);
@@ -392,133 +392,70 @@ impl DsoClient {
         Err(DsoError::GaveUp { attempts: max })
     }
 
-    /// Serves a read from the client cache if possible: within the lease
-    /// without any message, otherwise after a dispatcher-level version
-    /// probe confirming the entry is current. Returns `None` on miss (the
-    /// entry, if any, is dropped).
+    /// Serves a read from one cache tier if the session may use the
+    /// entry: within the policy's lease with no message, otherwise after a
+    /// dispatcher-level version probe confirms it is current. Either way
+    /// the session's admission must accept it, so a cached result never
+    /// moves a session backwards, whichever client or container cached
+    /// it. Returns `None` on a miss; a failed revalidation drops the entry.
     fn cached_read(
         &mut self,
         ctx: &mut Ctx,
-        obj: &ObjectRef,
-        method: &str,
-        args: &Bytes,
+        tier: &Tier,
+        cache: &NodeCache,
+        key: &NodeCacheKey,
         rf: u8,
     ) -> Option<Bytes> {
-        let key = (obj.clone(), intern(method), args.clone());
-        let (version, lease_ok) = {
-            let entry = self.cache.get(&key)?;
-            let lease_ok = self
-                .policy
-                .lease()
-                .is_some_and(|l| ctx.now().saturating_duration_since(entry.validated_at) < l);
-            (entry.version, lease_ok)
-        };
-        if lease_ok {
-            ctx.sleep(CACHE_HIT_COST);
-            return self.cache.get(&key).map(|e| e.bytes.clone());
-        }
-        // Validate: one round-trip, no worker hop, no method CPU.
-        let target = self.route(ctx, obj, rf, true)?;
-        let lat = self.h.cfg.client_net.sample(ctx.rng());
-        let resp: Option<VersionResp> = ctx.call_timeout(
-            target,
-            VersionReq { obj: obj.clone(), rf },
-            lat,
-            self.h.cfg.call_timeout,
-        );
-        match resp {
-            Some(VersionResp(Some(v))) if v == version && self.policy.admit_version(obj, v) => {
-                match self.cache.get_mut(&key) {
-                    Some(entry) => {
-                        entry.validated_at = ctx.now();
-                        Some(entry.bytes.clone())
-                    }
-                    // Entry evicted while validating: treat as a miss.
-                    None => None,
+        let obj = &key.0;
+        let entry = cache.get(key);
+        let lease = self.policy.lease();
+        let leased = entry.as_ref().is_some_and(|e| {
+            lease.is_some_and(|l| ctx.now().saturating_duration_since(e.validated_at) < l)
+        });
+        let usable = match &entry {
+            None => false,
+            // A live lease skips the round trip, not the admission: the
+            // entry may be older than what this session has already read.
+            Some(e) if leased => self.policy.admit(obj, e.version, e.lamport),
+            Some(e) => {
+                // Lease expired (or the policy validates every hit): one
+                // cheap version probe, no worker hop, no method CPU.
+                let probed = self.route(ctx, obj, rf, true).and_then(|target| {
+                    let lat = self.h.cfg.client_net.sample(ctx.rng());
+                    let probe = VersionReq { obj: obj.clone(), rf };
+                    ctx.call_timeout(target, probe, lat, self.h.cfg.call_timeout)
+                        .and_then(|VersionResp(v)| v)
+                });
+                let current =
+                    probed == Some(e.version) && self.policy.admit(obj, e.version, e.lamport);
+                if current {
+                    cache.revalidate(key, ctx.now());
+                } else {
+                    // Changed version, unknown object, not an owner, or
+                    // timeout: drop the entry and take the full path.
+                    cache.remove(key);
                 }
+                current
             }
-            _ => {
-                // Changed version, unknown object, not an owner, or
-                // timeout: drop the entry and take the full read path.
-                self.cache.remove(&key);
-                None
-            }
-        }
-    }
-
-    /// Serves a read from the host-shared [`NodeCache`] if possible:
-    /// within the policy's lease without any message (gated by the
-    /// policy's admission check, so a session never accepts a shared
-    /// entry behind its own frontier), otherwise after a
-    /// dispatcher-level version probe confirming the entry is current.
-    /// Returns `None` on miss; a failed revalidation drops the entry.
-    fn node_cached_read(
-        &mut self,
-        ctx: &mut Ctx,
-        obj: &ObjectRef,
-        method: &str,
-        args: &Bytes,
-        rf: u8,
-    ) -> Option<Bytes> {
-        let nc = self.node_cache.as_ref()?.clone();
-        let key = (obj.clone(), intern(method), args.clone());
-        let Some(entry) = nc.get(&key) else {
-            ctx.metric_incr("dso.node_cache.miss");
+        };
+        let Some(entry) = entry.filter(|_| usable) else {
+            ctx.metric_incr(tier.miss);
             return None;
         };
-        let lease_ok = self
-            .policy
-            .lease()
-            .is_some_and(|l| ctx.now().saturating_duration_since(entry.validated_at) < l);
-        if lease_ok {
-            if !self.policy.admit(obj, entry.version, entry.lamport) {
-                // Another container's older result: stale for *this*
-                // session even though the lease is live.
-                ctx.metric_incr("dso.node_cache.miss");
-                return None;
-            }
+        if let Some([leased_source, validated_source]) = tier.sources {
             let mark = ctx.span_instant("dso.cache", "dso");
             ctx.span_annotate(mark, "obj", obj);
-            ctx.span_annotate(mark, "source", "node-leased");
-            ctx.metric_incr("dso.node_cache.hit");
+            ctx.span_annotate(
+                mark,
+                "source",
+                if leased { leased_source } else { validated_source },
+            );
+        }
+        ctx.metric_incr(tier.hit);
+        if leased {
             ctx.sleep(CACHE_HIT_COST);
-            return Some(entry.bytes);
         }
-        // Lease expired (or the policy validates every hit): one cheap
-        // version probe, no worker hop, no method CPU.
-        let target = self.route(ctx, obj, rf, true)?;
-        let lat = self.h.cfg.client_net.sample(ctx.rng());
-        let resp: Option<VersionResp> = ctx.call_timeout(
-            target,
-            VersionReq { obj: obj.clone(), rf },
-            lat,
-            self.h.cfg.call_timeout,
-        );
-        match resp {
-            Some(VersionResp(Some(v)))
-                if v == entry.version && self.policy.admit(obj, entry.version, entry.lamport) =>
-            {
-                nc.revalidate(&key, ctx.now());
-                let mark = ctx.span_instant("dso.cache", "dso");
-                ctx.span_annotate(mark, "obj", obj);
-                ctx.span_annotate(mark, "source", "node-validated");
-                ctx.metric_incr("dso.node_cache.hit");
-                Some(entry.bytes)
-            }
-            _ => {
-                // Changed version, unknown object, not an owner, or
-                // timeout: drop the shared entry and take the full path.
-                nc.remove(&key);
-                ctx.metric_incr("dso.node_cache.miss");
-                None
-            }
-        }
-    }
-
-    /// Drops every cached result for `obj` (called on mutations through
-    /// this client).
-    fn invalidate(&mut self, obj: &ObjectRef) {
-        self.cache.retain(|(o, _, _), _| o != obj);
+        Some(entry.bytes)
     }
 
     /// Encodes a method's arguments, in order, into a request payload

@@ -177,7 +177,9 @@ pub struct DsoConfig {
     /// bounded-staleness contract: an entry is installed or revalidated
     /// from the primary, which is globally current at that instant, so a
     /// lease-served read trails the write frontier by at most the lease
-    /// (`dso::verify::check_staleness_bound` checks exactly this).
+    /// (`dso::verify::check_staleness_bound` checks exactly this). A
+    /// lease bounds staleness but never breaks monotonic reads: a leased
+    /// hit in either cache tier still passes the session's admission.
     pub cache_lease: Option<Duration>,
     /// Opt-in co-located cache tier: one [`NodeCache`] per FaaS host,
     /// shared by all containers (and their DSO clients) on that host.

@@ -108,12 +108,6 @@ impl ReadPolicy {
         true
     }
 
-    /// [`admit`](Self::admit) for a version probe, which carries no
-    /// Lamport stamp: the monotonic-version filter alone.
-    pub fn admit_version(&mut self, obj: &ObjectRef, version: u64) -> bool {
-        self.monotonic.admit(obj, version)
-    }
-
     /// Records the outcome of an acknowledged write through this session.
     pub fn observe_write(&mut self, obj: &ObjectRef, version: u64, lamport: u64) {
         self.monotonic.observe(obj, version);

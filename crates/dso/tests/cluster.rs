@@ -501,6 +501,42 @@ fn cache_tiers_report_under_distinct_counters() {
     assert_eq!(metrics.counter_value("dso.cache_hits"), 0, "pre-refactor name retired");
 }
 
+/// A leased client-cache hit passes the session's admission, as a leased
+/// node-cache hit does: once `get` has shown the array at v2, a `getByte`
+/// cached at v1 is behind the session, live lease or not, and is fetched
+/// again.
+#[test]
+fn leased_client_cache_hit_never_moves_a_session_backwards() {
+    let mut sim = Sim::new(74);
+    let cfg = DsoConfig {
+        read_cache: true,
+        cache_lease: Some(Duration::from_millis(50)),
+        ..DsoConfig::default()
+    };
+    let cluster = DsoCluster::start(&sim, 2, cfg, ObjectRegistry::with_builtins());
+    let handle = cluster.client_handle();
+    let writer = handle.clone();
+    let seen = Arc::new(Mutex::new(None));
+    let seen2 = seen.clone();
+    sim.spawn("reader", move |ctx| {
+        let mut cli = handle.connect();
+        let a = api::AtomicByteArray::new("arr");
+        a.set(ctx, &mut cli, &vec![1; 4]).expect("write");
+        assert_eq!(a.get_byte(ctx, &mut cli, 0).expect("read"), Some(1));
+        // The writer moves the array to v2 inside the lease.
+        ctx.sleep(Duration::from_millis(20));
+        assert_eq!(a.get(ctx, &mut cli).expect("read"), vec![2; 4]);
+        *seen2.lock() = Some(a.get_byte(ctx, &mut cli, 0).expect("read"));
+    });
+    sim.spawn("writer", move |ctx| {
+        ctx.sleep(Duration::from_millis(10));
+        let mut cli = writer.connect();
+        api::AtomicByteArray::new("arr").set(ctx, &mut cli, &vec![2; 4]).expect("write");
+    });
+    sim.run_until_idle().expect_quiescent();
+    assert_eq!(*seen.lock(), Some(Some(2)), "the session moved backwards");
+}
+
 #[test]
 fn declared_readonly_mismatch_is_rejected() {
     let mut sim = Sim::new(76);
