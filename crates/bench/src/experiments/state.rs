@@ -28,7 +28,6 @@ pub fn fig8(scale: Scale) -> (Table, Vec<(u64, u64)>) {
             crash_at: Some(Duration::from_secs(12)),
             add_at: Some(Duration::from_secs(24)),
             per_inference_compute: Duration::ZERO,
-            ..InferenceConfig::default()
         },
         Scale::Paper => InferenceConfig {
             seed: 81,
@@ -42,7 +41,6 @@ pub fn fig8(scale: Scale) -> (Table, Vec<(u64, u64)>) {
             crash_at: Some(Duration::from_secs(120)),
             add_at: Some(Duration::from_secs(240)),
             per_inference_compute: Duration::ZERO,
-            ..InferenceConfig::default()
         },
     };
     let crash_s = cfg.crash_at.expect("crash scheduled").as_secs();

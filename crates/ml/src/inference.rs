@@ -10,8 +10,7 @@ use parking_lot::Mutex;
 use simcore::codec::Wire;
 
 use crucial::{
-    join_all, AtomicByteArray, ConsistencyMode, CrucialConfig, Deployment, FnEnv, RunResult,
-    Runnable, Sim, SimTime,
+    join_all, AtomicByteArray, CrucialConfig, Deployment, FnEnv, RunResult, Runnable, Sim, SimTime,
 };
 
 /// Parameters of the serving experiment.
@@ -40,33 +39,6 @@ pub struct InferenceConfig {
     pub add_at: Option<Duration>,
     /// Local distance computation per inference on one vCPU.
     pub per_inference_compute: Duration,
-    /// Routing of the (read-only) centroid fetches.
-    pub consistency: ConsistencyMode,
-    /// Client-side read cache (version-validated).
-    pub read_cache: bool,
-    /// Lease during which cached reads skip the validation round-trip.
-    pub cache_lease: Option<Duration>,
-}
-
-impl Default for InferenceConfig {
-    fn default() -> Self {
-        InferenceConfig {
-            seed: 1,
-            threads: 100,
-            centroids: 200,
-            dims: 100,
-            rf: 2,
-            dso_nodes: 3,
-            dso_workers_per_node: 8,
-            duration: Duration::from_secs(360),
-            crash_at: Some(Duration::from_secs(120)),
-            add_at: Some(Duration::from_secs(240)),
-            per_inference_compute: Duration::from_millis(8),
-            consistency: ConsistencyMode::default(),
-            read_cache: false,
-            cache_lease: None,
-        }
-    }
 }
 
 /// Report: inference completions bucketed per second.
@@ -140,9 +112,6 @@ pub fn run_inference_serving(cfg: &InferenceConfig) -> InferenceReport {
     let ccfg = CrucialConfig { dso_nodes: cfg.dso_nodes, ..CrucialConfig::default() };
     let mut ccfg = ccfg;
     ccfg.dso.workers_per_node = cfg.dso_workers_per_node;
-    ccfg.dso.consistency = cfg.consistency;
-    ccfg.dso.read_cache = cfg.read_cache;
-    ccfg.dso.cache_lease = cfg.cache_lease;
     let mut dep = Deployment::start(&sim, ccfg);
     dep.register::<InferenceWorker>();
     let threads = dep.threads();
@@ -226,9 +195,6 @@ mod tests {
             crash_at: Some(Duration::from_secs(4)),
             add_at: Some(Duration::from_secs(6)),
             per_inference_compute: Duration::from_millis(8),
-            consistency: ConsistencyMode::default(),
-            read_cache: false,
-            cache_lease: None,
         }
     }
 

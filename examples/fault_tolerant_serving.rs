@@ -23,7 +23,6 @@ fn main() {
         crash_at: Some(Duration::from_secs(12)),
         add_at: Some(Duration::from_secs(24)),
         per_inference_compute: Duration::ZERO,
-        ..InferenceConfig::default()
     };
     println!(
         "serving a {}-centroid model (rf = {}) from {} DSO nodes with {} functions;",
