@@ -5,7 +5,7 @@
 //! `String` per request — and per *retry*. A [`MethodName`] is an
 //! `Arc<str>` deduplicated in a process-wide table: constructing one for an
 //! already-seen name is a lock + map hit, and cloning one (per retry, per
-//! batch item) is a reference-count bump.
+//! cache key) is a reference-count bump.
 
 use std::collections::HashSet;
 use std::fmt;

@@ -1,20 +1,22 @@
 //! A co-located read cache shared by every function container on one FaaS
 //! host.
 //!
-//! The PR-1 client cache lives inside one `DsoClient`, so its warmth dies
-//! with the function invocation — exactly the ephemerality problem §3 of
-//! the paper works around. A [`NodeCache`] instead belongs to the *host*
-//! (see `faas::FnCtx::host`): containers come and go, each connecting a
-//! fresh client, but they all share the host's cache, so the first
-//! container's read warms every later one.
+//! A client's own read cache is a private [`NodeCache`] inside one
+//! `DsoClient`, so its warmth dies with the function invocation — exactly
+//! the ephemerality problem §3 of the paper works around. A shared
+//! [`NodeCache`] instead belongs to the *host* (see `faas::FnCtx::host`):
+//! containers come and go, each connecting a fresh client, but they all
+//! share the host's cache, so the first container's read warms every
+//! later one.
 //!
-//! Coherence is the same validate-or-lease protocol as the client cache:
-//! entries remember the `(version, lamport)` piggybacked on the reply that
+//! Both tiers are read through the client's one cache probe: entries
+//! remember the `(version, lamport)` piggybacked on the reply that
 //! installed them; within the policy's lease they are served locally, and
-//! after it they are revalidated with a dispatcher-level version probe.
-//! Writes issued through a co-located client invalidate eagerly. Hits,
-//! misses and invalidations are counted under `dso.node_cache.*`
-//! (deliberately disjoint from the client-private `dso.read_cache.*`).
+//! after it they are revalidated with a dispatcher-level version probe;
+//! either way the reading session must admit them. Writes issued through a
+//! co-located client invalidate eagerly. Hits, misses and invalidations of
+//! the host tier are counted under `dso.node_cache.*` (disjoint from the
+//! client-private `dso.read_cache.*`).
 
 use bytes::Bytes;
 use parking_lot::Mutex;

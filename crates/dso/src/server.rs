@@ -346,7 +346,7 @@ impl Serving {
                 if req.body.is::<VersionReq>() {
                     // Version probe: answered straight from the dispatcher,
                     // no worker hop, no method CPU — the cheap half of the
-                    // client cache's validate-then-reuse protocol.
+                    // read caches' validate-then-reuse protocol.
                     let (reply_to, probe) = req.take::<VersionReq>();
                     let owned = ring.placement(&probe.obj, probe.rf.max(1)).contains(&shared.node);
                     let version = if owned {
