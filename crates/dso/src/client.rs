@@ -116,7 +116,6 @@ impl MonotonicReads {
 
 /// What tells one read-cache tier from the other besides where its
 /// entries live: the names it counts and traces under.
-#[derive(Debug)]
 struct Tier {
     /// Counter of reads this tier served.
     hit: &'static str,
