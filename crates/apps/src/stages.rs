@@ -319,5 +319,34 @@ mod tests {
             r.single_stage.sync,
             r.single_stage.compute
         );
+        // Every phase and both totals, in nanoseconds, exact per seed.
+        let (a, b) = (r.multi_stage, r.single_stage);
+        assert_eq!(
+            [
+                a.invocation,
+                a.s3_read,
+                a.compute,
+                a.sync,
+                b.invocation,
+                b.s3_read,
+                b.compute,
+                b.sync,
+                r.multi_stage_total,
+                r.single_stage_total,
+            ]
+            .map(|d| d.as_nanos()),
+            [
+                82_318_299,
+                350_853_261,
+                1_500_000_000,
+                0,
+                26_891_785,
+                116_921_351,
+                1_500_000_000,
+                9_595_416,
+                1_996_947_858,
+                1_663_635_410,
+            ]
+        );
     }
 }

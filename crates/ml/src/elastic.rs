@@ -421,5 +421,30 @@ mod tests {
         let b = run_elastic(&tiny());
         assert!(!a.decision_log.is_empty());
         assert_eq!(a.decision_log, b.decision_log, "decision log must be deterministic");
+        // Exact per seed.
+        assert_eq!(a.total, 1528);
+        assert_eq!(
+            a.per_second,
+            [
+                (1, 18),
+                (2, 60),
+                (3, 60),
+                (4, 60),
+                (5, 60),
+                (6, 120),
+                (7, 142),
+                (8, 151),
+                (9, 190),
+                (10, 181),
+                (11, 177),
+                (12, 63),
+                (13, 60),
+                (14, 60),
+                (15, 23),
+                (16, 42),
+                (17, 60),
+                (18, 1),
+            ]
+        );
     }
 }

@@ -224,5 +224,20 @@ mod tests {
         assert!(early > 0.0);
         let rel = (late - early).abs() / early;
         assert!(rel < 0.35, "steady state: early={early} late={late}");
+        // Exact per seed.
+        assert_eq!(
+            report.per_second,
+            [
+                (1, 272),
+                (2, 427),
+                (3, 424),
+                (4, 425),
+                (5, 425),
+                (6, 426),
+                (7, 424),
+                (8, 425),
+                (9, 5)
+            ]
+        );
     }
 }
