@@ -17,7 +17,8 @@ use std::time::Duration;
 
 use crucial::{
     join_all, spawn_sqs, AtomicLong, CountDownLatch, CrucialConfig, CyclicBarrier, Deployment,
-    FnEnv, QueueConfig, RunResult, Runnable, SharedFuture, SharedMap, Sim, SimTime, SqsHandle,
+    FnEnv, MetricsRegistry, QueueConfig, RunResult, Runnable, SharedFuture, SharedMap, Sim,
+    SimTime, SqsHandle,
 };
 use crucial_ml::cost::monte_carlo_cost;
 use parking_lot::Mutex;
@@ -130,9 +131,7 @@ impl Runnable for MapSyncMapper {
         };
         env.compute(base.mul_f64(jitter));
         // Record when the map phase's computation finished.
-        let finished = env.blackboard().series("map-finish");
-        let now = env.ctx().now();
-        finished.push(now, 1.0);
+        env.ctx().metric_push("map-finish", 1.0);
         // Publish the result.
         let value = inside;
         match self.strategy {
@@ -172,17 +171,17 @@ impl Runnable for MapSyncMapper {
 /// cost at the reducer.
 pub fn run_mapsync(strategy: SyncStrategy, cfg: &MapSyncConfig) -> MapSyncReport {
     let mut sim = Sim::new(cfg.seed);
+    let registry = MetricsRegistry::new();
+    sim.set_metrics(&registry);
     let dep = Deployment::start(&sim, CrucialConfig::default());
     let sqs = spawn_sqs(&sim, QueueConfig::default());
     dep.register::<MapSyncMapper>();
     let threads = dep.threads();
     let dso = dep.dso_handle();
     let s3 = dep.s3.clone();
-    let blackboard = dep.blackboard().clone();
     let out: Arc<Mutex<Option<MapSyncReport>>> = Arc::new(Mutex::new(None));
     let out2 = out.clone();
     let cfg2 = cfg.clone();
-    let bb2 = blackboard.clone();
     sim.spawn("reducer", move |ctx| {
         let start_barrier = CyclicBarrier::new("map-start", cfg2.mappers + 1);
         let mappers: Vec<MapSyncMapper> = (0..cfg2.mappers)
@@ -263,7 +262,7 @@ pub fn run_mapsync(strategy: SyncStrategy, cfg: &MapSyncConfig) -> MapSyncReport
         let t_result = ctx.now();
         join_all(ctx, handles).expect("mappers succeed");
         // Sync time: from the *last mapper's* compute end to the result.
-        let finishes = bb2.series("map-finish").points();
+        let finishes = registry.series("map-finish").points();
         let last_finish = finishes.iter().map(|(t, _)| *t).max().unwrap_or(SimTime::ZERO);
         let sync_time = t_result.saturating_duration_since(last_finish);
         let total_points = cfg2.mappers as u64 * cfg2.points;

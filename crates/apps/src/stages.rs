@@ -5,14 +5,16 @@
 //! iteration: each pays the invocation overhead and re-reads its input
 //! from the object store. Approach **B** launches one set that runs all
 //! iterations, reading the input once and synchronizing with the DSO
-//! barrier. The per-phase breakdown (Invocation, S3 read, Compute, Sync)
-//! comes out of the blackboard.
+//! barrier. The functions record the per-phase breakdown (Invocation, S3
+//! read, Compute, Sync) as histograms in the run's `MetricsRegistry`, and
+//! the harness reads it back by name.
 
 use std::sync::Arc;
 use std::time::Duration;
 
 use crucial::{
-    join_all, CrucialConfig, CyclicBarrier, Deployment, FnEnv, RunResult, Runnable, Sim,
+    join_all, CrucialConfig, CyclicBarrier, Deployment, FnEnv, MetricsRegistry, RunResult,
+    Runnable, Sim, SimTime,
 };
 use parking_lot::Mutex;
 use simcore::codec::Wire;
@@ -64,27 +66,6 @@ impl PhaseBreakdown {
     }
 }
 
-/// Conditionally recording view of the blackboard.
-#[derive(Clone)]
-pub struct Recorder {
-    bb: crucial::Blackboard,
-    on: bool,
-}
-
-impl Recorder {
-    /// Wraps a blackboard; `on = false` silences all recordings.
-    pub fn new(bb: crucial::Blackboard, on: bool) -> Recorder {
-        Recorder { bb, on }
-    }
-
-    /// Records a duration into the named stats if enabled.
-    pub fn record(&self, name: &str, d: Duration) {
-        if self.on {
-            self.bb.stats(name).record(d);
-        }
-    }
-}
-
 /// One iteration's work as a standalone stage (approach A).
 #[derive(Clone, Wire)]
 pub struct StageTask {
@@ -100,12 +81,6 @@ pub struct StageTask {
 
 impl Runnable for StageTask {
     fn run(&mut self, env: &mut FnEnv<'_, '_>) -> RunResult {
-        let bb = crate::stages::Recorder::new(env.blackboard().clone(), self.record);
-        let t_enter = env.ctx().now();
-        bb.record(
-            "a-invocation",
-            t_enter.saturating_duration_since(crucial::SimTime::from_nanos(self.started_nanos)),
-        );
         // S3 read of the input.
         let t0 = env.ctx().now();
         let (ctx, s3) = env.s3_split();
@@ -114,10 +89,15 @@ impl Runnable for StageTask {
             self.cfg.input_bytes as f64 / crucial_ml::cost::S3_READ_BW,
         ));
         let t1 = env.ctx().now();
-        bb.record("a-s3", t1 - t0);
         env.compute(self.cfg.compute);
         let t2 = env.ctx().now();
-        bb.record("a-compute", t2 - t1);
+        if self.record {
+            let ctx = env.ctx();
+            let started = SimTime::from_nanos(self.started_nanos);
+            ctx.metric_record("a-invocation", t0.saturating_duration_since(started));
+            ctx.metric_record("a-s3", t1 - t0);
+            ctx.metric_record("a-compute", t2 - t1);
+        }
         Ok(())
     }
 }
@@ -139,12 +119,6 @@ pub struct BarrierTask {
 
 impl Runnable for BarrierTask {
     fn run(&mut self, env: &mut FnEnv<'_, '_>) -> RunResult {
-        let bb = crate::stages::Recorder::new(env.blackboard().clone(), self.record);
-        let t_enter = env.ctx().now();
-        bb.record(
-            "b-invocation",
-            t_enter.saturating_duration_since(crucial::SimTime::from_nanos(self.started_nanos)),
-        );
         // Input is fetched once.
         let t0 = env.ctx().now();
         let (ctx, s3) = env.s3_split();
@@ -153,16 +127,23 @@ impl Runnable for BarrierTask {
             self.cfg.input_bytes as f64 / crucial_ml::cost::S3_READ_BW,
         ));
         let t1 = env.ctx().now();
-        bb.record("b-s3", t1 - t0);
+        if self.record {
+            let ctx = env.ctx();
+            let started = SimTime::from_nanos(self.started_nanos);
+            ctx.metric_record("b-invocation", t0.saturating_duration_since(started));
+            ctx.metric_record("b-s3", t1 - t0);
+        }
         for _ in 0..self.cfg.iterations {
             let c0 = env.ctx().now();
             env.compute(self.cfg.compute);
             let c1 = env.ctx().now();
-            bb.record("b-compute", c1 - c0);
             let (ctx, dso) = env.dso();
             self.barrier.wait(ctx, dso).map_err(|e| e.to_string())?;
-            let c2 = env.ctx().now();
-            bb.record("b-sync", c2 - c1);
+            let c2 = ctx.now();
+            if self.record {
+                ctx.metric_record("b-compute", c1 - c0);
+                ctx.metric_record("b-sync", c2 - c1);
+            }
         }
         Ok(())
     }
@@ -184,11 +165,12 @@ pub struct StagesReport {
 /// Runs both approaches and collects the Fig. 7b breakdown.
 pub fn run_stages(cfg: &StagesConfig) -> StagesReport {
     let mut sim = Sim::new(cfg.seed);
+    let registry = MetricsRegistry::new();
+    sim.set_metrics(&registry);
     let dep = Deployment::start(&sim, CrucialConfig::default());
     dep.register::<StageTask>();
     dep.register::<BarrierTask>();
     let threads = dep.threads();
-    let bb = dep.blackboard().clone();
     let s3 = dep.s3.clone();
     let out: Arc<Mutex<Option<(Duration, Duration)>>> = Arc::new(Mutex::new(None));
     let out2 = out.clone();
@@ -261,19 +243,12 @@ pub fn run_stages(cfg: &StagesConfig) -> StagesReport {
     });
     sim.run_until_idle().expect_quiescent();
     let (a_total, b_total) = out.lock().take().expect("master finished");
-    let per_thread = |name: &str, scale: u32| -> Duration {
-        let s = bb.stats(name);
-        if s.count() == 0 {
-            Duration::ZERO
-        } else {
-            s.mean() * scale
-        }
-    };
+    let per_thread = |name: &str, scale: u32| registry.histogram(name).mean() * scale;
     let n_iter = cfg.iterations;
     StagesReport {
         multi_stage: PhaseBreakdown {
-            // Warm-up runs also recorded; means are per call, scaled by
-            // the number of calls in the measured phase.
+            // Warm-up runs record nothing; means are per call, scaled by
+            // each thread's number of calls in the measured phase.
             invocation: per_thread("a-invocation", n_iter),
             s3_read: per_thread("a-s3", n_iter),
             compute: per_thread("a-compute", n_iter),

@@ -10,7 +10,6 @@ use faas::{spawn_platform, FaasConfig, FaasHandle, FnCtx, FunctionRegistry, FULL
 use parking_lot::Mutex;
 use simcore::Sim;
 
-use crate::blackboard::Blackboard;
 use crate::runnable::{function_name, FnEnv, Runnable};
 use crate::thread::ThreadFactory;
 
@@ -57,7 +56,6 @@ pub struct Deployment {
     /// The object store for immutable inputs.
     pub s3: S3Handle,
     functions: FunctionRegistry,
-    blackboard: Blackboard,
     /// One [`NodeCache`] per FaaS host ([`FnCtx::host`]), shared by every
     /// container the platform packs onto that host. Lazily populated the
     /// first time a function runs on a host; `None` when
@@ -76,7 +74,7 @@ impl Deployment {
         let functions = FunctionRegistry::new();
         let faas = spawn_platform(sim, cfg.faas.clone(), functions.clone());
         let node_caches = cfg.dso.node_cache.then(|| Arc::new(Mutex::new(HashMap::new())));
-        Deployment { dso, faas, s3, functions, blackboard: Blackboard::new(), node_caches }
+        Deployment { dso, faas, s3, functions, node_caches }
     }
 
     /// Deploys a [`Runnable`] type with the default memory (one full vCPU).
@@ -89,7 +87,6 @@ impl Deployment {
     pub fn register_with_memory<R: Runnable>(&self, memory_mb: u32) {
         let dso_handle = self.dso.client_handle();
         let s3 = self.s3.clone();
-        let blackboard = self.blackboard.clone();
         let node_caches = self.node_caches.clone();
         self.functions.register(
             &function_name::<R>(),
@@ -104,17 +101,11 @@ impl Deployment {
                     }
                     None => dso_handle.connect(),
                 };
-                let mut env =
-                    FnEnv::with_client(fx, dso, dso_handle.clone(), s3.clone(), blackboard.clone());
+                let mut env = FnEnv::with_client(fx, dso, dso_handle.clone(), s3.clone());
                 runnable.run(&mut env)?;
                 Ok(Vec::new())
             },
         );
-    }
-
-    /// The host-side measurement blackboard shared with every function.
-    pub fn blackboard(&self) -> &Blackboard {
-        &self.blackboard
     }
 
     /// A factory for cloud threads against this deployment.

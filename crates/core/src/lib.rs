@@ -64,13 +64,11 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-mod blackboard;
 mod deploy;
 mod error;
 mod runnable;
 mod thread;
 
-pub use blackboard::Blackboard;
 pub use deploy::{CrucialConfig, Deployment};
 pub use error::CrucialError;
 pub use runnable::{function_name, FnEnv, RunResult, Runnable};

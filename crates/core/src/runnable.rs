@@ -12,8 +12,6 @@ use std::time::Duration;
 use cloudstore::S3Handle;
 use dso::{DsoClient, DsoClientHandle};
 use faas::FnCtx;
-
-use crate::blackboard::Blackboard;
 use simcore::codec::Wire;
 use simcore::Ctx;
 
@@ -64,22 +62,9 @@ pub struct FnEnv<'a, 'b> {
     dso: DsoClient,
     dso_factory: DsoClientHandle,
     s3: S3Handle,
-    blackboard: Blackboard,
 }
 
 impl<'a, 'b> FnEnv<'a, 'b> {
-    /// Assembles an environment (used by the registration adapter and by
-    /// tests that drive runnables manually).
-    pub fn new(
-        fx: &'a mut FnCtx<'b>,
-        dso_factory: DsoClientHandle,
-        s3: S3Handle,
-        blackboard: Blackboard,
-    ) -> FnEnv<'a, 'b> {
-        let dso = dso_factory.connect();
-        FnEnv::with_client(fx, dso, dso_factory, s3, blackboard)
-    }
-
     /// Assembles an environment around an already-connected client (the
     /// deployment layer uses this to hand functions a client wired to the
     /// host-shared [`dso::NodeCache`]).
@@ -88,21 +73,14 @@ impl<'a, 'b> FnEnv<'a, 'b> {
         dso: DsoClient,
         dso_factory: DsoClientHandle,
         s3: S3Handle,
-        blackboard: Blackboard,
     ) -> FnEnv<'a, 'b> {
-        FnEnv { dso, fx, dso_factory, s3, blackboard }
+        FnEnv { dso, fx, dso_factory, s3 }
     }
 
     /// Connects an additional DSO client (for application structures that
     /// encapsulate their own connection, like the Santa Claus runtime).
     pub fn dso_connect(&self) -> DsoClient {
         self.dso_factory.connect()
-    }
-
-    /// The host-side measurement blackboard (instrumentation only; see
-    /// [`Blackboard`]).
-    pub fn blackboard(&self) -> &Blackboard {
-        &self.blackboard
     }
 
     /// Raw simulation context (sleep, randomness, messaging).
@@ -121,18 +99,9 @@ impl<'a, 'b> FnEnv<'a, 'b> {
         self.fx.compute(work);
     }
 
-    /// This container's CPU share (1.0 = one vCPU).
-    pub fn cpu_share(&self) -> f64 {
-        self.fx.cpu_share()
-    }
-
-    /// The object store holding immutable input data (§4: "CRUCIAL may use
-    /// object storage to store the immutable input data").
-    pub fn s3(&self) -> S3Handle {
-        self.s3.clone()
-    }
-
-    /// Splits the environment for an S3 call.
+    /// Splits the environment for a call to the object store holding
+    /// immutable input data (§4: "CRUCIAL may use object storage to store
+    /// the immutable input data").
     pub fn s3_split(&mut self) -> (&mut Ctx, S3Handle) {
         (self.fx.ctx, self.s3.clone())
     }

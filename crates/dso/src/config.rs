@@ -276,9 +276,8 @@ impl DsoConfigBuilder {
     /// # Errors
     ///
     /// Returns [`DsoConfigError`] when a field is out of range
-    /// (`max_retries == 0`, a zero lease, an admission or durability
-    /// parameter) or the combination is inconsistent (a cache lease
-    /// without the read cache).
+    /// (`max_retries == 0`, a zero lease, an admission parameter) or the
+    /// combination is inconsistent (a cache lease without the read cache).
     pub fn build(self) -> Result<DsoConfig, DsoConfigError> {
         let c = self.cfg;
         if c.max_retries == 0 {
@@ -308,14 +307,6 @@ impl DsoConfigBuilder {
             }
             if a.retry_after.is_zero() {
                 return Err(DsoConfigError("admission.retry_after must be non-zero".into()));
-            }
-        }
-        if let Some(d) = &c.durability {
-            if d.store.prefix().is_empty() {
-                return Err(DsoConfigError("durability.store prefix must be non-empty".into()));
-            }
-            if d.group_commit.is_zero() {
-                return Err(DsoConfigError("durability.group_commit must be non-zero".into()));
             }
         }
         Ok(c)

@@ -91,11 +91,6 @@ impl DurabilityStore {
         }
     }
 
-    /// The key prefix.
-    pub fn prefix(&self) -> &str {
-        &self.prefix
-    }
-
     /// The generation new WAL segments and checkpoints are written under.
     pub fn generation(&self) -> u32 {
         self.generation

@@ -266,6 +266,21 @@ fn recovery_read_repairs_wal_segments_hidden_by_list_visibility() {
     assert!(*ok.lock());
 }
 
+/// A zero group commit leaves the WAL daemon's ticker always due: it would
+/// flush at one instant forever and the run would never return. The
+/// daemon's `Ticker::new` rejects it as soon as a node starts.
+#[test]
+#[should_panic(expected = "Ticker interval must be non-zero")]
+fn zero_group_commit_panics_instead_of_hanging() {
+    let mut sim = Sim::new(61);
+    let s3 = spawn_s3(&sim, S3Config::default());
+    let mut d = sync_durability(&s3, "dur");
+    d.group_commit = Duration::ZERO;
+    let cfg = DsoConfig { durability: Some(d), ..DsoConfig::default() };
+    let _cluster = DsoCluster::start(&sim, 1, cfg, ObjectRegistry::with_builtins());
+    let _ = sim.run_until_idle();
+}
+
 /// Satellite: conservation under schedule exploration. Writers bump a
 /// replicated counter under Sync durability; a fault injector crashes the
 /// whole cluster mid-workload — between group-commit batches — and then

@@ -186,8 +186,6 @@ pub struct ElasticWorker {
 
 impl Runnable for ElasticWorker {
     fn run(&mut self, env: &mut FnEnv<'_, '_>) -> RunResult {
-        let completions = env.blackboard().series("elastic-completions");
-        let errors = env.blackboard().series("elastic-errors");
         let model: Vec<Arithmetic> = (0..self.shards)
             .map(|i| Arithmetic::persistent(&format!("shard-{i}"), 1.0, self.rf))
             .collect();
@@ -203,14 +201,11 @@ impl Runnable for ElasticWorker {
             match shard.mul_n(ctx, dso, 1.0, self.op_mults) {
                 Ok(_) => {
                     env.compute(compute);
-                    let now = env.ctx().now();
-                    completions.push(now, 1.0);
+                    env.ctx().metric_push("elastic-completions", 1.0);
                 }
                 Err(_) => {
                     // Retries exhausted under overload: back off and try
                     // the next slot.
-                    let now = env.ctx().now();
-                    errors.push(now, 1.0);
                     env.ctx().sleep(Duration::from_millis(100));
                 }
             }
@@ -250,8 +245,10 @@ pub fn run_elastic(cfg: &ElasticConfig) -> ElasticReport {
 }
 
 /// [`run_elastic`] with a setup hook on the fresh `Sim` (e.g. to install a
-/// tracer). The metrics registry is installed internally — the control
-/// plane reads it — and returned in the report.
+/// tracer). The metrics registry is installed before the hook runs, so the
+/// hook must not replace it: the control plane reads its counters, the
+/// serving functions push their completions into it (`elastic-completions`),
+/// and the report carries it.
 pub fn run_elastic_with(cfg: &ElasticConfig, setup: impl FnOnce(&Sim)) -> ElasticReport {
     let mut sim = Sim::new(cfg.seed);
     let registry = MetricsRegistry::new();
@@ -265,7 +262,6 @@ pub fn run_elastic_with(cfg: &ElasticConfig, setup: impl FnOnce(&Sim)) -> Elasti
     dep.register::<ElasticWorker>();
     let threads = dep.threads();
     let dso_handle = dep.dso_handle();
-    let blackboard = dep.blackboard().clone();
     let faas = dep.faas.clone();
     let cluster = Arc::new(Mutex::new(dep.dso));
     let ctl = if cfg.autoscale {
@@ -326,7 +322,7 @@ pub fn run_elastic_with(cfg: &ElasticConfig, setup: impl FnOnce(&Sim)) -> Elasti
         join_all(ctx, handles).expect("serving functions finish");
     });
     sim.run_until_idle().expect_quiescent();
-    let points = blackboard.series("elastic-completions").points();
+    let points = registry.series("elastic-completions").points();
     let mut buckets = std::collections::BTreeMap::<u64, u64>::new();
     for (t, _) in &points {
         *buckets.entry(t.as_nanos() / 1_000_000_000).or_insert(0) += 1;

@@ -10,7 +10,8 @@ use parking_lot::Mutex;
 use simcore::codec::Wire;
 
 use crucial::{
-    join_all, AtomicByteArray, CrucialConfig, Deployment, FnEnv, RunResult, Runnable, Sim, SimTime,
+    join_all, AtomicByteArray, CrucialConfig, Deployment, FnEnv, MetricsRegistry, RunResult,
+    Runnable, Sim, SimTime,
 };
 
 /// Parameters of the serving experiment.
@@ -77,7 +78,6 @@ pub struct InferenceWorker {
 
 impl Runnable for InferenceWorker {
     fn run(&mut self, env: &mut FnEnv<'_, '_>) -> RunResult {
-        let completions = env.blackboard().series("inference-completions");
         let model: Vec<AtomicByteArray> = (0..self.cfg.centroids)
             .map(|i| AtomicByteArray::persistent(&format!("centroid-{i}"), Vec::new(), self.cfg.rf))
             .collect();
@@ -98,8 +98,7 @@ impl Runnable for InferenceWorker {
                 continue;
             }
             env.compute(self.cfg.per_inference_compute);
-            let now = env.ctx().now();
-            completions.push(now, 1.0);
+            env.ctx().metric_push("inference-completions", 1.0);
         }
         Ok(())
     }
@@ -109,6 +108,8 @@ impl Runnable for InferenceWorker {
 /// serving functions, node crash and node arrival per `cfg`.
 pub fn run_inference_serving(cfg: &InferenceConfig) -> InferenceReport {
     let mut sim = Sim::new(cfg.seed);
+    let registry = MetricsRegistry::new();
+    sim.set_metrics(&registry);
     let ccfg = CrucialConfig { dso_nodes: cfg.dso_nodes, ..CrucialConfig::default() };
     let mut ccfg = ccfg;
     ccfg.dso.workers_per_node = cfg.dso_workers_per_node;
@@ -116,7 +117,6 @@ pub fn run_inference_serving(cfg: &InferenceConfig) -> InferenceReport {
     dep.register::<InferenceWorker>();
     let threads = dep.threads();
     let dso = dep.dso_handle();
-    let blackboard = dep.blackboard().clone();
     let done: Arc<Mutex<bool>> = Arc::new(Mutex::new(false));
     let done2 = done.clone();
     let cfg2 = cfg.clone();
@@ -166,7 +166,7 @@ pub fn run_inference_serving(cfg: &InferenceConfig) -> InferenceReport {
     sim.run_until_idle().expect_quiescent();
     assert!(*done.lock(), "master must complete");
     // Bucket completions per second.
-    let points = blackboard.series("inference-completions").points();
+    let points = registry.series("inference-completions").points();
     let mut buckets = std::collections::BTreeMap::<u64, u64>::new();
     for (t, _) in &points {
         *buckets.entry(t.as_nanos() / 1_000_000_000).or_insert(0) += 1;

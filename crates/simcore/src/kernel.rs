@@ -1486,8 +1486,9 @@ impl Ctx {
     }
 
     /// Appends `(now, value)` to the time series named `name` (no-op
-    /// without a registry) — gauge-style measurements such as queue depths
-    /// or pool sizes, stamped with virtual time.
+    /// without a registry) — gauges such as queue depths or pool sizes, and
+    /// events a harness counts per second, such as Fig. 8's completions.
+    /// The only way to add a point, so every point is stamped by the kernel.
     pub fn metric_push(&self, name: &str, value: f64) {
         if let Some(m) = self.metrics() {
             let now = self.now();

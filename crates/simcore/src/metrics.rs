@@ -167,21 +167,17 @@ impl fmt::Debug for Counter {
     }
 }
 
-/// A time series of `(virtual time, value)` points — e.g. throughput per
-/// second for the Fig. 8 elasticity experiment.
+/// A time series of `(virtual time, value)` points — e.g. Fig. 8's
+/// inference completions. Only `Ctx::metric_push` appends a point, so every
+/// point carries the kernel's virtual time at the push.
 #[derive(Clone, Default)]
 pub struct Series {
     inner: Arc<Mutex<Vec<(SimTime, f64)>>>,
 }
 
 impl Series {
-    /// Creates an empty series.
-    pub fn new() -> Series {
-        Series::default()
-    }
-
     /// Appends a point.
-    pub fn push(&self, t: SimTime, v: f64) {
+    pub(crate) fn push(&self, t: SimTime, v: f64) {
         self.inner.lock().push((t, v));
     }
 
@@ -432,7 +428,7 @@ mod tests {
 
     #[test]
     fn series_mean_in_window() {
-        let s = Series::new();
+        let s = Series::default();
         s.push(SimTime::from_secs(1), 10.0);
         s.push(SimTime::from_secs(2), 20.0);
         s.push(SimTime::from_secs(3), 60.0);

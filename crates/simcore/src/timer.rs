@@ -55,7 +55,14 @@ pub struct Ticker {
 
 impl Ticker {
     /// A ticker whose first deadline is `now + interval`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `interval` is zero: such a ticker is always due, so a
+    /// daemon looping on [`Ticker::wait`] would spin at one instant forever.
+    #[track_caller]
     pub fn new(now: SimTime, interval: Duration) -> Ticker {
+        assert!(!interval.is_zero(), "Ticker interval must be non-zero");
         Ticker { interval, next: now + interval }
     }
 
@@ -126,6 +133,12 @@ mod tests {
         assert!(t.poll(SimTime::from_millis(350)));
         assert!(!t.poll(SimTime::from_millis(350)));
         assert_eq!(t.deadline(), SimTime::from_millis(450));
+    }
+
+    #[test]
+    #[should_panic(expected = "Ticker interval must be non-zero")]
+    fn zero_interval_is_rejected() {
+        let _ = Ticker::new(SimTime::ZERO, Duration::ZERO);
     }
 
     #[test]
