@@ -20,15 +20,7 @@ RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" cargo doc --no-deps --workspac
 cargo run --release -q -p simcheck --bin simlint
 cargo run --release -q -p simcheck --bin simexplore -- --seeds 25
 
-# The `experiments` steps run on one CPU where `taskset` exists: the thread
-# handoff they are made of is several times faster without cross-core
-# wake-ups (kernel-bench's thread ring: up to 2.4 s -> 0.13 s on a 2-core
-# box), and their output is byte-identical either way.
 experiments=(cargo run --release -q -p bench --bin experiments)
-if command -v taskset >/dev/null; then
-    cpu=$(taskset -cp $$ | sed 's/.*: *//; s/[,-].*//')
-    experiments=(taskset -c "$cpu" "${experiments[@]}")
-fi
 
 # Traced smoke run: export a Chrome trace from the π workload and
 # schema-validate it (well-formed JSON, ts/dur present, span parents
@@ -50,20 +42,20 @@ cargo run --release -q -p simcheck --bin tracecheck -- results/trace-elastic.chr
 # regenerated file that differs from the committed one fails below, so a
 # PR that moves a figure has to commit the new one, and git history is the
 # trajectory.
-#   kernel-bench        one message ring on threads and on actors: the
-#                       actor ring runs >= 3x the thread ring's events/sec
-#                       (~8x pinned; an actor wake-up that starts costing
-#                       like a thread handoff fails) and >= 300k events/sec;
-#                       a parent spawning and joining 4 000 one-shot
-#                       children runs on exactly 2 OS threads (a thread per
-#                       process fails); a 1 KB Vec<u8> codec round trip
-#                       costs <= 3x a Bytes one (~1x; coding it one element
-#                       at a time fails); Fig 5's k-means assignment pass
-#                       (200 points x 100 dims, k = 25) runs >= 1.3x the
-#                       distance terms/sec of a yardstick with one chain of
-#                       adds per distance, and returns its bits (~1.7-1.8x;
-#                       one chain per distance fails). Host time: no BENCH
-#                       file.
+#   kernel-bench        one message ring on thread processes and on actors:
+#                       the thread ring runs >= 1/3 of the actor ring's
+#                       events/sec (~0.9x; a wake-up that costs an OS
+#                       thread handoff again, ~1/10, fails) and the actor
+#                       ring >= 300k events/sec; a parent spawning and
+#                       joining 4 000 one-shot children maps exactly 2
+#                       stacks (a stack per process fails); a 1 KB Vec<u8>
+#                       codec round trip costs <= 3x a Bytes one (~1x;
+#                       coding it one element at a time fails); Fig 5's
+#                       k-means assignment pass (200 points x 100 dims,
+#                       k = 25) runs >= 1.3x the distance terms/sec of a
+#                       yardstick with one chain of adds per distance, and
+#                       returns its bits (~1.7-1.8x; one chain per distance
+#                       fails). Host time: no BENCH file.
 #   coldstart           classic vs snapshot-restore elastic runs plus the
 #                       fork fan-out microbench; self-asserts the tier
 #                       mechanics, then: a restore collapses the classic

@@ -71,6 +71,7 @@ pub trait UniformRange<T> {
 macro_rules! uniform_int {
     ($($ty:ty => $wide:ty),+ $(,)?) => {$(
         impl UniformRange<$ty> for Range<$ty> {
+            #[inline]
             fn sample_from(self, rng: &mut rngs::StdRng) -> $ty {
                 assert!(self.start < self.end, "empty range in random_range");
                 let span = (self.end as $wide).wrapping_sub(self.start as $wide) as u64;
@@ -80,6 +81,7 @@ macro_rules! uniform_int {
             }
         }
         impl UniformRange<$ty> for RangeInclusive<$ty> {
+            #[inline]
             fn sample_from(self, rng: &mut rngs::StdRng) -> $ty {
                 let (start, end) = (*self.start(), *self.end());
                 assert!(start <= end, "empty range in random_range");
@@ -102,6 +104,7 @@ uniform_int!(
 macro_rules! uniform_float {
     ($($ty:ty),+) => {$(
         impl UniformRange<$ty> for Range<$ty> {
+            #[inline]
             fn sample_from(self, rng: &mut rngs::StdRng) -> $ty {
                 assert!(self.start < self.end, "empty range in random_range");
                 // 53 (or 24) high bits give a uniform value in [0, 1).
@@ -110,6 +113,7 @@ macro_rules! uniform_float {
             }
         }
         impl UniformRange<$ty> for RangeInclusive<$ty> {
+            #[inline]
             fn sample_from(self, rng: &mut rngs::StdRng) -> $ty {
                 let (start, end) = (*self.start(), *self.end());
                 let unit = (rng.next_u64() >> 11) as f64 / ((1u64 << 53) - 1) as f64;
@@ -131,6 +135,7 @@ pub trait RngExt {
 }
 
 impl RngExt for rngs::StdRng {
+    #[inline]
     fn random_range<T, R: UniformRange<T>>(&mut self, range: R) -> T {
         range.sample_from(self)
     }

@@ -2,8 +2,8 @@
 //!
 //! Each node runs one *dispatcher* process (its network-facing mailbox) and
 //! a pool of *worker* processes, all of them [`simcore::Actor`]s: a
-//! wake-up handles one message and returns to waiting, with no OS thread
-//! behind it. Requests are routed to a worker by the
+//! wake-up handles one message and returns to waiting, with no stack of
+//! its own behind it. Requests are routed to a worker by the
 //! object's placement hash, which gives both per-object serialization
 //! (linearizability) and disjoint-access parallelism across objects — the
 //! property behind Crucial's Fig. 2a win on complex operations.

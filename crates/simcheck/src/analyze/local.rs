@@ -6,9 +6,9 @@
 //!
 //! - `wall-clock` — a host clock read anywhere, test code included:
 //!   simulated code must use virtual time.
-//! - `native-thread` — a native thread spawn outside
-//!   `simcore/src/kernel.rs`: only the kernel backs a process with an OS
-//!   thread; everything else spawns simulation processes.
+//! - `native-thread` — a native thread spawn anywhere: a simulation runs on
+//!   the thread that calls `Sim::run_*`, and concurrency is spawned as
+//!   simulation processes.
 //! - `no-panic` — `unwrap`/`panic!`/`todo!`/… in non-test code under
 //!   `dso/src`, where a panicking worker wedges the whole simulated node;
 //!   `.expect(..)` passes under an `// invariant:` comment within the
@@ -104,11 +104,9 @@ pub fn run(ws: &Workspace) -> Vec<Finding> {
                 format!("wall-clock read ({}) breaks determinism; use virtual time", WALL_CLOCK[p]);
             report(line, Rule::WallClock, msg);
         }
-        if !file.path.ends_with("simcore/src/kernel.rs") {
-            for line in hits(file, &code, &NATIVE_THREAD, all).into_keys() {
-                let msg = "native thread spawn outside the kernel; spawn a simulation process";
-                report(line, Rule::NativeThread, msg.to_string());
-            }
+        for line in hits(file, &code, &NATIVE_THREAD, all).into_keys() {
+            let msg = "native thread spawn; spawn a simulation process";
+            report(line, Rule::NativeThread, msg.to_string());
         }
         if file.path.contains("dso/src") {
             let live = |t| !file.in_test(t);
@@ -203,10 +201,11 @@ mod tests {
     }
 
     #[test]
-    fn native_thread_scoped_to_non_kernel() {
+    fn native_thread_flagged_everywhere() {
         let src = "std::thread::spawn(|| {});\n";
         assert_eq!(lint("crates/x/src/a.rs", src).len(), 1);
-        assert!(lint("crates/simcore/src/kernel.rs", src).is_empty());
+        let src = "std::thread::Builder::new();\n";
+        assert_eq!(lint("crates/simcore/src/kernel.rs", src).len(), 1);
     }
 
     #[test]

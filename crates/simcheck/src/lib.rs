@@ -1,10 +1,10 @@
 //! Correctness tooling for the workspace: the `simlint` determinism lint.
 //!
 //! The simulation's guarantees rest on conventions a compiler cannot see:
-//! no wall-clock reads inside simulated code, no native threads outside the
-//! kernel, no panics on the DSO request path, spans stamped with simulated
-//! time only, no nondeterministic value reaching simulation state, and no
-//! unannotated or actor-side blocking. `simlint` enforces them over
+//! no wall-clock reads inside simulated code, no native threads, no panics
+//! on the DSO request path, spans stamped with simulated time only, no
+//! nondeterministic value reaching simulation state, and no unannotated or
+//! actor-side blocking. `simlint` enforces them over
 //! `crates/**/*.rs` with one engine and no external parser: a lexer
 //! ([`lex`]), an item parser ([`syntax`]) and the passes in [`analyze`],
 //! all over one parsed [`analyze::Workspace`].

@@ -1,22 +1,20 @@
 //! The discrete-event simulation kernel.
 //!
-//! The kernel hands out a single *run token*: exactly one process (or the
-//! scheduler loop) executes at any moment, and whichever OS thread holds
-//! the token runs the loop. There are two kinds of process:
+//! Exactly one process runs at any moment, and everything runs on the
+//! thread that called `Sim::run_*` (the *run thread*), which runs the
+//! scheduler loop. There are two kinds of process:
 //!
-//! - a **thread process** ([`Sim::spawn`]) runs on a pooled OS thread: a
-//!   worker whose body has returned parks and runs the next spawn's.
+//! - a **thread process** ([`Sim::spawn`]) is a closure on a stack of its
+//!   own, a stackful coroutine: the loop switches to it when it is picked.
 //!   Blocking operations — [`Ctx::sleep`], [`Ctx::recv`], [`Ctx::call`] —
-//!   register the wait and then drive the scheduler themselves: the thread
-//!   advances the virtual clock to the next event and hands the token
-//!   straight to the thread that event wakes, or keeps it when that is
-//!   itself. For code that blocks mid-function: application bodies,
+//!   register the wait and switch back to the loop, which resumes the body
+//!   where it blocked once the wait ends. A finished body's stack serves the
+//!   next spawn. For code that blocks mid-function: application bodies,
 //!   clients, drivers.
-//! - an **actor** ([`Sim::spawn_actor`]) is a value the thread that called
-//!   `Sim::run_*` invokes inline: [`Actor::on_wake`] runs to completion
-//!   and returns the one thing it waits for next ([`Wait`]). No OS thread,
-//!   no handoff. For message-driven servers, which only ever block at the
-//!   top of a loop.
+//! - an **actor** ([`Sim::spawn_actor`]) is a value the loop invokes
+//!   inline: [`Actor::on_wake`] runs to completion and returns the one
+//!   thing it waits for next ([`Wait`]). No stack of its own. For
+//!   message-driven servers, which only ever block at the top of a loop.
 //!
 //! Each [`Wait`] is exactly one of the blocking primitives, and both kinds
 //! share the block-state, epoch, mailbox and runnable-queue bookkeeping, so
@@ -31,15 +29,14 @@ use std::any::Any;
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Arc;
-use std::thread::Thread;
 use std::time::Duration;
 
-use parking_lot::{Mutex, MutexGuard};
+use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+use crate::coro::{Coroutine, Stack, Step, Yielder};
 use crate::detect::{StuckProc, WaitAnnotation, WaitKind};
 use crate::metrics::MetricsRegistry;
 use crate::scheduler::{Decision, FifoScheduler, Scheduler};
@@ -214,8 +211,8 @@ pub enum Wait {
 }
 
 /// A run-to-completion process: the run thread calls [`Actor::on_wake`]
-/// inline each time the actor's [`Wait`] ends, instead of handing the run
-/// token to a parked OS thread.
+/// inline each time the actor's [`Wait`] ends, instead of switching to a
+/// stack of its own.
 ///
 /// `on_wake` gets the same [`Ctx`] as a thread process — send, reply,
 /// spawn, kill, rng, spans and metrics all work — except that it must not
@@ -286,11 +283,11 @@ const STALL_LIMIT: Duration = Duration::from_secs(60);
 /// Whether firing this event can directly hand progress to a non-daemon
 /// process: a wake for a live non-daemon (sleep or recv timeout), or a
 /// delivery to a mailbox a non-daemon is blocked on. Such events are
-/// exempt from the stall cutoff in `Kernel::drive` — a client sleeping for an
+/// exempt from the stall cutoff in `Kernel::turn` — a client sleeping for an
 /// hour is idle, not wedged.
 ///
 /// A free function over the individual tables (rather than a
-/// `KernelState` method) so `drive` can consult it while the event
+/// `KernelState` method) so `turn` can consult it while the event
 /// queue is borrowed by `peek`.
 fn event_can_progress(
     procs: &HashMap<u64, ProcSlot>,
@@ -307,79 +304,8 @@ fn event_can_progress(
     }
 }
 
-// ---------------------------------------------------------------------------
-// Gates (token handoff)
-// ---------------------------------------------------------------------------
-
-/// Gate commands, in the order `fetch_max` needs: a grant never overwrites
-/// `EXIT`.
-const PARK: u8 = 0;
-const RUN: u8 = 1;
-const EXIT: u8 = 2;
-
-/// Where one OS thread waits for the run token: a command word and the
-/// handle that wakes the waiter.
-#[derive(Clone)]
-struct Gate {
-    cmd: Arc<AtomicU8>,
-    waiter: Thread,
-}
-
-impl Gate {
-    /// Blocks the calling thread, the waiter of `cmd`, until it is granted
-    /// the token (`true`) or told to terminate (`false`). Spurious
-    /// wake-ups and the unpark tokens of grants taken without parking fall
-    /// out of the loop.
-    fn wait(cmd: &AtomicU8) -> bool {
-        loop {
-            match cmd.compare_exchange(RUN, PARK, Ordering::SeqCst, Ordering::SeqCst) {
-                Ok(_) => return true,
-                Err(EXIT) => return false,
-                Err(_) => std::thread::park(),
-            }
-        }
-    }
-
-    fn set(&self, c: u8) {
-        self.cmd.fetch_max(c, Ordering::SeqCst);
-        self.waiter.unpark();
-    }
-}
-
-/// The calling thread's handle, for a gate to wake it by.
-fn this_thread() -> Thread {
-    // simlint: allow(determinism-taint, reason = "the handle is only ever unparked; nothing reads the thread's identity into simulated state")
-    std::thread::current()
-}
-
-/// Gives the run token to the waiter of `to`. Takes the state lock to
-/// count the transfer and releases it first, so the woken thread does not
-/// run into it. The caller no longer holds the token: `false`.
-fn pass(mut st: MutexGuard<'_, KernelState>, to: &Gate) -> bool {
-    st.handoffs += 1;
-    drop(st);
-    to.set(RUN);
-    false
-}
-
-/// Gives the run token to the caller of `Sim::run_*`.
-fn pass_to_run_thread(st: MutexGuard<'_, KernelState>) -> bool {
-    let run = st.run_gate.clone();
-    pass(st, &run)
-}
-
-/// Which OS thread is running the scheduler loop ([`Kernel::drive`]).
-#[derive(Copy, Clone, PartialEq, Eq)]
-enum Driver {
-    /// The caller of `Sim::run_*`.
-    RunThread,
-    /// A process thread that has just registered its wait.
-    Blocked(Pid),
-    /// A worker whose body has finished, already back in the idle pool.
-    Exiting,
-}
-
-/// Panic payload used to unwind process threads on shutdown/kill.
+/// Panic payload that unwinds a killed thread process, or one still live
+/// when its `Sim` drops.
 struct ShutdownSignal;
 
 // ---------------------------------------------------------------------------
@@ -395,50 +321,21 @@ enum BlockState {
     Exited,
 }
 
-/// What runs when a process holds the token.
+/// What runs when a process is picked.
 enum ProcBody {
-    /// A body on a parked worker thread; the worker's gate hands it the
-    /// token.
-    Thread(Gate),
-    /// An actor the run thread invokes inline; `None` while it runs and
-    /// once it has exited.
-    Actor(Option<Box<ActorCell>>),
-}
-
-impl ProcBody {
-    /// Ends the process without running it again. A thread is told to
-    /// unwind; it does not take the token, so the caller keeps running. An
-    /// actor's state is handed back for the caller to drop once the state
-    /// lock is released.
-    fn retire(&mut self) -> Option<Box<ActorCell>> {
-        match self {
-            ProcBody::Thread(gate) => {
-                gate.set(EXIT);
-                None
-            }
-            ProcBody::Actor(cell) => cell.take(),
-        }
-    }
-}
-
-/// A thread process's body, waiting in a worker's slot to run.
-struct Job {
-    pid: Pid,
-    name: String,
-    body: Box<dyn FnOnce(&mut Ctx) + Send>,
-}
-
-/// An OS thread that runs thread-process bodies one after another: its
-/// gate, and the slot `spawn_process` puts the next body in.
-#[derive(Clone)]
-struct Worker {
-    gate: Gate,
-    job: Arc<Mutex<Option<Job>>>,
+    /// A thread process whose body has not started: it starts on a stack
+    /// from the pool.
+    Fresh(Box<dyn FnOnce(&mut Ctx) + Send>),
+    /// A thread process suspended in a blocking call.
+    Suspended(Coroutine),
+    /// An actor at rest.
+    Actor(Box<ActorCell>),
 }
 
 struct ProcSlot {
     name: String,
-    body: ProcBody,
+    /// `None` while the process runs and once it has exited.
+    body: Option<ProcBody>,
     blocked: BlockState,
     epoch: u64,
     delivered: Option<Msg>,
@@ -472,7 +369,6 @@ pub(crate) struct KernelState {
     mailboxes: HashMap<u64, MailboxState>,
     next_pid: u64,
     next_mailbox: u64,
-    panic: Option<Box<dyn Any + Send>>,
     live: usize,
     live_nondaemon: usize,
     trace: bool,
@@ -484,23 +380,17 @@ pub(crate) struct KernelState {
     /// Current holder of each annotated resource (`resource id -> (pid,
     /// name)`), maintained by [`Ctx::resource_acquired`] and friends.
     holders: HashMap<u64, (Pid, String)>,
-    /// Virtual time a non-daemon process last received the run token; the
-    /// stall detector in [`Kernel::drive`] keys off this.
+    /// Virtual time a non-daemon process last ran; the stall detector in
+    /// [`Kernel::turn`] keys off this.
     last_nondaemon_run: SimTime,
     /// Where the current `Sim::run_*` call stops; `None` runs until idle.
     deadline: Option<SimTime>,
-    /// The gate of the thread that called `Sim::run_*`, its waiter captured
-    /// at each entry.
-    run_gate: Gate,
-    /// An actor picked by a process thread, for the run thread to run
-    /// without picking again.
-    carried: Option<Pid>,
-    /// Times the run token moved from one OS thread to another.
-    handoffs: u64,
-    /// Workers whose last body returned, waiting for the next spawn.
-    idle: Vec<Worker>,
-    /// Every worker thread started, joined when the `Sim` drops.
-    workers: Vec<std::thread::JoinHandle<()>>,
+    /// Stacks whose body has ended, for the next thread process to start on.
+    stacks: Vec<Stack>,
+    /// Stacks mapped so far; see [`Sim::stacks_allocated`].
+    stacks_allocated: u64,
+    /// Switches to a thread process's stack; see [`Sim::resumes`].
+    resumes: u64,
     /// Span collector, if observability is enabled ([`Sim::set_tracer`]).
     /// `None` makes every `Ctx::span_*` call a no-op.
     tracer: Option<Tracer>,
@@ -679,87 +569,61 @@ impl KernelState {
 
 pub(crate) struct Kernel {
     state: Mutex<KernelState>,
-    /// The command word of `KernelState::run_gate`, where the run thread
-    /// waits without the state lock.
-    run_cmd: Arc<AtomicU8>,
     seed: u64,
 }
 
 impl Kernel {
-    /// Runs the scheduler loop on the calling thread, which holds the run
-    /// token, until the token leaves it or comes to rest: `true` if the
-    /// caller still holds it — a process thread that picked itself, or the
-    /// run thread with nothing left to fire.
-    ///
-    /// A panic of the loop itself on a process thread belongs to the
-    /// `run_*` caller, who is parked: it is recorded for `run_*` to
-    /// re-raise and the token goes there, rather than unwinding a process
-    /// body that did nothing wrong.
-    fn drive(&self, driver: Driver) -> bool {
-        if driver == Driver::RunThread {
-            return self.turn(driver);
-        }
-        catch_unwind(AssertUnwindSafe(|| self.turn(driver))).unwrap_or_else(|panic| {
-            let mut st = self.state.lock();
-            st.panic.get_or_insert(panic);
-            pass_to_run_thread(st)
-        })
-    }
-
-    /// The loop behind [`Kernel::drive`].
-    fn turn(&self, driver: Driver) -> bool {
-        let on_run_thread = driver == Driver::RunThread;
+    /// The scheduler loop, on the run thread: runs every runnable process
+    /// to its next block point, fires the next event, and so on until the
+    /// run is over. A process body's panic is re-raised here.
+    fn turn(self: &Arc<Self>) {
         loop {
             let mut guard = self.state.lock();
             let st = &mut *guard;
-            if st.panic.is_some() && !on_run_thread {
-                return pass_to_run_thread(guard);
-            }
-            if let Some(panic) = st.panic.take() {
-                drop(guard);
-                resume_unwind(panic);
-            }
             // Run every currently runnable process to its next block point.
-            if let Some(pid) = st.carried.take().or_else(|| st.pick_runnable()) {
+            if let Some(pid) = st.pick_runnable() {
                 let Some(p) = st.procs.get_mut(&pid.0).filter(|p| p.blocked != BlockState::Exited)
                 else {
                     continue;
                 };
-                if !on_run_thread && matches!(p.body, ProcBody::Actor(_)) {
-                    // Actors run on the run thread only: an `on_wake` frame
-                    // never lands on a 256 KB process stack. The decision
-                    // is already recorded, so the pick travels with the
-                    // token instead of being made again.
-                    st.carried = Some(pid);
-                    return pass_to_run_thread(guard);
-                }
+                let body = p.body.take().expect("a runnable process is at rest in its slot");
                 if p.killed {
-                    let cell = p.body.retire();
                     st.proc_exited(pid);
                     drop(guard);
-                    drop(cell);
+                    if let Some(panic) = self.retire(body) {
+                        resume_unwind(panic);
+                    }
                     continue;
                 }
                 if !p.daemon {
                     st.last_nondaemon_run = st.now;
                 }
-                match &mut p.body {
-                    ProcBody::Thread(_) if driver == Driver::Blocked(pid) => return true,
-                    ProcBody::Thread(gate) => {
-                        let gate = gate.clone();
-                        pass(guard, &gate);
-                        if !on_run_thread {
-                            return false;
-                        }
-                        let granted = Gate::wait(&self.run_cmd);
-                        debug_assert!(granted, "nothing retires the run thread");
-                    }
+                let step = match body {
                     ProcBody::Actor(cell) => {
-                        let cell = cell.take().expect("a runnable actor is at rest in its slot");
                         drop(guard);
                         self.run_actor(pid, cell);
+                        continue;
                     }
-                }
+                    ProcBody::Fresh(f) => {
+                        let name = p.name.clone();
+                        let stack = st.stacks.pop().unwrap_or_else(|| {
+                            st.stacks_allocated += 1;
+                            Stack::new()
+                        });
+                        st.resumes += 1;
+                        drop(guard);
+                        let kernel = self.clone();
+                        Coroutine::start(stack, move |yielder| {
+                            f(&mut new_ctx(&kernel, pid, &name, Some(yielder)));
+                        })
+                    }
+                    ProcBody::Suspended(coroutine) => {
+                        st.resumes += 1;
+                        drop(guard);
+                        coroutine.resume()
+                    }
+                };
+                self.settle(pid, step);
                 continue;
             }
             // Advance to the next event. Without a deadline, stop once
@@ -782,13 +646,50 @@ impl Kernel {
             };
             if !fire {
                 // The run is over; its caller builds the outcome.
-                return on_run_thread || pass_to_run_thread(guard);
+                return;
             }
             let (time, _, kind) = st.events.pop().expect("peeked event");
             debug_assert!(time >= st.now, "event in the past");
             st.now = time;
             st.apply_event(kind);
         }
+    }
+
+    /// Puts a thread process back after a switch to its stack: at rest in
+    /// its slot if it blocked; exited, with its stack back in the pool, if
+    /// its body ended — re-raising a panic the body ended in.
+    fn settle(&self, pid: Pid, step: Step) {
+        let mut st = self.state.lock();
+        match step {
+            Step::Suspended(coroutine) => {
+                st.procs.get_mut(&pid.0).expect("own slot").body =
+                    Some(ProcBody::Suspended(coroutine));
+            }
+            Step::Done(stack, done) => {
+                st.stacks.push(stack);
+                st.proc_exited(pid);
+                drop(st);
+                if let Err(panic) = done {
+                    resume_unwind(panic);
+                }
+            }
+        }
+    }
+
+    /// Ends a body taken from the slot of an exited process without running
+    /// it on: a suspended thread unwinds on its own stack, which then
+    /// returns to the pool; anything else is dropped. Call it without the
+    /// state lock. Returns a panic other than the shutdown's that the
+    /// unwinding body ended in, for the caller to re-raise.
+    fn retire(&self, body: ProcBody) -> Option<Box<dyn Any + Send>> {
+        let ProcBody::Suspended(coroutine) = body else {
+            return None;
+        };
+        let (stack, done) = coroutine.kill();
+        let mut st = self.state.lock();
+        st.resumes += 1;
+        st.stacks.push(stack);
+        done.err().filter(|panic| !panic.is::<ShutdownSignal>())
     }
 
     /// Invokes an actor inline until it blocks or exits: turn how its last
@@ -841,7 +742,7 @@ impl Kernel {
                 None => {
                     cell.wait = Some(wait);
                     let p = st.procs.get_mut(&pid.0).expect("own slot");
-                    p.body = ProcBody::Actor(Some(cell));
+                    p.body = Some(ProcBody::Actor(cell));
                     return;
                 }
             }
@@ -927,7 +828,6 @@ impl Sim {
     /// search over schedules and to replay a failing one.
     pub fn with_scheduler(seed: u64, scheduler: Box<dyn Scheduler>) -> Sim {
         let trace = std::env::var("SIM_TRACE").map(|v| v == "1").unwrap_or(false);
-        let run_cmd = Arc::new(AtomicU8::new(PARK));
         Sim {
             kernel: Arc::new(Kernel {
                 state: Mutex::new(KernelState {
@@ -939,7 +839,6 @@ impl Sim {
                     mailboxes: HashMap::new(),
                     next_pid: 0,
                     next_mailbox: 0,
-                    panic: None,
                     live: 0,
                     live_nondaemon: 0,
                     trace,
@@ -948,15 +847,12 @@ impl Sim {
                     holders: HashMap::new(),
                     last_nondaemon_run: SimTime::ZERO,
                     deadline: None,
-                    run_gate: Gate { cmd: run_cmd.clone(), waiter: this_thread() },
-                    carried: None,
-                    handoffs: 0,
-                    idle: Vec::new(),
-                    workers: Vec::new(),
+                    stacks: Vec::new(),
+                    stacks_allocated: 0,
+                    resumes: 0,
                     tracer: None,
                     metrics: None,
                 }),
-                run_cmd,
                 seed,
             }),
         }
@@ -974,19 +870,20 @@ impl Sim {
         self.kernel.state.lock().events.stats()
     }
 
-    /// Times the run token has moved from one OS thread to another: the
-    /// host cost thread processes add over actors, as a count.
-    pub fn thread_handoffs(&self) -> u64 {
-        self.kernel.state.lock().handoffs
+    /// Stacks mapped for thread processes. A body starts on a stack whose
+    /// last body has ended, returned or killed, and a new one is mapped
+    /// only when none is free, so the count is the most thread processes
+    /// ever started and not yet ended at once. Exact per seed.
+    pub fn stacks_allocated(&self) -> u64 {
+        self.kernel.state.lock().stacks_allocated
     }
 
-    /// OS threads the kernel has started for thread processes. A thread
-    /// whose body returns runs the next spawn's body, and a spawn starts a
-    /// thread only when none is idle; a killed process's thread ends. Every
-    /// spawn and every return to the pool happens under the run token, so
-    /// the count is exact per seed, like [`Sim::thread_handoffs`].
-    pub fn threads_spawned(&self) -> u64 {
-        self.kernel.state.lock().workers.len() as u64
+    /// Switches from the run thread to a thread process's stack: one to
+    /// start each body, one each time a blocking call returns, and one to
+    /// unwind a body killed mid-way. The host cost a thread process adds
+    /// over an actor, as a count; exact per seed.
+    pub fn resumes(&self) -> u64 {
+        self.kernel.state.lock().resumes
     }
 
     /// Installs a span collector: from now on `Ctx::span_begin` and friends
@@ -1062,8 +959,9 @@ impl Sim {
     }
 
     /// Spawns a thread process. It becomes runnable at the current virtual
-    /// time; `f` runs on an idle worker thread, or on a new one when none
-    /// is idle (see [`Sim::threads_spawned`]).
+    /// time; `f` runs on a stack of its own, a free one if there is one
+    /// (see [`Sim::stacks_allocated`]), which the run thread switches to
+    /// whenever the process is picked.
     pub fn spawn<F>(&self, name: &str, f: F) -> Pid
     where
         F: FnOnce(&mut Ctx) + Send + 'static,
@@ -1110,27 +1008,23 @@ impl Sim {
     }
 
     fn run_inner(&mut self, deadline: Option<SimTime>) -> RunOutcome {
-        {
-            let mut st = self.kernel.state.lock();
-            st.deadline = deadline;
-            // Captured per run: a `Sim` may move between calls.
-            st.run_gate.waiter = this_thread();
-        }
-        self.kernel.drive(Driver::RunThread);
+        self.kernel.state.lock().deadline = deadline;
+        self.kernel.turn();
         let mut st = self.kernel.state.lock();
         if let Some(d) = deadline {
             if st.now < d {
                 st.now = d;
             }
         }
-        let blocked = st
+        let mut blocked: Vec<_> = st
             .procs
-            .values()
-            .filter(|p| {
+            .iter()
+            .filter(|(_, p)| {
                 !p.daemon && p.blocked != BlockState::Exited && p.blocked != BlockState::Runnable
             })
-            .map(|p| p.name.clone())
             .collect();
+        blocked.sort_unstable_by_key(|(id, _)| **id);
+        let blocked = blocked.into_iter().map(|(_, p)| p.name.clone()).collect();
         RunOutcome { time: st.now, blocked }
     }
 
@@ -1148,26 +1042,30 @@ impl Sim {
 
 impl Drop for Sim {
     fn drop(&mut self) {
-        // Tell every worker to end — an idle one directly, one with a
-        // process by retiring the process — then join them all. Actors at
-        // rest are dropped here too: their `Ctx` holds the kernel, which
-        // holds them.
-        let (cells, workers) = {
+        // End every live process in pid order: a thread process that has
+        // started unwinds on its own stack, anything else is dropped. Each
+        // holds the kernel through its `Ctx`, and the kernel holds it.
+        let bodies: Vec<ProcBody> = {
             let mut st = self.kernel.state.lock();
-            for w in st.idle.drain(..) {
-                w.gate.set(EXIT);
-            }
-            let cells: Vec<_> = st
+            let mut live: Vec<u64> = st
                 .procs
-                .values_mut()
-                .filter(|p| p.blocked != BlockState::Exited)
-                .filter_map(|p| p.body.retire())
+                .iter()
+                .filter(|(_, p)| p.blocked != BlockState::Exited)
+                .map(|(id, _)| *id)
                 .collect();
-            (cells, std::mem::take(&mut st.workers))
+            live.sort_unstable();
+            live.into_iter()
+                .filter_map(|id| {
+                    let body = st.procs.get_mut(&id)?.body.take();
+                    st.proc_exited(Pid(id));
+                    body
+                })
+                .collect()
         };
-        drop(cells);
-        for w in workers {
-            let _ = w.join();
+        for body in bodies {
+            // A body that unwinds into some other panic has no `run_*`
+            // caller left to re-raise it.
+            drop(self.kernel.retire(body));
         }
     }
 }
@@ -1191,7 +1089,7 @@ fn create_mailbox(kernel: &Arc<Kernel>, name: &str, owner: Option<Pid>) -> Addr 
     Addr(id)
 }
 
-fn kill_process(kernel: &Arc<Kernel>, pid: Pid) {
+fn kill_process(kernel: &Kernel, pid: Pid) {
     let mut st = kernel.state.lock();
     let Some(p) = st.procs.get_mut(&pid.0).filter(|p| p.blocked != BlockState::Exited) else {
         return;
@@ -1200,10 +1098,12 @@ fn kill_process(kernel: &Arc<Kernel>, pid: Pid) {
     // A runnable process is handled when the kernel pops it from the
     // runnable queue; a blocked one ends here and never runs again.
     if p.blocked != BlockState::Runnable {
-        let cell = p.body.retire();
+        let body = p.body.take();
         st.proc_exited(pid);
         drop(st);
-        drop(cell);
+        if let Some(panic) = body.and_then(|body| kernel.retire(body)) {
+            resume_unwind(panic);
+        }
     }
 }
 
@@ -1216,12 +1116,12 @@ fn next_pid(kernel: &Kernel) -> Pid {
 }
 
 /// The context of process `pid`, with its per-pid random stream.
-fn new_ctx(kernel: &Arc<Kernel>, pid: Pid, name: &str, gate: Option<Arc<AtomicU8>>) -> Ctx {
+fn new_ctx(kernel: &Arc<Kernel>, pid: Pid, name: &str, yielder: Option<Yielder>) -> Ctx {
     let seed = kernel.seed ^ pid.0.wrapping_mul(0x9E37_79B9_7F4A_7C15);
     Ctx {
         kernel: kernel.clone(),
         pid,
-        gate,
+        yielder,
         rng: StdRng::seed_from_u64(seed),
         name: name.to_string(),
         trace_ctx: TraceCtx::root(),
@@ -1235,7 +1135,7 @@ fn insert_proc(kernel: &Kernel, pid: Pid, name: &str, daemon: bool, body: ProcBo
         pid.0,
         ProcSlot {
             name: name.to_string(),
-            body,
+            body: Some(body),
             blocked: BlockState::Runnable,
             epoch: 0,
             delivered: None,
@@ -1256,70 +1156,17 @@ fn insert_proc(kernel: &Kernel, pid: Pid, name: &str, daemon: bool, body: ProcBo
 fn spawn_actor(kernel: &Arc<Kernel>, name: &str, daemon: bool, actor: Box<dyn Actor>) -> Pid {
     let pid = next_pid(kernel);
     let cell = ActorCell { actor, ctx: new_ctx(kernel, pid, name, None), wait: None };
-    insert_proc(kernel, pid, name, daemon, ProcBody::Actor(Some(Box::new(cell))));
+    insert_proc(kernel, pid, name, daemon, ProcBody::Actor(Box::new(cell)));
     pid
 }
 
-fn spawn_process<F>(kernel: &Arc<Kernel>, name: &str, daemon: bool, f: F) -> Pid
+fn spawn_process<F>(kernel: &Kernel, name: &str, daemon: bool, f: F) -> Pid
 where
     F: FnOnce(&mut Ctx) + Send + 'static,
 {
     let pid = next_pid(kernel);
-    // Only the token holder spawns, and a worker returns to `idle` before
-    // it passes the token on, so an idle worker is at most on its way back
-    // to its gate, whose `RUN` waits for it.
-    let idle = kernel.state.lock().idle.pop();
-    let worker = idle.unwrap_or_else(|| start_worker(kernel));
-    *worker.job.lock() = Some(Job { pid, name: name.to_string(), body: Box::new(f) });
-    insert_proc(kernel, pid, name, daemon, ProcBody::Thread(worker.gate));
+    insert_proc(kernel, pid, name, daemon, ProcBody::Fresh(Box::new(f)));
     pid
-}
-
-/// Starts a worker thread, parked on its gate with an empty slot.
-fn start_worker(kernel: &Arc<Kernel>) -> Worker {
-    let cmd = Arc::new(AtomicU8::new(PARK));
-    let job = Arc::new(Mutex::new(None));
-    let (thread_kernel, thread_cmd, thread_job) = (kernel.clone(), cmd.clone(), job.clone());
-    let handle = std::thread::Builder::new()
-        .name("sim-worker".to_string())
-        .stack_size(256 * 1024)
-        .spawn(move || {
-            let gate = Gate { cmd: thread_cmd, waiter: this_thread() };
-            run_worker(&thread_kernel, Worker { gate, job: thread_job });
-        })
-        .expect("failed to spawn simulation thread");
-    let worker = Worker { gate: Gate { cmd, waiter: handle.thread().clone() }, job };
-    kernel.state.lock().workers.push(handle);
-    worker
-}
-
-/// A worker's life: each time it is granted the token, run the body in its
-/// slot on a fresh context, then rejoin `idle` and drive the scheduler on.
-/// It ends when `EXIT` reaches it: parked (a kill before the body ran, or
-/// the `Sim` dropping), or mid-body (a kill or shutdown unwinding it). A
-/// body that never ran goes with its slot.
-fn run_worker(kernel: &Arc<Kernel>, me: Worker) {
-    while Gate::wait(&me.gate.cmd) {
-        let Job { pid, name, body } =
-            me.job.lock().take().expect("a worker is granted the token only with a body");
-        let result = {
-            let mut ctx = new_ctx(kernel, pid, &name, Some(me.gate.cmd.clone()));
-            catch_unwind(AssertUnwindSafe(|| body(&mut ctx)))
-        };
-        let mut st = kernel.state.lock();
-        st.proc_exited(pid);
-        match result {
-            // A shutdown unwinds a body out of its wait, so the token is
-            // elsewhere and the gate stays `EXIT`; any other way out of the
-            // body still holds the token.
-            Err(p) if p.is::<ShutdownSignal>() => return,
-            Err(p) => st.panic = Some(p),
-            Ok(()) => {}
-        }
-        st.idle.push(me.clone());
-        drop(st);
-        kernel.drive(Driver::Exiting);
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1329,15 +1176,15 @@ fn run_worker(kernel: &Arc<Kernel>, me: Worker) {
 /// The execution context handed to every simulated process.
 ///
 /// In a thread process, the methods that block (`sleep`, `recv`, `call`,
-/// `park`) pass the run token on and resume when the corresponding event
-/// fires. In an [`Actor`] they panic: an actor blocks
+/// `park`) switch back to the scheduler loop and return when the
+/// corresponding event fires. In an [`Actor`] they panic: an actor blocks
 /// only by returning a [`Wait`].
 pub struct Ctx {
     kernel: Arc<Kernel>,
     pid: Pid,
-    /// The command word of the thread's token gate; `None` for an actor,
-    /// which has no thread to park.
-    gate: Option<Arc<AtomicU8>>,
+    /// The way back to the loop from a thread process's stack; `None` for
+    /// an actor, which has no stack of its own.
+    yielder: Option<Yielder>,
     rng: StdRng,
     name: String,
     /// Current trace context; spans started with [`Ctx::span_begin`] are
@@ -1504,19 +1351,20 @@ impl Ctx {
     /// `instead`.
     fn must_be_thread(&self, call: &str, instead: &str) {
         assert!(
-            self.gate.is_some(),
+            self.yielder.is_some(),
             "actor {} called blocking Ctx::{call}; an actor never blocks mid-function: {instead}",
             self.name
         );
     }
 
-    /// Called with this process's wait registered: drives the scheduler
-    /// and, unless the next pick is this process, parks until it is.
+    /// Called with this process's wait registered: switches back to the
+    /// scheduler loop, which switches back here once the wait has ended —
+    /// or unwinds the body if the process is killed or its `Sim` drops.
     fn yield_to_kernel(&mut self) {
-        let cmd = self.gate.as_deref().expect("blocking calls start with must_be_thread");
-        if !self.kernel.drive(Driver::Blocked(self.pid)) && !Gate::wait(cmd) {
+        let yielder = self.yielder.as_ref().expect("blocking calls start with must_be_thread");
+        if !yielder.suspend() {
             // resume_unwind skips the panic hook: shutdown is not an error.
-            std::panic::resume_unwind(Box::new(ShutdownSignal));
+            resume_unwind(Box::new(ShutdownSignal));
         }
     }
 

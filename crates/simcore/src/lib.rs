@@ -1,7 +1,7 @@
 //! # simcore — deterministic discrete-event simulation kernel
 //!
 //! The substrate under the whole Crucial reproduction: a virtual clock,
-//! processes — inline actors and closures on real OS threads — scheduled
+//! processes — inline actors and closures on stackful coroutines — scheduled
 //! one-at-a-time by the kernel (so runs are **deterministic** given a
 //! seed), mailboxes with latency models, a processor-sharing CPU resource,
 //! local synchronization primitives, a compact binary codec, and
@@ -40,11 +40,14 @@
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
+// The one exception is `coro`, the coroutine switch and its stacks.
+#![deny(unsafe_code)]
 
 // `#[derive(Wire)]` names the trait as `::simcore::codec::Wire`; this makes
 // that path resolve inside this crate too.
 extern crate self as simcore;
 
+mod coro;
 mod kernel;
 mod latency;
 mod metrics;

@@ -2,7 +2,7 @@
 //!
 //! The kernel is single-threaded in virtual time: whenever more than one
 //! process is runnable *at the same instant*, something must pick which one
-//! gets the run token first. That choice is invisible to correct programs
+//! runs first. That choice is invisible to correct programs
 //! and fatal to racy ones — so it is abstracted behind the [`Scheduler`]
 //! trait. [`FifoScheduler`] preserves the kernel's historical
 //! first-come-first-served order (and is what [`crate::Sim::new`] installs);
@@ -34,7 +34,7 @@ pub struct Decision {
     pub choice: u32,
 }
 
-/// Picks which runnable process receives the run token next.
+/// Picks which runnable process runs next.
 ///
 /// `pick` is only consulted when at least two processes are runnable; the
 /// returned index is clamped to the queue length by the kernel, so an

@@ -16,7 +16,7 @@
 //! back, so no thread outside the simulation exists during a window, and
 //! prints libtest's lines so the output reads like any other test binary's.
 //! The same holds for the last test, which counts the process's OS threads
-//! to show a dropped `Sim` leaves none of its workers behind.
+//! to show a simulation never starts one.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -143,7 +143,7 @@ fn steady_state_thread_ring_allocates_nothing() {
     let first = mbs[0];
     sim.spawn("serve", move |ctx| ctx.send(first, Msg::new(0u64), Duration::ZERO));
     sim.run_for(Duration::from_millis(1));
-    let (warm, warm_handoffs) = (sim.event_queue_stats(), sim.thread_handoffs());
+    let (warm, warm_resumes) = (sim.event_queue_stats(), sim.resumes());
 
     ALLOCS.store(0, Ordering::SeqCst);
     COUNTING.store(true, Ordering::SeqCst);
@@ -152,14 +152,14 @@ fn steady_state_thread_ring_allocates_nothing() {
 
     let counted = ALLOCS.load(Ordering::SeqCst);
     let after = sim.event_queue_stats();
-    // One delivery per 3 µs hop, each waking a thread parked in `recv`: the
-    // blocking thread fires it and hands the token straight to the next.
+    // One delivery per 3 µs hop, each waking a thread process suspended in
+    // `recv`: the loop fires it and switches to that process's stack.
     assert!(
         after.recycled_pushes >= warm.recycled_pushes + 9_000,
         "the ball must keep moving: {warm:?} -> {after:?}"
     );
-    assert!(sim.thread_handoffs() >= warm_handoffs + 9_000, "every hop is a thread handoff");
-    assert_eq!(counted, 0, "a thread handoff allocated {counted} times in steady state");
+    assert!(sim.resumes() >= warm_resumes + 9_000, "every hop is a resume");
+    assert_eq!(counted, 0, "a resume allocated {counted} times in steady state");
 }
 
 /// This process's OS threads, as `/proc/self/task` lists them.
@@ -169,32 +169,28 @@ fn os_threads() -> usize {
 
 /// Counts threads process-wide, so it too needs a binary with nothing
 /// running beside it.
-fn dropping_a_sim_ends_every_worker_thread() {
+fn a_sim_never_starts_an_os_thread() {
     let before = os_threads();
+    let same = |when: &str| assert_eq!(os_threads(), before, "OS thread count changed {when}");
     let mut sim = Sim::new(14);
     for i in 0..4 {
         sim.spawn(&format!("one-shot-{i}"), |ctx| ctx.sleep(Duration::from_micros(1)));
     }
+    same("on spawn");
     sim.run_until_idle().expect_quiescent();
+    same("running processes to their end");
     let (never, also_never) = (sim.mailbox("never"), sim.mailbox("also-never"));
     sim.spawn("blocked", move |ctx| drop(ctx.recv(never)));
     let killed = sim.spawn("killed", move |ctx| drop(ctx.recv(also_never)));
     sim.run_until_idle();
+    same("with processes suspended");
     sim.kill(killed);
-    // Two of the four workers idle, one blocked mid-body, one ending.
-    assert_eq!(sim.threads_spawned(), 4);
-    assert!(os_threads() > before, "the workers are OS threads");
+    same("on a kill");
+    // Four stacks: the one-shots ran side by side, and the two blocked
+    // processes took two of them.
+    assert_eq!(sim.stacks_allocated(), 4);
     drop(sim);
-    // A joined thread leaves `/proc` a moment after `join` returns.
-    let mut after = os_threads();
-    for _ in 0..1_000 {
-        if after == before {
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(1));
-        after = os_threads();
-    }
-    assert_eq!(after, before, "threads outlived their Sim");
+    same("on drop");
 }
 
 fn main() {
@@ -205,7 +201,7 @@ fn main() {
             steady_state_actor_ping_pong_allocates_nothing,
         ),
         ("steady_state_thread_ring_allocates_nothing", steady_state_thread_ring_allocates_nothing),
-        ("dropping_a_sim_ends_every_worker_thread", dropping_a_sim_ends_every_worker_thread),
+        ("a_sim_never_starts_an_os_thread", a_sim_never_starts_an_os_thread),
     ];
     // What `cargo test -- --list` asks of every test binary.
     if std::env::args().any(|a| a == "--list") {
