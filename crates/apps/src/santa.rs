@@ -11,7 +11,9 @@
 //! reindeer first — and everyone synchronizes through per-batch entry and
 //! exit gates (barriers of `group size + 1`, Santa included).
 
+use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
+use std::rc::Rc;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -200,7 +202,7 @@ struct LocalShared {
 #[derive(Clone)]
 pub struct LocalOps {
     monitor: Monitor,
-    shared: Arc<Mutex<LocalShared>>,
+    shared: Rc<RefCell<LocalShared>>,
 }
 
 impl LocalOps {
@@ -208,7 +210,7 @@ impl LocalOps {
     pub fn new() -> LocalOps {
         LocalOps {
             monitor: Monitor::new("santa"),
-            shared: Arc::new(Mutex::new(LocalShared {
+            shared: Rc::new(RefCell::new(LocalShared {
                 joined: HashMap::new(),
                 reindeer_q: VecDeque::new(),
                 elf_q: VecDeque::new(),
@@ -218,7 +220,7 @@ impl LocalOps {
     }
 
     fn gate(&self, kind: Kind, batch: u64, gate: Gate) -> LocalBarrier {
-        let mut st = self.shared.lock();
+        let mut st = self.shared.borrow_mut();
         st.gates
             .entry((kind, batch, gate))
             .or_insert_with(|| LocalBarrier::new(kind.group_size() as usize + 1))
@@ -236,7 +238,7 @@ impl SantaOps for LocalOps {
     fn join_group(&mut self, ctx: &mut Ctx, kind: Kind, quota: u64) -> Option<u64> {
         self.monitor.enter(ctx);
         let batch = {
-            let mut st = self.shared.lock();
+            let mut st = self.shared.borrow_mut();
             let n = st.joined.entry(kind).or_insert(0);
             if *n >= quota {
                 None
@@ -263,7 +265,7 @@ impl SantaOps for LocalOps {
         self.monitor.enter(ctx);
         let out = loop {
             let popped = {
-                let mut st = self.shared.lock();
+                let mut st = self.shared.borrow_mut();
                 if let Some(b) = st.reindeer_q.pop_front() {
                     Some((Kind::Reindeer, b))
                 } else {

@@ -11,7 +11,7 @@
 //!   why Crucial wins the complex-op race ~5×.
 
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::rc::Rc;
 use std::time::Duration;
 
 use simcore::{Addr, Ctx, LatencyModel, Request, Sim, WaitKind};
@@ -19,8 +19,7 @@ use simcore::{Addr, Ctx, LatencyModel, Request, Sim, WaitKind};
 /// A server-side script: `(current value, args) -> (reply, new value)`.
 /// The returned [`Duration`] is the CPU time the script burns on the
 /// single-threaded shard.
-pub type RedisScript =
-    Arc<dyn Fn(Option<Vec<u8>>, &[u8]) -> (Vec<u8>, Option<Vec<u8>>, Duration) + Send + Sync>;
+pub type RedisScript = Rc<dyn Fn(Option<Vec<u8>>, &[u8]) -> (Vec<u8>, Option<Vec<u8>>, Duration)>;
 
 /// Registry of scripts, loaded into every shard (like `SCRIPT LOAD`).
 #[derive(Clone, Default)]
@@ -45,12 +44,9 @@ impl ScriptRegistry {
     /// Registers a script under `name`.
     pub fn register<F>(&mut self, name: &str, f: F)
     where
-        F: Fn(Option<Vec<u8>>, &[u8]) -> (Vec<u8>, Option<Vec<u8>>, Duration)
-            + Send
-            + Sync
-            + 'static,
+        F: Fn(Option<Vec<u8>>, &[u8]) -> (Vec<u8>, Option<Vec<u8>>, Duration) + 'static,
     {
-        self.scripts.insert(name.to_string(), Arc::new(f));
+        self.scripts.insert(name.to_string(), Rc::new(f));
     }
 }
 

@@ -11,6 +11,8 @@
 //! `ctl.drain`) and appended to the [`CtlHandle`] decision log, whose
 //! rendering is byte-identical across identically-seeded runs.
 
+use std::cell::RefCell;
+use std::rc::Rc;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -266,7 +268,7 @@ struct PrewarmState {
 }
 
 /// Scheduling state of the checkpoint lever. Owns its own [`DsoClient`]
-/// so checkpoint rounds never hold the cluster lock across blocking
+/// so checkpoint rounds never hold the cluster borrow across blocking
 /// calls, and the [`Checkpointer`] so sequence numbers stay monotonic
 /// across rounds.
 struct CkptState {
@@ -279,13 +281,13 @@ struct CkptState {
 /// Spawns the reconcile daemon.
 ///
 /// The daemon owns no state of its own beyond the policy: it reads
-/// `registry`, locks `cluster` only around actuations (never across a
+/// `registry`, borrows `cluster` only around actuations (never across a
 /// blocking call), and optionally moves the provisioned-concurrency floor
 /// of `faas`. It runs forever as a daemon process — the simulation stays
 /// quiescible.
 pub fn spawn_controlplane(
     sim: &Sim,
-    cluster: Arc<Mutex<DsoCluster>>,
+    cluster: Rc<RefCell<DsoCluster>>,
     faas: Option<FaasHandle>,
     registry: MetricsRegistry,
     mut policy: Box<dyn ScalingPolicy>,
@@ -302,7 +304,7 @@ pub fn spawn_controlplane(
         let mut prewarm =
             cfg.prewarm.clone().map(|cfg| PrewarmState { cfg, floor: 0, calm_ticks: 0 });
         let mut ckpt = cfg.checkpoint_interval.and_then(|interval| {
-            let cl = cluster.lock();
+            let cl = cluster.borrow();
             let d = cl.config().durability.clone()?;
             Some(CkptState {
                 interval,
@@ -320,7 +322,7 @@ pub fn spawn_controlplane(
                 shed_rate: (snap.shed - prev.shed) as f64 / dt,
                 queue_depth: registry.series("dso.queue_depth").mean_in(prev_t, now).unwrap_or(0.0),
                 cold_start_rate: (snap.cold_starts - prev.cold_starts) as f64 / dt,
-                nodes: cluster.lock().live_nodes() as u32,
+                nodes: cluster.borrow().live_nodes() as u32,
             };
             let span = ctx.span_begin("ctl.reconcile", "ctl");
             let decision = policy.decide(&obs);
@@ -334,7 +336,7 @@ pub fn spawn_controlplane(
                 ScaleDecision::Out => {
                     let cooling = last_scale_out
                         .is_some_and(|t| now.saturating_duration_since(t) < cfg.scale_out_cooldown);
-                    let mut cl = cluster.lock();
+                    let mut cl = cluster.borrow_mut();
                     if !cooling && (cl.live_nodes() as u32) < cfg.max_nodes {
                         let s = ctx.span_begin_under(span, "ctl.scale_out", "ctl");
                         cl.add_node_from(ctx);
@@ -352,7 +354,7 @@ pub fn spawn_controlplane(
                         .into_iter()
                         .chain(last_scale_out)
                         .any(|t| now.saturating_duration_since(t) < cfg.drain_cooldown);
-                    let mut cl = cluster.lock();
+                    let mut cl = cluster.borrow_mut();
                     if !cooling && (cl.live_nodes() as u32) > cfg.min_nodes {
                         if let Some(idx) = cl.newest_live() {
                             let s = ctx.span_begin_under(span, "ctl.drain", "ctl");
@@ -407,7 +409,7 @@ pub fn spawn_controlplane(
                     ctx.span_end(s);
                 }
             }
-            ctx.metric_push("ctl.nodes", cluster.lock().live_nodes() as f64);
+            ctx.metric_push("ctl.nodes", cluster.borrow().live_nodes() as f64);
             ctx.span_end(span);
             prev = snap;
             prev_t = now;
@@ -433,8 +435,8 @@ mod tests {
         let d = DurabilityConfig::new(DurabilityStore::new(s3, "ctl"));
         let cfg = DsoConfig { durability: Some(d), ..DsoConfig::default() };
         let cluster =
-            Arc::new(Mutex::new(DsoCluster::start(&sim, 2, cfg, ObjectRegistry::with_builtins())));
-        let handle = cluster.lock().client_handle();
+            Rc::new(RefCell::new(DsoCluster::start(&sim, 2, cfg, ObjectRegistry::with_builtins())));
+        let handle = cluster.borrow().client_handle();
         let ctl = spawn_controlplane(
             &sim,
             cluster,

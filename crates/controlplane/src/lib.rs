@@ -32,20 +32,20 @@
 //! ## Example
 //!
 //! ```
-//! use std::sync::Arc;
+//! use std::cell::RefCell;
+//! use std::rc::Rc;
 //! use std::time::Duration;
 //!
 //! use controlplane::{spawn_controlplane, CtlConfig, TargetTracking};
 //! use dso::{api, DsoCluster, DsoConfig, ObjectRegistry};
-//! use parking_lot::Mutex;
 //! use simcore::{MetricsRegistry, Sim};
 //!
 //! let mut sim = Sim::new(1);
 //! let registry = MetricsRegistry::new();
 //! sim.set_metrics(&registry);
-//! let cluster = Arc::new(Mutex::new(DsoCluster::start(
+//! let cluster = Rc::new(RefCell::new(DsoCluster::start(
 //!     &sim, 1, DsoConfig::default(), ObjectRegistry::with_builtins())));
-//! let handle = cluster.lock().client_handle();
+//! let handle = cluster.borrow().client_handle();
 //! let ctl = spawn_controlplane(
 //!     &sim,
 //!     cluster,

@@ -42,7 +42,7 @@ pub enum ScaleDecision {
 /// N consecutive ticks") and must not consult anything but the passed
 /// [`Observed`] — wall clocks or ambient randomness would break the
 /// simulation's determinism guarantee.
-pub trait ScalingPolicy: Send {
+pub trait ScalingPolicy {
     /// Decides this tick.
     fn decide(&mut self, obs: &Observed) -> ScaleDecision;
 

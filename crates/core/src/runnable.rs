@@ -39,7 +39,7 @@ pub type RunResult = Result<(), String>;
 ///     }
 /// }
 /// ```
-pub trait Runnable: Wire + Send + 'static {
+pub trait Runnable: Wire + 'static {
     /// Executes the body inside a cloud function.
     ///
     /// # Errors

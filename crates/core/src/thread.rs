@@ -7,7 +7,6 @@
 //! familiar fork/join pattern. The client fully controls retries (§4.4).
 
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 use faas::{FaasError, FaasHandle};
@@ -15,8 +14,6 @@ use simcore::sync::{oneshot_in, OneshotReceiver};
 use simcore::{Ctx, TraceCtx};
 
 use crate::runnable::{function_name, Runnable};
-
-static THREAD_SEQ: AtomicU64 = AtomicU64::new(0);
 
 /// Errors surfaced by [`JoinHandle::join`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -122,7 +119,7 @@ impl ThreadFactory {
         ctx.span_annotate(thread_span, "function", &function);
         let faas = self.faas.clone();
         let retry = self.retry;
-        let seq = THREAD_SEQ.fetch_add(1, Ordering::Relaxed);
+        let seq = self.faas.next_thread_seq();
         let (tx, rx) = oneshot_in(ctx);
         ctx.spawn(&format!("cloudthread-{seq}"), move |c| {
             c.set_trace_ctx(TraceCtx::under(thread_span));

@@ -11,7 +11,7 @@ use simcore::Sim;
 
 use crucial::{
     join_all, AtomicLong, CrucialConfig, CyclicBarrier, Deployment, FnEnv, RetryPolicy, RunResult,
-    Runnable, SharedList,
+    Runnable, SharedList, Tracer,
 };
 
 #[derive(Wire)]
@@ -209,4 +209,32 @@ fn many_cloud_threads_run_concurrently() {
     assert_eq!(v, N as i64);
     // 100 threads with ~1.5s cold starts each: parallel ≈ 2s, serial ≈ 150s.
     assert!(took < 10.0, "cloud threads must run in parallel, took {took}s");
+}
+
+/// One seeded, traced run of three cloud threads: its JSONL trace export.
+fn traced_three_threads() -> String {
+    let mut sim = Sim::new(26);
+    let tracer = Tracer::new();
+    sim.set_tracer(&tracer);
+    let dep = Deployment::start(&sim, CrucialConfig::default());
+    dep.register::<Adder>();
+    let threads = dep.threads();
+    sim.spawn("main", move |ctx| {
+        let counter = AtomicLong::new("names");
+        let runnables: Vec<Adder> =
+            (0..3).map(|_| Adder { amount: 1, counter: counter.clone() }).collect();
+        let handles = threads.start_all(ctx, &runnables);
+        join_all(ctx, handles).expect("all succeed");
+    });
+    sim.run_until_idle().expect_quiescent();
+    tracer.export_jsonl()
+}
+
+#[test]
+fn cloud_threads_are_named_per_deployment() {
+    // Both runs name their threads cloudthread-0..2, however many ran
+    // before them in this process.
+    let first = traced_three_threads();
+    assert!(first.contains("\"proc\":\"cloudthread-2\""), "threads are numbered from 0");
+    assert_eq!(first, traced_three_threads());
 }

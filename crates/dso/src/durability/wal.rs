@@ -9,10 +9,10 @@
 //! the replying replica parks the client's acknowledgement here and the
 //! daemon releases it after the PUT containing the write returns.
 
+use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::rc::Rc;
 
-use parking_lot::Mutex;
 use simcore::{Addr, Ctx, Ticker};
 
 use crate::config::DurabilityConfig;
@@ -47,24 +47,24 @@ struct WalInner {
 /// Shared WAL buffer of one storage node.
 pub(crate) struct WalState {
     node: NodeId,
-    inner: Mutex<WalInner>,
+    inner: RefCell<WalInner>,
 }
 
 impl WalState {
     pub(crate) fn new(node: NodeId) -> WalState {
-        WalState { node, inner: Mutex::new(WalInner { next_seq: 1, ..WalInner::default() }) }
+        WalState { node, inner: RefCell::new(WalInner { next_seq: 1, ..WalInner::default() }) }
     }
 
     /// Buffers one applied mutation (called by workers; host-side only).
     pub(crate) fn log(&self, rec: WalRecord) {
-        let mut g = self.inner.lock();
+        let mut g = self.inner.borrow_mut();
         g.coalesced += 1;
         g.records.insert(rec.obj.clone(), rec);
     }
 
     /// Parks a Sync acknowledgement until the next flush completes.
     pub(crate) fn queue_ack(&self, ack: PendingAck) {
-        self.inner.lock().acks.push(ack);
+        self.inner.borrow_mut().acks.push(ack);
     }
 
     /// Marks the node retired. Nothing is logged after this (its workers
@@ -72,12 +72,12 @@ impl WalState {
     /// everything buffered before the drain, with the Sync
     /// acknowledgements riding it.
     pub(crate) fn retire(&self) {
-        self.inner.lock().retired = true;
+        self.inner.borrow_mut().retired = true;
     }
 
     /// Buffered records awaiting flush.
     pub(crate) fn backlog(&self) -> usize {
-        self.inner.lock().records.len()
+        self.inner.borrow().records.len()
     }
 
     /// Flushes the buffer: drains up to [`SEGMENT_MAX_RECORDS`] records per
@@ -87,9 +87,9 @@ impl WalState {
         let mut segments = 0;
         loop {
             // Take one segment's worth (plus all acks on the final batch)
-            // under the lock, then do the PUT without holding it.
+            // under one borrow, then do the PUT without holding it.
             let (records, coalesced, acks, seq) = {
-                let mut g = self.inner.lock();
+                let mut g = self.inner.borrow_mut();
                 if g.records.is_empty() {
                     let acks = std::mem::take(&mut g.acks);
                     drop(g);
@@ -142,14 +142,14 @@ impl WalState {
 /// group-commit cadence, until a flush finds the node retired. Spawned by
 /// the server only when durability is configured, so default-config
 /// schedules stay byte-identical.
-pub(crate) fn wal_daemon(ctx: &mut Ctx, wal: Arc<WalState>, d: DurabilityConfig) {
+pub(crate) fn wal_daemon(ctx: &mut Ctx, wal: Rc<WalState>, d: DurabilityConfig) {
     let mut tick = Ticker::new(ctx.now(), d.group_commit);
     loop {
         tick.wait(ctx);
         ctx.metric_push("dso.wal_backlog", wal.backlog() as f64);
         wal.flush(ctx, &d);
         // `flush` returns on an empty buffer, in this same run slice.
-        if wal.inner.lock().retired {
+        if wal.inner.borrow().retired {
             return;
         }
     }

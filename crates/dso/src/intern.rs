@@ -19,6 +19,7 @@ use simcore::codec::{CodecError, Wire};
 pub struct MethodName(Arc<str>);
 
 fn table() -> &'static Mutex<HashSet<Arc<str>>> {
+    // simlint: allow(global-state, reason = "interned names compare by content, so which Arc a name shares is not observable")
     static TABLE: OnceLock<Mutex<HashSet<Arc<str>>>> = OnceLock::new();
     TABLE.get_or_init(|| Mutex::new(HashSet::new()))
 }

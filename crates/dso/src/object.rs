@@ -9,7 +9,7 @@
 
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::Arc;
+use std::rc::Rc;
 use std::time::Duration;
 
 use simcore::codec::Wire;
@@ -206,7 +206,7 @@ pub struct CallCtx {
 /// The `__create` method name is reserved: it is sent by client proxies to
 /// initialize an object idempotently and is handled by the server, not by
 /// `invoke`.
-pub trait SharedObject: Send + 'static {
+pub trait SharedObject: 'static {
     /// Handles one mutating method call (any method `read` declines).
     ///
     /// # Errors
@@ -286,8 +286,7 @@ pub fn dispatch(
 
 /// Factory that builds an object from creation arguments (empty slice =
 /// default construction).
-pub type ObjectFactory =
-    Arc<dyn Fn(&[u8]) -> Result<Box<dyn SharedObject>, ObjectError> + Send + Sync>;
+pub type ObjectFactory = Rc<dyn Fn(&[u8]) -> Result<Box<dyn SharedObject>, ObjectError>>;
 
 /// Registry of object types available on the DSO servers.
 ///
@@ -326,9 +325,9 @@ impl ObjectRegistry {
     /// Registers a type. Replaces any previous factory with the same name.
     pub fn register<F>(&mut self, type_name: &str, factory: F)
     where
-        F: Fn(&[u8]) -> Result<Box<dyn SharedObject>, ObjectError> + Send + Sync + 'static,
+        F: Fn(&[u8]) -> Result<Box<dyn SharedObject>, ObjectError> + 'static,
     {
-        self.factories.insert(type_name.to_string(), Arc::new(factory));
+        self.factories.insert(type_name.to_string(), Rc::new(factory));
     }
 
     /// Whether a type is registered.

@@ -13,12 +13,11 @@
 //! replica applies the delivered operation, and the initiating node replies
 //! to the client.
 
+use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::rc::Rc;
 use std::time::Duration;
 
-use parking_lot::Mutex;
 use simcore::{
     Actor, Addr, Ctx, LatencyModel, Msg, Pid, Request, Sim, SimTime, SpanId, Ticker, Wait, Wake,
 };
@@ -40,10 +39,10 @@ use crate::skeen::{Action, Skeen};
 pub struct ServerHandle {
     /// The node's id.
     pub node: NodeId,
-    pids: Arc<Mutex<Vec<Pid>>>,
+    pids: Rc<RefCell<Vec<Pid>>>,
     /// The dispatcher's inbox, published once the node is up and cleared
     /// when it retires — the target for [`DrainNode`].
-    inbox: Arc<Mutex<Option<Addr>>>,
+    inbox: Rc<Cell<Option<Addr>>>,
     peer_net: LatencyModel,
 }
 
@@ -52,7 +51,7 @@ impl ServerHandle {
     /// "(abrupt) removal of a node" from Fig. 8. The membership
     /// coordinator notices through missed heartbeats.
     pub fn crash(&self, sim: &Sim) {
-        for pid in self.pids.lock().iter() {
+        for pid in self.pids.borrow().iter() {
             sim.kill(*pid);
         }
     }
@@ -60,7 +59,7 @@ impl ServerHandle {
     /// Kills the node from inside the simulation (e.g. from a fault
     /// injector process).
     pub fn crash_from(&self, ctx: &mut Ctx) {
-        for pid in self.pids.lock().iter() {
+        for pid in self.pids.borrow().iter() {
             ctx.kill(*pid);
         }
     }
@@ -70,7 +69,7 @@ impl ServerHandle {
     /// leave view, then retires its processes. Returns `false` when the
     /// node is not (or no longer) running. See [`DrainNode`].
     pub fn drain_from(&self, ctx: &mut Ctx) -> bool {
-        let Some(addr) = *self.inbox.lock() else { return false };
+        let Some(addr) = self.inbox.get() else { return false };
         let lat = self.peer_net.sample(ctx.rng());
         ctx.send(addr, Msg::new(DrainNode), lat);
         true
@@ -92,16 +91,16 @@ struct NodeShared {
     node: NodeId,
     cfg: DsoConfig,
     registry: ObjectRegistry,
-    objects: Mutex<HashMap<ObjectRef, Stored>>,
-    parked: Mutex<HashMap<Ticket, Addr>>,
-    next_ticket: AtomicU64,
+    objects: RefCell<HashMap<ObjectRef, Stored>>,
+    parked: RefCell<HashMap<Ticket, Addr>>,
+    next_ticket: Cell<u64>,
     /// Invocations routed to workers and not yet finished (queued +
     /// executing) — the "queue depth" the admission controller bounds.
-    inflight: AtomicU64,
+    inflight: Cell<u64>,
     /// The node's write-ahead-log buffer; `Some` only when durability is
     /// active (see [`crate::DurabilityConfig`]). Workers append applied
     /// mutations, the per-node WAL daemon group-commits them.
-    wal: Option<Arc<WalState>>,
+    wal: Option<Rc<WalState>>,
 }
 
 /// Per-node admission controller: a token bucket (sustained rate + burst)
@@ -148,7 +147,7 @@ pub fn spawn_server(
 ) -> ServerHandle {
     let (handle, dispatcher) = prepare_server(node, cfg, registry, coordinator);
     let main = sim.spawn_daemon_actor(&format!("dso-{node}"), dispatcher);
-    handle.pids.lock().push(main);
+    handle.pids.borrow_mut().push(main);
     handle
 }
 
@@ -163,7 +162,7 @@ pub fn spawn_server_from(
 ) -> ServerHandle {
     let (handle, dispatcher) = prepare_server(node, cfg, registry, coordinator);
     let main = ctx.spawn_daemon_actor(&format!("dso-{node}"), dispatcher);
-    handle.pids.lock().push(main);
+    handle.pids.borrow_mut().push(main);
     handle
 }
 
@@ -173,23 +172,23 @@ fn prepare_server(
     registry: ObjectRegistry,
     coordinator: Addr,
 ) -> (ServerHandle, Dispatcher) {
-    let pids = Arc::new(Mutex::new(Vec::new()));
-    let inbox_slot = Arc::new(Mutex::new(None));
+    let pids = Rc::new(RefCell::new(Vec::new()));
+    let inbox_slot = Rc::new(Cell::new(None));
     let handle = ServerHandle {
         node,
         pids: pids.clone(),
         inbox: inbox_slot.clone(),
         peer_net: cfg.peer_net,
     };
-    let wal = cfg.durability.as_ref().map(|_| Arc::new(WalState::new(node)));
-    let shared = Arc::new(NodeShared {
+    let wal = cfg.durability.as_ref().map(|_| Rc::new(WalState::new(node)));
+    let shared = Rc::new(NodeShared {
         node,
         cfg,
         registry,
-        objects: Mutex::new(HashMap::new()),
-        parked: Mutex::new(HashMap::new()),
-        next_ticket: AtomicU64::new(1),
-        inflight: AtomicU64::new(0),
+        objects: RefCell::new(HashMap::new()),
+        parked: RefCell::new(HashMap::new()),
+        next_ticket: Cell::new(1),
+        inflight: Cell::new(0),
         wal,
     });
     (handle, Dispatcher { coordinator, shared, pids, inbox_slot, up: None })
@@ -199,9 +198,9 @@ fn prepare_server(
 /// one heartbeat timeout) and goes back to waiting on the inbox.
 struct Dispatcher {
     coordinator: Addr,
-    shared: Arc<NodeShared>,
-    pids: Arc<Mutex<Vec<Pid>>>,
-    inbox_slot: Arc<Mutex<Option<Addr>>>,
+    shared: Rc<NodeShared>,
+    pids: Rc<RefCell<Vec<Pid>>>,
+    inbox_slot: Rc<Cell<Option<Addr>>>,
     /// Built on the first wake-up, inside the simulation: mailbox ids, pids
     /// and the join's latency draw are part of the schedule.
     up: Option<Serving>,
@@ -210,7 +209,7 @@ struct Dispatcher {
 /// A running dispatcher's state.
 struct Serving {
     coordinator: Addr,
-    shared: Arc<NodeShared>,
+    shared: Rc<NodeShared>,
     inbox: Addr,
     workers: Vec<Addr>,
     worker_pids: Vec<Pid>,
@@ -229,7 +228,7 @@ impl Dispatcher {
         let node = self.shared.node;
         let cfg = &self.shared.cfg;
         let inbox = ctx.mailbox(&format!("dso-{node}-inbox"));
-        *self.inbox_slot.lock() = Some(inbox);
+        self.inbox_slot.set(Some(inbox));
 
         // Worker pool. Worker mailboxes are owned by the dispatcher, so an
         // abrupt node crash closes them all at once.
@@ -241,7 +240,7 @@ impl Dispatcher {
             let worker = Worker { inbox: wmb, shared: self.shared.clone(), running: None };
             let pid = ctx.spawn_daemon_actor(&format!("dso-{node}-w{w}"), worker);
             worker_pids.push(pid);
-            self.pids.lock().push(pid);
+            self.pids.borrow_mut().push(pid);
         }
 
         // The WAL daemon exists only when durability is configured; every
@@ -252,7 +251,7 @@ impl Dispatcher {
             let pid = ctx.spawn_daemon(&format!("dso-{node}-wal"), move |wc| {
                 wal_daemon(wc, wal, d);
             });
-            self.pids.lock().push(pid);
+            self.pids.borrow_mut().push(pid);
         }
 
         // Join the cluster.
@@ -293,7 +292,7 @@ impl Actor for Dispatcher {
         up.tick(ctx);
         if let Some(msg) = msg {
             if up.handle(ctx, msg) == Next::Retire {
-                self.inbox_slot.lock().take();
+                self.inbox_slot.take();
                 return Wait::Exit;
             }
         }
@@ -323,7 +322,7 @@ impl Serving {
             ctx.send(self.coordinator, Msg::new(MemberMsg::Heartbeat { node: shared.node }), lat);
             // Queue-depth gauge, stamped on the heartbeat cadence so the
             // control plane (and operators) can see dispatcher pressure.
-            ctx.metric_push("dso.queue_depth", shared.inflight.load(Ordering::SeqCst) as f64);
+            ctx.metric_push("dso.queue_depth", shared.inflight.get() as f64);
         }
     }
 
@@ -351,7 +350,7 @@ impl Serving {
                     let (reply_to, probe) = req.take::<VersionReq>();
                     let owned = ring.placement(&probe.obj, probe.rf.max(1)).contains(&shared.node);
                     let version = if owned {
-                        shared.objects.lock().get(&probe.obj).map(|s| s.version)
+                        shared.objects.borrow().get(&probe.obj).map(|s| s.version)
                     } else {
                         None
                     };
@@ -441,7 +440,7 @@ impl Serving {
 #[allow(clippy::too_many_arguments)]
 fn handle_client_invoke(
     ctx: &mut Ctx,
-    shared: &Arc<NodeShared>,
+    shared: &Rc<NodeShared>,
     view: &View,
     ring: &Ring,
     workers: &[Addr],
@@ -453,7 +452,7 @@ fn handle_client_invoke(
     if let Some(s) = shedder {
         // Admission gate, ahead of any ownership or routing work: shedding
         // here keeps queueing (and thus latency) bounded under overload.
-        if !s.admit(ctx.now(), shared.inflight.load(Ordering::SeqCst)) {
+        if !s.admit(ctx.now(), shared.inflight.get()) {
             ctx.metric_incr("dso.shed");
             let mark = ctx.span_instant("dso.shed", "dso");
             ctx.span_annotate(mark, "obj", &req.obj);
@@ -494,7 +493,7 @@ fn handle_client_invoke(
 /// are dispatched to workers in order.
 fn process_skeen_actions(
     ctx: &mut Ctx,
-    shared: &Arc<NodeShared>,
+    shared: &Rc<NodeShared>,
     view: &View,
     workers: &[Addr],
     skeen: &mut Skeen<SmrOp>,
@@ -537,7 +536,7 @@ fn process_skeen_actions(
     }
 }
 
-fn route_to_worker(ctx: &mut Ctx, shared: &Arc<NodeShared>, workers: &[Addr], item: WorkItem) {
+fn route_to_worker(ctx: &mut Ctx, shared: &Rc<NodeShared>, workers: &[Addr], item: WorkItem) {
     let obj = match &item {
         WorkItem::Client { req, .. } => &req.obj,
         WorkItem::Apply { op } => &op.req.obj,
@@ -545,7 +544,7 @@ fn route_to_worker(ctx: &mut Ctx, shared: &Arc<NodeShared>, workers: &[Addr], it
     // One worker per object (by placement hash): per-object serialization,
     // disjoint-access parallelism across objects.
     let idx = (obj.placement_hash() % workers.len() as u64) as usize;
-    shared.inflight.fetch_add(1, Ordering::SeqCst);
+    shared.inflight.set(shared.inflight.get() + 1);
     // Intra-node handoff costs nothing on the simulated network.
     ctx.send(workers[idx], Msg::new(item), Duration::ZERO);
 }
@@ -554,7 +553,7 @@ fn route_to_worker(ctx: &mut Ctx, shared: &Arc<NodeShared>, workers: &[Addr], it
 /// (a physical redo record — replay installs the newest version per
 /// object). Returns whether anything was logged, i.e. whether durability
 /// is active on this node.
-fn wal_log(shared: &Arc<NodeShared>, obj: &ObjectRef, stored: &Stored, req: &InvokeReq) -> bool {
+fn wal_log(shared: &Rc<NodeShared>, obj: &ObjectRef, stored: &Stored, req: &InvokeReq) -> bool {
     let Some(wal) = &shared.wal else { return false };
     wal.log(WalRecord {
         obj: obj.clone(),
@@ -568,8 +567,8 @@ fn wal_log(shared: &Arc<NodeShared>, obj: &ObjectRef, stored: &Stored, req: &Inv
 }
 
 /// Marshals every locally-stored object (the passivation dump).
-fn snapshot_all(shared: &Arc<NodeShared>) -> Vec<crate::protocol::ObjectRecord> {
-    let objects = shared.objects.lock();
+fn snapshot_all(shared: &Rc<NodeShared>) -> Vec<crate::protocol::ObjectRecord> {
+    let objects = shared.objects.borrow();
     let mut records: Vec<crate::protocol::ObjectRecord> = objects
         .iter()
         .map(|(obj, stored)| crate::protocol::ObjectRecord {
@@ -584,14 +583,14 @@ fn snapshot_all(shared: &Arc<NodeShared>) -> Vec<crate::protocol::ObjectRecord> 
 }
 
 fn install_transfer(
-    shared: &Arc<NodeShared>,
+    shared: &Rc<NodeShared>,
     obj: ObjectRef,
     rf: u8,
     state: Vec<u8>,
     version: u64,
     lamport: u64,
 ) {
-    let mut objects = shared.objects.lock();
+    let mut objects = shared.objects.borrow_mut();
     let newer = objects.get(&obj).is_none_or(|s| s.version < version);
     if !newer {
         return;
@@ -610,7 +609,7 @@ fn install_transfer(
 /// new view").
 fn rebalance(
     ctx: &mut Ctx,
-    shared: &Arc<NodeShared>,
+    shared: &Rc<NodeShared>,
     _old_view: &View,
     old_ring: &Ring,
     new_view: &View,
@@ -620,7 +619,7 @@ fn rebalance(
     let mut to_remove: Vec<ObjectRef> = Vec::new();
     let mut to_send: Vec<(Addr, ObjectRef, u8, Vec<u8>, u64, u64)> = Vec::new();
     {
-        let objects = shared.objects.lock();
+        let objects = shared.objects.borrow();
         for (obj_ref, stored) in objects.iter() {
             let rf = stored.rf.max(1);
             let newp = new_ring.placement(obj_ref, rf);
@@ -655,7 +654,7 @@ fn rebalance(
         ctx.send(addr, Msg::new(PeerMsg::Transfer { obj, rf, state, version, lamport }), lat);
     }
     if !to_remove.is_empty() {
-        let mut objects = shared.objects.lock();
+        let mut objects = shared.objects.borrow_mut();
         for r in &to_remove {
             objects.remove(r);
         }
@@ -698,7 +697,7 @@ impl Executed {
 /// sleeps its CPU cost, then completes it.
 struct Worker {
     inbox: Addr,
-    shared: Arc<NodeShared>,
+    shared: Rc<NodeShared>,
     /// The call whose CPU cost is being slept.
     running: Option<Executed>,
 }
@@ -732,7 +731,7 @@ impl Actor for Worker {
             Wake::Slept => self.running.take().expect("slept on a running call"),
         };
         finish(ctx, &self.shared, done);
-        self.shared.inflight.fetch_sub(1, Ordering::SeqCst);
+        self.shared.inflight.set(self.shared.inflight.get() - 1);
         Wait::Recv(self.inbox)
     }
 }
@@ -745,7 +744,7 @@ impl Actor for Worker {
 /// for replicated applies).
 fn execute(
     ctx: &mut Ctx,
-    shared: &Arc<NodeShared>,
+    shared: &Rc<NodeShared>,
     req: InvokeReq,
     reply_to: Option<Addr>,
     replicated: bool,
@@ -757,9 +756,9 @@ fn execute(
     if replicated {
         ctx.span_annotate(exec_span, "replicated", "true");
     }
-    let ticket = Ticket(shared.next_ticket.fetch_add(1, Ordering::SeqCst));
+    let ticket = Ticket(shared.next_ticket.replace(shared.next_ticket.get() + 1));
     if let Some(rt) = reply_to {
-        shared.parked.lock().insert(ticket, rt);
+        shared.parked.borrow_mut().insert(ticket, rt);
     }
     let mut done = Executed {
         ticket,
@@ -775,7 +774,7 @@ fn execute(
         return done;
     }
     done.outcome = {
-        let mut objects = shared.objects.lock();
+        let mut objects = shared.objects.borrow_mut();
         if !objects.contains_key(&req.obj) {
             match materialize(shared, &req) {
                 Ok(Some(stored)) => {
@@ -790,7 +789,7 @@ fn execute(
             }
         }
         // invariant: the contains_key/materialize branch above inserted the
-        // entry (or returned early), all while holding the objects lock.
+        // entry (or returned early), all while holding the objects borrow.
         let stored = objects.get_mut(&req.obj).expect("object just ensured");
         if &req.method == "__create" {
             // Idempotent explicit creation: materialization above (or a
@@ -857,7 +856,7 @@ fn unit_bytes() -> bytes::Bytes {
 /// The second return is whether the install was WAL-logged — a recovered
 /// object is re-logged under the new cluster's generation, which is what
 /// lets garbage collection retire the old generation's segments.
-fn restore_object(shared: &Arc<NodeShared>, req: &InvokeReq) -> (CallOutcome, bool) {
+fn restore_object(shared: &Rc<NodeShared>, req: &InvokeReq) -> (CallOutcome, bool) {
     let parsed: Result<(Vec<u8>, u64), _> = simcore::codec::from_bytes(&req.args);
     let (state, version) = match parsed {
         Ok(p) => p,
@@ -872,7 +871,7 @@ fn restore_object(shared: &Arc<NodeShared>, req: &InvokeReq) -> (CallOutcome, bo
         }
     };
     let mut logged = false;
-    let mut objects = shared.objects.lock();
+    let mut objects = shared.objects.borrow_mut();
     let newer = objects.get(&req.obj).is_none_or(|s| s.version <= version);
     if newer {
         let instance = shared
@@ -905,7 +904,7 @@ fn restore_object(shared: &Arc<NodeShared>, req: &InvokeReq) -> (CallOutcome, bo
 /// arguments, or default-constructed for ephemeral objects. Returns
 /// `Ok(None)` when a persistent object should instead arrive by transfer.
 fn materialize(
-    shared: &Arc<NodeShared>,
+    shared: &Rc<NodeShared>,
     req: &InvokeReq,
 ) -> Result<Option<Stored>, crate::error::ObjectError> {
     let args: Option<&[u8]> = req.create.as_deref();
@@ -926,10 +925,10 @@ fn materialize(
 /// (deferred blocking-call completions) always reply immediately: the
 /// state change that woke them is acknowledged through the waking call
 /// itself.
-fn finish(ctx: &mut Ctx, shared: &Arc<NodeShared>, done: Executed) {
+fn finish(ctx: &mut Ctx, shared: &Rc<NodeShared>, done: Executed) {
     let Executed { ticket, reply_to, outcome, wakes, logged, exec_span } = done;
     for (t, bytes) in wakes {
-        let target = shared.parked.lock().remove(&t);
+        let target = shared.parked.borrow_mut().remove(&t);
         if let Some(addr) = target {
             let lat = CLIENT_NET.sample(ctx.rng());
             // Deferred wakes complete blocking calls; version 0 marks "no
@@ -940,7 +939,7 @@ fn finish(ctx: &mut Ctx, shared: &Arc<NodeShared>, done: Executed) {
     }
     match outcome {
         CallOutcome::Reply(resp, _) => {
-            shared.parked.lock().remove(&ticket);
+            shared.parked.borrow_mut().remove(&ticket);
             if let Some(rt) = reply_to {
                 let sync =
                     shared.cfg.durability.as_ref().map(|d| d.level) == Some(DurabilityLevel::Sync);

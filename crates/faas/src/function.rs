@@ -3,6 +3,7 @@
 
 use std::collections::HashMap;
 use std::fmt;
+use std::rc::Rc;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -85,7 +86,7 @@ pub fn cpu_share_for(memory_mb: u32) -> f64 {
 }
 
 /// A deployable function body.
-pub trait CloudFunction: Send + Sync + 'static {
+pub trait CloudFunction: 'static {
     /// Runs the function on `payload`, returning the response payload.
     ///
     /// # Errors
@@ -97,7 +98,7 @@ pub trait CloudFunction: Send + Sync + 'static {
 
 impl<F> CloudFunction for F
 where
-    F: Fn(&mut FnCtx<'_>, Vec<u8>) -> Result<Vec<u8>, String> + Send + Sync + 'static,
+    F: Fn(&mut FnCtx<'_>, Vec<u8>) -> Result<Vec<u8>, String> + 'static,
 {
     fn invoke(&self, env: &mut FnCtx<'_>, payload: Vec<u8>) -> Result<Vec<u8>, String> {
         self(env, payload)
@@ -108,7 +109,7 @@ where
 #[derive(Clone)]
 pub struct FunctionSpec {
     /// Handler body.
-    pub handler: Arc<dyn CloudFunction>,
+    pub handler: Rc<dyn CloudFunction>,
     /// Configured memory (drives CPU share and billing).
     pub memory_mb: u32,
     /// Per-function cold-start policy override; `None` uses the
@@ -145,7 +146,7 @@ impl FunctionRegistry {
     pub fn register<F: CloudFunction>(&self, name: &str, memory_mb: u32, handler: F) {
         self.inner.lock().insert(
             name.to_string(),
-            FunctionSpec { handler: Arc::new(handler), memory_mb, cold_start: None },
+            FunctionSpec { handler: Rc::new(handler), memory_mb, cold_start: None },
         );
     }
 
@@ -163,7 +164,7 @@ impl FunctionRegistry {
     ) {
         self.inner.lock().insert(
             name.to_string(),
-            FunctionSpec { handler: Arc::new(handler), memory_mb, cold_start: Some(policy) },
+            FunctionSpec { handler: Rc::new(handler), memory_mb, cold_start: Some(policy) },
         );
     }
 

@@ -3,7 +3,9 @@
 //! provisioning, snapshot restore, CoW forking), an account-wide
 //! concurrency limit, failure injection, and billing.
 
+use std::cell::Cell;
 use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::rc::Rc;
 use std::time::Duration;
 
 use rand::RngExt;
@@ -193,6 +195,9 @@ pub struct FaasHandle {
     addr: Addr,
     billing: Billing,
     cfg: FaasConfig,
+    /// Client threads started against this platform so far; see
+    /// [`FaasHandle::next_thread_seq`].
+    threads: Rc<Cell<u64>>,
 }
 
 impl FaasHandle {
@@ -306,6 +311,13 @@ impl FaasHandle {
     pub fn config(&self) -> &FaasConfig {
         &self.cfg
     }
+
+    /// Numbers the next client thread started against this platform: 0, 1,
+    /// … per platform, shared by every clone of the handle, so the callers
+    /// of two identical simulations get the same numbers.
+    pub fn next_thread_seq(&self) -> u64 {
+        self.threads.replace(self.threads.get() + 1)
+    }
 }
 
 /// Deadlock-detector resource id for a function name (FNV-1a).
@@ -336,7 +348,12 @@ pub fn spawn_platform(sim: &Sim, cfg: FaasConfig, registry: FunctionRegistry) ->
     );
     let inbox = sim.mailbox("faas");
     let billing = Billing::new();
-    let handle = FaasHandle { addr: inbox, billing: billing.clone(), cfg: cfg.clone() };
+    let handle = FaasHandle {
+        addr: inbox,
+        billing: billing.clone(),
+        cfg: cfg.clone(),
+        threads: Rc::default(),
+    };
     sim.spawn_daemon("faas", move |ctx| {
         platform_loop(ctx, inbox, cfg, registry, billing);
     });

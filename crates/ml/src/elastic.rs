@@ -16,10 +16,10 @@
 //! throughput per second, and cost — FaaS GB-seconds (execution + idle
 //! pool tails) plus DSO node-seconds priced at [`NODE_SECOND_USD`].
 
-use std::sync::Arc;
+use std::cell::RefCell;
+use std::rc::Rc;
 use std::time::Duration;
 
-use parking_lot::Mutex;
 use simcore::codec::Wire;
 
 use crucial::{
@@ -263,7 +263,7 @@ pub fn run_elastic_with(cfg: &ElasticConfig, setup: impl FnOnce(&Sim)) -> Elasti
     let threads = dep.threads();
     let dso_handle = dep.dso_handle();
     let faas = dep.faas.clone();
-    let cluster = Arc::new(Mutex::new(dep.dso));
+    let cluster = Rc::new(RefCell::new(dep.dso));
     let ctl = if cfg.autoscale {
         let mut ctl_cfg = cfg.ctl.clone();
         if ctl_cfg.prewarm.is_none() {

@@ -18,13 +18,17 @@
 //!   exports differ run to run, and the taint pass does not see it where
 //!   the clock read carries a reasoned `wall-clock` allow (the bench
 //!   driver's operator-facing timer).
+//! - `global-state` — a `static` whose type has interior mutability, a
+//!   `static mut` or a `thread_local!`, in non-test code outside `tests/`
+//!   and `benches/`: such state outlives the `Sim` that wrote it, so the
+//!   next simulation in the process would start from it.
 //!
 //! Plus one `bad-allow` per malformed directive.
 
 use std::collections::{BTreeMap, HashSet};
 
 use super::Workspace;
-use crate::syntax::FileAst;
+use crate::syntax::{match_close, FileAst};
 use crate::{Finding, Rule};
 
 const WALL_CLOCK: [&str; 4] =
@@ -44,6 +48,8 @@ const TRACE_SINKS: [&str; 9] = [
     ".record(",
 ];
 const HOST_TIME: [&str; 3] = ["Instant", "SystemTime", ".elapsed()"];
+/// Types that mutate behind a shared reference, besides every `Atomic*`.
+const INTERIOR_MUT: [&str; 6] = ["Mutex", "RwLock", "OnceLock", "LazyLock", "Cell", "RefCell"];
 
 /// Per line: the index of the first of `patterns` spelled out by a run of
 /// code tokens that starts on that line with a token passing `keep`.
@@ -63,6 +69,44 @@ fn hits(
                 out.entry(file.toks[run[0]].line as usize).or_insert(p);
             }
         }
+    }
+    out
+}
+
+/// Per line: the process-wide mutable state declared there in non-test
+/// code. A `thread_local!` counts once, with the statics inside it.
+fn global_state(file: &FileAst, code: &[usize]) -> BTreeMap<usize, String> {
+    let (toks, src) = (&file.toks, file.src.as_str());
+    let text = |k: usize| code.get(k).map_or("", |&t| toks[t].text(src));
+    let mut out = BTreeMap::new();
+    let mut k = 0;
+    while k < code.len() {
+        let t = code[k];
+        k += 1;
+        if file.in_test(t) {
+            continue;
+        }
+        let what = match (toks[t].text(src), text(k)) {
+            ("thread_local", "!") => {
+                // Skip the block: its statics are this one finding.
+                let close =
+                    match_close(toks, src, code.get(k + 1).copied().unwrap_or(t), toks.len());
+                k = code.partition_point(|&c| c <= close);
+                "thread_local!".to_string()
+            }
+            ("static", "mut") => "static mut".to_string(),
+            ("static", _) => {
+                // The declared type: the tokens up to the initializer.
+                let mut ty = (k..code.len()).map(text).take_while(|t| !matches!(*t, "=" | ";"));
+                let Some(ty) = ty.find(|t| t.starts_with("Atomic") || INTERIOR_MUT.contains(t))
+                else {
+                    continue;
+                };
+                format!("static of interior-mutable {ty}")
+            }
+            _ => continue,
+        };
+        out.entry(toks[t].line as usize).or_insert(what);
     }
     out
 }
@@ -125,6 +169,15 @@ pub fn run(ws: &Workspace) -> Vec<Finding> {
                                cannot fail";
                     report(line, Rule::NoPanic, msg.to_string());
                 }
+            }
+        }
+        if !file.path.contains("/tests/") && !file.path.contains("/benches/") {
+            for (line, what) in global_state(file, &code) {
+                let msg = format!(
+                    "{what}: process-wide state outlives its Sim and leaks into the next one; \
+                     keep it in a value the simulation owns"
+                );
+                report(line, Rule::GlobalState, msg);
             }
         }
         let host_time = hits(file, &code, &HOST_TIME, all);

@@ -6,8 +6,8 @@
 //! passes run over it:
 //!
 //! 1. **Token rules** ([`local`]) — per file, on the code tokens:
-//!    `wall-clock`, `native-thread`, `no-panic`, `trace-time`, and one
-//!    `bad-allow` per malformed directive.
+//!    `wall-clock`, `native-thread`, `no-panic`, `trace-time`,
+//!    `global-state`, and one `bad-allow` per malformed directive.
 //! 2. **Determinism taint** ([`taint`]) — values originating from
 //!    wall-clock reads, OS randomness or thread identity may not flow
 //!    (through locals, call returns or struct fields) into protocol

@@ -1,8 +1,8 @@
 //! Correctness tooling for the workspace: the `simlint` determinism lint.
 //!
 //! The simulation's guarantees rest on conventions a compiler cannot see:
-//! no wall-clock reads inside simulated code, no native threads, no panics
-//! on the DSO request path, spans stamped with simulated time only, no
+//! no wall-clock reads inside simulated code, no native threads, no
+//! process-wide mutable state, no panics on the DSO request path, spans stamped with simulated time only, no
 //! nondeterministic value reaching simulation state, and no unannotated or
 //! actor-side blocking. `simlint` enforces them over
 //! `crates/**/*.rs` with one engine and no external parser: a lexer
@@ -49,6 +49,9 @@ pub enum Rule {
     /// A blocking primitive reachable from an `Actor::on_wake`, which must
     /// return a `Wait` instead.
     ActorBlocks,
+    /// Process-wide mutable state in non-test code: a `static` of an
+    /// interior-mutable type, a `static mut`, or a `thread_local!`.
+    GlobalState,
 }
 
 impl Rule {
@@ -63,6 +66,7 @@ impl Rule {
             Rule::DeterminismTaint => "determinism-taint",
             Rule::WaitAnnotation => "wait-annotation",
             Rule::ActorBlocks => "actor-blocks",
+            Rule::GlobalState => "global-state",
         }
     }
 
@@ -76,6 +80,7 @@ impl Rule {
             "determinism-taint" => Some(Rule::DeterminismTaint),
             "wait-annotation" => Some(Rule::WaitAnnotation),
             "actor-blocks" => Some(Rule::ActorBlocks),
+            "global-state" => Some(Rule::GlobalState),
             _ => None,
         }
     }

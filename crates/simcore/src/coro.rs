@@ -18,10 +18,6 @@
 //!   its pending suspend, and every later one, return `false`, so the body
 //!   unwinds on its own stack and ends. Dropping a suspended coroutine
 //!   kills it the same way.
-//!
-//! A suspended coroutine may be resumed from a different OS thread than the
-//! one it last ran on (a `Sim` may move between `run_*` calls), so a body
-//! must not hold a reference to thread-local state across a blocking call.
 
 #![allow(unsafe_code)]
 
@@ -66,9 +62,6 @@ unsafe extern "C" {
 pub(crate) struct Stack {
     base: NonNull<u8>,
 }
-
-// SAFETY: a `Stack` is plain memory that its owner alone uses.
-unsafe impl Send for Stack {}
 
 impl Stack {
     /// Maps a fresh stack.
@@ -203,16 +196,9 @@ pub(crate) struct Coroutine {
     stack: Option<Stack>,
 }
 
-// SAFETY: a coroutine's one field is its stack, and the body suspended on
-// it runs only inside `resume`/`kill`, on the resuming thread, one resumer
-// at a time; the body was `Send` when it started. What it keeps on its
-// stack is reached from nowhere else, except thread-local state, which the
-// module doc rules out.
-unsafe impl Send for Coroutine {}
-
 impl Coroutine {
     /// Starts `body` on `stack` and runs it until it suspends or ends.
-    pub(crate) fn start<F: FnOnce(Yielder) + Send + 'static>(stack: Stack, body: F) -> Step {
+    pub(crate) fn start<F: FnOnce(Yielder) + 'static>(stack: Stack, body: F) -> Step {
         let control = stack.control();
         let slot = body_slot::<F>(control);
         // The switch frame `switch` restores: FP state, r15..r12, rbx and
@@ -296,10 +282,6 @@ impl Drop for Coroutine {
 pub(crate) struct Yielder {
     control: NonNull<Control>,
 }
-
-// SAFETY: a `Yielder` is used only on its own coroutine (checked in
-// `suspend`), which runs on one thread at a time.
-unsafe impl Send for Yielder {}
 
 impl Yielder {
     /// Switches back to whoever resumed the coroutine. `true` once resumed

@@ -24,23 +24,25 @@
 //!
 //! ```
 //! use simcore::explore::{explore_seeds, ScheduleFailure};
+//! use std::cell::Cell;
+//! use std::rc::Rc;
 //! use std::time::Duration;
 //!
 //! // A racy check-then-wait: the waiter decides to wait, *then* blocks for
 //! // a moment before actually waiting. If the setter's one-shot notify
 //! // lands in that gap, the wakeup is lost.
 //! let report = explore_seeds(0, 16, |sim| {
-//!     let flag = std::sync::Arc::new(parking_lot::Mutex::new(false));
+//!     let flag = Rc::new(Cell::new(false));
 //!     let m = simcore::sync::Monitor::new("m");
 //!     let (m2, flag2) = (m.clone(), flag.clone());
 //!     sim.spawn("setter", move |ctx| {
 //!         m2.enter(ctx);
-//!         *flag2.lock() = true;
+//!         flag2.set(true);
 //!         m2.notify(ctx);
 //!         m2.exit(ctx);
 //!     });
 //!     sim.spawn("waiter", move |ctx| {
-//!         if !*flag.lock() {
+//!         if !flag.get() {
 //!             ctx.sleep(Duration::from_micros(1)); // gap between check and wait
 //!             m.enter(ctx);
 //!             m.wait(ctx);

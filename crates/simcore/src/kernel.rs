@@ -26,13 +26,13 @@
 //! seed, while application code stays plain imperative Rust (no async).
 
 use std::any::Any;
+use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::Arc;
+use std::rc::Rc;
 use std::time::Duration;
 
-use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -93,19 +93,19 @@ impl fmt::Debug for Addr {
 /// A message in flight or delivered to a mailbox.
 pub struct Msg {
     /// The payload. Downcast it with [`Msg::take`].
-    pub body: Box<dyn Any + Send>,
+    pub body: Box<dyn Any>,
     /// Simulated wire size in bytes (used by bandwidth-aware models).
     pub size: usize,
 }
 
 impl Msg {
     /// Creates a message with a zero simulated size.
-    pub fn new<T: Any + Send>(body: T) -> Msg {
+    pub fn new<T: Any>(body: T) -> Msg {
         Msg { body: Box::new(body), size: 0 }
     }
 
     /// Creates a message carrying a simulated wire size.
-    pub fn sized<T: Any + Send>(body: T, size: usize) -> Msg {
+    pub fn sized<T: Any>(body: T, size: usize) -> Msg {
         Msg { body: Box::new(body), size }
     }
 
@@ -153,7 +153,7 @@ pub struct Request {
     /// Where the caller is waiting for the response.
     pub reply_to: Addr,
     /// The request payload; downcast to the protocol type.
-    pub body: Box<dyn Any + Send>,
+    pub body: Box<dyn Any>,
 }
 
 impl Request {
@@ -249,7 +249,7 @@ pub enum Wait {
 /// });
 /// sim.run_until_idle().expect_quiescent();
 /// ```
-pub trait Actor: Send + 'static {
+pub trait Actor: 'static {
     /// Handles one wake-up and returns what to wait for next.
     fn on_wake(&mut self, ctx: &mut Ctx, wake: Wake) -> Wait;
 }
@@ -325,7 +325,7 @@ enum BlockState {
 enum ProcBody {
     /// A thread process whose body has not started: it starts on a stack
     /// from the pool.
-    Fresh(Box<dyn FnOnce(&mut Ctx) + Send>),
+    Fresh(Box<dyn FnOnce(&mut Ctx)>),
     /// A thread process suspended in a blocking call.
     Suspended(Coroutine),
     /// An actor at rest.
@@ -568,7 +568,7 @@ impl KernelState {
 // ---------------------------------------------------------------------------
 
 pub(crate) struct Kernel {
-    state: Mutex<KernelState>,
+    state: RefCell<KernelState>,
     seed: u64,
 }
 
@@ -576,9 +576,9 @@ impl Kernel {
     /// The scheduler loop, on the run thread: runs every runnable process
     /// to its next block point, fires the next event, and so on until the
     /// run is over. A process body's panic is re-raised here.
-    fn turn(self: &Arc<Self>) {
+    fn turn(self: &Rc<Self>) {
         loop {
-            let mut guard = self.state.lock();
+            let mut guard = self.state.borrow_mut();
             let st = &mut *guard;
             // Run every currently runnable process to its next block point.
             if let Some(pid) = st.pick_runnable() {
@@ -659,7 +659,7 @@ impl Kernel {
     /// its slot if it blocked; exited, with its stack back in the pool, if
     /// its body ended — re-raising a panic the body ended in.
     fn settle(&self, pid: Pid, step: Step) {
-        let mut st = self.state.lock();
+        let mut st = self.state.borrow_mut();
         match step {
             Step::Suspended(coroutine) => {
                 st.procs.get_mut(&pid.0).expect("own slot").body =
@@ -678,22 +678,22 @@ impl Kernel {
 
     /// Ends a body taken from the slot of an exited process without running
     /// it on: a suspended thread unwinds on its own stack, which then
-    /// returns to the pool; anything else is dropped. Call it without the
-    /// state lock. Returns a panic other than the shutdown's that the
+    /// returns to the pool; anything else is dropped. Call it with the state
+    /// not borrowed. Returns a panic other than the shutdown's that the
     /// unwinding body ended in, for the caller to re-raise.
     fn retire(&self, body: ProcBody) -> Option<Box<dyn Any + Send>> {
         let ProcBody::Suspended(coroutine) = body else {
             return None;
         };
         let (stack, done) = coroutine.kill();
-        let mut st = self.state.lock();
+        let mut st = self.state.borrow_mut();
         st.resumes += 1;
         st.stacks.push(stack);
         done.err().filter(|panic| !panic.is::<ShutdownSignal>())
     }
 
     /// Invokes an actor inline until it blocks or exits: turn how its last
-    /// wait ended into a [`Wake`], call it with the state lock released,
+    /// wait ended into a [`Wake`], call it with the state not borrowed,
     /// apply the [`Wait`] it returns, and go round again while a receive
     /// finds a message already queued — what a thread's `recv` fast path
     /// does without yielding.
@@ -704,17 +704,17 @@ impl Kernel {
             Some(Wait::Recv(mb)) => Wake::Msg(
                 // invariant: an untimed receive pushes no wake event, so
                 // only a delivery makes its process runnable.
-                self.state.lock().end_recv(pid, mb).expect("recv woken by a delivery"),
+                self.state.borrow_mut().end_recv(pid, mb).expect("recv woken by a delivery"),
             ),
             Some(Wait::RecvTimeout(mb, _)) => {
-                self.state.lock().end_recv(pid, mb).map_or(Wake::Timeout, Wake::Msg)
+                self.state.borrow_mut().end_recv(pid, mb).map_or(Wake::Timeout, Wake::Msg)
             }
             Some(Wait::Exit) => unreachable!("an exited actor is never runnable"),
         };
         loop {
             let ActorCell { actor, ctx, .. } = &mut *cell;
             let result = catch_unwind(AssertUnwindSafe(|| actor.on_wake(ctx, wake)));
-            let mut st = self.state.lock();
+            let mut st = self.state.borrow_mut();
             let wait = match result {
                 Ok(wait) => wait,
                 Err(panic) => {
@@ -799,13 +799,22 @@ impl RunOutcome {
 /// out.expect_quiescent();
 /// assert_eq!(out.time, SimTime::from_nanos(5_100_000));
 /// ```
+///
+/// A simulation lives on the thread that made it: `Sim` holds its kernel
+/// in an `Rc`, so it is neither `Send` nor `Sync`, and what its processes
+/// share needs no lock.
+///
+/// ```compile_fail,E0277
+/// fn assert_send<T: Send>() {}
+/// assert_send::<simcore::Sim>();
+/// ```
 pub struct Sim {
-    kernel: Arc<Kernel>,
+    kernel: Rc<Kernel>,
 }
 
 impl fmt::Debug for Sim {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let st = self.kernel.state.lock();
+        let st = self.kernel.state.borrow();
         f.debug_struct("Sim")
             .field("now", &st.now)
             .field("live", &st.live)
@@ -829,8 +838,8 @@ impl Sim {
     pub fn with_scheduler(seed: u64, scheduler: Box<dyn Scheduler>) -> Sim {
         let trace = std::env::var("SIM_TRACE").map(|v| v == "1").unwrap_or(false);
         Sim {
-            kernel: Arc::new(Kernel {
-                state: Mutex::new(KernelState {
+            kernel: Rc::new(Kernel {
+                state: RefCell::new(KernelState {
                     now: SimTime::ZERO,
                     next_seq: 0,
                     events: TimingWheel::new(),
@@ -867,7 +876,7 @@ impl Sim {
     /// Used by the zero-allocation assertions in tests and the kernel
     /// bench report.
     pub fn event_queue_stats(&self) -> EventQueueStats {
-        self.kernel.state.lock().events.stats()
+        self.kernel.state.borrow().events.stats()
     }
 
     /// Stacks mapped for thread processes. A body starts on a stack whose
@@ -875,7 +884,7 @@ impl Sim {
     /// only when none is free, so the count is the most thread processes
     /// ever started and not yet ended at once. Exact per seed.
     pub fn stacks_allocated(&self) -> u64 {
-        self.kernel.state.lock().stacks_allocated
+        self.kernel.state.borrow().stacks_allocated
     }
 
     /// Switches from the run thread to a thread process's stack: one to
@@ -883,7 +892,7 @@ impl Sim {
     /// unwind a body killed mid-way. The host cost a thread process adds
     /// over an actor, as a count; exact per seed.
     pub fn resumes(&self) -> u64 {
-        self.kernel.state.lock().resumes
+        self.kernel.state.borrow().resumes
     }
 
     /// Installs a span collector: from now on `Ctx::span_begin` and friends
@@ -891,37 +900,37 @@ impl Sim {
     /// virtual time, no randomness, and adds no events, so an instrumented
     /// run is event-for-event identical to an uninstrumented one.
     pub fn set_tracer(&self, tracer: &Tracer) {
-        self.kernel.state.lock().tracer = Some(tracer.clone());
+        self.kernel.state.borrow_mut().tracer = Some(tracer.clone());
     }
 
     /// Installs a metric sink: from now on `Ctx::metric_incr` /
     /// `Ctx::metric_record` write into `metrics`. Like tracing, recording
     /// never perturbs the simulation.
     pub fn set_metrics(&self, metrics: &MetricsRegistry) {
-        self.kernel.state.lock().metrics = Some(metrics.clone());
+        self.kernel.state.borrow_mut().metrics = Some(metrics.clone());
     }
 
     /// The installed span collector, if any.
     pub fn tracer(&self) -> Option<Tracer> {
-        self.kernel.state.lock().tracer.clone()
+        self.kernel.state.borrow().tracer.clone()
     }
 
     /// The installed metric sink, if any.
     pub fn metrics(&self) -> Option<MetricsRegistry> {
-        self.kernel.state.lock().metrics.clone()
+        self.kernel.state.borrow().metrics.clone()
     }
 
     /// The scheduling decisions made so far (contended picks only).
     /// Feeding the choices to a [`crate::scheduler::ReplayScheduler`] on a
     /// fresh `Sim` with the same seed reproduces this run's schedule.
     pub fn decision_trace(&self) -> Vec<Decision> {
-        self.kernel.state.lock().decisions.clone()
+        self.kernel.state.borrow().decisions.clone()
     }
 
     /// Snapshot of the permanently blocked non-daemon processes plus the
     /// resource-holder table, for [`Sim::deadlock_report`].
     pub(crate) fn stuck_snapshot(&self) -> (SimTime, Vec<StuckProc>, HashMap<u64, (Pid, String)>) {
-        let st = self.kernel.state.lock();
+        let st = self.kernel.state.borrow();
         let mut stuck: Vec<StuckProc> = st
             .procs
             .iter()
@@ -950,7 +959,7 @@ impl Sim {
 
     /// Current virtual time.
     pub fn now(&self) -> SimTime {
-        self.kernel.state.lock().now
+        self.kernel.state.borrow().now
     }
 
     /// Creates an unowned mailbox (never auto-closed).
@@ -964,7 +973,7 @@ impl Sim {
     /// whenever the process is picked.
     pub fn spawn<F>(&self, name: &str, f: F) -> Pid
     where
-        F: FnOnce(&mut Ctx) + Send + 'static,
+        F: FnOnce(&mut Ctx) + 'static,
     {
         spawn_process(&self.kernel, name, false, f)
     }
@@ -973,7 +982,7 @@ impl Sim {
     /// blocked waiting for requests when the simulation goes quiescent.
     pub fn spawn_daemon<F>(&self, name: &str, f: F) -> Pid
     where
-        F: FnOnce(&mut Ctx) + Send + 'static,
+        F: FnOnce(&mut Ctx) + 'static,
     {
         spawn_process(&self.kernel, name, true, f)
     }
@@ -1008,9 +1017,9 @@ impl Sim {
     }
 
     fn run_inner(&mut self, deadline: Option<SimTime>) -> RunOutcome {
-        self.kernel.state.lock().deadline = deadline;
+        self.kernel.state.borrow_mut().deadline = deadline;
         self.kernel.turn();
-        let mut st = self.kernel.state.lock();
+        let mut st = self.kernel.state.borrow_mut();
         if let Some(d) = deadline {
             if st.now < d {
                 st.now = d;
@@ -1036,7 +1045,7 @@ impl Sim {
 
     /// Number of processes that have not exited.
     pub fn live_processes(&self) -> usize {
-        self.kernel.state.lock().live
+        self.kernel.state.borrow().live
     }
 }
 
@@ -1046,7 +1055,7 @@ impl Drop for Sim {
         // started unwinds on its own stack, anything else is dropped. Each
         // holds the kernel through its `Ctx`, and the kernel holds it.
         let bodies: Vec<ProcBody> = {
-            let mut st = self.kernel.state.lock();
+            let mut st = self.kernel.state.borrow_mut();
             let mut live: Vec<u64> = st
                 .procs
                 .iter()
@@ -1070,8 +1079,8 @@ impl Drop for Sim {
     }
 }
 
-fn create_mailbox(kernel: &Arc<Kernel>, name: &str, owner: Option<Pid>) -> Addr {
-    let mut st = kernel.state.lock();
+fn create_mailbox(kernel: &Rc<Kernel>, name: &str, owner: Option<Pid>) -> Addr {
+    let mut st = kernel.state.borrow_mut();
     let id = st.next_mailbox;
     st.next_mailbox += 1;
     st.mailboxes.insert(
@@ -1090,7 +1099,7 @@ fn create_mailbox(kernel: &Arc<Kernel>, name: &str, owner: Option<Pid>) -> Addr 
 }
 
 fn kill_process(kernel: &Kernel, pid: Pid) {
-    let mut st = kernel.state.lock();
+    let mut st = kernel.state.borrow_mut();
     let Some(p) = st.procs.get_mut(&pid.0).filter(|p| p.blocked != BlockState::Exited) else {
         return;
     };
@@ -1109,14 +1118,14 @@ fn kill_process(kernel: &Kernel, pid: Pid) {
 
 /// Allocates the next pid.
 fn next_pid(kernel: &Kernel) -> Pid {
-    let mut st = kernel.state.lock();
+    let mut st = kernel.state.borrow_mut();
     let id = st.next_pid;
     st.next_pid += 1;
     Pid(id)
 }
 
 /// The context of process `pid`, with its per-pid random stream.
-fn new_ctx(kernel: &Arc<Kernel>, pid: Pid, name: &str, yielder: Option<Yielder>) -> Ctx {
+fn new_ctx(kernel: &Rc<Kernel>, pid: Pid, name: &str, yielder: Option<Yielder>) -> Ctx {
     let seed = kernel.seed ^ pid.0.wrapping_mul(0x9E37_79B9_7F4A_7C15);
     Ctx {
         kernel: kernel.clone(),
@@ -1130,7 +1139,7 @@ fn new_ctx(kernel: &Arc<Kernel>, pid: Pid, name: &str, yielder: Option<Yielder>)
 
 /// Registers a new process, runnable at the current virtual time.
 fn insert_proc(kernel: &Kernel, pid: Pid, name: &str, daemon: bool, body: ProcBody) {
-    let mut st = kernel.state.lock();
+    let mut st = kernel.state.borrow_mut();
     st.procs.insert(
         pid.0,
         ProcSlot {
@@ -1153,7 +1162,7 @@ fn insert_proc(kernel: &Kernel, pid: Pid, name: &str, daemon: bool, body: ProcBo
     st.runnable.push_back(pid);
 }
 
-fn spawn_actor(kernel: &Arc<Kernel>, name: &str, daemon: bool, actor: Box<dyn Actor>) -> Pid {
+fn spawn_actor(kernel: &Rc<Kernel>, name: &str, daemon: bool, actor: Box<dyn Actor>) -> Pid {
     let pid = next_pid(kernel);
     let cell = ActorCell { actor, ctx: new_ctx(kernel, pid, name, None), wait: None };
     insert_proc(kernel, pid, name, daemon, ProcBody::Actor(Box::new(cell)));
@@ -1162,7 +1171,7 @@ fn spawn_actor(kernel: &Arc<Kernel>, name: &str, daemon: bool, actor: Box<dyn Ac
 
 fn spawn_process<F>(kernel: &Kernel, name: &str, daemon: bool, f: F) -> Pid
 where
-    F: FnOnce(&mut Ctx) + Send + 'static,
+    F: FnOnce(&mut Ctx) + 'static,
 {
     let pid = next_pid(kernel);
     insert_proc(kernel, pid, name, daemon, ProcBody::Fresh(Box::new(f)));
@@ -1179,8 +1188,15 @@ where
 /// `park`) switch back to the scheduler loop and return when the
 /// corresponding event fires. In an [`Actor`] they panic: an actor blocks
 /// only by returning a [`Wait`].
+///
+/// Like [`Sim`], a `Ctx` never leaves the run thread:
+///
+/// ```compile_fail,E0277
+/// fn assert_send<T: Send>() {}
+/// assert_send::<simcore::Ctx>();
+/// ```
 pub struct Ctx {
-    kernel: Arc<Kernel>,
+    kernel: Rc<Kernel>,
     pid: Pid,
     /// The way back to the loop from a thread process's stack; `None` for
     /// an actor, which has no stack of its own.
@@ -1212,7 +1228,7 @@ impl Ctx {
 
     /// Current virtual time.
     pub fn now(&self) -> SimTime {
-        self.kernel.state.lock().now
+        self.kernel.state.borrow().now
     }
 
     /// Deterministic per-process random number generator.
@@ -1222,7 +1238,7 @@ impl Ctx {
 
     /// Emits a trace line when `SIM_TRACE=1`.
     pub fn trace(&self, msg: impl AsRef<str>) {
-        let st = self.kernel.state.lock();
+        let st = self.kernel.state.borrow();
         if st.trace {
             eprintln!("[{}] {}: {}", st.now, self.name, msg.as_ref());
         }
@@ -1235,9 +1251,9 @@ impl Ctx {
     // time, no events, no RNG — instrumented runs stay deterministic and
     // event-for-event identical to uninstrumented ones.
 
-    /// Current time plus the installed tracer, fetched under one lock.
+    /// Current time plus the installed tracer, fetched under one borrow.
     fn tracer_now(&self) -> (SimTime, Option<Tracer>) {
-        let st = self.kernel.state.lock();
+        let st = self.kernel.state.borrow();
         (st.now, st.tracer.clone())
     }
 
@@ -1286,7 +1302,7 @@ impl Ctx {
         if id.is_none() {
             return;
         }
-        if let Some(t) = self.kernel.state.lock().tracer.clone() {
+        if let Some(t) = self.tracer() {
             t.annotate(id, key, value);
         }
     }
@@ -1302,12 +1318,12 @@ impl Ctx {
 
     /// The installed metric sink, if any.
     pub fn metrics(&self) -> Option<MetricsRegistry> {
-        self.kernel.state.lock().metrics.clone()
+        self.kernel.state.borrow().metrics.clone()
     }
 
     /// The installed span collector, if any.
     pub fn tracer(&self) -> Option<Tracer> {
-        self.kernel.state.lock().tracer.clone()
+        self.kernel.state.borrow().tracer.clone()
     }
 
     /// Increments the counter named `name` (no-op without a registry).
@@ -1371,7 +1387,7 @@ impl Ctx {
     /// Advances this process's clock by `d` (e.g. network or think time).
     pub fn sleep(&mut self, d: Duration) {
         self.must_be_thread("sleep", "return Wait::Sleep from on_wake");
-        self.kernel.state.lock().begin_sleep(self.pid, d);
+        self.kernel.state.borrow_mut().begin_sleep(self.pid, d);
         self.yield_to_kernel();
     }
 
@@ -1397,7 +1413,7 @@ impl Ctx {
 
     /// Closes a mailbox; further sends to it are dropped.
     pub fn close_mailbox(&mut self, addr: Addr) {
-        let mut st = self.kernel.state.lock();
+        let mut st = self.kernel.state.borrow_mut();
         if let Some(mb) = st.mailboxes.get_mut(&addr.0) {
             mb.closed = true;
             mb.queue.clear();
@@ -1406,7 +1422,7 @@ impl Ctx {
 
     /// Sends `msg` to `to`, arriving after `latency`.
     pub fn send(&mut self, to: Addr, msg: Msg, latency: Duration) {
-        let mut st = self.kernel.state.lock();
+        let mut st = self.kernel.state.borrow_mut();
         let at = st.now + latency;
         st.push_event(at, EventKind::Deliver { mailbox: to.0, msg });
     }
@@ -1420,11 +1436,11 @@ impl Ctx {
     pub fn recv(&mut self, mb: Addr) -> Msg {
         self.must_be_thread("recv", "return Wait::Recv from on_wake");
         loop {
-            if let Some(m) = self.kernel.state.lock().begin_recv(self.pid, mb, None) {
+            if let Some(m) = self.kernel.state.borrow_mut().begin_recv(self.pid, mb, None) {
                 return m;
             }
             self.yield_to_kernel();
-            if let Some(m) = self.kernel.state.lock().end_recv(self.pid, mb) {
+            if let Some(m) = self.kernel.state.borrow_mut().end_recv(self.pid, mb) {
                 return m;
             }
             // Spurious wake (e.g. mailbox closed under us): retry.
@@ -1434,11 +1450,11 @@ impl Ctx {
     /// Receives with a timeout; `None` means the timeout expired first.
     pub fn recv_timeout(&mut self, mb: Addr, timeout: Duration) -> Option<Msg> {
         self.must_be_thread("recv_timeout", "return Wait::RecvTimeout from on_wake");
-        if let Some(m) = self.kernel.state.lock().begin_recv(self.pid, mb, Some(timeout)) {
+        if let Some(m) = self.kernel.state.borrow_mut().begin_recv(self.pid, mb, Some(timeout)) {
             return Some(m);
         }
         self.yield_to_kernel();
-        self.kernel.state.lock().end_recv(self.pid, mb)
+        self.kernel.state.borrow_mut().end_recv(self.pid, mb)
     }
 
     /// Issues a synchronous RPC: sends `req` to `to` and blocks for the
@@ -1450,8 +1466,8 @@ impl Ctx {
     /// Panics if the response cannot be downcast to `Resp`.
     pub fn call<Req, Resp>(&mut self, to: Addr, req: Req, latency: Duration) -> Resp
     where
-        Req: Any + Send,
-        Resp: Any + Send,
+        Req: Any,
+        Resp: Any,
     {
         self.must_be_thread("call", "send the request and return Wait::Recv on its reply mailbox");
         self.call_sized::<Req, Resp>(to, req, latency, 0)
@@ -1466,8 +1482,8 @@ impl Ctx {
         size: usize,
     ) -> Resp
     where
-        Req: Any + Send,
-        Resp: Any + Send,
+        Req: Any,
+        Resp: Any,
     {
         self.must_be_thread(
             "call_sized",
@@ -1491,8 +1507,8 @@ impl Ctx {
         timeout: Duration,
     ) -> Option<Resp>
     where
-        Req: Any + Send,
-        Resp: Any + Send,
+        Req: Any,
+        Resp: Any,
     {
         self.must_be_thread(
             "call_timeout",
@@ -1507,13 +1523,13 @@ impl Ctx {
     }
 
     /// Replies to an RPC received as a [`Request`].
-    pub fn reply<Resp: Any + Send>(&mut self, reply_to: Addr, resp: Resp, latency: Duration) {
+    pub fn reply<Resp: Any>(&mut self, reply_to: Addr, resp: Resp, latency: Duration) {
         self.send(reply_to, Msg::new(resp), latency);
     }
 
     /// Removes a mailbox entirely (frees its id).
     fn drop_mailbox(&mut self, addr: Addr) {
-        let mut st = self.kernel.state.lock();
+        let mut st = self.kernel.state.borrow_mut();
         st.mailboxes.remove(&addr.0);
         // Reply mailboxes come and go in stack order, so this is the last.
         let owned = &mut st.procs.get_mut(&self.pid.0).expect("own slot").owned;
@@ -1526,7 +1542,7 @@ impl Ctx {
     /// (see [`Sim::spawn`]).
     pub fn spawn<F>(&mut self, name: &str, f: F) -> Pid
     where
-        F: FnOnce(&mut Ctx) + Send + 'static,
+        F: FnOnce(&mut Ctx) + 'static,
     {
         spawn_process(&self.kernel, name, false, f)
     }
@@ -1534,7 +1550,7 @@ impl Ctx {
     /// Spawns a daemon process (see [`Sim::spawn_daemon`]).
     pub fn spawn_daemon<F>(&mut self, name: &str, f: F) -> Pid
     where
-        F: FnOnce(&mut Ctx) + Send + 'static,
+        F: FnOnce(&mut Ctx) + 'static,
     {
         spawn_process(&self.kernel, name, true, f)
     }
@@ -1567,7 +1583,7 @@ impl Ctx {
         resource_name: impl Into<String>,
         site: impl Into<String>,
     ) {
-        let mut st = self.kernel.state.lock();
+        let mut st = self.kernel.state.borrow_mut();
         if let Some(p) = st.procs.get_mut(&self.pid.0) {
             p.waiting_on = Some(WaitAnnotation {
                 resource,
@@ -1581,20 +1597,20 @@ impl Ctx {
     /// Registers this process as the holder of `resource` (a lock or
     /// semaphore-like primitive identified by a stable id).
     pub fn resource_acquired(&mut self, resource: u64, name: &str) {
-        let mut st = self.kernel.state.lock();
+        let mut st = self.kernel.state.borrow_mut();
         st.holders.insert(resource, (self.pid, name.to_string()));
     }
 
     /// Records a direct ownership handoff of `resource` to `to` (e.g. FIFO
     /// lock transfer on release).
     pub fn resource_passed(&mut self, resource: u64, to: Pid, name: &str) {
-        let mut st = self.kernel.state.lock();
+        let mut st = self.kernel.state.borrow_mut();
         st.holders.insert(resource, (to, name.to_string()));
     }
 
     /// Releases `resource` if this process holds it.
     pub fn resource_released(&mut self, resource: u64) {
-        let mut st = self.kernel.state.lock();
+        let mut st = self.kernel.state.borrow_mut();
         if st.holders.get(&resource).is_some_and(|(h, _)| *h == self.pid) {
             st.holders.remove(&resource);
         }
@@ -1605,7 +1621,7 @@ impl Ctx {
     pub fn park(&mut self) {
         self.must_be_thread("park", "only a thread process can park");
         {
-            let mut st = self.kernel.state.lock();
+            let mut st = self.kernel.state.borrow_mut();
             let p = st.procs.get_mut(&self.pid.0).expect("own slot");
             if p.park_permit {
                 p.park_permit = false;
@@ -1621,7 +1637,7 @@ impl Ctx {
     /// Makes a parked process runnable, or stores a permit if it is not
     /// parked yet.
     pub fn unpark(&mut self, pid: Pid) {
-        let mut st = self.kernel.state.lock();
+        let mut st = self.kernel.state.borrow_mut();
         let parked = match st.procs.get_mut(&pid.0) {
             Some(p) => {
                 if p.blocked == BlockState::Parked {
@@ -1644,6 +1660,8 @@ impl Ctx {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use parking_lot::Mutex;
+    use std::sync::Arc;
 
     #[test]
     fn empty_sim_is_idle() {
@@ -2024,11 +2042,11 @@ mod tests {
         sim.run_until_idle();
         let (mine, shared) = ids.lock().expect("owner ran");
         {
-            let st = sim.kernel.state.lock();
+            let st = sim.kernel.state.borrow();
             assert_eq!(st.procs[&pid.0].owned, [mine.0], "dropped reply mailboxes are forgotten");
         }
         sim.kill(pid);
-        let st = sim.kernel.state.lock();
+        let st = sim.kernel.state.borrow();
         assert!(st.mailboxes[&mine.0].closed);
         assert!(!st.mailboxes[&shared.0].closed);
         assert!(!st.mailboxes[&server.0].closed);

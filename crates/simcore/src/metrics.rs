@@ -3,12 +3,11 @@
 //! These are plain owned values (cheaply clonable handles around shared
 //! state) that experiment harnesses read after the simulation finishes.
 
+use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::Arc;
+use std::rc::Rc;
 use std::time::Duration;
-
-use parking_lot::Mutex;
 
 use crate::time::SimTime;
 
@@ -48,7 +47,7 @@ pub fn fsum<I: IntoIterator<Item = f64>>(terms: I) -> f64 {
 /// ```
 #[derive(Clone)]
 pub struct LatencyStats {
-    inner: Arc<Mutex<LatencyInner>>,
+    inner: Rc<RefCell<LatencyInner>>,
 }
 
 struct LatencyInner {
@@ -61,7 +60,7 @@ impl LatencyStats {
     /// Creates an empty accumulator labelled `name`.
     pub fn new(name: &str) -> LatencyStats {
         LatencyStats {
-            inner: Arc::new(Mutex::new(LatencyInner {
+            inner: Rc::new(RefCell::new(LatencyInner {
                 name: name.to_string(),
                 samples: Vec::new(),
                 sorted: true,
@@ -71,19 +70,19 @@ impl LatencyStats {
 
     /// Records one observation.
     pub fn record(&self, d: Duration) {
-        let mut g = self.inner.lock();
+        let mut g = self.inner.borrow_mut();
         g.samples.push(d.as_nanos().min(u64::MAX as u128) as u64);
         g.sorted = false;
     }
 
     /// Number of observations.
     pub fn count(&self) -> usize {
-        self.inner.lock().samples.len()
+        self.inner.borrow().samples.len()
     }
 
     /// Mean latency; zero if empty.
     pub fn mean(&self) -> Duration {
-        let g = self.inner.lock();
+        let g = self.inner.borrow();
         if g.samples.is_empty() {
             return Duration::ZERO;
         }
@@ -93,7 +92,7 @@ impl LatencyStats {
 
     /// Exact percentile in `[0, 100]`; zero if empty.
     pub fn percentile(&self, p: f64) -> Duration {
-        let mut g = self.inner.lock();
+        let mut g = self.inner.borrow_mut();
         if g.samples.is_empty() {
             return Duration::ZERO;
         }
@@ -107,19 +106,19 @@ impl LatencyStats {
 
     /// Minimum observation; zero if empty.
     pub fn min(&self) -> Duration {
-        let g = self.inner.lock();
+        let g = self.inner.borrow();
         Duration::from_nanos(g.samples.iter().copied().min().unwrap_or(0))
     }
 
     /// Maximum observation; zero if empty.
     pub fn max(&self) -> Duration {
-        let g = self.inner.lock();
+        let g = self.inner.borrow();
         Duration::from_nanos(g.samples.iter().copied().max().unwrap_or(0))
     }
 
     /// Label given at construction.
     pub fn name(&self) -> String {
-        self.inner.lock().name.clone()
+        self.inner.borrow().name.clone()
     }
 }
 
@@ -136,7 +135,7 @@ impl fmt::Debug for LatencyStats {
 /// A shared counter, e.g. completed operations.
 #[derive(Clone, Default)]
 pub struct Counter {
-    inner: Arc<Mutex<u64>>,
+    inner: Rc<Cell<u64>>,
 }
 
 impl Counter {
@@ -147,7 +146,7 @@ impl Counter {
 
     /// Adds `n`.
     pub fn add(&self, n: u64) {
-        *self.inner.lock() += n;
+        self.inner.set(self.inner.get() + n);
     }
 
     /// Increments by one.
@@ -157,7 +156,7 @@ impl Counter {
 
     /// Current value.
     pub fn get(&self) -> u64 {
-        *self.inner.lock()
+        self.inner.get()
     }
 }
 
@@ -172,23 +171,23 @@ impl fmt::Debug for Counter {
 /// point carries the kernel's virtual time at the push.
 #[derive(Clone, Default)]
 pub struct Series {
-    inner: Arc<Mutex<Vec<(SimTime, f64)>>>,
+    inner: Rc<RefCell<Vec<(SimTime, f64)>>>,
 }
 
 impl Series {
     /// Appends a point.
     pub(crate) fn push(&self, t: SimTime, v: f64) {
-        self.inner.lock().push((t, v));
+        self.inner.borrow_mut().push((t, v));
     }
 
     /// Snapshot of all points in insertion order.
     pub fn points(&self) -> Vec<(SimTime, f64)> {
-        self.inner.lock().clone()
+        self.inner.borrow().clone()
     }
 
     /// Number of points.
     pub fn len(&self) -> usize {
-        self.inner.lock().len()
+        self.inner.borrow().len()
     }
 
     /// Whether the series is empty.
@@ -198,7 +197,7 @@ impl Series {
 
     /// Mean of values within `[from, to)`; `None` if no points fall there.
     pub fn mean_in(&self, from: SimTime, to: SimTime) -> Option<f64> {
-        let g = self.inner.lock();
+        let g = self.inner.borrow();
         let vals: Vec<f64> =
             g.iter().filter(|(t, _)| *t >= from && *t < to).map(|(_, v)| *v).collect();
         if vals.is_empty() {
@@ -241,7 +240,7 @@ impl fmt::Debug for Series {
 /// ```
 #[derive(Clone, Default)]
 pub struct MetricsRegistry {
-    inner: Arc<Mutex<RegistryInner>>,
+    inner: Rc<RefCell<RegistryInner>>,
 }
 
 #[derive(Default)]
@@ -263,7 +262,7 @@ impl MetricsRegistry {
     /// Looks up by `&str` first so the steady-state path (instrument
     /// already exists) never allocates an owned key.
     pub fn counter(&self, name: &str) -> Counter {
-        let mut g = self.inner.lock();
+        let mut g = self.inner.borrow_mut();
         if let Some(c) = g.counters.get(name) {
             return c.clone();
         }
@@ -273,7 +272,7 @@ impl MetricsRegistry {
     /// The histogram named `name`, created empty on first use (allocation
     /// only on that first use, like [`MetricsRegistry::counter`]).
     pub fn histogram(&self, name: &str) -> LatencyStats {
-        let mut g = self.inner.lock();
+        let mut g = self.inner.borrow_mut();
         if let Some(h) = g.histograms.get(name) {
             return h.clone();
         }
@@ -283,7 +282,7 @@ impl MetricsRegistry {
     /// The time series named `name`, created empty on first use (allocation
     /// only on that first use, like [`MetricsRegistry::counter`]).
     pub fn series(&self, name: &str) -> Series {
-        let mut g = self.inner.lock();
+        let mut g = self.inner.borrow_mut();
         if let Some(s) = g.series.get(name) {
             return s.clone();
         }
@@ -308,17 +307,17 @@ impl MetricsRegistry {
     /// Current value of the counter named `name`; zero if it was never
     /// touched (does not create it).
     pub fn counter_value(&self, name: &str) -> u64 {
-        self.inner.lock().counters.get(name).map(|c| c.get()).unwrap_or(0)
+        self.inner.borrow().counters.get(name).map(|c| c.get()).unwrap_or(0)
     }
 
     /// Snapshot of all counters as `(name, value)`, in name order.
     pub fn counters(&self) -> Vec<(String, u64)> {
-        self.inner.lock().counters.iter().map(|(k, v)| (k.clone(), v.get())).collect()
+        self.inner.borrow().counters.iter().map(|(k, v)| (k.clone(), v.get())).collect()
     }
 
     /// Snapshot of all histograms as `(name, handle)`, in name order.
     pub fn histograms(&self) -> Vec<(String, LatencyStats)> {
-        self.inner.lock().histograms.iter().map(|(k, v)| (k.clone(), v.clone())).collect()
+        self.inner.borrow().histograms.iter().map(|(k, v)| (k.clone(), v.clone())).collect()
     }
 
     /// Human-readable dump of every instrument, in name order (so the text
@@ -338,7 +337,7 @@ impl MetricsRegistry {
                 h.max(),
             ));
         }
-        let g = self.inner.lock();
+        let g = self.inner.borrow();
         for (name, s) in g.series.iter() {
             out.push_str(&format!("series    {name}: {} points\n", s.len()));
         }
@@ -348,7 +347,7 @@ impl MetricsRegistry {
 
 impl fmt::Debug for MetricsRegistry {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let g = self.inner.lock();
+        let g = self.inner.borrow();
         write!(
             f,
             "MetricsRegistry(counters={}, histograms={}, series={})",

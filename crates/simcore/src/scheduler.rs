@@ -39,7 +39,7 @@ pub struct Decision {
 /// `pick` is only consulted when at least two processes are runnable; the
 /// returned index is clamped to the queue length by the kernel, so an
 /// out-of-range pick degrades to "last" rather than panicking.
-pub trait Scheduler: Send {
+pub trait Scheduler {
     /// Returns the index (into `runnable`) of the process to run next.
     fn pick(&mut self, runnable: &[Pid]) -> usize;
 }

@@ -8,11 +8,10 @@
 //! For *distributed* synchronization across cloud threads, use the DSO
 //! synchronization objects from the `dso` crate instead.
 
+use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
 use std::fmt;
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::rc::Rc;
 
 use crate::detect::WaitKind;
 use crate::kernel::{Addr, Ctx, Msg, Pid, Sim};
@@ -40,7 +39,7 @@ use crate::kernel::{Addr, Ctx, Msg, Pid, Sim};
 /// });
 /// sim.run_until_idle().expect_quiescent();
 /// ```
-pub fn oneshot<T: Send + 'static>(sim: &Sim) -> (OneshotSender<T>, OneshotReceiver<T>) {
+pub fn oneshot<T: 'static>(sim: &Sim) -> (OneshotSender<T>, OneshotReceiver<T>) {
     let mb = sim.mailbox("oneshot");
     (
         OneshotSender { mb, _ty: std::marker::PhantomData },
@@ -49,7 +48,7 @@ pub fn oneshot<T: Send + 'static>(sim: &Sim) -> (OneshotSender<T>, OneshotReceiv
 }
 
 /// Creates a one-shot channel from inside a process.
-pub fn oneshot_in<T: Send + 'static>(ctx: &mut Ctx) -> (OneshotSender<T>, OneshotReceiver<T>) {
+pub fn oneshot_in<T: 'static>(ctx: &mut Ctx) -> (OneshotSender<T>, OneshotReceiver<T>) {
     let mb = ctx.shared_mailbox("oneshot");
     (
         OneshotSender { mb, _ty: std::marker::PhantomData },
@@ -69,7 +68,7 @@ impl<T> fmt::Debug for OneshotSender<T> {
     }
 }
 
-impl<T: Send + 'static> OneshotSender<T> {
+impl<T: 'static> OneshotSender<T> {
     /// Delivers the value (instantaneously, in virtual time).
     pub fn send(self, ctx: &mut Ctx, value: T) {
         ctx.send(self.mb, Msg::new(value), std::time::Duration::ZERO);
@@ -88,7 +87,7 @@ impl<T> fmt::Debug for OneshotReceiver<T> {
     }
 }
 
-impl<T: Send + 'static> OneshotReceiver<T> {
+impl<T: 'static> OneshotReceiver<T> {
     /// Blocks until the value arrives.
     pub fn recv(self, ctx: &mut Ctx) -> T {
         let m = ctx.recv(self.mb);
@@ -118,16 +117,18 @@ struct MonState {
 ///
 /// ```
 /// use simcore::{Sim, sync::Monitor};
+/// use std::cell::Cell;
+/// use std::rc::Rc;
 /// use std::time::Duration;
 ///
 /// let mut sim = Sim::new(1);
 /// let m = Monitor::new("m");
-/// let flag = std::sync::Arc::new(parking_lot::Mutex::new(false));
+/// let flag = Rc::new(Cell::new(false));
 ///
 /// let (m2, flag2) = (m.clone(), flag.clone());
 /// sim.spawn("waiter", move |ctx| {
 ///     m2.enter(ctx);
-///     while !*flag2.lock() {
+///     while !flag2.get() {
 ///         m2.wait(ctx);
 ///     }
 ///     m2.exit(ctx);
@@ -135,7 +136,7 @@ struct MonState {
 /// sim.spawn("setter", move |ctx| {
 ///     ctx.sleep(Duration::from_millis(1));
 ///     m.enter(ctx);
-///     *flag.lock() = true;
+///     flag.set(true);
 ///     m.notify(ctx);
 ///     m.exit(ctx);
 /// });
@@ -143,8 +144,8 @@ struct MonState {
 /// ```
 #[derive(Clone)]
 pub struct Monitor {
-    name: Arc<String>,
-    state: Arc<Mutex<MonState>>,
+    name: Rc<String>,
+    state: Rc<RefCell<MonState>>,
 }
 
 impl fmt::Debug for Monitor {
@@ -157,29 +158,29 @@ impl Monitor {
     /// Creates a monitor.
     pub fn new(name: &str) -> Monitor {
         Monitor {
-            name: Arc::new(name.to_string()),
-            state: Arc::new(Mutex::new(MonState::default())),
+            name: Rc::new(name.to_string()),
+            state: Rc::new(RefCell::new(MonState::default())),
         }
     }
 
     /// Stable identity of this monitor for the deadlock detector's
     /// wait-for graph (clones share state, hence identity).
     ///
-    /// The id is an `Arc` pointer, so its *value* differs run to run
+    /// The id is an `Rc` pointer, so its *value* differs run to run
     /// (ASLR). That is fine for the diagnostic wait-for graph — which
     /// only needs same-run identity — but the marker below tells
     /// `simlint` to taint anything that would carry this value into
     /// simulation state, protocol messages or trace ordering.
     // simlint: nondet_source
     fn resource_id(&self) -> u64 {
-        Arc::as_ptr(&self.state) as u64
+        Rc::as_ptr(&self.state) as u64
     }
 
     /// Acquires the monitor, blocking while another process holds it.
     pub fn enter(&self, ctx: &mut Ctx) {
         let me = ctx.pid();
         let acquired = {
-            let mut st = self.state.lock();
+            let mut st = self.state.borrow_mut();
             if st.holder.is_none() {
                 st.holder = Some(me);
                 true
@@ -200,7 +201,7 @@ impl Monitor {
             format!("Monitor::enter({})", self.name),
         );
         ctx.park();
-        debug_assert_eq!(self.state.lock().holder, Some(me), "woken as holder");
+        debug_assert_eq!(self.state.borrow().holder, Some(me), "woken as holder");
     }
 
     /// Releases the monitor.
@@ -211,7 +212,7 @@ impl Monitor {
     pub fn exit(&self, ctx: &mut Ctx) {
         let me = ctx.pid();
         let next = {
-            let mut st = self.state.lock();
+            let mut st = self.state.borrow_mut();
             assert_eq!(st.holder, Some(me), "exit of monitor {} by non-holder", self.name);
             match st.entry_q.pop_front() {
                 Some(n) => {
@@ -242,7 +243,7 @@ impl Monitor {
     pub fn wait(&self, ctx: &mut Ctx) {
         let me = ctx.pid();
         let next = {
-            let mut st = self.state.lock();
+            let mut st = self.state.borrow_mut();
             assert_eq!(st.holder, Some(me), "wait on monitor {} by non-holder", self.name);
             st.wait_q.push_back(me);
             match st.entry_q.pop_front() {
@@ -272,7 +273,7 @@ impl Monitor {
         // Parked until a notify moves us to the entry queue *and* the lock
         // is handed to us.
         ctx.park();
-        debug_assert_eq!(self.state.lock().holder, Some(me), "woken as holder");
+        debug_assert_eq!(self.state.borrow().holder, Some(me), "woken as holder");
     }
 
     /// Moves one waiter to the entry queue (it will run once the lock frees).
@@ -282,7 +283,7 @@ impl Monitor {
     /// Panics if the calling process does not hold the monitor.
     pub fn notify(&self, ctx: &mut Ctx) {
         let me = ctx.pid();
-        let mut st = self.state.lock();
+        let mut st = self.state.borrow_mut();
         assert_eq!(st.holder, Some(me), "notify on monitor {} by non-holder", self.name);
         if let Some(w) = st.wait_q.pop_front() {
             st.entry_q.push_back(w);
@@ -296,7 +297,7 @@ impl Monitor {
     /// Panics if the calling process does not hold the monitor.
     pub fn notify_all(&self, ctx: &mut Ctx) {
         let me = ctx.pid();
-        let mut st = self.state.lock();
+        let mut st = self.state.borrow_mut();
         assert_eq!(st.holder, Some(me), "notify_all on monitor {} by non-holder", self.name);
         while let Some(w) = st.wait_q.pop_front() {
             st.entry_q.push_back(w);
@@ -321,19 +322,19 @@ impl Monitor {
 #[derive(Clone)]
 pub struct WaitGroup {
     monitor: Monitor,
-    left: Arc<Mutex<usize>>,
+    left: Rc<Cell<usize>>,
 }
 
 impl fmt::Debug for WaitGroup {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "WaitGroup(left={})", *self.left.lock())
+        write!(f, "WaitGroup(left={})", self.left.get())
     }
 }
 
 impl WaitGroup {
     /// Creates a group expecting `n` completions.
     pub fn new(n: usize) -> WaitGroup {
-        WaitGroup { monitor: Monitor::new("waitgroup"), left: Arc::new(Mutex::new(n)) }
+        WaitGroup { monitor: Monitor::new("waitgroup"), left: Rc::new(Cell::new(n)) }
     }
 
     /// Signals one completion.
@@ -343,12 +344,10 @@ impl WaitGroup {
     /// Panics if called more than `n` times.
     pub fn done(&self, ctx: &mut Ctx) {
         self.monitor.enter(ctx);
-        {
-            let mut left = self.left.lock();
-            assert!(*left > 0, "WaitGroup::done called too many times");
-            *left -= 1;
-        }
-        if *self.left.lock() == 0 {
+        let left = self.left.get();
+        assert!(left > 0, "WaitGroup::done called too many times");
+        self.left.set(left - 1);
+        if left == 1 {
             self.monitor.notify_all(ctx);
         }
         self.monitor.exit(ctx);
@@ -357,7 +356,7 @@ impl WaitGroup {
     /// Blocks until all `n` completions have been signalled.
     pub fn wait(&self, ctx: &mut Ctx) {
         self.monitor.enter(ctx);
-        while *self.left.lock() > 0 {
+        while self.left.get() > 0 {
             self.monitor.wait(ctx);
         }
         self.monitor.exit(ctx);
@@ -373,7 +372,7 @@ impl WaitGroup {
 #[derive(Clone)]
 pub struct LocalBarrier {
     monitor: Monitor,
-    state: Arc<Mutex<(usize, u64)>>, // (waiting, generation)
+    state: Rc<Cell<(usize, u64)>>, // (waiting, generation)
     parties: usize,
 }
 
@@ -393,7 +392,7 @@ impl LocalBarrier {
         assert!(parties > 0, "barrier needs at least one party");
         LocalBarrier {
             monitor: Monitor::new("local-barrier"),
-            state: Arc::new(Mutex::new((0, 0))),
+            state: Rc::new(Cell::new((0, 0))),
             parties,
         }
     }
@@ -401,21 +400,14 @@ impl LocalBarrier {
     /// Blocks until all parties arrive; returns the generation index.
     pub fn wait(&self, ctx: &mut Ctx) -> u64 {
         self.monitor.enter(ctx);
-        let my_generation = {
-            let mut st = self.state.lock();
-            st.0 += 1;
-            st.1
-        };
-        if self.state.lock().0 == self.parties {
+        let (waiting, my_generation) = self.state.get();
+        if waiting + 1 == self.parties {
             // Last arrival: open the next generation and release everyone.
-            {
-                let mut st = self.state.lock();
-                st.0 = 0;
-                st.1 += 1;
-            }
+            self.state.set((0, my_generation + 1));
             self.monitor.notify_all(ctx);
         } else {
-            while self.state.lock().1 == my_generation {
+            self.state.set((waiting + 1, my_generation));
+            while self.state.get().1 == my_generation {
                 self.monitor.wait(ctx);
             }
         }
@@ -427,6 +419,8 @@ impl LocalBarrier {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use parking_lot::Mutex;
+    use std::sync::Arc;
     use std::time::Duration;
 
     #[test]

@@ -16,7 +16,7 @@
 //! process names, and annotation keys are interned behind `u32` symbols
 //! (see [`crate::symbol`]), so a span begin/end performs no string
 //! allocation after a name's first appearance. The exporters stream
-//! straight from the rows and the symbol table under the lock, formatting
+//! straight from the rows and the symbol table under one borrow, formatting
 //! integers through a stack buffer; they never clone the span buffer.
 //! [`Tracer::spans`] materializes owned [`SpanRecord`]s for tests and
 //! ad-hoc inspection.
@@ -26,12 +26,12 @@
 //! [`Tracer::export_jsonl`] writes one JSON object per span for ad-hoc
 //! processing.
 
+use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::Arc;
+use std::rc::Rc;
 
 use crate::codec::Wire;
-use parking_lot::Mutex;
 
 use crate::symbol::{Sym, SymbolTable};
 use crate::time::SimTime;
@@ -200,7 +200,7 @@ impl TracerInner {
 /// read or export after the run.
 #[derive(Clone, Default)]
 pub struct Tracer {
-    inner: Arc<Mutex<TracerInner>>,
+    inner: Rc<RefCell<TracerInner>>,
 }
 
 impl Tracer {
@@ -248,7 +248,7 @@ impl Tracer {
         cat: &str,
         kind: SpanKind,
     ) -> SpanId {
-        let mut g = self.inner.lock();
+        let mut g = self.inner.borrow_mut();
         g.next += 1;
         let id = SpanId(g.next);
         let name = g.symbols.intern(name);
@@ -271,7 +271,7 @@ impl Tracer {
     /// Ends a span at `now`. Ending [`SpanId::NONE`], an unknown id, or an
     /// already-ended span is a no-op.
     pub fn end(&self, id: SpanId, now: SimTime) {
-        let mut g = self.inner.lock();
+        let mut g = self.inner.borrow_mut();
         if let Some(rec) = g.get_mut(id) {
             if rec.end.is_none() {
                 rec.end = Some(now);
@@ -283,7 +283,7 @@ impl Tracer {
     /// [`SpanId::NONE`] or unknown ids). The key is interned; the value is
     /// formatted only when the span is found.
     pub fn annotate(&self, id: SpanId, key: &str, value: impl fmt::Display) {
-        let mut g = self.inner.lock();
+        let mut g = self.inner.borrow_mut();
         let key = g.symbols.intern(key);
         if let Some(rec) = g.get_mut(id) {
             rec.args.push((key, value.to_string()));
@@ -292,7 +292,7 @@ impl Tracer {
 
     /// Number of recorded spans.
     pub fn len(&self) -> usize {
-        self.inner.lock().rows.len()
+        self.inner.borrow().rows.len()
     }
 
     /// Whether nothing has been recorded.
@@ -304,13 +304,13 @@ impl Tracer {
     /// strings. This materializes a fresh vector — use it for tests and
     /// inspection; the `export_*` methods stream without snapshotting.
     pub fn spans(&self) -> Vec<SpanRecord> {
-        let g = self.inner.lock();
+        let g = self.inner.borrow();
         (0..g.rows.len()).map(|i| g.resolve(i)).collect()
     }
 
     /// Snapshot of the records whose name equals `name`.
     pub fn spans_named(&self, name: &str) -> Vec<SpanRecord> {
-        let g = self.inner.lock();
+        let g = self.inner.borrow();
         (0..g.rows.len())
             .filter(|&i| g.symbols.get(g.rows[i].name) == name)
             .map(|i| g.resolve(i))
@@ -321,10 +321,10 @@ impl Tracer {
     /// Perfetto). Deterministic: byte-identical across identically-seeded
     /// runs. Each simulated process becomes one named thread track.
     ///
-    /// Streams from the stored rows under the lock: no span clone, no
+    /// Streams from the stored rows under one borrow: no span clone, no
     /// per-span allocation beyond the output string itself.
     pub fn export_chrome_json(&self) -> String {
-        let g = self.inner.lock();
+        let g = self.inner.borrow();
         let mut out = String::with_capacity(128 + g.rows.len() * 160);
         out.push_str("{\"traceEvents\":[");
         let mut first = true;
@@ -387,7 +387,7 @@ impl Tracer {
     /// nanosecond timestamps. Deterministic and streaming, like the Chrome
     /// export.
     pub fn export_jsonl(&self) -> String {
-        let g = self.inner.lock();
+        let g = self.inner.borrow();
         let mut out = String::with_capacity(g.rows.len() * 160);
         for (i, r) in g.rows.iter().enumerate() {
             out.push_str("{\"id\":");

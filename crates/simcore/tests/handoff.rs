@@ -5,7 +5,7 @@
 //! stacks the design costs.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::ThreadId;
 use std::time::Duration;
@@ -163,35 +163,6 @@ fn killing_a_blocked_process_drops_what_its_stack_holds_before_kill_returns() {
     assert_eq!(sim.stacks_allocated(), 2);
 }
 
-/// Runs `f` on an OS thread of its own.
-fn on_another_thread<T: Send>(f: impl FnOnce() -> T + Send) -> T {
-    std::thread::scope(|s| s.spawn(f).join().expect("the thread finishes"))
-}
-
-// (f) The run thread is whoever calls `run_*`, each time: a suspended
-// process goes on from another OS thread than the one it blocked on.
-#[test]
-fn a_sim_can_be_run_from_a_different_os_thread_each_time() {
-    let ticks = Arc::new(AtomicU64::new(0));
-    let counter = ticks.clone();
-    let mut sim = on_another_thread(|| {
-        let sim = Sim::new(1);
-        sim.spawn_daemon("ticker", move |ctx| loop {
-            ctx.sleep(MS);
-            counter.fetch_add(1, Ordering::SeqCst);
-        });
-        sim
-    });
-    for runs in 1..=2u64 {
-        sim = on_another_thread(move || {
-            let out = sim.run_for(10 * MS);
-            assert_eq!(out.time, SimTime::from_millis(10 * runs));
-            sim
-        });
-        assert_eq!(ticks.load(Ordering::SeqCst), 10 * runs);
-    }
-}
-
 /// Doubles numbers, noting the OS thread of every wake-up.
 struct Doubler {
     inbox: Addr,
@@ -227,7 +198,7 @@ fn doubler_sim(calls: u64) -> (Sim, Arc<Mutex<Vec<ThreadId>>>) {
     (sim, woken_on)
 }
 
-// (g) Actors and thread processes alike run on the `run_*` caller's thread.
+// (f) Actors and thread processes alike run on the `run_*` caller's thread.
 #[test]
 fn every_process_runs_on_the_run_thread() {
     let (mut sim, woken_on) = doubler_sim(50);

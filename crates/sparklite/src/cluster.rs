@@ -6,6 +6,7 @@
 
 use std::collections::HashMap;
 use std::fmt;
+use std::rc::Rc;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -19,7 +20,7 @@ use crate::cost::SparkCostModel;
 /// The closure does the *real* math on the (scaled-down) partition data
 /// and reports the *virtual* CPU time this would take at paper scale; the
 /// executor charges that time on its cores.
-pub type TaskFn = Arc<dyn Fn(&[u8], &[u8], &[u8]) -> (Vec<u8>, Duration) + Send + Sync>;
+pub type TaskFn = Rc<dyn Fn(&[u8], &[u8], &[u8]) -> (Vec<u8>, Duration)>;
 
 /// Registry of stage functions, shared by all executors.
 #[derive(Clone, Default)]
@@ -36,9 +37,9 @@ impl TaskRegistry {
     /// Registers a stage function.
     pub fn register<F>(&self, name: &str, f: F)
     where
-        F: Fn(&[u8], &[u8], &[u8]) -> (Vec<u8>, Duration) + Send + Sync + 'static,
+        F: Fn(&[u8], &[u8], &[u8]) -> (Vec<u8>, Duration) + 'static,
     {
-        self.tasks.lock().insert(name.to_string(), Arc::new(f));
+        self.tasks.lock().insert(name.to_string(), Rc::new(f));
     }
 
     fn get(&self, name: &str) -> Option<TaskFn> {
