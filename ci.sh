@@ -12,9 +12,8 @@ RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" cargo doc --no-deps --workspac
 
 # Correctness tooling (crates/simcheck): `simlint`, one engine over the
 # parsed workspace (token rules: wall-clock, native-thread, no-panic,
-# trace-time, global-state; interprocedural: determinism taint,
-# wait-annotation coverage, no blocking call reachable from an
-# Actor::on_wake — zero findings required), then the DSO cluster smoke workload under 25
+# trace-time, global-state; interprocedural: determinism taint — zero
+# findings required), then the DSO cluster smoke workload under 25
 # perturbed schedules with linearizability checked on each (see
 # DESIGN.md, "Correctness tooling").
 cargo run --release -q -p simcheck --bin simlint

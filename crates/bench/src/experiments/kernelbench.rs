@@ -46,7 +46,7 @@ use bytes::Bytes;
 use crucial_ml::datagen::kmeans_partition;
 use crucial_ml::kmeans::{assign_partials, initial_centroids};
 use simcore::codec::{self, Wire};
-use simcore::{Actor, Addr, Ctx, Msg, Sim, Wait, Wake};
+use simcore::{Actor, Addr, Msg, Proc, Sim, Wait, Wake};
 
 use super::Scale;
 use crate::report::{fmt_dur, Table};
@@ -229,7 +229,7 @@ struct RingNode {
 }
 
 impl Actor for RingNode {
-    fn on_wake(&mut self, ctx: &mut Ctx, wake: Wake) -> Wait {
+    fn on_wake(&mut self, ctx: &mut Proc, wake: Wake) -> Wait {
         match wake {
             Wake::Start => {
                 if let Some(token) = self.serve.take() {

@@ -7,7 +7,7 @@
 use std::collections::{HashMap, VecDeque};
 use std::time::Duration;
 
-use simcore::{Addr, Ctx, LatencyModel, Msg, Request, Sim, WaitKind};
+use simcore::{Addr, Ctx, LatencyModel, Msg, Request, Sim};
 
 /// Latency profile of the queue/notification services.
 #[derive(Clone, Debug, simcore::codec::Wire)]
@@ -73,16 +73,9 @@ pub struct SqsHandle {
 }
 
 impl SqsHandle {
-    /// Tells the deadlock detector this process is about to block on the
-    /// queue daemon.
-    fn annotate(&self, ctx: &mut Ctx, op: &str) {
-        ctx.annotate_wait(self.addr.into_raw(), WaitKind::Call, "sqs", format!("SqsHandle::{op}"));
-    }
-
     /// Enqueues a message.
     pub fn send(&self, ctx: &mut Ctx, queue: &str, body: Vec<u8>) {
         let lat = self.cfg.sqs_half.sample(ctx.rng());
-        self.annotate(ctx, "send");
         match ctx.call::<SqsReq, SqsResp>(
             self.addr,
             SqsReq::Send { queue: queue.to_string(), body },
@@ -96,7 +89,6 @@ impl SqsHandle {
     /// Polls up to `max` messages; may return an empty batch (short poll).
     pub fn receive(&self, ctx: &mut Ctx, queue: &str, max: usize) -> Vec<Vec<u8>> {
         let lat = self.cfg.sqs_half.sample(ctx.rng());
-        self.annotate(ctx, "receive");
         match ctx.call::<SqsReq, SqsResp>(
             self.addr,
             SqsReq::Receive { queue: queue.to_string(), max },
@@ -199,16 +191,9 @@ pub struct SnsHandle {
 }
 
 impl SnsHandle {
-    /// Tells the deadlock detector this process is about to block on the
-    /// topic daemon.
-    fn annotate(&self, ctx: &mut Ctx, op: &str) {
-        ctx.annotate_wait(self.addr.into_raw(), WaitKind::Call, "sns", format!("SnsHandle::{op}"));
-    }
-
     /// Subscribes an SQS queue to a topic.
     pub fn subscribe(&self, ctx: &mut Ctx, topic: &str, queue: &str) {
         let lat = self.cfg.sqs_half.sample(ctx.rng());
-        self.annotate(ctx, "subscribe");
         let SnsAck = ctx.call(
             self.addr,
             SnsReq::Subscribe { topic: topic.to_string(), queue: queue.to_string() },
@@ -219,7 +204,6 @@ impl SnsHandle {
     /// Publishes to a topic; the message fans out to subscribed queues.
     pub fn publish(&self, ctx: &mut Ctx, topic: &str, body: Vec<u8>) {
         let lat = self.cfg.sqs_half.sample(ctx.rng());
-        self.annotate(ctx, "publish");
         let SnsAck = ctx.call(self.addr, SnsReq::Publish { topic: topic.to_string(), body }, lat);
     }
 }

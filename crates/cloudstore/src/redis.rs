@@ -14,7 +14,7 @@ use std::collections::HashMap;
 use std::rc::Rc;
 use std::time::Duration;
 
-use simcore::{Addr, Ctx, LatencyModel, Request, Sim, WaitKind};
+use simcore::{Addr, Ctx, LatencyModel, Request, Sim};
 
 /// A server-side script: `(current value, args) -> (reply, new value)`.
 /// The returned [`Duration`] is the CPU time the script burns on the
@@ -123,16 +123,9 @@ impl RedisHandle {
         self.shards[(h % self.shards.len() as u64) as usize]
     }
 
-    /// Tells the deadlock detector this process is about to block on a
-    /// shard daemon.
-    fn annotate(&self, ctx: &mut Ctx, shard: Addr, op: &str) {
-        ctx.annotate_wait(shard.into_raw(), WaitKind::Call, "redis", format!("RedisHandle::{op}"));
-    }
-
     /// Reads a key.
     pub fn get(&self, ctx: &mut Ctx, key: &str) -> Option<Vec<u8>> {
         let lat = self.cfg.net.sample(ctx.rng());
-        self.annotate(ctx, self.shard_of(key), "get");
         match ctx.call::<RedisReq, RedisResp>(
             self.shard_of(key),
             RedisReq::Get { key: key.to_string() },
@@ -146,7 +139,6 @@ impl RedisHandle {
     /// Writes a key.
     pub fn set(&self, ctx: &mut Ctx, key: &str, value: Vec<u8>) {
         let lat = self.cfg.net.sample(ctx.rng());
-        self.annotate(ctx, self.shard_of(key), "set");
         match ctx.call::<RedisReq, RedisResp>(
             self.shard_of(key),
             RedisReq::Set { key: key.to_string(), value },
@@ -164,7 +156,6 @@ impl RedisHandle {
     /// Panics if the script is not registered (a deployment error).
     pub fn eval(&self, ctx: &mut Ctx, script: &str, key: &str, args: Vec<u8>) -> Vec<u8> {
         let lat = self.cfg.net.sample(ctx.rng());
-        self.annotate(ctx, self.shard_of(key), "eval");
         match ctx.call::<RedisReq, RedisResp>(
             self.shard_of(key),
             RedisReq::Eval { script: script.to_string(), key: key.to_string(), args },

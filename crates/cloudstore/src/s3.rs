@@ -12,7 +12,7 @@
 use std::collections::BTreeMap;
 use std::time::Duration;
 
-use simcore::{Addr, Ctx, LatencyModel, Request, Sim, SimTime, WaitKind};
+use simcore::{Addr, Ctx, LatencyModel, Request, Sim, SimTime};
 
 /// Latency/consistency profile of the store.
 #[derive(Clone, Debug)]
@@ -76,16 +76,9 @@ pub struct S3Handle {
 }
 
 impl S3Handle {
-    /// Tells the deadlock detector this process is about to block on the
-    /// store daemon.
-    fn annotate(&self, ctx: &mut Ctx, op: &str) {
-        ctx.annotate_wait(self.addr.into_raw(), WaitKind::Call, "s3", format!("S3Handle::{op}"));
-    }
-
     /// Stores an object (ignores any previous value).
     pub fn put(&self, ctx: &mut Ctx, key: &str, value: Vec<u8>) {
         let lat = self.cfg.half_put.sample(ctx.rng());
-        self.annotate(ctx, "put");
         let S3Resp::Ok =
             ctx.call::<S3Req, S3Resp>(self.addr, S3Req::Put { key: key.to_string(), value }, lat)
         else {
@@ -96,7 +89,6 @@ impl S3Handle {
     /// Fetches an object; `None` if absent (or not yet visible).
     pub fn get(&self, ctx: &mut Ctx, key: &str) -> Option<Vec<u8>> {
         let lat = self.cfg.half_get.sample(ctx.rng());
-        self.annotate(ctx, "get");
         match ctx.call::<S3Req, S3Resp>(self.addr, S3Req::Get { key: key.to_string() }, lat) {
             S3Resp::Value(v) => v,
             other => panic!("protocol: GET must return Value, got {other:?}"),
@@ -106,7 +98,6 @@ impl S3Handle {
     /// Deletes an object (idempotent).
     pub fn delete(&self, ctx: &mut Ctx, key: &str) {
         let lat = self.cfg.half_put.sample(ctx.rng());
-        self.annotate(ctx, "delete");
         let S3Resp::Ok =
             ctx.call::<S3Req, S3Resp>(self.addr, S3Req::Delete { key: key.to_string() }, lat)
         else {
@@ -123,7 +114,6 @@ impl S3Handle {
             return;
         }
         let lat = self.cfg.half_put.sample(ctx.rng());
-        self.annotate(ctx, "delete_many");
         let S3Resp::Ok = ctx.call::<S3Req, S3Resp>(self.addr, S3Req::DeleteMany { keys }, lat)
         else {
             panic!("protocol: DELETE must return Ok");
@@ -133,7 +123,6 @@ impl S3Handle {
     /// Lists visible keys with the given prefix, sorted.
     pub fn list(&self, ctx: &mut Ctx, prefix: &str) -> Vec<String> {
         let lat = self.cfg.half_list.sample(ctx.rng());
-        self.annotate(ctx, "list");
         match ctx.call::<S3Req, S3Resp>(self.addr, S3Req::List { prefix: prefix.to_string() }, lat)
         {
             S3Resp::Keys(k) => k,

@@ -3,7 +3,7 @@
 //! The daemon is an ordinary simulated process on a [`Ticker`], so its
 //! schedule is pure virtual time. Each tick it summarizes the metrics
 //! registry into an [`Observed`] (counter deltas over the tick, series
-//! means over the tick window), asks the [`ScalingPolicy`] for a
+//! means over the tick window), asks the [`TargetTracking`] policy for a
 //! [`ScaleDecision`], and actuates: `DsoCluster::add_node_from` on `Out`,
 //! graceful drain via `DsoCluster::remove_node_from` on `In`, and the
 //! FaaS provisioned-concurrency floor from observed cold starts. Every
@@ -13,15 +13,13 @@
 
 use std::cell::RefCell;
 use std::rc::Rc;
-use std::sync::Arc;
 use std::time::Duration;
 
 use dso::{Checkpointer, DsoClient, DsoCluster};
 use faas::{FaasHandle, InvokeOpts};
-use parking_lot::Mutex;
 use simcore::{MetricsRegistry, Sim, SimTime, Ticker};
 
-use crate::policy::{Observed, ScaleDecision, ScalingPolicy};
+use crate::policy::{Observed, ScaleDecision, TargetTracking};
 
 /// Configuration of the reconcile daemon.
 #[derive(Clone, Debug)]
@@ -199,23 +197,23 @@ pub enum CtlEvent {
 /// be compared byte-for-byte.
 #[derive(Clone, Debug, Default)]
 pub struct CtlHandle {
-    events: Arc<Mutex<Vec<CtlEvent>>>,
+    events: Rc<RefCell<Vec<CtlEvent>>>,
 }
 
 impl CtlHandle {
     /// Snapshot of all actuations in decision order.
     pub fn events(&self) -> Vec<CtlEvent> {
-        self.events.lock().clone()
+        self.events.borrow().clone()
     }
 
     /// Number of scale-outs so far.
     pub fn scale_outs(&self) -> usize {
-        self.events.lock().iter().filter(|e| matches!(e, CtlEvent::ScaleOut { .. })).count()
+        self.events.borrow().iter().filter(|e| matches!(e, CtlEvent::ScaleOut { .. })).count()
     }
 
     /// Number of drains so far.
     pub fn drains(&self) -> usize {
-        self.events.lock().iter().filter(|e| matches!(e, CtlEvent::Drain { .. })).count()
+        self.events.borrow().iter().filter(|e| matches!(e, CtlEvent::Drain { .. })).count()
     }
 
     /// One line per actuation, e.g. `t=12.000s scale_out nodes=3`. The
@@ -223,7 +221,7 @@ impl CtlHandle {
     /// produce byte-identical output — the determinism tests diff this.
     pub fn decision_log(&self) -> String {
         let mut out = String::new();
-        for e in self.events.lock().iter() {
+        for e in self.events.borrow().iter() {
             match e {
                 CtlEvent::ScaleOut { at, nodes } => {
                     out.push_str(&format!("t={at} scale_out nodes={nodes}\n"));
@@ -290,7 +288,7 @@ pub fn spawn_controlplane(
     cluster: Rc<RefCell<DsoCluster>>,
     faas: Option<FaasHandle>,
     registry: MetricsRegistry,
-    mut policy: Box<dyn ScalingPolicy>,
+    mut policy: TargetTracking,
     cfg: CtlConfig,
 ) -> CtlHandle {
     let handle = CtlHandle::default();
@@ -326,7 +324,7 @@ pub fn spawn_controlplane(
             };
             let span = ctx.span_begin("ctl.reconcile", "ctl");
             let decision = policy.decide(&obs);
-            ctx.span_annotate(span, "policy", policy.name());
+            ctx.span_annotate(span, "policy", "target-tracking");
             ctx.span_annotate(span, "rate", format_args!("{:.1}", obs.request_rate));
             ctx.span_annotate(span, "shed_rate", format_args!("{:.1}", obs.shed_rate));
             ctx.span_annotate(span, "queue_depth", format_args!("{:.1}", obs.queue_depth));
@@ -345,7 +343,7 @@ pub fn spawn_controlplane(
                         ctx.metric_incr("ctl.scale_outs");
                         ctx.span_annotate(s, "nodes", nodes);
                         ctx.span_end(s);
-                        events.lock().push(CtlEvent::ScaleOut { at: now, nodes });
+                        events.borrow_mut().push(CtlEvent::ScaleOut { at: now, nodes });
                         last_scale_out = Some(now);
                     }
                 }
@@ -365,7 +363,7 @@ pub fn spawn_controlplane(
                             ctx.span_annotate(s, "node", idx);
                             ctx.span_annotate(s, "nodes", nodes);
                             ctx.span_end(s);
-                            events.lock().push(CtlEvent::Drain { at: now, node: idx, nodes });
+                            events.borrow_mut().push(CtlEvent::Drain { at: now, node: idx, nodes });
                             last_drain = Some(now);
                         }
                     }
@@ -380,7 +378,7 @@ pub fn spawn_controlplane(
                     pw.floor = target;
                     f.invoke_with(ctx, &pw.cfg.function, Vec::new(), InvokeOpts::provision(target));
                     ctx.metric_push("ctl.provisioned", f64::from(target));
-                    events.lock().push(CtlEvent::Prewarm {
+                    events.borrow_mut().push(CtlEvent::Prewarm {
                         at: now,
                         function: pw.cfg.function.clone(),
                         provisioned: target,
@@ -395,7 +393,7 @@ pub fn spawn_controlplane(
                         Ok(report) => {
                             ctx.span_annotate(s, "objects", report.objects);
                             ctx.span_annotate(s, "bytes", report.bytes);
-                            events.lock().push(CtlEvent::Checkpoint {
+                            events.borrow_mut().push(CtlEvent::Checkpoint {
                                 at: now,
                                 objects: report.objects,
                                 bytes: report.bytes,
@@ -442,7 +440,7 @@ mod tests {
             cluster,
             None,
             registry,
-            Box::new(crate::policy::TargetTracking::new(1e6)),
+            TargetTracking::new(1e6),
             CtlConfig {
                 reconcile_interval: Duration::from_millis(100),
                 checkpoint_interval: Some(Duration::from_millis(400)),

@@ -22,10 +22,9 @@
 //!    ([`CtlConfig::checkpoint_interval`]), bounding crash-recovery replay
 //!    and garbage-collecting subsumed log segments.
 //!
-//! Policies are pluggable ([`ScalingPolicy`]): [`TargetTracking`] sizes
-//! the fleet to a per-node request rate, [`StepScaling`] reacts to queue
-//! depth. Both are deterministic hysteresis machines, so identically
-//! seeded runs make byte-identical decisions ([`CtlHandle::decision_log`]).
+//! The policy, [`TargetTracking`], sizes the fleet to a per-node request
+//! rate. It is a deterministic hysteresis machine, so identically seeded
+//! runs make byte-identical decisions ([`CtlHandle::decision_log`]).
 //! Every actuation is trace-spanned (`ctl.reconcile`, `ctl.scale_out`,
 //! `ctl.drain`) for the Chrome-trace export.
 //!
@@ -51,7 +50,7 @@
 //!     cluster,
 //!     None,
 //!     registry,
-//!     Box::new(TargetTracking::new(50.0)),
+//!     TargetTracking::new(50.0),
 //!     CtlConfig { reconcile_interval: Duration::from_millis(500), ..CtlConfig::default() },
 //! );
 //! sim.spawn("app", move |ctx| {
@@ -73,4 +72,4 @@ mod daemon;
 mod policy;
 
 pub use daemon::{next_floor, spawn_controlplane, CtlConfig, CtlEvent, CtlHandle, PrewarmConfig};
-pub use policy::{Observed, ScaleDecision, ScalingPolicy, StepScaling, TargetTracking};
+pub use policy::{Observed, ScaleDecision, TargetTracking};

@@ -1,11 +1,9 @@
-//! Pluggable scaling policies: the *decision* half of the reconcile loop.
+//! The scaling policy: the *decision* half of the reconcile loop.
 //!
-//! A policy sees one [`Observed`] summary per tick and answers with a
-//! [`ScaleDecision`]. Policies are plain deterministic state machines —
+//! [`TargetTracking`] sees one [`Observed`] summary per tick and answers
+//! with a [`ScaleDecision`]. It is a plain deterministic state machine —
 //! hysteresis counters, no clocks, no randomness — so identically-seeded
-//! runs make identical decisions. Two classics are provided:
-//! [`TargetTracking`] (size the fleet to a per-node request rate, the
-//! default) and [`StepScaling`] (react to queue-depth thresholds).
+//! runs make identical decisions.
 
 /// One reconcile tick's observations, computed by the daemon from the
 /// metrics registry (counter deltas over the tick interval, series means
@@ -34,20 +32,6 @@ pub enum ScaleDecision {
     In,
     /// Leave the fleet alone.
     Hold,
-}
-
-/// A scaling policy: a deterministic map from observations to decisions.
-///
-/// Implementations keep their own hysteresis state (e.g. "overloaded for
-/// N consecutive ticks") and must not consult anything but the passed
-/// [`Observed`] — wall clocks or ambient randomness would break the
-/// simulation's determinism guarantee.
-pub trait ScalingPolicy {
-    /// Decides this tick.
-    fn decide(&mut self, obs: &Observed) -> ScaleDecision;
-
-    /// Short name used in trace annotations.
-    fn name(&self) -> &'static str;
 }
 
 /// Target tracking: keep the per-node request rate near a target, the
@@ -82,10 +66,9 @@ impl TargetTracking {
     pub fn new(target_per_node: f64) -> TargetTracking {
         TargetTracking { target_per_node, high: 0.9, low: 0.6, sustain: 3, hot: 0, cold: 0 }
     }
-}
 
-impl ScalingPolicy for TargetTracking {
-    fn decide(&mut self, obs: &Observed) -> ScaleDecision {
+    /// Decides this tick.
+    pub fn decide(&mut self, obs: &Observed) -> ScaleDecision {
         let nodes = obs.nodes.max(1) as f64;
         let overloaded =
             obs.shed_rate > 0.0 || obs.request_rate > self.high * self.target_per_node * nodes;
@@ -105,57 +88,6 @@ impl ScalingPolicy for TargetTracking {
         } else {
             ScaleDecision::Hold
         }
-    }
-
-    fn name(&self) -> &'static str {
-        "target-tracking"
-    }
-}
-
-/// Step scaling: react to dispatcher queue depth crossing fixed
-/// thresholds (CloudWatch-alarm style). Scale out when the mean depth
-/// exceeds `out_above` (or anything is shed), in when it stays below
-/// `in_below`; both must hold for `sustain` consecutive ticks.
-#[derive(Clone, Debug)]
-pub struct StepScaling {
-    /// Queue depth above which to add a node.
-    pub out_above: f64,
-    /// Queue depth below which to remove one.
-    pub in_below: f64,
-    /// Consecutive ticks a condition must hold before acting (default 3).
-    pub sustain: u32,
-    hot: u32,
-    cold: u32,
-}
-
-impl StepScaling {
-    /// A step policy with the given thresholds and sustain 3.
-    pub fn new(out_above: f64, in_below: f64) -> StepScaling {
-        StepScaling { out_above, in_below, sustain: 3, hot: 0, cold: 0 }
-    }
-}
-
-impl ScalingPolicy for StepScaling {
-    fn decide(&mut self, obs: &Observed) -> ScaleDecision {
-        let overloaded = obs.shed_rate > 0.0 || obs.queue_depth > self.out_above;
-        let underloaded = obs.nodes > 1 && obs.shed_rate == 0.0 && obs.queue_depth < self.in_below;
-        self.hot = if overloaded { self.hot + 1 } else { 0 };
-        self.cold = if underloaded { self.cold + 1 } else { 0 };
-        if self.hot >= self.sustain {
-            self.hot = 0;
-            self.cold = 0;
-            ScaleDecision::Out
-        } else if self.cold >= self.sustain {
-            self.hot = 0;
-            self.cold = 0;
-            ScaleDecision::In
-        } else {
-            ScaleDecision::Hold
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        "step-scaling"
     }
 }
 
@@ -214,20 +146,5 @@ mod tests {
         assert_eq!(p.decide(&shed), ScaleDecision::Hold);
         assert_eq!(p.decide(&shed), ScaleDecision::Hold);
         assert_eq!(p.decide(&shed), ScaleDecision::Out);
-    }
-
-    #[test]
-    fn step_scaling_follows_queue_depth() {
-        let mut p = StepScaling::new(16.0, 2.0);
-        let deep = Observed { queue_depth: 40.0, ..obs(0.0, 2) };
-        let shallow = Observed { queue_depth: 1.0, ..obs(0.0, 2) };
-        for _ in 0..2 {
-            assert_eq!(p.decide(&deep), ScaleDecision::Hold);
-        }
-        assert_eq!(p.decide(&deep), ScaleDecision::Out);
-        for _ in 0..2 {
-            assert_eq!(p.decide(&shallow), ScaleDecision::Hold);
-        }
-        assert_eq!(p.decide(&shallow), ScaleDecision::In);
     }
 }

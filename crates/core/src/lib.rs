@@ -92,7 +92,7 @@ pub use cloudstore::{
 };
 pub use controlplane::{
     next_floor, spawn_controlplane, CtlConfig, CtlEvent, CtlHandle, Observed, PrewarmConfig,
-    ScaleDecision, ScalingPolicy, StepScaling, TargetTracking,
+    ScaleDecision, TargetTracking,
 };
 pub use dso::{
     costs, dispatch, shared_object, AdmissionConfig, CallCtx, ConsistencyMode, DsoClient,

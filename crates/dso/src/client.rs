@@ -14,7 +14,7 @@ use std::time::Duration;
 
 use bytes::Bytes;
 use simcore::codec::Wire;
-use simcore::{Addr, Ctx, SpanId, WaitKind};
+use simcore::{Addr, Ctx, SpanId};
 
 use crate::config::DsoConfig;
 use crate::error::DsoError;
@@ -210,12 +210,6 @@ impl DsoClient {
     /// Forces a view refresh from the coordinator.
     pub fn refresh_view(&mut self, ctx: &mut Ctx) -> View {
         let lat = CLIENT_NET.sample(ctx.rng());
-        ctx.annotate_wait(
-            self.h.coordinator.into_raw(),
-            WaitKind::Call,
-            "coordinator",
-            "DsoClient::refresh_view",
-        );
         let view: View = ctx.call(self.h.coordinator, GetView, lat);
         let ring = Ring::new(&view.node_ids());
         self.view = Some((view.clone(), ring));

@@ -16,10 +16,10 @@
 //! so cost tables can charge checkpoints and WAL like PR 9 charges
 //! snapshots.
 
-use std::sync::Arc;
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use cloudstore::S3Handle;
-use parking_lot::Mutex;
 use simcore::{Ctx, SimTime};
 
 use crate::protocol::{CheckpointBlob, NodeId, WalSegment};
@@ -77,7 +77,7 @@ pub struct DurabilityStore {
     s3: S3Handle,
     prefix: String,
     generation: u32,
-    ledger: Arc<Mutex<LedgerInner>>,
+    ledger: Rc<RefCell<LedgerInner>>,
 }
 
 impl DurabilityStore {
@@ -87,7 +87,7 @@ impl DurabilityStore {
             s3,
             prefix: prefix.into(),
             generation: 0,
-            ledger: Arc::new(Mutex::new(LedgerInner::default())),
+            ledger: Rc::new(RefCell::new(LedgerInner::default())),
         }
     }
 
@@ -139,7 +139,7 @@ impl DurabilityStore {
     }
 
     fn record_put(&self, ctx: &Ctx, key: String, bytes: usize) {
-        let mut g = self.ledger.lock();
+        let mut g = self.ledger.borrow_mut();
         g.puts += 1;
         g.bytes_put += bytes as u64;
         g.records.push(StorageRecord {
@@ -176,7 +176,7 @@ impl DurabilityStore {
     /// Fetches and decodes a WAL segment; `None` if absent or not yet
     /// visible. Returns the segment together with its encoded size.
     pub fn get_segment(&self, ctx: &mut Ctx, key: &str) -> Option<(WalSegment, usize)> {
-        self.ledger.lock().gets += 1;
+        self.ledger.borrow_mut().gets += 1;
         let payload = self.s3.get(ctx, key)?;
         let size = payload.len();
         simcore::codec::from_bytes(&payload).ok().map(|seg| (seg, size))
@@ -185,7 +185,7 @@ impl DurabilityStore {
     /// Fetches and decodes a checkpoint blob; `None` if absent or not yet
     /// visible.
     pub fn get_checkpoint(&self, ctx: &mut Ctx, key: &str) -> Option<CheckpointBlob> {
-        self.ledger.lock().gets += 1;
+        self.ledger.borrow_mut().gets += 1;
         let payload = self.s3.get(ctx, key)?;
         simcore::codec::from_bytes(&payload).ok()
     }
@@ -193,20 +193,20 @@ impl DurabilityStore {
     /// Lists the visible WAL segment keys (all generations), sorted — the
     /// lexicographic order is `(gen, node, seq)` order.
     pub fn list_wal(&self, ctx: &mut Ctx) -> Vec<String> {
-        self.ledger.lock().lists += 1;
+        self.ledger.borrow_mut().lists += 1;
         self.s3.list(ctx, &self.wal_prefix())
     }
 
     /// Lists the visible checkpoint keys (all generations), sorted.
     pub fn list_ckpts(&self, ctx: &mut Ctx) -> Vec<String> {
-        self.ledger.lock().lists += 1;
+        self.ledger.borrow_mut().lists += 1;
         self.s3.list(ctx, &self.ckpt_prefix())
     }
 
     /// Deletes a key (garbage collection), closing its storage record.
     pub fn delete(&self, ctx: &mut Ctx, key: &str) {
         self.s3.delete(ctx, key);
-        let mut g = self.ledger.lock();
+        let mut g = self.ledger.borrow_mut();
         g.deletes += 1;
         let now = ctx.now();
         if let Some(r) = g.records.iter_mut().rev().find(|r| r.key == key && r.deleted.is_none()) {
@@ -222,7 +222,7 @@ impl DurabilityStore {
             return;
         }
         self.s3.delete_many(ctx, keys.clone());
-        let mut g = self.ledger.lock();
+        let mut g = self.ledger.borrow_mut();
         g.deletes += keys.len() as u64;
         let now = ctx.now();
         for key in &keys {
@@ -236,7 +236,7 @@ impl DurabilityStore {
 
     /// Request counts and storage GB-seconds held up to `until`.
     pub fn stats(&self, until: SimTime) -> DurabilityStats {
-        let g = self.ledger.lock();
+        let g = self.ledger.borrow();
         let stored_gb_seconds = simcore::fsum(g.records.iter().map(|r| {
             let end = r.deleted.unwrap_or(until);
             r.size_gb * end.saturating_duration_since(r.created).as_secs_f64()
@@ -291,7 +291,7 @@ mod tests {
         let g1 = s.with_generation(1);
         assert_eq!(g1.generation(), 1);
         assert_eq!(s.generation(), 0);
-        g1.ledger.lock().puts += 1;
+        g1.ledger.borrow_mut().puts += 1;
         assert_eq!(s.stats(SimTime::ZERO).puts, 1, "ledger is shared");
         assert!(s.stats(SimTime::ZERO).stored_gb_seconds.is_sign_positive());
     }

@@ -10,7 +10,7 @@
 
 use std::collections::BTreeMap;
 
-use simcore::{Actor, Addr, Ctx, Msg, Request, Sim, SimTime, Wait, Wake};
+use simcore::{Actor, Addr, Ctx, Msg, Proc, Request, Sim, SimTime, Wait, Wake};
 
 use crate::config::DsoConfig;
 use crate::protocol::{GetView, MemberMsg, NodeId, View, ViewUpdate};
@@ -53,7 +53,7 @@ impl Coordinator {
 }
 
 impl Actor for Coordinator {
-    fn on_wake(&mut self, ctx: &mut Ctx, wake: Wake) -> Wait {
+    fn on_wake(&mut self, ctx: &mut Proc, wake: Wake) -> Wait {
         let Coordinator { inbox, cfg, members, view_id } = self;
         let wait = Wait::RecvTimeout(*inbox, cfg.heartbeat_interval);
         let msg = match wake {

@@ -19,7 +19,8 @@ use std::rc::Rc;
 use std::time::Duration;
 
 use simcore::{
-    Actor, Addr, Ctx, LatencyModel, Msg, Pid, Request, Sim, SimTime, SpanId, Ticker, Wait, Wake,
+    Actor, Addr, Ctx, LatencyModel, Msg, Pid, Proc, Request, Sim, SimTime, SpanId, Ticker, Wait,
+    Wake,
 };
 
 use crate::config::{AdmissionConfig, DsoConfig, DurabilityLevel};
@@ -224,7 +225,7 @@ struct Serving {
 impl Dispatcher {
     /// Opens the inbox, starts the worker pool and the WAL daemon, and
     /// joins the cluster.
-    fn start(&self, ctx: &mut Ctx) -> Serving {
+    fn start(&self, ctx: &mut Proc) -> Serving {
         let node = self.shared.node;
         let cfg = &self.shared.cfg;
         let inbox = ctx.mailbox(&format!("dso-{node}-inbox"));
@@ -275,7 +276,7 @@ impl Dispatcher {
 }
 
 impl Actor for Dispatcher {
-    fn on_wake(&mut self, ctx: &mut Ctx, wake: Wake) -> Wait {
+    fn on_wake(&mut self, ctx: &mut Proc, wake: Wake) -> Wait {
         let msg = match wake {
             Wake::Start => {
                 let up = self.start(ctx);
@@ -310,12 +311,12 @@ enum Next {
 
 impl Serving {
     /// The next message, or the heartbeat deadline.
-    fn next_wait(&self, ctx: &Ctx) -> Wait {
+    fn next_wait(&self, ctx: &Proc) -> Wait {
         Wait::RecvTimeout(self.inbox, self.hb.remaining(ctx.now()))
     }
 
     /// Sends the heartbeat if it is due.
-    fn tick(&mut self, ctx: &mut Ctx) {
+    fn tick(&mut self, ctx: &mut Proc) {
         let shared = &self.shared;
         if self.hb.poll(ctx.now()) {
             let lat = shared.cfg.peer_net.sample(ctx.rng());
@@ -327,7 +328,7 @@ impl Serving {
     }
 
     /// Handles one inbox message.
-    fn handle(&mut self, ctx: &mut Ctx, msg: Msg) -> Next {
+    fn handle(&mut self, ctx: &mut Proc, msg: Msg) -> Next {
         let Serving { coordinator, shared, workers, view, ring, skeen, shedder, .. } = self;
         let shared = &*shared;
         let node = shared.node;
@@ -439,7 +440,7 @@ impl Serving {
 
 #[allow(clippy::too_many_arguments)]
 fn handle_client_invoke(
-    ctx: &mut Ctx,
+    ctx: &mut Proc,
     shared: &Rc<NodeShared>,
     view: &View,
     ring: &Ring,
@@ -492,7 +493,7 @@ fn handle_client_invoke(
 /// through the state machine immediately (zero network cost), deliveries
 /// are dispatched to workers in order.
 fn process_skeen_actions(
-    ctx: &mut Ctx,
+    ctx: &mut Proc,
     shared: &Rc<NodeShared>,
     view: &View,
     workers: &[Addr],
@@ -536,7 +537,7 @@ fn process_skeen_actions(
     }
 }
 
-fn route_to_worker(ctx: &mut Ctx, shared: &Rc<NodeShared>, workers: &[Addr], item: WorkItem) {
+fn route_to_worker(ctx: &mut Proc, shared: &Rc<NodeShared>, workers: &[Addr], item: WorkItem) {
     let obj = match &item {
         WorkItem::Client { req, .. } => &req.obj,
         WorkItem::Apply { op } => &op.req.obj,
@@ -608,7 +609,7 @@ fn install_transfer(
 /// node no longer holds (§4.1: "the nodes re-balance data according to the
 /// new view").
 fn rebalance(
-    ctx: &mut Ctx,
+    ctx: &mut Proc,
     shared: &Rc<NodeShared>,
     _old_view: &View,
     old_ring: &Ring,
@@ -703,7 +704,7 @@ struct Worker {
 }
 
 impl Actor for Worker {
-    fn on_wake(&mut self, ctx: &mut Ctx, wake: Wake) -> Wait {
+    fn on_wake(&mut self, ctx: &mut Proc, wake: Wake) -> Wait {
         let done = match wake {
             // (A worker's receive has no timeout.)
             Wake::Start | Wake::Timeout => return Wait::Recv(self.inbox),
@@ -743,7 +744,7 @@ impl Actor for Worker {
 /// execution belongs to (the client's attempt span, or the SMR round span
 /// for replicated applies).
 fn execute(
-    ctx: &mut Ctx,
+    ctx: &mut Proc,
     shared: &Rc<NodeShared>,
     req: InvokeReq,
     reply_to: Option<Addr>,
@@ -925,7 +926,7 @@ fn materialize(
 /// (deferred blocking-call completions) always reply immediately: the
 /// state change that woke them is acknowledged through the waking call
 /// itself.
-fn finish(ctx: &mut Ctx, shared: &Rc<NodeShared>, done: Executed) {
+fn finish(ctx: &mut Proc, shared: &Rc<NodeShared>, done: Executed) {
     let Executed { ticket, reply_to, outcome, wakes, logged, exec_span } = done;
     for (t, bytes) in wakes {
         let target = shared.parked.borrow_mut().remove(&t);

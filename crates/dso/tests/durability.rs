@@ -375,7 +375,7 @@ fn immediate_store(sim: &Sim, prefix: &str) -> DurabilityConfig {
 }
 
 /// Runs `body` as the only process of `sim` and asserts it ran to its end.
-fn run_operator(mut sim: Sim, body: impl FnOnce(&mut simcore::Ctx) + Send + 'static) {
+fn run_operator(mut sim: Sim, body: impl FnOnce(&mut simcore::Ctx) + 'static) {
     let done = Arc::new(Mutex::new(false));
     let done2 = done.clone();
     sim.spawn("operator", move |ctx| {

@@ -1,11 +1,11 @@
 //! Invocation billing: duration × memory accounting at AWS Lambda prices
 //! (Table 3 of the paper).
 
+use std::cell::RefCell;
 use std::fmt;
-use std::sync::Arc;
+use std::rc::Rc;
 use std::time::Duration;
 
-use parking_lot::Mutex;
 use simcore::SimTime;
 
 /// Prices used by the cost experiments (us-east-1, 2019).
@@ -115,12 +115,12 @@ pub struct RetirementRecord {
     pub idle: Duration,
 }
 
-/// Shared, thread-safe ledger of invocations.
+/// Shared ledger of invocations; clones share it.
 #[derive(Clone, Default)]
 pub struct Billing {
-    records: Arc<Mutex<Vec<InvocationRecord>>>,
-    retired: Arc<Mutex<Vec<RetirementRecord>>>,
-    snapshots: Arc<Mutex<Vec<SnapshotRecord>>>,
+    records: Rc<RefCell<Vec<InvocationRecord>>>,
+    retired: Rc<RefCell<Vec<RetirementRecord>>>,
+    snapshots: Rc<RefCell<Vec<SnapshotRecord>>>,
 }
 
 impl Billing {
@@ -131,27 +131,27 @@ impl Billing {
 
     /// Appends a record.
     pub fn record(&self, rec: InvocationRecord) {
-        self.records.lock().push(rec);
+        self.records.borrow_mut().push(rec);
     }
 
     /// Number of recorded invocations.
     pub fn invocations(&self) -> usize {
-        self.records.lock().len()
+        self.records.borrow().len()
     }
 
     /// Number of cold starts.
     pub fn cold_starts(&self) -> usize {
-        self.records.lock().iter().filter(|r| r.cold_start).count()
+        self.records.borrow().iter().filter(|r| r.cold_start).count()
     }
 
     /// Number of invocations served after a snapshot restore.
     pub fn restores(&self) -> usize {
-        self.records.lock().iter().filter(|r| r.kind == StartKind::Restore).count()
+        self.records.borrow().iter().filter(|r| r.kind == StartKind::Restore).count()
     }
 
     /// Number of invocations served by forked CoW branches.
     pub fn forks(&self) -> usize {
-        self.records.lock().iter().filter(|r| r.kind == StartKind::Fork).count()
+        self.records.borrow().iter().filter(|r| r.kind == StartKind::Fork).count()
     }
 
     /// Total GB-seconds across all invocations.
@@ -161,7 +161,7 @@ impl Billing {
         // cost tables).
         simcore::fsum(
             self.records
-                .lock()
+                .borrow()
                 .iter()
                 .map(|r| r.duration.as_secs_f64() * (r.memory_mb as f64 / 1024.0)),
         )
@@ -169,7 +169,7 @@ impl Billing {
 
     /// Total compute time across all invocations.
     pub fn total_duration(&self) -> Duration {
-        self.records.lock().iter().map(|r| r.duration).sum()
+        self.records.borrow().iter().map(|r| r.duration).sum()
     }
 
     /// Dollar cost under `pricing`.
@@ -179,12 +179,12 @@ impl Billing {
 
     /// Appends a container-retirement record.
     pub fn record_retirement(&self, rec: RetirementRecord) {
-        self.retired.lock().push(rec);
+        self.retired.borrow_mut().push(rec);
     }
 
     /// Number of retired (idle-reclaimed) containers.
     pub fn retirements(&self) -> usize {
-        self.retired.lock().len()
+        self.retired.borrow().len()
     }
 
     /// GB-seconds containers sat idle before retirement — the cost of
@@ -193,7 +193,7 @@ impl Billing {
         // fsum: +0.0 on an empty ledger, see gb_seconds.
         simcore::fsum(
             self.retired
-                .lock()
+                .borrow()
                 .iter()
                 .map(|r| r.idle.as_secs_f64() * (r.memory_mb as f64 / 1024.0)),
         )
@@ -202,7 +202,7 @@ impl Billing {
     /// Opens a snapshot-storage record for `function` (the cache just
     /// captured or replaced its snapshot).
     pub fn record_snapshot_created(&self, function: &str, memory_mb: u32, at: SimTime) {
-        self.snapshots.lock().push(SnapshotRecord {
+        self.snapshots.borrow_mut().push(SnapshotRecord {
             function: function.to_string(),
             size_gb: f64::from(memory_mb) / 1024.0,
             created: at,
@@ -213,7 +213,7 @@ impl Billing {
     /// Closes the open snapshot-storage record for `function` (the cache
     /// evicted or replaced it). No-op if none is open.
     pub fn mark_snapshot_evicted(&self, function: &str, at: SimTime) {
-        let mut g = self.snapshots.lock();
+        let mut g = self.snapshots.borrow_mut();
         if let Some(r) = g.iter_mut().rev().find(|r| r.function == function && r.evicted.is_none())
         {
             r.evicted = Some(at);
@@ -222,14 +222,14 @@ impl Billing {
 
     /// Number of snapshots ever captured.
     pub fn snapshots_taken(&self) -> usize {
-        self.snapshots.lock().len()
+        self.snapshots.borrow().len()
     }
 
     /// GB-seconds of snapshot storage held, counting open records up to
     /// `until` (typically the end of the run).
     pub fn snapshot_gb_seconds(&self, until: SimTime) -> f64 {
         // fsum: +0.0 on an empty ledger, see gb_seconds.
-        simcore::fsum(self.snapshots.lock().iter().map(|r| {
+        simcore::fsum(self.snapshots.borrow().iter().map(|r| {
             let end = r.evicted.unwrap_or(until);
             r.size_gb * end.saturating_duration_since(r.created).as_secs_f64()
         }))
@@ -242,9 +242,9 @@ impl Billing {
 
     /// Forgets all records (e.g. to exclude a warm-up phase from Table 3).
     pub fn reset(&self) {
-        self.records.lock().clear();
-        self.retired.lock().clear();
-        self.snapshots.lock().clear();
+        self.records.borrow_mut().clear();
+        self.retired.borrow_mut().clear();
+        self.snapshots.borrow_mut().clear();
     }
 }
 

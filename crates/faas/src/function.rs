@@ -1,13 +1,12 @@
 //! Cloud functions: the handler trait, per-function configuration, and the
 //! registry that containers resolve handlers from.
 
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::fmt;
 use std::rc::Rc;
-use std::sync::Arc;
 use std::time::Duration;
 
-use parking_lot::Mutex;
 use simcore::Ctx;
 
 use crate::config::ColdStartPolicy;
@@ -132,7 +131,7 @@ impl fmt::Debug for FunctionSpec {
 /// after the platform started (containers resolve handlers per job).
 #[derive(Clone, Default)]
 pub struct FunctionRegistry {
-    inner: Arc<Mutex<HashMap<String, FunctionSpec>>>,
+    inner: Rc<RefCell<HashMap<String, FunctionSpec>>>,
 }
 
 impl FunctionRegistry {
@@ -144,7 +143,7 @@ impl FunctionRegistry {
     /// Deploys (or replaces) a function under the platform-wide
     /// cold-start policy.
     pub fn register<F: CloudFunction>(&self, name: &str, memory_mb: u32, handler: F) {
-        self.inner.lock().insert(
+        self.inner.borrow_mut().insert(
             name.to_string(),
             FunctionSpec { handler: Rc::new(handler), memory_mb, cold_start: None },
         );
@@ -162,7 +161,7 @@ impl FunctionRegistry {
         policy: ColdStartPolicy,
         handler: F,
     ) {
-        self.inner.lock().insert(
+        self.inner.borrow_mut().insert(
             name.to_string(),
             FunctionSpec { handler: Rc::new(handler), memory_mb, cold_start: Some(policy) },
         );
@@ -170,12 +169,12 @@ impl FunctionRegistry {
 
     /// Resolves a function by name.
     pub fn get(&self, name: &str) -> Option<FunctionSpec> {
-        self.inner.lock().get(name).cloned()
+        self.inner.borrow().get(name).cloned()
     }
 
     /// Deployed function names, sorted.
     pub fn names(&self) -> Vec<String> {
-        let mut v: Vec<String> = self.inner.lock().keys().cloned().collect();
+        let mut v: Vec<String> = self.inner.borrow().keys().cloned().collect();
         v.sort();
         v
     }

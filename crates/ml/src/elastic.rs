@@ -282,7 +282,7 @@ pub fn run_elastic_with(cfg: &ElasticConfig, setup: impl FnOnce(&Sim)) -> Elasti
             cluster.clone(),
             Some(faas.clone()),
             registry.clone(),
-            Box::new(TargetTracking::new(cfg.target_per_node)),
+            TargetTracking::new(cfg.target_per_node),
             ctl_cfg,
         )
     } else {

@@ -6,3 +6,10 @@ fn measured() -> std::time::Duration {
     let t0 = std::time::Instant::now();
     t0.elapsed()
 }
+
+// A reasoned allow naming a rule that no longer exists: reported as
+// bad-allow, never accepted silently.
+fn stale() -> u32 {
+    // simlint: allow(actor-blocks, reason = "on_wake reaches a sleep")
+    7
+}

@@ -2,7 +2,7 @@
 //!
 //! [`Workspace::build`] lexes and parses every file once ([`crate::lex`],
 //! [`crate::syntax`]), reads its allow directives and `nondet_source`
-//! markers, and indexes functions and call sites workspace-wide. Three
+//! markers, and indexes functions and call sites workspace-wide. Two
 //! passes run over it:
 //!
 //! 1. **Token rules** ([`local`]) — per file, on the code tokens:
@@ -13,12 +13,10 @@
 //!    (through locals, call returns or struct fields) into protocol
 //!    message types, trace/metric recording, or kernel time/messaging
 //!    primitives.
-//! 3. **Wait-annotation coverage** ([`waits`]) — every indefinitely
-//!    blocking kernel primitive call (`ctx.park()`, untimed `ctx.call`)
-//!    must be reachable only through code that calls
-//!    `Ctx::annotate_wait`, so `deadlock_report()` wait-for graphs are
-//!    never silently incomplete. The same pass holds that no blocking
-//!    primitive at all is reachable from an `Actor::on_wake`.
+//!
+//! Who may block and what a wait names are not lint rules but API facts:
+//! an actor's `simcore::Proc` has no blocking call, and an untimed
+//! `Ctx::call` or a `Ctx::park` records its own wait.
 //!
 //! Every pass honours `// simlint: allow(<rule>, reason = "...")`
 //! suppressions (a reasoned `wall-clock` allow on a source line also
@@ -28,16 +26,14 @@
 //! internals (`simcore/src/kernel.rs`, the determinism boundary itself)
 //! is per rule; vendored `compat/` shims are never read.
 //!
-//! The interprocedural passes are name-based and
-//! conservative-by-construction where it matters (any candidate callee
-//! tainting a call, any field of a name tainting that field name), but
-//! they are an *analysis of conventions*, not a soundness proof: receiver
-//! types are resolved heuristically, so DESIGN.md §"Correctness tooling"
-//! documents the contract.
+//! The taint pass is name-based and conservative-by-construction where
+//! it matters (any candidate callee tainting a call, any field of a name
+//! tainting that field name), but it is an *analysis of conventions*,
+//! not a soundness proof: receiver types are resolved heuristically, so
+//! DESIGN.md §"Correctness tooling" documents the contract.
 
 pub mod local;
 pub mod taint;
-pub mod waits;
 
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::path::Path;
@@ -217,21 +213,6 @@ impl Workspace {
         }
         cands.clone()
     }
-
-    /// Reverse edges: every (caller, call-site index) whose callee name is
-    /// `name`.
-    pub fn callers_of(&self, name: &str) -> Vec<(FnId, usize)> {
-        let mut out = Vec::new();
-        for (&id, sites) in &self.calls {
-            for (ci, c) in sites.iter().enumerate() {
-                if c.name == name {
-                    out.push((id, ci));
-                }
-            }
-        }
-        out.sort_by_key(|(id, ci)| (id.file, id.idx, *ci));
-        out
-    }
 }
 
 /// Extracts call sites from a body token range.
@@ -383,7 +364,6 @@ pub fn read_tree(root: &Path) -> std::io::Result<Vec<(String, String)>> {
 pub fn analyze(ws: &Workspace) -> Vec<Finding> {
     let mut findings = local::run(ws);
     findings.extend(taint::run(ws));
-    findings.extend(waits::run(ws));
     findings.sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
     findings
 }

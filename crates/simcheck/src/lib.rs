@@ -2,9 +2,9 @@
 //!
 //! The simulation's guarantees rest on conventions a compiler cannot see:
 //! no wall-clock reads inside simulated code, no native threads, no
-//! process-wide mutable state, no panics on the DSO request path, spans stamped with simulated time only, no
-//! nondeterministic value reaching simulation state, and no unannotated or
-//! actor-side blocking. `simlint` enforces them over
+//! process-wide mutable state, no panics on the DSO request path, spans
+//! stamped with simulated time only, and no nondeterministic value reaching
+//! simulation state. `simlint` enforces them over
 //! `crates/**/*.rs` with one engine and no external parser: a lexer
 //! ([`lex`]), an item parser ([`syntax`]) and the passes in [`analyze`],
 //! all over one parsed [`analyze::Workspace`].
@@ -43,12 +43,6 @@ pub enum Rule {
     /// A nondeterministic value flowing interprocedurally into kernel
     /// state, a protocol message, or trace/metric ordering.
     DeterminismTaint,
-    /// A blocking primitive reachable without `Ctx::annotate_wait` on the
-    /// path.
-    WaitAnnotation,
-    /// A blocking primitive reachable from an `Actor::on_wake`, which must
-    /// return a `Wait` instead.
-    ActorBlocks,
     /// Process-wide mutable state in non-test code: a `static` of an
     /// interior-mutable type, a `static mut`, or a `thread_local!`.
     GlobalState,
@@ -64,8 +58,6 @@ impl Rule {
             Rule::TraceTime => "trace-time",
             Rule::BadAllow => "bad-allow",
             Rule::DeterminismTaint => "determinism-taint",
-            Rule::WaitAnnotation => "wait-annotation",
-            Rule::ActorBlocks => "actor-blocks",
             Rule::GlobalState => "global-state",
         }
     }
@@ -78,8 +70,6 @@ impl Rule {
             "no-panic" => Some(Rule::NoPanic),
             "trace-time" => Some(Rule::TraceTime),
             "determinism-taint" => Some(Rule::DeterminismTaint),
-            "wait-annotation" => Some(Rule::WaitAnnotation),
-            "actor-blocks" => Some(Rule::ActorBlocks),
             "global-state" => Some(Rule::GlobalState),
             _ => None,
         }

@@ -23,13 +23,8 @@ pub struct FnDef {
     pub name: String,
     /// `Self` type name when defined inside an `impl` block.
     pub impl_type: Option<String>,
-    /// Trait name when inside an `impl Trait for Type` block.
-    pub impl_trait: Option<String>,
     /// Whether the signature declares a return type (`->`).
     pub has_ret: bool,
-    /// Whether a parameter's type names `Ctx` — the only way code can reach
-    /// a blocking kernel primitive.
-    pub takes_ctx: bool,
     /// Token-index range of the body, including the outer braces; `None`
     /// for trait-method declarations without a body.
     pub body: Option<(usize, usize)>,
@@ -88,7 +83,7 @@ pub fn parse_file(path: &str, src: &str) -> FileAst {
         test_ranges: Vec::new(),
     };
     let end = ast.toks.len();
-    let mut p = Parser { ast: &mut ast, impl_type: None, impl_trait: None };
+    let mut p = Parser { ast: &mut ast, impl_type: None };
     p.items(0, end);
     ast
 }
@@ -118,7 +113,6 @@ pub fn match_close(toks: &[Tok], src: &str, i: usize, end: usize) -> usize {
 struct Parser<'a> {
     ast: &'a mut FileAst,
     impl_type: Option<String>,
-    impl_trait: Option<String>,
 }
 
 impl Parser<'_> {
@@ -244,15 +238,11 @@ impl Parser<'_> {
                 }
                 "impl" => {
                     let mut j = self.skip_generics(i + 1, end);
-                    let (first, after) = self.type_path(j, end);
+                    let (mut ty, after) = self.type_path(j, end);
                     j = after;
-                    let (ty, tr) = if self.is_ident(j, "for") {
-                        let (ty, after) = self.type_path(j + 1, end);
-                        j = after;
-                        (ty, Some(first))
-                    } else {
-                        (first, None)
-                    };
+                    if self.is_ident(j, "for") {
+                        (ty, j) = self.type_path(j + 1, end);
+                    }
                     // Skip a where-clause to the block.
                     while j < end && !self.is_punct(j, b'{') {
                         j += 1;
@@ -262,12 +252,9 @@ impl Parser<'_> {
                         continue;
                     }
                     let close = match_close(&self.ast.toks, &self.ast.src, j, end);
-                    let (saved_ty, saved_tr) = (self.impl_type.take(), self.impl_trait.take());
-                    self.impl_type = Some(ty);
-                    self.impl_trait = tr;
+                    let saved = self.impl_type.replace(ty);
                     self.items(j + 1, close);
-                    self.impl_type = saved_ty;
-                    self.impl_trait = saved_tr;
+                    self.impl_type = saved;
                     i = close + 1;
                 }
                 "fn" if i + 1 < end && self.ast.toks[i + 1].kind == TokKind::Ident => {
@@ -297,7 +284,6 @@ impl Parser<'_> {
             return at + 2; // `fn` pointer type or macro fragment
         }
         let params_close = match_close(&self.ast.toks, &self.ast.src, j, end);
-        let takes_ctx = (j + 1..params_close).any(|p| self.is_ident(p, "Ctx"));
         // Return type: a `->` between the parens and the body/semicolon.
         let mut j = params_close + 1;
         let mut has_ret = false;
@@ -316,9 +302,7 @@ impl Parser<'_> {
         self.ast.fns.push(FnDef {
             name,
             impl_type: self.impl_type.clone(),
-            impl_trait: self.impl_trait.clone(),
             has_ret,
-            takes_ctx,
             body,
             at,
             line,
@@ -387,18 +371,15 @@ mod tests {
                    impl Widget { fn poke(&mut self) { self.n += 1; } fn peek(&self) -> u8 { 0 } }\n\
                    impl Display for Widget { fn fmt(&self, f: &mut F) -> R { ok }\n}";
         let ast = parse_file("a.rs", src);
-        let names: Vec<(&str, Option<&str>, Option<&str>)> = ast
-            .fns
-            .iter()
-            .map(|f| (f.name.as_str(), f.impl_type.as_deref(), f.impl_trait.as_deref()))
-            .collect();
+        let names: Vec<(&str, Option<&str>)> =
+            ast.fns.iter().map(|f| (f.name.as_str(), f.impl_type.as_deref())).collect();
         assert_eq!(
             names,
             vec![
-                ("top", None, None),
-                ("poke", Some("Widget"), None),
-                ("peek", Some("Widget"), None),
-                ("fmt", Some("Widget"), Some("Display")),
+                ("top", None),
+                ("poke", Some("Widget")),
+                ("peek", Some("Widget")),
+                ("fmt", Some("Widget")),
             ]
         );
         assert!(ast.fns[0].has_ret);

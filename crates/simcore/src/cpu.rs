@@ -79,9 +79,6 @@ impl CpuHost {
         if work.is_zero() {
             return;
         }
-        // Under contention this parks behind other jobs; give the deadlock
-        // detector the CPU mailbox as the waited-on resource.
-        ctx.annotate_wait(self.addr.into_raw(), crate::WaitKind::Call, "cpu", "CpuHost::compute");
         let CpuDone = ctx.call(self.addr, CpuReq { work }, Duration::ZERO);
     }
 }

@@ -5,9 +5,10 @@
 //! processes, those processes are stuck *forever* — no pending event can
 //! ever make them runnable. That turns deadlock detection from a heuristic
 //! into an exact postmortem: [`crate::Sim::deadlock_report`] inspects the
-//! blocked processes, builds a wait-for graph from the wait annotations the
-//! synchronization primitives registered ([`crate::Ctx::annotate_wait`] /
-//! [`crate::Ctx::resource_acquired`]), and classifies the outcome:
+//! blocked processes, builds a wait-for graph from the waits their blocking
+//! calls recorded ([`crate::Ctx::park`], an untimed [`crate::Ctx::call`],
+//! [`crate::Proc::annotate_wait`]) and the holders of resources
+//! ([`crate::Proc::resource_acquired`]), and classifies the outcome:
 //!
 //! - **cycles** — classic deadlock: each process in the cycle waits on
 //!   something only the next one could provide (a lock it holds, a barrier
@@ -60,8 +61,7 @@ impl fmt::Display for WaitKind {
     }
 }
 
-/// A wait annotation attached to a blocked process by a synchronization
-/// primitive just before it blocked.
+/// What a blocked process waits on, as its blocking call recorded it.
 #[derive(Clone, Debug)]
 pub struct WaitAnnotation {
     /// Identity of the awaited resource (e.g. the address of the primitive's

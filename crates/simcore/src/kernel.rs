@@ -29,7 +29,8 @@ use std::any::Any;
 use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::ops::{Deref, DerefMut};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe, Location};
 use std::rc::Rc;
 use std::time::Duration;
 
@@ -94,7 +95,7 @@ impl fmt::Debug for Addr {
 pub struct Msg {
     /// The payload. Downcast it with [`Msg::take`].
     pub body: Box<dyn Any>,
-    /// Simulated wire size in bytes (used by bandwidth-aware models).
+    /// Simulated wire size in bytes.
     pub size: usize,
 }
 
@@ -214,24 +215,22 @@ pub enum Wait {
 /// inline each time the actor's [`Wait`] ends, instead of switching to a
 /// stack of its own.
 ///
-/// `on_wake` gets the same [`Ctx`] as a thread process — send, reply,
-/// spawn, kill, rng, spans and metrics all work — except that it must not
-/// block: [`Ctx::sleep`], [`Ctx::recv`], [`Ctx::recv_timeout`],
-/// [`Ctx::call`] and [`Ctx::park`] panic on an actor's context. State that
-/// a thread would keep in locals across a block lives in the actor's
-/// fields.
+/// `on_wake` gets a [`Proc`]: send, reply, spawn, kill, rng, spans and
+/// metrics all work, and nothing blocks, because the blocking calls are
+/// [`Ctx`]'s alone. An actor blocks only by returning a [`Wait`]; state
+/// that a thread would keep in locals across a block lives in its fields.
 ///
 /// # Examples
 ///
 /// ```
-/// use simcore::{Actor, Addr, Ctx, Sim, Wait, Wake};
+/// use simcore::{Actor, Addr, Proc, Sim, Wait, Wake};
 /// use std::time::Duration;
 ///
 /// /// Doubles numbers; `inbox` is created on `Start`, as a closure would.
 /// struct Doubler { inbox: Addr }
 ///
 /// impl Actor for Doubler {
-///     fn on_wake(&mut self, ctx: &mut Ctx, wake: Wake) -> Wait {
+///     fn on_wake(&mut self, ctx: &mut Proc, wake: Wake) -> Wait {
 ///         if let Wake::Msg(m) = wake {
 ///             let (reply_to, n) = m.take::<simcore::Request>().take::<u64>();
 ///             ctx.reply(reply_to, n * 2, Duration::from_micros(90));
@@ -251,14 +250,14 @@ pub enum Wait {
 /// ```
 pub trait Actor: 'static {
     /// Handles one wake-up and returns what to wait for next.
-    fn on_wake(&mut self, ctx: &mut Ctx, wake: Wake) -> Wait;
+    fn on_wake(&mut self, ctx: &mut Proc, wake: Wake) -> Wait;
 }
 
 /// An actor at rest in its [`ProcSlot`]: its state, its context, and the
 /// wait it last returned (`None` before the first run).
 struct ActorCell {
     actor: Box<dyn Actor>,
-    ctx: Ctx,
+    ctx: Proc,
     wait: Option<Wait>,
 }
 
@@ -345,12 +344,21 @@ struct ProcSlot {
     /// blocked-process report: a quiescent simulation with only daemons
     /// waiting for requests is not a deadlock.
     daemon: bool,
-    /// What this process is blocked on, as registered by the blocking
-    /// primitive via [`Ctx::annotate_wait`]; cleared on wakeup. Feeds the
+    /// What this process is blocked on; cleared on wakeup. Feeds the
     /// wait-for graph in [`crate::detect`].
-    waiting_on: Option<WaitAnnotation>,
+    waiting_on: Option<Waiting>,
     /// Mailboxes this process owns, closed when it exits.
     owned: Vec<u64>,
+}
+
+/// What a blocked process waits on, for [`Sim::deadlock_report`].
+enum Waiting {
+    /// Set by [`Proc::annotate_wait`] or [`Ctx::park`].
+    Annotated(WaitAnnotation),
+    /// Set by an untimed [`Ctx::call`] that no annotation preceded: the
+    /// callee's mailbox and the caller's source location, named only when
+    /// a report is built.
+    Call(u64, &'static Location<'static>),
 }
 
 struct MailboxState {
@@ -378,7 +386,7 @@ pub(crate) struct KernelState {
     /// the schedule (see [`crate::scheduler::ReplayScheduler`]).
     decisions: Vec<Decision>,
     /// Current holder of each annotated resource (`resource id -> (pid,
-    /// name)`), maintained by [`Ctx::resource_acquired`] and friends.
+    /// name)`), maintained by [`Proc::resource_acquired`] and friends.
     holders: HashMap<u64, (Pid, String)>,
     /// Virtual time a non-daemon process last ran; the stall detector in
     /// [`Kernel::turn`] keys off this.
@@ -614,7 +622,7 @@ impl Kernel {
                         drop(guard);
                         let kernel = self.clone();
                         Coroutine::start(stack, move |yielder| {
-                            f(&mut new_ctx(&kernel, pid, &name, Some(yielder)));
+                            f(&mut Ctx { proc: new_proc(&kernel, pid, &name), yielder });
                         })
                     }
                     ProcBody::Suspended(coroutine) => {
@@ -950,7 +958,18 @@ impl Sim {
                     BlockState::Parked => "parked".to_string(),
                     _ => unreachable!("filtered above"),
                 },
-                wait: p.waiting_on.clone(),
+                wait: p.waiting_on.as_ref().map(|w| match w {
+                    Waiting::Annotated(a) => a.clone(),
+                    Waiting::Call(mailbox, site) => WaitAnnotation {
+                        resource: *mailbox,
+                        resource_name: st
+                            .mailboxes
+                            .get(mailbox)
+                            .map_or_else(|| "?".to_string(), |mb| mb.name.clone()),
+                        kind: WaitKind::Call,
+                        site: site.to_string(),
+                    },
+                }),
             })
             .collect();
         stuck.sort_by_key(|p| p.pid);
@@ -1125,12 +1144,11 @@ fn next_pid(kernel: &Kernel) -> Pid {
 }
 
 /// The context of process `pid`, with its per-pid random stream.
-fn new_ctx(kernel: &Rc<Kernel>, pid: Pid, name: &str, yielder: Option<Yielder>) -> Ctx {
+fn new_proc(kernel: &Rc<Kernel>, pid: Pid, name: &str) -> Proc {
     let seed = kernel.seed ^ pid.0.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    Ctx {
+    Proc {
         kernel: kernel.clone(),
         pid,
-        yielder,
         rng: StdRng::seed_from_u64(seed),
         name: name.to_string(),
         trace_ctx: TraceCtx::root(),
@@ -1164,7 +1182,7 @@ fn insert_proc(kernel: &Kernel, pid: Pid, name: &str, daemon: bool, body: ProcBo
 
 fn spawn_actor(kernel: &Rc<Kernel>, name: &str, daemon: bool, actor: Box<dyn Actor>) -> Pid {
     let pid = next_pid(kernel);
-    let cell = ActorCell { actor, ctx: new_ctx(kernel, pid, name, None), wait: None };
+    let cell = ActorCell { actor, ctx: new_proc(kernel, pid, name), wait: None };
     insert_proc(kernel, pid, name, daemon, ProcBody::Actor(Box::new(cell)));
     pid
 }
@@ -1179,43 +1197,156 @@ where
 }
 
 // ---------------------------------------------------------------------------
-// Ctx: the process-side API
+// Proc and Ctx: the process-side API
 // ---------------------------------------------------------------------------
 
-/// The execution context handed to every simulated process.
+/// What any process may do without blocking: its identity, clock, rng,
+/// spans and metrics, messages and mailboxes, spawn and kill, wait
+/// annotations, resource bookkeeping and [`Proc::unpark`].
 ///
-/// In a thread process, the methods that block (`sleep`, `recv`, `call`,
-/// `park`) switch back to the scheduler loop and return when the
-/// corresponding event fires. In an [`Actor`] they panic: an actor blocks
-/// only by returning a [`Wait`].
+/// An [`Actor`] gets a `Proc`, so it cannot block: the blocking calls are
+/// [`Ctx`]'s alone, and each of them fails to compile on an actor's
+/// context.
 ///
-/// Like [`Sim`], a `Ctx` never leaves the run thread:
-///
-/// ```compile_fail,E0277
-/// fn assert_send<T: Send>() {}
-/// assert_send::<simcore::Ctx>();
+/// ```compile_fail,E0599
+/// # use simcore::{Actor, Proc, Wait, Wake}; use std::time::Duration;
+/// struct A;
+/// impl Actor for A {
+///     fn on_wake(&mut self, ctx: &mut Proc, _: Wake) -> Wait {
+///         ctx.sleep(Duration::from_micros(1));
+///         Wait::Exit
+///     }
+/// }
 /// ```
-pub struct Ctx {
+///
+/// ```compile_fail,E0599
+/// # use simcore::{Actor, Proc, Wait, Wake}; use std::time::Duration;
+/// struct A;
+/// impl Actor for A {
+///     fn on_wake(&mut self, ctx: &mut Proc, _: Wake) -> Wait {
+///         ctx.compute(Duration::from_micros(1));
+///         Wait::Exit
+///     }
+/// }
+/// ```
+///
+/// ```compile_fail,E0599
+/// # use simcore::{Actor, Proc, Wait, Wake};
+/// struct A;
+/// impl Actor for A {
+///     fn on_wake(&mut self, ctx: &mut Proc, _: Wake) -> Wait {
+///         let mb = ctx.mailbox("mb");
+///         let _ = ctx.recv(mb);
+///         Wait::Exit
+///     }
+/// }
+/// ```
+///
+/// ```compile_fail,E0599
+/// # use simcore::{Actor, Proc, Wait, Wake}; use std::time::Duration;
+/// struct A;
+/// impl Actor for A {
+///     fn on_wake(&mut self, ctx: &mut Proc, _: Wake) -> Wait {
+///         let mb = ctx.mailbox("mb");
+///         let _ = ctx.recv_timeout(mb, Duration::from_micros(1));
+///         Wait::Exit
+///     }
+/// }
+/// ```
+///
+/// ```compile_fail,E0599
+/// # use simcore::{Actor, Proc, Wait, Wake}; use std::time::Duration;
+/// struct A;
+/// impl Actor for A {
+///     fn on_wake(&mut self, ctx: &mut Proc, _: Wake) -> Wait {
+///         let mb = ctx.shared_mailbox("nobody");
+///         let _: u8 = ctx.call(mb, 1u8, Duration::ZERO);
+///         Wait::Exit
+///     }
+/// }
+/// ```
+///
+/// ```compile_fail,E0599
+/// # use simcore::{Actor, Proc, Wait, Wake}; use std::time::Duration;
+/// struct A;
+/// impl Actor for A {
+///     fn on_wake(&mut self, ctx: &mut Proc, _: Wake) -> Wait {
+///         let mb = ctx.shared_mailbox("nobody");
+///         let _: u8 = ctx.call_sized(mb, 1u8, Duration::ZERO, 64);
+///         Wait::Exit
+///     }
+/// }
+/// ```
+///
+/// ```compile_fail,E0599
+/// # use simcore::{Actor, Proc, Wait, Wake}; use std::time::Duration;
+/// struct A;
+/// impl Actor for A {
+///     fn on_wake(&mut self, ctx: &mut Proc, _: Wake) -> Wait {
+///         let mb = ctx.shared_mailbox("nobody");
+///         let _: Option<u8> = ctx.call_timeout(mb, 1u8, Duration::ZERO, Duration::ZERO);
+///         Wait::Exit
+///     }
+/// }
+/// ```
+///
+/// ```compile_fail,E0599
+/// # use simcore::{Actor, Proc, Wait, WaitAnnotation, WaitKind, Wake};
+/// struct A;
+/// impl Actor for A {
+///     fn on_wake(&mut self, ctx: &mut Proc, _: Wake) -> Wait {
+///         let (resource, kind) = (0, WaitKind::Lock);
+///         ctx.park(WaitAnnotation { resource, kind, resource_name: "m".into(), site: "".into() });
+///         Wait::Exit
+///     }
+/// }
+/// ```
+///
+/// Nor can a helper two calls away: a function that blocks needs a
+/// [`Ctx`], and an actor has none to pass it.
+///
+/// ```compile_fail,E0308
+/// # use simcore::{Actor, Addr, Ctx, Proc, Wait, Wake}; use std::time::Duration;
+/// # const POLL: Duration = Duration::from_millis(1);
+/// struct Poller { inbox: Addr, misses: u32 }
+/// impl Actor for Poller {
+///     fn on_wake(&mut self, ctx: &mut Proc, wake: Wake) -> Wait {
+///         if let Wake::Timeout = wake {
+///             self.refresh(ctx);
+///         }
+///         Wait::RecvTimeout(self.inbox, POLL)
+///     }
+/// }
+/// impl Poller {
+///     fn refresh(&mut self, ctx: &mut Ctx) {
+///         self.misses += 1;
+///         backoff(ctx, self.misses);
+///     }
+/// }
+/// fn backoff(ctx: &mut Ctx, misses: u32) {
+///     ctx.sleep(POLL * misses);
+/// }
+/// ```
+///
+/// Like [`Sim`], a `Proc` never leaves the run thread.
+pub struct Proc {
     kernel: Rc<Kernel>,
     pid: Pid,
-    /// The way back to the loop from a thread process's stack; `None` for
-    /// an actor, which has no stack of its own.
-    yielder: Option<Yielder>,
     rng: StdRng,
     name: String,
-    /// Current trace context; spans started with [`Ctx::span_begin`] are
+    /// Current trace context; spans started with [`Proc::span_begin`] are
     /// parented under it. Not inherited on spawn — infrastructure code
     /// forwards it explicitly inside its messages.
     trace_ctx: TraceCtx,
 }
 
-impl fmt::Debug for Ctx {
+impl fmt::Debug for Proc {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Ctx").field("pid", &self.pid).field("name", &self.name).finish()
+        f.debug_struct("Proc").field("pid", &self.pid).field("name", &self.name).finish()
     }
 }
 
-impl Ctx {
+impl Proc {
     /// This process's id.
     pub fn pid(&self) -> Pid {
         self.pid
@@ -1359,47 +1490,6 @@ impl Ctx {
         }
     }
 
-    /// Checked on entry to every blocking call.
-    ///
-    /// # Panics
-    ///
-    /// Panics in an actor, naming it, the `call` it made and what to do
-    /// `instead`.
-    fn must_be_thread(&self, call: &str, instead: &str) {
-        assert!(
-            self.yielder.is_some(),
-            "actor {} called blocking Ctx::{call}; an actor never blocks mid-function: {instead}",
-            self.name
-        );
-    }
-
-    /// Called with this process's wait registered: switches back to the
-    /// scheduler loop, which switches back here once the wait has ended —
-    /// or unwinds the body if the process is killed or its `Sim` drops.
-    fn yield_to_kernel(&mut self) {
-        let yielder = self.yielder.as_ref().expect("blocking calls start with must_be_thread");
-        if !yielder.suspend() {
-            // resume_unwind skips the panic hook: shutdown is not an error.
-            resume_unwind(Box::new(ShutdownSignal));
-        }
-    }
-
-    /// Advances this process's clock by `d` (e.g. network or think time).
-    pub fn sleep(&mut self, d: Duration) {
-        self.must_be_thread("sleep", "return Wait::Sleep from on_wake");
-        self.kernel.state.borrow_mut().begin_sleep(self.pid, d);
-        self.yield_to_kernel();
-    }
-
-    /// Models CPU work taking `d` of virtual time.
-    ///
-    /// Semantically identical to [`Ctx::sleep`], but code reads better; use
-    /// [`crate::cpu::CpuHost`] instead when the CPU is *shared* and
-    /// contention matters.
-    pub fn compute(&mut self, d: Duration) {
-        self.sleep(d);
-    }
-
     /// Creates a mailbox owned by this process (closed automatically when the
     /// process exits).
     pub fn mailbox(&mut self, name: &str) -> Addr {
@@ -1425,101 +1515,6 @@ impl Ctx {
         let mut st = self.kernel.state.borrow_mut();
         let at = st.now + latency;
         st.push_event(at, EventKind::Deliver { mailbox: to.0, msg });
-    }
-
-    /// Receives the next message from `mb`, blocking until one arrives.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the mailbox is closed or another process is already
-    /// receiving on it.
-    pub fn recv(&mut self, mb: Addr) -> Msg {
-        self.must_be_thread("recv", "return Wait::Recv from on_wake");
-        loop {
-            if let Some(m) = self.kernel.state.borrow_mut().begin_recv(self.pid, mb, None) {
-                return m;
-            }
-            self.yield_to_kernel();
-            if let Some(m) = self.kernel.state.borrow_mut().end_recv(self.pid, mb) {
-                return m;
-            }
-            // Spurious wake (e.g. mailbox closed under us): retry.
-        }
-    }
-
-    /// Receives with a timeout; `None` means the timeout expired first.
-    pub fn recv_timeout(&mut self, mb: Addr, timeout: Duration) -> Option<Msg> {
-        self.must_be_thread("recv_timeout", "return Wait::RecvTimeout from on_wake");
-        if let Some(m) = self.kernel.state.borrow_mut().begin_recv(self.pid, mb, Some(timeout)) {
-            return Some(m);
-        }
-        self.yield_to_kernel();
-        self.kernel.state.borrow_mut().end_recv(self.pid, mb)
-    }
-
-    /// Issues a synchronous RPC: sends `req` to `to` and blocks for the
-    /// response. The request travels with `latency`; the response latency is
-    /// chosen by the server.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the response cannot be downcast to `Resp`.
-    pub fn call<Req, Resp>(&mut self, to: Addr, req: Req, latency: Duration) -> Resp
-    where
-        Req: Any,
-        Resp: Any,
-    {
-        self.must_be_thread("call", "send the request and return Wait::Recv on its reply mailbox");
-        self.call_sized::<Req, Resp>(to, req, latency, 0)
-    }
-
-    /// Like [`Ctx::call`] but carries a simulated payload size.
-    pub fn call_sized<Req, Resp>(
-        &mut self,
-        to: Addr,
-        req: Req,
-        latency: Duration,
-        size: usize,
-    ) -> Resp
-    where
-        Req: Any,
-        Resp: Any,
-    {
-        self.must_be_thread(
-            "call_sized",
-            "send the request and return Wait::Recv on its reply mailbox",
-        );
-        let reply_to = self.mailbox("rpc-reply");
-        self.send(to, Msg::sized(Request { reply_to, body: Box::new(req) }, size), latency);
-        let resp = self.recv(reply_to);
-        self.close_mailbox(reply_to);
-        self.drop_mailbox(reply_to);
-        resp.take::<Resp>()
-    }
-
-    /// Issues an RPC with a timeout; `None` means no reply arrived in time
-    /// (e.g. the server crashed). A late reply is silently dropped.
-    pub fn call_timeout<Req, Resp>(
-        &mut self,
-        to: Addr,
-        req: Req,
-        latency: Duration,
-        timeout: Duration,
-    ) -> Option<Resp>
-    where
-        Req: Any,
-        Resp: Any,
-    {
-        self.must_be_thread(
-            "call_timeout",
-            "send the request and return Wait::Recv on its reply mailbox",
-        );
-        let reply_to = self.mailbox("rpc-reply");
-        self.send(to, Msg::new(Request { reply_to, body: Box::new(req) }), latency);
-        let resp = self.recv_timeout(reply_to, timeout);
-        self.close_mailbox(reply_to);
-        self.drop_mailbox(reply_to);
-        resp.map(|m| m.take::<Resp>())
     }
 
     /// Replies to an RPC received as a [`Request`].
@@ -1572,10 +1567,10 @@ impl Ctx {
 
     /// Annotates this process as about to block waiting for `resource`.
     ///
-    /// Synchronization primitives call this just before blocking; the
-    /// annotation is cleared automatically when the process is woken (or
-    /// when a pending park permit makes the block a no-op). It feeds the
-    /// wait-for graph behind [`Sim::deadlock_report`].
+    /// Call it just before a blocking call when the wait is more than that
+    /// call says (an object behind a client, a function behind a
+    /// platform); the annotation is cleared when the process is woken. It
+    /// feeds the wait-for graph behind [`Sim::deadlock_report`].
     pub fn annotate_wait(
         &mut self,
         resource: u64,
@@ -1585,12 +1580,12 @@ impl Ctx {
     ) {
         let mut st = self.kernel.state.borrow_mut();
         if let Some(p) = st.procs.get_mut(&self.pid.0) {
-            p.waiting_on = Some(WaitAnnotation {
+            p.waiting_on = Some(Waiting::Annotated(WaitAnnotation {
                 resource,
                 resource_name: resource_name.into(),
                 kind,
                 site: site.into(),
-            });
+            }));
         }
     }
 
@@ -1616,24 +1611,6 @@ impl Ctx {
         }
     }
 
-    /// Blocks until another process calls [`Ctx::unpark`] with this pid.
-    /// A pending permit (unpark before park) is consumed immediately.
-    pub fn park(&mut self) {
-        self.must_be_thread("park", "only a thread process can park");
-        {
-            let mut st = self.kernel.state.borrow_mut();
-            let p = st.procs.get_mut(&self.pid.0).expect("own slot");
-            if p.park_permit {
-                p.park_permit = false;
-                p.waiting_on = None;
-                return;
-            }
-            p.epoch += 1;
-            p.blocked = BlockState::Parked;
-        }
-        self.yield_to_kernel();
-    }
-
     /// Makes a parked process runnable, or stores a permit if it is not
     /// parked yet.
     pub fn unpark(&mut self, pid: Pid) {
@@ -1654,6 +1631,184 @@ impl Ctx {
         if parked {
             st.make_runnable(pid);
         }
+    }
+}
+
+/// The context of a thread process: a [`Proc`] plus the way back to the
+/// scheduler loop, which its blocking calls take. `sleep`, `recv`, `call`
+/// and `park` register the wait, switch to the loop and return when the
+/// corresponding event fires. Everything else is [`Proc`]'s, through
+/// `Deref`.
+///
+/// Like [`Sim`], a `Ctx` never leaves the run thread:
+///
+/// ```compile_fail,E0277
+/// fn assert_send<T: Send>() {}
+/// assert_send::<simcore::Ctx>();
+/// ```
+pub struct Ctx {
+    proc: Proc,
+    yielder: Yielder,
+}
+
+impl fmt::Debug for Ctx {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Ctx").field("pid", &self.pid).field("name", &self.name).finish()
+    }
+}
+
+impl Deref for Ctx {
+    type Target = Proc;
+
+    fn deref(&self) -> &Proc {
+        &self.proc
+    }
+}
+
+impl DerefMut for Ctx {
+    fn deref_mut(&mut self) -> &mut Proc {
+        &mut self.proc
+    }
+}
+
+impl Ctx {
+    /// Called with this process's wait registered: switches back to the
+    /// scheduler loop, which switches back here once the wait has ended —
+    /// or unwinds the body if the process is killed or its `Sim` drops.
+    fn yield_to_kernel(&mut self) {
+        if !self.yielder.suspend() {
+            // resume_unwind skips the panic hook: shutdown is not an error.
+            resume_unwind(Box::new(ShutdownSignal));
+        }
+    }
+
+    /// Advances this process's clock by `d` (e.g. network or think time).
+    pub fn sleep(&mut self, d: Duration) {
+        self.kernel.state.borrow_mut().begin_sleep(self.pid, d);
+        self.yield_to_kernel();
+    }
+
+    /// Models CPU work taking `d` of virtual time.
+    ///
+    /// Semantically identical to [`Ctx::sleep`], but code reads better; use
+    /// [`crate::cpu::CpuHost`] instead when the CPU is *shared* and
+    /// contention matters.
+    pub fn compute(&mut self, d: Duration) {
+        self.sleep(d);
+    }
+
+    /// Receives the next message from `mb`, blocking until one arrives.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the mailbox is closed or another process is already
+    /// receiving on it.
+    pub fn recv(&mut self, mb: Addr) -> Msg {
+        loop {
+            if let Some(m) = self.kernel.state.borrow_mut().begin_recv(self.pid, mb, None) {
+                return m;
+            }
+            self.yield_to_kernel();
+            if let Some(m) = self.kernel.state.borrow_mut().end_recv(self.pid, mb) {
+                return m;
+            }
+            // Spurious wake (e.g. mailbox closed under us): retry.
+        }
+    }
+
+    /// Receives with a timeout; `None` means the timeout expired first.
+    pub fn recv_timeout(&mut self, mb: Addr, timeout: Duration) -> Option<Msg> {
+        if let Some(m) = self.kernel.state.borrow_mut().begin_recv(self.pid, mb, Some(timeout)) {
+            return Some(m);
+        }
+        self.yield_to_kernel();
+        self.kernel.state.borrow_mut().end_recv(self.pid, mb)
+    }
+
+    /// Issues a synchronous RPC: sends `req` to `to` and blocks for the
+    /// response. The request travels with `latency`; the response latency is
+    /// chosen by the server.
+    ///
+    /// Unless an annotation was set since this process last woke
+    /// ([`Proc::annotate_wait`]), the wait is annotated as a
+    /// [`WaitKind::Call`] on `to`, named after its mailbox, at the caller's
+    /// source location.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the response cannot be downcast to `Resp`.
+    #[track_caller]
+    pub fn call<Req, Resp>(&mut self, to: Addr, req: Req, latency: Duration) -> Resp
+    where
+        Req: Any,
+        Resp: Any,
+    {
+        self.call_sized::<Req, Resp>(to, req, latency, 0)
+    }
+
+    /// Like [`Ctx::call`] but carries a simulated payload size.
+    #[track_caller]
+    pub fn call_sized<Req, Resp>(
+        &mut self,
+        to: Addr,
+        req: Req,
+        latency: Duration,
+        size: usize,
+    ) -> Resp
+    where
+        Req: Any,
+        Resp: Any,
+    {
+        let reply_to = self.mailbox("rpc-reply");
+        self.send(to, Msg::sized(Request { reply_to, body: Box::new(req) }, size), latency);
+        {
+            let mut st = self.kernel.state.borrow_mut();
+            let p = st.procs.get_mut(&self.pid.0).expect("own slot");
+            p.waiting_on.get_or_insert(Waiting::Call(to.0, Location::caller()));
+        }
+        let resp = self.recv(reply_to);
+        self.close_mailbox(reply_to);
+        self.drop_mailbox(reply_to);
+        resp.take::<Resp>()
+    }
+
+    /// Issues an RPC with a timeout; `None` means no reply arrived in time
+    /// (e.g. the server crashed). A late reply is silently dropped.
+    pub fn call_timeout<Req, Resp>(
+        &mut self,
+        to: Addr,
+        req: Req,
+        latency: Duration,
+        timeout: Duration,
+    ) -> Option<Resp>
+    where
+        Req: Any,
+        Resp: Any,
+    {
+        let reply_to = self.mailbox("rpc-reply");
+        self.send(to, Msg::new(Request { reply_to, body: Box::new(req) }), latency);
+        let resp = self.recv_timeout(reply_to, timeout);
+        self.close_mailbox(reply_to);
+        self.drop_mailbox(reply_to);
+        resp.map(|m| m.take::<Resp>())
+    }
+
+    /// Blocks until another process calls [`Proc::unpark`] with this pid,
+    /// annotated with `wait` for [`Sim::deadlock_report`]. A pending permit
+    /// (unpark before park) is consumed immediately.
+    pub fn park(&mut self, wait: WaitAnnotation) {
+        {
+            let mut st = self.kernel.state.borrow_mut();
+            let p = st.procs.get_mut(&self.pid.0).expect("own slot");
+            if p.park_permit {
+                p.park_permit = false;
+                return;
+            }
+            p.epoch += 1;
+            p.blocked = BlockState::Parked;
+            p.waiting_on = Some(Waiting::Annotated(wait));
+        }
+        self.yield_to_kernel();
     }
 }
 
@@ -1878,6 +2033,11 @@ mod tests {
         sim.run_until_idle().expect_quiescent();
     }
 
+    fn parked() -> WaitAnnotation {
+        let site = "test".to_string();
+        WaitAnnotation { resource: 0, resource_name: "r".into(), kind: WaitKind::Lock, site }
+    }
+
     #[test]
     fn park_unpark_with_permit() {
         let mut sim = Sim::new(1);
@@ -1887,7 +2047,7 @@ mod tests {
                 c.unpark(me); // permit stored before the park
             });
             ctx.sleep(Duration::from_millis(1));
-            ctx.park(); // consumes the permit, no block
+            ctx.park(parked()); // consumes the permit, no block
             assert_eq!(ctx.now(), SimTime::from_millis(1));
         });
         sim.run_until_idle().expect_quiescent();
@@ -1902,7 +2062,7 @@ mod tests {
                 c.sleep(Duration::from_millis(4));
                 c.unpark(me);
             });
-            ctx.park();
+            ctx.park(parked());
             assert_eq!(ctx.now(), SimTime::from_millis(4));
         });
         sim.run_until_idle().expect_quiescent();
@@ -1987,7 +2147,7 @@ mod tests {
     }
 
     impl Actor for Tour {
-        fn on_wake(&mut self, ctx: &mut Ctx, wake: Wake) -> Wait {
+        fn on_wake(&mut self, ctx: &mut Proc, wake: Wake) -> Wait {
             let (what, next) = match wake {
                 Wake::Start => ("start", Wait::RecvTimeout(self.inbox, Duration::from_millis(2))),
                 Wake::Timeout => ("timeout", Wait::Recv(self.inbox)),

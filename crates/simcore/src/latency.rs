@@ -18,8 +18,7 @@ pub enum Jitter {
     ExpTail(f64),
 }
 
-/// A sampled one-way latency: base plus jitter, plus an optional
-/// per-byte transfer cost.
+/// A sampled one-way latency: base plus jitter.
 ///
 /// # Examples
 ///
@@ -37,40 +36,26 @@ pub struct LatencyModel {
     pub base: Duration,
     /// Jitter around the base.
     pub jitter: Jitter,
-    /// Transfer cost per byte (inverse bandwidth); zero disables it.
-    pub per_byte: Duration,
 }
 
 impl LatencyModel {
-    /// A constant latency with no jitter and no bandwidth term.
+    /// A constant latency with no jitter.
     pub const fn fixed(base: Duration) -> LatencyModel {
-        LatencyModel { base, jitter: Jitter::None, per_byte: Duration::ZERO }
+        LatencyModel { base, jitter: Jitter::None }
     }
 
     /// A latency with uniform jitter of `frac` around `base`.
     pub const fn uniform(base: Duration, frac: f64) -> LatencyModel {
-        LatencyModel { base, jitter: Jitter::Uniform(frac), per_byte: Duration::ZERO }
+        LatencyModel { base, jitter: Jitter::Uniform(frac) }
     }
 
     /// A latency with an exponential tail of mean `frac * base`.
     pub fn exp_tail(base: Duration, frac: f64) -> LatencyModel {
-        LatencyModel { base, jitter: Jitter::ExpTail(frac), per_byte: Duration::ZERO }
+        LatencyModel { base, jitter: Jitter::ExpTail(frac) }
     }
 
-    /// Adds a bandwidth term: `bytes_per_sec` of sustained throughput.
-    pub fn with_bandwidth(mut self, bytes_per_sec: f64) -> LatencyModel {
-        assert!(bytes_per_sec > 0.0, "bandwidth must be positive");
-        self.per_byte = Duration::from_secs_f64(1.0 / bytes_per_sec);
-        self
-    }
-
-    /// Samples a latency for a zero-size message.
+    /// Samples a latency.
     pub fn sample(&self, rng: &mut StdRng) -> Duration {
-        self.sample_sized(rng, 0)
-    }
-
-    /// Samples a latency for a message of `size` bytes.
-    pub fn sample_sized(&self, rng: &mut StdRng, size: usize) -> Duration {
         let base = self.base.as_secs_f64();
         let jittered = match self.jitter {
             Jitter::None => base,
@@ -88,8 +73,7 @@ impl LatencyModel {
                 base * (1.0 + f * (-u.ln()))
             }
         };
-        let transfer = self.per_byte.as_secs_f64() * size as f64;
-        Duration::from_secs_f64((jittered + transfer).max(0.0))
+        Duration::from_secs_f64(jittered.max(0.0))
     }
 }
 
@@ -133,16 +117,6 @@ mod tests {
     }
 
     #[test]
-    fn bandwidth_term_scales_with_size() {
-        let m = LatencyModel::fixed(Duration::from_millis(1)).with_bandwidth(1_000_000.0);
-        let mut r = rng();
-        let small = m.sample_sized(&mut r, 0);
-        let big = m.sample_sized(&mut r, 1_000_000);
-        assert_eq!(small, Duration::from_millis(1));
-        assert_eq!(big, Duration::from_millis(1) + Duration::from_secs(1));
-    }
-
-    #[test]
     fn deterministic_for_same_rng_state() {
         let m = LatencyModel::uniform(Duration::from_micros(500), 0.5);
         let a: Vec<_> = {
@@ -154,11 +128,5 @@ mod tests {
             (0..50).map(|_| m.sample(&mut r)).collect()
         };
         assert_eq!(a, b);
-    }
-
-    #[test]
-    #[should_panic(expected = "bandwidth must be positive")]
-    fn zero_bandwidth_rejected() {
-        let _ = LatencyModel::fixed(Duration::ZERO).with_bandwidth(0.0);
     }
 }

@@ -67,7 +67,7 @@ pub mod trace;
 
 pub use cpu::CpuHost;
 pub use detect::{DeadlockReport, StuckProc, WaitAnnotation, WaitKind};
-pub use kernel::{Actor, Addr, Ctx, Msg, Pid, Request, RunOutcome, Sim, Wait, Wake};
+pub use kernel::{Actor, Addr, Ctx, Msg, Pid, Proc, Request, RunOutcome, Sim, Wait, Wake};
 pub use latency::{Jitter, LatencyModel};
 pub use metrics::{fsum, Counter, LatencyStats, MetricsRegistry, Series};
 pub use scheduler::{Decision, FifoScheduler, RandomScheduler, ReplayScheduler, Scheduler};

@@ -13,7 +13,7 @@ use std::collections::VecDeque;
 use std::fmt;
 use std::rc::Rc;
 
-use crate::detect::WaitKind;
+use crate::detect::{WaitAnnotation, WaitKind};
 use crate::kernel::{Addr, Ctx, Msg, Pid, Sim};
 
 // ---------------------------------------------------------------------------
@@ -176,6 +176,16 @@ impl Monitor {
         Rc::as_ptr(&self.state) as u64
     }
 
+    /// What a process parked in `Monitor::{op}` waits on.
+    fn wait_on(&self, kind: WaitKind, op: &str) -> WaitAnnotation {
+        WaitAnnotation {
+            resource: self.resource_id(),
+            resource_name: self.name.to_string(),
+            kind,
+            site: format!("Monitor::{op}({})", self.name),
+        }
+    }
+
     /// Acquires the monitor, blocking while another process holds it.
     pub fn enter(&self, ctx: &mut Ctx) {
         let me = ctx.pid();
@@ -194,13 +204,7 @@ impl Monitor {
             ctx.resource_acquired(self.resource_id(), &self.name);
             return;
         }
-        ctx.annotate_wait(
-            self.resource_id(),
-            WaitKind::Lock,
-            self.name.as_str(),
-            format!("Monitor::enter({})", self.name),
-        );
-        ctx.park();
+        ctx.park(self.wait_on(WaitKind::Lock, "enter"));
         debug_assert_eq!(self.state.borrow().holder, Some(me), "woken as holder");
     }
 
@@ -264,15 +268,9 @@ impl Monitor {
             }
             None => ctx.resource_released(self.resource_id()),
         }
-        ctx.annotate_wait(
-            self.resource_id(),
-            WaitKind::Condition,
-            self.name.as_str(),
-            format!("Monitor::wait({})", self.name),
-        );
         // Parked until a notify moves us to the entry queue *and* the lock
         // is handed to us.
-        ctx.park();
+        ctx.park(self.wait_on(WaitKind::Condition, "wait"));
         debug_assert_eq!(self.state.borrow().holder, Some(me), "woken as holder");
     }
 

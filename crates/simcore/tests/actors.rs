@@ -9,8 +9,8 @@ use std::time::Duration;
 use parking_lot::Mutex;
 use rand::RngExt;
 use simcore::{
-    Actor, Addr, Ctx, Decision, Msg, RandomScheduler, ReplayScheduler, Request, Scheduler, Sim,
-    SimTime, Ticker, Wait, WaitKind, Wake,
+    Actor, Addr, Ctx, Decision, Msg, Proc, RandomScheduler, ReplayScheduler, Request, Scheduler,
+    Sim, SimTime, Ticker, Wait, WaitKind, Wake,
 };
 
 type Log = Arc<Mutex<Vec<(u64, u64)>>>;
@@ -23,13 +23,13 @@ struct Job {
     n: u64,
 }
 
-fn log(log: &Log, ctx: &Ctx, value: u64) {
+fn log(log: &Log, ctx: &Proc, value: u64) {
     log.lock().push((ctx.now().as_nanos(), value));
 }
 
 /// The echo server's per-message work, shared by both versions: forward
 /// the request to the worker after a random (per-process rng) delay.
-fn echo_forward(ctx: &mut Ctx, worker: Addr, msg: Msg) {
+fn echo_forward(ctx: &mut Proc, worker: Addr, msg: Msg) {
     let (reply_to, n) = msg.take::<Request>().take::<u64>();
     let jitter = Duration::from_nanos(ctx.rng().random_range(0..2_000));
     ctx.send(worker, Msg::new(Job { reply_to, n }), jitter);
@@ -39,7 +39,7 @@ fn job_cost(n: u64) -> Duration {
     Duration::from_micros(5 + n % 3)
 }
 
-fn worker_reply(ctx: &mut Ctx, out: &Log, job: &Job) {
+fn worker_reply(ctx: &mut Proc, out: &Log, job: &Job) {
     log(out, ctx, job.n);
     let lat = Duration::from_nanos(ctx.rng().random_range(500..1_500));
     ctx.reply(job.reply_to, job.n * 2, lat);
@@ -82,7 +82,7 @@ struct EchoActor {
 }
 
 impl Actor for EchoActor {
-    fn on_wake(&mut self, ctx: &mut Ctx, wake: Wake) -> Wait {
+    fn on_wake(&mut self, ctx: &mut Proc, wake: Wake) -> Wait {
         let now = ctx.now();
         let hb = self.hb.get_or_insert_with(|| Ticker::new(now, HEARTBEAT));
         if !matches!(wake, Wake::Start) && hb.poll(now) {
@@ -102,7 +102,7 @@ struct WorkerActor {
 }
 
 impl Actor for WorkerActor {
-    fn on_wake(&mut self, ctx: &mut Ctx, wake: Wake) -> Wait {
+    fn on_wake(&mut self, ctx: &mut Proc, wake: Wake) -> Wait {
         match wake {
             Wake::Start => {
                 let inbox = ctx.mailbox("worker-inbox");
@@ -220,7 +220,7 @@ struct Counter {
 }
 
 impl Actor for Counter {
-    fn on_wake(&mut self, ctx: &mut Ctx, wake: Wake) -> Wait {
+    fn on_wake(&mut self, ctx: &mut Proc, wake: Wake) -> Wait {
         match wake {
             Wake::Start => {
                 let inbox = ctx.mailbox("counter-inbox");
@@ -311,7 +311,7 @@ fn killing_a_runnable_actor_ends_it_before_it_runs() {
 struct Bomb;
 
 impl Actor for Bomb {
-    fn on_wake(&mut self, _ctx: &mut Ctx, _wake: Wake) -> Wait {
+    fn on_wake(&mut self, _ctx: &mut Proc, _wake: Wake) -> Wait {
         panic!("actor boom");
     }
 }
@@ -324,57 +324,13 @@ fn panic_in_on_wake_propagates_out_of_run() {
     sim.run_until_idle();
 }
 
-/// A blocking call to make on an actor's context.
-type Block = fn(&mut Ctx);
-
-/// Calls one blocking primitive on its own context.
-struct Blocker(Block);
-
-impl Actor for Blocker {
-    fn on_wake(&mut self, ctx: &mut Ctx, _wake: Wake) -> Wait {
-        (self.0)(ctx);
-        Wait::Exit
-    }
-}
-
-#[test]
-fn blocking_calls_on_an_actor_context_panic_with_its_name() {
-    let cases: [(&str, &str, Block); 5] = [
-        ("sleep", "Wait::Sleep", |ctx| ctx.sleep(Duration::from_micros(1))),
-        ("recv", "Wait::Recv", |ctx| {
-            let mb = ctx.mailbox("mb");
-            let _ = ctx.recv(mb);
-        }),
-        ("recv_timeout", "Wait::RecvTimeout", |ctx| {
-            let mb = ctx.mailbox("mb");
-            let _ = ctx.recv_timeout(mb, Duration::from_micros(1));
-        }),
-        ("call", "Wait::Recv", |ctx| {
-            let mb = ctx.shared_mailbox("nobody");
-            let _: u8 = ctx.call(mb, 1u8, Duration::ZERO);
-        }),
-        ("park", "thread process", |ctx| ctx.park()),
-    ];
-    for (call, instead, body) in cases {
-        let mut sim = Sim::new(1);
-        sim.spawn_actor("dso-7-w3", Blocker(body));
-        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| sim.run_until_idle()))
-            .expect_err("a blocking call in an actor panics");
-        let text = err.downcast_ref::<String>().expect("panic message");
-        assert!(text.contains("actor dso-7-w3"), "{call}: {text}");
-        assert!(text.contains(&format!("Ctx::{call};")), "{call}: {text}");
-        assert!(text.contains(instead), "{call}: {text}");
-        assert_eq!(sim.live_processes(), 0, "{call}: the panicked actor is gone");
-    }
-}
-
 /// A server that owns its inbox and never answers.
 struct Mute {
     slot: Arc<Mutex<Option<Addr>>>,
 }
 
 impl Actor for Mute {
-    fn on_wake(&mut self, ctx: &mut Ctx, wake: Wake) -> Wait {
+    fn on_wake(&mut self, ctx: &mut Proc, wake: Wake) -> Wait {
         if let Wake::Start = wake {
             *self.slot.lock() = Some(ctx.mailbox("node-inbox"));
         }
@@ -406,4 +362,30 @@ fn client_stuck_on_a_crashed_actor_node_is_in_the_deadlock_report() {
     assert_eq!(wait.kind, WaitKind::Call);
     assert_eq!(wait.resource, slot.lock().expect("node started").into_raw());
     assert!(report.to_string().contains("client::get"), "{report}");
+}
+
+#[test]
+fn unannotated_untimed_call_is_in_the_deadlock_report() {
+    let mut sim = Sim::new(9);
+    let slot = Arc::new(Mutex::new(None));
+    let node = sim.spawn_daemon_actor("node", Mute { slot: slot.clone() });
+    let s = slot.clone();
+    sim.spawn("client", move |ctx| {
+        ctx.sleep(Duration::from_micros(5));
+        let inbox = s.lock().expect("node started");
+        let _: u64 = ctx.call(inbox, 1u64, Duration::from_micros(10));
+    });
+    sim.spawn("fault", move |ctx| {
+        ctx.sleep(Duration::from_micros(1));
+        ctx.kill(node);
+    });
+    let out = sim.run_until_idle();
+    assert_eq!(out.blocked, vec!["client".to_string()]);
+    let report = sim.deadlock_report().expect("the client is wedged");
+    assert_eq!(report.stuck.len(), 1);
+    let wait = report.stuck[0].wait.as_ref().expect("the call annotated its own wait");
+    assert_eq!(wait.kind, WaitKind::Call);
+    assert_eq!(wait.resource, slot.lock().expect("node started").into_raw());
+    assert_eq!(wait.resource_name, "node-inbox");
+    assert!(wait.site.contains("actors.rs"), "{report}");
 }

@@ -12,7 +12,8 @@ use std::time::Duration;
 
 use parking_lot::Mutex;
 use simcore::{
-    Actor, Addr, Ctx, Msg, Pid, Request, Scheduler, Sim, SimTime, SpanId, TraceCtx, Wait, Wake,
+    Actor, Addr, Msg, Pid, Proc, Request, Scheduler, Sim, SimTime, SpanId, TraceCtx, Wait,
+    WaitAnnotation, WaitKind, Wake,
 };
 
 const MS: Duration = Duration::from_millis(1);
@@ -113,7 +114,13 @@ fn kills_of_runnable_processes_are_carried_out_when_picked() {
     sim.spawn("killer", move |ctx| {
         let fresh = ctx.spawn("fresh", move |_| never_ran.store(true, Ordering::SeqCst));
         let parked = ctx.spawn("parked", move |c| {
-            c.park();
+            let site = "handoff".to_string();
+            c.park(WaitAnnotation {
+                resource: 0,
+                resource_name: "p".into(),
+                kind: WaitKind::Lock,
+                site,
+            });
             woke.store(true, Ordering::SeqCst);
         });
         ctx.kill(fresh); // runnable, never started
@@ -127,7 +134,8 @@ fn kills_of_runnable_processes_are_carried_out_when_picked() {
 
     let after = survived.clone();
     sim.spawn("suicide", move |ctx| {
-        ctx.kill(ctx.pid());
+        let me = ctx.pid();
+        ctx.kill(me);
         ctx.sleep(MS); // its own wake makes it runnable, and the pick finds it killed
         after.store(true, Ordering::SeqCst);
     });
@@ -170,7 +178,7 @@ struct Doubler {
 }
 
 impl Actor for Doubler {
-    fn on_wake(&mut self, ctx: &mut Ctx, wake: Wake) -> Wait {
+    fn on_wake(&mut self, ctx: &mut Proc, wake: Wake) -> Wait {
         self.woken_on.lock().push(std::thread::current().id());
         if let Wake::Msg(m) = wake {
             let (reply_to, n) = m.take::<Request>().take::<u64>();

@@ -4,13 +4,12 @@
 //! per-iteration scheduling and shuffle costs Crucial's DSO updates avoid
 //! (§6.2.2).
 
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::fmt;
 use std::rc::Rc;
-use std::sync::Arc;
 use std::time::Duration;
 
-use parking_lot::Mutex;
 use simcore::{Addr, CpuHost, Ctx, Msg, Request, Sim};
 
 use crate::cost::SparkCostModel;
@@ -25,7 +24,7 @@ pub type TaskFn = Rc<dyn Fn(&[u8], &[u8], &[u8]) -> (Vec<u8>, Duration)>;
 /// Registry of stage functions, shared by all executors.
 #[derive(Clone, Default)]
 pub struct TaskRegistry {
-    tasks: Arc<Mutex<HashMap<String, TaskFn>>>,
+    tasks: Rc<RefCell<HashMap<String, TaskFn>>>,
 }
 
 impl TaskRegistry {
@@ -39,17 +38,17 @@ impl TaskRegistry {
     where
         F: Fn(&[u8], &[u8], &[u8]) -> (Vec<u8>, Duration) + 'static,
     {
-        self.tasks.lock().insert(name.to_string(), Rc::new(f));
+        self.tasks.borrow_mut().insert(name.to_string(), Rc::new(f));
     }
 
     fn get(&self, name: &str) -> Option<TaskFn> {
-        self.tasks.lock().get(name).cloned()
+        self.tasks.borrow().get(name).cloned()
     }
 }
 
 impl fmt::Debug for TaskRegistry {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let names: Vec<String> = self.tasks.lock().keys().cloned().collect();
+        let names: Vec<String> = self.tasks.borrow().keys().cloned().collect();
         f.debug_struct("TaskRegistry").field("tasks", &names).finish()
     }
 }
@@ -94,21 +93,9 @@ pub struct SparkHandle {
 }
 
 impl SparkHandle {
-    /// Tells the deadlock detector this process is about to block on the
-    /// driver (stages can park indefinitely behind executor work).
-    fn annotate(&self, ctx: &mut Ctx, op: &str) {
-        ctx.annotate_wait(
-            self.driver.into_raw(),
-            simcore::WaitKind::Call,
-            "spark-driver",
-            format!("SparkHandle::{op}"),
-        );
-    }
-
     /// Distributes partitions round-robin across executors.
     pub fn load_partitions(&self, ctx: &mut Ctx, partitions: Vec<Vec<u8>>) {
         let lat = self.net.sample(ctx.rng());
-        self.annotate(ctx, "load_partitions");
         match ctx.call(self.driver, DriverReq::LoadPartitions(partitions), lat) {
             DriverResp::Loaded => {}
             other => panic!("protocol: expected Loaded, got {other:?}"),
@@ -118,7 +105,6 @@ impl SparkHandle {
     /// Broadcasts a value to every executor (returns once all acked).
     pub fn broadcast(&self, ctx: &mut Ctx, data: Vec<u8>) {
         let lat = self.net.sample(ctx.rng());
-        self.annotate(ctx, "broadcast");
         match ctx.call(self.driver, DriverReq::Broadcast(data), lat) {
             DriverResp::Broadcasted => {}
             other => panic!("protocol: expected Broadcasted, got {other:?}"),
@@ -128,7 +114,6 @@ impl SparkHandle {
     /// Runs one task per partition; returns results ordered by partition.
     pub fn run_stage(&self, ctx: &mut Ctx, task: &str, args: Vec<u8>) -> Vec<Vec<u8>> {
         let lat = self.net.sample(ctx.rng());
-        self.annotate(ctx, "run_stage");
         match ctx.call(self.driver, DriverReq::RunStage { task: task.to_string(), args }, lat) {
             DriverResp::StageDone(r) => r,
             other => panic!("protocol: expected StageDone, got {other:?}"),
@@ -246,16 +231,16 @@ fn executor_loop(
     cost: SparkCostModel,
     registry: TaskRegistry,
 ) {
-    let partitions: Arc<Mutex<HashMap<usize, Vec<u8>>>> = Arc::new(Mutex::new(HashMap::new()));
-    let broadcast: Arc<Mutex<Vec<u8>>> = Arc::new(Mutex::new(Vec::new()));
+    let partitions: Rc<RefCell<HashMap<usize, Vec<u8>>>> = Rc::new(RefCell::new(HashMap::new()));
+    let broadcast: Rc<RefCell<Vec<u8>>> = Rc::new(RefCell::new(Vec::new()));
     let mut job_seq = 0u64;
     loop {
         match ctx.recv(inbox).take::<ExecMsg>() {
             ExecMsg::Store { partition_id, data } => {
-                partitions.lock().insert(partition_id, data);
+                partitions.borrow_mut().insert(partition_id, data);
             }
             ExecMsg::SetBroadcast { data, ack } => {
-                *broadcast.lock() = data;
+                *broadcast.borrow_mut() = data;
                 let lat = cost.net.sample(ctx.rng());
                 ctx.send(ack, Msg::new(BroadcastAck), lat);
             }
@@ -270,9 +255,9 @@ fn executor_loop(
                 job_seq += 1;
                 ctx.spawn(&format!("task-{task}-{partition_id}-{job_seq}"), move |tc| {
                     let (result, work) = {
-                        let parts = partitions.lock();
+                        let parts = partitions.borrow();
                         let part = parts.get(&partition_id).map(Vec::as_slice).unwrap_or(&[]);
-                        let bc = broadcast.lock();
+                        let bc = broadcast.borrow();
                         f(part, &bc, &args)
                     };
                     cpu.compute(tc, work);

@@ -23,7 +23,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::Duration;
 
 use crucial::Sim;
-use simcore::{Actor, Addr, Ctx, Msg, Wait, Wake};
+use simcore::{Actor, Addr, Msg, Proc, Wait, Wake};
 
 struct CountingAlloc;
 
@@ -97,7 +97,7 @@ struct Bouncer {
 }
 
 impl Actor for Bouncer {
-    fn on_wake(&mut self, ctx: &mut Ctx, wake: Wake) -> Wait {
+    fn on_wake(&mut self, ctx: &mut Proc, wake: Wake) -> Wait {
         if let Wake::Msg(ball) = wake {
             ctx.send(self.peer, ball, Duration::from_micros(3));
         }
