@@ -42,8 +42,11 @@ cargo run --release -q -p simcheck --bin tracecheck -- results/trace-elastic.chr
 # PR that moves a figure has to commit the new one, and git history is the
 # trajectory.
 #   kernel-bench        one message ring on thread processes and on actors:
+#                       the actor ring spends <= 2.5x the ns per event of
+#                       a bare pop+push on the timing wheel (~1.3-1.7x; a
+#                       hashed process or mailbox table, ~3.6x, fails),
 #                       the thread ring runs >= 1/3 of the actor ring's
-#                       events/sec (~0.9x; a wake-up that costs an OS
+#                       events/sec (~0.5-0.6x; a wake-up that costs an OS
 #                       thread handoff again, ~1/10, fails) and the actor
 #                       ring >= 300k events/sec; a parent spawning and
 #                       joining 4 000 one-shot children maps exactly 2

@@ -1,9 +1,10 @@
-//! `kernel-bench` — what a switch to a thread process's stack costs next to
-//! an inline actor wake-up, what a spawn costs, what a payload costs to encode, and what
-//! the k-means object method costs, gated in CI.
+//! `kernel-bench` — what a kernel event costs next to the bare event queue,
+//! what a switch to a thread process's stack costs next to an inline actor
+//! wake-up, what a spawn costs, what a payload costs to encode, and what the
+//! k-means object method costs, gated in CI.
 //!
-//! Five sections, the same ring twice, a spawn loop, a codec loop and a
-//! k-means assignment loop:
+//! Six sections, the same ring twice, a spawn loop, the event queue alone,
+//! a codec loop and a k-means assignment loop:
 //!
 //! 1. **ping_ring** — message passing on thread processes: a hop-countdown
 //!    token circulating a ring of processes, one delivery event and one
@@ -14,10 +15,14 @@
 //! 3. **spawn_churn** — one thread parent spawning one-shot children and
 //!    joining each before the next, the shape of a driver starting cloud
 //!    threads: what a spawn costs when a stack is free.
-//! 4. **codec_bytes** — Table 2's 1 KB value encoded and decoded through
+//! 4. **wheel** — pop one event and push a replacement on a primed
+//!    [`simcore::TimingWheel`], as `benchmark layers` does: the part of an
+//!    `actor_ring` hop the event queue does, so the ratio is what the
+//!    delivery, the wake and the send cost on top.
+//! 5. **codec_bytes** — Table 2's 1 KB value encoded and decoded through
 //!    [`simcore::codec`], once as a `Vec<u8>` and once as a `Bytes`: the
 //!    two have the same bytes on the wire, so they should cost alike.
-//! 5. **kmeans_assign** — Fig. 5's assignment pass (200 points of 100
+//! 6. **kmeans_assign** — Fig. 5's assignment pass (200 points of 100
 //!    dimensions against k = 25 centroids) through
 //!    [`crucial_ml::kmeans::assign_partials`], and through a yardstick
 //!    written here that computes each distance as one chain of adds, the
@@ -28,14 +33,15 @@
 //! in the workspace: measuring the simulator itself) and reports kernel
 //! events/sec, computed from [`simcore::EventQueueStats`] — total pushes
 //! (fresh allocations + free-list recycles) minus events still pending —
-//! and its ops (hops, spawns, round trips or distance terms) per second;
-//! the codec and k-means loops run no kernel and keep their fastest batch.
-//! [`check`] holds three relations — `ping_ring` runs at least a third of
-//! `actor_ring`'s events/sec, a `Vec<u8>` round trip costs at most 3x a
-//! `Bytes` one, and the assignment pass runs at least 1.3x the yardstick's
-//! distance terms/sec — a floor under the actor ring, and a count:
-//! `spawn_churn` runs on two stacks however many children it spawns. The
-//! thread ring and the spawn loop keep no floor of their own: the wheel,
+//! and its ops (hops, spawns, pops, round trips or distance terms) per
+//! second. The rings, the wheel, the codec and the k-means loops keep the
+//! fastest of several runs. [`check`] holds four relations — `actor_ring`
+//! spends at most 2.5x the wheel's ns per event, `ping_ring` runs at least
+//! a third of `actor_ring`'s events/sec, a `Vec<u8>` round trip costs at
+//! most 3x a `Bytes` one, and the assignment pass runs at least 1.3x the
+//! yardstick's distance terms/sec — a floor under the actor ring, and a
+//! count: `spawn_churn` runs on two stacks however many children it
+//! spawns. The thread ring and the spawn loop keep no floor of their own:
 //! the resume and the DSO path are measured pinned and repeated by the
 //! acceptance benchmark (`BENCHMARK.json`).
 
@@ -46,7 +52,7 @@ use bytes::Bytes;
 use crucial_ml::datagen::kmeans_partition;
 use crucial_ml::kmeans::{assign_partials, initial_centroids};
 use simcore::codec::{self, Wire};
-use simcore::{Actor, Addr, Msg, Proc, Sim, Wait, Wake};
+use simcore::{Actor, Addr, Msg, Proc, Sim, SimTime, TimingWheel, Wait, Wake};
 
 use super::Scale;
 use crate::report::{fmt_dur, Table};
@@ -79,6 +85,11 @@ impl Section {
     pub fn ops_per_s(&self) -> f64 {
         self.ops as f64 / self.elapsed.as_secs_f64().max(1e-9)
     }
+
+    /// Wall-clock ns per event.
+    pub fn ns_per_event(&self) -> f64 {
+        self.elapsed.as_nanos() as f64 / self.events.max(1) as f64
+    }
 }
 
 /// Every section's run.
@@ -90,6 +101,8 @@ pub struct KernelBenchReport {
     pub actor_ring: Section,
     /// Sequential spawn-and-join of one-shot thread children.
     pub spawn_churn: Section,
+    /// Pop+push on a primed event queue, no kernel around it.
+    pub wheel: Section,
     /// 1 KB round trips through the codec as a `Vec<u8>`.
     pub codec_vec: Section,
     /// The same round trips as a `Bytes`.
@@ -100,11 +113,18 @@ pub struct KernelBenchReport {
     pub kmeans_yardstick: Section,
 }
 
+/// `actor_ring` may spend at most this many times the wheel's host ns per
+/// event. A hop is one pop and one push on the wheel plus a delivery, an
+/// inline wake-up and a send, each an index into the process or mailbox
+/// table: ~1.3–1.7x on a 2-core box. SipHash tables for the two ran
+/// ~3.6–3.8x (134 ns against 36 ns, 167 ns against 44 ns) and fail.
+const ACTOR_RING_OVER_WHEEL: f64 = 2.5;
+
 /// `ping_ring` must run at least `1 /` this of `actor_ring`'s events/sec:
 /// same ring, same hops, plus a resume of a suspended stack per hop, which
-/// costs about as much as an actor wake-up (~2.1 M against 2.3 M events/s
-/// on a 2-core box). A handoff between OS threads per hop ran ~1/10 and
-/// fails.
+/// costs about as much as the rest of the hop (~0.5–0.6x: 11 M against 21 M
+/// events/s on a 2-core box). A handoff between OS threads per hop ran ~1/10
+/// and fails.
 const THREAD_RING_SHARE: f64 = 3.0;
 /// Floor under `actor_ring`'s events/sec, an order of magnitude below a
 /// typical release-build run (~2–5 M): it runs on the run thread alone,
@@ -128,6 +148,13 @@ const KMEANS_OVER_YARDSTICK: f64 = 1.3;
 /// The claims `kernel-bench` holds; `Err` names the first broken one.
 pub fn check(r: &KernelBenchReport) -> Result<(), String> {
     let (actors, ping) = (r.actor_ring.events_per_s(), r.ping_ring.events_per_s());
+    let (ring_ns, wheel_ns) = (r.actor_ring.ns_per_event(), r.wheel.ns_per_event());
+    claim!(
+        ring_ns <= wheel_ns * ACTOR_RING_OVER_WHEEL,
+        "actor_ring spends {ring_ns:.1} ns per event, more than {ACTOR_RING_OVER_WHEEL}x the \
+         wheel's pop+push ({wheel_ns:.1} ns) — a process or mailbox lookup on the event path \
+         is no longer an index"
+    );
     claim!(
         actors >= ACTOR_RING_FLOOR,
         "actor_ring runs {actors:.0} events/s, below the {ACTOR_RING_FLOOR:.0} floor — \
@@ -292,13 +319,40 @@ fn spawn_churn(scale: Scale) -> Section {
     Section { name: "spawn_churn", op: "spawns", ops: spawns, events, stacks, elapsed }
 }
 
-/// Timed batches per codec or k-means measurement; the fastest counts, so
-/// a preemption inside one batch does not reach the claim.
+/// Timed batches per ring, wheel, codec or k-means measurement; the
+/// fastest counts, so a preemption inside one batch does not reach a claim.
 const BATCHES: usize = 5;
 
 /// Host time of the fastest of [`BATCHES`] runs of `batch`.
 fn fastest_batch(mut batch: impl FnMut()) -> Duration {
     (0..BATCHES).map(|_| timed(&mut batch).1).min().unwrap_or_default()
+}
+
+/// The fastest of [`BATCHES`] runs of a ring, each on a fresh `Sim`.
+fn fastest_ring(scale: Scale, ring: fn(Scale) -> Section) -> Section {
+    (0..BATCHES).map(|_| ring(scale)).min_by_key(|s| s.elapsed).expect("BATCHES > 0")
+}
+
+/// Pops one event and pushes a replacement at 4096 pending, across seven
+/// delay magnitudes: `benchmark layers`' `wheel_pop_push`.
+fn wheel(scale: Scale) -> Section {
+    const DELAYS_NS: [u64; 7] = [700, 1_024, 9_999, 65_536, 1_000_000, 33_554_432, 2_000_000_000];
+    let mut wheel: TimingWheel<u64> = TimingWheel::new();
+    let mut seq = 0u64;
+    for i in 0..4096u64 {
+        wheel.push(SimTime::from_nanos(1 + i * 37), seq, i);
+        seq += 1;
+    }
+    let pops = scale.pick(200_000, 2_000_000);
+    let elapsed = fastest_batch(|| {
+        for i in 0..pops {
+            let (t, _, v) = wheel.pop().expect("the wheel stays primed");
+            let delay = DELAYS_NS[(i % 7) as usize];
+            wheel.push(t + Duration::from_nanos(delay), seq, black_box(v));
+            seq += 1;
+        }
+    });
+    Section { name: "wheel", op: "pops", ops: pops, events: pops, stacks: 0, elapsed }
 }
 
 /// Encodes and decodes `payload` `trips` times per batch; the section's
@@ -389,9 +443,10 @@ pub fn kernel_bench(scale: Scale) -> Table {
     let (codec_vec, codec_bytes) = codec_bytes(scale);
     let (kmeans_assign, kmeans_yardstick) = kmeans_assign(scale);
     let report = KernelBenchReport {
-        ping_ring: ping_ring(scale),
-        actor_ring: actor_ring(scale),
+        ping_ring: fastest_ring(scale, ping_ring),
+        actor_ring: fastest_ring(scale, actor_ring),
         spawn_churn: spawn_churn(scale),
+        wheel: wheel(scale),
         codec_vec,
         codec_bytes,
         kmeans_assign,
@@ -399,14 +454,15 @@ pub fn kernel_bench(scale: Scale) -> Table {
     };
     check(&report).unwrap_or_else(|broken| panic!("kernel-bench: {broken}"));
     let mut t = Table::new(
-        "kernel-bench — one ring on threads and on actors, a spawn loop, a codec loop and a \
-         k-means loop",
+        "kernel-bench — one ring on threads and on actors, a spawn loop, the event queue, a \
+         codec loop and a k-means loop",
         &["Section", "Ops", "Kernel events", "Stacks", "Wall time", "Events/sec", "Ops/sec"],
     );
     let sections = [
         &report.ping_ring,
         &report.actor_ring,
         &report.spawn_churn,
+        &report.wheel,
         &report.codec_vec,
         &report.codec_bytes,
         &report.kmeans_assign,
@@ -430,10 +486,16 @@ pub fn kernel_bench(scale: Scale) -> Table {
 mod tests {
     use super::*;
 
-    /// A report with the two rings at the given events/sec, 4 000 spawns
-    /// on `churn_stacks` stacks, codec round trips at 1 M/s as
-    /// `Bytes` and `codec_vec` per second as `Vec<u8>`, and the k-means
-    /// yardstick at 100 M distance terms/s against `kmeans` for the pass.
+    /// A section of `ops` ops, one event each, in one second.
+    fn section(name: &'static str, op: &'static str, ops: u64, stacks: u64) -> Section {
+        Section { name, op, ops, events: ops, stacks, elapsed: Duration::from_secs(1) }
+    }
+
+    /// A report with the two rings at the given events/sec, the wheel at
+    /// twice the actor ring's, 4 000 spawns on `churn_stacks` stacks, codec
+    /// round trips at 1 M/s as `Bytes` and `codec_vec` per second as
+    /// `Vec<u8>`, and the k-means yardstick at 100 M distance terms/s
+    /// against `kmeans` for the pass.
     fn report(
         ping: u64,
         actors: u64,
@@ -441,18 +503,11 @@ mod tests {
         codec_vec: u64,
         kmeans: u64,
     ) -> KernelBenchReport {
-        let section = |name, op, ops, stacks| Section {
-            name,
-            op,
-            ops,
-            events: ops,
-            stacks,
-            elapsed: Duration::from_secs(1),
-        };
         KernelBenchReport {
             ping_ring: section("ping_ring", "hops", ping, 16),
             actor_ring: section("actor_ring", "hops", actors, 0),
             spawn_churn: section("spawn_churn", "spawns", 4_000, churn_stacks),
+            wheel: section("wheel", "pops", 2 * actors, 0),
             codec_vec: section("codec_bytes (Vec<u8>)", "round trips", codec_vec, 0),
             codec_bytes: section("codec_bytes (Bytes)", "round trips", 1_000_000, 0),
             kmeans_assign: section("kmeans_assign", "distance terms", kmeans, 0),
@@ -491,5 +546,21 @@ mod tests {
         assert_eq!(check(&report(2_050_000, 2_310_000, 2, 1_000_000, 130_000_000)), Ok(()));
         let err = check(&report(2_050_000, 2_310_000, 2, 1_000_000, 100_000_000)).unwrap_err();
         assert!(err.contains("is not at least 1.3x the one-chain yardstick"), "{err}");
+    }
+
+    #[test]
+    fn actor_ring_is_held_to_the_wheel() {
+        // The actor ring at 2 M events/s: 500 ns per event.
+        let with_wheel = |wheel_per_s| KernelBenchReport {
+            wheel: section("wheel", "pops", wheel_per_s, 0),
+            ..report(2_050_000, 2_000_000, 2, 1_000_000, 170_000_000)
+        };
+        // Dense tables: ~1.3x the wheel's ns per event.
+        assert_eq!(check(&with_wheel(2_600_000)), Ok(()));
+        // Exactly 2.5x still passes.
+        assert_eq!(check(&with_wheel(5_000_000)), Ok(()));
+        // Hashed process and mailbox tables: ~3.6x.
+        let err = check(&with_wheel(7_200_000)).unwrap_err();
+        assert!(err.contains("more than 2.5x the wheel's pop+push (138.9 ns)"), "{err}");
     }
 }

@@ -26,6 +26,7 @@
 //! seed, while application code stays plain imperative Rust (no async).
 
 use std::any::Any;
+use std::borrow::Cow;
 use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
@@ -41,13 +42,22 @@ use crate::coro::{Coroutine, Stack, Step, Yielder};
 use crate::detect::{StuckProc, WaitAnnotation, WaitKind};
 use crate::metrics::MetricsRegistry;
 use crate::scheduler::{Decision, FifoScheduler, Scheduler};
+use crate::slab::Slab;
 use crate::time::SimTime;
 use crate::trace::{SpanId, TraceCtx, Tracer};
 use crate::wheel::{EventQueueStats, TimingWheel};
 
-/// Identifier of a simulated process.
+/// Identifier of a simulated process: its index in the kernel's process
+/// table, in spawn order. Pids are never reused, because a process's random
+/// stream and its trace rows derive from the number.
 #[derive(Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Pid(pub(crate) u64);
+
+impl Pid {
+    fn idx(self) -> usize {
+        self.0 as usize
+    }
+}
 
 impl fmt::Debug for Pid {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -67,6 +77,10 @@ impl fmt::Display for Pid {
 /// send to it, while receiving is reserved for one process at a time.
 /// Addresses serialize as their raw id, so service handles can travel
 /// inside function payloads (like connection strings in Lambda env vars).
+///
+/// The raw id is a key into the kernel's mailbox slab, `generation << 32 |
+/// slot`: a removed mailbox's slot serves the next one created, under the
+/// next generation, and the old address reaches neither.
 #[derive(Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, crate::codec::Wire)]
 pub struct Addr(pub(crate) u64);
 
@@ -289,17 +303,16 @@ const STALL_LIMIT: Duration = Duration::from_secs(60);
 /// `KernelState` method) so `turn` can consult it while the event
 /// queue is borrowed by `peek`.
 fn event_can_progress(
-    procs: &HashMap<u64, ProcSlot>,
-    mailboxes: &HashMap<u64, MailboxState>,
+    procs: &[ProcSlot],
+    mailboxes: &Slab<MailboxState>,
     kind: &EventKind,
 ) -> bool {
     match kind {
-        EventKind::Wake { pid, .. } => procs.get(&pid.0).is_some_and(|p| !p.daemon),
+        EventKind::Wake { pid, .. } => !procs[pid.idx()].daemon,
         EventKind::Deliver { mailbox, .. } => mailboxes
-            .get(mailbox)
+            .get_key(*mailbox)
             .and_then(|mb| mb.waiting)
-            .and_then(|pid| procs.get(&pid.0))
-            .is_some_and(|p| !p.daemon),
+            .is_some_and(|pid| !procs[pid.idx()].daemon),
     }
 }
 
@@ -362,7 +375,9 @@ enum Waiting {
 }
 
 struct MailboxState {
-    name: String,
+    /// Borrowed for the kernel's own mailboxes, so an RPC's reply mailbox
+    /// costs no allocation for its name.
+    name: Cow<'static, str>,
     queue: VecDeque<Msg>,
     waiting: Option<Pid>,
     closed: bool,
@@ -372,11 +387,13 @@ pub(crate) struct KernelState {
     now: SimTime,
     next_seq: u64,
     events: TimingWheel<EventKind>,
-    procs: HashMap<u64, ProcSlot>,
+    /// Every process ever spawned, indexed by pid; an exited one keeps its
+    /// slot, so iteration is in pid order.
+    procs: Vec<ProcSlot>,
     runnable: VecDeque<Pid>,
-    mailboxes: HashMap<u64, MailboxState>,
-    next_pid: u64,
-    next_mailbox: u64,
+    /// Mailboxes keyed by [`Addr`]: a removed one frees its slot for the
+    /// next, and a stale address finds nothing, like an unknown one.
+    mailboxes: Slab<MailboxState>,
     live: usize,
     live_nondaemon: usize,
     trace: bool,
@@ -415,12 +432,11 @@ impl KernelState {
     }
 
     fn make_runnable(&mut self, pid: Pid) {
-        if let Some(p) = self.procs.get_mut(&pid.0) {
-            if p.blocked != BlockState::Exited && p.blocked != BlockState::Runnable {
-                p.blocked = BlockState::Runnable;
-                p.waiting_on = None; // the wait ended
-                self.runnable.push_back(pid);
-            }
+        let p = &mut self.procs[pid.idx()];
+        if p.blocked != BlockState::Exited && p.blocked != BlockState::Runnable {
+            p.blocked = BlockState::Runnable;
+            p.waiting_on = None; // the wait ended
+            self.runnable.push_back(pid);
         }
     }
 
@@ -442,24 +458,17 @@ impl KernelState {
     fn apply_event(&mut self, kind: EventKind) {
         match kind {
             EventKind::Wake { pid, epoch } => {
-                let wake = match self.procs.get(&pid.0) {
-                    Some(p) => {
-                        p.epoch == epoch
-                            && matches!(
-                                p.blocked,
-                                BlockState::Sleeping | BlockState::Receiving { .. }
-                            )
-                    }
-                    None => false,
-                };
-                if wake {
+                let p = &self.procs[pid.idx()];
+                if p.epoch == epoch
+                    && matches!(p.blocked, BlockState::Sleeping | BlockState::Receiving { .. })
+                {
                     // A recv timeout leaves `delivered` empty — the receiver
                     // interprets that as expiry.
                     self.make_runnable(pid);
                 }
             }
             EventKind::Deliver { mailbox, msg } => {
-                let waiter = match self.mailboxes.get_mut(&mailbox) {
+                let waiter = match self.mailboxes.get_key_mut(mailbox) {
                     Some(mb) if !mb.closed => {
                         if let Some(pid) = mb.waiting.take() {
                             Some((pid, msg))
@@ -468,16 +477,15 @@ impl KernelState {
                             None
                         }
                     }
-                    // Closed or unknown mailbox: the message is dropped,
-                    // like a packet to a dead host.
+                    // Closed, removed or unknown mailbox: the message is
+                    // dropped, like a packet to a dead host.
                     _ => None,
                 };
                 if let Some((pid, msg)) = waiter {
-                    if let Some(p) = self.procs.get_mut(&pid.0) {
-                        p.delivered = Some(msg);
-                        // Invalidate any pending recv-timeout for this block.
-                        p.epoch += 1;
-                    }
+                    let p = &mut self.procs[pid.idx()];
+                    p.delivered = Some(msg);
+                    // Invalidate any pending recv-timeout for this block.
+                    p.epoch += 1;
                     self.make_runnable(pid);
                 }
             }
@@ -485,33 +493,31 @@ impl KernelState {
     }
 
     fn proc_exited(&mut self, pid: Pid) {
-        let mut owned = Vec::new();
-        if let Some(p) = self.procs.get_mut(&pid.0) {
-            if p.blocked == BlockState::Exited {
-                return;
-            }
-            owned = std::mem::take(&mut p.owned);
-            // Clean a dangling recv registration.
-            if let BlockState::Receiving { mailbox } = p.blocked {
-                if let Some(mb) = self.mailboxes.get_mut(&mailbox) {
-                    if mb.waiting == Some(pid) {
-                        mb.waiting = None;
-                    }
+        let p = &mut self.procs[pid.idx()];
+        if p.blocked == BlockState::Exited {
+            return;
+        }
+        let owned = std::mem::take(&mut p.owned);
+        // Clean a dangling recv registration.
+        if let BlockState::Receiving { mailbox } = p.blocked {
+            if let Some(mb) = self.mailboxes.get_key_mut(mailbox) {
+                if mb.waiting == Some(pid) {
+                    mb.waiting = None;
                 }
             }
-            p.blocked = BlockState::Exited;
-            p.waiting_on = None;
-            self.live -= 1;
-            if !p.daemon {
-                self.live_nondaemon -= 1;
-            }
+        }
+        p.blocked = BlockState::Exited;
+        p.waiting_on = None;
+        self.live -= 1;
+        if !p.daemon {
+            self.live_nondaemon -= 1;
         }
         // A dead process holds nothing.
         if !self.holders.is_empty() {
             self.holders.retain(|_, (holder, _)| *holder != pid);
         }
         for id in owned {
-            if let Some(mb) = self.mailboxes.get_mut(&id) {
+            if let Some(mb) = self.mailboxes.get_key_mut(id) {
                 mb.closed = true;
                 mb.queue.clear();
             }
@@ -522,7 +528,7 @@ impl KernelState {
     /// [`Ctx::sleep`] and [`Wait::Sleep`].
     fn begin_sleep(&mut self, pid: Pid, d: Duration) {
         let now = self.now;
-        let p = self.procs.get_mut(&pid.0).expect("own slot");
+        let p = &mut self.procs[pid.idx()];
         p.epoch += 1;
         let epoch = p.epoch;
         p.blocked = BlockState::Sleeping;
@@ -537,7 +543,7 @@ impl KernelState {
         let now = self.now;
         let q = self
             .mailboxes
-            .get_mut(&mb.0)
+            .get_key_mut(mb.0)
             .unwrap_or_else(|| panic!("recv on unknown mailbox {:?}", mb));
         assert!(!q.closed, "recv on closed mailbox {} ({:?})", q.name, mb);
         if let Some(m) = q.queue.pop_front() {
@@ -545,7 +551,7 @@ impl KernelState {
         }
         assert!(q.waiting.is_none(), "mailbox {} already has a waiting receiver", q.name);
         q.waiting = Some(pid);
-        let p = self.procs.get_mut(&pid.0).expect("own slot");
+        let p = &mut self.procs[pid.idx()];
         p.epoch += 1;
         let epoch = p.epoch;
         p.blocked = BlockState::Receiving { mailbox: mb.0 };
@@ -559,15 +565,22 @@ impl KernelState {
     /// timeout fired first — nothing, and its registration on `mb` is
     /// withdrawn.
     fn end_recv(&mut self, pid: Pid, mb: Addr) -> Option<Msg> {
-        let delivered = self.procs.get_mut(&pid.0).expect("own slot").delivered.take();
+        let delivered = self.procs[pid.idx()].delivered.take();
         if delivered.is_none() {
-            if let Some(q) = self.mailboxes.get_mut(&mb.0) {
+            if let Some(q) = self.mailboxes.get_key_mut(mb.0) {
                 if q.waiting == Some(pid) {
                     q.waiting = None;
                 }
             }
         }
         delivered
+    }
+
+    /// What a process woken from an untimed receive finds. Always a
+    /// message: an untimed receive pushes no wake event, so only a delivery
+    /// makes its process runnable again.
+    fn end_untimed_recv(&mut self, pid: Pid, mb: Addr) -> Msg {
+        self.end_recv(pid, mb).expect("an untimed recv is woken only by a delivery")
     }
 }
 
@@ -590,10 +603,10 @@ impl Kernel {
             let st = &mut *guard;
             // Run every currently runnable process to its next block point.
             if let Some(pid) = st.pick_runnable() {
-                let Some(p) = st.procs.get_mut(&pid.0).filter(|p| p.blocked != BlockState::Exited)
-                else {
+                let p = &mut st.procs[pid.idx()];
+                if p.blocked == BlockState::Exited {
                     continue;
-                };
+                }
                 let body = p.body.take().expect("a runnable process is at rest in its slot");
                 if p.killed {
                     st.proc_exited(pid);
@@ -670,8 +683,7 @@ impl Kernel {
         let mut st = self.state.borrow_mut();
         match step {
             Step::Suspended(coroutine) => {
-                st.procs.get_mut(&pid.0).expect("own slot").body =
-                    Some(ProcBody::Suspended(coroutine));
+                st.procs[pid.idx()].body = Some(ProcBody::Suspended(coroutine));
             }
             Step::Done(stack, done) => {
                 st.stacks.push(stack);
@@ -709,11 +721,7 @@ impl Kernel {
         let mut wake = match cell.wait {
             None => Wake::Start,
             Some(Wait::Sleep(_)) => Wake::Slept,
-            Some(Wait::Recv(mb)) => Wake::Msg(
-                // invariant: an untimed receive pushes no wake event, so
-                // only a delivery makes its process runnable.
-                self.state.borrow_mut().end_recv(pid, mb).expect("recv woken by a delivery"),
-            ),
+            Some(Wait::Recv(mb)) => Wake::Msg(self.state.borrow_mut().end_untimed_recv(pid, mb)),
             Some(Wait::RecvTimeout(mb, _)) => {
                 self.state.borrow_mut().end_recv(pid, mb).map_or(Wake::Timeout, Wake::Msg)
             }
@@ -749,8 +757,7 @@ impl Kernel {
                 Some(msg) => wake = Wake::Msg(msg),
                 None => {
                     cell.wait = Some(wait);
-                    let p = st.procs.get_mut(&pid.0).expect("own slot");
-                    p.body = Some(ProcBody::Actor(cell));
+                    st.procs[pid.idx()].body = Some(ProcBody::Actor(cell));
                     return;
                 }
             }
@@ -851,11 +858,9 @@ impl Sim {
                     now: SimTime::ZERO,
                     next_seq: 0,
                     events: TimingWheel::new(),
-                    procs: HashMap::new(),
+                    procs: Vec::new(),
                     runnable: VecDeque::new(),
-                    mailboxes: HashMap::new(),
-                    next_pid: 0,
-                    next_mailbox: 0,
+                    mailboxes: Slab::new(),
                     live: 0,
                     live_nondaemon: 0,
                     trace,
@@ -939,20 +944,20 @@ impl Sim {
     /// resource-holder table, for [`Sim::deadlock_report`].
     pub(crate) fn stuck_snapshot(&self) -> (SimTime, Vec<StuckProc>, HashMap<u64, (Pid, String)>) {
         let st = self.kernel.state.borrow();
-        let mut stuck: Vec<StuckProc> = st
+        let stuck: Vec<StuckProc> = st
             .procs
             .iter()
+            .enumerate()
             .filter(|(_, p)| {
                 !p.daemon && !matches!(p.blocked, BlockState::Exited | BlockState::Runnable)
             })
             .map(|(id, p)| StuckProc {
-                pid: Pid(*id),
+                pid: Pid(id as u64),
                 name: p.name.clone(),
                 block_state: match p.blocked {
                     BlockState::Sleeping => "sleeping".to_string(),
                     BlockState::Receiving { mailbox } => {
-                        let name =
-                            st.mailboxes.get(&mailbox).map(|mb| mb.name.as_str()).unwrap_or("?");
+                        let name = st.mailboxes.get_key(mailbox).map_or("?", |mb| &mb.name);
                         format!("receiving on {name}")
                     }
                     BlockState::Parked => "parked".to_string(),
@@ -964,15 +969,14 @@ impl Sim {
                         resource: *mailbox,
                         resource_name: st
                             .mailboxes
-                            .get(mailbox)
-                            .map_or_else(|| "?".to_string(), |mb| mb.name.clone()),
+                            .get_key(*mailbox)
+                            .map_or_else(|| "?".to_string(), |mb| mb.name.to_string()),
                         kind: WaitKind::Call,
                         site: site.to_string(),
                     },
                 }),
             })
             .collect();
-        stuck.sort_by_key(|p| p.pid);
         (st.now, stuck, st.holders.clone())
     }
 
@@ -983,7 +987,7 @@ impl Sim {
 
     /// Creates an unowned mailbox (never auto-closed).
     pub fn mailbox(&self, name: &str) -> Addr {
-        create_mailbox(&self.kernel, name, None)
+        create_mailbox(&self.kernel, Cow::Owned(name.to_owned()), None)
     }
 
     /// Spawns a thread process. It becomes runnable at the current virtual
@@ -1044,15 +1048,14 @@ impl Sim {
                 st.now = d;
             }
         }
-        let mut blocked: Vec<_> = st
+        let blocked = st
             .procs
             .iter()
-            .filter(|(_, p)| {
+            .filter(|p| {
                 !p.daemon && p.blocked != BlockState::Exited && p.blocked != BlockState::Runnable
             })
+            .map(|p| p.name.clone())
             .collect();
-        blocked.sort_unstable_by_key(|(id, _)| **id);
-        let blocked = blocked.into_iter().map(|(_, p)| p.name.clone()).collect();
         RunOutcome { time: st.now, blocked }
     }
 
@@ -1075,17 +1078,11 @@ impl Drop for Sim {
         // holds the kernel through its `Ctx`, and the kernel holds it.
         let bodies: Vec<ProcBody> = {
             let mut st = self.kernel.state.borrow_mut();
-            let mut live: Vec<u64> = st
-                .procs
-                .iter()
-                .filter(|(_, p)| p.blocked != BlockState::Exited)
-                .map(|(id, _)| *id)
-                .collect();
-            live.sort_unstable();
-            live.into_iter()
-                .filter_map(|id| {
-                    let body = st.procs.get_mut(&id)?.body.take();
-                    st.proc_exited(Pid(id));
+            (0..st.procs.len() as u64)
+                .map(Pid)
+                .filter_map(|pid| {
+                    let body = st.procs[pid.idx()].body.take();
+                    st.proc_exited(pid);
                     body
                 })
                 .collect()
@@ -1098,28 +1095,19 @@ impl Drop for Sim {
     }
 }
 
-fn create_mailbox(kernel: &Rc<Kernel>, name: &str, owner: Option<Pid>) -> Addr {
+fn create_mailbox(kernel: &Rc<Kernel>, name: Cow<'static, str>, owner: Option<Pid>) -> Addr {
     let mut st = kernel.state.borrow_mut();
-    let id = st.next_mailbox;
-    st.next_mailbox += 1;
-    st.mailboxes.insert(
-        id,
-        MailboxState {
-            name: name.to_string(),
-            queue: VecDeque::new(),
-            waiting: None,
-            closed: false,
-        },
-    );
-    if let Some(p) = owner.and_then(|pid| st.procs.get_mut(&pid.0)) {
-        p.owned.push(id);
+    let mb = MailboxState { name, queue: VecDeque::new(), waiting: None, closed: false };
+    let id = st.mailboxes.insert_keyed(mb);
+    if let Some(pid) = owner {
+        st.procs[pid.idx()].owned.push(id);
     }
     Addr(id)
 }
 
 fn kill_process(kernel: &Kernel, pid: Pid) {
     let mut st = kernel.state.borrow_mut();
-    let Some(p) = st.procs.get_mut(&pid.0).filter(|p| p.blocked != BlockState::Exited) else {
+    let Some(p) = st.procs.get_mut(pid.idx()).filter(|p| p.blocked != BlockState::Exited) else {
         return;
     };
     p.killed = true;
@@ -1135,14 +1123,6 @@ fn kill_process(kernel: &Kernel, pid: Pid) {
     }
 }
 
-/// Allocates the next pid.
-fn next_pid(kernel: &Kernel) -> Pid {
-    let mut st = kernel.state.borrow_mut();
-    let id = st.next_pid;
-    st.next_pid += 1;
-    Pid(id)
-}
-
 /// The context of process `pid`, with its per-pid random stream.
 fn new_proc(kernel: &Rc<Kernel>, pid: Pid, name: &str) -> Proc {
     let seed = kernel.seed ^ pid.0.wrapping_mul(0x9E37_79B9_7F4A_7C15);
@@ -1155,45 +1135,47 @@ fn new_proc(kernel: &Rc<Kernel>, pid: Pid, name: &str) -> Proc {
     }
 }
 
-/// Registers a new process, runnable at the current virtual time.
-fn insert_proc(kernel: &Kernel, pid: Pid, name: &str, daemon: bool, body: ProcBody) {
+/// Registers a new process under the next pid, runnable at the current
+/// virtual time, with the body `body` makes for that pid.
+fn insert_proc(
+    kernel: &Kernel,
+    name: &str,
+    daemon: bool,
+    body: impl FnOnce(Pid) -> ProcBody,
+) -> Pid {
     let mut st = kernel.state.borrow_mut();
-    st.procs.insert(
-        pid.0,
-        ProcSlot {
-            name: name.to_string(),
-            body: Some(body),
-            blocked: BlockState::Runnable,
-            epoch: 0,
-            delivered: None,
-            killed: false,
-            park_permit: false,
-            daemon,
-            waiting_on: None,
-            owned: Vec::new(),
-        },
-    );
+    let pid = Pid(st.procs.len() as u64);
+    st.procs.push(ProcSlot {
+        name: name.to_string(),
+        body: Some(body(pid)),
+        blocked: BlockState::Runnable,
+        epoch: 0,
+        delivered: None,
+        killed: false,
+        park_permit: false,
+        daemon,
+        waiting_on: None,
+        owned: Vec::new(),
+    });
     st.live += 1;
     if !daemon {
         st.live_nondaemon += 1;
     }
     st.runnable.push_back(pid);
+    pid
 }
 
 fn spawn_actor(kernel: &Rc<Kernel>, name: &str, daemon: bool, actor: Box<dyn Actor>) -> Pid {
-    let pid = next_pid(kernel);
-    let cell = ActorCell { actor, ctx: new_proc(kernel, pid, name), wait: None };
-    insert_proc(kernel, pid, name, daemon, ProcBody::Actor(Box::new(cell)));
-    pid
+    insert_proc(kernel, name, daemon, |pid| {
+        ProcBody::Actor(Box::new(ActorCell { actor, ctx: new_proc(kernel, pid, name), wait: None }))
+    })
 }
 
 fn spawn_process<F>(kernel: &Kernel, name: &str, daemon: bool, f: F) -> Pid
 where
     F: FnOnce(&mut Ctx) + 'static,
 {
-    let pid = next_pid(kernel);
-    insert_proc(kernel, pid, name, daemon, ProcBody::Fresh(Box::new(f)));
-    pid
+    insert_proc(kernel, name, daemon, |_| ProcBody::Fresh(Box::new(f)))
 }
 
 // ---------------------------------------------------------------------------
@@ -1493,18 +1475,18 @@ impl Proc {
     /// Creates a mailbox owned by this process (closed automatically when the
     /// process exits).
     pub fn mailbox(&mut self, name: &str) -> Addr {
-        create_mailbox(&self.kernel, name, Some(self.pid))
+        create_mailbox(&self.kernel, Cow::Owned(name.to_owned()), Some(self.pid))
     }
 
     /// Creates an unowned mailbox that outlives this process.
     pub fn shared_mailbox(&mut self, name: &str) -> Addr {
-        create_mailbox(&self.kernel, name, None)
+        create_mailbox(&self.kernel, Cow::Owned(name.to_owned()), None)
     }
 
     /// Closes a mailbox; further sends to it are dropped.
     pub fn close_mailbox(&mut self, addr: Addr) {
         let mut st = self.kernel.state.borrow_mut();
-        if let Some(mb) = st.mailboxes.get_mut(&addr.0) {
+        if let Some(mb) = st.mailboxes.get_key_mut(addr.0) {
             mb.closed = true;
             mb.queue.clear();
         }
@@ -1522,12 +1504,19 @@ impl Proc {
         self.send(reply_to, Msg::new(resp), latency);
     }
 
-    /// Removes a mailbox entirely (frees its id).
+    /// Creates the mailbox an RPC's reply comes back to, owned by this
+    /// process, until `drop_mailbox` removes it.
+    fn reply_mailbox(&mut self) -> Addr {
+        create_mailbox(&self.kernel, Cow::Borrowed("rpc-reply"), Some(self.pid))
+    }
+
+    /// Removes a mailbox entirely: its slot serves the next mailbox created,
+    /// and anything still addressed to it is dropped.
     fn drop_mailbox(&mut self, addr: Addr) {
         let mut st = self.kernel.state.borrow_mut();
-        st.mailboxes.remove(&addr.0);
+        st.mailboxes.remove_key(addr.0);
         // Reply mailboxes come and go in stack order, so this is the last.
-        let owned = &mut st.procs.get_mut(&self.pid.0).expect("own slot").owned;
+        let owned = &mut st.procs[self.pid.idx()].owned;
         if let Some(i) = owned.iter().rposition(|id| *id == addr.0) {
             owned.swap_remove(i);
         }
@@ -1579,14 +1568,12 @@ impl Proc {
         site: impl Into<String>,
     ) {
         let mut st = self.kernel.state.borrow_mut();
-        if let Some(p) = st.procs.get_mut(&self.pid.0) {
-            p.waiting_on = Some(Waiting::Annotated(WaitAnnotation {
-                resource,
-                resource_name: resource_name.into(),
-                kind,
-                site: site.into(),
-            }));
-        }
+        st.procs[self.pid.idx()].waiting_on = Some(Waiting::Annotated(WaitAnnotation {
+            resource,
+            resource_name: resource_name.into(),
+            kind,
+            site: site.into(),
+        }));
     }
 
     /// Registers this process as the holder of `resource` (a lock or
@@ -1615,7 +1602,7 @@ impl Proc {
     /// parked yet.
     pub fn unpark(&mut self, pid: Pid) {
         let mut st = self.kernel.state.borrow_mut();
-        let parked = match st.procs.get_mut(&pid.0) {
+        let parked = match st.procs.get_mut(pid.idx()) {
             Some(p) => {
                 if p.blocked == BlockState::Parked {
                     true
@@ -1704,16 +1691,11 @@ impl Ctx {
     /// Panics if the mailbox is closed or another process is already
     /// receiving on it.
     pub fn recv(&mut self, mb: Addr) -> Msg {
-        loop {
-            if let Some(m) = self.kernel.state.borrow_mut().begin_recv(self.pid, mb, None) {
-                return m;
-            }
-            self.yield_to_kernel();
-            if let Some(m) = self.kernel.state.borrow_mut().end_recv(self.pid, mb) {
-                return m;
-            }
-            // Spurious wake (e.g. mailbox closed under us): retry.
+        if let Some(m) = self.kernel.state.borrow_mut().begin_recv(self.pid, mb, None) {
+            return m;
         }
+        self.yield_to_kernel();
+        self.kernel.state.borrow_mut().end_untimed_recv(self.pid, mb)
     }
 
     /// Receives with a timeout; `None` means the timeout expired first.
@@ -1759,15 +1741,14 @@ impl Ctx {
         Req: Any,
         Resp: Any,
     {
-        let reply_to = self.mailbox("rpc-reply");
+        let reply_to = self.reply_mailbox();
         self.send(to, Msg::sized(Request { reply_to, body: Box::new(req) }, size), latency);
         {
             let mut st = self.kernel.state.borrow_mut();
-            let p = st.procs.get_mut(&self.pid.0).expect("own slot");
+            let p = &mut st.procs[self.pid.idx()];
             p.waiting_on.get_or_insert(Waiting::Call(to.0, Location::caller()));
         }
         let resp = self.recv(reply_to);
-        self.close_mailbox(reply_to);
         self.drop_mailbox(reply_to);
         resp.take::<Resp>()
     }
@@ -1785,10 +1766,9 @@ impl Ctx {
         Req: Any,
         Resp: Any,
     {
-        let reply_to = self.mailbox("rpc-reply");
+        let reply_to = self.reply_mailbox();
         self.send(to, Msg::new(Request { reply_to, body: Box::new(req) }), latency);
         let resp = self.recv_timeout(reply_to, timeout);
-        self.close_mailbox(reply_to);
         self.drop_mailbox(reply_to);
         resp.map(|m| m.take::<Resp>())
     }
@@ -1799,7 +1779,7 @@ impl Ctx {
     pub fn park(&mut self, wait: WaitAnnotation) {
         {
             let mut st = self.kernel.state.borrow_mut();
-            let p = st.procs.get_mut(&self.pid.0).expect("own slot");
+            let p = &mut st.procs[self.pid.idx()];
             if p.park_permit {
                 p.park_permit = false;
                 return;
@@ -2203,12 +2183,40 @@ mod tests {
         let (mine, shared) = ids.lock().expect("owner ran");
         {
             let st = sim.kernel.state.borrow();
-            assert_eq!(st.procs[&pid.0].owned, [mine.0], "dropped reply mailboxes are forgotten");
+            assert_eq!(
+                st.procs[pid.idx()].owned,
+                [mine.0],
+                "dropped reply mailboxes are forgotten"
+            );
         }
         sim.kill(pid);
         let st = sim.kernel.state.borrow();
-        assert!(st.mailboxes[&mine.0].closed);
-        assert!(!st.mailboxes[&shared.0].closed);
-        assert!(!st.mailboxes[&server.0].closed);
+        let closed = |mb: Addr| st.mailboxes.get_key(mb.0).expect("a live mailbox").closed;
+        assert!(closed(mine));
+        assert!(!closed(shared));
+        assert!(!closed(server));
+    }
+
+    #[test]
+    fn sequential_calls_reuse_one_reply_slot() {
+        let mut sim = Sim::new(1);
+        let server = sim.mailbox("server");
+        sim.spawn_daemon("server", move |ctx| loop {
+            let (reply_to, n) = ctx.recv(server).take::<Request>().take::<u32>();
+            ctx.reply(reply_to, n + 1, Duration::from_micros(1));
+        });
+        sim.spawn("client", move |ctx| {
+            for i in 0..1_000u32 {
+                let r: u32 = ctx.call(server, i, Duration::from_micros(1));
+                assert_eq!(r, i + 1);
+            }
+        });
+        sim.run_until_idle().expect_quiescent();
+        let st = sim.kernel.state.borrow();
+        // The warm high-water mark: the server's inbox and one reply
+        // mailbox, whose slot every later call reuses.
+        assert_eq!(st.mailboxes.capacity(), 2, "{:?}", st.mailboxes);
+        assert_eq!((st.mailboxes.allocated(), st.mailboxes.recycled()), (2, 999));
+        assert_eq!(st.mailboxes.len(), 1, "only the server's inbox is left");
     }
 }

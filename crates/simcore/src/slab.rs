@@ -1,4 +1,5 @@
-//! A slab arena with free-list recycling for kernel event nodes.
+//! A slab arena with free-list recycling for kernel event nodes and
+//! mailboxes.
 //!
 //! The event queue allocates one node per scheduled event. Routing those
 //! through the global allocator puts a malloc/free pair on the hottest
@@ -15,6 +16,15 @@
 //!
 //! Accounting is first-class — [`Slab::allocated`] / [`Slab::recycled`]
 //! feed the zero-allocation assertions in the kernel bench and tests.
+//!
+//! A value can also be named by a `u64` key ([`Slab::insert_keyed`]): its
+//! index tagged with the slot's `u32` generation, `generation << 32 |
+//! index`, which each removal bumps. The keyed lookups ([`Slab::get_key`]
+//! and friends) find nothing through a key whose value has been removed,
+//! so a handle that outlives its value is detected instead of reaching the
+//! slot's next occupant. Only slots a key was issued for keep a generation,
+//! in a side table, so a slab used by index alone (the wheel's) pays
+//! nothing for it.
 
 /// Sentinel index meaning "no node" (list terminator / empty slot).
 pub const NIL: u32 = u32::MAX;
@@ -27,6 +37,9 @@ enum Entry<T> {
 /// A growable arena of `T` with O(1) insert/remove and free-list reuse.
 pub struct Slab<T> {
     entries: Vec<Entry<T>>,
+    /// Each slot's generation, by index, up to the last slot a key was
+    /// issued for: no key can name a slot past its end.
+    generations: Vec<u32>,
     free_head: u32,
     free_len: usize,
     allocated: u64,
@@ -36,7 +49,14 @@ pub struct Slab<T> {
 impl<T> Slab<T> {
     /// An empty slab (no allocation until the first insert).
     pub fn new() -> Slab<T> {
-        Slab { entries: Vec::new(), free_head: NIL, free_len: 0, allocated: 0, recycled: 0 }
+        Slab {
+            entries: Vec::new(),
+            generations: Vec::new(),
+            free_head: NIL,
+            free_len: 0,
+            allocated: 0,
+            recycled: 0,
+        }
     }
 
     /// Inserts `value`, returning its index. Reuses a freed slot when one
@@ -61,7 +81,17 @@ impl<T> Slab<T> {
         }
     }
 
-    /// Removes and returns the value at `idx`, recycling the slot.
+    /// Inserts `value` and returns its key (see the module docs).
+    pub fn insert_keyed(&mut self, value: T) -> u64 {
+        let idx = self.insert(value);
+        if self.generations.len() <= idx as usize {
+            self.generations.resize(idx as usize + 1, 0);
+        }
+        u64::from(self.generations[idx as usize]) << 32 | u64::from(idx)
+    }
+
+    /// Removes and returns the value at `idx`, recycling the slot and
+    /// bumping its generation if it has one.
     ///
     /// # Panics
     ///
@@ -71,6 +101,9 @@ impl<T> Slab<T> {
         let prev = std::mem::replace(slot, Entry::Free { next: self.free_head });
         match prev {
             Entry::Occupied(v) => {
+                if let Some(generation) = self.generations.get_mut(idx as usize) {
+                    *generation = generation.wrapping_add(1);
+                }
                 self.free_head = idx;
                 self.free_len += 1;
                 v
@@ -101,6 +134,35 @@ impl<T> Slab<T> {
             Entry::Occupied(v) => v,
             Entry::Free { .. } => panic!("slab get_mut of a free slot {idx}"),
         }
+    }
+
+    /// The index `key` names, if its slot's generation is still the key's.
+    fn current(&self, key: u64) -> Option<usize> {
+        let idx = key as u32 as usize;
+        (u64::from(*self.generations.get(idx)?) == key >> 32).then_some(idx)
+    }
+
+    /// The value `key` was issued for, unless it has been removed.
+    pub fn get_key(&self, key: u64) -> Option<&T> {
+        match &self.entries[self.current(key)?] {
+            Entry::Occupied(v) => Some(v),
+            Entry::Free { .. } => None,
+        }
+    }
+
+    /// Mutable [`Slab::get_key`].
+    pub fn get_key_mut(&mut self, key: u64) -> Option<&mut T> {
+        let idx = self.current(key)?;
+        match &mut self.entries[idx] {
+            Entry::Occupied(v) => Some(v),
+            Entry::Free { .. } => None,
+        }
+    }
+
+    /// Removes the value `key` was issued for, unless it already has been.
+    pub fn remove_key(&mut self, key: u64) -> Option<T> {
+        self.get_key(key)?;
+        Some(self.remove(key as u32))
     }
 
     /// Number of occupied slots.
@@ -195,6 +257,33 @@ mod tests {
         }
         assert_eq!(s.allocated(), high_water, "steady state must not allocate");
         assert_eq!(s.recycled(), 1000);
+    }
+
+    #[test]
+    fn a_key_stops_resolving_once_its_value_is_removed() {
+        let mut s: Slab<&str> = Slab::new();
+        let a = s.insert_keyed("a");
+        assert_eq!(a, 0, "a slot's first key is its index");
+        assert_eq!(s.get_key(a), Some(&"a"));
+        assert_eq!(s.remove_key(a), Some("a"));
+        assert_eq!(s.get_key(a), None, "freed");
+        let b = s.insert_keyed("b");
+        assert_eq!(b, 1 << 32, "same slot, next generation");
+        assert_eq!(s.get_key(a), None, "reused");
+        assert_eq!(s.remove_key(a), None);
+        *s.get_key_mut(b).expect("live") = "b!";
+        assert_eq!(s.get_key(b), Some(&"b!"));
+        assert_eq!(s.get_key(7), None, "never issued");
+    }
+
+    #[test]
+    fn a_slab_used_by_index_keeps_no_generations() {
+        let mut s: Slab<u8> = Slab::new();
+        let a = s.insert(1);
+        s.remove(a);
+        s.insert(2);
+        assert!(s.generations.is_empty());
+        assert_eq!(s.get_key(u64::from(a)), None, "no key was issued for it");
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! Counting-allocator proof that the kernel hot path (schedule → fire →
-//! deliver) performs **zero heap allocations** in steady state.
+//! deliver) performs **zero heap allocations** in steady state, and that
+//! an RPC allocates only its payloads.
 //!
 //! The event queue is a timing wheel over a slab arena with free-list
 //! recycling, so once the arena and the kernel's queues have grown to the
@@ -12,7 +13,7 @@
 //! is process-wide — and so is the count, which is why the binary has no
 //! libtest harness (`harness = false`): libtest's main thread allocates
 //! when it reports a test as running for over 60 seconds, inside whatever
-//! window is being counted. A plain `main` runs the three regions back to
+//! window is being counted. A plain `main` runs the regions back to
 //! back, so no thread outside the simulation exists during a window, and
 //! prints libtest's lines so the output reads like any other test binary's.
 //! The same holds for the last test, which counts the process's OS threads
@@ -23,7 +24,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::Duration;
 
 use crucial::Sim;
-use simcore::{Actor, Addr, Msg, Proc, Wait, Wake};
+use simcore::{Actor, Addr, Msg, Proc, Request, Wait, Wake};
 
 struct CountingAlloc;
 
@@ -162,6 +163,36 @@ fn steady_state_thread_ring_allocates_nothing() {
     assert_eq!(counted, 0, "a resume allocated {counted} times in steady state");
 }
 
+fn steady_state_rpc_allocates_only_its_payloads() {
+    const CALLS: u64 = 1_000;
+    let mut sim = Sim::new(15);
+    let server = sim.mailbox("server");
+    sim.spawn_daemon("server", move |ctx| loop {
+        let (reply_to, n) = ctx.recv(server).take::<Request>().take::<u64>();
+        ctx.reply(reply_to, n + 1, Duration::from_micros(3));
+    });
+    // The client counts its own window: it opens once a warm-up call has
+    // grown every queue, and closes when its last reply is in, with the
+    // server blocked in `recv` at both ends.
+    sim.spawn("client", move |ctx| {
+        let _: u64 = ctx.call(server, 0u64, Duration::from_micros(3));
+        ALLOCS.store(0, Ordering::SeqCst);
+        COUNTING.store(true, Ordering::SeqCst);
+        for i in 0..CALLS {
+            let r: u64 = ctx.call(server, i, Duration::from_micros(3));
+            assert_eq!(r, i + 1);
+        }
+        COUNTING.store(false, Ordering::SeqCst);
+    });
+    sim.run_until_idle().expect_quiescent();
+
+    // The request's body box, the `Msg` envelope around it and the reply's
+    // box. The reply mailbox reuses its slot and borrows its name.
+    let counted = ALLOCS.load(Ordering::SeqCst);
+    let per_call = counted as f64 / CALLS as f64;
+    assert_eq!(counted, 3 * CALLS, "an RPC allocated {per_call:.3} times per call, not 3");
+}
+
 /// This process's OS threads, as `/proc/self/task` lists them.
 fn os_threads() -> usize {
     std::fs::read_dir("/proc/self/task").expect("procfs lists this process's threads").count()
@@ -194,13 +225,17 @@ fn a_sim_never_starts_an_os_thread() {
 }
 
 fn main() {
-    let tests: [(&str, fn()); 4] = [
+    let tests: [(&str, fn()); 5] = [
         ("steady_state_timer_churn_allocates_nothing", steady_state_timer_churn_allocates_nothing),
         (
             "steady_state_actor_ping_pong_allocates_nothing",
             steady_state_actor_ping_pong_allocates_nothing,
         ),
         ("steady_state_thread_ring_allocates_nothing", steady_state_thread_ring_allocates_nothing),
+        (
+            "steady_state_rpc_allocates_only_its_payloads",
+            steady_state_rpc_allocates_only_its_payloads,
+        ),
         ("a_sim_never_starts_an_os_thread", a_sim_never_starts_an_os_thread),
     ];
     // What `cargo test -- --list` asks of every test binary.
