@@ -48,13 +48,16 @@ cargo run --release -q -p simcheck --bin tracecheck -- results/trace-elastic.chr
 #                       the thread ring runs >= 1/3 of the actor ring's
 #                       events/sec (~0.5-0.6x; a wake-up that costs an OS
 #                       thread handoff again, ~1/10, fails) and the actor
-#                       ring >= 300k events/sec; a parent spawning and
-#                       joining 4 000 one-shot children maps exactly 2
-#                       stacks (a stack per process fails); a 1 KB Vec<u8>
-#                       codec round trip costs <= 3x a Bytes one (~1x;
-#                       coding it one element at a time fails); Fig 5's
-#                       k-means assignment pass (200 points x 100 dims,
-#                       k = 25) runs >= 1.3x the distance terms/sec of a
+#                       ring >= 300k events/sec; 16 thread clients making
+#                       64 000 call_timeout calls, all answered in time,
+#                       leave <= 1 event pending per process (a timer left
+#                       behind per answered call, 64 000, fails); a parent
+#                       spawning and joining 4 000 one-shot children maps
+#                       exactly 2 stacks (a stack per process fails); a
+#                       1 KB Vec<u8> codec round trip costs <= 3x a Bytes
+#                       one (~1x; coding it one element at a time fails);
+#                       Fig 5's k-means assignment pass (200 points x 100
+#                       dims, k = 25) runs >= 1.3x the distance terms/sec of a
 #                       yardstick with one chain of adds per distance, and
 #                       returns its bits (~1.7-1.8x; one chain per distance
 #                       fails). Host time: no BENCH file.

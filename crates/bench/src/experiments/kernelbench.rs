@@ -3,8 +3,8 @@
 //! wake-up, what a spawn costs, what a payload costs to encode, and what the
 //! k-means object method costs, gated in CI.
 //!
-//! Six sections, the same ring twice, a spawn loop, the event queue alone,
-//! a codec loop and a k-means assignment loop:
+//! Seven sections, the same ring twice, a ring of timed RPCs, a spawn loop,
+//! the event queue alone, a codec loop and a k-means assignment loop:
 //!
 //! 1. **ping_ring** — message passing on thread processes: a hop-countdown
 //!    token circulating a ring of processes, one delivery event and one
@@ -12,17 +12,21 @@
 //! 2. **actor_ring** — the same ring, hops and link latency with actor
 //!    nodes: one delivery event per hop and no stack switch, so the ratio
 //!    to `ping_ring` is what the resume per hop costs.
-//! 3. **spawn_churn** — one thread parent spawning one-shot children and
+//! 3. **timed_rpc** — thread clients each calling the next one's actor
+//!    server with [`simcore::Ctx::call_timeout`], every call answered long
+//!    before its timeout, the shape of a DSO client's attempt: the wheel
+//!    must hold no timer per past call when the clients are done.
+//! 4. **spawn_churn** — one thread parent spawning one-shot children and
 //!    joining each before the next, the shape of a driver starting cloud
 //!    threads: what a spawn costs when a stack is free.
-//! 4. **wheel** — pop one event and push a replacement on a primed
+//! 5. **wheel** — pop one event and push a replacement on a primed
 //!    [`simcore::TimingWheel`], as `benchmark layers` does: the part of an
 //!    `actor_ring` hop the event queue does, so the ratio is what the
 //!    delivery, the wake and the send cost on top.
-//! 5. **codec_bytes** — Table 2's 1 KB value encoded and decoded through
+//! 6. **codec_bytes** — Table 2's 1 KB value encoded and decoded through
 //!    [`simcore::codec`], once as a `Vec<u8>` and once as a `Bytes`: the
 //!    two have the same bytes on the wire, so they should cost alike.
-//! 6. **kmeans_assign** — Fig. 5's assignment pass (200 points of 100
+//! 7. **kmeans_assign** — Fig. 5's assignment pass (200 points of 100
 //!    dimensions against k = 25 centroids) through
 //!    [`crucial_ml::kmeans::assign_partials`], and through a yardstick
 //!    written here that computes each distance as one chain of adds, the
@@ -32,18 +36,19 @@
 //! Each section is wall-clock timed (the one legitimate use of host time
 //! in the workspace: measuring the simulator itself) and reports kernel
 //! events/sec, computed from [`simcore::EventQueueStats`] — total pushes
-//! (fresh allocations + free-list recycles) minus events still pending —
-//! and its ops (hops, spawns, pops, round trips or distance terms) per
-//! second. The rings, the wheel, the codec and the k-means loops keep the
-//! fastest of several runs. [`check`] holds four relations — `actor_ring`
-//! spends at most 2.5x the wheel's ns per event, `ping_ring` runs at least
-//! a third of `actor_ring`'s events/sec, a `Vec<u8>` round trip costs at
-//! most 3x a `Bytes` one, and the assignment pass runs at least 1.3x the
-//! yardstick's distance terms/sec — a floor under the actor ring, and a
-//! count: `spawn_churn` runs on two stacks however many children it
-//! spawns. The thread ring and the spawn loop keep no floor of their own:
-//! the resume and the DSO path are measured pinned and repeated by the
-//! acceptance benchmark (`BENCHMARK.json`).
+//! (fresh allocations + free-list recycles) minus events still pending and
+//! timers cancelled unfired — and its ops (hops, calls, spawns, pops, round
+//! trips or distance terms) per second. The rings, the wheel, the codec and
+//! the k-means loops keep the fastest of several runs. [`check`] holds four
+//! relations — `actor_ring` spends at most 2.5x the wheel's ns per event,
+//! `ping_ring` runs at least a third of `actor_ring`'s events/sec, a
+//! `Vec<u8>` round trip costs at most 3x a `Bytes` one, and the assignment
+//! pass runs at least 1.3x the yardstick's distance terms/sec — a floor
+//! under the actor ring, and two counts: `spawn_churn` runs on two stacks
+//! however many children it spawns, and `timed_rpc` ends with at most one
+//! event pending per process. The thread ring and the spawn loop keep no
+//! floor of their own: the resume and the DSO path are measured pinned and
+//! repeated by the acceptance benchmark (`BENCHMARK.json`).
 
 use std::hint::black_box;
 use std::time::Duration;
@@ -52,7 +57,7 @@ use bytes::Bytes;
 use crucial_ml::datagen::kmeans_partition;
 use crucial_ml::kmeans::{assign_partials, initial_centroids};
 use simcore::codec::{self, Wire};
-use simcore::{Actor, Addr, Msg, Proc, Sim, SimTime, TimingWheel, Wait, Wake};
+use simcore::{Actor, Addr, Msg, Proc, Request, Sim, SimTime, TimingWheel, Wait, Wake};
 
 use super::Scale;
 use crate::report::{fmt_dur, Table};
@@ -69,6 +74,8 @@ pub struct Section {
     pub ops: u64,
     /// Kernel events processed.
     pub events: u64,
+    /// Kernel events still pending when the section ended.
+    pub pending: u64,
     /// Stacks the kernel mapped ([`Sim::stacks_allocated`]).
     pub stacks: u64,
     /// Host wall time for the timed region.
@@ -99,6 +106,8 @@ pub struct KernelBenchReport {
     pub ping_ring: Section,
     /// The ring on actors.
     pub actor_ring: Section,
+    /// Thread clients calling actor servers with a timeout.
+    pub timed_rpc: Section,
     /// Sequential spawn-and-join of one-shot thread children.
     pub spawn_churn: Section,
     /// Pop+push on a primed event queue, no kernel around it.
@@ -135,6 +144,12 @@ const ACTOR_RING_FLOOR: f64 = 300_000.0;
 /// turn. A stack per process would make it one per spawn more.
 const SPAWN_CHURN_STACKS: u64 = 2;
 
+/// Processes in `timed_rpc`: a client and a server per ring node. When the
+/// section ends, the wheel may hold at most one event for each: the timed
+/// waits a reply ended left it, so none is left per past call (64 000 at
+/// quick scale when they stay behind).
+const TIMED_RPC_PROCS: u64 = 2 * RING_NODES as u64;
+
 /// A `Vec<u8>` round trip may cost at most this many `Bytes` round trips.
 /// Both are one count and one block copy each way (~1x); a `Vec<u8>` coded
 /// one `Wire` call per byte costs ~20x.
@@ -164,6 +179,14 @@ pub fn check(r: &KernelBenchReport) -> Result<(), String> {
         ping * THREAD_RING_SHARE >= actors,
         "ping_ring ({ping:.0} events/s) is not at least 1/{THREAD_RING_SHARE} of actor_ring \
          ({actors:.0}) — a thread process's wake-up costs like an OS thread handoff again"
+    );
+    let rpc = &r.timed_rpc;
+    claim!(
+        rpc.pending <= TIMED_RPC_PROCS,
+        "timed_rpc ended with {} events pending for {TIMED_RPC_PROCS} processes after {} \
+         answered calls — a timed wait that a reply ended left its timer in the wheel",
+        rpc.pending,
+        rpc.ops
     );
     let churn = &r.spawn_churn;
     claim!(
@@ -198,10 +221,11 @@ fn timed<R>(f: impl FnOnce() -> R) -> (R, Duration) {
     (r, t0.elapsed())
 }
 
-/// Kernel events fired so far: total pushes minus still-pending.
+/// Kernel events fired so far: total pushes minus still pending and
+/// cancelled.
 fn events_fired(sim: &Sim) -> u64 {
     let s = sim.event_queue_stats();
-    (s.allocated_nodes + s.recycled_pushes).saturating_sub(s.len as u64)
+    (s.allocated_nodes + s.recycled_pushes).saturating_sub(s.len as u64 + s.cancelled)
 }
 
 /// The ring both message sections run: size, laps, and link latency.
@@ -241,7 +265,7 @@ fn ping_ring(scale: Scale) -> Section {
     let events = events_fired(&sim);
     assert!(events >= hops, "every hop is at least one kernel event");
     let stacks = sim.stacks_allocated();
-    Section { name: "ping_ring", op: "hops", ops: hops, events, stacks, elapsed }
+    Section { name: "ping_ring", op: "hops", ops: hops, events, pending: 0, stacks, elapsed }
 }
 
 /// One node of [`actor_ring`]: what a `ping_ring` closure does, one
@@ -299,7 +323,47 @@ fn actor_ring(scale: Scale) -> Section {
     let events = events_fired(&sim);
     assert_eq!(events, hops, "one delivery per hop, exactly as the thread ring");
     let stacks = sim.stacks_allocated();
-    Section { name: "actor_ring", op: "hops", ops: hops, events, stacks, elapsed }
+    Section { name: "actor_ring", op: "hops", ops: hops, events, pending: 0, stacks, elapsed }
+}
+
+/// A [`timed_rpc`] server: answers each call with its argument.
+struct RpcServer {
+    inbox: Addr,
+}
+
+impl Actor for RpcServer {
+    fn on_wake(&mut self, ctx: &mut Proc, wake: Wake) -> Wait {
+        if let Wake::Msg(m) = wake {
+            let (reply_to, n) = m.take::<Request>().take::<u64>();
+            ctx.reply(reply_to, n, RING_LAT);
+        }
+        Wait::Recv(self.inbox)
+    }
+}
+
+/// Client `i` calls server `i + 1` `ring_rounds` times, each call answered
+/// after two link latencies, a millionth of its timeout.
+fn timed_rpc(scale: Scale) -> Section {
+    let rounds = ring_rounds(scale);
+    let calls = rounds * RING_NODES as u64;
+    let mut sim = Sim::new(2);
+    let mbs: Vec<_> = (0..RING_NODES).map(|i| sim.mailbox(&format!("server-{i}"))).collect();
+    for (i, &inbox) in mbs.iter().enumerate() {
+        sim.spawn_daemon_actor(&format!("server-{i}"), RpcServer { inbox });
+        let to = mbs[(i + 1) % RING_NODES];
+        sim.spawn(&format!("client-{i}"), move |ctx| {
+            for n in 0..rounds {
+                let r: Option<u64> = ctx.call_timeout(to, n, RING_LAT, Duration::from_secs(1));
+                assert_eq!(r, Some(n), "a timed call was not answered in time");
+            }
+        });
+    }
+    let (out, elapsed) = timed(|| sim.run_until_idle());
+    out.expect_quiescent();
+    let (events, stacks) = (events_fired(&sim), sim.stacks_allocated());
+    assert_eq!(events, 2 * calls, "a request and a reply per call, and no timer fires");
+    let pending = sim.event_queue_stats().len as u64;
+    Section { name: "timed_rpc", op: "calls", ops: calls, events, pending, stacks, elapsed }
 }
 
 fn spawn_churn(scale: Scale) -> Section {
@@ -316,7 +380,7 @@ fn spawn_churn(scale: Scale) -> Section {
     out.expect_quiescent();
     let (events, stacks) = (events_fired(&sim), sim.stacks_allocated());
     assert_eq!(events, spawns, "one delivery per join");
-    Section { name: "spawn_churn", op: "spawns", ops: spawns, events, stacks, elapsed }
+    Section { name: "spawn_churn", op: "spawns", ops: spawns, events, pending: 0, stacks, elapsed }
 }
 
 /// Timed batches per ring, wheel, codec or k-means measurement; the
@@ -352,7 +416,8 @@ fn wheel(scale: Scale) -> Section {
             seq += 1;
         }
     });
-    Section { name: "wheel", op: "pops", ops: pops, events: pops, stacks: 0, elapsed }
+    let pending = wheel.len() as u64;
+    Section { name: "wheel", op: "pops", ops: pops, events: pops, pending, stacks: 0, elapsed }
 }
 
 /// Encodes and decodes `payload` `trips` times per batch; the section's
@@ -364,7 +429,7 @@ fn codec_round_trips<T: Wire>(name: &'static str, payload: &T, trips: u64) -> Se
             black_box(codec::from_bytes::<T>(&bytes).expect("its own encoding decodes"));
         }
     });
-    Section { name, op: "round trips", ops: trips, events: 0, stacks: 0, elapsed }
+    Section { name, op: "round trips", ops: trips, events: 0, pending: 0, stacks: 0, elapsed }
 }
 
 /// Table 2's 1 KB value as a `Vec<u8>` and as a `Bytes`.
@@ -430,7 +495,15 @@ fn kmeans_assign(scale: Scale) -> (Section, Section) {
                 black_box(pass(black_box(&points), black_box(&centroids)));
             }
         });
-        Section { name, op: "distance terms", ops: terms, events: 0, stacks: 0, elapsed }
+        Section {
+            name,
+            op: "distance terms",
+            ops: terms,
+            events: 0,
+            pending: 0,
+            stacks: 0,
+            elapsed,
+        }
     };
     (
         section("kmeans_assign", assign_partials),
@@ -445,6 +518,7 @@ pub fn kernel_bench(scale: Scale) -> Table {
     let report = KernelBenchReport {
         ping_ring: fastest_ring(scale, ping_ring),
         actor_ring: fastest_ring(scale, actor_ring),
+        timed_rpc: fastest_ring(scale, timed_rpc),
         spawn_churn: spawn_churn(scale),
         wheel: wheel(scale),
         codec_vec,
@@ -454,13 +528,23 @@ pub fn kernel_bench(scale: Scale) -> Table {
     };
     check(&report).unwrap_or_else(|broken| panic!("kernel-bench: {broken}"));
     let mut t = Table::new(
-        "kernel-bench — one ring on threads and on actors, a spawn loop, the event queue, a \
-         codec loop and a k-means loop",
-        &["Section", "Ops", "Kernel events", "Stacks", "Wall time", "Events/sec", "Ops/sec"],
+        "kernel-bench — one ring on threads and on actors, a ring of timed RPCs, a spawn loop, \
+         the event queue, a codec loop and a k-means loop",
+        &[
+            "Section",
+            "Ops",
+            "Kernel events",
+            "Pending",
+            "Stacks",
+            "Wall time",
+            "Events/sec",
+            "Ops/sec",
+        ],
     );
     let sections = [
         &report.ping_ring,
         &report.actor_ring,
+        &report.timed_rpc,
         &report.spawn_churn,
         &report.wheel,
         &report.codec_vec,
@@ -473,6 +557,7 @@ pub fn kernel_bench(scale: Scale) -> Table {
             s.name.into(),
             format!("{} {}", s.ops, s.op),
             s.events.to_string(),
+            s.pending.to_string(),
             s.stacks.to_string(),
             fmt_dur(s.elapsed),
             format!("{:.0}", s.events_per_s()),
@@ -488,11 +573,12 @@ mod tests {
 
     /// A section of `ops` ops, one event each, in one second.
     fn section(name: &'static str, op: &'static str, ops: u64, stacks: u64) -> Section {
-        Section { name, op, ops, events: ops, stacks, elapsed: Duration::from_secs(1) }
+        Section { name, op, ops, events: ops, pending: 0, stacks, elapsed: Duration::from_secs(1) }
     }
 
     /// A report with the two rings at the given events/sec, the wheel at
-    /// twice the actor ring's, 4 000 spawns on `churn_stacks` stacks, codec
+    /// twice the actor ring's, 64 000 timed calls that left 2 events
+    /// pending, 4 000 spawns on `churn_stacks` stacks, codec
     /// round trips at 1 M/s as `Bytes` and `codec_vec` per second as
     /// `Vec<u8>`, and the k-means yardstick at 100 M distance terms/s
     /// against `kmeans` for the pass.
@@ -506,6 +592,7 @@ mod tests {
         KernelBenchReport {
             ping_ring: section("ping_ring", "hops", ping, 16),
             actor_ring: section("actor_ring", "hops", actors, 0),
+            timed_rpc: section("timed_rpc", "calls", 64_000, 2),
             spawn_churn: section("spawn_churn", "spawns", 4_000, churn_stacks),
             wheel: section("wheel", "pops", 2 * actors, 0),
             codec_vec: section("codec_bytes (Vec<u8>)", "round trips", codec_vec, 0),
@@ -546,6 +633,24 @@ mod tests {
         assert_eq!(check(&report(2_050_000, 2_310_000, 2, 1_000_000, 130_000_000)), Ok(()));
         let err = check(&report(2_050_000, 2_310_000, 2, 1_000_000, 100_000_000)).unwrap_err();
         assert!(err.contains("is not at least 1.3x the one-chain yardstick"), "{err}");
+    }
+
+    #[test]
+    fn timed_rpc_leaves_no_timer_per_call() {
+        let with_pending = |pending| {
+            let mut r = report(2_050_000, 2_310_000, 2, 1_000_000, 170_000_000);
+            r.timed_rpc.pending = pending;
+            r
+        };
+        // Cancelled timeouts: nothing left, or a timer per process at most.
+        assert_eq!(check(&with_pending(0)), Ok(()));
+        assert_eq!(check(&with_pending(32)), Ok(()));
+        // One more than the processes could hold.
+        let err = check(&with_pending(33)).unwrap_err();
+        assert!(err.contains("ended with 33 events pending for 32 processes"), "{err}");
+        // Each answered call's timeout left behind.
+        let err = check(&with_pending(64_000)).unwrap_err();
+        assert!(err.contains("left its timer in the wheel"), "{err}");
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //!   message-driven servers, which only ever block at the top of a loop.
 //!
 //! Each [`Wait`] is exactly one of the blocking primitives, and both kinds
-//! share the block-state, epoch, mailbox and runnable-queue bookkeeping, so
+//! share the block-state, timer, mailbox and runnable-queue bookkeeping, so
 //! a loop ported from one kind to the other pushes the same events in the
 //! same order and meets the scheduler at the same points.
 //!
@@ -45,7 +45,7 @@ use crate::scheduler::{Decision, FifoScheduler, Scheduler};
 use crate::slab::Slab;
 use crate::time::SimTime;
 use crate::trace::{SpanId, TraceCtx, Tracer};
-use crate::wheel::{EventQueueStats, TimingWheel};
+use crate::wheel::{EntryHandle, EventQueueStats, TimingWheel};
 
 /// Identifier of a simulated process: its index in the kernel's process
 /// table, in spawn order. Pids are never reused, because a process's random
@@ -281,7 +281,8 @@ struct ActorCell {
 
 enum EventKind {
     /// Wake a process blocked in `sleep`, or time out a blocked `recv`.
-    Wake { pid: Pid, epoch: u64 },
+    /// Cancelled when the wait ends some other way, so it is never stale.
+    Wake { pid: Pid },
     /// Deliver a message to a mailbox.
     Deliver { mailbox: u64, msg: Msg },
 }
@@ -294,7 +295,8 @@ enum EventKind {
 const STALL_LIMIT: Duration = Duration::from_secs(60);
 
 /// Whether firing this event can directly hand progress to a non-daemon
-/// process: a wake for a live non-daemon (sleep or recv timeout), or a
+/// process: a wake for a non-daemon (sleep or recv timeout; every pending
+/// wake is live, since a wait that ends another way cancels it), or a
 /// delivery to a mailbox a non-daemon is blocked on. Such events are
 /// exempt from the stall cutoff in `Kernel::turn` — a client sleeping for an
 /// hour is idle, not wedged.
@@ -308,7 +310,7 @@ fn event_can_progress(
     kind: &EventKind,
 ) -> bool {
     match kind {
-        EventKind::Wake { pid, .. } => !procs[pid.idx()].daemon,
+        EventKind::Wake { pid } => !procs[pid.idx()].daemon,
         EventKind::Deliver { mailbox, .. } => mailboxes
             .get_key(*mailbox)
             .and_then(|mb| mb.waiting)
@@ -349,7 +351,9 @@ struct ProcSlot {
     /// `None` while the process runs and once it has exited.
     body: Option<ProcBody>,
     blocked: BlockState,
-    epoch: u64,
+    /// The pending wake of a sleep or a timed receive; cancelled when the
+    /// wait ends another way or the process exits.
+    timer: Option<EntryHandle>,
     delivered: Option<Msg>,
     killed: bool,
     park_permit: bool,
@@ -425,10 +429,10 @@ pub(crate) struct KernelState {
 }
 
 impl KernelState {
-    fn push_event(&mut self, time: SimTime, kind: EventKind) {
+    fn push_event(&mut self, time: SimTime, kind: EventKind) -> EntryHandle {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.events.push(time, seq, kind);
+        self.events.push(time, seq, kind)
     }
 
     fn make_runnable(&mut self, pid: Pid) {
@@ -457,15 +461,17 @@ impl KernelState {
 
     fn apply_event(&mut self, kind: EventKind) {
         match kind {
-            EventKind::Wake { pid, epoch } => {
-                let p = &self.procs[pid.idx()];
-                if p.epoch == epoch
-                    && matches!(p.blocked, BlockState::Sleeping | BlockState::Receiving { .. })
-                {
-                    // A recv timeout leaves `delivered` empty — the receiver
-                    // interprets that as expiry.
-                    self.make_runnable(pid);
-                }
+            EventKind::Wake { pid } => {
+                let p = &mut self.procs[pid.idx()];
+                assert!(
+                    matches!(p.blocked, BlockState::Sleeping | BlockState::Receiving { .. }),
+                    "a wake for {pid}, which is not in a sleep or a timed receive"
+                );
+                debug_assert!(p.timer.is_some(), "a wake for {pid}, which holds no timer");
+                p.timer = None;
+                // A recv timeout leaves `delivered` empty — the receiver
+                // interprets that as expiry.
+                self.make_runnable(pid);
             }
             EventKind::Deliver { mailbox, msg } => {
                 let waiter = match self.mailboxes.get_key_mut(mailbox) {
@@ -484,8 +490,10 @@ impl KernelState {
                 if let Some((pid, msg)) = waiter {
                     let p = &mut self.procs[pid.idx()];
                     p.delivered = Some(msg);
-                    // Invalidate any pending recv-timeout for this block.
-                    p.epoch += 1;
+                    // The receive is over: its timeout leaves the wheel.
+                    if let Some(timer) = p.timer.take() {
+                        self.events.cancel(timer);
+                    }
                     self.make_runnable(pid);
                 }
             }
@@ -498,6 +506,9 @@ impl KernelState {
             return;
         }
         let owned = std::mem::take(&mut p.owned);
+        if let Some(timer) = p.timer.take() {
+            self.events.cancel(timer);
+        }
         // Clean a dangling recv registration.
         if let BlockState::Receiving { mailbox } = p.blocked {
             if let Some(mb) = self.mailboxes.get_key_mut(mailbox) {
@@ -528,11 +539,11 @@ impl KernelState {
     /// [`Ctx::sleep`] and [`Wait::Sleep`].
     fn begin_sleep(&mut self, pid: Pid, d: Duration) {
         let now = self.now;
+        let timer = self.push_event(now + d, EventKind::Wake { pid });
         let p = &mut self.procs[pid.idx()];
-        p.epoch += 1;
-        let epoch = p.epoch;
+        debug_assert!(p.timer.is_none(), "{pid} sleeps with a timer pending");
         p.blocked = BlockState::Sleeping;
-        self.push_event(now + d, EventKind::Wake { pid, epoch });
+        p.timer = Some(timer);
     }
 
     /// If a message is queued on `mb`, returns it; otherwise registers
@@ -551,13 +562,11 @@ impl KernelState {
         }
         assert!(q.waiting.is_none(), "mailbox {} already has a waiting receiver", q.name);
         q.waiting = Some(pid);
+        let timer = timeout.map(|t| self.push_event(now + t, EventKind::Wake { pid }));
         let p = &mut self.procs[pid.idx()];
-        p.epoch += 1;
-        let epoch = p.epoch;
+        debug_assert!(p.timer.is_none(), "{pid} receives with a timer pending");
         p.blocked = BlockState::Receiving { mailbox: mb.0 };
-        if let Some(t) = timeout {
-            self.push_event(now + t, EventKind::Wake { pid, epoch });
-        }
+        p.timer = timer;
         None
     }
 
@@ -1149,7 +1158,7 @@ fn insert_proc(
         name: name.to_string(),
         body: Some(body(pid)),
         blocked: BlockState::Runnable,
-        epoch: 0,
+        timer: None,
         delivered: None,
         killed: false,
         park_permit: false,
@@ -1784,7 +1793,6 @@ impl Ctx {
                 p.park_permit = false;
                 return;
             }
-            p.epoch += 1;
             p.blocked = BlockState::Parked;
             p.waiting_on = Some(Waiting::Annotated(wait));
         }

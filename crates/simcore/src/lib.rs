@@ -75,4 +75,4 @@ pub use slab::Slab;
 pub use time::SimTime;
 pub use timer::Ticker;
 pub use trace::{SpanId, SpanKind, SpanRecord, TraceCtx, Tracer};
-pub use wheel::{EventQueueStats, TimingWheel};
+pub use wheel::{EntryHandle, EventQueueStats, TimingWheel};

@@ -26,6 +26,17 @@
 //! non-empty slot" one `trailing_zeros` per level, so idle regions are
 //! skipped in O(levels), not O(ticks).
 //!
+//! # Cancellation
+//!
+//! [`TimingWheel::push`] returns an [`EntryHandle`], and
+//! [`TimingWheel::cancel`] removes that entry wherever it sits. Slot lists
+//! are doubly linked, and each node's back link doubles as a location
+//! tag: its predecessor, the slot it heads, the staged run or the overflow
+//! heap. Cancelling from a slot is an O(1) unlink; from the staged run, a
+//! binary search on `(time, seq)`; from the overflow heap, a scan of the
+//! timers more than the wheel range ahead. A cancelled entry is never
+//! cascaded, staged or popped.
+//!
 //! # Exact ordering
 //!
 //! The simulator's determinism contract is total `(time, seq)` order, not
@@ -65,20 +76,40 @@ fn tick_of(t: SimTime) -> u64 {
     t.as_nanos() >> TICK_SHIFT
 }
 
+/// A node's `prev` when it heads a slot list: `HEAD | level * 64 + slot`.
+/// Slab indices stay below it.
+const HEAD: u32 = 1 << 31;
+/// A node's `prev` while it waits in the staged front run.
+const STAGED: u32 = NIL - 1;
+/// A node's `prev` while it waits in the overflow heap.
+const OVERFLOWED: u32 = NIL - 2;
+
 struct Node<T> {
     time: SimTime,
     seq: u64,
     /// Next node in the same slot list (slot lists are unordered; order is
-    /// imposed when the slot is staged). Doubles as free-list link inside
-    /// the slab.
+    /// imposed when the slot is staged).
     next: u32,
+    /// Where the node is: its predecessor in a slot list, `HEAD | level *
+    /// 64 + slot` when it heads one, [`STAGED`] or [`OVERFLOWED`]. Fills
+    /// the padding after `next`.
+    prev: u32,
     payload: T,
+}
+
+/// Names one pending entry of a [`TimingWheel`], for
+/// [`TimingWheel::cancel`]: its slab index and its `seq`, which tells the
+/// entry apart from a later one in the same slot.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub struct EntryHandle {
+    idx: u32,
+    seq: u64,
 }
 
 struct Level {
     /// Bit `s` set ⇔ `slots[s]` is non-empty.
     occupied: u64,
-    /// Head of each slot's intrusive singly-linked list.
+    /// Head of each slot's intrusive doubly-linked list.
     slots: [u32; SLOTS],
 }
 
@@ -104,6 +135,8 @@ pub struct EventQueueStats {
     pub len: usize,
     /// Events parked in the far-future overflow heap.
     pub overflow_len: usize,
+    /// Entries removed by [`TimingWheel::cancel`]: pushed, never popped.
+    pub cancelled: u64,
 }
 
 /// A hierarchical timing wheel delivering `(time, seq, payload)` entries
@@ -124,6 +157,7 @@ pub struct TimingWheel<T> {
     /// Entries more than [`RANGE`] ticks ahead of the cursor.
     overflow: BinaryHeap<Reverse<(SimTime, u64, u32)>>,
     len: usize,
+    cancelled: u64,
 }
 
 impl<T> TimingWheel<T> {
@@ -136,6 +170,7 @@ impl<T> TimingWheel<T> {
             front: Vec::new(),
             overflow: BinaryHeap::new(),
             len: 0,
+            cancelled: 0,
         }
     }
 
@@ -157,14 +192,17 @@ impl<T> TimingWheel<T> {
             capacity: self.slab.capacity(),
             len: self.len,
             overflow_len: self.overflow.len(),
+            cancelled: self.cancelled,
         }
     }
 
-    /// Schedules `payload` at `(time, seq)`. `seq` values must be unique
-    /// (the kernel hands out a fresh sequence number per event); `time`
-    /// must not precede the last popped entry's time.
-    pub fn push(&mut self, time: SimTime, seq: u64, payload: T) {
-        let idx = self.slab.insert(Node { time, seq, next: NIL, payload });
+    /// Schedules `payload` at `(time, seq)`, returning a handle that
+    /// [`TimingWheel::cancel`] takes. `seq` values must be unique (the
+    /// kernel hands out a fresh sequence number per event); `time` must
+    /// not precede the last popped entry's time.
+    pub fn push(&mut self, time: SimTime, seq: u64, payload: T) -> EntryHandle {
+        let idx = self.slab.insert(Node { time, seq, next: NIL, prev: NIL, payload });
+        debug_assert!(idx < HEAD, "slab index collides with the slot-head tag");
         self.len += 1;
         let tk = tick_of(time);
         if tk < self.cursor {
@@ -175,6 +213,49 @@ impl<T> TimingWheel<T> {
         } else {
             self.insert_wheel(idx, tk);
         }
+        EntryHandle { idx, seq }
+    }
+
+    /// Removes the pending entry `handle` names and returns its payload.
+    ///
+    /// # Panics
+    ///
+    /// Panics if that entry has already been popped or cancelled.
+    pub fn cancel(&mut self, handle: EntryHandle) -> T {
+        let EntryHandle { idx, seq } = handle;
+        let n = self.slab.get(idx);
+        assert_eq!(n.seq, seq, "cancel of an entry no longer pending (slot {idx})");
+        let (prev, next, key) = (n.prev, n.next, (n.time, n.seq));
+        match prev {
+            STAGED => {
+                let slab = &self.slab;
+                let pos = self.front.partition_point(|&i| {
+                    let n = slab.get(i);
+                    (n.time, n.seq) > key
+                });
+                debug_assert_eq!(self.front[pos], idx);
+                self.front.remove(pos);
+            }
+            OVERFLOWED => self.overflow.retain(|&Reverse((_, _, i))| i != idx),
+            _ => {
+                if next != NIL {
+                    self.slab.get_mut(next).prev = prev;
+                }
+                if prev & HEAD == 0 {
+                    self.slab.get_mut(prev).next = next;
+                } else {
+                    let at = (prev & !HEAD) as usize;
+                    let lv = &mut self.levels[at / SLOTS];
+                    lv.slots[at % SLOTS] = next;
+                    if next == NIL {
+                        lv.occupied &= !(1 << (at % SLOTS));
+                    }
+                }
+            }
+        }
+        self.len -= 1;
+        self.cancelled += 1;
+        self.slab.remove(idx).payload
     }
 
     /// The next entry in `(time, seq)` order, without removing it.
@@ -201,11 +282,12 @@ impl<T> TimingWheel<T> {
 
     /// Inserts a sorted-position entry into the staged front run.
     fn stage_sorted(&mut self, idx: u32) {
-        let slab = &self.slab;
         let key = {
-            let n = slab.get(idx);
+            let n = self.slab.get_mut(idx);
+            n.prev = STAGED;
             (n.time, n.seq)
         };
+        let slab = &self.slab;
         // `front` is descending; find the first position whose key is not
         // greater than ours and insert before it.
         let pos = self.front.partition_point(|&i| {
@@ -221,7 +303,8 @@ impl<T> TimingWheel<T> {
         debug_assert!(tk >= self.cursor);
         let masked = tk ^ self.cursor;
         if masked >= RANGE {
-            let n = self.slab.get(idx);
+            let n = self.slab.get_mut(idx);
+            n.prev = OVERFLOWED;
             self.overflow.push(Reverse((n.time, n.seq, idx)));
             return;
         }
@@ -229,7 +312,13 @@ impl<T> TimingWheel<T> {
             if masked == 0 { 0 } else { ((63 - masked.leading_zeros()) / LEVEL_BITS) as usize };
         let slot = ((tk >> (LEVEL_BITS * level as u32)) & (SLOTS as u64 - 1)) as usize;
         let lv = &mut self.levels[level];
-        self.slab.get_mut(idx).next = lv.slots[slot];
+        let head = lv.slots[slot];
+        if head != NIL {
+            self.slab.get_mut(head).prev = idx;
+        }
+        let n = self.slab.get_mut(idx);
+        n.next = head;
+        n.prev = HEAD | (level * SLOTS + slot) as u32;
         lv.slots[slot] = idx;
         lv.occupied |= 1 << slot;
     }
@@ -294,7 +383,9 @@ impl<T> TimingWheel<T> {
                     let mut idx = self.take_slot(0, slot);
                     while idx != NIL {
                         self.front.push(idx);
-                        idx = self.slab.get(idx).next;
+                        let n = self.slab.get_mut(idx);
+                        n.prev = STAGED;
+                        idx = n.next;
                     }
                     let slab = &self.slab;
                     self.front.sort_unstable_by(|&a, &b| {
@@ -341,6 +432,7 @@ impl<T> fmt::Debug for TimingWheel<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::{BTreeMap, BTreeSet};
     use std::time::Duration;
 
     /// Reference model: the old binary-heap queue.
@@ -355,6 +447,60 @@ mod tests {
         }
         fn pop(&mut self) -> Option<(SimTime, u64, u32)> {
             self.heap.pop().map(|Reverse(e)| e)
+        }
+        fn cancel(&mut self, seq: u64) {
+            self.heap.retain(|&Reverse((_, s, _))| s != seq);
+        }
+    }
+
+    /// Where a pending entry sits: in a slot list of a level (its head,
+    /// middle or tail, or alone), in the staged run, or in overflow.
+    #[derive(Copy, Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
+    enum Place {
+        Alone(usize),
+        Head(usize),
+        Middle(usize),
+        Tail(usize),
+        Staged,
+        Overflowed,
+    }
+
+    impl<T> TimingWheel<T> {
+        fn place(&self, h: EntryHandle) -> Place {
+            let n = self.slab.get(h.idx);
+            assert_eq!(n.seq, h.seq);
+            let mut head = h.idx;
+            while self.slab.get(head).prev & HEAD == 0 {
+                head = self.slab.get(head).prev;
+            }
+            let level = match n.prev {
+                STAGED => return Place::Staged,
+                OVERFLOWED => return Place::Overflowed,
+                _ => (self.slab.get(head).prev & !HEAD) as usize / SLOTS,
+            };
+            match (n.prev & HEAD != 0, n.next == NIL) {
+                (true, true) => Place::Alone(level),
+                (true, false) => Place::Head(level),
+                (false, false) => Place::Middle(level),
+                (false, true) => Place::Tail(level),
+            }
+        }
+
+        /// The seqs of the other entries in the slot list `h` sits in.
+        fn neighbours(&self, h: EntryHandle) -> Vec<u64> {
+            let mut idx = h.idx;
+            while self.slab.get(idx).prev & HEAD == 0 {
+                idx = self.slab.get(idx).prev;
+            }
+            let mut seqs = Vec::new();
+            while idx != NIL {
+                let n = self.slab.get(idx);
+                if idx != h.idx {
+                    seqs.push(n.seq);
+                }
+                idx = n.next;
+            }
+            seqs
         }
     }
 
@@ -371,6 +517,20 @@ mod tests {
         }
     }
 
+    /// Mixed-magnitude delays: same-instant up to hours ahead, and more.
+    fn delay_ns(rng: &mut XorShift) -> u64 {
+        match rng.next() % 7 {
+            0 => 0,
+            1 => rng.next() % 1_000,             // sub-tick
+            2 => rng.next() % 100_000,           // µs scale
+            3 => rng.next() % 100_000_000,       // ms scale
+            4 => rng.next() % 10_000_000_000,    // seconds
+            5 => rng.next() % 7_200_000_000_000, // hours
+            // Beyond the wheel's range.
+            _ => 80_000_000_000_000 + rng.next() % 1_000_000_000,
+        }
+    }
+
     #[test]
     fn matches_binary_heap_across_magnitudes() {
         let mut wheel: TimingWheel<u32> = TimingWheel::new();
@@ -378,17 +538,7 @@ mod tests {
         let mut rng = XorShift(0x9E3779B97F4A7C15);
         let mut now = SimTime::ZERO;
         for round in 0..5000u32 {
-            // Mixed-magnitude delays: same-instant up to hours ahead.
-            let delay_ns = match rng.next() % 7 {
-                0 => 0,
-                1 => rng.next() % 1_000,             // sub-tick
-                2 => rng.next() % 100_000,           // µs scale
-                3 => rng.next() % 100_000_000,       // ms scale
-                4 => rng.next() % 10_000_000_000,    // seconds
-                5 => rng.next() % 7_200_000_000_000, // hours
-                _ => 80_000_000_000_000 + rng.next() % 1_000_000_000, // overflow range
-            };
-            let t = now + Duration::from_nanos(delay_ns);
+            let t = now + Duration::from_nanos(delay_ns(&mut rng));
             wheel.push(t, round as u64, round);
             heap.push(t, round as u64, round);
             // Interleave pops to move the cursor.
@@ -410,6 +560,114 @@ mod tests {
         }
         assert!(wheel.is_empty());
         assert_eq!(wheel.pop(), None);
+    }
+
+    #[test]
+    fn cancellation_matches_binary_heap_across_magnitudes() {
+        let mut wheel: TimingWheel<u32> = TimingWheel::new();
+        let mut heap = HeapQueue::default();
+        let mut rng = XorShift(0x2545F4914F6CDD1D);
+        let mut now = SimTime::ZERO;
+        let mut pending: BTreeMap<u64, EntryHandle> = BTreeMap::new();
+        let mut cancelled_from: BTreeMap<Place, u32> = BTreeMap::new();
+        // Entries that shared a higher-level slot with a cancelled one.
+        let mut bereaved: BTreeSet<u64> = BTreeSet::new();
+        let mut bereaved_popped = 0;
+        let mut seq = 0u64;
+        let mut times = Vec::new();
+        for round in 0..20_000u32 {
+            times.push(now + Duration::from_nanos(delay_ns(&mut rng)));
+            // A burst at the cursor's tick fills level-0 slots and the
+            // staged run with several entries each.
+            if round % 50 == 0 {
+                times.extend((0..4).map(|_| now + Duration::from_nanos(rng.next() % 3_000)));
+            }
+            for t in times.drain(..) {
+                pending.insert(seq, wheel.push(t, seq, seq as u32));
+                heap.push(t, seq, seq as u32);
+                seq += 1;
+            }
+            if rng.next().is_multiple_of(3) {
+                let got = wheel.pop();
+                assert_eq!(got, heap.pop(), "pop divergence at round {round}");
+                if let Some((t, seq, _)) = got {
+                    now = t;
+                    pending.remove(&seq);
+                    bereaved_popped += usize::from(bereaved.remove(&seq));
+                }
+            }
+            if !pending.is_empty() && rng.next().is_multiple_of(4) {
+                let k = (rng.next() % pending.len() as u64) as usize;
+                let (&seq, &h) = pending.iter().nth(k).expect("k < len");
+                let place = wheel.place(h);
+                if let Place::Head(l) | Place::Middle(l) | Place::Tail(l) = place {
+                    if l > 0 {
+                        bereaved.extend(wheel.neighbours(h));
+                    }
+                }
+                *cancelled_from.entry(place).or_default() += 1;
+                pending.remove(&seq);
+                heap.cancel(seq);
+                assert_eq!(wheel.cancel(h), seq as u32);
+                assert_eq!(wheel.len(), heap.heap.len());
+            }
+        }
+        while let Some(want) = heap.pop() {
+            let got = wheel.pop().expect("wheel has as many entries as the heap");
+            assert_eq!(got, want);
+            bereaved_popped += usize::from(bereaved.remove(&got.1));
+        }
+        assert!(wheel.is_empty());
+        assert_eq!(wheel.stats().cancelled, cancelled_from.values().map(|&n| u64::from(n)).sum());
+        for place in [
+            Place::Alone(0),
+            Place::Head(0),
+            Place::Middle(0),
+            Place::Tail(0),
+            Place::Head(1),
+            Place::Middle(2),
+            Place::Tail(3),
+            Place::Staged,
+            Place::Overflowed,
+        ] {
+            assert!(
+                cancelled_from.contains_key(&place),
+                "no cancel from {place:?}: {cancelled_from:?}"
+            );
+        }
+        assert!(bereaved_popped > 0, "no entry was cascaded after a neighbour's cancel");
+    }
+
+    #[test]
+    fn cancelling_a_slots_only_entry_clears_its_occupancy() {
+        let mut wheel: TimingWheel<u32> = TimingWheel::new();
+        let h = wheel.push(SimTime::from_millis(3), 0, 0);
+        assert_eq!(wheel.place(h), Place::Alone(1));
+        assert_ne!(wheel.levels[1].occupied, 0);
+        assert_eq!(wheel.cancel(h), 0);
+        assert_eq!(wheel.levels[1].occupied, 0, "an empty slot still reads occupied");
+        assert_eq!(wheel.pop(), None);
+        // A later entry in the same slot is the only one delivered.
+        wheel.push(SimTime::from_millis(3), 1, 1);
+        assert_eq!(wheel.pop(), Some((SimTime::from_millis(3), 1, 1)));
+    }
+
+    #[test]
+    #[should_panic(expected = "no longer pending")]
+    fn a_handle_does_not_cancel_its_slots_next_entry() {
+        let mut wheel: TimingWheel<u32> = TimingWheel::new();
+        let h = wheel.push(SimTime::from_millis(1), 0, 0);
+        assert!(wheel.pop().is_some());
+        // The popped entry's slab slot now holds this one.
+        wheel.push(SimTime::from_millis(2), 1, 1);
+        wheel.cancel(h);
+    }
+
+    #[test]
+    fn the_back_link_fills_the_padding_after_next() {
+        // time, seq and an 8-byte payload, with `next` and `prev` sharing
+        // one word: the kernel's node is 56 bytes with or without `prev`.
+        assert_eq!(std::mem::size_of::<Node<u64>>(), 32);
     }
 
     #[test]

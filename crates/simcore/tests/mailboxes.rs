@@ -1,12 +1,14 @@
 //! A mailbox's address outlives the mailbox: a reply can still be in
 //! flight to an RPC that gave up on it. Whatever the kernel does with the
-//! removed mailbox's slot, that address must keep reaching nothing.
+//! removed mailbox's slot, that address must keep reaching nothing. And a
+//! timed wait that a message ends leaves no timer behind.
 
 use std::time::Duration;
 
-use simcore::{Request, Sim, SimTime};
+use simcore::{Actor, Addr, Proc, Request, Sim, SimTime, Ticker, Wait, Wake};
 
 const MS: Duration = Duration::from_millis(1);
+const US: Duration = Duration::from_micros(1);
 
 #[test]
 fn a_late_reply_to_a_timed_out_call_is_dropped() {
@@ -32,4 +34,50 @@ fn a_late_reply_to_a_timed_out_call_is_dropped() {
         assert_eq!(ctx.now(), SimTime::from_millis(21));
     });
     sim.run_until_idle().expect_quiescent();
+}
+
+/// A server in the DSO dispatcher's shape: it answers each request, and
+/// every wake-up re-arms its heartbeat as the timeout of its next receive.
+struct Dispatcher {
+    inbox: Addr,
+    hb: Option<Ticker>,
+}
+
+impl Actor for Dispatcher {
+    fn on_wake(&mut self, ctx: &mut Proc, wake: Wake) -> Wait {
+        let hb = self.hb.get_or_insert_with(|| Ticker::new(ctx.now(), 100 * MS));
+        hb.poll(ctx.now());
+        if let Wake::Msg(m) = wake {
+            let (reply_to, n) = m.take::<Request>().take::<u64>();
+            ctx.reply(reply_to, n + 1, US);
+        }
+        Wait::RecvTimeout(self.inbox, hb.remaining(ctx.now()))
+    }
+}
+
+#[test]
+fn an_answered_timeout_leaves_nothing_behind() {
+    const CALLS: u64 = 1_000;
+    let mut sim = Sim::new(3);
+    let server = sim.mailbox("server");
+    sim.spawn_daemon_actor("server", Dispatcher { inbox: server, hb: None });
+    sim.spawn("client", move |ctx| {
+        let call = |ctx: &mut simcore::Ctx, n: u64| {
+            let r: Option<u64> = ctx.call_timeout(server, n, US, Duration::from_secs(1));
+            assert_eq!(r, Some(n + 1), "answered in time");
+        };
+        // Warm-up, then a pause the test reads the queue in.
+        (0..10).for_each(|n| call(ctx, n));
+        ctx.sleep(MS);
+        (0..CALLS).for_each(|n| call(ctx, n));
+    });
+    sim.run_until(SimTime::from_micros(500));
+    let warm = sim.event_queue_stats();
+    sim.run_until_idle().expect_quiescent();
+    let after = sim.event_queue_stats();
+    // Each call ended two timed waits early: the client's and the server's.
+    assert_eq!(after.cancelled - warm.cancelled, 2 * CALLS, "{warm:?} -> {after:?}");
+    // The one live timer left is the server's heartbeat.
+    assert!(after.len <= 1, "{} events pending after {CALLS} answered calls", after.len);
+    assert_eq!(after.capacity, warm.capacity, "the event slab grew: {warm:?} -> {after:?}");
 }

@@ -1,6 +1,6 @@
 //! Counting-allocator proof that the kernel hot path (schedule → fire →
 //! deliver) performs **zero heap allocations** in steady state, and that
-//! an RPC allocates only its payloads.
+//! an RPC, timed or not, allocates only its payloads.
 //!
 //! The event queue is a timing wheel over a slab arena with free-list
 //! recycling, so once the arena and the kernel's queues have grown to the
@@ -193,6 +193,35 @@ fn steady_state_rpc_allocates_only_its_payloads() {
     assert_eq!(counted, 3 * CALLS, "an RPC allocated {per_call:.3} times per call, not 3");
 }
 
+/// The `call_timeout` twin of the test above: a timed RPC answered in time
+/// cancels its timeout, so the event queue holds no timer per past call
+/// and never grows.
+fn steady_state_timed_rpc_allocates_only_its_payloads() {
+    const CALLS: u64 = 1_000;
+    let mut sim = Sim::new(16);
+    let server = sim.mailbox("server");
+    sim.spawn_daemon("server", move |ctx| loop {
+        let (reply_to, n) = ctx.recv(server).take::<Request>().take::<u64>();
+        ctx.reply(reply_to, n + 1, Duration::from_micros(3));
+    });
+    sim.spawn("client", move |ctx| {
+        let timeout = Duration::from_secs(1);
+        let _: Option<u64> = ctx.call_timeout(server, 0u64, Duration::from_micros(3), timeout);
+        ALLOCS.store(0, Ordering::SeqCst);
+        COUNTING.store(true, Ordering::SeqCst);
+        for i in 0..CALLS {
+            let r: Option<u64> = ctx.call_timeout(server, i, Duration::from_micros(3), timeout);
+            assert_eq!(r, Some(i + 1));
+        }
+        COUNTING.store(false, Ordering::SeqCst);
+    });
+    sim.run_until_idle().expect_quiescent();
+
+    let counted = ALLOCS.load(Ordering::SeqCst);
+    let per_call = counted as f64 / CALLS as f64;
+    assert_eq!(counted, 3 * CALLS, "a timed RPC allocated {per_call:.3} times per call, not 3");
+}
+
 /// This process's OS threads, as `/proc/self/task` lists them.
 fn os_threads() -> usize {
     std::fs::read_dir("/proc/self/task").expect("procfs lists this process's threads").count()
@@ -225,7 +254,7 @@ fn a_sim_never_starts_an_os_thread() {
 }
 
 fn main() {
-    let tests: [(&str, fn()); 5] = [
+    let tests: [(&str, fn()); 6] = [
         ("steady_state_timer_churn_allocates_nothing", steady_state_timer_churn_allocates_nothing),
         (
             "steady_state_actor_ping_pong_allocates_nothing",
@@ -235,6 +264,10 @@ fn main() {
         (
             "steady_state_rpc_allocates_only_its_payloads",
             steady_state_rpc_allocates_only_its_payloads,
+        ),
+        (
+            "steady_state_timed_rpc_allocates_only_its_payloads",
+            steady_state_timed_rpc_allocates_only_its_payloads,
         ),
         ("a_sim_never_starts_an_os_thread", a_sim_never_starts_an_os_thread),
     ];
