@@ -408,6 +408,67 @@ mod tests {
         assert_eq!(a.to_string(), "T:k1");
     }
 
+    /// Placement decides which nodes store an object, so these values are
+    /// part of every schedule: a change here moves objects between nodes.
+    #[test]
+    fn placement_hash_is_pinned() {
+        for (type_name, key, hash) in [
+            ("AtomicLong", "counter", 0x8c65_e739_1e7b_61cf),
+            ("AtomicLong", "c0", 0xc5c9_6adc_dd05_776e),
+            ("T", "k1", 0x3345_31e6_9e98_58d1),
+            ("", "", 0x71b8_262b_b6e2_e086),
+            ("Map", "ünïcode-key", 0x2f86_8505_dadc_c33a),
+        ] {
+            assert_eq!(ObjectRef::new(type_name, key).placement_hash(), hash, "{type_name}:{key}");
+        }
+    }
+
+    #[test]
+    fn refs_built_apart_are_one_key() {
+        use std::hash::BuildHasher;
+        let (a, b) = (ObjectRef::new("AtomicLong", "c7"), ObjectRef::new("AtomicLong", "c7"));
+        assert_eq!(a, b);
+        let std_hasher = std::collections::hash_map::RandomState::new();
+        assert_eq!(std_hasher.hash_one(&a), std_hasher.hash_one(&b));
+        let mut map = HashMap::new();
+        map.insert(a, 1);
+        assert_eq!(map.get(&b), Some(&1));
+        assert_ne!(ObjectRef::new("AtomicLong", "c7"), ObjectRef::new("AtomicLong", "c8"));
+        assert_ne!(ObjectRef::new("AtomicLong", "c7"), ObjectRef::new("AtomicLon", "gc7"));
+    }
+
+    #[test]
+    fn wire_bytes_are_two_strings() {
+        let r = ObjectRef::new("T", "key");
+        let bytes = simcore::codec::to_bytes(&r).expect("encodes");
+        let expected =
+            simcore::codec::to_bytes(&("T".to_string(), "key".to_string())).expect("encodes");
+        assert_eq!(bytes, expected);
+        let back: ObjectRef = simcore::codec::from_bytes(&bytes).expect("decodes");
+        assert_eq!(back, r);
+        assert_eq!(back.placement_hash(), r.placement_hash());
+        assert_eq!(format!("{back:?}"), "ObjectRef(T:key)");
+    }
+
+    mod props {
+        use super::super::ObjectRef;
+        use proptest::prelude::*;
+
+        proptest! {
+            /// References sort as their `(type name, key)` tuples do: the
+            /// order WAL segments and checkpoints are written in.
+            #[test]
+            fn ord_is_tuple_order(
+                t1 in "[a-c]{0,3}", k1 in "[a-c]{0,3}",
+                t2 in "[a-c]{0,3}", k2 in "[a-c]{0,3}",
+            ) {
+                let (a, b) = (ObjectRef::new(t1.clone(), k1.clone()), ObjectRef::new(t2.clone(), k2.clone()));
+                prop_assert_eq!(a.cmp(&b), (&t1, &k1).cmp(&(&t2, &k2)));
+                prop_assert_eq!(a == b, (&t1, &k1) == (&t2, &k2));
+            }
+        }
+    }
+
     #[test]
     fn registry_create_and_unknown() {
         let mut reg = ObjectRegistry::new();

@@ -57,18 +57,26 @@ pub struct Ring {
 impl Ring {
     /// Builds a ring over `nodes` with [`VNODES`] virtual nodes each.
     pub fn new(nodes: &[NodeId]) -> Ring {
-        let mut points = BTreeMap::new();
         let mut sorted: Vec<NodeId> = nodes.to_vec();
         sorted.sort();
         sorted.dedup();
-        for &n in &sorted {
-            for v in 0..VNODES {
+        let points = sorted.iter().flat_map(|&n| {
+            (0..VNODES).map(move |v| {
                 let mut h = fnv1a(0, &n.0.to_le_bytes());
                 h = fnv1a(h, &v.to_le_bytes());
-                points.insert(mix(h), n);
-            }
+                (mix(h), n)
+            })
+        });
+        Ring::from_points(sorted.clone(), points)
+    }
+
+    /// A ring over explicit points; of two equal points the later wins.
+    fn from_points(nodes: Vec<NodeId>, points: impl IntoIterator<Item = (u64, NodeId)>) -> Ring {
+        let mut map = BTreeMap::new();
+        for (p, n) in points {
+            map.insert(p, n);
         }
-        Ring { points, nodes: sorted }
+        Ring { points: map, nodes }
     }
 
     /// The distinct nodes on the ring, sorted by id.
@@ -221,6 +229,95 @@ mod tests {
 mod proptests {
     use super::*;
     use proptest::prelude::*;
+
+    /// The `BTreeMap` ring that placement was first written as, verbatim:
+    /// the reference the ring's lookups must match point for point.
+    struct TreeRing {
+        points: BTreeMap<u64, NodeId>,
+        nodes: Vec<NodeId>,
+    }
+
+    impl TreeRing {
+        fn placement_by_hash(&self, hash: u64, rf: u8) -> Vec<NodeId> {
+            let want = (rf as usize).min(self.nodes.len());
+            let mut out: Vec<NodeId> = Vec::with_capacity(want);
+            for (_, &n) in self.points.range(hash..).chain(self.points.range(..hash)) {
+                if !out.contains(&n) {
+                    out.push(n);
+                    if out.len() == want {
+                        break;
+                    }
+                }
+            }
+            out
+        }
+
+        fn primary(&self, hash: u64) -> Option<NodeId> {
+            self.placement_by_hash(hash, 1).first().copied()
+        }
+    }
+
+    /// Both rings over the same points, duplicates included.
+    fn both(points: &[(u64, NodeId)]) -> (Ring, TreeRing) {
+        let mut nodes: Vec<NodeId> = points.iter().map(|&(_, n)| n).collect();
+        nodes.sort();
+        nodes.dedup();
+        let mut tree = BTreeMap::new();
+        for &(p, n) in points {
+            tree.insert(p, n);
+        }
+        let ring = Ring::from_points(nodes.clone(), points.iter().copied());
+        (ring, TreeRing { points: tree, nodes })
+    }
+
+    proptest! {
+        /// Over random node sets, points, hashes and replication factors
+        /// (rf = 0 included), the ring places exactly as the `BTreeMap`
+        /// ring does. Points drawn from a 64-value space collide often,
+        /// so the later-point-wins collapse is exercised too.
+        #[test]
+        fn placement_matches_the_tree_ring(
+            raw in proptest::collection::vec((0u64..64, 0u32..6), 0..40),
+            hashes in proptest::collection::vec(0u64..70, 1..20),
+            rf in 0u8..8,
+        ) {
+            let points: Vec<(u64, NodeId)> = raw.iter().map(|&(p, n)| (p, NodeId(n))).collect();
+            let (ring, tree) = both(&points);
+            for &h in &hashes {
+                prop_assert_eq!(ring.placement_by_hash(h, rf), tree.placement_by_hash(h, rf));
+                let obj = ObjectRef::new("T", format!("k{h}"));
+                let oh = obj.placement_hash();
+                prop_assert_eq!(ring.placement(&obj, rf), tree.placement_by_hash(oh, rf));
+                prop_assert_eq!(ring.primary(&obj), tree.primary(oh));
+            }
+        }
+
+        /// The same over rings as `Ring::new` builds them, with full-range
+        /// hashes.
+        #[test]
+        fn built_rings_match_the_tree_ring(
+            ids in proptest::collection::vec(0u32..12, 0..8),
+            keys in proptest::collection::vec("[a-z0-9]{0,10}", 1..20),
+            rf in 0u8..6,
+        ) {
+            let nodes: Vec<NodeId> = ids.iter().copied().map(NodeId).collect();
+            let ring = Ring::new(&nodes);
+            let points: Vec<(u64, NodeId)> = ring.nodes().iter().flat_map(|&n| {
+                (0..VNODES).map(move |v| {
+                    let mut h = fnv1a(0, &n.0.to_le_bytes());
+                    h = fnv1a(h, &v.to_le_bytes());
+                    (mix(h), n)
+                })
+            }).collect();
+            let (_, tree) = both(&points);
+            for k in &keys {
+                let obj = ObjectRef::new("X", k.clone());
+                let h = obj.placement_hash();
+                prop_assert_eq!(ring.placement(&obj, rf), tree.placement_by_hash(h, rf));
+                prop_assert_eq!(ring.primary(&obj), tree.primary(h));
+            }
+        }
+    }
 
     proptest! {
         /// Removing one node never changes the placement of objects whose
