@@ -7,14 +7,13 @@
 //! serves a hit only if the session's [`ReadPolicy`] admits it. Anything
 //! else goes to the object's owner through `invoke`'s single retry loop.
 
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 use std::time::Duration;
 
 use bytes::Bytes;
 use simcore::codec::Wire;
-use simcore::{Addr, Ctx, SpanId};
+use simcore::{Addr, Ctx, FxHashMap, SpanId};
 
 use crate::config::DsoConfig;
 use crate::error::DsoError;
@@ -79,7 +78,7 @@ impl DsoClientHandle {
 /// [`crate::ConsistencyMode::ReplicaReads`].
 #[derive(Debug, Default)]
 pub struct MonotonicReads {
-    seen: HashMap<ObjectRef, u64>,
+    seen: FxHashMap<ObjectRef, u64>,
 }
 
 impl MonotonicReads {

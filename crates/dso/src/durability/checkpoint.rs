@@ -2,9 +2,9 @@
 //! written as one atomic blob, plus garbage collection of the WAL
 //! segments and older checkpoints the new blob subsumes.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 
-use simcore::{Ctx, Sim, Ticker};
+use simcore::{Ctx, FxHashMap, Sim, Ticker};
 
 use crate::client::{DsoClient, DsoClientHandle, CALL_TIMEOUT};
 use crate::config::DurabilityConfig;
@@ -104,7 +104,7 @@ impl Checkpointer {
 
         // Snapshot every member; replicas collapse to the newest version.
         let timeout = CALL_TIMEOUT * 4;
-        let mut best: HashMap<ObjectRef, ObjectRecord> = HashMap::new();
+        let mut best: FxHashMap<ObjectRef, ObjectRecord> = FxHashMap::default();
         let mut nodes = 0;
         for (_, addr) in &view.members {
             let lat = CLIENT_NET.sample(ctx.rng());
@@ -181,7 +181,7 @@ impl Checkpointer {
                 // instead of their nominal interval.
                 let mut doomed: Vec<String> = known[..cut].to_vec();
                 ckpts_deleted = doomed.len();
-                let kept_floors: HashMap<(u32, NodeId), u64> =
+                let kept_floors: FxHashMap<(u32, NodeId), u64> =
                     kept.floors.iter().map(|&(g, n, s)| ((g, n), s)).collect();
                 for key in &wal_listing {
                     let Some((g, n, s)) = store.parse_wal_key(key) else { continue };

@@ -7,21 +7,21 @@
 //! already-seen name is a lock + map hit, and cloning one (per retry, per
 //! cache key) is a reference-count bump.
 
-use std::collections::HashSet;
 use std::fmt;
 use std::ops::Deref;
 use std::sync::{Arc, Mutex, OnceLock};
 
 use simcore::codec::{CodecError, Wire};
+use simcore::FxHashSet;
 
 /// An interned method name: cheap to clone, compares by content.
 #[derive(Clone, Eq, PartialOrd, Ord)]
 pub struct MethodName(Arc<str>);
 
-fn table() -> &'static Mutex<HashSet<Arc<str>>> {
+fn table() -> &'static Mutex<FxHashSet<Arc<str>>> {
     // simlint: allow(global-state, reason = "interned names compare by content, so which Arc a name shares is not observable")
-    static TABLE: OnceLock<Mutex<HashSet<Arc<str>>>> = OnceLock::new();
-    TABLE.get_or_init(|| Mutex::new(HashSet::new()))
+    static TABLE: OnceLock<Mutex<FxHashSet<Arc<str>>>> = OnceLock::new();
+    TABLE.get_or_init(|| Mutex::new(FxHashSet::default()))
 }
 
 /// Interns `name`, returning the canonical [`MethodName`] for it.

@@ -20,8 +20,7 @@
 
 use bytes::Bytes;
 use parking_lot::Mutex;
-use simcore::SimTime;
-use std::collections::HashMap;
+use simcore::{FxHashMap, SimTime};
 
 use crate::intern::MethodName;
 use crate::object::ObjectRef;
@@ -50,7 +49,7 @@ pub struct NodeEntry {
 /// exists so co-located simulated processes can share it mutably.
 #[derive(Debug, Default)]
 pub struct NodeCache {
-    entries: Mutex<HashMap<NodeCacheKey, NodeEntry>>,
+    entries: Mutex<FxHashMap<NodeCacheKey, NodeEntry>>,
 }
 
 impl NodeCache {

@@ -7,18 +7,27 @@
 //! paper). Methods may also *defer* their reply — the substrate for
 //! server-side synchronization objects such as barriers and futures.
 
-use std::collections::HashMap;
+use std::cmp::Ordering;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::rc::Rc;
+use std::sync::Arc;
 use std::time::Duration;
 
-use simcore::codec::Wire;
-use simcore::WaitKind;
+use simcore::codec::{CodecError, Wire};
+use simcore::{FxHashMap, WaitKind};
 
 use crate::error::ObjectError;
 
 /// Globally unique reference to a shared object: `(type name, key)`,
 /// exactly as in §4.1 of the paper.
+///
+/// Shared and immutable: a clone is a reference-count bump, and the
+/// placement hash is computed once, when the reference is built or decoded.
+/// It hashes as that one word, compares equal by pointer before it compares
+/// the strings, and sorts, prints and encodes as its `(type name, key)`.
+/// `Arc`, not `Rc`, so the host-shared [`NodeCache`](crate::NodeCache) that
+/// keys on it stays `Send + Sync`.
 ///
 /// # Examples
 ///
@@ -29,45 +38,94 @@ use crate::error::ObjectError;
 /// assert_eq!(r.type_name(), "AtomicLong");
 /// assert_eq!(r.key(), "counter");
 /// ```
-#[derive(Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Wire)]
-pub struct ObjectRef {
+#[derive(Clone)]
+pub struct ObjectRef(Arc<RefInner>);
+
+struct RefInner {
     type_name: String,
     key: String,
+    hash: u64,
 }
 
 impl ObjectRef {
     /// Creates a reference from a type name and key.
     pub fn new(type_name: impl Into<String>, key: impl Into<String>) -> ObjectRef {
-        ObjectRef { type_name: type_name.into(), key: key.into() }
+        let (type_name, key) = (type_name.into(), key.into());
+        let mut h = crate::ring::fnv1a(0, type_name.as_bytes());
+        h = crate::ring::fnv1a(h, b"\0");
+        let hash = crate::ring::mix(crate::ring::fnv1a(h, key.as_bytes()));
+        ObjectRef(Arc::new(RefInner { type_name, key, hash }))
     }
 
     /// The object's registered type name.
     pub fn type_name(&self) -> &str {
-        &self.type_name
+        &self.0.type_name
     }
 
     /// The object's key.
     pub fn key(&self) -> &str {
-        &self.key
+        &self.0.key
     }
 
-    /// 64-bit placement hash of this reference (FNV-1a over type and key).
+    /// 64-bit placement hash of this reference (FNV-1a over type and key,
+    /// then a splitmix finalizer).
     pub fn placement_hash(&self) -> u64 {
-        let mut h = crate::ring::fnv1a(0, self.type_name.as_bytes());
-        h = crate::ring::fnv1a(h, b"\0");
-        crate::ring::mix(crate::ring::fnv1a(h, self.key.as_bytes()))
+        self.0.hash
+    }
+}
+
+impl PartialEq for ObjectRef {
+    fn eq(&self, other: &ObjectRef) -> bool {
+        Arc::ptr_eq(&self.0, &other.0)
+            || (self.0.hash == other.0.hash
+                && self.0.type_name == other.0.type_name
+                && self.0.key == other.0.key)
+    }
+}
+
+impl Eq for ObjectRef {}
+
+impl Hash for ObjectRef {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.0.hash);
+    }
+}
+
+impl PartialOrd for ObjectRef {
+    fn partial_cmp(&self, other: &ObjectRef) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for ObjectRef {
+    fn cmp(&self, other: &ObjectRef) -> Ordering {
+        (self.type_name(), self.key()).cmp(&(other.type_name(), other.key()))
+    }
+}
+
+/// The two strings, in the layout a derived impl over
+/// `{ type_name, key }` writes.
+impl Wire for ObjectRef {
+    fn put(&self, out: &mut Vec<u8>) {
+        self.type_name().put(out);
+        self.key().put(out);
+    }
+
+    fn get(input: &mut &[u8]) -> Result<ObjectRef, CodecError> {
+        let type_name = String::get(input)?;
+        Ok(ObjectRef::new(type_name, String::get(input)?))
     }
 }
 
 impl fmt::Debug for ObjectRef {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "ObjectRef({}:{})", self.type_name, self.key)
+        write!(f, "ObjectRef({}:{})", self.type_name(), self.key())
     }
 }
 
 impl fmt::Display for ObjectRef {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}:{}", self.type_name, self.key)
+        write!(f, "{}:{}", self.type_name(), self.key())
     }
 }
 
@@ -305,7 +363,7 @@ pub type ObjectFactory = Rc<dyn Fn(&[u8]) -> Result<Box<dyn SharedObject>, Objec
 /// ```
 #[derive(Clone, Default)]
 pub struct ObjectRegistry {
-    factories: HashMap<String, ObjectFactory>,
+    factories: FxHashMap<String, ObjectFactory>,
 }
 
 impl ObjectRegistry {
@@ -428,11 +486,17 @@ mod tests {
         use std::hash::BuildHasher;
         let (a, b) = (ObjectRef::new("AtomicLong", "c7"), ObjectRef::new("AtomicLong", "c7"));
         assert_eq!(a, b);
+        assert!(!Arc::ptr_eq(&a.0, &b.0), "built apart");
         let std_hasher = std::collections::hash_map::RandomState::new();
         assert_eq!(std_hasher.hash_one(&a), std_hasher.hash_one(&b));
-        let mut map = HashMap::new();
-        map.insert(a, 1);
+        let fx = simcore::FxBuildHasher::default();
+        assert_eq!(fx.hash_one(&a), fx.hash_one(&b));
+        let mut map = std::collections::HashMap::new();
+        map.insert(a.clone(), 1);
         assert_eq!(map.get(&b), Some(&1));
+        let mut fx_map = FxHashMap::default();
+        fx_map.insert(b, 2);
+        assert_eq!(fx_map.get(&a), Some(&2));
         assert_ne!(ObjectRef::new("AtomicLong", "c7"), ObjectRef::new("AtomicLong", "c8"));
         assert_ne!(ObjectRef::new("AtomicLong", "c7"), ObjectRef::new("AtomicLon", "gc7"));
     }

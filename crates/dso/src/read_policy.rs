@@ -14,8 +14,9 @@
 //! RNG draws, round-robin arithmetic and admission results are pinned by
 //! the golden determinism hashes in `tests/kernel_determinism.rs`.
 
-use std::collections::HashMap;
 use std::time::Duration;
+
+use simcore::FxHashMap;
 
 use crate::client::MonotonicReads;
 use crate::config::{ConsistencyMode, DsoConfig};
@@ -39,7 +40,7 @@ pub struct ReadPolicy {
     clock: u64,
     /// [`ConsistencyMode::Causal`]: per-object Lamport frontier, the
     /// minimum stamp a read may return.
-    deps: HashMap<ObjectRef, u64>,
+    deps: FxHashMap<ObjectRef, u64>,
 }
 
 impl ReadPolicy {
@@ -51,7 +52,7 @@ impl ReadPolicy {
             rr: 0,
             monotonic: MonotonicReads::new(),
             clock: 0,
-            deps: HashMap::new(),
+            deps: FxHashMap::default(),
         }
     }
 

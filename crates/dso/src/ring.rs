@@ -50,7 +50,8 @@ pub fn mix(mut h: u64) -> u64 {
 /// ```
 #[derive(Clone, PartialEq, Eq)]
 pub struct Ring {
-    points: BTreeMap<u64, NodeId>,
+    /// Virtual-node points, sorted by position, one node per position.
+    points: Vec<(u64, NodeId)>,
     nodes: Vec<NodeId>,
 }
 
@@ -76,7 +77,13 @@ impl Ring {
         for (p, n) in points {
             map.insert(p, n);
         }
-        Ring { points: map, nodes }
+        Ring { points: map.into_iter().collect(), nodes }
+    }
+
+    /// Index of the first point at or after `hash` (`points.len()` when
+    /// the walk must wrap to the start).
+    fn successor(&self, hash: u64) -> usize {
+        self.points.partition_point(|&(p, _)| p < hash)
     }
 
     /// The distinct nodes on the ring, sorted by id.
@@ -100,7 +107,8 @@ impl Ring {
     pub fn placement_by_hash(&self, hash: u64, rf: u8) -> Vec<NodeId> {
         let want = (rf as usize).min(self.nodes.len());
         let mut out: Vec<NodeId> = Vec::with_capacity(want);
-        for (_, &n) in self.points.range(hash..).chain(self.points.range(..hash)) {
+        let (before, after) = self.points.split_at(self.successor(hash));
+        for &(_, n) in after.iter().chain(before) {
             if !out.contains(&n) {
                 out.push(n);
                 if out.len() == want {
@@ -111,9 +119,11 @@ impl Ring {
         out
     }
 
-    /// The primary node for an object, if the ring is non-empty.
+    /// The primary node for an object (the first point at or after its
+    /// hash), if the ring is non-empty.
     pub fn primary(&self, obj: &ObjectRef) -> Option<NodeId> {
-        self.placement(obj, 1).first().copied()
+        let at = self.successor(obj.placement_hash());
+        self.points.get(at).or(self.points.first()).map(|&(_, n)| n)
     }
 }
 

@@ -14,13 +14,13 @@
 //! to the client.
 
 use std::cell::{Cell, RefCell};
-use std::collections::HashMap;
+use std::collections::hash_map::Entry;
 use std::rc::Rc;
 use std::time::Duration;
 
 use simcore::{
-    Actor, Addr, Ctx, LatencyModel, Msg, Pid, Proc, Request, Sim, SimTime, SpanId, Ticker, Wait,
-    Wake,
+    Actor, Addr, Ctx, FxHashMap, LatencyModel, Msg, Pid, Proc, Request, Sim, SimTime, SpanId,
+    Ticker, Wait, Wake,
 };
 
 use crate::config::{AdmissionConfig, DsoConfig, DurabilityLevel};
@@ -92,8 +92,8 @@ struct NodeShared {
     node: NodeId,
     cfg: DsoConfig,
     registry: ObjectRegistry,
-    objects: RefCell<HashMap<ObjectRef, Stored>>,
-    parked: RefCell<HashMap<Ticket, Addr>>,
+    objects: RefCell<FxHashMap<ObjectRef, Stored>>,
+    parked: RefCell<FxHashMap<Ticket, Addr>>,
     next_ticket: Cell<u64>,
     /// Invocations routed to workers and not yet finished (queued +
     /// executing) — the "queue depth" the admission controller bounds.
@@ -186,8 +186,8 @@ fn prepare_server(
         node,
         cfg,
         registry,
-        objects: RefCell::new(HashMap::new()),
-        parked: RefCell::new(HashMap::new()),
+        objects: RefCell::new(FxHashMap::default()),
+        parked: RefCell::new(FxHashMap::default()),
         next_ticket: Cell::new(1),
         inflight: Cell::new(0),
         wal,
@@ -217,6 +217,9 @@ struct Serving {
     view: View,
     ring: Ring,
     skeen: Skeen<SmrOp>,
+    /// Skeen's output, drained by [`process_skeen_actions`] after every
+    /// step: one buffer for the node's life, empty between messages.
+    actions: Vec<Action<SmrOp>>,
     hb: Ticker,
     shedder: Option<Shedder>,
     draining: bool,
@@ -268,6 +271,7 @@ impl Dispatcher {
             view: View::empty(),
             ring: Ring::new(&[]),
             skeen: Skeen::new(node),
+            actions: Vec::new(),
             hb: Ticker::new(ctx.now(), cfg.heartbeat_interval),
             shedder: cfg.admission.map(|a| Shedder::new(a, ctx.now())),
             draining: false,
@@ -329,7 +333,8 @@ impl Serving {
 
     /// Handles one inbox message.
     fn handle(&mut self, ctx: &mut Proc, msg: Msg) -> Next {
-        let Serving { coordinator, shared, workers, view, ring, skeen, shedder, .. } = self;
+        let Serving { coordinator, shared, workers, view, ring, skeen, actions, shedder, .. } =
+            self;
         let shared = &*shared;
         let node = shared.node;
         let cfg = &shared.cfg;
@@ -361,7 +366,7 @@ impl Serving {
                 }
                 let (reply_to, invoke) = req.take::<InvokeReq>();
                 handle_client_invoke(
-                    ctx, shared, view, ring, workers, skeen, shedder, invoke, reply_to,
+                    ctx, shared, view, ring, workers, skeen, actions, shedder, invoke, reply_to,
                 );
                 return Next::Serve;
             }
@@ -372,7 +377,7 @@ impl Serving {
                 // Stale- or future-epoch SMR traffic is dropped; the client
                 // retries once both replicas share the view.
                 if epoch == view.id {
-                    let actions = skeen.handle(from, msg);
+                    skeen.handle_into(from, msg, actions);
                     process_skeen_actions(ctx, shared, view, workers, skeen, actions);
                 }
                 return Next::Serve;
@@ -446,6 +451,7 @@ fn handle_client_invoke(
     ring: &Ring,
     workers: &[Addr],
     skeen: &mut Skeen<SmrOp>,
+    actions: &mut Vec<Action<SmrOp>>,
     shedder: &mut Option<Shedder>,
     req: InvokeReq,
     reply_to: Addr,
@@ -482,35 +488,37 @@ fn handle_client_invoke(
         ctx.span_annotate(round_span, "obj", &req.obj);
         ctx.metric_incr("dso.smr_rounds");
         let op = SmrOp { req, respond_to: Some(reply_to), round_span };
-        let (_mid, actions) = skeen.multicast(placement, op);
+        skeen.multicast_into(placement, op, actions);
         process_skeen_actions(ctx, shared, view, workers, skeen, actions);
     } else {
         route_to_worker(ctx, shared, workers, WorkItem::Client { req, reply_to });
     }
 }
 
-/// Executes Skeen actions: peer sends go on the wire, self-sends loop back
-/// through the state machine immediately (zero network cost), deliveries
-/// are dispatched to workers in order.
+/// Executes one step's Skeen actions, left in `stack` in protocol order:
+/// peer sends go on the wire, self-sends loop back through the state
+/// machine immediately (zero network cost), deliveries are dispatched to
+/// workers in order. Leaves `stack` empty.
 fn process_skeen_actions(
     ctx: &mut Proc,
     shared: &Rc<NodeShared>,
     view: &View,
     workers: &[Addr],
     skeen: &mut Skeen<SmrOp>,
-    actions: Vec<Action<SmrOp>>,
+    stack: &mut Vec<Action<SmrOp>>,
 ) {
     let node = shared.node;
-    let mut stack: Vec<Action<SmrOp>> = actions;
-    // Reverse stack processing keeps relative order of same-batch actions.
+    // Popped from the back, so each batch is reversed in place: actions run
+    // in protocol order, and a self-send's own batch runs before the rest
+    // of the batch that produced it.
     stack.reverse();
     while let Some(action) = stack.pop() {
         match action {
             Action::Send { to, msg } => {
                 if to == node {
-                    let mut more = skeen.handle(node, msg);
-                    more.reverse();
-                    stack.extend(more);
+                    let batch = stack.len();
+                    skeen.handle_into(node, msg, stack);
+                    stack[batch..].reverse();
                 } else if let Some(addr) = view.addr_of(to) {
                     let lat = shared.cfg.peer_net.sample(ctx.rng());
                     ctx.send(addr, Msg::new(PeerMsg::Smr { from: node, epoch: view.id, msg }), lat);
@@ -649,6 +657,9 @@ fn rebalance(
             }
         }
     }
+    // Sent in object order, never the table's: each transfer draws a peer
+    // latency, so this order is part of the schedule.
+    to_send.sort_by(|a, b| a.1.cmp(&b.1));
     for (addr, obj, rf, state, version, lamport) in to_send {
         let lat = shared.cfg.peer_net.sample(ctx.rng())
             + Duration::from_secs_f64(state.len() as f64 / TRANSFER_BANDWIDTH);
@@ -776,22 +787,18 @@ fn execute(
     }
     done.outcome = {
         let mut objects = shared.objects.borrow_mut();
-        if !objects.contains_key(&req.obj) {
-            match materialize(shared, &req) {
-                Ok(Some(stored)) => {
-                    objects.insert(req.obj.clone(), stored);
-                }
+        let stored = match objects.entry(req.obj.clone()) {
+            Entry::Occupied(e) => e.into_mut(),
+            Entry::Vacant(e) => match materialize(shared, &req) {
+                Ok(Some(stored)) => e.insert(stored),
                 // Persistent object awaiting transfer from a replica.
                 Ok(None) => return done,
-                Err(e) => {
-                    done.outcome = CallOutcome::Reply(InvokeResp::Error(e), Duration::ZERO);
+                Err(err) => {
+                    done.outcome = CallOutcome::Reply(InvokeResp::Error(err), Duration::ZERO);
                     return done;
                 }
-            }
-        }
-        // invariant: the contains_key/materialize branch above inserted the
-        // entry (or returned early), all while holding the objects borrow.
-        let stored = objects.get_mut(&req.obj).expect("object just ensured");
+            },
+        };
         if &req.method == "__create" {
             // Idempotent explicit creation: materialization above (or a
             // pre-existing object) is all that is needed. Logged so the

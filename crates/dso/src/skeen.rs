@@ -17,8 +17,11 @@
 //! 4. Members deliver pending messages in final-timestamp order, as soon as
 //!    no other pending message could receive a smaller timestamp.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::fmt;
+use std::rc::Rc;
+
+use simcore::FxHashMap;
 
 use crate::protocol::NodeId;
 
@@ -47,8 +50,8 @@ pub enum SkeenMsg<M> {
     Run {
         /// Message id.
         mid: Mid,
-        /// Full destination group (needed by the initiator for `Final`).
-        group: Vec<NodeId>,
+        /// Full destination group, shared by every `Run` of one multicast.
+        group: Rc<[NodeId]>,
         /// Application payload.
         payload: M,
     },
@@ -98,7 +101,7 @@ struct Pending<M> {
 }
 
 struct Collecting {
-    group: Vec<NodeId>,
+    group: Rc<[NodeId]>,
     max: Stamp,
     awaiting: usize,
 }
@@ -114,18 +117,19 @@ struct Collecting {
 /// let (a, b) = (NodeId(0), NodeId(1));
 /// let mut sa = Skeen::<String>::new(a);
 /// let mut sb = Skeen::<String>::new(b);
-/// let (_, actions) = sa.multicast(vec![a, b], "op".to_string());
+/// let mut actions = Vec::new();
+/// sa.multicast_into(vec![a, b], "op".to_string(), &mut actions);
 /// // Drive the messages by hand (normally the server/network does this)…
-/// # let mut wire: Vec<(NodeId, NodeId, dso::skeen::SkeenMsg<String>)> = Vec::new();
 /// # let mut delivered = 0;
 /// # let mut queue: Vec<(NodeId, NodeId, dso::skeen::SkeenMsg<String>)> =
-/// #     actions.into_iter().map(|x| match x {
+/// #     actions.drain(..).map(|x| match x {
 /// #         Action::Send { to, msg } => (a, to, msg),
 /// #         _ => unreachable!(),
 /// #     }).collect();
 /// # while let Some((from, to, msg)) = queue.pop() {
 /// #     let node = if to == a { &mut sa } else { &mut sb };
-/// #     for act in node.handle(from, msg) {
+/// #     node.handle_into(from, msg, &mut actions);
+/// #     for act in actions.drain(..) {
 /// #         match act {
 /// #             Action::Send { to: t, msg: m } => queue.push((to, t, m)),
 /// #             Action::Deliver { .. } => delivered += 1,
@@ -138,10 +142,10 @@ pub struct Skeen<M> {
     node: NodeId,
     clock: u64,
     next_seq: u64,
-    pending: HashMap<Mid, Pending<M>>,
+    pending: FxHashMap<Mid, Pending<M>>,
     // Delivery frontier ordered by (stamp, mid).
     order: BTreeMap<(Stamp, Mid), Mid>,
-    collecting: HashMap<Mid, Collecting>,
+    collecting: FxHashMap<Mid, Collecting>,
 }
 
 impl<M: fmt::Debug> fmt::Debug for Skeen<M> {
@@ -161,9 +165,9 @@ impl<M: Clone> Skeen<M> {
             node,
             clock: 0,
             next_seq: 0,
-            pending: HashMap::new(),
+            pending: FxHashMap::default(),
             order: BTreeMap::new(),
-            collecting: HashMap::new(),
+            collecting: FxHashMap::default(),
         }
     }
 
@@ -181,62 +185,67 @@ impl<M: Clone> Skeen<M> {
     }
 
     /// Starts a multicast of `payload` to `group` (which should include the
-    /// local node if it must deliver too).
+    /// local node if it must deliver too), appending the `Run` sends to
+    /// `out`.
     ///
     /// # Panics
     ///
     /// Panics if `group` is empty.
-    pub fn multicast(&mut self, group: Vec<NodeId>, payload: M) -> (Mid, Vec<Action<M>>) {
+    pub fn multicast_into(
+        &mut self,
+        group: impl Into<Rc<[NodeId]>>,
+        payload: M,
+        out: &mut Vec<Action<M>>,
+    ) -> Mid {
+        let group: Rc<[NodeId]> = group.into();
         assert!(!group.is_empty(), "multicast group must not be empty");
         let mid = Mid { node: self.node, seq: self.next_seq };
         self.next_seq += 1;
-        self.collecting.insert(
-            mid,
-            Collecting { group: group.clone(), max: (0, NodeId(0)), awaiting: group.len() },
-        );
-        let actions = group
-            .iter()
-            .map(|&to| Action::Send {
-                to,
-                msg: SkeenMsg::Run { mid, group: group.clone(), payload: payload.clone() },
-            })
-            .collect();
-        (mid, actions)
+        out.extend(group.iter().map(|&to| Action::Send {
+            to,
+            msg: SkeenMsg::Run { mid, group: group.clone(), payload: payload.clone() },
+        }));
+        let awaiting = group.len();
+        self.collecting.insert(mid, Collecting { group, max: (0, NodeId(0)), awaiting });
+        mid
     }
 
-    /// Feeds one protocol message; returns resulting sends and deliveries.
-    pub fn handle(&mut self, _from: NodeId, msg: SkeenMsg<M>) -> Vec<Action<M>> {
+    /// [`Skeen::multicast_into`] into a fresh `Vec`, for a caller that
+    /// takes one batch at a time (`benchmark layers`' Skeen round).
+    pub fn multicast(&mut self, group: Vec<NodeId>, payload: M) -> (Mid, Vec<Action<M>>) {
+        let mut out = Vec::new();
+        let mid = self.multicast_into(group, payload, &mut out);
+        (mid, out)
+    }
+
+    /// Feeds one protocol message, appending the resulting sends and
+    /// deliveries to `out`.
+    pub fn handle_into(&mut self, _from: NodeId, msg: SkeenMsg<M>, out: &mut Vec<Action<M>>) {
         match msg {
             SkeenMsg::Run { mid, payload, .. } => {
                 self.clock += 1;
                 let ts: Stamp = (self.clock, self.node);
                 self.pending.insert(mid, Pending { ts, is_final: false, payload });
                 self.order.insert((ts, mid), mid);
-                vec![Action::Send { to: mid.node, msg: SkeenMsg::Propose { mid, ts } }]
+                out.push(Action::Send { to: mid.node, msg: SkeenMsg::Propose { mid, ts } });
             }
             SkeenMsg::Propose { mid, ts } => {
-                let done = {
-                    let c = match self.collecting.get_mut(&mid) {
-                        Some(c) => c,
-                        // Late/duplicate proposal for a finished collection.
-                        None => return Vec::new(),
-                    };
-                    if ts > c.max {
-                        c.max = ts;
-                    }
-                    c.awaiting -= 1;
-                    c.awaiting == 0
-                };
-                if !done {
-                    return Vec::new();
+                // A late or duplicate proposal finds its collection finished.
+                let Some(c) = self.collecting.get_mut(&mid) else { return };
+                if ts > c.max {
+                    c.max = ts;
                 }
-                // invariant: `done` came from get_mut on this very key above,
-                // with no intervening removal.
+                c.awaiting -= 1;
+                if c.awaiting > 0 {
+                    return;
+                }
+                // invariant: `get_mut` found this very key just above, with
+                // no intervening removal.
                 let c = self.collecting.remove(&mid).expect("collecting entry");
-                c.group
-                    .iter()
-                    .map(|&to| Action::Send { to, msg: SkeenMsg::Final { mid, ts: c.max } })
-                    .collect()
+                let ts = c.max;
+                out.extend(
+                    c.group.iter().map(|&to| Action::Send { to, msg: SkeenMsg::Final { mid, ts } }),
+                );
             }
             SkeenMsg::Final { mid, ts } => {
                 self.clock = self.clock.max(ts.0);
@@ -247,14 +256,20 @@ impl<M: Clone> Skeen<M> {
                     self.order.remove(&old);
                     self.order.insert((ts, mid), mid);
                 }
-                self.drain()
+                self.drain(out);
             }
         }
     }
 
-    /// Delivers every head-of-line finalized message.
-    fn drain(&mut self) -> Vec<Action<M>> {
+    /// [`Skeen::handle_into`] into a fresh `Vec` (see [`Skeen::multicast`]).
+    pub fn handle(&mut self, from: NodeId, msg: SkeenMsg<M>) -> Vec<Action<M>> {
         let mut out = Vec::new();
+        self.handle_into(from, msg, &mut out);
+        out
+    }
+
+    /// Delivers every head-of-line finalized message.
+    fn drain(&mut self, out: &mut Vec<Action<M>>) {
         while let Some((&key, &mid)) = self.order.iter().next() {
             let ((ts, _), mid) = (key, mid);
             let deliverable = self.pending.get(&mid).map(|p| p.is_final).unwrap_or(false);
@@ -267,14 +282,13 @@ impl<M: Clone> Skeen<M> {
             let p = self.pending.remove(&mid).expect("pending entry");
             out.push(Action::Deliver { mid, ts, payload: p.payload });
         }
-        out
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::VecDeque;
+    use std::collections::{HashMap, VecDeque};
 
     type Net<M> = VecDeque<(NodeId, NodeId, SkeenMsg<M>)>; // (from, to, msg)
 
@@ -286,11 +300,12 @@ mod tests {
         mut pick: impl FnMut(usize) -> usize,
     ) -> HashMap<NodeId, Vec<(Mid, M)>> {
         let mut logs: HashMap<NodeId, Vec<(Mid, M)>> = HashMap::new();
+        let mut actions = Vec::new();
         while !net.is_empty() {
             let idx = pick(net.len());
             let (from, to, msg) = net.remove(idx).expect("index in range");
-            let actions = nodes.get_mut(&to).expect("node exists").handle(from, msg);
-            for a in actions {
+            nodes.get_mut(&to).expect("node exists").handle_into(from, msg, &mut actions);
+            for a in actions.drain(..) {
                 match a {
                     Action::Send { to: t, msg: m } => net.push_back((to, t, m)),
                     Action::Deliver { mid, payload, .. } => {
@@ -309,8 +324,12 @@ mod tests {
         group: &[NodeId],
         payload: M,
     ) -> Mid {
-        let (mid, actions) =
-            nodes.get_mut(&initiator).expect("initiator").multicast(group.to_vec(), payload);
+        let mut actions = Vec::new();
+        let mid = nodes.get_mut(&initiator).expect("initiator").multicast_into(
+            group.to_vec(),
+            payload,
+            &mut actions,
+        );
         for a in actions {
             match a {
                 Action::Send { to, msg } => net.push_back((initiator, to, msg)),
@@ -379,7 +398,13 @@ mod tests {
         // Final — three one-way message hops before delivery.
         let mut a = Skeen::<u8>::new(NodeId(0));
         let mut b = Skeen::<u8>::new(NodeId(1));
-        let (mid, acts) = a.multicast(vec![NodeId(0), NodeId(1)], 9);
+        let handle = |s: &mut Skeen<u8>, from: NodeId, msg: SkeenMsg<u8>| {
+            let mut out = Vec::new();
+            s.handle_into(from, msg, &mut out);
+            out
+        };
+        let mut acts = Vec::new();
+        let mid = a.multicast_into(vec![NodeId(0), NodeId(1)], 9, &mut acts);
         assert_eq!(acts.len(), 2);
         // Hop 1: Run reaches b.
         let run_msg = acts
@@ -388,13 +413,13 @@ mod tests {
                 Action::Send { to: NodeId(1), msg } => Some(msg),
                 Action::Send { to: NodeId(0), msg } => {
                     // Self-run handled locally.
-                    let _ = a.handle(NodeId(0), msg);
+                    let _ = handle(&mut a, NodeId(0), msg);
                     None
                 }
                 _ => None,
             })
             .expect("run to b");
-        let acts_b = b.handle(NodeId(0), run_msg);
+        let acts_b = handle(&mut b, NodeId(0), run_msg);
         // Hop 2: Propose back to a (plus a's own self-propose).
         let propose = match &acts_b[0] {
             Action::Send { to, msg } => {
@@ -404,21 +429,21 @@ mod tests {
             other => panic!("unexpected {other:?}"),
         };
         let self_propose = SkeenMsg::Propose { mid, ts: (1, NodeId(0)) };
-        let _ = a.handle(NodeId(0), self_propose);
-        let acts_a = a.handle(NodeId(1), propose);
+        let _ = handle(&mut a, NodeId(0), self_propose);
+        let acts_a = handle(&mut a, NodeId(1), propose);
         // Hop 3: Finals (one reaches b, one loops to a).
         let mut delivered_b = 0;
         for act in acts_a {
             match act {
                 Action::Send { to, msg } => {
                     if to == NodeId(1) {
-                        for x in b.handle(NodeId(0), msg) {
+                        for x in handle(&mut b, NodeId(0), msg) {
                             if matches!(x, Action::Deliver { .. }) {
                                 delivered_b += 1;
                             }
                         }
                     } else {
-                        let _ = a.handle(NodeId(0), msg);
+                        let _ = handle(&mut a, NodeId(0), msg);
                     }
                 }
                 Action::Deliver { .. } => {}
@@ -427,11 +452,41 @@ mod tests {
         assert_eq!(delivered_b, 1);
     }
 
+    /// The appending forms leave what `out` already held in place, and the
+    /// `Vec`-returning forms return exactly what they append.
+    #[test]
+    fn actions_are_appended() {
+        let (mut a, mut b) = (Skeen::<u8>::new(NodeId(0)), Skeen::<u8>::new(NodeId(0)));
+        let mut out = vec![Action::Deliver {
+            mid: Mid { node: NodeId(9), seq: 9 },
+            ts: (0, NodeId(9)),
+            payload: 0,
+        }];
+        let mid = a.multicast_into(vec![NodeId(0), NodeId(1)], 7, &mut out);
+        let (mid_b, fresh) = b.multicast(vec![NodeId(0), NodeId(1)], 7);
+        assert_eq!(mid, mid_b);
+        assert_eq!(out.len(), 3);
+        assert_eq!(out[1..], fresh[..]);
+        let Action::Send { msg, .. } = out.pop().expect("a run") else { panic!("not a send") };
+        let before = out.len();
+        a.handle_into(NodeId(0), msg.clone(), &mut out);
+        assert_eq!(out[before..], b.handle(NodeId(0), msg)[..]);
+    }
+
+    /// A mid's hash under the simulation's fixed hasher: the layout of
+    /// Skeen's `pending` and `collecting` tables follows from it.
+    #[test]
+    fn mid_hash_is_pinned() {
+        use std::hash::BuildHasher;
+        let fx = simcore::FxBuildHasher::default();
+        assert_eq!(fx.hash_one(Mid { node: NodeId(7), seq: 3 }), 0xcd8a_9808_c2d8_6dd8);
+    }
+
     #[test]
     #[should_panic(expected = "must not be empty")]
     fn empty_group_rejected() {
         let mut s = Skeen::<u8>::new(NodeId(0));
-        let _ = s.multicast(vec![], 1);
+        let _ = s.multicast_into(vec![], 1, &mut Vec::new());
     }
 }
 
@@ -451,19 +506,21 @@ mod proptests {
             msgs in 1usize..12,
             picks in proptest::collection::vec(0usize..1000, 0..600),
         ) {
-            let group: Vec<NodeId> = (0..n).map(NodeId).collect();
+            // One group shared by every multicast, as the server's placement is.
+            let group: Rc<[NodeId]> = (0..n).map(NodeId).collect();
             let mut nodes: std::collections::HashMap<NodeId, Skeen<usize>> =
                 group.iter().map(|&i| (i, Skeen::new(i))).collect();
             let mut net = std::collections::VecDeque::new();
             let mut mids = Vec::new();
+            let mut actions = Vec::new();
             for i in 0..msgs {
                 let initiator = NodeId((i as u32) % n);
-                let (mid, actions) = nodes
+                let mid = nodes
                     .get_mut(&initiator)
                     .expect("initiator")
-                    .multicast(group.clone(), i);
+                    .multicast_into(group.clone(), i, &mut actions);
                 mids.push(mid);
-                for a in actions {
+                for a in actions.drain(..) {
                     if let Action::Send { to, msg } = a {
                         net.push_back((initiator, to, msg));
                     }
@@ -474,7 +531,8 @@ mod proptests {
             let mut k = 0usize;
             while let Some((from, to, msg)) = pop_pick(&mut net, picks.get(k).copied()) {
                 k += 1;
-                for a in nodes.get_mut(&to).expect("node").handle(from, msg) {
+                nodes.get_mut(&to).expect("node").handle_into(from, msg, &mut actions);
+                for a in actions.drain(..) {
                     match a {
                         Action::Send { to: t, msg: m } => net.push_back((to, t, m)),
                         Action::Deliver { mid, .. } => logs.entry(to).or_default().push(mid),
@@ -487,7 +545,7 @@ mod proptests {
             sorted.sort();
             sorted.dedup();
             prop_assert_eq!(sorted.len(), msgs, "no duplicates");
-            for m in &group {
+            for m in group.iter() {
                 prop_assert_eq!(logs.get(m).cloned().unwrap_or_default(), reference.clone());
             }
         }

@@ -2,12 +2,11 @@
 //! registry that containers resolve handlers from.
 
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::fmt;
 use std::rc::Rc;
 use std::time::Duration;
 
-use simcore::Ctx;
+use simcore::{Ctx, FxHashMap};
 
 use crate::config::ColdStartPolicy;
 
@@ -131,7 +130,7 @@ impl fmt::Debug for FunctionSpec {
 /// after the platform started (containers resolve handlers per job).
 #[derive(Clone, Default)]
 pub struct FunctionRegistry {
-    inner: Rc<RefCell<HashMap<String, FunctionSpec>>>,
+    inner: Rc<RefCell<FxHashMap<String, FunctionSpec>>>,
 }
 
 impl FunctionRegistry {

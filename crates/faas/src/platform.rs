@@ -4,12 +4,14 @@
 //! concurrency limit, failure injection, and billing.
 
 use std::cell::Cell;
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::rc::Rc;
 use std::time::Duration;
 
 use rand::RngExt;
-use simcore::{Addr, Ctx, LatencyModel, Msg, Pid, Request, Sim, SimTime, SpanId, TraceCtx};
+use simcore::{
+    Addr, Ctx, FxHashMap, LatencyModel, Msg, Pid, Request, Sim, SimTime, SpanId, TraceCtx,
+};
 
 use crate::billing::{Billing, InvocationRecord, RetirementRecord, StartKind};
 use crate::config::{
@@ -378,18 +380,18 @@ struct Platform {
     cfg: FaasConfig,
     registry: FunctionRegistry,
     billing: Billing,
-    warm: HashMap<String, Vec<WarmContainer>>,
+    warm: FxHashMap<String, Vec<WarmContainer>>,
     pending: VecDeque<(String, Job)>,
     running: u32,
     next_container: u64,
     next_fork: u64,
     /// Provisioned-concurrency floor per function ([`SetProvisioned`]).
-    provisioned: HashMap<String, u32>,
+    provisioned: FxHashMap<String, u32>,
     /// Pre-warms in flight per function (booting, not yet in the pool) —
     /// keeps repeated [`SetProvisioned`] requests from over-spawning.
-    prewarming: HashMap<String, u32>,
+    prewarming: FxHashMap<String, u32>,
     /// Process of each container, so retirement can actually reclaim it.
-    pids: HashMap<Addr, Pid>,
+    pids: FxHashMap<Addr, Pid>,
     /// Snapshot cache, bounded by
     /// [`FaasConfig::snapshot_cache_capacity`]; LRU by virtual
     /// time (name as the deterministic tie-break). `BTreeMap` so victim
@@ -409,14 +411,14 @@ fn platform_loop(
         cfg,
         registry,
         billing,
-        warm: HashMap::new(),
+        warm: FxHashMap::default(),
         pending: VecDeque::new(),
         running: 0,
         next_container: 0,
         next_fork: 0,
-        provisioned: HashMap::new(),
-        prewarming: HashMap::new(),
-        pids: HashMap::new(),
+        provisioned: FxHashMap::default(),
+        prewarming: FxHashMap::default(),
+        pids: FxHashMap::default(),
         snapshots: BTreeMap::new(),
     };
     loop {

@@ -23,7 +23,7 @@
 //! [`Decision`] trace, so a failing schedule found by [`crate::explore`]
 //! can be replayed exactly (see the module docs there).
 
-use std::collections::HashMap;
+use crate::hash::FxHashMap;
 use std::fmt;
 
 use crate::kernel::{Pid, Sim};
@@ -195,8 +195,9 @@ impl Sim {
 /// conditions, barriers, calls, messages — point at every *other* stuck
 /// process that is not blocked on the same resource: any of them could in
 /// principle have delivered the wakeup, and none of them ever will.
-fn wait_for_edges(stuck: &[StuckProc], holders: &HashMap<u64, (Pid, String)>) -> Vec<Vec<usize>> {
-    let index_of: HashMap<Pid, usize> = stuck.iter().enumerate().map(|(i, p)| (p.pid, i)).collect();
+fn wait_for_edges(stuck: &[StuckProc], holders: &FxHashMap<u64, (Pid, String)>) -> Vec<Vec<usize>> {
+    let index_of: FxHashMap<Pid, usize> =
+        stuck.iter().enumerate().map(|(i, p)| (p.pid, i)).collect();
     stuck
         .iter()
         .enumerate()
@@ -296,7 +297,7 @@ mod tests {
             sp(0, "a", Some(ann(2, WaitKind::Lock))),
             sp(1, "b", Some(ann(1, WaitKind::Lock))),
         ];
-        let mut holders = HashMap::new();
+        let mut holders = FxHashMap::default();
         holders.insert(1u64, (Pid(0), "r1".to_string()));
         holders.insert(2u64, (Pid(1), "r2".to_string()));
         let edges = wait_for_edges(&stuck, &holders);
@@ -314,7 +315,7 @@ mod tests {
             sp(0, "a", Some(ann(10, WaitKind::Barrier))),
             sp(1, "b", Some(ann(11, WaitKind::Barrier))),
         ];
-        let edges = wait_for_edges(&stuck, &HashMap::new());
+        let edges = wait_for_edges(&stuck, &FxHashMap::default());
         let cycles = find_cycles(&stuck, &edges);
         assert_eq!(cycles.len(), 1);
     }
@@ -327,7 +328,7 @@ mod tests {
             sp(0, "a", Some(ann(10, WaitKind::Barrier))),
             sp(1, "b", Some(ann(10, WaitKind::Barrier))),
         ];
-        let edges = wait_for_edges(&stuck, &HashMap::new());
+        let edges = wait_for_edges(&stuck, &FxHashMap::default());
         assert!(edges.iter().all(Vec::is_empty));
         assert!(find_cycles(&stuck, &edges).is_empty());
     }
@@ -335,7 +336,7 @@ mod tests {
     #[test]
     fn lone_semaphore_waiter_is_lost_wakeup_shape() {
         let stuck = vec![sp(0, "w", Some(ann(5, WaitKind::Semaphore)))];
-        let edges = wait_for_edges(&stuck, &HashMap::new());
+        let edges = wait_for_edges(&stuck, &FxHashMap::default());
         assert_eq!(edges, vec![Vec::<usize>::new()]);
     }
 }

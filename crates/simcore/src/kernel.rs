@@ -28,7 +28,7 @@
 use std::any::Any;
 use std::borrow::Cow;
 use std::cell::RefCell;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::fmt;
 use std::ops::{Deref, DerefMut};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe, Location};
@@ -40,6 +40,7 @@ use rand::SeedableRng;
 
 use crate::coro::{Coroutine, Stack, Step, Yielder};
 use crate::detect::{StuckProc, WaitAnnotation, WaitKind};
+use crate::hash::FxHashMap;
 use crate::metrics::MetricsRegistry;
 use crate::scheduler::{Decision, FifoScheduler, Scheduler};
 use crate::slab::Slab;
@@ -408,7 +409,7 @@ pub(crate) struct KernelState {
     decisions: Vec<Decision>,
     /// Current holder of each annotated resource (`resource id -> (pid,
     /// name)`), maintained by [`Proc::resource_acquired`] and friends.
-    holders: HashMap<u64, (Pid, String)>,
+    holders: FxHashMap<u64, (Pid, String)>,
     /// Virtual time a non-daemon process last ran; the stall detector in
     /// [`Kernel::turn`] keys off this.
     last_nondaemon_run: SimTime,
@@ -875,7 +876,7 @@ impl Sim {
                     trace,
                     scheduler,
                     decisions: Vec::new(),
-                    holders: HashMap::new(),
+                    holders: FxHashMap::default(),
                     last_nondaemon_run: SimTime::ZERO,
                     deadline: None,
                     stacks: Vec::new(),
@@ -951,7 +952,9 @@ impl Sim {
 
     /// Snapshot of the permanently blocked non-daemon processes plus the
     /// resource-holder table, for [`Sim::deadlock_report`].
-    pub(crate) fn stuck_snapshot(&self) -> (SimTime, Vec<StuckProc>, HashMap<u64, (Pid, String)>) {
+    pub(crate) fn stuck_snapshot(
+        &self,
+    ) -> (SimTime, Vec<StuckProc>, FxHashMap<u64, (Pid, String)>) {
         let st = self.kernel.state.borrow();
         let stuck: Vec<StuckProc> = st
             .procs

@@ -61,12 +61,14 @@ pub mod codec;
 pub mod cpu;
 pub mod detect;
 pub mod explore;
+pub mod hash;
 pub mod scheduler;
 pub mod sync;
 pub mod trace;
 
 pub use cpu::CpuHost;
 pub use detect::{DeadlockReport, StuckProc, WaitAnnotation, WaitKind};
+pub use hash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use kernel::{Actor, Addr, Ctx, Msg, Pid, Proc, Request, RunOutcome, Sim, Wait, Wake};
 pub use latency::{Jitter, LatencyModel};
 pub use metrics::{fsum, Counter, LatencyStats, MetricsRegistry, Series};

@@ -15,8 +15,9 @@
 //! schedule is itself deterministic — resolved output is byte-identical
 //! across identically-seeded runs.
 
-use std::collections::HashMap;
 use std::sync::Arc;
+
+use crate::hash::FxHashMap;
 
 /// Handle to an interned string (index into its [`SymbolTable`]).
 #[derive(Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -28,7 +29,7 @@ pub struct SymbolTable {
     /// Sym index → string. `Arc<str>` so the lookup map shares storage.
     strings: Vec<Arc<str>>,
     /// String → sym index.
-    lookup: HashMap<Arc<str>, u32>,
+    lookup: FxHashMap<Arc<str>, u32>,
 }
 
 impl SymbolTable {

@@ -18,13 +18,21 @@
 //! prints libtest's lines so the output reads like any other test binary's.
 //! The same holds for the last test, which counts the process's OS threads
 //! to show a simulation never starts one.
+//!
+//! Two more regions count the DSO layer: cloning a request (what a retry
+//! and every Skeen hop do) allocates nothing, and a steady-state replicated
+//! `increment_and_get` on a 3-node cluster at rf = 2 allocates a fixed,
+//! exact number of times per op, whole cluster included.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::Duration;
 
 use crucial::Sim;
-use simcore::{Actor, Addr, Msg, Proc, Request, Wait, Wake};
+use dso::api::AtomicLong;
+use dso::protocol::InvokeReq;
+use dso::{intern, DsoCluster, DsoConfig, ObjectRef, ObjectRegistry};
+use simcore::{Actor, Addr, Msg, Proc, Request, SpanId, Wait, Wake};
 
 struct CountingAlloc;
 
@@ -222,6 +230,72 @@ fn steady_state_timed_rpc_allocates_only_its_payloads() {
     assert_eq!(counted, 3 * CALLS, "a timed RPC allocated {per_call:.3} times per call, not 3");
 }
 
+/// A request is cloned per retry and per Skeen `Run`: every field of it
+/// is shared, so a clone is reference-count bumps only.
+fn cloning_a_request_allocates_nothing() {
+    let obj = ObjectRef::new("AtomicLong", "counter-17");
+    let req = InvokeReq {
+        obj: obj.clone(),
+        method: intern("incrementAndGet"),
+        args: vec![1, 2, 3].into(),
+        rf: 2,
+        create: Some(vec![0; 8].into()),
+        readonly: false,
+        dep: 0,
+        span: SpanId::NONE,
+    };
+    ALLOCS.store(0, Ordering::SeqCst);
+    COUNTING.store(true, Ordering::SeqCst);
+    let clones = (obj.clone(), req.clone());
+    COUNTING.store(false, Ordering::SeqCst);
+    let counted = ALLOCS.load(Ordering::SeqCst);
+    assert_eq!(clones.1.obj, obj);
+    drop(clones);
+    assert_eq!(counted, 0, "cloning an ObjectRef and an InvokeReq allocated {counted} times");
+}
+
+/// Allocations per replicated write over the whole cluster: the client's
+/// request and reply, the Skeen round's messages between the two
+/// replicas, both applies and the dispatcher and worker hops. Debug builds
+/// add one per replica: `dispatch` saves the object's state before each
+/// apply, to catch a read that mutates.
+const ALLOCS_PER_SMR_WRITE: u64 = if cfg!(debug_assertions) { 17 } else { 15 };
+
+/// One client's steady-state `increment_and_get`s on a 3-node cluster at
+/// rf = 2, after a warm-up that has materialized the counter and grown
+/// every table. The window also holds what the servers do meanwhile
+/// (replica applies, heartbeats), so the count is exact for this seed.
+fn steady_state_smr_write_allocates_a_fixed_count() {
+    const WARMUP: u64 = 200;
+    const OPS: u64 = 1_000;
+    let mut sim = Sim::new(17);
+    let cluster = DsoCluster::start(&sim, 3, DsoConfig::default(), ObjectRegistry::with_builtins());
+    let handle = cluster.client_handle();
+    sim.spawn("client", move |ctx| {
+        let mut cli = handle.connect();
+        let counter = AtomicLong::persistent("c", 0, 2);
+        for _ in 0..WARMUP {
+            counter.increment_and_get(ctx, &mut cli).expect("warm-up write");
+        }
+        ALLOCS.store(0, Ordering::SeqCst);
+        COUNTING.store(true, Ordering::SeqCst);
+        for i in 0..OPS {
+            let v = counter.increment_and_get(ctx, &mut cli).expect("write");
+            assert_eq!(v, (WARMUP + i + 1) as i64);
+        }
+        COUNTING.store(false, Ordering::SeqCst);
+    });
+    sim.run_until_idle();
+    let counted = ALLOCS.load(Ordering::SeqCst);
+    let per_op = counted as f64 / OPS as f64;
+    println!("smr write: {counted} allocations over {OPS} ops, {per_op:.3} per op");
+    assert_eq!(
+        counted,
+        ALLOCS_PER_SMR_WRITE * OPS,
+        "a replicated write allocated {per_op:.3} times per op, not {ALLOCS_PER_SMR_WRITE}"
+    );
+}
+
 /// This process's OS threads, as `/proc/self/task` lists them.
 fn os_threads() -> usize {
     std::fs::read_dir("/proc/self/task").expect("procfs lists this process's threads").count()
@@ -254,7 +328,7 @@ fn a_sim_never_starts_an_os_thread() {
 }
 
 fn main() {
-    let tests: [(&str, fn()); 6] = [
+    let tests: [(&str, fn()); 8] = [
         ("steady_state_timer_churn_allocates_nothing", steady_state_timer_churn_allocates_nothing),
         (
             "steady_state_actor_ping_pong_allocates_nothing",
@@ -270,6 +344,11 @@ fn main() {
             steady_state_timed_rpc_allocates_only_its_payloads,
         ),
         ("a_sim_never_starts_an_os_thread", a_sim_never_starts_an_os_thread),
+        (
+            "steady_state_smr_write_allocates_a_fixed_count",
+            steady_state_smr_write_allocates_a_fixed_count,
+        ),
+        ("cloning_a_request_allocates_nothing", cloning_a_request_allocates_nothing),
     ];
     // What `cargo test -- --list` asks of every test binary.
     if std::env::args().any(|a| a == "--list") {
