@@ -34,6 +34,17 @@ pub fn mix(mut h: u64) -> u64 {
     h ^ (h >> 31)
 }
 
+/// The [`VNODES`] points of each of `nodes`, in order.
+fn vnode_points(nodes: &[NodeId]) -> impl Iterator<Item = (u64, NodeId)> + '_ {
+    nodes.iter().flat_map(|&n| {
+        (0..VNODES).map(move |v| {
+            let mut h = fnv1a(0, &n.0.to_le_bytes());
+            h = fnv1a(h, &v.to_le_bytes());
+            (mix(h), n)
+        })
+    })
+}
+
 /// A consistent-hash ring over a set of nodes.
 ///
 /// # Examples
@@ -61,14 +72,8 @@ impl Ring {
         let mut sorted: Vec<NodeId> = nodes.to_vec();
         sorted.sort();
         sorted.dedup();
-        let points = sorted.iter().flat_map(|&n| {
-            (0..VNODES).map(move |v| {
-                let mut h = fnv1a(0, &n.0.to_le_bytes());
-                h = fnv1a(h, &v.to_le_bytes());
-                (mix(h), n)
-            })
-        });
-        Ring::from_points(sorted.clone(), points)
+        let points: Vec<(u64, NodeId)> = vnode_points(&sorted).collect();
+        Ring::from_points(sorted, points)
     }
 
     /// A ring over explicit points; of two equal points the later wins.
@@ -312,13 +317,7 @@ mod proptests {
         ) {
             let nodes: Vec<NodeId> = ids.iter().copied().map(NodeId).collect();
             let ring = Ring::new(&nodes);
-            let points: Vec<(u64, NodeId)> = ring.nodes().iter().flat_map(|&n| {
-                (0..VNODES).map(move |v| {
-                    let mut h = fnv1a(0, &n.0.to_le_bytes());
-                    h = fnv1a(h, &v.to_le_bytes());
-                    (mix(h), n)
-                })
-            }).collect();
+            let points: Vec<(u64, NodeId)> = vnode_points(ring.nodes()).collect();
             let (_, tree) = both(&points);
             for k in &keys {
                 let obj = ObjectRef::new("X", k.clone());

@@ -106,16 +106,6 @@ mod tests {
         assert_eq!(fx.hash_one((7u32, 3u64)), 0xcd8a_9808_c2d8_6dd8);
     }
 
-    #[test]
-    fn the_alias_is_a_map() {
-        let mut m: FxHashMap<&str, u32> = FxHashMap::default();
-        m.insert("a", 1);
-        *m.entry("a").or_insert(0) += 1;
-        assert_eq!(m.get("a"), Some(&2));
-        let s: FxHashSet<u64> = (0..100).collect();
-        assert_eq!(s.len(), 100);
-    }
-
     /// Sequential ids and keys that differ only above bit 32 both spread
     /// over a small table's buckets (its low hash bits), which the final
     /// rotate draws from the product's upper half.
