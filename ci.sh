@@ -6,6 +6,12 @@ cd "$(dirname "$0")"
 cargo build --release --workspace
 cargo test -q --workspace
 cargo clippy --workspace --all-targets -- -D warnings
+# The determinism rules are clippy bans (clippy.toml) and lint levels (the
+# root Cargo.toml, `dso`'s no-panic denies, `forbid(unsafe_code)`). The
+# fixture crate holds them to their cases: each failing case fails with
+# exactly the lints or error codes it names, and the passing cases lint
+# clean, test code included.
+crates/simcheck/fixtures/check.sh
 cargo fmt --check
 # A doc link to an item that was deleted or moved fails here.
 RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" cargo doc --no-deps --workspace

@@ -11,6 +11,10 @@ use std::ops::{Deref, DerefMut};
 /// A mutual-exclusion lock without poisoning.
 #[derive(Default)]
 pub struct Mutex<T: ?Sized> {
+    #[expect(
+        clippy::disallowed_types,
+        reason = "the wrapped lock; simulated code shares `Rc<RefCell<_>>`"
+    )]
     inner: std::sync::Mutex<T>,
 }
 
@@ -20,8 +24,13 @@ pub struct MutexGuard<'a, T: ?Sized> {
 }
 
 impl<T> Mutex<T> {
-    /// Creates a mutex holding `value`.
-    pub const fn new(value: T) -> Self {
+    /// Creates a mutex holding `value`. Not `const`, so no `static` can
+    /// hold one: process-wide state would outlive a `Sim`.
+    #[expect(
+        clippy::disallowed_types,
+        reason = "the wrapped lock; simulated code shares `Rc<RefCell<_>>`"
+    )]
+    pub fn new(value: T) -> Self {
         Mutex { inner: std::sync::Mutex::new(value) }
     }
 

@@ -2,9 +2,9 @@
 //!
 //! Implements the subset the workspace uses: [`rngs::StdRng`] (an
 //! xoshiro256++ generator), [`SeedableRng::seed_from_u64`], the
-//! [`RngExt::random_range`] extension, and the [`rng`] convenience
-//! constructor. Not cryptographically secure — the simulation only needs
-//! fast, well-distributed, reproducible streams.
+//! [`RngExt::random_range`] extension. Every generator is seeded: there is
+//! no entropy-seeded constructor. Not cryptographically secure — the
+//! simulation only needs fast, well-distributed, reproducible streams.
 
 use std::ops::{Range, RangeInclusive};
 
@@ -143,17 +143,6 @@ impl RngExt for rngs::StdRng {
     fn random_bool(&mut self, p: f64) -> bool {
         self.random_range(0.0..1.0) < p
     }
-}
-
-/// A generator seeded from ambient entropy (time + ASLR), for non-reproducible
-/// contexts such as standalone binaries.
-pub fn rng() -> rngs::StdRng {
-    let t = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_nanos() as u64)
-        .unwrap_or(0x5EED);
-    let stack_addr = &t as *const _ as u64;
-    rngs::StdRng::seed_from_u64(t ^ stack_addr.rotate_left(32))
 }
 
 #[cfg(test)]

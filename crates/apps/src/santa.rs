@@ -12,7 +12,7 @@
 //! exit gates (barriers of `group size + 1`, Santa included).
 
 use std::cell::RefCell;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::rc::Rc;
 use std::sync::Arc;
 use std::time::Duration;
@@ -25,6 +25,7 @@ use crucial::{
 use parking_lot::Mutex;
 use rand::RngExt;
 use simcore::codec::Wire;
+use simcore::FxHashMap;
 
 /// Entity kinds.
 #[derive(Copy, Clone, PartialEq, Eq, Hash, Debug, Wire)]
@@ -192,10 +193,10 @@ pub fn santa_loop(ops: &mut dyn SantaOps, ctx: &mut Ctx, cfg: &SantaConfig) -> S
 // ---------------------------------------------------------------------------
 
 struct LocalShared {
-    joined: HashMap<Kind, u64>,
+    joined: FxHashMap<Kind, u64>,
     reindeer_q: VecDeque<u64>,
     elf_q: VecDeque<u64>,
-    gates: HashMap<(Kind, u64, Gate), LocalBarrier>,
+    gates: FxHashMap<(Kind, u64, Gate), LocalBarrier>,
 }
 
 /// The plain-old-objects solution: monitors and local barriers.
@@ -211,10 +212,10 @@ impl LocalOps {
         LocalOps {
             monitor: Monitor::new("santa"),
             shared: Rc::new(RefCell::new(LocalShared {
-                joined: HashMap::new(),
+                joined: FxHashMap::default(),
                 reindeer_q: VecDeque::new(),
                 elf_q: VecDeque::new(),
-                gates: HashMap::new(),
+                gates: FxHashMap::default(),
             })),
         }
     }
@@ -398,7 +399,7 @@ pub struct DsoOps {
     joined_reindeer: AtomicLong,
     joined_elf: AtomicLong,
     inbox: santa_inbox::SantaInbox,
-    gates: HashMap<(Kind, u64, Gate), CyclicBarrier>,
+    gates: FxHashMap<(Kind, u64, Gate), CyclicBarrier>,
 }
 
 impl DsoOps {
@@ -409,7 +410,7 @@ impl DsoOps {
             joined_reindeer: AtomicLong::new("santa-joined-reindeer"),
             joined_elf: AtomicLong::new("santa-joined-elf"),
             inbox: santa_inbox::SantaInbox::new("santa-inbox"),
-            gates: HashMap::new(),
+            gates: FxHashMap::default(),
         }
     }
 

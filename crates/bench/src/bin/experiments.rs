@@ -18,6 +18,9 @@
 //! `results/trace-*`), relative to the working directory; a failed write
 //! exits 1.
 
+// The determinism bans, off for the package for the `benchmark` binary's sake.
+#![warn(clippy::disallowed_macros, clippy::disallowed_methods, clippy::disallowed_types)]
+
 use bench::experiments::{
     ablate, coldstart, consistency, elastic, kernelbench, micro, ml, recovery, state, sync, traced,
     OutFile, Scale,
@@ -60,6 +63,11 @@ fn emit((table, file): (Table, OutFile)) {
     write(&[file]);
 }
 
+#[expect(
+    clippy::disallowed_methods,
+    clippy::disallowed_types,
+    reason = "operator-facing host runtime of the bench driver, not simulated time"
+)]
 fn run(target: &str, scale: Scale) {
     // simlint: allow(wall-clock, reason = "operator-facing host runtime of the bench driver, not simulated time")
     let t0 = std::time::Instant::now();

@@ -214,6 +214,11 @@ pub fn check(r: &KernelBenchReport) -> Result<(), String> {
 }
 
 /// Times `f` on the host clock.
+#[expect(
+    clippy::disallowed_methods,
+    clippy::disallowed_types,
+    reason = "kernel-bench measures the simulator's own host-time throughput; the reading never flows into simulated state"
+)]
 fn timed<R>(f: impl FnOnce() -> R) -> (R, Duration) {
     // simlint: allow(wall-clock, reason = "kernel-bench measures the simulator's own host-time throughput; the reading never flows into simulated state")
     let t0 = std::time::Instant::now();

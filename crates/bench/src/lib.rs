@@ -11,6 +11,9 @@
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
+#![forbid(unsafe_code)]
+// The determinism bans, off for the package for the `benchmark` binary's sake.
+#![warn(clippy::disallowed_macros, clippy::disallowed_methods, clippy::disallowed_types)]
 
 pub mod experiments;
 pub mod report;

@@ -1,6 +1,9 @@
 //! Smoke tests of the experiment harness: the cheap experiments run at
 //! quick scale and their headline invariants hold.
 
+// The determinism bans, off for the package for the `benchmark` binary's sake.
+#![warn(clippy::disallowed_macros, clippy::disallowed_methods, clippy::disallowed_types)]
+
 use bench::experiments::{ablate, state, sync, Scale};
 
 #[test]

@@ -4,10 +4,10 @@
 //! built on them pays tens of milliseconds per hop *and* needs active
 //! polling, which is exactly what Fig. 6 and Fig. 7a hold against them.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::time::Duration;
 
-use simcore::{Addr, Ctx, LatencyModel, Msg, Request, Sim};
+use simcore::{Addr, Ctx, FxHashMap, LatencyModel, Msg, Request, Sim};
 
 /// Latency profile of the queue/notification services.
 #[derive(Clone, Debug, simcore::codec::Wire)]
@@ -116,7 +116,7 @@ impl SqsHandle {
 fn sqs_loop(ctx: &mut Ctx, inbox: Addr, cfg: QueueConfig) {
     // (visible_at, body) per queue; messages are receivable only once
     // their delivery delay has elapsed.
-    let mut queues: HashMap<String, VecDeque<(simcore::SimTime, Vec<u8>)>> = HashMap::new();
+    let mut queues: FxHashMap<String, VecDeque<(simcore::SimTime, Vec<u8>)>> = FxHashMap::default();
     loop {
         let msg = ctx.recv(inbox);
         // Fan-out deliveries from SNS arrive as plain messages, already
@@ -209,7 +209,7 @@ impl SnsHandle {
 }
 
 fn sns_loop(ctx: &mut Ctx, inbox: Addr, sqs: Addr, cfg: QueueConfig) {
-    let mut subs: HashMap<String, Vec<String>> = HashMap::new();
+    let mut subs: FxHashMap<String, Vec<String>> = FxHashMap::default();
     loop {
         let (reply_to, req) = ctx.recv(inbox).take::<Request>().take::<SnsReq>();
         match req {

@@ -10,11 +10,11 @@
 //!   queue behind each other — no disjoint-access parallelism — which is
 //!   why Crucial wins the complex-op race ~5×.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::rc::Rc;
 use std::time::Duration;
 
-use simcore::{Addr, Ctx, LatencyModel, Request, Sim};
+use simcore::{Addr, Ctx, FxHashMap, LatencyModel, Request, Sim};
 
 /// A server-side script: `(current value, args) -> (reply, new value)`.
 /// The returned [`Duration`] is the CPU time the script burns on the
@@ -24,13 +24,12 @@ pub type RedisScript = Rc<dyn Fn(Option<Vec<u8>>, &[u8]) -> (Vec<u8>, Option<Vec
 /// Registry of scripts, loaded into every shard (like `SCRIPT LOAD`).
 #[derive(Clone, Default)]
 pub struct ScriptRegistry {
-    scripts: HashMap<String, RedisScript>,
+    scripts: BTreeMap<String, RedisScript>,
 }
 
 impl std::fmt::Debug for ScriptRegistry {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let mut names: Vec<&String> = self.scripts.keys().collect();
-        names.sort();
+        let names: Vec<&String> = self.scripts.keys().collect();
         f.debug_struct("ScriptRegistry").field("scripts", &names).finish()
     }
 }
@@ -181,7 +180,7 @@ fn fnv(key: &str) -> u64 {
 }
 
 fn shard_loop(ctx: &mut Ctx, inbox: Addr, cfg: RedisConfig, scripts: ScriptRegistry) {
-    let mut store: HashMap<String, Vec<u8>> = HashMap::new();
+    let mut store: FxHashMap<String, Vec<u8>> = FxHashMap::default();
     loop {
         let (reply_to, req) = ctx.recv(inbox).take::<Request>().take::<RedisReq>();
         // Single-threaded: the shard is busy for the op's full CPU cost.

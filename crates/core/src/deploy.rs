@@ -1,14 +1,13 @@
 //! One-stop deployment of a Crucial application: the DSO tier, the FaaS
 //! platform, and the object store, wired together inside a simulation.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use cloudstore::{spawn_s3, S3Config, S3Handle};
 use dso::{DsoClientHandle, DsoCluster, DsoConfig, NodeCache, ObjectRegistry};
 use faas::{spawn_platform, FaasConfig, FaasHandle, FnCtx, FunctionRegistry, FULL_VCPU_MB};
 use parking_lot::Mutex;
-use simcore::Sim;
+use simcore::{FxHashMap, Sim};
 
 use crate::runnable::{function_name, FnEnv, Runnable};
 use crate::thread::ThreadFactory;
@@ -64,7 +63,7 @@ pub struct Deployment {
 }
 
 /// Host id → the [`NodeCache`] shared by that host's containers.
-type HostCaches = Mutex<HashMap<u64, Arc<NodeCache>>>;
+type HostCaches = Mutex<FxHashMap<u64, Arc<NodeCache>>>;
 
 impl Deployment {
     /// Starts every service of the deployment on `sim`.
@@ -73,7 +72,7 @@ impl Deployment {
         let s3 = spawn_s3(sim, cfg.s3.clone());
         let functions = FunctionRegistry::new();
         let faas = spawn_platform(sim, cfg.faas.clone(), functions.clone());
-        let node_caches = cfg.dso.node_cache.then(|| Arc::new(Mutex::new(HashMap::new())));
+        let node_caches = cfg.dso.node_cache.then(|| Arc::new(Mutex::new(FxHashMap::default())));
         Deployment { dso, faas, s3, functions, node_caches }
     }
 

@@ -47,6 +47,10 @@ pub struct RawHandle {
 
 impl RawHandle {
     /// Creates a handle to `(type_name, key)` with creation arguments.
+    #[expect(
+        clippy::expect_used,
+        reason = "invariant: the codec encodes every `Wire` type; creation args come from the typed handles"
+    )]
     pub fn new<A: Wire>(type_name: &str, key: &str, rf: u8, create_args: &A) -> RawHandle {
         RawHandle {
             obj: ObjectRef::new(type_name, key),

@@ -223,6 +223,10 @@ impl DsoClient {
         if self.view.is_none() {
             self.refresh_view(ctx);
         }
+        #[expect(
+            clippy::expect_used,
+            reason = "invariant: refresh_view stored Some just above when it was None"
+        )]
         // invariant: refresh_view stored Some just above when it was None.
         let (view, ring) = self.view.as_ref().expect("view cached");
         let node = if readonly { self.policy.route_read(ring, obj, rf) } else { ring.primary(obj) };
@@ -243,7 +247,10 @@ impl DsoClient {
     ///
     /// [`DsoError::Object`] for application-level failures, or
     /// [`DsoError::GaveUp`] when retries are exhausted.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "one call names its object, method, args, rf and wait kind"
+    )]
     pub fn invoke(
         &mut self,
         ctx: &mut Ctx,

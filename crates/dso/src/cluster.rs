@@ -88,6 +88,10 @@ impl DsoCluster {
         mut cfg: DsoConfig,
         registry: ObjectRegistry,
     ) -> Result<(DsoCluster, RecoveryReport), DsoError> {
+        #[expect(
+            clippy::expect_used,
+            reason = "invariant: the documented API contract (see # Panics): there is nothing to recover without a store to recover from"
+        )]
         // invariant: the documented API contract (see # Panics) — callers
         // must configure durability, there is nothing to recover without a
         // store to recover from.
@@ -101,9 +105,13 @@ impl DsoCluster {
                 return Err(e);
             }
         };
+        #[expect(
+            clippy::expect_used,
+            reason = "invariant: checked Some at the top of the function"
+        )]
         // invariant: checked Some at the top of the function.
-        cfg.durability.as_mut().expect("durability checked").store =
-            d.store.with_generation(scan.next_gen);
+        let durability = cfg.durability.as_mut().expect("durability checked");
+        durability.store = d.store.with_generation(scan.next_gen);
         let coordinator = spawn_coordinator_from(ctx, cfg.clone());
         let mut cluster = DsoCluster {
             coordinator,

@@ -101,7 +101,7 @@ macro_rules! shared_object {
             pub fn factory(
                 args: &[u8],
             ) -> Result<Box<dyn $crate::SharedObject>, $crate::ObjectError> {
-                #[allow(unused_variables)] // a `()` argument
+                #[allow(unused_variables, reason = "a `()` argument binds nothing")]
                 let $arg: $Arg = $crate::declare::create_arg(args, || $default)?;
                 let state: Result<$State, $crate::ObjectError> = $create;
                 Ok(Box::new(state?))
@@ -123,7 +123,7 @@ macro_rules! shared_object {
         }
 
         impl $crate::SharedObject for $State {
-            #[allow(unused_variables)] // only a parking method needs the call
+            #[allow(unused_variables, reason = "only a parking method needs the call")]
             fn invoke(
                 &mut $self,
                 $call: &$crate::CallCtx,
@@ -137,7 +137,7 @@ macro_rules! shared_object {
                 }
             }
 
-            #[allow(unused_variables)] // an object may declare no reads
+            #[allow(unused_variables, reason = "an object may declare no reads")]
             fn read(
                 &$self,
                 method: &str,
@@ -176,7 +176,7 @@ macro_rules! shared_object {
         pub mod $module {
             #![doc = concat!("Calls on a [`RawHandle`] to a [`", stringify!($State),
                 "`](super::", stringify!($State), "), one per method.")]
-            #[allow(unused_imports)]
+            #[allow(unused_imports, reason = "the methods' types may all be in scope already")]
             use super::*;
             use $crate::api::RawHandle;
             use $crate::declare::Ctx;
@@ -206,7 +206,7 @@ macro_rules! shared_object {
         pub mod $module {
             #![doc = concat!("The typed handle to a [`", stringify!($State), "`](super::",
                 stringify!($State), ").")]
-            #[allow(unused_imports)]
+            #[allow(unused_imports, reason = "the methods' types may all be in scope already")]
             use super::*;
             use $crate::api::RawHandle;
             use $crate::declare::Ctx;

@@ -97,6 +97,7 @@ pub(crate) fn scan(ctx: &mut Ctx, d: &DurabilityConfig) -> Result<Scan, DsoError
         }
         prev = Some(listing);
         if complete && ctx.now().saturating_duration_since(stable_since) >= SETTLE {
+            #[expect(clippy::expect_used, reason = "invariant: prev was set to Some just above")]
             // invariant: prev was set to Some just above.
             let (ckpts, wals) = prev.expect("listing recorded");
             let max_gen = ckpts
@@ -120,6 +121,7 @@ pub(crate) fn scan(ctx: &mut Ctx, d: &DurabilityConfig) -> Result<Scan, DsoError
 /// is entirely absent is fine — GC removed it wholesale; a *partial*
 /// stream below its floor, or a mid-stream gap, can only be visibility
 /// lag, because GC deletes prefixes.
+#[expect(clippy::expect_used, reason = "invariant: streams entries are built non-empty")]
 fn listing_complete(
     store: &crate::durability::DurabilityStore,
     ckpt: Option<&CheckpointBlob>,

@@ -103,6 +103,10 @@ impl WalState {
                     Vec::with_capacity(g.records.len().min(SEGMENT_MAX_RECORDS));
                 while records.len() < SEGMENT_MAX_RECORDS {
                     let Some(key) = g.records.keys().next().cloned() else { break };
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "invariant: key was just observed in the map"
+                    )]
                     // invariant: key was just observed in the map.
                     records.push(g.records.remove(&key).expect("buffered record"));
                 }

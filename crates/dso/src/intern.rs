@@ -9,7 +9,7 @@
 
 use std::fmt;
 use std::ops::Deref;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::Arc;
 
 use simcore::codec::{CodecError, Wire};
 use simcore::FxHashSet;
@@ -18,10 +18,15 @@ use simcore::FxHashSet;
 #[derive(Clone, Eq, PartialOrd, Ord)]
 pub struct MethodName(Arc<str>);
 
-fn table() -> &'static Mutex<FxHashSet<Arc<str>>> {
+#[expect(
+    clippy::disallowed_types,
+    reason = "interned names compare by content, so which Arc a name shares is not observable"
+)]
+fn table() -> &'static std::sync::Mutex<FxHashSet<Arc<str>>> {
     // simlint: allow(global-state, reason = "interned names compare by content, so which Arc a name shares is not observable")
-    static TABLE: OnceLock<Mutex<FxHashSet<Arc<str>>>> = OnceLock::new();
-    TABLE.get_or_init(|| Mutex::new(FxHashSet::default()))
+    static TABLE: std::sync::OnceLock<std::sync::Mutex<FxHashSet<Arc<str>>>> =
+        std::sync::OnceLock::new();
+    TABLE.get_or_init(|| std::sync::Mutex::new(FxHashSet::default()))
 }
 
 /// Interns `name`, returning the canonical [`MethodName`] for it.

@@ -193,7 +193,7 @@ mod tests {
     #[test]
     fn load_is_roughly_balanced() {
         let ring = Ring::new(&nodes(4));
-        let mut counts = std::collections::HashMap::new();
+        let mut counts = std::collections::BTreeMap::new();
         const N: usize = 4000;
         for i in 0..N {
             let p = ring.primary(&obj(i)).expect("non-empty");

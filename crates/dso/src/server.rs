@@ -292,6 +292,10 @@ impl Actor for Dispatcher {
             // The heartbeat is due (the dispatcher never sleeps).
             Wake::Timeout | Wake::Slept => None,
         };
+        #[expect(
+            clippy::expect_used,
+            reason = "invariant: `Wake::Start` comes first and fills `up`"
+        )]
         // invariant: `Wake::Start` comes first and fills `up`.
         let up = self.up.as_mut().expect("dispatcher started");
         up.tick(ctx);
@@ -443,7 +447,10 @@ impl Serving {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "the dispatcher's state, passed by field so each borrow stays disjoint"
+)]
 fn handle_client_invoke(
     ctx: &mut Proc,
     shared: &Rc<NodeShared>,
@@ -739,6 +746,10 @@ impl Actor for Worker {
                 }
                 done
             }
+            #[expect(
+                clippy::expect_used,
+                reason = "invariant: the only sleep is the one taken above, with `running` set"
+            )]
             // invariant: the only sleep is the one taken above, with `running` set.
             Wake::Slept => self.running.take().expect("slept on a running call"),
         };
@@ -854,6 +865,10 @@ fn execute(
 }
 
 /// The encoded unit value `()`, shared by maintenance replies.
+#[expect(
+    clippy::expect_used,
+    reason = "invariant: encoding the unit type is infallible in the codec"
+)]
 fn unit_bytes() -> bytes::Bytes {
     // invariant: encoding the unit type is infallible in the codec.
     simcore::codec::to_bytes(&()).expect("unit encodes").into()

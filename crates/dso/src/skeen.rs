@@ -239,6 +239,10 @@ impl<M: Clone> Skeen<M> {
                 if c.awaiting > 0 {
                     return;
                 }
+                #[expect(
+                    clippy::expect_used,
+                    reason = "invariant: `get_mut` found this very key just above, with no intervening removal"
+                )]
                 // invariant: `get_mut` found this very key just above, with
                 // no intervening removal.
                 let c = self.collecting.remove(&mid).expect("collecting entry");
@@ -277,6 +281,10 @@ impl<M: Clone> Skeen<M> {
                 break;
             }
             self.order.remove(&(ts, mid));
+            #[expect(
+                clippy::expect_used,
+                reason = "invariant: `deliverable` required pending[mid].is_final just above; order and pending are mutated in lockstep"
+            )]
             // invariant: `deliverable` required pending[mid].is_final just
             // above; order and pending are mutated in lockstep.
             let p = self.pending.remove(&mid).expect("pending entry");
@@ -288,18 +296,18 @@ impl<M: Clone> Skeen<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::{HashMap, VecDeque};
+    use std::collections::{BTreeMap, VecDeque};
 
     type Net<M> = VecDeque<(NodeId, NodeId, SkeenMsg<M>)>; // (from, to, msg)
 
     /// Drives a set of nodes to quiescence, picking the next in-flight
     /// message with `pick`. Returns per-node delivery logs.
     fn drive<M: Clone + fmt::Debug>(
-        nodes: &mut HashMap<NodeId, Skeen<M>>,
+        nodes: &mut BTreeMap<NodeId, Skeen<M>>,
         net: &mut Net<M>,
         mut pick: impl FnMut(usize) -> usize,
-    ) -> HashMap<NodeId, Vec<(Mid, M)>> {
-        let mut logs: HashMap<NodeId, Vec<(Mid, M)>> = HashMap::new();
+    ) -> BTreeMap<NodeId, Vec<(Mid, M)>> {
+        let mut logs: BTreeMap<NodeId, Vec<(Mid, M)>> = BTreeMap::new();
         let mut actions = Vec::new();
         while !net.is_empty() {
             let idx = pick(net.len());
@@ -318,7 +326,7 @@ mod tests {
     }
 
     fn start<M: Clone>(
-        nodes: &mut HashMap<NodeId, Skeen<M>>,
+        nodes: &mut BTreeMap<NodeId, Skeen<M>>,
         net: &mut Net<M>,
         initiator: NodeId,
         group: &[NodeId],
@@ -333,13 +341,13 @@ mod tests {
         for a in actions {
             match a {
                 Action::Send { to, msg } => net.push_back((initiator, to, msg)),
-                Action::Deliver { .. } => unreachable!("multicast never delivers directly"),
+                Action::Deliver { .. } => panic!("multicast never delivers directly"),
             }
         }
         mid
     }
 
-    fn make_nodes(n: u32) -> HashMap<NodeId, Skeen<String>> {
+    fn make_nodes(n: u32) -> BTreeMap<NodeId, Skeen<String>> {
         (0..n).map(|i| (NodeId(i), Skeen::new(NodeId(i)))).collect()
     }
 
@@ -508,7 +516,7 @@ mod proptests {
         ) {
             // One group shared by every multicast, as the server's placement is.
             let group: Rc<[NodeId]> = (0..n).map(NodeId).collect();
-            let mut nodes: std::collections::HashMap<NodeId, Skeen<usize>> =
+            let mut nodes: BTreeMap<NodeId, Skeen<usize>> =
                 group.iter().map(|&i| (i, Skeen::new(i))).collect();
             let mut net = std::collections::VecDeque::new();
             let mut mids = Vec::new();
@@ -526,8 +534,8 @@ mod proptests {
                     }
                 }
             }
-            let mut logs: std::collections::HashMap<NodeId, Vec<Mid>> =
-                std::collections::HashMap::new();
+            let mut logs: BTreeMap<NodeId, Vec<Mid>> =
+                BTreeMap::new();
             let mut k = 0usize;
             while let Some((from, to, msg)) = pop_pick(&mut net, picks.get(k).copied()) {
                 k += 1;

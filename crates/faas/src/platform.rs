@@ -755,7 +755,10 @@ impl Platform {
 /// One container: runs jobs for a single function, sequentially, reporting
 /// back to the platform between jobs. With a `prewarm` boot plan it boots
 /// up front (off anyone's request path) and announces [`WarmReady`].
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "a process body: everything it owns arrives as an argument"
+)]
 fn container_loop(
     ctx: &mut Ctx,
     inbox: Addr,
@@ -899,7 +902,10 @@ fn announce_snapshot(
 /// plus its own fork latency, runs the handler once, reports to the
 /// fork's collector. Branches are one-shot processes, not pooled
 /// containers — the pooled parent is what serves later plain invokes.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "a process body: everything it owns arrives as an argument"
+)]
 fn branch_run(
     ctx: &mut Ctx,
     collector: Addr,

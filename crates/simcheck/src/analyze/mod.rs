@@ -32,6 +32,11 @@
 //! not a soundness proof: receiver types are resolved heuristically, so
 //! DESIGN.md §"Correctness tooling" documents the contract.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "the analyzer runs on the host; its tables never reach a simulation"
+)]
+
 pub mod local;
 pub mod taint;
 

@@ -14,7 +14,6 @@
 //!
 //! Exits non-zero listing each violation, so a malformed export fails CI.
 
-use std::collections::HashSet;
 use std::process::ExitCode;
 
 use simcheck::json::{parse, Json};
@@ -26,7 +25,7 @@ fn validate(doc: &Json) -> (Vec<String>, usize) {
     let Some(Json::Arr(events)) = doc.get("traceEvents") else {
         return (vec!["top-level object lacks a `traceEvents` array".to_string()], 0);
     };
-    let mut ids = HashSet::new();
+    let mut ids = simcore::FxHashSet::default();
     let mut parents = Vec::new();
     let mut spans = 0usize;
     for (i, ev) in events.iter().enumerate() {

@@ -19,7 +19,7 @@
 //!   unwinds on its own stack and ends. Dropping a suspended coroutine
 //!   kills it the same way.
 
-#![allow(unsafe_code)]
+#![expect(unsafe_code, reason = "the stack switch and the mmap'd stacks; see the module docs")]
 
 #[cfg(not(all(target_arch = "x86_64", target_os = "linux")))]
 compile_error!(
@@ -313,16 +313,17 @@ impl Yielder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::cell::Cell;
+    use std::rc::Rc;
     use std::sync::Arc;
 
     #[test]
     fn a_body_suspends_resumes_and_ends() {
-        let log = Arc::new(AtomicUsize::new(0));
+        let log = Rc::new(Cell::new(0));
         let seen = log.clone();
         let mut step = Coroutine::start(Stack::new(), move |y: Yielder| {
             for _ in 0..3 {
-                seen.fetch_add(1, Ordering::SeqCst);
+                seen.set(seen.get() + 1);
                 assert!(y.suspend());
             }
         });
@@ -331,7 +332,7 @@ mod tests {
             match step {
                 Step::Suspended(c) => {
                     resumes += 1;
-                    assert_eq!(log.load(Ordering::SeqCst), resumes);
+                    assert_eq!(log.get(), resumes);
                     step = c.resume();
                 }
                 Step::Done(stack, done) => {

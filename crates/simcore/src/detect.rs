@@ -64,8 +64,8 @@ impl fmt::Display for WaitKind {
 /// What a blocked process waits on, as its blocking call recorded it.
 #[derive(Clone, Debug)]
 pub struct WaitAnnotation {
-    /// Identity of the awaited resource (e.g. the address of the primitive's
-    /// shared state, or a shared object's placement hash).
+    /// Identity of the awaited resource (e.g. a monitor's kernel-issued id,
+    /// a mailbox key, or a shared object's placement hash).
     pub resource: u64,
     /// Human-readable name of the resource (monitor name, object ref…).
     pub resource_name: String,

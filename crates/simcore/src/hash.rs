@@ -12,7 +12,6 @@
 //! still sort what it collects before it reaches simulated state; the
 //! hasher's order is an accident of its constants.
 
-use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// rustc's 64-bit Fx multiplier.
@@ -82,10 +81,18 @@ impl Hasher for FxHasher {
 pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
 
 /// A `HashMap` under [`FxHasher`]. Construct with `FxHashMap::default()`.
-pub type FxHashMap<K, V> = HashMap<K, V, FxBuildHasher>;
+#[expect(
+    clippy::disallowed_types,
+    reason = "the one definition: std's table under the fixed hasher"
+)]
+pub type FxHashMap<K, V> = std::collections::HashMap<K, V, FxBuildHasher>;
 
 /// A `HashSet` under [`FxHasher`]. Construct with `FxHashSet::default()`.
-pub type FxHashSet<T> = HashSet<T, FxBuildHasher>;
+#[expect(
+    clippy::disallowed_types,
+    reason = "the one definition: std's table under the fixed hasher"
+)]
+pub type FxHashSet<T> = std::collections::HashSet<T, FxBuildHasher>;
 
 #[cfg(test)]
 mod tests {

@@ -295,6 +295,11 @@ enum EventKind {
 /// request/reply chains serving a blocked client stay well under this.
 const STALL_LIMIT: Duration = Duration::from_secs(60);
 
+/// The first id [`Proc::new_resource_id`] hands out. A mailbox key is a
+/// slab index under a 32-bit generation, so it would take 2^31 reuses of
+/// one slot to reach this range.
+const FIRST_RESOURCE_ID: u64 = 1 << 63;
+
 /// Whether firing this event can directly hand progress to a non-daemon
 /// process: a wake for a non-daemon (sleep or recv timeout; every pending
 /// wake is live, since a wait that ends another way cancels it), or a
@@ -410,6 +415,8 @@ pub(crate) struct KernelState {
     /// Current holder of each annotated resource (`resource id -> (pid,
     /// name)`), maintained by [`Proc::resource_acquired`] and friends.
     holders: FxHashMap<u64, (Pid, String)>,
+    /// The next id [`Proc::new_resource_id`] hands out.
+    next_resource: u64,
     /// Virtual time a non-daemon process last ran; the stall detector in
     /// [`Kernel::turn`] keys off this.
     last_nondaemon_run: SimTime,
@@ -877,6 +884,7 @@ impl Sim {
                     scheduler,
                     decisions: Vec::new(),
                     holders: FxHashMap::default(),
+                    next_resource: FIRST_RESOURCE_ID,
                     last_nondaemon_run: SimTime::ZERO,
                     deadline: None,
                     stacks: Vec::new(),
@@ -1600,6 +1608,17 @@ impl Proc {
     pub fn resource_passed(&mut self, resource: u64, to: Pid, name: &str) {
         let mut st = self.kernel.state.borrow_mut();
         st.holders.insert(resource, (to, name.to_string()));
+    }
+
+    /// A resource id no other primitive of this simulation holds, for a
+    /// primitive that has no id of its own (a monitor). Ids count up per
+    /// `Sim` from 2^63, above every mailbox key a `call` wait reports, so
+    /// two runs with one seed name their resources alike.
+    pub fn new_resource_id(&mut self) -> u64 {
+        let mut st = self.kernel.state.borrow_mut();
+        let id = st.next_resource;
+        st.next_resource += 1;
+        id
     }
 
     /// Releases `resource` if this process holds it.

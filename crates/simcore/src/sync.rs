@@ -102,6 +102,9 @@ impl<T: 'static> OneshotReceiver<T> {
 
 #[derive(Default)]
 struct MonState {
+    /// Resource id for the deadlock report, drawn from the kernel on first
+    /// use.
+    id: Option<u64>,
     holder: Option<Pid>,
     entry_q: VecDeque<Pid>,
     wait_q: VecDeque<Pid>,
@@ -163,23 +166,17 @@ impl Monitor {
         }
     }
 
-    /// Stable identity of this monitor for the deadlock detector's
-    /// wait-for graph (clones share state, hence identity).
-    ///
-    /// The id is an `Rc` pointer, so its *value* differs run to run
-    /// (ASLR). That is fine for the diagnostic wait-for graph — which
-    /// only needs same-run identity — but the marker below tells
-    /// `simlint` to taint anything that would carry this value into
-    /// simulation state, protocol messages or trace ordering.
-    // simlint: nondet_source
-    fn resource_id(&self) -> u64 {
-        Rc::as_ptr(&self.state) as u64
+    /// Identity of this monitor in the deadlock detector's wait-for graph
+    /// (clones share state, hence identity): a kernel-issued id, taken on
+    /// first use, so it is the same in every run of one seed.
+    fn resource_id(&self, ctx: &mut Ctx) -> u64 {
+        *self.state.borrow_mut().id.get_or_insert_with(|| ctx.new_resource_id())
     }
 
     /// What a process parked in `Monitor::{op}` waits on.
-    fn wait_on(&self, kind: WaitKind, op: &str) -> WaitAnnotation {
+    fn wait_on(&self, ctx: &mut Ctx, kind: WaitKind, op: &str) -> WaitAnnotation {
         WaitAnnotation {
-            resource: self.resource_id(),
+            resource: self.resource_id(ctx),
             resource_name: self.name.to_string(),
             kind,
             site: format!("Monitor::{op}({})", self.name),
@@ -201,10 +198,12 @@ impl Monitor {
             }
         };
         if acquired {
-            ctx.resource_acquired(self.resource_id(), &self.name);
+            let id = self.resource_id(ctx);
+            ctx.resource_acquired(id, &self.name);
             return;
         }
-        ctx.park(self.wait_on(WaitKind::Lock, "enter"));
+        let wait = self.wait_on(ctx, WaitKind::Lock, "enter");
+        ctx.park(wait);
         debug_assert_eq!(self.state.borrow().holder, Some(me), "woken as holder");
     }
 
@@ -229,12 +228,13 @@ impl Monitor {
                 }
             }
         };
+        let id = self.resource_id(ctx);
         match next {
             Some(n) => {
-                ctx.resource_passed(self.resource_id(), n, &self.name);
+                ctx.resource_passed(id, n, &self.name);
                 ctx.unpark(n);
             }
-            None => ctx.resource_released(self.resource_id()),
+            None => ctx.resource_released(id),
         }
     }
 
@@ -261,16 +261,18 @@ impl Monitor {
                 }
             }
         };
+        let id = self.resource_id(ctx);
         match next {
             Some(n) => {
-                ctx.resource_passed(self.resource_id(), n, &self.name);
+                ctx.resource_passed(id, n, &self.name);
                 ctx.unpark(n);
             }
-            None => ctx.resource_released(self.resource_id()),
+            None => ctx.resource_released(id),
         }
         // Parked until a notify moves us to the entry queue *and* the lock
         // is handed to us.
-        ctx.park(self.wait_on(WaitKind::Condition, "wait"));
+        let wait = self.wait_on(ctx, WaitKind::Condition, "wait");
+        ctx.park(wait);
         debug_assert_eq!(self.state.borrow().holder, Some(me), "woken as holder");
     }
 
@@ -440,6 +442,32 @@ mod tests {
         }
         sim.run_until_idle().expect_quiescent();
         assert_eq!(*order.lock(), vec![0, 1, 2, 3, 4]);
+    }
+
+    /// Two deadlocks of one seed report the same resource ids, with both
+    /// simulations alive in one process.
+    #[test]
+    fn monitor_deadlock_reports_are_equal_per_seed() {
+        let deadlock = || {
+            let mut sim = Sim::new(5);
+            let (a, b) = (Monitor::new("a"), Monitor::new("b"));
+            for (name, first, second) in [("p", a.clone(), b.clone()), ("q", b, a)] {
+                sim.spawn(name, move |ctx| {
+                    first.enter(ctx);
+                    ctx.sleep(Duration::from_millis(1));
+                    second.enter(ctx);
+                });
+            }
+            let _ = sim.run_until_idle();
+            sim
+        };
+        let resources = |sim: &Sim| -> Vec<u64> {
+            let report = sim.deadlock_report().expect("p and q deadlock");
+            report.stuck.iter().map(|p| p.wait.as_ref().expect("annotated").resource).collect()
+        };
+        let (one, two) = (deadlock(), deadlock());
+        assert_eq!(resources(&one).len(), 2);
+        assert_eq!(resources(&one), resources(&two));
     }
 
     #[test]

@@ -237,7 +237,7 @@ impl Tracer {
         self.push(now, pid, proc_name, parent, name, cat, SpanKind::Instant)
     }
 
-    #[allow(clippy::too_many_arguments)]
+    #[expect(clippy::too_many_arguments, reason = "the one constructor every span kind shares")]
     fn push(
         &self,
         now: SimTime,

@@ -4,8 +4,9 @@
 //! an actor end up where they always did — and count the switches and
 //! stacks the design costs.
 
+use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::rc::Rc;
 use std::sync::Arc;
 use std::thread::ThreadId;
 use std::time::Duration;
@@ -108,11 +109,11 @@ fn run_until_stops_on_the_deadline_and_resumes() {
 // (d) Kills of a runnable process picked next, and of a process by itself.
 #[test]
 fn kills_of_runnable_processes_are_carried_out_when_picked() {
-    let survived = Arc::new(AtomicBool::new(false));
+    let survived = Rc::new(Cell::new(false));
     let mut sim = Sim::new(1);
     let (never_ran, woke) = (survived.clone(), survived.clone());
     sim.spawn("killer", move |ctx| {
-        let fresh = ctx.spawn("fresh", move |_| never_ran.store(true, Ordering::SeqCst));
+        let fresh = ctx.spawn("fresh", move |_| never_ran.set(true));
         let parked = ctx.spawn("parked", move |c| {
             let site = "handoff".to_string();
             c.park(WaitAnnotation {
@@ -121,7 +122,7 @@ fn kills_of_runnable_processes_are_carried_out_when_picked() {
                 kind: WaitKind::Lock,
                 site,
             });
-            woke.store(true, Ordering::SeqCst);
+            woke.set(true);
         });
         ctx.kill(fresh); // runnable, never started
         ctx.sleep(MS); // "parked" runs and parks
@@ -137,13 +138,13 @@ fn kills_of_runnable_processes_are_carried_out_when_picked() {
         let me = ctx.pid();
         ctx.kill(me);
         ctx.sleep(MS); // its own wake makes it runnable, and the pick finds it killed
-        after.store(true, Ordering::SeqCst);
+        after.set(true);
     });
     let out = sim.run_until_idle();
     out.expect_quiescent();
     assert_eq!(out.time, SimTime::from_millis(3));
     assert_eq!(sim.live_processes(), 0);
-    assert!(!survived.load(Ordering::SeqCst), "a killed process ran on");
+    assert!(!survived.get(), "a killed process ran on");
 }
 
 // (e) A blocked process killed by a running one unwinds on its own stack
@@ -178,6 +179,10 @@ struct Doubler {
 }
 
 impl Actor for Doubler {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the OS thread a process runs on is what this test checks"
+    )]
     fn on_wake(&mut self, ctx: &mut Proc, wake: Wake) -> Wait {
         self.woken_on.lock().push(std::thread::current().id());
         if let Wake::Msg(m) = wake {
@@ -190,6 +195,10 @@ impl Actor for Doubler {
 
 /// A `Doubler` and one thread client calling it `calls` times, which notes
 /// its OS thread after every call.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the OS thread a process runs on is what this test checks"
+)]
 fn doubler_sim(calls: u64) -> (Sim, Arc<Mutex<Vec<ThreadId>>>) {
     let sim = Sim::new(7);
     let inbox = sim.mailbox("doubler");
@@ -208,6 +217,10 @@ fn doubler_sim(calls: u64) -> (Sim, Arc<Mutex<Vec<ThreadId>>>) {
 
 // (f) Actors and thread processes alike run on the `run_*` caller's thread.
 #[test]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the OS thread a process runs on is what this test checks"
+)]
 fn every_process_runs_on_the_run_thread() {
     let (mut sim, woken_on) = doubler_sim(50);
     sim.run_until_idle().expect_quiescent();

@@ -5,12 +5,12 @@
 //! (§6.2.2).
 
 use std::cell::RefCell;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::fmt;
 use std::rc::Rc;
 use std::time::Duration;
 
-use simcore::{Addr, CpuHost, Ctx, Msg, Request, Sim};
+use simcore::{Addr, CpuHost, Ctx, FxHashMap, Msg, Request, Sim};
 
 use crate::cost::SparkCostModel;
 
@@ -24,7 +24,7 @@ pub type TaskFn = Rc<dyn Fn(&[u8], &[u8], &[u8]) -> (Vec<u8>, Duration)>;
 /// Registry of stage functions, shared by all executors.
 #[derive(Clone, Default)]
 pub struct TaskRegistry {
-    tasks: Rc<RefCell<HashMap<String, TaskFn>>>,
+    tasks: Rc<RefCell<BTreeMap<String, TaskFn>>>,
 }
 
 impl TaskRegistry {
@@ -231,7 +231,8 @@ fn executor_loop(
     cost: SparkCostModel,
     registry: TaskRegistry,
 ) {
-    let partitions: Rc<RefCell<HashMap<usize, Vec<u8>>>> = Rc::new(RefCell::new(HashMap::new()));
+    let partitions: Rc<RefCell<FxHashMap<usize, Vec<u8>>>> =
+        Rc::new(RefCell::new(FxHashMap::default()));
     let broadcast: Rc<RefCell<Vec<u8>>> = Rc::new(RefCell::new(Vec::new()));
     let mut job_seq = 0u64;
     loop {

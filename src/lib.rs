@@ -18,6 +18,7 @@
 //! and the experiment index.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub use cloudstore;
 pub use crucial;

@@ -25,7 +25,7 @@
 //! exact number of times per op, whole cluster included.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{self, Ordering};
 use std::time::Duration;
 
 use crucial::Sim;
@@ -36,8 +36,11 @@ use simcore::{Actor, Addr, Msg, Proc, Request, SpanId, Wait, Wake};
 
 struct CountingAlloc;
 
-static COUNTING: AtomicBool = AtomicBool::new(false);
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+// A global allocator has only statics to count with.
+#[expect(clippy::disallowed_types, reason = "the allocator's switch; no simulated code reads it")]
+static COUNTING: atomic::AtomicBool = atomic::AtomicBool::new(false);
+#[expect(clippy::disallowed_types, reason = "the allocator's count; no simulated code reads it")]
+static ALLOCS: atomic::AtomicU64 = atomic::AtomicU64::new(0);
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {

@@ -2,8 +2,9 @@
 //! the stack — client call → per-attempt request → server-side execution
 //! and replication rounds — and the exports must be deterministic.
 
-use std::collections::HashMap;
 use std::time::Duration;
+
+use simcore::FxHashMap;
 
 use crucial::{
     AtomicLong, DsoCluster, DsoConfig, MetricsRegistry, ObjectRegistry, Sim, SimTime, SpanId,
@@ -11,8 +12,8 @@ use crucial::{
 };
 
 /// Child adjacency over a span snapshot: parent id → child span indexes.
-fn children_of(spans: &[simcore::SpanRecord]) -> HashMap<SpanId, Vec<usize>> {
-    let mut map: HashMap<SpanId, Vec<usize>> = HashMap::new();
+fn children_of(spans: &[simcore::SpanRecord]) -> FxHashMap<SpanId, Vec<usize>> {
+    let mut map: FxHashMap<SpanId, Vec<usize>> = FxHashMap::default();
     for (i, s) in spans.iter().enumerate() {
         if !s.parent.is_none() {
             map.entry(s.parent).or_default().push(i);
@@ -24,7 +25,7 @@ fn children_of(spans: &[simcore::SpanRecord]) -> HashMap<SpanId, Vec<usize>> {
 /// Whether any descendant of `root` (exclusive) is named `name`.
 fn has_descendant(
     spans: &[simcore::SpanRecord],
-    kids: &HashMap<SpanId, Vec<usize>>,
+    kids: &FxHashMap<SpanId, Vec<usize>>,
     root: SpanId,
     name: &str,
 ) -> bool {
