@@ -16,13 +16,9 @@ cargo fmt --check
 # A doc link to an item that was deleted or moved fails here.
 RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" cargo doc --no-deps --workspace
 
-# Correctness tooling (crates/simcheck): `simlint`, one engine over the
-# parsed workspace (token rules: wall-clock, native-thread, no-panic,
-# trace-time, global-state; interprocedural: determinism taint — zero
-# findings required), then the DSO cluster smoke workload under 25
-# perturbed schedules with linearizability checked on each (see
+# Correctness tooling (crates/simcheck): the DSO cluster smoke workload
+# under 25 perturbed schedules with linearizability checked on each (see
 # DESIGN.md, "Correctness tooling").
-cargo run --release -q -p simcheck --bin simlint
 cargo run --release -q -p simcheck --bin simexplore -- --seeds 25
 
 experiments=(cargo run --release -q -p bench --bin experiments)

@@ -69,7 +69,6 @@ fn emit((table, file): (Table, OutFile)) {
     reason = "operator-facing host runtime of the bench driver, not simulated time"
 )]
 fn run(target: &str, scale: Scale) {
-    // simlint: allow(wall-clock, reason = "operator-facing host runtime of the bench driver, not simulated time")
     let t0 = std::time::Instant::now();
     match target {
         "table2" => micro::table2(scale).0.print(),

@@ -220,7 +220,6 @@ pub fn check(r: &KernelBenchReport) -> Result<(), String> {
     reason = "kernel-bench measures the simulator's own host-time throughput; the reading never flows into simulated state"
 )]
 fn timed<R>(f: impl FnOnce() -> R) -> (R, Duration) {
-    // simlint: allow(wall-clock, reason = "kernel-bench measures the simulator's own host-time throughput; the reading never flows into simulated state")
     let t0 = std::time::Instant::now();
     let r = f();
     (r, t0.elapsed())

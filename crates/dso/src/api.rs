@@ -55,8 +55,6 @@ impl RawHandle {
         RawHandle {
             obj: ObjectRef::new(type_name, key),
             rf: rf.max(1),
-            // invariant: the codec encodes every `Wire` type; creation
-            // args come from the typed handles.
             create_args: simcore::codec::to_bytes(create_args)
                 .expect("creation args encode")
                 .into(),

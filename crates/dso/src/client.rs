@@ -227,7 +227,6 @@ impl DsoClient {
             clippy::expect_used,
             reason = "invariant: refresh_view stored Some just above when it was None"
         )]
-        // invariant: refresh_view stored Some just above when it was None.
         let (view, ring) = self.view.as_ref().expect("view cached");
         let node = if readonly { self.policy.route_read(ring, obj, rf) } else { ring.primary(obj) };
         node.and_then(|n| view.addr_of(n))

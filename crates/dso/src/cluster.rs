@@ -92,9 +92,6 @@ impl DsoCluster {
             clippy::expect_used,
             reason = "invariant: the documented API contract (see # Panics): there is nothing to recover without a store to recover from"
         )]
-        // invariant: the documented API contract (see # Panics) — callers
-        // must configure durability, there is nothing to recover without a
-        // store to recover from.
         let d = cfg.durability.clone().expect("recover_from requires DsoConfig.durability");
         let span = ctx.span_begin("dso.recover", "dso");
         let scan = match crate::durability::scan(ctx, &d) {
@@ -109,7 +106,6 @@ impl DsoCluster {
             clippy::expect_used,
             reason = "invariant: checked Some at the top of the function"
         )]
-        // invariant: checked Some at the top of the function.
         let durability = cfg.durability.as_mut().expect("durability checked");
         durability.store = d.store.with_generation(scan.next_gen);
         let coordinator = spawn_coordinator_from(ctx, cfg.clone());

@@ -98,7 +98,6 @@ pub(crate) fn scan(ctx: &mut Ctx, d: &DurabilityConfig) -> Result<Scan, DsoError
         prev = Some(listing);
         if complete && ctx.now().saturating_duration_since(stable_since) >= SETTLE {
             #[expect(clippy::expect_used, reason = "invariant: prev was set to Some just above")]
-            // invariant: prev was set to Some just above.
             let (ckpts, wals) = prev.expect("listing recorded");
             let max_gen = ckpts
                 .iter()
@@ -136,7 +135,6 @@ fn listing_complete(
     if let Some(blob) = ckpt {
         for &(g, n, floor) in &blob.floors {
             if let Some(seqs) = streams.get(&(g, n)) {
-                // invariant: streams entries are built non-empty.
                 if *seqs.last().expect("non-empty stream") < floor {
                     return false;
                 }

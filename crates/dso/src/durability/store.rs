@@ -154,7 +154,6 @@ impl DurabilityStore {
     /// encoded size in bytes.
     pub fn put_segment(&self, ctx: &mut Ctx, seg: &WalSegment) -> usize {
         #[expect(clippy::expect_used, reason = "invariant: encoding a `Wire` value never fails")]
-        // invariant: encoding a `Wire` value never fails.
         let payload = simcore::codec::to_bytes(seg).expect("segment encodes");
         let key = self.wal_key(seg.gen, seg.node, seg.seq);
         let bytes = payload.len();
@@ -166,7 +165,6 @@ impl DurabilityStore {
     /// Writes one checkpoint blob; returns the encoded size in bytes.
     pub fn put_checkpoint(&self, ctx: &mut Ctx, blob: &CheckpointBlob) -> usize {
         #[expect(clippy::expect_used, reason = "invariant: encoding a `Wire` value never fails")]
-        // invariant: encoding a `Wire` value never fails.
         let payload = simcore::codec::to_bytes(blob).expect("checkpoint encodes");
         let key = self.ckpt_key(blob.gen, blob.seq);
         let bytes = payload.len();

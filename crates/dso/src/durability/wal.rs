@@ -107,7 +107,6 @@ impl WalState {
                         clippy::expect_used,
                         reason = "invariant: key was just observed in the map"
                     )]
-                    // invariant: key was just observed in the map.
                     records.push(g.records.remove(&key).expect("buffered record"));
                 }
                 let coalesced = std::mem::take(&mut g.coalesced);

@@ -23,7 +23,6 @@ pub struct MethodName(Arc<str>);
     reason = "interned names compare by content, so which Arc a name shares is not observable"
 )]
 fn table() -> &'static std::sync::Mutex<FxHashSet<Arc<str>>> {
-    // simlint: allow(global-state, reason = "interned names compare by content, so which Arc a name shares is not observable")
     static TABLE: std::sync::OnceLock<std::sync::Mutex<FxHashSet<Arc<str>>>> =
         std::sync::OnceLock::new();
     TABLE.get_or_init(|| std::sync::Mutex::new(FxHashSet::default()))

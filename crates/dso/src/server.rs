@@ -296,7 +296,6 @@ impl Actor for Dispatcher {
             clippy::expect_used,
             reason = "invariant: `Wake::Start` comes first and fills `up`"
         )]
-        // invariant: `Wake::Start` comes first and fills `up`.
         let up = self.up.as_mut().expect("dispatcher started");
         up.tick(ctx);
         if let Some(msg) = msg {
@@ -750,7 +749,6 @@ impl Actor for Worker {
                 clippy::expect_used,
                 reason = "invariant: the only sleep is the one taken above, with `running` set"
             )]
-            // invariant: the only sleep is the one taken above, with `running` set.
             Wake::Slept => self.running.take().expect("slept on a running call"),
         };
         finish(ctx, &self.shared, done);
@@ -870,7 +868,6 @@ fn execute(
     reason = "invariant: encoding the unit type is infallible in the codec"
 )]
 fn unit_bytes() -> bytes::Bytes {
-    // invariant: encoding the unit type is infallible in the codec.
     simcore::codec::to_bytes(&()).expect("unit encodes").into()
 }
 

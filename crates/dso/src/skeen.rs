@@ -243,8 +243,6 @@ impl<M: Clone> Skeen<M> {
                     clippy::expect_used,
                     reason = "invariant: `get_mut` found this very key just above, with no intervening removal"
                 )]
-                // invariant: `get_mut` found this very key just above, with
-                // no intervening removal.
                 let c = self.collecting.remove(&mid).expect("collecting entry");
                 let ts = c.max;
                 out.extend(
@@ -285,8 +283,6 @@ impl<M: Clone> Skeen<M> {
                 clippy::expect_used,
                 reason = "invariant: `deliverable` required pending[mid].is_final just above; order and pending are mutated in lockstep"
             )]
-            // invariant: `deliverable` required pending[mid].is_final just
-            // above; order and pending are mutated in lockstep.
             let p = self.pending.remove(&mid).expect("pending entry");
             out.push(Action::Deliver { mid, ts, payload: p.payload });
         }
@@ -534,8 +530,7 @@ mod proptests {
                     }
                 }
             }
-            let mut logs: BTreeMap<NodeId, Vec<Mid>> =
-                BTreeMap::new();
+            let mut logs: BTreeMap<NodeId, Vec<Mid>> = BTreeMap::new();
             let mut k = 0usize;
             while let Some((from, to, msg)) = pop_pick(&mut net, picks.get(k).copied()) {
                 k += 1;

@@ -1610,11 +1610,11 @@ impl Proc {
         st.holders.insert(resource, (to, name.to_string()));
     }
 
-    /// A resource id no other primitive of this simulation holds, for a
-    /// primitive that has no id of its own (a monitor). Ids count up per
-    /// `Sim` from 2^63, above every mailbox key a `call` wait reports, so
-    /// two runs with one seed name their resources alike.
-    pub fn new_resource_id(&mut self) -> u64 {
+    /// A fresh resource id for a primitive that has no id of its own (a
+    /// monitor). Ids count up per `Sim` from 2^63, above the mailbox keys
+    /// that `call` waits report, so two runs of one seed name their
+    /// resources alike.
+    pub(crate) fn new_resource_id(&mut self) -> u64 {
         let mut st = self.kernel.state.borrow_mut();
         let id = st.next_resource;
         st.next_resource += 1;
