@@ -23,9 +23,8 @@ use crate::object::costs::CLIENT_NET;
 use crate::object::{Access, ObjectRef};
 use crate::protocol::{GetView, InvokeReq, InvokeResp, VersionReq, VersionResp, View};
 use crate::read_policy::ReadPolicy;
-use crate::ring::Ring;
 
-/// Cheap, `Send` handle describing how to reach a DSO deployment. Each
+/// Cheap, cloneable handle describing how to reach a DSO deployment. Each
 /// simulated process turns it into its own [`DsoClient`] with
 /// [`DsoClientHandle::connect`].
 #[derive(Clone)]
@@ -170,7 +169,7 @@ fn backoff_for(attempt: u32) -> Duration {
 /// A per-process DSO client with a cached view.
 pub struct DsoClient {
     h: DsoClientHandle,
-    view: Option<(View, Ring)>,
+    view: Option<View>,
     /// The session's consistency state: routing, admission (it owns the
     /// [`MonotonicReads`] table), dependency piggybacking and the lease,
     /// per [`crate::ConsistencyMode`].
@@ -188,7 +187,7 @@ pub struct DsoClient {
 impl fmt::Debug for DsoClient {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("DsoClient")
-            .field("view", &self.view.as_ref().map(|(v, _)| v.id))
+            .field("view", &self.view.as_ref().map(View::id))
             .field("consistency", &self.h.cfg.consistency)
             .field("cached", &self.caches.iter().map(|(_, c)| c.len()).collect::<Vec<_>>())
             .finish()
@@ -206,12 +205,12 @@ impl DsoClient {
         self.policy.observed_version(obj)
     }
 
-    /// Forces a view refresh from the coordinator.
+    /// Forces a view refresh from the coordinator. The view arrives with
+    /// its ring, shared with every other holder.
     pub fn refresh_view(&mut self, ctx: &mut Ctx) -> View {
         let lat = CLIENT_NET.sample(ctx.rng());
         let view: View = ctx.call(self.h.coordinator, GetView, lat);
-        let ring = Ring::new(&view.node_ids());
-        self.view = Some((view.clone(), ring));
+        self.view = Some(view.clone());
         view
     }
 
@@ -227,7 +226,8 @@ impl DsoClient {
             clippy::expect_used,
             reason = "invariant: refresh_view stored Some just above when it was None"
         )]
-        let (view, ring) = self.view.as_ref().expect("view cached");
+        let view = self.view.as_ref().expect("view cached");
+        let ring = view.ring();
         let node = if readonly { self.policy.route_read(ring, obj, rf) } else { ring.primary(obj) };
         node.and_then(|n| view.addr_of(n))
     }

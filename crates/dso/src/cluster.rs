@@ -125,7 +125,7 @@ impl DsoCluster {
         let mut cli = cluster.client_handle().connect();
         let mut formed = false;
         for _ in 0..200 {
-            if cli.refresh_view(ctx).members.len() == n as usize {
+            if cli.refresh_view(ctx).members().len() == n as usize {
                 formed = true;
                 break;
             }

@@ -80,12 +80,12 @@ impl Checkpointer {
         let gen = store.generation();
         let span = ctx.span_begin("dso.checkpoint", "dso");
         let view = cli.refresh_view(ctx);
-        if view.members.is_empty() {
+        if view.members().is_empty() {
             ctx.span_annotate(span, "outcome", "empty-view");
             ctx.span_end(span);
             return Err(DsoError::Retry);
         }
-        let members: BTreeSet<NodeId> = view.members.iter().map(|(n, _)| *n).collect();
+        let members: BTreeSet<NodeId> = view.members().iter().map(|(n, _)| *n).collect();
 
         // Floors: per-stream WAL high-water marks, observed before the
         // snapshots below so they are a monotonic lower bound — every
@@ -106,7 +106,7 @@ impl Checkpointer {
         let timeout = CALL_TIMEOUT * 4;
         let mut best: FxHashMap<ObjectRef, ObjectRecord> = FxHashMap::default();
         let mut nodes = 0;
-        for (_, addr) in &view.members {
+        for (_, addr) in view.members() {
             let lat = CLIENT_NET.sample(ctx.rng());
             let reply: Option<SnapshotReply> = ctx.call_timeout(*addr, SnapshotAll, lat, timeout);
             let Some(SnapshotReply(records)) = reply else {

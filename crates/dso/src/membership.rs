@@ -43,18 +43,20 @@ struct Coordinator {
     inbox: Addr,
     cfg: DsoConfig,
     members: BTreeMap<NodeId, MemberState>,
-    view_id: u64,
+    /// The current view, rebuilt (ring included) only when the members
+    /// change; every `GetView` and `ViewUpdate` carries a clone of it.
+    view: View,
 }
 
 impl Coordinator {
     fn new(inbox: Addr, cfg: DsoConfig) -> Coordinator {
-        Coordinator { inbox, cfg, members: BTreeMap::new(), view_id: 0 }
+        Coordinator { inbox, cfg, members: BTreeMap::new(), view: View::empty() }
     }
 }
 
 impl Actor for Coordinator {
     fn on_wake(&mut self, ctx: &mut Proc, wake: Wake) -> Wait {
-        let Coordinator { inbox, cfg, members, view_id } = self;
+        let Coordinator { inbox, cfg, members, view } = self;
         let wait = Wait::RecvTimeout(*inbox, cfg.heartbeat_interval);
         let msg = match wake {
             Wake::Start => return wait,
@@ -73,9 +75,8 @@ impl Actor for Coordinator {
                 Ok(req) => {
                     // Client (or server) asking for the current view.
                     let (reply_to, GetView) = req.take::<GetView>();
-                    let view = make_view(*view_id, members);
                     let lat = crate::costs::CLIENT_NET.sample(ctx.rng());
-                    ctx.reply(reply_to, view, lat);
+                    ctx.reply(reply_to, view.clone(), lat);
                 }
                 Err(other) => match other.take::<MemberMsg>() {
                     MemberMsg::Join { node, addr } => {
@@ -111,11 +112,10 @@ impl Actor for Coordinator {
             changed = true;
         }
         if changed {
-            *view_id += 1;
+            *view = View::new(view.id() + 1, members.iter().map(|(&n, m)| (n, m.addr)).collect());
             ctx.metric_incr("dso.view_changes");
             let mark = ctx.span_instant("dso.view_change", "dso");
-            ctx.span_annotate(mark, "view", &view_id);
-            let view = make_view(*view_id, members);
+            ctx.span_annotate(mark, "view", view.id());
             for addr in members.values().map(|m| m.addr).chain(leavers) {
                 let lat = cfg.peer_net.sample(ctx.rng());
                 ctx.send(addr, Msg::new(ViewUpdate(view.clone())), lat);
@@ -125,17 +125,12 @@ impl Actor for Coordinator {
     }
 }
 
-fn make_view(id: u64, members: &BTreeMap<NodeId, MemberState>) -> View {
-    View { id, members: members.iter().map(|(&n, m)| (n, m.addr)).collect() }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
+    use std::cell::RefCell;
+    use std::rc::Rc;
     use std::time::Duration;
-
-    use parking_lot::Mutex;
 
     fn cfg() -> DsoConfig {
         DsoConfig::default()
@@ -145,7 +140,7 @@ mod tests {
     fn join_produces_views_and_getview_reflects_them() {
         let mut sim = Sim::new(1);
         let coord = spawn_coordinator(&sim, cfg());
-        let views: Arc<Mutex<Vec<View>>> = Arc::new(Mutex::new(Vec::new()));
+        let views: Rc<RefCell<Vec<View>>> = Rc::default();
         // Two fake servers that join and record pushed views.
         for i in 0..2u32 {
             let views = views.clone();
@@ -159,25 +154,25 @@ mod tests {
                 loop {
                     let m = ctx.recv(inbox);
                     if let Ok(ViewUpdate(v)) = m.try_take::<ViewUpdate>() {
-                        views.lock().push(v);
+                        views.borrow_mut().push(v);
                     }
                 }
             });
         }
-        let got: Arc<Mutex<Option<View>>> = Arc::new(Mutex::new(None));
+        let got: Rc<RefCell<Option<View>>> = Rc::default();
         let got2 = got.clone();
         sim.spawn("client", move |ctx| {
             ctx.sleep(Duration::from_millis(50));
             let v: View = ctx.call(coord, GetView, Duration::from_micros(90));
-            *got2.lock() = Some(v);
+            *got2.borrow_mut() = Some(v);
         });
         sim.run_until(SimTime::from_millis(100));
-        let v = got.lock().clone().expect("client got view");
-        assert_eq!(v.members.len(), 2);
-        assert!(v.id >= 2, "two joins bump the view twice");
+        let v = got.borrow().clone().expect("client got view");
+        assert_eq!(v.members().len(), 2);
+        assert!(v.id() >= 2, "two joins bump the view twice");
         // Both servers eventually saw the final view.
-        let vs = views.lock();
-        assert!(vs.iter().any(|x| x.members.len() == 2));
+        let vs = views.borrow();
+        assert!(vs.iter().any(|x| x.members().len() == 2));
     }
 
     #[test]
@@ -212,15 +207,15 @@ mod tests {
                 let _ = ctx.recv(inbox);
             }
         });
-        let got: Arc<Mutex<Option<View>>> = Arc::new(Mutex::new(None));
+        let got: Rc<RefCell<Option<View>>> = Rc::default();
         let got2 = got.clone();
         sim.spawn("client", move |ctx| {
             ctx.sleep(Duration::from_secs(2));
             let v: View = ctx.call(coord, GetView, Duration::ZERO);
-            *got2.lock() = Some(v);
+            *got2.borrow_mut() = Some(v);
         });
         sim.run_until(SimTime::from_secs(3));
-        let v = got.lock().clone().expect("view");
+        let v = got.borrow().clone().expect("view");
         assert_eq!(v.node_ids(), vec![NodeId(0)], "silent node evicted");
     }
 
@@ -239,8 +234,71 @@ mod tests {
             ctx.send(coord, Msg::new(MemberMsg::Leave { node: NodeId(5) }), Duration::ZERO);
             ctx.sleep(Duration::from_millis(10));
             let v: View = ctx.call(coord, GetView, Duration::ZERO);
-            assert!(v.members.is_empty());
+            assert!(v.members().is_empty());
         });
         sim.run_until(SimTime::from_secs(1));
+    }
+
+    /// Every holder of one view id shares the ring the coordinator built
+    /// for it, and each new view's ring is over exactly its members.
+    #[test]
+    fn one_ring_per_view() {
+        let mut sim = Sim::new(4);
+        let mut c = cfg();
+        c.heartbeat_interval = Duration::from_millis(100);
+        c.failure_timeout = Duration::from_millis(300);
+        let coord = spawn_coordinator(&sim, c);
+        // Every view pushed to any member.
+        let pushed: Rc<RefCell<Vec<View>>> = Rc::default();
+        for i in 0..3u32 {
+            let pushed = pushed.clone();
+            sim.spawn_daemon(&format!("srv{i}"), move |ctx| {
+                let inbox = ctx.mailbox(&format!("srv{i}-inbox"));
+                let join = MemberMsg::Join { node: NodeId(i), addr: inbox };
+                ctx.send(coord, Msg::new(join), Duration::ZERO);
+                loop {
+                    let m = ctx.recv_timeout(inbox, Duration::from_millis(100));
+                    if let Some(Ok(ViewUpdate(v))) = m.map(Msg::try_take::<ViewUpdate>) {
+                        pushed.borrow_mut().push(v);
+                    }
+                    // Node 2 never heartbeats: it is declared dead.
+                    if i != 2 {
+                        let beat = MemberMsg::Heartbeat { node: NodeId(i) };
+                        ctx.send(coord, Msg::new(beat), Duration::ZERO);
+                    }
+                }
+            });
+        }
+        // Two clients ask for the view at once, after the joins and
+        // before the crash is detected.
+        let got: Rc<RefCell<Vec<View>>> = Rc::default();
+        for k in 0..2 {
+            let got = got.clone();
+            sim.spawn(&format!("client{k}"), move |ctx| {
+                ctx.sleep(Duration::from_millis(50));
+                let v: View = ctx.call(coord, GetView, Duration::ZERO);
+                got.borrow_mut().push(v);
+            });
+        }
+        sim.run_until(SimTime::from_secs(2));
+        let got = got.borrow();
+        let (a, b) = (&got[0], &got[1]);
+        assert_eq!(a.node_ids(), vec![NodeId(0), NodeId(1), NodeId(2)]);
+        assert!(std::ptr::eq(a.ring(), b.ring()), "two GetView replies built two rings");
+        let pushed = pushed.borrow();
+        let same_id: Vec<&View> = pushed.iter().filter(|v| v.id() == a.id()).collect();
+        assert_eq!(same_id.len(), 3, "every member was pushed view {}", a.id());
+        assert!(same_id.iter().all(|v| std::ptr::eq(v.ring(), a.ring())));
+        // Three joins, then the crash: each made a view whose ring is over
+        // exactly its members.
+        let mut ids: Vec<u64> = pushed.iter().map(View::id).collect();
+        ids.sort_unstable();
+        ids.dedup();
+        assert_eq!(ids, vec![1, 2, 3, 4]);
+        let last = pushed.last().expect("views pushed");
+        assert_eq!(last.node_ids(), vec![NodeId(0), NodeId(1)], "silent node evicted");
+        for v in pushed.iter() {
+            assert_eq!(v.ring().nodes(), &v.node_ids()[..], "view {}", v.id());
+        }
     }
 }

@@ -2,6 +2,7 @@
 //! server-to-server messages.
 
 use std::fmt;
+use std::rc::Rc;
 
 use bytes::Bytes;
 use simcore::codec::Wire;
@@ -10,6 +11,7 @@ use simcore::{Addr, SpanId};
 use crate::error::ObjectError;
 use crate::intern::MethodName;
 use crate::object::ObjectRef;
+use crate::ring::Ring;
 use crate::skeen::{Mid, SkeenMsg, Stamp};
 
 /// Identifier of a DSO storage node.
@@ -28,29 +30,64 @@ impl fmt::Display for NodeId {
     }
 }
 
-/// A totally-ordered membership view (view synchrony, §4.1).
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct View {
-    /// Monotonically increasing view id.
-    pub id: u64,
-    /// Member nodes with their mailbox addresses, sorted by node id.
-    pub members: Vec<(NodeId, Addr)>,
+/// A totally-ordered membership view (view synchrony, §4.1) with the
+/// consistent-hash ring over its members.
+///
+/// Immutable: the ring is built once, in [`View::new`], so it always
+/// matches the members, and every client and server holding the view
+/// shares it. Cloning is one reference-count bump.
+#[derive(Clone, PartialEq, Eq)]
+pub struct View(Rc<ViewInner>);
+
+#[derive(PartialEq, Eq)]
+struct ViewInner {
+    id: u64,
+    members: Vec<(NodeId, Addr)>,
+    ring: Ring,
 }
 
 impl View {
+    /// View `id` over `members`, which are sorted by node id; builds the
+    /// ring.
+    pub fn new(id: u64, members: Vec<(NodeId, Addr)>) -> View {
+        let ring = Ring::new(&members.iter().map(|&(n, _)| n).collect::<Vec<_>>());
+        View(Rc::new(ViewInner { id, members, ring }))
+    }
+
     /// An empty pre-initialization view.
     pub fn empty() -> View {
-        View { id: 0, members: Vec::new() }
+        View::new(0, Vec::new())
+    }
+
+    /// Monotonically increasing view id.
+    pub fn id(&self) -> u64 {
+        self.0.id
+    }
+
+    /// Member nodes with their mailbox addresses, sorted by node id.
+    pub fn members(&self) -> &[(NodeId, Addr)] {
+        &self.0.members
+    }
+
+    /// The consistent-hash ring over the members.
+    pub fn ring(&self) -> &Ring {
+        &self.0.ring
     }
 
     /// Node ids of the members.
     pub fn node_ids(&self) -> Vec<NodeId> {
-        self.members.iter().map(|(n, _)| *n).collect()
+        self.0.members.iter().map(|(n, _)| *n).collect()
     }
 
     /// Address of a member, if present.
     pub fn addr_of(&self, node: NodeId) -> Option<Addr> {
-        self.members.iter().find(|(n, _)| *n == node).map(|(_, a)| *a)
+        self.0.members.iter().find(|(n, _)| *n == node).map(|(_, a)| *a)
+    }
+}
+
+impl fmt::Debug for View {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("View").field("id", &self.0.id).field("members", &self.0.members).finish()
     }
 }
 
@@ -326,11 +363,13 @@ mod tests {
     fn view_lookup() {
         let a = Addr::from_raw(1);
         let b = Addr::from_raw(2);
-        let v = View { id: 3, members: vec![(NodeId(0), a), (NodeId(2), b)] };
+        let v = View::new(3, vec![(NodeId(0), a), (NodeId(2), b)]);
         assert_eq!(v.node_ids(), vec![NodeId(0), NodeId(2)]);
         assert_eq!(v.addr_of(NodeId(2)), Some(b));
         assert_eq!(v.addr_of(NodeId(1)), None);
-        assert_eq!(View::empty().id, 0);
+        assert_eq!(v.ring().nodes(), &[NodeId(0), NodeId(2)]);
+        assert_eq!(View::empty().id(), 0);
+        assert!(View::empty().ring().is_empty());
     }
 
     #[test]

@@ -64,14 +64,11 @@ impl ReadPolicy {
         if self.mode == ConsistencyMode::Linearizable || rf <= 1 {
             return ring.primary(obj);
         }
-        let placement = ring.placement(obj, rf);
-        let node = if placement.is_empty() {
-            None
-        } else {
-            Some(placement[(self.rr % placement.len() as u64) as usize])
-        };
+        // At least one choice, so an empty ring routes nowhere.
+        let choices = (rf as usize).min(ring.nodes().len()).max(1);
+        let pick = (self.rr % choices as u64) as usize;
         self.rr = self.rr.wrapping_add(1);
-        node
+        ring.placement_iter(obj.placement_hash(), rf).nth(pick)
     }
 
     /// The causal dependency to piggyback on a request

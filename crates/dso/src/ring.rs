@@ -3,7 +3,6 @@
 //! local computation — no broadcast, disjoint-access parallelism, and
 //! minimal disruption when nodes come and go.
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 use crate::object::ObjectRef;
@@ -78,11 +77,18 @@ impl Ring {
 
     /// A ring over explicit points; of two equal points the later wins.
     fn from_points(nodes: Vec<NodeId>, points: impl IntoIterator<Item = (u64, NodeId)>) -> Ring {
-        let mut map = BTreeMap::new();
-        for (p, n) in points {
-            map.insert(p, n);
-        }
-        Ring { points: map.into_iter().collect(), nodes }
+        let mut points: Vec<(u64, NodeId)> = points.into_iter().collect();
+        // Stable, so equal points stay in the order given and the last of
+        // each run overwrites the one kept.
+        points.sort_by_key(|&(p, _)| p);
+        points.dedup_by(|later, kept| {
+            let same = later.0 == kept.0;
+            if same {
+                *kept = *later;
+            }
+            same
+        });
+        Ring { points, nodes }
     }
 
     /// Index of the first point at or after `hash` (`points.len()` when
@@ -110,18 +116,25 @@ impl Ring {
 
     /// Placement for a raw hash (see [`Ring::placement`]).
     pub fn placement_by_hash(&self, hash: u64, rf: u8) -> Vec<NodeId> {
-        let want = (rf as usize).min(self.nodes.len());
-        let mut out: Vec<NodeId> = Vec::with_capacity(want);
-        let (before, after) = self.points.split_at(self.successor(hash));
-        for &(_, n) in after.iter().chain(before) {
-            if !out.contains(&n) {
-                out.push(n);
-                if out.len() == want {
-                    break;
-                }
-            }
-        }
+        let mut out = Vec::with_capacity(self.want(rf));
+        out.extend(self.placement_iter(hash, rf));
         out
+    }
+
+    /// [`Ring::placement_by_hash`] as a walk that allocates nothing: the
+    /// same nodes in the same order, for callers that need one of them or
+    /// a yes/no.
+    pub fn placement_iter(&self, hash: u64, rf: u8) -> impl Iterator<Item = NodeId> + '_ {
+        Walk { points: &self.points, start: self.successor(hash), walked: 0, left: self.want(rf) }
+    }
+
+    /// How many nodes a placement at `rf` holds at most; `rf = 0` caps
+    /// nothing, as placement has always read it.
+    fn want(&self, rf: u8) -> usize {
+        match rf {
+            0 => self.nodes.len(),
+            rf => (rf as usize).min(self.nodes.len()),
+        }
     }
 
     /// The primary node for an object (the first point at or after its
@@ -129,6 +142,45 @@ impl Ring {
     pub fn primary(&self, obj: &ObjectRef) -> Option<NodeId> {
         let at = self.successor(obj.placement_hash());
         self.points.get(at).or(self.points.first()).map(|&(_, n)| n)
+    }
+}
+
+/// The clockwise walk behind [`Ring::placement_iter`]. A point's node is
+/// new if no earlier point of the walk holds it; the walk is a handful of
+/// points long, so rescanning it is cheaper than remembering it.
+struct Walk<'a> {
+    points: &'a [(u64, NodeId)],
+    /// Index of the walk's first point (`points.len()` wraps to 0).
+    start: usize,
+    /// Points walked so far.
+    walked: usize,
+    /// Nodes still to yield.
+    left: usize,
+}
+
+impl Walk<'_> {
+    /// The node of the walk's `i`-th point, `i < points.len()`.
+    fn at(&self, i: usize) -> NodeId {
+        let len = self.points.len();
+        let j = self.start + i;
+        self.points[if j >= len { j - len } else { j }].1
+    }
+}
+
+impl Iterator for Walk<'_> {
+    type Item = NodeId;
+
+    fn next(&mut self) -> Option<NodeId> {
+        while self.left > 0 && self.walked < self.points.len() {
+            let n = self.at(self.walked);
+            let fresh = (0..self.walked).all(|i| self.at(i) != n);
+            self.walked += 1;
+            if fresh {
+                self.left -= 1;
+                return Some(n);
+            }
+        }
+        None
     }
 }
 
@@ -244,6 +296,7 @@ mod tests {
 mod proptests {
     use super::*;
     use proptest::prelude::*;
+    use std::collections::BTreeMap;
 
     /// The `BTreeMap` ring that placement was first written as, verbatim:
     /// the reference the ring's lookups must match point for point.

@@ -31,7 +31,6 @@ use crate::protocol::{
     DrainNode, InvokeReq, InvokeResp, MemberMsg, NodeId, PeerMsg, SmrOp, VersionReq, VersionResp,
     View, ViewUpdate, WalRecord,
 };
-use crate::ring::Ring;
 use crate::skeen::{Action, Skeen};
 
 /// Handle to a running storage node, used by harnesses and the control
@@ -215,7 +214,6 @@ struct Serving {
     workers: Vec<Addr>,
     worker_pids: Vec<Pid>,
     view: View,
-    ring: Ring,
     skeen: Skeen<SmrOp>,
     /// Skeen's output, drained by [`process_skeen_actions`] after every
     /// step: one buffer for the node's life, empty between messages.
@@ -269,7 +267,6 @@ impl Dispatcher {
             workers,
             worker_pids,
             view: View::empty(),
-            ring: Ring::new(&[]),
             skeen: Skeen::new(node),
             actions: Vec::new(),
             hb: Ticker::new(ctx.now(), cfg.heartbeat_interval),
@@ -336,8 +333,7 @@ impl Serving {
 
     /// Handles one inbox message.
     fn handle(&mut self, ctx: &mut Proc, msg: Msg) -> Next {
-        let Serving { coordinator, shared, workers, view, ring, skeen, actions, shedder, .. } =
-            self;
+        let Serving { coordinator, shared, workers, view, skeen, actions, shedder, .. } = self;
         let shared = &*shared;
         let node = shared.node;
         let cfg = &shared.cfg;
@@ -357,7 +353,10 @@ impl Serving {
                     // no worker hop, no method CPU — the cheap half of the
                     // read caches' validate-then-reuse protocol.
                     let (reply_to, probe) = req.take::<VersionReq>();
-                    let owned = ring.placement(&probe.obj, probe.rf.max(1)).contains(&shared.node);
+                    let owned = view
+                        .ring()
+                        .placement_iter(probe.obj.placement_hash(), probe.rf.max(1))
+                        .any(|n| n == shared.node);
                     let version = if owned {
                         shared.objects.borrow().get(&probe.obj).map(|s| s.version)
                     } else {
@@ -369,7 +368,7 @@ impl Serving {
                 }
                 let (reply_to, invoke) = req.take::<InvokeReq>();
                 handle_client_invoke(
-                    ctx, shared, view, ring, workers, skeen, actions, shedder, invoke, reply_to,
+                    ctx, shared, view, workers, skeen, actions, shedder, invoke, reply_to,
                 );
                 return Next::Serve;
             }
@@ -379,7 +378,7 @@ impl Serving {
             Ok(PeerMsg::Smr { from, epoch, msg }) => {
                 // Stale- or future-epoch SMR traffic is dropped; the client
                 // retries once both replicas share the view.
-                if epoch == view.id {
+                if epoch == view.id() {
                     skeen.handle_into(from, msg, actions);
                     process_skeen_actions(ctx, shared, view, workers, skeen, actions);
                 }
@@ -393,15 +392,13 @@ impl Serving {
         };
         let msg = match msg.try_take::<ViewUpdate>() {
             Ok(ViewUpdate(new_view)) => {
-                if new_view.id > view.id {
-                    let new_ring = Ring::new(&new_view.node_ids());
-                    rebalance(ctx, shared, view, ring, &new_view, &new_ring);
+                if new_view.id() > view.id() {
+                    rebalance(ctx, shared, view, &new_view);
                     // Abort in-flight SMR: a departed replica can never
                     // answer, and a stalled message would head-of-line
                     // block every later delivery. Clients retry.
                     skeen.reset();
                     *view = new_view;
-                    *ring = new_ring;
                     if self.draining && view.addr_of(node).is_none() {
                         // The leave view is installed and `rebalance` has
                         // pushed every object to its new owners (this node
@@ -454,7 +451,6 @@ fn handle_client_invoke(
     ctx: &mut Proc,
     shared: &Rc<NodeShared>,
     view: &View,
-    ring: &Ring,
     workers: &[Addr],
     skeen: &mut Skeen<SmrOp>,
     actions: &mut Vec<Action<SmrOp>>,
@@ -475,18 +471,27 @@ fn handle_client_invoke(
             return;
         }
     }
-    let placement = ring.placement(&req.obj, req.rf.max(1));
-    if !placement.contains(&shared.node) {
-        let lat = CLIENT_NET.sample(ctx.rng());
-        ctx.reply(reply_to, InvokeResp::NotOwner { view: view.id }, lat);
-        return;
-    }
     // Declared read-only operations never mutate, so they skip the SMR
     // broadcast even on replicated objects: this node serves them from its
     // local copy (the read fast path). Under the default primary-only
     // routing this stays linearizable; under replica reads the client
-    // enforces monotonicity via the returned version.
-    if req.rf > 1 && placement.len() > 1 && !req.readonly {
+    // enforces monotonicity via the returned version. So only a replicated
+    // write needs its whole replica group; anything else needs a yes/no.
+    let ring = view.ring();
+    let group = (req.rf > 1 && !req.readonly).then(|| ring.placement(&req.obj, req.rf));
+    let owned = match &group {
+        Some(placement) => placement.contains(&shared.node),
+        None => {
+            let mut placement = ring.placement_iter(req.obj.placement_hash(), req.rf.max(1));
+            placement.any(|n| n == shared.node)
+        }
+    };
+    if !owned {
+        let lat = CLIENT_NET.sample(ctx.rng());
+        ctx.reply(reply_to, InvokeResp::NotOwner { view: view.id() }, lat);
+        return;
+    }
+    if let Some(placement) = group.filter(|placement| placement.len() > 1) {
         // SMR path: totally-order the operation among the replica group.
         // The round span covers multicast through total-order delivery at
         // the initiating node; every replica's apply span nests under it.
@@ -527,7 +532,8 @@ fn process_skeen_actions(
                     stack[batch..].reverse();
                 } else if let Some(addr) = view.addr_of(to) {
                     let lat = shared.cfg.peer_net.sample(ctx.rng());
-                    ctx.send(addr, Msg::new(PeerMsg::Smr { from: node, epoch: view.id, msg }), lat);
+                    let smr = PeerMsg::Smr { from: node, epoch: view.id(), msg };
+                    ctx.send(addr, Msg::new(smr), lat);
                 } else {
                     // Peer not in our view (crashed / not yet seen): the
                     // multicast stalls and the client retries after its
@@ -622,15 +628,9 @@ fn install_transfer(
 /// On a view change, push object state to new owners and drop objects this
 /// node no longer holds (§4.1: "the nodes re-balance data according to the
 /// new view").
-fn rebalance(
-    ctx: &mut Proc,
-    shared: &Rc<NodeShared>,
-    _old_view: &View,
-    old_ring: &Ring,
-    new_view: &View,
-    new_ring: &Ring,
-) {
+fn rebalance(ctx: &mut Proc, shared: &Rc<NodeShared>, old_view: &View, new_view: &View) {
     let node = shared.node;
+    let (old_ring, new_ring) = (old_view.ring(), new_view.ring());
     let mut to_remove: Vec<ObjectRef> = Vec::new();
     let mut to_send: Vec<(Addr, ObjectRef, u8, Vec<u8>, u64, u64)> = Vec::new();
     {

@@ -19,10 +19,12 @@
 //! The same holds for the last test, which counts the process's OS threads
 //! to show a simulation never starts one.
 //!
-//! Two more regions count the DSO layer: cloning a request (what a retry
-//! and every Skeen hop do) allocates nothing, and a steady-state replicated
+//! Three more regions count the DSO layer: cloning a request (what a retry
+//! and every Skeen hop do) allocates nothing, a steady-state replicated
 //! `increment_and_get` on a 3-node cluster at rf = 2 allocates a fixed,
-//! exact number of times per op, whole cluster included.
+//! exact number of times per op, and so does a client that connects
+//! afresh for every read, as a FaaS container does, whole cluster included
+//! both times.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{self, Ordering};
@@ -31,8 +33,8 @@ use std::time::Duration;
 use crucial::Sim;
 use dso::api::AtomicLong;
 use dso::protocol::InvokeReq;
-use dso::{intern, DsoCluster, DsoConfig, ObjectRef, ObjectRegistry};
-use simcore::{Actor, Addr, Msg, Proc, Request, SpanId, Wait, Wake};
+use dso::{intern, DsoClientHandle, DsoCluster, DsoConfig, ObjectRef, ObjectRegistry};
+use simcore::{Actor, Addr, Ctx, Msg, Proc, Request, SpanId, Wait, Wake};
 
 struct CountingAlloc;
 
@@ -299,6 +301,54 @@ fn steady_state_smr_write_allocates_a_fixed_count() {
     );
 }
 
+/// Allocations per connection over the whole cluster: a fresh client, its
+/// view fetch, and one primary read with its dispatcher and worker hops.
+/// The view arrives with the ring the coordinator built for it, so a
+/// connection builds no ring of its own: rebuilding one per connection,
+/// and placing through a `Vec`, made it 44 in release.
+/// Debug builds add two: `dispatch` saves the object's state before and
+/// after the read, to catch a read that mutates.
+const ALLOCS_PER_CONNECTION: u64 = if cfg!(debug_assertions) { 12 } else { 10 };
+
+/// Connects a fresh client and reads the counter once.
+fn connect_and_get(ctx: &mut Ctx, handle: &DsoClientHandle, counter: &AtomicLong) -> i64 {
+    let mut cli = handle.connect();
+    counter.get(ctx, &mut cli).expect("read")
+}
+
+/// One reader on a 3-node cluster that reconnects before every read, the
+/// way short-lived function containers reach the DSO layer. The warm-up
+/// creates the counter and grows every table, so the count is exact for
+/// this seed.
+fn reconnecting_reader_allocates_a_fixed_count() {
+    const WARMUP: u64 = 20;
+    const CONNECTIONS: u64 = 200;
+    let mut sim = Sim::new(18);
+    let cluster = DsoCluster::start(&sim, 3, DsoConfig::default(), ObjectRegistry::with_builtins());
+    let handle = cluster.client_handle();
+    sim.spawn("client", move |ctx| {
+        let counter = AtomicLong::persistent("c", 7, 2);
+        for _ in 0..WARMUP {
+            assert_eq!(connect_and_get(ctx, &handle, &counter), 7);
+        }
+        ALLOCS.store(0, Ordering::SeqCst);
+        COUNTING.store(true, Ordering::SeqCst);
+        for _ in 0..CONNECTIONS {
+            assert_eq!(connect_and_get(ctx, &handle, &counter), 7);
+        }
+        COUNTING.store(false, Ordering::SeqCst);
+    });
+    sim.run_until_idle();
+    let counted = ALLOCS.load(Ordering::SeqCst);
+    let per_connection = counted as f64 / CONNECTIONS as f64;
+    println!("connection: {counted} allocations over {CONNECTIONS}, {per_connection:.3} each");
+    assert_eq!(
+        counted,
+        ALLOCS_PER_CONNECTION * CONNECTIONS,
+        "a connection allocated {per_connection:.3} times, not {ALLOCS_PER_CONNECTION}"
+    );
+}
+
 /// This process's OS threads, as `/proc/self/task` lists them.
 fn os_threads() -> usize {
     std::fs::read_dir("/proc/self/task").expect("procfs lists this process's threads").count()
@@ -331,7 +381,7 @@ fn a_sim_never_starts_an_os_thread() {
 }
 
 fn main() {
-    let tests: [(&str, fn()); 8] = [
+    let tests: [(&str, fn()); 9] = [
         ("steady_state_timer_churn_allocates_nothing", steady_state_timer_churn_allocates_nothing),
         (
             "steady_state_actor_ping_pong_allocates_nothing",
@@ -352,6 +402,10 @@ fn main() {
             steady_state_smr_write_allocates_a_fixed_count,
         ),
         ("cloning_a_request_allocates_nothing", cloning_a_request_allocates_nothing),
+        (
+            "reconnecting_reader_allocates_a_fixed_count",
+            reconnecting_reader_allocates_a_fixed_count,
+        ),
     ];
     // What `cargo test -- --list` asks of every test binary.
     if std::env::args().any(|a| a == "--list") {
