@@ -953,6 +953,15 @@ mod tests {
         }
     }
 
+    /// `run_local_kmeans` on [`tiny_cfg`] with 8 cores, pinned: its virtual
+    /// time and its SSE bits.
+    #[test]
+    fn local_vm_run_is_pinned() {
+        let report = run_local_kmeans(&tiny_cfg(), 8);
+        assert_eq!(report.iteration_phase.as_nanos(), 9_144_000);
+        assert_eq!(bits(&report.sse_per_iteration), LOCAL_SSE_BITS);
+    }
+
     #[test]
     fn local_vm_slows_down_past_core_count() {
         let mut cfg = tiny_cfg();

@@ -318,6 +318,19 @@ pub fn run_spark_logreg(cfg: &LogRegConfig) -> LogRegReport {
 mod tests {
     use super::*;
 
+    /// The loss after each iteration of [`tiny_cfg`] on Crucial, as
+    /// `to_bits()`.
+    const CRUCIAL_LOSS_BITS: [u64; 8] = [
+        0x3fe6_2e42_fefa_39f4,
+        0x3fe3_7bdd_1c31_ed36,
+        0x3fe2_0a63_b404_f903,
+        0x3fe1_2f18_ffcc_3d9e,
+        0x3fe0_a0ff_2e10_1c9e,
+        0x3fe0_3ee4_f3d0_0b20,
+        0x3fdf_f006_afe0_2ce0,
+        0x3fdf_8619_5d34_5988,
+    ];
+
     fn tiny_cfg() -> LogRegConfig {
         LogRegConfig {
             seed: 3,
@@ -352,6 +365,14 @@ mod tests {
             losses.last().expect("nonempty") < losses.first().expect("nonempty"),
             "loss must decrease: {losses:?}"
         );
+    }
+
+    /// The loss series of [`tiny_cfg`] on Crucial, pinned bit for bit.
+    #[test]
+    fn crucial_loss_series_is_pinned() {
+        let report = run_crucial_logreg(&tiny_cfg());
+        let bits: Vec<u64> = report.loss_per_iteration.iter().map(|x| x.to_bits()).collect();
+        assert_eq!(bits, CRUCIAL_LOSS_BITS);
     }
 
     #[test]
