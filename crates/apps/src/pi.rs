@@ -22,6 +22,7 @@ pub const REAL_SAMPLE_CAP: u64 = 50_000;
 
 /// Draws `points` Monte Carlo samples (capped real work, extrapolated
 /// count) and returns how many fell inside the unit circle.
+// table4: local crucial
 pub fn sample_hits(rng: &mut rand::rngs::StdRng, points: u64) -> i64 {
     let real = points.min(REAL_SAMPLE_CAP);
     let mut inside = 0u64;
@@ -38,6 +39,7 @@ pub fn sample_hits(rng: &mut rand::rngs::StdRng, points: u64) -> i64 {
         ((inside as f64 / real as f64) * points as f64).round() as i64
     }
 }
+// table4: end
 
 /// Listing 1's `PiEstimator` runnable.
 #[derive(Clone, Wire)]
@@ -50,6 +52,7 @@ pub struct PiEstimator {
     pub start_barrier: Option<CyclicBarrier>,
 }
 
+// table4: crucial
 impl Runnable for PiEstimator {
     fn run(&mut self, env: &mut FnEnv<'_, '_>) -> RunResult {
         if let Some(b) = &self.start_barrier {
@@ -63,6 +66,7 @@ impl Runnable for PiEstimator {
         Ok(())
     }
 }
+// table4: end
 
 /// Outcome of a π run.
 #[derive(Clone, Debug)]
@@ -134,8 +138,49 @@ pub fn run_pi_crucial_with(
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use std::cell::Cell;
+    use std::rc::Rc;
+
+    use crucial::Ctx;
     use rand::SeedableRng;
+
+    use super::*;
+
+    /// The single-machine twin of [`PiEstimator`]: a simulated local
+    /// thread that adds its hits to a plain shared counter.
+    struct LocalPiEstimator {
+        points: u64,
+        counter: Rc<Cell<i64>>,
+    }
+
+    // table4: local
+    impl LocalPiEstimator {
+        fn run(&mut self, ctx: &mut Ctx) {
+            let inside = sample_hits(ctx.rng(), self.points);
+            self.counter.set(self.counter.get() + inside);
+        }
+    }
+    // table4: end
+
+    /// Runs the local twin with `threads` threads; returns its estimate.
+    fn run_pi_local(seed: u64, threads: u32, points_per_thread: u64) -> f64 {
+        let mut sim = Sim::new(seed);
+        let counter = Rc::new(Cell::new(0));
+        for t in 0..threads {
+            let mut estimator =
+                LocalPiEstimator { points: points_per_thread, counter: counter.clone() };
+            sim.spawn(&format!("pi-{t}"), move |ctx| estimator.run(ctx));
+        }
+        sim.run_until_idle().expect_quiescent();
+        4.0 * counter.get() as f64 / (threads as u64 * points_per_thread) as f64
+    }
+
+    #[test]
+    fn local_twin_agrees_with_crucial() {
+        let local = run_pi_local(3, 8, 1_000_000);
+        let crucial = run_pi_crucial(3, 8, 1_000_000).estimate;
+        assert!((local - crucial).abs() < 0.05, "local {local} vs crucial {crucial}");
+    }
 
     #[test]
     fn sample_hits_estimates_pi() {

@@ -147,6 +147,7 @@ pub trait SantaOps {
 
 /// One entity's life: work, join, pass both gates, repeat until the
 /// kind's quota is consumed.
+// table4: local crucial
 pub fn entity_loop(ops: &mut dyn SantaOps, ctx: &mut Ctx, kind: Kind, cfg: &SantaConfig) {
     let quota = cfg.quota(kind);
     loop {
@@ -160,9 +161,11 @@ pub fn entity_loop(ops: &mut dyn SantaOps, ctx: &mut Ctx, kind: Kind, cfg: &Sant
         ops.pass_gate(ctx, kind, batch, Gate::Exit);
     }
 }
+// table4: end
 
 /// Santa's life: take the next full group, harness/consult, release.
 /// Returns the instant the final toy delivery finished.
+// table4: local crucial
 pub fn santa_loop(ops: &mut dyn SantaOps, ctx: &mut Ctx, cfg: &SantaConfig) -> SimTime {
     let mut deliveries = 0;
     let mut consults = 0;
@@ -187,6 +190,7 @@ pub fn santa_loop(ops: &mut dyn SantaOps, ctx: &mut Ctx, cfg: &SantaConfig) -> S
     }
     last_delivery
 }
+// table4: end
 
 // ---------------------------------------------------------------------------
 // Local (POJO) implementation
@@ -235,6 +239,7 @@ impl Default for LocalOps {
     }
 }
 
+// table4: local
 impl SantaOps for LocalOps {
     fn join_group(&mut self, ctx: &mut Ctx, kind: Kind, quota: u64) -> Option<u64> {
         self.monitor.enter(ctx);
@@ -287,6 +292,7 @@ impl SantaOps for LocalOps {
         b.wait(ctx);
     }
 }
+// table4: end
 
 /// Runs the POJO solution on simulated local threads.
 pub fn run_santa_local(cfg: &SantaConfig) -> SantaReport {
@@ -431,6 +437,7 @@ impl DsoOps {
     }
 }
 
+// table4: crucial
 impl SantaOps for DsoOps {
     fn join_group(&mut self, ctx: &mut Ctx, kind: Kind, quota: u64) -> Option<u64> {
         let counter = match kind {
@@ -464,6 +471,7 @@ impl SantaOps for DsoOps {
         b.wait(ctx, &mut self.cli).expect("dso");
     }
 }
+// table4: end
 
 /// Runs the DSO solution with *local* threads (the paper's middle variant).
 pub fn run_santa_dso(cfg: &SantaConfig) -> SantaReport {

@@ -73,7 +73,7 @@ pub fn fig8(scale: Scale) -> (Table, Vec<(u64, u64)>) {
     (t, report.per_second)
 }
 
-/// Renders Table 4 from the bundled port listings.
+/// Renders Table 4 from the marked regions of the applications' sources.
 pub fn table4() -> Table {
     let reports = port_reports();
     let mut t = Table::new(
@@ -92,9 +92,9 @@ pub fn table4() -> Table {
     }
     t.row(&[
         "note".to_string(),
-        "Rust ports change a larger fraction than the paper's Java:".to_string(),
-        "AspectJ wove @Shared fields invisibly; Rust handles and".to_string(),
-        "error plumbing are real lines (see EXPERIMENTS.md)".to_string(),
+        "Both versions are regions of the code that runs; Rust".to_string(),
+        "has no AspectJ weaving, so handles and error plumbing".to_string(),
+        "are real lines (see EXPERIMENTS.md)".to_string(),
         String::new(),
     ]);
     t

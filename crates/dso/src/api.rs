@@ -84,7 +84,7 @@ impl RawHandle {
         &self,
         ctx: &mut Ctx,
         cli: &mut DsoClient,
-        method: &str,
+        method: &'static str,
         access: Access,
         args: &[&dyn Wire],
     ) -> Result<R, DsoError> {

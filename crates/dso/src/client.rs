@@ -17,7 +17,6 @@ use simcore::{Addr, Ctx, FxHashMap, SpanId};
 
 use crate::config::DsoConfig;
 use crate::error::DsoError;
-use crate::intern::intern;
 use crate::node_cache::{NodeCache, NodeCacheKey, NodeEntry};
 use crate::object::costs::CLIENT_NET;
 use crate::object::{Access, ObjectRef};
@@ -254,7 +253,7 @@ impl DsoClient {
         &mut self,
         ctx: &mut Ctx,
         obj: &ObjectRef,
-        method: &str,
+        method: &'static str,
         args: Bytes,
         rf: u8,
         create: Option<Bytes>,
@@ -267,10 +266,9 @@ impl DsoClient {
         ctx.span_annotate(call_span, "obj", obj);
         ctx.span_annotate(call_span, "method", method);
         ctx.metric_incr("dso.invokes");
-        let method = intern(method);
         // A read with caches to consult (and to fill from the reply).
-        let key = (readonly && !self.caches.is_empty())
-            .then(|| (obj.clone(), method.clone(), args.clone()));
+        let key =
+            (readonly && !self.caches.is_empty()).then(|| (obj.clone(), method, args.clone()));
         if let Some(key) = &key {
             for i in 0..self.caches.len() {
                 let (tier, cache) = self.caches[i].clone();

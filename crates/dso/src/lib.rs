@@ -70,7 +70,6 @@ mod config;
 pub mod declare;
 pub mod durability;
 mod error;
-pub mod intern;
 mod membership;
 mod node_cache;
 mod object;
@@ -93,7 +92,6 @@ pub use durability::{
     DurabilityStore, RecoveryReport,
 };
 pub use error::{DsoError, ObjectError};
-pub use intern::{intern, MethodName};
 pub use membership::{spawn_coordinator, spawn_coordinator_from};
 pub use node_cache::{NodeCache, NodeCacheKey, NodeEntry};
 pub use object::{

@@ -22,12 +22,11 @@ use bytes::Bytes;
 use parking_lot::Mutex;
 use simcore::{FxHashMap, SimTime};
 
-use crate::intern::MethodName;
 use crate::object::ObjectRef;
 
 /// Cache key: one entry per `(object, method, arguments)` triple, the same
 /// granularity as the client cache.
-pub type NodeCacheKey = (ObjectRef, MethodName, Bytes);
+pub type NodeCacheKey = (ObjectRef, &'static str, Bytes);
 
 /// One cached read result with the coherence metadata needed to serve or
 /// revalidate it.
@@ -103,10 +102,9 @@ impl NodeCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::intern::intern;
 
-    fn key(obj: &str, method: &str) -> NodeCacheKey {
-        (ObjectRef::new("T", obj), intern(method), Bytes::new())
+    fn key(obj: &str, method: &'static str) -> NodeCacheKey {
+        (ObjectRef::new("T", obj), method, Bytes::new())
     }
 
     fn entry(version: u64) -> NodeEntry {

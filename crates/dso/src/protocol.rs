@@ -1,6 +1,7 @@
 //! Wire protocol of the DSO layer: node ids, views, client requests and
 //! server-to-server messages.
 
+use std::borrow::Cow;
 use std::fmt;
 use std::rc::Rc;
 
@@ -9,7 +10,6 @@ use simcore::codec::Wire;
 use simcore::{Addr, SpanId};
 
 use crate::error::ObjectError;
-use crate::intern::MethodName;
 use crate::object::ObjectRef;
 use crate::ring::Ring;
 use crate::skeen::{Mid, SkeenMsg, Stamp};
@@ -93,15 +93,15 @@ impl fmt::Debug for View {
 
 /// A client's invocation request (also carried inside SMR payloads).
 ///
-/// Cloning is cheap: the method name is interned and the payloads are
-/// reference-counted [`Bytes`], so the client constructs the request once
-/// and clones it per retry.
+/// Cloning is cheap: the method name is a `&'static str` and the payloads
+/// are reference-counted [`Bytes`], so the client constructs the request
+/// once and clones it per retry.
 #[derive(Clone, Debug)]
 pub struct InvokeReq {
     /// Target object.
     pub obj: ObjectRef,
     /// Method name; `"__create"` is reserved for idempotent initialization.
-    pub method: MethodName,
+    pub method: &'static str,
     /// Codec-encoded arguments.
     pub args: Bytes,
     /// Replication factor of the object (1 = ephemeral, unreplicated).
@@ -295,8 +295,9 @@ pub struct WalRecord {
     /// Its replication factor.
     pub rf: u8,
     /// The method that produced this state (observability only; replay
-    /// installs `state` directly and never re-executes the method).
-    pub method: MethodName,
+    /// installs `state` directly and never re-executes the method). A
+    /// logged record borrows the request's name; a decoded one owns it.
+    pub method: Cow<'static, str>,
     /// The object's version after the mutation.
     pub version: u64,
     /// The object's Lamport stamp after the mutation.

@@ -579,7 +579,7 @@ fn wal_log(shared: &Rc<NodeShared>, obj: &ObjectRef, stored: &Stored, req: &Invo
     wal.log(WalRecord {
         obj: obj.clone(),
         rf: stored.rf,
-        method: req.method.clone(),
+        method: req.method.into(),
         version: stored.version,
         lamport: stored.lamport,
         state: stored.obj.save(),
@@ -773,7 +773,7 @@ fn execute(
 ) -> Executed {
     let exec_span = ctx.span_begin_under(parent, "dso.exec", "dso");
     ctx.span_annotate(exec_span, "obj", &req.obj);
-    ctx.span_annotate(exec_span, "method", &req.method);
+    ctx.span_annotate(exec_span, "method", req.method);
     if replicated {
         ctx.span_annotate(exec_span, "replicated", "true");
     }
@@ -790,7 +790,7 @@ fn execute(
         logged: false,
         exec_span,
     };
-    if &req.method == "__restore" {
+    if req.method == "__restore" {
         (done.outcome, done.logged) = restore_object(shared, &req);
         return done;
     }
@@ -808,7 +808,7 @@ fn execute(
                 }
             },
         };
-        if &req.method == "__create" {
+        if req.method == "__create" {
             // Idempotent explicit creation: materialization above (or a
             // pre-existing object) is all that is needed. Logged so the
             // object exists after recovery even if never mutated.
@@ -825,7 +825,7 @@ fn execute(
             let call = CallCtx { ticket, replicated };
             // A flagged read skipped the SMR order, so `dispatch` rejects
             // it rather than let it reach `invoke` and fork the replicas.
-            match dispatch(stored.obj.as_mut(), &call, &req.method, &req.args, req.readonly) {
+            match dispatch(stored.obj.as_mut(), &call, req.method, &req.args, req.readonly) {
                 Ok((effects, mutating)) => {
                     // The version counts *mutations*, so read-only calls
                     // leave it unchanged — that is what lets replicas and

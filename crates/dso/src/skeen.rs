@@ -17,7 +17,11 @@
 //! 4. Members deliver pending messages in final-timestamp order, as soon as
 //!    no other pending message could receive a smaller timestamp.
 
+use std::collections::hash_map::Entry;
+// The proptests below name it through `use super::*`.
+#[cfg(test)]
 use std::collections::BTreeMap;
+use std::collections::VecDeque;
 use std::fmt;
 use std::rc::Rc;
 
@@ -96,6 +100,7 @@ pub enum Action<M> {
 
 struct Pending<M> {
     ts: Stamp,
+    mid: Mid,
     is_final: bool,
     payload: M,
 }
@@ -142,9 +147,9 @@ pub struct Skeen<M> {
     node: NodeId,
     clock: u64,
     next_seq: u64,
-    pending: FxHashMap<Mid, Pending<M>>,
-    // Delivery frontier ordered by (stamp, mid).
-    order: BTreeMap<(Stamp, Mid), Mid>,
+    // The delivery frontier: every undelivered message, ordered by
+    // (stamp, mid).
+    pending: VecDeque<Pending<M>>,
     collecting: FxHashMap<Mid, Collecting>,
 }
 
@@ -165,8 +170,7 @@ impl<M: Clone> Skeen<M> {
             node,
             clock: 0,
             next_seq: 0,
-            pending: FxHashMap::default(),
-            order: BTreeMap::new(),
+            pending: VecDeque::new(),
             collecting: FxHashMap::default(),
         }
     }
@@ -180,7 +184,6 @@ impl<M: Clone> Skeen<M> {
     /// calling clients time out and retry under the new view).
     pub fn reset(&mut self) {
         self.pending.clear();
-        self.order.clear();
         self.collecting.clear();
     }
 
@@ -225,13 +228,13 @@ impl<M: Clone> Skeen<M> {
             SkeenMsg::Run { mid, payload, .. } => {
                 self.clock += 1;
                 let ts: Stamp = (self.clock, self.node);
-                self.pending.insert(mid, Pending { ts, is_final: false, payload });
-                self.order.insert((ts, mid), mid);
+                self.insert(Pending { ts, mid, is_final: false, payload });
                 out.push(Action::Send { to: mid.node, msg: SkeenMsg::Propose { mid, ts } });
             }
             SkeenMsg::Propose { mid, ts } => {
                 // A late or duplicate proposal finds its collection finished.
-                let Some(c) = self.collecting.get_mut(&mid) else { return };
+                let Entry::Occupied(mut entry) = self.collecting.entry(mid) else { return };
+                let c = entry.get_mut();
                 if ts > c.max {
                     c.max = ts;
                 }
@@ -239,11 +242,7 @@ impl<M: Clone> Skeen<M> {
                 if c.awaiting > 0 {
                     return;
                 }
-                #[expect(
-                    clippy::expect_used,
-                    reason = "invariant: `get_mut` found this very key just above, with no intervening removal"
-                )]
-                let c = self.collecting.remove(&mid).expect("collecting entry");
+                let c = entry.remove();
                 let ts = c.max;
                 out.extend(
                     c.group.iter().map(|&to| Action::Send { to, msg: SkeenMsg::Final { mid, ts } }),
@@ -251,12 +250,10 @@ impl<M: Clone> Skeen<M> {
             }
             SkeenMsg::Final { mid, ts } => {
                 self.clock = self.clock.max(ts.0);
-                if let Some(p) = self.pending.get_mut(&mid) {
-                    let old = (p.ts, mid);
-                    p.ts = ts;
-                    p.is_final = true;
-                    self.order.remove(&old);
-                    self.order.insert((ts, mid), mid);
+                // A message a view change discarded finds no entry.
+                let at = self.pending.iter().position(|p| p.mid == mid);
+                if let Some(p) = at.and_then(|i| self.pending.remove(i)) {
+                    self.insert(Pending { ts, is_final: true, ..p });
                 }
                 self.drain(out);
             }
@@ -270,21 +267,16 @@ impl<M: Clone> Skeen<M> {
         out
     }
 
+    /// Places `p` in the frontier by `(stamp, mid)`.
+    fn insert(&mut self, p: Pending<M>) {
+        let at = self.pending.partition_point(|q| (q.ts, q.mid) < (p.ts, p.mid));
+        self.pending.insert(at, p);
+    }
+
     /// Delivers every head-of-line finalized message.
     fn drain(&mut self, out: &mut Vec<Action<M>>) {
-        while let Some((&key, &mid)) = self.order.iter().next() {
-            let ((ts, _), mid) = (key, mid);
-            let deliverable = self.pending.get(&mid).map(|p| p.is_final).unwrap_or(false);
-            if !deliverable {
-                break;
-            }
-            self.order.remove(&(ts, mid));
-            #[expect(
-                clippy::expect_used,
-                reason = "invariant: `deliverable` required pending[mid].is_final just above; order and pending are mutated in lockstep"
-            )]
-            let p = self.pending.remove(&mid).expect("pending entry");
-            out.push(Action::Deliver { mid, ts, payload: p.payload });
+        while let Some(p) = self.pending.pop_front_if(|p| p.is_final) {
+            out.push(Action::Deliver { mid: p.mid, ts: p.ts, payload: p.payload });
         }
     }
 }

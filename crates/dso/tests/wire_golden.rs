@@ -15,7 +15,7 @@ use std::time::Duration;
 
 use bytes::Bytes;
 use dso::protocol::{CheckpointBlob, NodeId, ObjectRecord, WalRecord, WalSegment};
-use dso::{api, dispatch, intern, CallCtx, ObjectRef, ObjectRegistry, SharedObject, Ticket};
+use dso::{api, dispatch, CallCtx, ObjectRef, ObjectRegistry, SharedObject, Ticket};
 use simcore::codec::{self, Wire};
 use simcore::SimTime;
 
@@ -192,7 +192,7 @@ fn wal_segment() {
         records: vec![WalRecord {
             obj: ObjectRef::new("AtomicLong", "c0"),
             rf: 2,
-            method: intern("addAndGet"),
+            method: "addAndGet".into(),
             version: 5,
             lamport: 6,
             state: 7i64.to_le_bytes().to_vec(),

@@ -3,6 +3,7 @@
 //! baseline, the Redis-backed Crucial variant, and a single-machine
 //! multi-threaded solution (Fig. 3's VM baselines).
 
+use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -49,6 +50,7 @@ const LANES: usize = 4;
 /// dimensions every distance is `0.0` and centroid 0 wins. The sums,
 /// counts and SSE are therefore the bits the per-centroid loop returns
 /// (`kmeans::tests` holds the two to that on random inputs).
+// table4: local crucial
 pub fn assign_partials(
     points: &[Vec<f64>],
     centroids: &[Vec<f64>],
@@ -98,6 +100,7 @@ pub fn assign_partials(
     }
     (sums, counts, sse)
 }
+// table4: end
 
 /// Random initial centroids in the data range, deterministic in `seed`.
 pub fn initial_centroids(seed: u64, k: u32, dims: usize) -> Vec<Vec<f64>> {
@@ -202,6 +205,7 @@ pub struct KMeansWorker {
     pub t_end: AtomicLong,
 }
 
+// table4: crucial
 impl Runnable for KMeansWorker {
     fn run(&mut self, env: &mut FnEnv<'_, '_>) -> RunResult {
         let scale = self.cfg.scale;
@@ -257,6 +261,7 @@ impl Runnable for KMeansWorker {
         Ok(())
     }
 }
+// table4: end
 
 /// Runs k-means on Crucial (cloud threads + DSO), returning the report.
 pub fn run_crucial_kmeans(cfg: &KMeansConfig) -> KMeansReport {
@@ -635,69 +640,45 @@ pub fn run_local_kmeans(cfg: &KMeansConfig, cores: u32) -> KMeansReport {
     let mut sim = Sim::new(cfg.seed);
     let vm = LocalVm::new(&sim, "vm", cores);
     let out: Arc<Mutex<Option<KMeansReport>>> = Arc::new(Mutex::new(None));
-    let shared: Arc<Mutex<LocalState>> = Arc::new(Mutex::new(LocalState {
-        centroids: initial_centroids(cfg.seed, cfg.k, cfg.dims),
-        acc_sums: vec![vec![0.0; cfg.dims]; cfg.k as usize],
-        acc_counts: vec![0; cfg.k as usize],
-        contributions: 0,
-        sse: Vec::new(),
-        sse_acc: 0.0,
-    }));
+    // The aggregator the DSO runs, here in process, and the SSE of each
+    // generation, keyed as `GlobalDelta` keys it.
+    let init = CentroidsInit {
+        k: cfg.k,
+        dims: cfg.dims as u32,
+        workers: cfg.workers,
+        initial: flatten(&initial_centroids(cfg.seed, cfg.k, cfg.dims)),
+    };
+    let centroids = Arc::new(Mutex::new(GlobalCentroids::new_init(init).expect("valid init")));
+    let delta: Arc<Mutex<BTreeMap<u64, f64>>> = Arc::new(Mutex::new(BTreeMap::new()));
     let barrier = crucial::sync::LocalBarrier::new(cfg.workers as usize);
     let done = crucial::sync::WaitGroup::new(cfg.workers as usize);
     let t_end = Arc::new(Mutex::new(SimTime::ZERO));
     for w in 0..cfg.workers {
         let vm = vm.clone();
-        let shared = shared.clone();
+        let centroids = centroids.clone();
+        let delta = delta.clone();
         let barrier = barrier.clone();
         let done = done.clone();
         let cfg = cfg.clone();
         let t_end = t_end.clone();
+        // table4: local
         sim.spawn(&format!("local-{w}"), move |ctx| {
             let part =
                 kmeans_partition(cfg.seed, w as usize, cfg.sample_points, cfg.dims, cfg.k as usize);
             let assign_cost = kmeans_assign_cost(&cfg.scale, cfg.k);
             for _ in 0..cfg.iterations {
-                let current = shared.lock().centroids.clone();
+                // Fetch current centroids.
+                let (generation, current) = centroids.lock().snapshot();
+                let current = unflatten(&current, cfg.dims);
+                // computeClusters(): the real math on the sample, charged at
+                // paper scale.
                 let (sums, counts, sse) = assign_partials(&part.points, &current);
                 vm.compute(ctx, assign_cost);
-                {
-                    let mut st = shared.lock();
-                    for (a, s) in st.acc_sums.iter_mut().zip(&sums) {
-                        for (x, y) in a.iter_mut().zip(s) {
-                            *x += y;
-                        }
-                    }
-                    for (a, c) in st.acc_counts.iter_mut().zip(&counts) {
-                        *a += c;
-                    }
-                    st.sse_acc += sse;
-                    st.contributions += 1;
-                    if st.contributions == cfg.workers {
-                        let LocalState {
-                            centroids,
-                            acc_sums,
-                            acc_counts,
-                            contributions,
-                            sse,
-                            sse_acc,
-                        } = &mut *st;
-                        for (c, (s, n)) in
-                            centroids.iter_mut().zip(acc_sums.iter().zip(acc_counts.iter()))
-                        {
-                            if *n > 0 {
-                                for (cv, sv) in c.iter_mut().zip(s) {
-                                    *cv = sv / *n as f64;
-                                }
-                            }
-                        }
-                        sse.push(*sse_acc);
-                        *sse_acc = 0.0;
-                        *contributions = 0;
-                        acc_sums.iter_mut().for_each(|r| r.iter_mut().for_each(|x| *x = 0.0));
-                        acc_counts.iter_mut().for_each(|x| *x = 0);
-                    }
-                }
+                // globalDelta.update(localDelta)
+                *delta.lock().entry(generation).or_default() += sse;
+                // centroids.update(localCentroids, localSizes)
+                centroids.lock().apply_update(&flatten(&sums), &counts).expect("shapes match");
+                // barrier.await()
                 barrier.wait(ctx);
             }
             {
@@ -708,9 +689,9 @@ pub fn run_local_kmeans(cfg: &KMeansConfig, cores: u32) -> KMeansReport {
             }
             done.done(ctx);
         });
+        // table4: end
     }
     let out2 = out.clone();
-    let shared2 = shared.clone();
     let t_end2 = t_end.clone();
     sim.spawn("local-master", move |ctx| {
         done.wait(ctx);
@@ -718,7 +699,7 @@ pub fn run_local_kmeans(cfg: &KMeansConfig, cores: u32) -> KMeansReport {
         let report = KMeansReport {
             iteration_phase: end.saturating_duration_since(SimTime::ZERO),
             total: end.saturating_duration_since(SimTime::ZERO),
-            sse_per_iteration: shared2.lock().sse.clone(),
+            sse_per_iteration: delta.lock().values().copied().collect(),
             cost_dollars: 0.0,
         };
         *out2.lock() = Some(report);
@@ -726,15 +707,6 @@ pub fn run_local_kmeans(cfg: &KMeansConfig, cores: u32) -> KMeansReport {
     sim.run_until_idle().expect_quiescent();
     let report = out.lock().take().expect("master finished");
     report
-}
-
-struct LocalState {
-    centroids: Vec<Vec<f64>>,
-    acc_sums: Vec<Vec<f64>>,
-    acc_counts: Vec<u64>,
-    contributions: u32,
-    sse: Vec<f64>,
-    sse_acc: f64,
 }
 
 #[cfg(test)]

@@ -26,6 +26,7 @@ fn sigmoid(z: f64) -> f64 {
 }
 
 /// One gradient pass over labelled points: `(gradient, logistic loss)`.
+// table4: local crucial
 pub fn gradient_and_loss(points: &[Vec<f64>], labels: &[f64], w: &[f64]) -> (Vec<f64>, f64) {
     let mut grad = vec![0.0; w.len()];
     let mut loss = 0.0;
@@ -44,6 +45,7 @@ pub fn gradient_and_loss(points: &[Vec<f64>], labels: &[f64], w: &[f64]) -> (Vec
     grad.iter_mut().for_each(|g| *g /= n);
     (grad, loss / n)
 }
+// table4: end
 
 // ---------------------------------------------------------------------------
 // Configuration and report
@@ -132,6 +134,7 @@ pub struct LogRegWorker {
     pub t_end: AtomicLong,
 }
 
+// table4: crucial
 impl Runnable for LogRegWorker {
     fn run(&mut self, env: &mut FnEnv<'_, '_>) -> RunResult {
         let scale = self.cfg.scale_for();
@@ -174,6 +177,7 @@ impl Runnable for LogRegWorker {
         Ok(())
     }
 }
+// table4: end
 
 /// Runs logistic regression on Crucial.
 pub fn run_crucial_logreg(cfg: &LogRegConfig) -> LogRegReport {
@@ -316,7 +320,64 @@ pub fn run_spark_logreg(cfg: &LogRegConfig) -> LogRegReport {
 
 #[cfg(test)]
 mod tests {
+    use crucial::sync::LocalBarrier;
+    use crucial::Ctx;
+
     use super::*;
+    use crate::objects::GlobalWeights;
+
+    /// The single-machine twin of [`LogRegWorker`]: a simulated local
+    /// thread that folds into one in-process [`GlobalWeights`].
+    struct LocalLogRegWorker {
+        worker_id: u32,
+        cfg: LogRegConfig,
+        weights: Arc<Mutex<GlobalWeights>>,
+        barrier: LocalBarrier,
+    }
+
+    // table4: local
+    impl LocalLogRegWorker {
+        fn run(&mut self, ctx: &mut Ctx) {
+            let part = logreg_partition(
+                self.cfg.seed,
+                self.worker_id as usize,
+                self.cfg.sample_points,
+                self.cfg.dims,
+            );
+            for _ in 0..self.cfg.iterations {
+                let (_generation, w) = self.weights.lock().snapshot();
+                let (grad, loss) = gradient_and_loss(&part.points, &part.labels, &w);
+                self.weights.lock().apply_update(&grad, loss).expect("gradient shape");
+                self.barrier.wait(ctx);
+            }
+        }
+    }
+    // table4: end
+
+    /// Runs the local twin with `cfg.workers` threads; returns the loss
+    /// series.
+    fn run_local_logreg(cfg: &LogRegConfig) -> Vec<f64> {
+        let mut sim = Sim::new(cfg.seed);
+        let init = WeightsInit {
+            dims: cfg.dims as u32,
+            workers: cfg.workers,
+            learning_rate: cfg.learning_rate,
+        };
+        let weights = Arc::new(Mutex::new(GlobalWeights::new_init(init)));
+        let barrier = LocalBarrier::new(cfg.workers as usize);
+        for worker_id in 0..cfg.workers {
+            let mut worker = LocalLogRegWorker {
+                worker_id,
+                cfg: cfg.clone(),
+                weights: weights.clone(),
+                barrier: barrier.clone(),
+            };
+            sim.spawn(&format!("local-{worker_id}"), move |ctx| worker.run(ctx));
+        }
+        sim.run_until_idle().expect_quiescent();
+        let losses = weights.lock().losses().to_vec();
+        losses
+    }
 
     /// The loss after each iteration of [`tiny_cfg`] on Crucial, as
     /// `to_bits()`.
@@ -373,6 +434,15 @@ mod tests {
         let report = run_crucial_logreg(&tiny_cfg());
         let bits: Vec<u64> = report.loss_per_iteration.iter().map(|x| x.to_bits()).collect();
         assert_eq!(bits, CRUCIAL_LOSS_BITS);
+    }
+
+    #[test]
+    fn local_twin_reaches_the_crucial_loss() {
+        let local = run_local_logreg(&tiny_cfg());
+        let crucial = run_crucial_logreg(&tiny_cfg()).loss_per_iteration;
+        assert_eq!(local.len(), crucial.len());
+        let (a, b) = (local.last().expect("nonempty"), crucial.last().expect("nonempty"));
+        assert!((a - b).abs() < 0.01 * b, "local final loss {a} vs crucial {b}");
     }
 
     #[test]

@@ -280,22 +280,12 @@ shared_object! {
     }
 
     type "GlobalWeights";
-    create(init: WeightsInit = WeightsInit::default()) {
-        Ok(GlobalWeights {
-            dims: init.dims,
-            workers: init.workers.max(1),
-            learning_rate: init.learning_rate,
-            weights: vec![0.0; init.dims as usize],
-            acc_grad: vec![0.0; init.dims as usize],
-            ..GlobalWeights::default()
-        })
-    }
+    create(init: WeightsInit = WeightsInit::default()) { Ok(GlobalWeights::new_init(init)) }
 
     methods(self, call) {
         /// Reads `(generation, weights)`.
         Read read = "read"() -> (u64, Vec<f64>) {
-            let reply = (self.generation, self.weights.clone());
-            Effects::value_with_cost(&reply, bulk_cost(self.weights.len() * 8))
+            Effects::value_with_cost(&self.snapshot(), bulk_cost(self.weights.len() * 8))
         }
         /// The per-iteration loss series (Fig. 4b).
         Read losses = "losses"() -> Vec<f64> {
@@ -304,26 +294,8 @@ shared_object! {
         /// Pushes a gradient and loss; returns the generation after the
         /// update.
         Write update = "update"(&grad: Vec<f64>, loss: f64) -> u64 {
-            if grad.len() != self.acc_grad.len() {
-                return Err(ObjectError::BadArgs("gradient shape mismatch".to_string()));
-            }
-            for (a, g) in self.acc_grad.iter_mut().zip(&grad) {
-                *a += g;
-            }
-            self.acc_loss += loss;
-            self.contributions += 1;
-            if self.contributions == self.workers {
-                let scale = self.learning_rate / self.workers as f64;
-                for (w, g) in self.weights.iter_mut().zip(&self.acc_grad) {
-                    *w -= scale * g;
-                }
-                self.losses.push(self.acc_loss / self.workers as f64);
-                self.acc_grad.iter_mut().for_each(|x| *x = 0.0);
-                self.acc_loss = 0.0;
-                self.contributions = 0;
-                self.generation += 1;
-            }
-            Effects::value_with_cost(&self.generation, bulk_cost(grad.len() * 8))
+            let generation = self.apply_update(&grad, loss)?;
+            Effects::value_with_cost(&generation, bulk_cost(grad.len() * 8))
         }
     }
 
@@ -340,6 +312,60 @@ pub struct WeightsInit {
     pub workers: u32,
     /// SGD step size.
     pub learning_rate: f64,
+}
+
+impl GlobalWeights {
+    /// Builds the state machine from its creation arguments: zero weights.
+    pub fn new_init(init: WeightsInit) -> GlobalWeights {
+        GlobalWeights {
+            dims: init.dims,
+            workers: init.workers.max(1),
+            learning_rate: init.learning_rate,
+            weights: vec![0.0; init.dims as usize],
+            acc_grad: vec![0.0; init.dims as usize],
+            ..GlobalWeights::default()
+        }
+    }
+
+    /// `(generation, weights)` — the payload of `read`.
+    pub fn snapshot(&self) -> (u64, Vec<f64>) {
+        (self.generation, self.weights.clone())
+    }
+
+    /// The loss of each completed round (Fig. 4b's series).
+    pub fn losses(&self) -> &[f64] {
+        &self.losses
+    }
+
+    /// Accumulates one worker's gradient and loss; the last contribution
+    /// of a round applies the averaged gradient step and records the
+    /// round's loss. Returns the generation after the update.
+    ///
+    /// # Errors
+    ///
+    /// Fails on shape mismatch.
+    pub fn apply_update(&mut self, grad: &[f64], loss: f64) -> Result<u64, ObjectError> {
+        if grad.len() != self.acc_grad.len() {
+            return Err(ObjectError::BadArgs("gradient shape mismatch".to_string()));
+        }
+        for (a, g) in self.acc_grad.iter_mut().zip(grad) {
+            *a += g;
+        }
+        self.acc_loss += loss;
+        self.contributions += 1;
+        if self.contributions == self.workers {
+            let scale = self.learning_rate / self.workers as f64;
+            for (w, g) in self.weights.iter_mut().zip(&self.acc_grad) {
+                *w -= scale * g;
+            }
+            self.losses.push(self.acc_loss / self.workers as f64);
+            self.acc_grad.iter_mut().for_each(|x| *x = 0.0);
+            self.acc_loss = 0.0;
+            self.contributions = 0;
+            self.generation += 1;
+        }
+        Ok(self.generation)
+    }
 }
 
 #[cfg(test)]

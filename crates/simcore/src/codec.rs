@@ -46,6 +46,7 @@
 //! # }
 //! ```
 
+use std::borrow::Cow;
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 use std::time::Duration;
@@ -299,6 +300,16 @@ impl Wire for String {
         let s =
             std::str::from_utf8(take(input, len)?).map_err(|e| CodecError::new(e.to_string()))?;
         Ok(s.to_owned())
+    }
+}
+
+/// Encoded as its `str`; decodes owned.
+impl Wire for Cow<'_, str> {
+    fn put(&self, out: &mut Vec<u8>) {
+        (**self).put(out);
+    }
+    fn get(input: &mut &[u8]) -> Result<Self, CodecError> {
+        String::get(input).map(Cow::Owned)
     }
 }
 

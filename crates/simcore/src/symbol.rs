@@ -5,11 +5,9 @@
 //! were stored as a fresh `String` per record — three allocations per span
 //! on the tracing hot path. A [`SymbolTable`] stores each distinct string
 //! once and hands out copyable [`Sym`] handles; records store the handle
-//! and exports resolve it back with no per-record allocation.
-//!
-//! This generalizes the `MethodName` interner in the DSO layer: same
-//! idea, but table-scoped (one table per [`crate::Tracer`]) rather than
-//! global, so simulations stay independent and deterministic.
+//! and exports resolve it back with no per-record allocation. A table is
+//! scoped to one [`crate::Tracer`], never global, so simulations stay
+//! independent and deterministic.
 //!
 //! Interning order is first-appearance order, which under a deterministic
 //! schedule is itself deterministic — resolved output is byte-identical

@@ -160,15 +160,3 @@ fn flaky_functions_with_retries_produce_an_exact_reduce() {
     // sum of id*10 for id in 0..12 = 660, exactly once each despite crashes.
     assert_eq!(*sum.lock(), 660);
 }
-
-#[test]
-fn table4_reports_partial_port_effort() {
-    let reports = crucial_apps::table4::table4();
-    assert_eq!(reports.len(), 4);
-    let names: Vec<&str> = reports.iter().map(|r| r.name).collect();
-    assert!(names.contains(&"Monte Carlo"));
-    assert!(names.contains(&"k-means"));
-    for r in &reports {
-        assert!(r.changed_lines < r.total_lines, "{}: port is not a rewrite", r.name);
-    }
-}

@@ -33,7 +33,7 @@ use std::time::Duration;
 use crucial::Sim;
 use dso::api::AtomicLong;
 use dso::protocol::InvokeReq;
-use dso::{intern, DsoClientHandle, DsoCluster, DsoConfig, ObjectRef, ObjectRegistry};
+use dso::{DsoClientHandle, DsoCluster, DsoConfig, ObjectRef, ObjectRegistry};
 use simcore::{Actor, Addr, Ctx, Msg, Proc, Request, SpanId, Wait, Wake};
 
 struct CountingAlloc;
@@ -241,7 +241,7 @@ fn cloning_a_request_allocates_nothing() {
     let obj = ObjectRef::new("AtomicLong", "counter-17");
     let req = InvokeReq {
         obj: obj.clone(),
-        method: intern("incrementAndGet"),
+        method: "incrementAndGet",
         args: vec![1, 2, 3].into(),
         rf: 2,
         create: Some(vec![0; 8].into()),
