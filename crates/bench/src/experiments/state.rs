@@ -90,12 +90,7 @@ pub fn table4() -> Table {
             p.to_string(),
         ]);
     }
-    t.row(&[
-        "note".to_string(),
-        "Both versions are regions of the code that runs; Rust".to_string(),
-        "has no AspectJ weaving, so handles and error plumbing".to_string(),
-        "are real lines (see EXPERIMENTS.md)".to_string(),
-        String::new(),
-    ]);
+    t.note("Both versions are regions of the code that runs. Rust has no AspectJ weaving,");
+    t.note("so handles and error plumbing are real lines (see EXPERIMENTS.md).");
     t
 }

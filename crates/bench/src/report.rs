@@ -6,6 +6,7 @@ pub struct Table {
     title: String,
     header: Vec<String>,
     rows: Vec<Vec<String>>,
+    notes: Vec<String>,
 }
 
 impl Table {
@@ -15,12 +16,19 @@ impl Table {
             title: title.to_string(),
             header: header.iter().map(|s| s.to_string()).collect(),
             rows: Vec::new(),
+            notes: Vec::new(),
         }
     }
 
     /// Appends a row (stringified cells).
     pub fn row(&mut self, cells: &[String]) -> &mut Table {
         self.rows.push(cells.to_vec());
+        self
+    }
+
+    /// Appends a line printed under the rows, outside the columns.
+    pub fn note(&mut self, text: &str) -> &mut Table {
+        self.notes.push(text.to_string());
         self
     }
 
@@ -52,6 +60,10 @@ impl Table {
         out.push('\n');
         for r in &self.rows {
             out.push_str(&fmt_row(r));
+            out.push('\n');
+        }
+        for n in &self.notes {
+            out.push_str(n);
             out.push('\n');
         }
         out

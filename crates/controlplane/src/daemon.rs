@@ -16,7 +16,7 @@ use std::rc::Rc;
 use std::time::Duration;
 
 use dso::{Checkpointer, DsoClient, DsoCluster};
-use faas::{FaasHandle, InvokeOpts};
+use faas::FaasHandle;
 use simcore::{MetricsRegistry, Sim, SimTime, Ticker};
 
 use crate::policy::{Observed, ScaleDecision, TargetTracking};
@@ -376,7 +376,7 @@ pub fn spawn_controlplane(
                 pw.calm_ticks = calm;
                 if target != pw.floor {
                     pw.floor = target;
-                    f.invoke_with(ctx, &pw.cfg.function, Vec::new(), InvokeOpts::provision(target));
+                    f.provision(ctx, &pw.cfg.function, target);
                     ctx.metric_push("ctl.provisioned", f64::from(target));
                     events.borrow_mut().push(CtlEvent::Prewarm {
                         at: now,

@@ -21,7 +21,7 @@ use crate::thread::CloudError;
 /// use faas::FaasError;
 ///
 /// fn app() -> Result<(), CrucialError> {
-///     let failed: Result<(), CloudError> = Err(FaasError::Throttled.into());
+///     let failed: Result<(), CloudError> = Err(FaasError::TimedOut.into());
 ///     failed?; // CloudError -> CrucialError via From
 ///     Ok(())
 /// }
@@ -96,7 +96,7 @@ mod tests {
 
     #[test]
     fn conversions_and_source_chain() {
-        let ce: CrucialError = FaasError::Throttled.into();
+        let ce: CrucialError = FaasError::UnknownFunction("f".into()).into();
         assert!(matches!(ce, CrucialError::Faas(_)));
 
         // FaasError -> CloudError -> CrucialError, the layering apps see.

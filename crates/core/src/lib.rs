@@ -102,8 +102,8 @@ pub use dso::{
 };
 pub use faas::{
     spawn_platform, Billing, ColdStartPolicy, FaasConfig, FaasError, FaasHandle, FnCtx,
-    FunctionRegistry, InvokeForked, InvokeOpts, Pricing, RetirementRecord, SetProvisioned,
-    SnapshotRecord, StartKind, FULL_VCPU_MB, SNAPSHOT_PAGE_BYTES,
+    FunctionRegistry, Pricing, RetirementRecord, SnapshotRecord, StartKind, FULL_VCPU_MB,
+    SNAPSHOT_PAGE_BYTES,
 };
 pub use simcore::{codec, explore, sync};
 pub use simcore::{Ctx, LatencyModel, MetricsRegistry, Sim, SimTime, SpanId, TraceCtx, Tracer};

@@ -18,9 +18,6 @@
 //!    no other pending message could receive a smaller timestamp.
 
 use std::collections::hash_map::Entry;
-// The proptests below name it through `use super::*`.
-#[cfg(test)]
-use std::collections::BTreeMap;
 use std::collections::VecDeque;
 use std::fmt;
 use std::rc::Rc;
@@ -470,7 +467,7 @@ mod tests {
     }
 
     /// A mid's hash under the simulation's fixed hasher: the layout of
-    /// Skeen's `pending` and `collecting` tables follows from it.
+    /// Skeen's `collecting` table follows from it.
     #[test]
     fn mid_hash_is_pinned() {
         use std::hash::BuildHasher;
@@ -491,6 +488,7 @@ mod proptests {
     use super::tests_support::pop_pick;
     use super::*;
     use proptest::prelude::*;
+    use std::collections::BTreeMap;
 
     proptest! {
         /// Under arbitrary message interleavings, every group member

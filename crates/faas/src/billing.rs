@@ -74,12 +74,9 @@ pub struct InvocationRecord {
     pub duration: Duration,
     /// Configured memory.
     pub memory_mb: u32,
-    /// Whether this invocation paid a cold start.
-    pub cold_start: bool,
     /// How the serving container started ([`StartKind::Warm`] when it was
-    /// already in the pool). `cold_start` stays the classic-only flag for
-    /// back-compat: `kind == Classic` implies `cold_start` on the
-    /// invocation that paid it.
+    /// already in the pool); `Classic` marks the invocation that paid a
+    /// classic cold start.
     pub kind: StartKind,
     /// Whether the invocation failed.
     pub failed: bool,
@@ -118,7 +115,7 @@ pub struct RetirementRecord {
 /// Shared ledger of invocations; clones share it.
 #[derive(Clone, Default)]
 pub struct Billing {
-    records: Rc<RefCell<Vec<InvocationRecord>>>,
+    pub(crate) records: Rc<RefCell<Vec<InvocationRecord>>>,
     retired: Rc<RefCell<Vec<RetirementRecord>>>,
     snapshots: Rc<RefCell<Vec<SnapshotRecord>>>,
 }
@@ -139,9 +136,9 @@ impl Billing {
         self.records.borrow().len()
     }
 
-    /// Number of cold starts.
+    /// Number of invocations that paid a classic cold start.
     pub fn cold_starts(&self) -> usize {
-        self.records.borrow().iter().filter(|r| r.cold_start).count()
+        self.records.borrow().iter().filter(|r| r.kind == StartKind::Classic).count()
     }
 
     /// Number of invocations served after a snapshot restore.
@@ -266,7 +263,6 @@ mod tests {
             function: "f".into(),
             duration: Duration::from_millis(ms),
             memory_mb: mem,
-            cold_start: false,
             kind: StartKind::Warm,
             failed: false,
         }

@@ -85,15 +85,18 @@ pub(crate) fn page_restore_cost(memory_mb: u32) -> Duration {
     RESTORE_PER_PAGE * dirty_pages(memory_mb) as u32
 }
 
+/// Idle time after which a warm container is reclaimed (beyond the
+/// provisioned floor).
+pub const CONTAINER_IDLE_TIMEOUT: Duration = Duration::from_secs(600);
+
 /// Platform configuration, calibrated to AWS Lambda in 2019.
 ///
 /// [`crate::spawn_platform`] checks the ranges of the fields. The start
-/// and dispatch latencies are constants ([`COLD_START`],
-/// [`crate::WARM_DISPATCH`] and their neighbours).
+/// and dispatch latencies and the idle timeout are constants
+/// ([`COLD_START`], [`crate::WARM_DISPATCH`], [`CONTAINER_IDLE_TIMEOUT`]
+/// and their neighbours).
 #[derive(Clone, Debug)]
 pub struct FaasConfig {
-    /// Idle time after which a warm container is reclaimed.
-    pub container_idle_timeout: Duration,
     /// Account-wide concurrent-execution limit.
     pub concurrency_limit: u32,
     /// Hard cap on function duration (15 min on Lambda).
@@ -116,7 +119,6 @@ pub struct FaasConfig {
 impl Default for FaasConfig {
     fn default() -> Self {
         FaasConfig {
-            container_idle_timeout: Duration::from_secs(600),
             concurrency_limit: 3000,
             max_duration: Duration::from_secs(900),
             failure_rate: 0.0,

@@ -127,7 +127,8 @@ impl fmt::Debug for FunctionSpec {
 /// Shared registry of deployed functions.
 ///
 /// Cloneable and internally synchronized, so functions may be registered
-/// after the platform started (containers resolve handlers per job).
+/// after the platform started (a container resolves its handler when the
+/// platform spawns it).
 #[derive(Clone, Default)]
 pub struct FunctionRegistry {
     inner: Rc<RefCell<FxHashMap<String, FunctionSpec>>>,

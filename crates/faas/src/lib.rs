@@ -43,15 +43,15 @@ pub use billing::{
     Billing, InvocationRecord, Pricing, RetirementRecord, SnapshotRecord, StartKind,
 };
 pub use config::{
-    ColdStartPolicy, FaasConfig, COLD_START, DIRTY_FRACTION, FORK, RESTORE_BASE, RESTORE_PER_PAGE,
-    SNAPSHOT_PAGE_BYTES,
+    ColdStartPolicy, FaasConfig, COLD_START, CONTAINER_IDLE_TIMEOUT, DIRTY_FRACTION, FORK,
+    RESTORE_BASE, RESTORE_PER_PAGE, SNAPSHOT_PAGE_BYTES,
 };
 pub use function::{
     cpu_share_for, CloudFunction, FnCtx, FunctionRegistry, FunctionSpec, FULL_VCPU_MB,
 };
 pub use platform::{
-    spawn_platform, FaasError, FaasHandle, InvokeFn, InvokeForked, InvokeOpts, InvokeResult,
-    SetProvisioned, CONTAINERS_PER_HOST, RESPONSE, WARM_DISPATCH,
+    spawn_platform, FaasError, FaasHandle, InvokeResult, CONTAINERS_PER_HOST, RESPONSE,
+    WARM_DISPATCH,
 };
 
 #[cfg(test)]
@@ -229,8 +229,7 @@ mod tests {
         let faas = spawn_platform(&sim, FaasConfig::default(), echo_registry());
         let f2 = faas.clone();
         sim.spawn("client", move |ctx| {
-            let none = f2.invoke_with(ctx, "echo", Vec::new(), InvokeOpts::provision(3));
-            assert!(none.is_empty(), "a pure control action returns no results");
+            f2.provision(ctx, "echo", 3);
             // Give the pre-warms time to boot (cold start ≈ 1–2 s).
             ctx.sleep(Duration::from_secs(3));
             for i in 0..3 {
@@ -257,17 +256,15 @@ mod tests {
         let mut sim = Sim::new(22);
         let registry = simcore::MetricsRegistry::new();
         sim.set_metrics(&registry);
-        let cfg =
-            FaasConfig { container_idle_timeout: Duration::from_secs(5), ..FaasConfig::default() };
-        let faas = spawn_platform(&sim, cfg, echo_registry());
+        let faas = spawn_platform(&sim, FaasConfig::default(), echo_registry());
         let f2 = faas.clone();
         sim.spawn("client", move |ctx| {
             // Build a pool of 4 via the provisioning path.
-            let _ = f2.invoke_with(ctx, "echo", Vec::new(), InvokeOpts::provision(4));
+            f2.provision(ctx, "echo", 4);
             ctx.sleep(Duration::from_secs(3));
             // Drop the floor to 1 and let the pool sit past the timeout.
-            let _ = f2.invoke_with(ctx, "echo", Vec::new(), InvokeOpts::provision(1));
-            ctx.sleep(Duration::from_secs(10));
+            f2.provision(ctx, "echo", 1);
+            ctx.sleep(CONTAINER_IDLE_TIMEOUT + Duration::from_secs(5));
             // Next dispatch reaps lazily: 3 expire, the floor keeps 1.
             let _ = f2.invoke(ctx, "echo", vec![1]).expect("ok");
         });
@@ -278,11 +275,7 @@ mod tests {
     }
 
     fn snapshot_cfg(policy: ColdStartPolicy) -> FaasConfig {
-        FaasConfig {
-            cold_start_policy: policy,
-            container_idle_timeout: Duration::from_secs(5),
-            ..FaasConfig::default()
-        }
+        FaasConfig { cold_start_policy: policy, ..FaasConfig::default() }
     }
 
     #[test]
@@ -298,7 +291,7 @@ mod tests {
             assert!(ctx.now() - t0 > Duration::from_millis(1000), "first start is classic");
             // Let the container idle out, then cold-start again: the
             // snapshot restore replaces the 1.5 s provision.
-            ctx.sleep(Duration::from_secs(10));
+            ctx.sleep(CONTAINER_IDLE_TIMEOUT + Duration::from_secs(5));
             let t0 = ctx.now();
             let _ = f2.invoke(ctx, "echo", vec![2]).expect("ok");
             let restored = ctx.now() - t0;
@@ -387,19 +380,40 @@ mod tests {
         sim.run_until_idle().expect_quiescent();
     }
 
-    #[test]
-    fn invoke_with_runs_a_batch_in_payload_order() {
-        let mut sim = Sim::new(35);
-        let faas = spawn_platform(&sim, FaasConfig::default(), echo_registry());
-        let f2 = faas.clone();
+    /// Forks `sleepy` into two branches on a fresh fork-tier platform.
+    fn fork_two(cfg: FaasConfig) -> (Vec<InvokeResult>, Billing) {
+        let mut sim = Sim::new(36);
+        let cfg = FaasConfig { cold_start_policy: ColdStartPolicy::Fork, ..cfg };
+        let faas = spawn_platform(&sim, cfg, echo_registry());
+        let out = Arc::new(Mutex::new(Vec::new()));
+        let (f2, out2) = (faas.clone(), out.clone());
         sim.spawn("client", move |ctx| {
-            let results =
-                f2.invoke_with(ctx, "echo", vec![vec![9], vec![8]], InvokeOpts::default());
-            assert_eq!(results.len(), 2);
-            assert_eq!(results[0].as_deref().unwrap(), &[9]);
-            assert_eq!(results[1].as_deref().unwrap(), &[8]);
+            *out2.lock() = f2.invoke_forked(ctx, "sleepy", vec![vec![1], vec![2]]);
         });
         sim.run_until_idle().expect_quiescent();
+        let results = std::mem::take(&mut *out.lock());
+        (results, faas.billing().clone())
+    }
+
+    #[test]
+    fn forked_branches_fail_and_time_out_like_containers() {
+        // Each branch is billed once, as a failed fork.
+        let billed_failed_forks = |billing: &Billing| {
+            let records = billing.records.borrow();
+            records.len() == 2 && records.iter().all(|r| r.failed && r.kind == StartKind::Fork)
+        };
+        let crashing = FaasConfig { failure_rate: 1.0, ..FaasConfig::default() };
+        let (results, billing) = fork_two(crashing);
+        assert_eq!(results.len(), 2);
+        assert!(results.iter().all(|r| matches!(r, Err(FaasError::Failed(_)))), "{results:?}");
+        assert!(billed_failed_forks(&billing));
+
+        let capped =
+            FaasConfig { max_duration: Duration::from_millis(50), ..FaasConfig::default() };
+        let (results, billing) = fork_two(capped);
+        assert_eq!(results, vec![Err(FaasError::TimedOut), Err(FaasError::TimedOut)]);
+        assert!(billed_failed_forks(&billing));
+        assert_eq!(billing.total_duration(), Duration::from_millis(100), "billed at the cap");
     }
 
     #[test]

@@ -10,12 +10,14 @@ use std::time::Duration;
 
 use rand::RngExt;
 use simcore::{
-    Addr, Ctx, FxHashMap, LatencyModel, Msg, Pid, Request, Sim, SimTime, SpanId, TraceCtx,
+    Actor, Addr, Ctx, FxHashMap, LatencyModel, Msg, Pid, Proc, Request, Sim, SimTime, SpanId,
+    TraceCtx, Wait, Wake,
 };
 
 use crate::billing::{Billing, InvocationRecord, RetirementRecord, StartKind};
 use crate::config::{
-    page_restore_cost, ColdStartPolicy, FaasConfig, COLD_START, FORK, RESTORE_BASE,
+    page_restore_cost, ColdStartPolicy, FaasConfig, COLD_START, CONTAINER_IDLE_TIMEOUT, FORK,
+    RESTORE_BASE,
 };
 use crate::function::{FnCtx, FunctionRegistry, FunctionSpec};
 
@@ -33,33 +35,6 @@ pub const RESPONSE: LatencyModel = LatencyModel::uniform(Duration::from_millis(8
 /// cache) between co-located containers.
 pub const CONTAINERS_PER_HOST: u64 = 8;
 
-/// Client request: invoke `function` with `payload` synchronously.
-#[derive(Debug)]
-pub struct InvokeFn {
-    /// Deployed function name.
-    pub function: String,
-    /// Opaque payload bytes.
-    pub payload: Vec<u8>,
-    /// Caller's trace span; the container parents its execution spans under
-    /// it ([`SpanId::NONE`] when untraced).
-    pub span: SpanId,
-}
-
-/// Client request: fan `payloads` out as copy-on-write branches of one
-/// warm container of `function` (see
-/// [`FaasHandle::invoke_forked`]). Replied with a
-/// `Vec<`[`InvokeResult`]`>` in payload order.
-#[derive(Debug)]
-pub struct InvokeForked {
-    /// Deployed function name (its effective policy must be
-    /// [`ColdStartPolicy::Fork`]).
-    pub function: String,
-    /// One opaque payload per branch.
-    pub payloads: Vec<Vec<u8>>,
-    /// Caller's trace span.
-    pub span: SpanId,
-}
-
 /// Invocation outcome delivered to the caller.
 pub type InvokeResult = Result<Vec<u8>, FaasError>;
 
@@ -72,8 +47,6 @@ pub enum FaasError {
     Failed(String),
     /// The invocation exceeded the platform's duration cap.
     TimedOut,
-    /// The account's concurrency limit rejected the invocation.
-    Throttled,
     /// `invoke_forked` was used on a function whose effective cold-start
     /// policy is not [`ColdStartPolicy::Fork`].
     ForkUnsupported(String),
@@ -85,7 +58,6 @@ impl std::fmt::Display for FaasError {
             FaasError::UnknownFunction(n) => write!(f, "unknown function: {n}"),
             FaasError::Failed(e) => write!(f, "function failed: {e}"),
             FaasError::TimedOut => write!(f, "function timed out"),
-            FaasError::Throttled => write!(f, "throttled by concurrency limit"),
             FaasError::ForkUnsupported(n) => {
                 write!(f, "function not fork-enabled: {n}")
             }
@@ -95,7 +67,29 @@ impl std::fmt::Display for FaasError {
 
 impl std::error::Error for FaasError {}
 
-// Platform-internal messages.
+/// The platform daemon's protocol. `Invoke` and `Fork` arrive as the body
+/// of a [`Request`] (the caller blocks on the reply); the rest are one-way.
+#[derive(Debug)]
+enum PlatformMsg {
+    /// Invoke `function` with `payload`. `span` is the caller's: the
+    /// container parents its execution spans under it.
+    Invoke { function: String, payload: Vec<u8>, span: SpanId },
+    /// Fan `payloads` out as CoW branches of one warm container of
+    /// `function`; replied with a `Vec<InvokeResult>` in payload order.
+    Fork { function: String, payloads: Vec<Vec<u8>>, span: SpanId },
+    /// Keep at least `n` warm containers of `function` provisioned.
+    Provision { function: String, n: u32 },
+    /// A container finished a job: it releases its running slot and
+    /// rejoins the pool.
+    Free { function: String, container: Addr },
+    /// A pre-warmed container finished booting and enters the pool. It
+    /// releases no running slot: it never held one.
+    WarmReady { function: String, container: Addr },
+    /// A snapshot-tier container finished a classic boot and captured a
+    /// memory snapshot; the platform caches it for later restores.
+    SnapshotTaken { function: String, memory_mb: u32 },
+}
+
 #[derive(Debug)]
 struct Job {
     payload: Vec<u8>,
@@ -108,29 +102,6 @@ struct Job {
     /// sample + dirtied-page faults).
     restore_cost: Duration,
     span: SpanId,
-}
-
-#[derive(Debug)]
-struct ContainerFree {
-    function: String,
-    container: Addr,
-}
-
-/// A pre-warmed container finished booting and enters the warm pool.
-/// Unlike [`ContainerFree`] it does *not* release a running slot — the
-/// container never held one.
-#[derive(Debug)]
-struct WarmReady {
-    function: String,
-    container: Addr,
-}
-
-/// A snapshot-tier container finished a classic boot and captured a
-/// memory snapshot; the platform caches it for later restores.
-#[derive(Debug)]
-struct SnapshotTaken {
-    function: String,
-    memory_mb: u32,
 }
 
 /// One branch of a forked invocation finished.
@@ -151,46 +122,6 @@ enum BootPlan {
     Planned { kind: StartKind, cost: Duration },
 }
 
-/// Control-plane request: keep (at least) `n` warm containers provisioned
-/// for `function`. The platform boots the shortfall immediately (off the
-/// request path, so nobody waits on these cold starts) and exempts the
-/// floor from idle reclamation. Lowering `n` lets the surplus age out
-/// through the normal idle timeout.
-#[derive(Debug)]
-pub struct SetProvisioned {
-    /// Deployed function name.
-    pub function: String,
-    /// Number of warm containers to keep provisioned.
-    pub n: u32,
-}
-
-/// Options for [`FaasHandle::invoke_with`] — the single entrypoint that
-/// plain, provisioned, and forked invocation share.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct InvokeOpts {
-    /// Fan the payloads out as CoW branches of one warm container
-    /// ([`InvokeForked`]) instead of invoking them independently.
-    /// Requires the function's effective policy to be
-    /// [`ColdStartPolicy::Fork`].
-    pub forked: bool,
-    /// Set the provisioned-concurrency floor for the function before
-    /// invoking (the [`SetProvisioned`] control message; fire-and-forget).
-    pub provision: Option<u32>,
-}
-
-impl InvokeOpts {
-    /// Options for a forked fan-out invocation.
-    pub fn forked() -> InvokeOpts {
-        InvokeOpts { forked: true, ..InvokeOpts::default() }
-    }
-
-    /// Options that only adjust the provisioned-concurrency floor
-    /// (combine with empty payloads for a pure control action).
-    pub fn provision(n: u32) -> InvokeOpts {
-        InvokeOpts { provision: Some(n), ..InvokeOpts::default() }
-    }
-}
-
 /// Handle to a running platform.
 #[derive(Clone, Debug)]
 pub struct FaasHandle {
@@ -203,86 +134,10 @@ pub struct FaasHandle {
 }
 
 impl FaasHandle {
-    /// The unified invocation entrypoint: invokes `function` once per
-    /// payload, after applying `opts` (floor adjustment, fork fan-out).
-    /// Results come back in payload order. With empty `payloads` only the
-    /// control action runs and the call does not block.
-    ///
-    /// [`invoke`](Self::invoke) and [`invoke_forked`](Self::invoke_forked)
-    /// are thin sugar over this.
-    pub fn invoke_with(
-        &self,
-        ctx: &mut Ctx,
-        function: &str,
-        payloads: Vec<Vec<u8>>,
-        opts: InvokeOpts,
-    ) -> Vec<InvokeResult> {
-        if let Some(n) = opts.provision {
-            let lat = WARM_DISPATCH.sample(ctx.rng());
-            ctx.send(
-                self.addr,
-                Msg::new(SetProvisioned { function: function.to_string(), n }),
-                lat,
-            );
-        }
-        if payloads.is_empty() {
-            return Vec::new();
-        }
-        if opts.forked {
-            let lat = WARM_DISPATCH.sample(ctx.rng());
-            ctx.annotate_wait(
-                wait_resource(function),
-                simcore::WaitKind::Call,
-                function,
-                format!("FaasHandle::invoke_forked {function}"),
-            );
-            let span = ctx.span_begin("faas.invoke_forked", "faas");
-            ctx.span_annotate(span, "function", function);
-            ctx.span_annotate(span, "fanout", payloads.len());
-            let results: Vec<InvokeResult> = ctx.call(
-                self.addr,
-                InvokeForked { function: function.to_string(), payloads, span },
-                lat,
-            );
-            ctx.span_end(span);
-            results
-        } else {
-            payloads.into_iter().map(|p| self.invoke_one(ctx, function, p)).collect()
-        }
-    }
-
     /// Synchronously invokes a function (AWS `RequestResponse` mode); blocks
     /// until the function returns. Retries are the *caller's* decision,
-    /// exactly as the paper argues (§4.4). Sugar for
-    /// [`invoke_with`](Self::invoke_with) with one payload and default
-    /// options.
+    /// exactly as the paper argues (§4.4).
     pub fn invoke(&self, ctx: &mut Ctx, function: &str, payload: Vec<u8>) -> InvokeResult {
-        self.invoke_with(ctx, function, vec![payload], InvokeOpts::default())
-            .pop()
-            .expect("one payload yields one result")
-    }
-
-    /// Fans `payloads` out as copy-on-write branches of one warm
-    /// container of `function` — the snapshot tier's burst primitive
-    /// (~10–50 ms per branch instead of a provision each). The parent is
-    /// restored (or classically provisioned) first if no warm container
-    /// exists; branches bypass the account concurrency limit. Sugar for
-    /// [`invoke_with`](Self::invoke_with) with [`InvokeOpts::forked`].
-    ///
-    /// Functions whose effective policy is not [`ColdStartPolicy::Fork`]
-    /// answer every branch with [`FaasError::ForkUnsupported`].
-    pub fn invoke_forked(
-        &self,
-        ctx: &mut Ctx,
-        function: &str,
-        payloads: Vec<Vec<u8>>,
-    ) -> Vec<InvokeResult> {
-        self.invoke_with(ctx, function, payloads, InvokeOpts::forked())
-    }
-
-    /// The plain invocation path shared by [`invoke_with`](Self::invoke_with):
-    /// one payload, one synchronous call.
-    fn invoke_one(&self, ctx: &mut Ctx, function: &str, payload: Vec<u8>) -> InvokeResult {
         let lat = WARM_DISPATCH.sample(ctx.rng());
         // A synchronous invoke can park indefinitely (the function may
         // itself block on shared objects); tell the deadlock detector
@@ -295,13 +150,58 @@ impl FaasHandle {
         );
         let span = ctx.span_begin("faas.invoke", "faas");
         ctx.span_annotate(span, "function", function);
-        let result: InvokeResult =
-            ctx.call(self.addr, InvokeFn { function: function.to_string(), payload, span }, lat);
+        let invoke = PlatformMsg::Invoke { function: function.to_string(), payload, span };
+        let result: InvokeResult = ctx.call(self.addr, invoke, lat);
         if let Err(e) = &result {
             ctx.span_annotate(span, "error", e);
         }
         ctx.span_end(span);
         result
+    }
+
+    /// Fans `payloads` out as copy-on-write branches of one warm
+    /// container of `function` — the snapshot tier's burst primitive
+    /// (~10–50 ms per branch instead of a provision each). The parent is
+    /// restored (or classically provisioned) first if no warm container
+    /// exists; branches bypass the account concurrency limit. Results come
+    /// back in payload order; with no payloads the call returns at once.
+    ///
+    /// Functions whose effective policy is not [`ColdStartPolicy::Fork`]
+    /// answer every branch with [`FaasError::ForkUnsupported`].
+    pub fn invoke_forked(
+        &self,
+        ctx: &mut Ctx,
+        function: &str,
+        payloads: Vec<Vec<u8>>,
+    ) -> Vec<InvokeResult> {
+        if payloads.is_empty() {
+            return Vec::new();
+        }
+        let lat = WARM_DISPATCH.sample(ctx.rng());
+        ctx.annotate_wait(
+            wait_resource(function),
+            simcore::WaitKind::Call,
+            function,
+            format!("FaasHandle::invoke_forked {function}"),
+        );
+        let span = ctx.span_begin("faas.invoke_forked", "faas");
+        ctx.span_annotate(span, "function", function);
+        ctx.span_annotate(span, "fanout", payloads.len());
+        let fork = PlatformMsg::Fork { function: function.to_string(), payloads, span };
+        let results: Vec<InvokeResult> = ctx.call(self.addr, fork, lat);
+        ctx.span_end(span);
+        results
+    }
+
+    /// Keeps at least `n` warm containers of `function` provisioned. The
+    /// platform boots the shortfall at once, off the request path, so
+    /// nobody waits on these cold starts, and exempts the floor from idle
+    /// reclamation. Lowering `n` lets the surplus age out through the
+    /// idle timeout. The caller does not wait.
+    pub fn provision(&self, ctx: &mut Proc, function: &str, n: u32) {
+        let lat = WARM_DISPATCH.sample(ctx.rng());
+        let provision = PlatformMsg::Provision { function: function.to_string(), n };
+        ctx.send(self.addr, Msg::new(provision), lat);
     }
 
     /// The shared billing ledger.
@@ -356,9 +256,22 @@ pub fn spawn_platform(sim: &Sim, cfg: FaasConfig, registry: FunctionRegistry) ->
         cfg: cfg.clone(),
         threads: Rc::default(),
     };
-    sim.spawn_daemon("faas", move |ctx| {
-        platform_loop(ctx, inbox, cfg, registry, billing);
-    });
+    let platform = Platform {
+        inbox,
+        cfg,
+        registry,
+        billing,
+        warm: FxHashMap::default(),
+        pending: VecDeque::new(),
+        running: 0,
+        next_container: 0,
+        next_fork: 0,
+        provisioned: FxHashMap::default(),
+        prewarming: FxHashMap::default(),
+        pids: FxHashMap::default(),
+        snapshots: BTreeMap::new(),
+    };
+    sim.spawn_daemon_actor("faas", platform);
     handle
 }
 
@@ -374,7 +287,9 @@ struct Snapshot {
     last_used: SimTime,
 }
 
-/// Mutable state of the platform daemon.
+/// The platform daemon. It is an actor because nothing it does blocks;
+/// the containers, fork branches and fork collectors it spawns are
+/// threads, because they run or await handler bodies.
 struct Platform {
     inbox: Addr,
     cfg: FaasConfig,
@@ -385,10 +300,11 @@ struct Platform {
     running: u32,
     next_container: u64,
     next_fork: u64,
-    /// Provisioned-concurrency floor per function ([`SetProvisioned`]).
+    /// Provisioned-concurrency floor per function
+    /// ([`FaasHandle::provision`]).
     provisioned: FxHashMap<String, u32>,
     /// Pre-warms in flight per function (booting, not yet in the pool) —
-    /// keeps repeated [`SetProvisioned`] requests from over-spawning.
+    /// keeps repeated provision requests from over-spawning.
     prewarming: FxHashMap<String, u32>,
     /// Process of each container, so retirement can actually reclaim it.
     pids: FxHashMap<Addr, Pid>,
@@ -399,117 +315,79 @@ struct Platform {
     snapshots: BTreeMap<String, Snapshot>,
 }
 
-fn platform_loop(
-    ctx: &mut Ctx,
-    inbox: Addr,
-    cfg: FaasConfig,
-    registry: FunctionRegistry,
-    billing: Billing,
-) {
-    let mut p = Platform {
-        inbox,
-        cfg,
-        registry,
-        billing,
-        warm: FxHashMap::default(),
-        pending: VecDeque::new(),
-        running: 0,
-        next_container: 0,
-        next_fork: 0,
-        provisioned: FxHashMap::default(),
-        prewarming: FxHashMap::default(),
-        pids: FxHashMap::default(),
-        snapshots: BTreeMap::new(),
-    };
-    loop {
-        let msg = ctx.recv(inbox);
-        let msg = match msg.try_take::<ContainerFree>() {
-            Ok(free) => {
-                p.running = p.running.saturating_sub(1);
-                p.warm
-                    .entry(free.function)
-                    .or_default()
-                    .push(WarmContainer { addr: free.container, last_used: ctx.now() });
-                p.push_pool_size(ctx);
-                // Admit one queued invocation, if any.
-                if let Some((function, job)) = p.pending.pop_front() {
-                    p.dispatch(ctx, function, job);
-                }
-                continue;
+impl Actor for Platform {
+    fn on_wake(&mut self, ctx: &mut Proc, wake: Wake) -> Wait {
+        let Wake::Msg(msg) = wake else { return Wait::Recv(self.inbox) };
+        let (reply_to, msg) = match msg.try_take::<Request>() {
+            Ok(req) => {
+                let (reply_to, msg) = req.take::<PlatformMsg>();
+                (Some(reply_to), msg)
             }
-            Err(m) => m,
+            Err(msg) => (None, msg.take::<PlatformMsg>()),
         };
-        let msg = match msg.try_take::<WarmReady>() {
-            Ok(ready) => {
-                // A pre-warm finished booting: into the pool, no running
-                // slot to release (it never held one).
-                if let Some(n) = p.prewarming.get_mut(&ready.function) {
+        match (msg, reply_to) {
+            (PlatformMsg::Invoke { function, payload, span }, Some(reply_to)) => {
+                let start = StartKind::Warm;
+                let job = Job { payload, reply_to, start, restore_cost: Duration::ZERO, span };
+                self.invoke(ctx, function, job);
+            }
+            (PlatformMsg::Fork { function, payloads, span }, Some(reply_to)) => {
+                self.fork(ctx, reply_to, function, payloads, span);
+            }
+            (PlatformMsg::Provision { function, n }, _) => {
+                if self.registry.get(&function).is_some() {
+                    self.provisioned.insert(function.clone(), n);
+                    self.prewarm_shortfall(ctx, &function);
+                }
+            }
+            (PlatformMsg::Free { function, container }, _) => {
+                self.running = self.running.saturating_sub(1);
+                self.pool(ctx, function, container);
+                // Admit one queued invocation, if any.
+                if let Some((function, job)) = self.pending.pop_front() {
+                    self.dispatch(ctx, function, job);
+                }
+            }
+            (PlatformMsg::WarmReady { function, container }, _) => {
+                if let Some(n) = self.prewarming.get_mut(&function) {
                     *n = n.saturating_sub(1);
                 }
-                p.warm
-                    .entry(ready.function)
-                    .or_default()
-                    .push(WarmContainer { addr: ready.container, last_used: ctx.now() });
-                p.push_pool_size(ctx);
-                continue;
+                self.pool(ctx, function, container);
             }
-            Err(m) => m,
-        };
-        let msg = match msg.try_take::<SnapshotTaken>() {
-            Ok(snap) => {
-                p.insert_snapshot(ctx, &snap.function, snap.memory_mb);
-                continue;
+            (PlatformMsg::SnapshotTaken { function, memory_mb }, _) => {
+                self.insert_snapshot(ctx, &function, memory_mb);
             }
-            Err(m) => m,
-        };
-        let msg = match msg.try_take::<SetProvisioned>() {
-            Ok(SetProvisioned { function, n }) => {
-                if p.registry.get(&function).is_some() {
-                    p.provisioned.insert(function.clone(), n);
-                    p.prewarm_shortfall(ctx, &function);
-                }
-                continue;
+            (PlatformMsg::Invoke { .. } | PlatformMsg::Fork { .. }, None) => {
+                unreachable!("an invocation arrives as a request")
             }
-            Err(m) => m,
-        };
-        let req = msg.take::<Request>();
-        if req.body.is::<InvokeForked>() {
-            let (reply_to, fork) = req.take::<InvokeForked>();
-            p.handle_fork(ctx, reply_to, fork);
-            continue;
         }
-        let (reply_to, invoke) = req.take::<InvokeFn>();
-        if p.registry.get(&invoke.function).is_none() {
-            let lat = RESPONSE.sample(ctx.rng());
-            ctx.reply::<InvokeResult>(
-                reply_to,
-                Err(FaasError::UnknownFunction(invoke.function)),
-                lat,
-            );
-            continue;
-        }
-        let job = Job {
-            payload: invoke.payload,
-            reply_to,
-            start: StartKind::Warm,
-            restore_cost: Duration::ZERO,
-            span: invoke.span,
-        };
-        if p.running >= p.cfg.concurrency_limit {
-            // The account limit throttles the invocation into the queue;
-            // the counter is what the control plane watches for pressure.
-            ctx.metric_incr("faas.throttled");
-            p.pending.push_back((invoke.function, job));
-            continue;
-        }
-        p.dispatch(ctx, invoke.function, job);
+        Wait::Recv(self.inbox)
     }
 }
 
 impl Platform {
+    /// Admits one invocation: an unknown function is answered at once, and
+    /// past the account limit the invocation waits in the queue.
+    fn invoke(&mut self, ctx: &mut Proc, function: String, job: Job) {
+        if self.registry.get(&function).is_none() {
+            let lat = RESPONSE.sample(ctx.rng());
+            let unknown: InvokeResult = Err(FaasError::UnknownFunction(function));
+            ctx.reply(job.reply_to, unknown, lat);
+            return;
+        }
+        if self.running >= self.cfg.concurrency_limit {
+            // The account limit throttles the invocation into the queue;
+            // the counter is what the control plane watches for pressure.
+            ctx.metric_incr("faas.throttled");
+            self.pending.push_back((function, job));
+            return;
+        }
+        self.dispatch(ctx, function, job);
+    }
+
     /// Routes one job to a warm container, or provisions a cold one
     /// (classically, or from a cached snapshot under the snapshot tier).
-    fn dispatch(&mut self, ctx: &mut Ctx, function: String, mut job: Job) {
+    fn dispatch(&mut self, ctx: &mut Proc, function: String, mut job: Job) {
         self.running += 1;
         self.reap_expired(ctx, &function);
         let pool = self.warm.entry(function.clone()).or_default();
@@ -526,12 +404,19 @@ impl Platform {
         ctx.send(target, Msg::new(job), Duration::ZERO);
     }
 
+    /// Puts an idle container into `function`'s warm pool.
+    fn pool(&mut self, ctx: &mut Proc, function: String, container: Addr) {
+        let idle = WarmContainer { addr: container, last_used: ctx.now() };
+        self.warm.entry(function).or_default().push(idle);
+        self.push_pool_size(ctx);
+    }
+
     /// Decides how the next container of `function` starts when the pool
     /// is empty: classic under [`ColdStartPolicy::Classic`]; under the
     /// snapshot policies, a restore when the cache holds the function's
     /// snapshot (`faas.snapshot_cache.hit`) and a classic fallback that
     /// will repopulate it otherwise (`faas.snapshot_cache.miss`).
-    fn plan_cold_start(&mut self, ctx: &mut Ctx, function: &str) -> (StartKind, Duration) {
+    fn plan_cold_start(&mut self, ctx: &mut Proc, function: &str) -> (StartKind, Duration) {
         let policy =
             self.cfg.effective_policy(self.registry.get(function).and_then(|s| s.cold_start));
         if !policy.uses_snapshots() {
@@ -552,7 +437,7 @@ impl Platform {
     /// used one (virtual-time LRU, name as the deterministic tie-break)
     /// when the cache is full. Storage is billed from capture to
     /// eviction ([`crate::SnapshotRecord`]).
-    fn insert_snapshot(&mut self, ctx: &mut Ctx, function: &str, memory_mb: u32) {
+    fn insert_snapshot(&mut self, ctx: &mut Proc, function: &str, memory_mb: u32) {
         if let Some(s) = self.snapshots.get_mut(function) {
             // Already cached (another container of the same function
             // also booted classically); just refresh recency.
@@ -575,80 +460,76 @@ impl Platform {
         self.billing.record_snapshot_created(function, memory_mb, ctx.now());
     }
 
-    /// Fans one [`InvokeForked`] request out into per-payload CoW branch
+    /// Fans one forked invocation out into per-payload CoW branch
     /// processes. If no warm parent container exists, one is provisioned
     /// first (restore or classic, planned here so the branches know how
     /// long to wait) and joins the pool. Branches run outside the
     /// account concurrency limit — a fork is a burst primitive sharing
     /// one container's resources, not N new containers.
-    fn handle_fork(&mut self, ctx: &mut Ctx, reply_to: Addr, fork: InvokeForked) {
-        let n = fork.payloads.len();
-        let Some(spec) = self.registry.get(&fork.function) else {
+    fn fork(
+        &mut self,
+        ctx: &mut Proc,
+        reply_to: Addr,
+        function: String,
+        payloads: Vec<Vec<u8>>,
+        span: SpanId,
+    ) {
+        let n = payloads.len();
+        let refuse = |ctx: &mut Proc, err: FaasError| {
             let lat = RESPONSE.sample(ctx.rng());
-            let res: Vec<InvokeResult> =
-                (0..n).map(|_| Err(FaasError::UnknownFunction(fork.function.clone()))).collect();
-            ctx.reply(reply_to, res, lat);
-            return;
+            ctx.reply::<Vec<InvokeResult>>(reply_to, vec![Err(err); n], lat);
         };
-        let policy = self.cfg.effective_policy(spec.cold_start);
-        if policy != ColdStartPolicy::Fork {
-            let lat = RESPONSE.sample(ctx.rng());
-            let res: Vec<InvokeResult> =
-                (0..n).map(|_| Err(FaasError::ForkUnsupported(fork.function.clone()))).collect();
-            ctx.reply(reply_to, res, lat);
-            return;
+        let Some(spec) = self.registry.get(&function) else {
+            return refuse(ctx, FaasError::UnknownFunction(function));
+        };
+        if self.cfg.effective_policy(spec.cold_start) != ColdStartPolicy::Fork {
+            return refuse(ctx, FaasError::ForkUnsupported(function));
         }
-        if n == 0 {
-            let lat = RESPONSE.sample(ctx.rng());
-            ctx.reply::<Vec<InvokeResult>>(reply_to, Vec::new(), lat);
-            return;
-        }
-        self.reap_expired(ctx, &fork.function);
+        self.reap_expired(ctx, &function);
         // The CoW parent: a warm container if one exists (forking leaves
         // it reusable, so it stays pooled), else provision one now —
         // restore on a snapshot hit, classic on a miss — and make the
         // branches wait out its boot.
-        let parent_delay = match self.warm.get_mut(&fork.function).and_then(|pool| pool.last_mut())
-        {
+        let parent_delay = match self.warm.get_mut(&function).and_then(|pool| pool.last_mut()) {
             Some(c) => {
                 c.last_used = ctx.now();
                 Duration::ZERO
             }
             None => {
-                let (kind, planned) = self.plan_cold_start(ctx, &fork.function);
+                let (kind, planned) = self.plan_cold_start(ctx, &function);
                 let cost = match kind {
                     StartKind::Restore => planned,
                     _ => COLD_START.sample(ctx.rng()),
                 };
-                let plan = BootPlan::Planned { kind, cost };
-                self.spawn_container(ctx, &fork.function, Some(plan));
+                self.spawn_container(ctx, &function, Some(BootPlan::Planned { kind, cost }));
                 cost
             }
         };
         self.push_pool_size(ctx);
-        let collector = ctx.mailbox(&format!("fork-{}-{}", fork.function, self.next_fork));
+        let collector = ctx.mailbox(&format!("fork-{function}-{}", self.next_fork));
         self.next_fork += 1;
-        for (index, payload) in fork.payloads.into_iter().enumerate() {
-            let id = self.next_container;
-            self.next_container += 1;
-            let host = id / CONTAINERS_PER_HOST;
+        for (index, payload) in payloads.into_iter().enumerate() {
+            let (id, runner) = self.runner(&function, spec.clone());
             // Branch latencies are planned by the platform (its RNG), so
             // branch processes stay schedule-independent.
             let delay = parent_delay + FORK.sample(ctx.rng());
-            let spec2 = spec.clone();
-            let cfg2 = self.cfg.clone();
-            let billing2 = self.billing.clone();
-            let fname = fork.function.clone();
-            let span = fork.span;
-            ctx.spawn(&format!("fork-{fname}-{id}"), move |bc| {
-                branch_run(
-                    bc, collector, index, fname, spec2, cfg2, billing2, payload, delay, span, host,
-                );
+            // A branch is a one-shot process, not a pooled container: the
+            // pooled parent is what serves later plain invokes.
+            ctx.spawn(&format!("fork-{function}-{id}"), move |bc| {
+                bc.set_trace_ctx(TraceCtx::under(span));
+                let fork_span = bc.span_begin("faas.fork", "faas");
+                bc.span_annotate(fork_span, "function", &runner.function);
+                bc.span_annotate(fork_span, "branch", index);
+                bc.sleep(delay);
+                bc.span_end(fork_span);
+                record_start(bc, StartKind::Fork, delay);
+                let result = runner.run(bc, StartKind::Fork, payload);
+                bc.send(collector, Msg::new(BranchDone { index, result }), Duration::ZERO);
             });
         }
         ctx.spawn(&format!("fork-collect-{}", self.next_fork - 1), move |cc| {
             let mut results: Vec<InvokeResult> =
-                (0..n).map(|_| Err(FaasError::Failed("fork branch lost".into()))).collect();
+                vec![Err(FaasError::Failed("fork branch lost".into())); n];
             for _ in 0..n {
                 let done = cc.recv(collector).take::<BranchDone>();
                 results[done.index] = done.result;
@@ -658,38 +539,39 @@ impl Platform {
         });
     }
 
-    /// Spawns a fresh container process for `function`. With a `prewarm`
-    /// boot plan it boots immediately and reports [`WarmReady`];
-    /// otherwise it boots on its first job (the invoker pays the start).
-    fn spawn_container(
-        &mut self,
-        ctx: &mut Ctx,
-        function: &str,
-        prewarm: Option<BootPlan>,
-    ) -> Addr {
+    /// Numbers the next container or fork branch of `function` and places
+    /// it on a host.
+    fn runner(&mut self, function: &str, spec: FunctionSpec) -> (u64, Runner) {
         let id = self.next_container;
         self.next_container += 1;
         // Deterministic bin-packing: no RNG draw, so placement never
         // perturbs golden schedules.
         let host = id / CONTAINERS_PER_HOST;
+        let runner = Runner {
+            function: function.to_string(),
+            spec,
+            cfg: self.cfg.clone(),
+            billing: self.billing.clone(),
+            host,
+        };
+        (id, runner)
+    }
+
+    /// Spawns a fresh container process for `function`. With a `prewarm`
+    /// boot plan it boots immediately and reports `WarmReady`; otherwise
+    /// it boots on its first job (the invoker pays the start).
+    fn spawn_container(
+        &mut self,
+        ctx: &mut Proc,
+        function: &str,
+        prewarm: Option<BootPlan>,
+    ) -> Addr {
+        let spec = self.registry.get(function).expect("function deployed");
+        let (id, runner) = self.runner(function, spec);
         let mailbox = ctx.mailbox(&format!("ctr-{function}-{id}"));
-        let platform_inbox = self.inbox;
-        let cfg2 = self.cfg.clone();
-        let registry2 = self.registry.clone();
-        let billing2 = self.billing.clone();
-        let fname = function.to_string();
+        let platform = self.inbox;
         let pid = ctx.spawn_daemon(&format!("ctr-{function}-{id}"), move |cc| {
-            container_loop(
-                cc,
-                mailbox,
-                platform_inbox,
-                fname,
-                cfg2,
-                registry2,
-                billing2,
-                prewarm,
-                host,
-            );
+            container_loop(cc, mailbox, platform, runner, prewarm);
         });
         self.pids.insert(mailbox, pid);
         mailbox
@@ -697,7 +579,7 @@ impl Platform {
 
     /// Boots warm containers until pool + in-flight pre-warms reach the
     /// provisioned floor for `function`.
-    fn prewarm_shortfall(&mut self, ctx: &mut Ctx, function: &str) {
+    fn prewarm_shortfall(&mut self, ctx: &mut Proc, function: &str) {
         let floor = self.provisioned.get(function).copied().unwrap_or(0) as usize;
         let have = self.warm.get(function).map_or(0, Vec::len)
             + self.prewarming.get(function).copied().unwrap_or(0) as usize;
@@ -707,19 +589,20 @@ impl Platform {
         }
     }
 
-    /// Retires idle-expired containers of `function`, keeping at least the
-    /// provisioned floor warm. Retirements are traced (`faas.retire`) and
-    /// billed ([`RetirementRecord`]) — a reclaimed container is a real
-    /// platform event, not a silent `Vec::retain`. The function's cached
-    /// snapshot (if any) survives its containers — that is the tier's
-    /// point.
-    fn reap_expired(&mut self, ctx: &mut Ctx, function: &str) {
+    /// Retires containers of `function` idle past
+    /// [`CONTAINER_IDLE_TIMEOUT`], keeping at least the provisioned floor
+    /// warm. Retirements are traced (`faas.retire`) and billed
+    /// ([`RetirementRecord`]) — a reclaimed container is a real platform
+    /// event, not a silent `Vec::retain`. The function's cached snapshot
+    /// (if any) survives its containers — that is the tier's point.
+    fn reap_expired(&mut self, ctx: &mut Proc, function: &str) {
         let Some(pool) = self.warm.get_mut(function) else { return };
         let now = ctx.now();
-        let timeout = self.cfg.container_idle_timeout;
         let floor = self.provisioned.get(function).copied().unwrap_or(0) as usize;
-        let expired =
-            pool.iter().filter(|c| now.saturating_duration_since(c.last_used) > timeout).count();
+        let expired = pool
+            .iter()
+            .filter(|c| now.saturating_duration_since(c.last_used) > CONTAINER_IDLE_TIMEOUT)
+            .count();
         let retire_n = expired.min(pool.len().saturating_sub(floor));
         if retire_n == 0 {
             return;
@@ -746,87 +629,38 @@ impl Platform {
 
     /// Publishes the total warm-pool size (all functions) as the
     /// `faas.pool_size` series.
-    fn push_pool_size(&self, ctx: &mut Ctx) {
+    fn push_pool_size(&self, ctx: &mut Proc) {
         let total: usize = self.warm.values().map(Vec::len).sum();
         ctx.metric_push("faas.pool_size", total as f64);
     }
 }
 
-/// One container: runs jobs for a single function, sequentially, reporting
-/// back to the platform between jobs. With a `prewarm` boot plan it boots
-/// up front (off anyone's request path) and announces [`WarmReady`].
-#[expect(
-    clippy::too_many_arguments,
-    reason = "a process body: everything it owns arrives as an argument"
-)]
-fn container_loop(
-    ctx: &mut Ctx,
-    inbox: Addr,
-    platform: Addr,
+/// What a process that runs `function`'s handler holds: a container keeps
+/// it for its life, a fork branch for its one run.
+struct Runner {
     function: String,
+    spec: FunctionSpec,
     cfg: FaasConfig,
-    registry: FunctionRegistry,
     billing: Billing,
-    prewarm: Option<BootPlan>,
+    /// The physical host the process is placed on.
     host: u64,
-) {
-    let mut first = true;
-    if let Some(plan) = prewarm {
-        let (kind, boot) = match plan {
-            BootPlan::ClassicSampled => (StartKind::Classic, COLD_START.sample(ctx.rng())),
-            BootPlan::Planned { kind, cost } => (kind, cost),
-        };
-        let boot_span = ctx.span_begin("faas.prewarm", "faas");
-        ctx.span_annotate(boot_span, "function", &function);
-        if kind == StartKind::Restore {
-            ctx.span_annotate(boot_span, "start", "restore");
-        }
-        ctx.sleep(boot);
-        ctx.span_end(boot_span);
-        record_start(ctx, kind, boot);
-        announce_snapshot(ctx, platform, &function, &cfg, &registry, kind);
-        if matches!(plan, BootPlan::ClassicSampled) {
-            ctx.metric_incr("faas.prewarms");
-        }
-        first = false;
-        ctx.send(
-            platform,
-            Msg::new(WarmReady { function: function.clone(), container: inbox }),
-            Duration::ZERO,
-        );
-    }
-    loop {
-        let job = ctx.recv(inbox).take::<Job>();
-        // Adopt the invoker's trace context for the whole job.
-        ctx.set_trace_ctx(TraceCtx::under(job.span));
-        if job.start == StartKind::Restore {
-            let boot_span = ctx.span_begin("faas.restore", "faas");
-            ctx.span_annotate(boot_span, "function", &function);
-            ctx.sleep(job.restore_cost);
-            ctx.span_end(boot_span);
-            record_start(ctx, StartKind::Restore, job.restore_cost);
-            first = false;
-        } else if job.start == StartKind::Classic || first {
-            let boot = COLD_START.sample(ctx.rng());
-            let boot_span = ctx.span_begin("faas.coldstart", "faas");
-            ctx.sleep(boot);
-            ctx.span_end(boot_span);
-            record_start(ctx, StartKind::Classic, boot);
-            announce_snapshot(ctx, platform, &function, &cfg, &registry, StartKind::Classic);
-            first = false;
-        }
+}
+
+impl Runner {
+    /// Runs one invocation on a container that started as `kind`, and
+    /// bills it: the one place a handler runs.
+    fn run(&self, ctx: &mut Ctx, kind: StartKind, payload: Vec<u8>) -> InvokeResult {
         ctx.metric_incr("faas.invocations");
-        if job.start == StartKind::Classic {
+        if kind == StartKind::Classic {
             ctx.metric_incr("faas.cold_starts");
         }
-        let spec = registry.get(&function).expect("function deployed");
         let exec_span = ctx.span_begin("faas.exec", "faas");
-        ctx.span_annotate(exec_span, "function", &function);
+        ctx.span_annotate(exec_span, "function", &self.function);
         let t0 = ctx.now();
         // Failure injection: crash after a random fraction of a second.
-        let injected_failure = cfg.failure_rate > 0.0 && {
+        let injected_failure = self.cfg.failure_rate > 0.0 && {
             let p: f64 = ctx.rng().random_range(0.0..1.0);
-            p < cfg.failure_rate
+            p < self.cfg.failure_rate
         };
         // Work the handler causes (e.g. DSO calls) nests under the exec span.
         ctx.set_trace_ctx(TraceCtx::under(exec_span));
@@ -835,29 +669,97 @@ fn container_loop(
             ctx.sleep(Duration::from_secs_f64(partial));
             Err("container crashed (injected)".to_string())
         } else {
-            let mut env = FnCtx::with_host(ctx, spec.memory_mb, host);
-            spec.handler.invoke(&mut env, job.payload)
+            let mut env = FnCtx::with_host(ctx, self.spec.memory_mb, self.host);
+            self.spec.handler.invoke(&mut env, payload)
         };
         let elapsed = ctx.now().saturating_duration_since(t0);
         ctx.span_end(exec_span);
-        let timed_out = elapsed > cfg.max_duration;
-        billing.record(InvocationRecord {
-            function: function.clone(),
-            duration: elapsed.min(cfg.max_duration),
-            memory_mb: spec.memory_mb,
-            cold_start: job.start == StartKind::Classic,
-            kind: job.start,
+        let timed_out = elapsed > self.cfg.max_duration;
+        self.billing.record(InvocationRecord {
+            function: self.function.clone(),
+            duration: elapsed.min(self.cfg.max_duration),
+            memory_mb: self.spec.memory_mb,
+            kind,
             failed: result.is_err() || timed_out,
         });
-        let reply: InvokeResult =
-            if timed_out { Err(FaasError::TimedOut) } else { result.map_err(FaasError::Failed) };
+        if timed_out {
+            Err(FaasError::TimedOut)
+        } else {
+            result.map_err(FaasError::Failed)
+        }
+    }
+
+    /// Counts a boot of `kind` that took `latency`. After a classic boot
+    /// of a snapshot-tier function it also reports the captured snapshot
+    /// to the platform, so later cold starts restore instead.
+    fn booted(&self, ctx: &mut Ctx, platform: Addr, kind: StartKind, latency: Duration) {
+        record_start(ctx, kind, latency);
+        if kind == StartKind::Classic
+            && self.cfg.effective_policy(self.spec.cold_start).uses_snapshots()
+        {
+            let function = self.function.clone();
+            let taken = PlatformMsg::SnapshotTaken { function, memory_mb: self.spec.memory_mb };
+            ctx.send(platform, Msg::new(taken), Duration::ZERO);
+        }
+    }
+}
+
+/// One container: runs jobs for a single function, sequentially, reporting
+/// back to the platform between jobs. With a `prewarm` boot plan it boots
+/// up front (off anyone's request path) and reports itself warm; without
+/// one, its first job is a classic or restore start.
+fn container_loop(
+    ctx: &mut Ctx,
+    inbox: Addr,
+    platform: Addr,
+    runner: Runner,
+    prewarm: Option<BootPlan>,
+) {
+    if let Some(plan) = prewarm {
+        let (kind, boot) = match plan {
+            BootPlan::ClassicSampled => (StartKind::Classic, COLD_START.sample(ctx.rng())),
+            BootPlan::Planned { kind, cost } => (kind, cost),
+        };
+        let boot_span = ctx.span_begin("faas.prewarm", "faas");
+        ctx.span_annotate(boot_span, "function", &runner.function);
+        if kind == StartKind::Restore {
+            ctx.span_annotate(boot_span, "start", "restore");
+        }
+        ctx.sleep(boot);
+        ctx.span_end(boot_span);
+        runner.booted(ctx, platform, kind, boot);
+        if matches!(plan, BootPlan::ClassicSampled) {
+            ctx.metric_incr("faas.prewarms");
+        }
+        let ready = PlatformMsg::WarmReady { function: runner.function.clone(), container: inbox };
+        ctx.send(platform, Msg::new(ready), Duration::ZERO);
+    }
+    loop {
+        let job = ctx.recv(inbox).take::<Job>();
+        // Adopt the invoker's trace context for the whole job.
+        ctx.set_trace_ctx(TraceCtx::under(job.span));
+        match job.start {
+            StartKind::Restore => {
+                let boot_span = ctx.span_begin("faas.restore", "faas");
+                ctx.span_annotate(boot_span, "function", &runner.function);
+                ctx.sleep(job.restore_cost);
+                ctx.span_end(boot_span);
+                runner.booted(ctx, platform, StartKind::Restore, job.restore_cost);
+            }
+            StartKind::Classic => {
+                let boot = COLD_START.sample(ctx.rng());
+                let boot_span = ctx.span_begin("faas.coldstart", "faas");
+                ctx.sleep(boot);
+                ctx.span_end(boot_span);
+                runner.booted(ctx, platform, StartKind::Classic, boot);
+            }
+            StartKind::Warm | StartKind::Fork => {}
+        }
+        let reply = runner.run(ctx, job.start, job.payload);
         let lat = RESPONSE.sample(ctx.rng());
         ctx.reply(job.reply_to, reply, lat);
-        ctx.send(
-            platform,
-            Msg::new(ContainerFree { function: function.clone(), container: inbox }),
-            Duration::ZERO,
-        );
+        let free = PlatformMsg::Free { function: runner.function.clone(), container: inbox };
+        ctx.send(platform, Msg::new(free), Duration::ZERO);
     }
 }
 
@@ -873,88 +775,4 @@ fn record_start(ctx: &mut Ctx, kind: StartKind, latency: Duration) {
     };
     ctx.metric_incr(name);
     ctx.metric_record(name, latency);
-}
-
-/// After a classic boot of a snapshot-tier function, report the captured
-/// snapshot to the platform so later cold starts restore instead.
-fn announce_snapshot(
-    ctx: &mut Ctx,
-    platform: Addr,
-    function: &str,
-    cfg: &FaasConfig,
-    registry: &FunctionRegistry,
-    kind: StartKind,
-) {
-    if kind != StartKind::Classic {
-        return;
-    }
-    let Some(spec) = registry.get(function) else { return };
-    if cfg.effective_policy(spec.cold_start).uses_snapshots() {
-        ctx.send(
-            platform,
-            Msg::new(SnapshotTaken { function: function.to_string(), memory_mb: spec.memory_mb }),
-            Duration::ZERO,
-        );
-    }
-}
-
-/// One forked CoW branch: waits for the parent (if it is still booting)
-/// plus its own fork latency, runs the handler once, reports to the
-/// fork's collector. Branches are one-shot processes, not pooled
-/// containers — the pooled parent is what serves later plain invokes.
-#[expect(
-    clippy::too_many_arguments,
-    reason = "a process body: everything it owns arrives as an argument"
-)]
-fn branch_run(
-    ctx: &mut Ctx,
-    collector: Addr,
-    index: usize,
-    function: String,
-    spec: FunctionSpec,
-    cfg: FaasConfig,
-    billing: Billing,
-    payload: Vec<u8>,
-    delay: Duration,
-    span: SpanId,
-    host: u64,
-) {
-    ctx.set_trace_ctx(TraceCtx::under(span));
-    let fork_span = ctx.span_begin("faas.fork", "faas");
-    ctx.span_annotate(fork_span, "function", &function);
-    ctx.span_annotate(fork_span, "branch", index);
-    ctx.sleep(delay);
-    ctx.span_end(fork_span);
-    record_start(ctx, StartKind::Fork, delay);
-    ctx.metric_incr("faas.invocations");
-    let exec_span = ctx.span_begin("faas.exec", "faas");
-    ctx.span_annotate(exec_span, "function", &function);
-    let t0 = ctx.now();
-    let injected_failure = cfg.failure_rate > 0.0 && {
-        let p: f64 = ctx.rng().random_range(0.0..1.0);
-        p < cfg.failure_rate
-    };
-    ctx.set_trace_ctx(TraceCtx::under(exec_span));
-    let result: Result<Vec<u8>, String> = if injected_failure {
-        let partial: f64 = ctx.rng().random_range(0.0..1.0);
-        ctx.sleep(Duration::from_secs_f64(partial));
-        Err("container crashed (injected)".to_string())
-    } else {
-        let mut env = FnCtx::with_host(ctx, spec.memory_mb, host);
-        spec.handler.invoke(&mut env, payload)
-    };
-    let elapsed = ctx.now().saturating_duration_since(t0);
-    ctx.span_end(exec_span);
-    let timed_out = elapsed > cfg.max_duration;
-    billing.record(InvocationRecord {
-        function: function.clone(),
-        duration: elapsed.min(cfg.max_duration),
-        memory_mb: spec.memory_mb,
-        cold_start: false,
-        kind: StartKind::Fork,
-        failed: result.is_err() || timed_out,
-    });
-    let reply: InvokeResult =
-        if timed_out { Err(FaasError::TimedOut) } else { result.map_err(FaasError::Failed) };
-    ctx.send(collector, Msg::new(BranchDone { index, result: reply }), Duration::ZERO);
 }

@@ -12,13 +12,14 @@ use parking_lot::Mutex;
 use simcore::explore::{explore_seeds, Check};
 use simcore::{MetricsRegistry, Sim};
 
-use faas::{spawn_platform, ColdStartPolicy, FaasConfig, FnCtx, FunctionRegistry};
+use faas::{
+    spawn_platform, ColdStartPolicy, FaasConfig, FnCtx, FunctionRegistry, CONTAINER_IDLE_TIMEOUT,
+};
 
 fn tier_cfg(policy: ColdStartPolicy, capacity: usize, failure_rate: f64) -> FaasConfig {
     FaasConfig {
         cold_start_policy: policy,
         snapshot_cache_capacity: capacity,
-        container_idle_timeout: Duration::from_secs(5),
         failure_rate,
         ..FaasConfig::default()
     }
@@ -49,13 +50,13 @@ fn start_and_snapshot_cache_counters_exact() {
     let f2 = faas.clone();
     sim.spawn("client", move |ctx| {
         let _ = f2.invoke(ctx, "a", vec![1]).expect("step 1");
-        ctx.sleep(Duration::from_secs(6));
+        ctx.sleep(CONTAINER_IDLE_TIMEOUT + Duration::from_secs(1));
         let _ = f2.invoke(ctx, "a", vec![2]).expect("step 2");
-        ctx.sleep(Duration::from_secs(6));
+        ctx.sleep(CONTAINER_IDLE_TIMEOUT + Duration::from_secs(1));
         let _ = f2.invoke(ctx, "b", vec![3]).expect("step 3");
-        ctx.sleep(Duration::from_secs(6));
+        ctx.sleep(CONTAINER_IDLE_TIMEOUT + Duration::from_secs(1));
         let _ = f2.invoke(ctx, "a", vec![4]).expect("step 4");
-        ctx.sleep(Duration::from_secs(6));
+        ctx.sleep(CONTAINER_IDLE_TIMEOUT + Duration::from_secs(1));
         let results = f2.invoke_forked(ctx, "f", vec![vec![5], vec![6]]);
         assert!(results.iter().all(Result::is_ok), "step 5: {results:?}");
     });
@@ -91,8 +92,7 @@ fn start_and_snapshot_cache_counters_exact() {
     assert_eq!(faas.billing().restores(), 1);
     assert_eq!(faas.billing().forks(), 2);
     assert_eq!(faas.billing().snapshots_taken(), 4, "a, b, a again, f");
-    let end = simcore::SimTime::from_secs(30);
-    assert!(faas.billing().snapshot_gb_seconds(end) > 0.0, "storage is billed");
+    assert!(faas.billing().snapshot_gb_seconds(sim.now()) > 0.0, "storage is billed");
 }
 
 /// The tier under schedule exploration with a crash schedule: container
@@ -127,7 +127,7 @@ fn tier_invariants_hold_across_schedules_and_crashes() {
                 let r2 = f.invoke(ctx, "work", vec![c, c]);
                 // Idle out the pool, then come back: restores under
                 // crashes and reordered schedules.
-                ctx.sleep(Duration::from_secs(7));
+                ctx.sleep(CONTAINER_IDLE_TIMEOUT + Duration::from_secs(2));
                 let r3 = f.invoke(ctx, "work", vec![c, c, c]);
                 let forked = f.invoke_forked(ctx, "work", vec![vec![c], vec![c + 1]]);
                 let mut g = replies.lock();
