@@ -13,8 +13,9 @@ cargo clippy --workspace --all-targets -- -D warnings
 # clean, test code included.
 crates/simcheck/fixtures/check.sh
 cargo fmt --check
-# A doc link to an item that was deleted or moved fails here.
-RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" cargo doc --no-deps --workspace
+# Every rustdoc warning fails here: a doc link to an item that was deleted
+# or moved, or to a private item from public docs.
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 
 # Correctness tooling (crates/simcheck): the DSO cluster smoke workload
 # under 25 perturbed schedules with linearizability checked on each (see
@@ -60,9 +61,13 @@ cargo run --release -q -p simcheck --bin tracecheck -- results/trace-elastic.chr
 #                       one (~1x; coding it one element at a time fails);
 #                       Fig 5's k-means assignment pass (200 points x 100
 #                       dims, k = 25) runs >= 1.3x the distance terms/sec of a
-#                       yardstick with one chain of adds per distance, and
-#                       returns its bits (~1.7-1.8x; one chain per distance
-#                       fails). Host time: no BENCH file.
+#                       yardstick with one chain of adds per distance on the
+#                       random initial centroids, and returns its bits
+#                       (~1.5-1.7x; one chain per distance fails); on the
+#                       centroids 5 Lloyd steps later it runs >= 2x the
+#                       yardstick (~2.7-3.2x; summing every block in full
+#                       without skipping, ~1.5x, fails). Host time: no BENCH
+#                       file.
 #   coldstart           classic vs snapshot-restore elastic runs plus the
 #                       fork fan-out microbench; self-asserts the tier
 #                       mechanics, then: a restore collapses the classic

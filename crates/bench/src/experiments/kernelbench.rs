@@ -30,8 +30,11 @@
 //!    dimensions against k = 25 centroids) through
 //!    [`crucial_ml::kmeans::assign_partials`], and through a yardstick
 //!    written here that computes each distance as one chain of adds, the
-//!    way the pass was first written: the two return the same bits, and
-//!    the ratio is what computing four centroids at once buys.
+//!    way the pass was first written: the two return the same bits. On the
+//!    random initial centroids no block is skipped, so the ratio is what
+//!    computing four centroids at once buys; on the centroids a few Lloyd
+//!    steps later (`kmeans_assign (converged)`) it is that and what skipping
+//!    the blocks a partial distance rules out buys.
 //!
 //! Each section is wall-clock timed (the one legitimate use of host time
 //! in the workspace: measuring the simulator itself) and reports kernel
@@ -39,16 +42,18 @@
 //! (fresh allocations + free-list recycles) minus events still pending and
 //! timers cancelled unfired — and its ops (hops, calls, spawns, pops, round
 //! trips or distance terms) per second. The rings, the wheel, the codec and
-//! the k-means loops keep the fastest of several runs. [`check`] holds four
-//! relations — `actor_ring` spends at most 2.5x the wheel's ns per event,
-//! `ping_ring` runs at least a third of `actor_ring`'s events/sec, a
-//! `Vec<u8>` round trip costs at most 3x a `Bytes` one, and the assignment
-//! pass runs at least 1.3x the yardstick's distance terms/sec — a floor
-//! under the actor ring, and two counts: `spawn_churn` runs on two stacks
-//! however many children it spawns, and `timed_rpc` ends with at most one
-//! event pending per process. The thread ring and the spawn loop keep no
-//! floor of their own: the resume and the DSO path are measured pinned and
-//! repeated by the acceptance benchmark (`BENCHMARK.json`).
+//! the k-means loops keep the fastest of several runs; a k-means pass and
+//! its yardstick take turns. [`check`] holds five relations — `actor_ring`
+//! spends at most 2.5x the wheel's ns per event, `ping_ring` runs at least a
+//! third of `actor_ring`'s events/sec, a `Vec<u8>` round trip costs at most
+//! 3x a `Bytes` one, and the assignment pass runs at least 1.3x the
+//! yardstick's distance terms/sec on random centroids and 2x on converged
+//! ones — a floor under the actor ring, and two counts: `spawn_churn` runs
+//! on two stacks however many children it spawns, and `timed_rpc` ends with
+//! at most one event pending per process. The thread ring and the spawn
+//! loop keep no floor of their own: the resume and the DSO path are
+//! measured pinned and repeated by the acceptance benchmark
+//! (`BENCHMARK.json`).
 
 use std::hint::black_box;
 use std::time::Duration;
@@ -120,6 +125,10 @@ pub struct KernelBenchReport {
     pub kmeans_assign: Section,
     /// The same pass, one chain of adds per distance.
     pub kmeans_yardstick: Section,
+    /// The assignment pass on centroids a few Lloyd steps on.
+    pub kmeans_converged: Section,
+    /// The yardstick on those centroids.
+    pub kmeans_converged_yardstick: Section,
 }
 
 /// `actor_ring` may spend at most this many times the wheel's host ns per
@@ -156,9 +165,15 @@ const TIMED_RPC_PROCS: u64 = 2 * RING_NODES as u64;
 const CODEC_VEC_OVER_BYTES: f64 = 3.0;
 
 /// The assignment pass must run at least this many times the yardstick's
-/// distance terms/sec. Four centroids at once run ~1.7–1.8x; one chain of adds
+/// distance terms/sec. Four centroids at once run ~1.5–1.7x; one chain of adds
 /// per distance, which is what the yardstick computes, runs ~1x.
 const KMEANS_OVER_YARDSTICK: f64 = 1.3;
+
+/// On centroids a few Lloyd steps on, the assignment pass must run at least
+/// this many times the yardstick's distance terms/sec on the same centroids.
+/// Skipping a block once its partial sums pass the best distance runs
+/// ~2.7–3.2x; summing every block in full, as on random centroids, ~1.5–1.8x.
+const KMEANS_CONVERGED_OVER_YARDSTICK: f64 = 2.0;
 
 /// The claims `kernel-bench` holds; `Err` names the first broken one.
 pub fn check(r: &KernelBenchReport) -> Result<(), String> {
@@ -209,6 +224,14 @@ pub fn check(r: &KernelBenchReport) -> Result<(), String> {
         "kmeans_assign: the assignment pass ({kmeans:.0} distance terms/s) is not at least \
          {KMEANS_OVER_YARDSTICK}x the one-chain yardstick ({yardstick:.0}) — its distances \
          stopped being computed four centroids at once"
+    );
+    let (kmeans, yardstick) =
+        (r.kmeans_converged.ops_per_s(), r.kmeans_converged_yardstick.ops_per_s());
+    claim!(
+        kmeans >= yardstick * KMEANS_CONVERGED_OVER_YARDSTICK,
+        "kmeans_assign (converged): the assignment pass ({kmeans:.0} distance terms/s) is not \
+         at least {KMEANS_CONVERGED_OVER_YARDSTICK}x the one-chain yardstick ({yardstick:.0}) \
+         — it stopped skipping the blocks a partial distance already rules out"
     );
     Ok(())
 }
@@ -396,6 +419,14 @@ fn fastest_batch(mut batch: impl FnMut()) -> Duration {
     (0..BATCHES).map(|_| timed(&mut batch).1).min().unwrap_or_default()
 }
 
+/// Host times of the fastest of [`BATCHES`] runs of `a` and of `b`, run in
+/// turn, so that a slow spell of the host reaches both.
+fn fastest_batches(mut a: impl FnMut(), mut b: impl FnMut()) -> (Duration, Duration) {
+    (0..BATCHES).fold((Duration::MAX, Duration::MAX), |(ta, tb), _| {
+        (ta.min(timed(&mut a).1), tb.min(timed(&mut b).1))
+    })
+}
+
 /// The fastest of [`BATCHES`] runs of a ring, each on a fresh `Sim`.
 fn fastest_ring(scale: Scale, ring: fn(Scale) -> Section) -> Section {
     (0..BATCHES).map(|_| ring(scale)).min_by_key(|s| s.elapsed).expect("BATCHES > 0")
@@ -475,50 +506,91 @@ const KMEANS_POINTS: usize = 200;
 const KMEANS_DIMS: usize = 100;
 const KMEANS_K: u32 = 25;
 
+/// Lloyd steps from the initial centroids on a worker's points before the
+/// converged section: by then each point's nearest centroid barely moves.
+const KMEANS_LLOYD_STEPS: usize = 5;
+
+/// `centroids` after `steps` Lloyd steps of [`assign_partials`] on
+/// `points`; a centroid that no point chose stays where it was.
+fn lloyd_steps(points: &[Vec<f64>], centroids: &[Vec<f64>], steps: usize) -> Vec<Vec<f64>> {
+    let mut centroids = centroids.to_vec();
+    for _ in 0..steps {
+        let (sums, counts, _) = assign_partials(points, &centroids);
+        for ((centre, sum), &n) in centroids.iter_mut().zip(sums).zip(&counts) {
+            if n > 0 {
+                *centre = sum.iter().map(|s| s / n as f64).collect();
+            }
+        }
+    }
+    centroids
+}
+
 /// Fig. 5's assignment pass through [`assign_partials`] and through the
-/// yardstick, after checking that the two return the same bits.
-fn kmeans_assign(scale: Scale) -> (Section, Section) {
+/// yardstick on the same centroids, after checking that the two return the
+/// same bits.
+fn kmeans_sections(
+    scale: Scale,
+    points: &[Vec<f64>],
+    centroids: &[Vec<f64>],
+    names: [&'static str; 2],
+) -> (Section, Section) {
     type Pass = fn(&[Vec<f64>], &[Vec<f64>]) -> (Vec<Vec<f64>>, Vec<u64>, f64);
-    let seed = 1;
-    let points = kmeans_partition(seed, 0, KMEANS_POINTS, KMEANS_DIMS, KMEANS_K as usize).points;
-    let centroids = initial_centroids(seed, KMEANS_K, KMEANS_DIMS);
     let bits = |(sums, counts, sse): (Vec<Vec<f64>>, Vec<u64>, f64)| {
         let sums: Vec<u64> = sums.iter().flatten().map(|x| x.to_bits()).collect();
         (sums, counts, sse.to_bits())
     };
     assert_eq!(
-        bits(assign_partials(&points, &centroids)),
-        bits(assign_one_chain(&points, &centroids)),
-        "kmeans_assign: the assignment pass and its yardstick disagree"
+        bits(assign_partials(points, centroids)),
+        bits(assign_one_chain(points, centroids)),
+        "{}: the assignment pass and its yardstick disagree",
+        names[0]
     );
     let calls = scale.pick(50, 500);
-    let terms = calls * (KMEANS_POINTS * KMEANS_DIMS) as u64 * u64::from(KMEANS_K);
-    let section = |name, pass: Pass| {
-        let elapsed = fastest_batch(|| {
+    let ops = calls * (points.len() * KMEANS_DIMS * centroids.len()) as u64;
+    let batch = |pass: Pass| {
+        move || {
             for _ in 0..calls {
-                black_box(pass(black_box(&points), black_box(&centroids)));
+                black_box(pass(black_box(points), black_box(centroids)));
             }
-        });
-        Section {
-            name,
-            op: "distance terms",
-            ops: terms,
-            events: 0,
-            pending: 0,
-            stacks: 0,
-            elapsed,
         }
     };
-    (
-        section("kmeans_assign", assign_partials),
-        section("kmeans_assign (yardstick)", assign_one_chain),
-    )
+    let (pass, yardstick) = fastest_batches(batch(assign_partials), batch(assign_one_chain));
+    let section = |name, elapsed| Section {
+        name,
+        op: "distance terms",
+        ops,
+        events: 0,
+        pending: 0,
+        stacks: 0,
+        elapsed,
+    };
+    (section(names[0], pass), section(names[1], yardstick))
+}
+
+/// The assignment pass and its yardstick on random initial centroids, where
+/// no block is skipped, then on the centroids [`KMEANS_LLOYD_STEPS`] Lloyd
+/// steps later, where most are.
+fn kmeans_assign(scale: Scale) -> [Section; 4] {
+    let seed = 1;
+    let points = kmeans_partition(seed, 0, KMEANS_POINTS, KMEANS_DIMS, KMEANS_K as usize).points;
+    let initial = initial_centroids(seed, KMEANS_K, KMEANS_DIMS);
+    let converged = lloyd_steps(&points, &initial, KMEANS_LLOYD_STEPS);
+    let (random, random_yardstick) =
+        kmeans_sections(scale, &points, &initial, ["kmeans_assign", "kmeans_assign (yardstick)"]);
+    let (converged, converged_yardstick) = kmeans_sections(
+        scale,
+        &points,
+        &converged,
+        ["kmeans_assign (converged)", "kmeans_assign (converged, yardstick)"],
+    );
+    [random, random_yardstick, converged, converged_yardstick]
 }
 
 /// Runs every section, holds the claims, renders the table.
 pub fn kernel_bench(scale: Scale) -> Table {
     let (codec_vec, codec_bytes) = codec_bytes(scale);
-    let (kmeans_assign, kmeans_yardstick) = kmeans_assign(scale);
+    let [kmeans_assign, kmeans_yardstick, kmeans_converged, kmeans_converged_yardstick] =
+        kmeans_assign(scale);
     let report = KernelBenchReport {
         ping_ring: fastest_ring(scale, ping_ring),
         actor_ring: fastest_ring(scale, actor_ring),
@@ -529,6 +601,8 @@ pub fn kernel_bench(scale: Scale) -> Table {
         codec_bytes,
         kmeans_assign,
         kmeans_yardstick,
+        kmeans_converged,
+        kmeans_converged_yardstick,
     };
     check(&report).unwrap_or_else(|broken| panic!("kernel-bench: {broken}"));
     let mut t = Table::new(
@@ -555,6 +629,8 @@ pub fn kernel_bench(scale: Scale) -> Table {
         &report.codec_bytes,
         &report.kmeans_assign,
         &report.kmeans_yardstick,
+        &report.kmeans_converged,
+        &report.kmeans_converged_yardstick,
     ];
     for s in sections {
         t.row(&[
@@ -585,7 +661,8 @@ mod tests {
     /// pending, 4 000 spawns on `churn_stacks` stacks, codec
     /// round trips at 1 M/s as `Bytes` and `codec_vec` per second as
     /// `Vec<u8>`, and the k-means yardstick at 100 M distance terms/s
-    /// against `kmeans` for the pass.
+    /// against `kmeans` for the pass, on random centroids and on converged
+    /// ones.
     fn report(
         ping: u64,
         actors: u64,
@@ -608,12 +685,19 @@ mod tests {
                 100_000_000,
                 0,
             ),
+            kmeans_converged: section("kmeans_assign (converged)", "distance terms", kmeans, 0),
+            kmeans_converged_yardstick: section(
+                "kmeans_assign (converged, yardstick)",
+                "distance terms",
+                100_000_000,
+                0,
+            ),
         }
     }
 
     #[test]
     fn check_holds_each_claim() {
-        let k = 170_000_000;
+        let k = 250_000_000;
         assert_eq!(check(&report(2_050_000, 2_310_000, 2, 1_000_000, k)), Ok(()));
         // The thread ring at exactly a third of the actor ring still passes,
         // and it may outrun it.
@@ -634,15 +718,25 @@ mod tests {
         assert!(err.contains("costs more than 3x a Bytes one"), "{err}");
         // The pass at exactly 1.3x the yardstick still passes; one chain
         // per distance (~1x) does not.
-        assert_eq!(check(&report(2_050_000, 2_310_000, 2, 1_000_000, 130_000_000)), Ok(()));
-        let err = check(&report(2_050_000, 2_310_000, 2, 1_000_000, 100_000_000)).unwrap_err();
+        let with_random = |kmeans| KernelBenchReport {
+            kmeans_assign: section("kmeans_assign", "distance terms", kmeans, 0),
+            ..report(2_050_000, 2_310_000, 2, 1_000_000, k)
+        };
+        assert_eq!(check(&with_random(130_000_000)), Ok(()));
+        let err = check(&with_random(100_000_000)).unwrap_err();
         assert!(err.contains("is not at least 1.3x the one-chain yardstick"), "{err}");
+        // On converged centroids exactly 2x still passes; the pass without
+        // skipping (~1.7x) does not.
+        assert_eq!(check(&report(2_050_000, 2_310_000, 2, 1_000_000, 200_000_000)), Ok(()));
+        let err = check(&report(2_050_000, 2_310_000, 2, 1_000_000, 170_000_000)).unwrap_err();
+        assert!(err.contains("(converged): the assignment pass"), "{err}");
+        assert!(err.contains("stopped skipping the blocks"), "{err}");
     }
 
     #[test]
     fn timed_rpc_leaves_no_timer_per_call() {
         let with_pending = |pending| {
-            let mut r = report(2_050_000, 2_310_000, 2, 1_000_000, 170_000_000);
+            let mut r = report(2_050_000, 2_310_000, 2, 1_000_000, 250_000_000);
             r.timed_rpc.pending = pending;
             r
         };
@@ -662,7 +756,7 @@ mod tests {
         // The actor ring at 2 M events/s: 500 ns per event.
         let with_wheel = |wheel_per_s| KernelBenchReport {
             wheel: section("wheel", "pops", wheel_per_s, 0),
-            ..report(2_050_000, 2_000_000, 2, 1_000_000, 170_000_000)
+            ..report(2_050_000, 2_000_000, 2, 1_000_000, 250_000_000)
         };
         // Dense tables: ~1.3x the wheel's ns per event.
         assert_eq!(check(&with_wheel(2_600_000)), Ok(()));

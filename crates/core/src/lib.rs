@@ -121,7 +121,7 @@ pub mod prelude {
         DsoConfig, FnEnv, JoinHandle, MetricsRegistry, RetryPolicy, RunResult, Runnable, Semaphore,
         SharedFuture, SharedList, SharedMap, Sim, SimTime, ThreadFactory, Tracer,
     };
-    /// The wire trait and its derive: what makes a [`Runnable`](crate::Runnable)
+    /// The wire trait and its derive: what makes a [`Runnable`]
     /// shippable. (The derive names `::simcore`, so a crate using it
     /// depends on `simcore` too.)
     pub use simcore::codec::Wire;

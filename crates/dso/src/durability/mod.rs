@@ -6,7 +6,7 @@
 //! primitives" recipe (see PAPERS.md) on top of the repo's calibrated S3
 //! model:
 //!
-//! * **WAL** ([`wal`], [`crate::protocol::WalSegment`]): every applied
+//! * **WAL** (`wal`, [`crate::protocol::WalSegment`]): every applied
 //!   mutation is recorded as the object's *post-state* tagged with its
 //!   version (a physical redo record). A per-node daemon group-commits the
 //!   buffer as one segment PUT per [`DurabilityConfig::group_commit`]
@@ -20,7 +20,7 @@
 //!   written as one atomic key, carrying per-stream WAL high-water marks
 //!   (`floors`). Older checkpoints and the segments they subsume are
 //!   garbage-collected, keeping [`CHECKPOINT_KEEP`] blobs.
-//! * **Recovery** ([`recover`], [`crate::DsoCluster::recover_from`]):
+//! * **Recovery** ([`recover_into`], [`crate::DsoCluster::recover_from`]):
 //!   LIST checkpoints + WAL, read-repair against the store's visibility
 //!   delay (re-LIST until every floor is satisfied, every per-stream
 //!   sequence is gap-free, and the listing has been stable for

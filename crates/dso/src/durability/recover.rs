@@ -236,7 +236,9 @@ pub(crate) fn replay(
 ///
 /// # Errors
 ///
-/// See [`scan`] and [`replay`].
+/// [`DsoError::Timeout`] when the store's listing does not settle;
+/// [`DsoError::Retry`] if a listed segment vanished before its GET; and any
+/// error installing an object.
 pub fn recover_into(
     ctx: &mut Ctx,
     cli: &mut DsoClient,

@@ -28,6 +28,26 @@ use crate::objects::{
 /// Centroids whose distances one pass of the inner loop computes together.
 const LANES: usize = 4;
 
+/// Dimensions of every block summed before any block is visited: the head
+/// partials that choose which block is visited first.
+const HEAD: usize = 8;
+
+/// Dimensions between two tests of a block's running sums against the best
+/// distance so far. The last `1..=STRIDE` dimensions are summed untested.
+const STRIDE: usize = 16;
+
+/// Adds `(row[j] − x)²` for each dimension to each lane's running sum.
+// table4: local crucial
+#[inline(always)]
+fn add_terms(acc: &mut [f64; LANES], rows: &[[f64; LANES]], xs: &[f64]) {
+    for (row, &x) in rows.iter().zip(xs) {
+        for (a, &c) in acc.iter_mut().zip(row) {
+            *a += (c - x) * (c - x);
+        }
+    }
+}
+// table4: end
+
 /// One assignment pass: per-cluster coordinate sums, per-cluster counts,
 /// and the within-cluster sum of squared errors. Each point goes to its
 /// nearest centroid, the lowest index among equals.
@@ -41,15 +61,40 @@ const LANES: usize = 4;
 /// that waits on its previous add, which the compiler turns into vector
 /// arithmetic on any x86-64 without reassociating a sum.
 ///
+/// **Pruning.** Per point the pass first sums the first `HEAD` dimensions
+/// of every block. It visits first the block whose head partial holds the
+/// smallest lane, then the others in index order, each continuing from its
+/// head partial. Every `STRIDE` dimensions it skips the rest of a block
+/// once every lane's running sum is strictly `>` the best distance so far.
+/// The winner is the least `(d², index)`, starting from index 0 at `+∞`.
+/// Once the centroids have settled, the first block visited usually holds
+/// the winner and most others are skipped within the first half of the
+/// dimensions. On random centroids next to nothing is skipped, and the
+/// head pass and the tests cost a few percent.
+///
 /// **Same bits as one `.sum()` per centroid.** Each lane adds exactly the
 /// terms a per-centroid `.sum()` adds, in the same order. It starts from
 /// `0.0` where std's float sum may start from `−0.0`, which gives the same
-/// bits for every term a square can be. The lanes are then compared in
-/// centroid order with the same strict `<`, so the first minimum still
-/// wins, and a `+∞` pad never compares less than anything. With no
-/// dimensions every distance is `0.0` and centroid 0 wins. The sums,
-/// counts and SSE are therefore the bits the per-centroid loop returns
-/// (`kmeans::tests` holds the two to that on random inputs).
+/// bits for every term a square can be. A `+∞` pad never compares less
+/// than anything, and with no dimensions every distance is `0.0` and
+/// centroid 0 wins. Skipping changes none of it:
+/// - Round-to-nearest is monotone: for a partial `s ≥ 0` and a term
+///   `t = (c − x)²`, which is `≥ 0` or `+∞`, `fl(s + t) ≥ s`. A lane whose
+///   partial is already `> best` ends `> best`, and can neither win nor tie.
+/// - The test is strict `>`: an equal partial may still tie, and a tie
+///   goes to the lower index, as the first minimum does in index order.
+/// - A NaN compares false, so a block with a NaN lane is never skipped,
+///   and a NaN distance never wins, exactly as in index order with `<`.
+///   A `+∞` pad lane is skippable and never wins.
+/// - The least `(d², index)` over the distances that are not NaN, and
+///   `(+∞, 0)`, is what the strict `<` in index order keeps whatever the
+///   visiting order. The lanes that survive add the same terms in the same
+///   order from `0.0`, and the sums, counts and SSE depend only on the
+///   winner and its distance.
+///
+/// The sums, counts and SSE are therefore the bits the per-centroid loop
+/// returns (`kmeans::tests` holds the two to that on random inputs, points
+/// near centroids and exact ties).
 // table4: local crucial
 pub fn assign_partials(
     points: &[Vec<f64>],
@@ -71,24 +116,48 @@ pub fn assign_partials(
             row[c % LANES] = v;
         }
     }
+    // Each block's rows by index, not by chunk: with no dimensions the
+    // blocks are empty and still have to be compared.
+    let rows: Vec<&[[f64; LANES]]> =
+        (0..blocks).map(|b| packed[b * block_len..][..block_len].as_chunks().0).collect();
+    let mut heads = vec![[0.0; LANES]; blocks];
     let mut sse = 0.0;
     for p in points {
-        let mut best = 0usize;
-        let mut best_d2 = f64::INFINITY;
-        // By index, not by chunk: with no dimensions the blocks are empty
-        // and still have to be compared.
-        for b in 0..blocks {
-            let block = &packed[b * block_len..][..block_len];
-            let mut acc = [0.0; LANES];
-            for (row, &x) in block.as_chunks::<LANES>().0.iter().zip(p) {
-                for (a, &c) in acc.iter_mut().zip(row) {
-                    *a += (c - x) * (c - x);
+        let p = &p[..dims.min(p.len())];
+        let (len, head) = (p.len(), HEAD.min(p.len()));
+        for (acc, rows) in heads.iter_mut().zip(&rows) {
+            *acc = [0.0; LANES];
+            // A head of fixed length, which the compiler unrolls.
+            match (rows[..len].first_chunk::<HEAD>(), p.first_chunk::<HEAD>()) {
+                (Some(rows), Some(xs)) => add_terms(acc, rows, xs),
+                _ => add_terms(acc, &rows[..len], p),
+            }
+        }
+        let (mut first, mut first_d2) = (0, f64::INFINITY);
+        for (b, acc) in heads.iter().enumerate() {
+            let d2 = acc.iter().copied().fold(f64::INFINITY, f64::min);
+            if d2 < first_d2 {
+                (first, first_d2) = (b, d2);
+            }
+        }
+        let (mut best, mut best_d2) = (0, f64::INFINITY);
+        let order = std::iter::once(first).chain((0..blocks).filter(|&b| b != first));
+        'blocks: for b in order {
+            let rows = &rows[b][..len];
+            let mut acc = heads[b];
+            let mut d = head;
+            while len - d > STRIDE {
+                add_terms(&mut acc, &rows[d..d + STRIDE], &p[d..d + STRIDE]);
+                d += STRIDE;
+                if acc.iter().all(|&a| a > best_d2) {
+                    continue 'blocks;
                 }
             }
+            add_terms(&mut acc, &rows[d..], &p[d..]);
             for (j, &d2) in acc.iter().enumerate() {
-                if d2 < best_d2 {
-                    best_d2 = d2;
-                    best = b * LANES + j;
+                let c = b * LANES + j;
+                if d2 < best_d2 || (d2 == best_d2 && c < best) {
+                    (best, best_d2) = (c, d2);
                 }
             }
         }
@@ -809,19 +878,68 @@ mod tests {
         ]
     }
 
+    /// One case's offsets, a row of `MAX_DIMS` per centroid and per point:
+    /// mostly `0`, a quarter `±1`.
+    fn offset_pool() -> impl Strategy<Value = Vec<f64>> {
+        let n = (MAX_K + MAX_POINTS) * MAX_DIMS;
+        let offset = (0u8..8).prop_map(|v| match v {
+            0 => -1.0,
+            1 => 1.0,
+            _ => 0.0,
+        });
+        proptest::collection::vec(offset, n..n + 1)
+    }
+
+    /// How a case lays out its centroids and points.
+    #[derive(Clone, Copy, Debug)]
+    enum Shape {
+        /// Centroids and points are independent rows of the pool: rarely
+        /// close enough to each other for a block to be skipped.
+        Rows,
+        /// Point `i` is centroid `i % k` plus its offsets. The others pass
+        /// its distance within a few dimensions, so whole blocks are
+        /// skipped.
+        NearCentroids,
+        /// Centroids and points are all one row plus their offsets. Their
+        /// distances are small integers that tie exactly, and which block's
+        /// head partial is least depends on where the offsets fall, so the
+        /// block visited first often holds a tie with a higher index than a
+        /// later one.
+        NearOneRow,
+    }
+
     proptest! {
         #[test]
         fn assignment_matches_the_one_chain_reference(
             (k, dims, n, period) in (1..=MAX_K, 0..=MAX_DIMS, 0..=MAX_POINTS, 1..=MAX_K),
+            shape in prop_oneof![
+                Just(Shape::Rows),
+                Just(Shape::NearCentroids),
+                Just(Shape::NearOneRow),
+            ],
             pool in coordinate_pool(),
+            offsets in offset_pool(),
         ) {
-            let rows: Vec<Vec<f64>> =
-                pool.chunks_exact(MAX_DIMS).map(|row| row[..dims].to_vec()).collect();
+            let row = |pool: &[f64], i: usize| pool[i * MAX_DIMS..][..dims].to_vec();
+            let shifted = |base: &[f64], i: usize| -> Vec<f64> {
+                base.iter().zip(row(&offsets, i)).map(|(x, o)| x + o).collect()
+            };
             // Centroid `c` repeats centroid `c % period`: duplicates tie
             // exactly, within a block of lanes and across blocks.
-            let centroids: Vec<Vec<f64>> = (0..k).map(|c| rows[c % period].clone()).collect();
-            let points = &rows[MAX_K..MAX_K + n];
-            assert_matches_reference(points, &centroids)?;
+            let centroids: Vec<Vec<f64>> = (0..k)
+                .map(|c| match shape {
+                    Shape::Rows | Shape::NearCentroids => row(&pool, c % period),
+                    Shape::NearOneRow => shifted(&row(&pool, 0), c % period),
+                })
+                .collect();
+            let points: Vec<Vec<f64>> = (MAX_K..MAX_K + n)
+                .map(|i| match shape {
+                    Shape::Rows => row(&pool, i),
+                    Shape::NearCentroids => shifted(&centroids[i % k], i),
+                    Shape::NearOneRow => shifted(&row(&pool, 0), i),
+                })
+                .collect();
+            assert_matches_reference(&points, &centroids)?;
         }
     }
 

@@ -14,7 +14,7 @@
 //!
 //! Hot-path cost: recording stores a compact row — names, categories,
 //! process names, and annotation keys are interned behind `u32` symbols
-//! (see [`crate::symbol`]), so a span begin/end performs no string
+//! (see the crate's `symbol` module), so a span begin/end performs no string
 //! allocation after a name's first appearance. The exporters stream
 //! straight from the rows and the symbol table under one borrow, formatting
 //! integers through a stack buffer; they never clone the span buffer.
