@@ -66,8 +66,13 @@ cargo run --release -q -p simcheck --bin tracecheck -- results/trace-elastic.chr
 #                       (~1.5-1.7x; one chain per distance fails); on the
 #                       centroids 5 Lloyd steps later it runs >= 2x the
 #                       yardstick (~2.7-3.2x; summing every block in full
-#                       without skipping, ~1.5x, fails). Host time: no BENCH
-#                       file.
+#                       without skipping, ~1.5x, fails); the passes of 10
+#                       Lloyd steps through one Assigner, which carries each
+#                       point's distance bounds to the next pass, run >= 1.5x
+#                       the distance terms/sec of a fresh pass per step, with
+#                       the same bits at every step (~2.0-2.3x; bounds that
+#                       never skip a search, ~1.0x, fail). Host time: no
+#                       BENCH file.
 #   coldstart           classic vs snapshot-restore elastic runs plus the
 #                       fork fan-out microbench; self-asserts the tier
 #                       mechanics, then: a restore collapses the classic

@@ -34,7 +34,11 @@
 //!    random initial centroids no block is skipped, so the ratio is what
 //!    computing four centroids at once buys; on the centroids a few Lloyd
 //!    steps later (`kmeans_assign (converged)`) it is that and what skipping
-//!    the blocks a partial distance rules out buys.
+//!    the blocks a partial distance rules out buys. `kmeans_lloyd` runs the
+//!    passes of ten Lloyd steps through one
+//!    [`crucial_ml::kmeans::Assigner`], as a worker does, against a fresh
+//!    pass per step: the ratio is what carrying each point's distance bounds
+//!    from one pass to the next buys.
 //!
 //! Each section is wall-clock timed (the one legitimate use of host time
 //! in the workspace: measuring the simulator itself) and reports kernel
@@ -43,12 +47,13 @@
 //! timers cancelled unfired — and its ops (hops, calls, spawns, pops, round
 //! trips or distance terms) per second. The rings, the wheel, the codec and
 //! the k-means loops keep the fastest of several runs; a k-means pass and
-//! its yardstick take turns. [`check`] holds five relations — `actor_ring`
+//! its yardstick take turns. [`check`] holds six relations — `actor_ring`
 //! spends at most 2.5x the wheel's ns per event, `ping_ring` runs at least a
 //! third of `actor_ring`'s events/sec, a `Vec<u8>` round trip costs at most
-//! 3x a `Bytes` one, and the assignment pass runs at least 1.3x the
+//! 3x a `Bytes` one, the assignment pass runs at least 1.3x the
 //! yardstick's distance terms/sec on random centroids and 2x on converged
-//! ones — a floor under the actor ring, and two counts: `spawn_churn` runs
+//! ones, and ten Lloyd steps through one assigner run at least 1.5x as fast
+//! as fresh passes — a floor under the actor ring, and two counts: `spawn_churn` runs
 //! on two stacks however many children it spawns, and `timed_rpc` ends with
 //! at most one event pending per process. The thread ring and the spawn
 //! loop keep no floor of their own: the resume and the DSO path are
@@ -60,7 +65,7 @@ use std::time::Duration;
 
 use bytes::Bytes;
 use crucial_ml::datagen::kmeans_partition;
-use crucial_ml::kmeans::{assign_partials, initial_centroids};
+use crucial_ml::kmeans::{assign_partials, initial_centroids, Assigner};
 use simcore::codec::{self, Wire};
 use simcore::{Actor, Addr, Msg, Proc, Request, Sim, SimTime, TimingWheel, Wait, Wake};
 
@@ -129,6 +134,10 @@ pub struct KernelBenchReport {
     pub kmeans_converged: Section,
     /// The yardstick on those centroids.
     pub kmeans_converged_yardstick: Section,
+    /// Ten Lloyd steps' passes through one [`Assigner`].
+    pub kmeans_lloyd: Section,
+    /// The same passes, each through a fresh one.
+    pub kmeans_lloyd_fresh: Section,
 }
 
 /// `actor_ring` may spend at most this many times the wheel's host ns per
@@ -174,6 +183,12 @@ const KMEANS_OVER_YARDSTICK: f64 = 1.3;
 /// Skipping a block once its partial sums pass the best distance runs
 /// ~2.7–3.2x; summing every block in full, as on random centroids, ~1.5–1.8x.
 const KMEANS_CONVERGED_OVER_YARDSTICK: f64 = 2.0;
+
+/// The passes of ten Lloyd steps through one [`Assigner`] must run at least
+/// this many times the distance terms/sec of the same passes through fresh
+/// ones. Carrying each point's bounds runs ~2.0-2.3x; bounds that never
+/// let a point skip its search, ~1x.
+const KMEANS_LLOYD_OVER_FRESH: f64 = 1.5;
 
 /// The claims `kernel-bench` holds; `Err` names the first broken one.
 pub fn check(r: &KernelBenchReport) -> Result<(), String> {
@@ -232,6 +247,13 @@ pub fn check(r: &KernelBenchReport) -> Result<(), String> {
         "kmeans_assign (converged): the assignment pass ({kmeans:.0} distance terms/s) is not \
          at least {KMEANS_CONVERGED_OVER_YARDSTICK}x the one-chain yardstick ({yardstick:.0}) \
          — it stopped skipping the blocks a partial distance already rules out"
+    );
+    let (carried, fresh) = (r.kmeans_lloyd.ops_per_s(), r.kmeans_lloyd_fresh.ops_per_s());
+    claim!(
+        carried >= fresh * KMEANS_LLOYD_OVER_FRESH,
+        "kmeans_lloyd: one assigner over ten Lloyd steps ({carried:.0} distance terms/s) is not \
+         at least {KMEANS_LLOYD_OVER_FRESH}x a fresh pass per step ({fresh:.0}) — its points \
+         stopped keeping their winners on the bounds from the last pass"
     );
     Ok(())
 }
@@ -476,12 +498,20 @@ fn codec_bytes(scale: Scale) -> (Section, Section) {
     (vec, bytes)
 }
 
+/// An assignment pass's sums, counts and SSE.
+type Partials = (Vec<f64>, Vec<u64>, f64);
+
+/// A pass's output as bit patterns, so that `-0.0` and `0.0` differ.
+fn bits((sums, counts, sse): Partials) -> (Vec<u64>, Vec<u64>, u64) {
+    (sums.iter().map(|x| x.to_bits()).collect(), counts, sse.to_bits())
+}
+
 /// The yardstick for [`assign_partials`]: the same pass over row-major
 /// centroids, each distance one `.sum()` chain that waits on its previous
 /// add.
-fn assign_one_chain(points: &[Vec<f64>], centroids: &[Vec<f64>]) -> (Vec<Vec<f64>>, Vec<u64>, f64) {
+fn assign_one_chain(points: &[Vec<f64>], centroids: &[Vec<f64>]) -> Partials {
     let dims = centroids.first().map_or(0, Vec::len);
-    let mut sums = vec![vec![0.0; dims]; centroids.len()];
+    let mut sums = vec![0.0; centroids.len() * dims];
     let mut counts = vec![0u64; centroids.len()];
     let mut sse = 0.0;
     for p in points {
@@ -492,7 +522,7 @@ fn assign_one_chain(points: &[Vec<f64>], centroids: &[Vec<f64>]) -> (Vec<Vec<f64
                 (best, best_d2) = (c, d2);
             }
         }
-        for (s, x) in sums[best].iter_mut().zip(p) {
+        for (s, x) in sums[best * dims..][..dims].iter_mut().zip(p) {
             *s += x;
         }
         counts[best] += 1;
@@ -508,21 +538,26 @@ const KMEANS_K: u32 = 25;
 
 /// Lloyd steps from the initial centroids on a worker's points before the
 /// converged section: by then each point's nearest centroid barely moves.
+/// `kmeans_lloyd` runs twice as many, Fig. 5's ten iterations.
 const KMEANS_LLOYD_STEPS: usize = 5;
 
-/// `centroids` after `steps` Lloyd steps of [`assign_partials`] on
-/// `points`; a centroid that no point chose stays where it was.
-fn lloyd_steps(points: &[Vec<f64>], centroids: &[Vec<f64>], steps: usize) -> Vec<Vec<f64>> {
-    let mut centroids = centroids.to_vec();
+/// `centroids` and the centroids after each of `steps` Lloyd steps of
+/// [`assign_partials`] on `points`; a centroid that no point chose stays
+/// where it was.
+fn lloyd_sequence(points: &[Vec<f64>], centroids: &[Vec<f64>], steps: usize) -> Vec<Vec<Vec<f64>>> {
+    let mut sequence = vec![centroids.to_vec()];
     for _ in 0..steps {
+        let mut centroids = sequence.last().expect("starts with one").clone();
         let (sums, counts, _) = assign_partials(points, &centroids);
-        for ((centre, sum), &n) in centroids.iter_mut().zip(sums).zip(&counts) {
+        let dims = centroids.first().map_or(0, Vec::len);
+        for ((centre, sum), &n) in centroids.iter_mut().zip(sums.chunks(dims)).zip(&counts) {
             if n > 0 {
                 *centre = sum.iter().map(|s| s / n as f64).collect();
             }
         }
+        sequence.push(centroids);
     }
-    centroids
+    sequence
 }
 
 /// Fig. 5's assignment pass through [`assign_partials`] and through the
@@ -534,11 +569,7 @@ fn kmeans_sections(
     centroids: &[Vec<f64>],
     names: [&'static str; 2],
 ) -> (Section, Section) {
-    type Pass = fn(&[Vec<f64>], &[Vec<f64>]) -> (Vec<Vec<f64>>, Vec<u64>, f64);
-    let bits = |(sums, counts, sse): (Vec<Vec<f64>>, Vec<u64>, f64)| {
-        let sums: Vec<u64> = sums.iter().flatten().map(|x| x.to_bits()).collect();
-        (sums, counts, sse.to_bits())
-    };
+    type Pass = fn(&[Vec<f64>], &[Vec<f64>]) -> Partials;
     assert_eq!(
         bits(assign_partials(points, centroids)),
         bits(assign_one_chain(points, centroids)),
@@ -567,29 +598,75 @@ fn kmeans_sections(
     (section(names[0], pass), section(names[1], yardstick))
 }
 
+/// A pass per centroid set of `sequence` through one [`Assigner`], and
+/// through a fresh one each, after checking that the two return the same
+/// bits at every step.
+fn kmeans_lloyd(scale: Scale, points: &[Vec<f64>], sequence: &[Vec<Vec<f64>>]) -> [Section; 2] {
+    let mut assigner = Assigner::new(points);
+    for (step, centroids) in sequence.iter().enumerate() {
+        assert_eq!(
+            bits(assigner.assign(centroids)),
+            bits(assign_partials(points, centroids)),
+            "kmeans_lloyd: one assigner and a fresh pass disagree at step {step}"
+        );
+    }
+    let calls = scale.pick(5, 50);
+    let terms: usize = sequence.iter().map(|c| points.len() * KMEANS_DIMS * c.len()).sum();
+    let ops = calls * terms as u64;
+    let (carried, fresh) = fastest_batches(
+        || {
+            for _ in 0..calls {
+                let mut assigner = Assigner::new(black_box(points));
+                for centroids in sequence {
+                    black_box(assigner.assign(black_box(centroids)));
+                }
+            }
+        },
+        || {
+            for _ in 0..calls {
+                for centroids in sequence {
+                    black_box(assign_partials(black_box(points), black_box(centroids)));
+                }
+            }
+        },
+    );
+    let section = |name, elapsed| Section {
+        name,
+        op: "distance terms",
+        ops,
+        events: 0,
+        pending: 0,
+        stacks: 0,
+        elapsed,
+    };
+    [section("kmeans_lloyd", carried), section("kmeans_lloyd (fresh passes)", fresh)]
+}
+
 /// The assignment pass and its yardstick on random initial centroids, where
 /// no block is skipped, then on the centroids [`KMEANS_LLOYD_STEPS`] Lloyd
-/// steps later, where most are.
-fn kmeans_assign(scale: Scale) -> [Section; 4] {
+/// steps later, where most are; then the passes of twice as many steps
+/// through one assigner and through fresh ones.
+fn kmeans_assign(scale: Scale) -> [Section; 6] {
     let seed = 1;
     let points = kmeans_partition(seed, 0, KMEANS_POINTS, KMEANS_DIMS, KMEANS_K as usize).points;
     let initial = initial_centroids(seed, KMEANS_K, KMEANS_DIMS);
-    let converged = lloyd_steps(&points, &initial, KMEANS_LLOYD_STEPS);
+    let sequence = lloyd_sequence(&points, &initial, 2 * KMEANS_LLOYD_STEPS);
     let (random, random_yardstick) =
         kmeans_sections(scale, &points, &initial, ["kmeans_assign", "kmeans_assign (yardstick)"]);
     let (converged, converged_yardstick) = kmeans_sections(
         scale,
         &points,
-        &converged,
+        &sequence[KMEANS_LLOYD_STEPS],
         ["kmeans_assign (converged)", "kmeans_assign (converged, yardstick)"],
     );
-    [random, random_yardstick, converged, converged_yardstick]
+    let [lloyd, lloyd_fresh] = kmeans_lloyd(scale, &points, &sequence);
+    [random, random_yardstick, converged, converged_yardstick, lloyd, lloyd_fresh]
 }
 
 /// Runs every section, holds the claims, renders the table.
 pub fn kernel_bench(scale: Scale) -> Table {
     let (codec_vec, codec_bytes) = codec_bytes(scale);
-    let [kmeans_assign, kmeans_yardstick, kmeans_converged, kmeans_converged_yardstick] =
+    let [random, random_yardstick, converged, converged_yardstick, lloyd, lloyd_fresh] =
         kmeans_assign(scale);
     let report = KernelBenchReport {
         ping_ring: fastest_ring(scale, ping_ring),
@@ -599,10 +676,12 @@ pub fn kernel_bench(scale: Scale) -> Table {
         wheel: wheel(scale),
         codec_vec,
         codec_bytes,
-        kmeans_assign,
-        kmeans_yardstick,
-        kmeans_converged,
-        kmeans_converged_yardstick,
+        kmeans_assign: random,
+        kmeans_yardstick: random_yardstick,
+        kmeans_converged: converged,
+        kmeans_converged_yardstick: converged_yardstick,
+        kmeans_lloyd: lloyd,
+        kmeans_lloyd_fresh: lloyd_fresh,
     };
     check(&report).unwrap_or_else(|broken| panic!("kernel-bench: {broken}"));
     let mut t = Table::new(
@@ -631,6 +710,8 @@ pub fn kernel_bench(scale: Scale) -> Table {
         &report.kmeans_yardstick,
         &report.kmeans_converged,
         &report.kmeans_converged_yardstick,
+        &report.kmeans_lloyd,
+        &report.kmeans_lloyd_fresh,
     ];
     for s in sections {
         t.row(&[
@@ -662,7 +743,8 @@ mod tests {
     /// round trips at 1 M/s as `Bytes` and `codec_vec` per second as
     /// `Vec<u8>`, and the k-means yardstick at 100 M distance terms/s
     /// against `kmeans` for the pass, on random centroids and on converged
-    /// ones.
+    /// ones, and fresh Lloyd passes at 100 M against `kmeans` for one
+    /// assigner.
     fn report(
         ping: u64,
         actors: u64,
@@ -688,6 +770,13 @@ mod tests {
             kmeans_converged: section("kmeans_assign (converged)", "distance terms", kmeans, 0),
             kmeans_converged_yardstick: section(
                 "kmeans_assign (converged, yardstick)",
+                "distance terms",
+                100_000_000,
+                0,
+            ),
+            kmeans_lloyd: section("kmeans_lloyd", "distance terms", kmeans, 0),
+            kmeans_lloyd_fresh: section(
+                "kmeans_lloyd (fresh passes)",
                 "distance terms",
                 100_000_000,
                 0,
@@ -731,6 +820,15 @@ mod tests {
         let err = check(&report(2_050_000, 2_310_000, 2, 1_000_000, 170_000_000)).unwrap_err();
         assert!(err.contains("(converged): the assignment pass"), "{err}");
         assert!(err.contains("stopped skipping the blocks"), "{err}");
+        // One assigner at exactly 1.5x fresh passes still passes; bounds
+        // that keep no point on the fast path (~1x) do not.
+        let with_lloyd = |kmeans| KernelBenchReport {
+            kmeans_lloyd: section("kmeans_lloyd", "distance terms", kmeans, 0),
+            ..report(2_050_000, 2_310_000, 2, 1_000_000, k)
+        };
+        assert_eq!(check(&with_lloyd(150_000_000)), Ok(()));
+        let err = check(&with_lloyd(100_000_000)).unwrap_err();
+        assert!(err.contains("is not at least 1.5x a fresh pass per step"), "{err}");
     }
 
     #[test]

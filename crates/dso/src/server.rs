@@ -218,6 +218,9 @@ struct Serving {
     /// Skeen's output, drained by [`process_skeen_actions`] after every
     /// step: one buffer for the node's life, empty between messages.
     actions: Vec<Action<SmrOp>>,
+    /// A replicated write's replica group, built here and copied once into
+    /// the group Skeen shares: one buffer for the node's life.
+    group: Vec<NodeId>,
     hb: Ticker,
     shedder: Option<Shedder>,
     draining: bool,
@@ -269,6 +272,7 @@ impl Dispatcher {
             view: View::empty(),
             skeen: Skeen::new(node),
             actions: Vec::new(),
+            group: Vec::new(),
             hb: Ticker::new(ctx.now(), cfg.heartbeat_interval),
             shedder: cfg.admission.map(|a| Shedder::new(a, ctx.now())),
             draining: false,
@@ -333,7 +337,8 @@ impl Serving {
 
     /// Handles one inbox message.
     fn handle(&mut self, ctx: &mut Proc, msg: Msg) -> Next {
-        let Serving { coordinator, shared, workers, view, skeen, actions, shedder, .. } = self;
+        let Serving { coordinator, shared, workers, view, skeen, actions, group, shedder, .. } =
+            self;
         let shared = &*shared;
         let node = shared.node;
         let cfg = &shared.cfg;
@@ -368,7 +373,7 @@ impl Serving {
                 }
                 let (reply_to, invoke) = req.take::<InvokeReq>();
                 handle_client_invoke(
-                    ctx, shared, view, workers, skeen, actions, shedder, invoke, reply_to,
+                    ctx, shared, view, workers, skeen, actions, group, shedder, invoke, reply_to,
                 );
                 return Next::Serve;
             }
@@ -454,6 +459,7 @@ fn handle_client_invoke(
     workers: &[Addr],
     skeen: &mut Skeen<SmrOp>,
     actions: &mut Vec<Action<SmrOp>>,
+    group: &mut Vec<NodeId>,
     shedder: &mut Option<Shedder>,
     req: InvokeReq,
     reply_to: Addr,
@@ -477,21 +483,20 @@ fn handle_client_invoke(
     // routing this stays linearizable; under replica reads the client
     // enforces monotonicity via the returned version. So only a replicated
     // write needs its whole replica group; anything else needs a yes/no.
-    let ring = view.ring();
-    let group = (req.rf > 1 && !req.readonly).then(|| ring.placement(&req.obj, req.rf));
-    let owned = match &group {
-        Some(placement) => placement.contains(&shared.node),
-        None => {
-            let mut placement = ring.placement_iter(req.obj.placement_hash(), req.rf.max(1));
-            placement.any(|n| n == shared.node)
-        }
+    let mut placement = view.ring().placement_iter(req.obj.placement_hash(), req.rf.max(1));
+    group.clear();
+    let owned = if req.rf > 1 && !req.readonly {
+        group.extend(placement);
+        group.contains(&shared.node)
+    } else {
+        placement.any(|n| n == shared.node)
     };
     if !owned {
         let lat = CLIENT_NET.sample(ctx.rng());
         ctx.reply(reply_to, InvokeResp::NotOwner { view: view.id() }, lat);
         return;
     }
-    if let Some(placement) = group.filter(|placement| placement.len() > 1) {
+    if group.len() > 1 {
         // SMR path: totally-order the operation among the replica group.
         // The round span covers multicast through total-order delivery at
         // the initiating node; every replica's apply span nests under it.
@@ -499,7 +504,7 @@ fn handle_client_invoke(
         ctx.span_annotate(round_span, "obj", &req.obj);
         ctx.metric_incr("dso.smr_rounds");
         let op = SmrOp { req, respond_to: Some(reply_to), round_span };
-        skeen.multicast_into(placement, op, actions);
+        skeen.multicast_into(&group[..], op, actions);
         process_skeen_actions(ctx, shared, view, workers, skeen, actions);
     } else {
         route_to_worker(ctx, shared, workers, WorkItem::Client { req, reply_to });

@@ -36,6 +36,24 @@ const HEAD: usize = 8;
 /// distance so far. The last `1..=STRIDE` dimensions are summed untested.
 const STRIDE: usize = 16;
 
+/// Relative margin that widens both sides of [`Assigner`]'s bound test,
+/// 2⁻³²: far above the relative rounding error of a computed distance
+/// over at most [`BOUNDED_DIMS`] dimensions, which is below 2⁻³⁶.
+const MARGIN: f64 = f64::from_bits((1023 - 32) << 52);
+
+/// Absolute margin of a bound, 2⁻⁵⁰⁰: far above the root of what
+/// underflow can take from a sum of at most [`BOUNDED_DIMS`] squares,
+/// below 2⁻⁵²⁹.
+const TINY: f64 = f64::from_bits((1023 - 500) << 52);
+
+/// Cap on a lower bound, 2⁵⁰⁰: a computed sum that overflowed to `+∞`
+/// still bounds the exact distance from below by 2⁵¹¹.
+const LIMIT: f64 = f64::from_bits((1023 + 500) << 52);
+
+/// Most dimensions for which [`Assigner`] keeps bounds; past it every
+/// point is searched in full.
+const BOUNDED_DIMS: usize = 1 << 16;
+
 /// Adds `(row[j] − x)²` for each dimension to each lane's running sum.
 // table4: local crucial
 #[inline(always)]
@@ -48,36 +66,88 @@ fn add_terms(acc: &mut [f64; LANES], rows: &[[f64; LANES]], xs: &[f64]) {
 }
 // table4: end
 
-/// One assignment pass: per-cluster coordinate sums, per-cluster counts,
-/// and the within-cluster sum of squared errors. Each point goes to its
-/// nearest centroid, the lowest index among equals.
+/// Lane `j`'s sum alone: the same terms in the same order from `0.0`.
+// table4: local crucial
+#[inline(always)]
+fn lane_sum(rows: &[[f64; LANES]], xs: &[f64], j: usize) -> f64 {
+    rows.iter().zip(xs).fold(0.0, |s, (row, &x)| s + (row[j] - x) * (row[j] - x))
+}
+// table4: end
+
+/// An upper bound on the exact distance whose computed square is `d2`;
+/// `+∞` for a NaN.
+// table4: local crucial
+fn upper_root(d2: f64) -> f64 {
+    if d2.is_nan() {
+        f64::INFINITY
+    } else {
+        d2.sqrt() * (1.0 + MARGIN) + TINY
+    }
+}
+// table4: end
+
+/// A lower bound on the exact distance whose computed square, or a partial
+/// of it, is `d2` (never NaN), capped at [`LIMIT`].
+// table4: local crucial
+fn lower_root(d2: f64) -> f64 {
+    (d2.sqrt() * (1.0 - MARGIN) - TINY).min(LIMIT)
+}
+// table4: end
+
+/// What an [`Assigner`] knows of one point from its last pass.
+// table4: local crucial
+#[derive(Clone, Copy, Debug)]
+struct Bounds {
+    /// The centroid the point went to.
+    winner: usize,
+    /// At least the exact distance to `winner`.
+    upper: f64,
+    /// At most the exact distance to every other centroid.
+    lower: f64,
+}
+
+impl Bounds {
+    /// Bounds that separate nothing, so the next pass searches in full.
+    const NONE: Bounds = Bounds { winner: 0, upper: f64::INFINITY, lower: 0.0 };
+}
+// table4: end
+
+/// Assignment passes over one set of points that carry what each pass
+/// learned about every point to the next: its winner, an upper bound on
+/// the distance to it and a lower bound on the distance to every other
+/// centroid (Hamerly's bounds). A worker holds one for its whole body, as
+/// Listing 2's cloud thread holds its partition.
 ///
-/// **Layout.** The centroids are packed once per call into blocks of four
-/// (`LANES`), each block dimension-major:
-/// `packed[(b·dims + d)·LANES + j] = centroids[LANES·b + j][d]`. The lanes
-/// past the last centroid hold `+∞`. For each point and block the loop
-/// keeps one running sum per lane and adds `(row[j] − x)²` for every
-/// dimension: four independent chains in place of one chain per centroid
-/// that waits on its previous add, which the compiler turns into vector
-/// arithmetic on any x86-64 without reassociating a sum.
+/// **A pass.** The centroids are packed into blocks of four (`LANES`),
+/// each block dimension-major: `packed[(b·dims + d)·LANES + j] =
+/// centroids[LANES·b + j][d]`, `+∞` in the lanes past the last centroid.
+/// The assigner keeps the last pass's centroids rounded to `f32`, half the
+/// size of a copy, with each copy's distance from the centroid it rounds.
+/// A centroid's drift `δ`, a bound on how far it moved, is its distance
+/// from that copy plus the copy's own. A point then takes the fast path
+/// when its bounds still separate,
+/// `(upper + δ[winner])·(1 + m) < (lower − max δ of the others)·(1 − m)`
+/// with `m` = 2⁻³², and recomputes only its winner's d², with the same
+/// terms in the same order from `0.0` as that centroid's lane. Every other
+/// point runs the block search, which also yields its new lower bound.
 ///
-/// **Pruning.** Per point the pass first sums the first `HEAD` dimensions
-/// of every block. It visits first the block whose head partial holds the
-/// smallest lane, then the others in index order, each continuing from its
-/// head partial. Every `STRIDE` dimensions it skips the rest of a block
-/// once every lane's running sum is strictly `>` the best distance so far.
-/// The winner is the least `(d², index)`, starting from index 0 at `+∞`.
-/// Once the centroids have settled, the first block visited usually holds
-/// the winner and most others are skipped within the first half of the
-/// dimensions. On random centroids next to nothing is skipped, and the
-/// head pass and the tests cost a few percent.
+/// **The block search.** It first sums the first `HEAD` dimensions of
+/// every block, four independent chains per block that the compiler turns
+/// into vector arithmetic without reassociating a sum. It visits first the
+/// block whose head partial holds the smallest lane, then the others in
+/// index order, each continuing from its head partial. Every `STRIDE`
+/// dimensions it skips the rest of a block once every lane's running sum
+/// is strictly `>` the best distance so far. The winner is the least
+/// `(d², index)`, starting from index 0 at `+∞`. The new lower bound is the
+/// root of the least other lane: its partial when its block was skipped,
+/// else its full sum.
 ///
 /// **Same bits as one `.sum()` per centroid.** Each lane adds exactly the
-/// terms a per-centroid `.sum()` adds, in the same order. It starts from
-/// `0.0` where std's float sum may start from `−0.0`, which gives the same
-/// bits for every term a square can be. A `+∞` pad never compares less
-/// than anything, and with no dimensions every distance is `0.0` and
-/// centroid 0 wins. Skipping changes none of it:
+/// terms a per-centroid `.sum()` adds, in the same order, from `0.0` where
+/// std's float sum may start from `−0.0`, which gives the same bits for
+/// every term a square can be. A `+∞` pad never compares less than
+/// anything, and with no dimensions every distance is `0.0` and centroid 0
+/// wins. Skipping changes none of it:
 /// - Round-to-nearest is monotone: for a partial `s ≥ 0` and a term
 ///   `t = (c − x)²`, which is `≥ 0` or `+∞`, `fl(s + t) ≥ s`. A lane whose
 ///   partial is already `> best` ends `> best`, and can neither win nor tie.
@@ -85,89 +155,225 @@ fn add_terms(acc: &mut [f64; LANES], rows: &[[f64; LANES]], xs: &[f64]) {
 ///   goes to the lower index, as the first minimum does in index order.
 /// - A NaN compares false, so a block with a NaN lane is never skipped,
 ///   and a NaN distance never wins, exactly as in index order with `<`.
-///   A `+∞` pad lane is skippable and never wins.
 /// - The least `(d², index)` over the distances that are not NaN, and
 ///   `(+∞, 0)`, is what the strict `<` in index order keeps whatever the
-///   visiting order. The lanes that survive add the same terms in the same
-///   order from `0.0`, and the sums, counts and SSE depend only on the
-///   winner and its distance.
+///   visiting order.
 ///
-/// The sums, counts and SSE are therefore the bits the per-centroid loop
-/// returns (`kmeans::tests` holds the two to that on random inputs, points
-/// near centroids and exact ties).
+/// The fast path keeps those bits too. Let `D` be exact distances over the
+/// dimensions the point has, `ε` = 2⁻⁵³ and `n ≤ BOUNDED_DIMS` the terms:
+/// - Triangle inequality: the distance from the kept copy plus the copy's
+///   own bounds how far a centroid moved, and a centroid that moved by at
+///   most `δ` is now within `D + δ` and at least `D − δ` of the point. So
+///   the winner is now at most `upper + δ[winner]` away and every other
+///   centroid at least `lower − max δ` away.
+/// - Rounding of a computed d²: with no overflow, each term is off by a
+///   factor within `(1 ± ε)²` plus `2⁻¹⁰⁷⁵` of underflow, and each add by
+///   `1 ± ε`, so a sum (or partial) `s` of `n` squares lies within
+///   `S·(1 ± ε)ⁿ⁺²` `± n·2⁻¹⁰⁷⁵` of the exact sum `S`: a relative error
+///   below 2⁻³⁶, and after the root an absolute one below 2⁻⁵²⁹. Hence
+///   `√s·(1 + m) + 2⁻⁵⁰⁰` rounded is `≥ D` and `√s·(1 − m) − 2⁻⁵⁰⁰` is
+///   `≤ D`, drifts included. A sum that overflowed to `+∞` makes no upper
+///   bound (`+∞` fails every test) and means `D ≥ 2⁵¹¹`, above the 2⁵⁰⁰
+///   cap on a lower bound. Partials are no larger than the full sum.
+/// - The strict margin: the test's `(1 ± m)` covers the few adds and
+///   multiplies that build it, so a passing test means the winner is now
+///   exactly closer than every other centroid by a factor below `1 − m`,
+///   at a distance above 2⁻⁵⁰⁰. That gap exceeds what rounding can take from both
+///   computed d², so the winner's computed d² is strictly the least: no
+///   tie, whatever the indices, and the winner is the one-chain loop's.
+/// - A full search whenever the argument fails: a NaN or `+∞` drift counts
+///   as `+∞`, a NaN lane (a centroid with a NaN coordinate, whose drift is
+///   then NaN) bounds nothing, a point no centroid is finitely close to
+///   keeps an upper bound of `+∞`, and past `BOUNDED_DIMS` dimensions, or
+///   when `k` or `dims` changes, no bounds are kept. A lower bound that
+///   drifts to `≤ 0` fails the test against any upper bound.
+///
+/// The sums, counts and SSE depend only on each point's winner and its
+/// d², and are therefore the bits the per-centroid loop returns
+/// (`kmeans::tests` holds the two to that over sequences of centroids).
 // table4: local crucial
-pub fn assign_partials(
-    points: &[Vec<f64>],
-    centroids: &[Vec<f64>],
-) -> (Vec<Vec<f64>>, Vec<u64>, f64) {
-    let k = centroids.len();
-    let dims = centroids.first().map_or(0, Vec::len);
-    let mut sums = vec![vec![0.0; dims]; k];
-    let mut counts = vec![0u64; k];
-    // Packed after the outputs, so that freeing the copy on return leaves
-    // no hole under them in the allocator (the other order measured
-    // +0.24 MB of peak RSS on the acceptance benchmark's k-means run).
-    let block_len = dims * LANES;
-    let blocks = k.div_ceil(LANES);
-    let mut packed = vec![f64::INFINITY; blocks * block_len];
-    for (c, centre) in centroids.iter().enumerate() {
-        let block = &mut packed[c / LANES * block_len..][..block_len];
-        for (row, &v) in block.as_chunks_mut::<LANES>().0.iter_mut().zip(centre) {
-            row[c % LANES] = v;
+pub struct Assigner<'p> {
+    points: &'p [Vec<f64>],
+    /// `(k, dims)` of the last pass's centroids; `None` before a pass.
+    shape: Option<(usize, usize)>,
+    /// The last pass's centroids rounded to `f32`, packed as they were.
+    kept: Vec<[f32; LANES]>,
+    /// Per centroid and pad lane, at least the distance between its `kept`
+    /// copy and the centroid the copy rounds.
+    kept_off: Vec<f64>,
+    /// Per point, from the last pass.
+    bounds: Vec<Bounds>,
+    /// Points the last pass searched in full.
+    searched: usize,
+}
+
+impl<'p> Assigner<'p> {
+    /// An assigner over `points`, which knows nothing of them yet.
+    pub fn new(points: &'p [Vec<f64>]) -> Self {
+        Assigner {
+            points,
+            shape: None,
+            kept: Vec::new(),
+            kept_off: Vec::new(),
+            bounds: Vec::new(),
+            searched: 0,
         }
     }
-    // Each block's rows by index, not by chunk: with no dimensions the
-    // blocks are empty and still have to be compared.
-    let rows: Vec<&[[f64; LANES]]> =
-        (0..blocks).map(|b| packed[b * block_len..][..block_len].as_chunks().0).collect();
-    let mut heads = vec![[0.0; LANES]; blocks];
-    let mut sse = 0.0;
-    for p in points {
-        let p = &p[..dims.min(p.len())];
-        let (len, head) = (p.len(), HEAD.min(p.len()));
-        for (acc, rows) in heads.iter_mut().zip(&rows) {
-            *acc = [0.0; LANES];
-            // A head of fixed length, which the compiler unrolls.
-            match (rows[..len].first_chunk::<HEAD>(), p.first_chunk::<HEAD>()) {
-                (Some(rows), Some(xs)) => add_terms(acc, rows, xs),
-                _ => add_terms(acc, &rows[..len], p),
-            }
-        }
-        let (mut first, mut first_d2) = (0, f64::INFINITY);
-        for (b, acc) in heads.iter().enumerate() {
-            let d2 = acc.iter().copied().fold(f64::INFINITY, f64::min);
-            if d2 < first_d2 {
-                (first, first_d2) = (b, d2);
-            }
-        }
-        let (mut best, mut best_d2) = (0, f64::INFINITY);
-        let order = std::iter::once(first).chain((0..blocks).filter(|&b| b != first));
-        'blocks: for b in order {
-            let rows = &rows[b][..len];
-            let mut acc = heads[b];
-            let mut d = head;
-            while len - d > STRIDE {
-                add_terms(&mut acc, &rows[d..d + STRIDE], &p[d..d + STRIDE]);
-                d += STRIDE;
-                if acc.iter().all(|&a| a > best_d2) {
-                    continue 'blocks;
-                }
-            }
-            add_terms(&mut acc, &rows[d..], &p[d..]);
-            for (j, &d2) in acc.iter().enumerate() {
-                let c = b * LANES + j;
-                if d2 < best_d2 || (d2 == best_d2 && c < best) {
-                    (best, best_d2) = (c, d2);
-                }
-            }
-        }
-        for (s, x) in sums[best].iter_mut().zip(p) {
-            *s += x;
-        }
-        counts[best] += 1;
-        sse += best_d2;
+
+    /// Points the last pass searched in full, not on the fast path.
+    pub fn searched(&self) -> usize {
+        self.searched
     }
-    (sums, counts, sse)
+
+    /// One assignment pass: per-cluster coordinate sums, flattened
+    /// (`k × dims`, cluster-major), per-cluster counts, and the
+    /// within-cluster sum of squared errors. Each point goes to its nearest
+    /// centroid, the lowest index among equals. Bounds carry over from the
+    /// last pass when `k` and `dims` are the same.
+    pub fn assign(&mut self, centroids: &[Vec<f64>]) -> (Vec<f64>, Vec<u64>, f64) {
+        let k = centroids.len();
+        let dims = centroids.first().map_or(0, Vec::len);
+        let block_len = dims * LANES;
+        let blocks = k.div_ceil(LANES);
+        if self.shape != Some((k, dims)) {
+            self.shape = Some((k, dims));
+            self.kept = vec![[f32::NAN; LANES]; blocks * dims];
+            self.kept_off = vec![f64::INFINITY; blocks * LANES];
+            self.bounds = vec![Bounds::NONE; self.points.len()];
+        }
+        let mut sums = vec![0.0; k * dims];
+        let mut counts = vec![0u64; k];
+        // Packed after the outputs, so that freeing the copy on return leaves
+        // no hole under them in the allocator (the other order measured
+        // +0.24 MB of peak RSS on the acceptance benchmark's k-means run).
+        let mut packed = vec![f64::INFINITY; blocks * block_len];
+        for (c, centre) in centroids.iter().enumerate() {
+            let block = &mut packed[c / LANES * block_len..][..block_len];
+            for (row, &v) in block.as_chunks_mut::<LANES>().0.iter_mut().zip(centre) {
+                row[c % LANES] = v;
+            }
+        }
+        // Each block's rows by index, not by chunk: with no dimensions the
+        // blocks are empty and still have to be compared.
+        let rows: Vec<&[[f64; LANES]]> =
+            (0..blocks).map(|b| packed[b * block_len..][..block_len].as_chunks().0).collect();
+        // Each centroid's drift, measured against its kept copy and that
+        // copy's own error, four at a time, before the copies are replaced.
+        let mut drift = Vec::with_capacity(k);
+        for (b, rows) in rows.iter().enumerate() {
+            let (mut moved, mut off) = ([0.0; LANES], [0.0; LANES]);
+            for (row, kept) in rows.iter().zip(&mut self.kept[b * dims..][..dims]) {
+                for j in 0..LANES {
+                    let last = f64::from(kept[j]);
+                    moved[j] += (row[j] - last) * (row[j] - last);
+                    kept[j] = row[j] as f32;
+                    let error = row[j] - f64::from(kept[j]);
+                    off[j] += error * error;
+                }
+            }
+            let kept_off = &mut self.kept_off[b * LANES..][..LANES];
+            for ((kept_off, moved), off) in kept_off.iter_mut().zip(moved).zip(off) {
+                drift.push(upper_root(moved) + *kept_off);
+                *kept_off = upper_root(off);
+            }
+        }
+        drift.truncate(k);
+        // The largest drift, its centroid, and the largest of the others.
+        let (mut far, mut far_at, mut next) = (0.0, k, 0.0);
+        for (c, &d) in drift.iter().enumerate() {
+            if d > far {
+                (next, far, far_at) = (far, d, c);
+            } else if d > next {
+                next = d;
+            }
+        }
+        let mut heads = vec![[0.0; LANES]; blocks];
+        let mut sse = 0.0;
+        self.searched = 0;
+        for (p, bounds) in self.points.iter().zip(&mut self.bounds) {
+            let p = &p[..dims.min(p.len())];
+            let a = bounds.winner;
+            let others = if a == far_at { next } else { far };
+            let lower = (bounds.lower - others) * (1.0 - MARGIN);
+            let (best, best_d2) = if (bounds.upper + drift[a]) * (1.0 + MARGIN) < lower {
+                let d2 = lane_sum(&rows[a / LANES][..p.len()], p, a % LANES);
+                *bounds = Bounds { winner: a, upper: upper_root(d2), lower };
+                (a, d2)
+            } else {
+                self.searched += 1;
+                let (best, best_d2, second) = search(&rows, &mut heads, p);
+                *bounds = if dims <= BOUNDED_DIMS {
+                    Bounds { winner: best, upper: upper_root(best_d2), lower: lower_root(second) }
+                } else {
+                    Bounds::NONE
+                };
+                (best, best_d2)
+            };
+            for (s, x) in sums[best * dims..][..dims].iter_mut().zip(p) {
+                *s += x;
+            }
+            counts[best] += 1;
+            sse += best_d2;
+        }
+        (sums, counts, sse)
+    }
+}
+// table4: end
+
+/// The block search for one point: its winner, the winner's d², and the
+/// least d² or skipped partial of every other lane.
+// table4: local crucial
+fn search(rows: &[&[[f64; LANES]]], heads: &mut [[f64; LANES]], p: &[f64]) -> (usize, f64, f64) {
+    let (len, head) = (p.len(), HEAD.min(p.len()));
+    for (acc, rows) in heads.iter_mut().zip(rows) {
+        *acc = [0.0; LANES];
+        // A head of fixed length, which the compiler unrolls.
+        match (rows[..len].first_chunk::<HEAD>(), p.first_chunk::<HEAD>()) {
+            (Some(rows), Some(xs)) => add_terms(acc, rows, xs),
+            _ => add_terms(acc, &rows[..len], p),
+        }
+    }
+    let (mut first, mut first_d2) = (0, f64::INFINITY);
+    for (b, acc) in heads.iter().enumerate() {
+        let d2 = acc.iter().copied().fold(f64::INFINITY, f64::min);
+        if d2 < first_d2 {
+            (first, first_d2) = (b, d2);
+        }
+    }
+    let (mut best, mut best_d2, mut second) = (0, f64::INFINITY, f64::INFINITY);
+    let order = std::iter::once(first).chain((0..rows.len()).filter(|&b| b != first));
+    'blocks: for b in order {
+        let rows = &rows[b][..len];
+        let mut acc = heads[b];
+        let mut d = head;
+        while len - d > STRIDE {
+            add_terms(&mut acc, &rows[d..d + STRIDE], &p[d..d + STRIDE]);
+            d += STRIDE;
+            if acc.iter().all(|&a| a > best_d2) {
+                second = acc.iter().fold(second, |s, &a| s.min(a));
+                continue 'blocks;
+            }
+        }
+        add_terms(&mut acc, &rows[d..], &p[d..]);
+        for (j, &d2) in acc.iter().enumerate() {
+            let c = b * LANES + j;
+            if d2 < best_d2 || (d2 == best_d2 && c < best) {
+                second = second.min(best_d2);
+                (best, best_d2) = (c, d2);
+            } else {
+                second = second.min(d2);
+            }
+        }
+    }
+    (best, best_d2, second)
+}
+// table4: end
+
+/// One assignment pass with nothing carried over: the first pass of a
+/// fresh [`Assigner`], for a caller that holds no state between passes.
+// table4: local crucial
+pub fn assign_partials(points: &[Vec<f64>], centroids: &[Vec<f64>]) -> (Vec<f64>, Vec<u64>, f64) {
+    Assigner::new(points).assign(centroids)
 }
 // table4: end
 
@@ -299,6 +505,7 @@ impl Runnable for KMeansWorker {
             }
         }
         let assign_cost = kmeans_assign_cost(&scale, self.cfg.k);
+        let mut assigner = Assigner::new(&part.points);
         for _ in 0..self.cfg.iterations {
             // Fetch current centroids (remote method, §4.2).
             let (generation, current) = {
@@ -307,14 +514,15 @@ impl Runnable for KMeansWorker {
             };
             // computeClusters(): the real math on the sample, charged at
             // paper scale.
-            let (sums, counts, sse) = assign_partials(&part.points, &current);
+            let (sums, counts, sse) = assigner.assign(&current);
+            drop(current);
             env.compute(assign_cost);
             {
                 let (ctx, dso) = env.dso();
                 // globalDelta.update(localDelta)
                 self.delta.add(ctx, dso, generation, sse).map_err(|e| e.to_string())?;
                 // centroids.update(localCentroids, localSizes)
-                self.centroids.update(ctx, dso, &sums, &counts).map_err(|e| e.to_string())?;
+                self.centroids.update(ctx, dso, sums, counts).map_err(|e| e.to_string())?;
                 // barrier.await()
                 self.barrier.wait(ctx, dso).map_err(|e| e.to_string())?;
                 // globalIterCount.compareAndSet(iterCount, iterCount + 1)
@@ -433,7 +641,7 @@ pub fn run_spark_kmeans(cfg: &KMeansConfig) -> KMeansReport {
                 dims,
             );
             let (sums, counts, sse) = assign_partials(&points.points, &centroids);
-            let out = crucial::codec::to_bytes(&(flatten(&sums), counts, sse)).expect("encode");
+            let out = crucial::codec::to_bytes(&(sums, counts, sse)).expect("encode");
             (out, kmeans_assign_cost(&scale, k))
         });
         // MLlib's extra cost-evaluation pass per iteration: it reuses the
@@ -608,6 +816,7 @@ impl Runnable for KMeansRedisWorker {
             self.t_start.set(ctx, dso, now).map_err(|e| e.to_string())?;
         }
         let assign_cost = kmeans_assign_cost(&scale, self.cfg.k);
+        let mut assigner = Assigner::new(&part.points);
         for _ in 0..self.cfg.iterations {
             let raw = {
                 let redis = self.redis.clone();
@@ -616,11 +825,10 @@ impl Runnable for KMeansRedisWorker {
             let (_generation, flat): (u64, Vec<f64>) =
                 crucial::codec::from_bytes(&raw).map_err(|e| e.to_string())?;
             let current = unflatten(&flat, self.cfg.dims);
-            let (sums, counts, _sse) = assign_partials(&part.points, &current);
+            let (sums, counts, _sse) = assigner.assign(&current);
             env.compute(assign_cost);
             {
-                let args = crucial::codec::to_bytes(&(flatten(&sums), counts))
-                    .map_err(|e| e.to_string())?;
+                let args = crucial::codec::to_bytes(&(sums, counts)).map_err(|e| e.to_string())?;
                 let redis = self.redis.clone();
                 let _ = redis.eval(env.ctx(), "km_update", "centroids", args);
             }
@@ -735,18 +943,20 @@ pub fn run_local_kmeans(cfg: &KMeansConfig, cores: u32) -> KMeansReport {
             let part =
                 kmeans_partition(cfg.seed, w as usize, cfg.sample_points, cfg.dims, cfg.k as usize);
             let assign_cost = kmeans_assign_cost(&cfg.scale, cfg.k);
+            let mut assigner = Assigner::new(&part.points);
             for _ in 0..cfg.iterations {
                 // Fetch current centroids.
                 let (generation, current) = centroids.lock().snapshot();
                 let current = unflatten(&current, cfg.dims);
                 // computeClusters(): the real math on the sample, charged at
                 // paper scale.
-                let (sums, counts, sse) = assign_partials(&part.points, &current);
+                let (sums, counts, sse) = assigner.assign(&current);
+                drop(current);
                 vm.compute(ctx, assign_cost);
                 // globalDelta.update(localDelta)
                 *delta.lock().entry(generation).or_default() += sse;
                 // centroids.update(localCentroids, localSizes)
-                centroids.lock().apply_update(&flatten(&sums), &counts).expect("shapes match");
+                centroids.lock().apply_update(&sums, &counts).expect("shapes match");
                 // barrier.await()
                 barrier.wait(ctx);
             }
@@ -853,12 +1063,20 @@ mod tests {
         points: &[Vec<f64>],
         centroids: &[Vec<f64>],
     ) -> Result<(), proptest::test_runner::TestCaseError> {
-        let (sums, counts, sse) = assign_partials(points, centroids);
+        assert_reference_bits(assign_partials(points, centroids), points, centroids)
+    }
+
+    /// Asserts that `pass`, a pass over `points` and `centroids`, holds the
+    /// bits the reference returns.
+    fn assert_reference_bits(
+        (sums, counts, sse): (Vec<f64>, Vec<u64>, f64),
+        points: &[Vec<f64>],
+        centroids: &[Vec<f64>],
+    ) -> Result<(), proptest::test_runner::TestCaseError> {
         let (ref_sums, ref_counts, ref_sse) = assign_partials_reference(points, centroids);
         prop_assert_eq!(counts, ref_counts);
         prop_assert_eq!(sse.to_bits(), ref_sse.to_bits());
-        prop_assert_eq!(sums.len(), ref_sums.len());
-        prop_assert_eq!(bits(sums.iter().flatten()), bits(ref_sums.iter().flatten()));
+        prop_assert_eq!(bits(&sums), bits(ref_sums.iter().flatten()));
         Ok(())
     }
 
@@ -906,40 +1124,232 @@ mod tests {
         /// block visited first often holds a tie with a higher index than a
         /// later one.
         NearOneRow,
+        /// Centroids and points on the diagonal, centroid `c` at `2(k − c)`
+        /// and the points at `0` or below: every point's winner is the last
+        /// centroid, the one before it comes next, and the triangle
+        /// inequality is an equality, so only rounding can say on which
+        /// side of a bound a distance falls. The coordinates are small
+        /// integers, exact in `f32`, so the kept copies add no slack.
+        Diagonal,
+    }
+
+    /// Any of the case shapes.
+    fn shape() -> impl Strategy<Value = Shape> {
+        prop_oneof![
+            Just(Shape::Rows),
+            Just(Shape::NearCentroids),
+            Just(Shape::NearOneRow),
+            Just(Shape::Diagonal),
+        ]
+    }
+
+    /// A case's points and centroids: `k` centroids of `dims` dimensions,
+    /// centroid `c` repeating centroid `c % period`, and `n` points, laid
+    /// out as `shape` says.
+    fn layout(
+        (k, dims, n, period): (usize, usize, usize, usize),
+        shape: Shape,
+        pool: &[f64],
+        offsets: &[f64],
+    ) -> (Vec<Vec<f64>>, Vec<Vec<f64>>) {
+        let row = |pool: &[f64], i: usize| pool[i * MAX_DIMS..][..dims].to_vec();
+        let shifted = |base: &[f64], i: usize| -> Vec<f64> {
+            base.iter().zip(row(offsets, i)).map(|(x, o)| x + o).collect()
+        };
+        let diagonal = |t: f64| vec![t; dims];
+        // Duplicates tie exactly, within a block of lanes and across blocks.
+        let centroids: Vec<Vec<f64>> = (0..k)
+            .map(|c| match shape {
+                Shape::Rows | Shape::NearCentroids => row(pool, c % period),
+                Shape::NearOneRow => shifted(&row(pool, 0), c % period),
+                Shape::Diagonal => diagonal(2.0 * (k - c) as f64),
+            })
+            .collect();
+        let points = (MAX_K..MAX_K + n)
+            .map(|i| match shape {
+                Shape::Rows => row(pool, i),
+                Shape::NearCentroids => shifted(&centroids[i % k], i),
+                Shape::NearOneRow => shifted(&row(pool, 0), i),
+                Shape::Diagonal => diagonal(-((pool[i].to_bits() % 31) as f64)),
+            })
+            .collect();
+        (points, centroids)
     }
 
     proptest! {
         #[test]
         fn assignment_matches_the_one_chain_reference(
-            (k, dims, n, period) in (1..=MAX_K, 0..=MAX_DIMS, 0..=MAX_POINTS, 1..=MAX_K),
-            shape in prop_oneof![
-                Just(Shape::Rows),
-                Just(Shape::NearCentroids),
-                Just(Shape::NearOneRow),
-            ],
+            sizes in (1..=MAX_K, 0..=MAX_DIMS, 0..=MAX_POINTS, 1..=MAX_K),
+            shape in shape(),
             pool in coordinate_pool(),
             offsets in offset_pool(),
         ) {
-            let row = |pool: &[f64], i: usize| pool[i * MAX_DIMS..][..dims].to_vec();
-            let shifted = |base: &[f64], i: usize| -> Vec<f64> {
-                base.iter().zip(row(&offsets, i)).map(|(x, o)| x + o).collect()
-            };
-            // Centroid `c` repeats centroid `c % period`: duplicates tie
-            // exactly, within a block of lanes and across blocks.
-            let centroids: Vec<Vec<f64>> = (0..k)
-                .map(|c| match shape {
-                    Shape::Rows | Shape::NearCentroids => row(&pool, c % period),
-                    Shape::NearOneRow => shifted(&row(&pool, 0), c % period),
-                })
-                .collect();
-            let points: Vec<Vec<f64>> = (MAX_K..MAX_K + n)
-                .map(|i| match shape {
-                    Shape::Rows => row(&pool, i),
-                    Shape::NearCentroids => shifted(&centroids[i % k], i),
-                    Shape::NearOneRow => shifted(&row(&pool, 0), i),
-                })
-                .collect();
+            let (points, centroids) = layout(sizes, shape, &pool, &offsets);
             assert_matches_reference(&points, &centroids)?;
+        }
+    }
+
+    /// How one pass's centroids become the next pass's.
+    #[derive(Clone, Copy, Debug)]
+    enum Step {
+        /// The same centroids again, bit for bit.
+        Repeat,
+        /// Every coordinate moves by its offset times the scale.
+        Drift(f64),
+        /// Centroid `to` jumps onto centroid `from`: an exact tie, which the
+        /// lower index wins whichever block is visited first.
+        Copy { from: usize, to: usize },
+        /// Every centroid but the last jumps onto the next one: each ties
+        /// the one after it, which a point may have won.
+        Shift,
+        /// Centroid `c` jumps to a pool row times `scale`, far off.
+        Jump { c: usize, scale: f64 },
+        /// A Lloyd step: each centroid moves to the mean of the points it
+        /// won, and one that won none stays where it is.
+        Lloyd,
+        /// Coordinate `d` of centroid `c` becomes `v`: NaN or ±∞.
+        Poison { c: usize, d: usize, v: f64 },
+    }
+
+    fn step() -> impl Strategy<Value = Step> {
+        let special = prop_oneof![Just(f64::NAN), Just(f64::INFINITY), Just(f64::NEG_INFINITY)];
+        prop_oneof![
+            Just(Step::Repeat),
+            prop_oneof![Just(1e-9), Just(1e-3), Just(0.25), Just(1.0)].prop_map(Step::Drift),
+            (0..MAX_K, 0..MAX_K).prop_map(|(from, to)| Step::Copy { from, to }),
+            Just(Step::Shift),
+            Just(Step::Shift),
+            (0..MAX_K, prop_oneof![Just(1e3), Just(1e9)])
+                .prop_map(|(c, scale)| Step::Jump { c, scale }),
+            Just(Step::Lloyd),
+            Just(Step::Lloyd),
+            (0..MAX_K, 0..MAX_DIMS, special).prop_map(|(c, d, v)| Step::Poison { c, d, v }),
+        ]
+    }
+
+    /// Applies `step`, the `i`th of a sequence, to `centroids`.
+    fn apply(
+        step: Step,
+        i: usize,
+        centroids: &mut [Vec<f64>],
+        points: &[Vec<f64>],
+        pool: &[f64],
+        offsets: &[f64],
+    ) {
+        let k = centroids.len();
+        fn row(pool: &[f64], r: usize) -> &[f64] {
+            &pool[r % (MAX_K + MAX_POINTS) * MAX_DIMS..]
+        }
+        match step {
+            Step::Repeat => {}
+            Step::Drift(scale) => {
+                for (c, centre) in centroids.iter_mut().enumerate() {
+                    for (x, o) in centre.iter_mut().zip(row(offsets, c + 7 * i)) {
+                        *x += o * scale;
+                    }
+                }
+            }
+            Step::Copy { from, to } => centroids[to % k] = centroids[from % k].clone(),
+            Step::Shift => {
+                for c in 1..k {
+                    centroids[c - 1] = centroids[c].clone();
+                }
+            }
+            Step::Jump { c, scale } => {
+                for (x, &v) in centroids[c % k].iter_mut().zip(row(pool, c + 3 * i)) {
+                    *x = v * scale;
+                }
+            }
+            Step::Lloyd => {
+                let (sums, counts, _) = assign_partials_reference(points, centroids);
+                for ((centre, sum), n) in centroids.iter_mut().zip(sums).zip(counts) {
+                    if n > 0 {
+                        *centre = sum.iter().map(|s| s / n as f64).collect();
+                    }
+                }
+            }
+            Step::Poison { c, d, v } => {
+                let centre = &mut centroids[c % k];
+                if !centre.is_empty() {
+                    let d = d % centre.len();
+                    centre[d] = v;
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn assigner_matches_the_one_chain_reference_pass_after_pass(
+            sizes in (
+                prop_oneof![1..=5usize, 1..=MAX_K],
+                prop_oneof![0..=3usize, 0..=MAX_DIMS],
+                0..=MAX_POINTS,
+                1..=MAX_K,
+            ),
+            pool in coordinate_pool(),
+            offsets in offset_pool(),
+            steps in proptest::collection::vec(step(), 1..8),
+        ) {
+            for shape in [Shape::Rows, Shape::NearCentroids, Shape::NearOneRow, Shape::Diagonal] {
+                let (points, mut centroids) = layout(sizes, shape, &pool, &offsets);
+                let mut assigner = Assigner::new(&points);
+                assert_reference_bits(assigner.assign(&centroids), &points, &centroids)?;
+                prop_assert_eq!(assigner.searched(), points.len());
+                // Small integers: a point that is exactly one centroid and no
+                // other is one unit or more from the rest, so a pass over the
+                // same centroids keeps it on the fast path. (With no
+                // dimensions the pad lanes tie too.)
+                if pool.iter().all(|x| x.fract() == 0.0) && !centroids[0].is_empty() {
+                    let mut again = Assigner::new(&points);
+                    again.assign(&centroids);
+                    again.assign(&centroids);
+                    let alone = points
+                        .iter()
+                        .filter(|p| centroids.iter().filter(|c| c == p).count() == 1)
+                        .count();
+                    prop_assert!(
+                        again.searched() <= points.len() - alone,
+                        "{shape:?}: {} of {} points searched; {alone} sit on a centroid of \
+                         their own",
+                        again.searched(),
+                        points.len()
+                    );
+                }
+                for (i, &step) in steps.iter().enumerate() {
+                    apply(step, i, &mut centroids, &points, &pool, &offsets);
+                    assert_reference_bits(assigner.assign(&centroids), &points, &centroids)?;
+                }
+            }
+        }
+    }
+
+    /// A winner's own drift does not count against the other centroids.
+    #[test]
+    fn a_centroid_that_drifts_alone_keeps_its_points() {
+        let points = vec![vec![1.0, 0.0]];
+        let mut assigner = Assigner::new(&points);
+        assigner.assign(&[vec![0.0, 0.0], vec![6.0, 0.0]]);
+        assert_eq!(assigner.searched(), 1);
+        // Centroid 0 moves by 3: the point is now at most 1 + 3 from it, and
+        // 5 from centroid 1, which stayed.
+        let centroids = [vec![3.0, 0.0], vec![6.0, 0.0]];
+        let pass = assigner.assign(&centroids);
+        assert_eq!(assigner.searched(), 0);
+        assert_eq!(pass.1, vec![1, 0]);
+        assert_reference_bits(pass, &points, &centroids).expect("same bits as the reference");
+    }
+
+    #[test]
+    fn past_the_bounded_dimensions_every_point_is_searched() {
+        let dims = BOUNDED_DIMS + 1;
+        let points = vec![vec![1.0; dims], vec![-1.0; dims]];
+        let centroids = [vec![2.0; dims], vec![-2.0; dims]];
+        let mut assigner = Assigner::new(&points);
+        for _ in 0..2 {
+            let pass = assigner.assign(&centroids);
+            assert_eq!(assigner.searched(), 2);
+            assert_reference_bits(pass, &points, &centroids).expect("same bits as the reference");
         }
     }
 
@@ -959,8 +1369,8 @@ mod tests {
         let centroids = vec![vec![0.0, 0.0], vec![10.0, 10.0]];
         let (sums, counts, sse) = assign_partials(&points, &centroids);
         assert_eq!(counts, vec![2, 1]);
-        assert!((sums[0][0] - 0.2).abs() < 1e-12);
-        assert_eq!(sums[1], vec![10.0, 10.0]);
+        assert!((sums[0] - 0.2).abs() < 1e-12);
+        assert_eq!(sums[2..], [10.0, 10.0]);
         assert!((sse - 0.04).abs() < 1e-12);
     }
 

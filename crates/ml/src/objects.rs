@@ -195,8 +195,8 @@ impl CentroidsHandle {
         Ok((generation, centroids))
     }
 
-    /// Pushes one worker's partial sums and counts; returns the generation
-    /// after this update.
+    /// Pushes one worker's partial sums (flattened, `k × dims`) and counts;
+    /// returns the generation after this update.
     ///
     /// # Errors
     ///
@@ -205,11 +205,10 @@ impl CentroidsHandle {
         &self,
         ctx: &mut Ctx,
         cli: &mut DsoClient,
-        sums: &[Vec<f64>],
-        counts: &[u64],
+        sums: Vec<f64>,
+        counts: Vec<u64>,
     ) -> Result<u64, DsoError> {
-        let flat: Vec<f64> = sums.iter().flatten().copied().collect();
-        centroids::update(&self.raw, ctx, cli, flat, counts.to_vec())
+        centroids::update(&self.raw, ctx, cli, sums, counts)
     }
 
     /// Number of clusters.

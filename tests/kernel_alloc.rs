@@ -264,7 +264,7 @@ fn cloning_a_request_allocates_nothing() {
 /// replicas, both applies and the dispatcher and worker hops. Debug builds
 /// add one per replica: `dispatch` saves the object's state before each
 /// apply, to catch a read that mutates.
-const ALLOCS_PER_SMR_WRITE: u64 = if cfg!(debug_assertions) { 17 } else { 15 };
+const ALLOCS_PER_SMR_WRITE: u64 = if cfg!(debug_assertions) { 16 } else { 14 };
 
 /// One client's steady-state `increment_and_get`s on a 3-node cluster at
 /// rf = 2, after a warm-up that has materialized the counter and grown
