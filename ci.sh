@@ -93,6 +93,14 @@ for experiment in kernel-bench coldstart consistency-ablate recovery; do
     "${experiments[@]}" "$experiment"
 done
 git diff --exit-code -- 'BENCH_*.json'
+# `git diff` sees only tracked files: a BENCH file an experiment writes
+# that git does not track fails here.
+bench_status=$(git status --porcelain -- 'BENCH_*.json')
+if [ -n "$bench_status" ]; then
+    printf '%s\n' "$bench_status"
+    echo "BENCH files not committed" >&2
+    exit 1
+fi
 
 # The acceptance benchmark (BENCHMARK.json) at test scale, the whole driver
 # path: every workload in a pinned child (five timed runs and a traced one,

@@ -7,7 +7,7 @@ use std::time::Duration;
 use parking_lot::Mutex;
 use simcore::{MetricsRegistry, Sim};
 
-use cloudstore::{spawn_redis, spawn_s3, RedisConfig, S3Config, ScriptRegistry};
+use cloudstore::{spawn_redis, spawn_s3, S3Config, ScriptRegistry};
 use crucial_apps::pi::run_pi_crucial;
 use dso::api::{Arithmetic as ArithmeticHandle, AtomicByteArray};
 use dso::{costs, shared_object, DsoCluster, DsoConfig, Effects, ObjectRegistry};
@@ -103,7 +103,7 @@ pub fn table2(scale: Scale) -> (Table, Vec<LatencyRow>) {
         let mut sim = Sim::new(102);
         let reg = MetricsRegistry::new();
         sim.set_metrics(&reg);
-        let redis = spawn_redis(&sim, 2, RedisConfig::default(), ScriptRegistry::new());
+        let redis = spawn_redis(&sim, 2, ScriptRegistry::new());
         let payload = payload.clone();
         sim.spawn("probe", move |ctx| {
             for i in 0..ops {
@@ -273,7 +273,7 @@ fn redis_throughput(seed: u64, complex: bool, threads: u32, objects: u32, run: D
         (
             simcore::codec::to_bytes(&out).expect("encode"),
             Some(simcore::codec::to_bytes(&out).expect("encode")),
-            // A trivial Lua body: dispatch (base_op_cost) dominates.
+            // A trivial Lua body: dispatch (`BASE_OP_COST`) dominates.
             Duration::from_nanos(500),
         )
     });
@@ -287,7 +287,7 @@ fn redis_throughput(seed: u64, complex: bool, threads: u32, objects: u32, run: D
             Duration::from_nanos(35) * 10_000,
         )
     });
-    let redis = spawn_redis(&sim, 2, RedisConfig::default(), scripts);
+    let redis = spawn_redis(&sim, 2, scripts);
     let done = Arc::new(Mutex::new(0u64));
     let deadline = simcore::SimTime::ZERO + Duration::from_secs(2) + run;
     for t in 0..threads {

@@ -122,8 +122,8 @@ fn run_recovery_cell(
     let out: Arc<Mutex<Option<(Duration, RecoveryReport)>>> = Arc::new(Mutex::new(None));
     let out2 = out.clone();
     sim.spawn("injector", move |ctx| {
-        // Drive checkpoints synchronously rather than via
-        // `spawn_checkpointer`, so the last round (and its WAL garbage
+        // Drive checkpoints synchronously from this process rather than
+        // from a daemon of their own, so the last round (and its WAL garbage
         // collection) always completes before the plug is pulled — a
         // checkpoint left in flight at crash time would keep deleting
         // segments *during* the recovery scan, churning the listing and

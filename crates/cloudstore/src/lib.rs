@@ -23,5 +23,5 @@ pub mod redis;
 pub mod s3;
 
 pub use queue::{spawn_sns, spawn_sqs, QueueConfig, SnsHandle, SqsHandle};
-pub use redis::{spawn_redis, RedisConfig, RedisHandle, RedisScript, ScriptRegistry};
+pub use redis::{spawn_redis, RedisHandle, RedisScript, ScriptRegistry};
 pub use s3::{spawn_s3, S3Config, S3Handle};

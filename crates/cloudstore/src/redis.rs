@@ -49,28 +49,16 @@ impl ScriptRegistry {
     }
 }
 
-/// Cost/latency profile, calibrated against Table 2 and Fig. 2a.
-#[derive(Clone, Debug, simcore::codec::Wire)]
-pub struct RedisConfig {
-    /// One-way client↔shard latency.
-    pub net: LatencyModel,
-    /// CPU cost of a small GET/SET/EVAL dispatch on the shard.
-    pub base_op_cost: Duration,
-    /// Marginal CPU cost per payload byte (protocol + copy).
-    pub per_byte_cost: Duration,
-}
+// Cost/latency profile, calibrated against Table 2 and Fig. 2a.
 
-impl Default for RedisConfig {
-    fn default() -> Self {
-        RedisConfig {
-            net: LatencyModel::uniform(Duration::from_micros(65), 0.10),
-            base_op_cost: Duration::from_micros(3),
-            // 1 KB payload ≈ 95 µs of shard CPU: GET(1KB) ≈ 65+98+65 ≈
-            // 230 µs end-to-end, Table 2's Redis row.
-            per_byte_cost: Duration::from_nanos(93),
-        }
-    }
-}
+/// One-way client↔shard latency.
+const NET: LatencyModel = LatencyModel::uniform(Duration::from_micros(65), 0.10);
+/// CPU cost of a small GET/SET/EVAL dispatch on the shard.
+const BASE_OP_COST: Duration = Duration::from_micros(3);
+/// Marginal CPU cost per payload byte (protocol + copy): a 1 KB payload is
+/// ≈ 95 µs of shard CPU, so GET(1KB) ≈ 65+98+65 ≈ 230 µs end-to-end,
+/// Table 2's Redis row.
+const PER_BYTE_COST: Duration = Duration::from_nanos(93);
 
 #[derive(Debug)]
 enum RedisReq {
@@ -92,28 +80,21 @@ enum RedisResp {
 #[derive(Clone, Debug, simcore::codec::Wire)]
 pub struct RedisHandle {
     shards: Vec<Addr>,
-    cfg: RedisConfig,
 }
 
 /// Spawns `shards` single-threaded shard processes.
-pub fn spawn_redis(
-    sim: &Sim,
-    shards: u32,
-    cfg: RedisConfig,
-    scripts: ScriptRegistry,
-) -> RedisHandle {
+pub fn spawn_redis(sim: &Sim, shards: u32, scripts: ScriptRegistry) -> RedisHandle {
     assert!(shards >= 1, "need at least one shard");
     let mut addrs = Vec::new();
     for s in 0..shards {
         let inbox = sim.mailbox(&format!("redis-{s}"));
         addrs.push(inbox);
-        let cfg = cfg.clone();
         let scripts = scripts.clone();
         sim.spawn_daemon(&format!("redis-{s}"), move |ctx| {
-            shard_loop(ctx, inbox, cfg, scripts);
+            shard_loop(ctx, inbox, scripts);
         });
     }
-    RedisHandle { shards: addrs, cfg }
+    RedisHandle { shards: addrs }
 }
 
 impl RedisHandle {
@@ -124,7 +105,7 @@ impl RedisHandle {
 
     /// Reads a key.
     pub fn get(&self, ctx: &mut Ctx, key: &str) -> Option<Vec<u8>> {
-        let lat = self.cfg.net.sample(ctx.rng());
+        let lat = NET.sample(ctx.rng());
         match ctx.call::<RedisReq, RedisResp>(
             self.shard_of(key),
             RedisReq::Get { key: key.to_string() },
@@ -137,7 +118,7 @@ impl RedisHandle {
 
     /// Writes a key.
     pub fn set(&self, ctx: &mut Ctx, key: &str, value: Vec<u8>) {
-        let lat = self.cfg.net.sample(ctx.rng());
+        let lat = NET.sample(ctx.rng());
         match ctx.call::<RedisReq, RedisResp>(
             self.shard_of(key),
             RedisReq::Set { key: key.to_string(), value },
@@ -154,7 +135,7 @@ impl RedisHandle {
     ///
     /// Panics if the script is not registered (a deployment error).
     pub fn eval(&self, ctx: &mut Ctx, script: &str, key: &str, args: Vec<u8>) -> Vec<u8> {
-        let lat = self.cfg.net.sample(ctx.rng());
+        let lat = NET.sample(ctx.rng());
         match ctx.call::<RedisReq, RedisResp>(
             self.shard_of(key),
             RedisReq::Eval { script: script.to_string(), key: key.to_string(), args },
@@ -179,7 +160,7 @@ fn fnv(key: &str) -> u64 {
     h ^ (h >> 33)
 }
 
-fn shard_loop(ctx: &mut Ctx, inbox: Addr, cfg: RedisConfig, scripts: ScriptRegistry) {
+fn shard_loop(ctx: &mut Ctx, inbox: Addr, scripts: ScriptRegistry) {
     let mut store: FxHashMap<String, Vec<u8>> = FxHashMap::default();
     loop {
         let (reply_to, req) = ctx.recv(inbox).take::<Request>().take::<RedisReq>();
@@ -188,10 +169,10 @@ fn shard_loop(ctx: &mut Ctx, inbox: Addr, cfg: RedisConfig, scripts: ScriptRegis
             RedisReq::Get { key } => {
                 let v = store.get(&key).cloned();
                 let bytes = v.as_ref().map_or(0, Vec::len);
-                (RedisResp::Value(v), cfg.base_op_cost + cfg.per_byte_cost * bytes as u32)
+                (RedisResp::Value(v), BASE_OP_COST + PER_BYTE_COST * bytes as u32)
             }
             RedisReq::Set { key, value } => {
-                let cost = cfg.base_op_cost + cfg.per_byte_cost * value.len() as u32;
+                let cost = BASE_OP_COST + PER_BYTE_COST * value.len() as u32;
                 store.insert(key, value);
                 (RedisResp::Ok, cost)
             }
@@ -202,15 +183,15 @@ fn shard_loop(ctx: &mut Ctx, inbox: Addr, cfg: RedisConfig, scripts: ScriptRegis
                     if let Some(n) = new {
                         store.insert(key, n);
                     }
-                    (RedisResp::ScriptReply(reply), cfg.base_op_cost + script_cost)
+                    (RedisResp::ScriptReply(reply), BASE_OP_COST + script_cost)
                 }
-                None => (RedisResp::NoScript(script), cfg.base_op_cost),
+                None => (RedisResp::NoScript(script), BASE_OP_COST),
             },
         };
         if !cost.is_zero() {
             ctx.compute(cost);
         }
-        let lat = cfg.net.sample(ctx.rng());
+        let lat = NET.sample(ctx.rng());
         ctx.reply(reply_to, resp, lat);
     }
 }
@@ -254,7 +235,7 @@ mod tests {
     #[test]
     fn get_set_round_trip() {
         let mut sim = Sim::new(1);
-        let redis = spawn_redis(&sim, 2, RedisConfig::default(), ScriptRegistry::new());
+        let redis = spawn_redis(&sim, 2, ScriptRegistry::new());
         sim.spawn("app", move |ctx| {
             assert_eq!(redis.get(ctx, "k"), None);
             redis.set(ctx, "k", vec![1, 2, 3]);
@@ -266,7 +247,7 @@ mod tests {
     #[test]
     fn kv_latency_matches_table2() {
         let mut sim = Sim::new(2);
-        let redis = spawn_redis(&sim, 2, RedisConfig::default(), ScriptRegistry::new());
+        let redis = spawn_redis(&sim, 2, ScriptRegistry::new());
         let out = std::sync::Arc::new(Mutex::new(Duration::ZERO));
         let out2 = out.clone();
         sim.spawn("probe", move |ctx| {
@@ -295,7 +276,7 @@ mod tests {
         let mut sim = Sim::new(3);
         let mut reg = ScriptRegistry::new();
         reg.register("slow", |_cur, _args| (Vec::new(), None, Duration::from_millis(10)));
-        let redis = spawn_redis(&sim, 1, RedisConfig::default(), reg);
+        let redis = spawn_redis(&sim, 1, reg);
         let ends = std::sync::Arc::new(Mutex::new(Vec::<SimTime>::new()));
         for i in 0..2 {
             let redis = redis.clone();
@@ -315,7 +296,7 @@ mod tests {
     #[test]
     fn eval_scripts_update_state() {
         let mut sim = Sim::new(4);
-        let redis = spawn_redis(&sim, 2, RedisConfig::default(), mul_scripts());
+        let redis = spawn_redis(&sim, 2, mul_scripts());
         sim.spawn("app", move |ctx| {
             let args = simcore::codec::to_bytes(&2.0f64).expect("encode");
             let r = redis.eval(ctx, "mul", "x", args.clone());
@@ -333,7 +314,7 @@ mod tests {
     #[should_panic(expected = "not loaded")]
     fn missing_script_panics_at_client() {
         let mut sim = Sim::new(5);
-        let redis = spawn_redis(&sim, 1, RedisConfig::default(), ScriptRegistry::new());
+        let redis = spawn_redis(&sim, 1, ScriptRegistry::new());
         sim.spawn("app", move |ctx| {
             let _ = redis.eval(ctx, "nope", "k", Vec::new());
         });

@@ -34,54 +34,52 @@ pub enum ScaleDecision {
     Hold,
 }
 
+/// Overload ratio: scale out above `HIGH × target × nodes`.
+const HIGH: f64 = 0.9;
+/// Underload ratio: scale in below `LOW × target × (nodes − 1)`.
+const LOW: f64 = 0.6;
+/// Consecutive ticks a condition must hold before acting.
+const SUSTAIN: u32 = 3;
+
 /// Target tracking: keep the per-node request rate near a target, the
 /// moral equivalent of AWS's target-tracking scaling on a utilization
 /// metric.
 ///
-/// Overload means the observed rate exceeds `high × target × nodes` (or
+/// Overload means the observed rate exceeds 0.9 × target × nodes (or
 /// requests are being shed at all — shedding is overload by definition);
 /// underload means the rate would comfortably fit on one fewer node
-/// (below `low × target × (nodes − 1)`). Either condition must hold for
-/// `sustain` consecutive ticks before the policy acts, so transient
-/// spikes do not flap the fleet.
+/// (below 0.6 × target × (nodes − 1)). Either condition must hold for 3
+/// consecutive ticks before the policy acts, so transient spikes do not
+/// flap the fleet.
 #[derive(Clone, Debug)]
 pub struct TargetTracking {
     /// Requests per second one node serves comfortably.
-    pub target_per_node: f64,
-    /// Overload ratio (default 0.9): scale out above
-    /// `high × target × nodes`.
-    pub high: f64,
-    /// Underload ratio (default 0.6): scale in below
-    /// `low × target × (nodes − 1)`.
-    pub low: f64,
-    /// Consecutive ticks a condition must hold before acting (default 3).
-    pub sustain: u32,
+    target_per_node: f64,
     hot: u32,
     cold: u32,
 }
 
 impl TargetTracking {
-    /// A policy targeting `target_per_node` requests/s per node with the
-    /// default hysteresis (high 0.9, low 0.6, sustain 3).
+    /// A policy targeting `target_per_node` requests/s per node.
     pub fn new(target_per_node: f64) -> TargetTracking {
-        TargetTracking { target_per_node, high: 0.9, low: 0.6, sustain: 3, hot: 0, cold: 0 }
+        TargetTracking { target_per_node, hot: 0, cold: 0 }
     }
 
     /// Decides this tick.
     pub fn decide(&mut self, obs: &Observed) -> ScaleDecision {
         let nodes = obs.nodes.max(1) as f64;
         let overloaded =
-            obs.shed_rate > 0.0 || obs.request_rate > self.high * self.target_per_node * nodes;
+            obs.shed_rate > 0.0 || obs.request_rate > HIGH * self.target_per_node * nodes;
         let underloaded = obs.nodes > 1
             && obs.shed_rate == 0.0
-            && obs.request_rate < self.low * self.target_per_node * (nodes - 1.0);
+            && obs.request_rate < LOW * self.target_per_node * (nodes - 1.0);
         self.hot = if overloaded { self.hot + 1 } else { 0 };
         self.cold = if underloaded { self.cold + 1 } else { 0 };
-        if self.hot >= self.sustain {
+        if self.hot >= SUSTAIN {
             self.hot = 0;
             self.cold = 0;
             ScaleDecision::Out
-        } else if self.cold >= self.sustain {
+        } else if self.cold >= SUSTAIN {
             self.hot = 0;
             self.cold = 0;
             ScaleDecision::In

@@ -22,8 +22,6 @@ pub struct CrucialConfig {
     pub dso: DsoConfig,
     /// FaaS platform parameters.
     pub faas: FaasConfig,
-    /// Object store parameters.
-    pub s3: S3Config,
     /// Shared-object types available on the servers. Extend it with
     /// application types before calling [`Deployment::start`].
     pub registry: ObjectRegistry,
@@ -35,7 +33,6 @@ impl Default for CrucialConfig {
             dso_nodes: 1,
             dso: DsoConfig::default(),
             faas: FaasConfig::default(),
-            s3: S3Config::default(),
             registry: ObjectRegistry::with_builtins(),
         }
     }
@@ -66,10 +63,11 @@ pub struct Deployment {
 type HostCaches = Mutex<FxHashMap<u64, Arc<NodeCache>>>;
 
 impl Deployment {
-    /// Starts every service of the deployment on `sim`.
+    /// Starts every service of the deployment on `sim`; the object store
+    /// runs at [`S3Config::default`].
     pub fn start(sim: &Sim, cfg: CrucialConfig) -> Deployment {
         let dso = DsoCluster::start(sim, cfg.dso_nodes, cfg.dso.clone(), cfg.registry.clone());
-        let s3 = spawn_s3(sim, cfg.s3.clone());
+        let s3 = spawn_s3(sim, S3Config::default());
         let functions = FunctionRegistry::new();
         let faas = spawn_platform(sim, cfg.faas.clone(), functions.clone());
         let node_caches = cfg.dso.node_cache.then(|| Arc::new(Mutex::new(FxHashMap::default())));

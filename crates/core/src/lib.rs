@@ -88,12 +88,11 @@ pub use dso::api::{
 // the DSO tier, the FaaS platform, the object store, and the observability
 // handles — is reachable from here.
 pub use cloudstore::{
-    spawn_redis, spawn_s3, spawn_sqs, QueueConfig, RedisConfig, RedisHandle, S3Config, S3Handle,
-    ScriptRegistry, SqsHandle,
+    spawn_redis, spawn_s3, spawn_sqs, QueueConfig, RedisHandle, S3Config, S3Handle, ScriptRegistry,
+    SqsHandle,
 };
 pub use controlplane::{
-    next_floor, spawn_controlplane, CtlConfig, CtlEvent, CtlHandle, Observed, PrewarmConfig,
-    ScaleDecision, TargetTracking,
+    spawn_controlplane, CtlEvent, CtlHandle, Observed, ScaleDecision, TargetTracking,
 };
 pub use dso::{
     costs, dispatch, shared_object, AdmissionConfig, CallCtx, ConsistencyMode, DsoClient,

@@ -3,7 +3,7 @@
 //! ("a CRUCIAL storage instance starts in 30 seconds", §6.2.3, minus the
 //! waiting).
 
-use simcore::{Addr, Ctx, Sim};
+use simcore::{Addr, Ctx, Proc, Sim};
 
 use crate::client::DsoClientHandle;
 use crate::config::DsoConfig;
@@ -175,9 +175,9 @@ impl DsoCluster {
         h
     }
 
-    /// Adds a fresh storage node from inside the simulation (the [`Ctx`]
+    /// Adds a fresh storage node from inside the simulation (the [`Proc`]
     /// form of [`DsoCluster::add_node`], used by the control plane).
-    pub fn add_node_from(&mut self, ctx: &mut Ctx) -> ServerHandle {
+    pub fn add_node_from(&mut self, ctx: &mut Proc) -> ServerHandle {
         let node = NodeId(self.next_node);
         self.next_node += 1;
         let h =
@@ -209,8 +209,9 @@ impl DsoCluster {
     ///
     /// Naming convention (shared with [`ServerHandle::crash`] /
     /// [`ServerHandle::crash_from`]): the bare verb takes a [`Sim`] (host
-    /// side), the `_from` form takes a [`Ctx`] (from inside the
-    /// simulation, e.g. a fault-injector process).
+    /// side), the `_from` form takes a [`Proc`] (from inside the
+    /// simulation, e.g. a fault-injector process; a thread's [`Ctx`]
+    /// derefs to one).
     ///
     /// # Panics
     ///
@@ -220,13 +221,13 @@ impl DsoCluster {
         self.alive[idx] = false;
     }
 
-    /// Crashes the `idx`-th node from inside the simulation (the [`Ctx`]
+    /// Crashes the `idx`-th node from inside the simulation (the [`Proc`]
     /// form of [`DsoCluster::crash_node`]).
     ///
     /// # Panics
     ///
     /// Panics if `idx` is out of range.
-    pub fn crash_node_from(&mut self, ctx: &mut Ctx, idx: usize) {
+    pub fn crash_node_from(&mut self, ctx: &mut Proc, idx: usize) {
         self.servers[idx].crash_from(ctx);
         self.alive[idx] = false;
     }
@@ -248,14 +249,14 @@ impl DsoCluster {
         });
     }
 
-    /// Drains the `idx`-th node from inside the simulation (the [`Ctx`]
+    /// Drains the `idx`-th node from inside the simulation (the [`Proc`]
     /// form of [`DsoCluster::remove_node`]). Returns `false` when the node
     /// was not running.
     ///
     /// # Panics
     ///
     /// Panics if `idx` is out of range.
-    pub fn remove_node_from(&mut self, ctx: &mut Ctx, idx: usize) -> bool {
+    pub fn remove_node_from(&mut self, ctx: &mut Proc, idx: usize) -> bool {
         self.alive[idx] = false;
         self.servers[idx].drain_from(ctx)
     }

@@ -4,9 +4,9 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use simcore::{Ctx, FxHashMap, Sim, Ticker};
+use simcore::{Ctx, FxHashMap};
 
-use crate::client::{DsoClient, DsoClientHandle, CALL_TIMEOUT};
+use crate::client::{DsoClient, CALL_TIMEOUT};
 use crate::config::DurabilityConfig;
 use crate::error::DsoError;
 use crate::object::costs::CLIENT_NET;
@@ -39,9 +39,10 @@ pub struct CheckpointReport {
     pub wal_deleted: usize,
 }
 
-/// Periodic checkpoint driver. Owns the blob sequence counter; one
-/// instance per cluster (additional instances stay correct — sequence
-/// numbers are re-derived from a LIST — but waste PUTs).
+/// Takes full-cluster checkpoints, one per [`Checkpointer::run_once`]
+/// call, at whatever cadence the caller keeps. Owns the blob sequence
+/// counter; one instance per cluster (additional instances stay correct —
+/// sequence numbers are re-derived from a LIST — but waste PUTs).
 #[derive(Debug)]
 pub struct Checkpointer {
     d: DurabilityConfig,
@@ -206,40 +207,4 @@ impl Checkpointer {
             wal_deleted,
         })
     }
-}
-
-/// Takes one checkpoint (a fresh [`Checkpointer`], run once).
-///
-/// # Errors
-///
-/// See [`Checkpointer::run_once`].
-pub fn checkpoint(
-    ctx: &mut Ctx,
-    cli: &mut DsoClient,
-    d: &DurabilityConfig,
-) -> Result<CheckpointReport, DsoError> {
-    Checkpointer::new(d.clone()).run_once(ctx, cli)
-}
-
-/// Spawns a standalone checkpoint daemon on `interval`. Failed rounds
-/// (empty view, member timeout) count `dso.checkpoint_failures` and retry
-/// on the next tick. The control plane embeds [`Checkpointer::run_once`]
-/// on its own cadence instead; this form serves harnesses without one.
-pub fn spawn_checkpointer(
-    sim: &Sim,
-    handle: DsoClientHandle,
-    d: DurabilityConfig,
-    interval: std::time::Duration,
-) {
-    sim.spawn_daemon("dso-checkpointer", move |ctx| {
-        let mut cli = handle.connect();
-        let mut cp = Checkpointer::new(d);
-        let mut tick = Ticker::new(ctx.now(), interval);
-        loop {
-            tick.wait(ctx);
-            if cp.run_once(ctx, &mut cli).is_err() {
-                ctx.metric_incr("dso.checkpoint_failures");
-            }
-        }
-    });
 }

@@ -16,8 +16,9 @@
 //!   flush; under [`DurabilityLevel::Async`] it does not (the loss
 //!   window).
 //! * **Checkpoints** ([`Checkpointer`], [`crate::protocol::CheckpointBlob`]):
-//!   a full-cluster snapshot (deduplicated by version across replicas)
-//!   written as one atomic key, carrying per-stream WAL high-water marks
+//!   a full-cluster snapshot (deduplicated by version across replicas),
+//!   taken by [`Checkpointer::run_once`] at whatever cadence its caller
+//!   keeps and written as one atomic key, carrying per-stream WAL high-water marks
 //!   (`floors`). Older checkpoints and the segments they subsume are
 //!   garbage-collected, keeping [`CHECKPOINT_KEEP`] blobs.
 //! * **Recovery** ([`recover_into`], [`crate::DsoCluster::recover_from`]):
@@ -41,9 +42,7 @@ mod recover;
 mod store;
 pub(crate) mod wal;
 
-pub use checkpoint::{
-    checkpoint, spawn_checkpointer, CheckpointReport, Checkpointer, CHECKPOINT_KEEP,
-};
+pub use checkpoint::{CheckpointReport, Checkpointer, CHECKPOINT_KEEP};
 pub use recover::{recover_into, RecoveryReport, SETTLE, SETTLE_STEP};
 pub(crate) use recover::{replay, scan};
 pub use store::{DurabilityStats, DurabilityStore};

@@ -88,8 +88,7 @@ pub use config::{
     DurabilityConfig, DurabilityLevel,
 };
 pub use durability::{
-    checkpoint, recover_into, spawn_checkpointer, CheckpointReport, Checkpointer, DurabilityStats,
-    DurabilityStore, RecoveryReport,
+    recover_into, CheckpointReport, Checkpointer, DurabilityStats, DurabilityStore, RecoveryReport,
 };
 pub use error::{DsoError, ObjectError};
 pub use membership::{spawn_coordinator, spawn_coordinator_from};

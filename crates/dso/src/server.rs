@@ -19,8 +19,8 @@ use std::rc::Rc;
 use std::time::Duration;
 
 use simcore::{
-    Actor, Addr, Ctx, FxHashMap, LatencyModel, Msg, Pid, Proc, Request, Sim, SimTime, SpanId,
-    Ticker, Wait, Wake,
+    Actor, Addr, FxHashMap, LatencyModel, Msg, Pid, Proc, Request, Sim, SimTime, SpanId, Ticker,
+    Wait, Wake,
 };
 
 use crate::config::{AdmissionConfig, DsoConfig, DurabilityLevel};
@@ -58,7 +58,7 @@ impl ServerHandle {
 
     /// Kills the node from inside the simulation (e.g. from a fault
     /// injector process).
-    pub fn crash_from(&self, ctx: &mut Ctx) {
+    pub fn crash_from(&self, ctx: &mut Proc) {
         for pid in self.pids.borrow().iter() {
             ctx.kill(*pid);
         }
@@ -68,7 +68,7 @@ impl ServerHandle {
     /// transfers every object it still stores to the new owners under the
     /// leave view, then retires its processes. Returns `false` when the
     /// node is not (or no longer) running. See [`DrainNode`].
-    pub fn drain_from(&self, ctx: &mut Ctx) -> bool {
+    pub fn drain_from(&self, ctx: &mut Proc) -> bool {
         let Some(addr) = self.inbox.get() else { return false };
         let lat = self.peer_net.sample(ctx.rng());
         ctx.send(addr, Msg::new(DrainNode), lat);
@@ -154,7 +154,7 @@ pub fn spawn_server(
 /// [`spawn_server`] from inside the simulation — used by the control plane
 /// to scale out without leaving virtual time.
 pub fn spawn_server_from(
-    ctx: &mut Ctx,
+    ctx: &mut Proc,
     node: NodeId,
     cfg: DsoConfig,
     registry: ObjectRegistry,

@@ -12,7 +12,7 @@ use simcore::{LatencyModel, Sim, Tracer};
 
 use cloudstore::{spawn_s3, S3Config};
 use dso::{
-    api, checkpoint, recover_into, DsoCluster, DsoConfig, DurabilityConfig, DurabilityLevel,
+    api, recover_into, Checkpointer, DsoCluster, DsoConfig, DurabilityConfig, DurabilityLevel,
     DurabilityStore, ObjectRegistry, RecoveryReport,
 };
 
@@ -128,7 +128,7 @@ fn recovery_replays_wal_past_the_latest_checkpoint() {
         for i in 0..6 {
             api::AtomicLong::new(&format!("a{i}")).set(ctx, &mut cli, i as i64).expect("write");
         }
-        let report = checkpoint(ctx, &mut cli, &d).expect("checkpoint");
+        let report = Checkpointer::new(d.clone()).run_once(ctx, &mut cli).expect("checkpoint");
         assert_eq!(report.objects, 6);
         assert_eq!((report.gen, report.seq), (0, 1));
         for i in 0..6 {
@@ -178,7 +178,7 @@ fn checkpoint_gc_retires_blobs_and_subsumed_wal_segments() {
     let ok2 = ok.clone();
     sim.spawn("operator", move |ctx| {
         let mut cli = handle.connect();
-        let mut cp = dso::Checkpointer::new(d.clone());
+        let mut cp = Checkpointer::new(d.clone());
         let c = api::AtomicLong::new("hot");
         let mut last = dso::CheckpointReport {
             gen: 0,
@@ -445,7 +445,7 @@ fn checkpoint_restores_into_a_fresh_cluster_of_another_size() {
         for i in 0..12 {
             counter(i).set(ctx, &mut ca, 100 + i as i64).expect("write");
         }
-        let report = checkpoint(ctx, &mut ca, &d).expect("checkpoint");
+        let report = Checkpointer::new(d.clone()).run_once(ctx, &mut ca).expect("checkpoint");
         assert_eq!((report.objects, report.nodes), (12, 2));
         assert!(report.bytes > 0);
         // Placement and replication follow the *target* cluster's ring.
@@ -468,7 +468,7 @@ fn recover_into_does_not_downgrade_newer_objects() {
         let mut cli = handle.connect();
         let c = api::AtomicLong::new("x");
         c.set(ctx, &mut cli, 1).expect("write");
-        checkpoint(ctx, &mut cli, &d).expect("checkpoint");
+        Checkpointer::new(d.clone()).run_once(ctx, &mut cli).expect("checkpoint");
         // Mutate after the snapshot: the live version runs ahead of it.
         for _ in 0..5 {
             c.increment_and_get(ctx, &mut cli).expect("bump");
@@ -491,7 +491,7 @@ fn checkpoint_deduplicates_replicas() {
         // rf = 3 on a 3-node cluster: every node holds a copy.
         let c = api::AtomicLong::persistent("tripled", 0, 3);
         c.set(ctx, &mut cli, 9).expect("write");
-        let report = checkpoint(ctx, &mut cli, &d).expect("checkpoint");
+        let report = Checkpointer::new(d.clone()).run_once(ctx, &mut cli).expect("checkpoint");
         assert_eq!(report.objects, 1, "three replicas collapse to one record");
         assert_eq!(report.nodes, 3);
     });

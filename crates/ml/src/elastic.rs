@@ -24,8 +24,8 @@ use simcore::codec::Wire;
 
 use crucial::{
     function_name, join_all, spawn_controlplane, AdmissionConfig, Arithmetic, CrucialConfig,
-    CtlConfig, CtlEvent, CtlHandle, Deployment, FaasConfig, FnEnv, MetricsRegistry, PrewarmConfig,
-    RunResult, Runnable, Sim, SimTime, TargetTracking, FULL_VCPU_MB,
+    CtlEvent, CtlHandle, Deployment, FaasConfig, FnEnv, MetricsRegistry, RunResult, Runnable, Sim,
+    SimTime, TargetTracking,
 };
 
 /// Dollars per DSO-node-second, from the paper's server tier (r5.2xlarge,
@@ -33,41 +33,42 @@ use crucial::{
 /// model next to [`crucial::Pricing`]'s GB-seconds.
 pub const NODE_SECOND_USD: f64 = 0.504 / 3600.0;
 
+// The workload. One scoring call costs the serving node ≈ 35 µs + 30 k ×
+// 55 ns ≈ 1.69 ms, so a 1-worker node serves ≈ 590 calls/s: the 1× phases
+// (400/s offered) fit one node, the 3× phase (1200/s) needs three.
+
+/// Serving functions active in the 1× phases.
+const BASE_WORKERS: u32 = 24;
+/// Serving functions active in the 3× phase.
+const PEAK_WORKERS: u32 = 72;
+/// Interval between inference attempts per worker (one worker offers
+/// `1/PACE` inferences per second).
+const PACE: Duration = Duration::from_millis(60);
+/// Model shards (one DSO `Arithmetic` scoring object each).
+const SHARDS: u32 = 32;
+/// Multiplications per scoring call — sets the per-call server cost (55 ns
+/// each), hence per-node capacity.
+const OP_MULTS: u32 = 30_000;
+/// Local compute per inference inside the function.
+const PER_INFERENCE_COMPUTE: Duration = Duration::from_millis(2);
+/// DSO nodes at the start (the static run keeps this forever), each with
+/// one worker thread.
+const INITIAL_NODES: u32 = 1;
+/// Admission control on every DSO node: the default token bucket under
+/// this cap on in-flight invocations.
+const MAX_QUEUE_DEPTH: u32 = 32;
+/// Target-tracking setpoint: requests/s one node serves comfortably.
+const TARGET_PER_NODE: f64 = 500.0;
+
 /// Parameters of the elasticity experiment.
 #[derive(Clone, Debug)]
 pub struct ElasticConfig {
     /// Simulation seed.
     pub seed: u64,
-    /// Serving functions active in the 1× phases.
-    pub base_workers: u32,
-    /// Serving functions active in the 3× phase.
-    pub peak_workers: u32,
-    /// Interval between inference attempts per worker (one worker offers
-    /// `1/pace` inferences per second).
-    pub pace: Duration,
-    /// Model shards (one DSO `Arithmetic` scoring object each).
-    pub shards: u32,
-    /// Multiplications per scoring call — sets the per-call server cost
-    /// (55 ns each), hence per-node capacity.
-    pub op_mults: u32,
-    /// Replication factor of the shards.
-    pub rf: u8,
-    /// DSO nodes at the start (the static run keeps this forever).
-    pub initial_nodes: u32,
-    /// Worker threads per DSO node.
-    pub dso_workers_per_node: u32,
     /// Length of each of the three phases (1×, 3×, 1×).
     pub phase: Duration,
-    /// Local compute per inference inside the function.
-    pub per_inference_compute: Duration,
-    /// Admission control installed on every DSO node.
-    pub admission: Option<AdmissionConfig>,
     /// Whether to run the control plane.
     pub autoscale: bool,
-    /// Control-plane parameters (used when `autoscale`).
-    pub ctl: CtlConfig,
-    /// Target-tracking setpoint: requests/s one node serves comfortably.
-    pub target_per_node: f64,
     /// FaaS platform configuration — the cold-start tier under test
     /// (classic vs snapshot restore) and the pricing the cost columns use.
     pub faas: FaasConfig,
@@ -75,34 +76,10 @@ pub struct ElasticConfig {
 
 impl Default for ElasticConfig {
     fn default() -> Self {
-        // One scoring call costs the serving node ≈ 35 µs + 30 k × 55 ns
-        // ≈ 1.69 ms, so a 1-worker node serves ≈ 590 calls/s: the 1×
-        // phases (400/s offered) fit one node, the 3× phase (1200/s) needs
-        // three.
         ElasticConfig {
             seed: 42,
-            base_workers: 24,
-            peak_workers: 72,
-            pace: Duration::from_millis(60),
-            shards: 32,
-            op_mults: 30_000,
-            rf: 1,
-            initial_nodes: 1,
-            dso_workers_per_node: 1,
             phase: Duration::from_secs(15),
-            per_inference_compute: Duration::from_millis(2),
-            admission: Some(AdmissionConfig { max_queue_depth: 32, ..AdmissionConfig::default() }),
             autoscale: true,
-            ctl: CtlConfig {
-                reconcile_interval: Duration::from_secs(1),
-                min_nodes: 1,
-                max_nodes: 4,
-                scale_out_cooldown: Duration::from_secs(3),
-                drain_cooldown: Duration::from_secs(8),
-                prewarm: None, // filled per-run with the worker's function name
-                checkpoint_interval: None,
-            },
-            target_per_node: 500.0,
             faas: FaasConfig::default(),
         }
     }
@@ -163,34 +140,20 @@ impl ElasticReport {
 }
 
 /// One serving function: a rate-limited loop scoring against a model
-/// shard and computing, `1/pace` attempts per second until the deadline.
+/// shard and computing, `1/PACE` attempts per second until the deadline.
 /// Falling behind (saturation, shed-retry backoff) lowers delivered
 /// throughput without accumulating a burst debt.
 #[derive(Clone, Wire)]
 pub struct ElasticWorker {
     /// Worker index (staggers the shard access pattern).
     pub worker_id: u32,
-    /// Model shards to cycle through.
-    pub shards: u32,
-    /// Replication factor.
-    pub rf: u8,
-    /// Multiplications per scoring call.
-    pub op_mults: u32,
-    /// Attempt interval in nanoseconds.
-    pub pace_nanos: u64,
-    /// Local compute per inference, nanoseconds.
-    pub compute_nanos: u64,
     /// Virtual-time deadline in nanoseconds.
     pub deadline_nanos: u64,
 }
 
 impl Runnable for ElasticWorker {
     fn run(&mut self, env: &mut FnEnv<'_, '_>) -> RunResult {
-        let model: Vec<Arithmetic> = (0..self.shards)
-            .map(|i| Arithmetic::persistent(&format!("shard-{i}"), 1.0, self.rf))
-            .collect();
-        let pace = Duration::from_nanos(self.pace_nanos);
-        let compute = Duration::from_nanos(self.compute_nanos);
+        let model: Vec<Arithmetic> = (0..SHARDS).map(model_shard).collect();
         let deadline = SimTime::from_nanos(self.deadline_nanos);
         let mut next = env.ctx().now();
         let mut n = self.worker_id as usize;
@@ -198,9 +161,9 @@ impl Runnable for ElasticWorker {
             let shard = &model[n % model.len()];
             n += 1;
             let (ctx, dso) = env.dso();
-            match shard.mul_n(ctx, dso, 1.0, self.op_mults) {
+            match shard.mul_n(ctx, dso, 1.0, OP_MULTS) {
                 Ok(_) => {
-                    env.compute(compute);
+                    env.compute(PER_INFERENCE_COMPUTE);
                     env.ctx().metric_push("elastic-completions", 1.0);
                 }
                 Err(_) => {
@@ -212,13 +175,18 @@ impl Runnable for ElasticWorker {
             // Rate limiting without burst debt: a worker that fell behind
             // resumes at the current time, it does not replay missed slots.
             let now = env.ctx().now();
-            next = (next + pace).max(now);
+            next = (next + PACE).max(now);
             if next > now {
                 env.ctx().sleep(next - now);
             }
         }
         Ok(())
     }
+}
+
+/// The `i`-th model shard, unreplicated.
+fn model_shard(i: u32) -> Arithmetic {
+    Arithmetic::persistent(&format!("shard-{i}"), 1.0, 1)
 }
 
 /// Integrates the live-node count over the run from the decision log.
@@ -230,7 +198,7 @@ fn node_seconds(initial: u32, events: &[CtlEvent], t_end: SimTime) -> f64 {
         let (at, after) = match e {
             CtlEvent::ScaleOut { at, nodes } => (*at, *nodes),
             CtlEvent::Drain { at, nodes, .. } => (*at, *nodes),
-            CtlEvent::Prewarm { .. } | CtlEvent::Checkpoint { .. } => continue,
+            CtlEvent::Prewarm { .. } => continue,
         };
         acc += nodes * (at.saturating_duration_since(last)).as_secs_f64();
         nodes = f64::from(after);
@@ -254,9 +222,10 @@ pub fn run_elastic_with(cfg: &ElasticConfig, setup: impl FnOnce(&Sim)) -> Elasti
     let registry = MetricsRegistry::new();
     sim.set_metrics(&registry);
     setup(&sim);
-    let mut ccfg = CrucialConfig { dso_nodes: cfg.initial_nodes, ..CrucialConfig::default() };
-    ccfg.dso.workers_per_node = cfg.dso_workers_per_node;
-    ccfg.dso.admission = cfg.admission;
+    let mut ccfg = CrucialConfig { dso_nodes: INITIAL_NODES, ..CrucialConfig::default() };
+    ccfg.dso.workers_per_node = 1;
+    ccfg.dso.admission =
+        Some(AdmissionConfig { max_queue_depth: MAX_QUEUE_DEPTH, ..AdmissionConfig::default() });
     ccfg.faas = cfg.faas.clone();
     let dep = Deployment::start(&sim, ccfg);
     dep.register::<ElasticWorker>();
@@ -265,59 +234,39 @@ pub fn run_elastic_with(cfg: &ElasticConfig, setup: impl FnOnce(&Sim)) -> Elasti
     let faas = dep.faas.clone();
     let cluster = Rc::new(RefCell::new(dep.dso));
     let ctl = if cfg.autoscale {
-        let mut ctl_cfg = cfg.ctl.clone();
-        if ctl_cfg.prewarm.is_none() {
-            // Sized from the platform's cold-start tier: under snapshot
-            // restores the penalty drops below the threshold and the
-            // daemon stops buying provisioned floors.
-            ctl_cfg.prewarm = Some(PrewarmConfig::for_platform(
-                &cfg.faas,
-                FULL_VCPU_MB,
-                &function_name::<ElasticWorker>(),
-                8,
-            ));
-        }
         spawn_controlplane(
             &sim,
             cluster.clone(),
-            Some(faas.clone()),
+            Some((faas.clone(), &function_name::<ElasticWorker>())),
             registry.clone(),
-            TargetTracking::new(cfg.target_per_node),
-            ctl_cfg,
+            TargetTracking::new(TARGET_PER_NODE),
         )
     } else {
         CtlHandle::default()
     };
     let t_end = SimTime::ZERO + 3 * cfg.phase;
-    let cfg2 = cfg.clone();
+    let phase = cfg.phase;
     sim.spawn("elastic-master", move |ctx| {
         let worker = |worker_id: u32, deadline: SimTime| ElasticWorker {
             worker_id,
-            shards: cfg2.shards,
-            rf: cfg2.rf,
-            op_mults: cfg2.op_mults,
-            pace_nanos: cfg2.pace.as_nanos() as u64,
-            compute_nanos: cfg2.per_inference_compute.as_nanos() as u64,
             deadline_nanos: deadline.as_nanos(),
         };
         // Install the model shards before the fleet starts.
         let mut cli = dso_handle.connect();
-        for i in 0..cfg2.shards {
-            let shard = Arithmetic::persistent(&format!("shard-{i}"), 1.0, cfg2.rf);
-            shard.mul(ctx, &mut cli, 1.0).expect("model installs");
+        for i in 0..SHARDS {
+            model_shard(i).mul(ctx, &mut cli, 1.0).expect("model installs");
         }
         // Base fleet serves the whole run.
         let base: Vec<ElasticWorker> =
-            (0..cfg2.base_workers).map(|i| worker(i, SimTime::ZERO + 3 * cfg2.phase)).collect();
+            (0..BASE_WORKERS).map(|i| worker(i, SimTime::ZERO + 3 * phase)).collect();
         let mut handles = threads.start_all(ctx, &base);
         // The 3× ramp: extra workers for the middle phase only.
-        let ramp_at = SimTime::ZERO + cfg2.phase;
+        let ramp_at = SimTime::ZERO + phase;
         if ramp_at > ctx.now() {
             ctx.sleep(ramp_at.saturating_duration_since(ctx.now()));
         }
-        let extra: Vec<ElasticWorker> = (cfg2.base_workers..cfg2.peak_workers)
-            .map(|i| worker(i, SimTime::ZERO + 2 * cfg2.phase))
-            .collect();
+        let extra: Vec<ElasticWorker> =
+            (BASE_WORKERS..PEAK_WORKERS).map(|i| worker(i, SimTime::ZERO + 2 * phase)).collect();
         handles.extend(threads.start_all(ctx, &extra));
         join_all(ctx, handles).expect("serving functions finish");
     });
@@ -328,12 +277,8 @@ pub fn run_elastic_with(cfg: &ElasticConfig, setup: impl FnOnce(&Sim)) -> Elasti
         *buckets.entry(t.as_nanos() / 1_000_000_000).or_insert(0) += 1;
     }
     let events = ctl.events();
-    let per_worker = 1.0 / cfg.pace.as_secs_f64();
-    let node_s = if cfg.autoscale {
-        node_seconds(cfg.initial_nodes, &events, t_end)
-    } else {
-        f64::from(cfg.initial_nodes) * t_end.as_secs_f64()
-    };
+    let per_worker = 1.0 / PACE.as_secs_f64();
+    let node_s = node_seconds(INITIAL_NODES, &events, t_end);
     let billing = faas.billing();
     let gb_seconds = billing.gb_seconds();
     let idle_gb_seconds = billing.idle_gb_seconds().max(0.0);
@@ -343,9 +288,9 @@ pub fn run_elastic_with(cfg: &ElasticConfig, setup: impl FnOnce(&Sim)) -> Elasti
         per_second: buckets.into_iter().collect(),
         total: points.len() as u64,
         offered: (
-            f64::from(cfg.base_workers) * per_worker,
-            f64::from(cfg.peak_workers) * per_worker,
-            f64::from(cfg.base_workers) * per_worker,
+            f64::from(BASE_WORKERS) * per_worker,
+            f64::from(PEAK_WORKERS) * per_worker,
+            f64::from(BASE_WORKERS) * per_worker,
         ),
         scale_outs: ctl.scale_outs(),
         drains: ctl.drains(),

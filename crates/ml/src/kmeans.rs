@@ -9,7 +9,7 @@ use std::time::Duration;
 
 use crucial::{
     join_all, spawn_redis, AtomicLong, CrucialConfig, CyclicBarrier, Deployment, FnEnv,
-    RedisConfig, RedisHandle, RunResult, Runnable, ScriptRegistry, Sim, SimTime,
+    RedisHandle, RunResult, Runnable, ScriptRegistry, Sim, SimTime,
 };
 use parking_lot::Mutex;
 use simcore::codec::Wire;
@@ -851,7 +851,7 @@ pub fn run_redis_kmeans(cfg: &KMeansConfig) -> KMeansReport {
     register_ml_objects(&mut ccfg.registry);
     let dep = Deployment::start(&sim, ccfg);
     // One r5.2xlarge Redis instance (the paper's storage swap).
-    let redis = spawn_redis(&sim, 1, RedisConfig::default(), kmeans_redis_scripts());
+    let redis = spawn_redis(&sim, 1, kmeans_redis_scripts());
     dep.register_with_memory::<KMeansRedisWorker>(cfg.memory_mb);
     let threads = dep.threads();
     let dso = dep.dso_handle();
