@@ -54,7 +54,11 @@ cargo run --release -q -p simcheck --bin tracecheck -- results/trace-elastic.chr
 #                       ring >= 300k events/sec; 16 thread clients making
 #                       64 000 call_timeout calls, all answered in time,
 #                       leave <= 1 event pending per process (a timer left
-#                       behind per answered call, 64 000, fails); a parent
+#                       behind per answered call, 64 000, fails) and push
+#                       <= 3 events per call plus one per heartbeat period
+#                       of the servers, which wait with a heartbeat timeout
+#                       (a server that pushes its kept heartbeat wake again
+#                       after every request, 4 per call, fails); a parent
 #                       spawning and joining 4 000 one-shot children maps
 #                       exactly 2 stacks (a stack per process fails); a
 #                       1 KB Vec<u8> codec round trip costs <= 3x a Bytes

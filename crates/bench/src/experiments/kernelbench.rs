@@ -15,7 +15,10 @@
 //! 3. **timed_rpc** — thread clients each calling the next one's actor
 //!    server with [`simcore::Ctx::call_timeout`], every call answered long
 //!    before its timeout, the shape of a DSO client's attempt: the wheel
-//!    must hold no timer per past call when the clients are done.
+//!    must hold no timer per past call when the clients are done. Each
+//!    server waits with its next heartbeat as the timeout, as the DSO
+//!    dispatcher does, and keeps that wake across the requests that wake
+//!    it first.
 //! 4. **spawn_churn** — one thread parent spawning one-shot children and
 //!    joining each before the next, the shape of a driver starting cloud
 //!    threads: what a spawn costs when a stack is free.
@@ -53,21 +56,24 @@
 //! 3x a `Bytes` one, the assignment pass runs at least 1.3x the
 //! yardstick's distance terms/sec on random centroids and 2x on converged
 //! ones, and ten Lloyd steps through one assigner run at least 1.5x as fast
-//! as fresh passes — a floor under the actor ring, and two counts: `spawn_churn` runs
-//! on two stacks however many children it spawns, and `timed_rpc` ends with
-//! at most one event pending per process. The thread ring and the spawn
-//! loop keep no floor of their own: the resume and the DSO path are
-//! measured pinned and repeated by the acceptance benchmark
+//! as fresh passes — a floor under the actor ring, and three counts:
+//! `spawn_churn` runs on two stacks however many children it spawns, and
+//! `timed_rpc` ends with at most one event pending per process and pushes
+//! at most three events per call and one per heartbeat period. The thread
+//! ring and the spawn loop keep no floor of their own: the resume and the
+//! DSO path are measured pinned and repeated by the acceptance benchmark
 //! (`BENCHMARK.json`).
 
+use std::cell::Cell;
 use std::hint::black_box;
+use std::rc::Rc;
 use std::time::Duration;
 
 use bytes::Bytes;
 use crucial_ml::datagen::kmeans_partition;
 use crucial_ml::kmeans::{assign_partials, initial_centroids, Assigner};
 use simcore::codec::{self, Wire};
-use simcore::{Actor, Addr, Msg, Proc, Request, Sim, SimTime, TimingWheel, Wait, Wake};
+use simcore::{Actor, Addr, Msg, Proc, Request, Sim, SimTime, Ticker, TimingWheel, Wait, Wake};
 
 use super::Scale;
 use crate::report::{fmt_dur, Table};
@@ -86,6 +92,11 @@ pub struct Section {
     pub events: u64,
     /// Kernel events still pending when the section ended.
     pub pending: u64,
+    /// Events pushed on the wheel, fired, pending or cancelled.
+    pub pushes: u64,
+    /// Heartbeat periods the section's processes waited through, the first
+    /// one of each included.
+    pub beats: u64,
     /// Stacks the kernel mapped ([`Sim::stacks_allocated`]).
     pub stacks: u64,
     /// Host wall time for the timed region.
@@ -168,6 +179,13 @@ const SPAWN_CHURN_STACKS: u64 = 2;
 /// quick scale when they stay behind).
 const TIMED_RPC_PROCS: u64 = 2 * RING_NODES as u64;
 
+/// Wheel pushes `timed_rpc` may make per answered call, besides one per
+/// heartbeat period of each server: the request, the reply and the client's
+/// timeout. A server a request woke waits again to the same heartbeat
+/// deadline, and keeps its pending wake for it; re-pushing that wake after
+/// every message makes it 4.
+const TIMED_RPC_PUSHES_PER_CALL: u64 = 3;
+
 /// A `Vec<u8>` round trip may cost at most this many `Bytes` round trips.
 /// Both are one count and one block copy each way (~1x); a `Vec<u8>` coded
 /// one `Wire` call per byte costs ~20x.
@@ -217,6 +235,15 @@ pub fn check(r: &KernelBenchReport) -> Result<(), String> {
          answered calls — a timed wait that a reply ended left its timer in the wheel",
         rpc.pending,
         rpc.ops
+    );
+    claim!(
+        rpc.pushes <= TIMED_RPC_PUSHES_PER_CALL * rpc.ops + rpc.beats,
+        "timed_rpc pushed {} events for {} answered calls and {} heartbeat periods, more than \
+         {TIMED_RPC_PUSHES_PER_CALL} per call and one per period — a server that waits again \
+         to the same heartbeat deadline pushes its wake again",
+        rpc.pushes,
+        rpc.ops,
+        rpc.beats
     );
     let churn = &r.spawn_churn;
     claim!(
@@ -270,11 +297,17 @@ fn timed<R>(f: impl FnOnce() -> R) -> (R, Duration) {
     (r, t0.elapsed())
 }
 
+/// Kernel events pushed so far: fresh allocations plus free-list recycles.
+fn pushes(sim: &Sim) -> u64 {
+    let s = sim.event_queue_stats();
+    s.allocated_nodes + s.recycled_pushes
+}
+
 /// Kernel events fired so far: total pushes minus still pending and
 /// cancelled.
 fn events_fired(sim: &Sim) -> u64 {
     let s = sim.event_queue_stats();
-    (s.allocated_nodes + s.recycled_pushes).saturating_sub(s.len as u64 + s.cancelled)
+    pushes(sim).saturating_sub(s.len as u64 + s.cancelled)
 }
 
 /// The ring both message sections run: size, laps, and link latency.
@@ -314,7 +347,18 @@ fn ping_ring(scale: Scale) -> Section {
     let events = events_fired(&sim);
     assert!(events >= hops, "every hop is at least one kernel event");
     let stacks = sim.stacks_allocated();
-    Section { name: "ping_ring", op: "hops", ops: hops, events, pending: 0, stacks, elapsed }
+    let pushes = pushes(&sim);
+    Section {
+        name: "ping_ring",
+        op: "hops",
+        ops: hops,
+        events,
+        pending: 0,
+        pushes,
+        beats: 0,
+        stacks,
+        elapsed,
+    }
 }
 
 /// One node of [`actor_ring`]: what a `ping_ring` closure does, one
@@ -372,21 +416,46 @@ fn actor_ring(scale: Scale) -> Section {
     let events = events_fired(&sim);
     assert_eq!(events, hops, "one delivery per hop, exactly as the thread ring");
     let stacks = sim.stacks_allocated();
-    Section { name: "actor_ring", op: "hops", ops: hops, events, pending: 0, stacks, elapsed }
+    let pushes = pushes(&sim);
+    Section {
+        name: "actor_ring",
+        op: "hops",
+        ops: hops,
+        events,
+        pending: 0,
+        pushes,
+        beats: 0,
+        stacks,
+        elapsed,
+    }
 }
 
-/// A [`timed_rpc`] server: answers each call with its argument.
+/// The period of a [`timed_rpc`] server's heartbeat: one per 500 calls it
+/// answers.
+const RPC_HEARTBEAT: Duration = Duration::from_millis(1);
+
+/// A [`timed_rpc`] server: answers each call with its argument and, like
+/// the DSO dispatcher, waits with its next heartbeat as the timeout.
 struct RpcServer {
     inbox: Addr,
+    hb: Option<Ticker>,
+    /// Over every server: heartbeat periods begun, and the ones a timeout
+    /// rather than a message ended.
+    beats: Rc<Cell<(u64, u64)>>,
 }
 
 impl Actor for RpcServer {
     fn on_wake(&mut self, ctx: &mut Proc, wake: Wake) -> Wait {
+        let now = ctx.now();
+        let hb = self.hb.get_or_insert_with(|| Ticker::new(now, RPC_HEARTBEAT));
+        let (begun, timeouts) = self.beats.get();
+        let begun = begun + u64::from(hb.poll(now) || matches!(wake, Wake::Start));
+        self.beats.set((begun, timeouts + u64::from(matches!(wake, Wake::Timeout))));
         if let Wake::Msg(m) = wake {
             let (reply_to, n) = m.take::<Request>().take::<u64>();
             ctx.reply(reply_to, n, RING_LAT);
         }
-        Wait::Recv(self.inbox)
+        Wait::RecvTimeout(self.inbox, hb.remaining(now))
     }
 }
 
@@ -396,9 +465,11 @@ fn timed_rpc(scale: Scale) -> Section {
     let rounds = ring_rounds(scale);
     let calls = rounds * RING_NODES as u64;
     let mut sim = Sim::new(2);
+    let beats = Rc::new(Cell::new((0, 0)));
     let mbs: Vec<_> = (0..RING_NODES).map(|i| sim.mailbox(&format!("server-{i}"))).collect();
     for (i, &inbox) in mbs.iter().enumerate() {
-        sim.spawn_daemon_actor(&format!("server-{i}"), RpcServer { inbox });
+        let server = RpcServer { inbox, hb: None, beats: beats.clone() };
+        sim.spawn_daemon_actor(&format!("server-{i}"), server);
         let to = mbs[(i + 1) % RING_NODES];
         sim.spawn(&format!("client-{i}"), move |ctx| {
             for n in 0..rounds {
@@ -410,9 +481,24 @@ fn timed_rpc(scale: Scale) -> Section {
     let (out, elapsed) = timed(|| sim.run_until_idle());
     out.expect_quiescent();
     let (events, stacks) = (events_fired(&sim), sim.stacks_allocated());
-    assert_eq!(events, 2 * calls, "a request and a reply per call, and no timer fires");
-    let pending = sim.event_queue_stats().len as u64;
-    Section { name: "timed_rpc", op: "calls", ops: calls, events, pending, stacks, elapsed }
+    let (beats, timeouts) = beats.get();
+    assert_eq!(
+        events,
+        2 * calls + timeouts,
+        "a request and a reply per call, and no call times out"
+    );
+    let (pending, pushes) = (sim.event_queue_stats().len as u64, pushes(&sim));
+    Section {
+        name: "timed_rpc",
+        op: "calls",
+        ops: calls,
+        events,
+        pending,
+        pushes,
+        beats,
+        stacks,
+        elapsed,
+    }
 }
 
 fn spawn_churn(scale: Scale) -> Section {
@@ -429,7 +515,18 @@ fn spawn_churn(scale: Scale) -> Section {
     out.expect_quiescent();
     let (events, stacks) = (events_fired(&sim), sim.stacks_allocated());
     assert_eq!(events, spawns, "one delivery per join");
-    Section { name: "spawn_churn", op: "spawns", ops: spawns, events, pending: 0, stacks, elapsed }
+    let pushes = pushes(&sim);
+    Section {
+        name: "spawn_churn",
+        op: "spawns",
+        ops: spawns,
+        events,
+        pending: 0,
+        pushes,
+        beats: 0,
+        stacks,
+        elapsed,
+    }
 }
 
 /// Timed batches per ring, wheel, codec or k-means measurement; the
@@ -474,7 +571,17 @@ fn wheel(scale: Scale) -> Section {
         }
     });
     let pending = wheel.len() as u64;
-    Section { name: "wheel", op: "pops", ops: pops, events: pops, pending, stacks: 0, elapsed }
+    Section {
+        name: "wheel",
+        op: "pops",
+        ops: pops,
+        events: pops,
+        pending,
+        pushes: pops,
+        beats: 0,
+        stacks: 0,
+        elapsed,
+    }
 }
 
 /// Encodes and decodes `payload` `trips` times per batch; the section's
@@ -486,7 +593,17 @@ fn codec_round_trips<T: Wire>(name: &'static str, payload: &T, trips: u64) -> Se
             black_box(codec::from_bytes::<T>(&bytes).expect("its own encoding decodes"));
         }
     });
-    Section { name, op: "round trips", ops: trips, events: 0, pending: 0, stacks: 0, elapsed }
+    Section {
+        name,
+        op: "round trips",
+        ops: trips,
+        events: 0,
+        pending: 0,
+        pushes: 0,
+        beats: 0,
+        stacks: 0,
+        elapsed,
+    }
 }
 
 /// Table 2's 1 KB value as a `Vec<u8>` and as a `Bytes`.
@@ -592,6 +709,8 @@ fn kmeans_sections(
         ops,
         events: 0,
         pending: 0,
+        pushes: 0,
+        beats: 0,
         stacks: 0,
         elapsed,
     };
@@ -636,6 +755,8 @@ fn kmeans_lloyd(scale: Scale, points: &[Vec<f64>], sequence: &[Vec<Vec<f64>>]) -
         ops,
         events: 0,
         pending: 0,
+        pushes: 0,
+        beats: 0,
         stacks: 0,
         elapsed,
     };
@@ -691,6 +812,7 @@ pub fn kernel_bench(scale: Scale) -> Table {
             "Section",
             "Ops",
             "Kernel events",
+            "Pushes",
             "Pending",
             "Stacks",
             "Wall time",
@@ -718,6 +840,7 @@ pub fn kernel_bench(scale: Scale) -> Table {
             s.name.into(),
             format!("{} {}", s.ops, s.op),
             s.events.to_string(),
+            s.pushes.to_string(),
             s.pending.to_string(),
             s.stacks.to_string(),
             fmt_dur(s.elapsed),
@@ -734,7 +857,8 @@ mod tests {
 
     /// A section of `ops` ops, one event each, in one second.
     fn section(name: &'static str, op: &'static str, ops: u64, stacks: u64) -> Section {
-        Section { name, op, ops, events: ops, pending: 0, stacks, elapsed: Duration::from_secs(1) }
+        let elapsed = Duration::from_secs(1);
+        Section { name, op, ops, events: ops, pending: 0, pushes: ops, beats: 0, stacks, elapsed }
     }
 
     /// A report with the two rings at the given events/sec, the wheel at
@@ -847,6 +971,22 @@ mod tests {
         // Each answered call's timeout left behind.
         let err = check(&with_pending(64_000)).unwrap_err();
         assert!(err.contains("left its timer in the wheel"), "{err}");
+    }
+
+    #[test]
+    fn timed_rpc_keeps_its_heartbeat_wake() {
+        // 64 000 calls and 2 000 heartbeat periods.
+        let with_pushes = |pushes| {
+            let mut r = report(2_050_000, 2_310_000, 2, 1_000_000, 250_000_000);
+            (r.timed_rpc.pushes, r.timed_rpc.beats) = (pushes, 2_000);
+            r
+        };
+        // A request, a reply and a timeout per call, and a wake per period.
+        assert_eq!(check(&with_pushes(3 * 64_000 + 2_000)), Ok(()));
+        // The server's wake pushed again after every request.
+        let err = check(&with_pushes(4 * 64_000 + 2_000)).unwrap_err();
+        assert!(err.contains("pushed 258000 events for 64000 answered calls"), "{err}");
+        assert!(err.contains("pushes its wake again"), "{err}");
     }
 
     #[test]

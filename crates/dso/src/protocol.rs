@@ -164,13 +164,15 @@ pub enum InvokeResp {
 }
 
 /// Payload replicated through total-order multicast for persistent objects.
-#[derive(Clone, Debug)]
+/// One round shares one op: its messages and every replica's apply carry
+/// an [`Rc`] of it.
+#[derive(Debug)]
 pub struct SmrOp {
     /// The original invocation.
     pub req: InvokeReq,
-    /// Reply address of the calling client; only the initiating node
-    /// responds, the others apply silently.
-    pub respond_to: Option<Addr>,
+    /// Reply address of the calling client. Only the initiating node reads
+    /// it and responds; the others apply silently.
+    pub respond_to: Addr,
     /// Trace span of the SMR round, begun by the initiating node when it
     /// multicasts; replicas parent their apply spans under it.
     pub round_span: SpanId,
@@ -206,7 +208,7 @@ pub enum PeerMsg {
         /// queue forever.
         epoch: u64,
         /// Protocol message.
-        msg: SkeenMsg<SmrOp>,
+        msg: SkeenMsg<Rc<SmrOp>>,
     },
     /// State transfer of an object during rebalancing.
     Transfer {

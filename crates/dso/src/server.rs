@@ -18,6 +18,7 @@ use std::collections::hash_map::Entry;
 use std::rc::Rc;
 use std::time::Duration;
 
+use bytes::Bytes;
 use simcore::{
     Actor, Addr, FxHashMap, LatencyModel, Msg, Pid, Proc, Request, Sim, SimTime, SpanId, Ticker,
     Wait, Wake,
@@ -131,8 +132,16 @@ impl Shedder {
 }
 
 enum WorkItem {
-    Client { req: InvokeReq, reply_to: Addr },
-    Apply { op: SmrOp },
+    Client {
+        req: InvokeReq,
+        reply_to: Addr,
+    },
+    /// A delivered replicated write; `respond_to` is the op's own address at
+    /// the initiating node and `None` at every other replica.
+    Apply {
+        op: Rc<SmrOp>,
+        respond_to: Option<Addr>,
+    },
 }
 
 /// Spawns a storage node (dispatcher + workers). The node joins the
@@ -214,10 +223,10 @@ struct Serving {
     workers: Vec<Addr>,
     worker_pids: Vec<Pid>,
     view: View,
-    skeen: Skeen<SmrOp>,
+    skeen: Skeen<Rc<SmrOp>>,
     /// Skeen's output, drained by [`process_skeen_actions`] after every
     /// step: one buffer for the node's life, empty between messages.
-    actions: Vec<Action<SmrOp>>,
+    actions: Vec<Action<Rc<SmrOp>>>,
     /// A replicated write's replica group, built here and copied once into
     /// the group Skeen shares: one buffer for the node's life.
     group: Vec<NodeId>,
@@ -457,8 +466,8 @@ fn handle_client_invoke(
     shared: &Rc<NodeShared>,
     view: &View,
     workers: &[Addr],
-    skeen: &mut Skeen<SmrOp>,
-    actions: &mut Vec<Action<SmrOp>>,
+    skeen: &mut Skeen<Rc<SmrOp>>,
+    actions: &mut Vec<Action<Rc<SmrOp>>>,
     group: &mut Vec<NodeId>,
     shedder: &mut Option<Shedder>,
     req: InvokeReq,
@@ -503,7 +512,7 @@ fn handle_client_invoke(
         let round_span = ctx.span_begin_under(req.span, "dso.smr_round", "dso");
         ctx.span_annotate(round_span, "obj", &req.obj);
         ctx.metric_incr("dso.smr_rounds");
-        let op = SmrOp { req, respond_to: Some(reply_to), round_span };
+        let op = Rc::new(SmrOp { req, respond_to: reply_to, round_span });
         skeen.multicast_into(&group[..], op, actions);
         process_skeen_actions(ctx, shared, view, workers, skeen, actions);
     } else {
@@ -520,8 +529,8 @@ fn process_skeen_actions(
     shared: &Rc<NodeShared>,
     view: &View,
     workers: &[Addr],
-    skeen: &mut Skeen<SmrOp>,
-    stack: &mut Vec<Action<SmrOp>>,
+    skeen: &mut Skeen<Rc<SmrOp>>,
+    stack: &mut Vec<Action<Rc<SmrOp>>>,
 ) {
     let node = shared.node;
     // Popped from the back, so each batch is reversed in place: actions run
@@ -546,17 +555,15 @@ fn process_skeen_actions(
                     ctx.trace(format!("dso-{node}: dropping SMR message to absent {to}"));
                 }
             }
-            Action::Deliver { mid, payload, .. } => {
-                let mut op = payload;
-                if mid.node != node {
-                    // Only the initiating replica answers the client.
-                    op.respond_to = None;
-                } else {
+            Action::Deliver { mid, payload: op, .. } => {
+                // Only the initiating replica answers the client.
+                let respond_to = (mid.node == node).then_some(op.respond_to);
+                if respond_to.is_some() {
                     // Delivered back at the initiator: the ordering round
                     // is decided (the applies are children of it).
                     ctx.span_end(op.round_span);
                 }
-                route_to_worker(ctx, shared, workers, WorkItem::Apply { op });
+                route_to_worker(ctx, shared, workers, WorkItem::Apply { op, respond_to });
             }
         }
     }
@@ -565,7 +572,7 @@ fn process_skeen_actions(
 fn route_to_worker(ctx: &mut Proc, shared: &Rc<NodeShared>, workers: &[Addr], item: WorkItem) {
     let obj = match &item {
         WorkItem::Client { req, .. } => &req.obj,
-        WorkItem::Apply { op } => &op.req.obj,
+        WorkItem::Apply { op, .. } => &op.req.obj,
     };
     // One worker per object (by placement hash): per-object serialization,
     // disjoint-access parallelism across objects.
@@ -734,13 +741,11 @@ impl Actor for Worker {
                 let done = match msg.take::<WorkItem>() {
                     WorkItem::Client { req, reply_to } => {
                         // Execution parents directly under the client's attempt span.
-                        let parent = req.span;
-                        execute(ctx, &self.shared, req, Some(reply_to), false, parent)
+                        execute(ctx, &self.shared, &req, Some(reply_to), false, req.span)
                     }
-                    WorkItem::Apply { op } => {
+                    WorkItem::Apply { op, respond_to } => {
                         // Replicated applies parent under the SMR round span.
-                        let parent = op.round_span;
-                        execute(ctx, &self.shared, op.req, op.respond_to, true, parent)
+                        execute(ctx, &self.shared, &op.req, respond_to, true, op.round_span)
                     }
                 };
                 let cost = done.cost();
@@ -771,7 +776,7 @@ impl Actor for Worker {
 fn execute(
     ctx: &mut Proc,
     shared: &Rc<NodeShared>,
-    req: InvokeReq,
+    req: &InvokeReq,
     reply_to: Option<Addr>,
     replicated: bool,
     parent: SpanId,
@@ -796,14 +801,14 @@ fn execute(
         exec_span,
     };
     if req.method == "__restore" {
-        (done.outcome, done.logged) = restore_object(shared, &req);
+        (done.outcome, done.logged) = restore_object(shared, req);
         return done;
     }
     done.outcome = {
         let mut objects = shared.objects.borrow_mut();
         let stored = match objects.entry(req.obj.clone()) {
             Entry::Occupied(e) => e.into_mut(),
-            Entry::Vacant(e) => match materialize(shared, &req) {
+            Entry::Vacant(e) => match materialize(shared, req) {
                 Ok(Some(stored)) => e.insert(stored),
                 // Persistent object awaiting transfer from a replica.
                 Ok(None) => return done,
@@ -817,7 +822,7 @@ fn execute(
             // Idempotent explicit creation: materialization above (or a
             // pre-existing object) is all that is needed. Logged so the
             // object exists after recovery even if never mutated.
-            done.logged = wal_log(shared, &req.obj, stored, &req);
+            done.logged = wal_log(shared, &req.obj, stored, req);
             CallOutcome::Reply(
                 InvokeResp::Value {
                     bytes: unit_bytes(),
@@ -840,14 +845,20 @@ fn execute(
                     if mutating {
                         stored.version += 1;
                         stored.lamport = stored.lamport.max(req.dep) + 1;
-                        done.logged = wal_log(shared, &req.obj, stored, &req);
+                        done.logged = wal_log(shared, &req.obj, stored, req);
                     }
                     let version = stored.version;
                     let lamport = stored.lamport;
                     done.wakes = effects.wakes;
                     match effects.reply {
+                        // A replica that does not answer keeps no copy of
+                        // the value.
                         Reply::Value(v) => CallOutcome::Reply(
-                            InvokeResp::Value { bytes: v.into(), version, lamport },
+                            InvokeResp::Value {
+                                bytes: if reply_to.is_some() { v.into() } else { Bytes::new() },
+                                version,
+                                lamport,
+                            },
                             effects.cost,
                         ),
                         Reply::Park if replicated => CallOutcome::Reply(
@@ -872,7 +883,7 @@ fn execute(
     clippy::expect_used,
     reason = "invariant: encoding the unit type is infallible in the codec"
 )]
-fn unit_bytes() -> bytes::Bytes {
+fn unit_bytes() -> Bytes {
     simcore::codec::to_bytes(&()).expect("unit encodes").into()
 }
 

@@ -235,7 +235,8 @@ impl<'p> Assigner<'p> {
         let dims = centroids.first().map_or(0, Vec::len);
         let block_len = dims * LANES;
         let blocks = k.div_ceil(LANES);
-        if self.shape != Some((k, dims)) {
+        let kept = self.shape == Some((k, dims));
+        if !kept {
             self.shape = Some((k, dims));
             self.kept = vec![[f32::NAN; LANES]; blocks * dims];
             self.kept_off = vec![f64::INFINITY; blocks * LANES];
@@ -259,21 +260,26 @@ impl<'p> Assigner<'p> {
             (0..blocks).map(|b| packed[b * block_len..][..block_len].as_chunks().0).collect();
         // Each centroid's drift, measured against its kept copy and that
         // copy's own error, four at a time, before the copies are replaced.
-        let mut drift = Vec::with_capacity(k);
+        // With no copy kept, every point is searched, and no drift is read.
+        let mut drift = Vec::with_capacity(if kept { k } else { 0 });
         for (b, rows) in rows.iter().enumerate() {
             let (mut moved, mut off) = ([0.0; LANES], [0.0; LANES]);
-            for (row, kept) in rows.iter().zip(&mut self.kept[b * dims..][..dims]) {
+            for (row, copy) in rows.iter().zip(&mut self.kept[b * dims..][..dims]) {
                 for j in 0..LANES {
-                    let last = f64::from(kept[j]);
-                    moved[j] += (row[j] - last) * (row[j] - last);
-                    kept[j] = row[j] as f32;
-                    let error = row[j] - f64::from(kept[j]);
+                    if kept {
+                        let last = f64::from(copy[j]);
+                        moved[j] += (row[j] - last) * (row[j] - last);
+                    }
+                    copy[j] = row[j] as f32;
+                    let error = row[j] - f64::from(copy[j]);
                     off[j] += error * error;
                 }
             }
             let kept_off = &mut self.kept_off[b * LANES..][..LANES];
             for ((kept_off, moved), off) in kept_off.iter_mut().zip(moved).zip(off) {
-                drift.push(upper_root(moved) + *kept_off);
+                if kept {
+                    drift.push(upper_root(moved) + *kept_off);
+                }
                 *kept_off = upper_root(off);
             }
         }
@@ -295,7 +301,7 @@ impl<'p> Assigner<'p> {
             let a = bounds.winner;
             let others = if a == far_at { next } else { far };
             let lower = (bounds.lower - others) * (1.0 - MARGIN);
-            let (best, best_d2) = if (bounds.upper + drift[a]) * (1.0 + MARGIN) < lower {
+            let (best, best_d2) = if kept && (bounds.upper + drift[a]) * (1.0 + MARGIN) < lower {
                 let d2 = lane_sum(&rows[a / LANES][..p.len()], p, a % LANES);
                 *bounds = Bounds { winner: a, upper: upper_root(d2), lower };
                 (a, d2)

@@ -282,7 +282,8 @@ struct ActorCell {
 
 enum EventKind {
     /// Wake a process blocked in `sleep`, or time out a blocked `recv`.
-    /// Cancelled when the wait ends some other way, so it is never stale.
+    /// When the wait ends some other way, the process's next wait takes it
+    /// over or cancels it before it can fire, so it is never stale.
     Wake { pid: Pid },
     /// Deliver a message to a mailbox.
     Deliver { mailbox: u64, msg: Msg },
@@ -301,8 +302,9 @@ const STALL_LIMIT: Duration = Duration::from_secs(60);
 const FIRST_RESOURCE_ID: u64 = 1 << 63;
 
 /// Whether firing this event can directly hand progress to a non-daemon
-/// process: a wake for a non-daemon (sleep or recv timeout; every pending
-/// wake is live, since a wait that ends another way cancels it), or a
+/// process: a wake for a non-daemon (sleep or recv timeout; every wake
+/// that fires is live, since a wait that ends another way leaves its wake
+/// only to a runnable process, whose next wait settles it), or a
 /// delivery to a mailbox a non-daemon is blocked on. Such events are
 /// exempt from the stall cutoff in `Kernel::turn` — a client sleeping for an
 /// hour is idle, not wedged.
@@ -357,9 +359,11 @@ struct ProcSlot {
     /// `None` while the process runs and once it has exited.
     body: Option<ProcBody>,
     blocked: BlockState,
-    /// The pending wake of a sleep or a timed receive; cancelled when the
-    /// wait ends another way or the process exits.
-    timer: Option<EntryHandle>,
+    /// The pending wake of a sleep or a timed receive, and when it is due.
+    /// A delivery that ends the receive leaves it pending until the
+    /// process's next wait: a timed one to the same deadline takes it over,
+    /// any other wait or an exit cancels it (see `KernelState::arm`).
+    timer: Option<(EntryHandle, SimTime)>,
     delivered: Option<Msg>,
     killed: bool,
     park_permit: bool,
@@ -438,9 +442,34 @@ pub(crate) struct KernelState {
 
 impl KernelState {
     fn push_event(&mut self, time: SimTime, kind: EventKind) -> EntryHandle {
-        let seq = self.next_seq;
-        self.next_seq += 1;
+        let seq = self.take_seq();
         self.events.push(time, seq, kind)
+    }
+
+    fn take_seq(&mut self) -> u64 {
+        self.next_seq += 1;
+        self.next_seq - 1
+    }
+
+    /// Sets `pid`'s wake for a wait that ends at `due` (`None`: a wait with
+    /// no timeout). A wake its last timed receive left pending is taken
+    /// over when it is due at the same instant, under the `seq` a fresh
+    /// push would get, so it fires exactly where a cancel and a push would
+    /// put it; otherwise it is cancelled.
+    fn arm(&mut self, pid: Pid, due: Option<SimTime>) {
+        let timer = match (self.procs[pid.idx()].timer.take(), due) {
+            (Some((kept, at)), Some(due)) if at == due => {
+                let seq = self.take_seq();
+                Some((self.events.reseq(kept, seq), due))
+            }
+            (kept, due) => {
+                if let Some((kept, _)) = kept {
+                    self.events.cancel(kept);
+                }
+                due.map(|due| (self.push_event(due, EventKind::Wake { pid }), due))
+            }
+        };
+        self.procs[pid.idx()].timer = timer;
     }
 
     fn make_runnable(&mut self, pid: Pid) {
@@ -497,11 +526,10 @@ impl KernelState {
                 };
                 if let Some((pid, msg)) = waiter {
                     let p = &mut self.procs[pid.idx()];
+                    // The receive is over. Its wake stays pending for the
+                    // next wait to take over or cancel: nothing fires
+                    // while the process is runnable.
                     p.delivered = Some(msg);
-                    // The receive is over: its timeout leaves the wheel.
-                    if let Some(timer) = p.timer.take() {
-                        self.events.cancel(timer);
-                    }
                     self.make_runnable(pid);
                 }
             }
@@ -514,7 +542,7 @@ impl KernelState {
             return;
         }
         let owned = std::mem::take(&mut p.owned);
-        if let Some(timer) = p.timer.take() {
+        if let Some((timer, _)) = p.timer.take() {
             self.events.cancel(timer);
         }
         // Clean a dangling recv registration.
@@ -546,12 +574,8 @@ impl KernelState {
     /// Blocks `pid` in a sleep of `d`: the bookkeeping half of
     /// [`Ctx::sleep`] and [`Wait::Sleep`].
     fn begin_sleep(&mut self, pid: Pid, d: Duration) {
-        let now = self.now;
-        let timer = self.push_event(now + d, EventKind::Wake { pid });
-        let p = &mut self.procs[pid.idx()];
-        debug_assert!(p.timer.is_none(), "{pid} sleeps with a timer pending");
-        p.blocked = BlockState::Sleeping;
-        p.timer = Some(timer);
+        self.arm(pid, Some(self.now + d));
+        self.procs[pid.idx()].blocked = BlockState::Sleeping;
     }
 
     /// If a message is queued on `mb`, returns it; otherwise registers
@@ -559,7 +583,6 @@ impl KernelState {
     /// `None`. The bookkeeping half of [`Ctx::recv`] /
     /// [`Ctx::recv_timeout`] and of [`Wait::Recv`] / [`Wait::RecvTimeout`].
     fn begin_recv(&mut self, pid: Pid, mb: Addr, timeout: Option<Duration>) -> Option<Msg> {
-        let now = self.now;
         let q = self
             .mailboxes
             .get_key_mut(mb.0)
@@ -570,11 +593,8 @@ impl KernelState {
         }
         assert!(q.waiting.is_none(), "mailbox {} already has a waiting receiver", q.name);
         q.waiting = Some(pid);
-        let timer = timeout.map(|t| self.push_event(now + t, EventKind::Wake { pid }));
-        let p = &mut self.procs[pid.idx()];
-        debug_assert!(p.timer.is_none(), "{pid} receives with a timer pending");
-        p.blocked = BlockState::Receiving { mailbox: mb.0 };
-        p.timer = timer;
+        self.arm(pid, timeout.map(|t| self.now + t));
+        self.procs[pid.idx()].blocked = BlockState::Receiving { mailbox: mb.0 };
         None
     }
 
@@ -1817,6 +1837,7 @@ impl Ctx {
             }
             p.blocked = BlockState::Parked;
             p.waiting_on = Some(Waiting::Annotated(wait));
+            st.arm(self.pid, None);
         }
         self.yield_to_kernel();
     }

@@ -61,6 +61,11 @@ impl<T> Slab<T> {
 
     /// Inserts `value`, returning its index. Reuses a freed slot when one
     /// is available; only grows the backing `Vec` otherwise.
+    ///
+    /// Always inlined: called out of line, it builds the entry in a stack
+    /// temporary and copies it into the slot with loads that wait on the
+    /// temporary's stores, which made it the costliest step of a wheel push.
+    #[inline(always)]
     pub fn insert(&mut self, value: T) -> u32 {
         if self.free_head != NIL {
             let idx = self.free_head;

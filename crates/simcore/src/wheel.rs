@@ -35,7 +35,9 @@
 //! heap. Cancelling from a slot is an O(1) unlink; from the staged run, a
 //! binary search on `(time, seq)`; from the overflow heap, a scan of the
 //! timers more than the wheel range ahead. A cancelled entry is never
-//! cascaded, staged or popped.
+//! cascaded, staged or popped. [`TimingWheel::reseq`] gives a pending
+//! entry a new `seq` in place of a cancel and a push at the same time: a
+//! write in a slot list, which `seq` does not order.
 //!
 //! # Exact ordering
 //!
@@ -204,15 +206,7 @@ impl<T> TimingWheel<T> {
         let idx = self.slab.insert(Node { time, seq, next: NIL, prev: NIL, payload });
         debug_assert!(idx < HEAD, "slab index collides with the slot-head tag");
         self.len += 1;
-        let tk = tick_of(time);
-        if tk < self.cursor {
-            // At or before the tick currently being delivered (e.g. a
-            // zero-latency send at the current instant): merge into the
-            // staged run at its exact (time, seq) position.
-            self.stage_sorted(idx);
-        } else {
-            self.insert_wheel(idx, tk);
-        }
+        self.put(idx);
         EntryHandle { idx, seq }
     }
 
@@ -222,6 +216,53 @@ impl<T> TimingWheel<T> {
     ///
     /// Panics if that entry has already been popped or cancelled.
     pub fn cancel(&mut self, handle: EntryHandle) -> T {
+        self.detach(handle);
+        self.len -= 1;
+        self.cancelled += 1;
+        self.slab.remove(handle.idx).payload
+    }
+
+    /// Gives the pending entry `handle` names the sequence number `seq`,
+    /// keeping its time and payload, and returns the entry's new handle.
+    /// The entry then pops exactly where a [`TimingWheel::cancel`] and a
+    /// [`TimingWheel::push`] at `(time, seq)` would put it, and `seq` must
+    /// be unique as for a push. In a slot list, which is unordered, that is
+    /// one write; a staged or overflowed entry, whose place `seq` orders,
+    /// is taken out and placed again.
+    ///
+    /// # Panics
+    ///
+    /// Panics if that entry has already been popped or cancelled.
+    pub fn reseq(&mut self, handle: EntryHandle, seq: u64) -> EntryHandle {
+        let idx = handle.idx;
+        let n = self.slab.get_mut(idx);
+        assert_eq!(n.seq, handle.seq, "reseq of an entry no longer pending (slot {idx})");
+        if n.prev == STAGED || n.prev == OVERFLOWED {
+            self.detach(handle);
+            self.slab.get_mut(idx).seq = seq;
+            self.put(idx);
+        } else {
+            n.seq = seq;
+        }
+        EntryHandle { idx, seq }
+    }
+
+    /// Puts the detached node `idx` where its `(time, seq)` belongs.
+    fn put(&mut self, idx: u32) {
+        let tk = tick_of(self.slab.get(idx).time);
+        if tk < self.cursor {
+            // At or before the tick currently being delivered (e.g. a
+            // zero-latency send at the current instant): merge into the
+            // staged run at its exact (time, seq) position.
+            self.stage_sorted(idx);
+        } else {
+            self.insert_wheel(idx, tk);
+        }
+    }
+
+    /// Takes the pending entry `handle` names out of its slot list, the
+    /// staged run or the overflow heap, leaving its node in the slab.
+    fn detach(&mut self, handle: EntryHandle) {
         let EntryHandle { idx, seq } = handle;
         let n = self.slab.get(idx);
         assert_eq!(n.seq, seq, "cancel of an entry no longer pending (slot {idx})");
@@ -253,9 +294,6 @@ impl<T> TimingWheel<T> {
                 }
             }
         }
-        self.len -= 1;
-        self.cancelled += 1;
-        self.slab.remove(idx).payload
     }
 
     /// The next entry in `(time, seq)` order, without removing it.
@@ -636,6 +674,64 @@ mod tests {
             );
         }
         assert!(bereaved_popped > 0, "no entry was cascaded after a neighbour's cancel");
+    }
+
+    /// `reseq` against the reference's cancel and push at the same time,
+    /// from every place an entry can wait in.
+    #[test]
+    fn reseq_matches_binary_heap_across_magnitudes() {
+        let mut wheel: TimingWheel<u32> = TimingWheel::new();
+        let mut heap = HeapQueue::default();
+        let mut rng = XorShift(0x1F83D9ABFB41BD6B);
+        let mut now = SimTime::ZERO;
+        // Per pending seq: its handle, time and payload.
+        let mut pending: BTreeMap<u64, (EntryHandle, SimTime, u32)> = BTreeMap::new();
+        let mut reseqed_from: BTreeMap<Place, u32> = BTreeMap::new();
+        let mut seq = 0u64;
+        let mut times = Vec::new();
+        for round in 0..20_000u32 {
+            times.push(now + Duration::from_nanos(delay_ns(&mut rng)));
+            if round % 50 == 0 {
+                times.extend((0..4).map(|_| now + Duration::from_nanos(rng.next() % 3_000)));
+            }
+            for t in times.drain(..) {
+                pending.insert(seq, (wheel.push(t, seq, seq as u32), t, seq as u32));
+                heap.push(t, seq, seq as u32);
+                seq += 1;
+            }
+            if rng.next().is_multiple_of(3) {
+                let got = wheel.pop();
+                assert_eq!(got, heap.pop(), "pop divergence at round {round}");
+                if let Some((t, s, _)) = got {
+                    now = t;
+                    pending.remove(&s);
+                }
+            }
+            if !pending.is_empty() && rng.next().is_multiple_of(2) {
+                let k = (rng.next() % pending.len() as u64) as usize;
+                let old = *pending.keys().nth(k).expect("k < len");
+                let (h, t, payload) = pending.remove(&old).expect("pending");
+                *reseqed_from.entry(wheel.place(h)).or_default() += 1;
+                heap.cancel(old);
+                heap.push(t, seq, payload);
+                let h = wheel.reseq(h, seq);
+                // `place` checks that the new handle names a pending entry.
+                wheel.place(h);
+                pending.insert(seq, (h, t, payload));
+                seq += 1;
+                assert_eq!(wheel.len(), heap.heap.len());
+            }
+        }
+        while let Some(want) = heap.pop() {
+            assert_eq!(wheel.pop(), Some(want));
+        }
+        assert!(wheel.is_empty());
+        assert_eq!(wheel.stats().cancelled, 0, "a reseq is no cancel");
+        for place in
+            [Place::Head(0), Place::Middle(1), Place::Tail(2), Place::Staged, Place::Overflowed]
+        {
+            assert!(reseqed_from.contains_key(&place), "no reseq from {place:?}: {reseqed_from:?}");
+        }
     }
 
     #[test]

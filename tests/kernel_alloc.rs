@@ -20,11 +20,11 @@
 //! to show a simulation never starts one.
 //!
 //! Three more regions count the DSO layer: cloning a request (what a retry
-//! and every Skeen hop do) allocates nothing, a steady-state replicated
-//! `increment_and_get` on a 3-node cluster at rf = 2 allocates a fixed,
-//! exact number of times per op, and so does a client that connects
-//! afresh for every read, as a FaaS container does, whole cluster included
-//! both times.
+//! does) allocates nothing, a steady-state replicated `increment_and_get`
+//! on a 3-node cluster at rf = 2 allocates and pushes timers a fixed,
+//! exact number of times per op, and a client that connects afresh for
+//! every read, as a FaaS container does, allocates a fixed number of
+//! times, whole cluster included both times.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{self, Ordering};
@@ -34,7 +34,7 @@ use crucial::Sim;
 use dso::api::AtomicLong;
 use dso::protocol::InvokeReq;
 use dso::{DsoClientHandle, DsoCluster, DsoConfig, ObjectRef, ObjectRegistry};
-use simcore::{Actor, Addr, Ctx, Msg, Proc, Request, SpanId, Wait, Wake};
+use simcore::{Actor, Addr, Ctx, Msg, Proc, Request, SimTime, SpanId, Wait, Wake};
 
 struct CountingAlloc;
 
@@ -235,8 +235,8 @@ fn steady_state_timed_rpc_allocates_only_its_payloads() {
     assert_eq!(counted, 3 * CALLS, "a timed RPC allocated {per_call:.3} times per call, not 3");
 }
 
-/// A request is cloned per retry and per Skeen `Run`: every field of it
-/// is shared, so a clone is reference-count bumps only.
+/// A request is cloned per retry: every field of it is shared, so a clone
+/// is reference-count bumps only.
 fn cloning_a_request_allocates_nothing() {
     let obj = ObjectRef::new("AtomicLong", "counter-17");
     let req = InvokeReq {
@@ -260,19 +260,30 @@ fn cloning_a_request_allocates_nothing() {
 }
 
 /// Allocations per replicated write over the whole cluster: the client's
-/// request and reply, the Skeen round's messages between the two
-/// replicas, both applies and the dispatcher and worker hops. Debug builds
-/// add one per replica: `dispatch` saves the object's state before each
-/// apply, to catch a read that mutates.
+/// request and reply, the op the Skeen round shares, its messages between
+/// the two replicas, both applies (only the initiator's keeps its reply)
+/// and the dispatcher and worker hops. Debug builds add one per replica:
+/// `dispatch` saves the object's state before each apply, to catch a read
+/// that mutates.
 const ALLOCS_PER_SMR_WRITE: u64 = if cfg!(debug_assertions) { 16 } else { 14 };
+
+/// Timing-wheel pushes over 1 000 replicated writes: ten per write (its
+/// seven messages, both workers' CPU sleeps, the client's attempt timeout),
+/// and the heartbeats that fall in the window. A dispatcher a message woke
+/// waits again to the same heartbeat deadline and keeps that wake instead
+/// of pushing it again; re-pushing it made this 14 009.
+const SMR_WRITE_PUSHES: u64 = 10_009;
 
 /// One client's steady-state `increment_and_get`s on a 3-node cluster at
 /// rf = 2, after a warm-up that has materialized the counter and grown
-/// every table. The window also holds what the servers do meanwhile
-/// (replica applies, heartbeats), so the count is exact for this seed.
+/// every table; then, after a pause to a fixed instant that the wheel's
+/// counts can be read at, as many again. Each window also holds what the
+/// servers do meanwhile (replica applies, heartbeats), so both counts are
+/// exact for this seed.
 fn steady_state_smr_write_allocates_a_fixed_count() {
     const WARMUP: u64 = 200;
     const OPS: u64 = 1_000;
+    let window = SimTime::from_secs(2);
     let mut sim = Sim::new(17);
     let cluster = DsoCluster::start(&sim, 3, DsoConfig::default(), ObjectRegistry::with_builtins());
     let handle = cluster.client_handle();
@@ -289,7 +300,20 @@ fn steady_state_smr_write_allocates_a_fixed_count() {
             assert_eq!(v, (WARMUP + i + 1) as i64);
         }
         COUNTING.store(false, Ordering::SeqCst);
+        // The event window: the same writes again from a fixed instant.
+        assert!(ctx.now() < window, "the allocation window ran past {window}");
+        ctx.sleep(window.duration_since(ctx.now()));
+        for _ in 0..OPS {
+            counter.increment_and_get(ctx, &mut cli).expect("write");
+        }
     });
+    // Stops short of the client's wake at the window's start.
+    sim.run_until(SimTime::from_nanos(window.as_nanos() - 1));
+    let pushes = |sim: &Sim| {
+        let stats = sim.event_queue_stats();
+        stats.allocated_nodes + stats.recycled_pushes
+    };
+    let before = pushes(&sim);
     sim.run_until_idle();
     let counted = ALLOCS.load(Ordering::SeqCst);
     let per_op = counted as f64 / OPS as f64;
@@ -299,6 +323,10 @@ fn steady_state_smr_write_allocates_a_fixed_count() {
         ALLOCS_PER_SMR_WRITE * OPS,
         "a replicated write allocated {per_op:.3} times per op, not {ALLOCS_PER_SMR_WRITE}"
     );
+    let pushed = pushes(&sim) - before;
+    let per_op = pushed as f64 / OPS as f64;
+    println!("smr write: {pushed} wheel pushes over {OPS} ops, {per_op:.3} per op");
+    assert_eq!(pushed, SMR_WRITE_PUSHES, "wheel pushes over {OPS} replicated writes");
 }
 
 /// Allocations per connection over the whole cluster: a fresh client, its
